@@ -120,7 +120,8 @@ def test_dataflow_analysis_speed(benchmark, traced):
     dataflow over the fx IR collapses to single sweeps — every analysis
     must be cheap enough to run after every pass of a pipeline, and a
     cached re-query must be near-free."""
-    from repro.fx.analysis import analyze, clear_analysis_cache, lint_graph
+    from repro.fx import clear_caches
+    from repro.fx.analysis import analyze, lint_graph
 
     x = repro.randn(1, 3, 64, 64)
     ShapeProp(traced).propagate(x)
@@ -148,7 +149,7 @@ def test_dataflow_analysis_speed(benchmark, traced):
         for name in ("alias", "purity", "dtype", "mutation"):
             t_cold = measure(lambda: analyze(gm, [name], cache=False),
                              trials=5, warmup=1)
-            clear_analysis_cache()
+            clear_caches("analysis")
             analyze(gm, [name], graph_hash=ghash)  # populate
             t_hot = measure(lambda: analyze(gm, [name], graph_hash=ghash),
                             trials=5, warmup=1)
@@ -158,7 +159,7 @@ def test_dataflow_analysis_speed(benchmark, traced):
                          t_hot.median * 1e3, speedup])
         t_lint = measure(lambda: lint_graph(gm, cache=False),
                          trials=5, warmup=1)
-        clear_analysis_cache()
+        clear_caches("analysis")
         lint_graph(gm, graph_hash=ghash)
         t_lint_hot = measure(lambda: lint_graph(gm, graph_hash=ghash),
                              trials=5, warmup=1)
@@ -190,13 +191,12 @@ def test_verifier_overhead_on_compile(benchmark):
     """The hard budget from the issue: with caching, running the
     PassVerifier after every stage of a ResNet-50 compile must cost
     < 25% extra wall time."""
-    from repro.fx.analysis import clear_analysis_cache
-    from repro.fx.passes import shared_transform_cache
+    from repro.fx import clear_caches
 
     model = resnet50().eval()
     x = repro.randn(1, 3, 64, 64)
-    shared_transform_cache().clear()
-    clear_analysis_cache()
+    clear_caches("transform")
+    clear_caches("analysis")
 
     def compile_off():
         return repro.fx.compile(model, (x,), verify=False)

@@ -24,12 +24,10 @@ import pytest
 
 import repro
 from repro.bench import format_table
-from repro.fx import symbolic_trace, to_backend
+from repro.fx import cache_info, clear_caches, symbolic_trace, to_backend
 from repro.fx.backends import (
     CapabilityPartitioner,
-    clear_subgraph_cache,
     override_support,
-    subgraph_cache_info,
 )
 from repro.fx.passes.shape_prop import ShapeProp
 from repro.models import resnet50
@@ -142,15 +140,15 @@ def test_to_backend_cold_vs_cached(benchmark, annotated_resnet50):
     backend = override_support("trt", _pooling_unsupported)
 
     def sweep():
-        clear_subgraph_cache()
+        clear_caches("partition")
         t0 = time.perf_counter()
         cold = to_backend(model, backend)
         t_cold = time.perf_counter() - t0
-        info_cold = subgraph_cache_info()
+        info_cold = cache_info()["partition"]
         t0 = time.perf_counter()
         warm = to_backend(model, backend)
         t_warm = time.perf_counter() - t0
-        info_warm = subgraph_cache_info()
+        info_warm = cache_info()["partition"]
         return cold, warm, t_cold, t_warm, info_cold, info_warm
 
     cold, warm, t_cold, t_warm, info_cold, info_warm = benchmark.pedantic(

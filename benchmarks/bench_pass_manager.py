@@ -18,10 +18,9 @@ import pickle
 import time
 
 from repro.bench import format_table
-from repro.fx import clear_codegen_cache, codegen_cache_info, symbolic_trace
+from repro.fx import ArtifactCache, cache_info, clear_caches, symbolic_trace
 from repro.fx.passes import (
     PassManager,
-    TransformCache,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
@@ -60,8 +59,8 @@ def test_pass_manager_cached_rerun():
     for _ in range(repeats):
         # A cold run means *no* caches: fresh transform cache, and the
         # codegen cache cleared so recompiles inside passes are real.
-        clear_codegen_cache()
-        manager = PassManager(PIPELINE, lint_after_each=True, cache=TransformCache())
+        clear_caches("codegen")
+        manager = PassManager(PIPELINE, lint_after_each=True, cache=ArtifactCache())
         cold_times.append(_timed(lambda: manager.run(pickle.loads(payload))))
         if cold_result is None:
             cold_result = manager.last_result
@@ -80,14 +79,14 @@ def test_pass_manager_cached_rerun():
     gm2 = pickle.loads(payload)
 
     def cold_recompile():
-        clear_codegen_cache()  # negligible next to compile+exec
+        clear_caches("codegen")  # negligible next to compile+exec
         gm2.recompile()
 
     recompile_cold = _best(cold_recompile, repeats)
     gm2.recompile()  # prime the cache
-    hits_before = codegen_cache_info()["hits"]
+    hits_before = cache_info()["codegen"]["hits"]
     recompile_warm = _best(gm2.recompile, repeats)
-    assert codegen_cache_info()["hits"] >= hits_before + repeats
+    assert cache_info()["codegen"]["hits"] >= hits_before + repeats
 
     rows = [
         ["pipeline cold (5 passes + lint)", f"{cold * 1e3:.2f}", "1.0x"],

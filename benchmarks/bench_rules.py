@@ -12,7 +12,7 @@ of §4.4's pass-library model.  Three claims are asserted:
   actually fires, and every firing is bit-exact (checked continuously by
   the fuzz oracle's ``rules`` check; here we snapshot firing counts);
 * re-applying the library to a structurally identical bait-heavy module
-  through the shared :class:`~repro.fx.passes.TransformCache` replays
+  through a :class:`~repro.fx.ArtifactCache` transform cache replays
   from cache and is **≥ 5×** faster than the cold application (which
   pays matching, rewriting, and per-firing verification).
 """
@@ -26,8 +26,9 @@ import repro
 import repro.functional as F
 from repro import nn
 from repro.bench import format_table
-from repro.fx import clear_codegen_cache, compile as fx_compile, symbolic_trace
-from repro.fx.passes import PassManager, ShapeProp, TransformCache
+from repro.fx import ArtifactCache, clear_caches, compile as fx_compile, \
+    symbolic_trace
+from repro.fx.passes import PassManager, ShapeProp
 from repro.fx.rules import apply_default_rules, default_ruleset
 from repro.fx.testing.generator import ProgramSpec, generate_program
 from repro.fx.testing.oracle import max_abs_diff
@@ -70,7 +71,7 @@ def test_rule_library_cost():
     payload = pickle.dumps(symbolic_trace(model))
 
     def compile_with(rules: bool):
-        clear_codegen_cache()
+        clear_caches("codegen")
         return fx_compile(pickle.loads(payload), (x,),
                           rules=rules, cache=False)
 
@@ -118,10 +119,10 @@ def test_rule_library_cost():
     ref_bait = bait(xb)
     bait_payload = pickle.dumps(bait)
     copies = [pickle.loads(bait_payload) for _ in range(2 * repeats + 1)]
-    manager = PassManager([apply_default_rules], cache=TransformCache())
+    manager = PassManager([apply_default_rules], cache=ArtifactCache())
 
     cold = min(_timed(lambda: PassManager([apply_default_rules],
-                                          cache=TransformCache()).run(c))
+                                          cache=ArtifactCache()).run(c))
                for c in copies[:repeats])
     primed = manager.run(copies[repeats]).graph_module
     warm = min(_timed(lambda: manager.run(c))

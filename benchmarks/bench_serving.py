@@ -30,9 +30,7 @@ import pytest
 import repro
 import repro.fx as fx
 from repro.bench import format_table, measure
-from repro.fx import symbolic_trace
-from repro.fx.graph_module import clear_codegen_cache
-from repro.fx.vm import clear_vm_cache
+from repro.fx import clear_caches, symbolic_trace
 from repro.serve import (
     EngineCache,
     EngineKey,
@@ -138,8 +136,8 @@ def test_cold_start_loads_instead_of_recompiling(tmp_path):
     def cold():
         # A genuinely cold process: no memoized VM program, no cached
         # generated source.
-        clear_vm_cache()
-        clear_codegen_cache()
+        clear_caches("vm")
+        clear_caches("codegen")
         return fx.compile(gm, example, executor="vm").program
 
     key = EngineKey.for_graph(gm, "numpy", "vm", input_signature(example))

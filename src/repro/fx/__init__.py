@@ -19,12 +19,15 @@ Public surface mirrors ``torch.fx``:
   visualization, cost modelling, scheduling;
 * :mod:`repro.fx.vm` / :func:`compile_to_vm` — the flat bytecode VM
   execution tier (``compile(..., executor="vm")``);
+* :func:`cache_info` / :func:`clear_caches` — the one stats surface over
+  every memoised compile stage (:class:`ArtifactCache`);
 * :mod:`repro.fx.testing` — differential testing and graph fuzzing of
   everything above.
 """
 
 from .graph import Graph, PythonCode, UnstableHashError
-from .graph_module import GraphModule, clear_codegen_cache, codegen_cache_info
+from .cache import ArtifactCache, cache_info, clear_caches
+from .graph_module import GraphModule
 from .interpreter import Interpreter, Transformer
 from .node import Node, map_arg, map_aggregate
 from .proxy import Attribute, Proxy, TraceError
@@ -43,6 +46,7 @@ from .sharding import shard
 from . import testing
 
 __all__ = [
+    "ArtifactCache",
     "Attribute",
     "Backend",
     "BackendReport",
@@ -65,8 +69,8 @@ __all__ = [
     "VMProgram",
     "analysis",
     "backends",
-    "clear_codegen_cache",
-    "codegen_cache_info",
+    "cache_info",
+    "clear_caches",
     "compile",
     "compile_to_vm",
     "lint_graph",

@@ -36,9 +36,7 @@ from .engine import (
     AnalysisContext,
     AnalysisError,
     FixpointStats,
-    analysis_cache_info,
     analyze,
-    clear_analysis_cache,
     fixpoint,
     get_analysis,
     register_analysis,
@@ -113,10 +111,8 @@ __all__ = [
     "Severity",
     "UpcastRecord",
     "VerificationError",
-    "analysis_cache_info",
     "analyze",
     "classify_effect",
-    "clear_analysis_cache",
     "derive_guards",
     "detect_breaks",
     "fixpoint",

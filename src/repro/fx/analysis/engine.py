@@ -29,10 +29,10 @@ re-implemented privately inside individual passes:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
+from ..cache import register_stage
 from ..graph import Graph
 from ..graph_module import GraphModule
 from ..node import Node
@@ -42,9 +42,7 @@ __all__ = [
     "AnalysisContext",
     "AnalysisError",
     "FixpointStats",
-    "analysis_cache_info",
     "analyze",
-    "clear_analysis_cache",
     "fixpoint",
     "get_analysis",
     "register_analysis",
@@ -207,48 +205,9 @@ def registered_analyses() -> dict[str, Analysis]:
 # ---------------------------------------------------------------------------
 
 
-class _ResultCache:
-    """Process-wide LRU of analysis results keyed by
-    ``(analysis name, graph structural hash, extra key)``."""
-
-    def __init__(self, maxsize: int = 2048):
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple) -> tuple[bool, Any]:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, self._entries[key]
-        self.misses += 1
-        return False, None
-
-    def store(self, key: tuple, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_CACHE = _ResultCache()
-
-
-def clear_analysis_cache() -> None:
-    _CACHE.clear()
-
-
-def analysis_cache_info() -> dict[str, int]:
-    return {"size": len(_CACHE), "hits": _CACHE.hits, "misses": _CACHE.misses}
+#: Analysis results keyed by ``(analysis name, graph structural hash,
+#: extra key)``; results are positional facts, shared by every context.
+_CACHE = register_stage("analysis", 2048)
 
 
 class AnalysisContext:
@@ -316,22 +275,18 @@ class AnalysisContext:
                     hash(key)
                 except Exception:
                     key = None
-        if key is not None:
-            hit, value = _CACHE.lookup(key)
-            if hit:
-                self._local[name] = value
-                return value
 
-        self._in_flight.append(name)
-        try:
-            for dep in analysis.requires:
-                self.get(dep)
-            value = analysis.compute(self.gm, self)
-        finally:
-            self._in_flight.pop()
+        def compute() -> Any:
+            self._in_flight.append(name)
+            try:
+                for dep in analysis.requires:
+                    self.get(dep)
+                return analysis.compute(self.gm, self)
+            finally:
+                self._in_flight.pop()
+
+        value = compute() if key is None else _CACHE.get_or_build(key, compute)
         self._local[name] = value
-        if key is not None:
-            _CACHE.store(key, value)
         return value
 
 

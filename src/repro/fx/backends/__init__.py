@@ -35,8 +35,6 @@ from .partitioner import (CapabilityPartitioner, PartitionPlan, effect_mask,
                           validate_forward_cut)
 from .lowering import (
     BackendReport,
-    clear_subgraph_cache,
-    subgraph_cache_info,
     to_backend,
 )
 from .eager import EagerBackend
@@ -50,7 +48,6 @@ __all__ = [
     "NumpyBackend",
     "PartitionPlan",
     "UnsupportedNodesError",
-    "clear_subgraph_cache",
     "effect_mask",
     "validate_forward_cut",
     "get_backend",
@@ -58,7 +55,6 @@ __all__ = [
     "register_backend",
     "register_lazy_backend",
     "registered_backends",
-    "subgraph_cache_info",
     "to_backend",
 ]
 

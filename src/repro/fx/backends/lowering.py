@@ -22,13 +22,12 @@ compile work is ever started and then thrown away.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ...nn import Module
-from ..concurrency import KeyedMutex, on_fork_reset
+from ..cache import register_stage
 from ..graph import UnstableHashError
 from ..graph_module import GraphModule
 from ..passes import PassManager, PassRecord
@@ -40,8 +39,6 @@ from .partitioner import CapabilityPartitioner, full_cover_pids
 __all__ = [
     "BackendReport",
     "to_backend",
-    "subgraph_cache_info",
-    "clear_subgraph_cache",
 ]
 
 
@@ -99,39 +96,7 @@ class BackendReport:
 #: hash covers parameter/buffer bytes, so an equal key implies the same
 #: function.  Shared modules are safe for sequential reuse (backends with
 #: per-call state must set ``cacheable = False``).
-#:
-#: Concurrency: dict + counters under ``_CACHE_LOCK``; engine builds run
-#: outside it but single-flighted per key through ``_COMPILE_MUTEX``, so
-#: concurrent lowerings of structurally identical partitions build once
-#: and share the module (one miss, the rest hits).
-_SUBGRAPH_CACHE: Dict[tuple, Module] = {}
-_CACHE_STATS = {"hits": 0, "misses": 0}
-_CACHE_LOCK = threading.Lock()
-_COMPILE_MUTEX = KeyedMutex()
-
-
-@on_fork_reset
-def _reset_lock_after_fork() -> None:
-    global _CACHE_LOCK
-    _CACHE_LOCK = threading.Lock()
-
-
-def subgraph_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters for the shared per-partition compile memo."""
-    with _CACHE_LOCK:
-        return {
-            "hits": _CACHE_STATS["hits"],
-            "misses": _CACHE_STATS["misses"],
-            "size": len(_SUBGRAPH_CACHE),
-        }
-
-
-def clear_subgraph_cache() -> None:
-    """Drop every memoized compiled partition."""
-    with _CACHE_LOCK:
-        _SUBGRAPH_CACHE.clear()
-        _CACHE_STATS["hits"] = 0
-        _CACHE_STATS["misses"] = 0
+_PARTITION_CACHE = register_stage("partition", 128)
 
 
 def _compile_partition(backend: Backend, sub_gm: GraphModule,
@@ -151,28 +116,16 @@ def _compile_partition(backend: Backend, sub_gm: GraphModule,
         # object identity — skip the memo rather than cache unsoundly.
         return backend.compile_subgraph(sub_gm)
 
-    def lookup() -> Optional[Module]:
-        with _CACHE_LOCK:
-            cached = _SUBGRAPH_CACHE.get(key)
-            if cached is not None:
-                stats["hits"] += 1
-                _CACHE_STATS["hits"] += 1
-            return cached
+    built = False
 
-    cached = lookup()
-    if cached is not None:
-        return cached
-    # Single-flight: one builder per key; racers wait, then hit above.
-    with _COMPILE_MUTEX.acquire(key):
-        cached = lookup()
-        if cached is not None:
-            return cached
-        compiled = backend.compile_subgraph(sub_gm)
-        with _CACHE_LOCK:
-            stats["misses"] += 1
-            _CACHE_STATS["misses"] += 1
-            _SUBGRAPH_CACHE[key] = compiled
-        return compiled
+    def build() -> Module:
+        nonlocal built
+        built = True
+        return backend.compile_subgraph(sub_gm)
+
+    compiled = _PARTITION_CACHE.get_or_build(key, build)
+    stats["misses" if built else "hits"] += 1
+    return compiled
 
 
 # -- the entrypoint ------------------------------------------------------------
@@ -208,8 +161,8 @@ def to_backend(
             inline in the top-level graph — only supported partitions
             become submodules, so an unsupported side branch costs zero
             extra partitions.  If False, fallback nodes are grouped into
-            eager submodules too (full-cover split; the shape the old
-            ``lower_with_fallback`` produced).
+            eager submodules too (full-cover split; the shape
+            ``lower_to_trt`` returns).
         merge_independent: also co-locate dependency-independent supported
             partitions (see :class:`CapabilityPartitioner`).
         lint: validate the IR after every preferred pass.

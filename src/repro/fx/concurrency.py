@@ -1,25 +1,29 @@
-"""Concurrency primitives shared by the compile-stack caches.
+"""Concurrency primitives under :class:`repro.fx.cache.ArtifactCache`.
 
-Until the serving runtime arrived, every cache in ``repro.fx`` — the
-codegen LRU in :meth:`~repro.fx.GraphModule.recompile`, the
-:class:`~repro.fx.passes.TransformCache`, the ``compile_to_vm`` memo and
-the per-partition memo in ``to_backend`` — assumed a single caller.
-Under a worker pool that assumption breaks in two ways:
+A memo cache shared by a worker pool breaks in two ways if it assumes a
+single caller:
 
 * **bookkeeping corruption** — ``OrderedDict.move_to_end`` /
   ``popitem`` racing with inserts can raise or lose entries, and
   ``hits += 1`` is a read-modify-write that drops increments;
-* **duplicate compiles** — N workers asking for the same key all miss
-  and all compile, so counters drift from reality (N misses for one
-  insertion) and N distinct artifact objects circulate where callers
-  expect one shared one.
+* **duplicate builds** — N workers asking for the same key all miss and
+  all build, so counters drift from reality (N misses for one insertion)
+  and N distinct artifact objects circulate where callers expect one
+  shared one.
 
-The first problem is solved with a plain lock around each cache's
-bookkeeping.  The second is solved with :class:`KeyedMutex`: a per-key
-critical section, so the first worker through compiles while equal-key
+``ArtifactCache`` solves the first with one lock around its bookkeeping
+and the second with the :class:`KeyedMutex` defined here: a per-key
+critical section, so the first worker through builds while equal-key
 workers wait and then find the entry — one miss, N-1 hits, and one
 shared artifact, no matter the interleaving.  Distinct keys never
 contend on anything but the (cheap) registry lock.
+
+Do not hand-roll that double-checked lookup around a private dict: call
+:meth:`ArtifactCache.get_or_build(key, builder)
+<repro.fx.cache.ArtifactCache.get_or_build>`, which is the one place
+that does it (and the one place a concurrency fix has to land).  This
+module also owns fork safety (:func:`on_fork_reset`) for every
+process-wide lock.
 """
 
 from __future__ import annotations
@@ -91,21 +95,9 @@ class KeyedMutex:
     leaves, so the registry never grows beyond the number of keys
     currently in flight.
 
-    The intended caching idiom (single-flight compilation)::
-
-        with lock:                       # fast path, no per-key state
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        with mutex.acquire(key):         # one builder per key
-            with lock:                   # another builder may have won
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
-            artifact = expensive_build()
-            with lock:
-                cache[key] = artifact
-            return artifact
+    :meth:`repro.fx.cache.ArtifactCache.get_or_build` is the cache-fill
+    user: fast-path lookup under the cache lock, then one builder per key
+    inside ``acquire(key)`` with a re-check.
     """
 
     def __init__(self) -> None:

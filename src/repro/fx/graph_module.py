@@ -14,17 +14,15 @@ import itertools
 import linecache
 import os
 import pickle
-import threading
 import types
-from collections import OrderedDict
-from typing import Any, Callable, Optional
+from typing import Any
 
 from ..nn import Module, Parameter
 from ..tensor import Tensor
-from .concurrency import on_fork_reset
+from .cache import register_stage
 from .graph import Graph, PythonCode
 
-__all__ = ["GraphModule", "codegen_cache_info", "clear_codegen_cache"]
+__all__ = ["GraphModule"]
 
 # Each generated forward gets a unique pseudo-filename registered in
 # linecache so pdb / tracebacks can show the generated source (§5.4).
@@ -33,109 +31,38 @@ __all__ = ["GraphModule", "codegen_cache_info", "clear_codegen_cache"]
 _NEXT_CODE_ID = itertools.count()
 
 
-def _register_source(src: str) -> str:
-    filename = f"<fx-generated-{next(_NEXT_CODE_ID)}>"
-    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    return filename
-
-
 def _evict_source(filename: str) -> None:
     linecache.cache.pop(filename, None)
 
 
-class _CodegenCache:
-    """Structural-hash-keyed cache of compiled ``forward`` functions.
+def _compile_forward(python_code: PythonCode) -> tuple:
+    """Exec *python_code* under a fresh linecache filename; returns the
+    ``(src, forward, globals, filename)`` entry the codegen cache stores.
 
-    Keyed on ``(Graph.structural_hash(include_attrs=False), node names)``:
-    the generated source depends only on graph structure plus the variable
-    names, never on parameter values, so identical graphs across modules
-    (pickle round-trips, no-op transforms, fuzz iterations) share one
-    compile + one linecache entry instead of re-exec'ing the source every
-    ``recompile()``.  LRU-bounded; eviction also drops the entry's
-    linecache registration, so repeated recompilation no longer grows
-    ``linecache.cache`` without bound.
-
-    Thread-safe: every method holds one lock, because even ``get``
-    mutates (``move_to_end`` for LRU recency plus the hit/miss counters).
-    Two threads missing the same key may both compile and both ``put`` —
-    the second insert replaces the first, evicting its linecache entry,
-    so the cache still holds exactly one entry per key and the counters
-    add up (codegen is deterministic, so either function object is
-    equally valid).
+    The globals in the entry are a private copy taken *before* exec: the
+    table belongs to the caller of ``python_code()``, who may mutate it,
+    and the copy keeps every object the structural hash tokenized by
+    ``id()`` alive for exactly as long as the entry exists, so a cache key
+    can never alias a recycled id.
     """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, tuple[str, Callable, dict, str]]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    def get(self, key: tuple) -> Optional[tuple[str, Callable, dict, str]]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: tuple, entry: tuple[str, Callable, dict, str]) -> None:
-        with self._lock:
-            stale = self._entries.get(key)
-            if stale is not None and stale[3] != entry[3]:
-                # A concurrent compile of the same key won the race; keep
-                # one linecache entry per cached compile, not two.
-                _evict_source(stale[3])
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                _, (_, _, _, stale_filename) = self._entries.popitem(last=False)
-                _evict_source(stale_filename)
-
-    def clear(self) -> None:
-        with self._lock:
-            for _, _, _, filename in self._entries.values():
-                _evict_source(filename)
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    src = python_code.src
+    filename = f"<fx-generated-{next(_NEXT_CODE_ID)}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace = dict(python_code.globals)
+    exec(compile(src, filename, "exec"), namespace)
+    return src, namespace["forward"], dict(python_code.globals), filename
 
 
-_CODEGEN_CACHE = _CodegenCache(
-    maxsize=int(os.environ.get("REPRO_FX_CODEGEN_CACHE_SIZE", "256")))
-
-
-@on_fork_reset
-def _reset_codegen_lock_after_fork() -> None:
-    # A child forked while another parent thread held the cache lock would
-    # deadlock on its first recompile(); the entries themselves are fine
-    # (codegen is deterministic), only the lock state is poison.
-    _CODEGEN_CACHE._lock = threading.Lock()
-
-
-def codegen_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters for the shared codegen cache."""
-    return {
-        "hits": _CODEGEN_CACHE.hits,
-        "misses": _CODEGEN_CACHE.misses,
-        "size": len(_CODEGEN_CACHE),
-        "maxsize": _CODEGEN_CACHE.maxsize,
-    }
-
-
-def clear_codegen_cache() -> None:
-    """Drop all cached compiled forwards (and their linecache entries)."""
-    _CODEGEN_CACHE.clear()
+#: Compiled ``forward`` functions keyed on ``(Graph.structural_hash(
+#: include_attrs=False), node names, arena slots)``: the generated source
+#: depends only on graph structure plus the variable names, never on
+#: parameter values, so identical graphs across modules (pickle
+#: round-trips, no-op transforms, fuzz iterations) share one compile + one
+#: linecache entry instead of re-exec'ing the source every ``recompile()``.
+#: An entry leaving the cache drops its linecache registration, so repeated
+#: recompilation cannot grow ``linecache.cache`` without bound.
+_CODEGEN_CACHE = register_stage(
+    "codegen", 256, on_evict=lambda entry: _evict_source(entry[3]))
 
 
 def _rebuild_graph_module(cls: type, state: dict) -> "GraphModule":
@@ -251,63 +178,43 @@ class GraphModule(Module):
         ``self.<path>``, so one compiled forward is valid for every module
         whose graph hashes equal.
         """
-        key = None
-        if _CODEGEN_CACHE.enabled:
-            try:
-                key = (
-                    self._graph.structural_hash(include_attrs=False),
-                    tuple(n.name for n in self._graph.nodes),
-                    # Arena-slot assignments live only in node.meta (not in
-                    # the structural hash) yet change the generated source
-                    # (out=<slot> arguments). Two structurally identical
-                    # graphs with different plans must not share code; the
-                    # id() is pinned live by the stored globals table.
-                    tuple(
-                        (i, id(n.meta.get("arena_slot")))
-                        for i, n in enumerate(self._graph.nodes)
-                        if n.meta.get("arena_slot") is not None
-                    ),
-                )
-            except Exception:
-                key = None  # unhashable target/arg: fall back to a fresh compile
-        if key is not None:
-            cached = _CODEGEN_CACHE.get(key)
-            if cached is not None:
-                src, fn, globals_, _filename = cached
-                self._evict_private_source()
-                self._code = src
-                object.__setattr__(self, "forward", types.MethodType(fn, self))
-                # Copy: the cached globals dict must stay pristine for
-                # future hits (and it pins the id()-hashed objects the
-                # cache key refers to), so callers never get the shared one.
-                return PythonCode(src, dict(globals_))
+        try:
+            key = (
+                self._graph.structural_hash(include_attrs=False),
+                tuple(n.name for n in self._graph.nodes),
+                # Arena-slot assignments live only in node.meta (not in
+                # the structural hash) yet change the generated source
+                # (out=<slot> arguments). Two structurally identical
+                # graphs with different plans must not share code; the
+                # id() is pinned live by the stored globals table.
+                tuple(
+                    (i, id(n.meta.get("arena_slot")))
+                    for i, n in enumerate(self._graph.nodes)
+                    if n.meta.get("arena_slot") is not None
+                ),
+            )
+        except Exception:
+            key = None  # unhashable target/arg: fall back to a fresh compile
 
-        python_code = self._graph.python_code(root_module="self")
-        self._evict_private_source()
-        self._code = python_code.src
-        filename = _register_source(self._code)
-        globals_ = dict(python_code.globals)
-        exec(compile(self._code, filename, "exec"), globals_)
-        fn = globals_["forward"]
-        object.__setattr__(self, "forward", types.MethodType(fn, self))
+        def build() -> tuple:
+            return _compile_forward(self._graph.python_code(root_module="self"))
+
         if key is not None:
-            # Store a private copy of the globals table: the returned
-            # python_code.globals belongs to the caller, who may mutate it.
-            # The stored copy also keeps every object the structural hash
-            # tokenized by id() alive for exactly as long as the entry
-            # exists, so the key can never alias a recycled id.
-            _CODEGEN_CACHE.put(key, (self._code, fn, dict(python_code.globals), filename))
+            src, fn, globals_, _ = _CODEGEN_CACHE.get_or_build(key, build)
+            private = None
         else:
             # Uncached compile: this module owns the linecache entry and
             # must evict it on the next recompile (or leak one per call).
-            object.__setattr__(self, "_private_fx_filename", filename)
-        return python_code
-
-    def _evict_private_source(self) -> None:
+            src, fn, globals_, private = build()
         stale = getattr(self, "_private_fx_filename", None)
         if stale is not None:
             _evict_source(stale)
-            object.__setattr__(self, "_private_fx_filename", None)
+        object.__setattr__(self, "_private_fx_filename", private)
+        self._code = src
+        object.__setattr__(self, "forward", types.MethodType(fn, self))
+        # Copy: the cached globals dict must stay pristine for future hits,
+        # so callers never get the shared one.
+        return PythonCode(src, dict(globals_))
 
     def print_readable(self) -> str:
         """Print (and return) the generated code."""

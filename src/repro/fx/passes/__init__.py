@@ -31,9 +31,7 @@ from .pass_manager import (
     PassManager,
     PassManagerResult,
     PassRecord,
-    TransformCache,
     Unchanged,
-    shared_transform_cache,
 )
 from .profiler import NodeProfile, ProfileReport, ProfilingInterpreter, profile
 from .type_check import Dyn, TensorType, TypeCheckError, type_check as check_types
@@ -98,9 +96,7 @@ __all__ = [
     "PassRecord",
     "ProfileReport",
     "ProfilingInterpreter",
-    "TransformCache",
     "Unchanged",
-    "shared_transform_cache",
     "profile",
     "profiler",
     "pass_manager",

@@ -37,12 +37,11 @@ different passes that happen to share a name can't collide.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
+from ..cache import ArtifactCache, register_stage
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
 
@@ -52,9 +51,7 @@ __all__ = [
     "PassManager",
     "PassManagerResult",
     "PassRecord",
-    "TransformCache",
     "Unchanged",
-    "shared_transform_cache",
 ]
 
 Pass = Callable[[GraphModule], Any]
@@ -161,68 +158,20 @@ class CacheEntry:
     verifier_key: Any = None
 
 
-class TransformCache:
-    """LRU cache of pass results keyed by ``(pass identity token, input
-    hash)``, where the identity token is the pass callable's resolvable
-    ``module.qualname`` (see ``_pass_cache_token``) — passes without a
-    stable identity are never cached, so same-named passes can't share
-    entries.
-
-    Values are :class:`CacheEntry` objects.  Replay unpickles a fresh
-    module, so cached results are never shared mutable state — and a run
-    of consecutive hits is chained through the stored output hashes, so
-    intermediate results are never materialized at all.
-
-    Thread-safe: lookup/store/clear hold one lock (``lookup`` mutates —
-    LRU recency and the hit/miss counters), so concurrent PassManagers
-    sharing the process-wide cache can't corrupt the OrderedDict or lose
-    counter increments.  Entries themselves carry pickle bytes (immutable)
-    plus lazily-promoted ``linted``/``verify_snapshot`` fields whose
-    writes are idempotent (recomputed from the same payload), so
-    entry-level races are benign.
-    """
-
-    def __init__(self, maxsize: int = 1024):
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple[str, str], CacheEntry]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple[str, str]) -> Optional[CacheEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def store(self, key: tuple[str, str], entry: CacheEntry) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+#: The process-wide transform cache every PassManager uses by default:
+#: ``(pass identity token, input hash) -> CacheEntry``, where the identity
+#: token is the pass callable's resolvable ``module.qualname`` (see
+#: ``_pass_cache_token``) — passes without a stable identity are never
+#: cached, so same-named passes can't share entries.  Replay unpickles a
+#: fresh module, so cached results are never shared mutable state; the
+#: lazily-promoted ``linted``/``verify_snapshot`` fields of an entry are
+#: recomputed from the same payload, so racing writes to them are benign.
+_TRANSFORM_CACHE = register_stage("transform", 1024)
 
 
-_SHARED_CACHE = TransformCache()
-
-
-def shared_transform_cache() -> TransformCache:
-    """The process-wide cache used by default by every PassManager."""
-    return _SHARED_CACHE
+class _NotCached(Exception):
+    """Raised by the cache-fill builder after it ran a pass whose result
+    must not be stored (``Unchanged``, unhashable or unpicklable output)."""
 
 
 def _pass_name(p: Pass, index: int) -> str:
@@ -260,10 +209,12 @@ class PassManager:
             return value means "transformed in place".
         lint_after_each: run ``graph.lint()`` after every pass and fail
             with a :class:`PassError` naming the pass that broke the IR.
-        cache: ``True`` (default) to use the process-wide
-            :func:`shared_transform_cache`, ``False``/``None`` to disable
-            caching, or a :class:`TransformCache` instance for an
-            isolated cache.  Entries are keyed by the pass callable's
+        cache: ``True`` (default) to use the process-wide ``transform``
+            stage (see :func:`repro.fx.cache_info`), ``False``/``None`` to
+            disable caching, or an :class:`~repro.fx.cache.ArtifactCache`
+            instance for an isolated cache.  Fills are single-flighted:
+            concurrent managers reaching one ``(pass, input)`` run the pass
+            once.  Entries are keyed by the pass callable's
             stable ``module.qualname`` identity, so passes that lack one
             (lambdas, closures, bound methods) always run uncached —
             regardless of any display name given via a ``(name, fn)``
@@ -285,7 +236,7 @@ class PassManager:
         self,
         passes: Sequence[Union[Pass, tuple[str, Pass]]],
         lint_after_each: bool = False,
-        cache: Union[TransformCache, bool, None] = True,
+        cache: Union[ArtifactCache, bool, None] = True,
         verifier: Optional[Any] = None,
     ):
         self.passes: list[tuple[str, Pass]] = []
@@ -299,7 +250,7 @@ class PassManager:
             self.passes.append((name, fn))
         self.lint_after_each = lint_after_each
         if cache is True:
-            self.cache: Optional[TransformCache] = _SHARED_CACHE
+            self.cache: Optional[ArtifactCache] = _TRANSFORM_CACHE
         elif cache in (False, None):
             self.cache = None
         else:
@@ -347,9 +298,28 @@ class PassManager:
                 current_hash = self._hash(current)
             cache_token = _pass_cache_token(fn) if self.cache is not None else None
 
+            entry: Optional[CacheEntry] = None
+            #: ``_execute``'s result once this call ran the pass itself.
+            ran: Optional[tuple] = None
             if self.cache is not None and current_hash and cache_token:
-                entry = self.cache.lookup((cache_token, current_hash))
-                if entry is not None:
+                def build() -> CacheEntry:
+                    nonlocal ran
+                    ran = self._execute(
+                        index, name, fn, self._materialize(current),
+                        current_hash, True, start)
+                    if ran[2] is None:
+                        raise _NotCached
+                    return ran[2]
+
+                try:
+                    entry = self.cache.get_or_build(
+                        (cache_token, current_hash), build)
+                except _NotCached:
+                    pass
+                if ran is None:
+                    # Someone else's result (earlier run or a concurrent
+                    # manager that won the single-flight): replay it.
+                    assert entry is not None
                     hit: Union[GraphModule, bytes] = entry.payload
                     if self.lint_after_each and not entry.linted:
                         # The entry was produced by a non-linting manager;
@@ -398,9 +368,11 @@ class PassManager:
                     current_nodes = entry.node_count
                     continue
 
-            gm = self._materialize(current)
-            gm, record = self._execute(index, name, fn, gm, current_hash,
-                                       cache_token, start)
+            if ran is None:  # uncacheable stage: just run the pass
+                ran = self._execute(
+                    index, name, fn, self._materialize(current),
+                    current_hash, False, start)
+            gm, record, _ = ran
             records.append(record)
             current, current_hash, current_nodes = gm, record.output_hash or None, len(gm.graph)
 
@@ -419,8 +391,10 @@ class PassManager:
         return current
 
     def _execute(self, index: int, name: str, fn: Pass, gm: GraphModule,
-                 input_hash: Optional[str], cache_token: Optional[str],
-                 start: float) -> tuple[GraphModule, PassRecord]:
+                 input_hash: Optional[str], cacheable: bool, start: float
+                 ) -> tuple[GraphModule, PassRecord, Optional[CacheEntry]]:
+        """Run one pass; returns the module, its record, and — when
+        *cacheable* and the output hashes and pickles — the cache entry."""
         nodes_before = len(gm.graph)
         try:
             out = fn(gm)
@@ -441,7 +415,7 @@ class PassManager:
                 nodes_after=len(gm.graph),
                 input_hash=input_hash or "",
                 output_hash=input_hash or "",
-            )
+            ), None
         if isinstance(out, GraphModule):
             gm = out
         linted = False
@@ -466,19 +440,18 @@ class PassManager:
                 name, gm, graph_hash=output_hash or None)
             verified = True
 
-        if self.cache is not None and input_hash and output_hash and cache_token:
+        entry: Optional[CacheEntry] = None
+        if cacheable and output_hash:
             try:
                 payload = pickle.dumps(gm)
             except Exception:
                 payload = None  # unpicklable target: run this pass uncached
             if payload is not None:
-                self.cache.store(
-                    (cache_token, input_hash),
-                    CacheEntry(output_hash, payload, len(gm.graph),
-                               linted=linted,
-                               verify_snapshot=snapshot,
-                               verifier_key=(self.verifier.config_key()
-                                             if verified else None)))
+                entry = CacheEntry(output_hash, payload, len(gm.graph),
+                                   linted=linted,
+                                   verify_snapshot=snapshot,
+                                   verifier_key=(self.verifier.config_key()
+                                                 if verified else None))
 
         record = PassRecord(
             name=name,
@@ -491,7 +464,7 @@ class PassManager:
             input_hash=input_hash or "",
             output_hash=output_hash,
         )
-        return gm, record
+        return gm, record, entry
 
     @staticmethod
     def _hash(gm: GraphModule) -> str:

@@ -29,9 +29,7 @@ from ...nn import Module
 from .program import Instruction, Reg, VMProgram, VMRunError
 from .compiler import (
     VMCompileError,
-    clear_vm_cache,
     compile_to_vm,
-    vm_cache_info,
 )
 
 __all__ = [
@@ -41,9 +39,7 @@ __all__ = [
     "VMModule",
     "VMProgram",
     "VMRunError",
-    "clear_vm_cache",
     "compile_to_vm",
-    "vm_cache_info",
 ]
 
 

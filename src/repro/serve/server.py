@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import fx
+from ..fx.cache import ArtifactCache
 from ..fx.graph import UnstableHashError
 from ..fx.graph_module import GraphModule
 from ..fx.tracer import symbolic_trace
@@ -120,9 +121,7 @@ class _ModelHandle:
     name: str
     gm: GraphModule
     graph_hash: Optional[str]   # None: unstable hash, engines stay local
-    #: fallback engine store for unhashable graphs: signature -> engine
-    local_engines: Dict[tuple, Any] = field(default_factory=dict)
-    local_lock: threading.Lock = field(default_factory=threading.Lock)
+    guard_lock: threading.Lock = field(default_factory=threading.Lock)
     #: ``None`` = not derived yet; ``False`` = derivation failed or the
     #: set is fully static (keying on it would be a no-op); else the
     #: model's :class:`~repro.fx.analysis.guards.GuardSet`.
@@ -154,6 +153,9 @@ class InferenceServer:
             raise ValueError(
                 f"unknown executor {self.config.executor!r}")
         self.engine_cache = EngineCache(directory=self.config.cache_dir)
+        #: engines of models with no stable hash, ``(model name,
+        #: signature) -> engine``: per server, never on disk.
+        self._local_engines = ArtifactCache(64)
         self._models: Dict[str, _ModelHandle] = {}
         self._pending: Dict[BatchKey, _Pending] = {}
         self._inflight: set = set()
@@ -295,7 +297,7 @@ class InferenceServer:
         guards = handle.guard_set
         if guards is not None:
             return guards
-        with handle.local_lock:
+        with handle.guard_lock:
             if handle.guard_set is not None:   # raced: someone derived it
                 return handle.guard_set
             try:
@@ -327,22 +329,15 @@ class InferenceServer:
                 with self._stats_lock:
                     self._guard_violations += 1
         if handle.graph_hash is None:
-            # No stable identity: cache per handle, never on disk.
-            with handle.local_lock:
-                engine = handle.local_engines.get(signature)
-            if engine is None:
-                engine = self._build_engine(handle, inputs)
-                with handle.local_lock:
-                    engine = handle.local_engines.setdefault(signature,
-                                                             engine)
-            self._track_engine(engine)
-            return engine
-        key = EngineKey(graph_hash=handle.graph_hash,
-                        backend=self.config.backend,
-                        executor=self.config.executor,
-                        signature=signature,
-                        shards=self.config.shards)
-        engine = self.engine_cache.get_or_build(
+            cache, key = self._local_engines, (handle.name, signature)
+        else:
+            cache = self.engine_cache
+            key = EngineKey(graph_hash=handle.graph_hash,
+                            backend=self.config.backend,
+                            executor=self.config.executor,
+                            signature=signature,
+                            shards=self.config.shards)
+        engine = cache.get_or_build(
             key, lambda: self._build_engine(handle, inputs))
         self._track_engine(engine)
         return engine

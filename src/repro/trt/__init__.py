@@ -10,7 +10,6 @@ from .backend import TRTBackend
 from .engine import EngineOp, TRTEngine, TRTModule
 from .interpreter import TRTInterpreter, UnsupportedOperatorError, is_node_supported
 from .lower import lower_to_trt
-from .splitter import lower_with_fallback
 
 __all__ = [
     "EngineOp",
@@ -21,5 +20,4 @@ __all__ = [
     "UnsupportedOperatorError",
     "is_node_supported",
     "lower_to_trt",
-    "lower_with_fallback",
 ]

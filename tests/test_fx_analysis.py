@@ -11,17 +11,15 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import GraphModule, Graph, symbolic_trace
+from repro.fx import GraphModule, Graph, cache_info, clear_caches, symbolic_trace
 from repro.fx.analysis import (
     Analysis,
     AnalysisContext,
     AnalysisError,
     Effect,
     Severity,
-    analysis_cache_info,
     analyze,
     classify_effect,
-    clear_analysis_cache,
     fixpoint,
     get_analysis,
     lint_graph,
@@ -166,13 +164,13 @@ class TestRegistry:
 
 class TestResultCaching:
     def test_structurally_identical_graph_hits_cache(self):
-        clear_analysis_cache()
+        clear_caches("analysis")
         m = Linear2()
         analyze(symbolic_trace(m), ["alias"])
-        before = analysis_cache_info()
+        before = cache_info()["analysis"]
         # A pickled copy has the same structural hash -> pure lookup.
         ctx2 = analyze(pickle.loads(pickle.dumps(symbolic_trace(m))), ["alias"])
-        after = analysis_cache_info()
+        after = cache_info()["analysis"]
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
         # The positional result rebinds to the copy's own nodes.
@@ -180,10 +178,10 @@ class TestResultCaching:
         assert view.escapes(list(ctx2.gm.graph.nodes)[-2])
 
     def test_cache_disabled_context_recomputes(self):
-        clear_analysis_cache()
+        clear_caches("analysis")
         gm = symbolic_trace(Linear2())
         analyze(gm, ["alias"], cache=False)
-        assert analysis_cache_info()["size"] == 0
+        assert cache_info()["analysis"]["size"] == 0
 
     def test_unstable_hash_graph_skips_cache(self):
         # A fused graph's FusedKernel target only has id() identity; the
@@ -206,9 +204,9 @@ class TestResultCaching:
         fuse_pointwise(gm)
         ctx = AnalysisContext(gm)
         assert ctx.graph_hash() is None
-        clear_analysis_cache()
+        clear_caches("analysis")
         ctx.get("alias")
-        assert analysis_cache_info()["size"] == 0
+        assert cache_info()["analysis"]["size"] == 0
 
     def test_view_rejects_wrong_graph(self):
         res = analyze(symbolic_trace(Linear2()), ["alias"]).get("alias")

@@ -9,19 +9,18 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import Graph, GraphModule, symbolic_trace, to_backend
+from repro.fx import Graph, GraphModule, cache_info, clear_caches, \
+    symbolic_trace, to_backend
 from repro.fx.backends import (
     Backend,
     CapabilityPartitioner,
     EagerBackend,
     NumpyBackend,
     UnsupportedNodesError,
-    clear_subgraph_cache,
     get_backend,
     override_support,
     register_backend,
     registered_backends,
-    subgraph_cache_info,
 )
 from repro.fx.passes import split_by_support, split_module
 from repro.fx.testing import ProgramSpec, generate_program, run_oracle
@@ -295,7 +294,7 @@ class TestToBackend:
         """Satellite regression: the old lower_to_trt started a full
         engine build, caught UnsupportedOperatorError halfway, then redid
         the work per partition in the fallback path."""
-        clear_subgraph_cache()
+        clear_caches("partition")
         builds = []
         orig = TRTInterpreter.run
 
@@ -322,7 +321,7 @@ class TestToBackend:
         assert lowered.backend_report.cache_misses == len(builds)
 
     def test_partition_memo_shares_repeated_blocks(self):
-        clear_subgraph_cache()
+        clear_caches("partition")
 
         class Twin(nn.Module):
             def __init__(self):
@@ -346,12 +345,12 @@ class TestToBackend:
                            rtol=1e-3, atol=1e-5)
 
     def test_warm_relowering_hits_cache(self):
-        clear_subgraph_cache()
+        clear_caches("partition")
         model = MLP(6, (12,), 3).eval()
         to_backend(model, "trt")
-        before = subgraph_cache_info()
+        before = cache_info()["partition"]
         again = to_backend(model, "trt")
-        after = subgraph_cache_info()
+        after = cache_info()["partition"]
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
         x = repro.randn(2, 6)

@@ -1,17 +1,18 @@
-"""Concurrency-safety tests for the compile stack (PR 7).
+"""Concurrency-safety tests for the compile stack.
 
 Two bug classes are covered:
 
-* **cache races** — before PR 7 there was no ``threading.Lock`` anywhere
-  in ``src/repro/fx``: the codegen LRU, the PassManager transform cache,
-  the ``compile_to_vm`` memo and the ``to_backend`` partition memo all
-  mutated plain (Ordered)dicts and ``hits/misses`` counters from
-  whichever thread called them.  Reverting the locks/single-flight makes
-  the single-flight tests below fail deterministically (N barrier-
-  synchronized threads each miss and compile, so ``misses == N`` instead
-  of 1 and callers receive distinct artifact objects) and makes the
-  stress tests fail probabilistically (lost counter increments,
-  ``OrderedDict`` corruption mid-``move_to_end``).
+* **cache races** — every memoised stage (``codegen``, ``transform``,
+  ``analysis``, ``vm``, ``partition``) goes through one
+  :class:`repro.fx.cache.ArtifactCache`, so its guarantees are checked
+  once, parametrised over stages: N barrier-synchronised threads asking
+  for one key produce exactly one miss, N-1 hits and one shared artifact
+  (without the single-flight all N miss and build; the pre-ArtifactCache
+  analysis cache had neither lock nor single-flight, and codegen and
+  transform documented a double compile), counters add up under a mixed
+  -key hammer (racing ``hits += 1`` loses updates without the lock), and
+  every stage is bounded (the pre-ArtifactCache VM and partition memos
+  grew without limit, pinning every compiled program).
 
 * **shared-arena corruption** — ``VMProgram.run`` used to replay every
   call through the one program-owned arena, so two threads replaying a
@@ -23,7 +24,12 @@ Two bug classes are covered:
   guarded path returns exact results under the same schedule.
 """
 
+import gc
+import os
+import signal
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -31,25 +37,15 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import GraphModule, symbolic_trace
+from repro.fx import ArtifactCache, Graph, cache_info, clear_caches, \
+    symbolic_trace
 from repro.fx import compile as fx_compile
-from repro.fx.concurrency import KeyedMutex
-from repro.fx.graph_module import clear_codegen_cache, codegen_cache_info
+from repro.fx.analysis import Analysis, AnalysisContext, register_analysis
+from repro.fx.analysis import engine as engine_mod
 from repro.fx.backends import to_backend
-from repro.fx.backends.lowering import (
-    clear_subgraph_cache,
-    subgraph_cache_info,
-)
-from repro.fx.passes import PassManager, TransformCache, \
-    eliminate_dead_code
-from repro.fx.vm import (
-    Instruction,
-    Reg,
-    VMProgram,
-    clear_vm_cache,
-    compile_to_vm,
-    vm_cache_info,
-)
+from repro.fx.concurrency import KeyedMutex
+from repro.fx.passes import PassManager, eliminate_dead_code
+from repro.fx.vm import Instruction, Reg, VMProgram, compile_to_vm
 from repro.tensor import Tensor
 
 N_THREADS = 8
@@ -118,97 +114,117 @@ class TestKeyedMutex:
         _run_threads(2, worker)
 
 
-class TestVMMemoSingleFlight:
-    def test_concurrent_same_graph_compiles_once(self):
-        """Revert note: without ``_COMPILE_MUTEX``/``_CACHE_LOCK`` in
-        ``compile_to_vm``, all 8 barrier-released threads miss and
-        compile, so ``misses == 8`` and callers hold distinct program
-        objects — this assertion fails deterministically on the pre-fix
-        code."""
-        clear_vm_cache()
+#: How long a test-injected build takes: long enough that every other
+#: barrier-released thread reaches its own lookup while the first builds,
+#: so a stage without single-flight deterministically builds N times.
+BUILD_S = 0.05
+
+
+def _slow_dce(gm):  # module level: a stable qualname makes it cacheable
+    time.sleep(BUILD_S)
+    return eliminate_dead_code(gm)
+
+
+class _SlowAnalysis(Analysis):
+    name = "test-slow"
+
+    def compute(self, gm, ctx):
+        time.sleep(BUILD_S)
+        return len(gm.graph)
+
+
+#: One call = exactly one lookup of one key in the named stage.
+STAGE_OPS = {
+    "codegen": lambda gm: gm.recompile(),
+    "transform": lambda gm: PassManager([_slow_dce]).run(gm),
+    "analysis": lambda gm: AnalysisContext(gm).get("test-slow"),
+    "vm": compile_to_vm,
+    "partition": lambda gm: to_backend(gm, "trt"),
+}
+
+
+@pytest.fixture
+def slow_builds(monkeypatch):
+    """Make the codegen and analysis builds take ``BUILD_S`` too."""
+    python_code = Graph.python_code
+
+    def slow_python_code(self, *args, **kwargs):
+        time.sleep(BUILD_S)
+        return python_code(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "python_code", slow_python_code)
+    register_analysis(_SlowAnalysis)
+    yield
+    engine_mod._REGISTRY.pop(_SlowAnalysis.name)
+
+
+def _chain(depth):
+    """Structurally distinct per *depth* (codegen's key ignores weights)."""
+    layers = []
+    for _ in range(depth):
+        layers += [nn.Linear(8, 8), nn.ReLU()]
+    return symbolic_trace(nn.Sequential(*layers).eval())
+
+
+@pytest.mark.usefixtures("slow_builds")
+@pytest.mark.parametrize("stage", sorted(STAGE_OPS))
+class TestStageCaches:
+    def test_concurrent_same_key_builds_once(self, stage):
+        op = STAGE_OPS[stage]
         gm = symbolic_trace(MLP().eval())
-        programs = [None] * N_THREADS
+        clear_caches(stage)  # after tracing: capture itself recompiles
 
-        def worker(i):
-            programs[i] = compile_to_vm(gm)
-
-        _run_threads(N_THREADS, worker)
-        info = vm_cache_info()
+        _run_threads(N_THREADS, lambda i: op(gm))
+        info = cache_info()[stage]
         assert info["misses"] == 1
         assert info["hits"] == N_THREADS - 1
         assert info["size"] == 1
-        assert all(p is programs[0] for p in programs)
 
-    def test_counters_consistent_across_mixed_keys(self):
-        clear_vm_cache()
-        repro.manual_seed(7)
-        gms = [symbolic_trace(MLP().eval()) for _ in range(4)]
+    def test_counters_consistent_across_mixed_keys(self, stage):
+        op = STAGE_OPS[stage]
+        gms = [_chain(depth) for depth in range(1, 5)]
+        clear_caches(stage)
         calls_per_thread = 8
 
         def worker(i):
             for j in range(calls_per_thread):
-                gm = gms[(i + j) % len(gms)]
-                prog = compile_to_vm(gm)
-                x = repro.randn(2, 8)
-                assert np.allclose(prog.run(x).data, gm(x).data,
-                                   atol=1e-6)
+                op(gms[(i + j) % len(gms)])
 
         _run_threads(N_THREADS, worker)
-        info = vm_cache_info()
+        info = cache_info()[stage]
         # Every call counted exactly once, one insert per distinct key.
         assert info["hits"] + info["misses"] == N_THREADS * calls_per_thread
         assert info["misses"] == info["size"] == len(gms)
 
 
-class TestSubgraphMemoSingleFlight:
-    def test_concurrent_same_model_builds_once(self):
-        """Revert note: pre-fix, concurrent ``to_backend`` calls on one
-        model each missed the partition memo and built their own engine
-        (``misses == 8``); with single-flight exactly one build happens
-        and every caller shares it."""
-        clear_subgraph_cache()
+class TestSharedArtifacts:
+    def test_vm_callers_share_one_program(self):
+        clear_caches("vm")
         gm = symbolic_trace(MLP().eval())
-        before = subgraph_cache_info()
+        programs = [None] * N_THREADS
+
+        def worker(i):
+            programs[i] = compile_to_vm(gm)
+            x = repro.randn(2, 8)
+            assert np.allclose(programs[i].run(x).data, gm(x).data, atol=1e-6)
+
+        _run_threads(N_THREADS, worker)
+        assert all(p is programs[0] for p in programs)
+
+    def test_concurrent_lowerings_stay_exact(self):
+        gm = symbolic_trace(MLP().eval())
         results = [None] * N_THREADS
 
         def worker(i):
             results[i] = to_backend(gm, "trt")
 
         _run_threads(N_THREADS, worker)
-        after = subgraph_cache_info()
-        assert after["misses"] - before["misses"] == 1
-        assert after["hits"] - before["hits"] == N_THREADS - 1
         x = repro.randn(2, 8)
         expected = gm(x).data
         for r in results:
             assert np.allclose(r(x).data, expected, rtol=1e-3, atol=1e-5)
 
-
-class TestCodegenCacheConcurrent:
-    def test_counters_and_entries_stay_consistent(self):
-        clear_codegen_cache()
-        repro.manual_seed(11)
-        # 4 structurally distinct graphs; every recompile() does exactly
-        # one counted get(), so hits + misses must equal total recompiles
-        # (pre-fix, racing ``hits += 1`` read-modify-writes lose updates).
-        models = [symbolic_trace(nn.Sequential(nn.Linear(4, 4), nn.ReLU()))
-                  for _ in range(2)]
-        models += [symbolic_trace(MLP().eval()) for _ in range(2)]
-        recompiles_per_thread = 12
-        before = codegen_cache_info()
-
-        def worker(i):
-            for j in range(recompiles_per_thread):
-                models[(i + j) % len(models)].recompile()
-
-        _run_threads(N_THREADS, worker)
-        after = codegen_cache_info()
-        did = N_THREADS * recompiles_per_thread
-        assert (after["hits"] - before["hits"]) \
-            + (after["misses"] - before["misses"]) == did
-
     def test_concurrent_recompile_still_executes(self):
-        clear_codegen_cache()
         gm = symbolic_trace(MLP().eval())
         x = repro.randn(2, 8)
         expected = gm(x).data
@@ -220,27 +236,7 @@ class TestCodegenCacheConcurrent:
 
         _run_threads(4, worker)
 
-
-class TestTransformCacheConcurrent:
-    def test_isolated_cache_counters_add_up(self):
-        cache = TransformCache()
-        gm = symbolic_trace(MLP().eval())
-        pm = PassManager([eliminate_dead_code], cache=cache)
-        x = repro.randn(2, 8)
-        expected = gm(x).data
-
-        def worker(i):
-            for _ in range(6):
-                out = pm.run(gm).graph_module
-                assert np.allclose(out(x).data, expected, atol=1e-6)
-
-        _run_threads(N_THREADS, worker)
-        # One lookup per run; all lookups counted, at most a handful of
-        # racing first-miss compiles stored under the same key.
-        assert cache.hits + cache.misses == N_THREADS * 6
-        assert len(cache) == 1
-
-    def test_shared_cache_concurrent_pipelines(self):
+    def test_concurrent_pipelines_stay_exact(self):
         gm = symbolic_trace(MLP().eval())
         x = repro.randn(2, 8)
         expected = gm(x).data
@@ -252,6 +248,110 @@ class TestTransformCacheConcurrent:
                 assert np.allclose(out(x).data, expected, atol=1e-6)
 
         _run_threads(N_THREADS, worker)
+
+
+@pytest.mark.parametrize("stage", ["vm", "partition"])
+def test_compiled_program_memos_are_bounded(stage):
+    """Both memos used to be plain dicts: every program ever compiled
+    (with the weights it bakes in) stayed pinned for the process's life."""
+    op = STAGE_OPS[stage]
+    clear_caches(stage)
+    maxsize = cache_info()[stage]["maxsize"]
+
+    def fresh():  # new weights each time: a distinct key
+        return symbolic_trace(nn.Sequential(nn.Linear(2, 2)).eval())
+
+    first = weakref.ref(op(fresh()))
+    assert first() is not None  # pinned by the memo alone
+    for _ in range(maxsize + 3):
+        op(fresh())
+    info = cache_info()[stage]
+    assert info["misses"] == maxsize + 4
+    assert info["size"] == maxsize
+    gc.collect()
+    assert first() is None  # evicted and dropped
+
+
+class TestArtifactCache:
+    def test_lru_eviction_order_and_on_evict(self):
+        evicted = []
+        cache = ArtifactCache(maxsize=2, on_evict=evicted.append)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1      # refreshes "a"
+        cache.put("c", 3)               # evicts "b", the least recent
+        assert evicted == [2]
+        assert cache.get("b") is None
+        cache.put("a", 10)              # replacement disposes the old value
+        assert evicted == [2, 1]
+        cache.clear()
+        assert sorted(evicted) == [1, 2, 3, 10]
+        assert cache.info() == {"hits": 0, "misses": 0, "size": 0,
+                                "maxsize": 2}
+
+    def test_none_is_a_cacheable_value(self):
+        cache = ArtifactCache()
+        builds = []
+        for _ in range(3):
+            assert cache.get_or_build("k", lambda: builds.append(1)) is None
+        assert len(builds) == 1
+        assert cache.info()["hits"] == 2
+
+    def test_failed_build_stores_nothing_and_releases_the_key(self):
+        cache = ArtifactCache()
+
+        def boom():
+            raise RuntimeError("build failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_build("k", boom)
+        assert len(cache) == 0
+        assert cache.get_or_build("k", lambda: "ok") == "ok"  # no deadlock
+        assert cache.info()["misses"] == 2
+
+    def test_distinct_keys_build_concurrently(self):
+        cache = ArtifactCache()
+        inside = threading.Barrier(2)
+
+        def worker(i):
+            # Both builders must be running at once; a cache-wide build
+            # lock would deadlock this barrier.
+            cache.get_or_build(i, lambda: inside.wait(timeout=10))
+
+        _run_threads(2, worker)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_forked_mid_build_with_a_held_lock_does_not_deadlock(self):
+        """The sharding tier forks from multi-threaded parents: a child
+        must never inherit the bookkeeping lock or a key's flight lock in
+        its locked state.  SIGALRM turns a child deadlock into a non-zero
+        exit status instead of a hung test."""
+        cache = ArtifactCache()
+        held, release = threading.Event(), threading.Event()
+
+        def hold_the_lock():
+            with cache._lock:
+                held.set()
+                release.wait(timeout=30)
+
+        def build_and_fork():
+            holder = threading.Thread(target=hold_the_lock)
+            holder.start()
+            assert held.wait(timeout=10)
+            pid = os.fork()     # another thread holds the bookkeeping lock
+            if pid == 0:
+                signal.alarm(20)
+                ok = cache.get_or_build("k", lambda: "child") == "child"
+                os._exit(0 if ok else 1)
+            release.set()
+            holder.join(timeout=10)
+            return os.waitpid(pid, 0)[1]
+
+        assert cache.get_or_build("k", build_and_fork) == 0
+
+    def test_unknown_stage_is_an_error(self):
+        with pytest.raises(KeyError):
+            clear_caches("no-such-stage")
 
 
 # -- VMProgram shared-arena reentrancy ------------------------------------------

@@ -130,20 +130,22 @@ class TestCode:
         linecache from growing past the cache size."""
         import linecache
 
-        from repro.fx.graph_module import _CODEGEN_CACHE
+        from repro.fx import cache_info
+
+        maxsize = cache_info()["codegen"]["maxsize"]
 
         def fx_entries():
             return sum(1 for k in linecache.cache if k.startswith("<fx-generated"))
 
         gm = symbolic_trace(lambda x: repro.relu(x))
-        for k in range(_CODEGEN_CACHE.maxsize + 20):
+        for k in range(maxsize + 20):
             out = gm.graph.output_node
             with gm.graph.inserting_before(out):
                 # growing chain: every iteration is a structurally new graph
                 new = gm.graph.call_function(F.relu, (out.args[0],))
             out.args = (new,)
             gm.recompile()
-        assert fx_entries() <= _CODEGEN_CACHE.maxsize + 1
+        assert fx_entries() <= maxsize + 1
 
 
 class TestToFolder:

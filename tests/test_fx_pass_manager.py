@@ -11,17 +11,17 @@ import repro
 import repro.functional as F
 from repro import nn
 from repro.fx import (
+    ArtifactCache,
     Graph,
     GraphModule,
     UnstableHashError,
-    clear_codegen_cache,
-    codegen_cache_info,
+    cache_info,
+    clear_caches,
     symbolic_trace,
 )
 from repro.fx.passes import (
     PassError,
     PassManager,
-    TransformCache,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
@@ -201,9 +201,9 @@ class TestPassManager:
         assert np.allclose(out(x).data, gm(x).data, atol=1e-3)
 
 
-class TestTransformCache:
+class TestTransformStage:
     def test_second_run_hits_cache(self):
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = trace_with_dead_code()
         pm = PassManager([eliminate_dead_code, eliminate_common_subexpressions],
                          lint_after_each=True, cache=cache)
@@ -216,7 +216,7 @@ class TestTransformCache:
                            cold.graph_module(x).data, atol=1e-6)
 
     def test_cached_replay_does_not_alias(self):
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = trace_with_dead_code()
         pm = PassManager([eliminate_dead_code], cache=cache)
         first = pm.run(copy_gm(gm)).graph_module
@@ -226,7 +226,7 @@ class TestTransformCache:
 
     def test_graph_mutation_busts_cache(self):
         """Satellite: a mutated graph must hash differently and miss."""
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = trace_with_dead_code()
         pm = PassManager([eliminate_common_subexpressions], cache=cache)
         pm.run(copy_gm(gm))
@@ -243,7 +243,7 @@ class TestTransformCache:
     def test_param_value_change_busts_cache(self):
         # const_fold bakes parameter values into the graph; the cache key
         # must therefore include attribute values, not just structure.
-        cache = TransformCache()
+        cache = ArtifactCache()
         model = nn.Sequential(nn.Linear(2, 2)).eval()
         gm = symbolic_trace(model)
         pm = PassManager([fold_constants], cache=cache)
@@ -253,7 +253,7 @@ class TestTransformCache:
         assert result.cache_hits == 0
 
     def test_lru_bound(self):
-        cache = TransformCache(maxsize=1)
+        cache = ArtifactCache(maxsize=1)
         pm = PassManager([eliminate_dead_code], cache=cache)
         pm.run(symbolic_trace(lambda x: repro.relu(x)))
         pm.run(symbolic_trace(lambda x: repro.gelu(x)))
@@ -263,7 +263,7 @@ class TestTransformCache:
         """Regression: two different lambdas both auto-name to 'pass_0';
         the second manager must run its own transform, not replay the
         first one's cached result."""
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = trace_with_dead_code()
         n0 = len(gm.graph)
 
@@ -280,7 +280,7 @@ class TestTransformCache:
     def test_named_lambda_pass_still_uncached(self):
         # A (name, fn) display name must not make an id()-identity
         # callable cacheable.
-        cache = TransformCache()
+        cache = ArtifactCache()
         pm = PassManager([("dce", lambda g: eliminate_dead_code(g))], cache=cache)
         pm.run(trace_with_dead_code())
         assert len(cache) == 0
@@ -289,7 +289,7 @@ class TestTransformCache:
     def test_stable_passes_cache_across_managers(self):
         # Module-level passes share entries across managers via their
         # module.qualname identity, independent of display names.
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = trace_with_dead_code()
         PassManager([eliminate_dead_code], cache=cache).run(copy_gm(gm))
         result = PassManager([("renamed", eliminate_dead_code)],
@@ -299,7 +299,7 @@ class TestTransformCache:
     def test_hit_from_unlinted_entry_is_relinted(self):
         """Regression: a lint_after_each manager must not accept a cached
         entry produced by a non-linting manager without validating it."""
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = trace_with_dead_code()
         producer = PassManager([eliminate_dead_code], lint_after_each=False,
                                cache=cache)
@@ -334,7 +334,7 @@ class TestTransformCache:
             g.structural_hash(require_stable=True)
         assert g.structural_hash()  # default mode still hashes
 
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = GraphModule({}, g)
         result = PassManager([eliminate_dead_code], cache=cache).run(gm)
         assert result.cache_hits == 0
@@ -343,18 +343,18 @@ class TestTransformCache:
 
 class TestCodegenCache:
     def test_identical_graphs_share_compiled_forward(self):
-        clear_codegen_cache()
-        before = codegen_cache_info()
+        clear_caches("codegen")
+        before = cache_info()["codegen"]
         gm = symbolic_trace(lambda x: repro.relu(x) + 1)
         gm2 = copy_gm(gm)  # pickle round-trip recompiles an identical graph
-        after = codegen_cache_info()
+        after = cache_info()["codegen"]
         assert after["hits"] > before["hits"]
         assert gm2.forward.__func__ is gm.forward.__func__
         x = repro.randn(3)
         assert np.allclose(gm(x).data, gm2(x).data, atol=1e-6)
 
     def test_mutation_busts_codegen_cache(self):
-        clear_codegen_cache()
+        clear_caches("codegen")
         gm = symbolic_trace(lambda x: repro.relu(x) + 1)
         old_forward = gm.forward.__func__
         relu = gm.graph.find_nodes(op="call_function", target=F.relu)[0]
@@ -366,18 +366,18 @@ class TestCodegenCache:
         assert float(gm(repro.tensor(-2.0))) == -1.0
 
     def test_recompile_same_graph_reuses_entry(self):
-        clear_codegen_cache()
+        clear_caches("codegen")
         gm = symbolic_trace(lambda x: repro.relu(x))
-        size_before = codegen_cache_info()["size"]
+        size_before = cache_info()["codegen"]["size"]
         for _ in range(10):
             gm.recompile()
-        assert codegen_cache_info()["size"] == size_before
+        assert cache_info()["codegen"]["size"] == size_before
 
     def test_returned_globals_are_private_copies(self):
         """Regression: mutating the PythonCode.globals a recompile returns
         (miss or hit path) must not corrupt future cache hits."""
         gm = symbolic_trace(lambda x: repro.relu(x) + 1)
-        clear_codegen_cache()
+        clear_caches("codegen")
         pc_miss = gm.recompile()  # repopulates the cache via the miss path
         keys = set(pc_miss.globals)
         assert keys

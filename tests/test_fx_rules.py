@@ -335,10 +335,10 @@ class TestPipelineIntegration:
                        for r in compiled.compile_report.records)
 
     def test_rules_stage_warm_cache_hit(self):
+        from repro.fx import ArtifactCache
         from repro.fx.passes import PassManager
-        from repro.fx.passes.pass_manager import TransformCache
 
-        cache = TransformCache()
+        cache = ArtifactCache()
         gm = symbolic_trace(lambda x: F.relu((x * 1) + 0))
         x = repro.randn(4)
         prop(gm, x)
@@ -377,13 +377,14 @@ class TestPipelineIntegration:
     def test_noop_stage_reports_unchanged(self):
         # A run that fires nothing certifies Unchanged, and the manager
         # skips post-stage hashing/caching/verification for it.
-        from repro.fx.passes import PassManager, TransformCache, Unchanged
+        from repro.fx import ArtifactCache
+        from repro.fx.passes import PassManager, Unchanged
 
         gm = symbolic_trace(lambda x: F.matmul(x, x))
         out = apply_default_rules(copy_gm(gm))
         assert isinstance(out, Unchanged)
 
-        cache = TransformCache()
+        cache = ArtifactCache()
         pm = PassManager([apply_default_rules], cache=cache)
         res = pm.run(copy_gm(gm))
         (rec,) = res.records

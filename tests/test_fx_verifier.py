@@ -9,15 +9,14 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import GraphModule, symbolic_trace
+from repro.fx import GraphModule, cache_info, clear_caches, symbolic_trace
 from repro.fx.analysis import (
     PassVerifier,
     Severity,
     VerificationError,
     analyze,
-    clear_analysis_cache,
 )
-from repro.fx.passes import PassManager, ShapeProp, shared_transform_cache
+from repro.fx.passes import PassManager, ShapeProp
 from repro.fx.passes.memory_planner import Arena, ArenaSlot, _leaf_meta, plan_memory
 from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
 
@@ -271,8 +270,8 @@ class TestPassManagerIntegration:
         assert "verify" in result.format()
 
     def test_rejected_output_is_not_cached(self):
-        shared_transform_cache().clear()
-        clear_analysis_cache()
+        clear_caches("transform")
+        clear_caches("analysis")
         a, c = repro.randn(6, 6), repro.randn(6, 6)
 
         def run_once():
@@ -285,14 +284,14 @@ class TestPassManagerIntegration:
         run_once()
         # A rejected output is never stored, so a second run must fail
         # again from a live re-execution, never a poisoned replay.
-        assert len(shared_transform_cache()) == 0
-        hits_before = shared_transform_cache().hits
+        assert cache_info()["transform"]["size"] == 0
+        hits_before = cache_info()["transform"]["hits"]
         run_once()
-        assert shared_transform_cache().hits == hits_before
+        assert cache_info()["transform"]["hits"] == hits_before
 
     def test_cache_hit_adopts_stored_snapshot(self):
-        shared_transform_cache().clear()
-        clear_analysis_cache()
+        clear_caches("transform")
+        clear_caches("analysis")
         x = repro.randn(4, 4)
 
         class M(nn.Module):

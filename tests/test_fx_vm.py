@@ -15,7 +15,8 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import Graph, GraphModule, symbolic_trace
+from repro.fx import Graph, GraphModule, cache_info, clear_caches, \
+    symbolic_trace
 from repro.fx import compile as fx_compile
 from repro.fx.analysis import analyze
 from repro.fx.backends import EagerBackend, to_backend
@@ -28,9 +29,7 @@ from repro.fx.vm import (
     VMModule,
     VMProgram,
     VMRunError,
-    clear_vm_cache,
     compile_to_vm,
-    vm_cache_info,
 )
 from repro.models import SimpleCNN
 from repro.trt.engine import EngineOp, TRTEngine
@@ -192,26 +191,26 @@ class TestPickleReplay:
 
 class TestStructuralHashMemo:
     def test_identical_graphs_hit_the_memo(self):
-        clear_vm_cache()
+        clear_caches("vm")
         model = nn.Sequential(nn.Linear(4, 4), nn.ReLU())
         p1 = compile_to_vm(symbolic_trace(model))
         p2 = compile_to_vm(symbolic_trace(model))
         assert p1 is p2
-        info = vm_cache_info()
+        info = cache_info()["vm"]
         assert info["hits"] == 1 and info["misses"] == 1 and info["size"] == 1
 
     def test_different_weights_miss(self):
-        clear_vm_cache()
+        clear_caches("vm")
         p1 = compile_to_vm(symbolic_trace(nn.Linear(4, 4)))
         p2 = compile_to_vm(symbolic_trace(nn.Linear(4, 4)))
         # include_attrs=True: distinct parameter bytes → distinct programs
         assert p1 is not p2
-        assert vm_cache_info()["hits"] == 0
+        assert cache_info()["vm"]["hits"] == 0
 
     def test_unstable_hash_skips_memo(self):
         """Post-fusion graphs (FusedKernel targets hash by identity) must
         never be cached — each compile gets its own program."""
-        clear_vm_cache()
+        clear_caches("vm")
         a, c = repro.randn(8, 8), repro.randn(8, 8)
         compiled = fx_compile(TailReadModel(), (a, c))
         assert any(isinstance(n.target, FusedKernel)
@@ -219,15 +218,15 @@ class TestStructuralHashMemo:
         p1 = compile_to_vm(compiled)
         p2 = compile_to_vm(compiled)
         assert p1 is not p2
-        assert vm_cache_info()["size"] == 0
+        assert cache_info()["vm"]["size"] == 0
 
     def test_cache_false_bypasses(self):
-        clear_vm_cache()
+        clear_caches("vm")
         model = nn.Linear(2, 2)
         p1 = compile_to_vm(symbolic_trace(model), cache=False)
         p2 = compile_to_vm(symbolic_trace(model), cache=False)
         assert p1 is not p2
-        assert vm_cache_info()["size"] == 0
+        assert cache_info()["vm"]["size"] == 0
 
 
 # ---------------------------------------------------------------------------

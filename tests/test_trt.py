@@ -14,7 +14,6 @@ from repro.trt import (
     UnsupportedOperatorError,
     is_node_supported,
     lower_to_trt,
-    lower_with_fallback,
 )
 from repro.trt import ops as trt_ops
 
@@ -184,9 +183,10 @@ class TestFallback:
         with pytest.raises(UnsupportedOperatorError):
             lower_to_trt(self.Mixed().eval())
 
-    def test_fallback_correctness(self):
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_fallback_correctness(self, fuse):
         model = self.Mixed().eval()
-        lowered = lower_to_trt(model, allow_fallback=True)
+        lowered = lower_to_trt(model, fuse=fuse, allow_fallback=True)
         x = repro.randn(4, 8)
         assert np.allclose(model(x).data, lowered(x).data, rtol=1e-3, atol=1e-5)
 
