@@ -21,7 +21,6 @@ compile work is ever started and then thrown away.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -32,6 +31,7 @@ from ..graph import UnstableHashError
 from ..graph_module import GraphModule
 from ..passes import PassManager, PassRecord
 from ..passes.split_module import split_module
+from ..state import copy_module, state_scope
 from ..tracer import symbolic_trace
 from .base import Backend, UnsupportedNodesError, get_backend
 from .partitioner import CapabilityPartitioner, full_cover_pids
@@ -150,7 +150,7 @@ def to_backend(
     Args:
         model: a ``Module`` (symbolically traced first) or a
             ``GraphModule`` (never mutated — lowering works on a
-            pickle-copy).
+            copy).
         backend: a registry name (see
             :func:`~repro.fx.backends.registered_backends`) or a
             :class:`Backend` instance.
@@ -220,78 +220,82 @@ def to_backend(
         raise ValueError(f"unknown executor {exec_mode!r}; "
                          f"expected 'codegen' or 'vm'")
 
-    if isinstance(model, GraphModule):
-        gm = pickle.loads(pickle.dumps(model))
-    else:
-        gm = symbolic_trace(model)
-    be.validate_input(gm)
-    nodes_before = len(gm.graph)
-
-    # Guard derivation runs on the pristine capture, before any backend
-    # pass rewrites nodes into targets (FusedKernel, ...) that symbolic
-    # shape propagation has no transfer functions for.
-    guards = None
-    if example_inputs is not None:
-        from ..analysis.guards import derive_guards
-
-        try:
-            guards = derive_guards(gm, tuple(example_inputs))
-        except Exception:
-            guards = None
-
-    records: list[PassRecord] = []
-    passes = be.preferred_passes(gm)
-    if passes:
-        verifier = None
-        if verify:
-            from ..analysis import PassVerifier
-
-            verifier = PassVerifier()
-        result = PassManager(passes, lint_after_each=lint, cache=cache,
-                             verifier=verifier).run(gm)
-        gm = result.graph_module
-        records = result.records
-
-    partitioner = CapabilityPartitioner(
-        be.is_node_supported,
-        mask_effects=not be.respects_effects,
-        merge_independent=merge_independent,
-    )
-    plan = partitioner.partition(gm)
-
-    if plan.unsupported and not allow_fallback:
-        raise UnsupportedNodesError(be.name,
-                                    [n.name for n in plan.unsupported])
-
-    stats = {"hits": 0, "misses": 0}
-    if plan.fully_supported and len(plan.partitions) <= 1:
-        # Whole graph fits one partition: compile it directly, preserving
-        # the backend's native return type (TRTModule, optimized
-        # GraphModule, ...) with no split wrapper around it.
-        out: Module = _compile_partition(be, gm, stats)
-    else:
-        if inline_unsupported:
-            split_gm = split_module(gm, lambda n: plan.node_pid.get(n))
-            supported_names = [f"submod_{pid}"
-                               for pid in sorted(plan.partitions)]
+    # One state scope for the whole lowering: the copy, every pass's input
+    # and output hash, the analyses and the partition keys read each weight
+    # once between them.
+    with state_scope():
+        if isinstance(model, GraphModule):
+            gm = copy_module(model)
         else:
-            pids, supported_pids = full_cover_pids(gm, plan)
-            split_gm = split_module(gm, lambda n: pids[n])
-            supported_names = [f"submod_{pid}"
-                               for pid in sorted(supported_pids)]
-        for name in supported_names:
-            sub = split_gm.get_submodule(name)
-            setattr(split_gm, name, _compile_partition(be, sub, stats))
-        out = split_gm
+            gm = symbolic_trace(model)
+        be.validate_input(gm)
+        nodes_before = len(gm.graph)
 
-    if exec_mode == "vm" and isinstance(out, GraphModule):
-        # Flatten the stitched graph (compiled partitions are resolved
-        # call_module targets; fallback nodes become flat instructions)
-        # onto the bytecode tier.  Backends returning a native module
-        # (e.g. a TRTModule) already bypass per-node dispatch.
-        from ..vm import VMModule, compile_to_vm
+        # Guard derivation runs on the pristine capture, before any backend
+        # pass rewrites nodes into targets (FusedKernel, ...) that symbolic
+        # shape propagation has no transfer functions for.
+        guards = None
+        if example_inputs is not None:
+            from ..analysis.guards import derive_guards
 
-        out = VMModule(compile_to_vm(out))
+            try:
+                guards = derive_guards(gm, tuple(example_inputs))
+            except Exception:
+                guards = None
+
+        records: list[PassRecord] = []
+        passes = be.preferred_passes(gm)
+        if passes:
+            verifier = None
+            if verify:
+                from ..analysis import PassVerifier
+
+                verifier = PassVerifier()
+            result = PassManager(passes, lint_after_each=lint, cache=cache,
+                                 verifier=verifier).run(gm)
+            gm = result.graph_module
+            records = result.records
+
+        partitioner = CapabilityPartitioner(
+            be.is_node_supported,
+            mask_effects=not be.respects_effects,
+            merge_independent=merge_independent,
+        )
+        plan = partitioner.partition(gm)
+
+        if plan.unsupported and not allow_fallback:
+            raise UnsupportedNodesError(be.name,
+                                        [n.name for n in plan.unsupported])
+
+        stats = {"hits": 0, "misses": 0}
+        if plan.fully_supported and len(plan.partitions) <= 1:
+            # Whole graph fits one partition: compile it directly, preserving
+            # the backend's native return type (TRTModule, optimized
+            # GraphModule, ...) with no split wrapper around it.
+            out: Module = _compile_partition(be, gm, stats)
+        else:
+            if inline_unsupported:
+                split_gm = split_module(gm, lambda n: plan.node_pid.get(n))
+                supported_names = [f"submod_{pid}"
+                                   for pid in sorted(plan.partitions)]
+            else:
+                pids, supported_pids = full_cover_pids(gm, plan)
+                split_gm = split_module(gm, lambda n: pids[n])
+                supported_names = [f"submod_{pid}"
+                                   for pid in sorted(supported_pids)]
+            for name in supported_names:
+                sub = split_gm.get_submodule(name)
+                setattr(split_gm, name, _compile_partition(be, sub, stats))
+            out = split_gm
+
+        if exec_mode == "vm" and isinstance(out, GraphModule):
+            # Flatten the stitched graph (compiled partitions are resolved
+            # call_module targets; fallback nodes become flat instructions)
+            # onto the bytecode tier.  Backends returning a native module
+            # (e.g. a TRTModule) already bypass per-node dispatch.
+            from ..vm import VMModule, compile_to_vm
+
+            out = VMModule(compile_to_vm(out))
 
     report = BackendReport(
         backend=be.name,

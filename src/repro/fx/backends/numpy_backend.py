@@ -82,7 +82,7 @@ class NumpyBackend(Backend):
             ShapeProp(g).propagate(*example_inputs)
 
         def shape_refresh(g: GraphModule) -> None:
-            # Cached cleanup stages replay modules pickled on an *earlier*
+            # Cached cleanup stages replay modules stored on an *earlier*
             # compile, whose metadata may describe different example
             # shapes (meta is not part of the structural hash).  Re-stamp
             # from the current inputs so fusion never specializes on

@@ -86,6 +86,14 @@ class ArtifactCache:
                 evicted.append(self._entries.popitem(last=False)[1])
         self._dispose(evicted)
 
+    def discard(self, key: Hashable) -> None:
+        """Drop the entry under *key*, if any (an entry its stage found to
+        be wrong); uncounted, so the next lookup is an ordinary miss."""
+        with self._lock:
+            stale = self._entries.pop(key, _MISSING)
+        if stale is not _MISSING:
+            self._dispose([stale])
+
     def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """The value for *key*, calling ``builder()`` at most once per key
         across all concurrent callers.
@@ -108,7 +116,9 @@ class ArtifactCache:
 
     def count(self, counter: str) -> None:
         """Bump a stage-specific counter reported by :meth:`info` next to
-        ``hits``/``misses`` (the engine cache's disk traffic)."""
+        ``hits``/``misses`` (the engine cache's disk traffic, the
+        ``transform`` stage's ``state_reads`` / ``state_reuses`` /
+        ``replay_rejected``); a counter appears once it is non-zero."""
         with self._lock:
             self._counters[counter] = self._counters.get(counter, 0) + 1
 

@@ -34,7 +34,7 @@ kernels are *guarded* — called with shapes other than the examples they
 were specialized for, they fall back to a generic reference evaluator,
 so the compiled module remains correct (merely unfused) off the fast
 path.  The input module is never mutated: compilation works on a
-pickle-copy.
+copy (:func:`repro.fx.state.copy_module`).
 """
 
 from __future__ import annotations

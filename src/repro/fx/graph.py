@@ -521,6 +521,10 @@ class Graph:
         when ``include_attrs`` is True and an owning module is attached —
         the values of state the graph reads (``get_attr`` targets and the
         parameters/buffers/training flags of ``call_module`` submodules).
+        A tensor enters as ``shape:dtype:sha256(bytes)``; the bytes are
+        read on every call, except inside a
+        :func:`~repro.fx.state.state_scope` (one compile), which reads
+        each array once.
 
         Two graphs with equal hashes generate equivalent ``forward``
         code and (with ``include_attrs=True``) compute the same function,
@@ -596,12 +600,16 @@ class Graph:
             else:
                 feed(token_for(a))
 
-        def feed_value(v: Any) -> None:
-            from ..tensor import Tensor  # local import: tensor pkg imports are lazy here
+        # Local imports: the tensor package and the state scope sit above
+        # the core IR in the import order.
+        from ..tensor import Tensor
+        from .state import digest
 
+        def feed_value(v: Any) -> None:
             if isinstance(v, Tensor):
-                feed(f"tensor:{tuple(v.shape)}:{v.dtype}")
-                h.update(v.data.tobytes())
+                # The bytes enter as their own digest, which an open state
+                # scope (one compile) computes once per array.
+                feed(f"tensor:{tuple(v.shape)}:{v.dtype}:{digest(v.data)}")
             elif isinstance(v, BASE_ARGUMENT_TYPES):
                 feed(f"{type(v).__name__}:{v!r}")
             else:

@@ -16,6 +16,8 @@ transform is well under the paper's quoted 150 lines.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ...nn import BatchNorm2d, Conv2d, Parameter
@@ -37,13 +39,14 @@ def fuse_conv_bn_weights(conv: Conv2d, bn: BatchNorm2d) -> Conv2d:
     beta = bn.bias.data if bn.bias is not None else np.zeros_like(mean)
     scale = gamma / np.sqrt(var + bn.eps)
 
-    fused = Conv2d(
-        conv.in_channels, conv.out_channels, conv.kernel_size,
-        stride=conv.stride, padding=conv.padding, dilation=conv.dilation,
-        groups=conv.groups, bias=True,
-    )
-    fused.weight = Parameter((w * scale.reshape(-1, 1, 1, 1)).astype(w.dtype))
-    fused.bias = Parameter(((b - mean) * scale + beta).astype(w.dtype))
+    # A shallow clone of the matched conv, not a new ``Conv2d(...)``: every
+    # hyper-parameter carries over as it is, and no weights are allocated
+    # and randomly initialised (from the global RNG) just to be replaced.
+    fused = copy.copy(conv)
+    object.__setattr__(fused, "_parameters", conv._parameters.copy())
+    fused.weight = Parameter(
+        (w * scale.reshape(-1, 1, 1, 1)).astype(w.dtype, copy=False))
+    fused.bias = Parameter(((b - mean) * scale + beta).astype(w.dtype, copy=False))
     return fused
 
 

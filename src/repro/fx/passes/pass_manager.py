@@ -20,30 +20,40 @@ cannot:
   weights key correctly); a ``(pass identity, input-hash)`` pair seen
   before skips the pass and replays the cached result instead.
 
-Cached results are stored as pickle bytes and replayed by unpickling, so
-a hit can never alias the module another pipeline run produced; the
-unpickle path itself is cheap because :meth:`GraphModule.recompile` hits
-the structural-hash codegen cache.  Caching is strictly best-effort and
-falls back to just running the pass whenever a cache entry could be
-wrong later: passes whose module fails to pickle run uncached, as do
-passes whose *callable* has no stable identity (lambdas, closures, bound
-methods — their only identity is ``id()``, which garbage collection can
-recycle) and graphs whose hash would need an ``id()`` fallback token
-(see :class:`~repro.fx.graph.UnstableHashError`).  The cache key is the
-pass's resolvable ``module.qualname`` — never its display name — so two
+Cached results are stored as a :class:`~repro.fx.state.StateSnapshot` —
+a structure-only pickle plus *references* to the output's live arrays and
+their digests — so storing one reads and copies no weight bytes, and
+replayed by :func:`~repro.fx.state.restore`, which copies each array once
+and checks the copy against its digest: a hit can never alias the module
+another pipeline run produced, and an entry whose arrays were written in
+place since (they belong to a module some caller holds) is refused,
+dropped and rebuilt.  The whole run happens under one
+:func:`~repro.fx.state.state_scope`, so however many times the pipeline
+hashes the module, each array's bytes are read once — which holds only
+while passes *replace* tensors instead of writing them in place; the
+scope checks that on exit and raises a :class:`PassError` when it was
+broken.  Caching is strictly best-effort and falls back to just running
+the pass whenever a cache entry could be wrong later: passes whose module
+fails to pickle run uncached, as do passes whose *callable* has no stable
+identity (lambdas, closures, bound methods — their only identity is
+``id()``, which garbage collection can recycle) and graphs whose hash
+would need an ``id()`` fallback token (see
+:class:`~repro.fx.graph.UnstableHashError`).  The cache key is the pass's
+resolvable ``module.qualname`` — never its display name — so two
 different passes that happen to share a name can't collide.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
-from ..cache import ArtifactCache, register_stage
+from ..cache import ArtifactCache
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
+from ..state import (TRANSFORM_CACHE, StaleSnapshot, StateSnapshot,
+                     note_stored, restore, snapshot, state_scope)
 
 __all__ = [
     "CacheEntry",
@@ -140,33 +150,25 @@ class PassManagerResult:
 
 @dataclass
 class CacheEntry:
-    """One memoized pass result: the output module as pickle bytes plus
-    enough metadata (hash, node count, whether it passed ``lint``, and
-    the pass verifier's snapshot of its diagnostics) to chain further
-    lookups without unpickling it.
+    """One memoized pass result: the output module as a
+    :class:`~repro.fx.state.StateSnapshot` (structure payload + references
+    to its arrays + their digests) plus enough metadata (hash, node count,
+    whether it passed ``lint``, and the pass verifier's snapshot of its
+    diagnostics) to chain further lookups without restoring it.
 
     ``verify_snapshot`` is only meaningful under the verifier
     configuration recorded in ``verifier_key`` — a manager running a
-    differently-configured verifier re-verifies the materialized module
-    instead (the same pattern as ``linted``)."""
+    differently-configured verifier re-verifies the restored module
+    instead (the same pattern as ``linted``).  Both are promoted lazily
+    and recomputed from the same snapshot, so racing writes to them are
+    benign."""
 
     output_hash: str
-    payload: bytes
+    snapshot: StateSnapshot
     node_count: int
     linted: bool = False
     verify_snapshot: Any = None
     verifier_key: Any = None
-
-
-#: The process-wide transform cache every PassManager uses by default:
-#: ``(pass identity token, input hash) -> CacheEntry``, where the identity
-#: token is the pass callable's resolvable ``module.qualname`` (see
-#: ``_pass_cache_token``) — passes without a stable identity are never
-#: cached, so same-named passes can't share entries.  Replay unpickles a
-#: fresh module, so cached results are never shared mutable state; the
-#: lazily-promoted ``linted``/``verify_snapshot`` fields of an entry are
-#: recomputed from the same payload, so racing writes to them are benign.
-_TRANSFORM_CACHE = register_stage("transform", 1024)
 
 
 class _NotCached(Exception):
@@ -250,7 +252,7 @@ class PassManager:
             self.passes.append((name, fn))
         self.lint_after_each = lint_after_each
         if cache is True:
-            self.cache: Optional[ArtifactCache] = _TRANSFORM_CACHE
+            self.cache: Optional[ArtifactCache] = TRANSFORM_CACHE
         elif cache in (False, None):
             self.cache = None
         else:
@@ -272,123 +274,161 @@ class PassManager:
         per-pass records.  Also stashed on ``self.last_result``.
 
         Cache replay is *lazy*: while consecutive passes keep hitting, the
-        pipeline only chains the stored output hashes and never unpickles
+        pipeline only chains the stored output hashes and never restores
         the intermediate modules — a fully-cached re-run costs one input
-        hash, one lookup per pass, and a single unpickle at the end.
+        hash, one lookup per pass, and a single restore at the end.
         """
         if not isinstance(gm, GraphModule):
             raise TypeError(f"PassManager.run expects a GraphModule, got {type(gm).__name__}")
-        records: list[PassRecord] = []
-        pipeline_start = time.perf_counter()
-
-        # The pipeline's current value: a live module, or — after a cache
-        # hit — just the entry's pickle bytes plus (hash, node count).
-        current: Union[GraphModule, bytes] = gm
-        current_hash: Optional[str] = None
-        current_nodes = len(gm.graph)
-
-        if self.verifier is not None:
-            current_hash = self._hash(gm)
-            self.verifier.before_pipeline(gm, graph_hash=current_hash or None)
-
-        for index, (name, fn) in enumerate(self.passes):
-            start = time.perf_counter()
-            if current_hash is None:
-                assert isinstance(current, GraphModule)
-                current_hash = self._hash(current)
-            cache_token = _pass_cache_token(fn) if self.cache is not None else None
-
-            entry: Optional[CacheEntry] = None
-            #: ``_execute``'s result once this call ran the pass itself.
-            ran: Optional[tuple] = None
-            if self.cache is not None and current_hash and cache_token:
-                def build() -> CacheEntry:
-                    nonlocal ran
-                    ran = self._execute(
-                        index, name, fn, self._materialize(current),
-                        current_hash, True, start)
-                    if ran[2] is None:
-                        raise _NotCached
-                    return ran[2]
-
-                try:
-                    entry = self.cache.get_or_build(
-                        (cache_token, current_hash), build)
-                except _NotCached:
-                    pass
-                if ran is None:
-                    # Someone else's result (earlier run or a concurrent
-                    # manager that won the single-flight): replay it.
-                    assert entry is not None
-                    hit: Union[GraphModule, bytes] = entry.payload
-                    if self.lint_after_each and not entry.linted:
-                        # The entry was produced by a non-linting manager;
-                        # validate it now so a hit never weakens this
-                        # manager's lint guarantee.
-                        hit = self._materialize(entry.payload)
-                        try:
-                            hit.graph.lint()
-                        except Exception as exc:
-                            raise PassError(
-                                f"pass {index} ({name!r}) cached result is an "
-                                f"invalid graph (lint failed): "
-                                f"{type(exc).__name__}: {exc}"
-                            ) from exc
-                        entry.linted = True
-                    verified = False
-                    if self.verifier is not None:
-                        vkey = self.verifier.config_key()
-                        if entry.verify_snapshot is not None \
-                                and entry.verifier_key == vkey:
-                            # Verify by snapshot comparison — no unpickle,
-                            # no re-analysis.
-                            self.verifier.advance(name, entry.verify_snapshot)
-                        else:
-                            # Entry from an unverified (or differently
-                            # configured) run: verify the materialized
-                            # module once and remember the snapshot.
-                            hit = self._materialize(hit)
-                            entry.verify_snapshot = self.verifier.after_pass(
-                                name, hit, graph_hash=entry.output_hash or None)
-                            entry.verifier_key = vkey
-                        verified = True
-                    records.append(PassRecord(
-                        name=name,
-                        wall_time=time.perf_counter() - start,
-                        nodes_before=current_nodes,
-                        nodes_after=entry.node_count,
-                        cache_hit=True,
-                        linted=self.lint_after_each and entry.linted,
-                        verified=verified,
-                        input_hash=current_hash,
-                        output_hash=entry.output_hash,
-                    ))
-                    current = hit
-                    current_hash = entry.output_hash
-                    current_nodes = entry.node_count
-                    continue
-
-            if ran is None:  # uncacheable stage: just run the pass
-                ran = self._execute(
-                    index, name, fn, self._materialize(current),
-                    current_hash, False, start)
-            gm, record, _ = ran
-            records.append(record)
-            current, current_hash, current_nodes = gm, record.output_hash or None, len(gm.graph)
-
-        result = PassManagerResult(
-            self._materialize(current), records,
-            total_time=time.perf_counter() - pipeline_start)
+        with state_scope():
+            result = self._run(gm)
         self.last_result = result
         return result
 
     # -- internals ---------------------------------------------------------------
 
-    @staticmethod
-    def _materialize(current: Union[GraphModule, bytes]) -> GraphModule:
-        if isinstance(current, bytes):
-            return pickle.loads(current)
-        return current
+    def _run(self, gm: GraphModule) -> PassManagerResult:
+        records: list[PassRecord] = []
+        pipeline_start = time.perf_counter()
+
+        # The pipeline's current value is the live module ``gm`` or — while
+        # cache hits chain — ``pending``, the latest hit's entry, not yet
+        # restored.  ``mark`` is the stage the chain started at (with the
+        # hash, node count and verifier baseline on entering it): where to
+        # go back to when restoring ``pending`` is refused, since ``gm``
+        # has not been touched since.
+        pending: Optional[CacheEntry] = None
+        pending_key: Any = None
+        mark: tuple = ()
+        current_hash: Optional[str] = None
+        current_nodes = len(gm.graph)
+
+        def live() -> GraphModule:
+            nonlocal gm, pending
+            if pending is not None:
+                gm = restore(pending.snapshot)
+                pending = None
+            return gm
+
+        if self.verifier is not None:
+            current_hash = self._hash(gm)
+            self.verifier.before_pipeline(gm, graph_hash=current_hash or None)
+
+        index = 0
+        while True:
+            try:
+                if index == len(self.passes):
+                    out = live()
+                    break
+                name, fn = self.passes[index]
+                start = time.perf_counter()
+                if current_hash is None:
+                    current_hash = self._hash(live())
+                cache_token = _pass_cache_token(fn) if self.cache is not None else None
+
+                #: ``_execute``'s result once this call ran the pass itself.
+                ran: Optional[tuple] = None
+                if self.cache is not None and current_hash and cache_token:
+                    key = (cache_token, current_hash)
+
+                    def build() -> CacheEntry:
+                        nonlocal ran
+                        ran = self._execute(index, name, fn, live(),
+                                            current_hash, True, start)
+                        if ran[2] is None:
+                            raise _NotCached
+                        note_stored(self.cache, key)
+                        return ran[2]
+
+                    try:
+                        entry = self.cache.get_or_build(key, build)
+                    except _NotCached:
+                        pass
+                    if ran is None:
+                        # Someone else's result (earlier run or a concurrent
+                        # manager that won the single-flight): replay it.
+                        if pending is None:
+                            mark = (index, current_hash, current_nodes,
+                                    self.verifier.baseline
+                                    if self.verifier is not None else None)
+                        pending, pending_key = entry, key
+                        records.append(self._replay(
+                            index, name, entry, live, current_hash,
+                            current_nodes, start))
+                        current_hash = entry.output_hash
+                        current_nodes = entry.node_count
+                        index += 1
+                        continue
+
+                if ran is None:  # uncacheable stage: just run the pass
+                    ran = self._execute(index, name, fn, live(),
+                                        current_hash, False, start)
+                gm, record, _ = ran
+                records.append(record)
+                current_hash, current_nodes = record.output_hash or None, len(gm.graph)
+                index += 1
+            except StaleSnapshot:
+                # ``pending``'s arrays were written in place after it was
+                # stored (they belong to a module some caller holds): drop
+                # the entry and redo from where its chain of hits began —
+                # this time its stage is a miss.
+                self.cache.discard(pending_key)
+                self.cache.count("replay_rejected")
+                pending = None
+                index, current_hash, current_nodes, baseline = mark
+                if self.verifier is not None:
+                    self.verifier.adopt(baseline)
+                del records[index:]
+
+        return PassManagerResult(
+            out, records, total_time=time.perf_counter() - pipeline_start)
+
+    def _replay(self, index: int, name: str, entry: CacheEntry,
+                live: Callable[[], GraphModule], input_hash: str,
+                nodes_before: int, start: float) -> PassRecord:
+        """Account for a cache hit: re-validate *entry* under this
+        manager's lint/verifier settings — restoring it (``live()``) only
+        when one of them needs the module — and return the stage's record."""
+        if self.lint_after_each and not entry.linted:
+            # The entry was produced by a non-linting manager; validate it
+            # now so a hit never weakens this manager's lint guarantee.
+            restored = live()
+            try:
+                restored.graph.lint()
+            except Exception as exc:
+                raise PassError(
+                    f"pass {index} ({name!r}) cached result is an "
+                    f"invalid graph (lint failed): "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            entry.linted = True
+        verified = False
+        if self.verifier is not None:
+            vkey = self.verifier.config_key()
+            if entry.verify_snapshot is not None \
+                    and entry.verifier_key == vkey:
+                # Verify by snapshot comparison — no restore, no
+                # re-analysis.
+                self.verifier.advance(name, entry.verify_snapshot)
+            else:
+                # Entry from an unverified (or differently configured)
+                # run: verify the restored module once and remember the
+                # snapshot.
+                entry.verify_snapshot = self.verifier.after_pass(
+                    name, live(), graph_hash=entry.output_hash or None)
+                entry.verifier_key = vkey
+            verified = True
+        return PassRecord(
+            name=name,
+            wall_time=time.perf_counter() - start,
+            nodes_before=nodes_before,
+            nodes_after=entry.node_count,
+            cache_hit=True,
+            linted=self.lint_after_each and entry.linted,
+            verified=verified,
+            input_hash=input_hash,
+            output_hash=entry.output_hash,
+        )
 
     def _execute(self, index: int, name: str, fn: Pass, gm: GraphModule,
                  input_hash: Optional[str], cacheable: bool, start: float
@@ -434,22 +474,24 @@ class PassManager:
         # must never be stored for replay.  The verifier's exception
         # propagates as-is — it already names the offending pass.
         verified = False
-        snapshot: Any = None
+        verdict: Any = None
         if self.verifier is not None:
-            snapshot = self.verifier.after_pass(
+            verdict = self.verifier.after_pass(
                 name, gm, graph_hash=output_hash or None)
             verified = True
 
         entry: Optional[CacheEntry] = None
         if cacheable and output_hash:
             try:
-                payload = pickle.dumps(gm)
+                # No weight bytes move: the hash above left every digest
+                # in the scope's memo, and the arrays go in by reference.
+                snap = snapshot(gm)
             except Exception:
-                payload = None  # unpicklable target: run this pass uncached
-            if payload is not None:
-                entry = CacheEntry(output_hash, payload, len(gm.graph),
+                snap = None  # unpicklable target: run this pass uncached
+            if snap is not None:
+                entry = CacheEntry(output_hash, snap, len(gm.graph),
                                    linted=linted,
-                                   verify_snapshot=snapshot,
+                                   verify_snapshot=verdict,
                                    verifier_key=(self.verifier.config_key()
                                                  if verified else None))
 

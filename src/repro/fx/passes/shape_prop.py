@@ -11,12 +11,13 @@ reasoning required (§5.5).  The canonical implementation here follows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from ...tensor import DType, Size, Tensor
 from ..graph_module import GraphModule
 from ..interpreter import Interpreter
 from ..node import Node, map_aggregate
+from ..state import forget
 
 __all__ = ["TensorMetadata", "ShapeProp", "extract_tensor_metadata"]
 
@@ -66,7 +67,28 @@ class ShapeProp(Interpreter):
 
     def propagate(self, *args) -> Any:
         """Interpret the graph with *args* and return the output value."""
-        return self.run(*args)
+        result = self.run(*args)
+        # The program really ran, so a mutating node (a training-mode
+        # BatchNorm, ``add_`` on a ``get_attr``'d buffer) has written
+        # module state in place: a compile in progress must not keep
+        # digests of what such nodes can reach.
+        forget(self._writable_state())
+        return result
+
+    def _writable_state(self) -> Iterator[Any]:
+        """The arrays this graph's mutating nodes can write: every buffer
+        and every tensor the graph reads by ``get_attr``."""
+        graph = self.module.graph
+        if not any(n.op not in ("placeholder", "output") and n.is_impure()
+                   for n in graph.nodes):
+            return
+        for buf in self.module.buffers():
+            yield buf.data
+        for n in graph.nodes:
+            if n.op == "get_attr":
+                value = self.fetch_attr(n.target)
+                if isinstance(value, Tensor):
+                    yield value.data
 
 
 def _contains_meta(obj: Any) -> bool:

@@ -29,6 +29,7 @@ from ...nn import Module
 from ..graph_module import GraphModule
 from ..node import Node
 from ..passes.split_module import split_module
+from ..state import copy_module
 from ..tracer import symbolic_trace
 from .planner import ShardConfig, ShardPlan, ShardingError, plan_shards
 from .runtime import ShardedModule, _Ref, _StageSpec
@@ -87,7 +88,7 @@ def shard(
     from ..backends.partitioner import validate_forward_cut
 
     if isinstance(model, GraphModule):
-        gm = pickle.loads(pickle.dumps(model))
+        gm = copy_module(model)
     else:
         gm = symbolic_trace(model)
 

@@ -1,0 +1,293 @@
+"""Module state during a compile: read each tensor once, copy it once.
+
+A ``GraphModule`` keeps code and state together, and every layer of a
+compile looks at the state: ``Graph.structural_hash`` covers parameter
+values, the transform cache snapshots each pass's output, ``to_backend``
+works on a private copy.  Done naively each look re-reads or re-serialises
+every weight byte.  This module holds the three pieces that make a weight
+byte cost O(1) reads and O(1) copies per compile instead of O(passes):
+
+* :func:`digest` — the SHA-256 of one array's bytes, which is the term a
+  tensor contributes to ``structural_hash``.  Inside a
+  :func:`state_scope` the digest is memoised per ndarray *object*; outside
+  one every call reads the bytes.
+* :func:`snapshot` / :func:`restore` — a module as a structure-only pickle
+  plus *references* to its live arrays and their digests.  Taking one
+  reads and copies no tensor bytes; restoring copies each array once and
+  refuses (:class:`StaleSnapshot`) when a referenced array no longer
+  matches its digest.
+* :func:`copy_module` — the same structure pickle with the arrays copied
+  straight across: the one way the package deep-copies a module.
+
+**The one rule a scope trusts**: code running inside a compile *replaces*
+tensors, it never writes them in place.  The trust is checked, not
+assumed: when the outermost scope closes, every digest that was served
+from the memo is checked against the bytes again (a copy made inside the
+scope by comparing it with the array it was copied from, anything else by
+re-hashing), and a mismatch drops the cache entries stored under that
+scope and raises a ``PassError``.  Code that
+legitimately executes the program inside a compile (``ShapeProp`` running
+a training-mode BatchNorm) says so with :func:`forget`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pickle
+import threading
+from typing import Any, Iterable, NamedTuple, Optional
+
+import numpy as np
+
+from .cache import ArtifactCache, register_stage
+
+__all__ = ["TRANSFORM_CACHE", "StaleSnapshot", "StateSnapshot", "copy_module",
+           "digest", "forget", "note_stored", "restore", "snapshot",
+           "state_scope"]
+
+#: The process-wide transform cache (``(pass identity, input hash) ->
+#: CacheEntry``, see :mod:`repro.fx.passes.pass_manager`).  Registered here
+#: because its row of ``fx.cache_info()`` also carries this module's
+#: counters: ``state_reads`` (digests computed from bytes), ``state_reuses``
+#: (served from a scope memo) and ``replay_rejected`` (snapshots refused at
+#: restore).
+TRANSFORM_CACHE = register_stage("transform", 1024)
+
+
+class _Known:
+    """What a scope knows about one array it has seen."""
+
+    __slots__ = ("array", "digest", "twin", "served")
+
+    def __init__(self, array: np.ndarray, digest: Optional[str] = None,
+                 twin: Optional[np.ndarray] = None):
+        self.array = array      # pinned: keeps ``id(array)`` ours
+        self.digest = digest    # ``None`` until first read
+        #: the array this one was byte-copied from inside the scope, if any
+        self.twin = twin
+        #: the digest was handed out again without reading the bytes
+        self.served = False
+
+    def unwritten(self) -> bool:
+        """Do the bytes still have ``self.digest``?  A copy still equal to
+        the array it was taken from has not been written (no code reaches
+        both the compile's module and the unrelated one it was copied
+        from), which is a memory-speed compare instead of a hash."""
+        if self.twin is not None and _same_bytes(self.array, self.twin):
+            return True
+        return _sha(self.array) == self.digest
+
+
+class _Scope:
+    """What one compile knows about the arrays it has seen; its own
+    (re-entrant) context manager."""
+
+    __slots__ = ("depth", "memo", "by_digest", "stored")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        #: ``id(array) -> _Known``, for arrays that own their bytes (see
+        #: :func:`_owner`).
+        self.memo: dict[int, _Known] = {}
+        #: digest -> an array read with it: content-addresses the memo.
+        self.by_digest: dict[str, _Known] = {}
+        #: ``(cache, key)`` of every entry stored while the scope was open.
+        self.stored: list[tuple[ArtifactCache, Any]] = []
+
+    def adopt(self, copy: np.ndarray, source: np.ndarray,
+              digest: Optional[str] = None) -> None:
+        """*copy* was just byte-copied from *source* (whose digest, if the
+        caller has verified it, is *digest*)."""
+        known = self.memo[id(copy)] = _Known(copy, digest, source)
+        if digest is not None:
+            self.by_digest.setdefault(digest, known)
+
+    def __enter__(self) -> None:
+        if self.depth == 0:
+            _ACTIVE.scope = self
+        self.depth += 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.depth -= 1
+        if self.depth:
+            return
+        _ACTIVE.scope = None
+        written = [known.array for known in self.memo.values()
+                   if known.served and not known.unwritten()]
+        if not written:
+            return
+        for cache, key in self.stored:
+            cache.discard(key)
+        if exc_type is None:   # never mask the error already in flight
+            from .passes.pass_manager import PassError
+
+            raise PassError(
+                f"module state was written in place during a compile: "
+                f"{len(written)} tensor(s) changed after being hashed "
+                f"(first: {written[0].dtype}{list(written[0].shape)}).  "
+                f"Passes must replace tensors (``mod.weight = "
+                f"Parameter(new)``), not write them (``mod.weight.data *= "
+                f"2``); the {len(self.stored)} cache entries stored during "
+                f"this compile were dropped.")
+
+
+_ACTIVE = threading.local()
+
+
+def _scope() -> Optional[_Scope]:
+    return getattr(_ACTIVE, "scope", None)
+
+
+def state_scope() -> _Scope:
+    """``with state_scope():`` opens — or, nested, joins — this thread's
+    state scope.  Only the outermost exit validates; see the module
+    docstring for what is validated and what a violation does."""
+    return _scope() or _Scope()
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    """The array whose bytes *arr* spans: its base when *arr* is a
+    C-contiguous view of the whole of a C-contiguous base (how unpickling
+    hands back the buffers it was given), else *arr* itself."""
+    base = arr.base
+    if type(base) is np.ndarray and base.nbytes == arr.nbytes \
+            and arr.flags.c_contiguous and base.flags.c_contiguous:
+        return base
+    return arr
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bytewise ``a == b`` at memory speed (``False``, so the caller falls
+    back to hashing, for arrays of unlike dtype)."""
+    if a.dtype != b.dtype or a.size != b.size:
+        return False
+    # as unsigned words: NaN == NaN, -0.0 != 0.0
+    bits = f"u{a.itemsize}" if a.itemsize in (1, 2, 4, 8) else "u1"
+    return np.array_equal(a.reshape(-1).view(bits), b.reshape(-1).view(bits))
+
+
+def _sha(arr: np.ndarray) -> str:
+    TRANSFORM_CACHE.count("state_reads")
+    return hashlib.sha256(
+        arr if arr.flags.c_contiguous else arr.tobytes()).hexdigest()
+
+
+def digest(arr: np.ndarray) -> str:
+    """Hex SHA-256 of *arr*'s bytes in C order."""
+    scope = _scope()
+    if scope is None:
+        return _sha(arr)
+    arr = _owner(arr)
+    known = scope.memo.get(id(arr))
+    if known is None:
+        known = scope.memo[id(arr)] = _Known(arr)
+    if known.digest is None:
+        known.digest = _sha(arr)
+        scope.by_digest.setdefault(known.digest, known)
+    else:
+        known.served = True
+        TRANSFORM_CACHE.count("state_reuses")
+    return known.digest
+
+
+def forget(arrays: Iterable[np.ndarray]) -> None:
+    """Declare that *arrays* were (or may have been) written in place, so
+    the open scope — if any — reads them again.  *arrays* is only iterated
+    under a scope."""
+    scope = _scope()
+    if scope is None:
+        return
+    for arr in arrays:
+        known = scope.memo.pop(id(_owner(arr)), None)
+        if known is not None and scope.by_digest.get(known.digest) is known:
+            del scope.by_digest[known.digest]
+
+
+def note_stored(cache: ArtifactCache, key: Any) -> None:
+    """Record that *cache* [*key*] is being filled under the open scope,
+    so a failed validation takes it back."""
+    scope = _scope()
+    if scope is not None:
+        scope.stored.append((cache, key))
+
+
+# -- structure + references ---------------------------------------------------
+
+class StaleSnapshot(Exception):
+    """A snapshot's array no longer has the bytes it was taken with."""
+
+
+class StateSnapshot(NamedTuple):
+    """A module, by structure and by reference.
+
+    Attributes:
+        structure: protocol-5 pickle of the module with every contiguous
+            array left out of band — graph, names, hyper-parameters; tens
+            of KB whatever the weights weigh.  (Non-contiguous arrays have
+            no out-of-band form and stay inside it.)
+        arrays: the out-of-band arrays, *not copied*: the live objects
+            the module held when the snapshot was taken.
+        digests: :func:`digest` of each array at that time.
+    """
+
+    structure: bytes
+    arrays: tuple
+    digests: tuple
+
+
+def _dump(module: Any) -> tuple[bytes, list[np.ndarray]]:
+    buffers: list = []
+    structure = pickle.dumps(module, protocol=5,
+                             buffer_callback=buffers.append)
+    # numpy is the only out-of-band exporter here, and exports the array
+    # itself (its transpose, for a Fortran-ordered one): no bytes are read.
+    return structure, [memoryview(buf).obj for buf in buffers]
+
+
+def snapshot(module: Any) -> StateSnapshot:
+    """*module* as a :class:`StateSnapshot`.  Under a scope that already
+    hashed the module this reads no tensor bytes."""
+    structure, arrays = _dump(module)
+    return StateSnapshot(structure, tuple(arrays),
+                         tuple(digest(a) for a in arrays))
+
+
+def restore(snap: StateSnapshot) -> Any:
+    """A fresh module from *snap*, sharing no memory with it.
+
+    Each array is copied, then the *copy* is checked against its digest
+    (so a write racing the copy cannot slip through) — by comparing it
+    with an array the open scope has already read under that digest when
+    there is one, by hashing it otherwise.  The copies enter the scope's
+    memo, so hashing the restored module reads nothing.
+
+    Raises:
+        StaleSnapshot: an array was written in place since the snapshot.
+    """
+    scope = _scope()
+    copies = [a.copy() for a in snap.arrays]
+    for copy, source, known in zip(copies, snap.arrays, snap.digests):
+        same = scope.by_digest.get(known) if scope is not None else None
+        if same is not None and _same_bytes(copy, same.array):
+            same.served = True   # its digest vouched for these bytes
+        elif _sha(copy) != known:
+            raise StaleSnapshot(
+                f"{copy.dtype}{list(copy.shape)} array changed under its "
+                f"snapshot")
+        if scope is not None:
+            scope.adopt(copy, source, known)
+    return pickle.loads(snap.structure, buffers=copies)
+
+
+def copy_module(module: Any) -> Any:
+    """Deep copy of *module* (any picklable ``Module``; a ``GraphModule``
+    regenerates its ``forward``): one structure pickle, one memcpy per
+    array.  Shared tensors stay shared, no memory is shared with the
+    source."""
+    structure, arrays = _dump(module)
+    copies = [a.copy() for a in arrays]
+    scope = _scope()
+    if scope is not None:
+        for copy, source in zip(copies, arrays):
+            scope.adopt(copy, source)
+    return pickle.loads(structure, buffers=copies)

@@ -73,6 +73,7 @@ from ..analysis import PassVerifier, lint_graph
 from ..graph_module import GraphModule
 from ..interpreter import Interpreter
 from ..node import Node
+from ..state import copy_module
 from ..tracer import symbolic_trace
 from ..passes import (
     PassManager,
@@ -182,12 +183,6 @@ class OracleReport:
                 detail += f" [first divergence at node {o.divergence.node.name!r}]"
             lines.append(f"{mark} {o.name}{detail}")
         return "\n".join(lines)
-
-
-def _copy_gm(gm: GraphModule) -> GraphModule:
-    # Pickle round-trip: the one copy path GraphModule guarantees (codegen
-    # is deterministic, so forward is regenerated on load).
-    return pickle.loads(pickle.dumps(gm))
 
 
 def _set_eval(gm: GraphModule) -> None:
@@ -356,7 +351,7 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
         if not want(name):
             continue
         try:
-            transformed = pipeline(_copy_gm(gm))
+            transformed = pipeline(copy_module(gm))
             transformed.graph.lint()
         except Exception as exc:
             report.outcomes.append(CheckOutcome(name, False, _exc_summary(exc)))
@@ -434,9 +429,10 @@ def _check_vm(report: OracleReport, gm: GraphModule, inputs: tuple,
     from ..vm import compile_to_vm
 
     try:
-        program = compile_to_vm(_copy_gm(gm), cache=False)
+        program = compile_to_vm(copy_module(gm), cache=False)
         out = program.run(*inputs)
-        replayed = pickle.loads(pickle.dumps(program)).run(*inputs)
+        blob = pickle.dumps(program)
+        replayed = pickle.loads(blob).run(*inputs)
     except Exception as exc:
         report.outcomes.append(CheckOutcome("vm", False, _exc_summary(exc)))
         return
@@ -466,7 +462,7 @@ def _check_vm_compiled(report: OracleReport, gm: GraphModule, inputs: tuple,
     from ..vm import compile_to_vm
 
     try:
-        compiled = fx_compile(_copy_gm(gm), inputs, lint=True)
+        compiled = fx_compile(copy_module(gm), inputs, lint=True)
         program = compile_to_vm(compiled, cache=False)
         out1 = program.run(*inputs)
         out2 = program.run(*inputs)
@@ -503,7 +499,7 @@ def _check_rules(report: OracleReport, gm: GraphModule, inputs: tuple,
     from ..rules import default_ruleset
 
     try:
-        copy = _copy_gm(gm)
+        copy = copy_module(gm)
         ShapeProp(copy).propagate(*inputs)
         default_ruleset().apply(copy, verify=True)
         copy.graph.lint()
@@ -532,7 +528,7 @@ def _check_compile(report: OracleReport, gm: GraphModule, inputs: tuple,
     from ..compiler import compile as fx_compile
 
     try:
-        compiled = fx_compile(_copy_gm(gm), inputs, lint=True)
+        compiled = fx_compile(copy_module(gm), inputs, lint=True)
         compiled.graph.lint()
         out1 = compiled(*inputs)
         out2 = compiled(*inputs)
@@ -586,7 +582,7 @@ def _check_backend_split(report: OracleReport, program: GeneratedProgram,
 
     backend = override_support(EagerBackend(), predicate, name="eager+fuzz")
     try:
-        lowered = to_backend(_copy_gm(gm), backend, allow_fallback=True)
+        lowered = to_backend(copy_module(gm), backend, allow_fallback=True)
         if isinstance(lowered, GraphModule):
             lowered.graph.lint()
         out = lowered(*inputs)
@@ -623,7 +619,7 @@ def _check_sharded(report: OracleReport, gm: GraphModule, inputs: tuple,
     sharded = None
     try:
         try:
-            sharded = to_backend(_copy_gm(gm), EagerBackend(), shards=2,
+            sharded = to_backend(copy_module(gm), EagerBackend(), shards=2,
                                  example_inputs=inputs)
         except ShardingError as exc:
             report.outcomes.append(CheckOutcome(
@@ -652,7 +648,7 @@ def _check_quantization(report: OracleReport, gm: GraphModule, inputs: tuple,
     from ...quant.quantize_fx import convert_fx, prepare_fx
 
     try:
-        prepared = prepare_fx(_copy_gm(gm))
+        prepared = prepare_fx(copy_module(gm))
         prepared.graph.lint()
         out = prepared(*inputs)  # doubles as the calibration pass
     except Exception as exc:

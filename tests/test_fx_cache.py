@@ -83,11 +83,100 @@ EXPECTED = {
 }
 
 
-def test_traffic_matches_the_seven_cache_baseline():
+def _run(script):
+    """Run *script* in a fresh interpreter; its last stdout line as JSON."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == EXPECTED
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traffic_matches_the_seven_cache_baseline():
+    assert _run(SCRIPT) == EXPECTED
+
+
+# -- weight traffic of a compile, counted ---------------------------------------
+
+STATE_SCRIPT = r"""
+import dataclasses, json
+import numpy as np
+from repro import fx, nn
+from repro.fx.state import TRANSFORM_CACHE
+from repro.models import resnet18, resnet50
+from repro.tensor import Tensor
+
+
+def state(module):
+    return [t.data for t in list(module.parameters()) + list(module.buffers())]
+
+
+def largest_bytes(obj):
+    # the biggest ``bytes`` object reachable through an entry's fields
+    if isinstance(obj, (bytes, bytearray)):
+        return len(obj)
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, dict):
+        obj = list(obj.items())
+    if isinstance(obj, (tuple, list)):
+        return max(map(largest_bytes, obj), default=0)
+    return 0
+
+
+np.random.seed(0)
+x = Tensor(np.random.randn(1, 3, 32, 32).astype(np.float32))
+out = {}
+
+model = resnet18().eval()
+gm = fx.symbolic_trace(model)
+out["state_tensors"] = len(state(gm))
+compiled = fx.compile(gm, (x,))
+out["fused_tensors"] = 2 * sum(isinstance(m, nn.Conv2d)
+                               for m in compiled.modules())
+out["cold"] = fx.cache_info()["transform"]
+fx.compile(fx.symbolic_trace(model), (x,))
+out["warm"] = fx.cache_info()["transform"]
+
+fx.clear_caches("transform")
+compiled = fx.compile(fx.symbolic_trace(resnet50().eval()), (x,))
+entries = list(TRANSFORM_CACHE._entries.values())
+out["entries"] = len(entries)
+out["state_mb"] = sum(a.nbytes for a in state(compiled)) / 2 ** 20
+out["largest_bytes"] = max(map(largest_bytes, entries))
+out["digests_match_arrays"] = all(
+    len(e.snapshot.arrays) == len(e.snapshot.digests) for e in entries)
+# by reference: the last entry's arrays are the compiled module's own, and
+# entries of passes that replaced nothing hold the very same objects
+final = {id(a) for a in state(compiled)}
+last = min(entries, key=lambda e: e.node_count)   # fuse_conv_bn
+out["last_entry_is_live_state"] = \
+    {id(a) for a in last.snapshot.arrays} == final
+first, second = entries[0], entries[1]
+out["entries_share_arrays"] = all(
+    a is b for a, b in zip(first.snapshot.arrays, second.snapshot.arrays))
+print(json.dumps(out))
+"""
+
+
+def test_compile_reads_each_tensor_once_and_stores_no_weights():
+    out = _run(STATE_SCRIPT)
+    # One read per array the compile ever held (its input's, then the
+    # fused ones), once more each when the scope re-validates on exit —
+    # however many times the pipeline hashed.  (15 reads per tensor at
+    # 580e887.)
+    budget = 2 * (out["state_tensors"] + out["fused_tensors"])
+    assert out["fused_tensors"] > 0
+    assert 0 < out["cold"]["state_reads"] <= budget
+    assert out["cold"]["state_reuses"] > out["cold"]["state_reads"]
+    assert out["warm"].get("replay_rejected", 0) == 0
+    assert out["warm"]["hits"] > 0
+
+    # ResNet-50: ~90 MB of state, no entry holds any of it as bytes
+    assert out["entries"] >= 4 and out["state_mb"] > 80
+    assert out["largest_bytes"] < 2 ** 20
+    assert out["digests_match_arrays"]
+    assert out["last_entry_is_live_state"]
+    assert out["entries_share_arrays"]

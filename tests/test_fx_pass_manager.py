@@ -417,3 +417,189 @@ class TestOracleIntegration:
         # the fused module collapsed conv+bn into one call
         assert result.records[-1].node_delta <= 0
         assert "fuse_conv_bn" in result.format()
+
+
+# -- state sharing: one read per tensor per compile, entries by reference ------
+
+def _double_first_weight_in_place(gm):
+    """A deliberately bad pass: writes module state instead of replacing it."""
+    next(iter(gm.parameters())).data *= 2
+
+
+def _state_reads():
+    return cache_info()["transform"].get("state_reads", 0)
+
+
+def _arrays(module):
+    return [t.data for t in list(module.parameters()) + list(module.buffers())]
+
+
+class TiedAndStrided(nn.Module):
+    """One Parameter under two names, plus a non-contiguous parameter."""
+
+    def __init__(self):
+        super().__init__()
+        self.a = nn.Linear(4, 4)
+        self.b = nn.Linear(4, 4)
+        self.b.weight = self.a.weight
+        self.scale = nn.Parameter(
+            np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2])
+
+    def forward(self, x):
+        return self.b(self.a(x)) @ self.scale
+
+
+class TestStateSharing:
+    def conv_bn(self):
+        model = nn.Sequential(nn.Conv2d(3, 4, 3), nn.BatchNorm2d(4), nn.ReLU())
+        return symbolic_trace(model.eval()), repro.randn(1, 3, 8, 8)
+
+    def test_in_place_state_write_inside_pipeline_is_an_error(self):
+        cache = ArtifactCache()
+        gm, _ = self.conv_bn()
+        pm = PassManager([eliminate_dead_code, _double_first_weight_in_place],
+                         cache=cache)
+        with pytest.raises(PassError, match="written in place"):
+            pm.run(gm)
+        # neither the poisoned entry nor the sound one before it survives
+        assert len(cache) == 0
+
+        # ... and equally when what it writes is a module restored from a hit
+        gm, _ = self.conv_bn()
+        PassManager([eliminate_dead_code], cache=cache).run(copy_gm(gm))
+        with pytest.raises(PassError, match="written in place"):
+            pm.run(copy_gm(gm))
+        assert pm.last_result is None
+        assert len(cache) == 1   # the earlier compile's entry is not to blame
+
+    def test_write_to_a_replayed_result_cannot_poison_the_cache(self):
+        from repro.fx import compile as fx_compile
+
+        gm, x = self.conv_bn()
+        clear_caches("transform")
+        first = fx_compile(copy_gm(gm), (x,))
+        expected = first(x).data.copy()
+        for p in first.parameters():   # entries reference these very arrays
+            p.data[:] = 0.0
+        assert not np.array_equal(first(x).data, expected)
+
+        again = fx_compile(copy_gm(gm), (x,))
+        assert np.array_equal(again(x).data, expected)
+        assert np.allclose(again(x).data, gm(x).data, atol=1e-5)
+        assert cache_info()["transform"]["replay_rejected"] == 1
+        # the rebuilt entry replays: no further rejection, still exact
+        third = fx_compile(copy_gm(gm), (x,))
+        assert np.array_equal(third(x).data, expected)
+        assert cache_info()["transform"]["replay_rejected"] == 1
+
+    def test_rejected_chain_of_hits_rewinds_to_where_it_started(self):
+        from repro.fx.analysis import PassVerifier
+
+        cache = ArtifactCache()
+        gm, x = self.conv_bn()
+        pm = PassManager([eliminate_dead_code, eliminate_common_subexpressions,
+                          fold_constants], cache=cache,
+                         verifier=PassVerifier(), lint_after_each=True)
+        first = pm.run(copy_gm(gm))
+        assert first.cache_hits == 0
+        for arr in _arrays(first.graph_module):  # shared by all three entries
+            arr[...] = 0.0
+        result = pm.run(copy_gm(gm))
+        # every hit was taken back, one entry per rewind, and redone for real
+        assert cache.info()["replay_rejected"] == 3
+        assert [r.name for r in result.records] == [r.name for r in first.records]
+        assert result.cache_hits == 0 and all(r.verified for r in result.records)
+        assert np.array_equal(result.graph_module(x).data, gm(x).data)
+        assert pm.run(copy_gm(gm)).cache_hits == 3
+
+    def test_replayed_module_aliases_neither_entry_nor_source(self):
+        cache = ArtifactCache()
+        gm, x = self.conv_bn()
+        pm = PassManager([fuse_conv_bn], cache=cache)
+        source = copy_gm(gm)
+        produced = pm.run(source).graph_module
+        (entry,) = cache._entries.values()
+        # stored by reference: the entry's arrays *are* the output's
+        assert {id(a) for a in entry.snapshot.arrays} \
+            == {id(a) for a in _arrays(produced)}
+        replayed = pm.run(copy_gm(gm))
+        assert replayed.cache_hits == 1
+        theirs = _arrays(source) + _arrays(produced) + list(entry.snapshot.arrays)
+        for arr in _arrays(replayed.graph_module):
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, other) for other in theirs)
+        assert np.array_equal(replayed.graph_module(x).data, produced(x).data)
+
+    def test_tied_and_non_contiguous_parameters_round_trip(self):
+        from repro.fx.state import copy_module, snapshot
+
+        gm = symbolic_trace(TiedAndStrided())
+        x = repro.randn(2, 4)
+        assert not gm.scale.data.flags.c_contiguous \
+            and not gm.scale.data.flags.f_contiguous
+        # the strided parameter has no out-of-band form: it stays in-band
+        snap = snapshot(gm)
+        assert len(snap.arrays) == len(_arrays(gm)) - 1
+        assert all(a.flags.c_contiguous or a.flags.f_contiguous
+                   for a in snap.arrays)
+
+        cache = ArtifactCache()
+        pm = PassManager([eliminate_dead_code], cache=cache)
+        pm.run(copy_module(gm))
+        replayed = pm.run(copy_module(gm))
+        assert replayed.cache_hits == 1
+        for clone in (copy_module(gm), replayed.graph_module):
+            assert clone.a.weight is clone.b.weight
+            assert clone.a.weight is not gm.a.weight
+            assert np.array_equal(clone.scale.data, gm.scale.data)
+            assert np.array_equal(clone(x).data, gm(x).data)
+
+    def test_hash_is_the_same_inside_and_outside_a_scope(self):
+        from repro.fx.state import state_scope
+
+        gm, _ = self.conv_bn()
+        n_tensors = len(_arrays(gm))
+        outside = gm.graph.structural_hash()
+        before = _state_reads()
+        assert gm.graph.structural_hash() == outside
+        assert _state_reads() - before == n_tensors   # un-scoped: every call reads
+
+        before = _state_reads()
+        with state_scope():
+            inside = gm.graph.structural_hash()
+            with state_scope():   # re-entrant: joins the open scope
+                canonical = gm.graph.structural_hash(canonicalize_targets=True)
+            assert gm.graph.structural_hash() == inside
+            assert _state_reads() - before == n_tensors   # three hashes, one read
+        assert inside == outside
+        assert canonical == gm.graph.structural_hash(canonicalize_targets=True)
+        # leaving re-validated what was served, then the memo is gone
+        assert _state_reads() - before == 3 * n_tensors
+
+    def test_scope_does_not_hide_a_write_between_compiles(self):
+        from repro.fx.state import state_scope
+
+        gm, _ = self.conv_bn()
+        with state_scope():
+            before = gm.graph.structural_hash()
+        next(iter(gm.parameters())).data[:] = 0.0
+        with state_scope():
+            assert gm.graph.structural_hash() != before
+
+    def test_shape_prop_of_a_training_batchnorm_is_not_a_violation(self):
+        # ShapeProp really runs the program, and a training-mode BatchNorm
+        # really updates its running statistics in place: declared, so the
+        # next hash reads them again instead of the exit check tripping.
+        from repro.fx.passes import ShapeProp
+
+        model = nn.Sequential(nn.Conv2d(3, 4, 3), nn.BatchNorm2d(4))
+        gm, x = symbolic_trace(model), repro.randn(2, 3, 8, 8)
+
+        def shape_prop(g):
+            ShapeProp(g).propagate(x)
+
+        result = PassManager([eliminate_dead_code, shape_prop,
+                              eliminate_dead_code], cache=ArtifactCache()).run(gm)
+        first, _, last = result.records
+        assert first.output_hash != last.input_hash   # the new stats are seen
+        assert last.input_hash == gm.graph.structural_hash(require_stable=True)

@@ -76,6 +76,45 @@ class TestConvBNFusion:
         x = repro.randn(2, 3, 8, 8)
         assert np.allclose(fused(x).data, bn(conv(x)).data, atol=1e-4)
 
+    def test_fused_conv_is_a_clone_of_the_matched_one(self):
+        conv = nn.Conv2d(4, 8, (3, 5), stride=(2, 1), padding=(1, 2),
+                         dilation=(1, 2), groups=2, bias=False).eval()
+        conv.note = "kept"  # any attribute, not a re-listed few
+        bn = nn.BatchNorm2d(8).eval()
+        before = {k: v for k, v in vars(conv).items() if k != "_parameters"}
+        fused = fuse_conv_bn_weights(conv, bn)
+        assert type(fused) is type(conv) and fused is not conv
+        assert {k: v for k, v in vars(fused).items()
+                if k != "_parameters"} == before
+        assert not fused.training
+        assert list(fused._parameters) == ["weight", "bias"]
+        # ... and the matched conv itself is left exactly as it was
+        assert conv.bias is None and fused.bias is not None
+        assert fused.weight is not conv.weight
+        assert fused.weight.dtype == conv.weight.dtype
+
+    @pytest.mark.parametrize("entry", ["fuse_conv_bn", "compile"])
+    def test_fusion_leaves_the_global_rng_alone(self, entry):
+        """Regression: the fused conv used to be a freshly constructed
+        ``Conv2d``, whose ``reset_parameters()`` drew from the global RNG —
+        so compiling shifted the user's random stream, and shifted it
+        differently depending on whether the transform cache hit."""
+        from repro import fx
+
+        repro.manual_seed(0)
+        expected = repro.rand(3).data
+        model = nn.Sequential(nn.Conv2d(3, 4, 3), nn.BatchNorm2d(4),
+                              nn.ReLU()).eval()
+        x = repro.randn(1, 3, 8, 8)
+        fx.clear_caches("transform")
+        for temperature in ("cold", "warm"):
+            repro.manual_seed(0)
+            if entry == "compile":
+                fx.compile(model, (x,))
+            else:
+                fuse_conv_bn(symbolic_trace(model))
+            assert np.array_equal(repro.rand(3).data, expected), temperature
+
     def test_fusion_removes_bn_nodes(self):
         gm = fuse_conv_bn(SimpleCNN().eval())
         modules = dict(gm.named_modules())
