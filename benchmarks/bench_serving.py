@@ -8,17 +8,17 @@ Two claims, both written to ``results/serving.txt``:
   server must clear **>= 2x** the unbatched throughput: sixteen 1-row
   forwards collapse into one 16-row forward, so the per-request python
   dispatch (executor handoff, VM entry, kernel launch) is paid once per
-  batch instead of once per request.  At concurrency 1 batching only
-  adds the coalescing window — the table shows that too, because the
-  tradeoff is the point.
+  batch instead of once per request.  At concurrency 1 there is nothing
+  to coalesce and the scheduler dispatches at once, so the batched row
+  shows what the batching path itself costs a lone request (one loop
+  turn and the batch bookkeeping).
 * **Cold start is a load, not a compile.**  Restarting a server over a
   warm engine-cache directory deserializes + verifies the pickled
   VMProgram instead of re-running trace -> fuse -> plan -> flatten.
   The warm path must be **>= 5x** faster than the cold compile.
 
 Latency is reported as p50/p99 over per-request wall times, the
-inference-serving SLO currency (mean hides the tail the batching window
-creates).
+inference-serving SLO currency (mean hides the tail queueing creates).
 """
 
 import asyncio
@@ -74,8 +74,7 @@ async def _closed_loop(server, concurrency, per_client):
 def _serve_sweep(batching, concurrency, per_client):
     async def go():
         config = ServeConfig(workers=4, batching=batching,
-                             max_batch_size=max(concurrency, 2),
-                             batch_window_s=0.002)
+                             max_batch_size=max(concurrency, 2))
         async with InferenceServer(config) as server:
             server.register("chain", ChainModel().eval())
             # Warmup pass: compile every batch-size bucket this traffic

@@ -6,9 +6,11 @@ across traffic (the ROADMAP "millions of users" direction, and the
 capture-once/replay-many economics PyGraph argues for):
 
 * :class:`InferenceServer` — asyncio front door + thread worker pool,
-  with **dynamic request batching**: same-(model, shape, dtype) requests
-  arriving within a small window coalesce into one batched forward and
-  split back per request (:mod:`.batching`);
+  with **work-conserving dynamic batching**: same-(model, shape, dtype)
+  requests pending when a worker is idle leave as one batched forward
+  and split back per request (:mod:`.batching`) — batches form while
+  the workers are busy and a lone request never waits; only batches
+  that several callers share are paced (``server.PACE_S``);
 * :class:`EngineCache` — per-(graph hash, backend, executor, signature)
   engine store with **on-disk persistence**: compiled
   :class:`~repro.fx.vm.VMProgram`\s pickle, so a cold process loads

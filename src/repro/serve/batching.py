@@ -25,6 +25,7 @@ from typing import Any, List, Sequence, Tuple
 import numpy as np
 
 from ..tensor import Tensor
+from .engine_cache import dtype_name
 
 __all__ = ["BatchKey", "BatchError", "batch_key_of", "coalesce",
            "split_results"]
@@ -75,7 +76,7 @@ def batch_key_of(model: str, inputs: Sequence[Any]) -> Tuple[BatchKey, int]:
             raise BatchError(
                 f"input {i} has {shape[0]} rows but input 0 has {rows}: "
                 f"all inputs of one request must agree on the batch dim")
-        sig.append((shape[1:], str(x.data.dtype)))
+        sig.append((shape[1:], dtype_name(x.data.dtype)))
     return BatchKey(model=model, signature=tuple(sig)), int(rows)
 
 

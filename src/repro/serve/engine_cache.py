@@ -38,6 +38,7 @@ the disk load, the build and the disk store of one key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -102,6 +103,13 @@ class EngineKey:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def dtype_name(dtype) -> str:
+    """``str(dtype)``, memoised: numpy builds the name afresh on every
+    call, which costs more than the rest of a request's signature."""
+    return str(dtype)
+
+
 def input_signature(inputs) -> tuple:
     """``((shape, dtype_name), ...)`` over tensor inputs (the engine-key
     form of "what shapes was this compiled for")."""
@@ -111,7 +119,7 @@ def input_signature(inputs) -> tuple:
         if data is None:
             sig.append(("const", repr(x)))
         else:
-            sig.append((tuple(data.shape), str(data.dtype)))
+            sig.append((tuple(data.shape), dtype_name(data.dtype)))
     return tuple(sig)
 
 

@@ -5,7 +5,7 @@ spins an :class:`~repro.serve.InferenceServer` up in-process, fires a
 burst of concurrent requests at a 16-op pointwise-chain model, and
 verifies every response against per-request eager execution.  The whole
 run sits under one ``asyncio.wait_for`` deadline, so a lost future, a
-stuck flush timer, or a deadlocked cache shows up as a nonzero exit
+stalled scheduler, or a deadlocked cache shows up as a nonzero exit
 instead of a hung CI job.
 
 Exit status: 0 on success; 1 on mismatch, deadlock (timeout), or any
@@ -81,7 +81,7 @@ async def _smoke(n_requests: int, concurrency: int, features: int,
     repro.manual_seed(0)
     model = ChainModel().eval()
     config = ServeConfig(workers=4, max_batch_size=concurrency,
-                         batch_window_s=0.002, cache_dir=cache_dir)
+                         cache_dir=cache_dir)
     async with InferenceServer(config) as server:
         server.register("chain", model)
         sem = asyncio.Semaphore(concurrency)

@@ -2,9 +2,13 @@
 
 Covers the tentpole guarantees end to end:
 
-* **batching window semantics** — k same-shape concurrent requests
-  coalesce into one batched forward; the size cap flushes early; a late
-  request opens a new window;
+* **work-conserving scheduling** — same-turn requests coalesce into one
+  batched forward; a lone request on an idle server never waits;
+  requests arriving while every worker is busy leave as one batch when
+  one frees; groups leave oldest first; the size cap closes a group;
+  only batches several requests share are paced (``server.PACE_S``);
+* **failure isolation** — a batch that fails as a whole is re-run per
+  request; a cancelled request gets no forward;
 * **mixed-shape traffic never cross-batches** — the pending queue is
   keyed by the full per-sample signature, so every executed batch is
   shape/dtype-uniform;
@@ -24,6 +28,9 @@ Covers the tentpole guarantees end to end:
 import asyncio
 import os
 import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +51,7 @@ from repro.serve import (
     coalesce,
     split_results,
 )
+from repro.serve import server as serve_server
 from repro.tensor import Tensor
 
 
@@ -67,7 +75,7 @@ class SmallMLP(nn.Module):
 
 
 def make_server(**overrides):
-    defaults = dict(workers=4, batch_window_s=0.05, max_batch_size=64)
+    defaults = dict(workers=4, max_batch_size=64)
     defaults.update(overrides)
     return InferenceServer(ServeConfig(**defaults))
 
@@ -117,11 +125,43 @@ class TestBatchingPrimitives:
             split_results("not a tensor", [1, 1])
 
 
-# -- window semantics -----------------------------------------------------------
+# -- the work-conserving scheduler ----------------------------------------------
 
 
-class TestBatchingWindow:
-    def test_window_coalesces_concurrent_requests(self):
+class GatedEngine:
+    """Stands in for a compiled engine: every call blocks until ``gate``
+    is set, so a test decides when a worker frees up.  ``seen`` records,
+    per call, how many batches the server had in flight."""
+
+    def __init__(self, server, model):
+        self.server, self.model = server, model
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.seen = []
+        server._build_engine = lambda handle, example_inputs: self
+
+    def __call__(self, *inputs):
+        self.seen.append(self.server._inflight)
+        self.entered.set()
+        assert self.gate.wait(30), "test never opened the gate"
+        return self.model(*inputs)
+
+    async def wait_entered(self):
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, self.entered.wait, 30)
+
+
+async def enqueue(server, *requests):
+    """Start one ``infer`` task per (name, x) and let each reach the
+    scheduler's queue."""
+    tasks = [asyncio.ensure_future(server.infer(name, x))
+             for name, x in requests]
+    await asyncio.sleep(0)
+    return tasks
+
+
+class TestScheduler:
+    def test_same_turn_requests_coalesce(self):
         async def go():
             async with make_server() as server:
                 model = Pointwise().eval()
@@ -137,38 +177,50 @@ class TestBatchingWindow:
         assert len(log) == 1
         assert log[0].n_requests == 6 and log[0].rows == 6
 
-    def test_size_cap_flushes_before_window(self):
+    def test_lone_request_on_idle_server_does_not_wait(self):
         async def go():
-            # Window far longer than the test: only the row cap can
-            # flush the first batch.
-            async with make_server(batch_window_s=30.0,
-                                   max_batch_size=4) as server:
+            async with make_server() as server:
                 server.register("pw", Pointwise().eval())
-                first = asyncio.gather(
-                    *(server.infer("pw", repro.randn(1, 8))
-                      for _ in range(4)))
-                await asyncio.wait_for(first, timeout=10)
+                await server.infer("pw", repro.randn(1, 8))  # builds
+                times = []
+                for _ in range(10):
+                    t0 = time.perf_counter()
+                    await server.infer("pw", repro.randn(1, 8))
+                    times.append(time.perf_counter() - t0)
+                return times, server.batch_log()
+
+        times, log = run(go())
+        assert [r.n_requests for r in log] == [1] * 11
+        # One forward of a 3-op model.  The quickest of ten is what the
+        # server costs when the host leaves it alone, and a wait for
+        # co-batchable traffic is paid by every one of them.
+        assert min(times) < 0.005
+
+    def test_requests_arriving_while_busy_leave_as_one_batch(self):
+        async def go():
+            async with make_server(workers=1) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                engine = GatedEngine(server, model)
+                xs = [repro.randn(1, 8) for _ in range(5)]
+                first = await enqueue(server, ("pw", xs[0]))
+                await engine.wait_entered()        # the only worker is busy
+                rest = []
+                for x in xs[1:]:                   # four separate turns
+                    rest += await enqueue(server, ("pw", x))
+                assert server._inflight == 1 and len(server._queue) == 1
+                engine.gate.set()
+                outs = await asyncio.wait_for(
+                    asyncio.gather(*first, *rest), timeout=30)
+                for x, out in zip(xs, outs):
+                    assert np.array_equal(out.data, model(x).data)
                 return server.batch_log()
 
-        log = run(go())
-        assert len(log) == 1 and log[0].rows == 4
+        assert [r.n_requests for r in run(go())] == [1, 4]
 
-    def test_late_request_opens_new_window(self):
+    def test_full_group_closes_and_waits_its_turn(self):
         async def go():
-            async with make_server(batch_window_s=0.01) as server:
-                server.register("pw", Pointwise().eval())
-                await server.infer("pw", repro.randn(1, 8))
-                await asyncio.sleep(0.05)  # window long expired
-                await server.infer("pw", repro.randn(1, 8))
-                return server.batch_log()
-
-        log = run(go())
-        assert len(log) == 2
-        assert all(r.n_requests == 1 for r in log)
-
-    def test_multi_row_requests_count_rows(self):
-        async def go():
-            async with make_server(max_batch_size=8) as server:
+            async with make_server(workers=1, max_batch_size=8) as server:
                 model = Pointwise().eval()
                 server.register("pw", model)
                 xs = [repro.randn(r, 8) for r in (3, 5, 2)]
@@ -183,6 +235,112 @@ class TestBatchingWindow:
         # 3+5 hits the cap of 8; the 2-row request lands in a second batch.
         assert [r.rows for r in log] == [8, 2]
 
+    def test_oldest_group_first(self):
+        """A rare signature queued before a hot one is not overtaken,
+        however many hot requests pile up behind it."""
+        async def go():
+            async with make_server(workers=1, max_batch_size=4) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                engine = GatedEngine(server, model)
+                tasks = await enqueue(server, ("pw", repro.randn(1, 8)))
+                await engine.wait_entered()
+                tasks += await enqueue(server, ("pw", repro.randn(1, 16)))
+                for _ in range(3):                 # 12 hot rows: 3 groups
+                    tasks += await enqueue(
+                        server, *[("pw", repro.randn(1, 8))] * 4)
+                tasks += await enqueue(server, ("pw", repro.randn(1, 16)))
+                engine.gate.set()
+                await asyncio.wait_for(asyncio.gather(*tasks), timeout=30)
+                return server.batch_log()
+
+        log = run(go())
+        rare, hot = (((16,), "float32"),), (((8,), "float32"),)
+        assert [(r.signature, r.rows) for r in log] == [
+            (hot, 1), (rare, 2), (hot, 4), (hot, 4), (hot, 4)]
+
+    def test_inflight_bounded_by_workers_and_drained_by_close(
+            self, monkeypatch):
+        # Unpaced, so that both workers are taken in the same turn.
+        monkeypatch.setattr(serve_server, "PACE_S", 0.0)
+
+        async def go():
+            server = make_server(workers=2)
+            model = Pointwise().eval()
+            server.register("pw", model)
+            engine = GatedEngine(server, model)
+            tasks = await enqueue(
+                server, *[("pw", repro.randn(1, 4 + i % 6))
+                          for i in range(24)])      # six groups of four
+            await engine.wait_entered()
+            assert server._inflight == 2 and len(server._queue) == 4
+            engine.gate.set()
+            await asyncio.wait_for(server.close(), timeout=30)
+            assert all(t.done() for t in tasks)     # close() drained them
+            assert not server._queue and not server._open
+            assert server._inflight == 0
+            return engine.seen, server.batch_log()
+
+        seen, log = run(go())
+        assert len(log) == 6 and all(r.n_requests == 4 for r in log)
+        assert len(seen) == 6 and max(seen) <= 2
+
+    def test_cancelled_request_gets_no_forward(self):
+        async def go():
+            async with make_server(workers=1) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                engine = GatedEngine(server, model)
+                busy = await enqueue(server, ("pw", repro.randn(1, 8)))
+                await engine.wait_entered()
+                kept, dropped, alone = await enqueue(
+                    server, ("pw", repro.randn(1, 8)),
+                    ("pw", repro.randn(2, 8)), ("pw", repro.randn(1, 16)))
+                dropped.cancel()
+                alone.cancel()
+                engine.gate.set()
+                await asyncio.wait_for(asyncio.gather(*busy, kept),
+                                       timeout=30)
+            return server.batch_log()
+
+        # The cancelled 2-row request left its group; the (1, 16) group,
+        # holding nothing else, never ran.
+        log = run(go())
+        assert [(r.signature[0][0], r.rows) for r in log] == [
+            ((8,), 1), ((8,), 1)]
+
+    def test_pace_holds_only_shared_batches_with_room(self, monkeypatch):
+        """Batches of several callers with room left leave ``PACE_S``
+        apart; a lone request and a full group overtake a held one."""
+        async def go(pace_s):
+            monkeypatch.setattr(serve_server, "PACE_S", pace_s)
+            async with make_server(workers=1, max_batch_size=4) as server:
+                server.register("pw", Pointwise().eval())
+
+                def burst(n):
+                    return asyncio.gather(*(
+                        server.infer("pw", repro.randn(1, 8))
+                        for _ in range(n)))
+
+                # Engines first (neither a lone request nor a full group
+                # sets the pace), so nothing below waits on a compile.
+                await server.infer("pw", repro.randn(1, 16))
+                await burst(4)
+                t0 = time.perf_counter()
+                await burst(2)                  # the first pair leaves at once
+                pair = asyncio.ensure_future(burst(2))
+                await asyncio.sleep(0)
+                await server.infer("pw", repro.randn(1, 16))
+                await burst(4)
+                await pair
+                return (time.perf_counter() - t0,
+                        [r.n_requests for r in server.batch_log()[2:]])
+
+        elapsed, sizes = run(go(pace_s=0.5))
+        assert sizes == [2, 1, 4, 2] and elapsed >= 0.5
+        elapsed, sizes = run(go(pace_s=0.0))    # unpaced: in arrival order
+        assert sizes == [2, 2, 1, 4]
+
     def test_batching_disabled_runs_requests_alone(self):
         async def go():
             async with make_server(batching=False) as server:
@@ -196,6 +354,57 @@ class TestBatchingWindow:
                 return server.batch_log()
 
         assert run(go()) == []  # unbatched path records no batches
+
+
+# -- failure isolation -----------------------------------------------------------
+
+
+class TestFailureIsolation:
+    def test_unsplittable_output_is_served_per_request(self):
+        class RowSum(nn.Module):           # (rows, 8) -> (8,): no batch dim
+            def forward(self, x):
+                return x.sum(0)
+
+        async def go():
+            async with make_server() as server:
+                model = RowSum().eval()
+                server.register("sum", model)
+                xs = [repro.randn(2, 8) for _ in range(5)]
+                outs = await asyncio.gather(
+                    *(server.infer("sum", x) for x in xs))
+                for x, out in zip(xs, outs):
+                    assert np.allclose(out.data, model(x).data, atol=1e-6)
+                return server.batch_log()
+
+        # The shared forward produced nothing: five forwards of one request.
+        assert [r.n_requests for r in run(go())] == [1] * 5
+
+    def test_failing_request_does_not_fail_its_batch_mates(self):
+        class Poisoned(RuntimeError):
+            pass
+
+        async def go():
+            async with make_server() as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+
+                def engine(x):             # any batch holding a NaN raises
+                    if np.isnan(x.data).any():
+                        raise Poisoned("NaN input")
+                    return model(x)
+
+                server._build_engine = lambda handle, example: engine
+                xs = [repro.randn(1, 8) for _ in range(4)]
+                xs[2] = Tensor._wrap(np.full((1, 8), np.nan, np.float32))
+                outs = await asyncio.gather(
+                    *(server.infer("pw", x) for x in xs),
+                    return_exceptions=True)
+                return xs, outs, model
+
+        xs, outs, model = run(go())
+        assert isinstance(outs[2], Poisoned)
+        for i in (0, 1, 3):
+            assert np.array_equal(outs[i].data, model(xs[i]).data)
 
 
 # -- mixed traffic --------------------------------------------------------------
@@ -525,6 +734,31 @@ class TestStats:
         assert stats["batched_rows"] == 4
         assert stats["mean_rows_per_batch"] == 4.0
         assert stats["engine_cache"]["builds"] == 1
+
+    def test_counters_do_not_saturate_or_lose_updates(self):
+        """5 000 single-request batches over more workers than cores with
+        a short switch interval: the counters are exact (they used to be
+        read off the 4 096-entry audit log)."""
+        async def go():
+            async with make_server(workers=8, max_batch_size=1) as server:
+                server.register("pw", Pointwise().eval())
+                x = repro.randn(1, 8)
+                await server.infer("pw", x)
+                await asyncio.wait_for(asyncio.gather(
+                    *(server.infer("pw", x) for _ in range(4999))),
+                    timeout=120)
+                return server.stats(), server.batch_log()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            stats, log = run(go())
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["requests"] == stats["batches"] == 5000
+        assert stats["batched_rows"] == stats["guard_hits"] == 5000
+        assert stats["max_batch_rows"] == 1
+        assert len(log) == 4096             # the audit trail stays bounded
 
     def test_register_twice_rejected(self):
         async def go():
