@@ -161,10 +161,12 @@ class DiagnosticReport:
 class Rule:
     """One registered lint rule.
 
-    ``fn(gm, ctx)`` yields :class:`Diagnostic` objects; ``requires``
-    names the analyses the rule reads via ``ctx.get`` (declared so the
-    driver can report which analyses a lint run depends on and so rule
-    authors document their inputs).
+    ``fn(gm, ctx)`` yields :class:`Diagnostic` objects, none above
+    ``default_severity`` — :func:`lint_graph` raises otherwise, which is
+    what lets a consumer that only acts on errors skip the rules that
+    cannot produce one; ``requires`` names the analyses the rule reads via
+    ``ctx.get`` (declared so the driver can report which analyses a lint
+    run depends on and so rule authors document their inputs).
     """
 
     id: str
@@ -179,7 +181,8 @@ _RULES: dict[str, Rule] = {}
 
 def register_rule(rule_id: str, severity: Severity,
                   requires: Sequence[str] = ()) -> Callable:
-    """Decorator registering a lint rule under *rule_id*."""
+    """Decorator registering a lint rule under *rule_id*; *severity* is
+    the highest one its diagnostics may carry."""
 
     def deco(fn: Callable) -> Callable:
         _RULES[rule_id] = Rule(
@@ -217,13 +220,21 @@ def lint_graph(gm: GraphModule, *, rules: Optional[Sequence[str]] = None,
     the process-wide structural-hash cache when the graph was analyzed
     before).  Returns a :class:`DiagnosticReport`; error-severity
     findings mean the graph, as captured, has a real correctness risk.
+    A rule yielding a diagnostic above its registered severity raises
+    ``ValueError``.
     """
     if ctx is None:
         ctx = AnalysisContext(gm, cache=cache, graph_hash=graph_hash)
     report = DiagnosticReport()
     for rule_id in (rules if rules is not None else sorted(_RULES)):
         rule = get_rule(rule_id)
-        report.diagnostics.extend(rule.fn(gm, ctx))
+        for d in rule.fn(gm, ctx):
+            if d.severity > rule.default_severity:
+                raise ValueError(
+                    f"lint rule {rule_id!r} is registered at severity "
+                    f"{rule.default_severity.label()!r} but yielded "
+                    f"{d.format()}")
+            report.diagnostics.append(d)
     report.diagnostics.sort(key=lambda d: (d.node_index, d.rule))
     return report
 

@@ -20,6 +20,7 @@ Requires shape metadata to say anything definite; graphs without
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -41,10 +42,18 @@ _EXPLICIT_CAST_METHODS = frozenset({
 _EXPLICIT_CAST_FUNCTION_NAMES = frozenset({"astype", "to", "asarray", "array"})
 
 
+@functools.lru_cache(maxsize=64)
+def _numpy_name(dtype) -> str:
+    """numpy's name for a :class:`~repro.tensor.DType`, memoised: numpy
+    builds the string afresh on every read, and this module reads it
+    several times per node per run."""
+    return np.dtype(dtype.np_dtype).name
+
+
 def _observed_dtype(node: Node) -> Optional[str]:
     meta = node.meta.get("tensor_meta")
     if isinstance(meta, TensorMetadata):
-        return np.dtype(meta.dtype.np_dtype).name
+        return _numpy_name(meta.dtype)
     return None
 
 

@@ -131,8 +131,10 @@ class Analysis:
     """Base class for one registered whole-graph analysis.
 
     Subclasses set :attr:`name`, optionally :attr:`requires` (names of
-    analyses whose results :meth:`compute` reads through the context),
-    and implement :meth:`compute`.  Results must be **positional** —
+    analyses whose results :meth:`compute` *may* read through the context
+    — documentation; ``compute`` pulls what it needs with ``ctx.get`` and
+    nothing is computed ahead of it), and implement :meth:`compute`.
+    Results must be **positional** —
     facts keyed by a node's index in topological order, never by the
     ``Node`` object itself — so a cached result is valid for *any* graph
     with the same structural hash, including pickled copies.
@@ -143,7 +145,7 @@ class Analysis:
 
     #: unique registry name, e.g. ``"alias"``.
     name: str = ""
-    #: names of analyses this one depends on.
+    #: names of analyses :meth:`compute` may ask the context for.
     requires: tuple[str, ...] = ()
 
     def extra_cache_key(self, gm: GraphModule) -> Optional[Hashable]:
@@ -214,10 +216,11 @@ class AnalysisContext:
     """One module's gateway to analysis results.
 
     ``ctx.get(name)`` computes (or fetches from the shared cache) the
-    named analysis's result for ``ctx.gm``.  Dependencies declared via
-    :attr:`Analysis.requires` are resolved recursively, and every result
-    is memoized per-context, so a suite of analyses over one module
-    computes each at most once even without the global cache.
+    named analysis's result for ``ctx.gm``.  An analysis pulls its
+    dependencies from inside ``compute`` — one it does not ask for on
+    this graph is never computed — a dependency cycle raises, and every
+    result is memoized per-context, so a suite of analyses over one
+    module computes each at most once even without the global cache.
 
     Args:
         gm: the module under analysis.
@@ -279,8 +282,6 @@ class AnalysisContext:
         def compute() -> Any:
             self._in_flight.append(name)
             try:
-                for dep in analysis.requires:
-                    self.get(dep)
                 return analysis.compute(self.gm, self)
             finally:
                 self._in_flight.pop()

@@ -153,7 +153,16 @@ class MutationHazardAnalysis(Analysis):
         return tuple(key)
 
     def compute(self, gm: GraphModule, ctx: AnalysisContext) -> MutationResult:
-        alias: AliasView = ctx.get("alias").view(gm.graph)
+        # Every hazard kind starts from a writer or a planned node; a graph
+        # with neither has none, and its alias facts are never asked for.
+        if not any(_mutated_target(n) is not None
+                   or n.meta.get("arena_slot") is not None
+                   for n in gm.graph.nodes):
+            return MutationResult(hazards=())
+        return self.hazards(gm, ctx.get("alias").view(gm.graph))
+
+    def hazards(self, gm: GraphModule, alias: AliasView) -> MutationResult:
+        """Every hazard in *gm*, given its alias facts."""
         nodes = list(gm.graph.nodes)
         order = {n: i for i, n in enumerate(nodes)}
         hazards: list[Hazard] = []

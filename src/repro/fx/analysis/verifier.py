@@ -35,7 +35,8 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from ..graph_module import GraphModule
-from .diagnostics import Diagnostic, Severity, lint_graph
+from .diagnostics import (Diagnostic, Severity, get_rule, lint_graph,
+                          registered_rules)
 from .engine import AnalysisContext
 from .purity import impure_fingerprints
 
@@ -82,6 +83,14 @@ class PassVerifier:
             fail the build).
         rules: restrict linting to these rule ids (default: all).
         check_effects: also enforce the no-vanished-effects invariant.
+
+    Only the rules whose findings can reach *min_severity* are run: a
+    rule registered below it cannot yield one at or above it
+    (:func:`lint_graph` holds rules to their registered severity), so with
+    the defaults a snapshot costs the two error rules plus ``purity``.
+    Every hook takes an optional ``ctx`` — an
+    :class:`~repro.fx.analysis.engine.AnalysisContext` over the same
+    module — for callers that already analysed this graph state.
     """
 
     def __init__(self, *, min_severity: Severity = Severity.ERROR,
@@ -99,17 +108,29 @@ class PassVerifier:
         a cached snapshot is only valid under the config that made it."""
         return (int(self.min_severity), self.rules, self.check_effects)
 
-    def snapshot(self, gm: GraphModule, *,
-                 graph_hash: Optional[str] = None) -> Snapshot:
-        """Analyze *gm* and reduce it to the two fingerprint multisets
-        the invariants compare."""
-        ctx = AnalysisContext(gm, graph_hash=graph_hash)
-        report = lint_graph(gm, rules=self.rules, ctx=ctx)
-        errors = Counter(
-            d.fingerprint for d in report.diagnostics
-            if d.severity >= self.min_severity)
+    def _lint(self, gm: GraphModule, graph_hash: Optional[str],
+              ctx: Optional[AnalysisContext]) -> tuple[list[Diagnostic], tuple]:
+        """The findings at or above ``min_severity`` and the mutating
+        nodes' fingerprints — what both invariants are decided from."""
+        if ctx is None:
+            ctx = AnalysisContext(gm, graph_hash=graph_hash)
+        candidates = self.rules if self.rules is not None \
+            else sorted(registered_rules())
+        report = lint_graph(gm, ctx=ctx, rules=[
+            r for r in candidates
+            if get_rule(r).default_severity >= self.min_severity])
+        found = [d for d in report.diagnostics
+                 if d.severity >= self.min_severity]
         impure = impure_fingerprints(gm, ctx.get("purity")) \
             if self.check_effects else ()
+        return found, impure
+
+    def snapshot(self, gm: GraphModule, *, graph_hash: Optional[str] = None,
+                 ctx: Optional[AnalysisContext] = None) -> Snapshot:
+        """Analyze *gm* and reduce it to the two fingerprint multisets
+        the invariants compare."""
+        found, impure = self._lint(gm, graph_hash, ctx)
+        errors = Counter(d.fingerprint for d in found)
         return (tuple(sorted(errors.items())), impure)
 
     def adopt(self, snapshot: Snapshot) -> None:
@@ -158,13 +179,15 @@ class PassVerifier:
     # -- pipeline hooks ---------------------------------------------------
 
     def before_pipeline(self, gm: GraphModule, *,
-                        graph_hash: Optional[str] = None) -> Snapshot:
+                        graph_hash: Optional[str] = None,
+                        ctx: Optional[AnalysisContext] = None) -> Snapshot:
         """Record the pipeline input's findings as the initial baseline."""
-        self._baseline = self.snapshot(gm, graph_hash=graph_hash)
+        self._baseline = self.snapshot(gm, graph_hash=graph_hash, ctx=ctx)
         return self._baseline
 
     def after_pass(self, pass_name: str, gm: GraphModule, *,
-                   graph_hash: Optional[str] = None) -> Snapshot:
+                   graph_hash: Optional[str] = None,
+                   ctx: Optional[AnalysisContext] = None) -> Snapshot:
         """Verify *gm* against the baseline; raise :class:`VerificationError`
         naming *pass_name* on a regression, else roll the baseline
         forward and return the new snapshot."""
@@ -174,16 +197,12 @@ class PassVerifier:
         base_errors = Counter(dict(self._baseline[0]))
         base_impure = Counter(self._baseline[1])
 
-        ctx = AnalysisContext(gm, graph_hash=graph_hash)
-        report = lint_graph(gm, rules=self.rules, ctx=ctx)
-        cur_errors = Counter(
-            d.fingerprint for d in report.diagnostics
-            if d.severity >= self.min_severity)
+        found, impure = self._lint(gm, graph_hash, ctx)
+        cur_errors = Counter(d.fingerprint for d in found)
 
         introduced = cur_errors - base_errors
         if introduced:
-            offending = [d for d in report.diagnostics
-                         if d.fingerprint in introduced]
+            offending = [d for d in found if d.fingerprint in introduced]
             detail = "\n".join("  " + d.format().replace("\n", "\n  ")
                                for d in offending)
             raise VerificationError(
@@ -194,9 +213,7 @@ class PassVerifier:
                 diagnostics=offending,
             )
 
-        impure: tuple = ()
         if self.check_effects:
-            impure = impure_fingerprints(gm, ctx.get("purity"))
             vanished = base_impure - Counter(impure)
             if vanished:
                 lost = ", ".join(

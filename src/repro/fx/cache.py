@@ -8,8 +8,8 @@ single-flight builds per key, and hit/miss counters.  This module holds
 that mechanism once.  The process-wide stages register here by name, so
 their traffic reads from one place::
 
-    >>> fx.cache_info()["codegen"]
-    {'hits': 6, 'misses': 49, 'size': 49, 'maxsize': 256}
+    >>> fx.cache_info()["analysis"]
+    {'hits': 18, 'misses': 4, 'size': 4, 'maxsize': 2048}
     >>> fx.clear_caches("vm")      # or fx.clear_caches() for every stage
 
 What a stage stores under which key is the stage's business (see the

@@ -15,6 +15,7 @@ import keyword
 import operator
 import re
 import sys
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
@@ -199,7 +200,22 @@ class Graph:
         self._used_names = _Namespace()
         self._insert_before: Node = self._root  # append at end by default
         self._len = 0
-        self.owning_module: Optional["GraphModule"] = None
+
+    #: weak: see :attr:`owning_module`
+    _owner: Optional[weakref.ref] = None
+
+    @property
+    def owning_module(self) -> Optional["GraphModule"]:
+        """The :class:`~repro.fx.GraphModule` this graph belongs to, or
+        ``None``.  Held weakly: module and graph would otherwise form a
+        cycle, and a module dropped mid-compile (the copy a cache replay
+        supersedes) would keep its weights — ~100 MB for ResNet-50 — until
+        the cycle collector happens to run."""
+        return self._owner() if self._owner is not None else None
+
+    @owning_module.setter
+    def owning_module(self, module: Optional["GraphModule"]) -> None:
+        self._owner = weakref.ref(module) if module is not None else None
 
     def __getstate__(self):
         # Nodes are threaded on a doubly-linked list and reference each
@@ -226,7 +242,7 @@ class Graph:
         ]
         extra = {
             k: v for k, v in self.__dict__.items()
-            if k not in ("_root", "_insert_before", "owning_module", "_len")
+            if k not in ("_root", "_insert_before", "_owner", "_len")
         }
         return {
             "flat_nodes": records,
@@ -530,7 +546,7 @@ class Graph:
         code and (with ``include_attrs=True``) compute the same function,
         which is what makes the hash usable as a transform/codegen cache
         key (see :class:`~repro.fx.passes.pass_manager.PassManager` and
-        :meth:`~repro.fx.GraphModule.recompile`).
+        :class:`~repro.fx.GraphModule`).
 
         With ``require_stable=True`` the hash refuses to use ``id()``
         fallback tokens (see :class:`UnstableHashError`) and raises

@@ -73,7 +73,7 @@ def _rebuild_graph_module(cls: type, state: dict) -> "GraphModule":
     gm._buffers.update(state["buffers"])
     for k, v in state["plain"].items():
         object.__setattr__(gm, k, v)
-    gm.graph = state["graph"]  # property setter recompiles forward
+    gm.graph = state["graph"]
     return gm
 
 
@@ -102,6 +102,19 @@ def _assign_attr(mod: Module, name: str, value: Any, buffer_hint: bool = False) 
         setattr(mod, name, value)
 
 
+class _GeneratedForward:
+    """``GraphModule.forward`` until it is first read: a non-data
+    descriptor, so the bound function :meth:`GraphModule._generate`
+    installs in the instance ``__dict__`` shadows it, and every later
+    ``gm.forward`` — the call path, ``inspect.signature``, re-tracing — is
+    a plain attribute read of a real method.  On the class it reads as the
+    inherited ``Module.forward``, as it did when ``forward`` only ever
+    existed on instances."""
+
+    def __get__(self, gm: "GraphModule | None", owner: type | None = None):
+        return Module.forward if gm is None else gm._generate()[1]
+
+
 class GraphModule(Module):
     """Container for a transformed program.
 
@@ -111,9 +124,13 @@ class GraphModule(Module):
         graph: the Graph this module executes.
         class_name: name used in ``repr`` and ``to_folder`` output.
 
-    The ``graph`` property is assignable; assignment triggers
-    :meth:`recompile`, regenerating ``forward`` from the new graph.
+    The ``graph`` property is assignable; assignment calls
+    :meth:`recompile`.  Code is generated on the first *use* of
+    ``forward`` / ``code`` after that, so a module that is transformed
+    again before it runs never pays for source nobody executes.
     """
+
+    forward = _GeneratedForward()
 
     def __init__(self, root: Module | dict, graph: Graph, class_name: str = "GraphModule"):
         super().__init__()
@@ -164,12 +181,19 @@ class GraphModule(Module):
     @property
     def code(self) -> str:
         """The generated Python source of ``forward``."""
-        if not hasattr(self, "_code"):
-            raise RuntimeError("GraphModule has no code; call recompile()")
-        return self._code
+        src = self.__dict__.get("_code")
+        return src if src is not None else self._generate()[0]
 
-    def recompile(self) -> PythonCode:
-        """Regenerate and install ``forward`` from the current graph.
+    def recompile(self) -> None:
+        """Tell the module its graph changed: the generated ``forward``
+        and ``code`` are dropped, and regenerated from the graph as it is
+        when one of them is next used."""
+        self.__dict__.pop("forward", None)
+        self.__dict__.pop("_code", None)
+
+    def _generate(self) -> tuple[str, types.MethodType]:
+        """Generate ``(source, bound forward)`` from the current graph and
+        install both on the instance.
 
         Compilation is memoized on the graph's structural hash: a graph
         identical to one compiled before (same structure *and* node names)
@@ -200,26 +224,25 @@ class GraphModule(Module):
             return _compile_forward(self._graph.python_code(root_module="self"))
 
         if key is not None:
-            src, fn, globals_, _ = _CODEGEN_CACHE.get_or_build(key, build)
+            src, fn, _, _ = _CODEGEN_CACHE.get_or_build(key, build)
             private = None
         else:
             # Uncached compile: this module owns the linecache entry and
-            # must evict it on the next recompile (or leak one per call).
-            src, fn, globals_, private = build()
-        stale = getattr(self, "_private_fx_filename", None)
+            # must evict it on the next generation (or leak one per call).
+            src, fn, _, private = build()
+        stale = self.__dict__.get("_private_fx_filename")
         if stale is not None:
             _evict_source(stale)
-        object.__setattr__(self, "_private_fx_filename", private)
-        self._code = src
-        object.__setattr__(self, "forward", types.MethodType(fn, self))
-        # Copy: the cached globals dict must stay pristine for future hits,
-        # so callers never get the shared one.
-        return PythonCode(src, dict(globals_))
+        forward = types.MethodType(fn, self)
+        self.__dict__.update(_private_fx_filename=private, _code=src,
+                             forward=forward)
+        return src, forward
 
     def print_readable(self) -> str:
         """Print (and return) the generated code."""
-        print(self._code)
-        return self._code
+        code = self.code
+        print(code)
+        return code
 
     # -- submodule management -------------------------------------------------------
 
@@ -302,7 +325,7 @@ class GraphModule(Module):
             pickle.dump(state, f)
 
         # Re-indent the generated forward as a method body.
-        fwd_lines = self._code.splitlines()
+        fwd_lines = self.code.splitlines()
         fwd = "\n".join("    " + line for line in fwd_lines)
         src = f'''"""Auto-generated by repro.fx GraphModule.to_folder()."""
 import os
@@ -357,6 +380,4 @@ class {module_name}(Module):
     # -- repr -----------------------------------------------------------------------------
 
     def __repr__(self) -> str:
-        base = super().__repr__()
-        return f"{self._class_name}(\n  (generated forward follows)\n){os.linesep}{self._code}" \
-            if hasattr(self, "_code") else base
+        return f"{self._class_name}(\n  (generated forward follows)\n){os.linesep}{self.code}"

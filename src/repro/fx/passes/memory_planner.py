@@ -35,7 +35,7 @@ verifier cannot drift apart.
 
 The plan is recorded as ``node.meta["arena_slot"]``;
 ``Graph.python_code`` emits ``out=<slot>`` for planned calls and
-``GraphModule.recompile`` keys its codegen cache on the slot assignment.
+``GraphModule`` keys its codegen cache on the slot assignment.
 """
 
 from __future__ import annotations

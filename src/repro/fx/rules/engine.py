@@ -32,18 +32,26 @@ __all__ = [
 
 
 class RuleContext:
-    """Lazy, per-graph-state access to ``repro.fx.analysis`` results for
-    precondition predicates.  Backed by :func:`repro.fx.analysis.analyze`,
-    which memoizes on the graph's structural hash — so asking for the
-    same analysis across many candidate matches of one graph state costs
-    one computation."""
+    """Lazy access to ``repro.fx.analysis`` results for the *current*
+    graph state: one uncached
+    :class:`~repro.fx.analysis.AnalysisContext`, shared by the
+    preconditions of every candidate match and by the verifier's check of
+    the firing that produced the state, so each analysis runs at most once
+    per state.  Uncached because the next firing destroys the state: a
+    structural hash to key it would cost more than the analyses and be
+    read by no one.  The engine calls :meth:`graph_changed` after every
+    edit it makes."""
 
     def __init__(self, gm: GraphModule):
         self.gm = gm
+        self.graph_changed()
+
+    def graph_changed(self) -> None:
+        from ..analysis import AnalysisContext
+        self.analyses = AnalysisContext(self.gm, cache=False)
 
     def analysis(self, name: str):
-        from ..analysis import analyze
-        return analyze(self.gm, (name,)).get(name)
+        return self.analyses.get(name)
 
 
 @dataclass
@@ -154,9 +162,10 @@ class RuleSet:
         rewritten independently; reports are merged).
 
         With *verify* (default), a :class:`PassVerifier` snapshots the
-        graph before the run and re-checks after **every firing** —
-        pass an existing *verifier* to thread the surrounding pipeline's
-        baseline through instead of a fresh one.
+        graph before the first firing and re-checks after **every
+        firing** — pass an existing *verifier* to thread the surrounding
+        pipeline's baseline through instead of a fresh one (one that has
+        no baseline yet gets it here too).
         """
         from ..analysis import PolyvariantModule
         if isinstance(gm, PolyvariantModule):
@@ -179,12 +188,11 @@ class RuleSet:
         report = RuleApplyReport(
             stats={r.name: RuleStats() for r in self._rules})
         if verify and verifier is None:
-            # Deferred: the baseline snapshot (a full static analysis of
-            # the graph) is only worth paying for once a rule actually
-            # fires — on rule-free graphs the library must be near-free.
-            verifier = _LazyVerifier(gm)
+            from ..analysis import PassVerifier
+            verifier = PassVerifier()
         elif not verify:
             verifier = None
+        ctx = RuleContext(gm)
 
         any_module_rules = any(r.uses_modules or r.rewrite for r in self._rules)
         fired_total = 0
@@ -198,7 +206,7 @@ class RuleSet:
                 if key is not None and key not in present:
                     continue
                 fired, rejected, exhausted, rule_time = self._apply_rule(
-                    gm, rule, modules, verifier, propagate_meta,
+                    gm, rule, modules, verifier, propagate_meta, ctx,
                     budget=max_firings - fired_total)
                 stats = report.stats[rule.name]
                 stats.firings += fired
@@ -237,7 +245,7 @@ class RuleSet:
         return keys
 
     def _apply_rule(self, gm, rule: Rule, modules, verifier,
-                    propagate_meta, budget: int):
+                    propagate_meta, ctx: RuleContext, budget: int):
         """One rule, one sweep: find all current non-overlapping matches,
         fire each (precondition-gated, verifier-checked).  Returns
         ``(fired, rejected, budget_exhausted, wall_time)``."""
@@ -257,13 +265,15 @@ class RuleSet:
                 if fired >= budget:
                     exhausted = True
                     break
-                if rule.preconditions:
-                    ctx = RuleContext(gm)
-                    if not all(p(gm, match, ctx) for p in rule.preconditions):
-                        rejected += 1
-                        continue
-                if isinstance(verifier, _LazyVerifier):
-                    verifier.ensure(gm)  # baseline over the pre-firing graph
+                if not all(p(gm, match, ctx) for p in rule.preconditions):
+                    rejected += 1
+                    continue
+                if verifier is not None and verifier.baseline is None:
+                    # The baseline snapshot (a static analysis of the whole
+                    # graph) is taken over the pre-firing graph, and only
+                    # once a rule actually fires — on rule-free graphs the
+                    # library must be near-free.
+                    verifier.before_pipeline(gm, ctx=ctx.analyses)
                 if rule.rewrite is not None:
                     _fire_rewrite(gm, rule, match, replaced)
                 else:
@@ -274,6 +284,7 @@ class RuleSet:
                         resolve=resolve, replaced=replaced,
                         propagate_meta=propagate_meta)
                 fired += 1
+                ctx.graph_changed()
                 if verifier is not None:
                     try:
                         gm.graph.lint()
@@ -282,31 +293,13 @@ class RuleSet:
                         raise VerificationError(
                             f"rule {rule.name!r} produced structurally "
                             f"invalid IR: {exc}") from exc
-                    verifier.after_pass(f"rule:{rule.name}", gm)
+                    verifier.after_pass(f"rule:{rule.name}", gm,
+                                        ctx=ctx.analyses)
         if fired:
             # Keep the match surface clean for the next rule in the round.
-            gm.graph.eliminate_dead_code()
+            if gm.graph.eliminate_dead_code():
+                ctx.graph_changed()
         return fired, rejected, exhausted, time.perf_counter() - t0
-
-
-class _LazyVerifier:
-    """A :class:`PassVerifier` whose baseline snapshot (a full static
-    analysis of the graph) is deferred until just before the first
-    firing, so applying a library to a graph that baits no rule costs
-    only the match scan."""
-
-    def __init__(self, gm: GraphModule):
-        self._inner = None
-
-    def ensure(self, gm: GraphModule) -> None:
-        if self._inner is None:
-            from ..analysis import PassVerifier
-            self._inner = PassVerifier()
-            self._inner.before_pipeline(gm)
-
-    def after_pass(self, pass_name: str, gm: GraphModule):
-        self.ensure(gm)
-        return self._inner.after_pass(pass_name, gm)
 
 
 def _fire_rewrite(gm: GraphModule, rule: Rule, match, replaced: dict) -> None:

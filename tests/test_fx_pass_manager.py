@@ -346,10 +346,10 @@ class TestCodegenCache:
         clear_caches("codegen")
         before = cache_info()["codegen"]
         gm = symbolic_trace(lambda x: repro.relu(x) + 1)
-        gm2 = copy_gm(gm)  # pickle round-trip recompiles an identical graph
+        gm2 = copy_gm(gm)  # an identical graph; code is generated on use
+        assert gm2.forward.__func__ is gm.forward.__func__
         after = cache_info()["codegen"]
         assert after["hits"] > before["hits"]
-        assert gm2.forward.__func__ is gm.forward.__func__
         x = repro.randn(3)
         assert np.allclose(gm(x).data, gm2(x).data, atol=1e-6)
 
@@ -368,28 +368,44 @@ class TestCodegenCache:
     def test_recompile_same_graph_reuses_entry(self):
         clear_caches("codegen")
         gm = symbolic_trace(lambda x: repro.relu(x))
+        assert gm.code  # generated on use
         size_before = cache_info()["codegen"]["size"]
         for _ in range(10):
             gm.recompile()
+            assert gm.code  # generated on use
         assert cache_info()["codegen"]["size"] == size_before
 
-    def test_returned_globals_are_private_copies(self):
-        """Regression: mutating the PythonCode.globals a recompile returns
-        (miss or hit path) must not corrupt future cache hits."""
+    def test_returned_globals_are_private_copies(self, monkeypatch):
+        """Regression: the globals table a codegen entry keeps is a private
+        copy — neither the one ``python_code()`` handed out (it belongs to
+        that caller, who may mutate it) nor the namespace the function
+        runs in — so emptying the former cannot corrupt future hits."""
+        from repro.fx.graph_module import _CODEGEN_CACHE
+
         gm = symbolic_trace(lambda x: repro.relu(x) + 1)
-        clear_caches("codegen")
-        pc_miss = gm.recompile()  # repopulates the cache via the miss path
-        keys = set(pc_miss.globals)
+        keys = set(gm.graph.python_code("self").globals)
         assert keys
-        pc_miss.globals.clear()
+        handed_out = []
+        python_code = Graph.python_code
 
-        pc_hit = gm.recompile()
-        assert set(pc_hit.globals) == keys
-        pc_hit.globals.clear()
+        def spy(self, *args, **kwargs):
+            handed_out.append(python_code(self, *args, **kwargs))
+            return handed_out[-1]
 
-        pc_hit2 = gm.recompile()
-        assert set(pc_hit2.globals) == keys
-        assert pc_hit2.globals is not pc_hit.globals
+        monkeypatch.setattr(Graph, "python_code", spy)
+        clear_caches("codegen")
+        gm.recompile()
+        assert gm.code  # first use: repopulates the cache via the miss path
+        (entry,) = _CODEGEN_CACHE._entries.values()
+        _, fn, stored, _ = entry
+        assert stored is not handed_out[0].globals
+        assert stored is not fn.__globals__
+        handed_out[0].globals.clear()
+
+        gm.recompile()
+        assert gm.forward.__func__ is fn  # the hit path
+        assert set(stored) == keys
+        assert len(handed_out) == 1
         assert float(gm(repro.tensor(-2.0))) == 1.0
 
 

@@ -374,6 +374,81 @@ class TestPipelineIntegration:
         with pytest.raises(VerificationError):
             RuleSet([bad_rule]).apply(gm, verify=True)
 
+    @staticmethod
+    def _tanh_rule(name, third):
+        """Rewrites ``tanh(v)`` to ``sigmoid(v)``, except that its third
+        firing does *third(gm, v)* instead."""
+        pat = Graph()
+        pat.output(pat.call_function(F.tanh, (pat.placeholder("x"),)))
+        fired = []
+
+        def rewrite(gm, match):
+            v = match.anchors[0].args[0]
+            fired.append(v)
+            if len(fired) == 3:
+                return third(gm, v)
+            return gm.graph.call_function(F.sigmoid, (v,))
+
+        return Rule(name=name, pattern=pat, rewrite=rewrite), fired
+
+    @staticmethod
+    def _count(gm, target):
+        return sum(1 for n in gm.graph.nodes if n.target == target)
+
+    def test_verification_stays_per_firing_out_overwrite(self):
+        # Five matches; the third firing writes through out= into a value
+        # the last add still reads.  Verified per firing: the error names
+        # the rule and firings four and five never happen.
+        from repro.fx.analysis import VerificationError
+
+        def five_tanh(x):
+            keep = F.relu(x)
+            t = x
+            for _ in range(5):
+                t = F.tanh(F.relu(t))
+            return t + keep
+
+        gm = symbolic_trace(five_tanh)
+        keep = gm.graph.find_nodes(op="call_function", target=F.relu)[0]
+
+        def overwrite(gm, v):
+            return gm.graph.call_function(F.add, (v, v), {"out": keep})
+
+        rule, fired = self._tanh_rule("overwriter", overwrite)
+        with pytest.raises(VerificationError) as exc_info:
+            RuleSet([rule]).apply(gm, verify=True)
+        err = exc_info.value
+        assert err.pass_name == "rule:overwriter"
+        assert [d.rule for d in err.diagnostics] == ["mutation-hazard"]
+        assert len(fired) == 3
+        assert self._count(gm, F.sigmoid) == 2
+        assert self._count(gm, F.tanh) == 2
+
+    def test_verification_stays_per_firing_deleted_effect(self):
+        from repro.fx.analysis import VerificationError
+
+        def five_tanh(x):
+            t = x + 1.0
+            t.add_(1.0)  # effectful, result unused
+            for _ in range(5):
+                t = F.tanh(F.relu(t))
+            return t
+
+        gm = symbolic_trace(five_tanh)
+        (effect,) = gm.graph.find_nodes(op="call_method", target="add_")
+
+        def delete_effect(gm, v):
+            gm.graph.erase_node(effect)
+            return gm.graph.call_function(F.sigmoid, (v,))
+
+        rule, fired = self._tanh_rule("effect_eater", delete_effect)
+        with pytest.raises(VerificationError, match="effectful") as exc_info:
+            RuleSet([rule]).apply(gm, verify=True)
+        assert exc_info.value.pass_name == "rule:effect_eater"
+        assert len(fired) == 3
+        assert self._count(gm, F.sigmoid) == 3
+        assert self._count(gm, F.tanh) == 2
+
     def test_noop_stage_reports_unchanged(self):
         # A run that fires nothing certifies Unchanged, and the manager
         # skips post-stage hashing/caching/verification for it.

@@ -3,6 +3,8 @@ PassManager integration (including the cached-snapshot fast path), and the
 headline regression — resurrecting the PR-3 unsound arena-reuse planner as
 a mutant pass and asserting the verifier rejects the pipeline naming it."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,24 @@ import repro.functional as F
 from repro import nn
 from repro.fx import GraphModule, cache_info, clear_caches, symbolic_trace
 from repro.fx.analysis import (
+    AnalysisContext,
+    Diagnostic,
+    MutationHazardAnalysis,
     PassVerifier,
+    PolyvariantModule,
     Severity,
     VerificationError,
     analyze,
+    lint_graph,
+    register_rule,
 )
+from repro.fx.analysis import diagnostics as diagnostics_mod
+from repro.fx.analysis.purity import impure_fingerprints
 from repro.fx.passes import PassManager, ShapeProp
 from repro.fx.passes.memory_planner import Arena, ArenaSlot, _leaf_meta, plan_memory
 from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
+from repro.fx.state import copy_module
+from repro.fx.testing.generator import generate_program, spec_for_iteration
 
 
 class TailReadModel(nn.Module):
@@ -327,3 +339,146 @@ class TestPassManagerIntegration:
         assert np.allclose(fast(x).data, ref.data)
         verified = [r for r in fast.compile_report.records if r.verified]
         assert verified  # the verifier actually ran
+
+
+# ---------------------------------------------------------------------------
+# demand-driven linting decides exactly what exhaustive linting decided
+# ---------------------------------------------------------------------------
+
+
+def _exhaustive_snapshot(verifier, gm):
+    """The snapshot as it was built before linting became demand-driven:
+    ``alias`` resolved up front and ``mutation`` computed from it whatever
+    the graph holds, every registered rule run, the findings below
+    ``min_severity`` filtered out afterwards."""
+    ctx = AnalysisContext(gm, cache=False)
+    ctx._local["mutation"] = MutationHazardAnalysis().hazards(
+        gm, ctx.get("alias").view(gm.graph))
+    report = lint_graph(gm, rules=verifier.rules, ctx=ctx)
+    errors = Counter(d.fingerprint for d in report.diagnostics
+                     if d.severity >= verifier.min_severity)
+    impure = impure_fingerprints(gm, ctx.get("purity")) \
+        if verifier.check_effects else ()
+    return (tuple(sorted(errors.items())), impure)
+
+
+def _graph_modules(program):
+    gm = program.gm
+    if isinstance(gm, PolyvariantModule):
+        return [gm.variant(i) for i in range(gm.num_variants)
+                if gm.variant(i) is not None]
+    return [gm]
+
+
+def _with_writers(gm):
+    """*gm* made mutation-heavy: an in-place method on every third call
+    (a hazard wherever the value is read again) and an ``out=`` overwrite
+    of the first call's result by the last (its later readers see the new
+    value).  Only analysed, never run."""
+    gm = copy_module(gm)
+    calls = [n for n in gm.graph.nodes
+             if n.op in ("call_function", "call_method", "call_module")]
+    for n in calls[::3]:
+        with gm.graph.inserting_after(n):
+            gm.graph.call_method("add_", (n, 1.0))
+    if len(calls) > 1 and calls[-1].op == "call_function":
+        calls[-1].kwargs = {**calls[-1].kwargs, "out": calls[0]}
+    gm.graph.lint()
+    return gm
+
+
+def _arena_planned(program):
+    """*program* fused and memory-planned, or None where nothing fuses."""
+    gm = copy_module(program.gm)
+    ShapeProp(gm).propagate(*program.inputs)
+    if not fuse_pointwise(gm):
+        return None
+    ShapeProp(gm).propagate(*program.inputs)
+    plan_memory(gm)
+    return gm
+
+
+def _corpus():
+    """(label, GraphModule) over the fuzz generator's three families —
+    as generated, made mutation-heavy, and arena-planned — plus this
+    file's bad-pass fixtures."""
+    out = []
+    for i in range(48):
+        program = generate_program(spec_for_iteration(0, i))
+        family = program.spec.family
+        for gm in _graph_modules(program):
+            out.append((f"{family}:{i}", gm))
+            out.append((f"{family}:{i}:writers", _with_writers(gm)))
+        if family != "control_flow":
+            planned = _arena_planned(program)
+            if planned is not None:
+                out.append((f"{family}:{i}:planned", planned))
+    a, c = repro.randn(6, 6), repro.randn(6, 6)
+    mutant = _prepare(TailReadModel(), a, c)
+    unsound_plan_memory(mutant)
+    sound = _prepare(TailReadModel(), a, c)
+    plan_memory(sound)
+    out += [("unsound_plan_memory", mutant), ("plan_memory", sound),
+            ("inplace", symbolic_trace(InplaceModel()))]
+    return out
+
+
+class TestDemandDrivenVerdicts:
+    CONFIGS = (
+        {},
+        {"min_severity": Severity.WARNING},
+        {"min_severity": Severity.NOTE, "check_effects": False},
+        {"rules": ("mutation-hazard", "float64-upcast", "impure-unused")},
+    )
+
+    def test_snapshot_equals_exhaustive_lint_then_filter(self):
+        corpus = _corpus()
+        labels = {label.split(":")[0] for label, _ in corpus}
+        assert {"graph", "module", "control_flow"} <= labels
+        assert sum(label.endswith(":planned") for label, _ in corpus) >= 5
+        findings = 0
+        for config in self.CONFIGS:
+            verifier = PassVerifier(**config)
+            for label, gm in corpus:
+                snap = verifier.snapshot(gm)
+                assert snap == _exhaustive_snapshot(verifier, gm), label
+                findings += bool(snap[0])
+        assert findings > 20  # the corpus does exercise the error rules
+
+    def test_mutation_result_equals_eager_alias_result(self):
+        analysis = MutationHazardAnalysis()
+        hazardous = gated = 0
+        for label, gm in _corpus():
+            ctx = AnalysisContext(gm, cache=False)
+            eager = analysis.hazards(gm, ctx.get("alias").view(gm.graph))
+            fresh = AnalysisContext(gm, cache=False)
+            assert fresh.get("mutation") == eager, label
+            hazardous += bool(eager.hazards)
+            if "alias" not in fresh._local:   # the gate skipped alias
+                gated += 1
+                assert not eager.hazards
+        assert hazardous > 20 and gated > 20
+
+    def test_alias_not_computed_without_writer_or_slot(self):
+        gm = symbolic_trace(TailReadModel())
+        ctx = AnalysisContext(gm, cache=False)
+        PassVerifier().snapshot(gm, ctx=ctx)
+        assert set(ctx._local) == {"mutation", "purity"}
+
+    def test_severity_is_a_contract(self):
+        @register_rule("test-overreach", Severity.NOTE)
+        def overreach(gm, ctx):
+            node = next(iter(gm.graph.nodes))
+            yield Diagnostic.for_node("test-overreach", Severity.ERROR,
+                                      "louder than registered", node, 0)
+
+        try:
+            gm = symbolic_trace(InplaceModel())
+            with pytest.raises(ValueError, match="test-overreach"):
+                lint_graph(gm)
+            # which is why an errors-only verifier may leave it out
+            PassVerifier().snapshot(gm)
+            with pytest.raises(ValueError, match="test-overreach"):
+                PassVerifier(min_severity=Severity.NOTE).snapshot(gm)
+        finally:
+            diagnostics_mod._RULES.pop("test-overreach")
