@@ -4,25 +4,22 @@ Decomposes the lowered engine's win over eager execution into its
 ingredients, each of which is a design decision in the backend:
 
   1. eager execution (baseline);
-  2. engine without Conv-BN folding (dispatch removal + kernel selection
-     only);
+  2. engine without Conv-BN folding (dispatch removal only);
   3. engine with Conv-BN folding but ReLU epilogue fusion disabled;
-  4. the full pipeline (fold + fuse + kernel selection + buffer frees).
+  4. the full pipeline (fold + fuse + buffer frees).
 
-Also isolates the 1x1-conv GEMM fast path — ResNet-50's bottleneck
-blocks are 2/3 one-by-one convolutions, so kernel selection is a real
-contributor, exactly like TensorRT's kernel autotuning.
+Kernel selection is not an ingredient: the engine and the eager substrate
+run the same ``repro.kernels`` convolution and pooling.
 """
 
 import pytest
 
 import repro
-from repro.bench import format_table, measure
+from repro.bench import format_table
 from repro.fx import symbolic_trace
 from repro.fx.passes import fuse_conv_bn
 from repro.models import resnet50
 from repro.trt import TRTInterpreter, TRTModule
-from repro.trt import ops as trt_ops
 
 from conftest import write_results
 
@@ -130,27 +127,3 @@ def test_ablation_engine_ingredients(benchmark, setup):
     assert full_t <= nofold_t * 1.10
     assert full_t < eager_t
     assert full_ops < nofold_ops  # folding + fusion shrank the plan
-
-
-def test_conv1x1_kernel_selection(benchmark):
-    """The 1x1 GEMM path vs the generic im2col path, in isolation."""
-    import numpy as np
-
-    repro.manual_seed(0)
-    x = repro.randn(2, 256, 24, 24).data
-    w = repro.randn(64, 256, 1, 1).data
-
-    fast = trt_ops.build_conv2d(w, None, (1, 1), (0, 0), (1, 1), 1)
-
-    # the eager functional conv always takes the generic im2col route
-    from repro import functional as F
-    from repro.tensor import Tensor
-
-    def im2col_route(xa):
-        return F.conv2d(Tensor(xa), Tensor(w)).data
-
-    t_fast = measure(lambda: fast(x), trials=5, warmup=1)
-    t_gen = measure(lambda: im2col_route(x), trials=5, warmup=1)
-    benchmark.pedantic(lambda: fast(x), rounds=3, iterations=1)
-    assert np.allclose(fast(x), im2col_route(x), atol=1e-3)
-    assert t_fast.median < t_gen.median  # kernel selection pays

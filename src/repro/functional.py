@@ -7,8 +7,9 @@ That interception is exactly how :class:`repro.fx.Proxy` records a
 ``__torch_function__`` plays for torch.fx.
 
 Implementations are vectorized numpy (no Python loops over elements);
-convolution and pooling use ``sliding_window_view`` + ``tensordot`` so the
-eager substrate is fast enough to benchmark real models (ResNet-50 etc.).
+convolution and pooling are thin callers of :mod:`repro.kernels` (one GEMM
+per convolution, pooling as shifted-slice reductions), which is what makes
+the eager substrate fast enough to benchmark real models (ResNet-50 etc.).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import kernels
 from .tensor import Tensor, dispatchable
 from .tensor import dtype as _dtypes_unused  # noqa: F401  (re-export convenience)
 from .tensor.tensor import _unwrap
@@ -328,7 +329,7 @@ def linear(x, weight, bias=None):
 
 @dispatchable
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups: int = 1):
-    """2-D cross-correlation over NCHW input, via im2col + tensordot.
+    """2-D cross-correlation over NCHW input (:func:`repro.kernels.conv2d`).
 
     Args:
         x: input of shape ``(N, C, H, W)``.
@@ -337,41 +338,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, groups: int = 
         stride/padding/dilation: int or pair.
         groups: channel groups (``C`` and ``F`` both divisible by it).
     """
-    xu, wu = np.asarray(_unwrap(x)), np.asarray(_unwrap(weight))
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    dh, dw = _pair(dilation)
-    n, c, h, w = xu.shape
-    f, cg, kh, kw = wu.shape
-    if c % groups or f % groups:
-        raise ValueError(f"channels ({c}) and filters ({f}) must divide groups ({groups})")
-    if cg != c // groups:
-        raise ValueError(
-            f"weight expects {cg} input channels/group but input has {c // groups}"
-        )
-    if ph or pw:
-        xu = np.pad(xu, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    eff_kh, eff_kw = (kh - 1) * dh + 1, (kw - 1) * dw + 1
-    # windows: (N, C, OHf, OWf, eff_kh, eff_kw) -> stride + dilation subsample
-    win = sliding_window_view(xu, (eff_kh, eff_kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw, ::dh, ::dw]
-    if groups == 1:
-        out = np.tensordot(win, wu, axes=([1, 4, 5], [1, 2, 3]))  # N,OH,OW,F
-    else:
-        cpg, fpg = c // groups, f // groups
-        parts = [
-            np.tensordot(
-                win[:, g * cpg : (g + 1) * cpg],
-                wu[g * fpg : (g + 1) * fpg],
-                axes=([1, 4, 5], [1, 2, 3]),
-            )
-            for g in range(groups)
-        ]
-        out = np.concatenate(parts, axis=-1)
-    out = np.moveaxis(out, -1, 1)  # N,F,OH,OW
-    if bias is not None:
-        out = out + np.asarray(_unwrap(bias)).reshape(1, -1, 1, 1)
-    return Tensor._wrap(np.ascontiguousarray(out.astype(np.asarray(_unwrap(x)).dtype)))
+    return Tensor._wrap(kernels.conv2d(
+        np.asarray(_unwrap(x)), np.asarray(_unwrap(weight)),
+        None if bias is None else np.asarray(_unwrap(bias)),
+        _pair(stride), _pair(padding), _pair(dilation), groups))
 
 
 @dispatchable
@@ -470,55 +440,26 @@ def group_norm(x, num_groups: int, weight=None, bias=None, eps: float = 1e-5):
 
 @dispatchable
 def max_pool2d(x, kernel_size, stride=None, padding=0):
-    xu = np.asarray(_unwrap(x))
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
-    if ph or pw:
-        pad_value = np.finfo(xu.dtype).min if np.issubdtype(xu.dtype, np.floating) else np.iinfo(xu.dtype).min
-        xu = np.pad(xu, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value)
-    win = sliding_window_view(xu, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    return Tensor._wrap(win.max(axis=(-2, -1)))
+    kernel = _pair(kernel_size)
+    return Tensor._wrap(kernels.max_pool2d(
+        np.asarray(_unwrap(x)), kernel,
+        kernel if stride is None else _pair(stride), _pair(padding)))
 
 
 @dispatchable
 def avg_pool2d(x, kernel_size, stride=None, padding=0, count_include_pad: bool = True):
-    xu = np.asarray(_unwrap(x))
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
-    if ph or pw:
-        xu = np.pad(xu, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xu, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    out = win.mean(axis=(-2, -1))
-    if (ph or pw) and not count_include_pad:
-        ones = np.ones(xu.shape[2:], dtype=xu.dtype)
-        ones[:ph] = ones[ones.shape[0] - ph :] = 0 if ph else ones[:0]
-        counts = sliding_window_view(
-            np.pad(np.ones((xu.shape[2] - 2 * ph, xu.shape[3] - 2 * pw)), ((ph, ph), (pw, pw))),
-            (kh, kw),
-        )[::sh, ::sw].sum(axis=(-2, -1))
-        out = out * (kh * kw) / np.maximum(counts, 1)
-    return Tensor._wrap(out.astype(np.asarray(_unwrap(x)).dtype))
+    kernel = _pair(kernel_size)
+    return Tensor._wrap(kernels.avg_pool2d(
+        np.asarray(_unwrap(x)), kernel,
+        kernel if stride is None else _pair(stride), _pair(padding),
+        count_include_pad))
 
 
 @dispatchable
 def adaptive_avg_pool2d(x, output_size):
     """Average pooling to a fixed output spatial size (as in ResNet heads)."""
-    xu = np.asarray(_unwrap(x))
-    oh, ow = _pair(output_size)
-    n, c, h, w = xu.shape
-    if h % oh == 0 and w % ow == 0:
-        out = xu.reshape(n, c, oh, h // oh, ow, w // ow).mean(axis=(3, 5))
-    else:
-        # General case: per-output-cell means over torch's index intervals.
-        out = np.empty((n, c, oh, ow), dtype=xu.dtype)
-        for i in range(oh):
-            h0, h1 = (i * h) // oh, -(-((i + 1) * h) // oh)
-            for j in range(ow):
-                w0, w1 = (j * w) // ow, -(-((j + 1) * w) // ow)
-                out[:, :, i, j] = xu[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
-    return Tensor._wrap(out)
+    return Tensor._wrap(kernels.adaptive_avg_pool2d(
+        np.asarray(_unwrap(x)), _pair(output_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -812,13 +753,9 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0, output_padding=0
          (kh - 1 - ph, kh - 1 - ph + oph), (kw - 1 - pw, kw - 1 - pw + opw)),
     )
     w_flipped = wu[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (F, C, KH, KW)
-    out = conv2d(
-        Tensor._wrap(stuffed), Tensor._wrap(np.ascontiguousarray(w_flipped)),
-        None, stride=1, padding=0,
-    ).data
-    if bias is not None:
-        out = out + np.asarray(_unwrap(bias)).reshape(1, -1, 1, 1)
-    return Tensor._wrap(np.ascontiguousarray(out))
+    return Tensor._wrap(kernels.conv2d(
+        stuffed, w_flipped, None if bias is None else np.asarray(_unwrap(bias)),
+        (1, 1), (0, 0), (1, 1), 1))
 
 
 @dispatchable

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import conv2d as _conv2d
 from ..tensor import Tensor, qint8, quint8
 from ..tensor.dtype import DType
 
@@ -273,7 +274,7 @@ def qconv2d(
 
     ``mode="fast"`` computes the numerically-equivalent float simulation
     (dequantized operands through the float conv kernel); ``"reference"``
-    uses exact int32 accumulation via an integer im2col matmul. Weights
+    runs the same kernel on int32 operands (exact accumulation). Weights
     may be per-tensor (:class:`QTensor`) or per-channel
     (:class:`PerChannelQTensor`).
     """
@@ -287,20 +288,10 @@ def qconv2d(
         w_float = dequantize(qw)
 
     if mode == "reference":
-        from numpy.lib.stride_tricks import sliding_window_view
-
         x_i32 = qx.data.astype(np.int32) - np.int32(qx.zero_point)
-        w_q = qw.data.astype(np.int32)
-        sh, sw = (stride, stride) if isinstance(stride, int) else stride
-        ph, pw = (padding, padding) if isinstance(padding, int) else padding
-        if ph or pw:
-            x_i32 = np.pad(x_i32, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        f, cg, kh, kw = w_q.shape
-        win = sliding_window_view(x_i32, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        n, c, oh, ow = win.shape[:4]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-        acc = cols @ w_q.reshape(f, -1).T  # int32 accumulation
-        acc = acc.reshape(n, oh, ow, f).transpose(0, 3, 1, 2).astype(np.float64)
+        acc = _conv2d(  # int32 operands: exact accumulation
+            x_i32, qw.data.astype(np.int32), None,
+            F._pair(stride), F._pair(padding), (1, 1), 1).astype(np.float64)
         if isinstance(qw, PerChannelQTensor):
             acc *= (qx.scale * qw.scales).reshape(1, -1, 1, 1)
         else:

@@ -3,12 +3,11 @@
 These operate on *raw numpy arrays* — the engine deliberately executes
 outside the framework's Tensor/dispatch machinery, the same way TensorRT
 executes outside PyTorch's op dispatch.  Each builder returns a closure
-specialized ahead-of-time to the op's hyperparameters (weights resolved,
-layouts precomputed), which is where the engine's speedup comes from:
+specialized ahead-of-time to the op's hyperparameters (weights resolved).
+Convolution and pooling run the same :mod:`repro.kernels` the eager
+substrate runs — kernel selection is not what the engine adds.  Its
+speedup comes from:
 
-* **kernel selection**: 1x1 convolutions skip im2col entirely and run as
-  a single GEMM; general convolutions pre-reshape the weight once at
-  build time;
 * **operator fusion**: bias, residual-add and ReLU are folded into the
   producing kernel's epilogue, removing whole tensor read/write passes;
 * **no dispatch**: no ``__tensor_function__`` protocol scan, no Module
@@ -20,7 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+from .. import kernels
 
 __all__ = [
     "build_conv2d",
@@ -46,68 +46,16 @@ def build_conv2d(
     groups: int,
     fuse_relu: bool = False,
 ):
-    """AOT-specialized conv2d kernel.
+    """AOT-specialized conv2d: the shared kernel over weights bound at
+    build time, ReLU applied in place on its (fresh) output."""
 
-    Selects between a pure-GEMM path (1x1, stride 1, no padding, no
-    groups) and the general im2col path; bias and ReLU run in the GEMM
-    epilogue.
-    """
-    f, cg, kh, kw = weight.shape
-    sh, sw = stride
-    ph, pw = padding
-    dh, dw = dilation
-    bias_row = bias.reshape(1, -1, 1, 1) if bias is not None else None
-
-    if (kh, kw) == (1, 1) and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and groups == 1:
-        w2d = np.ascontiguousarray(weight.reshape(f, cg))  # (F, C)
-
-        def conv1x1(x: np.ndarray) -> np.ndarray:
-            n, c, h, w_ = x.shape
-            out = np.tensordot(w2d, x, axes=([1], [1]))  # (F, N, H, W)
-            out = np.moveaxis(out, 0, 1)
-            if bias_row is not None:
-                out += bias_row
-            if fuse_relu:
-                np.maximum(out, 0, out=out)
-            return np.ascontiguousarray(out)
-
-        return conv1x1
-
-    # general path: weight flattened once, windows gathered per call
-    w_flat = np.ascontiguousarray(weight.reshape(f, -1)) if groups == 1 else weight
-    eff_kh, eff_kw = (kh - 1) * dh + 1, (kw - 1) * dw + 1
-
-    def conv_general(x: np.ndarray) -> np.ndarray:
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = sliding_window_view(x, (eff_kh, eff_kw), axis=(2, 3))
-        win = win[:, :, ::sh, ::sw, ::dh, ::dw]
-        n, c, oh, ow = win.shape[:4]
-        if groups == 1:
-            cols = np.ascontiguousarray(np.moveaxis(win, 1, 3)).reshape(
-                n * oh * ow, c * kh * kw
-            )
-            out = cols @ w_flat.T
-            out = out.reshape(n, oh, ow, f)
-        else:
-            cpg, fpg = c // groups, f // groups
-            parts = [
-                np.tensordot(
-                    win[:, g * cpg : (g + 1) * cpg],
-                    w_flat[g * fpg : (g + 1) * fpg],
-                    axes=([1, 4, 5], [1, 2, 3]),
-                )
-                for g in range(groups)
-            ]
-            out = np.concatenate(parts, axis=-1)
-        out = np.moveaxis(out, -1, 1)
-        if bias_row is not None:
-            out = out + bias_row
+    def conv(x: np.ndarray) -> np.ndarray:
+        out = kernels.conv2d(x, weight, bias, stride, padding, dilation, groups)
         if fuse_relu:
             np.maximum(out, 0, out=out)
-        return np.ascontiguousarray(out.astype(np.float32, copy=False))
+        return out
 
-    return conv_general
+    return conv
 
 
 def build_linear(weight: np.ndarray, bias: np.ndarray | None, fuse_relu: bool = False):
@@ -140,48 +88,22 @@ def build_batch_norm(mean, var, gamma, beta, eps: float):
 
 
 def build_max_pool2d(kernel_size, stride, padding):
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-
     def max_pool(x: np.ndarray) -> np.ndarray:
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                       constant_values=np.finfo(x.dtype).min)
-        win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        return win.max(axis=(-2, -1))
+        return kernels.max_pool2d(x, kernel_size, stride, padding)
 
     return max_pool
 
 
 def build_avg_pool2d(kernel_size, stride, padding):
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-
     def avg_pool(x: np.ndarray) -> np.ndarray:
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        return win.mean(axis=(-2, -1))
+        return kernels.avg_pool2d(x, kernel_size, stride, padding)
 
     return avg_pool
 
 
 def build_adaptive_avg_pool2d(output_size):
-    oh, ow = output_size
-
     def adaptive(x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        if h % oh == 0 and w % ow == 0:
-            return x.reshape(n, c, oh, h // oh, ow, w // ow).mean(axis=(3, 5))
-        out = np.empty((n, c, oh, ow), dtype=x.dtype)
-        for i in range(oh):
-            h0, h1 = (i * h) // oh, -(-((i + 1) * h) // oh)
-            for j in range(ow):
-                w0, w1 = (j * w) // ow, -(-((j + 1) * w) // ow)
-                out[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
-        return out
+        return kernels.adaptive_avg_pool2d(x, output_size)
 
     return adaptive
 
@@ -250,8 +172,8 @@ def build_conv_transpose2d(weight: np.ndarray, bias: np.ndarray | None,
     w_flipped = np.ascontiguousarray(
         weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     )  # (F, C, KH, KW)
-    inner = build_conv2d(w_flipped, None, (1, 1), (0, 0), (1, 1), 1)
-    bias_row = bias.reshape(1, -1, 1, 1) if bias is not None else None
+    inner = build_conv2d(w_flipped, bias, (1, 1), (0, 0), (1, 1), 1,
+                         fuse_relu=fuse_relu)
 
     def conv_t(x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -263,12 +185,7 @@ def build_conv_transpose2d(weight: np.ndarray, bias: np.ndarray | None,
             ((0, 0), (0, 0),
              (kh - 1 - ph, kh - 1 - ph + oph), (kw - 1 - pw, kw - 1 - pw + opw)),
         )
-        out = inner(stuffed)
-        if bias_row is not None:
-            out += bias_row
-        if fuse_relu:
-            np.maximum(out, 0, out=out)
-        return out
+        return inner(stuffed)
 
     return conv_t
 
