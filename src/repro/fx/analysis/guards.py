@@ -197,7 +197,9 @@ def derive_guards(
     time, which is exactly the invariant serving's batch coalescing
     provides.
 
-    Success of symbolic propagation is the soundness proof: the returned
+    *gm* is only read (no ``sym_shape`` is stamped), so a compile derives
+    the guards of the module its caller holds.  Success of symbolic
+    propagation is the soundness proof: the returned
     :class:`GuardSet` is dynamic only if every op's shape arithmetic went
     through with the symbolic dims in place.  On ``ShapeInferenceError``
     (or any propagation failure) the result is the fully static fallback.
@@ -238,7 +240,7 @@ def derive_guards(
         sym_shapes.append(SymShape(dims))
 
     try:
-        out = SymbolicShapeProp(gm).propagate(*sym_shapes)
+        _, out = SymbolicShapeProp(gm).infer(*sym_shapes)
     except ShapeInferenceError:
         return _static_guard_set(example_inputs)
     except Exception:

@@ -21,6 +21,7 @@ compile work is ever started and then thrown away.
 
 from __future__ import annotations
 
+import textwrap
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -30,8 +31,9 @@ from ..cache import register_stage
 from ..graph import UnstableHashError
 from ..graph_module import GraphModule
 from ..passes import PassManager, PassRecord
+from ..passes.pass_manager import format_records
 from ..passes.split_module import split_module
-from ..state import copy_module, state_scope
+from ..state import state_scope
 from ..tracer import symbolic_trace
 from .base import Backend, UnsupportedNodesError, get_backend
 from .partitioner import CapabilityPartitioner, full_cover_pids
@@ -58,6 +60,9 @@ class BackendReport:
             already compiled and its module was reused).
         records: per-pass :class:`~repro.fx.passes.PassRecord` metrics
             from the preferred-pass pipeline.
+        transform_misses: why each run of preferred passes that was not
+            replayed from the transform cache missed (see
+            :attr:`~repro.fx.passes.PassManagerResult.misses`).
         total_time: wall-clock seconds for the whole lowering.
     """
 
@@ -70,6 +75,7 @@ class BackendReport:
     cache_hits: int = 0
     cache_misses: int = 0
     records: list[PassRecord] = field(default_factory=list)
+    transform_misses: list[tuple] = field(default_factory=list)
     total_time: float = 0.0
 
     def format(self) -> str:
@@ -80,12 +86,9 @@ class BackendReport:
             f"partition(s), {self.n_fallback_nodes} eager)",
             f"  partition cache: {self.cache_hits} hit(s), "
             f"{self.cache_misses} miss(es)",
-            f"  total: {self.total_time * 1e3:.3f} ms",
+            textwrap.indent(format_records(
+                self.records, self.total_time, self.transform_misses), "  "),
         ]
-        for r in self.records:
-            lines.append(f"  pass {r.name}: {r.wall_time * 1e3:.3f} ms, "
-                         f"{r.nodes_before}->{r.nodes_after}"
-                         + (" (cache hit)" if r.cache_hit else ""))
         return "\n".join(lines)
 
 
@@ -148,9 +151,10 @@ def to_backend(
     """Lower *model* onto *backend*, falling back to eager where needed.
 
     Args:
-        model: a ``Module`` (symbolically traced first) or a
-            ``GraphModule`` (never mutated — lowering works on a
-            copy).
+        model: a ``Module`` (symbolically traced first; the result shares
+            the tensors no pass replaced with it) or a ``GraphModule``
+            (never mutated — the preferred passes run on a copy, made
+            only if one of them has to execute).
         backend: a registry name (see
             :func:`~repro.fx.backends.registered_backends`) or a
             :class:`Backend` instance.
@@ -220,18 +224,15 @@ def to_backend(
         raise ValueError(f"unknown executor {exec_mode!r}; "
                          f"expected 'codegen' or 'vm'")
 
-    # One state scope for the whole lowering: the copy, every pass's input
-    # and output hash, the analyses and the partition keys read each weight
+    # One state scope for the whole lowering: the transform-cache key, the
+    # private copy, the analyses and the partition keys read each weight
     # once between them.
     with state_scope():
-        if isinstance(model, GraphModule):
-            gm = copy_module(model)
-        else:
-            gm = symbolic_trace(model)
+        gm = model if isinstance(model, GraphModule) else symbolic_trace(model)
         be.validate_input(gm)
         nodes_before = len(gm.graph)
 
-        # Guard derivation runs on the pristine capture, before any backend
+        # Guard derivation reads the pristine capture, before any backend
         # pass rewrites nodes into targets (FusedKernel, ...) that symbolic
         # shape propagation has no transfer functions for.
         guards = None
@@ -243,18 +244,16 @@ def to_backend(
             except Exception:
                 guards = None
 
-        records: list[PassRecord] = []
-        passes = be.preferred_passes(gm)
-        if passes:
-            verifier = None
-            if verify:
-                from ..analysis import PassVerifier
+        from ..analysis import PassVerifier
 
-                verifier = PassVerifier()
-            result = PassManager(passes, lint_after_each=lint, cache=cache,
-                                 verifier=verifier).run(gm)
-            gm = result.graph_module
-            records = result.records
+        # A caller's GraphModule is not touched: PassManager.run hands back
+        # a module of its own, replayed or transformed.  A trace made here
+        # is nobody else's, and is transformed in place.
+        result = PassManager(
+            be.preferred_passes(gm), lint_after_each=lint, cache=cache,
+            verifier=PassVerifier() if verify else None,
+        ).run(gm, consume=gm is not model)
+        gm = result.graph_module
 
         partitioner = CapabilityPartitioner(
             be.is_node_supported,
@@ -306,7 +305,8 @@ def to_backend(
         n_fallback_nodes=len(plan.unassigned),
         cache_hits=stats["hits"],
         cache_misses=stats["misses"],
-        records=records,
+        records=result.records,
+        transform_misses=result.misses,
         total_time=time.perf_counter() - start,
     )
     try:

@@ -1,11 +1,20 @@
 """The ``"numpy"`` backend: the §6.2 optimizing pipeline as a Backend.
 
 This is :func:`repro.fx.compile`'s engine room, relocated.  The stage
-list (shape-prop → DCE → CSE → const-fold → conv-bn-fuse →
+list (shape-prop → DCE → CSE → const-fold → rules → conv-bn-fuse →
 pointwise-fuse → memory-plan) lives here as the backend's *preferred
 passes*, so ``fx.compile`` is a thin adapter over
 :func:`~repro.fx.backends.to_backend` and any other caller gets the same
 pipeline by asking for backend ``"numpy"``.
+
+Every stage is a module-level function, so the whole list is one run of
+the transform cache (:mod:`repro.fx.passes.pass_manager`) and a
+recompile of an unchanged model replays it from one entry.  Only
+``shape_prop`` sees the example inputs, and it is keyed by their
+signature (:class:`~repro.fx.passes.Specialized`); what the later stages
+specialise on is the ``tensor_meta`` it stamps, which every pass that
+creates a node carries forward — metadata is never refreshed mid-pipeline,
+so ``ShapeProp`` executes the program once per cold compile.
 
 Because the backend executes on the same numpy substrate as eager mode,
 it replays in-place mutation faithfully (``respects_effects``), and its
@@ -24,18 +33,23 @@ from ...nn import Module
 from ..graph_module import GraphModule
 from ..node import Node
 from ..passes import (
+    Specialized,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
     fuse_conv_bn,
 )
-from ..passes.memory_planner import MemoryPlan, plan_memory
+from ..passes.memory_planner import plan_memory
 from ..passes.pointwise_fuser import fuse_pointwise
 from ..passes.shape_prop import ShapeProp
 from ..rules.engine import apply_default_rules
 from .base import Backend
 
 __all__ = ["NumpyBackend"]
+
+
+def _shape_prop(gm: GraphModule, *example_inputs) -> None:
+    ShapeProp(gm).propagate(*example_inputs)
 
 
 class NumpyBackend(Backend):
@@ -51,8 +65,8 @@ class NumpyBackend(Backend):
             ``repro.fx.rules`` stdlib, applied to fixpoint with a
             per-firing verifier).
 
-    After :func:`~repro.fx.backends.to_backend` runs, ``plans`` holds the
-    :class:`~repro.fx.passes.memory_planner.MemoryPlan` if one was made.
+    The :class:`~repro.fx.passes.memory_planner.MemoryPlan`, if one was
+    made, travels on the lowered module as ``memory_plan``.
     """
 
     name = "numpy"
@@ -66,7 +80,6 @@ class NumpyBackend(Backend):
         self.fuse = fuse
         self.memory_planning = memory_planning
         self.rules = rules
-        self.plans: list[MemoryPlan] = []
 
     def is_node_supported(self, node: Node, modules) -> bool:
         # The Interpreter runs the full substrate; everything is fair game.
@@ -76,48 +89,25 @@ class NumpyBackend(Backend):
         needs_inputs = any(n.op == "placeholder" and not n.args
                            for n in gm.graph.nodes)
         have_inputs = bool(self.example_inputs) or not needs_inputs
-        example_inputs = self.example_inputs
-
-        def shape_prop(g: GraphModule) -> None:
-            ShapeProp(g).propagate(*example_inputs)
-
-        def shape_refresh(g: GraphModule) -> None:
-            # Cached cleanup stages replay modules stored on an *earlier*
-            # compile, whose metadata may describe different example
-            # shapes (meta is not part of the structural hash).  Re-stamp
-            # from the current inputs so fusion never specializes on
-            # stale shapes.
-            ShapeProp(g).propagate(*example_inputs)
-
-        def pointwise_fuse(g: GraphModule) -> int:
-            return fuse_pointwise(g)
-
-        def memory_plan(g: GraphModule) -> None:
-            self.plans.append(plan_memory(g))
-
         stages: list = []
         if have_inputs:
-            stages.append(("shape_prop", shape_prop))
+            stages.append(("shape_prop",
+                           Specialized(_shape_prop, self.example_inputs)))
         stages += [
             ("dce", eliminate_dead_code),
             ("cse", eliminate_common_subexpressions),
             ("const_fold", fold_constants),
         ]
         if self.rules:
-            # Module-level pass: the transform cache keys it by qualname,
-            # so warm recompiles replay the whole rule stage cache-hit.
             stages.append(("rules", apply_default_rules))
         if not gm.training:
             # fuse_conv_bn refuses training-mode modules (running stats
             # would diverge); skip it rather than fail the pipeline.
             stages.append(("fuse_conv_bn", fuse_conv_bn))
         if self.fuse and have_inputs:
-            stages += [
-                ("shape_refresh", shape_refresh),
-                ("pointwise_fuse", pointwise_fuse),
-            ]
+            stages.append(("pointwise_fuse", fuse_pointwise))
         if self.memory_planning and have_inputs:
-            stages.append(("memory_plan", memory_plan))
+            stages.append(("memory_plan", plan_memory))
         return stages
 
     def compile_subgraph(self, gm: GraphModule) -> Module:

@@ -42,6 +42,9 @@ class ArtifactCache:
         on_evict: called with each value that leaves the cache (LRU
             eviction, replacement by a different object, ``clear``), after
             the lock is released — for values that own a side resource.
+        summarize: called by :meth:`info` with the stored values, after
+            the lock is released; the ``dict`` it returns joins the
+            counters (the ``transform`` stage's ``pinned_mb``).
 
     Counting is exact under any interleaving: a ``get`` or
     ``get_or_build`` call counts one hit or one miss, never both, and
@@ -50,9 +53,11 @@ class ArtifactCache:
     """
 
     def __init__(self, maxsize: int = 1024,
-                 on_evict: Optional[Callable[[Any], None]] = None):
+                 on_evict: Optional[Callable[[Any], None]] = None,
+                 summarize: Optional[Callable[[list], dict]] = None):
         self.maxsize = maxsize
         self._on_evict = on_evict
+        self._summarize = summarize
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._flight = KeyedMutex()
@@ -124,10 +129,21 @@ class ArtifactCache:
 
     def info(self) -> Dict[str, int]:
         """``{hits, misses, size, maxsize}`` plus any :meth:`count` ed
-        counters, read under the lock."""
+        counters, read under the lock, plus what ``summarize`` says about
+        the values stored at that moment."""
         with self._lock:
-            return {**self._counters, "size": len(self._entries),
+            info = {**self._counters, "size": len(self._entries),
                     "maxsize": self.maxsize}
+            values = list(self._entries.values()) if self._summarize else []
+        if self._summarize is not None:
+            info.update(self._summarize(values))
+        return info
+
+    def keys(self) -> list:
+        """The stored keys, least recently used first (uncounted: for a
+        stage explaining a miss by the entries it does hold)."""
+        with self._lock:
+            return list(self._entries)
 
     def clear(self) -> None:
         """Drop every entry and zero the counters."""
@@ -163,11 +179,12 @@ _STAGES: Dict[str, ArtifactCache] = {}
 
 
 def register_stage(name: str, maxsize: int,
-                   on_evict: Optional[Callable[[Any], None]] = None
+                   on_evict: Optional[Callable[[Any], None]] = None,
+                   summarize: Optional[Callable[[list], dict]] = None
                    ) -> ArtifactCache:
     """Create and register the process-wide cache for compile stage
     *name* (called once, by the module that owns the stage)."""
-    cache = _STAGES[name] = ArtifactCache(maxsize, on_evict)
+    cache = _STAGES[name] = ArtifactCache(maxsize, on_evict, summarize)
     return cache
 
 

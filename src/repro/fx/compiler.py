@@ -12,10 +12,12 @@ Since the backend-registry refactor, the pipeline itself lives in
 ``compile`` is a thin adapter over
 :func:`~repro.fx.backends.to_backend` — capture, preferred passes under
 the instrumented :class:`~repro.fx.passes.PassManager` (so per-pass wall
-time, node deltas, and structural-hash transform caching all apply), and
-the analysis-backed :class:`~repro.fx.analysis.PassVerifier` on by
-default.  The returned module carries a :class:`CompileReport` on
-``.compile_report`` describing exactly what the compiler did.
+time, node deltas, and the transform cache all apply: recompiling an
+unchanged model for the same input signature replays the whole pipeline
+from one entry), and the analysis-backed
+:class:`~repro.fx.analysis.PassVerifier` on by default.  The returned
+module carries a :class:`CompileReport` on ``.compile_report`` describing
+exactly what the compiler did.
 
 Example::
 
@@ -33,12 +35,14 @@ conv-bn folding (float-associativity reordering, eval mode only).  Fused
 kernels are *guarded* — called with shapes other than the examples they
 were specialized for, they fall back to a generic reference evaluator,
 so the compiled module remains correct (merely unfused) off the fast
-path.  The input module is never mutated: compilation works on a
-copy (:func:`repro.fx.state.copy_module`).
+path.  The input module is never mutated: the passes run on a copy
+(:func:`repro.fx.state.copy_module`), and a replayed compile does not
+even make one.
 """
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -48,6 +52,7 @@ from .backends import NumpyBackend, to_backend
 from .graph_module import GraphModule
 from .passes import PassRecord
 from .passes.memory_planner import MemoryPlan
+from .passes.pass_manager import format_records
 from .passes.pointwise_fuser import FusedKernel
 
 __all__ = ["CompileReport", "compile"]
@@ -89,19 +94,8 @@ class CompileReport:
         ]
         if self.memory is not None:
             lines.append(f"  {self.memory.format()}")
-        lines.append(f"  total: {self.total_time * 1e3:.3f} ms")
-        header = ("pass", "time (ms)", "nodes", "cache")
-        rows = [header]
-        for r in self.records:
-            rows.append((r.name, f"{r.wall_time * 1e3:.3f}",
-                         f"{r.nodes_before}->{r.nodes_after}",
-                         "hit" if r.cache_hit else "-"))
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        for i, row in enumerate(rows):
-            lines.append("  " + "  ".join(c.ljust(w)
-                                          for c, w in zip(row, widths)).rstrip())
-            if i == 0:
-                lines.append("  " + "  ".join("-" * w for w in widths))
+        lines.append(textwrap.indent(
+            format_records(self.records, self.total_time), "  "))
         return "\n".join(lines)
 
 
@@ -139,8 +133,7 @@ def compile(  # noqa: A001 - mirrors torch.compile
             stage.
         memory_planning: enable arena planning of fused intermediates.
         lint: validate the IR after every pass (debugging aid).
-        cache: use the shared structural-hash transform cache for the
-            cleanup stages.
+        cache: use the shared transform cache for the pipeline.
         verify: run the analysis-backed
             :class:`~repro.fx.analysis.PassVerifier` after every stage —
             a pass that introduces a mutation/arena hazard or deletes an
@@ -189,7 +182,7 @@ def compile(  # noqa: A001 - mirrors torch.compile
         nodes_after=breport.nodes_after,
         fused_regions=fused_regions,
         fused_ops=fused_ops,
-        memory=backend.plans[0] if backend.plans else None,
+        memory=vars(out).get("memory_plan") if memory_planning else None,
         records=breport.records,
         total_time=breport.total_time,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import builtins
 import hashlib
 import keyword
+import marshal
 import operator
 import re
 import sys
@@ -527,7 +528,8 @@ class Graph:
 
     def structural_hash(self, include_attrs: bool = True,
                         require_stable: bool = False,
-                        canonicalize_targets: bool = False) -> str:
+                        canonicalize_targets: bool = False,
+                        include_meta: bool = False) -> str:
         """Canonical content hash of the graph (hex SHA-256 digest).
 
         Covers, in topological order: opcodes, call targets, the full
@@ -536,11 +538,12 @@ class Graph:
         node renames**), placeholder defaults and inline immediates, and —
         when ``include_attrs`` is True and an owning module is attached —
         the values of state the graph reads (``get_attr`` targets and the
-        parameters/buffers/training flags of ``call_module`` submodules).
-        A tensor enters as ``shape:dtype:sha256(bytes)``; the bytes are
-        read on every call, except inside a
-        :func:`~repro.fx.state.state_scope` (one compile), which reads
-        each array once.
+        parameters, buffers, training flags and hyper-parameters of
+        ``call_module`` submodules: ``MaxPool2d(2)`` and ``MaxPool2d(3)``
+        hold the same tensors).  A tensor enters as
+        ``shape:dtype:sha256(bytes)``; the bytes are read on every call,
+        except inside a :func:`~repro.fx.state.state_scope` (one compile),
+        which reads each array once.
 
         Two graphs with equal hashes generate equivalent ``forward``
         code and (with ``include_attrs=True``) compute the same function,
@@ -565,6 +568,18 @@ class Graph:
         module; it is meant for caching *self-contained* compiled
         artifacts (e.g. engines with baked-in weights), not generated
         code, which still reads attributes by name.
+
+        With ``include_meta=True`` the shape facts a node carries —
+        ``meta["tensor_meta"]`` and ``meta["arena_slot"]`` — are fed too,
+        and objects with a ``hash_token()`` method (a fused kernel's spec,
+        an arena slot's index and shape, a ``TensorMetadata``) enter by
+        that content instead of by ``id()``, so a fused and planned graph
+        hashes stably.  Passes specialise on shape facts (rule
+        preconditions, fusion, planning), so the transform cache, whose
+        key must cover everything a run of passes read, asks for this
+        mode; generated source depends on neither shapes nor dtypes, and
+        the memos that keep live objects under a hash (VM programs,
+        analysis results) go on giving each fused graph its own.
         """
         if canonicalize_targets and (not include_attrs
                                      or self.owning_module is None):
@@ -576,7 +591,7 @@ class Graph:
         index: dict[Node, int] = {}
 
         def token_for(obj: Any) -> str:
-            token = _hash_token_for_object(obj)
+            token = _hash_token_for_object(obj, content=include_meta)
             if require_stable and token.startswith("obj:"):
                 raise UnstableHashError(
                     f"structural_hash would fall back to id() for "
@@ -632,7 +647,23 @@ class Graph:
                 feed(token_for(v))
 
         def feed_module_state(mod: Any) -> None:
-            feed(f"module:{type(mod).__name__}:training={mod.training}")
+            for path, sub in mod.named_modules():
+                feed(f"module:{path}:{type(sub).__name__}")
+                nested = vars(sub).get("_graph")
+                if isinstance(nested, Graph):   # a GraphModule's code
+                    feed(nested.structural_hash(
+                        False, require_stable, False, include_meta))
+                # The training flag and the hyper-parameters (``forward``
+                # is a GraphModule's generated method, covered just above).
+                plain = [(name, value) for name, value in vars(sub).items()
+                         if name[0] != "_" and name != "forward"]
+                try:   # numbers, strings, tuples of them: one C call (in
+                    # format version 0 the bytes depend on values alone)
+                    h.update(marshal.dumps(plain, 0))
+                except ValueError:
+                    for name, value in plain:
+                        feed(f"hp:{name}")
+                        feed_arg(value)
             for name, p in mod.named_parameters():
                 feed(f"param:{name}")
                 feed_value(p)
@@ -641,6 +672,8 @@ class Graph:
                 feed_value(b)
 
         root = self.owning_module if include_attrs else None
+        if root is not None:
+            feed(f"training={root.training}")   # conv-bn folding asks
         for i, node in enumerate(self.nodes):
             index[node] = i
             feed(node.op)
@@ -656,6 +689,11 @@ class Graph:
                      if not isinstance(node.target, str) else f"s:{node.target}")
             feed_arg(node.args)
             feed_arg(node.kwargs)
+            if include_meta:
+                for key in ("tensor_meta", "arena_slot"):
+                    if key in node.meta:
+                        feed(f"meta:{key}")
+                        feed_arg(node.meta[key])
             if root is not None and node.op in ("get_attr", "call_module"):
                 try:
                     value = _resolve_attr(root, node.target)
@@ -845,12 +883,14 @@ class Graph:
         return PythonCode(src, globals_)
 
 
-def _hash_token_for_object(obj: Any) -> str:
+def _hash_token_for_object(obj: Any, content: bool = False) -> str:
     """Stable identity token for a callable/opaque object in a hash.
 
     Named functions and classes that can be re-resolved from their module
     to the *same* object get a portable ``mod.qualname`` token (so two
-    traces of the same program hash equal).  Everything else — closures,
+    traces of the same program hash equal); with *content*, an object
+    with a ``hash_token()`` method gets what that returns, under its
+    type's name.  Everything else — closures,
     lambdas, bound methods, arbitrary instances — falls back to ``id()``,
     which is unique only among *live* objects: after the object is
     garbage-collected its id can be reused, and in-place mutation never
@@ -860,6 +900,8 @@ def _hash_token_for_object(obj: Any) -> str:
     should pass ``require_stable=True`` to :meth:`Graph.structural_hash`
     and skip caching when it raises.
     """
+    if content and hasattr(type(obj), "hash_token"):
+        return f"c:{type(obj).__qualname__}:{obj.hash_token()}"
     name = getattr(obj, "__qualname__", None) or getattr(obj, "__name__", None)
     mod = getattr(obj, "__module__", None)
     if name and mod and "<locals>" not in name:

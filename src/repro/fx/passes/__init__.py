@@ -11,7 +11,7 @@ Each submodule corresponds to a capability the paper evaluates or cites:
 * :mod:`.cse` / :mod:`.dce` — classic cleanups made trivial by the
   basic-block IR (§5.5);
 * :mod:`.pass_manager` — instrumented pipeline driver with per-pass
-  metrics, lint validation, and structural-hash transform caching (§4.4);
+  metrics, lint validation, and run-granular transform caching (§4.4);
 * :mod:`.pointwise_fuser` / :mod:`.memory_planner` — pointwise-region
   fusion into generated kernels and liveness-based buffer pooling, the
   optimization backend of :func:`repro.fx.compile` (§6.2).
@@ -31,6 +31,7 @@ from .pass_manager import (
     PassManager,
     PassManagerResult,
     PassRecord,
+    Specialized,
     Unchanged,
 )
 from .profiler import NodeProfile, ProfileReport, ProfilingInterpreter, profile
@@ -96,6 +97,7 @@ __all__ = [
     "PassRecord",
     "ProfileReport",
     "ProfilingInterpreter",
+    "Specialized",
     "Unchanged",
     "profile",
     "profiler",

@@ -19,6 +19,7 @@ from ...tensor import Tensor
 from ..graph_module import GraphModule
 from ..interpreter import Interpreter
 from ..node import Node
+from .shape_prop import extract_tensor_metadata
 
 __all__ = ["fold_constants"]
 
@@ -92,6 +93,10 @@ def fold_constants(gm: GraphModule) -> int:
         gm.register_buffer(name, value)
         with gm.graph.inserting_before(node):
             const_node = gm.graph.get_attr(name)
+        # The value is in hand: the new node says what it holds, as every
+        # node it replaces did if shapes were propagated (fusion reads it).
+        const_node.meta["tensor_meta"] = extract_tensor_metadata(value)
+        const_node.meta["type"] = type(value)
         node.replace_all_uses_with(const_node)
         folded += 1
 

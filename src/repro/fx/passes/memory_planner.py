@@ -114,6 +114,11 @@ class ArenaSlot:
     def materialize(self) -> np.ndarray:
         return self.arena.materialize(self.index)
 
+    def hash_token(self) -> str:
+        """Which buffer of its arena, and what that buffer holds."""
+        shape, dtype = self.arena.specs[self.index]
+        return f"{self.index}:{shape}:{dtype}"
+
     def __repr__(self) -> str:
         shape, dtype = self.arena.specs[self.index]
         return f"<ArenaSlot {self.index}: {shape} {dtype}>"
@@ -167,7 +172,9 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
     """Assign fused-kernel intermediates of ``gm.graph`` to a pooled arena.
 
     Mutates *gm* in place (stamps ``node.meta["arena_slot"]`` and
-    recompiles) and returns the :class:`MemoryPlan`.  Requires shape
+    recompiles) and returns the :class:`MemoryPlan`, which it also leaves
+    on the module as ``gm.memory_plan`` — a copy, pickle or cache replay
+    of the module keeps the plan and its arena together.  Requires shape
     metadata on the planned nodes; nodes without it are skipped.
     """
     graph = gm.graph
@@ -278,7 +285,7 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
 
     if slot_of:
         gm.recompile()
-    return MemoryPlan(
+    gm.memory_plan = plan = MemoryPlan(
         planned=len(slot_of),
         reuse_count=reuse_count,
         slots=len(arena),
@@ -287,3 +294,4 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
         peak_after=peak_after,
         arena=arena,
     )
+    return plan

@@ -15,45 +15,56 @@ cannot:
   three passes later;
 * **error context** — any exception is re-raised as a :class:`PassError`
   naming the failing pass and its position in the pipeline;
-* **transform caching** — each pass's input is fingerprinted with
-  :meth:`Graph.structural_hash` (attribute values included, so folded
-  weights key correctly); a ``(pass identity, input-hash)`` pair seen
-  before skips the pass and replays the cached result instead.
+* **transform caching** — a *run* of consecutive cacheable passes is
+  stored once, under everything the run read, and replayed whole.
 
-Cached results are stored as a :class:`~repro.fx.state.StateSnapshot` —
-a structure-only pickle plus *references* to the output's live arrays and
-their digests — so storing one reads and copies no weight bytes, and
-replayed by :func:`~repro.fx.state.restore`, which copies each array once
-and checks the copy against its digest: a hit can never alias the module
-another pipeline run produced, and an entry whose arrays were written in
-place since (they belong to a module some caller holds) is refused,
-dropped and rebuilt.  The whole run happens under one
-:func:`~repro.fx.state.state_scope`, so however many times the pipeline
-hashes the module, each array's bytes are read once — which holds only
-while passes *replace* tensors instead of writing them in place; the
-scope checks that on exit and raises a :class:`PassError` when it was
-broken.  Caching is strictly best-effort and falls back to just running
-the pass whenever a cache entry could be wrong later: passes whose module
-fails to pickle run uncached, as do passes whose *callable* has no stable
-identity (lambdas, closures, bound methods — their only identity is
-``id()``, which garbage collection can recycle) and graphs whose hash
-would need an ``id()`` fallback token (see
-:class:`~repro.fx.graph.UnstableHashError`).  The cache key is the pass's
-resolvable ``module.qualname`` — never its display name — so two
-different passes that happen to share a name can't collide.
+**Runs.**  A pass is cacheable when its callable re-resolves from its
+module by qualname (lambdas, closures and bound methods only have ``id()``
+identity, which garbage collection can recycle: they always execute, and
+split the pipeline into runs).  The manager hashes the module entering a
+run once and looks up a :class:`RunKey`: the passes' qualnames, the
+example-input signature of those that take example inputs
+(:class:`Specialized`), :meth:`Graph.structural_hash` of the module —
+state bytes, module hyper-parameters *and* the ``tensor_meta`` /
+``arena_slot`` its nodes carry, because rule preconditions, fusion and
+planning read them — and the lint / verifier configuration.  A hit
+restores the run's end state and rebuilds its :class:`PassRecord` s from
+the entry; a miss executes the passes with per-pass timing, lint and
+verification, then takes *one* hash and *one*
+:class:`~repro.fx.state.StateSnapshot`, at the end of the run.  What that
+gives up is prefix sharing between different pipelines: one that differs
+in a single stage re-runs the others too.
+
+**State.**  :meth:`PassManager.run` never mutates its argument.  The input
+hash reads the caller's arrays; :func:`~repro.fx.state.copy_module` runs
+only when a pass must execute, and the copy takes over the digests just
+read, so a replay allocates nothing but its end state and an executed
+pipeline hashes each array once.  Entries reference the end state's live
+arrays next to their digests and :func:`~repro.fx.state.restore` checks a
+copy of each against its digest, so a hit never aliases another run's
+module, and an entry whose arrays were written since is refused, dropped
+and rebuilt.  The whole run happens under one
+:func:`~repro.fx.state.state_scope` (see :mod:`repro.fx.state` for the
+one rule it trusts — passes *replace* tensors — and how a violation ends
+in a :class:`PassError`).  Caching is best-effort: a run whose input has
+no stable hash (:class:`~repro.fx.graph.UnstableHashError`) or whose end
+state does not pickle executes uncached.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from itertools import groupby
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
+from ...tensor import Tensor
 from ..cache import ArtifactCache
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
+from ..node import BASE_ARGUMENT_TYPES
 from ..state import (TRANSFORM_CACHE, StaleSnapshot, StateSnapshot,
-                     note_stored, restore, snapshot, state_scope)
+                     copy_module, note_stored, restore, snapshot, state_scope)
 
 __all__ = [
     "CacheEntry",
@@ -61,7 +72,10 @@ __all__ = [
     "PassManager",
     "PassManagerResult",
     "PassRecord",
+    "RunKey",
+    "Specialized",
     "Unchanged",
+    "format_records",
 ]
 
 Pass = Callable[[GraphModule], Any]
@@ -74,12 +88,11 @@ class PassError(RuntimeError):
 class Unchanged:
     """Wrapper a pass may return to certify it did not modify the module.
 
-    ``PassManager`` then skips the post-pass structural hash, lint,
-    verification, and cache store for that stage — on large modules the
-    hash alone (it covers parameter bytes) can dwarf a no-op pass.  Only
-    return this when *nothing* observable changed: graph topology, node
-    metadata, and module state all carry over as-is, so every invariant
-    established for the pass's input still holds for its output.
+    ``PassManager`` then skips the post-pass lint and verification for
+    that stage.  Only return this when *nothing* observable changed: graph
+    topology, node metadata, and module state all carry over as-is, so
+    every invariant established for the pass's input still holds for its
+    output.
     """
 
     __slots__ = ("graph_module",)
@@ -88,9 +101,59 @@ class Unchanged:
         self.graph_module = graph_module
 
 
+def _signature(value: Any) -> str:
+    """*value* as a cache-key term: shape and dtype of a tensor, the
+    ``repr`` of a plain immediate, recursively through sequences;
+    ``TypeError`` for anything whose only identity is ``id()``."""
+    if isinstance(value, Tensor):
+        return f"{tuple(value.shape)}:{value.dtype}"
+    if isinstance(value, (tuple, list)):
+        return f"{type(value).__name__}({','.join(map(_signature, value))})"
+    if isinstance(value, BASE_ARGUMENT_TYPES):
+        return f"{type(value).__name__}:{value!r}"
+    raise TypeError(f"{type(value).__name__} has no stable signature")
+
+
+class Specialized:
+    """A module-level pass ``fn(gm, *example_inputs)`` bound to the example
+    inputs it specialises the graph for (``ShapeProp`` is the model).
+
+    Its cache identity is ``fn``'s qualname plus the inputs' *signature* —
+    shape and dtype per tensor, the value of any other immediate, never an
+    ``id()`` — which is what ``fx.compile`` itself promises its result
+    depends on.  Inputs without one (arbitrary objects) leave ``signature``
+    ``None`` and the pass uncacheable.
+    """
+
+    def __init__(self, fn: Callable, example_inputs: Sequence):
+        self.fn = fn
+        self.example_inputs = tuple(example_inputs)
+        self.__name__ = getattr(fn, "__name__", type(self).__name__)
+        try:
+            self.signature: Optional[str] = _signature(self.example_inputs)
+        except TypeError:
+            self.signature = None
+
+    def __call__(self, gm: GraphModule) -> Any:
+        return self.fn(gm, *self.example_inputs)
+
+
+class RunKey(NamedTuple):
+    """Everything a run of consecutive cacheable passes read — its key in
+    the transform cache.  The field names are also how a miss is explained
+    (:attr:`PassManagerResult.misses`)."""
+
+    pipeline: tuple   #: each pass's ``f:module.qualname`` token
+    inputs: tuple     #: each pass's example-input signature ("" if none)
+    state: str        #: hash of the module entering the run, meta included
+    checks: tuple     #: (lint_after_each, verifier configuration)
+
+
 @dataclass
 class PassRecord:
-    """Metrics for one pass execution within a pipeline run."""
+    """Metrics for one pass execution within a pipeline run.  The hashes
+    exist at run boundaries only: ``input_hash`` on a run's first record,
+    ``output_hash`` on its last."""
 
     name: str
     wall_time: float
@@ -107,73 +170,89 @@ class PassRecord:
         return self.nodes_after - self.nodes_before
 
 
+def format_records(records: Sequence[PassRecord], total_time: float,
+                   misses: Sequence[tuple] = ()) -> str:
+    """The per-pass timing / node-delta table, and under it one line saying
+    how many stages were replayed from how many cache entries (consecutive
+    hits are one run, hence one entry) and why each run that missed did."""
+    header = ("pass", "time (ms)", "nodes", "delta", "cache", "lint", "verify")
+    rows = [header]
+    for r in records:
+        rows.append((
+            r.name,
+            f"{r.wall_time * 1e3:.3f}",
+            f"{r.nodes_before}->{r.nodes_after}",
+            f"{r.node_delta:+d}" if r.node_delta else "0",
+            "hit" if r.cache_hit else "-",
+            "ok" if r.linted else "-",
+            "ok" if r.verified else "-",
+        ))
+    hits = [r.cache_hit for r in records]
+    rows.append(("total", f"{total_time * 1e3:.3f}", "", "",
+                 f"{sum(hits)}/{len(hits)}", "", ""))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+             for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    entries = sum(hit and not (i and hits[i - 1]) for i, hit in enumerate(hits))
+    lines.append(
+        f"replayed {sum(hits)} of {len(hits)} stages from {entries} cache "
+        f"entr{'y' if entries == 1 else 'ies'}"
+        + "".join(f"; missed on {'+'.join(why)}" for why in misses))
+    return "\n".join(lines)
+
+
 @dataclass
 class PassManagerResult:
-    """The transformed module plus the per-pass instrumentation report."""
+    """The transformed module plus the per-pass instrumentation report.
+
+    ``misses`` explains each cacheable run that had to execute: the
+    :class:`RunKey` fields in which it differs from the nearest stored
+    entry (``("state",)``: same pipeline, another module or other shape
+    metadata; ``("inputs",)``: another example signature; ``("checks",)``:
+    another lint / verifier configuration), ``("cold",)`` when the cache
+    holds no run at all, ``("stale",)`` when the entry was found but its
+    arrays had been written since."""
 
     graph_module: GraphModule
     records: list[PassRecord] = field(default_factory=list)
     total_time: float = 0.0
+    misses: list[tuple] = field(default_factory=list)
 
     @property
     def cache_hits(self) -> int:
         return sum(1 for r in self.records if r.cache_hit)
 
     def format(self) -> str:
-        """Render the per-pass timing / node-delta report as a table."""
-        header = ("pass", "time (ms)", "nodes", "delta", "cache", "lint", "verify")
-        rows = [header]
-        for r in self.records:
-            delta = f"{r.node_delta:+d}" if r.node_delta else "0"
-            rows.append((
-                r.name,
-                f"{r.wall_time * 1e3:.3f}",
-                f"{r.nodes_before}->{r.nodes_after}",
-                delta,
-                "hit" if r.cache_hit else "-",
-                "ok" if r.linted else "-",
-                "ok" if r.verified else "-",
-            ))
-        rows.append((
-            "total",
-            f"{self.total_time * 1e3:.3f}",
-            "", "", f"{self.cache_hits}/{len(self.records)}", "", "",
-        ))
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = []
-        for i, row in enumerate(rows):
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        """Render the report (see :func:`format_records`)."""
+        return format_records(self.records, self.total_time, self.misses)
 
 
 @dataclass
 class CacheEntry:
-    """One memoized pass result: the output module as a
+    """One memoised run of passes: its end state as a
     :class:`~repro.fx.state.StateSnapshot` (structure payload + references
-    to its arrays + their digests) plus enough metadata (hash, node count,
-    whether it passed ``lint``, and the pass verifier's snapshot of its
-    diagnostics) to chain further lookups without restoring it.
+    to its arrays + their digests) plus what rebuilds the run's records
+    and lets the pipeline go on without analysing anything.
 
-    ``verify_snapshot`` is only meaningful under the verifier
-    configuration recorded in ``verifier_key`` — a manager running a
-    differently-configured verifier re-verifies the restored module
-    instead (the same pattern as ``linted``).  Both are promoted lazily
-    and recomputed from the same snapshot, so racing writes to them are
-    benign."""
+    Attributes:
+        output_hash: hash of the end state (the last record's).
+        snapshot: the end state.
+        stages: per pass ``(nodes_after, linted, verified)`` as they were
+            when the run executed (a stage that returned
+            :class:`Unchanged` was neither).
+        baseline: the verifier's baseline after the run, to ``adopt``.
+    """
 
     output_hash: str
     snapshot: StateSnapshot
-    node_count: int
-    linted: bool = False
-    verify_snapshot: Any = None
-    verifier_key: Any = None
+    stages: tuple
+    baseline: Any = None
 
 
-class _NotCached(Exception):
-    """Raised by the cache-fill builder after it ran a pass whose result
-    must not be stored (``Unchanged``, unhashable or unpicklable output)."""
+class _NotStored(Exception):
+    """Raised by the cache-fill builder after it executed a run whose end
+    state cannot be stored (no stable hash, or it does not pickle)."""
 
 
 def _pass_name(p: Pass, index: int) -> str:
@@ -183,22 +262,45 @@ def _pass_name(p: Pass, index: int) -> str:
     return name
 
 
-def _pass_cache_token(fn: Pass) -> Optional[str]:
-    """Stable cache identity for a pass callable, or ``None`` if it has
-    none.
+def _pass_identity(fn: Pass) -> Optional[tuple[str, str]]:
+    """``(qualname token, example-input signature)`` of a pass callable,
+    or ``None`` if it has no stable identity.
 
     Only callables that re-resolve from their module to the same object
     (``f:mod.qualname`` tokens) qualify: the token survives garbage
     collection and distinguishes same-named functions from different
     modules.  Lambdas, closures, bound methods and callable instances
     only have ``id()`` identity, which GC can hand to a different object
-    later — caching on it could replay another pass's result — so they
-    return ``None`` and always run uncached.
+    later — caching on it could replay another pass's result.  A
+    :class:`Specialized` pass is its function plus the signature of the
+    inputs it was bound to.
     """
+    signature = ""
+    if isinstance(fn, Specialized):
+        fn, signature = fn.fn, fn.signature
+        if signature is None:
+            return None
     token = _hash_token_for_object(fn)
-    if token.startswith("obj:"):
-        return None
-    return token
+    return (token, signature) if token.startswith("f:") else None
+
+
+def _why_missed(cache: ArtifactCache, key: RunKey) -> tuple:
+    """The fields in which *key* differs from the stored run nearest to it
+    (fewest differing fields, most recently used first); ``("cold",)``
+    when no run is stored.  ``inputs`` is per pass, so it only means
+    something between runs of one pipeline."""
+    nearest: tuple = ()
+    for other in reversed(cache.keys()):
+        if isinstance(other, RunKey):
+            differing = tuple(
+                name for name, mine, theirs in zip(RunKey._fields, key, other)
+                if mine != theirs and not (
+                    name == "inputs" and key.pipeline != other.pipeline))
+            if not nearest or len(differing) < len(nearest):
+                nearest = differing
+                if len(nearest) == 1:
+                    break
+    return nearest or ("cold",)
 
 
 class PassManager:
@@ -214,24 +316,24 @@ class PassManager:
         cache: ``True`` (default) to use the process-wide ``transform``
             stage (see :func:`repro.fx.cache_info`), ``False``/``None`` to
             disable caching, or an :class:`~repro.fx.cache.ArtifactCache`
-            instance for an isolated cache.  Fills are single-flighted:
-            concurrent managers reaching one ``(pass, input)`` run the pass
-            once.  Entries are keyed by the pass callable's
-            stable ``module.qualname`` identity, so passes that lack one
-            (lambdas, closures, bound methods) always run uncached —
-            regardless of any display name given via a ``(name, fn)``
-            pair.
+            instance for an isolated cache.  One entry is kept per *run*
+            of consecutive cacheable passes (the module docstring says
+            what its key covers); fills are single-flighted, so concurrent
+            managers reaching one run execute it once.  Passes without a
+            stable ``module.qualname`` identity always execute, whatever
+            display name a ``(name, fn)`` pair gives them.
         verifier: an invariant checker — typically a
-            :class:`repro.fx.analysis.PassVerifier` — snapshotting the
-            pipeline input via ``before_pipeline`` and re-checked via
-            ``after_pass`` after every stage; its exception (naming the
-            offending pass) aborts the pipeline.  Snapshots are persisted
-            into cache entries, so a fully-cached re-run verifies by
-            snapshot comparison without re-analyzing any graph.
+            :class:`repro.fx.analysis.PassVerifier` — given the module
+            through ``before_pipeline`` before the first pass that executes
+            and re-checked via ``after_pass`` after every stage; its
+            exception (naming the offending pass) aborts the pipeline.  Its
+            configuration is part of the cache key and its baseline is
+            stored with each entry, so a replayed run was verified under
+            the same rules and costs no analysis.
 
-    Use the *returned* module of :meth:`run`: when a cached result is
-    replayed, the input module is left untouched even for passes that
-    normally transform in place.
+    :meth:`run` never mutates the module it is given: passes execute on a
+    private copy, made when the first of them has to.  Use the *returned*
+    module.
     """
 
     def __init__(
@@ -269,252 +371,198 @@ class PassManager:
         valid pass (returns the transformed module)."""
         return self.run(gm).graph_module
 
-    def run(self, gm: GraphModule) -> PassManagerResult:
-        """Run every pass in order; returns the transformed module plus
-        per-pass records.  Also stashed on ``self.last_result``.
+    def run(self, gm: GraphModule, consume: bool = False) -> PassManagerResult:
+        """Run every pass in order; returns the transformed module — always
+        a module of its own, never *gm* — plus per-pass records.  Also
+        stashed on ``self.last_result``.
 
-        Cache replay is *lazy*: while consecutive passes keep hitting, the
-        pipeline only chains the stored output hashes and never restores
-        the intermediate modules — a fully-cached re-run costs one input
-        hash, one lookup per pass, and a single restore at the end.
+        A fully-cached re-run costs one hash of *gm*, one lookup and one
+        restore per run of cacheable passes (one in all for a pipeline of
+        module-level passes): *gm* is not copied, no pass executes and
+        nothing is analysed.
+
+        With *consume* the caller gives *gm* up — a trace it made for this
+        run and holds no other reference to: passes that execute transform
+        it in place instead of a copy (its tensors may still be shared with
+        the model it was traced from; passes replace tensors, they do not
+        write them).
         """
         if not isinstance(gm, GraphModule):
             raise TypeError(f"PassManager.run expects a GraphModule, got {type(gm).__name__}")
         with state_scope():
-            result = self._run(gm)
+            result = self._run(gm, consume)
         self.last_result = result
         return result
 
     # -- internals ---------------------------------------------------------------
 
-    def _run(self, gm: GraphModule) -> PassManagerResult:
+    def _run(self, gm: GraphModule, consume: bool) -> PassManagerResult:
         records: list[PassRecord] = []
+        misses: list[tuple] = []
         pipeline_start = time.perf_counter()
+        checks = (self.lint_after_each,
+                  self.verifier and self.verifier.config_key())
+        identities = [_pass_identity(fn) if self.cache is not None else None
+                      for _, fn in self.passes]
 
-        # The pipeline's current value is the live module ``gm`` or — while
-        # cache hits chain — ``pending``, the latest hit's entry, not yet
-        # restored.  ``mark`` is the stage the chain started at (with the
-        # hash, node count and verifier baseline on entering it): where to
-        # go back to when restoring ``pending`` is refused, since ``gm``
-        # has not been touched since.
-        pending: Optional[CacheEntry] = None
-        pending_key: Any = None
-        mark: tuple = ()
-        current_hash: Optional[str] = None
-        current_nodes = len(gm.graph)
+        # ``module`` is the caller's (unless given up) until a pass has to
+        # execute (then a private copy) or a run is replayed (then the
+        # restored end state); ``state`` is its hash when that is known.
+        module, own, state = gm, consume, ""
+        baselined = self.verifier is None
 
-        def live() -> GraphModule:
-            nonlocal gm, pending
-            if pending is not None:
-                gm = restore(pending.snapshot)
-                pending = None
-            return gm
+        def execute(first: int, last: int, start: float) -> list[PassRecord]:
+            nonlocal module, own, baselined
+            if not own:
+                module, own = copy_module(module), True
+            if not baselined:
+                self.verifier.before_pipeline(module, graph_hash=state or None)
+                baselined = True
+            module, executed = self._execute(first, last, module, start)
+            return executed
 
-        if self.verifier is not None:
-            current_hash = self._hash(gm)
-            self.verifier.before_pipeline(gm, graph_hash=current_hash or None)
+        # Maximal runs of cacheable passes, and the stretches between them.
+        for cacheable, indices in groupby(
+                range(len(self.passes)), lambda i: identities[i] is not None):
+            run = [identities[i] for i in indices]
+            first, last = len(records), len(records) + len(run)
+            start, nodes = time.perf_counter(), len(module.graph)
+            if cacheable:
+                state = state or self._hash(module)
+            if not (cacheable and state):   # no identity, or no stable hash
+                records += execute(first, last, start)
+                state = ""
+                continue
+            key = RunKey(tuple(token for token, _ in run),
+                         tuple(signature for _, signature in run),
+                         state, checks)
+            stale = False
+            while True:
+                #: the run's records once this call executed it itself
+                ran: Optional[list[PassRecord]] = None
 
-        index = 0
-        while True:
-            try:
-                if index == len(self.passes):
-                    out = live()
+                def build() -> CacheEntry:
+                    nonlocal ran
+                    misses.append(("stale",) if stale
+                                  else _why_missed(self.cache, key))
+                    ran = execute(first, last, start)
+                    entry = self._entry(module, ran)
+                    note_stored(self.cache, key)
+                    return entry
+
+                try:
+                    entry = self.cache.get_or_build(key, build)
+                except _NotStored:
+                    entry = None
+                if ran is not None:
                     break
-                name, fn = self.passes[index]
-                start = time.perf_counter()
-                if current_hash is None:
-                    current_hash = self._hash(live())
-                cache_token = _pass_cache_token(fn) if self.cache is not None else None
-
-                #: ``_execute``'s result once this call ran the pass itself.
-                ran: Optional[tuple] = None
-                if self.cache is not None and current_hash and cache_token:
-                    key = (cache_token, current_hash)
-
-                    def build() -> CacheEntry:
-                        nonlocal ran
-                        ran = self._execute(index, name, fn, live(),
-                                            current_hash, True, start)
-                        if ran[2] is None:
-                            raise _NotCached
-                        note_stored(self.cache, key)
-                        return ran[2]
-
-                    try:
-                        entry = self.cache.get_or_build(key, build)
-                    except _NotCached:
-                        pass
-                    if ran is None:
-                        # Someone else's result (earlier run or a concurrent
-                        # manager that won the single-flight): replay it.
-                        if pending is None:
-                            mark = (index, current_hash, current_nodes,
-                                    self.verifier.baseline
-                                    if self.verifier is not None else None)
-                        pending, pending_key = entry, key
-                        records.append(self._replay(
-                            index, name, entry, live, current_hash,
-                            current_nodes, start))
-                        current_hash = entry.output_hash
-                        current_nodes = entry.node_count
-                        index += 1
-                        continue
-
-                if ran is None:  # uncacheable stage: just run the pass
-                    ran = self._execute(index, name, fn, live(),
-                                        current_hash, False, start)
-                gm, record, _ = ran
-                records.append(record)
-                current_hash, current_nodes = record.output_hash or None, len(gm.graph)
-                index += 1
-            except StaleSnapshot:
-                # ``pending``'s arrays were written in place after it was
-                # stored (they belong to a module some caller holds): drop
-                # the entry and redo from where its chain of hits began —
-                # this time its stage is a miss.
-                self.cache.discard(pending_key)
-                self.cache.count("replay_rejected")
-                pending = None
-                index, current_hash, current_nodes, baseline = mark
+                # Someone else's run (an earlier compile, or a concurrent
+                # manager that won the single-flight): replay it.
+                try:
+                    module, own = restore(entry.snapshot), True
+                except StaleSnapshot:
+                    # Its arrays were written in place after it was stored
+                    # (they belong to a module some caller holds): drop it
+                    # and execute the run after all.
+                    self.cache.discard(key)
+                    self.cache.count("replay_rejected")
+                    stale = True
+                    continue
                 if self.verifier is not None:
-                    self.verifier.adopt(baseline)
-                del records[index:]
+                    self.verifier.adopt(entry.baseline)
+                    baselined = True
+                ran = []
+                for (after, linted, verified), (name, _) in zip(
+                        entry.stages, self.passes[first:last]):
+                    ran.append(PassRecord(name, 0.0, nodes, after, True,
+                                          linted, verified))
+                    nodes = after
+                # hash, lookup and restore are the run's, not a stage's
+                ran[0].wall_time = time.perf_counter() - start
+                break
+            ran[0].input_hash = state
+            state = ran[-1].output_hash = entry.output_hash if entry else ""
+            records += ran
 
+        if not own:   # nothing executed, nothing replayed: still not *gm*
+            module = copy_module(module)
         return PassManagerResult(
-            out, records, total_time=time.perf_counter() - pipeline_start)
+            module, records, time.perf_counter() - pipeline_start, misses)
 
-    def _replay(self, index: int, name: str, entry: CacheEntry,
-                live: Callable[[], GraphModule], input_hash: str,
-                nodes_before: int, start: float) -> PassRecord:
-        """Account for a cache hit: re-validate *entry* under this
-        manager's lint/verifier settings — restoring it (``live()``) only
-        when one of them needs the module — and return the stage's record."""
-        if self.lint_after_each and not entry.linted:
-            # The entry was produced by a non-linting manager; validate it
-            # now so a hit never weakens this manager's lint guarantee.
-            restored = live()
+    def _execute(self, first: int, last: int, gm: GraphModule, start: float
+                 ) -> tuple[GraphModule, list[PassRecord]]:
+        """Execute passes ``first..last-1`` on *gm* (private to this run),
+        each with its lint, verification and record; *start* is when the
+        first of them began (the run's input hash and copy count as its)."""
+        records: list[PassRecord] = []
+        for index in range(first, last):
+            name, fn = self.passes[index]
+            nodes_before = len(gm.graph)
             try:
-                restored.graph.lint()
+                out = fn(gm)
             except Exception as exc:
                 raise PassError(
-                    f"pass {index} ({name!r}) cached result is an "
-                    f"invalid graph (lint failed): "
-                    f"{type(exc).__name__}: {exc}"
+                    f"pass {index} ({name!r}) failed on a graph with "
+                    f"{nodes_before} nodes: {type(exc).__name__}: {exc}"
                 ) from exc
-            entry.linted = True
-        verified = False
-        if self.verifier is not None:
-            vkey = self.verifier.config_key()
-            if entry.verify_snapshot is not None \
-                    and entry.verifier_key == vkey:
-                # Verify by snapshot comparison — no restore, no
-                # re-analysis.
-                self.verifier.advance(name, entry.verify_snapshot)
-            else:
-                # Entry from an unverified (or differently configured)
-                # run: verify the restored module once and remember the
-                # snapshot.
-                entry.verify_snapshot = self.verifier.after_pass(
-                    name, live(), graph_hash=entry.output_hash or None)
-                entry.verifier_key = vkey
-            verified = True
-        return PassRecord(
-            name=name,
-            wall_time=time.perf_counter() - start,
-            nodes_before=nodes_before,
-            nodes_after=entry.node_count,
-            cache_hit=True,
-            linted=self.lint_after_each and entry.linted,
-            verified=verified,
-            input_hash=input_hash,
-            output_hash=entry.output_hash,
-        )
+            # ``Unchanged`` certifies a no-op: lint status and verifier
+            # baseline of the pass's input remain valid.
+            changed = not isinstance(out, Unchanged)
+            if not changed:
+                gm = out.graph_module
+            elif isinstance(out, GraphModule):
+                gm = out
+            if changed and self.lint_after_each:
+                try:
+                    gm.graph.lint()
+                except Exception as exc:
+                    raise PassError(
+                        f"pass {index} ({name!r}) produced an invalid graph "
+                        f"(lint failed): {type(exc).__name__}: {exc}"
+                    ) from exc
+            # Verified before anything is stored: an output that regresses
+            # an invariant must never be replayed.  The verifier's
+            # exception propagates as-is — it already names the pass.
+            if changed and self.verifier is not None:
+                self.verifier.after_pass(name, gm)
+            now = time.perf_counter()
+            records.append(PassRecord(
+                name, now - start, nodes_before, len(gm.graph),
+                linted=changed and self.lint_after_each,
+                verified=changed and self.verifier is not None))
+            start = now
+        return gm, records
 
-    def _execute(self, index: int, name: str, fn: Pass, gm: GraphModule,
-                 input_hash: Optional[str], cacheable: bool, start: float
-                 ) -> tuple[GraphModule, PassRecord, Optional[CacheEntry]]:
-        """Run one pass; returns the module, its record, and — when
-        *cacheable* and the output hashes and pickles — the cache entry."""
-        nodes_before = len(gm.graph)
-        try:
-            out = fn(gm)
-        except Exception as exc:
-            raise PassError(
-                f"pass {index} ({name!r}) failed on a graph with "
-                f"{nodes_before} nodes: {type(exc).__name__}: {exc}"
-            ) from exc
-        if isinstance(out, Unchanged):
-            # The pass certifies a no-op: the input's hash, lint status,
-            # and verifier baseline all remain valid, so skip the
-            # (potentially expensive) post-pass bookkeeping entirely.
-            gm = out.graph_module
-            return gm, PassRecord(
-                name=name,
-                wall_time=time.perf_counter() - start,
-                nodes_before=nodes_before,
-                nodes_after=len(gm.graph),
-                input_hash=input_hash or "",
-                output_hash=input_hash or "",
-            ), None
-        if isinstance(out, GraphModule):
-            gm = out
-        linted = False
-        if self.lint_after_each:
+    def _entry(self, gm: GraphModule, records: list[PassRecord]) -> CacheEntry:
+        """The entry for a run that just executed and left *gm*: the one
+        hash and the one snapshot a run costs (on its last record's
+        clock).  No weight bytes move — arrays the passes did not replace
+        still carry the digests the input hash read, and all of them go
+        in by reference."""
+        start = time.perf_counter()
+        output_hash, snap = self._hash(gm), None
+        if output_hash:
             try:
-                gm.graph.lint()
-            except Exception as exc:
-                raise PassError(
-                    f"pass {index} ({name!r}) produced an invalid graph "
-                    f"(lint failed): {type(exc).__name__}: {exc}"
-                ) from exc
-            linted = True
-        output_hash = self._hash(gm)
-
-        # Verify *before* caching: an output that regresses an invariant
-        # must never be stored for replay.  The verifier's exception
-        # propagates as-is — it already names the offending pass.
-        verified = False
-        verdict: Any = None
-        if self.verifier is not None:
-            verdict = self.verifier.after_pass(
-                name, gm, graph_hash=output_hash or None)
-            verified = True
-
-        entry: Optional[CacheEntry] = None
-        if cacheable and output_hash:
-            try:
-                # No weight bytes move: the hash above left every digest
-                # in the scope's memo, and the arrays go in by reference.
                 snap = snapshot(gm)
-            except Exception:
-                snap = None  # unpicklable target: run this pass uncached
-            if snap is not None:
-                entry = CacheEntry(output_hash, snap, len(gm.graph),
-                                   linted=linted,
-                                   verify_snapshot=verdict,
-                                   verifier_key=(self.verifier.config_key()
-                                                 if verified else None))
-
-        record = PassRecord(
-            name=name,
-            wall_time=time.perf_counter() - start,
-            nodes_before=nodes_before,
-            nodes_after=len(gm.graph),
-            cache_hit=False,
-            linted=linted,
-            verified=verified,
-            input_hash=input_hash or "",
-            output_hash=output_hash,
-        )
-        return gm, record, entry
+            except Exception:   # unpicklable target or attribute
+                pass
+        records[-1].wall_time += time.perf_counter() - start
+        if snap is None:
+            raise _NotStored
+        return CacheEntry(
+            output_hash, snap,
+            tuple((r.nodes_after, r.linted, r.verified) for r in records),
+            self.verifier and self.verifier.baseline)
 
     @staticmethod
     def _hash(gm: GraphModule) -> str:
         # require_stable: this hash keys a cache that outlives the graph's
         # objects without pinning them, so an id()-fallback token could
         # alias a different graph after GC — refuse to cache instead.
+        # include_meta: passes read the shape facts nodes carry.
         try:
             return gm.graph.structural_hash(include_attrs=True,
-                                            require_stable=True)
+                                            require_stable=True,
+                                            include_meta=True)
         except Exception:
-            return ""  # unhashable graph: disable caching for this stage
+            return ""  # unhashable graph: this run executes uncached

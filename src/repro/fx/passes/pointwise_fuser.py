@@ -520,6 +520,11 @@ class FusedKernel:
     def __reduce__(self):
         return (FusedKernel, (self.spec,))
 
+    def hash_token(self) -> str:
+        """The kernel *is* its spec: equal specs generate equal code, so
+        a graph calling fused kernels hashes by content, not by ``id()``."""
+        return repr(self.spec)
+
     def __repr__(self) -> str:
         return (f"<FusedKernel {self.spec.name}: {self.n_ops} ops, "
                 f"{tuple(self.spec.shape)} {self.spec.dtype}>")

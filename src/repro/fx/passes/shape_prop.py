@@ -38,6 +38,10 @@ class TensorMetadata:
     numel: int
     nbytes: int
 
+    def hash_token(self) -> str:
+        """What ``Graph.structural_hash(include_meta=True)`` feeds."""
+        return f"{tuple(self.shape)}:{self.dtype}"
+
 
 def extract_tensor_metadata(t: Tensor) -> TensorMetadata:
     return TensorMetadata(shape=t.shape, dtype=t.dtype, numel=t.numel(), nbytes=t.nbytes())

@@ -373,9 +373,18 @@ class SymbolicShapeProp:
         self.modules = dict(gm.named_modules())
 
     def propagate(self, *input_shapes: SymShape | Sequence) -> Any:
+        env, result = self.infer(*input_shapes)
+        for node, value in env.items():
+            if isinstance(value, SymShape) or _contains_shape(value):
+                node.meta["sym_shape"] = value
+        return result
+
+    def infer(self, *input_shapes: SymShape | Sequence) -> tuple[dict, Any]:
+        """:meth:`propagate` without the stamping: ``({node: value},
+        output shape)``, the module left exactly as it was (what an
+        analysis of a module it does not own must use)."""
         env: dict[Node, Any] = {}
         shapes = iter(input_shapes)
-        result = None
         for node in self.gm.graph.nodes:
             if node.op == "placeholder":
                 try:
@@ -389,16 +398,13 @@ class SymbolicShapeProp:
                 attr = _fetch_attr(self.gm, node.target)
                 value = SymShape(attr.shape) if hasattr(attr, "shape") else attr
             elif node.op == "output":
-                result = map_aggregate(node.args[0],
-                                       lambda n: env[n] if isinstance(n, Node) else n)
-                node.meta["sym_shape"] = result
-                break
+                env[node] = map_aggregate(
+                    node.args[0], lambda n: env[n] if isinstance(n, Node) else n)
+                return env, env[node]
             else:
                 value = self._transfer(node, env)
             env[node] = value
-            if isinstance(value, SymShape) or _contains_shape(value):
-                node.meta["sym_shape"] = value
-        return result
+        return env, None
 
     # -- transfer functions ---------------------------------------------------------
 
@@ -482,7 +488,7 @@ class SymbolicShapeProp:
         if isinstance(mod, Embedding):
             return SymShape(tuple(x) + (mod.embedding_dim,))
         if isinstance(mod, GraphModule):
-            return SymbolicShapeProp(mod).propagate(x)
+            return SymbolicShapeProp(mod).infer(x)[1]
         raise ShapeInferenceError(
             f"no symbolic transfer function for module {type(mod).__name__} "
             f"at node {node.name!r}"

@@ -2,10 +2,11 @@
 
 A ``GraphModule`` keeps code and state together, and every layer of a
 compile looks at the state: ``Graph.structural_hash`` covers parameter
-values, the transform cache snapshots each pass's output, ``to_backend``
-works on a private copy.  Done naively each look re-reads or re-serialises
-every weight byte.  This module holds the three pieces that make a weight
-byte cost O(1) reads and O(1) copies per compile instead of O(passes):
+values, the transform cache snapshots the end state of each run of
+passes, and the passes themselves work on a private copy.  Done naively
+each look re-reads or re-serialises every weight byte.  This module holds
+the three pieces that make a weight byte cost O(1) reads and O(1) copies
+per compile instead of O(passes):
 
 * :func:`digest` — the SHA-256 of one array's bytes, which is the term a
   tensor contributes to ``structural_hash``.  Inside a
@@ -17,7 +18,13 @@ byte cost O(1) reads and O(1) copies per compile instead of O(passes):
   refuses (:class:`StaleSnapshot`) when a referenced array no longer
   matches its digest.
 * :func:`copy_module` — the same structure pickle with the arrays copied
-  straight across: the one way the package deep-copies a module.
+  straight across: the one way the package deep-copies a module.  Under
+  a scope that has already hashed the source, the copies take over the
+  digests just read, so hashing the copy reads nothing.
+
+So a compile that replays reads its caller's arrays once, to key the
+lookup, and allocates only the end state it restores; one that executes
+reads the same bytes, copies them once, and reads what its passes created.
 
 **The one rule a scope trusts**: code running inside a compile *replaces*
 tensors, it never writes them in place.  The trust is checked, not
@@ -35,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import threading
+from copy import deepcopy
 from typing import Any, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -45,13 +53,20 @@ __all__ = ["TRANSFORM_CACHE", "StaleSnapshot", "StateSnapshot", "copy_module",
            "digest", "forget", "note_stored", "restore", "snapshot",
            "state_scope"]
 
-#: The process-wide transform cache (``(pass identity, input hash) ->
-#: CacheEntry``, see :mod:`repro.fx.passes.pass_manager`).  Registered here
-#: because its row of ``fx.cache_info()`` also carries this module's
-#: counters: ``state_reads`` (digests computed from bytes), ``state_reuses``
-#: (served from a scope memo) and ``replay_rejected`` (snapshots refused at
-#: restore).
-TRANSFORM_CACHE = register_stage("transform", 1024)
+def _pinned(entries: list) -> dict:
+    """Entries are bounded by count, not bytes: say what they hold alive."""
+    held = {id(a): a.nbytes for entry in entries
+            for a in entry.snapshot.arrays}
+    return {"pinned_mb": round(sum(held.values()) / 2 ** 20, 1)}
+
+
+#: The process-wide transform cache (``RunKey -> CacheEntry``, see
+#: :mod:`repro.fx.passes.pass_manager`).  Registered here because its row
+#: of ``fx.cache_info()`` also carries this module's counters:
+#: ``state_reads`` (digests computed from bytes), ``state_reuses`` (served
+#: from a scope memo), ``replay_rejected`` (snapshots refused at restore)
+#: and ``pinned_mb`` (bytes of the distinct arrays its snapshots reference).
+TRANSFORM_CACHE = register_stage("transform", 1024, summarize=_pinned)
 
 
 class _Known:
@@ -82,15 +97,13 @@ class _Scope:
     """What one compile knows about the arrays it has seen; its own
     (re-entrant) context manager."""
 
-    __slots__ = ("depth", "memo", "by_digest", "stored")
+    __slots__ = ("depth", "memo", "stored")
 
     def __init__(self) -> None:
         self.depth = 0
         #: ``id(array) -> _Known``, for arrays that own their bytes (see
         #: :func:`_owner`).
         self.memo: dict[int, _Known] = {}
-        #: digest -> an array read with it: content-addresses the memo.
-        self.by_digest: dict[str, _Known] = {}
         #: ``(cache, key)`` of every entry stored while the scope was open.
         self.stored: list[tuple[ArtifactCache, Any]] = []
 
@@ -98,9 +111,7 @@ class _Scope:
               digest: Optional[str] = None) -> None:
         """*copy* was just byte-copied from *source* (whose digest, if the
         caller has verified it, is *digest*)."""
-        known = self.memo[id(copy)] = _Known(copy, digest, source)
-        if digest is not None:
-            self.by_digest.setdefault(digest, known)
+        self.memo[id(copy)] = _Known(copy, digest, source)
 
     def __enter__(self) -> None:
         if self.depth == 0:
@@ -183,7 +194,6 @@ def digest(arr: np.ndarray) -> str:
         known = scope.memo[id(arr)] = _Known(arr)
     if known.digest is None:
         known.digest = _sha(arr)
-        scope.by_digest.setdefault(known.digest, known)
     else:
         known.served = True
         TRANSFORM_CACHE.count("state_reuses")
@@ -198,9 +208,7 @@ def forget(arrays: Iterable[np.ndarray]) -> None:
     if scope is None:
         return
     for arr in arrays:
-        known = scope.memo.pop(id(_owner(arr)), None)
-        if known is not None and scope.by_digest.get(known.digest) is known:
-            del scope.by_digest[known.digest]
+        scope.memo.pop(id(_owner(arr)), None)
 
 
 def note_stored(cache: ArtifactCache, key: Any) -> None:
@@ -255,11 +263,10 @@ def snapshot(module: Any) -> StateSnapshot:
 def restore(snap: StateSnapshot) -> Any:
     """A fresh module from *snap*, sharing no memory with it.
 
-    Each array is copied, then the *copy* is checked against its digest
-    (so a write racing the copy cannot slip through) — by comparing it
-    with an array the open scope has already read under that digest when
-    there is one, by hashing it otherwise.  The copies enter the scope's
-    memo, so hashing the restored module reads nothing.
+    Each array is copied, then the *copy* is hashed and checked against
+    its digest (so a write racing the copy cannot slip through).  The
+    copies enter the scope's memo, so hashing the restored module reads
+    nothing.
 
     Raises:
         StaleSnapshot: an array was written in place since the snapshot.
@@ -267,10 +274,7 @@ def restore(snap: StateSnapshot) -> Any:
     scope = _scope()
     copies = [a.copy() for a in snap.arrays]
     for copy, source, known in zip(copies, snap.arrays, snap.digests):
-        same = scope.by_digest.get(known) if scope is not None else None
-        if same is not None and _same_bytes(copy, same.array):
-            same.served = True   # its digest vouched for these bytes
-        elif _sha(copy) != known:
+        if _sha(copy) != known:
             raise StaleSnapshot(
                 f"{copy.dtype}{list(copy.shape)} array changed under its "
                 f"snapshot")
@@ -280,14 +284,22 @@ def restore(snap: StateSnapshot) -> Any:
 
 
 def copy_module(module: Any) -> Any:
-    """Deep copy of *module* (any picklable ``Module``; a ``GraphModule``
-    regenerates its ``forward``): one structure pickle, one memcpy per
-    array.  Shared tensors stay shared, no memory is shared with the
-    source."""
-    structure, arrays = _dump(module)
+    """Deep copy of *module* (a ``GraphModule`` regenerates its
+    ``forward``): one structure pickle, one memcpy per array.  Shared
+    tensors stay shared, no memory is shared with the source.  A module
+    that does not pickle (a local class or a closure among its targets)
+    goes through :func:`copy.deepcopy` instead."""
+    try:
+        structure, arrays = _dump(module)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return deepcopy(module)
     copies = [a.copy() for a in arrays]
     scope = _scope()
     if scope is not None:
         for copy, source in zip(copies, arrays):
-            scope.adopt(copy, source)
+            # A source this scope has hashed vouches for its copy: nothing
+            # in a compile can reach the module it was handed, so the bytes
+            # copied are the bytes read (the exit check compares them again).
+            known = scope.memo.get(id(_owner(source)))
+            scope.adopt(copy, source, known.digest if known else None)
     return pickle.loads(structure, buffers=copies)

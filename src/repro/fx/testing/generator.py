@@ -47,7 +47,7 @@ from ...nn import (
     BatchNorm2d, Conv2d, Flatten, GELU, LayerNorm, Linear, Module, Parameter,
     ReLU, Sequential, Sigmoid, Tanh,
 )
-from ...tensor import Tensor, manual_seed, randn
+from ...tensor import Tensor, float64, manual_seed, randn
 from ..graph import Graph
 from ..graph_module import GraphModule
 from ..node import Node
@@ -96,6 +96,11 @@ class GeneratedProgram:
     #: extra input batches driving the *other* branch outcomes
     #: (control_flow family; empty elsewhere)
     alt_inputs: tuple = ()
+    #: the same program's inputs under a second *signature* — another batch
+    #: size where the program is batch-agnostic (module family), another
+    #: dtype otherwise (graph family: its buffers pin the batch size) — for
+    #: the oracle's ``recompile`` check; empty for control_flow
+    other_inputs: tuple = ()
 
 
 def spec_for_iteration(seed: int, i: int) -> ProgramSpec:
@@ -183,7 +188,9 @@ def _generate_graph_program(spec: ProgramSpec) -> GeneratedProgram:
 
     gm = GraphModule(root, g, class_name="FuzzProgram")
     inputs = tuple(randn(*shape) for shape in input_shapes)
-    return GeneratedProgram(spec, gm, inputs, None, gm.code, emitted)
+    other = tuple(x.to(float64) for x in inputs)
+    return GeneratedProgram(spec, gm, inputs, None, gm.code, emitted,
+                            other_inputs=other)
 
 
 def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
@@ -407,7 +414,9 @@ def _generate_module_program(spec: ProgramSpec) -> GeneratedProgram:
         inputs = (randn(BATCH, chans[0], 8, 8),)
     model.eval()  # deterministic re-execution (frozen BN statistics)
     gm = symbolic_trace(model)
-    return GeneratedProgram(spec, gm, inputs, model, gm.code, len(layers))
+    other = (randn(BATCH + 1, *inputs[0].shape[1:]),)
+    return GeneratedProgram(spec, gm, inputs, model, gm.code, len(layers),
+                            other_inputs=other)
 
 
 # -- control-flow family -------------------------------------------------------

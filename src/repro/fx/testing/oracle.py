@@ -12,12 +12,12 @@ executes:
 4. a **re-trace** of the generated source (Figure 3 round-trip); and
 5. the program **after each registered pass pipeline** — ``dce``, ``cse``,
    ``const_fold``, ``normalize``, ``fuse``, and the quantization round
-   trip — each applied to a fresh copy.  The pipelines run through an
-   instrumented :class:`~repro.fx.passes.PassManager` with post-pass
-   ``graph.lint()`` validation *and* the analysis-backed
+   trip — none of which touches the program it is given.  The pipelines
+   run through an instrumented :class:`~repro.fx.passes.PassManager` with
+   post-pass ``graph.lint()`` validation *and* the analysis-backed
    :class:`~repro.fx.analysis.PassVerifier` enabled, so every fuzz
-   iteration also exercises the managed pass driver, its structural-hash
-   transform cache, and the between-pass invariant checks — plus the
+   iteration also exercises the managed pass driver, its transform
+   cache, and the between-pass invariant checks — plus the
    **declarative rewrite-rule stdlib** (check ``rules``): the default
    rule set applied under its per-firing verifier must lint clean and be
    *bit-exact* against the reference (the generator seeds rule-triggering
@@ -25,7 +25,16 @@ executes:
 6. the full **optimizing compiler** (``repro.fx.compile``: pointwise
    fusion + memory planning, with its pass verifier on), executed twice
    so that arena-buffer reuse across calls is exercised — fusion and
-   planning must be semantics-preserving on every generated program;
+   planning must be semantics-preserving on every generated program —
+   then **compiled again** (check ``recompile``): the second compile must
+   be replayed whole from the transform cache and be indistinguishable
+   from the first (output bits, ``tensor_meta``), and a compile under the
+   program's *second input signature* (another batch size or dtype, drawn
+   by the generator) must be indistinguishable from its own
+   ``cache=False`` compile — what catches a replay keyed on less than it
+   read; and (check ``meta_carried``) the ``tensor_meta`` on every node
+   entering ``pointwise_fuse`` must be what a fresh executing ``ShapeProp``
+   stamps there, since nothing refreshes it mid-pipeline;
 7. the **flat bytecode VM** (``repro.fx.vm``), twice over: the pristine
    graph is VM-compiled and must match the reference exactly — including
    after a pickle round-trip of the program, which must replay
@@ -93,6 +102,7 @@ __all__ = [
     "PASS_PIPELINES",
     "max_abs_diff",
     "run_oracle",
+    "stale_meta",
 ]
 
 #: Numeric agreement threshold for exact re-executions of the same float32
@@ -209,8 +219,9 @@ PASS_MANAGERS: dict[str, PassManager] = {
                         verifier=PassVerifier(check_effects=False)),
 }
 
-#: Registered pass pipelines, each ``GraphModule -> GraphModule`` on a copy
-#: (a PassManager is itself callable as a pass — §4.4 composability).
+#: Registered pass pipelines, each ``GraphModule -> GraphModule`` leaving
+#: its argument alone (a PassManager is itself callable as a pass — §4.4
+#: composability — and works on a copy of its own).
 #: The quantization round-trip is handled separately in :func:`run_oracle`
 #: because it needs the calibration inputs and a looser tolerance.
 PASS_PIPELINES: dict[str, Callable[[GraphModule], GraphModule]] = dict(PASS_MANAGERS)
@@ -346,12 +357,12 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
     if want("retrace"):
         check_numeric("retrace", retrace, EXACT_ATOL)
 
-    # -- pass pipelines, each on a fresh copy ------------------------------
+    # -- pass pipelines (a PassManager never touches its argument) ---------
     for name, pipeline in PASS_PIPELINES.items():
         if not want(name):
             continue
         try:
-            transformed = pipeline(copy_module(gm))
+            transformed = pipeline(gm)
             transformed.graph.lint()
         except Exception as exc:
             report.outcomes.append(CheckOutcome(name, False, _exc_summary(exc)))
@@ -366,6 +377,17 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
     # -- the full optimizing compiler --------------------------------------
     if want("compile"):
         _check_compile(report, gm, inputs, ref, scale, localize)
+    if want("recompile"):
+        _check_recompile(report, program)
+    if want("meta_carried"):
+        try:
+            stale = stale_meta(gm, inputs)
+            error = stale and ("tensor_meta entering pointwise_fuse is not "
+                               f"what ShapeProp stamps on {', '.join(stale)}")
+        except Exception as exc:
+            error = _exc_summary(exc)
+        report.outcomes.append(CheckOutcome("meta_carried", not error,
+                                            error or None))
 
     # -- the flat bytecode VM, pristine and post-compile -------------------
     if want("vm"):
@@ -462,7 +484,7 @@ def _check_vm_compiled(report: OracleReport, gm: GraphModule, inputs: tuple,
     from ..vm import compile_to_vm
 
     try:
-        compiled = fx_compile(copy_module(gm), inputs, lint=True)
+        compiled = fx_compile(gm, inputs, lint=True)
         program = compile_to_vm(compiled, cache=False)
         out1 = program.run(*inputs)
         out2 = program.run(*inputs)
@@ -528,7 +550,7 @@ def _check_compile(report: OracleReport, gm: GraphModule, inputs: tuple,
     from ..compiler import compile as fx_compile
 
     try:
-        compiled = fx_compile(copy_module(gm), inputs, lint=True)
+        compiled = fx_compile(gm, inputs, lint=True)
         compiled.graph.lint()
         out1 = compiled(*inputs)
         out2 = compiled(*inputs)
@@ -557,6 +579,85 @@ def _check_compile(report: OracleReport, gm: GraphModule, inputs: tuple,
         max_err=err, divergence=div))
 
 
+def _identical(a: Any, b: Any) -> bool:
+    """Same structure, dtypes and bits (NaNs included)."""
+    if isinstance(a, Tensor) and isinstance(b, Tensor):
+        return a.data.dtype == b.data.dtype and a.data.shape == b.data.shape \
+            and a.data.tobytes() == b.data.tobytes()
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_identical(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def _tensor_meta(gm: GraphModule) -> list:
+    return [n.meta.get("tensor_meta") for n in gm.graph.nodes]
+
+
+def stale_meta(gm: GraphModule, inputs: tuple) -> list[str]:
+    """Names of the nodes whose ``tensor_meta``, on the module *gm* has
+    become when it enters ``pointwise_fuse``, differs from what a fresh
+    executing ``ShapeProp`` stamps there.  The pipeline propagates shapes
+    once, first, so every later stage that creates a node has to say what
+    the node holds; one that does not splits fusion regions."""
+    from ..backends import NumpyBackend
+    from ..passes.shape_prop import ShapeProp
+
+    backend = NumpyBackend(inputs, fuse=False, memory_planning=False)
+    staged = PassManager(backend.preferred_passes(gm), cache=False)(gm)
+    carried = _tensor_meta(staged)
+    for n in staged.graph.nodes:
+        n.meta.pop("tensor_meta", None)
+    ShapeProp(staged).propagate(*inputs)
+    return [n.name for n, was in zip(staged.graph.nodes, carried)
+            if n.meta.get("tensor_meta") != was]
+
+
+def _check_recompile(report: OracleReport, program: GeneratedProgram) -> None:
+    """The transform cache must be invisible.  Compiling the program a
+    second time is replayed whole and gives the same bits and the same
+    ``tensor_meta``; compiling it under its second input signature gives
+    what that signature's own ``cache=False`` compile gives, bit for bit —
+    whatever the first signature left in the cache."""
+    from ..compiler import compile as fx_compile
+
+    gm, inputs, other = program.gm, program.inputs, program.other_inputs
+
+    def same(a: GraphModule, b: GraphModule, args: tuple) -> bool:
+        return _identical(a(*args), b(*args)) \
+            and _tensor_meta(a) == _tensor_meta(b)
+
+    def verdict() -> Optional[str]:
+        first = fx_compile(gm, inputs, lint=True)
+        again = fx_compile(gm, inputs, lint=True)
+        if not all(r.cache_hit for r in again.compile_report.records):
+            return (f"second compile was not replayed: "
+                    f"{again.backend_report.transform_misses}")
+        if not same(first, again, inputs):
+            return "replayed compile differs from the one it replays"
+        try:
+            ref = program.eager(*other) if program.eager is not None \
+                else Interpreter(gm).run(*other)
+        except Exception:
+            return None   # the program does not admit its second signature
+        cached = fx_compile(gm, other, lint=True)
+        if not same(cached, fx_compile(gm, other, lint=True, cache=False),
+                    other):
+            return ("compile under the second signature differs from its "
+                    "own cache=False compile")
+        err = max_abs_diff(ref, cached(*other))
+        if err > FOLD_ATOL * (1.0 + _ref_scale(ref)):
+            return f"second signature diverges from eager by {err:.3g}"
+        return None
+
+    try:
+        error = verdict()
+    except Exception as exc:
+        error = _exc_summary(exc)
+    report.outcomes.append(CheckOutcome("recompile", error is None, error))
+
+
 def _check_backend_split(report: OracleReport, program: GeneratedProgram,
                          gm: GraphModule, inputs: tuple,
                          ref: Any, scale: float) -> None:
@@ -582,7 +683,7 @@ def _check_backend_split(report: OracleReport, program: GeneratedProgram,
 
     backend = override_support(EagerBackend(), predicate, name="eager+fuzz")
     try:
-        lowered = to_backend(copy_module(gm), backend, allow_fallback=True)
+        lowered = to_backend(gm, backend, allow_fallback=True)
         if isinstance(lowered, GraphModule):
             lowered.graph.lint()
         out = lowered(*inputs)
@@ -619,7 +720,7 @@ def _check_sharded(report: OracleReport, gm: GraphModule, inputs: tuple,
     sharded = None
     try:
         try:
-            sharded = to_backend(copy_module(gm), EagerBackend(), shards=2,
+            sharded = to_backend(gm, EagerBackend(), shards=2,
                                  example_inputs=inputs)
         except ShardingError as exc:
             report.outcomes.append(CheckOutcome(

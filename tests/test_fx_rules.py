@@ -451,7 +451,7 @@ class TestPipelineIntegration:
 
     def test_noop_stage_reports_unchanged(self):
         # A run that fires nothing certifies Unchanged, and the manager
-        # skips post-stage hashing/caching/verification for it.
+        # skips post-stage lint/verification for it.
         from repro.fx import ArtifactCache
         from repro.fx.passes import PassManager, Unchanged
 
@@ -465,7 +465,12 @@ class TestPipelineIntegration:
         (rec,) = res.records
         assert rec.nodes_after == rec.nodes_before
         assert not rec.cache_hit and not rec.verified
-        assert len(cache) == 0  # no-op stages are not worth caching
+        # ... but the run it belongs to is stored like any other: a warm
+        # compile used to execute this stage (and restore a module for it)
+        # every time because nothing was
+        assert len(cache) == 1
+        (again,) = pm.run(copy_gm(gm)).records
+        assert again.cache_hit and not again.verified
         x = repro.randn(3, 3)
         assert np.array_equal(res.graph_module(x).data,
                               F.matmul(x, x).data)

@@ -1,0 +1,486 @@
+"""The transform cache at run granularity.
+
+One entry per run of consecutive cacheable passes, keyed by everything the
+run read; a replayed compile is one hash and one restore; the caller's
+module is never touched; a replay is indistinguishable from a build.  The
+work tests count calls, reads and bytes — never time.
+"""
+
+import dataclasses
+import re
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro
+import repro.functional as F
+from repro import fx, nn
+from repro.fx import (ArtifactCache, UnstableHashError, cache_info,
+                      clear_caches, symbolic_trace)
+from repro.fx.backends import NumpyBackend, to_backend
+from repro.fx.backends.numpy_backend import _shape_prop
+from repro.fx.passes import (PassError, PassManager, ShapeProp, Specialized,
+                             SymbolicShapeProp, SymShape,
+                             eliminate_common_subexpressions,
+                             eliminate_dead_code, fold_constants)
+from repro.fx.passes import pass_manager as pm_module
+from repro.fx.passes.pass_manager import RunKey, _pass_identity
+from repro.fx.rules import apply_default_rules
+from repro.fx.state import TRANSFORM_CACHE
+from repro.models import (DeepRecommender, LearningToPaintActor, MLP,
+                          SimpleCNN, resnet18)
+from repro.tensor import Tensor
+
+
+def same_bits(a: Tensor, b: Tensor) -> bool:
+    return a.data.dtype == b.data.dtype and a.data.shape == b.data.shape \
+        and a.data.tobytes() == b.data.tobytes()
+
+
+def arrays(module):
+    return [t.data for t in list(module.parameters()) + list(module.buffers())]
+
+
+class Net(nn.Module):
+    """conv-bn folding, two fused regions (one planned into the arena), and
+    a weight big enough (2 MB) that arrays, not Python objects, are what a
+    compile allocates."""
+
+    def __init__(self):
+        super().__init__()
+        self.conv = nn.Conv2d(3, 8, 3, padding=1)
+        self.bn = nn.BatchNorm2d(8)
+        self.fc = nn.Linear(8 * 16 * 16, 256)
+
+    def forward(self, x):
+        h = F.relu(self.bn(self.conv(x)))
+        h = F.sigmoid(h * 2.0) + 0.5
+        h = self.fc(h.flatten(1))
+        return F.tanh(h * 0.5) + 1.0
+
+
+@pytest.fixture
+def net():
+    repro.manual_seed(0)
+    clear_caches("transform")
+    return Net().eval(), repro.randn(2, 3, 16, 16)
+
+
+# -- a key covers everything its run read ---------------------------------------
+
+class DivByOne(nn.Module):
+    def forward(self, x):
+        return F.relu(x / 1)
+
+
+class WhereSame(nn.Module):
+    def forward(self, c, x):
+        return F.where(c, x, x) + 1.0
+
+
+def _ones(shape, dtype):
+    return Tensor(np.ones(shape, dtype=dtype))
+
+
+#: model, first signature, second signature.  ``x / 1 -> x`` is only right
+#: for a float ``x`` (int64 / 1 is float64); ``where(c, x, x) -> x`` only
+#: when ``c`` does not broadcast ``x``.  Both rules ask ``tensor_meta``.
+STALE = {
+    "dtype": (DivByOne,
+              (Tensor(np.array([[3., -2.]], dtype=np.float32)),),
+              (Tensor(np.array([[3, -2]], dtype=np.int64)),)),
+    "shape": (WhereSame,
+              (_ones((1, 4), bool), _ones((1, 4), np.float32)),
+              (_ones((3, 4), bool), _ones((1, 4), np.float32))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE))
+def test_second_signature_is_not_served_the_first_ones_rewrites(case):
+    cls, first, second = STALE[case]
+    model = cls().eval()
+    clear_caches("transform")
+    fx.compile(model, first)
+    compiled = fx.compile(model, second)
+    got, want = compiled(*second), model(*second)
+    assert same_bits(got, want)
+    assert same_bits(got, fx.compile(model, second, cache=False)(*second))
+    if case == "dtype":
+        assert got.data.dtype == np.float64 and got.data.tolist() == [[3., 0.]]
+    else:
+        assert tuple(got.shape) == (3, 4)
+
+
+@pytest.mark.parametrize("case", sorted(STALE))
+def test_hand_built_pipeline_is_protected_by_the_meta_in_the_hash(case):
+    # The direct-user path: a closure over the inputs stamps shapes (and
+    # executes every time), the rule stage after it is cacheable — and keyed
+    # by a hash that includes what the closure stamped.
+    cls, first, second = STALE[case]
+    model = cls().eval()
+    cache = ArtifactCache()
+
+    def run(inputs):
+        def shape_stage(gm):
+            ShapeProp(gm).propagate(*inputs)
+
+        return PassManager([shape_stage, apply_default_rules],
+                           cache=cache).run(symbolic_trace(model))
+
+    assert run(first).misses == [("cold",)]
+    result = run(second)
+    assert result.misses == [("state",)]
+    assert same_bits(result.graph_module(*second), model(*second))
+    again = run(second)
+    assert [r.cache_hit for r in again.records] == [False, True]
+    assert same_bits(again.graph_module(*second), model(*second))
+
+
+@pytest.mark.parametrize("case", sorted(STALE))
+def test_a_then_b_then_a_ends_in_a_hit_equal_to_the_first_a(case):
+    cls, a, b = STALE[case]
+    model = cls().eval()
+    clear_caches("transform")
+    first = fx.compile(model, a)
+    fx.compile(model, b)
+    last = fx.compile(model, a)
+    assert all(r.cache_hit for r in last.compile_report.records)
+    assert same_bits(first(*a), last(*a)) and same_bits(last(*a), model(*a))
+
+
+def test_module_hyperparameters_and_the_root_training_flag_are_in_the_hash():
+    class Pooled(nn.Module):
+        def __init__(self, k):
+            super().__init__()
+            self.pool = nn.MaxPool2d(k)   # no tensors: only ``k`` differs
+
+        def forward(self, x):
+            return F.relu(self.pool(x)) + 1.0
+
+    x = repro.randn(1, 2, 12, 12)
+    two, three = symbolic_trace(Pooled(2).eval()), symbolic_trace(Pooled(3).eval())
+    assert two.graph.structural_hash() != three.graph.structural_hash()
+    clear_caches("transform")
+    fx.compile(two, (x,))
+    compiled = fx.compile(three, (x,))
+    assert compiled.backend_report.transform_misses == [("state",)]
+    assert same_bits(compiled(x), three(x))
+
+    # conv-bn folding asks the *root* whether it is training
+    before = two.graph.structural_hash()
+    object.__setattr__(two, "training", True)
+    assert two.graph.structural_hash() != before
+
+
+def test_no_transform_key_or_stage_token_is_derived_from_an_id(net):
+    model, x = net
+    gm = symbolic_trace(model)
+    compiled = fx.compile(gm, (x,))
+    fx.compile(symbolic_trace(WhereSame().eval()),
+               (_ones((1, 4), bool), _ones((1, 4), np.float32)))
+    keys = TRANSFORM_CACHE.keys()
+    assert len(keys) == 2 and all(isinstance(k, RunKey) for k in keys)
+    for key in keys:
+        assert all(token.startswith("f:") for token in key.pipeline)
+        assert re.fullmatch(r"[0-9a-f]{64}", key.state)
+        assert "obj:" not in repr(key) and "0x" not in repr(key)
+    for _, stage in NumpyBackend((x,)).preferred_passes(gm):
+        token, signature = _pass_identity(stage)
+        assert token.startswith("f:") and "0x" not in signature
+    # an input whose only identity is its address makes the stage execute
+    # every time; it is never keyed by that address
+    assert Specialized(_shape_prop, (object(),)).signature is None
+    assert _pass_identity(Specialized(_shape_prop, (object(),))) is None
+
+    # a fused, planned graph hashes by content in the mode the transform
+    # cache asks for (and keeps refusing to in the mode the VM memo uses)
+    replayed = fx.compile(symbolic_trace(model), (x,))
+    assert all(r.cache_hit for r in replayed.compile_report.records)
+    hashes = {m.graph.structural_hash(require_stable=True, include_meta=True)
+              for m in (compiled, replayed)}
+    assert len(hashes) == 1
+    with pytest.raises(UnstableHashError):
+        compiled.graph.structural_hash(require_stable=True)
+
+
+# -- observability --------------------------------------------------------------
+
+def test_a_miss_says_which_part_of_its_key_differed():
+    cache = ArtifactCache()
+    gm = symbolic_trace(nn.Sequential(nn.Linear(4, 4), nn.ReLU()).eval())
+    x, wider = repro.randn(2, 4), repro.randn(5, 4)
+
+    def manager(inputs=(x,), lint=False, extra=()):
+        return PassManager([Specialized(_shape_prop, inputs),
+                            eliminate_dead_code, *extra],
+                           lint_after_each=lint, cache=cache)
+
+    assert manager().run(gm).misses == [("cold",)]
+    assert manager().run(gm).misses == []
+    assert manager(inputs=(wider,)).run(gm).misses == [("inputs",)]
+    assert manager(lint=True).run(gm).misses == [("checks",)]
+    assert manager(extra=[eliminate_common_subexpressions]).run(gm).misses \
+        == [("pipeline",)]
+    gm.get_submodule("0").bias.data[0] += 1.0
+    result = manager().run(gm)
+    assert result.misses == [("state",)]
+    assert "missed on state" in result.format()
+    for arr in arrays(result.graph_module):   # the entry references these
+        arr[...] = 0.0
+    assert manager().run(gm).misses == [("stale",)]
+    assert cache.info()["replay_rejected"] == 1
+
+
+def test_pinned_mb_is_one_end_state(net):
+    model, x = net
+    assert cache_info()["transform"]["pinned_mb"] == 0.0
+    compiled = fx.compile(symbolic_trace(model), (x,))
+    fx.compile(symbolic_trace(model), (x,))
+    end_mb = sum(a.nbytes for a in arrays(compiled)) / 2 ** 20
+    info = cache_info()["transform"]
+    assert info["size"] == 1
+    assert info["pinned_mb"] == pytest.approx(end_mb, abs=0.05)
+
+
+def test_replayed_compile_reports_what_the_built_one_did(net):
+    model, x = net
+    built = fx.compile(symbolic_trace(model), (x,))
+    replayed = fx.compile(symbolic_trace(model), (x,))
+    a, b = built.compile_report, replayed.compile_report
+    assert not any(r.cache_hit for r in a.records)
+    assert all(r.cache_hit for r in b.records)
+    for f in dataclasses.fields(a):
+        if f.name not in ("records", "memory", "total_time"):
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+    assert a.fused_regions == 2
+    for ra, rb in zip(a.records, b.records, strict=True):
+        assert dataclasses.replace(ra, wall_time=0.0, cache_hit=False) \
+            == dataclasses.replace(rb, wall_time=0.0, cache_hit=False)
+    # the plan travels with the module: same numbers, and the arena it
+    # names is the one the replayed module's slots write through
+    assert a.memory is not None and a.memory.planned >= 1
+    assert dataclasses.replace(a.memory, arena=None) \
+        == dataclasses.replace(b.memory, arena=None)
+    assert a.memory.arena.specs == b.memory.arena.specs
+    slots = [n.meta["arena_slot"] for n in replayed.graph.nodes
+             if "arena_slot" in n.meta]
+    assert slots and all(s.arena is b.memory.arena for s in slots)
+    assert built.guards == replayed.guards and built.guards.dynamic
+    assert "replayed 0 of 8 stages from 0 cache entries" in a.format()
+    assert "replayed 8 of 8 stages from 1 cache entry" in b.format()
+    assert same_bits(built(x), replayed(x))
+
+
+# -- work, not time -------------------------------------------------------------
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_warm_compile_is_one_hash_and_one_restore(net, monkeypatch):
+    model, x = net
+    restores = _counting(monkeypatch, pm_module, "restore")
+    propagates = _counting(monkeypatch, ShapeProp, "propagate")
+    fx.compile(symbolic_trace(model), (x,))
+    assert (len(restores), len(propagates)) == (0, 1)   # cold: executed once
+
+    gm = symbolic_trace(model)
+    before = cache_info()["transform"]
+    tracemalloc.start()
+    try:
+        compiled = fx.compile(gm, (x,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    after = cache_info()["transform"]
+    assert (len(restores), len(propagates)) == (1, 1)
+    assert all(r.cache_hit for r in compiled.compile_report.records)
+    # Bytes read: the caller's tensors, to key the lookup, and the restored
+    # arrays, against their digests.  Not one more.
+    reads = after["state_reads"] - before["state_reads"]
+    assert reads == len(arrays(gm)) + len(arrays(compiled))
+    # Bytes allocated: the end state, not the caller's state a second time.
+    end_bytes = sum(a.nbytes for a in arrays(compiled))
+    assert end_bytes > 2 ** 21 and peak < 1.3 * end_bytes
+    assert not any(np.shares_memory(mine, theirs)
+                   for mine in arrays(compiled) for theirs in arrays(gm))
+
+
+def test_cold_compile_pickles_one_copy_and_one_snapshot(net, monkeypatch):
+    from repro.fx import state
+
+    model, x = net
+    dumps = _counting(monkeypatch, state, "_dump")
+    gm = symbolic_trace(model)
+    before = cache_info()["transform"].get("state_reads", 0)
+    compiled = fx.compile(gm, (x,))
+    assert len(dumps) == 2   # five at 517a305: the copy + one per stored stage
+    # every array the compile ever held is read once (the caller's, then
+    # the ones its passes created) and the digests that were handed out
+    # again are re-validated when the scope closes — the copies by a
+    # compare with the arrays they were copied from, which is not a read
+    reads = cache_info()["transform"]["state_reads"] - before
+    assert reads <= len(arrays(gm)) + 2 * len(arrays(compiled))
+
+
+def test_a_plain_module_is_traced_and_transformed_in_place_not_copied(
+        net, monkeypatch):
+    # The trace is nobody else's, so no private copy is made of it (one
+    # would be a second copy of every weight at the compile's peak); the
+    # model it shares tensors with is left alone all the same.
+    model, x = net
+    copies = _counting(monkeypatch, pm_module, "copy_module")
+    before = [a.copy() for a in arrays(model)]
+    compiled = fx.compile(model, (x,))
+    assert not copies
+    assert compiled.fc.weight.data is model.fc.weight.data   # not replaced
+    assert compiled.conv.weight.data is not model.conv.weight.data   # folded
+    assert all(np.array_equal(a, b)
+               for a, b in zip(arrays(model), before, strict=True))
+    assert np.allclose(compiled(x).data, model(x).data, atol=1e-5)
+    # a GraphModule, which the caller holds, is copied when passes execute
+    fx.compile(symbolic_trace(model), (x,), cache=False)
+    assert len(copies) == 1
+
+
+def _double_first_weight_in_place(gm):
+    """A deliberately bad pass: writes module state instead of replacing it."""
+    next(iter(gm.parameters())).data *= 2
+
+
+class _WritesInPlace(NumpyBackend):
+    def preferred_passes(self, gm):
+        return super().preferred_passes(gm) + [
+            ("bad", _double_first_weight_in_place)]
+
+
+def test_in_place_write_leaves_the_callers_module_bit_identical(net):
+    model, x = net
+    gm = symbolic_trace(model)
+    ShapeProp(gm).propagate(x)
+    SymbolicShapeProp(gm).propagate(SymShape(("N", 3, 16, 16)))
+    code = gm.code
+    meta = [dict(n.meta) for n in gm.graph.nodes]
+    assert all("sym_shape" in m for m in meta[:-1])
+    state = [a.copy() for a in arrays(gm)]
+
+    with pytest.raises(PassError, match="written in place"):
+        to_backend(gm, _WritesInPlace((x,)), example_inputs=(x,))
+    assert cache_info()["transform"]["size"] == 0   # what the scope stored
+    assert gm.code == code
+    assert [dict(n.meta) for n in gm.graph.nodes] == meta
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(gm), state, strict=True))
+
+    # a sound compile of the same module is untouched by the failed one,
+    # and leaves the module as untouched as the failed one did
+    compiled = fx.compile(gm, (x,))
+    assert np.allclose(compiled(x).data, model(x).data, atol=1e-5)
+    assert gm.code == code
+    assert [dict(n.meta) for n in gm.graph.nodes] == meta
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(gm), state, strict=True))
+
+
+def test_write_to_the_callers_module_between_compiles_is_a_miss(net):
+    model, x = net
+    gm = symbolic_trace(model)
+    fx.compile(gm, (x,))
+    gm.conv.weight.data[0, 0, 0, 0] += 1.0
+    compiled = fx.compile(gm, (x,))
+    assert not any(r.cache_hit for r in compiled.compile_report.records)
+    assert compiled.backend_report.transform_misses == [("state",)]
+    assert np.allclose(compiled(x).data, gm(x).data, atol=1e-5)
+
+
+def test_eight_threads_compiling_one_model_build_its_run_once(net, monkeypatch):
+    model, x = net
+    gm = symbolic_trace(model)   # one module, borrowed by all eight
+    lock = threading.Lock()
+    propagate, propagates = ShapeProp.propagate, []
+
+    def counted(self, *args):
+        with lock:
+            propagates.append(1)
+        return propagate(self, *args)
+
+    monkeypatch.setattr(ShapeProp, "propagate", counted)
+    outputs, errors = [None] * 8, []
+    barrier = threading.Barrier(8)
+
+    def work(i):
+        try:
+            barrier.wait(timeout=30)
+            outputs[i] = fx.compile(gm, (x,))(x)
+        except Exception as exc:   # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    info = cache_info()["transform"]
+    assert (info["misses"], info["hits"], info["size"]) == (1, 7, 1)
+    assert len(propagates) == 1
+    assert all(same_bits(out, outputs[0]) for out in outputs)
+
+
+# -- nothing refreshes tensor_meta mid-pipeline ---------------------------------
+
+ZOO = {
+    "mlp": (lambda: MLP(4, (8,), 2), (2, 4)),
+    "simple_cnn": (SimpleCNN, (1, 3, 32, 32)),
+    "deep_recommender": (lambda: DeepRecommender(n_items=32, layer_sizes=(8,)),
+                         (2, 32)),
+    "resnet18": (lambda: resnet18(num_classes=2), (1, 3, 32, 32)),
+    "learning_to_paint": (LearningToPaintActor, (1, 9, 32, 32)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_zoo_meta_entering_pointwise_fuse_is_what_shape_prop_stamps(name):
+    from repro.fx.testing.oracle import stale_meta
+
+    build, shape = ZOO[name]
+    repro.manual_seed(0)
+    assert stale_meta(symbolic_trace(build().eval()), (repro.randn(*shape),)) == []
+
+
+def test_fold_constants_says_what_the_constant_it_creates_holds():
+    def scaled():
+        root = nn.Module()
+        root.register_buffer("scale", repro.randn(4))
+        g = fx.Graph()
+        x = g.placeholder("x")
+        k = g.call_function(F.tanh, (g.get_attr("scale"),))
+        k = g.call_function(F.add, (g.call_function(F.mul, (k, 0.5)), 1.0))
+        g.output(g.call_function(F.mul, (g.call_function(F.relu, (x,)), k)))
+        return fx.GraphModule(root, g).eval()
+
+    gm, x = scaled(), repro.randn(2, 4)
+    ShapeProp(gm).propagate(x)
+    assert fold_constants(gm) > 0
+    (const,) = gm.graph.find_nodes(op="get_attr")
+    assert tuple(const.meta["tensor_meta"].shape) == (4,)
+    # ... so the region around it fuses as one kernel, not two halves
+    fresh = scaled()
+    compiled = fx.compile(fresh, (x,))
+    assert compiled.compile_report.fused_regions == 1
+    assert compiled.compile_report.fused_ops == 2
+    assert same_bits(compiled(x), fresh(x))
