@@ -72,6 +72,7 @@ class GuardSet:
     guards: tuple = ()
     dynamic: bool = False           # any dim actually free?
     output_shape: Optional[str] = None   # symbolic output, for reports
+    reason: Optional[str] = None    # why a static set is static
     _by_input: dict = field(default=None, repr=False, compare=False)
 
     def _guard_map(self) -> dict:
@@ -145,7 +146,8 @@ class GuardSet:
 
     def describe(self) -> str:
         if not self.dynamic:
-            return "static: engine valid only for the exact compile-time signature"
+            return ("static: engine valid only for the exact compile-time "
+                    "signature" + (f" ({self.reason})" if self.reason else ""))
         parts = [g.describe() for g in self.guards]
         head = "; ".join(parts)
         if self.output_shape:
@@ -164,7 +166,7 @@ class GuardSet:
         return None, None
 
 
-def _static_guard_set(example_inputs: Sequence) -> GuardSet:
+def _static_guard_set(example_inputs: Sequence, reason: str) -> GuardSet:
     ndims, dtypes, guards = [], [], []
     for i, t in enumerate(example_inputs):
         if isinstance(t, Tensor):
@@ -178,7 +180,7 @@ def _static_guard_set(example_inputs: Sequence) -> GuardSet:
             dtypes.append(None)
     return GuardSet(
         ndims=tuple(ndims), dtypes=tuple(dtypes), guards=tuple(guards),
-        dynamic=False,
+        dynamic=False, reason=reason,
     )
 
 
@@ -199,17 +201,19 @@ def derive_guards(
 
     *gm* is only read (no ``sym_shape`` is stamped), so a compile derives
     the guards of the module its caller holds.  Success of symbolic
-    propagation is the soundness proof: the returned
-    :class:`GuardSet` is dynamic only if every op's shape arithmetic went
-    through with the symbolic dims in place.  On ``ShapeInferenceError``
-    (or any propagation failure) the result is the fully static fallback.
+    propagation is the soundness proof: the op table's rules carry each
+    op's operand constraints, so the returned :class:`GuardSet` is dynamic
+    only if every op's shape arithmetic *and every constraint* (a Linear's
+    ``in_features``, a matmul contraction, a broadcast) holds for every
+    binding of the symbolic dims.  On ``ShapeInferenceError`` the result is
+    the fully static fallback, whose ``reason`` says which node refused.
     """
     from ..passes.symbolic_shape_prop import (
         ShapeInferenceError, SymDim, SymShape, SymbolicShapeProp,
     )
 
     if not example_inputs or not all(isinstance(t, Tensor) for t in example_inputs):
-        return _static_guard_set(example_inputs)
+        return _static_guard_set(example_inputs, "an input is not a tensor")
     shapes = [tuple(int(d) for d in t.shape) for t in example_inputs]
     if dynamic_dims is None:
         dynamic_dims = {(i, 0) for i, s in enumerate(shapes) if len(s) >= 1}
@@ -218,7 +222,7 @@ def derive_guards(
         if i < len(shapes) and d < len(shapes[i]) and shapes[i][d] >= 1
     }
     if not dynamic_dims:
-        return _static_guard_set(example_inputs)
+        return _static_guard_set(example_inputs, "no dim was asked to be free")
 
     # one symbol per distinct example size among the dynamic dims
     symbol_of_size: dict[int, str] = {}
@@ -226,7 +230,8 @@ def derive_guards(
         size = shapes[i][d]
         if size not in symbol_of_size:
             if len(symbol_of_size) >= len(_SYMBOL_NAMES):
-                return _static_guard_set(example_inputs)
+                return _static_guard_set(
+                    example_inputs, f"more than {len(_SYMBOL_NAMES)} distinct free sizes")
             symbol_of_size[size] = _SYMBOL_NAMES[len(symbol_of_size)]
 
     sym_shapes = []
@@ -241,10 +246,10 @@ def derive_guards(
 
     try:
         _, out = SymbolicShapeProp(gm).infer(*sym_shapes)
-    except ShapeInferenceError:
-        return _static_guard_set(example_inputs)
-    except Exception:
-        return _static_guard_set(example_inputs)
+    except ShapeInferenceError as exc:
+        # the one clause that says why: which target has no entry at which
+        # node, or which constraint pinned which dim
+        return _static_guard_set(example_inputs, str(exc))
 
     ndims, dtypes, guards = [], [], []
     for i, t in enumerate(example_inputs):

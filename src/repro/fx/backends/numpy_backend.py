@@ -14,7 +14,9 @@ recompile of an unchanged model replays it from one entry.  Only
 signature (:class:`~repro.fx.passes.Specialized`); what the later stages
 specialise on is the ``tensor_meta`` it stamps, which every pass that
 creates a node carries forward — metadata is never refreshed mid-pipeline,
-so ``ShapeProp`` executes the program once per cold compile.
+and ``ShapeProp`` infers it from the op table without running the program
+(a node whose target has no entry is executed, alone, and named in
+``CompileReport.shape_fallbacks``).
 
 Because the backend executes on the same numpy substrate as eager mode,
 it replays in-place mutation faithfully (``respects_effects``), and its
@@ -49,7 +51,11 @@ __all__ = ["NumpyBackend"]
 
 
 def _shape_prop(gm: GraphModule, *example_inputs) -> None:
-    ShapeProp(gm).propagate(*example_inputs)
+    prop = ShapeProp(gm)
+    prop.propagate(*example_inputs)
+    # travels with the module, as ``memory_plan`` does: a replayed compile
+    # reports the same fallbacks as the one it replays
+    gm.shape_fallbacks = tuple(prop.fallbacks)
 
 
 class NumpyBackend(Backend):

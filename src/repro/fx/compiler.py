@@ -71,6 +71,9 @@ class CompileReport:
         fused_ops: total elementwise ops now living inside those kernels.
         memory: the :class:`~repro.fx.passes.memory_planner.MemoryPlan`
             (``None`` when planning was disabled or nothing was planned).
+        shape_fallbacks: ``(node, target, reason)`` of every node shape
+            propagation had to execute because the op table
+            (:mod:`repro.fx.opinfo`) has no entry for its target.
         records: per-pass :class:`~repro.fx.passes.PassRecord` metrics.
         total_time: wall-clock seconds for the whole pipeline.
     """
@@ -81,6 +84,7 @@ class CompileReport:
     fused_regions: int = 0
     fused_ops: int = 0
     memory: Optional[MemoryPlan] = None
+    shape_fallbacks: tuple = ()
     records: list[PassRecord] = field(default_factory=list)
     total_time: float = 0.0
 
@@ -94,6 +98,11 @@ class CompileReport:
         ]
         if self.memory is not None:
             lines.append(f"  {self.memory.format()}")
+        if self.shape_fallbacks:
+            lines.append(
+                f"  shapes: executed {len(self.shape_fallbacks)} node(s) with no "
+                f"op-table entry: " + ", ".join(
+                    f"{name} ({target})" for name, target, _ in self.shape_fallbacks))
         lines.append(textwrap.indent(
             format_records(self.records, self.total_time), "  "))
         return "\n".join(lines)
@@ -183,6 +192,7 @@ def compile(  # noqa: A001 - mirrors torch.compile
         fused_regions=fused_regions,
         fused_ops=fused_ops,
         memory=vars(out).get("memory_plan") if memory_planning else None,
+        shape_fallbacks=vars(out).get("shape_fallbacks", ()),
         records=breport.records,
         total_time=breport.total_time,
     )

@@ -2,10 +2,13 @@
 
 Each submodule corresponds to a capability the paper evaluates or cites:
 
-* :mod:`.shape_prop` — shape analysis by interpretation (§6.3);
+* :mod:`.shape_prop` / :mod:`.symbolic_shape_prop` / :mod:`.type_check` —
+  shape analysis (§6.3) as three faces of one sweep over the op table
+  (:mod:`repro.fx.opinfo`): plain ints, symbolic dims, gradual dims;
 * :mod:`.graph_drawer` — Graphviz visualization (§6.3);
 * :mod:`.fuser` — Conv–BatchNorm fusion (§6.2.2);
-* :mod:`.cost_model` — FLOPs / bandwidth / size estimation (§6.3);
+* :mod:`.cost_model` — FLOPs / bandwidth / size estimation (§6.3), priced
+  from the same table;
 * :mod:`.scheduler` — software pipelining simulation (§6.2.3);
 * :mod:`.split_module` / :mod:`.splitter` — partitioning (§6.2.3, §6.4);
 * :mod:`.cse` / :mod:`.dce` — classic cleanups made trivial by the

@@ -5,8 +5,11 @@ inference at scale on various hardware devices" built on torch.fx, which
 estimates FLOPs, memory-bandwidth usage, and data value sizes to predict
 runtime and memory consumption.  This module is that system rebuilt:
 
-* :func:`estimate` walks a shape-propagated graph and produces a
-  :class:`CostReport` with per-node :class:`NodeCost` rows;
+* :func:`estimate` propagates shapes (inferred: the model is not run) and
+  produces a :class:`CostReport` with per-node :class:`NodeCost` rows priced
+  from the op table (:mod:`repro.fx.opinfo`) — cost is a property of the
+  logical op, so every spelling of it, and a fused region and the sum of its
+  steps, cost the same;
 * :class:`DeviceModel` turns a report into predicted runtime via a
   roofline model (compute-bound vs bandwidth-bound, plus per-op dispatch
   overhead) — the knob that lets one "iterate in simulation rather than on
@@ -15,20 +18,15 @@ runtime and memory consumption.  This module is that system rebuilt:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from ... import functional as F
-from ...nn import (
-    AdaptiveAvgPool2d, AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d,
-    ConvTranspose2d, Linear, MaxPool2d, Module, Upsample,
-)
+from .. import opinfo
 from ..graph_module import GraphModule
 from ..node import Node
-from .shape_prop import ShapeProp, TensorMetadata
+from .shape_prop import ShapeProp, TensorMetadata, carried_meta
 
 __all__ = ["NodeCost", "CostReport", "DeviceModel", "estimate", "CPU_MODEL", "GPU_MODEL", "ASIC_MODEL"]
 
@@ -171,172 +169,61 @@ ASIC_MODEL = DeviceModel("inference-asic", flops_per_second=4e13, bytes_per_seco
                          overhead_per_op=1e-6)
 
 
-def _meta(value: Any) -> TensorMetadata | None:
-    if isinstance(value, TensorMetadata):
-        return value
-    if isinstance(value, (tuple, list)) and value and isinstance(value[0], TensorMetadata):
-        return value[0]
-    return None
+_INTS = opinfo.Domain()
 
 
-def _input_bytes(node: Node) -> int:
-    total = 0
-    for inp in node.all_input_nodes:
-        tm = _meta(inp.meta.get("tensor_meta"))
-        if tm is not None:
-            total += tm.nbytes
-    return total
-
-
-def _output_bytes(node: Node) -> int:
-    tm = node.meta.get("tensor_meta")
-    if isinstance(tm, TensorMetadata):
-        return tm.nbytes
-    if isinstance(tm, (tuple, list)):
-        return sum(t.nbytes for t in tm if isinstance(t, TensorMetadata))
+def _nbytes(meta: Any) -> int:
+    """Bytes of every tensor in a (nested) ``tensor_meta``."""
+    if isinstance(meta, TensorMetadata):
+        return meta.nbytes
+    if isinstance(meta, (tuple, list)):
+        return sum(_nbytes(m) for m in meta)
     return 0
 
 
-def _module_cost(mod: Module, node: Node, cost: NodeCost) -> None:
-    out = _meta(node.meta.get("tensor_meta"))
-    if isinstance(mod, Conv2d) and out is not None:
-        # Each output element is a dot product over C/g * kh * kw inputs.
-        kh, kw = mod.kernel_size
-        macs = out.numel * (mod.in_channels // mod.groups) * kh * kw
-        cost.flops = 2 * macs
-        cost.param_bytes = sum(p.nbytes() for p in mod.parameters())
-    elif isinstance(mod, Linear) and out is not None:
-        cost.flops = 2 * out.numel * mod.in_features
-        cost.param_bytes = sum(p.nbytes() for p in mod.parameters())
-    elif isinstance(mod, (BatchNorm1d, BatchNorm2d)) and out is not None:
-        cost.flops = 4 * out.numel  # subtract, divide, scale, shift
-        cost.param_bytes = sum(p.nbytes() for p in mod.parameters())
-        cost.param_bytes += sum(b.nbytes() for b in mod.buffers())
-    elif isinstance(mod, ConvTranspose2d) and out is not None:
-        kh, kw = mod.kernel_size
-        inp = _meta(node.all_input_nodes[0].meta.get("tensor_meta")) if node.all_input_nodes else None
-        if inp is not None:
-            # every input element scatters a (C_out, KH, KW) patch
-            macs = inp.numel * mod.out_channels * kh * kw
-            cost.flops = 2 * macs
-        cost.param_bytes = sum(p.nbytes() for p in mod.parameters())
-    elif isinstance(mod, Upsample) and out is not None:
-        cost.flops = out.numel  # index gather / lerp per output element
-    elif isinstance(mod, (MaxPool2d, AvgPool2d)) and out is not None:
-        k = mod.kernel_size
-        kh, kw = (k, k) if isinstance(k, int) else k
-        cost.flops = out.numel * kh * kw
-    elif isinstance(mod, AdaptiveAvgPool2d) and out is not None:
-        inp = _meta(node.all_input_nodes[0].meta.get("tensor_meta")) if node.all_input_nodes else None
-        cost.flops = inp.numel if inp is not None else out.numel
-    elif out is not None:
-        # default: one flop per output element (activations etc.)
-        cost.flops = out.numel
-
-
-_ELEMENTWISE_FNS = {
-    F.relu, F.relu6, F.leaky_relu, F.sigmoid, F.tanh, F.add, F.sub, F.mul,
-    F.div, F.neg, F.clamp, F.maximum, F.minimum, F.where,
-    operator.add, operator.sub, operator.mul, operator.truediv, operator.neg,
-}
-_EXPENSIVE_ELEMENTWISE = {F.gelu, F.silu, F.softmax, F.log_softmax, F.erf, F.selu,
-                          F.elu, F.mish, F.exp, F.log, F.sqrt}
-
-#: FusedKernel step keys costed like their unfused counterparts in
-#: ``_EXPENSIVE_ELEMENTWISE`` (transcendental: ~8 flops/element); every
-#: other pointwise step is 1 flop/element, matching ``_ELEMENTWISE_FNS``.
-_EXPENSIVE_STEP_KEYS = frozenset({
-    "exp", "log", "sqrt", "pow", "gelu", "silu", "softmax", "log_softmax",
-    "erf", "selu", "elu", "mish",
-})
-
-
-def _fused_kernel_flops(kernel: Any, out_numel: int) -> int:
-    """Cost of one multi-step fused region: the sum of its steps' op costs.
-
-    A ``FusedKernel`` ``call_function`` used to fall through to the
-    structural default (zero flops), so a post-``fx.compile`` graph — the
-    form sharding actually cuts — undercosted every fused chain by its
-    whole length and the balanced-cut search piled fused stages together.
-    Each step runs over buffers of the region's (broadcast) output shape,
-    so it costs what its unfused op would: ``weight · out_numel``.
-    """
-    total = 0
-    for step in kernel.spec.steps:
-        weight = 8 if step.key in _EXPENSIVE_STEP_KEYS else 1
-        total += weight * out_numel
-    return total
-
-
-def _function_cost(node: Node, cost: NodeCost) -> None:
-    out = _meta(node.meta.get("tensor_meta"))
-    if out is None:
-        return
-    target = node.target
-    from .pointwise_fuser import FusedKernel
-
-    if isinstance(target, FusedKernel):
-        cost.flops = _fused_kernel_flops(target, out.numel)
-        return
-    if target in (F.matmul, F.mm, F.bmm, operator.matmul):
-        a = _meta(node.all_input_nodes[0].meta.get("tensor_meta"))
-        if a is not None:
-            k = a.shape[-1]
-            cost.flops = 2 * out.numel * k
-        return
-    if target is F.linear:
-        a = _meta(node.all_input_nodes[0].meta.get("tensor_meta"))
-        if a is not None:
-            cost.flops = 2 * out.numel * a.shape[-1]
-        return
-    if target is F.conv2d:
-        # weight is input[1]
-        if len(node.all_input_nodes) > 1:
-            w = _meta(node.all_input_nodes[1].meta.get("tensor_meta"))
-            if w is not None:
-                _, cg, kh, kw = w.shape
-                cost.flops = 2 * out.numel * cg * kh * kw
-                return
-        cost.flops = out.numel
-        return
-    if target in _EXPENSIVE_ELEMENTWISE:
-        cost.flops = 8 * out.numel
-        return
-    if target in _ELEMENTWISE_FNS:
-        cost.flops = out.numel
-        return
-    # structural ops (cat/reshape/getitem/…) cost pure memory movement
-    cost.flops = 0
+def _flops(gm: GraphModule, node: Node, numel: int) -> int:
+    """What the op table charges for *node*: cost is a property of the
+    logical op, so every spelling of it, and a fused region and the sum of
+    its steps, read the same entry.  A target without an entry is charged
+    one flop per output element."""
+    try:
+        entry, args, kwargs = opinfo.bind(gm, node, carried_meta, _INTS)
+        if entry is None:       # arithmetic on shape values, a nested GraphModule
+            return 0
+        if not callable(entry.flops):
+            return entry.flops * numel
+        return entry.flops(numel, *args, **kwargs)
+    except (opinfo.NoRule, TypeError, IndexError):
+        return numel
 
 
 def estimate(gm: GraphModule, *example_inputs) -> CostReport:
     """Estimate per-node and total cost for one forward pass.
 
-    Runs :class:`~repro.fx.passes.shape_prop.ShapeProp` with the example
-    inputs first (so the graph carries concrete shapes), then applies
-    per-operator cost formulas.
+    Propagates shapes from the example inputs first
+    (:class:`~repro.fx.passes.shape_prop.ShapeProp`: inferred, the model
+    is not run), then prices every call node from the op table
+    (:mod:`repro.fx.opinfo`).
     """
     ShapeProp(gm).propagate(*example_inputs)
-    modules = dict(gm.named_modules())
     report = CostReport()
     for node in gm.graph.nodes:
         if node.op in ("placeholder", "output", "get_attr"):
             continue
+        out = node.meta.get("tensor_meta")
+        first = out[0] if isinstance(out, (tuple, list)) and out else out
         cost = NodeCost(
             node_name=node.name,
             op=node.op,
             target=str(node._pretty_print_target()),
-            bytes_read=_input_bytes(node),
-            bytes_written=_output_bytes(node),
+            bytes_read=sum(_nbytes(n.meta.get("tensor_meta"))
+                           for n in node.all_input_nodes),
+            bytes_written=_nbytes(out),
         )
+        if isinstance(first, TensorMetadata):
+            cost.flops = _flops(gm, node, first.numel)
         if node.op == "call_module":
-            mod = modules.get(node.target)
-            if mod is not None:
-                _module_cost(mod, node, cost)
-        elif node.op == "call_function":
-            _function_cost(node, cost)
-        elif node.op == "call_method":
-            out = _meta(node.meta.get("tensor_meta"))
-            cost.flops = out.numel if out is not None else 0
+            mod = gm.get_submodule(node.target)
+            cost.param_bytes = sum(t.nbytes() for t in (*mod.parameters(), *mod.buffers()))
         report.rows.append(cost)
     return report

@@ -7,7 +7,7 @@ op, allocating a fresh output array per intermediate.  For chains of
 dispatches and N temporaries when one pass over the data would do.  This
 pass finds maximal single-consumer regions of pointwise
 ``call_function`` / ``call_method`` / ``call_module`` nodes — drawn from
-an explicit registry over :mod:`repro.functional` — and replaces each
+the pointwise entries of the op table (:mod:`repro.fx.opinfo`) — and replaces each
 region with a single ``call_function`` node targeting a
 :class:`FusedKernel`: a compiled Python function that evaluates the whole
 expression in raw numpy with ``out=`` / in-place updates, so the region
@@ -50,21 +50,24 @@ Extending the registry::
         functions=(my_library.my_op,), methods=("my_op",))
 
 ``ref`` must replicate the eager numerics exactly; ``emit`` (optional)
-adds an in-place fast path and defaults to ``out[...] = ref(...)``.
+adds an in-place fast path and defaults to ``out[...] = ref(...)``.  The
+entry lands in the op table (:mod:`repro.fx.opinfo`), so shape and dtype
+inference and the cost model know the op from the same declaration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import numpy as np
 
 from ...tensor import Tensor
+from .. import opinfo
 from ..graph_module import GraphModule
 from ..node import Node
-from ..rules.patterns import OpPattern, PatternIndex
+from ..opinfo import OpDef
 from .shape_prop import TensorMetadata
 
 __all__ = [
@@ -79,286 +82,33 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: the pointwise entries of the op table
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class OpDef:
-    """One fusible pointwise operation.
-
-    Attributes:
-        key: registry name (stable; stored in :class:`FusedSpec`).
-        arity: number of leading positional tensor-or-scalar operands.
-        params: declared immediate parameters as ``(name, default)`` pairs
-            (bound from remaining positional args, then kwargs).
-        ref: ``ref(*arrays, **params) -> ndarray`` — allocating reference
-            implementation replicating the eager numerics *exactly*.
-        emit: ``emit(out, *arrays, **params) -> None`` — writes the result
-            into ``out``; must tolerate ``out`` aliasing any operand.
-            Defaults to ``out[...] = ref(...)``.
-        validate: optional predicate on the bound params dict; binding
-            fails when it returns False.
-    """
-
-    key: str
-    arity: int
-    ref: Callable
-    params: tuple = ()
-    emit: Optional[Callable] = None
-    validate: Optional[Callable[[dict], bool]] = None
-
-    def emit_fn(self) -> Callable:
-        if self.emit is not None:
-            return self.emit
-        ref = self.ref
-
-        def emit_from_ref(out, *arrays, **params):
-            out[...] = ref(*arrays, **params)
-
-        return emit_from_ref
-
-
-def _np_erf(x: np.ndarray) -> np.ndarray:
-    # Replicates Tensor.erf (Abramowitz & Stegun 7.1.26) bit-for-bit.
-    s = np.sign(x)
-    a = np.abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * a)
-    poly = t * (
-        0.254829592
-        + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429)))
-    )
-    return (s * (1.0 - poly * np.exp(-a * a))).astype(x.dtype)
-
-
-def _ref_add(a, b, alpha=1):
-    if alpha != 1:
-        b = np.asarray(b) * alpha
-    return np.asarray(np.add(a, b))
-
-
-def _emit_add(out, a, b, alpha=1):
-    if alpha == 1:
-        np.add(a, b, out=out)
-    else:
-        # The alpha-scaled operand needs its own temporary: writing it
-        # into `out` first would corrupt `a` when they alias.
-        np.add(a, np.multiply(b, alpha), out=out)
-
-
-def _ref_sigmoid(x):
-    xu = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(xu)
-    pos = xu >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xu[pos]))
-    ex = np.exp(xu[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    src_dtype = np.asarray(x).dtype
-    return out.astype(
-        src_dtype if np.issubdtype(src_dtype, np.floating) else np.float32)
-
-
-def _ref_gelu(x):
-    xu = np.asarray(x)
-    t = _np_erf(xu / math.sqrt(2.0))
-    return (xu * 0.5 * (1.0 + t)).astype(xu.dtype)
-
-
-def _emit_rsqrt(out, a):
-    np.sqrt(a, out=out)
-    np.divide(1.0, out, out=out)
-
-
-_SELU_ALPHA, _SELU_SCALE = 1.6732632423543772, 1.0507009873554805
-
-#: key -> OpDef.  Every ``ref`` replicates the corresponding
-#: ``repro.functional`` / ``Tensor`` implementation expression-for-
-#: expression so fused results match eager bitwise.
-_REGISTRY: dict[str, OpDef] = {}
-
-#: spelling -> (key, params) resolution, shared idiom with the declarative
-#: rule engine (:mod:`repro.fx.rules.patterns`).
-_PATTERN_INDEX = PatternIndex()
-
-
-def _module_extract(extractors: dict):
-    """Adapt the ``{module_type: extractor}`` convention onto
-    :class:`OpPattern.extract` — exact-type lookup (a subclass may change
-    numerics, so it must register itself explicitly)."""
-    def extract(node: Node, mod: Any) -> Optional[dict]:
-        if mod is None:  # function/method spelling: params come from args
-            return {}
-        ex = extractors.get(type(mod))
-        if ex is None:
-            return None
-        _key, params = ex(mod)
-        return params
-    return extract
+#: key -> table entry (``.pointwise`` is the OpDef) and spelling -> entry;
+#: the fuser reads the one table everything else reads.
+_REGISTRY = opinfo.TABLE
+_PATTERN_INDEX = opinfo.INDEX
 
 
 def register_pointwise_op(opdef: OpDef, functions: tuple = (),
                           methods: tuple = (), modules: dict | None = None) -> None:
-    """Add *opdef* to the fusion registry and map eager spellings onto it.
+    """Add *opdef* to the op table and map eager spellings onto it.
 
     Args:
         opdef: the operation definition.
         functions: ``call_function`` targets that perform this op.
         methods: ``call_method`` names that perform this op.
-        modules: ``{module_type: extractor}`` where ``extractor(mod)``
-            returns ``(key, params)`` for a ``call_module`` of that type.
+        modules: ``{module_type: attribute names}`` — the attributes of a
+            ``call_module`` of that type that are the op's parameters.
     """
-    _REGISTRY[opdef.key] = opdef
-    extractors = dict(modules or {})
-    _PATTERN_INDEX.add(OpPattern(
-        key=opdef.key,
-        functions=tuple(functions),
-        methods=tuple(methods),
-        module_types=tuple(extractors),
-        extract=_module_extract(extractors) if extractors else None,
-    ))
+    opinfo.pointwise(opdef, functions=functions, methods=methods, modules=modules)
 
 
 def pointwise_registry() -> dict[str, OpDef]:
     """A copy of the current key -> OpDef registry."""
-    return dict(_REGISTRY)
-
-
-def _simple_module(key: str, **params):
-    def extract(mod) -> tuple[str, dict]:
-        return key, {name: getattr(mod, attr) for name, attr in params.items()}
-    return extract
-
-
-def _populate_registry() -> None:
-    import operator
-
-    from ... import functional as F
-    from ...nn import activations as A
-
-    def reg(key, arity, ref, *, params=(), emit=None, validate=None,
-            functions=(), methods=(), modules=None):
-        register_pointwise_op(
-            OpDef(key, arity, ref, params=params, emit=emit, validate=validate),
-            functions=functions, methods=methods, modules=modules)
-
-    def ufunc(uf):
-        def emit(out, *arrays, **params):
-            uf(*arrays, out=out, **params)
-        return emit
-
-    # -- arithmetic ---------------------------------------------------------
-    reg("add", 2, _ref_add, params=(("alpha", 1),), emit=_emit_add,
-        functions=(operator.add, F.add))
-    reg("sub", 2, lambda a, b: np.asarray(np.subtract(a, b)),
-        emit=ufunc(np.subtract), functions=(operator.sub, F.sub))
-    reg("mul", 2, lambda a, b: np.asarray(np.multiply(a, b)),
-        emit=ufunc(np.multiply), functions=(operator.mul, F.mul))
-    reg("div", 2, lambda a, b: np.asarray(np.true_divide(a, b)),
-        emit=ufunc(np.true_divide), functions=(operator.truediv, F.div))
-    reg("pow", 2, lambda a, b: np.asarray(np.power(a, b)),
-        emit=ufunc(np.power), functions=(operator.pow, F.pow), methods=("pow",))
-    reg("neg", 1, lambda a: np.negative(a), emit=ufunc(np.negative),
-        functions=(operator.neg, F.neg), methods=("neg",))
-    reg("abs", 1, lambda a: np.abs(a), emit=ufunc(np.abs),
-        functions=(operator.abs, F.abs), methods=("abs",))
-    reg("maximum", 2, lambda a, b: np.maximum(a, b), emit=ufunc(np.maximum),
-        functions=(F.maximum,))
-    reg("minimum", 2, lambda a, b: np.minimum(a, b), emit=ufunc(np.minimum),
-        functions=(F.minimum,))
-
-    # -- transcendental -----------------------------------------------------
-    reg("exp", 1, lambda a: np.exp(a), emit=ufunc(np.exp),
-        functions=(F.exp,), methods=("exp",))
-    reg("log", 1, lambda a: np.log(a), emit=ufunc(np.log),
-        functions=(F.log,), methods=("log",))
-    reg("sqrt", 1, lambda a: np.sqrt(a), emit=ufunc(np.sqrt),
-        functions=(F.sqrt,), methods=("sqrt",))
-    reg("rsqrt", 1, lambda a: 1.0 / np.sqrt(a), emit=_emit_rsqrt,
-        functions=(F.rsqrt,), methods=("rsqrt",))
-    reg("reciprocal", 1, lambda a: 1.0 / np.asarray(a),
-        emit=lambda out, a: np.divide(1.0, a, out=out), methods=("reciprocal",))
-    reg("sin", 1, lambda a: np.sin(a), emit=ufunc(np.sin),
-        functions=(F.sin,), methods=("sin",))
-    reg("cos", 1, lambda a: np.cos(a), emit=ufunc(np.cos),
-        functions=(F.cos,), methods=("cos",))
-    reg("tanh", 1, lambda a: np.tanh(a), emit=ufunc(np.tanh),
-        functions=(F.tanh,), methods=("tanh",),
-        modules={A.Tanh: _simple_module("tanh")})
-    reg("erf", 1, _np_erf, functions=(F.erf,), methods=("erf",))
-    reg("sign", 1, lambda a: np.sign(a), emit=ufunc(np.sign),
-        functions=(F.sign,), methods=("sign",))
-    reg("floor", 1, lambda a: np.floor(a), emit=ufunc(np.floor),
-        functions=(F.floor,), methods=("floor",))
-    reg("round", 1, lambda a: np.round(a),
-        emit=lambda out, a: np.round(a, out=out),
-        functions=(F.round,), methods=("round",))
-
-    # -- clipping -----------------------------------------------------------
-    reg("clamp", 1, lambda a, min=None, max=None: np.clip(a, min, max),
-        params=(("min", None), ("max", None)),
-        emit=lambda out, a, min=None, max=None: np.clip(a, min, max, out=out),
-        validate=lambda p: p["min"] is not None or p["max"] is not None,
-        functions=(F.clamp,), methods=("clamp",))
-    reg("clamp_min", 1, lambda a, min=None: np.clip(a, min, None),
-        params=(("min", None),),
-        emit=lambda out, a, min=None: np.clip(a, min, None, out=out),
-        validate=lambda p: p["min"] is not None, methods=("clamp_min",))
-    reg("hardtanh", 1,
-        lambda a, min_val=-1.0, max_val=1.0: np.clip(a, min_val, max_val),
-        params=(("min_val", -1.0), ("max_val", 1.0)),
-        emit=lambda out, a, min_val=-1.0, max_val=1.0:
-            np.clip(a, min_val, max_val, out=out),
-        functions=(F.hardtanh,),
-        modules={A.Hardtanh: _simple_module("hardtanh", min_val="min_val",
-                                            max_val="max_val")})
-    reg("where", 3, lambda c, a, b: np.where(c, a, b), functions=(F.where,))
-
-    # -- activations --------------------------------------------------------
-    reg("relu", 1, lambda a: np.maximum(a, 0),
-        emit=lambda out, a: np.maximum(a, 0, out=out),
-        functions=(F.relu,), methods=("relu",),
-        modules={A.ReLU: _simple_module("relu")})
-    reg("relu6", 1, lambda a: np.clip(a, 0, 6),
-        emit=lambda out, a: np.clip(a, 0, 6, out=out),
-        functions=(F.relu6,), modules={A.ReLU6: _simple_module("relu6")})
-    reg("leaky_relu", 1,
-        lambda a, negative_slope=0.01: np.where(a >= 0, a, a * negative_slope),
-        params=(("negative_slope", 0.01),), functions=(F.leaky_relu,),
-        modules={A.LeakyReLU: _simple_module("leaky_relu",
-                                             negative_slope="negative_slope")})
-    reg("elu", 1,
-        lambda a, alpha=1.0:
-            np.where(a > 0, a, alpha * (np.exp(a) - 1)).astype(np.asarray(a).dtype),
-        params=(("alpha", 1.0),), functions=(F.elu,),
-        modules={A.ELU: _simple_module("elu", alpha="alpha")})
-    reg("selu", 1,
-        lambda a: (_SELU_SCALE * np.where(
-            a > 0, a, _SELU_ALPHA * (np.exp(a) - 1))).astype(np.asarray(a).dtype),
-        functions=(F.selu,), modules={A.SELU: _simple_module("selu")})
-    reg("gelu", 1, _ref_gelu, functions=(F.gelu,), methods=("gelu",),
-        modules={A.GELU: _simple_module("gelu")})
-    reg("silu", 1,
-        lambda a: (a / (1.0 + np.exp(-a))).astype(np.asarray(a).dtype),
-        functions=(F.silu,), modules={A.SiLU: _simple_module("silu")})
-    reg("mish", 1,
-        lambda a: (a * np.tanh(np.log1p(np.exp(a)))).astype(np.asarray(a).dtype),
-        functions=(F.mish,), modules={A.Mish: _simple_module("mish")})
-    reg("sigmoid", 1, _ref_sigmoid, functions=(F.sigmoid,), methods=("sigmoid",),
-        modules={A.Sigmoid: _simple_module("sigmoid")})
-    reg("hardsigmoid", 1, lambda a: np.clip(a / 6.0 + 0.5, 0.0, 1.0),
-        functions=(F.hardsigmoid,),
-        modules={A.Hardsigmoid: _simple_module("hardsigmoid")})
-    reg("hardswish", 1, lambda a: a * np.clip(a / 6.0 + 0.5, 0.0, 1.0),
-        functions=(F.hardswish,),
-        modules={A.Hardswish: _simple_module("hardswish")})
-    reg("softplus", 1,
-        lambda a, beta=1.0:
-            (np.log1p(np.exp(beta * a)) / beta).astype(np.asarray(a).dtype),
-        params=(("beta", 1.0),), functions=(F.softplus,),
-        modules={A.Softplus: _simple_module("softplus", beta="beta")})
-
-
-_populate_registry()
+    return {key: entry.pointwise for key, entry in _REGISTRY.items()
+            if entry.pointwise is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +196,7 @@ def _run_generic(steps: tuple, arrays: list) -> np.ndarray:
                 ops.append(bufs[v])
             else:
                 ops.append(v)
-        bufs[st.out_buf] = np.asarray(_REGISTRY[st.key].ref(*ops, **dict(st.params)))
+        bufs[st.out_buf] = np.asarray(_REGISTRY[st.key].pointwise.ref(*ops, **dict(st.params)))
     return bufs[0]
 
 
@@ -477,7 +227,7 @@ def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
         lines.append(f"        b{k} = _np.empty({tuple(spec.shape)!r}, _odt)")
     for j, st in enumerate(spec.steps):
         emit_name = f"_k_{st.key}"
-        globals_[emit_name] = _REGISTRY[st.key].emit_fn()
+        globals_[emit_name] = _REGISTRY[st.key].pointwise.emit_fn()
         parts = [f"b{st.out_buf}"]
         for tag, v in st.operands:
             parts.append(f"a{v}" if tag == "i" else f"b{v}" if tag == "b"
@@ -530,6 +280,24 @@ class FusedKernel:
                 f"{tuple(self.spec.shape)} {self.spec.dtype}>")
 
 
+def _kernel_dtype(*operands, kernel: FusedKernel):
+    # the kernel itself on one-element stand-ins: off its guard it runs the
+    # generic evaluator, whose promotion is numpy's own
+    out = kernel(*[Tensor._wrap(np.ones(1, v.dtype.np_dtype))
+                   if isinstance(v, opinfo.T) else v for v in operands])
+    return out.dtype
+
+
+#: A fused region is an op like any other: the broadcast of its inputs, the
+#: dtype its kernel computes, the summed cost of its steps.
+opinfo.op(
+    "fused_kernel", lambda d, *operands, kernel: opinfo.pointwise_shape(d, *operands),
+    _kernel_dtype, functions=(FusedKernel,),
+    extract=lambda node, mod: {"kernel": node.target},
+    flops=lambda numel, *operands, kernel:
+        numel * sum(_REGISTRY[s.key].flops for s in kernel.spec.steps))
+
+
 # ---------------------------------------------------------------------------
 # the pass: match, grow regions, replace
 # ---------------------------------------------------------------------------
@@ -574,23 +342,23 @@ def _bind(opdef: OpDef, args: tuple, kwargs: dict) -> Optional[_Match]:
 
 
 def _match_node(node: Node, gm: GraphModule) -> Optional[_Match]:
-    modules = None
+    mod = None
     if node.op == "call_module":
         if node.kwargs or len(node.args) != 1:
             return None
         try:
-            modules = {node.target: gm.get_submodule(node.target)}
-        except Exception:
+            mod = gm.get_submodule(node.target)
+        except AttributeError:
             return None
-    resolved = _PATTERN_INDEX.match(node, modules)
-    if resolved is None:
+    entry = _PATTERN_INDEX.find(node, mod)
+    if entry is None or entry.pointwise is None:
         return None
-    key, mod_params = resolved
-    if node.op == "call_module":
-        return _bind(_REGISTRY[key], tuple(node.args), mod_params)
-    # function/method spelling: `self` is the first tensor operand and
-    # immediates come straight from the call site.
-    return _bind(_REGISTRY[key], node.args, node.kwargs)
+    if mod is None:
+        # function/method spelling: `self` is the first tensor operand and
+        # immediates come straight from the call site.
+        return _bind(entry.pointwise, node.args, node.kwargs)
+    params = entry.extract(node, mod)
+    return None if params is None else _bind(entry.pointwise, node.args, params)
 
 
 def _leaf_meta(node: Node) -> Optional[TensorMetadata]:

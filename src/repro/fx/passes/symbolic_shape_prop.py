@@ -1,17 +1,17 @@
 """Symbolic shape propagation (§6.3: "shape propagation via symbolic
 expressions ... in development" — implemented here as an extension).
 
-Unlike :class:`~repro.fx.passes.shape_prop.ShapeProp`, which runs the
-model on one example input and records the shapes that *happened*, this
-pass propagates shapes containing **symbolic dimensions** (e.g. a
-symbolic batch size ``N``) through the graph with per-operator transfer
-functions — no tensor data is ever materialized, and the result is valid
-for *every* concrete binding of the symbols.
-
-Because the fx IR is a basic-block program (§5.5), this is a single
-forward sweep with a transfer function per op — exactly the "only a
-transfer function is needed" property the paper contrasts against
-fix-point analysis.
+:class:`~repro.fx.passes.shape_prop.ShapeProp` propagates the shapes of one
+example input; this pass propagates shapes containing **symbolic
+dimensions** (e.g. a symbolic batch size ``N``), and the result is valid
+for *every* concrete binding of the symbols.  Both are the same single
+forward sweep over the same per-op rules (:mod:`repro.fx.opinfo`: because
+the fx IR is a basic-block program, §5.5, a transfer function per op is all
+an analysis needs) — this module supplies the dimension domain: the
+:class:`SymExpr` algebra, and a ``unify`` under which two dims agree only
+if they are equal for every binding.  So the rules' operand constraints
+hold symbolically too: an op that would pin ``N`` (``N == 8``) raises
+:class:`ShapeInferenceError` instead of being waved through.
 
 Example::
 
@@ -24,30 +24,19 @@ Example::
 
 from __future__ import annotations
 
-import math
-import operator
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from ... import functional as F
-from ...nn import (
-    AdaptiveAvgPool2d, AvgPool2d, BatchNorm1d, BatchNorm2d, Conv1d, Conv2d,
-    ConvTranspose2d, Dropout, Embedding, Flatten, Identity, LayerNorm, Linear,
-    MaxPool2d, Module, Upsample,
-)
-from ...nn.activations import (
-    ELU, GELU, Hardsigmoid, Hardswish, Hardtanh, LeakyReLU, LogSoftmax, Mish,
-    ReLU, ReLU6, SELU, Sigmoid, SiLU, Softmax, Softplus, Tanh,
-)
-from ...functional import _pair
+from .. import opinfo
 from ..graph_module import GraphModule
-from ..node import Node, map_aggregate
 
 __all__ = ["SymDim", "SymExpr", "SymShape", "SymbolicShapeProp",
            "ShapeInferenceError", "ceil_div"]
 
 
-class ShapeInferenceError(RuntimeError):
-    """Raised when a node's output shape cannot be inferred symbolically."""
+class ShapeInferenceError(opinfo.ShapeError):
+    """Raised when a node's output shape cannot be inferred symbolically:
+    its target has no entry in the op table, or a constraint does not hold
+    for every binding of the symbols."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +64,9 @@ class SymExpr:
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
-    def of(value: "int | SymDim | SymExpr") -> "SymExpr":
+    def of(value: "int | SymExpr") -> "SymExpr":
         if isinstance(value, SymExpr):
             return value
-        if isinstance(value, SymDim):
-            return SymExpr({(value.name,): 1})
         if isinstance(value, int):
             return SymExpr({}, value)
         raise TypeError(f"cannot build SymExpr from {value!r}")
@@ -201,46 +188,12 @@ class SymExpr:
         return " + ".join(parts)
 
 
-class SymDim:
-    """A named symbolic dimension (sugar over :class:`SymExpr`)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-    def __add__(self, other):
-        return SymExpr.of(self) + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return SymExpr.of(self) - other
-
-    def __rsub__(self, other):
-        return SymExpr.of(other) - SymExpr.of(self)
-
-    def __mul__(self, other):
-        return SymExpr.of(self) * other
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        return SymExpr.of(self) // other
-
-    def __eq__(self, other) -> bool:  # type: ignore[override]
-        if isinstance(other, SymDim):
-            return self.name == other.name
-        return SymExpr.of(self) == other
-
-    def __hash__(self) -> int:
-        return hash(("SymDim", self.name))
+def SymDim(name: str) -> SymExpr:  # noqa: N802 - reads as the type it once was
+    """A named symbolic dimension: the expression ``1 * name``."""
+    return SymExpr({(name,): 1})
 
 
-Dim = Any  # int | SymDim | SymExpr
+Dim = Any  # int | SymExpr
 
 
 class SymShape(tuple):
@@ -270,9 +223,7 @@ class SymShape(tuple):
 def _canon_dim(d: Dim) -> Dim:
     if isinstance(d, SymExpr) and d.is_constant:
         return d.const
-    if isinstance(d, SymDim):
-        return SymExpr.of(d)
-    return d
+    return SymDim(d) if isinstance(d, str) else d   # "N" names the symbol N
 
 
 def _sym(d: Dim) -> SymExpr:
@@ -292,77 +243,34 @@ def ceil_div(size: Dim, divisor: int) -> Dim:
     return _canon_dim((_sym(size) + (divisor - 1)) // divisor)
 
 
-def _conv_out(size: Dim, kernel: int, stride: int, padding: int, dilation: int,
-              ceil_mode: bool = False) -> Dim:
-    eff = (kernel - 1) * dilation + 1
-    numer = _sym(size) + (2 * padding - eff)
-    if ceil_mode:
-        return _canon_dim(_sym(ceil_div(numer, stride)) + 1)
-    return _canon_dim(numer // stride + 1)
-
-
 # ---------------------------------------------------------------------------
-# the propagation pass
+# the symbolic domain of the op table
 # ---------------------------------------------------------------------------
 
-_ELEMENTWISE_MODULES = (
-    ReLU, ReLU6, LeakyReLU, ELU, SELU, GELU, SiLU, Mish, Sigmoid, Tanh,
-    Softmax, LogSoftmax, Hardtanh, Hardsigmoid, Hardswish, Softplus,
-    Dropout, Identity, BatchNorm1d, BatchNorm2d, LayerNorm,
-)
 
-_ELEMENTWISE_FUNCTIONS = {
-    F.relu, F.relu6, F.leaky_relu, F.elu, F.selu, F.gelu, F.silu, F.mish,
-    F.sigmoid, F.tanh, F.softmax, F.log_softmax, F.hardtanh, F.hardsigmoid,
-    F.hardswish, F.softplus, F.neg, F.abs, F.exp, F.log, F.sqrt, F.rsqrt,
-    F.sin, F.cos, F.erf, F.sign, F.clamp, F.round, F.floor, F.dropout,
-}
+class _Symbolic(opinfo.Domain):
+    """Dims are ints or :class:`SymExpr`; two dims unify only when they are
+    equal for every binding, so a constraint that would pin a symbol
+    (``N == 8``) is refused, and so is a node without an entry."""
 
-_ELEMENTWISE_METHODS = {
-    "relu", "gelu", "sigmoid", "tanh", "neg", "abs", "exp", "log", "sqrt",
-    "rsqrt", "sin", "cos", "erf", "sign", "clamp", "clamp_min", "round",
-    "floor", "softmax", "contiguous", "clone", "detach", "float", "pow",
-}
+    error = ShapeInferenceError
+    dtyped = False
 
-_BROADCAST_FUNCTIONS = {
-    F.add, F.sub, F.mul, F.div, F.pow, F.maximum, F.minimum, F.where,
-    operator.add, operator.sub, operator.mul, operator.truediv,
-    operator.floordiv, operator.mod, operator.pow,
-    # comparisons broadcast like arithmetic (result is a bool mask); the
-    # where-repair emits these as select predicates
-    operator.gt, operator.lt, operator.ge, operator.le,
-    operator.eq, operator.ne,
-}
+    def tensor(self, shape, dtype) -> opinfo.T:
+        return opinfo.T(SymShape(shape), dtype)
+
+    def int(self, dim, what: str) -> int:
+        return _sym(dim).as_int()
 
 
-def _broadcast(a: SymShape, b: SymShape) -> SymShape:
-    """Numpy-style broadcasting over symbolic shapes.
-
-    A symbolic dim broadcast against 1 keeps the symbolic dim; two
-    symbolic dims are assumed equal (and must be syntactically equal)."""
-    out: list[Dim] = []
-    ra, rb = list(reversed(a)), list(reversed(b))
-    for i in range(max(len(ra), len(rb))):
-        da = ra[i] if i < len(ra) else 1
-        db = rb[i] if i < len(rb) else 1
-        if _is_one(da):
-            out.append(db)
-        elif _is_one(db):
-            out.append(da)
-        elif _sym(da) == _sym(db):
-            out.append(da)
-        else:
-            raise ShapeInferenceError(f"cannot broadcast {a} with {b} at dim -{i + 1}")
-    return SymShape(reversed(out))
-
-
-def _is_one(d: Dim) -> bool:
-    e = _sym(d)
-    return e.is_constant and e.const == 1
+def _shapes(value: Any) -> Any:
+    """A sweep value with each tensor replaced by its :class:`SymShape`."""
+    return opinfo.map_tensors(value, lambda t: t.shape)
 
 
 class SymbolicShapeProp:
-    """Propagates :class:`SymShape` through a GraphModule's graph.
+    """Propagates :class:`SymShape` through a GraphModule's graph: the op
+    table's sweep (:func:`repro.fx.opinfo.sweep`) over symbolic dims.
 
     After :meth:`propagate`, every tensor-valued node carries
     ``meta['sym_shape']``. The output node's argument shape is returned.
@@ -370,342 +278,21 @@ class SymbolicShapeProp:
 
     def __init__(self, gm: GraphModule):
         self.gm = gm
-        self.modules = dict(gm.named_modules())
 
     def propagate(self, *input_shapes: SymShape | Sequence) -> Any:
-        env, result = self.infer(*input_shapes)
+        env, result = self._sweep(input_shapes)
         for node, value in env.items():
-            if isinstance(value, SymShape) or _contains_shape(value):
-                node.meta["sym_shape"] = value
-        return result
+            if opinfo.has_tensor(value):
+                node.meta["sym_shape"] = _shapes(value)
+        return _shapes(result)
 
     def infer(self, *input_shapes: SymShape | Sequence) -> tuple[dict, Any]:
-        """:meth:`propagate` without the stamping: ``({node: value},
+        """:meth:`propagate` without the stamping: ``({node: shape},
         output shape)``, the module left exactly as it was (what an
         analysis of a module it does not own must use)."""
-        env: dict[Node, Any] = {}
-        shapes = iter(input_shapes)
-        for node in self.gm.graph.nodes:
-            if node.op == "placeholder":
-                try:
-                    shape = next(shapes)
-                except StopIteration:
-                    raise ShapeInferenceError(
-                        f"no shape provided for placeholder {node.target!r}"
-                    ) from None
-                value = SymShape(shape) if not isinstance(shape, SymShape) else shape
-            elif node.op == "get_attr":
-                attr = _fetch_attr(self.gm, node.target)
-                value = SymShape(attr.shape) if hasattr(attr, "shape") else attr
-            elif node.op == "output":
-                env[node] = map_aggregate(
-                    node.args[0], lambda n: env[n] if isinstance(n, Node) else n)
-                return env, env[node]
-            else:
-                value = self._transfer(node, env)
-            env[node] = value
-        return env, None
+        env, result = self._sweep(input_shapes)
+        return {node: _shapes(value) for node, value in env.items()}, _shapes(result)
 
-    # -- transfer functions ---------------------------------------------------------
-
-    def _transfer(self, node: Node, env: dict[Node, Any]) -> Any:
-        def val(a):
-            return env[a] if isinstance(a, Node) else a
-
-        args = [map_aggregate(a, lambda x: val(x) if isinstance(x, Node) else x)
-                for a in node.args]
-        kwargs = {k: map_aggregate(v, lambda x: val(x) if isinstance(x, Node) else x)
-                  for k, v in node.kwargs.items()}
-
-        if node.op == "call_module":
-            return self._module_transfer(self.modules[node.target], args, node)
-        if node.op == "call_function":
-            return self._function_transfer(node.target, args, kwargs, node)
-        if node.op == "call_method":
-            return self._method_transfer(node.target, args, kwargs, node)
-        raise ShapeInferenceError(f"unhandled op {node.op!r} at {node.name!r}")
-
-    def _module_transfer(self, mod: Module, args: list, node: Node) -> Any:
-        x = args[0]
-        if isinstance(mod, _ELEMENTWISE_MODULES):
-            return x
-        if isinstance(mod, Linear):
-            return SymShape(tuple(x[:-1]) + (mod.out_features,))
-        if isinstance(mod, Conv2d):
-            n, c, h, w = x
-            kh, kw = mod.kernel_size
-            sh, sw = _pair(mod.stride)
-            ph, pw = _pair(mod.padding)
-            dh, dw = _pair(mod.dilation)
-            return SymShape((
-                n, mod.out_channels,
-                _conv_out(h, kh, sh, ph, dh), _conv_out(w, kw, sw, pw, dw),
-            ))
-        if isinstance(mod, ConvTranspose2d):
-            n, c, h, w = x
-            kh, kw = mod.kernel_size
-            sh, sw = _pair(mod.stride)
-            ph, pw = _pair(mod.padding)
-            oph, opw = _pair(mod.output_padding)
-            return SymShape((
-                n, mod.out_channels,
-                _canon_dim((_sym(h) - 1) * sh - 2 * ph + kh + oph),
-                _canon_dim((_sym(w) - 1) * sw - 2 * pw + kw + opw),
-            ))
-        if isinstance(mod, Upsample):
-            n, c, h, w = x
-            if mod.size is not None:
-                oh, ow = _pair(mod.size)
-                return SymShape((n, c, oh, ow))
-            fh, fw = (mod.scale_factor if isinstance(mod.scale_factor, (tuple, list))
-                      else (mod.scale_factor, mod.scale_factor))
-            if int(fh) != fh or int(fw) != fw:
-                raise ShapeInferenceError(
-                    "symbolic Upsample needs integer scale factors"
-                )
-            return SymShape((n, c, _canon_dim(_sym(h) * int(fh)),
-                             _canon_dim(_sym(w) * int(fw))))
-        if isinstance(mod, Conv1d):
-            n, c, l = x
-            return SymShape((
-                n, mod.out_channels,
-                _conv_out(l, mod.kernel_size, mod.stride, mod.padding, mod.dilation),
-            ))
-        if isinstance(mod, (MaxPool2d, AvgPool2d)):
-            n, c, h, w = x
-            kh, kw = _pair(mod.kernel_size)
-            sh, sw = _pair(mod.stride)
-            ph, pw = _pair(mod.padding)
-            cm = bool(getattr(mod, "ceil_mode", False))
-            return SymShape((n, c, _conv_out(h, kh, sh, ph, 1, cm),
-                             _conv_out(w, kw, sw, pw, 1, cm)))
-        if isinstance(mod, AdaptiveAvgPool2d):
-            n, c = x[0], x[1]
-            oh, ow = _pair(mod.output_size)
-            return SymShape((n, c, oh, ow))
-        if isinstance(mod, Flatten):
-            return self._flatten_shape(x, mod.start_dim, mod.end_dim)
-        if isinstance(mod, Embedding):
-            return SymShape(tuple(x) + (mod.embedding_dim,))
-        if isinstance(mod, GraphModule):
-            return SymbolicShapeProp(mod).infer(x)[1]
-        raise ShapeInferenceError(
-            f"no symbolic transfer function for module {type(mod).__name__} "
-            f"at node {node.name!r}"
-        )
-
-    def _function_transfer(self, fn: Callable, args: list, kwargs: dict, node: Node) -> Any:
-        if fn in _ELEMENTWISE_FUNCTIONS:
-            return args[0]
-        if fn in _BROADCAST_FUNCTIONS:
-            shapes = [a for a in args if isinstance(a, SymShape)]
-            if len(shapes) == 1:
-                return shapes[0]
-            out = shapes[0]
-            for s in shapes[1:]:
-                out = _broadcast(out, s)
-            return out
-        if fn in (F.linear,):
-            x, w = args[0], args[1]
-            return SymShape(tuple(x[:-1]) + (w[0],))
-        if fn in (F.matmul, F.mm, F.bmm, operator.matmul):
-            a, b = args[0], args[1]
-            return SymShape(tuple(a[:-1]) + (b[-1],))
-        if fn is F.conv2d:
-            x, w = args[0], args[1]
-            stride = kwargs.get("stride", args[3] if len(args) > 3 else 1)
-            padding = kwargs.get("padding", args[4] if len(args) > 4 else 0)
-            dilation = kwargs.get("dilation", args[5] if len(args) > 5 else 1)
-            sh, sw = _pair(stride)
-            ph, pw = _pair(padding)
-            dh, dw = _pair(dilation)
-            n, c, h, wd = x
-            f, _, kh, kw = w
-            return SymShape((n, f, _conv_out(h, kh, sh, ph, dh),
-                             _conv_out(wd, kw, sw, pw, dw)))
-        if fn is F.flatten:
-            start = kwargs.get("start_dim", args[1] if len(args) > 1 else 0)
-            end = kwargs.get("end_dim", args[2] if len(args) > 2 else -1)
-            return self._flatten_shape(args[0], start, end)
-        if fn is F.reshape:
-            return self._reshape_shape(args[0], tuple(args[1]))
-        if fn in (F.transpose,):
-            return self._swap(args[0], args[1], args[2])
-        if fn is F.permute:
-            x, dims = args[0], args[1]
-            return SymShape(tuple(x[d] for d in dims))
-        if fn is F.cat:
-            tensors, dim = args[0], kwargs.get("dim", args[1] if len(args) > 1 else 0)
-            out = list(tensors[0])
-            total = SymExpr.of(0)
-            for t in tensors:
-                total = total + _sym(t[dim])
-            out[dim] = _canon_dim(total)
-            return SymShape(out)
-        if fn is F.stack:
-            tensors, dim = args[0], kwargs.get("dim", args[1] if len(args) > 1 else 0)
-            out = list(tensors[0])
-            out.insert(dim if dim >= 0 else len(out) + dim + 1, len(tensors))
-            return SymShape(out)
-        if fn in (F.unsqueeze,):
-            x, dim = args[0], args[1]
-            out = list(x)
-            out.insert(dim if dim >= 0 else len(out) + dim + 1, 1)
-            return SymShape(out)
-        if fn in (F.squeeze,):
-            x = args[0]
-            dim = args[1] if len(args) > 1 else kwargs.get("dim")
-            if dim is None:
-                return SymShape([d for d in x if not _is_one(d)])
-            out = list(x)
-            if _is_one(out[dim]):
-                out.pop(dim)
-            return SymShape(out)
-        if fn in (F.sum, F.mean, F.var, F.amax, F.amin):
-            return self._reduce(args[0], kwargs.get("dim", args[1] if len(args) > 1 else None),
-                                kwargs.get("keepdim", False))
-        if fn is operator.getitem:
-            base, idx = args[0], args[1]
-            if isinstance(base, (tuple, list)) and not isinstance(base, SymShape):
-                return base[idx]
-            if isinstance(base, SymShape):
-                if isinstance(idx, int):
-                    # indexing a tensor drops the first dim... but indexing a
-                    # *shape value* yields the dim expression
-                    return base[idx]
-                if isinstance(idx, slice):
-                    return SymShape(list(base)[idx])
-            raise ShapeInferenceError(f"cannot infer getitem at {node.name!r}")
-        if fn is getattr and args[1] == "shape":
-            return args[0]  # the shape value of a tensor IS our SymShape
-        raise ShapeInferenceError(
-            f"no symbolic transfer function for function "
-            f"{getattr(fn, '__name__', fn)!r} at node {node.name!r}"
-        )
-
-    def _method_transfer(self, name: str, args: list, kwargs: dict, node: Node) -> Any:
-        x = args[0]
-        if name in _ELEMENTWISE_METHODS:
-            return x
-        if name in ("reshape", "view"):
-            dims = args[1:] if not isinstance(args[1], (tuple, list)) else tuple(args[1])
-            return self._reshape_shape(x, tuple(dims))
-        if name == "flatten":
-            start = args[1] if len(args) > 1 else kwargs.get("start_dim", 0)
-            end = args[2] if len(args) > 2 else kwargs.get("end_dim", -1)
-            return self._flatten_shape(x, start, end)
-        if name in ("transpose",):
-            return self._swap(x, args[1], args[2])
-        if name == "t":
-            return SymShape((x[1], x[0]))
-        if name == "permute":
-            dims = args[1:] if not isinstance(args[1], (tuple, list)) else tuple(args[1])
-            return SymShape(tuple(x[d] for d in dims))
-        if name == "unsqueeze":
-            out = list(x)
-            d = args[1]
-            out.insert(d if d >= 0 else len(out) + d + 1, 1)
-            return SymShape(out)
-        if name == "squeeze":
-            if len(args) > 1:
-                out = list(x)
-                if _is_one(out[args[1]]):
-                    out.pop(args[1])
-                return SymShape(out)
-            return SymShape([d for d in x if not _is_one(d)])
-        if name in ("sum", "mean", "var", "std", "amax", "amin"):
-            return self._reduce(x, args[1] if len(args) > 1 else kwargs.get("dim"),
-                                kwargs.get("keepdim", False))
-        if name in ("matmul", "mm", "bmm"):
-            return SymShape(tuple(x[:-1]) + (args[1][-1],))
-        if name == "size":
-            if len(args) > 1:
-                return x[args[1]]
-            return x
-        if name == "chunk":
-            k = args[1]
-            dim = args[2] if len(args) > 2 else kwargs.get("dim", 0)
-            out = list(x)
-            out[dim] = _sym(out[dim]) // k
-            return tuple(SymShape(out) for _ in range(k))
-        raise ShapeInferenceError(
-            f"no symbolic transfer function for method {name!r} at {node.name!r}"
-        )
-
-    # -- shape helpers ---------------------------------------------------------------
-
-    def _flatten_shape(self, x: SymShape, start: int, end: int) -> SymShape:
-        nd = len(x)
-        start = start % nd
-        end = end % nd
-        merged = SymExpr({}, 1)
-        for d in x[start:end + 1]:
-            merged = merged * _sym(d)
-        return SymShape(tuple(x[:start]) + (_canon_dim(merged),) + tuple(x[end + 1:]))
-
-    def _reshape_shape(self, x: SymShape, dims: tuple) -> SymShape:
-        total = x.numel()
-        if -1 not in [d for d in dims if isinstance(d, int)]:
-            target = SymShape(dims).numel()
-            # Soundness: a symbolic input reshaped to an explicit shape is
-            # only valid when the element counts agree for *every* symbol
-            # binding.  reshape(8, 4) on an (N, 8) input works at exactly
-            # one batch size — claiming it generic would let guard
-            # derivation share an engine that errors off the example shape.
-            if _sym(target) != _sym(total):
-                raise ShapeInferenceError(
-                    f"reshape target {tuple(dims)} has {target} elements but "
-                    f"the input has {total}; not equal for every symbol "
-                    "binding"
-                )
-            return SymShape(dims)
-        known = SymExpr({}, 1)
-        for d in dims:
-            if not (isinstance(d, int) and d == -1):
-                known = known * _sym(d)
-        inferred = total // known
-        # The floor division must have been exact, or the -1 dim would
-        # drop a remainder for some bindings (runtime reshape error).
-        if _sym(inferred) * known != _sym(total):
-            raise ShapeInferenceError(
-                f"cannot infer -1 in reshape to {tuple(dims)}: {known} does "
-                f"not divide {total} exactly"
-            )
-        return SymShape([
-            _canon_dim(inferred) if (isinstance(d, int) and d == -1) else d
-            for d in dims
-        ])
-
-    def _swap(self, x: SymShape, d0: int, d1: int) -> SymShape:
-        out = list(x)
-        out[d0], out[d1] = out[d1], out[d0]
-        return SymShape(out)
-
-    def _reduce(self, x: SymShape, dim, keepdim: bool) -> SymShape:
-        if dim is None:
-            return SymShape(())
-        dims = (dim,) if isinstance(dim, int) else tuple(dim)
-        dims = tuple(d % len(x) for d in dims)
-        out = []
-        for i, d in enumerate(x):
-            if i in dims:
-                if keepdim:
-                    out.append(1)
-            else:
-                out.append(d)
-        return SymShape(out)
-
-
-def _fetch_attr(gm: GraphModule, target: str):
-    obj: Any = gm
-    for atom in target.split("."):
-        obj = getattr(obj, atom)
-    return obj
-
-
-def _contains_shape(value: Any) -> bool:
-    if isinstance(value, SymShape):
-        return True
-    if isinstance(value, (tuple, list)):
-        return any(_contains_shape(v) for v in value)
-    return False
+    def _sweep(self, input_shapes) -> tuple[dict, Any]:
+        return opinfo.sweep(
+            self.gm, [opinfo.T(SymShape(s)) for s in input_shapes], _Symbolic())

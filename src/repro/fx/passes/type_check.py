@@ -13,33 +13,19 @@ key relations:
 * **precision / meet**: the *greatest lower bound* of two consistent
   types keeps the concrete information from both sides.
 
-:func:`type_check` walks the graph once (basic-block IR again), applies
-per-operator typing rules, refines ``Dyn`` where operator constraints
-force a concrete value, and raises :class:`TypeCheckError` on genuinely
-inconsistent programs — without requiring *any* concrete input shape.
+:func:`type_check` walks the graph once (basic-block IR again) with the op
+table's rules (:mod:`repro.fx.opinfo` — this module supplies the lattice
+and the gradual dimension domain, not a rule set of its own), refines
+``Dyn`` where an op's constraint forces a concrete value, and raises
+:class:`TypeCheckError` on genuinely inconsistent programs — without
+requiring *any* concrete input shape.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Sequence
 
-from ... import functional as F
-from ...nn import (
-    AdaptiveAvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, Dropout, Flatten,
-    Identity, LayerNorm, Linear, MaxPool2d, AvgPool2d, Module,
-)
-from ...nn.activations import (
-    ELU, GELU, Hardsigmoid, Hardswish, Hardtanh, LeakyReLU, LogSoftmax, Mish,
-    ReLU, ReLU6, SELU, Sigmoid, SiLU, Softmax, Softplus, Tanh,
-)
-
-_ELEMENTWISE_MODULES = (
-    ReLU, ReLU6, LeakyReLU, ELU, SELU, GELU, SiLU, Mish, Sigmoid, Tanh,
-    Softmax, LogSoftmax, Hardtanh, Hardsigmoid, Hardswish, Softplus,
-    Dropout, Identity,
-)
-from ...functional import _pair
+from .. import opinfo
 from ..graph_module import GraphModule
 from ..node import Node
 
@@ -47,7 +33,9 @@ __all__ = ["Dyn", "TensorType", "TypeCheckError", "is_consistent", "meet", "type
 
 
 class _DynType:
-    """The dynamic type: consistent with everything (singleton)."""
+    """The dynamic type: consistent with everything (singleton).  As a
+    dimension it absorbs arithmetic: any extent computed from an unknown
+    extent is unknown."""
 
     _instance = None
 
@@ -59,6 +47,12 @@ class _DynType:
     def __repr__(self) -> str:
         return "Dyn"
 
+    def _absorb(self, other):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _absorb
+    __floordiv__ = __rfloordiv__ = _absorb
+
     def __reduce__(self):
         return (_DynType, ())
 
@@ -66,7 +60,7 @@ class _DynType:
 Dyn = _DynType()
 
 
-class TypeCheckError(TypeError):
+class TypeCheckError(opinfo.ShapeError, TypeError):
     """The program is ill-typed: two types that must agree are inconsistent."""
 
 
@@ -138,27 +132,34 @@ def meet(a: Type, b: Type) -> Type:
     return a
 
 
-def _conv_dim(size: Any, kernel: int, stride: int, padding: int, dilation: int) -> Any:
-    if size is Dyn:
+class _Gradual(opinfo.Domain):
+    """Dims are ints or ``Dyn``: ``Dyn`` unifies with anything (and is
+    refined by it), arithmetic on it stays ``Dyn``, and a node the table
+    cannot type is ``Dyn`` — gradual typing loses precision, never fails."""
+
+    error = TypeCheckError
+    top = Dyn
+    dtyped = False
+
+    def unify(self, a, b, what: str):
+        if a is Dyn or b is Dyn:
+            return b if a is Dyn else a
+        return super().unify(a, b, what)
+
+    def int(self, dim, what: str) -> int:
+        if dim is Dyn:
+            raise opinfo.NoRule(f"{what} is Dyn")
+        return dim
+
+    def missing(self, node: Node, why: str) -> Type:
         return Dyn
-    eff = (kernel - 1) * dilation + 1
-    return (size + 2 * padding - eff) // stride + 1
 
 
-_ELEMENTWISE_FNS = {
-    F.relu, F.relu6, F.leaky_relu, F.elu, F.selu, F.gelu, F.silu, F.mish,
-    F.sigmoid, F.tanh, F.softmax, F.log_softmax, F.hardtanh, F.hardsigmoid,
-    F.hardswish, F.softplus, F.neg, F.abs, F.exp, F.log, F.sqrt, F.clamp,
-    F.dropout,
-}
-_ELEMENTWISE_METHODS = {
-    "relu", "gelu", "sigmoid", "tanh", "neg", "abs", "exp", "log", "sqrt",
-    "clamp", "softmax", "contiguous", "clone", "detach", "float",
-}
-_BROADCAST_FNS = {
-    F.add, F.sub, F.mul, F.div, F.maximum, F.minimum,
-    operator.add, operator.sub, operator.mul, operator.truediv,
-}
+def _to_type(value: Any) -> Type:
+    if not opinfo.has_tensor(value):
+        return Dyn
+    typed = opinfo.map_tensors(value, lambda t: TensorType(t.shape))
+    return tuple(typed) if isinstance(typed, list) else typed
 
 
 def type_check(gm: GraphModule, input_types: Sequence[Type]) -> Type:
@@ -168,200 +169,15 @@ def type_check(gm: GraphModule, input_types: Sequence[Type]) -> Type:
         gm: the graph to check.
         input_types: one :class:`TensorType` (or ``Dyn``) per placeholder.
 
-    Every node gets ``node.type`` set.  Raises :class:`TypeCheckError` on
-    inconsistency (e.g. a Linear whose input feature dim is concrete but
-    wrong).
+    Every node gets ``node.type`` set — a :class:`TensorType`, a tuple of
+    them for a tuple-valued node, ``Dyn`` for anything else.  The rules are
+    the op table's (:func:`repro.fx.opinfo.sweep` over gradual dims), so a
+    constraint an entry declares (a Linear whose input feature dim is
+    concrete but wrong) raises :class:`TypeCheckError`, and a target
+    without an entry is ``Dyn``.
     """
-    modules = dict(gm.named_modules())
-    env: dict[Node, Type] = {}
-    types = iter(input_types)
-    output_type: Type = Dyn
-
-    for node in gm.graph.nodes:
-        if node.op == "placeholder":
-            try:
-                t = next(types)
-            except StopIteration:
-                raise TypeCheckError(
-                    f"no input type provided for placeholder {node.target!r}"
-                ) from None
-        elif node.op == "get_attr":
-            attr = _fetch(gm, node.target)
-            t = TensorType(attr.shape) if hasattr(attr, "shape") else Dyn
-        elif node.op == "output":
-            arg = node.args[0]
-            output_type = env[arg] if isinstance(arg, Node) else Dyn
-            node.type = output_type
-            break
-        else:
-            t = _apply_rule(node, env, modules)
-        env[node] = t
-        node.type = t
-    return output_type
-
-
-def _apply_rule(node: Node, env: dict[Node, Type], modules: dict[str, Module]) -> Type:
-    def ty(a):
-        return env[a] if isinstance(a, Node) else Dyn
-
-    x = ty(node.args[0]) if node.args else Dyn
-
-    if node.op == "call_module":
-        mod = modules[node.target]
-        if isinstance(mod, _ELEMENTWISE_MODULES):
-            return x
-        if isinstance(mod, Linear):
-            if x is Dyn:
-                return Dyn
-            # input feature dim must be consistent with in_features
-            expected = TensorType([Dyn] * (len(x) - 1) + [mod.in_features])
-            refined = meet(x, expected)  # raises on mismatch
-            return TensorType(list(refined[:-1]) + [mod.out_features])
-        if isinstance(mod, Conv2d):
-            if x is Dyn:
-                return Dyn
-            if len(x) != 4:
-                raise TypeCheckError(
-                    f"Conv2d at {node.name!r} expects rank 4, got {x}"
-                )
-            refined = meet(x, TensorType([Dyn, mod.in_channels, Dyn, Dyn]))
-            n, _, h, w = refined
-            kh, kw = mod.kernel_size
-            sh, sw = _pair(mod.stride)
-            ph, pw = _pair(mod.padding)
-            dh, dw = _pair(mod.dilation)
-            return TensorType([
-                n, mod.out_channels,
-                _conv_dim(h, kh, sh, ph, dh), _conv_dim(w, kw, sw, pw, dw),
-            ])
-        if isinstance(mod, (MaxPool2d, AvgPool2d)):
-            if x is Dyn:
-                return Dyn
-            n, c, h, w = x
-            kh, kw = _pair(mod.kernel_size)
-            sh, sw = _pair(mod.stride)
-            ph, pw = _pair(mod.padding)
-            return TensorType([n, c, _conv_dim(h, kh, sh, ph, 1),
-                               _conv_dim(w, kw, sw, pw, 1)])
-        if isinstance(mod, AdaptiveAvgPool2d):
-            if x is Dyn:
-                return Dyn
-            oh, ow = _pair(mod.output_size)
-            return TensorType([x[0], x[1], oh, ow])
-        if isinstance(mod, Flatten):
-            return _flatten_type(x, mod.start_dim, mod.end_dim)
-        if isinstance(mod, BatchNorm2d):
-            if x is Dyn:
-                return Dyn
-            return meet(x, TensorType([Dyn, mod.num_features, Dyn, Dyn]))
-        if isinstance(mod, BatchNorm1d):
-            return x
-        if isinstance(mod, LayerNorm):
-            if x is Dyn:
-                return Dyn
-            tail = list(mod.normalized_shape)
-            expected = TensorType([Dyn] * (len(x) - len(tail)) + tail)
-            return meet(x, expected)
-        if isinstance(mod, (Dropout, Identity)):
-            return x
-        # unknown module: gradual typing's whole point — fall back to Dyn
-        return Dyn
-
-    if node.op == "call_function":
-        fn = node.target
-        if fn in _ELEMENTWISE_FNS:
-            return x
-        if fn in _BROADCAST_FNS:
-            other = ty(node.args[1]) if len(node.args) > 1 else Dyn
-            return _broadcast_type(x, other)
-        if fn is F.linear:
-            w = ty(node.args[1])
-            if x is Dyn or w is Dyn:
-                return Dyn
-            refined = meet(x, TensorType([Dyn] * (len(x) - 1) + [w[1]]))
-            return TensorType(list(refined[:-1]) + [w[0]])
-        if fn in (F.matmul, operator.matmul):
-            other = ty(node.args[1])
-            if x is Dyn or other is Dyn:
-                return Dyn
-            if x[-1] is not Dyn and other[0] is not Dyn and len(other) == 2 \
-                    and x[-1] != other[0]:
-                raise TypeCheckError(
-                    f"matmul at {node.name!r}: contracting dims {x[-1]} vs {other[0]}"
-                )
-            return TensorType(list(x[:-1]) + [other[-1]])
-        if fn is F.flatten:
-            start = node.args[1] if len(node.args) > 1 else node.kwargs.get("start_dim", 0)
-            end = node.args[2] if len(node.args) > 2 else node.kwargs.get("end_dim", -1)
-            return _flatten_type(x, start, end)
-        if fn is operator.getitem:
-            return Dyn
-        return Dyn
-
-    if node.op == "call_method":
-        if node.target in _ELEMENTWISE_METHODS:
-            return x
-        if node.target == "flatten":
-            start = node.args[1] if len(node.args) > 1 else 0
-            end = node.args[2] if len(node.args) > 2 else -1
-            return _flatten_type(x, start, end)
-        if node.target in ("reshape", "view"):
-            dims = node.args[1:]
-            if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
-                dims = tuple(dims[0])
-            return TensorType([Dyn if (isinstance(d, int) and d == -1) or not
-                               isinstance(d, int) else d for d in dims])
-        return Dyn
-
-    return Dyn
-
-
-def _flatten_type(x: Type, start: int, end: int) -> Type:
-    if x is Dyn:
-        return Dyn
-    nd = len(x)
-    start, end = start % nd, end % nd
-    merged: Any = 1
-    for d in x[start:end + 1]:
-        if d is Dyn or merged is Dyn:
-            merged = Dyn
-        else:
-            merged *= d
-    return TensorType(list(x[:start]) + [merged] + list(x[end + 1:]))
-
-
-def _broadcast_type(a: Type, b: Type) -> Type:
-    if a is Dyn or b is Dyn:
-        return a if b is Dyn else b if a is Dyn else Dyn
-    ra, rb = list(reversed(a.dims)), list(reversed(b.dims))
-    out = []
-    for i in range(max(len(ra), len(rb))):
-        da = ra[i] if i < len(ra) else 1
-        db = rb[i] if i < len(rb) else 1
-        if da is Dyn and db is Dyn:
-            out.append(Dyn)
-            continue
-        if da is Dyn:
-            # Dyn could be 1 (broadcasting to db) or equal to db; the
-            # result is db unless db==1, in which case it mirrors Dyn.
-            out.append(db if db != 1 else Dyn)
-            continue
-        if db is Dyn:
-            out.append(da if da != 1 else Dyn)
-            continue
-        if da == 1:
-            out.append(db)
-        elif db == 1:
-            out.append(da)
-        elif da == db:
-            out.append(da)
-        else:
-            raise TypeCheckError(f"cannot broadcast {a} with {b}")
-    return TensorType(list(reversed(out)))
-
-
-def _fetch(gm: GraphModule, target: str):
-    obj: Any = gm
-    for atom in target.split("."):
-        obj = getattr(obj, atom)
-    return obj
+    env, out = opinfo.sweep(
+        gm, [t if t is Dyn else opinfo.T(t.dims) for t in input_types], _Gradual())
+    for node, value in env.items():
+        node.type = _to_type(value)
+    return _to_type(out)

@@ -418,8 +418,8 @@ def _max_abs_diff(a, b) -> float:
 def selftest_rule(rule: Rule) -> SelftestResult:
     """Validate *rule* against its carried example: the pattern must fire
     at least once on the example, the rewritten graph must lint clean
-    under a per-firing verifier, the replacement outputs must carry
-    ``tensor_meta``, and the output must match — bit-exactly for
+    under a per-firing verifier, every node must carry the ``tensor_meta``
+    a fresh propagation gives it, and the output must match — bit-exactly for
     ``exact`` rules, within 1e-5 otherwise."""
     from ..graph_module import GraphModule
     from ..passes.shape_prop import ShapeProp
@@ -451,16 +451,17 @@ def selftest_rule(rule: Rule) -> SelftestResult:
                 rule.name, ok=False, firings=0, tolerance=tol,
                 error="pattern did not fire on the rule's own example")
         gm.graph.lint()
-        missing = [
-            n.name for n in gm.graph.nodes
-            if fully_typed and n.op not in ("placeholder", "output")
-            and "tensor_meta" not in n.meta
-        ]
-        if missing:
+        # what the rewrite says its nodes hold must be what a fresh
+        # propagation infers there (inference: nothing is executed)
+        carried = [n.meta.get("tensor_meta") for n in gm.graph.nodes]
+        ShapeProp(gm).propagate(*inputs)
+        stale = [n.name for n, was in zip(gm.graph.nodes, carried)
+                 if fully_typed and n.meta.get("tensor_meta") != was]
+        if stale:
             return SelftestResult(
                 rule.name, ok=False, firings=report.total_firings,
                 tolerance=tol,
-                error=f"replacement node(s) lost tensor_meta: {missing}")
+                error=f"replacement node(s) lost tensor_meta: {stale}")
         out = gm(*inputs)
         diff = _max_abs_diff(ref, out)
         return SelftestResult(

@@ -45,11 +45,12 @@ class OpPattern:
 
 @dataclass
 class PatternIndex:
-    """O(1) node -> (key, params) resolution over a set of OpPatterns."""
+    """O(1) node -> pattern -> (key, params) resolution over a set of
+    OpPatterns."""
 
     _by_function: dict = field(default_factory=dict)
     _by_method: dict = field(default_factory=dict)
-    _by_module_type: list = field(default_factory=list)
+    _by_module_type: dict = field(default_factory=dict)
 
     def add(self, pattern: OpPattern) -> "PatternIndex":
         for f in pattern.functions:
@@ -57,7 +58,7 @@ class PatternIndex:
         for m in pattern.methods:
             self._by_method[m] = pattern
         for t in pattern.module_types:
-            self._by_module_type.append((t, pattern))
+            self._by_module_type[t] = pattern
         return self
 
     def extend(self, patterns) -> "PatternIndex":
@@ -65,33 +66,37 @@ class PatternIndex:
             self.add(p)
         return self
 
+    def find(self, node: Node, module: Any = None) -> Optional[OpPattern]:
+        """The pattern *node* spells; *module* is the resolved target of a
+        ``call_module``.  A callable *instance* (a generated kernel) spells
+        what its class was registered as; a module, what the nearest class
+        in its MRO was."""
+        if node.op == "call_function":
+            try:
+                return self._by_function.get(node.target) \
+                    or self._by_function.get(type(node.target))
+            except TypeError:   # an unhashable target spells nothing
+                return None
+        if node.op == "call_method":
+            return self._by_method.get(node.target)
+        for cls in type(module).__mro__ if module is not None else ():
+            if cls in self._by_module_type:
+                return self._by_module_type[cls]
+        return None
+
     def match(self, node: Node, modules: Optional[dict] = None):
         """Resolve *node* to ``(key, params)`` or ``None``.
 
         *modules* (a ``named_modules()`` dict) is only needed to resolve
         ``call_module`` spellings.
         """
-        pattern = None
-        module = None
-        if node.op == "call_function":
-            pattern = self._by_function.get(node.target)
-        elif node.op == "call_method":
-            pattern = self._by_method.get(node.target)
-        elif node.op == "call_module" and modules is not None:
-            module = modules.get(node.target)
-            if module is not None:
-                for t, p in self._by_module_type:
-                    if isinstance(module, t):
-                        pattern = p
-                        break
+        module = modules.get(node.target) \
+            if node.op == "call_module" and modules is not None else None
+        pattern = self.find(node, module)
         if pattern is None:
             return None
-        params: Optional[dict] = {}
-        if pattern.extract is not None:
-            params = pattern.extract(node, module)
-            if params is None:
-                return None
-        return pattern.key, params
+        params = {} if pattern.extract is None else pattern.extract(node, module)
+        return None if params is None else (pattern.key, params)
 
     def matches(self, node: Node, key: str,
                 modules: Optional[dict] = None) -> bool:

@@ -32,9 +32,9 @@ assumed: when the outermost scope closes, every digest that was served
 from the memo is checked against the bytes again (a copy made inside the
 scope by comparing it with the array it was copied from, anything else by
 re-hashing), and a mismatch drops the cache entries stored under that
-scope and raises a ``PassError``.  Code that
-legitimately executes the program inside a compile (``ShapeProp`` running
-a training-mode BatchNorm) says so with :func:`forget`.
+scope and raises a ``PassError``.  Nothing inside a compile executes
+the program it compiles: ``ShapeProp`` infers, and the one node it has to
+run for lack of an op-table entry runs on a private copy of its module.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ import hashlib
 import pickle
 import threading
 from copy import deepcopy
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from .cache import ArtifactCache, register_stage
 
 __all__ = ["TRANSFORM_CACHE", "StaleSnapshot", "StateSnapshot", "copy_module",
-           "digest", "forget", "note_stored", "restore", "snapshot",
+           "digest", "note_stored", "restore", "snapshot",
            "state_scope"]
 
 def _pinned(entries: list) -> dict:
@@ -198,17 +198,6 @@ def digest(arr: np.ndarray) -> str:
         known.served = True
         TRANSFORM_CACHE.count("state_reuses")
     return known.digest
-
-
-def forget(arrays: Iterable[np.ndarray]) -> None:
-    """Declare that *arrays* were (or may have been) written in place, so
-    the open scope — if any — reads them again.  *arrays* is only iterated
-    under a scope."""
-    scope = _scope()
-    if scope is None:
-        return
-    for arr in arrays:
-        scope.memo.pop(id(_owner(arr)), None)
 
 
 def note_stored(cache: ArtifactCache, key: Any) -> None:

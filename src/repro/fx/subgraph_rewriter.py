@@ -496,39 +496,20 @@ def _topo_index(graph: Graph):
 
 # -- metadata propagation --------------------------------------------------
 
-_UNKNOWN = object()
-
-
-def _materialize(meta: Any) -> Any:
-    """Build a concrete tensor of ones carrying a recorded
-    ``TensorMetadata``'s shape/dtype (nested structures recurse)."""
-    from .passes.shape_prop import TensorMetadata
-    if isinstance(meta, TensorMetadata):
-        import repro
-        return repro.ones(*meta.shape, dtype=meta.dtype)
-    if isinstance(meta, (tuple, list)):
-        vals = [_materialize(m) for m in meta]
-        if any(v is _UNKNOWN for v in vals):
-            return _UNKNOWN
-        return type(meta)(vals)
-    return _UNKNOWN
-
 
 def _propagate_meta(gm: GraphModule, match: Match, replacement_graph: Graph,
                     val_map: dict[Node, Any], outputs: list[Any]) -> None:
     """Stamp ``tensor_meta``/``type``/``stack_trace`` onto the freshly
     copied replacement nodes.
 
-    Metadata is *re-derived*, not guessed: each replacement node is
-    evaluated on stand-in tensors materialized from the bindings'
-    recorded ``tensor_meta``.  Where evaluation is impossible (a binding
-    was never shape-propagated, or an op fails on stand-ins) the anchor's
-    recorded metadata is copied onto the replacement outputs so
-    downstream shape consumers still see *something* truthful-shaped.
+    Metadata is *re-derived*, not guessed: each replacement node is typed
+    by the op table from the ``tensor_meta`` its operands carry (no kernel
+    runs).  Where that is impossible (a binding was never shape-propagated,
+    a target without an entry) the anchor's recorded metadata is copied
+    onto the replacement outputs so downstream shape consumers still see
+    *something* truthful-shaped.
     """
-    from .passes.shape_prop import extract_tensor_metadata
-    from ..tensor import Tensor
-    from .node import map_aggregate
+    from .passes.shape_prop import infer_meta
 
     provenance = None
     for a in match.anchors:
@@ -536,32 +517,13 @@ def _propagate_meta(gm: GraphModule, match: Match, replacement_graph: Graph,
         if provenance:
             break
 
-    env: dict[Node, Any] = {}
-    for rn in replacement_graph.nodes:
-        if rn.op == "placeholder":
-            bound = val_map.get(rn, _UNKNOWN)
-            if isinstance(bound, Node):
-                env[rn] = _materialize(bound.meta.get("tensor_meta"))
-            else:
-                env[rn] = bound
-        elif rn.op == "output":
-            continue
-        else:
-            new_node = val_map.get(rn)
-            if not isinstance(new_node, Node):
-                continue
-            if provenance and not new_node.meta.get("stack_trace"):
-                new_node.meta["stack_trace"] = provenance
-            result = _eval_node(gm, rn, new_node, env)
-            env[rn] = result
-            if result is _UNKNOWN:
-                continue
-            meta = map_aggregate(
-                result,
-                lambda v: extract_tensor_metadata(v) if isinstance(v, Tensor) else v,
-            )
-            new_node.meta["tensor_meta"] = meta
-            new_node.meta["type"] = type(result)
+    created = [val_map[rn] for rn in replacement_graph.nodes   # operands first
+               if rn.op not in ("placeholder", "output")
+               and isinstance(val_map.get(rn), Node)]
+    for new_node in created:
+        if provenance and not new_node.meta.get("stack_trace"):
+            new_node.meta["stack_trace"] = provenance
+    infer_meta(gm, created)
 
     # Fallback: any output node still missing tensor_meta inherits its
     # anchor's (shapes are equal by construction of a sound rewrite).
@@ -572,36 +534,3 @@ def _propagate_meta(gm: GraphModule, match: Match, replacement_graph: Graph,
                 out.meta.setdefault("type", anchor.meta.get("type"))
             if provenance and not out.meta.get("stack_trace"):
                 out.meta["stack_trace"] = provenance
-
-
-def _eval_node(gm: GraphModule, rn: Node, new_node: Node,
-               env: dict[Node, Any]) -> Any:
-    missing = False
-
-    def lookup(n: Node) -> Any:
-        nonlocal missing
-        v = env.get(n, _UNKNOWN)
-        if v is _UNKNOWN:
-            missing = True
-        return v
-
-    args = map_arg(rn.args, lookup)
-    kwargs = map_arg(rn.kwargs, lookup)
-    if missing:
-        return _UNKNOWN
-    try:
-        if rn.op == "call_function":
-            return rn.target(*args, **kwargs)
-        if rn.op == "call_method":
-            self_obj, *rest = args
-            return getattr(self_obj, rn.target)(*rest, **kwargs)
-        if rn.op == "call_module":
-            return gm.get_submodule(new_node.target)(*args, **kwargs)
-        if rn.op == "get_attr":
-            obj: Any = gm
-            for atom in new_node.target.split("."):
-                obj = getattr(obj, atom)
-            return obj
-    except Exception:
-        return _UNKNOWN
-    return _UNKNOWN

@@ -33,8 +33,12 @@ executes:
    by the generator) must be indistinguishable from its own
    ``cache=False`` compile — what catches a replay keyed on less than it
    read; and (check ``meta_carried``) the ``tensor_meta`` on every node
-   entering ``pointwise_fuse`` must be what a fresh executing ``ShapeProp``
-   stamps there, since nothing refreshes it mid-pipeline;
+   entering ``pointwise_fuse`` must be what executing the program records
+   there (:func:`reference_meta`), since nothing refreshes it
+   mid-pipeline; and (check ``meta_inferred``) under both of the program's
+   input signatures the ``tensor_meta`` ``ShapeProp`` infers from the op
+   table must equal that executed reference node for node, with no node
+   executed for lack of an entry;
 7. the **flat bytecode VM** (``repro.fx.vm``), twice over: the pristine
    graph is VM-compiled and must match the reference exactly — including
    after a pickle round-trip of the program, which must replay
@@ -81,7 +85,7 @@ from ...tensor import Tensor
 from ..analysis import PassVerifier, lint_graph
 from ..graph_module import GraphModule
 from ..interpreter import Interpreter
-from ..node import Node
+from ..node import Node, map_aggregate
 from ..state import copy_module
 from ..tracer import symbolic_trace
 from ..passes import (
@@ -93,6 +97,8 @@ from ..passes import (
     normalize_args,
 )
 from ..passes.net_min import DivergenceReport, find_first_divergence
+from ..opinfo import has_tensor
+from ..passes.shape_prop import ShapeProp, extract_tensor_metadata
 from .generator import GeneratedProgram
 
 __all__ = [
@@ -101,6 +107,7 @@ __all__ = [
     "PASS_MANAGERS",
     "PASS_PIPELINES",
     "max_abs_diff",
+    "reference_meta",
     "run_oracle",
     "stale_meta",
 ]
@@ -389,6 +396,14 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
         report.outcomes.append(CheckOutcome("meta_carried", not error,
                                             error or None))
 
+    if want("meta_inferred"):
+        try:
+            error = _check_meta_inferred(program)
+        except Exception as exc:
+            error = _exc_summary(exc)
+        report.outcomes.append(CheckOutcome("meta_inferred", not error,
+                                            error or None))
+
     # -- the flat bytecode VM, pristine and post-compile -------------------
     if want("vm"):
         _check_vm(report, gm, inputs, ref, scale)
@@ -517,7 +532,6 @@ def _check_rules(report: OracleReport, gm: GraphModule, inputs: tuple,
     a single ulp, and the rewritten graph must lint clean.  The generator
     seeds rule-triggering idioms (``x * 1``, double negation, transpose
     pairs, …) so this check exercises real firings, not just no-ops."""
-    from ..passes.shape_prop import ShapeProp
     from ..rules import default_ruleset
 
     try:
@@ -526,11 +540,16 @@ def _check_rules(report: OracleReport, gm: GraphModule, inputs: tuple,
         default_ruleset().apply(copy, verify=True)
         copy.graph.lint()
         out = copy(*inputs)
+        stale = _differs_from_reference(copy, inputs)
     except Exception as exc:
         report.outcomes.append(CheckOutcome("rules", False, _exc_summary(exc)))
         return
     err = max_abs_diff(ref, out)
-    if err == 0.0:
+    if stale:
+        report.outcomes.append(CheckOutcome(
+            "rules", False, "tensor_meta after the rule rewrite is not what "
+            f"executing records on {', '.join(stale)}"))
+    elif err == 0.0:
         report.outcomes.append(CheckOutcome("rules", True, max_err=err))
     else:
         report.outcomes.append(CheckOutcome(
@@ -595,23 +614,68 @@ def _tensor_meta(gm: GraphModule) -> list:
     return [n.meta.get("tensor_meta") for n in gm.graph.nodes]
 
 
+class _Executing(Interpreter):
+    """Shape propagation by execution — what ``ShapeProp`` was before it
+    read the op table, kept as the reference the table is checked against:
+    run the program, record the metadata of what flowed by."""
+
+    def run_node(self, n: Node) -> Any:
+        result = super().run_node(n)
+        meta = map_aggregate(result, lambda v: extract_tensor_metadata(v)
+                             if isinstance(v, Tensor) else v)
+        self.metas.append(meta if has_tensor(meta) else None)
+        return result
+
+
+def reference_meta(gm: GraphModule, inputs: tuple) -> list:
+    """The ``tensor_meta`` of every node of *gm* in graph order (``None``
+    where no tensor flows), recorded by running a copy of it on *inputs*."""
+    reference = _Executing(copy_module(gm))
+    reference.metas = []
+    reference.run(*inputs)
+    return reference.metas
+
+
+def _differs_from_reference(gm: GraphModule, inputs: tuple) -> list[str]:
+    """Names of the nodes whose ``tensor_meta`` is not the reference's."""
+    return [n.name for n, meta in zip(gm.graph.nodes, reference_meta(gm, inputs))
+            if n.meta.get("tensor_meta") != meta]
+
+
 def stale_meta(gm: GraphModule, inputs: tuple) -> list[str]:
     """Names of the nodes whose ``tensor_meta``, on the module *gm* has
-    become when it enters ``pointwise_fuse``, differs from what a fresh
-    executing ``ShapeProp`` stamps there.  The pipeline propagates shapes
-    once, first, so every later stage that creates a node has to say what
-    the node holds; one that does not splits fusion regions."""
+    become when it enters ``pointwise_fuse``, differs from what executing
+    that module records there.  The pipeline propagates shapes once,
+    first, so every later stage that creates a node has to say what the
+    node holds; one that does not splits fusion regions."""
     from ..backends import NumpyBackend
-    from ..passes.shape_prop import ShapeProp
 
     backend = NumpyBackend(inputs, fuse=False, memory_planning=False)
     staged = PassManager(backend.preferred_passes(gm), cache=False)(gm)
-    carried = _tensor_meta(staged)
-    for n in staged.graph.nodes:
-        n.meta.pop("tensor_meta", None)
-    ShapeProp(staged).propagate(*inputs)
-    return [n.name for n, was in zip(staged.graph.nodes, carried)
-            if n.meta.get("tensor_meta") != was]
+    return _differs_from_reference(staged, inputs)
+
+
+def _check_meta_inferred(program: GeneratedProgram) -> Optional[str]:
+    """What the op table infers is what execution records: under both input
+    signatures, every node's ``tensor_meta`` (shape, dtype, ``numel``,
+    ``nbytes``, nesting) equals the reference's, and no generated program
+    of the graph and module families needs a node executed."""
+    for inputs in (program.inputs, program.other_inputs):
+        copy = copy_module(program.gm)
+        try:
+            reference = reference_meta(copy, inputs)
+        except Exception:
+            continue    # the program does not admit its second signature
+        prop = ShapeProp(copy)
+        prop.propagate(*inputs)
+        wrong = [n.name for n, meta in zip(copy.graph.nodes, reference)
+                 if n.meta.get("tensor_meta") != meta]
+        if wrong:
+            return (f"inferred tensor_meta differs from executed on "
+                    f"{', '.join(wrong)}")
+        if prop.fallbacks and program.spec.family != "control_flow":
+            return f"no op-table entry: executed {prop.fallbacks}"
+    return None
 
 
 def _check_recompile(report: OracleReport, program: GeneratedProgram) -> None:

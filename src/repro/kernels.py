@@ -140,8 +140,9 @@ def adaptive_avg_pool2d(x, output_size) -> np.ndarray:
     n, c, h, w = x.shape
     if h % oh == 0 and w % ow == 0:
         return x.reshape(n, c, oh, h // oh, ow, w // ow).mean(axis=(3, 5))
-    # General case: per-output-cell means over torch's index intervals.
-    out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    # General case: per-output-cell means over torch's index intervals, in
+    # the dtype a mean has (an integer input averages to float64, as above).
+    out = np.empty((n, c, oh, ow), dtype=np.mean(x[:1, :1, :1, :1]).dtype)
     for i in range(oh):
         h0, h1 = (i * h) // oh, -(-((i + 1) * h) // oh)
         for j in range(ow):

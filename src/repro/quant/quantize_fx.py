@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .. import functional as F
 from ..fx import GraphModule, Node, symbolic_trace
 from ..fx.graph import Graph
-from ..fx.rules import OpPattern, PatternIndex, RuleSet
+from ..fx.opinfo import key_of
+from ..fx.rules import RuleSet
 from ..fx.rules.rule import Rule, register
 from ..fx.subgraph_rewriter import any_module
-from ..nn import Conv2d, Linear, Module, ReLU
+from ..nn import Conv2d, Linear, Module
 from .fake_quantize import FakeQuantize
 from .kernels import qrelu
 from .observer import ObserverBase
@@ -67,14 +67,9 @@ def _is_quantizable_compute(node: Node, modules: dict[str, Module]) -> bool:
     return False
 
 
-# Every spelling of relu the tracer can produce, declared once.
-RELU_PATTERN = OpPattern(
-    key="relu", functions=(F.relu,), methods=("relu",), module_types=(ReLU,))
-_RELU_INDEX = PatternIndex().add(RELU_PATTERN)
-
-
 def _is_relu(node: Node, modules: dict[str, Module]) -> bool:
-    return _RELU_INDEX.matches(node, "relu", modules)
+    # every spelling of relu the tracer can produce is declared in the op table
+    return key_of(node, modules) == "relu"
 
 
 def _insert_anchor(graph, value: Node) -> Node:

@@ -313,16 +313,16 @@ class Tensor:
         return F.softmax(self, dim=dim)
 
     def clamp(self, min=None, max=None) -> "Tensor":
-        return Tensor._wrap(np.clip(self.data, min, max), self._dtype)
+        return Tensor._wrap(np.clip(self.data, min, max))
 
     def clamp_min(self, min) -> "Tensor":
         return self.clamp(min=min)
 
     def pow(self, exponent) -> "Tensor":
-        return Tensor._wrap(self.data ** _unwrap(exponent))
+        return Tensor._wrap(np.power(self.data, _unwrap(exponent)))
 
     def round(self) -> "Tensor":
-        return Tensor._wrap(np.round(self.data), self._dtype)
+        return Tensor._wrap(np.round(self.data))
 
     def floor(self) -> "Tensor":
         return Tensor._wrap(np.floor(self.data), self._dtype)

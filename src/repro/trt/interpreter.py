@@ -13,18 +13,13 @@ regions back to eager execution instead.
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from .. import functional as F
 from ..fx import GraphModule, Node
-from ..nn import (
-    AdaptiveAvgPool2d, AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d,
-    Dropout, Flatten, GELU, Identity, Linear, MaxPool2d, Module, ReLU, SELU,
-    Sigmoid, Tanh, Upsample,
-)
+from ..fx.opinfo import key_of
+from ..nn import BatchNorm2d, Module
 from ..functional import _pair
 from ..tensor import Tensor
 from . import ops
@@ -37,52 +32,33 @@ class UnsupportedOperatorError(RuntimeError):
     """Raised when the graph contains a node the backend cannot lower."""
 
 
-_ELEMENTWISE_MODULES: dict[type, str] = {
-    ReLU: "relu", Sigmoid: "sigmoid", Tanh: "tanh", SELU: "selu", GELU: "gelu",
-    Identity: "identity",
+#: The logical ops (keys of :mod:`repro.fx.opinfo`, which resolves every
+#: spelling) the engine lowers, per opcode: it reads weights off module
+#: instances, so a contraction is supported as a module only.
+_SUPPORTED = {
+    "call_module": {"conv2d", "conv_transpose2d", "linear", "batch_norm",
+                    "max_pool2d", "avg_pool2d", "adaptive_avg_pool2d", "flatten",
+                    "dropout", "interpolate", *ops.ELEMENTWISE_KINDS},
+    "call_function": {"add", "flatten", *ops.ELEMENTWISE_KINDS} - {"identity"},
+    "call_method": {"flatten", "reshape", *ops.ELEMENTWISE_KINDS} - {"identity"},
 }
-_ELEMENTWISE_FUNCTIONS: dict[Callable, str] = {
-    F.relu: "relu", F.sigmoid: "sigmoid", F.tanh: "tanh", F.selu: "selu",
-    F.gelu: "gelu", F.neg: "neg",
-}
-_ELEMENTWISE_METHODS = {"relu", "sigmoid", "tanh", "neg"}
-_FLATTEN_TARGETS = {F.flatten}
-_ADD_TARGETS = {operator.add, F.add}
-
-
-def _is_relu_node(node: Node, modules: dict[str, Module]) -> bool:
-    if node.op == "call_module" and isinstance(modules.get(node.target), ReLU):
-        return True
-    if node.op == "call_function" and node.target is F.relu:
-        return True
-    if node.op == "call_method" and node.target == "relu":
-        return True
-    return False
 
 
 def is_node_supported(modules: dict[str, Module], node: Node) -> bool:
     """Support predicate used by the interpreter and the splitter."""
     if node.op in ("placeholder", "output", "get_attr"):
         return True
-    if node.op == "call_module":
-        mod = modules.get(node.target)
-        if isinstance(mod, Upsample):
-            return mod.mode == "nearest" and mod.scale_factor is not None
-        return isinstance(
-            mod,
-            (Conv2d, ConvTranspose2d, Linear, BatchNorm2d, MaxPool2d, AvgPool2d,
-             AdaptiveAvgPool2d, Flatten, Dropout) + tuple(_ELEMENTWISE_MODULES),
-        )
-    if node.op == "call_function":
-        return node.target in _ELEMENTWISE_FUNCTIONS or node.target in _ADD_TARGETS \
-            or node.target in _FLATTEN_TARGETS
-    if node.op == "call_method":
-        if node.target in _ELEMENTWISE_METHODS or node.target == "flatten":
-            return True
-        if node.target in ("reshape", "view"):
-            return all(isinstance(a, int) for a in node.args[1:])
+    key = key_of(node, modules)
+    if key not in _SUPPORTED.get(node.op, ()):
         return False
-    return False
+    mod = modules.get(node.target) if node.op == "call_module" else None
+    if key == "interpolate":
+        return mod.mode == "nearest" and mod.scale_factor is not None
+    if key == "batch_norm":
+        return isinstance(mod, BatchNorm2d)     # the builder assumes NCHW
+    if key == "reshape":
+        return all(isinstance(a, int) for a in node.args[1:])
+    return True
 
 
 class TRTInterpreter:
@@ -100,18 +76,14 @@ class TRTInterpreter:
         # -- plan epilogue fusions: relu folded into its producer --------------
         fused_into: dict[Node, Node] = {}  # relu node -> producer
         for node in graph.nodes:
-            if not _is_relu_node(node, modules):
+            if key_of(node, modules) != "relu":
                 continue
             producer = node.args[0] if node.args else None
             if not isinstance(producer, Node) or len(producer.users) != 1:
                 continue
-            if producer.op == "call_module" and isinstance(
-                modules.get(producer.target), (Conv2d, ConvTranspose2d, Linear)
-            ):
-                fused_into[node] = producer
-            elif producer.op == "call_function" and producer.target in _ADD_TARGETS:
-                fused_into[node] = producer
-            elif producer.op == "call_method" and producer.target == "add":
+            producer_key = key_of(producer, modules)
+            if producer_key == "add" or producer.op == "call_module" and \
+                    producer_key in ("conv2d", "conv_transpose2d", "linear"):
                 fused_into[node] = producer
         relu_fused_producers = set(fused_into.values())
 
@@ -191,96 +163,46 @@ class TRTInterpreter:
 
     def _translate(self, node: Node, fuse_relu: bool):
         modules = self.modules
-        if node.op == "call_module":
-            mod = modules.get(node.target)
-            if isinstance(mod, Conv2d):
-                fn = ops.build_conv2d(
-                    mod.weight.data,
-                    mod.bias.data if mod.bias is not None else None,
-                    _pair(mod.stride), _pair(mod.padding), _pair(mod.dilation),
-                    mod.groups, fuse_relu=fuse_relu,
-                )
-                return fn, [node.args[0]]
-            if isinstance(mod, ConvTranspose2d):
-                fn = ops.build_conv_transpose2d(
-                    mod.weight.data,
-                    mod.bias.data if mod.bias is not None else None,
-                    _pair(mod.stride), _pair(mod.padding),
-                    _pair(mod.output_padding), fuse_relu=fuse_relu,
-                )
-                return fn, [node.args[0]]
-            if isinstance(mod, Upsample):
-                if mod.mode != "nearest" or mod.scale_factor is None:
-                    raise UnsupportedOperatorError(
-                        f"Upsample mode {mod.mode!r} (scale_factor="
-                        f"{mod.scale_factor}) is not supported by the backend"
-                    )
-                return ops.build_upsample_nearest(mod.scale_factor), [node.args[0]]
-            if isinstance(mod, Linear):
-                fn = ops.build_linear(
-                    mod.weight.data,
-                    mod.bias.data if mod.bias is not None else None,
-                    fuse_relu=fuse_relu,
-                )
-                return fn, [node.args[0]]
-            if isinstance(mod, BatchNorm2d):
-                fn = ops.build_batch_norm(
-                    mod.running_mean.data, mod.running_var.data,
-                    mod.weight.data if mod.weight is not None else None,
-                    mod.bias.data if mod.bias is not None else None,
-                    mod.eps,
-                )
-                return fn, [node.args[0]]
-            if isinstance(mod, MaxPool2d):
-                fn = ops.build_max_pool2d(
-                    _pair(mod.kernel_size), _pair(mod.stride), _pair(mod.padding)
-                )
-                return fn, [node.args[0]]
-            if isinstance(mod, AvgPool2d):
-                fn = ops.build_avg_pool2d(
-                    _pair(mod.kernel_size), _pair(mod.stride), _pair(mod.padding)
-                )
-                return fn, [node.args[0]]
-            if isinstance(mod, AdaptiveAvgPool2d):
-                return ops.build_adaptive_avg_pool2d(_pair(mod.output_size)), [node.args[0]]
-            if isinstance(mod, Flatten):
-                return ops.build_flatten(mod.start_dim), [node.args[0]]
-            if isinstance(mod, Dropout):
-                return ops.build_elementwise("identity"), [node.args[0]]
-            kind = _ELEMENTWISE_MODULES.get(type(mod))
-            if kind is not None:
-                return ops.build_elementwise(kind), [node.args[0]]
+        if not is_node_supported(modules, node):
             raise UnsupportedOperatorError(
-                f"unsupported module {type(mod).__name__} at node {node.name!r}"
-            )
-        if node.op == "call_function":
-            if node.target in _ADD_TARGETS:
-                return ops.build_add(fuse_relu=fuse_relu), [node.args[0], node.args[1]]
-            kind = _ELEMENTWISE_FUNCTIONS.get(node.target)
-            if kind is not None:
-                return ops.build_elementwise(kind), [node.args[0]]
-            if node.target in _FLATTEN_TARGETS:
-                start = node.args[1] if len(node.args) > 1 else node.kwargs.get("start_dim", 0)
-                return ops.build_flatten(int(start)), [node.args[0]]
-            raise UnsupportedOperatorError(
-                f"unsupported function {node._pretty_print_target()} at {node.name!r}"
-            )
-        if node.op == "call_method":
-            if node.target in _ELEMENTWISE_METHODS:
-                return ops.build_elementwise(node.target), [node.args[0]]
-            if node.target == "flatten":
-                start = node.args[1] if len(node.args) > 1 else node.kwargs.get("start_dim", 0)
-                return ops.build_flatten(int(start)), [node.args[0]]
-            if node.target == "add":
-                return ops.build_add(fuse_relu=fuse_relu), [node.args[0], node.args[1]]
-            if node.target in ("reshape", "view") and all(
-                isinstance(a, int) for a in node.args[1:]
-            ):
-                return ops.build_reshape(tuple(node.args[1:])), [node.args[0]]
-            raise UnsupportedOperatorError(
-                f"unsupported method {node.target!r} at {node.name!r}"
-            )
-        raise UnsupportedOperatorError(f"unsupported op {node.op!r} at {node.name!r}")
+                f"unsupported {node.op} {node._pretty_print_target()} at node "
+                f"{node.name!r}")
+        key = key_of(node, modules)
+        x = [node.args[0]]
+        mod = modules.get(node.target) if node.op == "call_module" else None
+        if key in ops.ELEMENTWISE_KINDS:
+            return ops.build_elementwise(key), x
+        if key == "dropout":        # an inference engine: dropout is off
+            return ops.build_elementwise("identity"), x
+        if key == "add":
+            return ops.build_add(fuse_relu=fuse_relu), [node.args[0], node.args[1]]
+        if key == "reshape":
+            return ops.build_reshape(tuple(node.args[1:])), x
+        if key == "flatten":
+            start = mod.start_dim if mod is not None else node.args[1] \
+                if len(node.args) > 1 else node.kwargs.get("start_dim", 0)
+            return ops.build_flatten(int(start)), x
+        bias = mod.bias.data if getattr(mod, "bias", None) is not None else None
+        if key == "conv2d":
+            return ops.build_conv2d(
+                mod.weight.data, bias, _pair(mod.stride), _pair(mod.padding),
+                _pair(mod.dilation), mod.groups, fuse_relu=fuse_relu), x
+        if key == "conv_transpose2d":
+            return ops.build_conv_transpose2d(
+                mod.weight.data, bias, _pair(mod.stride), _pair(mod.padding),
+                _pair(mod.output_padding), fuse_relu=fuse_relu), x
+        if key == "linear":
+            return ops.build_linear(mod.weight.data, bias, fuse_relu=fuse_relu), x
+        if key == "batch_norm":
+            return ops.build_batch_norm(
+                mod.running_mean.data, mod.running_var.data,
+                mod.weight.data if mod.weight is not None else None, bias, mod.eps), x
+        if key == "interpolate":
+            return ops.build_upsample_nearest(mod.scale_factor), x
+        if key == "adaptive_avg_pool2d":
+            return ops.build_adaptive_avg_pool2d(_pair(mod.output_size)), x
+        build = ops.build_max_pool2d if key == "max_pool2d" else ops.build_avg_pool2d
+        return build(_pair(mod.kernel_size), _pair(mod.stride), _pair(mod.padding)), x
 
     def _fetch_attr(self, target: str):
         obj: Any = self.gm

@@ -16,11 +16,10 @@ speedup comes from:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .. import kernels
+from ..fx.opinfo import TABLE
 
 __all__ = [
     "build_conv2d",
@@ -108,38 +107,16 @@ def build_adaptive_avg_pool2d(output_size):
     return adaptive
 
 
-def _selu(x: np.ndarray) -> np.ndarray:
-    alpha, scale = 1.6732632423543772, 1.0507009873554805
-    return (scale * np.where(x > 0, x, alpha * (np.exp(x) - 1))).astype(x.dtype)
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    # exact erf form (same rational approximation as the eager substrate),
-    # so lowered outputs are bit-comparable with eager gelu
-    from repro.tensor import Tensor
-
-    t = Tensor(np.asarray(x / math.sqrt(2.0), dtype=np.float64)).erf().data
-    return (0.5 * x * (1.0 + t)).astype(x.dtype)
-
-
-ELEMENTWISE_KINDS = {
-    "relu": lambda x: np.maximum(x, 0),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "tanh": np.tanh,
-    "selu": _selu,
-    "gelu": _gelu,
-    "neg": np.negative,
-    "identity": lambda x: x,
-}
+#: The elementwise ops the engine lowers, by their key in the op table
+#: (:mod:`repro.fx.opinfo`), whose kernel it runs: ndarray in, ndarray out,
+#: eager's numerics bit for bit.
+ELEMENTWISE_KINDS = ("relu", "sigmoid", "tanh", "selu", "gelu", "neg", "identity")
 
 
 def build_elementwise(kind: str):
-    fn = ELEMENTWISE_KINDS[kind]
-
-    def elementwise(x: np.ndarray) -> np.ndarray:
-        return fn(x)
-
-    return elementwise
+    if kind == "identity":
+        return lambda x: x
+    return TABLE[kind].pointwise.ref
 
 
 def build_add(fuse_relu: bool = False):

@@ -52,9 +52,12 @@ class TestShapeProp:
         assert metas[0].shape == (2, 2)
 
     def test_returns_output(self):
-        gm = symbolic_trace(lambda x: x + 1)
+        # nothing is executed, so there is no output value to return: propagate
+        # returns what it inferred about the output
+        gm = symbolic_trace(lambda x: (x + 1, x.shape))
         out = ShapeProp(gm).propagate(repro.ones(2))
-        assert out.tolist() == [2.0, 2.0]
+        assert out == (TensorMetadata(repro.Size([2]), repro.float32, 2, 8), (2,))
+        assert out[0] is gm.graph.output_node.args[0][0].meta["tensor_meta"]
 
     def test_python_type_recorded(self):
         gm = symbolic_trace(lambda x: x.shape)
