@@ -41,8 +41,6 @@ from .backends import Backend, BackendReport, register_backend, to_backend
 from . import vm
 from .vm import VMModule, VMProgram, compile_to_vm
 from .compiler import CompileReport, compile  # noqa: A004 - mirrors torch.compile
-from . import sharding
-from .sharding import shard
 from . import testing
 
 __all__ = [
@@ -79,8 +77,6 @@ __all__ = [
     "passes",
     "register_backend",
     "replace_pattern",
-    "shard",
-    "sharding",
     "symbolic_trace",
     "testing",
     "to_backend",

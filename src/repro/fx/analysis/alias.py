@@ -57,13 +57,14 @@ _FRESH_FUNCTION_NAMES = frozenset({
     "binary_cross_entropy",
 })
 
+# Not the casts (``to`` / ``float`` / ``long`` / ``int`` / ``bool``): each
+# returns ``self`` when the dtype already matches.
 _FRESH_METHODS = frozenset({
     "add", "sub", "mul", "div", "neg", "abs", "pow", "matmul", "mm", "bmm",
     "exp", "log", "sqrt", "rsqrt", "reciprocal", "sin", "cos", "tanh",
     "erf", "sigmoid", "relu", "gelu", "clamp", "clamp_min", "round",
     "floor", "sign", "softmax", "sum", "mean", "var", "amax", "amin",
-    "argmax", "cumsum", "topk", "to", "float", "long", "int", "bool",
-    "clone", "copy",
+    "argmax", "cumsum", "topk", "clone", "copy",
 })
 
 _FRESH_MODULE_NAMES = frozenset({

@@ -31,8 +31,7 @@ from .base import (
     register_lazy_backend,
     registered_backends,
 )
-from .partitioner import (CapabilityPartitioner, PartitionPlan, effect_mask,
-                          validate_forward_cut)
+from .partitioner import CapabilityPartitioner, PartitionPlan, effect_mask
 from .lowering import (
     BackendReport,
     to_backend,
@@ -49,7 +48,6 @@ __all__ = [
     "PartitionPlan",
     "UnsupportedNodesError",
     "effect_mask",
-    "validate_forward_cut",
     "get_backend",
     "override_support",
     "register_backend",

@@ -144,9 +144,7 @@ def to_backend(
     cache: bool = True,
     verify: bool = True,
     executor: Optional[str] = None,
-    shards: int = 1,
     example_inputs: Optional[Sequence] = None,
-    shard_config=None,
 ) -> Module:
     """Lower *model* onto *backend*, falling back to eager where needed.
 
@@ -180,20 +178,11 @@ def to_backend(
             nodes replay as flat instructions instead of dispatching
             through generated source).  ``None`` (default) defers to the
             backend's ``executor`` attribute.
-        shards: when > 1, compile into a sharded pipeline instead: the
-            cost model balances an N-stage cut, each stage lowers through
-            this same per-partition path, and the result is a
-            :class:`~repro.fx.sharding.ShardedModule` running the stages
-            in a persistent worker-process pool (requires
-            ``example_inputs`` for shape propagation).
-        example_inputs: example inputs for the shard planner's shape
-            propagation (``shards > 1``).  When given with ``shards == 1``
-            they additionally drive guard derivation: a
+        example_inputs: when given, drive guard derivation: a
             :class:`~repro.fx.analysis.guards.GuardSet` proved by symbolic
             shape propagation over the pristine capture is attached to the
             result as ``.guards`` (and into ``VMProgram.meta["guards"]``),
             recording which input dims the artifact is generic over.
-        shard_config: optional :class:`~repro.fx.sharding.ShardConfig`.
 
     Returns:
         When the whole graph is supported, whatever
@@ -202,17 +191,6 @@ def to_backend(
         are the compiled partitions.  Either way the result carries a
         :class:`BackendReport` on ``.backend_report``.
     """
-    if shards > 1:
-        from ..sharding import shard
-
-        if example_inputs is None:
-            raise ValueError(
-                "to_backend(shards=N) needs example_inputs= so the shard "
-                "planner can shape-propagate and cost the graph")
-        return shard(model, backend, shards=shards,
-                     example_inputs=example_inputs, executor=executor,
-                     config=shard_config, verify=verify, lint=lint)
-
     start = time.perf_counter()
     be = get_backend(backend) if isinstance(backend, str) else backend
     if not isinstance(be, Backend):

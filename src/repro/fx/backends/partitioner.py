@@ -2,14 +2,13 @@
 
 Given a support predicate, carve the graph into the *fewest* fully-supported
 partitions a backend can compile, growing each partition over the def-use
-DAG instead of over the node list.  The old linear splitter
-(``split_by_support``) started a new partition whenever support flipped
-along the node order, so a single unsupported side branch — a downsample
-conv, a shape query — severed one supported region into two.  Here a merge
-is rejected only when it *must* be: when fusing two partitions would put
-them on a dependency cycle through some third unit (partition or
-unassigned node), which is the one case where no valid execution order of
-the split module exists.
+DAG instead of over the node list.  A linear splitter starts a new
+partition whenever support flips along the node order, so a single
+unsupported side branch — a downsample conv, a shape query — severs one
+supported region into two.  Here a merge is rejected only when it *must*
+be: when fusing two partitions would put them on a dependency cycle
+through some third unit (partition or unassigned node), which is the one
+case where no valid execution order of the split module exists.
 
 Legality beyond topology comes from the PR-4 analyses: for backends that
 do not replay mutation faithfully (``Backend.respects_effects`` false),
@@ -20,10 +19,10 @@ all partitions, so an effect never crosses a compile boundary illegally.
 
 ``get_attr`` nodes are support-*neutral*: they are free state reads with
 no inputs, so they join a partition only when every consumer lives in that
-one partition, and stay outside otherwise.  (The old splitter instead
-inherited support from the *preceding* node — a leading weight read before
-an unsupported first op produced a compute-free "supported" partition and
-an empty engine build.)
+one partition, and stay outside otherwise.  (Inheriting support from the
+*preceding* node instead lets a leading weight read before an unsupported
+first op produce a compute-free "supported" partition and an empty engine
+build.)
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from ..analysis import analyze, may_alias_input
 from ..graph_module import GraphModule
 from ..node import Node
 
-__all__ = ["CapabilityPartitioner", "PartitionPlan", "effect_mask",
-           "validate_forward_cut"]
+__all__ = ["CapabilityPartitioner", "PartitionPlan", "effect_mask"]
 
 _SKIP_OPS = ("placeholder", "output")
 
@@ -285,38 +283,8 @@ class CapabilityPartitioner:
         return plan
 
 
-def validate_forward_cut(gm: GraphModule,
-                         stage_of: Callable[[Node], Optional[int]]) -> None:
-    """Check that *stage_of* induces a forward-only pipeline cut.
-
-    A sharded pipeline moves data through a one-directional queue chain,
-    so every cross-stage def-use edge must point from a lower stage to a
-    higher one — the same acyclicity requirement the
-    :class:`CapabilityPartitioner` enforces by construction, stated for an
-    externally supplied assignment (e.g. the cost-model-driven cut of
-    :mod:`repro.fx.sharding`).  Raises ``ValueError`` naming the first
-    backward edge; a backward edge means the cut would need a value to
-    travel *up* the pipeline, which no execution order of the stage chain
-    can provide.
-    """
-    for node in gm.graph.nodes:
-        if node.op in _SKIP_OPS:
-            continue
-        dst = stage_of(node)
-        if dst is None:
-            continue
-        for inp in node.all_input_nodes:
-            if inp.op in _SKIP_OPS:
-                continue
-            src = stage_of(inp)
-            if src is not None and src > dst:
-                raise ValueError(
-                    f"backward cross-stage edge {inp.name!r} (stage {src}) "
-                    f"-> {node.name!r} (stage {dst}): pipeline stages must "
-                    f"consume only earlier stages' values")
-
-
-def group_leftovers(gm: GraphModule, plan: PartitionPlan) -> Dict[Node, int]:
+def full_cover_pids(gm: GraphModule,
+                    plan: PartitionPlan) -> tuple[Dict[Node, int], set]:
     """Assign *every* compute node a partition id (full-cover split).
 
     Partitioned nodes keep their plan partition; unassigned nodes are
@@ -325,21 +293,11 @@ def group_leftovers(gm: GraphModule, plan: PartitionPlan) -> Dict[Node, int]:
     path between two adjacent leftovers would have to pass through a node
     positioned strictly between them, and no such node exists.  Ids are
     re-numbered densely by first encounter in graph order, so a plain
-    supported/unsupported chain reproduces the old linear splitter's
-    alternating numbering.
+    supported/unsupported chain numbers its partitions alternately.
 
-    Returns node -> final pid; pids of supported partitions are exactly
-    ``{pid(node) for assigned nodes}`` after renumbering (see
-    :func:`full_cover_pids`).
+    Returns ``(node -> final pid, final pids of the supported (plan)
+    partitions)``.
     """
-    final, _ = full_cover_pids(gm, plan)
-    return final
-
-
-def full_cover_pids(gm: GraphModule,
-                    plan: PartitionPlan) -> tuple[Dict[Node, int], set]:
-    """Like :func:`group_leftovers` but also returns the set of final
-    pids that correspond to supported (plan) partitions."""
     final: Dict[Node, int] = {}
     supported_pids: set = set()
     remap: Dict[object, int] = {}  # plan pid or leftover-run marker -> final pid

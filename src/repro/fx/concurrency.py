@@ -39,12 +39,12 @@ __all__ = ["KeyedMutex", "on_fork_reset"]
 
 # -- fork safety ----------------------------------------------------------------
 #
-# The sharded execution tier (``repro.fx.sharding``) forks worker processes
-# from a parent that may be running a thread pool (the serving runtime, a
-# concurrent lowering).  A fork taken while *another* thread holds one of the
-# compile-stack locks copies that lock in its locked state into the child,
-# where no thread exists to ever release it — the first child-side
-# cache lookup then deadlocks.  Modules owning process-wide locks register
+# A user's own ``multiprocessing`` (or ``os.fork``) can fork a process that
+# is running a thread pool (the serving runtime, a concurrent lowering).  A
+# fork taken while *another* thread holds one of the compile-stack locks
+# copies that lock in its locked state into the child, where no thread
+# exists to ever release it — the first child-side cache lookup then
+# deadlocks.  Modules owning process-wide locks register
 # a reset callback here; the callbacks run in the child immediately after
 # fork (``os.register_at_fork``) and replace the inherited locks with fresh
 # ones.  This is sound because the child starts with exactly one thread, so

@@ -1031,9 +1031,12 @@ def selftest(keys=None) -> list[str]:
     bool} that eager accepts: the concrete transfer equals what eager returns
     (shape, dtype, nesting) without falling back, and the symbolic transfer —
     ``B`` made a symbol, then bound to 5 and to 7 — equals the concrete one at
-    those sizes, or refuses.  A broken constraint raises each domain's typed
-    error.  Every public ``repro.functional`` function and ``nn`` leaf module
-    has an entry or a line in :data:`NO_ENTRY`."""
+    those sizes, or refuses.  A call :func:`~repro.fx.analysis.may_alias_input`
+    declares fresh returns nothing that shares memory with an operand.  A
+    broken constraint raises each domain's typed error.  Every public
+    ``repro.functional`` function and ``nn`` leaf module has an entry or a
+    line in :data:`NO_ENTRY`."""
+    from .analysis import may_alias_input
     from .interpreter import Interpreter
     from .passes.shape_prop import ShapeProp
     from .passes.symbolic_shape_prop import ShapeInferenceError, SymDim, SymShape, \
@@ -1050,6 +1053,7 @@ def selftest(keys=None) -> list[str]:
     def check(label: str, target: Any, spec: tuple) -> bool:
         """False when eager rejects the call under every dtype."""
         gm, shapes = _call_graph(target, spec)
+        fresh = not may_alias_input(list(gm.graph.nodes)[-2], gm)   # the call
         ran = False
         for dtype in (float32, float64, int64, bool_):
             inputs = _tensors(shapes, dtype)
@@ -1059,6 +1063,10 @@ def selftest(keys=None) -> list[str]:
             except Exception:   # not a call eager accepts: nothing to agree with
                 continue
             ran = True
+            if fresh and any(np.shares_memory(out.data, x.data) for x in inputs
+                             for out in _leaves([real]) if isinstance(out, Tensor)):
+                failures.append(f"{label} {spec} {dtype}: declared fresh by "
+                                f"may_alias_input, shares memory with an operand")
             prop = ShapeProp(gm)
             got = _facts(prop.propagate(*inputs))
             if prop.fallbacks:

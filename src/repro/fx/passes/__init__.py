@@ -10,7 +10,7 @@ Each submodule corresponds to a capability the paper evaluates or cites:
 * :mod:`.cost_model` — FLOPs / bandwidth / size estimation (§6.3), priced
   from the same table;
 * :mod:`.scheduler` — software pipelining simulation (§6.2.3);
-* :mod:`.split_module` / :mod:`.splitter` — partitioning (§6.2.3, §6.4);
+* :mod:`.split_module` — partitioning (§6.2.3, §6.4);
 * :mod:`.cse` / :mod:`.dce` — classic cleanups made trivial by the
   basic-block IR (§5.5);
 * :mod:`.pass_manager` — instrumented pipeline driver with per-pass
@@ -25,7 +25,6 @@ from . import memory_planner, normalize, pass_manager, pointwise_fuser
 from . import profiler, scheduler, shape_prop
 from . import symbolic_shape_prop, type_check
 from . import split_module as split_module_pass
-from . import splitter
 from .const_fold import fold_constants
 from .net_min import DivergenceReport, compare_outputs, find_first_divergence
 from .normalize import normalize_args
@@ -61,11 +60,9 @@ from .pointwise_fuser import (
     pointwise_registry,
     register_pointwise_op,
 )
-from .scheduler import Schedule, ScheduledOp, pipeline_schedule, \
-    simulate_stage_pipeline
+from .scheduler import Schedule, ScheduledOp, pipeline_schedule
 from .shape_prop import ShapeProp, TensorMetadata
 from .split_module import Partition, split_module
-from .splitter import SplitResult, split_by_support
 
 __all__ = [
     "Arena",
@@ -120,7 +117,6 @@ __all__ = [
     "Schedule",
     "ScheduledOp",
     "ShapeProp",
-    "SplitResult",
     "TensorMetadata",
     "cost_model",
     "cse",
@@ -135,10 +131,7 @@ __all__ = [
     "graph_to_dot",
     "pipeline_schedule",
     "scheduler",
-    "simulate_stage_pipeline",
     "shape_prop",
-    "split_by_support",
     "split_module",
     "split_module_pass",
-    "splitter",
 ]

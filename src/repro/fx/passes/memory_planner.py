@@ -40,6 +40,7 @@ The plan is recorded as ``node.meta["arena_slot"]``;
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,11 +63,16 @@ class Arena:
     actual arrays are allocated on first use and retained for the
     lifetime of the arena (i.e. of the compiled module), so steady-state
     forward calls perform no allocations for planned intermediates.
+
+    Buffers belong to the calling thread: everything that writes through
+    an arena (the generated ``forward``, a ``VMProgram``, the
+    ``Interpreter``) is thereby reentrant, and two threads running one
+    compiled module never share scratch storage.
     """
 
     def __init__(self, specs: tuple = ()):
         self.specs: list[tuple[tuple, str]] = list(specs)
-        self._buffers: dict[int, np.ndarray] = {}
+        self._local = threading.local()
         self.materializations = 0
 
     def add_slot(self, shape: tuple, dtype_name: str) -> int:
@@ -74,11 +80,14 @@ class Arena:
         return len(self.specs) - 1
 
     def materialize(self, index: int) -> np.ndarray:
-        buf = self._buffers.get(index)
+        try:
+            buffers = self._local.buffers
+        except AttributeError:      # this thread's first use of the arena
+            buffers = self._local.buffers = {}
+        buf = buffers.get(index)
         if buf is None:
             shape, dtype_name = self.specs[index]
-            buf = np.empty(shape, np.dtype(dtype_name))
-            self._buffers[index] = buf
+            buf = buffers[index] = np.empty(shape, np.dtype(dtype_name))
             self.materializations += 1
         return buf
 
@@ -94,9 +103,7 @@ class Arena:
         return {"specs": self.specs}
 
     def __setstate__(self, state):
-        self.specs = state["specs"]
-        self._buffers = {}
-        self.materializations = 0
+        self.__init__(state["specs"])
 
     def __repr__(self) -> str:
         return f"<Arena {len(self.specs)} slots, {self.nbytes()} bytes>"

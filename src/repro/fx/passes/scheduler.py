@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from ..graph_module import GraphModule
 from ..node import Node
 from .cost_model import CostReport, DeviceModel, estimate
 
-__all__ = ["ScheduledOp", "Schedule", "pipeline_schedule",
-           "simulate_stage_pipeline"]
+__all__ = ["ScheduledOp", "Schedule", "pipeline_schedule"]
 
 
 @dataclass
@@ -176,57 +175,3 @@ def pipeline_schedule(
     makespan = max((op.end for op in ops), default=0.0)
     return Schedule(ops=ops, makespan=makespan, serial_time=serial)
 
-
-def simulate_stage_pipeline(
-    stage_times: list,
-    n_requests: int,
-    *,
-    transfer_times: Optional[list] = None,
-) -> Schedule:
-    """Simulate *n_requests* streaming through a linear stage pipeline.
-
-    This is the sharded-execution model (``repro.fx.sharding``): stage
-    ``k`` of request ``i`` starts once stage ``k-1`` of the same request
-    finished *and* stage ``k`` finished request ``i-1`` — each stage is a
-    dedicated resource processing one request at a time, with requests
-    overlapping across stages.
-
-    Args:
-        stage_times: per-stage service time (seconds) for one request.
-        n_requests: how many back-to-back requests to stream.
-        transfer_times: optional per-boundary handoff cost, entry ``k``
-            charged between stage ``k`` and ``k+1`` (length
-            ``len(stage_times) - 1``).
-
-    Returns:
-        A :class:`Schedule` whose resources are ``"stage0"``,
-        ``"stage1"``, …; ``serial_time`` is single-process execution of
-        the same stream (sum of stage times per request — no transfers,
-        since nothing crosses a process in the baseline), so ``.speedup``
-        is the throughput gain sharding buys (bounded by the stage
-        count, and below 1.0 when transfer costs swamp the overlap) and
-        ``.bubble_fraction`` the idle share the balance of the cut
-        leaves.
-    """
-    k = len(stage_times)
-    if k == 0 or n_requests <= 0:
-        return Schedule()
-    hop = list(transfer_times or [])
-    if len(hop) < k - 1:
-        hop += [0.0] * (k - 1 - len(hop))
-    ops: list[ScheduledOp] = []
-    stage_free = [0.0] * k
-    prev_done = 0.0
-    for req in range(n_requests):
-        done = 0.0
-        for s in range(k):
-            arrival = done + (hop[s - 1] if s > 0 else 0.0)
-            start = max(stage_free[s], arrival)
-            done = start + stage_times[s]
-            stage_free[s] = done
-            ops.append(ScheduledOp(f"req{req}", f"stage{s}", start, done))
-        prev_done = done
-    per_request = sum(stage_times)
-    ops.sort(key=lambda s: (s.start, s.resource))
-    return Schedule(ops=ops, makespan=prev_done,
-                    serial_time=per_request * n_requests)

@@ -4,9 +4,9 @@ Splits a GraphModule into a top-level module that calls a sequence of
 partition submodules (``submod_0``, ``submod_1``, …), with cross-partition
 values threaded through explicitly.  The assignment of nodes to partitions
 is a user callback, which is how the pipeline scheduler
-(:mod:`repro.fx.passes.scheduler`), the operator-support splitter
-(:mod:`repro.fx.passes.splitter`), and the backend lowering path
-(:mod:`repro.fx.backends`) express their policies.
+(:mod:`repro.fx.passes.scheduler`) and the backend lowering path
+(:mod:`repro.fx.backends`, operator-support partitioning included) express
+their policies.
 
 The callback may also return ``None`` for a node, meaning *leave it
 inline*: the node is emitted directly into the top-level graph, interleaved

@@ -21,6 +21,7 @@ mechanically, in the style of TorchProbe (Su et al., 2023):
 from .generator import GeneratedProgram, ProgramSpec, generate_program, spec_for_iteration
 from .minimize import MinimizedRepro, minimize_failure, render_repro_script
 from .oracle import (
+    CHECKS,
     CheckOutcome,
     OracleReport,
     PASS_MANAGERS,
@@ -31,6 +32,7 @@ from .oracle import (
 from .fuzz import FuzzFailure, FuzzResult, fuzz
 
 __all__ = [
+    "CHECKS",
     "CheckOutcome",
     "FuzzFailure",
     "FuzzResult",

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .generator import GeneratedProgram, ProgramSpec, generate_program, spec_for_iteration
 from .minimize import MinimizedRepro, minimize_failure
-from .oracle import OracleReport, run_oracle
+from .oracle import OracleReport, run_oracle, validate_checks
 
 __all__ = ["FuzzFailure", "FuzzResult", "fuzz", "main"]
 
@@ -160,13 +160,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--verbose", action="store_true",
                         help="print each failure's full oracle report")
     parser.add_argument("--checks", default=None,
-                        help="comma-separated check names to run "
+                        help="comma-separated names from "
+                             "repro.fx.testing.CHECKS to run "
                              "(e.g. 'vm,vm_compiled'); default: all")
     args = parser.parse_args(argv)
 
     only = None
     if args.checks:
         only = frozenset(c.strip() for c in args.checks.split(",") if c.strip())
+        try:
+            validate_checks(only)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     result = fuzz(
         seed=args.seed,

@@ -60,7 +60,9 @@ FEATURES = (2, 3, 4, 5)
 
 _UNARY_FNS = (F.relu, F.tanh, F.sigmoid, F.gelu, F.neg, F.abs, F.sin, F.cos)
 _BINARY_FNS = (operator.add, operator.sub, operator.mul, F.maximum, F.minimum)
-_UNARY_METHODS = ("relu", "tanh", "sigmoid", "neg", "abs")
+# ``float`` is the identity (returns ``self``) on the float32 inputs and a
+# real cast on the float64 ``other_inputs``.
+_UNARY_METHODS = ("relu", "tanh", "sigmoid", "neg", "abs", "float")
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,13 @@ executes:
    *bit-exact* against the reference (the generator seeds rule-triggering
    idioms so firings actually happen); and
 6. the full **optimizing compiler** (``repro.fx.compile``: pointwise
-   fusion + memory planning, with its pass verifier on), executed twice
-   so that arena-buffer reuse across calls is exercised — fusion and
-   planning must be semantics-preserving on every generated program —
-   then **compiled again** (check ``recompile``): the second compile must
+   fusion + memory planning, with its pass verifier on), called a second
+   time on *other values of the same signature*: the second call reuses
+   the arena buffers, so it must agree with the reference on the new
+   values and must leave the first call's outputs bit for bit as they
+   were (a returned value owns its storage) — fusion and planning must
+   be semantics-preserving on every generated program — then
+   **compiled again** (check ``recompile``): the second compile must
    be replayed whole from the transform cache and be indistinguishable
    from the first (output bits, ``tensor_meta``), and a compile under the
    program's *second input signature* (another batch size or dtype, drawn
@@ -44,19 +47,14 @@ executes:
    after a pickle round-trip of the program, which must replay
    bit-identically (check ``vm``) — and the ``fx.compile`` output is
    VM-compiled so fused-kernel instructions and arena-backed registers
-   execute on the VM, run twice for arena-reuse determinism (check
-   ``vm_compiled``); and
+   execute on the VM, under the same two-call contract as ``compile``
+   (check ``vm_compiled``); and
 8. the **backend lowering path** (``repro.fx.to_backend`` with the eager
    backend under a per-program seeded *random support predicate*): the
    dependency-aware capability partitioner must never emit a partition
    dependency cycle, the stitched split module must lint, and its output
    must match the reference exactly — a property test over every fuzzed
-   graph (check name ``backend_split``); and
-9. the **sharded pipeline** (``to_backend(..., shards=2)``): the program
-   split into a 2-stage worker-process pipeline must be *bit-exact*
-   against the reference — pickled stages, queue transport, and env
-   wiring must not perturb a single ulp (check ``sharded``; effectful
-   programs sharding refuses pass vacuously).
+   graph (check name ``backend_split``).
 
 Additionally, every fresh trace is run through the static analyzer
 (:func:`repro.fx.analysis.lint_graph`): an error-severity diagnostic on a
@@ -102,6 +100,7 @@ from ..passes.shape_prop import ShapeProp, extract_tensor_metadata
 from .generator import GeneratedProgram
 
 __all__ = [
+    "CHECKS",
     "CheckOutcome",
     "OracleReport",
     "PASS_MANAGERS",
@@ -110,6 +109,7 @@ __all__ = [
     "reference_meta",
     "run_oracle",
     "stale_meta",
+    "validate_checks",
 ]
 
 #: Numeric agreement threshold for exact re-executions of the same float32
@@ -235,6 +235,21 @@ PASS_PIPELINES: dict[str, Callable[[GraphModule], GraphModule]] = dict(PASS_MANA
 
 _PIPELINE_ATOL = {"fuse": FOLD_ATOL}
 
+#: Every name ``run_oracle(only=)`` / ``fuzz --checks`` may select.
+CHECKS = ("lint", "analysis", "codegen", "interpreter", "retrace",
+          *PASS_PIPELINES, "rules", "compile", "recompile", "meta_carried",
+          "meta_inferred", "vm", "vm_compiled", "repaired", "backend_split",
+          "quant_prepare", "quant_convert")
+
+
+def validate_checks(only) -> None:
+    """Raise ``ValueError`` naming what in *only* is not in :data:`CHECKS`
+    (a misspelt name would otherwise select nothing and pass)."""
+    unknown = sorted(set(only) - set(CHECKS))
+    if unknown:
+        raise ValueError(f"unknown oracle checks {unknown}; "
+                         f"known: {', '.join(CHECKS)}")
+
 
 def _exc_summary(exc: Exception) -> str:
     buf = io.StringIO()
@@ -277,9 +292,11 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
         localize: attempt first-divergence localization on numeric
             failures.
         only: when given, run just the checks whose name is in the set
-            (the reference execution always runs) — used by the dedicated
-            VM fuzz smoke to iterate fast.
+            (each one of :data:`CHECKS`; the reference execution always
+            runs) — used by the dedicated VM fuzz smoke to iterate fast.
     """
+    if only is not None:
+        validate_checks(only)
     report = OracleReport(program)
     gm, inputs = program.gm, program.inputs
 
@@ -383,7 +400,7 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
 
     # -- the full optimizing compiler --------------------------------------
     if want("compile"):
-        _check_compile(report, gm, inputs, ref, scale, localize)
+        _check_compile(report, program, ref, localize)
     if want("recompile"):
         _check_recompile(report, program)
     if want("meta_carried"):
@@ -408,7 +425,7 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
     if want("vm"):
         _check_vm(report, gm, inputs, ref, scale)
     if want("vm_compiled"):
-        _check_vm_compiled(report, gm, inputs, ref, scale)
+        _check_vm_compiled(report, program, ref)
 
     # -- repaired control flow vs eager, on both branch outcomes -----------
     if want("repaired") and program.eager is not None and (
@@ -418,10 +435,6 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
     # -- backend lowering with a random support predicate ------------------
     if want("backend_split"):
         _check_backend_split(report, program, gm, inputs, ref, scale)
-
-    # -- sharded pipeline execution across worker processes ----------------
-    if want("sharded"):
-        _check_sharded(report, gm, inputs, ref, scale)
 
     # -- quantization round-trip -------------------------------------------
     if want("quant_prepare") or want("quant_convert"):
@@ -490,39 +503,22 @@ def _check_vm(report: OracleReport, gm: GraphModule, inputs: tuple,
             max_err=err))
 
 
-def _check_vm_compiled(report: OracleReport, gm: GraphModule, inputs: tuple,
-                       ref: Any, scale: float) -> None:
+def _check_vm_compiled(report: OracleReport, program: GeneratedProgram,
+                       ref: Any) -> None:
     """``fx.compile`` output on the VM: fused-kernel instructions and
-    arena-backed registers, run twice so cross-call arena reuse is
-    exercised, must stay deterministic and agree with the reference."""
+    arena-backed registers, held to the two-call contract of
+    :func:`_called_twice`."""
     from ..compiler import compile as fx_compile
     from ..vm import compile_to_vm
 
     try:
-        compiled = fx_compile(gm, inputs, lint=True)
-        program = compile_to_vm(compiled, cache=False)
-        out1 = program.run(*inputs)
-        out2 = program.run(*inputs)
+        vm = compile_to_vm(fx_compile(program.gm, program.inputs, lint=True),
+                           cache=False)
+        error, err = _called_twice(vm.run, program, ref)
     except Exception as exc:
-        report.outcomes.append(CheckOutcome("vm_compiled", False,
-                                            _exc_summary(exc)))
-        return
-    rerr = max_abs_diff(out1, out2)
-    if rerr > 0.0:
-        report.outcomes.append(CheckOutcome(
-            "vm_compiled", False,
-            f"VM run is not deterministic across calls (arena reuse bug): "
-            f"{rerr:.3g}", max_err=rerr))
-        return
-    atol = EXACT_ATOL if gm.training else FOLD_ATOL
-    err = max_abs_diff(ref, out1)
-    tol = atol * (1.0 + scale)
-    if err <= tol:
-        report.outcomes.append(CheckOutcome("vm_compiled", True, max_err=err))
-    else:
-        report.outcomes.append(CheckOutcome(
-            "vm_compiled", False,
-            f"numeric divergence {err:.3g} > tol {tol:.3g}", max_err=err))
+        error, err = _exc_summary(exc), 0.0
+    report.outcomes.append(CheckOutcome("vm_compiled", error is None, error,
+                                        max_err=err))
 
 
 def _check_rules(report: OracleReport, gm: GraphModule, inputs: tuple,
@@ -558,44 +554,68 @@ def _check_rules(report: OracleReport, gm: GraphModule, inputs: tuple,
             "(the default rule set must be bit-exact)", max_err=err))
 
 
-def _check_compile(report: OracleReport, gm: GraphModule, inputs: tuple,
-                   ref: Any, scale: float, localize: bool) -> None:
-    """``repro.fx.compile`` must be semantics-preserving on every program.
-
-    Runs the compiled module twice: the second call reuses already-
-    materialized arena buffers, so any unsound slot assignment (buffer
-    clobbered while an alias was live) shows up as run-to-run divergence.
-    """
+def _check_compile(report: OracleReport, program: GeneratedProgram,
+                   ref: Any, localize: bool) -> None:
+    """``repro.fx.compile`` must be semantics-preserving on every program,
+    across calls as well as within one (:func:`_called_twice`)."""
     from ..compiler import compile as fx_compile
 
+    gm, inputs = program.gm, program.inputs
     try:
         compiled = fx_compile(gm, inputs, lint=True)
         compiled.graph.lint()
-        out1 = compiled(*inputs)
-        out2 = compiled(*inputs)
+        error, err = _called_twice(compiled, program, ref)
     except Exception as exc:
-        report.outcomes.append(CheckOutcome("compile", False, _exc_summary(exc)))
-        return
-    rerr = max_abs_diff(out1, out2)
-    if rerr > 0.0:
-        report.outcomes.append(CheckOutcome(
-            "compile", False,
-            f"compiled module is not deterministic across calls "
-            f"(arena reuse bug): {rerr:.3g}", max_err=rerr))
-        return
+        error, err = _exc_summary(exc), 0.0
+    div = None
+    if err > 0.0 and error is not None and localize:    # diverged numerically
+        div = _localize(gm, compiled, inputs,
+                        _compiled_atol(gm) * (1.0 + _ref_scale(ref)))
+    report.outcomes.append(CheckOutcome("compile", error is None, error,
+                                        max_err=err, divergence=div))
+
+
+def _compiled_atol(gm: GraphModule) -> float:
     # Training-mode programs skip conv-bn folding, so the pipeline is
     # numerically exact; eval-mode programs may fold BN (re-associated
     # float math) and get the fold tolerance.
-    atol = EXACT_ATOL if gm.training else FOLD_ATOL
-    err = max_abs_diff(ref, out1)
-    tol = atol * (1.0 + scale)
-    if err <= tol:
-        report.outcomes.append(CheckOutcome("compile", True, max_err=err))
-        return
-    div = _localize(gm, compiled, inputs, tol) if localize else None
-    report.outcomes.append(CheckOutcome(
-        "compile", False, f"numeric divergence {err:.3g} > tol {tol:.3g}",
-        max_err=err, divergence=div))
+    return EXACT_ATOL if gm.training else FOLD_ATOL
+
+
+def _called_twice(run: Callable, program: GeneratedProgram,
+                  ref: Any) -> tuple[Optional[str], float]:
+    """Call a compiled form of *program* on its inputs, then on other
+    values of the same signature (each tensor's own elements rotated by
+    one, so whatever range an op needs of them still holds).
+
+    The second call writes the arena buffers the first one left behind.
+    It must agree with the reference on the new values — a buffer
+    reclaimed while an alias of it was live reads stale data — and must
+    not move a bit of what the first call returned: a returned value
+    owns its storage.  Returns ``(error or None, worst numeric
+    divergence)``.
+    """
+    inputs = program.inputs
+    rotated = tuple(Tensor(np.roll(x.data, 1), x.dtype)
+                    if isinstance(x, Tensor) else x for x in inputs)
+    ref2 = program.eager(*rotated) if program.eager is not None \
+        else Interpreter(program.gm).run(*rotated)
+    out1 = run(*inputs)
+    kept = map_aggregate(out1, lambda v: v.clone()
+                         if isinstance(v, Tensor) else v)
+    out2 = run(*rotated)
+    if not _identical(out1, kept):
+        return ("the second call overwrote what the first returned "
+                "(a returned value must own its storage)"), 0.0
+    atol = _compiled_atol(program.gm)
+    worst = 0.0
+    for which, want, got in (("", ref, out1), ("second call: ", ref2, out2)):
+        err = max_abs_diff(want, got)
+        tol = atol * (1.0 + _ref_scale(want))
+        if err > tol:
+            return f"{which}numeric divergence {err:.3g} > tol {tol:.3g}", err
+        worst = max(worst, err)
+    return None, worst
 
 
 def _identical(a: Any, b: Any) -> bool:
@@ -763,49 +783,6 @@ def _check_backend_split(report: OracleReport, program: GeneratedProgram,
         report.outcomes.append(CheckOutcome(
             "backend_split", False,
             f"numeric divergence {err:.3g} > tol {tol:.3g}", max_err=err))
-
-
-def _check_sharded(report: OracleReport, gm: GraphModule, inputs: tuple,
-                   ref: Any, scale: float) -> None:
-    """A 2-stage process pipeline must be **bit-exact** against the
-    in-process reference for every program the generator emits.
-
-    Lowers a copy through ``to_backend(..., shards=2)`` (eager backend:
-    the stages replay the same numerics as the reference, so any
-    difference is a wiring/transport bug — a value mis-threaded across
-    the queue boundary, an arg template resolved against the wrong env
-    key, or pickling perturbing state).  Programs sharding legitimately
-    refuses (effectful graphs — mutation cannot cross a one-way queue)
-    pass vacuously.  The worker pool is always reaped.
-    """
-    from ..backends import EagerBackend, to_backend
-    from ..sharding import ShardingError
-
-    sharded = None
-    try:
-        try:
-            sharded = to_backend(gm, EagerBackend(), shards=2,
-                                 example_inputs=inputs)
-        except ShardingError as exc:
-            report.outcomes.append(CheckOutcome(
-                "sharded", True, f"not shardable (ok): {exc}"))
-            return
-        out = sharded(*inputs)
-    except Exception as exc:
-        report.outcomes.append(CheckOutcome(
-            "sharded", False, _exc_summary(exc)))
-        return
-    finally:
-        if sharded is not None:
-            sharded.close()
-    err = max_abs_diff(ref, out)
-    if err == 0.0:
-        report.outcomes.append(CheckOutcome("sharded", True, max_err=err))
-    else:
-        report.outcomes.append(CheckOutcome(
-            "sharded", False,
-            f"cross-process divergence {err:.3g} (must be bit-exact)",
-            max_err=err))
 
 
 def _check_quantization(report: OracleReport, gm: GraphModule, inputs: tuple,

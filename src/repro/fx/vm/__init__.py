@@ -48,9 +48,9 @@ class VMModule(Module):
     VM-executed graph drops back into the module ecosystem (callable,
     composable, picklable, and — as a leaf module — re-traceable).
 
-    Safe to share across threads: ``VMProgram.run`` leases a private
-    arena per call (see the program's lease pool), so one ``VMModule``
-    can serve a whole worker pool without cloning."""
+    Safe to share across threads: the program's arena keeps its buffers
+    per calling thread, so one ``VMModule`` can serve a whole worker pool
+    without cloning."""
 
     def __init__(self, program: VMProgram):
         super().__init__()

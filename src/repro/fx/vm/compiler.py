@@ -60,8 +60,8 @@ class VMCompileError(RuntimeError):
 #: constant/submodule references); the hash covers parameter/buffer bytes,
 #: so an equal key implies the same function — the same argument that
 #: justifies the per-partition backend memo.  Every caller of one key gets
-#: the *same* program object — concurrent ``run``\s of which are safe via
-#: the program's arena lease pool.
+#: the *same* program object — concurrent ``run``\s of which are safe
+#: (per-call registers, per-thread arena buffers).
 _VM_CACHE = register_stage("vm", 64)
 
 

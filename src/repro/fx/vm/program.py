@@ -17,15 +17,11 @@ program-owned :class:`~repro.fx.passes.memory_planner.Arena` via
 ``out=``, so steady-state calls allocate nothing for planned
 intermediates.
 
-Arena-planned programs are **reentrant** via a lease pool: each ``run``
-leases an execution state (an arena plus the step closures bound to it)
-from a free list, so two threads replaying one shared program never
-write through the same scratch buffers.  Single-threaded callers always
-reuse the primary lease — zero steady-state allocations, exactly as
-before — while the pool grows to the observed concurrency (bounded by
-the worker count of whoever is calling) and is rebuilt empty on
-unpickle.  Programs without an arena share one immutable step tuple and
-need no leases at all.
+``run`` is **reentrant**: the register file is per call, the step
+closures are pure over it, and the arena materialises its buffers per
+calling thread (see :class:`~repro.fx.passes.memory_planner.Arena`), so
+two threads replaying one shared program never write through the same
+scratch buffers.
 
 The program is picklable: only the declarative state (instructions,
 register count, constants, arena *specs*) is serialized; step closures
@@ -36,8 +32,6 @@ source from its spec.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -300,54 +294,23 @@ class VMProgram:
         self.consts = dict(consts)
         self.arena_specs = tuple(tuple(s) for s in arena_specs)
         self.name = name
-        #: Free-form picklable annotations that survive cross-process
-        #: replay (e.g. ``repro.fx.sharding`` stamps the stage index and
-        #: env wiring here so a worker-side failure can name its stage).
+        #: Free-form picklable annotations that travel with the program
+        #: (``to_backend`` records the derived ``GuardSet`` here).
         self.meta = dict(meta) if meta else {}
         self._bind()
 
     def _bind(self) -> None:
         """(Re)build the runtime state the pickle drops: the register-file
-        template, the primary execution lease (arena + step closures), and
-        an empty lease pool for concurrent replay."""
+        template, the arena and the step closures bound to it."""
         template = [None] * self.n_regs
         for reg, value in self.consts.items():
             template[reg] = value
         self._template = template
         out = self.output
         self._out_reg = out.index if type(out) is Reg else None
-        if self.arena_specs:
-            self.arena = Arena(self.arena_specs)
-            self._steps = tuple((_make_step(ins, self.arena), ins.frees)
-                                for ins in self.instructions)
-            # Free list of (arena, steps) leases.  deque append/pop are
-            # atomic under the GIL, so the hot path takes no lock; the
-            # lock only serializes the *growth* bookkeeping.
-            self._lease_pool: Optional[deque] = deque(
-                [(self.arena, self._steps)])
-            self._lease_lock = threading.Lock()
-            self.n_leases = 1
-        else:
-            # No scratch state: the step closures are pure over the
-            # per-call register file, so one shared tuple is reentrant.
-            self.arena = None
-            self._steps = tuple((_make_step(ins, None), ins.frees)
-                                for ins in self.instructions)
-            self._lease_pool = None
-            self._lease_lock = None
-            self.n_leases = 0
-
-    def _grow_lease(self) -> tuple:
-        """Build a fresh execution lease (its own arena + closures bound
-        to it) when every pooled lease is checked out — i.e. under
-        concurrent ``run``.  The pool high-water mark therefore tracks the
-        peak concurrency this program has actually seen."""
-        arena = Arena(self.arena_specs)
-        steps = tuple((_make_step(ins, arena), ins.frees)
-                      for ins in self.instructions)
-        with self._lease_lock:
-            self.n_leases += 1
-        return (arena, steps)
+        self.arena = Arena(self.arena_specs) if self.arena_specs else None
+        self._steps = tuple((_make_step(ins, self.arena), ins.frees)
+                            for ins in self.instructions)
 
     def _bind_args(self, args: tuple) -> list:
         inputs = self.inputs
@@ -365,17 +328,13 @@ class VMProgram:
             regs[reg] = default
         return regs
 
-    def _replay(self, steps: tuple, regs: list) -> Any:
-        """The inner loop, over one lease's step closures.
-
-        Pre-PR-7 this ran over ``self._steps`` unconditionally — two
-        threads replaying one arena-planned program then wrote through
-        the same arena buffers and silently corrupted each other's
-        intermediates (the regression test drives this path directly).
-        """
+    def run(self, *args: Any) -> Any:
+        """Execute the program with *args* bound to the placeholders
+        (safe to call concurrently from several threads)."""
+        regs = self._bind_args(args)
         step_i = 0
         try:
-            for step, frees in steps:
+            for step, frees in self._steps:
                 step(regs)
                 if frees:
                     for i in frees:
@@ -389,26 +348,6 @@ class VMProgram:
         if self._out_reg is not None:
             return regs[self._out_reg]
         return _subst(self.output, regs)
-
-    def run(self, *args: Any) -> Any:
-        """Execute the program with *args* bound to the placeholders.
-
-        Safe to call concurrently from multiple threads: the register
-        file is per-call, and arena-planned programs lease a private
-        (arena, steps) execution state for the duration of the call.
-        """
-        regs = self._bind_args(args)
-        pool = self._lease_pool
-        if pool is None:
-            return self._replay(self._steps, regs)
-        try:
-            lease = pool.pop()
-        except IndexError:
-            lease = self._grow_lease()
-        try:
-            return self._replay(lease[1], regs)
-        finally:
-            pool.append(lease)
 
     __call__ = run
 

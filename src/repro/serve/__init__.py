@@ -20,10 +20,10 @@ capture-once/replay-many economics PyGraph argues for):
 * a smoke load test: ``python -m repro.serve.smoke`` (also wired into
   CI).
 
-Concurrent serving is safe because PR 7 made the compile stack
-re-entrant: the codegen LRU, transform cache, VM memo and partition
-memo are locked and single-flighted, and ``VMProgram.run`` leases a
-private arena per call.
+Concurrent serving is safe because the compile stack is re-entrant: the
+codegen LRU, transform cache, VM memo and partition memo are locked and
+single-flighted, and a compiled engine's arena keeps its buffers per
+calling thread on either executor.
 
 Example::
 

@@ -53,9 +53,9 @@ __all__ = ["ENGINE_FORMAT_VERSION", "EngineKey", "EngineCache"]
 
 #: Bump when the on-disk wrapper layout or artifact semantics change;
 #: files with any other version are treated as stale and rebuilt.
-#: v2: EngineKey grew ``shards`` — pre-shard pickled keys must go stale
-#: *before* key comparison (an old key object lacks the attribute).
-ENGINE_FORMAT_VERSION = 2
+#: v3: EngineKey lost a field — a v2 file must go stale on the version
+#: check, before any comparison against its five-field key.
+ENGINE_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,22 @@ class EngineKey:
         executor: execution tier (``"vm"`` / ``"codegen"``).
         signature: ``((shape, dtype_name), ...)`` of the (batched)
             example inputs compilation specialized against.
-        shards: pipeline width the engine was compiled for (1 =
-            single-process; >1 = a cold
-            :class:`~repro.fx.sharding.ShardedModule` artifact).
     """
 
     graph_hash: str
     backend: str
     executor: str
     signature: tuple
-    shards: int = 1
 
     def token(self) -> str:
         """Filesystem-safe digest naming this key's on-disk artifact."""
         raw = repr((self.graph_hash, self.backend, self.executor,
-                    self.signature, self.shards))
+                    self.signature))
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
     @staticmethod
     def for_graph(gm: GraphModule, backend: str, executor: str,
-                  signature: tuple, shards: int = 1) -> "EngineKey":
+                  signature: tuple) -> "EngineKey":
         """Build a key for *gm*; raises
         :class:`~repro.fx.graph.UnstableHashError` when the graph has no
         stable hash (such graphs must not be cached on disk)."""
@@ -99,7 +95,6 @@ class EngineKey:
             backend=backend,
             executor=executor,
             signature=tuple(signature),
-            shards=shards,
         )
 
 

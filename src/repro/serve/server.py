@@ -30,8 +30,8 @@ Architecture (stdlib only)::
   propagation) canonicalizes the dynamic dims out of the cache key, so
   one engine serves every batch size its guards admit; violating
   requests fall back to concrete per-shape engines.
-* **Concurrency safety** — engines are :class:`~repro.fx.vm.VMProgram`\s
-  replayed through per-call arena leases, and every compile-stack cache
+* **Concurrency safety** — an engine's arena keeps its scratch buffers
+  per calling thread on either executor, and every compile-stack cache
   is locked/single-flighted, so one shared engine serves the whole
   worker pool.
 
@@ -99,11 +99,6 @@ class ServeConfig:
             only).
         record_batches: keep a bounded log of executed batches (used by
             tests and the benchmark to audit coalescing).
-        shards: when > 1, engines compile as
-            :class:`~repro.fx.sharding.ShardedModule` pipelines — each
-            engine owns a persistent worker-process pool (closed with the
-            server).  Models sharding rejects (e.g. effectful graphs)
-            fall back to unsharded engines under the same key.
         guards: derive a symbolic-shape
             :class:`~repro.fx.analysis.guards.GuardSet` per model (from
             the first observed inputs) and key engines on the
@@ -111,7 +106,6 @@ class ServeConfig:
             batch size its guards admit instead of one engine per shape.
             Requests violating the guards fall back to a concrete
             per-shape engine (always correct, just not shared).
-            Disabled automatically for sharded engines.
     """
 
     backend: str = "numpy"
@@ -121,7 +115,6 @@ class ServeConfig:
     workers: int = 4
     cache_dir: Optional[str] = None
     record_batches: bool = True
-    shards: int = 1
     guards: bool = True
 
 
@@ -201,9 +194,6 @@ class InferenceServer:
         self._counts = {"batches": 0, "batched_rows": 0, "max_batch_rows": 0,
                         "guard_hits": 0, "guard_violations": 0}
         self._batch_log: deque = deque(maxlen=4096)
-        #: sharded engines this server built/loaded — their worker pools
-        #: are the server's responsibility to reap on close().
-        self._sharded_engines: set = set()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -232,10 +222,6 @@ class InferenceServer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        with self._stats_lock:
-            sharded, self._sharded_engines = self._sharded_engines, set()
-        for engine in sharded:
-            engine.close()
 
     # -- registration ------------------------------------------------------------
 
@@ -288,17 +274,6 @@ class InferenceServer:
                       example_inputs: tuple) -> Any:
         """Compile *handle*'s graph specialized to *example_inputs*."""
         cfg = self.config
-        if cfg.shards > 1:
-            from ..fx.sharding import ShardingError
-
-            backend = "eager" if cfg.backend == "numpy" else cfg.backend
-            try:
-                return fx.to_backend(handle.gm, backend,
-                                     shards=cfg.shards,
-                                     example_inputs=example_inputs,
-                                     executor=cfg.executor)
-            except ShardingError:
-                pass  # unshardable model: serve it unsharded
         if cfg.backend == "numpy":
             mod = fx.compile(handle.gm, example_inputs,
                              executor=cfg.executor)
@@ -317,9 +292,9 @@ class InferenceServer:
         """The model's GuardSet, derived lazily from the first inputs seen.
 
         Returns the set, or ``False`` when guards are off for this model
-        (underivable, fully static, or disabled by config/sharding).
+        (underivable, fully static, or disabled by config).
         """
-        if not self.config.guards or self.config.shards > 1:
+        if not self.config.guards:
             return False
         guards = handle.guard_set
         if guards is not None:
@@ -360,15 +335,7 @@ class InferenceServer:
             return self._local_engines, (handle.name, signature), counter
         return self.engine_cache, EngineKey(
             graph_hash=handle.graph_hash, backend=self.config.backend,
-            executor=self.config.executor, signature=signature,
-            shards=self.config.shards), counter
-
-    def _track_engine(self, engine: Any) -> None:
-        from ..fx.sharding import ShardedModule
-
-        if isinstance(engine, ShardedModule):
-            with self._stats_lock:
-                self._sharded_engines.add(engine)
+            executor=self.config.executor, signature=signature), counter
 
     # -- execution (worker threads) ----------------------------------------------
 
@@ -380,8 +347,6 @@ class InferenceServer:
             lambda: self._route(handle, inputs, signature))
         engine = store.get_or_build(
             key, lambda: self._build_engine(handle, inputs))
-        if self.config.shards > 1:
-            self._track_engine(engine)
         return engine(*inputs), counter
 
     def _run_single(self, handle: _ModelHandle, inputs: tuple) -> Any:

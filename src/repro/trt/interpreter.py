@@ -6,9 +6,9 @@ peephole fusions a real builder would (ReLU into the producing conv /
 linear / residual-add epilogue) and resolves all ``get_attr`` state into
 engine constants.
 
-Unsupported nodes raise :class:`UnsupportedOperatorError`; the splitter
-(:mod:`repro.trt.splitter`) uses :func:`is_node_supported` to route such
-regions back to eager execution instead.
+Unsupported nodes raise :class:`UnsupportedOperatorError`; the partitioner
+(:mod:`repro.fx.backends.partitioner`) uses :func:`is_node_supported` to
+route such regions back to eager execution instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ _SUPPORTED = {
 
 
 def is_node_supported(modules: dict[str, Module], node: Node) -> bool:
-    """Support predicate used by the interpreter and the splitter."""
+    """Support predicate used by the interpreter and the partitioner."""
     if node.op in ("placeholder", "output", "get_attr"):
         return True
     key = key_of(node, modules)

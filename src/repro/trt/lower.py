@@ -16,7 +16,7 @@ Since the backend-registry refactor this is a thin wrapper over
 
 Fully-supported models come back as a single ``TRTModule``; with
 ``allow_fallback=True``, unsupported regions stay eager submodules of a
-split GraphModule (see :mod:`repro.trt.splitter`).
+split GraphModule (see :func:`repro.fx.backends.to_backend`).
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ oracle verdicts.
 import numpy as np
 import pytest
 
+from repro.fx import clear_caches
+from repro.fx.analysis import alias
 from repro.fx.testing import (
+    CHECKS,
     ProgramSpec,
     generate_program,
     minimize_failure,
@@ -17,6 +20,7 @@ from repro.fx.testing import (
     spec_for_iteration,
 )
 from repro.fx.testing import fuzz as run_fuzz
+from repro.fx.testing.fuzz import main as fuzz_main
 
 
 class TestReplayDeterminism:
@@ -82,9 +86,42 @@ class TestReplayDeterminism:
 
 class TestOracleAndMinimizer:
     def test_oracle_passes_on_known_good_programs(self):
+        ran = set()
         for i in range(8):
             report = run_oracle(generate_program(spec_for_iteration(1, i)))
             assert report.ok, report.summary()
+            ran |= {o.name for o in report.outcomes}
+        assert ran == set(CHECKS)   # the exported names are the checks run
+
+    def test_unknown_check_names_are_rejected_with_the_list(self, capsys):
+        """A misspelt name used to select nothing: zero checks, exit 0."""
+        program = generate_program(spec_for_iteration(1, 0))
+        with pytest.raises(ValueError, match="vm_compild.*known:.*vm_compiled"):
+            run_oracle(program, only=frozenset({"vm", "vm_compild"}))
+        with pytest.raises(SystemExit) as exit_:
+            fuzz_main(["--iters", "1", "--checks", "vm,vm_compild"])
+        assert exit_.value.code == 2
+        assert "vm_compild" in capsys.readouterr().err
+
+    def test_cast_filed_as_fresh_is_caught_within_the_smoke(self, monkeypatch):
+        """Mutant: ``float`` back among the methods that never alias.  The
+        second call of ``compile`` / ``vm_compiled`` runs on other values,
+        so a returned arena buffer shows as a first result that moved."""
+        monkeypatch.setattr(alias, "_FRESH_METHODS",
+                            alias._FRESH_METHODS | {"float"})
+        clear_caches()
+        try:
+            failing = next(
+                (report.failures for report in (
+                    run_oracle(generate_program(spec_for_iteration(0, i)),
+                               only=frozenset({"compile", "vm_compiled"}),
+                               localize=False)
+                    for i in range(200)) if not report.ok), None)
+        finally:
+            clear_caches()  # nothing planned under the mutant may be replayed
+        assert failing and {o.name for o in failing} \
+            == {"compile", "vm_compiled"}
+        assert all("own its storage" in o.error for o in failing)
 
     def test_minimize_rejects_passing_spec(self):
         with pytest.raises(ValueError):

@@ -238,6 +238,15 @@ class TestAliasAnalysis:
         node = next(n for n in gm.graph.nodes if n.target == "add_")
         assert may_alias_input(node, gm)
 
+    @pytest.mark.parametrize("cast", ["to", "float", "long", "int", "bool"])
+    def test_casts_may_return_self(self, cast):
+        """A cast to the dtype a tensor already has returns the tensor."""
+        graph = Graph()
+        args = (repro.float32,) if cast == "to" else ()
+        node = graph.call_method(cast, (graph.placeholder("x"), *args))
+        graph.output(node)
+        assert may_alias_input(node, GraphModule(nn.Module(), graph))
+
     def test_escape_through_view_chain(self):
         class M(nn.Module):
             def forward(self, x):

@@ -22,7 +22,7 @@ from repro.fx.backends import (
     register_backend,
     registered_backends,
 )
-from repro.fx.passes import split_by_support, split_module
+from repro.fx.passes import split_module
 from repro.fx.testing import ProgramSpec, generate_program, run_oracle
 from repro.models import MLP, deep_recommender, resnet18
 from repro.trt import TRTBackend, TRTInterpreter, TRTModule, lower_to_trt
@@ -146,14 +146,16 @@ class TestCapabilityPartitioner:
             lambda n, m: n.target is not F.tanh, mask_effects=False).partition(gm)
         assert len(plan.partitions) == 2
         # and the resulting split is actually executable
-        res = split_by_support(gm, lambda n: n.target is not F.tanh)
+        split = to_backend(gm, override_support(
+            "eager", lambda n, m: n.target is not F.tanh),
+            inline_unsupported=False)
         x = repro.randn(4)
-        assert np.allclose(res.split_gm(x).data, gm(x).data, atol=1e-6)
+        assert np.allclose(split(x).data, gm(x).data, atol=1e-6)
 
     def test_get_attr_inherits_from_consumers(self):
-        """Regression (old splitter.py:63): a leading get_attr before an
-        unsupported first op defaulted to supported, making a compute-free
-        'supported' partition (an empty engine build downstream)."""
+        """Regression: a leading get_attr before an unsupported first op
+        defaulted to supported, making a compute-free 'supported'
+        partition (an empty engine build downstream)."""
 
         class M(nn.Module):
             def __init__(self):
@@ -165,14 +167,17 @@ class TestCapabilityPartitioner:
 
         gm = symbolic_trace(M())
         # first compute node (add) is unsupported; only relu is supported
-        res = split_by_support(gm, lambda n: n.target is F.relu)
-        for pid in res.supported_partitions:
-            sub = res.split_gm.get_submodule(f"submod_{pid}")
-            ops = {n.op for n in sub.graph.nodes}
+        # (fallback nodes stay inline: every submodule is a supported one)
+        split = to_backend(gm, override_support(
+            "eager", lambda n, m: n.target is F.relu))
+        supported = split.graph.find_nodes(op="call_module")
+        assert supported
+        for call in supported:
+            ops = {n.op for n in split.get_submodule(call.target).graph.nodes}
             assert ops & {"call_function", "call_method", "call_module"}, (
-                f"supported partition {pid} has no compute: {ops}")
+                f"supported partition {call.target} has no compute: {ops}")
         x = repro.randn(4)
-        assert np.allclose(res.split_gm(x).data, gm(x).data, atol=1e-6)
+        assert np.allclose(split(x).data, gm(x).data, atol=1e-6)
 
     def test_get_attr_claimed_by_single_consumer_partition(self):
         class M(nn.Module):
@@ -221,12 +226,18 @@ class TestCapabilityPartitioner:
 
     def test_partition_of_is_total_and_split_runs(self):
         gm = symbolic_trace(MLP(4, (8, 8), 2))
-        res = split_by_support(gm, lambda n: n.op == "call_module")
+        split = to_backend(gm, override_support(
+            "eager", lambda n, m: n.target not in ("net.1", "net.3")),
+            inline_unsupported=False)
         compute = [n for n in gm.graph.nodes
                    if n.op not in ("placeholder", "output")]
-        assert set(res.partition_of) == {n.name for n in compute}
+        report = split.backend_report
+        assert report.n_supported_nodes + report.n_fallback_nodes \
+            == len(compute)
+        assert {n.op for n in split.graph.nodes} \
+            == {"placeholder", "call_module", "output"}
         x = repro.randn(3, 4)
-        assert np.allclose(res.split_gm(x).data, gm(x).data, atol=1e-6)
+        assert np.allclose(split(x).data, gm(x).data, atol=1e-6)
 
 
 class TestSplitModuleInline:

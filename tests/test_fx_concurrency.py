@@ -14,14 +14,14 @@ Two bug classes are covered:
   every stage is bounded (the pre-ArtifactCache VM and partition memos
   grew without limit, pinning every compiled program).
 
-* **shared-arena corruption** — ``VMProgram.run`` used to replay every
-  call through the one program-owned arena, so two threads replaying a
-  shared (memoized!) program silently overwrote each other's planned
-  intermediates.  ``test_shared_arena_corrupts_unguarded`` reconstructs
-  that exact pre-fix path via a mutant lease (all calls share one
-  arena) and proves the corruption with a barrier that forces both
-  threads to write the same slot before either reads it back; the
-  guarded path returns exact results under the same schedule.
+* **shared-arena corruption** — an arena whose buffers are shared by
+  every caller lets two threads running one compiled module (generated
+  ``forward`` or ``VMProgram``) silently overwrite each other's planned
+  intermediates.  ``test_shared_buffers_corrupt`` reconstructs that path
+  with a mutant arena (one buffers dict for all threads) and proves the
+  corruption with a barrier that forces both threads to write the same
+  slot before either reads it back; the real arena, whose buffers belong
+  to the calling thread, returns exact results under the same schedule.
 """
 
 import gc
@@ -29,6 +29,7 @@ import os
 import signal
 import threading
 import time
+import types
 import weakref
 
 import numpy as np
@@ -37,16 +38,17 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import ArtifactCache, Graph, cache_info, clear_caches, \
-    symbolic_trace
+from repro.fx import ArtifactCache, Graph, GraphModule, cache_info, \
+    clear_caches, symbolic_trace
 from repro.fx import compile as fx_compile
 from repro.fx.analysis import Analysis, AnalysisContext, register_analysis
 from repro.fx.analysis import engine as engine_mod
 from repro.fx.backends import to_backend
 from repro.fx.concurrency import KeyedMutex
-from repro.fx.passes import PassManager, eliminate_dead_code
+from repro.fx.passes import Arena, ArenaSlot, FusedKernel, PassManager, \
+    eliminate_dead_code
 from repro.fx.state import copy_module
-from repro.fx.vm import Instruction, Reg, VMProgram, compile_to_vm
+from repro.fx.vm import compile_to_vm
 from repro.tensor import Tensor
 
 N_THREADS = 8
@@ -324,9 +326,9 @@ class TestArtifactCache:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_child_forked_mid_build_with_a_held_lock_does_not_deadlock(self):
-        """The sharding tier forks from multi-threaded parents: a child
-        must never inherit the bookkeeping lock or a key's flight lock in
-        its locked state.  SIGALRM turns a child deadlock into a non-zero
+        """A process may be forked while other threads use the caches: a
+        child must never inherit the bookkeeping lock or a key's flight
+        lock in its locked state.  SIGALRM turns a child deadlock into a non-zero
         exit status instead of a hung test."""
         cache = ArtifactCache()
         held, release = threading.Event(), threading.Event()
@@ -356,90 +358,93 @@ class TestArtifactCache:
             clear_caches("no-such-stage")
 
 
-# -- VMProgram shared-arena reentrancy ------------------------------------------
+# -- arena reentrancy, through both code generators ------------------------------
 
 
-def _barrier_program(barrier: threading.Barrier) -> VMProgram:
-    """A 3-instruction arena-planned program engineered so that two
-    concurrent runs sharing one arena *must* interleave write -> read:
+class _WriteSlot(FusedKernel):
+    """Copies its input into ``out`` — a ``FusedKernel`` because that is
+    the target both code generators route an ``arena_slot`` into."""
 
-        %r1 = write_slot(%r0)   # copy input into arena slot 0
-        %r2 = sync(%r1)         # rendezvous: both threads have written
-        %r3 = snapshot(%r2)     # read the slot back (copy)
+    def __init__(self):
+        self.__name__ = "write_slot"
+        self.__module__ = "fused"
 
-    With private per-call arenas each run reads back its own input; with
-    a shared arena the slot holds whichever thread wrote last, so at
-    least one thread snapshots the other's data.
-    """
-
-    def write_slot(x, out=None):
+    def __call__(self, x, out=None):
         buf = out.materialize()
         buf[...] = x.data
         return Tensor._wrap(buf)
+
+
+def _barrier_runner(barrier: threading.Barrier, executor: str):
+    """``(run, arena)`` of a three-node arena-planned graph engineered so
+    that two concurrent runs sharing buffers *must* interleave write ->
+    read:
+
+        write = write_slot(x)   # copy input into arena slot 0
+        sync  = sync(write)     # rendezvous: both threads have written
+        return sync.clone()     # read the slot back
+
+    With buffers of its own each run reads back its own input; with
+    shared buffers the slot holds whichever thread wrote last, so at
+    least one thread reads the other's data.
+    """
 
     def sync(t):
         barrier.wait(timeout=10)
         return t
 
-    def snapshot(t):
-        return Tensor._wrap(t.data.copy())
+    arena = Arena([((4,), "float32")])
+    graph = Graph()
+    write = graph.call_function(_WriteSlot(), (graph.placeholder("x"),))
+    write.meta["arena_slot"] = ArenaSlot(arena, 0)
+    graph.output(graph.call_method(
+        "clone", (graph.call_function(sync, (write,)),)))
+    gm = GraphModule(nn.Module(), graph)
+    if executor == "codegen":
+        return gm, arena
+    program = compile_to_vm(gm, cache=False)
+    assert program.arena is not None    # the VM took the slot over
+    return program.run, program.arena
 
-    instructions = [
-        Instruction(kind="call", target=write_slot, args=(Reg(0),),
-                    out=1, out_slot=0, name="write"),
-        Instruction(kind="call", target=sync, args=(Reg(1),), out=2,
-                    name="sync"),
-        Instruction(kind="call", target=snapshot, args=(Reg(2),), out=3,
-                    name="read"),
-    ]
-    return VMProgram(instructions, 4, [(0, "x", False, None)], Reg(3),
-                     {}, [((4,), "float32")], name="barrier_prog")
 
-
-class TestVMProgramReentrancy:
-    def _race(self, program) -> list:
+@pytest.mark.parametrize("executor", ["codegen", "vm"])
+class TestArenaReentrancy:
+    def _race(self, run) -> list:
         xs = [Tensor._wrap(np.full((4,), float(i + 1), np.float32))
               for i in range(2)]
         results = [None, None]
 
         def worker(i):
-            results[i] = program.run(xs[i]).data.copy()
+            results[i] = run(xs[i]).data.copy()
 
         _run_threads(2, worker)
         return [np.array_equal(results[i], xs[i].data) for i in range(2)]
 
-    def test_shared_arena_corrupts_unguarded(self):
-        """The pre-fix execution path (every call replaying through the
-        one program-owned arena) corrupts concurrent runs — demonstrated
-        by a mutant that makes the lease pool hand every caller the
-        primary lease, which is exactly what the pre-PR-7 ``run`` did."""
-        barrier = threading.Barrier(2)
-        program = _barrier_program(barrier)
-        program._grow_lease = lambda: (program.arena, program._steps)
-        ok = self._race(program)
-        assert not all(ok), \
-            "shared-arena replay unexpectedly produced correct results"
+    def test_shared_buffers_corrupt(self, executor):
+        """An arena that hands every thread the same buffers — what
+        ``Arena`` did before its buffers were per thread — corrupts
+        concurrent runs."""
+        run, arena = _barrier_runner(threading.Barrier(2), executor)
+        arena._local = types.SimpleNamespace(buffers={})
+        assert not all(self._race(run)), \
+            "shared-buffer replay unexpectedly produced correct results"
 
-    def test_lease_pool_isolates_concurrent_runs(self):
-        barrier = threading.Barrier(2)
-        program = _barrier_program(barrier)
-        ok = self._race(program)
-        assert all(ok)
-        assert program.n_leases == 2  # pool grew to observed concurrency
+    def test_concurrent_runs_are_isolated(self, executor):
+        run, arena = _barrier_runner(threading.Barrier(2), executor)
+        assert all(self._race(run))
+        assert arena.materializations == 2  # one buffer per calling thread
 
-    def test_sequential_runs_reuse_primary_lease(self):
-        program = _barrier_program(threading.Barrier(1))
+    def test_sequential_caller_materialises_once(self, executor):
+        run, arena = _barrier_runner(threading.Barrier(1), executor)
         x = Tensor._wrap(np.arange(4, dtype=np.float32))
-        before = program.arena.materializations
         for _ in range(5):
-            assert np.array_equal(program.run(x).data, x.data)
-        assert program.n_leases == 1
-        assert program.arena.materializations == max(before, 1)
+            assert np.array_equal(run(x).data, x.data)
+        assert arena.materializations == 1
 
-    def test_compiled_model_concurrent_exactness(self):
-        """End-to-end: a fused, arena-planned model compiled to the VM
-        stays exact under an 8-way hammer (probabilistically corrupt
-        pre-fix)."""
+    def test_compiled_model_concurrent_exactness(self, executor):
+        """End-to-end: a fused, arena-planned compiled model stays exact
+        under an 8-way hammer (probabilistically corrupt with shared
+        buffers)."""
 
         class Mix(nn.Module):
             def __init__(self):
@@ -457,8 +462,8 @@ class TestVMProgramReentrancy:
         repro.manual_seed(3)
         model = Mix().eval()
         x0 = repro.randn(4, 8)
-        vm = fx_compile(model, (x0,), executor="vm")
-        assert vm.program.arena is not None, \
+        compiled = fx_compile(model, (x0,), executor=executor)
+        assert compiled.compile_report.memory.slots, \
             "workload no longer exercises the arena; strengthen the model"
 
         def worker(i):
@@ -466,6 +471,6 @@ class TestVMProgramReentrancy:
             x = repro.randn(4, 8)
             expected = model(x).data
             for _ in range(100):
-                assert np.allclose(vm(x).data, expected, atol=1e-6)
+                assert np.allclose(compiled(x).data, expected, atol=1e-6)
 
         _run_threads(N_THREADS, worker)

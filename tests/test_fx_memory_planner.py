@@ -4,11 +4,13 @@ out-slot reuse against multi-step fused kernels, and the
 ``garbage_collect_values=False`` interpreter interaction."""
 
 import numpy as np
+import pytest
 
 import repro
 import repro.functional as F
 from repro import nn
 from repro.fx import Interpreter, symbolic_trace
+from repro.fx import compile as fx_compile
 from repro.fx.passes import ShapeProp, plan_memory
 from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
 
@@ -115,6 +117,26 @@ class TestEscapeAnalysis:
         out_u, out_m = gm(x1)
         assert np.array_equal(out_u.data, ref_u.data)
         assert np.array_equal(out_m.data, ref_m.data)
+
+    @pytest.mark.parametrize("executor", ["codegen", "vm"])
+    @pytest.mark.parametrize("cast", [
+        lambda t: t.float(), lambda t: t.to(repro.float32)],
+        ids=["float", "to"])
+    def test_cast_result_owns_its_storage(self, cast, executor):
+        # A cast to the dtype the value already has returns the value
+        # itself: what the caller holds is the fused result, which the
+        # next call must not overwrite.
+        class M(nn.Module):
+            def forward(self, x):
+                return cast(F.relu(x) * 2.0 + 1.0)
+
+        x1, x2 = repro.randn(4, 8), repro.randn(4, 8)
+        compiled = fx_compile(M(), (x1,), executor=executor)
+        first = compiled(x1)
+        saved = first.data.copy()
+        compiled(x2)
+        assert first.data.tobytes() == saved.tobytes()
+        assert np.array_equal(saved, M()(x1).data)
 
     def test_output_through_alias_chain_escapes(self):
         class M(nn.Module):

@@ -1,4 +1,5 @@
-"""Tests for split_module, splitter, cost model, and the pipeline scheduler."""
+"""Tests for split_module, support-based splitting, cost model, and the
+pipeline scheduler."""
 
 import operator
 
@@ -9,10 +10,10 @@ import repro
 import repro.functional as F
 from repro import nn
 from repro.fx import symbolic_trace
+from repro.fx.backends import override_support, to_backend
 from repro.fx.passes import (
     estimate,
     pipeline_schedule,
-    split_by_support,
     split_module,
 )
 from repro.fx.passes.cost_model import ASIC_MODEL, CPU_MODEL, DeviceModel, GPU_MODEL
@@ -75,7 +76,21 @@ class TestSplitModule:
         split.graph.lint()
 
 
+def _compute_names(gm) -> set:
+    return {n.name for n in gm.graph.nodes
+            if n.op not in ("placeholder", "output")}
+
+
 class TestSupportSplitter:
+    """Support-based splitting is ``to_backend`` with a predicate backend
+    and every node in some submodule (what ``lower_to_trt`` does)."""
+
+    @staticmethod
+    def _split(gm, is_supported):
+        backend = override_support(
+            "eager", lambda n, modules: is_supported(n), name="predicate")
+        return to_backend(gm, backend, inline_unsupported=False)
+
     def test_alternating_partitions(self):
         def f(x):
             a = repro.relu(x)      # supported
@@ -84,24 +99,27 @@ class TestSupportSplitter:
             return c
 
         gm = symbolic_trace(f)
-        res = split_by_support(gm, lambda n: n.target is F.relu)
-        assert len(res.submodule_names(True)) == 2
-        assert len(res.submodule_names(False)) == 1
+        split = self._split(gm, lambda n: n.target is F.relu)
+        assert split.backend_report.n_partitions == 2       # supported
+        assert len(split.graph.find_nodes(op="call_module")) == 3  # + 1 fallback
         x = repro.randn(4)
-        assert np.allclose(res.split_gm(x).data, gm(x).data, atol=1e-6)
+        assert np.allclose(split(x).data, gm(x).data, atol=1e-6)
 
     def test_all_supported_single_partition(self):
         gm = symbolic_trace(lambda x: repro.relu(repro.relu(x)))
-        res = split_by_support(gm, lambda n: True)
-        assert len(set(res.partition_of.values())) == 1
-        assert res.submodule_names(False) == []
+        report = self._split(gm, lambda n: True).backend_report
+        assert report.n_partitions == 1
+        assert report.n_fallback_nodes == 0
 
     def test_partition_of_covers_all_compute_nodes(self):
         gm = symbolic_trace(MLP(4, (8,), 2))
-        res = split_by_support(gm, lambda n: n.op == "call_module")
-        compute = [n for n in gm.graph.nodes if n.op not in ("placeholder", "output")]
-        # note: split_gm has fresh node objects; partition_of uses original names
-        assert set(res.partition_of) == {n.name for n in compute}
+        split = self._split(gm, lambda n: n.target != "net.1")
+        inside = set()
+        for call in split.graph.find_nodes(op="call_module"):
+            inside |= _compute_names(split.get_submodule(call.target))
+        assert inside == _compute_names(gm)
+        assert _compute_names(split) == {    # nothing left inline
+            "submod_0", "submod_1", "submod_2"}
 
 
 class TestCostModel:
@@ -319,8 +337,7 @@ class TestSplitFuzzSurfacedEdgeCases:
 class TestFusedKernelCosting:
     """Regression: fused regions must cost the sum of their steps' op
     costs, not fall to the generic call_function default of zero flops
-    (which made post-``fx.compile`` graphs look free to the shard
-    planner and the scheduler)."""
+    (which made post-``fx.compile`` graphs look free to the scheduler)."""
 
     class Chain(nn.Module):
         def forward(self, x):
@@ -495,54 +512,3 @@ class TestSchedulerEdgeCases:
             makespans.append(sched.makespan)
         for lo, hi in zip(makespans, makespans[1:]):
             assert hi >= lo - 1e-15
-
-
-class TestSimulateStagePipeline:
-    """The linear-stage simulator behind ShardPlan's predictions."""
-
-    def test_single_stage_is_serial(self):
-        from repro.fx.passes import simulate_stage_pipeline
-
-        sched = simulate_stage_pipeline([0.01], 10)
-        assert sched.speedup == pytest.approx(1.0)
-        assert sched.bubble_fraction == pytest.approx(0.0)
-        assert sched.makespan == pytest.approx(0.1)
-
-    def test_balanced_stages_approach_linear_speedup(self):
-        from repro.fx.passes import simulate_stage_pipeline
-
-        sched = simulate_stage_pipeline([0.01, 0.01], 200)
-        assert 1.9 < sched.speedup <= 2.0
-        sched4 = simulate_stage_pipeline([0.01] * 4, 400)
-        assert 3.8 < sched4.speedup <= 4.0
-
-    def test_unbalanced_stages_leave_bubbles(self):
-        from repro.fx.passes import simulate_stage_pipeline
-
-        sched = simulate_stage_pipeline([0.03, 0.01], 50)
-        assert sched.bubble_fraction > 0.2
-        assert sched.speedup < 1.5
-
-    def test_zero_cost_transfer_is_free(self):
-        from repro.fx.passes import simulate_stage_pipeline
-
-        base = simulate_stage_pipeline([0.01, 0.02], 20)
-        with_zero = simulate_stage_pipeline([0.01, 0.02], 20,
-                                            transfer_times=[0.0])
-        assert with_zero.makespan == pytest.approx(base.makespan)
-        assert with_zero.speedup == pytest.approx(base.speedup)
-
-    def test_makespan_monotone_in_transfer(self):
-        from repro.fx.passes import simulate_stage_pipeline
-
-        spans = [simulate_stage_pipeline([0.01, 0.01], 20,
-                                         transfer_times=[hop]).makespan
-                 for hop in (0.0, 0.001, 0.01, 0.1)]
-        for lo, hi in zip(spans, spans[1:]):
-            assert hi >= lo - 1e-15
-
-    def test_empty_stream(self):
-        from repro.fx.passes import simulate_stage_pipeline
-
-        assert simulate_stage_pipeline([], 5).makespan == 0.0
-        assert simulate_stage_pipeline([0.01], 0).makespan == 0.0

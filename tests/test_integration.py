@@ -7,12 +7,12 @@ import repro
 import repro.functional as F
 from repro import nn
 from repro.fx import Interpreter, symbolic_trace, replace_pattern
+from repro.fx.backends import override_support, to_backend
 from repro.fx.passes import (
     ShapeProp,
     eliminate_common_subexpressions,
     estimate,
     fuse_conv_bn,
-    split_by_support,
 )
 from repro.models import MLP, SimpleCNN, resnet18
 from repro.quant import QuantizedLinear, quantize_static
@@ -60,9 +60,12 @@ class TestTransformChains:
     def test_split_then_lower_each_part(self):
         model = MLP(8, (16, 16), 4).eval()
         gm = symbolic_trace(model)
-        res = split_by_support(gm, lambda n: n.op == "call_module")
+        split = to_backend(gm, override_support(
+            "eager", lambda n, modules: n.target != "net.1"),
+            inline_unsupported=False)
         x = repro.randn(2, 8)
-        assert np.allclose(res.split_gm(x).data, model(x).data, atol=1e-5)
+        assert len(split.graph.find_nodes(op="call_module")) == 3
+        assert np.allclose(split(x).data, model(x).data, atol=1e-5)
 
     def test_shape_prop_after_fusion(self):
         fused = fuse_conv_bn(SimpleCNN().eval())

@@ -540,15 +540,32 @@ class TestWorkerPoolExactness:
             assert_same(out, expected[j // 4])
 
     def test_codegen_executor_serves_too(self):
-        async def go():
-            async with make_server(executor="codegen") as server:
-                model = SmallMLP().eval()
-                server.register("mlp", model)
-                x = repro.randn(4, 8)
-                out = await server.infer("mlp", x)
-                assert np.allclose(out.data, model(x).data, atol=1e-6)
+        """One generated ``forward`` shared by four workers: the fused
+        region between the two matmuls is arena-planned, so every reply
+        is right only if concurrent forwards do not share its buffer."""
 
-        run(go())
+        class Planned(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.fc1 = nn.Linear(64, 128)
+                self.fc2 = nn.Linear(128, 64)
+
+            def forward(self, x):
+                return self.fc2(F.tanh(F.relu(self.fc1(x)) * 1.5 + 0.5))
+
+        repro.manual_seed(11)
+        model = Planned().eval()
+        xs = [repro.randn(256, 64) for _ in range(8)]
+
+        async def go():
+            async with make_server(executor="codegen", workers=4,
+                                   batching=False) as server:
+                server.register("planned", model)
+                return await asyncio.gather(
+                    *(server.infer("planned", x) for x in xs))
+
+        for out, x in zip(run(go()), xs):
+            assert np.allclose(out.data, model(x).data, atol=1e-5)
 
 
 # -- engine cache: cold start + integrity ---------------------------------------
@@ -706,6 +723,27 @@ class TestEngineCacheIntegrity:
         fresh.get_or_build(self.KEY, builder)
         assert fresh.info()["stale"] == 1
 
+    def test_v2_file_goes_stale_on_its_version_and_is_overwritten(self, tmp_path):
+        """What a format-2 cache left behind: wrapper version 2 and a key
+        object that still carries a fifth field.  The version check
+        retires it before anything is compared against that key."""
+        builder, calls = self._build_counter()
+        EngineCache(directory=str(tmp_path)).get_or_build(self.KEY, builder)
+        path = _one_artifact(tmp_path)
+        wrapper = pickle.load(open(path, "rb"))
+        object.__setattr__(wrapper["key"], "fifth_field", 1)
+        wrapper["version"] = 2
+        pickle.dump(wrapper, open(path, "wb"))
+
+        fresh = EngineCache(directory=str(tmp_path))
+        assert fresh.get_or_build(self.KEY, builder) == {"engine": 2}
+        info = fresh.info()
+        assert (info["stale"], info["corrupt"], info["builds"],
+                info["stores"]) == (1, 0, 1, 1)
+        again = EngineCache(directory=str(tmp_path))
+        assert again.get_or_build(self.KEY, builder) == {"engine": 2}
+        assert again.info()["disk_hits"] == 1 and again.info()["stale"] == 0
+
     def test_memory_lru_bound(self):
         cache = EngineCache(max_memory_entries=2)
         for i in range(4):
@@ -779,81 +817,6 @@ class TestStats:
                 await server.infer("pw", repro.randn(1, 8))
 
         run(go())
-
-
-class TestShardedServing:
-    def test_sharded_engines_exact_and_reaped(self):
-        """shards=2 serves bit-exact results through a worker-process
-        pipeline, and closing the server reaps every worker."""
-        import multiprocessing
-
-        async def go():
-            model = SmallMLP().eval()
-            async with make_server(shards=2, batching=False,
-                                   workers=2) as server:
-                server.register("mlp", model)
-                xs = [repro.randn(2, 8) for _ in range(6)]
-                outs = await asyncio.gather(
-                    *(server.infer("mlp", x) for x in xs))
-                for x, out in zip(xs, outs):
-                    assert np.array_equal(out.data, model(x).data)
-                from repro.fx.sharding import ShardedModule
-
-                assert any(isinstance(e, ShardedModule)
-                           for e in server._sharded_engines)
-            return server
-
-        run(go())
-        assert not multiprocessing.active_children(), \
-            "server.close() must reap sharded worker pools"
-
-    def test_shard_spec_in_engine_key(self, tmp_path):
-        """The same model served sharded and unsharded must produce two
-        distinct disk artifacts (the key carries the shard spec)."""
-        async def go(shards):
-            repro.manual_seed(7)
-            model = SmallMLP().eval()
-            async with InferenceServer(ServeConfig(
-                    workers=2, shards=shards, batching=False,
-                    cache_dir=str(tmp_path))) as server:
-                server.register("mlp", model)
-                x = repro.randn(2, 8)
-                out = await server.infer("mlp", x)
-                assert np.array_equal(out.data, model(x).data)
-                return server.stats()["engine_cache"]
-
-        first = run(go(1))
-        assert first["builds"] == 1
-        second = run(go(2))  # same model, sharded: its own engine
-        assert second["builds"] == 1
-        assert second["disk_hits"] == 0
-
-        third = run(go(2))  # sharded again: cold ShardedModule from disk
-        assert third["builds"] == 0
-        assert third["disk_hits"] == 1
-
-    def test_unshardable_model_falls_back_unsharded(self):
-        """A model sharding refuses (effectful graph) still serves."""
-        class Mutating(nn.Module):
-            def forward(self, x):
-                y = x + 1.0
-                y.add_(1.0)
-                return y * 2.0
-
-        async def go():
-            model = Mutating()
-            async with make_server(shards=2, batching=False,
-                                   workers=2) as server:
-                server.register("mut", model)
-                x = repro.randn(2, 8)
-                out = await server.infer("mut", x)
-                assert np.allclose(out.data, ((x.data + 2.0) * 2.0),
-                                   atol=1e-6)
-
-        run(go())
-
-
-# -- guard-keyed engines (PR 9) -------------------------------------------------
 
 
 class TestGuardKeyedEngines:
