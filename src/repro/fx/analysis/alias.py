@@ -4,8 +4,8 @@ Answers, for every node, the three questions the memory planner, the
 mutation-hazard checker, and the lint rules all need:
 
 * **may-alias** — can this node's output share storage with one of its
-  tensor inputs?  (``reshape``/``getitem``/``transpose`` return numpy
-  views; unknown callables are conservatively assumed to.)
+  tensor inputs?  (The op table's ``view`` says so of ``reshape`` /
+  ``getitem`` / the casts; a call without an entry is assumed to.)
 * **escape** — can the caller still see this value after ``forward``
   returns?  A value escapes when it is (a view of a view of …) something
   the output returns.
@@ -25,12 +25,13 @@ Results are positional (node-index keyed) so they cache and rebind; use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
+from .. import opinfo
 from ..graph import Graph
 from ..graph_module import GraphModule
 from ..node import Node
 from .engine import Analysis, AnalysisContext, fixpoint, register_analysis
+from .purity import is_inplace_method
 
 __all__ = [
     "AliasAnalysis",
@@ -40,87 +41,18 @@ __all__ = [
 ]
 
 
-# repro.functional callables whose result NEVER shares storage with a
-# tensor argument.  Anything not provably fresh is treated as aliasing.
-_FRESH_FUNCTION_NAMES = frozenset({
-    "add", "sub", "mul", "div", "neg", "pow", "matmul", "mm", "bmm",
-    "exp", "log", "sqrt", "rsqrt", "abs", "sin", "cos", "sign", "erf",
-    "clamp", "round", "floor", "where", "maximum", "minimum",
-    "relu", "relu6", "leaky_relu", "elu", "selu", "gelu", "silu", "mish",
-    "sigmoid", "tanh", "hardtanh", "hardsigmoid", "hardswish", "softplus",
-    "softmax", "log_softmax", "linear", "conv1d", "conv2d",
-    "conv_transpose2d", "batch_norm", "layer_norm", "group_norm",
-    "max_pool2d", "avg_pool2d", "adaptive_avg_pool2d", "interpolate",
-    "embedding", "embedding_bag", "one_hot", "cat", "stack", "pad",
-    "sum", "mean", "var", "amax", "amin", "argmax", "cumsum", "topk",
-    "mse_loss", "l1_loss", "nll_loss", "cross_entropy",
-    "binary_cross_entropy",
-})
-
-# Not the casts (``to`` / ``float`` / ``long`` / ``int`` / ``bool``): each
-# returns ``self`` when the dtype already matches.
-_FRESH_METHODS = frozenset({
-    "add", "sub", "mul", "div", "neg", "abs", "pow", "matmul", "mm", "bmm",
-    "exp", "log", "sqrt", "rsqrt", "reciprocal", "sin", "cos", "tanh",
-    "erf", "sigmoid", "relu", "gelu", "clamp", "clamp_min", "round",
-    "floor", "sign", "softmax", "sum", "mean", "var", "amax", "amin",
-    "argmax", "cumsum", "topk", "clone", "copy",
-})
-
-_FRESH_MODULE_NAMES = frozenset({
-    "Linear", "Conv1d", "Conv2d", "ConvTranspose2d",
-    "BatchNorm1d", "BatchNorm2d", "LayerNorm", "GroupNorm",
-    "MaxPool2d", "AvgPool2d", "AdaptiveAvgPool2d", "Upsample",
-    "ReLU", "ReLU6", "LeakyReLU", "ELU", "SELU", "GELU", "SiLU", "Mish",
-    "Sigmoid", "Tanh", "Hardtanh", "Hardsigmoid", "Hardswish", "Softplus",
-    "Softmax", "LogSoftmax", "Embedding", "EmbeddingBag",
-    "MultiheadAttention", "MSELoss", "BCELoss", "CrossEntropyLoss",
-})
-
-
-def _is_repro_functional(fn: Any) -> bool:
-    return getattr(fn, "__module__", "") in ("repro.functional",)
-
-
 def may_alias_input(node: Node, gm: GraphModule) -> bool:
     """May *node*'s output share storage with one of its tensor inputs?
 
-    Conservative: unknown targets alias.  ``reshape``/``transpose``/
-    ``getitem``/``dropout`` (eval) and friends genuinely return views in
-    the numpy substrate.
+    An in-place method returns ``self``; otherwise the op table's ``view``
+    says, and a call without an entry is assumed to alias.
     """
-    # Local import: pointwise_fuser is a pass built *on top of* this
-    # analysis layer; only the target-type check reaches back into it.
-    from ..passes.pointwise_fuser import FusedKernel
-
     if node.op in ("placeholder", "get_attr", "output"):
         return False
-    if node.op == "call_function":
-        target = node.target
-        if isinstance(target, FusedKernel):
-            return False
-        name = getattr(target, "__name__", "")
-        if _is_repro_functional(target):
-            return name not in _FRESH_FUNCTION_NAMES
-        mod = getattr(target, "__module__", "")
-        if mod in ("_operator", "operator"):
-            # getitem (tuple indexing / tensor slicing) aliases; the
-            # arithmetic operators allocate fresh ndarrays.
-            return name == "getitem"
+    if node.op == "call_method" and is_inplace_method(node.target):
         return True
-    if node.op == "call_method":
-        if isinstance(node.target, str) and node.target.endswith("_") \
-                and not node.target.endswith("__"):
-            # In-place method: returns self (mutated) — a perfect alias.
-            return True
-        return node.target not in _FRESH_METHODS
-    if node.op == "call_module":
-        try:
-            submod = gm.get_submodule(node.target)
-        except Exception:
-            return True
-        return type(submod).__name__ not in _FRESH_MODULE_NAMES
-    return True
+    entry = opinfo.entry_of(node, gm)
+    return entry is None or entry.view
 
 
 @dataclass(frozen=True)

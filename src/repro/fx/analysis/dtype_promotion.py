@@ -11,8 +11,8 @@ shared engine: each node's abstract dtype is the one observed by shape
 propagation when ``meta['tensor_meta']`` is present, else the numpy
 promotion of its input dtypes.  A node whose observed dtype is
 ``float64`` while every known input dtype is narrower is reported as a
-silent upcast — unless the node is an *explicit* cast (``.to`` /
-``.double`` / ``.astype``), which states intent.
+silent upcast — unless the node is an *explicit* cast (a key in the op
+table's ``CASTS``: ``.to`` / ``.double`` / ...), which states intent.
 
 Requires shape metadata to say anything definite; graphs without
 ``ShapeProp`` metadata produce no reports (never false positives).
@@ -26,20 +26,13 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .. import opinfo
 from ..graph_module import GraphModule
 from ..node import Node
 from ..passes.shape_prop import TensorMetadata
 from .engine import Analysis, AnalysisContext, fixpoint, register_analysis
 
 __all__ = ["DtypePromotionAnalysis", "DtypeResult", "UpcastRecord"]
-
-
-#: targets that cast on purpose — never flagged.
-_EXPLICIT_CAST_METHODS = frozenset({
-    "to", "astype", "type", "double", "float", "half", "long", "int",
-    "short", "char", "bool",
-})
-_EXPLICIT_CAST_FUNCTION_NAMES = frozenset({"astype", "to", "asarray", "array"})
 
 
 @functools.lru_cache(maxsize=64)
@@ -58,11 +51,7 @@ def _observed_dtype(node: Node) -> Optional[str]:
 
 
 def _is_explicit_cast(node: Node) -> bool:
-    if node.op == "call_method":
-        return node.target in _EXPLICIT_CAST_METHODS
-    if node.op == "call_function":
-        return getattr(node.target, "__name__", "") in _EXPLICIT_CAST_FUNCTION_NAMES
-    return False
+    return opinfo.key_of(node) in opinfo.CASTS
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ must respect:
   ``out=`` tensor destination, ``operator.setitem`` / ``setattr``, or a
   ``call_method`` following the trailing-underscore in-place convention
   (``add_``, ``relu_``, ``copy_``, …) writes into an existing buffer;
-* **state mutation** — a ``call_module`` of a module with known side
-  effects (training-mode BatchNorm updating its running statistics).
+* **state mutation** — a call whose op-table entry ``writes``: a
+  training-mode batch norm updating its running statistics (module or
+  function spelling), a training dropout advancing the global RNG.
 
 Deleting or deduplicating such a node changes program behaviour even
 when its *return value* is unused — the exact bug class this analysis
@@ -27,6 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .. import opinfo
 from ..graph import Graph, _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import Node
@@ -106,31 +108,10 @@ def classify_effect(node: Node, module: Optional[GraphModule] = None) -> Effect:
         mod = getattr(node.target, "__module__", "")
         if name in _MUTATING_FUNCTION_NAMES and mod in ("_operator", "operator", "builtins"):
             return Effect.MUTATES_ARG
-        if _has_out_kwarg(node):
-            return Effect.MUTATES_ARG
-        return Effect.PURE
-    if op == "call_method":
-        if is_inplace_method(node.target):
-            return Effect.MUTATES_ARG
-        if _has_out_kwarg(node):
-            return Effect.MUTATES_ARG
-        return Effect.PURE
-    if op == "call_module":
-        owner = module
-        if owner is None:
-            owner = getattr(node.graph, "owning_module", None)
-        if owner is not None:
-            from ...nn.norm import _BatchNorm
-
-            try:
-                mod = owner.get_submodule(node.target)
-            except AttributeError:
-                return Effect.PURE
-            if isinstance(mod, _BatchNorm) and mod.training \
-                    and mod.track_running_stats:
-                return Effect.MUTATES_STATE
-        return Effect.PURE
-    return Effect.PURE
+    if op != "call_module" and (is_inplace_method(node.target) or _has_out_kwarg(node)):
+        return Effect.MUTATES_ARG
+    owner = module if module is not None else getattr(node.graph, "owning_module", None)
+    return Effect.MUTATES_STATE if opinfo.writes_state(node, owner) else Effect.PURE
 
 
 @dataclass(frozen=True)

@@ -232,9 +232,9 @@ class Node:
         effect besides producing its value: a ``call_method`` following
         the trailing-underscore in-place convention (``add_``, ``relu_``),
         a call routing its result into an ``out=`` destination,
-        ``operator.setitem``/``setattr``, or a ``call_module`` with known
-        state mutation (training-mode BatchNorm updating its running
-        statistics).  The classification itself lives in
+        ``operator.setitem``/``setattr``, or a call whose op-table entry
+        ``writes`` state (a training-mode batch norm updating its running
+        statistics, a training dropout).  The classification itself lives in
         :func:`repro.fx.analysis.purity.classify_effect` — one source of
         truth shared with DCE, CSE, and the pass verifier.
         """

@@ -19,7 +19,10 @@ what a consumer reads today:
 * ``dtype`` — the result dtype from the operand dtypes;
 * ``flops`` — a weight per output element, or a formula;
 * ``pointwise`` — the :class:`OpDef` kernel ``pointwise_fuser`` generates
-  code from.
+  code from;
+* ``view`` / ``writes`` — what the call does to memory and state, read by
+  alias analysis, purity (so DCE and CSE), constant folding and the fuzz
+  generator, none of which keeps an op list of its own.
 
 :func:`sweep` keeps a tensor (:class:`T`: shape + dtype, no data) apart
 from a shape *value* (``x.shape``, ``x.size(0)``: the dims themselves).  A
@@ -50,10 +53,11 @@ from .graph_module import GraphModule
 from .node import Node, map_arg
 from .rules.patterns import OpPattern, PatternIndex
 
-__all__ = ["Domain", "INDEX", "NO_ENTRY", "NoRule", "OPAQUE", "OpDef", "OpInfo",
-           "ShapeError", "T", "TABLE", "bind", "has_tensor", "infer", "key_of",
-           "map_tensors", "op", "pointwise", "pointwise_shape", "selftest", "sweep",
-           "target_name"]
+__all__ = ["CASTS", "DECLARED", "Domain", "INDEX", "NO_ENTRY", "NoRule", "OPAQUE",
+           "OpDef", "OpInfo", "ShapeError", "T", "TABLE", "bind", "entry_of",
+           "has_tensor", "infer", "key_of", "map_tensors", "op", "pointwise",
+           "pointwise_shape", "selftest", "sweep", "target_name", "unchanged_shape",
+           "writes_state"]
 
 
 class ShapeError(RuntimeError):
@@ -170,12 +174,18 @@ class OpInfo(OpPattern):
             parallel to ``shape``'s tuple.
         flops: per output element, or ``flops(numel, *operands, **kwargs)``.
         pointwise: the :class:`OpDef` of an elementwise op.
+        view: the result may share storage with an operand (a view, a cast
+            or identity that can return its operand).
+        writes: ``writes(*operands, **kwargs)``, truthy when the call writes
+            state — a buffer it was handed, the global RNG.  ``None``: never.
     """
 
     shape: Optional[Callable] = None
     dtype: Optional[Callable] = None
     flops: Any = 0
     pointwise: Optional[OpDef] = None
+    view: bool = False
+    writes: Optional[Callable] = None
 
 
 #: key -> entry, and spelling -> entry.
@@ -185,7 +195,8 @@ INDEX = PatternIndex()
 
 def op(key: str, shape: Callable, dtype: Optional[Callable] = None, *, flops: Any = 0,
        functions=(), methods=(), modules=None, extract=None,
-       pointwise: Optional[OpDef] = None) -> OpInfo:
+       pointwise: Optional[OpDef] = None, view: bool = False,
+       writes: Optional[Callable] = None) -> OpInfo:
     """Declare one op.  *modules* maps a leaf-module type to the names of
     the attributes its ``forward`` hands its function, which become
     keyword operands: ``{nn.Flatten: ("start_dim", "end_dim")}``."""
@@ -200,7 +211,8 @@ def op(key: str, shape: Callable, dtype: Optional[Callable] = None, *, flops: An
 
     entry = TABLE[key] = OpInfo(
         key, tuple(functions), tuple(methods), tuple(modules),
-        extract or (bound if modules else None), shape, dtype, flops, pointwise)
+        extract or (bound if modules else None), shape, dtype, flops, pointwise,
+        view, writes)
     INDEX.add(entry)
     return entry
 
@@ -214,6 +226,28 @@ def key_of(node: Node, modules: Optional[dict] = None) -> Optional[str]:
     if entry is None or mod is not None and type(mod) not in entry.module_types:
         return None
     return entry.key
+
+
+def entry_of(node: Node, gm: Any) -> Optional[OpInfo]:
+    """The entry of the call *node*, a module target resolved in *gm*, or
+    ``None``: what a consumer that must be conservative reads."""
+    try:
+        modules = {node.target: gm.get_submodule(node.target)} \
+            if node.op == "call_module" else None
+    except AttributeError:      # no such submodule, or no module to look in
+        return None
+    return TABLE.get(key_of(node, modules))
+
+
+def writes_state(node: Node, gm: Any) -> bool:
+    """Does the call *node* write state, by its entry's ``writes`` over its
+    operands (a node stands for its value) and what a module's ``forward``
+    reads off the instance?"""
+    entry = entry_of(node, gm)
+    if entry is None or entry.writes is None:
+        return False
+    _, args, kwargs = bind(gm, node, lambda n: n, Domain())
+    return bool(entry.writes(*args, **kwargs))
 
 
 # -- the sweep ----------------------------------------------------------------
@@ -378,7 +412,7 @@ def pointwise_shape(d, *args, **kwargs):
                            if isinstance(v, T)])
 
 
-def _unchanged(d, x, *args, **kwargs):
+def unchanged_shape(d, x, *args, **kwargs):
     return list(x.shape)
 
 
@@ -512,12 +546,10 @@ def _transpose(d, x, dim0, dim1):
 
 
 def _squeeze(d, x, dim=None):
-    if dim is None:
-        return [s for s in x.shape if not s == 1]
-    out = list(x.shape)
-    if out[dim] == 1:
-        del out[dim]
-    return out
+    # whether a symbol that may be 1 goes depends on the binding: no one answer
+    dims = range(len(x.shape)) if dim is None else (range(len(x.shape))[dim],)
+    return [s for i, s in enumerate(x.shape)
+            if i not in dims or d.int(s, "squeeze of a dim that may be 1") != 1]
 
 
 def _insert(shape, dim: int, size) -> list:
@@ -794,19 +826,23 @@ def _populate() -> None:
                operator.ne, operator.floordiv, operator.mod):
         op(fn.__name__, pointwise_shape, _probe(fn), flops=1, functions=(fn,))
     softmax = _like(lambda a: F.softmax(Tensor._wrap(a)).data)
-    op("softmax", _unchanged, softmax, flops=_HEAVY, functions=(F.softmax,),
+    op("softmax", unchanged_shape, softmax, flops=_HEAVY, functions=(F.softmax,),
        methods=("softmax",), modules={nn.Softmax: ("dim",)})
-    op("log_softmax", _unchanged, softmax, flops=_HEAVY, functions=(F.log_softmax,),
+    op("log_softmax", unchanged_shape, softmax, flops=_HEAVY, functions=(F.log_softmax,),
        modules={nn.LogSoftmax: ("dim",)})
-    op("dropout", _unchanged, _same, flops=1, functions=(F.dropout,),
-       modules={nn.Dropout: ()})
-    op("identity", _unchanged, _same, methods=("clone", "detach"),
-       modules={nn.Identity: ()})
+    # returns its operand when not training; a training call draws the mask
+    # from the global RNG, so two of them are two effects
+    op("dropout", unchanged_shape, _same, flops=1, functions=(F.dropout,),
+       modules={nn.Dropout: ("p", "training")}, view=True,
+       writes=lambda x, p=0.5, training=True: training and p != 0)
+    op("identity", unchanged_shape, _same, methods=("detach",), modules={nn.Identity: ()},
+       view=True)
+    op("clone", unchanged_shape, _same, methods=("clone",))
     # numpy.ascontiguousarray returns at least one dimension
-    op("contiguous", lambda d, x: list(x.shape) or [1], _same, methods=("contiguous",))
-    for method, dtype in (("float", float32), ("double", float64), ("long", int64),
-                          ("int", int32), ("bool", bool_)):
-        op(method, _unchanged, lambda x, dtype=dtype: dtype, methods=(method,))
+    op("contiguous", lambda d, x: list(x.shape) or [1], _same, methods=("contiguous",),
+       view=True)
+    for key, dtype in CASTS.items():
+        op(key, unchanged_shape, lambda x, dtype=dtype: dtype, methods=(key,), view=True)
 
     # -- contractions ---------------------------------------------------------
     op("matmul", _matmul, _promote, flops=contraction, methods=("matmul", "mm", "bmm"),
@@ -830,9 +866,11 @@ def _populate() -> None:
        functions=(F.embedding,), modules={nn.Embedding: ("weight",)})
 
     # -- normalisation and pooling ----------------------------------------------
-    stats = ("running_mean", "running_var", "weight", "bias")
+    stats = ("running_mean", "running_var", "weight", "bias", "training")
     op("batch_norm", _batch_norm, _same, flops=4, functions=(F.batch_norm,),
-       modules={nn.BatchNorm1d: stats, nn.BatchNorm2d: stats})
+       modules={nn.BatchNorm1d: stats, nn.BatchNorm2d: stats},
+       writes=lambda x, running_mean=None, running_var=None, weight=None, bias=None,
+       training=False, *_, **__: training and running_mean is not None)
     op("layer_norm", _layer_norm, _same, flops=_HEAVY, functions=(F.layer_norm,),
        modules={nn.LayerNorm: ("normalized_shape", "weight", "bias")})
     pool = ("kernel_size", "stride", "padding")
@@ -851,20 +889,22 @@ def _populate() -> None:
        modules={nn.Upsample: ("size", "scale_factor", "mode")})
 
     # -- views and data movement: no arithmetic, 0 flops ---------------------------
-    op("flatten", _flatten, _same, functions=(F.flatten,), methods=("flatten",),
-       modules={nn.Flatten: ("start_dim", "end_dim")})
-    op("reshape", _reshape, _same, functions=(F.reshape,), methods=("reshape", "view"))
-    op("transpose", _transpose, _same, functions=(F.transpose,), methods=("transpose",))
-    op("t", lambda d, x: list(x.shape)[::-1], _same, methods=("t",))
-    op("permute", lambda d, x, *dims: [x.shape[i] for i in _canon(dims)], _same,
-       functions=(F.permute,), methods=("permute",))
-    op("squeeze", _squeeze, _same, functions=(F.squeeze,), methods=("squeeze",))
-    op("unsqueeze", lambda d, x, dim: _insert(x.shape, dim, 1), _same,
-       functions=(F.unsqueeze,), methods=("unsqueeze",))
+    view = functools.partial(op, view=True)
+    view("flatten", _flatten, _same, functions=(F.flatten,), methods=("flatten",),
+         modules={nn.Flatten: ("start_dim", "end_dim")})
+    view("reshape", _reshape, _same, functions=(F.reshape,), methods=("reshape", "view"))
+    view("transpose", _transpose, _same, functions=(F.transpose,),
+         methods=("transpose",))
+    view("t", lambda d, x: list(x.shape)[::-1], _same, methods=("t",))
+    view("permute", lambda d, x, *dims: [x.shape[i] for i in _canon(dims)], _same,
+         functions=(F.permute,), methods=("permute",))
+    view("squeeze", _squeeze, _same, functions=(F.squeeze,), methods=("squeeze",))
+    view("unsqueeze", lambda d, x, dim: _insert(x.shape, dim, 1), _same,
+         functions=(F.unsqueeze,), methods=("unsqueeze",))
     op("cat", _cat, _promote, functions=(F.cat,))
     op("stack", _stack, _promote, functions=(F.stack,))
-    op("chunk", _chunk, _same, functions=(F.chunk,), methods=("chunk",))
-    op("getitem", _getitem, functions=(operator.getitem,))
+    view("chunk", _chunk, _same, functions=(F.chunk,), methods=("chunk",))
+    view("getitem", _getitem, functions=(operator.getitem,))
 
     # -- reductions ---------------------------------------------------------------
     for key, fn, methods in (("sum", np.sum, ("sum",)), ("mean", np.mean, ("mean",)),
@@ -876,12 +916,17 @@ def _populate() -> None:
        functions=(F.var,), methods=("var", "std"))
 
     # -- shape values: the result is dims, not a tensor ----------------------------
-    op("getattr", _getattr, functions=(getattr,))
-    op("size", lambda d, x, dim=None: x.shape if dim is None else x.shape[dim],
-       methods=("size",))
+    view("getattr", _getattr, functions=(getattr,))
+    view("size", lambda d, x, dim=None: x.shape if dim is None else x.shape[dim],
+         methods=("size",))
 
 
+#: The cast family: key -> the dtype it casts to (``to``: its argument).
+CASTS = {"to": None, "float": float32, "double": float64, "long": int64, "int": int32,
+         "bool": bool_}
 _populate()
+#: The keys declared here, in order: the fuzz generator's draw, whatever registers later.
+DECLARED = tuple(TABLE)
 
 #: Every public ``repro.functional`` function and ``nn`` leaf module without an
 #: entry, and why.  The self-test fails on a name that has neither.
@@ -931,7 +976,10 @@ _SAMPLES = {
     "conv1d": [(X(B, 4, 9), X(6, 4, 3), None, 2, 1)],
     "conv_transpose2d": [(X(B, 4, 5, 5), X(4, 3, 4, 4), X(3), 2, 1)],
     "embedding": [(X(B, 2), X(9, 5))],
-    "batch_norm": [(X(B, 3, 4, 4), X(3), X(3), X(3), X(3)), (X(B, 3), X(3), X(3))],
+    "batch_norm": [(X(B, 3, 4, 4), X(3), X(3), X(3), X(3)), (X(B, 3), X(3), X(3)),
+                   (X(B, 3, 4, 4), X(3), X(3), X(3), X(3), True)],
+    "dropout": [(X(B, 3), 0.5, True), (X(B, 3), 0.5, False), (X(B, 3), 0.0)],
+    "to": [(X(B, 3), float64), (X(B, 3), float32)],
     "layer_norm": [(X(B, 2, 5), (5,), X(5), X(5)), (X(B, 5), 5)],
     "max_pool2d": [(X(B, 2, 9, 8), 3, 2, 1), (X(B, 2, 8, 8), 2)],
     "avg_pool2d": [(X(B, 2, 9, 8), 3, 2, 1), (X(B, 2, 7, 7), 2)],
@@ -943,7 +991,7 @@ _SAMPLES = {
     "transpose": [(X(B, 3, 4), 0, -1)],
     "t": [(X(B, 3),), (X(B),)],
     "permute": [(X(B, 3, 4), (2, 0, 1))],
-    "squeeze": [(X(B, 1, 4, 1),), (X(B, 1, 4), 1), (X(B, 1, 4), -2)],
+    "squeeze": [(X(B, 1, 4, 1),), (X(B, 1, 4), 1), (X(B, 1, 4), -2), (X(B, 1, 4), 0)],
     "unsqueeze": [(X(B, 3), 0), (X(B, 3), -1), (X(), 0)],
     "cat": [([X(B, 3), X(B, 4)], 1), ([X(B, 3), X(2, 3)],), ([X(B, 3), X(B, 2)], -1)],
     "stack": [([X(B, 3), X(B, 3)],), ([X(B, 3), X(B, 3)], -1), ([X(B, 3), X(B, 3)], 1)],
@@ -1030,12 +1078,15 @@ def selftest(keys=None) -> list[str]:
     For every entry, spelling and sample × dtype in {float32, float64, int64,
     bool} that eager accepts: the concrete transfer equals what eager returns
     (shape, dtype, nesting) without falling back, and the symbolic transfer —
-    ``B`` made a symbol, then bound to 5 and to 7 — equals the concrete one at
+    ``B`` made a symbol, then bound to 1, 5 and 7 — equals the concrete one at
     those sizes, or refuses.  A call :func:`~repro.fx.analysis.may_alias_input`
-    declares fresh returns nothing that shares memory with an operand.  A
+    declares fresh returns nothing that shares memory with an operand; one
+    whose entry ``writes`` nothing leaves its operands, the module's tensors
+    and the global RNG as they were, and one that ``writes`` changes them.  A
     broken constraint raises each domain's typed error.  Every public
     ``repro.functional`` function and ``nn`` leaf module has an entry or a
     line in :data:`NO_ENTRY`."""
+    from ..tensor.creation import get_rng
     from .analysis import may_alias_input
     from .interpreter import Interpreter
     from .passes.shape_prop import ShapeProp
@@ -1050,19 +1101,28 @@ def selftest(keys=None) -> list[str]:
             return value.substitute({"N": batch})
         return tuple(at(v, batch) for v in value) if type(value) is tuple else value
 
+    def state(gm: GraphModule, inputs: list) -> list:
+        return [t.data.tobytes() for t in (*inputs, *gm.state_dict().values())] \
+            + [get_rng().bit_generator.state]
+
     def check(label: str, target: Any, spec: tuple) -> bool:
         """False when eager rejects the call under every dtype."""
         gm, shapes = _call_graph(target, spec)
-        fresh = not may_alias_input(list(gm.graph.nodes)[-2], gm)   # the call
+        call = list(gm.graph.nodes)[-2]
+        fresh, writes = not may_alias_input(call, gm), writes_state(call, gm)
         ran = False
         for dtype in (float32, float64, int64, bool_):
             inputs = _tensors(shapes, dtype)
+            before = state(gm, inputs)
             try:
                 with np.errstate(all="ignore"):
                     real = Interpreter(gm).run(*inputs)
             except Exception:   # not a call eager accepts: nothing to agree with
                 continue
             ran = True
+            if (state(gm, inputs) != before) != writes:
+                failures.append(f"{label} {spec} {dtype}: declared writes={writes}, "
+                                f"observed {not writes} (operands, module tensors, RNG)")
             if fresh and any(np.shares_memory(out.data, x.data) for x in inputs
                              for out in _leaves([real]) if isinstance(out, Tensor)):
                 failures.append(f"{label} {spec} {dtype}: declared fresh by "
@@ -1080,7 +1140,7 @@ def selftest(keys=None) -> list[str]:
                 for shape in shapes])[1]
         except ShapeInferenceError:     # refusing is sound; a wrong answer is not
             return ran
-        for batch in (5, B) if ran else ():
+        for batch in (1, 5, B) if ran else ():
             small, sized = _call_graph(target, spec, batch)
             want = _facts(ShapeProp(small).propagate(*_tensors(sized, float32)), False)
             if _facts(at(general, batch), False) != want:

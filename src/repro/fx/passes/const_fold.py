@@ -4,8 +4,10 @@ Any maximal subgraph whose leaves are all ``get_attr`` nodes or immediate
 values computes the same result on every call; this pass evaluates those
 subgraphs once at transform time and replaces them with a single
 ``get_attr`` to a precomputed buffer.  Because the IR is functional
-(§5.6), "depends only on constants" is a purely structural property — no
-effect analysis needed.
+(§5.6), "depends only on constants" is a structural property; the op
+table adds what it is not: a call that writes state (a training batch
+norm, a training dropout) runs on every call, and a module folds only when
+the table knows what its ``forward`` computes.
 
 Typical win: weight-preprocessing chains (transposes, concatenations,
 normalization of weights) move from every forward pass to build time.
@@ -16,6 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from ...tensor import Tensor
+from .. import opinfo
 from ..graph_module import GraphModule
 from ..interpreter import Interpreter
 from ..node import Node
@@ -24,20 +27,6 @@ from .shape_prop import extract_tensor_metadata
 __all__ = ["fold_constants"]
 
 _FOLDABLE_OPS = ("call_function", "call_method", "call_module")
-
-
-def _is_stateless_module(gm: GraphModule, target: str) -> bool:
-    # Conservative: only fold through modules known to be pure at eval time.
-    from ...nn import (
-        GELU, Hardsigmoid, Hardswish, Identity, LayerNorm, ReLU, SELU,
-        Sigmoid, Softmax, Tanh,
-    )
-
-    mod = gm.get_submodule(target)
-    return isinstance(
-        mod, (ReLU, GELU, SELU, Sigmoid, Tanh, Softmax, Hardswish,
-              Hardsigmoid, Identity, LayerNorm)
-    )
 
 
 def fold_constants(gm: GraphModule) -> int:
@@ -55,9 +44,8 @@ def fold_constants(gm: GraphModule) -> int:
             deps = node.all_input_nodes
             if not deps:
                 continue  # no tensor inputs: leave alone (may be factory-ish)
-            if all(d in constant for d in deps):
-                if node.op == "call_module" and not _is_stateless_module(gm, node.target):
-                    continue
+            if all(d in constant for d in deps) and not node.is_impure() and (
+                    node.op != "call_module" or opinfo.entry_of(node, gm) is not None):
                 constant.add(node)
 
     # 2. the fold frontier: constant nodes with at least one non-constant

@@ -260,7 +260,9 @@ class _Symbolic(opinfo.Domain):
         return opinfo.T(SymShape(shape), dtype)
 
     def int(self, dim, what: str) -> int:
-        return _sym(dim).as_int()
+        if not _sym(dim).is_constant:
+            raise ShapeInferenceError(f"{what}: {dim} is symbolic")
+        return _sym(dim).const
 
 
 def _shapes(value: Any) -> Any:

@@ -43,11 +43,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ... import functional as F
-from ...nn import (
-    BatchNorm2d, Conv2d, Flatten, GELU, LayerNorm, Linear, Module, Parameter,
-    ReLU, Sequential, Sigmoid, Tanh,
-)
-from ...tensor import Tensor, float64, manual_seed, randn
+from ...nn import BatchNorm2d, Conv2d, Flatten, LayerNorm, Linear, Module, Parameter, \
+    Sequential
+from ...tensor import Tensor, float32, float64, manual_seed, randn
+from .. import opinfo
 from ..graph import Graph
 from ..graph_module import GraphModule
 from ..node import Node
@@ -58,11 +57,40 @@ __all__ = ["ProgramSpec", "GeneratedProgram", "generate_program", "spec_for_iter
 BATCH = 2
 FEATURES = (2, 3, 4, 5)
 
-_UNARY_FNS = (F.relu, F.tanh, F.sigmoid, F.gelu, F.neg, F.abs, F.sin, F.cos)
-_BINARY_FNS = (operator.add, operator.sub, operator.mul, F.maximum, F.minimum)
-# ``float`` is the identity (returns ``self``) on the float32 inputs and a
-# real cast on the float64 ``other_inputs``.
-_UNARY_METHODS = ("relu", "tanh", "sigmoid", "neg", "abs", "float")
+
+def _draw() -> tuple:
+    """(unary functions, binary functions, unary methods, activation modules):
+    the spellings of every elementwise entry of one or two operands that
+    writes nothing at its defaults, in declaration order, that map a float32
+    probe holding 0 and ±3 to a finite float32 result (``log`` does not)."""
+    probe = np.array([-3.0, -0.5, 0.0, 0.5, 3.0], np.float32)
+    drawn: tuple = ([], [], [], [])
+
+    def finite(call: Callable, arity: int) -> bool:
+        try:
+            with np.errstate(all="ignore"):
+                out = call(*[Tensor(probe.copy()) for _ in range(arity)])
+        except Exception:
+            return False
+        return isinstance(out, Tensor) and out.dtype is float32 \
+            and bool(np.isfinite(out.data).all())
+
+    for entry in map(opinfo.TABLE.get, opinfo.DECLARED):
+        elementwise = entry.shape is opinfo.pointwise_shape
+        arity = getattr(entry.pointwise, "arity", 2 if elementwise else 1)
+        if not (elementwise or entry.shape is opinfo.unchanged_shape) or arity > 2 \
+                or entry.writes and entry.writes(*[Tensor(probe)] * arity):
+            continue
+        drawn[arity - 1].extend(f for f in entry.functions if finite(f, arity))
+        if arity == 1:
+            drawn[2].extend(m for m in entry.methods
+                            if finite(lambda x, m=m: getattr(x, m)(), 1))
+            drawn[3].extend(c for c in entry.module_types
+                            if finite(lambda x, c=c: c()(x), 1))
+    return tuple(map(tuple, drawn))
+
+
+_UNARY, _BINARY, _METHODS, _ACTIVATIONS = _draw()
 
 
 @dataclass(frozen=True)
@@ -201,23 +229,13 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
     v, shape = _pick(values, rng)
 
     if kind == "unary_fn":
-        fn = rng.choice(_UNARY_FNS)
-        values.append((g.call_function(fn, (v,)), shape))
+        values.append((g.call_function(rng.choice(_UNARY), (v,)), shape))
         return 1
 
     if kind == "binary_fn":
-        mates = [(n, s) for n, s in values if s == shape]
-        if not mates:
-            values.append((g.call_function(F.relu, (v,)), shape))
-            return 1
-        w, _ = mates[rng.randrange(len(mates))]
-        fn = rng.choice(_BINARY_FNS)
-        if fn is operator.add and rng.random() < 0.3:
-            # kwargs-carrying spelling of the same op.
-            node = g.call_function(F.add, (v, w), {"alpha": rng.choice((1, 2))})
-        else:
-            node = g.call_function(fn, (v, w))
-        values.append((node, shape))
+        mates = [n for n, s in values if s == shape]
+        w = mates[rng.randrange(len(mates))]    # v is one of them
+        values.append((g.call_function(rng.choice(_BINARY), (v, w)), shape))
         return 1
 
     if kind == "kwargs_fn":
@@ -226,21 +244,19 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
         # the shape of bug a kwargs-blind CSE or matcher would introduce.
         if rng.random() < 0.5:
             v, shape = values[rng.randrange(min(2, len(values)))]
-        lo = rng.choice((-1.0, -0.5, -0.25))
-        hi = rng.choice((0.25, 0.5, 1.0))
-        node = g.call_function(F.clamp, (v,), {"min": lo, "max": hi})
+        spelling = rng.choice(("function", "method", "alpha"))
+        if spelling == "alpha":
+            node = g.call_function(F.add, (v, v), {"alpha": rng.choice((1, 2))})
+        else:
+            bounds = {"min": rng.choice((-1.0, -0.5, -0.25)),
+                      "max": rng.choice((0.25, 0.5, 1.0))}
+            node = g.call_function(F.clamp, (v,), bounds) if spelling == "function" \
+                else g.call_method("clamp", (v,), bounds)
         values.append((node, shape))
         return 1
 
     if kind == "method":
-        if rng.random() < 0.3:
-            if rng.random() < 0.5:
-                v, shape = values[rng.randrange(min(2, len(values)))]
-            kw = {"min": rng.choice((-0.75, -0.5)), "max": rng.choice((0.5, 0.75))}
-            node = g.call_method("clamp", (v,), kw)
-        else:
-            node = g.call_method(rng.choice(_UNARY_METHODS), (v,))
-        values.append((node, shape))
+        values.append((g.call_method(rng.choice(_METHODS), (v,)), shape))
         return 1
 
     if kind == "module":
@@ -254,7 +270,7 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
             mod = LayerNorm(feat)
             new_shape = shape
         else:
-            mod = rng.choice((ReLU, Tanh, Sigmoid, GELU))()
+            mod = rng.choice(_ACTIVATIONS)()
             new_shape = shape
         name = f"mod{i}"
         setattr(root, name, mod)
@@ -287,25 +303,25 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
         # that exercises the memory planner's slot-reuse rule: `out` may
         # take a dying operand's slot only when no later kernel step
         # still reads the operand.
-        x = g.call_function(rng.choice(_UNARY_FNS), (v,))
-        x = g.call_function(rng.choice(_UNARY_FNS), (x,))
+        x = g.call_function(rng.choice(_UNARY), (v,))
+        x = g.call_function(rng.choice(_UNARY), (x,))
         # Non-fusible earlier user keeps x out of the consuming region
         # (and out of the output alias set: cat copies).
         u = g.call_function(F.cat, ([x, x],), {"dim": 1})
         values.append((u, (shape[0], shape[-1] * 2)))
         mates = [n for n, s in values if s == shape]
         m = mates[rng.randrange(len(mates))] if mates else v
-        mix = rng.choice((operator.mul, operator.add))
+        mix = rng.choice(_BINARY)
         if rng.random() < 0.5:
             # tail read: chain over m, then fold x in at the last step.
-            w = g.call_function(rng.choice(_UNARY_FNS), (m,))
-            w = g.call_function(rng.choice(_UNARY_FNS), (w,))
+            w = g.call_function(rng.choice(_UNARY), (m,))
+            w = g.call_function(rng.choice(_UNARY), (w,))
             w = g.call_function(mix, (w, x))
         else:
             # head read: x consumed at step 0, chain continues over it.
             w = g.call_function(mix, (x, m))
-            w = g.call_function(rng.choice(_UNARY_FNS), (w,))
-            w = g.call_function(rng.choice(_UNARY_FNS), (w,))
+            w = g.call_function(rng.choice(_UNARY), (w,))
+            w = g.call_function(rng.choice(_UNARY), (w,))
         # Downstream consumer so w itself usually stays non-escaping
         # (and therefore plannable).
         r = g.call_function(F.cat, ([w, w],), {"dim": 1})
@@ -326,10 +342,9 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
         for j in range(length):
             if j % 7 == 3 and len(saved) > 1 and rng.random() < 0.8:
                 mate = saved[rng.randrange(len(saved))]
-                fn2 = rng.choice((operator.add, operator.mul, F.maximum))
-                cur = g.call_function(fn2, (cur, mate))
+                cur = g.call_function(rng.choice(_BINARY), (cur, mate))
             else:
-                cur = g.call_function(rng.choice(_UNARY_FNS), (cur,))
+                cur = g.call_function(rng.choice(_UNARY), (cur,))
             if j % 5 == 1:
                 saved.append(cur)
         values.append((cur, shape))
@@ -396,7 +411,7 @@ def _generate_module_program(spec: ProgramSpec) -> GeneratedProgram:
         for j in range(rng.randint(1, max(1, min(3, spec.n_ops)))):
             out = rng.choice((3, 4, 6, 8))
             layers.append(Linear(dims[-1], out))
-            layers.append(rng.choice((ReLU, Tanh, GELU, Sigmoid))())
+            layers.append(rng.choice(_ACTIVATIONS)())
             dims.append(out)
         model = Sequential(*layers)
         inputs = (randn(BATCH, dims[0]),)
@@ -407,7 +422,7 @@ def _generate_module_program(spec: ProgramSpec) -> GeneratedProgram:
             out = rng.choice((2, 3, 4))
             layers.append(Conv2d(chans[-1], out, 3, padding=1))
             layers.append(BatchNorm2d(out))
-            layers.append(ReLU())
+            layers.append(rng.choice(_ACTIVATIONS)())
             chans.append(out)
         if rng.random() < 0.5:
             layers.append(Flatten())
@@ -434,11 +449,12 @@ class _DataIfNet(Module):
     assign the same name once.  The gate reads the *input* sum, so negating
     the input drives the other branch."""
 
-    def __init__(self, feat: int, scale: float, shift: float):
+    def __init__(self, feat: int, scale: float, shift: float, act: Callable):
         super().__init__()
         self.lin = Linear(feat, feat)
         self.scale = scale
         self.shift = shift
+        self.act = act
 
     def forward(self, x):
         gate = x.sum()
@@ -447,7 +463,7 @@ class _DataIfNet(Module):
             y = h * self.scale
         else:
             y = h - self.shift
-        return F.tanh(y)
+        return self.act(y)
 
 
 class _ShapeIfNet(Module):
@@ -455,18 +471,19 @@ class _ShapeIfNet(Module):
     as a single ``where``, so capture must go polyvariant.  Parameters are
     shape ``(1,)`` and broadcast, so both widths run eagerly."""
 
-    def __init__(self):
+    def __init__(self, first: Callable, second: Callable):
         super().__init__()
         self.a = Parameter(randn(1))
         self.b = Parameter(randn(1))
+        self.first, self.second = first, second
 
     def forward(self, x):
         if x.shape[-1] >= 4:
             h = x * self.a
-            h = F.relu(h)
+            h = self.first(h)
         else:
             h = x + self.b
-            h = F.sigmoid(h)
+            h = self.second(h)
         return h * 2.0
 
 
@@ -477,16 +494,17 @@ class _BoundedLoopNet(Module):
     ``call_module`` sites on one submodule, which quantization's boundary
     insertion does not support."""
 
-    def __init__(self, feat: int, steps: int, decay: float):
+    def __init__(self, feat: int, steps: int, decay: float, act: Callable):
         super().__init__()
         self.lin = Linear(feat, feat)
         self.steps = steps
         self.decay = decay
+        self.act = act
 
     def forward(self, x):
         h = self.lin(x)
         for _ in range(self.steps):
-            h = F.relu(h) * self.decay + h
+            h = self.act(h) * self.decay + h
         return h
 
 
@@ -495,11 +513,12 @@ def _generate_control_flow_program(spec: ProgramSpec) -> GeneratedProgram:
 
     rng = _rng_for(spec, "control_flow")
     kind = rng.choice(("data_if", "shape_if", "bounded_loop"))
+    first, second = rng.choice(_UNARY), rng.choice(_UNARY)
     if kind == "data_if":
         feat = rng.choice(FEATURES)
         model = _DataIfNet(feat,
                            scale=round(rng.uniform(0.5, 1.5), 3),
-                           shift=round(rng.uniform(0.1, 1.0), 3))
+                           shift=round(rng.uniform(0.1, 1.0), 3), act=first)
         x = randn(BATCH, feat)
         inputs = (x,)
         # Negating the input flips the sign of gate = x.sum(), driving the
@@ -507,7 +526,7 @@ def _generate_control_flow_program(spec: ProgramSpec) -> GeneratedProgram:
         alt_inputs = ((x * -1.0,),)
         ops = 5
     elif kind == "shape_if":
-        model = _ShapeIfNet()
+        model = _ShapeIfNet(first, second)
         wide = rng.choice((4, 5))
         narrow = rng.choice((2, 3))
         inputs = (randn(BATCH, wide),)
@@ -517,7 +536,7 @@ def _generate_control_flow_program(spec: ProgramSpec) -> GeneratedProgram:
         feat = rng.choice(FEATURES)
         steps = rng.randint(2, 4)
         model = _BoundedLoopNet(feat, steps,
-                                decay=round(rng.uniform(0.2, 0.8), 3))
+                                decay=round(rng.uniform(0.2, 0.8), 3), act=first)
         inputs = (randn(BATCH, feat),)
         alt_inputs = ()
         ops = 2 * steps

@@ -122,14 +122,14 @@ FOLD_ATOL = 5e-3
 def max_abs_diff(a: Any, b: Any) -> float:
     """Max absolute elementwise difference across an output structure.
 
-    Returns ``inf`` on any structural mismatch (shape, length, keys, type).
+    Equal non-finite values (NaN and NaN, inf and inf) agree; a non-finite
+    value on one side only is ``inf`` apart, as is any structural mismatch
+    (shape, length, keys, type).
     """
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         if tuple(a.shape) != tuple(b.shape):
             return float("inf")
-        if a.data.size == 0:
-            return 0.0
-        return float(np.abs(a.data.astype(np.float64) - b.data.astype(np.float64)).max())
+        return _diff(a.data.astype(np.float64), b.data.astype(np.float64))
     if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
         if len(a) != len(b):
             return float("inf")
@@ -139,20 +139,25 @@ def max_abs_diff(a: Any, b: Any) -> float:
             return float("inf")
         return max((max_abs_diff(a[k], b[k]) for k in a), default=0.0)
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(float(a) - float(b))
+        return _diff(np.float64(a), np.float64(b))
     return 0.0 if a == b else float("inf")
 
 
+def _diff(a: np.ndarray, b: np.ndarray) -> float:
+    with np.errstate(invalid="ignore"):     # inf - inf
+        diff = np.where((a == b) | np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+    return float(np.where(np.isnan(diff), np.inf, diff).max(initial=0.0))
+
+
 def _ref_scale(ref: Any) -> float:
-    """Largest reference magnitude, for relative tolerances."""
-    if isinstance(ref, Tensor):
-        return float(np.abs(ref.data).max()) if ref.data.size else 0.0
+    """Largest finite reference magnitude, for relative tolerances."""
+    if isinstance(ref, (Tensor, int, float)):
+        data = np.asarray(ref.data if isinstance(ref, Tensor) else ref, np.float64)
+        return float(np.abs(data[np.isfinite(data)]).max(initial=0.0))
     if isinstance(ref, (tuple, list)):
         return max((_ref_scale(x) for x in ref), default=0.0)
     if isinstance(ref, dict):
         return max((_ref_scale(v) for v in ref.values()), default=0.0)
-    if isinstance(ref, (int, float)):
-        return abs(float(ref))
     return 0.0
 
 

@@ -37,8 +37,10 @@ class ObserverBase(Module):
         raise NotImplementedError
 
     def forward(self, x):
-        if isinstance(x, Tensor):
-            self.observe(x)
+        # a NaN or inf says nothing about the range: observe the finite elements
+        finite = x.data[np.isfinite(x.data)] if isinstance(x, Tensor) else ()
+        if len(finite):
+            self.observe(Tensor._wrap(finite))
         return x
 
     def calculate_qparams(self) -> tuple[float, int]:

@@ -6,13 +6,18 @@ Same spec ⇒ byte-identical generated source, identical inputs, identical
 oracle verdicts.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.fx import clear_caches
-from repro.fx.analysis import alias
+import repro
+import repro.functional as F
+from repro import nn
+from repro.fx import clear_caches, opinfo, symbolic_trace
 from repro.fx.testing import (
     CHECKS,
+    GeneratedProgram,
     ProgramSpec,
     generate_program,
     minimize_failure,
@@ -84,6 +89,25 @@ class TestReplayDeterminism:
                     assert np.array_equal(x.data, y.data)
 
 
+#: The oracle's checks that compare outputs with a reference.
+NUMERIC = frozenset(CHECKS) - {"lint", "analysis", "meta_carried", "meta_inferred",
+                               "repaired"}
+
+
+class ReluAffine(nn.Module):
+    def forward(self, x):
+        return F.relu(x) * 2.0 + 1.0
+
+
+def _nan_program(eager):
+    """``ReluAffine`` on inputs holding one NaN each, judged against *eager*."""
+    x, other = repro.randn(4, 8), repro.randn(4, 8)
+    x.data[0, 0] = other.data[1, 1] = np.nan
+    gm = symbolic_trace(ReluAffine())
+    return GeneratedProgram(ProgramSpec(seed=0, family="module"), gm, (x,), eager,
+                            gm.code, 3, other_inputs=(other,))
+
+
 class TestOracleAndMinimizer:
     def test_oracle_passes_on_known_good_programs(self):
         ran = set()
@@ -103,25 +127,49 @@ class TestOracleAndMinimizer:
         assert exit_.value.code == 2
         assert "vm_compild" in capsys.readouterr().err
 
-    def test_cast_filed_as_fresh_is_caught_within_the_smoke(self, monkeypatch):
-        """Mutant: ``float`` back among the methods that never alias.  The
-        second call of ``compile`` / ``vm_compiled`` runs on other values,
-        so a returned arena buffer shows as a first result that moved."""
-        monkeypatch.setattr(alias, "_FRESH_METHODS",
-                            alias._FRESH_METHODS | {"float"})
+    def test_a_cast_filed_as_fresh_is_caught(self, monkeypatch):
+        """Mutant: the ``float`` entry declares no ``view``.  On a float32
+        operand it returns the operand, which the self-test sees as shared
+        memory; and the oracle's second call of ``compile`` / ``vm_compiled``
+        runs on other values, so a returned arena buffer shows as a first
+        result that moved."""
+        class CastLast(nn.Module):
+            def forward(self, x):
+                return (F.relu(x) * 2.0 + 1.0).float()
+
+        monkeypatch.setitem(opinfo.TABLE, "float",
+                            dataclasses.replace(opinfo.TABLE["float"], view=False))
+        model, x = CastLast(), repro.randn(4, 8)
+        gm = symbolic_trace(model)
+        program = GeneratedProgram(ProgramSpec(seed=0, family="module"), gm, (x,),
+                                   model, gm.code, 3)
         clear_caches()
         try:
-            failing = next(
-                (report.failures for report in (
-                    run_oracle(generate_program(spec_for_iteration(0, i)),
-                               only=frozenset({"compile", "vm_compiled"}),
-                               localize=False)
-                    for i in range(200)) if not report.ok), None)
+            assert any("shares memory" in line for line in opinfo.selftest(["float"]))
+            failing = run_oracle(program, only=frozenset({"compile", "vm_compiled"}),
+                                 localize=False).failures
         finally:
             clear_caches()  # nothing planned under the mutant may be replayed
-        assert failing and {o.name for o in failing} \
-            == {"compile", "vm_compiled"}
+        assert {o.name for o in failing} == {"compile", "vm_compiled"}
         assert all("own its storage" in o.error for o in failing)
+
+    def test_the_same_nan_on_both_sides_agrees(self):
+        """A NaN made NaN ``tol``: "numeric divergence 0 > tol nan"."""
+        report = run_oracle(_nan_program(ReluAffine()), only=NUMERIC, localize=False)
+        assert report.ok, report.summary()
+        assert {o.name for o in report.outcomes} == NUMERIC
+
+    def test_a_nan_on_one_side_only_fails_every_numeric_check(self):
+        """``err > tol`` with a NaN ``err`` passed: ``compile``,
+        ``vm_compiled`` and ``recompile`` accepted an output that is NaN
+        where eager's is a number."""
+        def eager(x):       # the program, reading its NaN as 0
+            return ReluAffine()(repro.Tensor(np.nan_to_num(x.data)))
+
+        report = run_oracle(_nan_program(eager), only=NUMERIC, localize=False)
+        assert not any(o.ok for o in report.outcomes)
+        # a failed quant_prepare stops before quant_convert
+        assert {o.name for o in report.outcomes} == NUMERIC - {"quant_convert"}
 
     def test_minimize_rejects_passing_spec(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 import repro.functional as F
-from repro import nn
+from repro import fx, nn
 from repro.fx import GraphModule, Graph, cache_info, clear_caches, symbolic_trace
 from repro.fx.analysis import (
     Analysis,
@@ -373,6 +373,67 @@ class TestPurity:
 
         gm = symbolic_trace(M())
         assert eliminate_common_subexpressions(gm) == 1
+
+    def test_compiled_unused_functional_training_batch_norm_moves_the_statistics(self):
+        """The function spelling of a training batch norm writes the running
+        statistics as the module spelling does: DCE used to delete it."""
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.register_buffer("rm", repro.zeros(3))
+                self.register_buffer("rv", repro.ones(3))
+
+            def forward(self, x):
+                F.batch_norm(x, self.rm, self.rv, training=True)
+                return x + 1.0
+
+        repro.manual_seed(0)
+        x, eager = repro.randn(4, 3), M()
+        compiled = fx.compile(M(), (x,))
+        eager(x)
+        compiled(x)
+        stats = sorted(v.data.tobytes() for v in compiled.state_dict().values())
+        assert stats == sorted([eager.rm.data.tobytes(), eager.rv.data.tobytes()])
+        assert np.any(eager.rm.data != 0)
+
+    def test_compiled_duplicated_training_dropout_draws_two_masks(self):
+        """Each training dropout advances the global RNG: CSE used to merge
+        the two into one mask, so ``a - b`` was all zeros."""
+        class M(nn.Module):
+            def forward(self, x):
+                return F.dropout(x, 0.5, training=True) - F.dropout(x, 0.5, training=True)
+
+        x = repro.randn(4, 8) + 5.0
+        compiled = fx.compile(M(), (x,))
+        repro.manual_seed(1)
+        eager = M()(x)
+        repro.manual_seed(1)
+        got = compiled(x)
+        assert np.count_nonzero(got.data) == np.count_nonzero(eager.data) > 0
+        assert np.array_equal(got.data, eager.data)
+
+    @pytest.mark.parametrize("spelling", ["function", "module"])
+    @pytest.mark.parametrize("op", ["batch_norm", "dropout"])
+    def test_effects_follow_the_training_flag_in_every_spelling(self, op, spelling):
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.bn, self.drop = nn.BatchNorm2d(3), nn.Dropout(0.5)
+
+            def forward(self, x):
+                if spelling == "module":
+                    return self.bn(x) if op == "batch_norm" else self.drop(x)
+                if op == "batch_norm":
+                    return F.batch_norm(x, self.bn.running_mean, self.bn.running_var,
+                                        training=self.training)
+                return F.dropout(x, 0.5, training=self.training)
+
+        for training, effect in ((True, Effect.MUTATES_STATE), (False, Effect.PURE)):
+            gm = symbolic_trace(M().train(training))
+            node = [n for n in gm.graph.nodes if n.op.startswith("call")][-1]
+            assert classify_effect(node, gm) is effect
+            # a dropout returns its operand when not training; a norm never
+            assert may_alias_input(node, gm) is (op == "dropout")
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,20 @@ def test_a_program_eager_rejects_at_another_batch_size_gets_static_guards(
         model(repro.randn(4, *shape[1:]))
 
 
+@pytest.mark.parametrize("squeeze", [lambda x: F.relu(x).squeeze(),
+                                     lambda x: F.relu(x).squeeze(0)],
+                         ids=["squeeze()", "squeeze(0)"])
+def test_a_squeeze_that_may_drop_the_free_dim_gets_static_guards(squeeze):
+    # eager drops the batch dim at N = 1 only: no one shape is right for every N
+    assert len(squeeze(repro.randn(1, 1, 3)).shape) != len(squeeze(repro.randn(4, 1, 3)).shape)
+    guards = derive_guards(symbolic_trace(squeeze), (repro.randn(4, 1, 3),))
+    assert not guards.dynamic
+    assert "squeeze of a dim that may be 1" in guards.describe()
+    # a squeeze of a dim that is 1 for every N is batch generic
+    assert derive_guards(symbolic_trace(lambda x: F.relu(x).squeeze(1)),
+                         (repro.randn(4, 1, 3),)).dynamic
+
+
 def test_programs_that_are_batch_generic_stay_dynamic():
     for model, shape in [(resnet18(num_classes=4).eval(), (2, 3, 32, 32)),
                          (MLP(16, (32,), 8), (1, 16)),

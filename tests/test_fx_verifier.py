@@ -3,7 +3,11 @@ PassManager integration (including the cached-snapshot fast path), and the
 headline regression — resurrecting the PR-3 unsound arena-reuse planner as
 a mutant pass and asserting the verifier rejects the pipeline naming it."""
 
+import hashlib
+import importlib.util
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +19,16 @@ from repro.fx import GraphModule, cache_info, clear_caches, symbolic_trace
 from repro.fx.analysis import (
     AnalysisContext,
     Diagnostic,
+    Effect,
     MutationHazardAnalysis,
     PassVerifier,
     PolyvariantModule,
     Severity,
     VerificationError,
     analyze,
+    classify_effect,
     lint_graph,
+    may_alias_input,
     register_rule,
 )
 from repro.fx.analysis import diagnostics as diagnostics_mod
@@ -399,6 +406,48 @@ def _corpus():
     return out
 
 
+VERDICTS = Path(__file__).with_name("op_list_verdicts.json")
+
+
+class Casts(nn.Module):
+    """Explicit casts beside a silent upcast (the mean of an integer)."""
+
+    def forward(self, x):
+        return x.double() + 1, x.to(repro.float64), F.mean(x.long(), 1), x.float() * 2
+
+
+def _verdict_corpus():
+    """``(label, module, example inputs or None)``: :func:`_corpus`, the op
+    table's model zoo and the perf ledger's subjects (shape-propagated, so
+    the upcast check has dtypes to read), and :class:`Casts`."""
+    from tests.test_fx_opinfo import ZOO
+
+    spec = importlib.util.spec_from_file_location(
+        "ledger_models", Path(__file__).parents[1] / "benchmarks" / "ledger" / "models.py")
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    out = [(label, gm, None) for label, gm in _corpus()]
+    for name, (build, make_inputs, _) in sorted(ZOO.items()):
+        repro.manual_seed(0)
+        out.append((f"zoo:{name}", symbolic_trace(build().eval()), make_inputs()))
+    for name in sorted(ledger.SUBJECTS):
+        out.append((f"ledger:{name}", symbolic_trace(ledger.build(name, 1)),
+                    ledger.make_inputs(name, 1, 1)))
+    return out + [("casts", symbolic_trace(Casts()), (repro.randn(3, 4),))]
+
+
+def _verdicts(gm, inputs) -> str:
+    """Per node, may-alias (``a`` / ``f``) then effect (its index in
+    ``Effect``), then the indices of the silent upcasts."""
+    if inputs is not None:
+        ShapeProp(gm).propagate(*inputs)
+    nodes = list(gm.graph.nodes)
+    upcasts = AnalysisContext(gm, cache=False).get("dtype").upcasts
+    return "".join("a" if may_alias_input(n, gm) else "f" for n in nodes) + "|" \
+        + "".join(str(list(Effect).index(classify_effect(n, gm))) for n in nodes) \
+        + f"|{[u.node_index for u in upcasts]}"
+
+
 class TestDemandDrivenVerdicts:
     CONFIGS = (
         {},
@@ -434,6 +483,25 @@ class TestDemandDrivenVerdicts:
                 gated += 1
                 assert not eager.hazards
         assert hazardous > 20 and gated > 20
+
+    def test_op_table_verdicts_are_the_hand_kept_lists_verdicts(self):
+        """``may_alias_input``, ``classify_effect`` and the upcast check read
+        the op table's ``view`` / ``writes`` / ``CASTS``.  ``VERDICTS`` was
+        recorded over this corpus with the per-analysis op lists they
+        replaced.  One node kind moves, in the conservative direction:
+        ``MultiheadAttention`` has no entry, so its result may alias."""
+        recorded = json.loads(VERDICTS.read_text())
+        got, attention = {}, 0
+        for label, gm, inputs in _verdict_corpus():
+            verdict = list(_verdicts(gm, inputs))
+            for i, n in enumerate(gm.graph.nodes):
+                if n.op == "call_module" and \
+                        isinstance(gm.get_submodule(n.target), nn.MultiheadAttention):
+                    assert verdict[i] == "a"
+                    verdict[i], attention = "f", attention + 1
+            got[label] = hashlib.sha256("".join(verdict).encode()).hexdigest()[:16]
+        assert got == recorded
+        assert attention == 2   # the zoo's TransformerEncoder, two layers
 
     def test_alias_not_computed_without_writer_or_slot(self):
         gm = symbolic_trace(TailReadModel())

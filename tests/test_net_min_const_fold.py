@@ -1,5 +1,7 @@
 """Tests for the net_min divergence minimizer and constant folding."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,23 @@ class TestConstantFolding:
 
         gm = symbolic_trace(DropConst())
         assert fold_constants(gm) == 0
+
+    def test_a_call_that_writes_state_is_not_a_constant(self):
+        """A training dropout draws from the global RNG on every call, in
+        the function spelling too; a module the op table has a pure entry
+        for (``Linear`` of a parameter) is a constant like any call."""
+        from repro.fx import Graph, GraphModule
+
+        g = Graph()
+        x, w = g.placeholder("x"), g.get_attr("w")
+        drop = g.call_function(F.dropout, (w, 0.5), {"training": True})
+        g.output(g.call_function(operator.add, (
+            g.call_function(operator.add, (x, drop)), g.call_module("fc", (w,)))))
+        gm = GraphModule({"w": nn.Parameter(repro.randn(4)), "fc": nn.Linear(4, 4)}, g)
+        fold_constants(gm)
+        calls = [n for n in gm.graph.nodes if n.op.startswith("call")]
+        assert any(n.target is F.dropout for n in calls)
+        assert not any(n.op == "call_module" for n in calls)
 
     def test_folded_buffer_registered(self):
         gm = _weight_preprocessing_graph()

@@ -92,6 +92,21 @@ class TestHistogramObserver:
             HistogramObserver().calculate_qparams()
 
 
+@pytest.mark.parametrize("observer", [MinMaxObserver, MovingAverageMinMaxObserver,
+                                      HistogramObserver])
+def test_a_non_finite_value_is_not_an_observation(observer):
+    """Each observer reports what it reports for the same batches with the
+    NaN and inf removed; a batch with nothing finite changes nothing."""
+    batches = [[1.0, float("nan"), 5.0], [float("inf")], [-2.0, 3.0, 4.0]]
+    with_nan, without = observer(), observer()
+    for batch in batches:
+        with_nan(repro.tensor(batch))
+        finite = [v for v in batch if np.isfinite(v)]
+        if finite:
+            without(repro.tensor(finite))
+    assert with_nan.calculate_qparams() == without.calculate_qparams()
+
+
 class TestFakeQuantize:
     def test_snaps_to_grid(self):
         fq = FakeQuantize(MinMaxObserver())
