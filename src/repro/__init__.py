@@ -36,6 +36,6 @@ from .functional import (
 
 from . import nn  # noqa: E402
 from . import fx  # noqa: E402
-from . import autograd, bench, jit, models, optim, quant, trt  # noqa: E402
+from . import bench, jit, models, quant, trt  # noqa: E402
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ __all__ = [
     "cat", "stack", "flatten", "reshape", "transpose", "permute", "squeeze",
     "unsqueeze", "pad", "chunk", "split",
     "sum", "mean", "var", "amax", "amin", "argmax", "cumsum", "topk",
-    "mse_loss", "l1_loss", "nll_loss", "cross_entropy", "binary_cross_entropy",
     "allclose", "equal",
 ]
 
@@ -646,54 +645,6 @@ def topk(x, k: int, dim: int = -1):
     idx = np.take(idx, np.arange(k), axis=dim)
     vals = np.take_along_axis(xu, idx, axis=dim)
     return Tensor._wrap(vals), Tensor._wrap(idx)
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-
-@dispatchable
-def mse_loss(pred, target, reduction: str = "mean"):
-    d = (np.asarray(_unwrap(pred)) - np.asarray(_unwrap(target))) ** 2
-    return _reduce_loss(d, reduction)
-
-
-@dispatchable
-def l1_loss(pred, target, reduction: str = "mean"):
-    d = np.abs(np.asarray(_unwrap(pred)) - np.asarray(_unwrap(target)))
-    return _reduce_loss(d, reduction)
-
-
-@dispatchable
-def nll_loss(log_probs, target, reduction: str = "mean"):
-    lp = np.asarray(_unwrap(log_probs))
-    t = np.asarray(_unwrap(target))
-    picked = -np.take_along_axis(lp, t[:, None], axis=1)[:, 0]
-    return _reduce_loss(picked, reduction)
-
-
-@dispatchable
-def cross_entropy(logits, target, reduction: str = "mean"):
-    return nll_loss(log_softmax(logits, dim=1), target, reduction=reduction)
-
-
-@dispatchable
-def binary_cross_entropy(pred, target, reduction: str = "mean"):
-    p = np.clip(np.asarray(_unwrap(pred)), 1e-12, 1 - 1e-12)
-    t = np.asarray(_unwrap(target))
-    d = -(t * np.log(p) + (1 - t) * np.log(1 - p))
-    return _reduce_loss(d, reduction)
-
-
-def _reduce_loss(d: np.ndarray, reduction: str) -> Tensor:
-    if reduction == "mean":
-        return Tensor._wrap(np.asarray(d.mean()))
-    if reduction == "sum":
-        return Tensor._wrap(np.asarray(d.sum()))
-    if reduction == "none":
-        return Tensor._wrap(d)
-    raise ValueError(f"unknown reduction {reduction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -929,12 +929,9 @@ _populate()
 DECLARED = tuple(TABLE)
 
 #: Every public ``repro.functional`` function and ``nn`` leaf module without an
-#: entry, and why.  The self-test fails on a name that has neither.
+#: entry, and why.  The self-test fails on a name that has neither, and on a
+#: line whose name is neither.
 NO_ENTRY = {
-    **dict.fromkeys(
-        ("mse_loss", "l1_loss", "nll_loss", "cross_entropy", "binary_cross_entropy",
-         "MSELoss", "CrossEntropyLoss", "BCELoss"),
-        "a loss is a training-side scalar, on no compile path"),
     **dict.fromkeys(
         ("group_norm", "GroupNorm", "one_hot", "pad", "split", "argmax", "cumsum",
          "topk", "embedding_bag", "EmbeddingBag"),
@@ -1186,11 +1183,14 @@ def selftest(keys=None) -> list[str]:
     leaves = [c for c in vars(nn).values() if isinstance(c, type)
               and issubclass(c, nn.Module) and c is not nn.Module
               and not issubclass(c, (nn.Sequential, nn.ModuleList, nn.ModuleDict))]
-    for name, have in [(n, getattr(F, n) in functions) for n in F.__all__] \
-            + [(c.__name__, c in modules) for c in leaves]:
+    public = [(n, getattr(F, n) in functions) for n in F.__all__] \
+        + [(c.__name__, c in modules) for c in leaves]
+    for name, have in public:
         if have == (name in NO_ENTRY):
             failures.append(f"{name}: has " + ("both an entry and" if have else
                             "neither an entry nor") + " a NO_ENTRY line")
+    for name in sorted(NO_ENTRY.keys() - {n for n, _ in public}):
+        failures.append(f"{name}: a NO_ENTRY line names no public function or nn leaf")
     return failures
 
 

@@ -288,14 +288,15 @@ class Tracer(TracerBase):
         """Whether *m* is kept opaque as a single ``call_module`` node.
 
         Default policy mirrors torch.fx: built-in layers (everything under
-        ``repro.nn``) are leaves — they are standard, well-documented
-        primitives — while user-defined modules are traced through.
-        Containers are never leaves (their loops are exactly the
+        ``repro.nn``) and the quantization modules (``repro.quant``:
+        observers, fake-quant, int8 layers) are leaves — they are standard,
+        well-documented primitives — while user-defined modules are traced
+        through.  Containers are never leaves (their loops are exactly the
         input-independent control flow tracing should flatten, §5.1).
         """
         if isinstance(m, (Sequential, ModuleList, ModuleDict)):
             return False
-        return m.__class__.__module__.startswith("repro.nn")
+        return m.__class__.__module__.startswith(("repro.nn", "repro.quant"))
 
     def path_of_module(self, mod: Module) -> str:
         """Qualified path of *mod* inside the root hierarchy."""

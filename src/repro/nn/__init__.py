@@ -10,7 +10,7 @@ from .attention import MultiheadAttention
 from .containers import ModuleDict, ModuleList, Sequential
 from .conv import Conv1d, Conv2d, ConvTranspose2d
 from .dropout import Dropout
-from .linear import BCELoss, CrossEntropyLoss, Flatten, Identity, Linear, MSELoss
+from .linear import Flatten, Identity, Linear
 from .module import Module
 from .norm import BatchNorm1d, BatchNorm2d, GroupNorm, LayerNorm
 from .parameter import Parameter
@@ -19,7 +19,7 @@ from .rnn import GRU, LSTM, RNN
 from .sparse import Embedding, EmbeddingBag
 
 __all__ = [
-    "AdaptiveAvgPool2d", "AvgPool2d", "BCELoss", "CrossEntropyLoss", "MSELoss", "BatchNorm1d", "BatchNorm2d", "Conv1d",
+    "AdaptiveAvgPool2d", "AvgPool2d", "BatchNorm1d", "BatchNorm2d", "Conv1d",
     "Conv2d", "ConvTranspose2d", "Dropout", "ELU", "Embedding", "EmbeddingBag", "Flatten",
     "GELU", "GRU", "GroupNorm", "Hardsigmoid", "Hardswish", "Hardtanh",
     "Identity", "LSTM", "LayerNorm", "LeakyReLU", "Linear", "LogSoftmax",

@@ -10,7 +10,7 @@ from . import init
 from .module import Module
 from .parameter import Parameter
 
-__all__ = ["BCELoss", "CrossEntropyLoss", "Flatten", "Identity", "Linear", "MSELoss"]
+__all__ = ["Flatten", "Identity", "Linear"]
 
 
 class Linear(Module):
@@ -64,36 +64,3 @@ class Flatten(Module):
 
     def extra_repr(self) -> str:
         return f"start_dim={self.start_dim}, end_dim={self.end_dim}"
-
-
-class MSELoss(Module):
-    """Mean-squared-error criterion (module form of ``F.mse_loss``)."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, pred, target):
-        return F.mse_loss(pred, target, reduction=self.reduction)
-
-
-class CrossEntropyLoss(Module):
-    """Softmax cross-entropy over class logits."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, logits, target):
-        return F.cross_entropy(logits, target, reduction=self.reduction)
-
-
-class BCELoss(Module):
-    """Binary cross-entropy over probabilities."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, pred, target):
-        return F.binary_cross_entropy(pred, target, reduction=self.reduction)

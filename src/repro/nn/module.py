@@ -223,9 +223,6 @@ class Module:
         fn(self)
         return self
 
-    def zero_grad(self) -> None:
-        """API-parity no-op (no autograd engine in the substrate)."""
-
     # -- invocation ------------------------------------------------------------------
 
     def forward(self, *args, **kwargs):

@@ -13,7 +13,7 @@ class Parameter(Tensor):
     Assigning a ``Parameter`` to a :class:`~repro.nn.Module` attribute
     registers it in the module's ``_parameters`` dict, exactly like
     ``torch.nn.Parameter``.  The ``requires_grad`` flag is carried for API
-    parity (the substrate has no autograd engine; transforms such as
+    parity (no gradients are recorded; transforms such as
     quantization only need to *identify and replace* parameters).
     """
 

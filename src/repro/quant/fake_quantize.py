@@ -6,13 +6,10 @@ values to the corresponding values under quantized numerics."
 
 A :class:`FakeQuantize` module observes like an observer but its forward
 *also* rounds the value through the quantized grid, so downstream layers
-(and, in a framework with autograd, the training loss) see quantization
-error during training.
+see quantization error before :func:`~repro.quant.convert_fx` makes it real.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..nn import Module
 from ..tensor import Tensor, dispatchable, quint8
@@ -24,13 +21,8 @@ __all__ = ["FakeQuantize", "fake_quantize_per_tensor"]
 
 @dispatchable
 def fake_quantize_per_tensor(x, scale: float, zero_point: int, dtype=quint8):
-    """Quantize-dequantize round trip as a single dispatchable op.
-
-    Being dispatchable means (a) fx tracing records it as one node and
-    (b) the autograd tape can attach the straight-through estimator
-    (identity gradient) to it — which is what makes quantization-aware
-    training trainable.
-    """
+    """Quantize-dequantize round trip as a single dispatchable op (fx
+    tracing records it as one node)."""
     return dequantize(quantize_per_tensor(x, scale, zero_point, dtype))
 
 
@@ -52,14 +44,8 @@ class FakeQuantize(Module):
         self.fake_quant_enabled = enabled
 
     def forward(self, x):
-        # works for plain Tensors AND tape-wrapped GradTensors: observe the
-        # concrete value, then apply the dispatchable snap (whose gradient
-        # is the straight-through estimator)
-        concrete = getattr(x, "value", x)
-        if not isinstance(concrete, Tensor):
-            return x
-        self.observer.observe(concrete)
-        if not self.fake_quant_enabled:
+        self.observer(x)    # the module call, so its NaN filter applies
+        if not self.fake_quant_enabled or not isinstance(x, Tensor):
             return x
         scale, zp = self.observer.calculate_qparams()
         return fake_quantize_per_tensor(x, scale, zp, self.observer.dtype)

@@ -171,7 +171,7 @@ class Tensor:
         return Tensor._wrap(self.data.copy(), self._dtype)
 
     def detach(self) -> "Tensor":
-        # No autograd in the substrate; detach is identity, kept for API parity.
+        # No gradients are recorded; detach is identity, kept for API parity.
         return self
 
     def contiguous(self) -> "Tensor":

@@ -62,50 +62,6 @@ class TestStructural:
         assert [p.shape[0] for p in parts] == [4, 4, 2]
 
 
-class TestLosses:
-    def test_mse_zero_for_equal(self):
-        x = repro.randn(5)
-        assert float(F.mse_loss(x, x)) == 0.0
-
-    def test_mse_value(self):
-        pred = repro.tensor([1.0, 2.0])
-        target = repro.tensor([0.0, 0.0])
-        assert float(F.mse_loss(pred, target)) == 2.5
-        assert float(F.mse_loss(pred, target, reduction="sum")) == 5.0
-        assert F.mse_loss(pred, target, reduction="none").tolist() == [1.0, 4.0]
-
-    def test_bad_reduction_raises(self):
-        with pytest.raises(ValueError):
-            F.mse_loss(repro.ones(1), repro.ones(1), reduction="bogus")
-
-    def test_l1(self):
-        assert float(F.l1_loss(repro.tensor([3.0]), repro.tensor([1.0]))) == 2.0
-
-    def test_nll_picks_target_logprob(self):
-        logp = repro.tensor([[-0.1, -5.0], [-4.0, -0.2]])
-        target = repro.tensor([0, 1])
-        assert np.isclose(float(F.nll_loss(logp, target)), (0.1 + 0.2) / 2)
-
-    def test_cross_entropy_uniform(self):
-        logits = repro.zeros(4, 10)
-        target = repro.tensor([0, 1, 2, 3])
-        assert np.isclose(float(F.cross_entropy(logits, target)), np.log(10), atol=1e-5)
-
-    def test_cross_entropy_confident(self):
-        logits = repro.tensor([[100.0, 0.0]])
-        assert float(F.cross_entropy(logits, repro.tensor([0]))) < 1e-5
-
-    def test_binary_cross_entropy(self):
-        pred = repro.tensor([0.5])
-        target = repro.tensor([1.0])
-        assert np.isclose(float(F.binary_cross_entropy(pred, target)), np.log(2), atol=1e-5)
-
-    def test_bce_clips_extremes(self):
-        # must not return inf/nan at p=0 or 1
-        v = float(F.binary_cross_entropy(repro.tensor([0.0]), repro.tensor([1.0])))
-        assert np.isfinite(v)
-
-
 class TestComparators:
     def test_allclose(self):
         a = repro.ones(3)

@@ -70,6 +70,13 @@ def test_every_public_op_has_an_entry_or_a_reason(monkeypatch):
     assert any(line.startswith("topk: has neither") for line in opinfo.selftest())
 
 
+def test_a_stale_no_entry_line_fails_the_selftest(monkeypatch):
+    # a reason left behind for a name that is gone is a failure, not a pass
+    monkeypatch.setitem(opinfo.NO_ENTRY, "deleted_loss", "a training-side scalar")
+    assert "deleted_loss: a NO_ENTRY line names no public function or nn leaf" \
+        in opinfo.selftest()
+
+
 # -- the caller's module is not written -------------------------------------------
 
 class ConvBN(nn.Module):

@@ -213,27 +213,3 @@ class TestNeuralRenderer:
         N = SymDim("N")
         out = SymbolicShapeProp(gm).propagate(SymShape((N, 10)))
         assert out == SymShape((N, 1, 16, 16))
-
-    def test_trainable_end_to_end(self):
-        """The renderer is differentiable — one gradient step reduces
-        reconstruction loss against a fixed target stroke."""
-        import repro.functional as F
-        from repro import optim
-        from repro.autograd import Tape
-        from repro.models import neural_renderer
-
-        repro.manual_seed(0)
-        r = neural_renderer(canvas=16)
-        params = repro.rand(4, 10)
-        target = repro.rand(4, 1, 16, 16)
-        opt = optim.Adam(r.parameters(), lr=0.01)
-        first = None
-        for _ in range(8):
-            tape = Tape()
-            loss = F.mse_loss(r(tape.watch(params)), target)
-            if first is None:
-                first = float(loss.value)
-            opt.step(tape.gradients(loss, opt.params))
-        tape = Tape()
-        final = float(F.mse_loss(r(tape.watch(params)), target).value)
-        assert final < first

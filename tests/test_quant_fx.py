@@ -12,6 +12,7 @@ from repro.quant import (
     DeQuantize,
     FakeQuantize,
     MinMaxObserver,
+    MovingAverageMinMaxObserver,
     Quantize,
     QuantizedLinear,
     QuantizedReLU,
@@ -187,7 +188,7 @@ class TestQAT:
     def test_qat_flow(self):
         model = MLP(8, (16,), 4)
         prepared = prepare_fx(model, qat=True)
-        # "training" with fake quant in the loop (no autograd; just run)
+        # calibrate with fake quant in the loop
         for _ in range(4):
             prepared(repro.randn(8, 8))
         qm = convert_fx(prepared)
@@ -205,3 +206,56 @@ class TestQAT:
         # fake-quant snapping introduces (small) error
         assert not np.array_equal(out_fake.data, out_float.data)
         assert np.allclose(out_fake.data, out_float.data, atol=0.5)
+
+    @pytest.mark.parametrize("observer", [MovingAverageMinMaxObserver, MinMaxObserver])
+    def test_fake_quant_observes_finite_elements_only(self, observer):
+        # the observer module's NaN filter applies inside FakeQuantize too
+        with_nan, clean = FakeQuantize(observer()), FakeQuantize(observer())
+        with np.errstate(invalid="ignore"):
+            with_nan(repro.tensor([1.0, float("nan"), 5.0]))
+        clean(repro.tensor([1.0, 5.0]))
+        x = repro.tensor([-2.0, 3.0, 4.0])
+        assert np.array_equal(with_nan(x).data, clean(x).data)
+        assert with_nan.calculate_qparams() == clean.calculate_qparams()
+
+
+class TestRetrace:
+    """Quantization modules are tracer leaves: tracing a prepared or
+    converted model again keeps its observers, fake-quants and int8 layers."""
+
+    @staticmethod
+    def _calibrated(qat):
+        model = MLP(4, (8,), 2).eval()
+        x = repro.randn(64, 4) * 3
+        return model, calibrate(prepare_fx(model, qat=qat), [x] * 3), x
+
+    def test_compiling_a_caller_of_a_qat_model_keeps_its_fake_quant(self):
+        from repro import fx
+
+        class Caller(nn.Module):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner
+
+            def forward(self, x):
+                return self.inner(x)
+
+        _, prepared, x = self._calibrated(qat=True)
+        caller = Caller(prepared)
+        # the same batch again leaves the moving averages where they are
+        assert np.array_equal(fx.compile(caller, (x,))(x).data, caller(x).data)
+
+    def test_calibrating_a_retraced_prepared_model_converts(self):
+        model, prepared, x = self._calibrated(qat=False)
+        retraced = symbolic_trace(prepare_fx(model))
+        assert [n.target for n in retraced.graph.nodes if n.op == "call_module"
+                and "activation_post_process" in n.target] == \
+            [n.target for n in prepared.graph.nodes if n.op == "call_module"
+             and "activation_post_process" in n.target]
+        converted = convert_fx(calibrate(retraced, [x] * 3))
+        assert np.array_equal(converted(x).data, convert_fx(prepared)(x).data)
+
+    def test_tracing_a_converted_model(self):
+        _, prepared, x = self._calibrated(qat=False)
+        converted = convert_fx(prepared)
+        assert np.array_equal(symbolic_trace(converted)(x).data, converted(x).data)
