@@ -7,7 +7,7 @@ API surface:
   * fx.to_backend — the one lowering entrypoint: backend-preferred
     passes, capability partitioning, per-partition compilation with a
     structural-hash memo, eager fallback for unsupported operators
-    (Figure 8's pipeline; lower_to_trt is a thin wrapper over it).
+    (Figure 8's pipeline, with backend "trt").
 
 Run:  python examples/fuse_and_lower_resnet.py
 """
@@ -33,9 +33,10 @@ def main() -> None:
     print(f"graph nodes: {n_before} -> {n_after} after conv-bn fusion")
     assert repro.allclose(gm(x), fused(x), rtol=1e-3, atol=1e-4)
 
-    # fully supported: to_backend returns the backend's native module
-    lowered = fx.to_backend(model, "trt")
-    print(f"engine: {lowered.engine!r}")
+    # fully supported: to_backend returns the backend's native module,
+    # here one flat program on the bytecode tier
+    lowered = fx.to_backend(model, "trt", allow_fallback=False)
+    print(f"engine: {lowered.program!r}")
     assert repro.allclose(model(x), lowered(x), rtol=1e-3, atol=1e-4)
     print(lowered.backend_report.format())
 

@@ -21,6 +21,7 @@ compile work is ever started and then thrown away.
 
 from __future__ import annotations
 
+import copy
 import textwrap
 import time
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from ..passes.split_module import split_module
 from ..state import state_scope
 from ..tracer import symbolic_trace
 from .base import Backend, UnsupportedNodesError, get_backend
-from .partitioner import CapabilityPartitioner, full_cover_pids
+from .partitioner import CapabilityPartitioner
 
 __all__ = [
     "BackendReport",
@@ -94,8 +95,7 @@ class BackendReport:
 
 # -- per-partition compile memo ------------------------------------------------
 
-#: (backend cache namespace, structural hash) -> compiled Module.  Stores
-#: module objects, not pickles: engine closures are not picklable, and the
+#: (backend cache namespace, structural hash) -> compiled Module.  The
 #: hash covers parameter/buffer bytes, so an equal key implies the same
 #: function.  Shared modules are safe for sequential reuse (backends with
 #: per-call state must set ``cacheable = False``).
@@ -138,8 +138,6 @@ def to_backend(
     backend: Union[str, Backend],
     *,
     allow_fallback: bool = True,
-    inline_unsupported: bool = True,
-    merge_independent: bool = False,
     lint: bool = False,
     cache: bool = True,
     verify: bool = True,
@@ -157,16 +155,10 @@ def to_backend(
             :func:`~repro.fx.backends.registered_backends`) or a
             :class:`Backend` instance.
         allow_fallback: if True, nodes the backend cannot compile run
-            eagerly; if False their presence raises
+            eagerly, inline in the top-level graph (only supported
+            partitions become submodules, so an unsupported side branch
+            costs zero extra partitions); if False their presence raises
             :class:`UnsupportedNodesError` *before* any compilation.
-        inline_unsupported: if True (default), fallback nodes are emitted
-            inline in the top-level graph — only supported partitions
-            become submodules, so an unsupported side branch costs zero
-            extra partitions.  If False, fallback nodes are grouped into
-            eager submodules too (full-cover split; the shape
-            ``lower_to_trt`` returns).
-        merge_independent: also co-locate dependency-independent supported
-            partitions (see :class:`CapabilityPartitioner`).
         lint: validate the IR after every preferred pass.
         cache: use the structural-hash transform cache for the preferred
             passes.
@@ -181,14 +173,16 @@ def to_backend(
         example_inputs: when given, drive guard derivation: a
             :class:`~repro.fx.analysis.guards.GuardSet` proved by symbolic
             shape propagation over the pristine capture is attached to the
-            result as ``.guards`` (and into ``VMProgram.meta["guards"]``),
-            recording which input dims the artifact is generic over.
+            result as ``.guards``, recording which input dims the artifact
+            is generic over.
 
     Returns:
         When the whole graph is supported, whatever
-        ``backend.compile_subgraph`` returns for it (e.g. a ``TRTModule``);
-        otherwise a split ``GraphModule`` whose ``submod_<pid>`` children
-        are the compiled partitions.  Either way the result carries a
+        ``backend.compile_subgraph`` returns for it (for a ``cacheable``
+        backend, a shallow copy: the compiled artifact is shared, the
+        module carrying this call's report and guards is not); otherwise
+        a split ``GraphModule`` whose ``submod_<pid>`` children are the
+        compiled partitions.  Either way the result carries a
         :class:`BackendReport` on ``.backend_report``.
     """
     start = time.perf_counter()
@@ -233,12 +227,9 @@ def to_backend(
         ).run(gm, consume=gm is not model)
         gm = result.graph_module
 
-        partitioner = CapabilityPartitioner(
-            be.is_node_supported,
-            mask_effects=not be.respects_effects,
-            merge_independent=merge_independent,
-        )
-        plan = partitioner.partition(gm)
+        plan = CapabilityPartitioner(
+            be.is_node_supported, mask_effects=not be.respects_effects,
+        ).partition(gm)
 
         if plan.unsupported and not allow_fallback:
             raise UnsupportedNodesError(be.name,
@@ -247,20 +238,16 @@ def to_backend(
         stats = {"hits": 0, "misses": 0}
         if plan.fully_supported and len(plan.partitions) <= 1:
             # Whole graph fits one partition: compile it directly, preserving
-            # the backend's native return type (TRTModule, optimized
+            # the backend's native return type (VMModule, optimized
             # GraphModule, ...) with no split wrapper around it.
             out: Module = _compile_partition(be, gm, stats)
+            if be.cacheable:
+                # The memo's module is every caller's: each gets its own.
+                out = copy.copy(out)
         else:
-            if inline_unsupported:
-                split_gm = split_module(gm, lambda n: plan.node_pid.get(n))
-                supported_names = [f"submod_{pid}"
-                                   for pid in sorted(plan.partitions)]
-            else:
-                pids, supported_pids = full_cover_pids(gm, plan)
-                split_gm = split_module(gm, lambda n: pids[n])
-                supported_names = [f"submod_{pid}"
-                                   for pid in sorted(supported_pids)]
-            for name in supported_names:
+            split_gm = split_module(gm, lambda n: plan.node_pid.get(n))
+            for pid in sorted(plan.partitions):
+                name = f"submod_{pid}"
                 sub = split_gm.get_submodule(name)
                 setattr(split_gm, name, _compile_partition(be, sub, stats))
             out = split_gm
@@ -269,7 +256,7 @@ def to_backend(
             # Flatten the stitched graph (compiled partitions are resolved
             # call_module targets; fallback nodes become flat instructions)
             # onto the bytecode tier.  Backends returning a native module
-            # (e.g. a TRTModule) already bypass per-node dispatch.
+            # (e.g. a VMModule) already bypass per-node dispatch.
             from ..vm import VMModule, compile_to_vm
 
             out = VMModule(compile_to_vm(out))
@@ -291,9 +278,6 @@ def to_backend(
         out.backend_report = report
         if guards is not None:
             out.guards = guards
-            prog = getattr(out, "program", None)
-            if prog is not None and hasattr(prog, "meta"):
-                prog.meta["guards"] = guards
     except Exception:  # a backend may return a slotted/frozen module
         pass
     return out

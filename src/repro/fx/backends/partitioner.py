@@ -139,10 +139,6 @@ class CapabilityPartitioner:
         mask_effects: fence mutating/aliasing nodes out of partitions
             (see :func:`effect_mask`).  Turn off only for backends that
             replay effects exactly (``Backend.respects_effects``).
-        merge_independent: after def-use merging, also try to co-locate
-            partitions with *no* dependency path between them into one
-            submodule.  Fewer partitions, but unrelated code shares a
-            compile unit; off by default.
 
     The algorithm is union-find over supported nodes.  Def-use edges are
     visited in graph order (deterministic), and each tentative merge is
@@ -161,11 +157,9 @@ class CapabilityPartitioner:
         is_supported: Callable[[Node, Dict[str, Module]], bool],
         *,
         mask_effects: bool = True,
-        merge_independent: bool = False,
     ):
         self.is_supported = is_supported
         self.mask_effects = mask_effects
-        self.merge_independent = merge_independent
 
     def partition(self, gm: GraphModule) -> PartitionPlan:
         graph = gm.graph
@@ -221,35 +215,17 @@ class CapabilityPartitioner:
                         stack.append(v)
             return False
 
-        def try_merge(ra: Node, rb: Node) -> bool:
-            if reaches_via_intermediate(ra, rb) or \
-                    reaches_via_intermediate(rb, ra):
-                return False
-            parent[rb] = ra
-            members[ra].extend(members.pop(rb))
-            return True
-
-        # Phase 1: merge along def-use edges, consumers in graph order.
+        # Merge along def-use edges, consumers in graph order.
         for consumer in supported:
             for producer in consumer.all_input_nodes:
                 if producer not in parent:
                     continue
                 ra, rb = find(producer), find(consumer)
-                if ra is not rb:
-                    try_merge(ra, rb)
-
-        # Phase 2 (optional): co-locate dependency-independent partitions.
-        if self.merge_independent:
-            index = {n: i for i, n in enumerate(nodes)}
-            roots = sorted((r for r in members), key=index.__getitem__)
-            for i, ra in enumerate(roots):
-                if ra not in members:
+                if ra is rb or reaches_via_intermediate(ra, rb) \
+                        or reaches_via_intermediate(rb, ra):
                     continue
-                ra = find(ra)
-                for rb in roots[i + 1:]:
-                    if rb not in members or find(rb) is ra:
-                        continue
-                    try_merge(ra, rb)
+                parent[rb] = ra
+                members[ra].extend(members.pop(rb))
 
         # get_attr nodes join a partition only when every consumer lives
         # in that one partition; otherwise the split threads them through
@@ -281,43 +257,3 @@ class CapabilityPartitioner:
             else:
                 plan.unassigned.append(n)
         return plan
-
-
-def full_cover_pids(gm: GraphModule,
-                    plan: PartitionPlan) -> tuple[Dict[Node, int], set]:
-    """Assign *every* compute node a partition id (full-cover split).
-
-    Partitioned nodes keep their plan partition; unassigned nodes are
-    grouped into maximal runs that are adjacent in graph order.  Adjacency
-    in the stored (topological) order guarantees acyclicity: a dependency
-    path between two adjacent leftovers would have to pass through a node
-    positioned strictly between them, and no such node exists.  Ids are
-    re-numbered densely by first encounter in graph order, so a plain
-    supported/unsupported chain numbers its partitions alternately.
-
-    Returns ``(node -> final pid, final pids of the supported (plan)
-    partitions)``.
-    """
-    final: Dict[Node, int] = {}
-    supported_pids: set = set()
-    remap: Dict[object, int] = {}  # plan pid or leftover-run marker -> final pid
-    prev_was_leftover = False
-    run_key: object = None
-    for n in gm.graph.nodes:
-        if n.op in _SKIP_OPS:
-            continue
-        pid = plan.node_pid.get(n)
-        if pid is not None:
-            key = ("p", pid)
-            prev_was_leftover = False
-        else:
-            if not prev_was_leftover:
-                run_key = ("u", n)  # new leftover run anchored at n
-            key = run_key
-            prev_was_leftover = True
-        if key not in remap:
-            remap[key] = len(remap)
-        final[n] = remap[key]
-        if key[0] == "p":
-            supported_pids.add(remap[key])
-    return final, supported_pids

@@ -1,10 +1,10 @@
 """Dead code elimination as a standalone pass.
 
 Thin wrapper around :meth:`Graph.eliminate_dead_code` that also recompiles
-and reports, so it composes in pass pipelines (e.g. the TRT lowering
-pipeline in :mod:`repro.trt.lower`).  Purity comes from the shared
-:mod:`repro.fx.analysis.purity` analysis, computed once per graph (and
-cached by structural hash) rather than re-classified per node.
+and reports, so it composes in pass pipelines (e.g. the ``"trt"``
+backend's pass list in :mod:`repro.trt.backend`).  Purity comes from the
+shared :mod:`repro.fx.analysis.purity` analysis, computed once per graph
+(and cached by structural hash) rather than re-classified per node.
 """
 
 from __future__ import annotations

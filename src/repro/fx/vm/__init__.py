@@ -1,8 +1,8 @@
 """``repro.fx.vm`` — the flat bytecode VM execution tier.
 
-Three ways to run a captured graph already exist: the generated Python
-source (codegen), the per-node :class:`~repro.fx.Interpreter`, and
-backend engines.  This package adds the fourth — compile the graph once
+Two ways to run a captured graph already exist: the generated Python
+source (codegen) and the per-node :class:`~repro.fx.Interpreter`.  This
+package adds the third — compile the graph once
 into an immutable flat instruction stream over a preallocated register
 file, then replay it with no per-node dispatch at all:
 
@@ -17,8 +17,8 @@ It is wired in as a first-class execution strategy:
 * ``to_backend(..., executor="vm")`` — or a backend declaring
   ``executor = "vm"`` — runs stitched split modules (and with them every
   eager-fallback partition) on the VM instead of generated source;
-* :class:`repro.trt.TRTEngine` replays its kernel plan through the same
-  :class:`VMProgram` loop.
+* the ``"trt"`` backend builds each supported partition into a
+  :class:`VMModule` (its engine is a program of this tier).
 
 Programs are picklable and memoized by structural hash; see
 :mod:`.compiler` for the cache discipline and the arena-slot

@@ -1,9 +1,10 @@
 """The convolution and pooling kernels: ndarrays in, a fresh ndarray out.
 
 No ``Tensor``, no dispatch — :mod:`repro.functional` (eager and every tier
-that executes it), the TRT engine builder and the quantized reference conv
-are thin callers of these functions, so there is one forward
-implementation of each op and every tier computes the same bits.
+that executes it, the ``"trt"`` backend's engines included) and the
+quantized reference conv are thin callers of these functions, so there is
+one forward implementation of each op and every tier computes the same
+bits.
 
 **conv2d** is one GEMM per call.  The input is zero-padded by slice
 assignment, its windows are gathered once into ``col`` of shape

@@ -1,23 +1,12 @@
 """``repro.trt`` — a TensorRT-like ahead-of-time backend (§6.4, Figure 8).
 
-An fx-based device-lowering stack: a translation layer from the fx IR to
-specialized numpy kernels, a flat execution engine with buffer planning
-and epilogue fusion, and support-based graph splitting with eager
-fallback — the architecture of the fx2trt project the paper evaluates.
+The fx2trt shape over this repo's shared pieces: an operator-support
+table that splits the graph (unsupported regions fall back to eager), a
+pass list run before the split, and each supported region built into a
+flat program on the bytecode tier.  Lower with
+``repro.fx.to_backend(model, "trt")``.
 """
 
-from .backend import TRTBackend
-from .engine import EngineOp, TRTEngine, TRTModule
-from .interpreter import TRTInterpreter, UnsupportedOperatorError, is_node_supported
-from .lower import lower_to_trt
+from .backend import TRTBackend, is_node_supported
 
-__all__ = [
-    "EngineOp",
-    "TRTBackend",
-    "TRTEngine",
-    "TRTInterpreter",
-    "TRTModule",
-    "UnsupportedOperatorError",
-    "is_node_supported",
-    "lower_to_trt",
-]
+__all__ = ["TRTBackend", "is_node_supported"]

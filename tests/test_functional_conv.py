@@ -13,7 +13,6 @@ from scipy.signal import correlate2d
 import repro
 import repro.functional as F
 from repro import kernels
-from repro.trt import ops as trt_ops
 
 
 def conv2d_reference(x, w, b, stride, padding, dilation, groups):
@@ -158,8 +157,7 @@ GRID = list(itertools.product(
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("stride,padding,dilation,groups", GRID)
 def test_conv2d_grid(stride, padding, dilation, groups, n):
-    """Eager and the TRT builder against brute force — and bit-equal to
-    each other, with and without bias: they are one kernel."""
+    """Eager against brute force, with and without bias."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal((n, 4, 9, 8)).astype(np.float32)
     w = rng.standard_normal((8, 4 // groups, 3, 3)).astype(np.float32)
@@ -172,11 +170,6 @@ def test_conv2d_grid(stride, padding, dilation, groups, n):
         ref = conv2d_reference(x, w, bias, stride, padding, dilation, groups)
         assert got.shape == ref.shape and got.dtype == np.float32
         assert np.allclose(got, ref, atol=1e-4)
-        built = trt_ops.build_conv2d(w, bias, stride, padding, dilation, groups)
-        assert np.array_equal(built(x), got)
-        relu = trt_ops.build_conv2d(w, bias, stride, padding, dilation, groups,
-                                    fuse_relu=True)
-        assert np.array_equal(relu(x), np.maximum(got, 0))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -313,14 +306,12 @@ def test_max_pool2d_grid(k, s, p, dtype):
     got = F.max_pool2d(repro.Tensor(x, dtype=dtype), k, s, p).data
     assert got.dtype == x.dtype and np.array_equal(got, ref)
     assert got.flags.c_contiguous and not np.shares_memory(got, x)
-    assert np.array_equal(trt_ops.build_max_pool2d(k, s, p)(x), ref)
 
 
 def test_max_pool2d_padding_never_wins():
     """Padding is -inf, not the most negative finite float."""
     x = np.full((1, 1, 4, 4), -np.inf, dtype=np.float32)
     assert np.all(F.max_pool2d(repro.Tensor(x), 3, 2, 1).data == -np.inf)
-    assert np.all(trt_ops.build_max_pool2d((3, 3), (2, 2), (1, 1))(x) == -np.inf)
 
 
 @pytest.mark.parametrize("k,s,p", POOL_GRID)
@@ -331,7 +322,6 @@ def test_avg_pool2d_grid(k, s, p):
     got = F.avg_pool2d(repro.Tensor(x), k, s, p).data
     assert got.dtype == np.float32
     assert np.allclose(got, total / (k[0] * k[1]), atol=1e-6)
-    assert np.array_equal(trt_ops.build_avg_pool2d(k, s, p)(x), got)
     # count_include_pad=False: the mean over the cells inside the input
     valid = _pool_windows(np.ones((1, 1, 9, 8)), k, s, p, 0).sum(axis=(-2, -1))
     got = F.avg_pool2d(repro.Tensor(x), k, s, p, count_include_pad=False).data

@@ -25,7 +25,8 @@ from repro.fx.backends import (
 from repro.fx.passes import split_module
 from repro.fx.testing import ProgramSpec, generate_program, run_oracle
 from repro.models import MLP, deep_recommender, resnet18
-from repro.trt import TRTBackend, TRTInterpreter, TRTModule, lower_to_trt
+from repro.fx.vm import VMModule
+from repro.trt import TRTBackend
 
 POOLING = ("MaxPool2d", "AvgPool2d", "AdaptiveAvgPool2d")
 
@@ -147,8 +148,7 @@ class TestCapabilityPartitioner:
         assert len(plan.partitions) == 2
         # and the resulting split is actually executable
         split = to_backend(gm, override_support(
-            "eager", lambda n, m: n.target is not F.tanh),
-            inline_unsupported=False)
+            "eager", lambda n, m: n.target is not F.tanh))
         x = repro.randn(4)
         assert np.allclose(split(x).data, gm(x).data, atol=1e-6)
 
@@ -227,8 +227,7 @@ class TestCapabilityPartitioner:
     def test_partition_of_is_total_and_split_runs(self):
         gm = symbolic_trace(MLP(4, (8, 8), 2))
         split = to_backend(gm, override_support(
-            "eager", lambda n, m: n.target not in ("net.1", "net.3")),
-            inline_unsupported=False)
+            "eager", lambda n, m: n.target not in ("net.1", "net.3")))
         compute = [n for n in gm.graph.nodes
                    if n.op not in ("placeholder", "output")]
         report = split.backend_report
@@ -279,18 +278,31 @@ class TestSplitModuleInline:
 class TestToBackend:
     def test_fully_supported_returns_native_module(self):
         trt = to_backend(MLP(4, (8,), 2).eval(), "trt")
-        assert isinstance(trt, TRTModule)
-        assert hasattr(trt, "engine")
+        assert isinstance(trt, VMModule)
+        assert hasattr(trt, "program")
+
+    def test_callers_get_their_own_module(self):
+        """Two lowerings share the memo's program, not one module: the
+        second used to overwrite the first caller's report and guards."""
+        clear_caches("partition")
+        model = MLP(4, (8,), 2).eval()
+        a = to_backend(model, "trt", example_inputs=(repro.randn(3, 4),))
+        a_report, a_guards = a.backend_report, a.guards
+        b = to_backend(model, "trt")
+        assert a is not b and a.program is b.program
+        assert a.backend_report is a_report and a.guards is a_guards
+        assert (a_report.cache_misses, b.backend_report.cache_hits) == (1, 1)
+        assert not hasattr(b, "guards")
 
     def test_no_fallback_raises_before_any_build(self, monkeypatch):
         builds = []
-        orig = TRTInterpreter.run
+        orig = TRTBackend.compile_subgraph
 
-        def counting_run(self):
+        def counting_build(self, gm):
             builds.append(1)
-            return orig(self)
+            return orig(self, gm)
 
-        monkeypatch.setattr(TRTInterpreter, "run", counting_run)
+        monkeypatch.setattr(TRTBackend, "compile_subgraph", counting_build)
 
         def f(x):
             return repro.softmax(repro.relu(x), dim=1)
@@ -302,18 +314,17 @@ class TestToBackend:
         assert builds == []  # support is a pre-pass: no wasted engine build
 
     def test_run_entered_at_most_once_per_partition(self, monkeypatch):
-        """Satellite regression: the old lower_to_trt started a full
-        engine build, caught UnsupportedOperatorError halfway, then redid
-        the work per partition in the fallback path."""
+        """An engine build is never started and thrown away: one build per
+        supported partition, each a memo miss."""
         clear_caches("partition")
         builds = []
-        orig = TRTInterpreter.run
+        orig = TRTBackend.compile_subgraph
 
-        def counting_run(self):
+        def counting_build(self, gm):
             builds.append(1)
-            return orig(self)
+            return orig(self, gm)
 
-        monkeypatch.setattr(TRTInterpreter, "run", counting_run)
+        monkeypatch.setattr(TRTBackend, "compile_subgraph", counting_build)
 
         class Mixed(nn.Module):
             def __init__(self):
@@ -326,7 +337,7 @@ class TestToBackend:
                 h = repro.softmax(h, dim=1)  # unsupported
                 return self.fc2(h)
 
-        lowered = lower_to_trt(Mixed().eval(), allow_fallback=True)
+        lowered = to_backend(Mixed().eval(), "trt")
         n_supported = lowered.backend_report.n_partitions
         assert len(builds) <= n_supported
         assert lowered.backend_report.cache_misses == len(builds)

@@ -143,7 +143,8 @@ STAGE_OPS = {
     "transform": lambda gm: PassManager([_slow_dce]).run(gm),
     "analysis": lambda gm: AnalysisContext(gm).get("test-slow"),
     "vm": compile_to_vm,
-    "partition": lambda gm: to_backend(gm, "trt"),
+    # each caller gets its own module over the memo's one program
+    "partition": lambda gm: to_backend(gm, "trt").program,
 }
 
 

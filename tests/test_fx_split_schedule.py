@@ -82,14 +82,14 @@ def _compute_names(gm) -> set:
 
 
 class TestSupportSplitter:
-    """Support-based splitting is ``to_backend`` with a predicate backend
-    and every node in some submodule (what ``lower_to_trt`` does)."""
+    """Support-based splitting is ``to_backend`` with a predicate backend:
+    supported nodes in submodules, the rest inline in the top graph."""
 
     @staticmethod
     def _split(gm, is_supported):
         backend = override_support(
             "eager", lambda n, modules: is_supported(n), name="predicate")
-        return to_backend(gm, backend, inline_unsupported=False)
+        return to_backend(gm, backend)
 
     def test_alternating_partitions(self):
         def f(x):
@@ -101,7 +101,9 @@ class TestSupportSplitter:
         gm = symbolic_trace(f)
         split = self._split(gm, lambda n: n.target is F.relu)
         assert split.backend_report.n_partitions == 2       # supported
-        assert len(split.graph.find_nodes(op="call_module")) == 3  # + 1 fallback
+        assert len(split.graph.find_nodes(op="call_module")) == 2
+        assert [n.name for n in split.graph.find_nodes(op="call_function")] \
+            == ["tanh"]                                      # inline fallback
         x = repro.randn(4)
         assert np.allclose(split(x).data, gm(x).data, atol=1e-6)
 
@@ -115,11 +117,11 @@ class TestSupportSplitter:
         gm = symbolic_trace(MLP(4, (8,), 2))
         split = self._split(gm, lambda n: n.target != "net.1")
         inside = set()
-        for call in split.graph.find_nodes(op="call_module"):
-            inside |= _compute_names(split.get_submodule(call.target))
-        assert inside == _compute_names(gm)
-        assert _compute_names(split) == {    # nothing left inline
-            "submod_0", "submod_1", "submod_2"}
+        for name in ("submod_0", "submod_1"):
+            inside |= _compute_names(split.get_submodule(name))
+        inline = _compute_names(split) - {"submod_0", "submod_1"}
+        assert inside | inline == _compute_names(gm)
+        assert inline == {"net_1"}           # the one unsupported node
 
 
 class TestCostModel:

@@ -2,7 +2,7 @@
 invariants, pickle replay determinism (in-process and across processes),
 the structural-hash memo, the PR-3 tail-read re-validation (mutant-style,
 ported from ``tests/test_fx_verifier.py``), and the executor wiring
-through ``fx.compile`` / ``to_backend`` / ``repro.trt``."""
+through ``fx.compile`` / ``to_backend``."""
 
 import os
 import pickle
@@ -27,12 +27,10 @@ from repro.fx.vm import (
     Reg,
     VMCompileError,
     VMModule,
-    VMProgram,
     VMRunError,
     compile_to_vm,
 )
 from repro.models import SimpleCNN
-from repro.trt.engine import EngineOp, TRTEngine
 
 
 class TestVMExecution:
@@ -380,14 +378,3 @@ class TestExecutorWiring:
         out = to_backend(model, EagerBackend(), executor="vm")
         clone = pickle.loads(pickle.dumps(out))
         assert np.array_equal(out(x).data, clone(x).data)
-
-    def test_trt_engine_runs_on_the_vm(self):
-        ops = [EngineOp(name="add", fn=np.add, input_slots=(0, 1),
-                        output_slot=2, frees=(0, 1))]
-        engine = TRTEngine(ops, num_slots=3, input_slots=[0, 1],
-                           output_spec=2, constants={})
-        assert isinstance(engine._program, VMProgram)
-        out = engine.run(np.ones(3), np.ones(3))
-        assert np.array_equal(out, np.full(3, 2.0))
-        with pytest.raises(ValueError, match="inputs"):
-            engine.run(np.ones(3))

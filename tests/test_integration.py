@@ -16,14 +16,13 @@ from repro.fx.passes import (
 )
 from repro.models import MLP, SimpleCNN, resnet18
 from repro.quant import QuantizedLinear, quantize_static
-from repro.trt import lower_to_trt
 
 
 class TestTransformChains:
     def test_fuse_then_lower(self):
         """The Figure-8 pipeline: trace -> fuse -> build engine."""
         model = resnet18(num_classes=4).eval()
-        lowered = lower_to_trt(model)  # includes fusion
+        lowered = to_backend(model, "trt", allow_fallback=False)  # includes fusion
         x = repro.randn(1, 3, 32, 32)
         assert np.allclose(model(x).data, lowered(x).data, rtol=1e-3, atol=1e-4)
 
@@ -61,10 +60,11 @@ class TestTransformChains:
         model = MLP(8, (16, 16), 4).eval()
         gm = symbolic_trace(model)
         split = to_backend(gm, override_support(
-            "eager", lambda n, modules: n.target != "net.1"),
-            inline_unsupported=False)
+            "eager", lambda n, modules: n.target != "net.1"))
         x = repro.randn(2, 8)
-        assert len(split.graph.find_nodes(op="call_module")) == 3
+        # two lowered parts around the unsupported ReLU, which stays inline
+        assert [n.target for n in split.graph.find_nodes(op="call_module")] \
+            == ["submod_0", "net.1", "submod_1"]
         assert np.allclose(split(x).data, model(x).data, atol=1e-5)
 
     def test_shape_prop_after_fusion(self):

@@ -192,13 +192,13 @@ class TestNeuralRenderer:
         assert float(out.min()) >= 0.0 and float(out.max()) <= 1.0
 
     def test_traces_and_lowers(self):
+        from repro.fx import to_backend
         from repro.models import neural_renderer
-        from repro.trt import lower_to_trt
 
         r = neural_renderer(canvas=16).eval()
         gm = symbolic_trace(r)
         gm.graph.lint()
-        lowered = lower_to_trt(r)
+        lowered = to_backend(r, "trt", allow_fallback=False)
         x = repro.rand(2, 10)
         assert np.allclose(r(x).data, lowered(x).data, rtol=1e-3, atol=1e-5)
 

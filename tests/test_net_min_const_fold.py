@@ -113,8 +113,6 @@ class TestFindFirstDivergence:
 
     def test_against_trt_backend(self):
         """Real integration: verify the lowered engine node-by-node."""
-        from repro.trt import TRTInterpreter
-
         model = nn.Sequential(nn.Linear(4, 8), nn.ReLU(), nn.Linear(8, 2)).eval()
         gm = symbolic_trace(model)
         # build per-node engines is overkill; emulate a suspect backend by

@@ -1,4 +1,11 @@
-"""Tests for the TensorRT-like backend: kernels, engine, lowering, fallback."""
+"""Tests for the TensorRT-like backend: its support table and pass list,
+engines built on the bytecode tier, and eager fallback.
+
+An engine runs eager's own kernels, so wherever no conv-bn fold applies
+the lowered result is eager's bit for bit."""
+
+import asyncio
+import pickle
 
 import numpy as np
 import pytest
@@ -6,127 +13,138 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import symbolic_trace
+from repro.fx import symbolic_trace, to_backend
+from repro.fx.backends import UnsupportedNodesError
+from repro.fx.passes import eliminate_dead_code
+from repro.fx.vm import VMModule
 from repro.models import MLP, SimpleCNN, learning_to_paint_actor, resnet18
-from repro.trt import (
-    TRTInterpreter,
-    TRTModule,
-    UnsupportedOperatorError,
-    is_node_supported,
-    lower_to_trt,
-)
-from repro.trt import ops as trt_ops
+from repro.serve import InferenceServer, ServeConfig
+from repro.trt import TRTBackend, is_node_supported
+
+
+class _Unfolded(TRTBackend):
+    """The ``"trt"`` backend without its conv-bn fold."""
+
+    def preferred_passes(self, gm):
+        return [("dce", eliminate_dead_code)]
+
+
+def _engine(model):
+    return to_backend(model.eval(), "trt", allow_fallback=False)
 
 
 class TestKernels:
+    """Each op lowers to eager's kernel: bit-equal to the functional call."""
+
     def test_conv1x1_fast_path_matches_general(self):
-        x = repro.randn(2, 8, 6, 6).data
-        w = repro.randn(4, 8, 1, 1).data
-        b = repro.randn(4).data
-        fast = trt_ops.build_conv2d(w, b, (1, 1), (0, 0), (1, 1), 1)
-        ref = F.conv2d(repro.Tensor(x), repro.Tensor(w), repro.Tensor(b))
-        assert np.allclose(fast(x), ref.data, atol=1e-4)
+        conv = nn.Conv2d(8, 4, 1)
+        x = repro.randn(2, 8, 6, 6)
+        got = _engine(nn.Sequential(conv))(x).data
+        w, b = conv.weight.data[:, :, 0, 0], conv.bias.data
+        general = np.einsum("fc,nchw->nfhw", w, x.data) + b.reshape(1, -1, 1, 1)
+        assert np.allclose(got, general, atol=1e-4)
+        assert np.array_equal(got, F.conv2d(x, conv.weight, conv.bias).data)
 
     def test_conv_general_matches_functional(self):
-        x = repro.randn(2, 3, 9, 9).data
-        w = repro.randn(5, 3, 3, 3).data
-        fn = trt_ops.build_conv2d(w, None, (2, 2), (1, 1), (1, 1), 1)
-        ref = F.conv2d(repro.Tensor(x), repro.Tensor(w), stride=2, padding=1)
-        assert np.allclose(fn(x), ref.data, atol=1e-4)
+        conv = nn.Conv2d(3, 5, 3, stride=2, padding=1, bias=False)
+        x = repro.randn(2, 3, 9, 9)
+        ref = F.conv2d(x, conv.weight, stride=2, padding=1)
+        assert np.array_equal(_engine(nn.Sequential(conv))(x).data, ref.data)
 
     def test_conv_grouped(self):
-        x = repro.randn(1, 4, 5, 5).data
-        w = repro.randn(6, 2, 3, 3).data
-        fn = trt_ops.build_conv2d(w, None, (1, 1), (1, 1), (1, 1), 2)
-        ref = F.conv2d(repro.Tensor(x), repro.Tensor(w), padding=1, groups=2)
-        assert np.allclose(fn(x), ref.data, atol=1e-4)
-
-    def test_fused_relu_epilogue(self):
-        x = repro.randn(1, 2, 4, 4).data
-        w = repro.randn(2, 2, 1, 1).data
-        fn = trt_ops.build_conv2d(w, None, (1, 1), (0, 0), (1, 1), 1, fuse_relu=True)
-        out = fn(x)
-        assert (out >= 0).all()
+        conv = nn.Conv2d(4, 6, 3, padding=1, groups=2, bias=False)
+        x = repro.randn(1, 4, 5, 5)
+        ref = F.conv2d(x, conv.weight, padding=1, groups=2)
+        assert np.array_equal(_engine(nn.Sequential(conv))(x).data, ref.data)
 
     def test_linear_kernel(self):
-        x, w, b = repro.randn(3, 4).data, repro.randn(2, 4).data, repro.randn(2).data
-        fn = trt_ops.build_linear(w, b)
-        assert np.allclose(fn(x), x @ w.T + b, atol=1e-5)
+        fc = nn.Linear(4, 2)
+        x = repro.randn(3, 4)
+        got = _engine(nn.Sequential(fc))(x).data
+        assert np.array_equal(got, F.linear(x, fc.weight, fc.bias).data)
+        assert np.allclose(got, x.data @ fc.weight.data.T + fc.bias.data,
+                           atol=1e-5)
 
     def test_batch_norm_kernel(self):
-        mean = np.array([1.0, -1.0], dtype=np.float32)
-        var = np.array([4.0, 0.25], dtype=np.float32)
-        fn = trt_ops.build_batch_norm(mean, var, None, None, 0.0)
-        x = repro.randn(2, 2, 3, 3).data
-        ref = (x - mean.reshape(1, 2, 1, 1)) / np.sqrt(var.reshape(1, 2, 1, 1))
-        assert np.allclose(fn(x), ref, atol=1e-5)
-
-    def test_add_fused_relu(self):
-        fn = trt_ops.build_add(fuse_relu=True)
-        out = fn(np.array([-2.0, 1.0]), np.array([1.0, 1.0]))
-        assert out.tolist() == [0.0, 2.0]
+        """A BatchNorm no conv precedes stays eager's module (the engine's
+        own scale-and-shift kernel differed in the last bits)."""
+        model = nn.Sequential(nn.BatchNorm2d(2), nn.ReLU()).eval()
+        bn = model[0]
+        bn.running_mean.data[...] = [1.0, -1.0]
+        bn.running_var.data[...] = [4.0, 0.25]
+        bn.weight.data[...] = [0.7, 1.3]
+        bn.bias.data[...] = [0.1, -0.2]
+        x = repro.randn(2, 2, 3, 3)
+        got = _engine(model)(x).data
+        assert np.array_equal(got, model(x).data)
+        mean = bn.running_mean.data.reshape(1, 2, 1, 1)
+        var = bn.running_var.data.reshape(1, 2, 1, 1)
+        ref = (x.data - mean) / np.sqrt(var + bn.eps) \
+            * bn.weight.data.reshape(1, 2, 1, 1) + bn.bias.data.reshape(1, 2, 1, 1)
+        assert np.allclose(got, np.maximum(ref, 0), atol=1e-5)
 
     def test_pooling_kernels(self):
-        x = repro.randn(1, 2, 8, 8).data
-        mp = trt_ops.build_max_pool2d((2, 2), (2, 2), (0, 0))
-        assert np.allclose(mp(x), F.max_pool2d(repro.Tensor(x), 2).data)
-        ap = trt_ops.build_adaptive_avg_pool2d((1, 1))
-        assert np.allclose(ap(x), x.mean(axis=(2, 3), keepdims=True), atol=1e-6)
+        x = repro.randn(1, 2, 8, 8)
+        mp = _engine(nn.Sequential(nn.MaxPool2d(2)))
+        assert np.array_equal(mp(x).data, F.max_pool2d(x, 2).data)
+        ap = _engine(nn.Sequential(nn.AdaptiveAvgPool2d((1, 1))))
+        assert np.array_equal(ap(x).data, F.adaptive_avg_pool2d(x, (1, 1)).data)
 
 
 class TestEngineBuild:
     def test_engine_op_count_reflects_fusion(self):
-        from repro.fx.passes import fuse_conv_bn
-
         model = SimpleCNN().eval()
         gm = symbolic_trace(model)
         n_compute = len([n for n in gm.graph.nodes
                          if n.op not in ("placeholder", "output", "get_attr")])
-        engine = TRTInterpreter(fuse_conv_bn(symbolic_trace(model))).run()
-        # conv-bn folding removed the 2 BN nodes, relu fused into conv
-        # epilogues removed 2 more
-        assert len(engine) <= n_compute - 4
+        engine = _engine(model)
+        # conv-bn folding removed the 2 BN nodes; every other node is one
+        # instruction
+        assert len(engine.program) == n_compute - 2
+        assert len(to_backend(model, _Unfolded()).program) == n_compute
 
     def test_constants_resolved(self):
         class WithParam(nn.Module):
             def __init__(self):
                 super().__init__()
-                self.w = nn.Parameter(repro.randn(4, 4))
+                self.w = nn.Parameter(repro.randn(4))
 
             def forward(self, x):
-                return F.relu(x @ self.w)
+                return F.relu(x + self.w)
 
-        # matmul isn't supported; use Linear instead for this test
-        model = nn.Sequential(nn.Linear(4, 4), nn.ReLU()).eval()
-        engine = TRTInterpreter(symbolic_trace(model)).run()
-        assert len(engine) == 1  # linear with fused relu
+        model = WithParam().eval()
+        program = _engine(model).program
+        # the weight read is a constant register, not a run-time lookup
+        assert any(c is model.w for c in program.consts.values())
+        assert [ins.name for ins in program.instructions] == ["add", "relu"]
 
     def test_unsupported_raises(self):
         class Weird(nn.Module):
             def forward(self, x):
                 return repro.softmax(x, dim=1)
 
-        with pytest.raises(UnsupportedOperatorError):
-            TRTInterpreter(symbolic_trace(Weird().eval())).run()
+        with pytest.raises(UnsupportedNodesError, match="softmax"):
+            _engine(Weird())
 
     def test_multi_output(self):
         class TwoOut(nn.Module):
             def forward(self, x):
                 return repro.relu(x), repro.tanh(x)
 
-        engine = TRTInterpreter(symbolic_trace(TwoOut().eval())).run()
-        a, b = engine.run(repro.randn(3).data)
-        assert (a >= 0).all()
+        a, b = _engine(TwoOut())(repro.randn(3))
+        assert (a.data >= 0).all()
 
     def test_repr(self):
-        engine = TRTInterpreter(symbolic_trace(nn.Sequential(nn.ReLU()).eval())).run()
-        assert "TRTEngine" in repr(engine)
-        assert engine.op_names()
+        engine = _engine(nn.Sequential(nn.ReLU()))
+        assert "VMProgram" in repr(engine)
+        assert engine.program.op_names()
 
     def test_wrong_input_count_raises(self):
-        engine = TRTInterpreter(symbolic_trace(nn.Sequential(nn.ReLU()).eval())).run()
-        with pytest.raises(ValueError):
-            engine.run()
+        engine = _engine(nn.Sequential(nn.ReLU()))
+        with pytest.raises(RuntimeError, match="missing argument"):
+            engine()
+        with pytest.raises(TypeError, match="at most 1"):
+            engine(repro.randn(2), repro.randn(2))
 
 
 class TestLowering:
@@ -137,32 +155,64 @@ class TestLowering:
     ])
     def test_lowered_matches_eager(self, model_fn, x_shape):
         model = model_fn().eval()
-        trt = lower_to_trt(model)
+        trt = _engine(model)
         x = repro.randn(*x_shape)
-        assert np.allclose(model(x).data, trt(x).data, rtol=1e-3, atol=1e-4)
+        if any(isinstance(m, nn.BatchNorm2d) for m in model.modules()):
+            assert np.allclose(model(x).data, trt(x).data, rtol=1e-3, atol=1e-4)
+        else:
+            assert np.array_equal(model(x).data, trt(x).data)
 
     def test_learning_to_paint(self):
         model = learning_to_paint_actor().eval()
-        trt = lower_to_trt(model)
+        trt = _engine(model)
         x = repro.randn(1, 9, 32, 32)
         assert np.allclose(model(x).data, trt(x).data, rtol=1e-3, atol=1e-4)
 
     def test_requires_eval_mode(self):
         with pytest.raises(RuntimeError, match="eval"):
-            lower_to_trt(SimpleCNN())
+            to_backend(SimpleCNN(), "trt")
 
     def test_trt_module_is_module(self):
-        trt = lower_to_trt(MLP(4, (8,), 2).eval())
-        assert isinstance(trt, nn.Module)
+        trt = _engine(MLP(4, (8,), 2))
+        assert isinstance(trt, VMModule)
         # composable: lives inside a bigger eager model
         outer = nn.Sequential(trt, nn.Softmax(dim=1))
         assert outer(repro.randn(2, 4)).shape == (2, 2)
 
     def test_fusion_skippable(self):
+        """Without the fold nothing is rewritten: eager's bits exactly."""
         model = SimpleCNN().eval()
-        trt_nofuse = lower_to_trt(model, fuse=False)
+        trt_nofuse = to_backend(model, _Unfolded(), allow_fallback=False)
         x = repro.randn(1, 3, 16, 16)
-        assert np.allclose(model(x).data, trt_nofuse(x).data, rtol=1e-3, atol=1e-4)
+        assert np.array_equal(model(x).data, trt_nofuse(x).data)
+
+    def test_engine_pickles_bit_for_bit(self):
+        model = SimpleCNN().eval()
+        trt = _engine(model)
+        clone = pickle.loads(pickle.dumps(trt))
+        x = repro.randn(2, 3, 16, 16)
+        assert clone(x).data.tobytes() == trt(x).data.tobytes()
+
+    def test_served_engines_persist(self, tmp_path):
+        """A second server on the same cache directory loads the engine
+        the first one stored instead of building it."""
+        model = MLP(4, (8,), 2).eval()
+        x = repro.randn(3, 4)
+
+        async def serve():
+            config = ServeConfig(backend="trt", cache_dir=str(tmp_path),
+                                 workers=1, batching=False)
+            async with InferenceServer(config) as server:
+                server.register("m", model)
+                out = await server.infer("m", x)
+                return out, server.stats()["engine_cache"]
+
+        first, info = asyncio.run(serve())
+        assert info["builds"] == 1 and info["stores"] == 1
+        second, info = asyncio.run(serve())
+        assert info["disk_hits"] == 1 and info["builds"] == 0
+        assert np.array_equal(first.data, model(x).data)
+        assert np.array_equal(second.data, first.data)
 
 
 class TestFallback:
@@ -180,22 +230,24 @@ class TestFallback:
             return self.fc2(h)
 
     def test_without_fallback_raises(self):
-        with pytest.raises(UnsupportedOperatorError):
-            lower_to_trt(self.Mixed().eval())
+        with pytest.raises(UnsupportedNodesError):
+            _engine(self.Mixed())
 
     @pytest.mark.parametrize("fuse", [True, False])
     def test_fallback_correctness(self, fuse):
         model = self.Mixed().eval()
-        lowered = lower_to_trt(model, fuse=fuse, allow_fallback=True)
+        lowered = to_backend(model, TRTBackend() if fuse else _Unfolded())
         x = repro.randn(4, 8)
-        assert np.allclose(model(x).data, lowered(x).data, rtol=1e-3, atol=1e-5)
+        assert np.array_equal(model(x).data, lowered(x).data)
 
     def test_fallback_structure(self):
         model = self.Mixed().eval()
-        lowered = lower_to_trt(model, allow_fallback=True)
-        kinds = [type(m).__name__ for _, m in lowered.named_children()]
-        assert "TRTModule" in kinds  # supported regions became engines
-        assert any(k != "TRTModule" for k in kinds)  # softmax region eager
+        lowered = to_backend(model, "trt")
+        kinds = {type(m).__name__ for _, m in lowered.named_children()}
+        assert kinds == {"VMModule"}  # supported regions became engines
+        # the softmax runs eagerly, inline in the stitched graph
+        assert [n.name for n in lowered.graph.nodes
+                if n.op == "call_function"] == ["softmax"]
 
     def test_is_node_supported_predicate(self):
         gm = symbolic_trace(self.Mixed().eval())
@@ -207,28 +259,20 @@ class TestFallback:
 
 class TestDecoderOps:
     def test_conv_transpose_kernel(self):
-        import repro.trt.ops as trt_ops
-
-        x = repro.randn(2, 3, 5, 5).data
-        w = repro.randn(3, 4, 3, 3).data
-        b = repro.randn(4).data
-        fn = trt_ops.build_conv_transpose2d(w, b, (2, 2), (1, 1), (1, 1))
-        ref = F.conv_transpose2d(
-            repro.Tensor(x), repro.Tensor(w), repro.Tensor(b),
-            stride=2, padding=1, output_padding=1,
-        )
-        assert np.allclose(fn(x), ref.data, atol=1e-4)
+        conv_t = nn.ConvTranspose2d(3, 4, 3, stride=2, padding=1,
+                                    output_padding=1)
+        x = repro.randn(2, 3, 5, 5)
+        ref = F.conv_transpose2d(x, conv_t.weight, conv_t.bias, stride=2,
+                                 padding=1, output_padding=1)
+        assert np.array_equal(_engine(nn.Sequential(conv_t))(x).data, ref.data)
 
     def test_upsample_kernel(self):
-        import repro.trt.ops as trt_ops
-
-        x = repro.randn(1, 2, 4, 4).data
-        fn = trt_ops.build_upsample_nearest(2)
-        ref = F.interpolate(repro.Tensor(x), scale_factor=2, mode="nearest")
-        assert np.allclose(fn(x), ref.data)
-        # index cache works across differing shapes
-        x2 = repro.randn(1, 2, 6, 6).data
-        assert fn(x2).shape == (1, 2, 12, 12)
+        engine = _engine(nn.Sequential(nn.Upsample(scale_factor=2)))
+        x = repro.randn(1, 2, 4, 4)
+        ref = F.interpolate(x, scale_factor=2, mode="nearest")
+        assert np.array_equal(engine(x).data, ref.data)
+        # one engine serves differing shapes
+        assert engine(repro.randn(1, 2, 6, 6)).shape == (1, 2, 12, 12)
 
     def test_decoder_lowering_end_to_end(self):
         decoder = nn.Sequential(
@@ -236,23 +280,23 @@ class TestDecoderOps:
             nn.Upsample(scale_factor=2),
             nn.ConvTranspose2d(4, 1, 2, stride=2), nn.Sigmoid(),
         ).eval()
-        trt = lower_to_trt(decoder)
+        trt = _engine(decoder)
         x = repro.randn(1, 8, 8, 8)
-        assert np.allclose(decoder(x).data, trt(x).data, rtol=1e-3, atol=1e-5)
+        assert np.array_equal(decoder(x).data, trt(x).data)
 
-    def test_conv_transpose_relu_fusion(self):
+    def test_conv_transpose_relu(self):
         model = nn.Sequential(
             nn.ConvTranspose2d(2, 2, 2, stride=2), nn.ReLU()
         ).eval()
-        trt = lower_to_trt(model)
-        assert len(trt.engine) == 1  # relu fused into the transpose conv
+        trt = _engine(model)
+        assert len(trt.program) == 2  # no epilogue rule: one op each
         x = repro.randn(1, 2, 4, 4)
-        assert np.allclose(model(x).data, trt(x).data, atol=1e-5)
+        assert np.array_equal(model(x).data, trt(x).data)
 
     def test_bilinear_upsample_falls_back(self):
         model = nn.Sequential(nn.Upsample(scale_factor=2, mode="bilinear")).eval()
-        with pytest.raises(UnsupportedOperatorError):
-            lower_to_trt(model)
-        lowered = lower_to_trt(model, allow_fallback=True)
+        with pytest.raises(UnsupportedNodesError):
+            _engine(model)
+        lowered = to_backend(model, "trt")
         x = repro.randn(1, 2, 4, 4)
-        assert np.allclose(model(x).data, lowered(x).data, atol=1e-5)
+        assert np.array_equal(model(x).data, lowered(x).data)
