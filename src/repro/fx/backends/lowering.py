@@ -147,10 +147,10 @@ def to_backend(
     """Lower *model* onto *backend*, falling back to eager where needed.
 
     Args:
-        model: a ``Module`` (symbolically traced first; the result shares
-            the tensors no pass replaced with it) or a ``GraphModule``
-            (never mutated — the preferred passes run on a copy, made
-            only if one of them has to execute).
+        model: a ``Module`` (symbolically traced first; an uncached result,
+            such as a graph that writes module state, shares the tensors no
+            pass replaced with it) or a ``GraphModule`` (never mutated —
+            the preferred passes run on a copy, made only if one has to).
         backend: a registry name (see
             :func:`~repro.fx.backends.registered_backends`) or a
             :class:`Backend` instance.

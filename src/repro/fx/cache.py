@@ -119,13 +119,13 @@ class ArtifactCache:
             self.put(key, value)
             return value
 
-    def count(self, counter: str) -> None:
-        """Bump a stage-specific counter reported by :meth:`info` next to
-        ``hits``/``misses`` (the engine cache's disk traffic, the
-        ``transform`` stage's ``state_reads`` / ``state_reuses`` /
-        ``replay_rejected``); a counter appears once it is non-zero."""
+    def count(self, counter: str, n: int = 1) -> None:
+        """Add *n* to a stage-specific counter reported by :meth:`info` next
+        to ``hits``/``misses`` (the engine cache's disk traffic, the
+        ``transform`` stage's ``state_reads`` / ``state_read_bytes`` /
+        ``state_copied_bytes``); a counter appears once it is counted."""
         with self._lock:
-            self._counters[counter] = self._counters.get(counter, 0) + 1
+            self._counters[counter] = self._counters.get(counter, 0) + n
 
     def info(self) -> Dict[str, int]:
         """``{hits, misses, size, maxsize}`` plus any :meth:`count` ed

@@ -36,8 +36,8 @@ kernels are *guarded* — called with shapes other than the examples they
 were specialized for, they fall back to a generic reference evaluator,
 so the compiled module remains correct (merely unfused) off the fast
 path.  The input module is never mutated: the passes run on a copy
-(:func:`repro.fx.state.copy_module`), and a replayed compile does not
-even make one.
+(:func:`repro.fx.state.copy_module`); a replayed compile copies nothing,
+its tensors being read-only views of the transform cache's end state.
 """
 
 from __future__ import annotations

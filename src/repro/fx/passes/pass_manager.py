@@ -27,28 +27,27 @@ example-input signature of those that take example inputs
 (:class:`Specialized`), :meth:`Graph.structural_hash` of the module —
 state bytes, module hyper-parameters *and* the ``tensor_meta`` /
 ``arena_slot`` its nodes carry, because rule preconditions, fusion and
-planning read them — and the lint / verifier configuration.  A hit
-restores the run's end state and rebuilds its :class:`PassRecord` s from
-the entry; a miss executes the passes with per-pass timing, lint and
-verification, then takes *one* hash and *one*
-:class:`~repro.fx.state.StateSnapshot`, at the end of the run.  What that
-gives up is prefix sharing between different pipelines: one that differs
-in a single stage re-runs the others too.
+planning read them — and the lint / verifier configuration.  A miss
+executes the passes with per-pass timing, lint and verification, then
+takes *one* hash and *one* :class:`~repro.fx.state.StateSnapshot`, at the
+end of the run; a hit rebuilds its :class:`PassRecord` s from the entry.
+Either way the result is :func:`~repro.fx.state.restore` of the entry.
+What that gives up is prefix sharing between different pipelines: one
+that differs in a single stage re-runs the others too.
 
 **State.**  :meth:`PassManager.run` never mutates its argument.  The input
 hash reads the caller's arrays; :func:`~repro.fx.state.copy_module` runs
 only when a pass must execute, and the copy takes over the digests just
-read, so a replay allocates nothing but its end state and an executed
-pipeline hashes each array once.  Entries reference the end state's live
-arrays next to their digests and :func:`~repro.fx.state.restore` checks a
-copy of each against its digest, so a hit never aliases another run's
-module, and an entry whose arrays were written since is refused, dropped
-and rebuilt.  The whole run happens under one
-:func:`~repro.fx.state.state_scope` (see :mod:`repro.fx.state` for the
-one rule it trusts — passes *replace* tensors — and how a violation ends
-in a :class:`PassError`).  Caching is best-effort: a run whose input has
-no stable hash (:class:`~repro.fx.graph.UnstableHashError`) or whose end
-state does not pickle executes uncached.
+read, so an executed pipeline hashes each array once.  An entry owns its
+end state, frozen, and a restore shares it read-only: a replay copies
+nothing and no holder can write what another replay shares.  The whole
+run happens under one :func:`~repro.fx.state.state_scope` (see
+:mod:`repro.fx.state` for the one rule it trusts — passes *replace*
+tensors — and how a violation ends in a :class:`PassError`).  Caching is
+best-effort: a run whose input has no stable hash
+(:class:`~repro.fx.graph.UnstableHashError`), whose end state does not
+pickle, or whose graph may write module state (its result must keep
+sharing what it writes) executes uncached.
 """
 
 from __future__ import annotations
@@ -59,12 +58,14 @@ from itertools import groupby
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from ...tensor import Tensor
+from .. import opinfo
+from ..analysis.purity import classify_effect
 from ..cache import ArtifactCache
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import BASE_ARGUMENT_TYPES
-from ..state import (TRANSFORM_CACHE, StaleSnapshot, StateSnapshot,
-                     copy_module, note_stored, restore, snapshot, state_scope)
+from ..state import (TRANSFORM_CACHE, StateSnapshot, _held, copy_module,
+                     note_stored, restore, snapshot, state_scope)
 
 __all__ = [
     "CacheEntry",
@@ -211,8 +212,7 @@ class PassManagerResult:
     entry (``("state",)``: same pipeline, another module or other shape
     metadata; ``("inputs",)``: another example signature; ``("checks",)``:
     another lint / verifier configuration), ``("cold",)`` when the cache
-    holds no run at all, ``("stale",)`` when the entry was found but its
-    arrays had been written since."""
+    holds no run at all."""
 
     graph_module: GraphModule
     records: list[PassRecord] = field(default_factory=list)
@@ -231,8 +231,8 @@ class PassManagerResult:
 @dataclass
 class CacheEntry:
     """One memoised run of passes: its end state as a
-    :class:`~repro.fx.state.StateSnapshot` (structure payload + references
-    to its arrays + their digests) plus what rebuilds the run's records
+    :class:`~repro.fx.state.StateSnapshot` (structure payload + the frozen
+    arrays it owns + their digests) plus what rebuilds the run's records
     and lets the pipeline go on without analysing anything.
 
     Attributes:
@@ -252,7 +252,7 @@ class CacheEntry:
 
 class _NotStored(Exception):
     """Raised by the cache-fill builder after it executed a run whose end
-    state cannot be stored (no stable hash, or it does not pickle)."""
+    state cannot be stored (may write state, no stable hash, no pickle)."""
 
 
 def _pass_name(p: Pass, index: int) -> str:
@@ -378,14 +378,14 @@ class PassManager:
 
         A fully-cached re-run costs one hash of *gm*, one lookup and one
         restore per run of cacheable passes (one in all for a pipeline of
-        module-level passes): *gm* is not copied, no pass executes and
+        module-level passes): no array is copied, no pass executes and
         nothing is analysed.
 
         With *consume* the caller gives *gm* up — a trace it made for this
         run and holds no other reference to: passes that execute transform
         it in place instead of a copy (its tensors may still be shared with
-        the model it was traced from; passes replace tensors, they do not
-        write them).
+        the model it was traced from: passes replace tensors, they do not
+        write them, and a snapshot copies rather than freezes them).
         """
         if not isinstance(gm, GraphModule):
             raise TypeError(f"PassManager.run expects a GraphModule, got {type(gm).__name__}")
@@ -406,13 +406,18 @@ class PassManager:
                       for _, fn in self.passes]
 
         # ``module`` is the caller's (unless given up) until a pass has to
-        # execute (then a private copy) or a run is replayed (then the
-        # restored end state); ``state`` is its hash when that is known.
+        # execute (then a private copy) or a run is stored (then the
+        # restored end state); ``state`` is its hash when that is known;
+        # ``shared``, the arrays a given-up *gm* may share with its caller.
         module, own, state = gm, consume, ""
+        shared: Optional[frozenset] = None
         baselined = self.verifier is None
 
         def execute(first: int, last: int, start: float) -> list[PassRecord]:
-            nonlocal module, own, baselined
+            nonlocal module, own, baselined, shared
+            if own and module is gm and shared is None:
+                shared = _held(gm)
+                own = shared is not None   # no pickle, no telling: copy
             if not own:
                 module, own = copy_module(module), True
             if not baselined:
@@ -436,38 +441,27 @@ class PassManager:
             key = RunKey(tuple(token for token, _ in run),
                          tuple(signature for _, signature in run),
                          state, checks)
-            stale = False
-            while True:
-                #: the run's records once this call executed it itself
-                ran: Optional[list[PassRecord]] = None
+            #: the run's records once this call executed it itself
+            ran: Optional[list[PassRecord]] = None
 
-                def build() -> CacheEntry:
-                    nonlocal ran
-                    misses.append(("stale",) if stale
-                                  else _why_missed(self.cache, key))
-                    ran = execute(first, last, start)
-                    entry = self._entry(module, ran)
-                    note_stored(self.cache, key)
-                    return entry
+            def build() -> CacheEntry:
+                nonlocal ran
+                misses.append(_why_missed(self.cache, key))
+                ran = execute(first, last, start)
+                entry = self._entry(module, ran, shared or ())
+                note_stored(self.cache, key)
+                return entry
 
-                try:
-                    entry = self.cache.get_or_build(key, build)
-                except _NotStored:
-                    entry = None
-                if ran is not None:
-                    break
+            try:
+                entry = self.cache.get_or_build(key, build)
+            except _NotStored:
+                entry = None   # executed uncached: keep what it left
+            if entry is not None:
+                # Built here or replayed, the result is the entry's.
+                module, own = restore(entry.snapshot), True
+            if ran is None:
                 # Someone else's run (an earlier compile, or a concurrent
-                # manager that won the single-flight): replay it.
-                try:
-                    module, own = restore(entry.snapshot), True
-                except StaleSnapshot:
-                    # Its arrays were written in place after it was stored
-                    # (they belong to a module some caller holds): drop it
-                    # and execute the run after all.
-                    self.cache.discard(key)
-                    self.cache.count("replay_rejected")
-                    stale = True
-                    continue
+                # manager that won the single-flight): replay its records.
                 if self.verifier is not None:
                     self.verifier.adopt(entry.baseline)
                     baselined = True
@@ -479,7 +473,6 @@ class PassManager:
                     nodes = after
                 # hash, lookup and restore are the run's, not a stage's
                 ran[0].wall_time = time.perf_counter() - start
-                break
             ran[0].input_hash = state
             state = ran[-1].output_hash = entry.output_hash if entry else ""
             records += ran
@@ -533,17 +526,20 @@ class PassManager:
             start = now
         return gm, records
 
-    def _entry(self, gm: GraphModule, records: list[PassRecord]) -> CacheEntry:
+    def _entry(self, gm: GraphModule, records: list, shared) -> CacheEntry:
         """The entry for a run that just executed and left *gm*: the one
         hash and the one snapshot a run costs (on its last record's
-        clock).  No weight bytes move — arrays the passes did not replace
-        still carry the digests the input hash read, and all of them go
-        in by reference."""
+        clock).  The snapshot freezes *gm*'s arrays in place and copies
+        those in *shared*.  A graph that may write module state (a mutating
+        node, or a module call with no op-table entry) is not stored:
+        frozen, its state could not be written."""
         start = time.perf_counter()
-        output_hash, snap = self._hash(gm), None
+        writes = any(classify_effect(n, gm).mutating or (n.op == "call_module"
+                     and opinfo.entry_of(n, gm) is None) for n in gm.graph.nodes)
+        output_hash, snap = "" if writes else self._hash(gm), None
         if output_hash:
             try:
-                snap = snapshot(gm)
+                snap = snapshot(gm, shared)
             except Exception:   # unpicklable target or attribute
                 pass
         records[-1].wall_time += time.perf_counter() - start

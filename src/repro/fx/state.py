@@ -1,40 +1,36 @@
-"""Module state during a compile: read each tensor once, copy it once.
+"""Module state during a compile: read each tensor once, copy it at most once.
 
 A ``GraphModule`` keeps code and state together, and every layer of a
 compile looks at the state: ``Graph.structural_hash`` covers parameter
-values, the transform cache snapshots the end state of each run of
-passes, and the passes themselves work on a private copy.  Done naively
-each look re-reads or re-serialises every weight byte.  This module holds
-the three pieces that make a weight byte cost O(1) reads and O(1) copies
-per compile instead of O(passes):
+values, the transform cache stores the end state of each run of passes,
+and the passes themselves work on a private copy.  Done naively each look
+re-reads or re-serialises every weight byte.  This module holds the three
+pieces that make a weight byte cost O(1) reads and at most one copy per
+compile instead of O(passes):
 
 * :func:`digest` — the SHA-256 of one array's bytes, which is the term a
   tensor contributes to ``structural_hash``.  Inside a
   :func:`state_scope` the digest is memoised per ndarray *object*; outside
   one every call reads the bytes.
 * :func:`snapshot` / :func:`restore` — a module as a structure-only pickle
-  plus *references* to its live arrays and their digests.  Taking one
-  reads and copies no tensor bytes; restoring copies each array once and
-  refuses (:class:`StaleSnapshot`) when a referenced array no longer
-  matches its digest.
+  plus its arrays, which the snapshot *owns*, frozen.  A restore hands out
+  read-only views of them, copying and hashing nothing: numpy will not
+  make a view of a read-only base writeable, so no holder can write them.
 * :func:`copy_module` — the same structure pickle with the arrays copied
   straight across: the one way the package deep-copies a module.  Under
   a scope that has already hashed the source, the copies take over the
   digests just read, so hashing the copy reads nothing.
 
-So a compile that replays reads its caller's arrays once, to key the
-lookup, and allocates only the end state it restores; one that executes
-reads the same bytes, copies them once, and reads what its passes created.
-
 **The one rule a scope trusts**: code running inside a compile *replaces*
 tensors, it never writes them in place.  The trust is checked, not
 assumed: when the outermost scope closes, every digest that was served
 from the memo is checked against the bytes again (a copy made inside the
-scope by comparing it with the array it was copied from, anything else by
-re-hashing), and a mismatch drops the cache entries stored under that
-scope and raises a ``PassError``.  Nothing inside a compile executes
-the program it compiles: ``ShapeProp`` infers, and the one node it has to
-run for lack of an op-table entry runs on a private copy of its module.
+scope by comparing it with the array it was copied from, a restored
+array not at all, anything else by re-hashing), and a mismatch drops the
+cache entries stored under that scope and raises a ``PassError``.
+Nothing inside a compile executes the program it compiles: ``ShapeProp``
+infers, and the one node it has to run for lack of an op-table entry
+runs on a private copy of its module.
 """
 
 from __future__ import annotations
@@ -43,15 +39,14 @@ import hashlib
 import pickle
 import threading
 from copy import deepcopy
-from typing import Any, NamedTuple, Optional
+from typing import Any, Collection, NamedTuple, Optional
 
 import numpy as np
 
 from .cache import ArtifactCache, register_stage
 
-__all__ = ["TRANSFORM_CACHE", "StaleSnapshot", "StateSnapshot", "copy_module",
-           "digest", "note_stored", "restore", "snapshot",
-           "state_scope"]
+__all__ = ["TRANSFORM_CACHE", "StateSnapshot", "copy_module", "digest",
+           "note_stored", "restore", "snapshot", "state_scope"]
 
 def _pinned(entries: list) -> dict:
     """Entries are bounded by count, not bytes: say what they hold alive."""
@@ -63,32 +58,33 @@ def _pinned(entries: list) -> dict:
 #: The process-wide transform cache (``RunKey -> CacheEntry``, see
 #: :mod:`repro.fx.passes.pass_manager`).  Registered here because its row
 #: of ``fx.cache_info()`` also carries this module's counters:
-#: ``state_reads`` (digests computed from bytes), ``state_reuses`` (served
-#: from a scope memo), ``replay_rejected`` (snapshots refused at restore)
-#: and ``pinned_mb`` (bytes of the distinct arrays its snapshots reference).
+#: ``state_reads`` / ``state_read_bytes`` (digests computed from bytes),
+#: ``state_reuses`` (served from a scope memo), ``state_copied_bytes`` (by
+#: snapshots) and ``pinned_mb`` (bytes of the arrays the snapshots own).
 TRANSFORM_CACHE = register_stage("transform", 1024, summarize=_pinned)
 
 
 class _Known:
     """What a scope knows about one array it has seen."""
 
-    __slots__ = ("array", "digest", "twin", "served")
+    __slots__ = ("array", "digest", "twin", "served", "frozen")
 
     def __init__(self, array: np.ndarray, digest: Optional[str] = None,
-                 twin: Optional[np.ndarray] = None):
+                 twin: Optional[np.ndarray] = None, frozen: bool = False):
         self.array = array      # pinned: keeps ``id(array)`` ours
         self.digest = digest    # ``None`` until first read
         #: the array this one was byte-copied from inside the scope, if any
         self.twin = twin
         #: the digest was handed out again without reading the bytes
         self.served = False
+        self.frozen = frozen    # a restored snapshot's: its bytes cannot move
 
     def unwritten(self) -> bool:
         """Do the bytes still have ``self.digest``?  A copy still equal to
         the array it was taken from has not been written (no code reaches
-        both the compile's module and the unrelated one it was copied
-        from), which is a memory-speed compare instead of a hash."""
-        if self.twin is not None and _same_bytes(self.array, self.twin):
+        both), which is a memory-speed compare instead of a hash."""
+        if self.frozen or self.twin is not None \
+                and _same_bytes(self.array, self.twin):
             return True
         return _sha(self.array) == self.digest
 
@@ -106,12 +102,6 @@ class _Scope:
         self.memo: dict[int, _Known] = {}
         #: ``(cache, key)`` of every entry stored while the scope was open.
         self.stored: list[tuple[ArtifactCache, Any]] = []
-
-    def adopt(self, copy: np.ndarray, source: np.ndarray,
-              digest: Optional[str] = None) -> None:
-        """*copy* was just byte-copied from *source* (whose digest, if the
-        caller has verified it, is *digest*)."""
-        self.memo[id(copy)] = _Known(copy, digest, source)
 
     def __enter__(self) -> None:
         if self.depth == 0:
@@ -179,6 +169,7 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _sha(arr: np.ndarray) -> str:
     TRANSFORM_CACHE.count("state_reads")
+    TRANSFORM_CACHE.count("state_read_bytes", arr.nbytes)
     return hashlib.sha256(
         arr if arr.flags.c_contiguous else arr.tobytes()).hexdigest()
 
@@ -208,23 +199,18 @@ def note_stored(cache: ArtifactCache, key: Any) -> None:
         scope.stored.append((cache, key))
 
 
-# -- structure + references ---------------------------------------------------
-
-class StaleSnapshot(Exception):
-    """A snapshot's array no longer has the bytes it was taken with."""
-
+# -- structure + frozen arrays ------------------------------------------------
 
 class StateSnapshot(NamedTuple):
-    """A module, by structure and by reference.
+    """A module, by structure and by frozen arrays.
 
     Attributes:
         structure: protocol-5 pickle of the module with every contiguous
             array left out of band — graph, names, hyper-parameters; tens
             of KB whatever the weights weigh.  (Non-contiguous arrays have
             no out-of-band form and stay inside it.)
-        arrays: the out-of-band arrays, *not copied*: the live objects
-            the module held when the snapshot was taken.
-        digests: :func:`digest` of each array at that time.
+        arrays: the out-of-band arrays, owned by the snapshot, read-only.
+        digests: :func:`digest` of each array.
     """
 
     structure: bytes
@@ -241,35 +227,51 @@ def _dump(module: Any) -> tuple[bytes, list[np.ndarray]]:
     return structure, [memoryview(buf).obj for buf in buffers]
 
 
-def snapshot(module: Any) -> StateSnapshot:
-    """*module* as a :class:`StateSnapshot`.  Under a scope that already
-    hashed the module this reads no tensor bytes."""
+def _held(module: Any) -> Optional[frozenset]:
+    """:func:`snapshot`'s ids of *module*'s arrays (``None``: no pickle)."""
+    try:
+        return frozenset(id(_owner(a)) for a in _dump(module)[1])
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+
+
+def snapshot(module: Any, shared: Collection[int] = ()) -> StateSnapshot:
+    """*module* as a :class:`StateSnapshot` that owns its arrays.
+
+    An array that owns its bytes and is not in *shared* (``id`` s of
+    arrays a caller may still hold) is frozen in place, any other copied
+    once and the copy frozen; *module* is spent.  The digests are the open
+    scope's where it has them: the run's output hash was just taken.
+    """
+    scope = _scope()
+    memo = scope.memo if scope is not None else {}
     structure, arrays = _dump(module)
-    return StateSnapshot(structure, tuple(arrays),
-                         tuple(digest(a) for a in arrays))
+    owned, digests = [], []
+    for arr in arrays:
+        owner = _owner(arr)
+        known = memo.get(id(owner))
+        digests.append(known and known.digest or _sha(owner))
+        if owner.base is not None or id(owner) in shared:
+            owner = arr.copy()
+            TRANSFORM_CACHE.count("state_copied_bytes", arr.nbytes)
+            memo[id(owner)] = _Known(owner, digests[-1], arr)
+        else:   # the module's own views of it go read-only as well
+            arr.flags.writeable = False
+        owner.flags.writeable = False
+        owned.append(owner)
+    return StateSnapshot(structure, tuple(owned), tuple(digests))
 
 
 def restore(snap: StateSnapshot) -> Any:
-    """A fresh module from *snap*, sharing no memory with it.
-
-    Each array is copied, then the *copy* is hashed and checked against
-    its digest (so a write racing the copy cannot slip through).  The
-    copies enter the scope's memo, so hashing the restored module reads
-    nothing.
-
-    Raises:
-        StaleSnapshot: an array was written in place since the snapshot.
-    """
+    """A module from *snap* whose arrays are read-only views of the
+    snapshot's, copying and hashing nothing; their digests enter the open
+    scope's memo as frozen, never to be read."""
     scope = _scope()
-    copies = [a.copy() for a in snap.arrays]
-    for copy, source, known in zip(copies, snap.arrays, snap.digests):
-        if _sha(copy) != known:
-            raise StaleSnapshot(
-                f"{copy.dtype}{list(copy.shape)} array changed under its "
-                f"snapshot")
-        if scope is not None:
-            scope.adopt(copy, source, known)
-    return pickle.loads(snap.structure, buffers=copies)
+    if scope is not None:
+        for arr, sha in zip(snap.arrays, snap.digests):
+            scope.memo.setdefault(id(arr), _Known(arr, sha, frozen=True))
+    return pickle.loads(snap.structure,
+                        buffers=[arr.view() for arr in snap.arrays])
 
 
 def copy_module(module: Any) -> Any:
@@ -290,5 +292,5 @@ def copy_module(module: Any) -> Any:
             # in a compile can reach the module it was handed, so the bytes
             # copied are the bytes read (the exit check compares them again).
             known = scope.memo.get(id(_owner(source)))
-            scope.adopt(copy, source, known.digest if known else None)
+            scope.memo[id(copy)] = _Known(copy, known and known.digest, source)
     return pickle.loads(structure, buffers=copies)

@@ -203,6 +203,8 @@ class Module:
             raise KeyError(f"state_dict mismatch: missing={missing} unexpected={unexpected}")
         for key, value in state.items():
             if key in own:
+                if not own[key].data.flags.writeable:   # compiled: rebind
+                    own[key].data = own[key].data.copy()
                 own[key].copy_(value)
         return missing, unexpected
 

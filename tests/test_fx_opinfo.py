@@ -323,8 +323,11 @@ def test_a_leaf_without_an_entry_is_the_only_thing_executed(kernel_calls):
     assert "shapes: executed 1 node(s) with no op-table entry: leaf (Counting)" \
         in compiled.compile_report.format()
     assert model.leaf.calls.data[0] == 0
-    again = fx.compile(gm, (x,))        # replayed: prints the same
-    assert all(r.cache_hit for r in again.compile_report.records)
+    # A module the op table cannot vouch for may write its state (this one
+    # does), so the run is not stored: compiled again, it executes again
+    # and prints the same
+    again = fx.compile(gm, (x,))
+    assert not any(r.cache_hit for r in again.compile_report.records)
     assert again.compile_report.shape_fallbacks == compiled.compile_report.shape_fallbacks
 
 

@@ -228,10 +228,12 @@ def test_a_miss_says_which_part_of_its_key_differed():
     result = manager().run(gm)
     assert result.misses == [("state",)]
     assert "missed on state" in result.format()
-    for arr in arrays(result.graph_module):   # the entry references these
-        arr[...] = 0.0
-    assert manager().run(gm).misses == [("stale",)]
-    assert cache.info()["replay_rejected"] == 1
+    # An entry cannot go stale: the result's arrays are its own, frozen, so
+    # writing them fails, and the same key is a plain hit afterwards.
+    for arr in arrays(result.graph_module):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    assert manager().run(gm).misses == []
 
 
 def test_pinned_mb_is_one_end_state(net):
@@ -293,7 +295,8 @@ def test_warm_compile_is_one_hash_and_one_restore(net, monkeypatch):
     restores = _counting(monkeypatch, pm_module, "restore")
     propagates = _counting(monkeypatch, ShapeProp, "propagate")
     fx.compile(symbolic_trace(model), (x,))
-    assert (len(restores), len(propagates)) == (0, 1)   # cold: executed once
+    # cold: executed once, and its result is the entry's, as a hit's is
+    assert (len(restores), len(propagates)) == (1, 1)
 
     gm = symbolic_trace(model)
     before = cache_info()["transform"]
@@ -304,17 +307,26 @@ def test_warm_compile_is_one_hash_and_one_restore(net, monkeypatch):
     finally:
         tracemalloc.stop()
     after = cache_info()["transform"]
-    assert (len(restores), len(propagates)) == (1, 1)
+    assert (len(restores), len(propagates)) == (2, 1)
     assert all(r.cache_hit for r in compiled.compile_report.records)
-    # Bytes read: the caller's tensors, to key the lookup, and the restored
-    # arrays, against their digests.  Not one more.
+    # Bytes read: the caller's tensors, to key the lookup.  The restored
+    # arrays are the entry's, frozen, so nothing checks them again.
     reads = after["state_reads"] - before["state_reads"]
-    assert reads == len(arrays(gm)) + len(arrays(compiled))
-    # Bytes allocated: the end state, not the caller's state a second time.
+    assert reads == len(arrays(gm))
+    assert after["state_read_bytes"] - before["state_read_bytes"] \
+        == sum(a.nbytes for a in arrays(gm))
+    # Bytes allocated: not the end state, which the restore shares
+    # read-only (it used to copy it), and not the caller's state either.
     end_bytes = sum(a.nbytes for a in arrays(compiled))
-    assert end_bytes > 2 ** 21 and peak < 1.3 * end_bytes
+    assert after.get("state_copied_bytes", 0) \
+        == before.get("state_copied_bytes", 0)
+    assert end_bytes > 2 ** 21 and peak < 0.1 * end_bytes
     assert not any(np.shares_memory(mine, theirs)
                    for mine in arrays(compiled) for theirs in arrays(gm))
+    # A second warm compile shares those very bytes.
+    again = fx.compile(symbolic_trace(model), (x,))
+    assert all(np.shares_memory(a, b) and not a.flags.writeable
+               for a, b in zip(arrays(compiled), arrays(again), strict=True))
 
 
 def test_cold_compile_pickles_one_copy_and_one_snapshot(net, monkeypatch):
@@ -338,14 +350,21 @@ def test_a_plain_module_is_traced_and_transformed_in_place_not_copied(
         net, monkeypatch):
     # The trace is nobody else's, so no private copy is made of it (one
     # would be a second copy of every weight at the compile's peak); the
-    # model it shares tensors with is left alone all the same.
+    # model it shares tensors with is left alone all the same.  The cache
+    # entry copies, once, only what the model still holds: the ``fc``
+    # tensors, which no pass replaced.  It freezes its copies, never the
+    # model's arrays.
     model, x = net
     copies = _counting(monkeypatch, pm_module, "copy_module")
     before = [a.copy() for a in arrays(model)]
+    copied = cache_info()["transform"].get("state_copied_bytes", 0)
     compiled = fx.compile(model, (x,))
     assert not copies
-    assert compiled.fc.weight.data is model.fc.weight.data   # not replaced
+    assert cache_info()["transform"]["state_copied_bytes"] - copied \
+        == model.fc.weight.data.nbytes + model.fc.bias.data.nbytes
+    assert not np.shares_memory(compiled.fc.weight.data, model.fc.weight.data)
     assert compiled.conv.weight.data is not model.conv.weight.data   # folded
+    assert all(a.flags.writeable for a in arrays(model))
     assert all(np.array_equal(a, b)
                for a, b in zip(arrays(model), before, strict=True))
     assert np.allclose(compiled(x).data, model(x).data, atol=1e-5)
@@ -439,6 +458,90 @@ def test_eight_threads_compiling_one_model_build_its_run_once(net, monkeypatch):
     assert (info["misses"], info["hits"], info["size"]) == (1, 7, 1)
     assert len(propagates) == 1
     assert all(same_bits(out, outputs[0]) for out in outputs)
+
+
+def test_eight_threads_replaying_one_entry_are_exact(net):
+    # Every replay is read-only views of the one entry's arrays: eight
+    # threads compiling warm and running what they get read the same
+    # bytes at once, and each gets what the compile that built it got.
+    model, x = net
+    want = fx.compile(symbolic_trace(model), (x,))(x)
+    # tracing is one at a time (the tracer intercepts module calls globally)
+    traces = [[symbolic_trace(model) for _ in range(3)] for _ in range(8)]
+    outputs, errors = [[] for _ in range(8)], []
+    barrier = threading.Barrier(8)
+
+    def work(i):
+        try:
+            barrier.wait(timeout=30)
+            for gm in traces[i]:
+                compiled = fx.compile(gm, (x,))
+                assert all(r.cache_hit for r in compiled.compile_report.records)
+                outputs[i].append(compiled(x))
+        except Exception as exc:   # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert all(len(outs) == 3 for outs in outputs)
+    assert all(same_bits(out, want) for outs in outputs for out in outs)
+    assert cache_info()["transform"]["size"] == 1
+
+
+def test_a_training_compile_is_not_stored_and_moves_the_callers_statistics():
+    # A training-mode batch norm writes its running statistics when it
+    # runs.  A stored end state is frozen and could not take that write,
+    # so such a run executes uncached and its result shares the model's
+    # buffers: each forward moves the model's statistics as eager does.
+    def conv_bn():
+        repro.manual_seed(0)
+        return nn.Sequential(nn.Conv2d(3, 4, 3), nn.BatchNorm2d(4)).train()
+
+    model, eager, x = conv_bn(), conv_bn(), repro.randn(2, 3, 8, 8)
+    clear_caches("transform")
+    for _ in range(2):
+        compiled = fx.compile(model, (x,))
+        assert same_bits(compiled(x), eager(x))
+        assert all(same_bits(a, b) for a, b in zip(
+            model.state_dict().values(), eager.state_dict().values(),
+            strict=True))
+    assert eager.get_submodule("1").running_mean.data.any()
+    assert cache_info()["transform"]["size"] == 0
+
+
+def test_load_state_dict_rebinds_a_compiled_modules_frozen_tensors(net):
+    # A compiled module's tensors are read-only views of the entry's
+    # arrays, so loading weights cannot write into them: each tensor is
+    # rebound to a private copy of its new value, the same ``Parameter``
+    # object throughout.  The module computes with the new weights, and
+    # the entry is untouched: the next compile is an exact, all-hit replay.
+    model, x = net
+    first = fx.compile(symbolic_trace(model), (x,))
+    compiled = fx.compile(symbolic_trace(model), (x,))
+    expected = first(x)
+    params = list(compiled.parameters())
+    state = {name: Tensor(t.data * 0.5)
+             for name, t in compiled.state_dict().items()}
+    compiled.load_state_dict(state)
+    assert all(a is b for a, b in zip(compiled.parameters(), params, strict=True))
+    assert all(t.data.flags.writeable for t in compiled.state_dict().values())
+    unfrozen = fx.compile(symbolic_trace(model), (x,), cache=False)
+    unfrozen.load_state_dict(state)
+    assert same_bits(compiled(x), unfrozen(x))
+    assert not same_bits(compiled(x), expected)
+
+    again = fx.compile(symbolic_trace(model), (x,))
+    assert all(r.cache_hit for r in again.compile_report.records)
+    assert same_bits(again(x), expected)
 
 
 # -- nothing refreshes tensor_meta mid-pipeline ---------------------------------

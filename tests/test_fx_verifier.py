@@ -290,28 +290,38 @@ class TestPassManagerIntegration:
         x = repro.randn(4, 4)
 
         class M(nn.Module):
+            def __init__(self, in_place):
+                super().__init__()
+                self.in_place = in_place
+
             def forward(self, x):
                 y = x + 1.0
-                y.add_(1.0)
+                if self.in_place:
+                    y.add_(1.0)
                 _ = F.relu(x)  # dead and pure: DCE has work to do
                 return y * 2.0
 
         from repro.fx.passes.dce import eliminate_dead_code
 
-        def run():
-            gm = symbolic_trace(M())
+        def run(in_place):
+            gm = symbolic_trace(M(in_place))
             ShapeProp(gm).propagate(x)
             pm = PassManager([("dce", eliminate_dead_code)],
                              cache=True, verifier=PassVerifier())
             return pm.run(gm)
 
-        first = run()
+        first = run(False)
         assert not first.records[0].cache_hit and first.records[0].verified
-        second = run()
+        second = run(False)
         assert second.records[0].cache_hit and second.records[0].verified
-        # DCE kept the effectful add_ in both runs.
-        assert any(n.target == "add_"
-                   for n in second.graph_module.graph.nodes)
+        # A graph with an in-place op may write state, so its run is never
+        # stored: it executes and is verified every time, and DCE keeps the
+        # effectful add_ each time.
+        for _ in range(2):
+            result = run(True)
+            assert not result.records[0].cache_hit and result.records[0].verified
+            assert any(n.target == "add_"
+                       for n in result.graph_module.graph.nodes)
 
     def test_compile_verify_flag(self):
         x = repro.randn(4, 8)

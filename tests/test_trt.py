@@ -114,8 +114,10 @@ class TestEngineBuild:
 
         model = WithParam().eval()
         program = _engine(model).program
-        # the weight read is a constant register, not a run-time lookup
-        assert any(c is model.w for c in program.consts.values())
+        # the weight read is a constant register, not a run-time lookup: the
+        # transform cache's frozen copy of the weight
+        (w,) = [c for c in program.consts.values() if isinstance(c, nn.Parameter)]
+        assert np.array_equal(w.data, model.w.data) and not w.data.flags.writeable
         assert [ins.name for ins in program.instructions] == ["add", "relu"]
 
     def test_unsupported_raises(self):
