@@ -197,7 +197,7 @@ def to_backend(
                          f"expected 'codegen' or 'vm'")
 
     # One state scope for the whole lowering: the transform-cache key, the
-    # private copy, the analyses and the partition keys read each weight
+    # borrowed copy, the analyses and the partition keys read each weight
     # once between them.
     with state_scope():
         gm = model if isinstance(model, GraphModule) else symbolic_trace(model)

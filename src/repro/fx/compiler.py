@@ -35,9 +35,9 @@ conv-bn folding (float-associativity reordering, eval mode only).  Fused
 kernels are *guarded* — called with shapes other than the examples they
 were specialized for, they fall back to a generic reference evaluator,
 so the compiled module remains correct (merely unfused) off the fast
-path.  The input module is never mutated: the passes run on a copy
-(:func:`repro.fx.state.copy_module`); a replayed compile copies nothing,
-its tensors being read-only views of the transform cache's end state.
+path.  The input module is never mutated: passes run on a copy of its
+structure over read-only views of its tensors, and the result's tensors
+are read-only views of the transform cache's end state.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .passes import PassRecord
 from .passes.memory_planner import MemoryPlan
 from .passes.pass_manager import format_records
 from .passes.pointwise_fuser import FusedKernel
+from .state import state_scope
 
 __all__ = ["CompileReport", "compile"]
 
@@ -172,9 +173,14 @@ def compile(  # noqa: A001 - mirrors torch.compile
 
     backend = NumpyBackend(example_inputs, fuse=fuse, rules=rules,
                            memory_planning=memory_planning)
-    out = to_backend(module, backend, allow_fallback=True,
-                     lint=lint, cache=cache, verify=verify,
-                     example_inputs=example_inputs or None)
+    with state_scope():   # one scope: the VM key reads what lowering read
+        out = to_backend(module, backend, allow_fallback=True,
+                         lint=lint, cache=cache, verify=verify,
+                         example_inputs=example_inputs or None)
+        if executor == "vm":
+            from .vm import VMModule, compile_to_vm
+
+            vm_out: Module = VMModule(compile_to_vm(out))
     breport = out.backend_report
     guards = getattr(out, "guards", None)
 
@@ -197,9 +203,6 @@ def compile(  # noqa: A001 - mirrors torch.compile
         total_time=breport.total_time,
     )
     if executor == "vm":
-        from .vm import VMModule, compile_to_vm
-
-        vm_out: Module = VMModule(compile_to_vm(out))
         vm_out.backend_report = breport
         vm_out.compile_report = report
         if guards is not None:

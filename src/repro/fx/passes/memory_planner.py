@@ -193,8 +193,9 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
         n.meta.pop("arena_slot", None)
 
     # May-alias, alias-extended liveness, and escape facts all come from
-    # the shared analysis layer (cached across consumers of this graph).
-    alias = AnalysisContext(gm).get("alias").view(graph)
+    # the analysis layer, uncached: what is planned calls fused kernels,
+    # which have no stable hash, so a lookup would only read weights.
+    alias = AnalysisContext(gm, cache=False).get("alias").view(graph)
     extended_last = {n: alias.extended_last(n) for n in nodes}
     escapes = alias.escaping_nodes
 

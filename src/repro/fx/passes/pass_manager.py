@@ -29,30 +29,29 @@ state bytes, module hyper-parameters *and* the ``tensor_meta`` /
 ``arena_slot`` its nodes carry, because rule preconditions, fusion and
 planning read them — and the lint / verifier configuration.  A miss
 executes the passes with per-pass timing, lint and verification, then
-takes *one* hash and *one* :class:`~repro.fx.state.StateSnapshot`, at the
-end of the run; a hit rebuilds its :class:`PassRecord` s from the entry.
+takes *one* :class:`~repro.fx.state.StateSnapshot` at the end of the run
+and no hash (a stretch that executes separates it from the next run and
+hashes afresh); a hit rebuilds its :class:`PassRecord` s from the entry.
 Either way the result is :func:`~repro.fx.state.restore` of the entry.
-What that gives up is prefix sharing between different pipelines: one
-that differs in a single stage re-runs the others too.
+What that gives up is prefix sharing between different pipelines.
 
 **State.**  :meth:`PassManager.run` never mutates its argument.  The input
-hash reads the caller's arrays; :func:`~repro.fx.state.copy_module` runs
-only when a pass must execute, and the copy takes over the digests just
-read, so an executed pipeline hashes each array once.  An entry owns its
-end state, frozen, and a restore shares it read-only: a replay copies
-nothing and no holder can write what another replay shares.  The whole
-run happens under one :func:`~repro.fx.state.state_scope` (see
-:mod:`repro.fx.state` for the one rule it trusts — passes *replace*
-tensors — and how a violation ends in a :class:`PassError`).  Caching is
-best-effort: a run whose input has no stable hash
-(:class:`~repro.fx.graph.UnstableHashError`), whose end state does not
-pickle, or whose graph may write module state (its result must keep
-sharing what it writes) executes uncached.
+hash reads the caller's arrays once; passes that execute get a structure
+copy over read-only views of them, so no weight is copied up front and an
+in-place write fails at the write.  An entry owns its end state, frozen
+(see :mod:`repro.fx.state`), and a restore shares it and its fused
+kernels: no copy, no recompile.  Caching is best-effort: a run whose
+input has no stable hash (:class:`~repro.fx.graph.UnstableHashError`),
+whose end state does not pickle, or whose graph may write module state
+executes uncached, and its result views the caller's arrays that no pass
+replaced: read-only, unless its graph writes module state (a training
+batch norm), which then writes the caller's, as eager does.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
@@ -64,8 +63,8 @@ from ..cache import ArtifactCache
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import BASE_ARGUMENT_TYPES
-from ..state import (TRANSFORM_CACHE, StateSnapshot, _held, copy_module,
-                     note_stored, restore, snapshot, state_scope)
+from ..state import (TRANSFORM_CACHE, StateSnapshot, _borrow, _held,
+                     copy_module, note_stored, restore, snapshot, state_scope)
 
 __all__ = [
     "CacheEntry",
@@ -152,9 +151,7 @@ class RunKey(NamedTuple):
 
 @dataclass
 class PassRecord:
-    """Metrics for one pass execution within a pipeline run.  The hashes
-    exist at run boundaries only: ``input_hash`` on a run's first record,
-    ``output_hash`` on its last."""
+    """Metrics for one pass execution within a pipeline run."""
 
     name: str
     wall_time: float
@@ -163,8 +160,6 @@ class PassRecord:
     cache_hit: bool = False
     linted: bool = False
     verified: bool = False
-    input_hash: str = ""
-    output_hash: str = ""
 
     @property
     def node_delta(self) -> int:
@@ -236,7 +231,6 @@ class CacheEntry:
     and lets the pipeline go on without analysing anything.
 
     Attributes:
-        output_hash: hash of the end state (the last record's).
         snapshot: the end state.
         stages: per pass ``(nodes_after, linted, verified)`` as they were
             when the run executed (a stage that returned
@@ -244,7 +238,6 @@ class CacheEntry:
         baseline: the verifier's baseline after the run, to ``adopt``.
     """
 
-    output_hash: str
     snapshot: StateSnapshot
     stages: tuple
     baseline: Any = None
@@ -282,6 +275,13 @@ def _pass_identity(fn: Pass) -> Optional[tuple[str, str]]:
             return None
     token = _hash_token_for_object(fn)
     return (token, signature) if token.startswith("f:") else None
+
+
+def _writes_state(gm: GraphModule) -> bool:
+    """A mutating node, or a module call the op table cannot vouch for?"""
+    return any(classify_effect(n, gm).mutating or (
+        n.op == "call_module" and opinfo.entry_of(n, gm) is None)
+        for n in gm.graph.nodes)
 
 
 def _why_missed(cache: ArtifactCache, key: RunKey) -> tuple:
@@ -332,8 +332,8 @@ class PassManager:
             the same rules and costs no analysis.
 
     :meth:`run` never mutates the module it is given: passes execute on a
-    private copy, made when the first of them has to.  Use the *returned*
-    module.
+    borrowed copy over read-only views of its arrays, made when the first
+    of them has to.  Use the *returned* module.
     """
 
     def __init__(
@@ -406,20 +406,21 @@ class PassManager:
                       for _, fn in self.passes]
 
         # ``module`` is the caller's (unless given up) until a pass has to
-        # execute (then a private copy) or a run is stored (then the
-        # restored end state); ``state`` is its hash when that is known;
-        # ``shared``, the arrays a given-up *gm* may share with its caller.
-        module, own, state = gm, consume, ""
-        shared: Optional[frozenset] = None
+        # execute (then a borrowed copy) or a run is stored (then the
+        # restored end state); ``state`` is its hash when known; ``held``,
+        # the caller's arrays it may share; ``lent``: shared read-only.
+        module, own, state, lent = gm, consume, "", False
+        held: Optional[list] = None
         baselined = self.verifier is None
 
         def execute(first: int, last: int, start: float) -> list[PassRecord]:
-            nonlocal module, own, baselined, shared
-            if own and module is gm and shared is None:
-                shared = _held(gm)
-                own = shared is not None   # no pickle, no telling: copy
+            nonlocal module, own, baselined, held, lent
+            if own and module is gm and held is None:
+                held = _held(gm)
+                own = held is not None   # no pickle, no telling: copy
             if not own:
-                module, own = copy_module(module), True
+                module, held = _borrow(module)
+                own, lent = True, bool(held)
             if not baselined:
                 self.verifier.before_pipeline(module, graph_hash=state or None)
                 baselined = True
@@ -448,7 +449,7 @@ class PassManager:
                 nonlocal ran
                 misses.append(_why_missed(self.cache, key))
                 ran = execute(first, last, start)
-                entry = self._entry(module, ran, shared or ())
+                entry = self._entry(module, ran, held or ())
                 note_stored(self.cache, key)
                 return entry
 
@@ -458,7 +459,7 @@ class PassManager:
                 entry = None   # executed uncached: keep what it left
             if entry is not None:
                 # Built here or replayed, the result is the entry's.
-                module, own = restore(entry.snapshot), True
+                module, own, lent = restore(entry.snapshot), True, False
             if ran is None:
                 # Someone else's run (an earlier compile, or a concurrent
                 # manager that won the single-flight): replay its records.
@@ -473,12 +474,14 @@ class PassManager:
                     nodes = after
                 # hash, lookup and restore are the run's, not a stage's
                 ran[0].wall_time = time.perf_counter() - start
-            ran[0].input_hash = state
-            state = ran[-1].output_hash = entry.output_hash if entry else ""
             records += ran
 
         if not own:   # nothing executed, nothing replayed: still not *gm*
             module = copy_module(module)
+        elif lent and _writes_state(module):   # it writes the caller's state
+            for tensor in module.state_dict().values():
+                with suppress(ValueError):   # unless that is read-only too
+                    tensor.data.flags.writeable = True
         return PassManagerResult(
             module, records, time.perf_counter() - pipeline_start, misses)
 
@@ -526,28 +529,22 @@ class PassManager:
             start = now
         return gm, records
 
-    def _entry(self, gm: GraphModule, records: list, shared) -> CacheEntry:
+    def _entry(self, gm: GraphModule, records: list, held) -> CacheEntry:
         """The entry for a run that just executed and left *gm*: the one
-        hash and the one snapshot a run costs (on its last record's
-        clock).  The snapshot freezes *gm*'s arrays in place and copies
-        those in *shared*.  A graph that may write module state (a mutating
-        node, or a module call with no op-table entry) is not stored:
-        frozen, its state could not be written."""
+        snapshot a run costs (on its last record's clock; no hash), which
+        freezes *gm*'s arrays in place and copies those in *held*.  A graph
+        that may write module state is not stored: frozen, its state could
+        not be written."""
         start = time.perf_counter()
-        writes = any(classify_effect(n, gm).mutating or (n.op == "call_module"
-                     and opinfo.entry_of(n, gm) is None) for n in gm.graph.nodes)
-        output_hash, snap = "" if writes else self._hash(gm), None
-        if output_hash:
-            try:
-                snap = snapshot(gm, shared)
-            except Exception:   # unpicklable target or attribute
-                pass
+        snap = None
+        if not _writes_state(gm):
+            with suppress(Exception):   # unpicklable target or attribute
+                snap = snapshot(gm, held)
         records[-1].wall_time += time.perf_counter() - start
         if snap is None:
             raise _NotStored
         return CacheEntry(
-            output_hash, snap,
-            tuple((r.nodes_after, r.linted, r.verified) for r in records),
+            snap, tuple((r.nodes_after, r.linted, r.verified) for r in records),
             self.verifier and self.verifier.baseline)
 
     @staticmethod

@@ -16,6 +16,7 @@ mask index).  Every such node is named in :attr:`ShapeProp.fallbacks`.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,7 +25,6 @@ from .. import opinfo
 from ..graph_module import GraphModule
 from ..interpreter import Interpreter
 from ..node import Node
-from ..state import copy_module
 
 __all__ = ["TensorMetadata", "ShapeProp", "carried_meta", "extract_tensor_metadata",
            "infer_meta"]
@@ -163,9 +163,9 @@ class ShapeProp:
         if mod is None:
             mod = self.module.get_submodule(n.target)
             # a module that writes state (a training BatchNorm), or that nothing
-            # is known about, runs on a copy: no fallback writes what the
-            # caller can see
+            # is known about, runs on a private, writeable copy: no fallback
+            # writes what the caller can see, nor fails on a read-only view
             if n.is_impure() or opinfo.INDEX.find(n, mod) is None:
-                mod = copy_module(mod)
+                mod = deepcopy(mod)
             self._private[n.target] = mod
         return mod(*args, **kwargs)

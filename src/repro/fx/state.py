@@ -1,45 +1,40 @@
-"""Module state during a compile: read each tensor once, copy it at most once.
+"""Module state during a compile: read each tensor once, copy only what an
+entry keeps.
 
-A ``GraphModule`` keeps code and state together, and every layer of a
-compile looks at the state: ``Graph.structural_hash`` covers parameter
-values, the transform cache stores the end state of each run of passes,
-and the passes themselves work on a private copy.  Done naively each look
-re-reads or re-serialises every weight byte.  This module holds the three
-pieces that make a weight byte cost O(1) reads and at most one copy per
-compile instead of O(passes):
-
-* :func:`digest` — the SHA-256 of one array's bytes, which is the term a
-  tensor contributes to ``structural_hash``.  Inside a
-  :func:`state_scope` the digest is memoised per ndarray *object*; outside
-  one every call reads the bytes.
+* :func:`digest` — the SHA-256 of one array's bytes, the term a tensor
+  contributes to ``Graph.structural_hash``; memoised per ndarray *object*
+  inside a :func:`state_scope` (one compile), read on every call outside.
+* :func:`_borrow` — what passes transform when the caller keeps its
+  module: a structure-only copy over *read-only views* of its arrays, so
+  no weight is copied and numpy refuses a pass's in-place write.
 * :func:`snapshot` / :func:`restore` — a module as a structure-only pickle
-  plus its arrays, which the snapshot *owns*, frozen.  A restore hands out
-  read-only views of them, copying and hashing nothing: numpy will not
-  make a view of a read-only base writeable, so no holder can write them.
-* :func:`copy_module` — the same structure pickle with the arrays copied
-  straight across: the one way the package deep-copies a module.  Under
-  a scope that has already hashed the source, the copies take over the
-  digests just read, so hashing the copy reads nothing.
+  plus the arrays the snapshot *owns*, frozen (those the run created, in
+  place; a copy of those the caller still holds), and its fused kernels.
+  A digest is the scope's, or read on first demand and kept with the
+  array.  A restore hands out read-only views, copying, hashing and
+  compiling nothing; numpy will not make a view of a read-only base
+  writeable, so no holder can write them.
 
-**The one rule a scope trusts**: code running inside a compile *replaces*
-tensors, it never writes them in place.  The trust is checked, not
-assumed: when the outermost scope closes, every digest that was served
-from the memo is checked against the bytes again (a copy made inside the
-scope by comparing it with the array it was copied from, a restored
-array not at all, anything else by re-hashing), and a mismatch drops the
-cache entries stored under that scope and raises a ``PassError``.
-Nothing inside a compile executes the program it compiles: ``ShapeProp``
-infers, and the one node it has to run for lack of an op-table entry
-runs on a private copy of its module.
+**The one rule a scope trusts**: code inside a compile *replaces* tensors,
+it never writes them in place.  What it cannot write (a borrowed view, a
+frozen array) is not checked.  Every other digest the scope handed out
+without reading — a given-up trace's arrays, which its model shares; an
+array one pass created and another hashed — is checked against the bytes
+when the outermost scope closes, and so is each array a snapshot copied
+from the caller, who may have written it meanwhile.  A mismatch drops the
+entries stored under the scope and raises a ``PassError``.  Nothing in a
+compile executes the program it compiles: ``ShapeProp`` infers, and the
+one node it has to run for lack of an op-table entry runs on a copy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import pickle
 import threading
 from copy import deepcopy
-from typing import Any, Collection, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,28 +60,17 @@ TRANSFORM_CACHE = register_stage("transform", 1024, summarize=_pinned)
 
 
 class _Known:
-    """What a scope knows about one array it has seen."""
+    """What a scope (or a snapshot) knows about one array."""
 
-    __slots__ = ("array", "digest", "twin", "served", "frozen")
+    __slots__ = ("array", "digest", "served", "trusted")
 
     def __init__(self, array: np.ndarray, digest: Optional[str] = None,
-                 twin: Optional[np.ndarray] = None, frozen: bool = False):
+                 trusted: bool = False):
         self.array = array      # pinned: keeps ``id(array)`` ours
         self.digest = digest    # ``None`` until first read
-        #: the array this one was byte-copied from inside the scope, if any
-        self.twin = twin
         #: the digest was handed out again without reading the bytes
         self.served = False
-        self.frozen = frozen    # a restored snapshot's: its bytes cannot move
-
-    def unwritten(self) -> bool:
-        """Do the bytes still have ``self.digest``?  A copy still equal to
-        the array it was taken from has not been written (no code reaches
-        both), which is a memory-speed compare instead of a hash."""
-        if self.frozen or self.twin is not None \
-                and _same_bytes(self.array, self.twin):
-            return True
-        return _sha(self.array) == self.digest
+        self.trusted = trusted  # nothing in the compile can write it
 
 
 class _Scope:
@@ -113,8 +97,8 @@ class _Scope:
         if self.depth:
             return
         _ACTIVE.scope = None
-        written = [known.array for known in self.memo.values()
-                   if known.served and not known.unwritten()]
+        written = [k.array for k in self.memo.values() if k.served
+                   and not k.trusted and _sha(k.array) != k.digest]
         if not written:
             return
         for cache, key in self.stored:
@@ -157,16 +141,6 @@ def _owner(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bytewise ``a == b`` at memory speed (``False``, so the caller falls
-    back to hashing, for arrays of unlike dtype)."""
-    if a.dtype != b.dtype or a.size != b.size:
-        return False
-    # as unsigned words: NaN == NaN, -0.0 != 0.0
-    bits = f"u{a.itemsize}" if a.itemsize in (1, 2, 4, 8) else "u1"
-    return np.array_equal(a.reshape(-1).view(bits), b.reshape(-1).view(bits))
-
-
 def _sha(arr: np.ndarray) -> str:
     TRANSFORM_CACHE.count("state_reads")
     TRANSFORM_CACHE.count("state_read_bytes", arr.nbytes)
@@ -199,98 +173,125 @@ def note_stored(cache: ArtifactCache, key: Any) -> None:
         scope.stored.append((cache, key))
 
 
-# -- structure + frozen arrays ------------------------------------------------
+# -- structure + arrays + kernels ---------------------------------------------
 
 class StateSnapshot(NamedTuple):
-    """A module, by structure and by frozen arrays.
-
-    Attributes:
-        structure: protocol-5 pickle of the module with every contiguous
-            array left out of band — graph, names, hyper-parameters; tens
-            of KB whatever the weights weigh.  (Non-contiguous arrays have
-            no out-of-band form and stay inside it.)
-        arrays: the out-of-band arrays, owned by the snapshot, read-only.
-        digests: :func:`digest` of each array.
-    """
+    """``structure``: a protocol-5 pickle of a module with every contiguous
+    array and fused kernel out of band (tens of KB); ``known``: a ``_Known``
+    per such array, owned and read-only, with its digest once read;
+    ``kernels``: immutable, shared by every restore."""
 
     structure: bytes
-    arrays: tuple
-    digests: tuple
+    known: tuple
+    kernels: tuple
+
+    @property
+    def arrays(self) -> tuple:
+        return tuple(known.array for known in self.known)
 
 
-def _dump(module: Any) -> tuple[bytes, list[np.ndarray]]:
+_UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
+
+
+def _dump(module: Any) -> tuple[bytes, list[np.ndarray], list]:
+    from .passes.pointwise_fuser import FusedKernel   # above us in the imports
+
     buffers: list = []
-    structure = pickle.dumps(module, protocol=5,
-                             buffer_callback=buffers.append)
+    kernels: dict = {}
+
+    def persistent_id(obj: Any) -> Optional[int]:
+        return kernels.setdefault(obj, len(kernels)) \
+            if type(obj) is FusedKernel else None
+
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, protocol=5, buffer_callback=buffers.append)
+    pickler.persistent_id = persistent_id
+    pickler.dump(module)
     # numpy is the only out-of-band exporter here, and exports the array
     # itself (its transpose, for a Fortran-ordered one): no bytes are read.
-    return structure, [memoryview(buf).obj for buf in buffers]
+    return out.getvalue(), [memoryview(b).obj for b in buffers], list(kernels)
 
 
-def _held(module: Any) -> Optional[frozenset]:
-    """:func:`snapshot`'s ids of *module*'s arrays (``None``: no pickle)."""
+def _load(structure: bytes, arrays: Sequence, kernels: Sequence) -> Any:
+    unpickler = pickle.Unpickler(io.BytesIO(structure), buffers=arrays)
+    unpickler.persistent_load = kernels.__getitem__
+    return unpickler.load()
+
+
+def _held(module: Any) -> Optional[list]:
+    """*module*'s out-of-band arrays (``None``: it does not pickle)."""
     try:
-        return frozenset(id(_owner(a)) for a in _dump(module)[1])
-    except (pickle.PicklingError, AttributeError, TypeError):
+        return _dump(module)[1]
+    except _UNPICKLABLE:
         return None
 
 
-def snapshot(module: Any, shared: Collection[int] = ()) -> StateSnapshot:
-    """*module* as a :class:`StateSnapshot` that owns its arrays.
+def _borrow(module: Any) -> tuple[Any, list]:
+    """A copy of *module* for passes to transform over read-only views of
+    its arrays, which the scope trusts, and those views (for
+    :func:`snapshot`); deep-copied instead if it does not pickle."""
+    try:
+        structure, arrays, kernels = _dump(module)
+    except _UNPICKLABLE:
+        return deepcopy(module), []
+    scope, views = _scope(), [a.view() for a in arrays]
+    for view in views:
+        view.flags.writeable = False
+        if scope is not None:
+            owner = _owner(view)
+            scope.memo.setdefault(id(owner), _Known(owner)).trusted = True
+    return _load(structure, views, kernels), views
 
-    An array that owns its bytes and is not in *shared* (``id`` s of
-    arrays a caller may still hold) is frozen in place, any other copied
-    once and the copy frozen; *module* is spent.  The digests are the open
-    scope's where it has them: the run's output hash was just taken.
-    """
+
+def snapshot(module: Any, held: Sequence[np.ndarray] = ()) -> StateSnapshot:
+    """*module* as a :class:`StateSnapshot` owning its arrays: one that owns
+    its bytes and is not one of *held* (a caller's, or a view of one) is
+    frozen in place, any other copied and the copy frozen; *module* is
+    spent.  A digest the scope has is kept (and checked at its exit if the
+    bytes could have moved); any other is read on first demand."""
     scope = _scope()
     memo = scope.memo if scope is not None else {}
-    structure, arrays = _dump(module)
-    owned, digests = [], []
+    shared = {id(_owner(a)) for a in held}
+    structure, arrays, kernels = _dump(module)
+    known = []
     for arr in arrays:
         owner = _owner(arr)
-        known = memo.get(id(owner))
-        digests.append(known and known.digest or _sha(owner))
+        seen = memo.get(id(owner))
         if owner.base is not None or id(owner) in shared:
+            if seen is not None and owner.flags.writeable:
+                seen.trusted = False   # its holder may write it meanwhile
             owner = arr.copy()
             TRANSFORM_CACHE.count("state_copied_bytes", arr.nbytes)
-            memo[id(owner)] = _Known(owner, digests[-1], arr)
         else:   # the module's own views of it go read-only as well
             arr.flags.writeable = False
         owner.flags.writeable = False
-        owned.append(owner)
-    return StateSnapshot(structure, tuple(owned), tuple(digests))
+        sha = seen and seen.digest
+        if sha:
+            seen.served = True
+        known.append(_Known(owner, sha, trusted=True))
+        memo.setdefault(id(owner), known[-1])   # a scope's own, if it has one
+    return StateSnapshot(structure, tuple(known), tuple(kernels))
 
 
 def restore(snap: StateSnapshot) -> Any:
-    """A module from *snap* whose arrays are read-only views of the
-    snapshot's, copying and hashing nothing; their digests enter the open
-    scope's memo as frozen, never to be read."""
+    """A module from *snap* over read-only views of its arrays and its very
+    kernels: nothing copied, hashed or compiled.  Its ``_Known`` s enter
+    the open scope, so a digest demanded there is read at most once."""
     scope = _scope()
     if scope is not None:
-        for arr, sha in zip(snap.arrays, snap.digests):
-            scope.memo.setdefault(id(arr), _Known(arr, sha, frozen=True))
-    return pickle.loads(snap.structure,
-                        buffers=[arr.view() for arr in snap.arrays])
+        for known in snap.known:
+            scope.memo.setdefault(id(known.array), known)
+    return _load(snap.structure, [k.array.view() for k in snap.known],
+                 snap.kernels)
 
 
 def copy_module(module: Any) -> Any:
-    """Deep copy of *module* (a ``GraphModule`` regenerates its
-    ``forward``): one structure pickle, one memcpy per array.  Shared
-    tensors stay shared, no memory is shared with the source.  A module
-    that does not pickle (a local class or a closure among its targets)
-    goes through :func:`copy.deepcopy` instead."""
+    """Deep copy of *module*: one structure pickle, one memcpy per array
+    (read-only only where the source's is), fused kernels shared.  Shared
+    tensors stay shared.  A module that does not pickle (a local class or
+    a closure among its targets) goes through :func:`copy.deepcopy`."""
     try:
-        structure, arrays = _dump(module)
-    except (pickle.PicklingError, AttributeError, TypeError):
+        structure, arrays, kernels = _dump(module)
+    except _UNPICKLABLE:
         return deepcopy(module)
-    copies = [a.copy() for a in arrays]
-    scope = _scope()
-    if scope is not None:
-        for copy, source in zip(copies, arrays):
-            # A source this scope has hashed vouches for its copy: nothing
-            # in a compile can reach the module it was handed, so the bytes
-            # copied are the bytes read (the exit check compares them again).
-            known = scope.memo.get(id(_owner(source)))
-            scope.memo[id(copy)] = _Known(copy, known and known.digest, source)
-    return pickle.loads(structure, buffers=copies)
+    return _load(structure, [a.copy() for a in arrays], kernels)

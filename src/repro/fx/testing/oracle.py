@@ -562,12 +562,21 @@ def _check_rules(report: OracleReport, gm: GraphModule, inputs: tuple,
 def _check_compile(report: OracleReport, program: GeneratedProgram,
                    ref: Any, localize: bool) -> None:
     """``repro.fx.compile`` must be semantics-preserving on every program,
-    across calls as well as within one (:func:`_called_twice`)."""
+    across calls as well as within one (:func:`_called_twice`), and leave
+    the module it was given bit-identical and as writeable as it was."""
     from ..compiler import compile as fx_compile
 
     gm, inputs = program.gm, program.inputs
+
+    def state() -> dict:
+        return {k: (t.data.flags.writeable, t.data.tobytes())
+                for k, t in gm.state_dict().items()}
+
+    before = state()
     try:
         compiled = fx_compile(gm, inputs, lint=True)
+        if state() != before:
+            raise AssertionError("compiling froze or wrote the caller's state")
         compiled.graph.lint()
         error, err = _called_twice(compiled, program, ref)
     except Exception as exc:

@@ -245,20 +245,6 @@ def _user_stack(limit: int = 24) -> tuple[tuple[str, int, str], ...]:
     return tuple(frames)
 
 
-def _user_frame_summary() -> str | None:
-    """User-code provenance of the current node creation, innermost first.
-
-    Walks out of framework frames so §5.3-style error messages (and
-    debugging generally) can point at the model source, not the tracer.
-    When the user code was reached through a chain of user calls, the whole
-    chain is reported (``a.py:3 in helper <- a.py:9 in forward``).
-    """
-    stack = _user_stack()
-    if not stack:
-        return None
-    return " <- ".join(f"{f}:{ln} in {fn}" for f, ln, fn in stack)
-
-
 class _RootShim(Module):
     """Root module used when tracing a free function: holds lifted tensor
     constants so the resulting GraphModule has a place for state."""

@@ -475,22 +475,57 @@ class TestStateSharing:
         return symbolic_trace(model.eval()), repro.randn(1, 3, 8, 8)
 
     def test_in_place_state_write_inside_pipeline_is_an_error(self):
+        # Passes work on read-only views of the caller's arrays, so a pass
+        # that writes one in place fails at the write, as a PassError that
+        # names it; nothing is stored and the caller's module is untouched.
         cache = ArtifactCache()
         gm, _ = self.conv_bn()
+        before = [a.copy() for a in _arrays(gm)]
         pm = PassManager([eliminate_dead_code, _double_first_weight_in_place],
                          cache=cache)
-        with pytest.raises(PassError, match="written in place"):
+        with pytest.raises(PassError, match=r"pass 1 \('_double_first_weight_"
+                                            r"in_place'\).*read-only"):
             pm.run(gm)
-        # neither the poisoned entry nor the sound one before it survives
-        assert len(cache) == 0
+        assert pm.last_result is None and len(cache) == 0
 
-        # ... and equally when what it writes is a module restored from a hit
-        gm, _ = self.conv_bn()
-        PassManager([eliminate_dead_code], cache=cache).run(copy_gm(gm))
-        with pytest.raises(PassError, match="written in place"):
-            pm.run(copy_gm(gm))
-        assert pm.last_result is None
+        # ... and equally when what it writes is a module restored from a
+        # hit (the lambda is its own uncacheable stretch after the run)
+        PassManager([eliminate_dead_code], cache=cache).run(gm)
+        replaying = PassManager([eliminate_dead_code,
+                                 ("bad", lambda g: _double_first_weight_in_place(g))],
+                                cache=cache)
+        with pytest.raises(PassError, match=r"pass 1 \('bad'\).*read-only"):
+            replaying.run(gm)
         assert len(cache) == 1   # the earlier compile's entry is not to blame
+        assert all(a.flags.writeable and np.array_equal(a, b)
+                   for a, b in zip(_arrays(gm), before, strict=True))
+
+    def test_a_caller_write_during_a_run_is_never_stored_under_the_old_key(self):
+        # The passes see the caller's arrays read-only, but the caller (say,
+        # another thread) can still write them while the run executes.  The
+        # ones no pass replaced are copied into the entry, and their digests
+        # checked when the scope closes: such a write drops the entry
+        # instead of leaving new bytes under the old key.
+        gm, _ = self.conv_bn()
+        weight = gm.get_submodule("0").weight.data   # dce does not replace it
+
+        class Meddling:
+            baseline = None
+
+            def config_key(self):
+                return "meddling"
+
+            def before_pipeline(self, module, graph_hash=None):
+                pass
+
+            def after_pass(self, name, module):
+                weight[0, 0, 0, 0] += 1.0
+
+        cache = ArtifactCache()
+        with pytest.raises(PassError, match="written in place"):
+            PassManager([eliminate_dead_code], cache=cache,
+                        verifier=Meddling()).run(gm)
+        assert len(cache) == 0
 
     def test_write_to_a_replayed_result_cannot_poison_the_cache(self):
         # A compiled module's parameters are read-only views of arrays the

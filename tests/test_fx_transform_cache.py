@@ -335,15 +335,74 @@ def test_cold_compile_pickles_one_copy_and_one_snapshot(net, monkeypatch):
     model, x = net
     dumps = _counting(monkeypatch, state, "_dump")
     gm = symbolic_trace(model)
-    before = cache_info()["transform"].get("state_reads", 0)
-    compiled = fx.compile(gm, (x,))
-    assert len(dumps) == 2   # five at 517a305: the copy + one per stored stage
-    # every array the compile ever held is read once (the caller's, then
-    # the ones its passes created) and the digests that were handed out
-    # again are re-validated when the scope closes — the copies by a
-    # compare with the arrays they were copied from, which is not a read
-    reads = cache_info()["transform"]["state_reads"] - before
-    assert reads <= len(arrays(gm)) + 2 * len(arrays(compiled))
+    before = cache_info()["transform"]
+    fx.compile(gm, (x,))
+    after = cache_info()["transform"]
+    # five at 517a305: the copy + one per stored stage; now the borrowed
+    # structure the passes transform + the snapshot
+    assert len(dumps) == 2
+    # The caller's arrays are read once, for the key.  The passes see them
+    # through read-only views, so none needs an exit check — except the
+    # two the entry copied (``fc``: no pass replaced them), which the
+    # caller could have written meanwhile.  What the passes created is
+    # frozen unread: nothing looks an end state up by its hash.
+    fc = [model.fc.weight.data, model.fc.bias.data]
+    assert after["state_reads"] - before["state_reads"] == len(arrays(gm)) + 2
+    assert after["state_read_bytes"] - before["state_read_bytes"] \
+        == sum(a.nbytes for a in arrays(gm) + fc)
+    assert after["state_copied_bytes"] - before.get("state_copied_bytes", 0) \
+        == sum(a.nbytes for a in fc)
+
+
+def test_a_compile_never_freezes_or_writes_the_callers_arrays(net):
+    # The passes' views, and the entry's copies, are of the caller's
+    # arrays: freezing "the copy's" arrays through ``_owner`` would freeze
+    # the caller's.  Cold, warm and uncached, they stay writeable and
+    # bit-identical.
+    model, x = net
+    gm = symbolic_trace(model)
+    before = [a.copy() for a in arrays(gm)]
+    for cache in (True, True, False):
+        fx.compile(gm, (x,), cache=cache)
+        assert all(a.flags.writeable and np.array_equal(a, b)
+                   for a, b in zip(arrays(gm), before, strict=True))
+
+
+def test_fused_kernels_are_compiled_once_cold_and_never_on_restore(monkeypatch):
+    # A snapshot keeps its fused kernels out of band, as it keeps its
+    # arrays: a restore shares them instead of compiling their source again.
+    import builtins
+    import importlib.util
+    from pathlib import Path
+
+    from repro.fx.passes import pointwise_fuser
+
+    spec = importlib.util.spec_from_file_location(
+        "ledger_models",
+        Path(__file__).parents[1] / "benchmarks" / "ledger" / "models.py")
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    model, x = ledger.build("many_ops", 1), ledger.make_inputs("many_ops", 1, 1)[0]
+    compiles = []
+
+    def counted(*args, **kwargs):
+        compiles.append(1)
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(pointwise_fuser, "compile", counted, raising=False)
+    clear_caches("transform")
+    cold = fx.compile(symbolic_trace(model), (x,))
+    assert cold.compile_report.fused_regions >= 30
+    assert len(compiles) == cold.compile_report.fused_regions
+    compiles.clear()
+    warm = fx.compile(symbolic_trace(model), (x,))
+    assert all(r.cache_hit for r in warm.compile_report.records)
+    assert not compiles
+    kernels = [n.target for n in warm.graph.nodes
+               if isinstance(n.target, pointwise_fuser.FusedKernel)]
+    assert kernels == [n.target for n in cold.graph.nodes
+                       if isinstance(n.target, pointwise_fuser.FusedKernel)]
+    assert same_bits(warm(x), cold(x))
 
 
 def test_a_plain_module_is_traced_and_transformed_in_place_not_copied(
@@ -355,11 +414,11 @@ def test_a_plain_module_is_traced_and_transformed_in_place_not_copied(
     # tensors, which no pass replaced.  It freezes its copies, never the
     # model's arrays.
     model, x = net
-    copies = _counting(monkeypatch, pm_module, "copy_module")
+    borrows = _counting(monkeypatch, pm_module, "_borrow")
     before = [a.copy() for a in arrays(model)]
     copied = cache_info()["transform"].get("state_copied_bytes", 0)
     compiled = fx.compile(model, (x,))
-    assert not copies
+    assert not borrows
     assert cache_info()["transform"]["state_copied_bytes"] - copied \
         == model.fc.weight.data.nbytes + model.fc.bias.data.nbytes
     assert not np.shares_memory(compiled.fc.weight.data, model.fc.weight.data)
@@ -368,9 +427,17 @@ def test_a_plain_module_is_traced_and_transformed_in_place_not_copied(
     assert all(np.array_equal(a, b)
                for a, b in zip(arrays(model), before, strict=True))
     assert np.allclose(compiled(x).data, model(x).data, atol=1e-5)
-    # a GraphModule, which the caller holds, is copied when passes execute
-    fx.compile(symbolic_trace(model), (x,), cache=False)
-    assert len(copies) == 1
+    # a GraphModule, which the caller holds, is borrowed when passes
+    # execute: its structure is copied, its arrays only viewed read-only,
+    # and an uncached result goes on viewing those no pass replaced
+    copied = cache_info()["transform"]["state_copied_bytes"]
+    gm = symbolic_trace(model)
+    uncached = fx.compile(gm, (x,), cache=False)
+    assert len(borrows) == 1
+    assert cache_info()["transform"]["state_copied_bytes"] == copied
+    assert np.shares_memory(uncached.fc.weight.data, gm.fc.weight.data)
+    assert not uncached.fc.weight.data.flags.writeable
+    assert gm.fc.weight.data.flags.writeable
 
 
 def _double_first_weight_in_place(gm):
@@ -394,11 +461,14 @@ def test_in_place_write_leaves_the_callers_module_bit_identical(net):
     assert all("sym_shape" in m for m in meta[:-1])
     state = [a.copy() for a in arrays(gm)]
 
-    with pytest.raises(PassError, match="written in place"):
+    # The passes see the caller's arrays through read-only views: the bad
+    # pass fails at its write, named, before anything is stored.
+    with pytest.raises(PassError, match=r"\('bad'\).*read-only"):
         to_backend(gm, _WritesInPlace((x,)), example_inputs=(x,))
-    assert cache_info()["transform"]["size"] == 0   # what the scope stored
+    assert cache_info()["transform"]["size"] == 0
     assert gm.code == code
     assert [dict(n.meta) for n in gm.graph.nodes] == meta
+    assert all(a.flags.writeable for a in arrays(gm))
     assert all(np.array_equal(a, b) for a, b in zip(arrays(gm), state, strict=True))
 
     # a sound compile of the same module is untouched by the failed one,
