@@ -2,10 +2,10 @@
 
 The paper's central observation (§5.5) is that the 6-opcode IR is one
 basic block, so classical dataflow analyses collapse to simple sweeps.
-This package takes that seriously as an *architecture*: one fixpoint
-engine (:mod:`~repro.fx.analysis.engine`), pluggable per-node transfer
-functions, and structural-hash-keyed result caching, with every fact a
-transform needs computed once and shared:
+This package takes that seriously as an *architecture*: one sweep
+engine (:mod:`~repro.fx.analysis.engine`) with pluggable per-node
+transfer functions, and one context per module through which every fact
+a transform needs is computed once and shared:
 
 * :mod:`~repro.fx.analysis.alias` — may-alias / escape / extended
   liveness (the memory planner's foundation, extracted);
@@ -35,14 +35,13 @@ from .engine import (
     Analysis,
     AnalysisContext,
     AnalysisError,
-    FixpointStats,
     analyze,
-    fixpoint,
     get_analysis,
     register_analysis,
     registered_analyses,
+    sweep,
 )
-from .alias import AliasAnalysis, AliasResult, AliasView, may_alias_input
+from .alias import AliasAnalysis, AliasResult, may_alias_input
 from .purity import (
     Effect,
     PurityAnalysis,
@@ -87,7 +86,6 @@ __all__ = [
     "AnalysisError",
     "AliasAnalysis",
     "AliasResult",
-    "AliasView",
     "BreakEvent",
     "BreakReport",
     "Diagnostic",
@@ -96,7 +94,6 @@ __all__ = [
     "DtypePromotionAnalysis",
     "DtypeResult",
     "Effect",
-    "FixpointStats",
     "GuardSet",
     "Hazard",
     "MutationHazardAnalysis",
@@ -115,7 +112,6 @@ __all__ = [
     "classify_effect",
     "derive_guards",
     "detect_breaks",
-    "fixpoint",
     "fused_out_clobbers",
     "get_analysis",
     "get_rule",
@@ -128,4 +124,5 @@ __all__ = [
     "register_analysis",
     "register_rule",
     "registered_rules",
+    "sweep",
 ]

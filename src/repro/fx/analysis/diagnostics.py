@@ -10,7 +10,7 @@ user-defined rules participate automatically::
 
     from repro.fx.analysis import Diagnostic, Severity, register_rule
 
-    @register_rule("no-python-loops", Severity.WARNING, requires=())
+    @register_rule("no-python-loops", Severity.WARNING)
     def no_python_loops(gm, ctx):
         counts = {}
         for n in gm.graph.nodes:
@@ -164,14 +164,12 @@ class Rule:
     ``fn(gm, ctx)`` yields :class:`Diagnostic` objects, none above
     ``default_severity`` — :func:`lint_graph` raises otherwise, which is
     what lets a consumer that only acts on errors skip the rules that
-    cannot produce one; ``requires`` names the analyses the rule reads via
-    ``ctx.get`` (declared so the driver can report which analyses a lint
-    run depends on and so rule authors document their inputs).
+    cannot produce one.  The analyses a rule reads it pulls with
+    ``ctx.get``.
     """
 
     id: str
     default_severity: Severity
-    requires: tuple[str, ...]
     fn: Callable[[GraphModule, AnalysisContext], Iterable[Diagnostic]]
     doc: str = ""
 
@@ -179,8 +177,7 @@ class Rule:
 _RULES: dict[str, Rule] = {}
 
 
-def register_rule(rule_id: str, severity: Severity,
-                  requires: Sequence[str] = ()) -> Callable:
+def register_rule(rule_id: str, severity: Severity) -> Callable:
     """Decorator registering a lint rule under *rule_id*; *severity* is
     the highest one its diagnostics may carry."""
 
@@ -188,7 +185,6 @@ def register_rule(rule_id: str, severity: Severity,
         _RULES[rule_id] = Rule(
             id=rule_id,
             default_severity=severity,
-            requires=tuple(requires),
             fn=fn,
             doc=(fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else "",
         )
@@ -211,20 +207,19 @@ def registered_rules() -> dict[str, Rule]:
 
 
 def lint_graph(gm: GraphModule, *, rules: Optional[Sequence[str]] = None,
-               cache: bool = True, graph_hash: Optional[str] = None,
                ctx: Optional[AnalysisContext] = None) -> DiagnosticReport:
     """Run the registered lint rules (default: all) over *gm*.
 
-    Underlying analyses are computed once through a shared
-    :class:`~repro.fx.analysis.engine.AnalysisContext` (results come from
-    the process-wide structural-hash cache when the graph was analyzed
-    before).  Returns a :class:`DiagnosticReport`; error-severity
+    Underlying analyses are computed once through one shared
+    :class:`~repro.fx.analysis.engine.AnalysisContext` (*ctx*, when the
+    caller already analysed this graph state).  Returns a
+    :class:`DiagnosticReport`; error-severity
     findings mean the graph, as captured, has a real correctness risk.
     A rule yielding a diagnostic above its registered severity raises
     ``ValueError``.
     """
     if ctx is None:
-        ctx = AnalysisContext(gm, cache=cache, graph_hash=graph_hash)
+        ctx = AnalysisContext(gm)
     report = DiagnosticReport()
     for rule_id in (rules if rules is not None else sorted(_RULES)):
         rule = get_rule(rule_id)
@@ -244,7 +239,7 @@ def lint_graph(gm: GraphModule, *, rules: Optional[Sequence[str]] = None,
 # ---------------------------------------------------------------------------
 
 
-@register_rule("mutation-hazard", Severity.ERROR, requires=("mutation", "alias"))
+@register_rule("mutation-hazard", Severity.ERROR)
 def _rule_mutation_hazard(gm: GraphModule, ctx: AnalysisContext):
     """In-place or ``out=`` write into a buffer whose value is still read."""
     nodes = list(gm.graph.nodes)
@@ -255,7 +250,7 @@ def _rule_mutation_hazard(gm: GraphModule, ctx: AnalysisContext):
                 nodes[h.node_index], h.node_index)
 
 
-@register_rule("arena-hazard", Severity.ERROR, requires=("mutation", "alias"))
+@register_rule("arena-hazard", Severity.ERROR)
 def _rule_arena_hazard(gm: GraphModule, ctx: AnalysisContext):
     """Unsound memory-plan slot sharing, or a planned value that escapes."""
     nodes = list(gm.graph.nodes)
@@ -266,7 +261,7 @@ def _rule_arena_hazard(gm: GraphModule, ctx: AnalysisContext):
                 nodes[h.node_index], h.node_index)
 
 
-@register_rule("caller-visible-write", Severity.WARNING, requires=("mutation", "alias"))
+@register_rule("caller-visible-write", Severity.WARNING)
 def _rule_caller_visible_write(gm: GraphModule, ctx: AnalysisContext):
     """Mutation of a function input or of a value aliasing the output."""
     nodes = list(gm.graph.nodes)
@@ -277,7 +272,7 @@ def _rule_caller_visible_write(gm: GraphModule, ctx: AnalysisContext):
                 nodes[h.node_index], h.node_index)
 
 
-@register_rule("float64-upcast", Severity.WARNING, requires=("dtype",))
+@register_rule("float64-upcast", Severity.WARNING)
 def _rule_float64_upcast(gm: GraphModule, ctx: AnalysisContext):
     """Silent float64 promotion from numpy scalar/function upcasting."""
     nodes = list(gm.graph.nodes)
@@ -290,12 +285,12 @@ def _rule_float64_upcast(gm: GraphModule, ctx: AnalysisContext):
             nodes[rec.node_index], rec.node_index)
 
 
-@register_rule("impure-unused", Severity.NOTE, requires=("purity",))
+@register_rule("impure-unused", Severity.NOTE)
 def _rule_impure_unused(gm: GraphModule, ctx: AnalysisContext):
     """Impure node whose result is never read; DCE must retain it."""
-    purity = ctx.get("purity")
+    effects = ctx.get("purity").effects
     for i, n in enumerate(gm.graph.nodes):
-        effect = purity.effects[i]
+        effect = effects[n]
         if effect.mutating and not n.users:
             yield Diagnostic.for_node(
                 "impure-unused", Severity.NOTE,
@@ -304,12 +299,12 @@ def _rule_impure_unused(gm: GraphModule, ctx: AnalysisContext):
                 n, i)
 
 
-@register_rule("aliased-output", Severity.NOTE, requires=("alias",))
+@register_rule("aliased-output", Severity.NOTE)
 def _rule_aliased_output(gm: GraphModule, ctx: AnalysisContext):
     """Graph output may be a view of a function input."""
     alias = ctx.get("alias")
     for i, n in enumerate(gm.graph.nodes):
-        if n.op == "placeholder" and i in alias.escapes:
+        if n.op == "placeholder" and n in alias.escapes:
             yield Diagnostic.for_node(
                 "aliased-output", Severity.NOTE,
                 ("the returned value may be a view of this input; callers "

@@ -6,9 +6,9 @@ careless constant can silently double the memory traffic and halve the
 throughput of everything downstream.  (The paper's §6 perf numbers all
 assume ``float32`` end-to-end.)
 
-This is a *forward* dataflow analysis over the dtype lattice run by the
-shared engine: each node's abstract dtype is the one observed by shape
-propagation when ``meta['tensor_meta']`` is present, else the numpy
+This is a *forward* dataflow analysis over the dtype lattice, one sweep
+of the shared engine: each node's abstract dtype is the one observed by
+shape propagation when ``meta['tensor_meta']`` is present, else the numpy
 promotion of its input dtypes.  A node whose observed dtype is
 ``float64`` while every known input dtype is narrower is reported as a
 silent upcast — unless the node is an *explicit* cast (a key in the op
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .. import opinfo
 from ..graph_module import GraphModule
 from ..node import Node
 from ..passes.shape_prop import TensorMetadata
-from .engine import Analysis, AnalysisContext, fixpoint, register_analysis
+from .engine import Analysis, AnalysisContext, register_analysis, sweep
 
 __all__ = ["DtypePromotionAnalysis", "DtypeResult", "UpcastRecord"]
 
@@ -56,7 +56,7 @@ def _is_explicit_cast(node: Node) -> bool:
 
 @dataclass(frozen=True)
 class UpcastRecord:
-    """One detected silent widening (positional, cacheable)."""
+    """One detected silent widening; *node_index* is its graph step."""
 
     node_index: int
     node_name: str
@@ -66,26 +66,21 @@ class UpcastRecord:
 
 @dataclass(frozen=True)
 class DtypeResult:
-    """Positional dtype facts plus the flagged upcasts.
+    """Dtype facts plus the flagged upcasts.
 
     Attributes:
-        dtypes: per node index, the abstract dtype name (``None`` =
+        dtypes: per node, the abstract dtype name (``None`` =
             unknown / non-tensor).
         upcasts: every silent ``float64`` widening found.
     """
 
-    dtypes: tuple[Optional[str], ...]
+    dtypes: dict[Node, Optional[str]]
     upcasts: tuple[UpcastRecord, ...]
 
 
 @register_analysis
 class DtypePromotionAnalysis(Analysis):
     name = "dtype"
-
-    def extra_cache_key(self, gm: GraphModule) -> Any:
-        # tensor_meta is not part of the structural hash; the same graph
-        # shape-propagated with different inputs must key differently.
-        return tuple(_observed_dtype(n) for n in gm.graph.nodes)
 
     def compute(self, gm: GraphModule, ctx: AnalysisContext) -> DtypeResult:
         nodes = list(gm.graph.nodes)
@@ -107,7 +102,7 @@ class DtypePromotionAnalysis(Analysis):
             except TypeError:
                 return None
 
-        facts, _ = fixpoint(nodes, transfer, direction="forward", init=None)
+        facts = sweep(nodes, transfer, direction="forward")
 
         upcasts: list[UpcastRecord] = []
         for n in nodes:
@@ -129,6 +124,6 @@ class DtypePromotionAnalysis(Analysis):
             ))
 
         return DtypeResult(
-            dtypes=tuple(facts[n] for n in nodes),
+            dtypes=facts,
             upcasts=tuple(upcasts),
         )

@@ -1,39 +1,29 @@
-"""The dataflow engine: fixpoint solving over the fx Graph IR, the
-``Analysis`` plug-in interface, and structural-hash-keyed result caching.
+"""The dataflow engine: one ordered sweep over the fx Graph IR, and the
+``Analysis`` plug-in interface.
 
 The paper's argument (§4.2, §5.5) is that a 6-opcode basic-block DAG
 makes whole-program analysis *trivial*: no control-flow joins, no loop
 widening — a forward analysis is one sweep in topological order, a
-backward analysis one sweep in reverse.  This module keeps that
-simplicity but packages it as a real framework so analyses stop being
-re-implemented privately inside individual passes:
+backward analysis one sweep in reverse.  This module is exactly that:
 
-* :func:`fixpoint` — a generic worklist solver with pluggable per-node
-  transfer functions.  On the DAG IR a single ordered sweep converges,
-  but transfer functions are allowed to read *any* node's fact (e.g.
-  alias-extended liveness reads through view chains), so the solver
-  iterates to a true fixpoint and reports how much work that took.
+* :func:`sweep` — visit each node once, in graph order or in reverse,
+  with a pluggable per-node transfer function.  A transfer may read the
+  fact of any node already swept (a forward transfer its inputs, a
+  backward one its users); reading one not yet swept raises, so a
+  transfer that would need a second round cannot be written.
 * :class:`Analysis` — the plug-in base class.  A concrete analysis names
-  itself, declares the analyses it depends on, and computes a
-  *positional* result (facts keyed by node index, never by ``Node``
-  object) so results can be cached and rebound to any structurally
-  identical graph.
+  itself and computes a result over one module's ``Node`` objects,
+  pulling the analyses it reads through ``ctx.get``.
 * :class:`AnalysisContext` / :func:`analyze` — the driver.  Results are
-  memoized process-wide, keyed by ``(analysis name,
-  Graph.structural_hash, analysis extra key)``; re-analyzing an
-  unchanged graph — the common case inside the pass verifier, which
-  analyzes the same module once per pipeline stage — is a dictionary
-  lookup.  Graphs whose hash is unstable (see
-  :class:`~repro.fx.graph.UnstableHashError`) simply run uncached.
+  memoised for the context's one module: a suite of analyses over it
+  computes each at most once, and a module whose graph changes gets a
+  new context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
-from ..cache import register_stage
-from ..graph import Graph
 from ..graph_module import GraphModule
 from ..node import Node
 
@@ -41,12 +31,11 @@ __all__ = [
     "Analysis",
     "AnalysisContext",
     "AnalysisError",
-    "FixpointStats",
     "analyze",
-    "fixpoint",
     "get_analysis",
     "register_analysis",
     "registered_analyses",
+    "sweep",
 ]
 
 
@@ -55,71 +44,48 @@ class AnalysisError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# the fixpoint solver
+# the sweep
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FixpointStats:
-    """How much work one :func:`fixpoint` call performed."""
-
-    visits: int = 0
-    rounds: int = 1
-    changed: int = 0
-
-
-def fixpoint(
+def sweep(
     nodes: Sequence[Node],
     transfer: Callable[[Node, Callable[[Node], Any]], Any],
     *,
     direction: str = "forward",
-    init: Any = None,
-    max_rounds: int = 100,
-) -> tuple[dict[Node, Any], FixpointStats]:
-    """Solve ``fact[n] = transfer(n, fact)`` to fixpoint over *nodes*.
+) -> dict[Node, Any]:
+    """Compute ``fact[n] = transfer(n, fact)`` for every node, once each.
 
     Args:
         nodes: the graph's nodes in topological order.
         transfer: per-node transfer function.  Receives the node and a
-            getter ``fact(other) -> current fact`` (so a transfer can
-            join over inputs, users, or any reachable node) and returns
-            the node's new fact.  Facts are compared with ``==``; the
-            solver re-sweeps until no fact changes.
-        direction: ``"forward"`` sweeps in topological order (facts
-            usually flow from inputs), ``"backward"`` in reverse (facts
-            flow from users).
-        init: initial fact for every node (the lattice bottom).
-        max_rounds: safety valve; the DAG IR converges in one round for
-            well-behaved transfers, so hitting this limit raises.
+            getter ``fact(other)`` for the fact of a node already swept.
+        direction: ``"forward"`` sweeps in topological order (facts flow
+            from inputs), ``"backward"`` in reverse (facts flow from users).
 
     Returns:
-        ``(facts, stats)`` — the per-node fact map and solver statistics.
+        The per-node fact map.
+
+    Raises:
+        AnalysisError: the transfer read a fact that has not been swept
+            yet (a forward transfer reading a user, say).
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    ordered = list(nodes) if direction == "forward" else list(nodes)[::-1]
-    facts: dict[Node, Any] = {n: init for n in ordered}
-    stats = FixpointStats(rounds=0)
+    facts: dict[Node, Any] = {}
 
-    def read(n: Node) -> Any:
-        return facts.get(n, init)
+    def fact(n: Node) -> Any:
+        try:
+            return facts[n]
+        except KeyError:
+            raise AnalysisError(
+                f"the {direction} sweep read {n.name!r} before reaching it; "
+                f"a {direction} transfer may read only "
+                f"{'inputs' if direction == 'forward' else 'users'}") from None
 
-    for _ in range(max_rounds):
-        stats.rounds += 1
-        changed = False
-        for n in ordered:
-            stats.visits += 1
-            new = transfer(n, read)
-            if new != facts[n]:
-                facts[n] = new
-                stats.changed += 1
-                changed = True
-        if not changed:
-            return facts, stats
-    raise AnalysisError(
-        f"dataflow analysis did not converge in {max_rounds} rounds "
-        f"({stats.changed} fact changes); transfer function is not monotone"
-    )
+    for n in (nodes if direction == "forward" else reversed(nodes)):
+        facts[n] = transfer(n, fact)
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +96,10 @@ def fixpoint(
 class Analysis:
     """Base class for one registered whole-graph analysis.
 
-    Subclasses set :attr:`name`, optionally :attr:`requires` (names of
-    analyses whose results :meth:`compute` *may* read through the context
-    — documentation; ``compute`` pulls what it needs with ``ctx.get`` and
-    nothing is computed ahead of it), and implement :meth:`compute`.
-    Results must be **positional** —
-    facts keyed by a node's index in topological order, never by the
-    ``Node`` object itself — so a cached result is valid for *any* graph
-    with the same structural hash, including pickled copies.
+    Subclasses set :attr:`name` and implement :meth:`compute`, which pulls
+    whatever other analyses it reads with ``ctx.get`` (nothing is computed
+    ahead of it).  Results describe the analysed module's own ``Node``
+    objects.
 
     Register with :func:`register_analysis` to make the analysis
     available by name to the lint-rule registry and the CLI.
@@ -145,19 +107,6 @@ class Analysis:
 
     #: unique registry name, e.g. ``"alias"``.
     name: str = ""
-    #: names of analyses :meth:`compute` may ask the context for.
-    requires: tuple[str, ...] = ()
-
-    def extra_cache_key(self, gm: GraphModule) -> Optional[Hashable]:
-        """Cache-key contribution beyond the structural hash.
-
-        The structural hash covers opcodes, targets, argument topology
-        and module state — but **not** ``node.meta``.  An analysis whose
-        result depends on metadata (e.g. dtype promotion reads
-        ``tensor_meta``) must fold that metadata in here; returning a
-        non-hashable or raising disables caching for this graph.
-        """
-        return None
 
     def compute(self, gm: GraphModule, ctx: "AnalysisContext") -> Any:
         raise NotImplementedError
@@ -203,61 +152,27 @@ def registered_analyses() -> dict[str, Analysis]:
 
 
 # ---------------------------------------------------------------------------
-# result caching + the driver
+# the driver
 # ---------------------------------------------------------------------------
-
-
-#: Analysis results keyed by ``(analysis name, graph structural hash,
-#: extra key)``; results are positional facts, shared by every context.
-_CACHE = register_stage("analysis", 2048)
 
 
 class AnalysisContext:
     """One module's gateway to analysis results.
 
-    ``ctx.get(name)`` computes (or fetches from the shared cache) the
-    named analysis's result for ``ctx.gm``.  An analysis pulls its
-    dependencies from inside ``compute`` — one it does not ask for on
-    this graph is never computed — a dependency cycle raises, and every
-    result is memoized per-context, so a suite of analyses over one
-    module computes each at most once even without the global cache.
-
-    Args:
-        gm: the module under analysis.
-        cache: use the process-wide result cache (on by default).
-        graph_hash: a precomputed ``structural_hash(include_attrs=True,
-            require_stable=True)`` of ``gm.graph``, if the caller already
-            has one (the pass verifier reuses the PassManager's hash so
-            the module is never hashed twice).  Pass ``""`` or ``None``
-            when unknown — the context hashes lazily on first use.
+    ``ctx.get(name)`` computes the named analysis's result for ``ctx.gm``
+    on first ask and memoises it.  An analysis pulls its dependencies from
+    inside ``compute`` — one it does not ask for on this graph is never
+    computed — and a dependency cycle raises.  The memo describes the
+    graph as it was when each result was computed: after editing the
+    graph, analyse it through a new context.
     """
 
-    def __init__(self, gm: GraphModule, *, cache: bool = True,
-                 graph_hash: Optional[str] = None):
+    def __init__(self, gm: GraphModule):
         if not isinstance(gm, GraphModule):
             raise TypeError(f"AnalysisContext expects a GraphModule, got {type(gm).__name__}")
         self.gm = gm
-        self.cache = cache
-        self._graph_hash: Optional[str] = graph_hash or None
-        self._hashed = graph_hash is not None
         self._local: dict[str, Any] = {}
         self._in_flight: list[str] = []
-
-    @property
-    def graph(self) -> Graph:
-        return self.gm.graph
-
-    def graph_hash(self) -> Optional[str]:
-        """The stable structural hash of the graph, or ``None`` when the
-        graph cannot be stably hashed (caching is skipped then)."""
-        if not self._hashed:
-            self._hashed = True
-            try:
-                self._graph_hash = self.gm.graph.structural_hash(
-                    include_attrs=True, require_stable=True)
-            except Exception:
-                self._graph_hash = None
-        return self._graph_hash
 
     def get(self, name: str) -> Any:
         """Result of the analysis registered under *name* for this module."""
@@ -267,38 +182,23 @@ class AnalysisContext:
             cycle = " -> ".join(self._in_flight + [name])
             raise AnalysisError(f"circular analysis dependency: {cycle}")
         analysis = get_analysis(name)
-
-        key: Optional[tuple] = None
-        if self.cache:
-            ghash = self.graph_hash()
-            if ghash:
-                try:
-                    extra = analysis.extra_cache_key(self.gm)
-                    key = (name, ghash, extra)
-                    hash(key)
-                except Exception:
-                    key = None
-
-        def compute() -> Any:
-            self._in_flight.append(name)
-            try:
-                return analysis.compute(self.gm, self)
-            finally:
-                self._in_flight.pop()
-
-        value = compute() if key is None else _CACHE.get_or_build(key, compute)
+        self._in_flight.append(name)
+        try:
+            value = analysis.compute(self.gm, self)
+        finally:
+            self._in_flight.pop()
         self._local[name] = value
         return value
 
 
-def analyze(gm: GraphModule, names: Optional[Sequence[str]] = None, *,
-            cache: bool = True, graph_hash: Optional[str] = None) -> AnalysisContext:
+def analyze(gm: GraphModule,
+            names: Optional[Sequence[str]] = None) -> AnalysisContext:
     """Run the named analyses (default: all registered) over *gm*.
 
     Returns the :class:`AnalysisContext`; read results with
     ``ctx.get(name)``.
     """
-    ctx = AnalysisContext(gm, cache=cache, graph_hash=graph_hash)
+    ctx = AnalysisContext(gm)
     for name in (names if names is not None else sorted(registered_analyses())):
         ctx.get(name)
     return ctx

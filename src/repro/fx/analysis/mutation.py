@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 from ..graph_module import GraphModule
 from ..node import Node
-from .alias import AliasView
+from .alias import AliasResult
 from .engine import Analysis, AnalysisContext, register_analysis
 from .purity import is_inplace_method
 
@@ -91,7 +91,7 @@ def fused_out_clobbers(node: Node, dead: Node,
 
 @dataclass(frozen=True)
 class Hazard:
-    """One detected mutation hazard (positional, cacheable).
+    """One detected mutation hazard.
 
     Attributes:
         kind: ``"out-overwrite"`` / ``"inplace-overwrite"`` /
@@ -138,19 +138,6 @@ def _mutated_target(node: Node) -> Optional[Node]:
 @register_analysis
 class MutationHazardAnalysis(Analysis):
     name = "mutation"
-    requires = ("alias",)
-
-    def extra_cache_key(self, gm: GraphModule):
-        # Arena slots live in node.meta, outside the structural hash.  In
-        # practice a planned graph has FusedKernel targets and therefore
-        # no stable hash at all, but key the plan in explicitly so a
-        # cached result can never describe a different slot assignment.
-        key = []
-        for i, n in enumerate(gm.graph.nodes):
-            slot = n.meta.get("arena_slot")
-            if slot is not None:
-                key.append((i, id(slot.arena), slot.index))
-        return tuple(key)
 
     def compute(self, gm: GraphModule, ctx: AnalysisContext) -> MutationResult:
         # Every hazard kind starts from a writer or a planned node; a graph
@@ -159,9 +146,9 @@ class MutationHazardAnalysis(Analysis):
                    or n.meta.get("arena_slot") is not None
                    for n in gm.graph.nodes):
             return MutationResult(hazards=())
-        return self.hazards(gm, ctx.get("alias").view(gm.graph))
+        return self.hazards(gm, ctx.get("alias"))
 
-    def hazards(self, gm: GraphModule, alias: AliasView) -> MutationResult:
+    def hazards(self, gm: GraphModule, alias: AliasResult) -> MutationResult:
         """Every hazard in *gm*, given its alias facts."""
         nodes = list(gm.graph.nodes)
         order = {n: i for i, n in enumerate(nodes)}
@@ -176,7 +163,7 @@ class MutationHazardAnalysis(Analysis):
                     continue
                 last = max(last, order[u])
                 if alias.may_alias(u):
-                    last = max(last, alias.extended_last(u))
+                    last = max(last, alias.extended_last[u])
             return last
 
         # -- explicit writes: out= kwargs and in-place methods ---------------
@@ -197,7 +184,7 @@ class MutationHazardAnalysis(Analysis):
                             f"(or a view of it) is still read at step {last} "
                             f"(write happens at step {order[n]})"),
                 ))
-            if victim.op == "placeholder" or alias.escapes(victim):
+            if victim.op == "placeholder" or victim in alias.escapes:
                 hazards.append(Hazard(
                     kind="caller-visible-write",
                     node_index=order[n],
@@ -216,7 +203,7 @@ class MutationHazardAnalysis(Analysis):
             slot = n.meta.get("arena_slot")
             if slot is None:
                 continue
-            if alias.escapes(n):
+            if n in alias.escapes:
                 hazards.append(Hazard(
                     kind="arena-escape",
                     node_index=order[n],
@@ -232,7 +219,7 @@ class MutationHazardAnalysis(Analysis):
             sharers.sort(key=lambda n: order[n])
             for i, m in enumerate(sharers):
                 for n in sharers[i + 1:]:
-                    m_last = alias.extended_last(m)
+                    m_last = alias.extended_last[m]
                     if m_last > order[n]:
                         hazards.append(Hazard(
                             kind="arena-overlap",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .. import opinfo
-from ..graph import Graph, _hash_token_for_object
+from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import Node
 from .engine import Analysis, AnalysisContext, register_analysis
@@ -116,47 +116,20 @@ def classify_effect(node: Node, module: Optional[GraphModule] = None) -> Effect:
 
 @dataclass(frozen=True)
 class PurityResult:
-    """Positional effect classification for one graph.
+    """Effect classification for one graph's nodes.
 
     Attributes:
-        effects: per node index, the node's :class:`Effect`.
+        effects: per node, the node's :class:`Effect`.
     """
 
-    effects: tuple[Effect, ...]
-
-    def effect_at(self, index: int) -> Effect:
-        return self.effects[index]
-
-    def impure_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.effects) if e.impure)
-
-    def mutating_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.effects) if e.mutating)
-
-    def view(self, graph: Graph) -> "PurityView":
-        return PurityView(self, list(graph.nodes))
-
-
-class PurityView:
-    """Node-keyed accessor over a :class:`PurityResult`."""
-
-    def __init__(self, result: PurityResult, nodes: list[Node]):
-        if len(nodes) != len(result.effects):
-            raise ValueError(
-                f"cannot bind purity result for {len(result.effects)} nodes "
-                f"to a graph with {len(nodes)} nodes")
-        self.result = result
-        self._index = {n: i for i, n in enumerate(nodes)}
-
-    def effect(self, node: Node) -> Effect:
-        return self.result.effects[self._index[node]]
+    effects: dict[Node, Effect]
 
     def is_impure(self, node: Node) -> bool:
-        return self.effect(node).impure
+        return self.effects[node].impure
 
 
-def impure_fingerprints(gm: GraphModule,
-                        result: PurityResult) -> tuple[tuple[str, str, str], ...]:
+def impure_fingerprints(
+        result: PurityResult) -> tuple[tuple[str, str, str], ...]:
     """Sorted multiset of ``(op, target token, effect)`` for every node
     with a *mutating* effect — the pass verifier compares these across a
     pass to detect an impure node being silently deleted.  Structural
@@ -165,11 +138,9 @@ def impure_fingerprints(gm: GraphModule,
     fingerprint survives pickling and node renames.
     """
     out = []
-    nodes = list(gm.graph.nodes)
-    for i, e in enumerate(result.effects):
+    for n, e in result.effects.items():
         if not e.mutating:
             continue
-        n = nodes[i]
         target = n.target if isinstance(n.target, str) else _hash_token_for_object(n.target)
         out.append((n.op, str(target), e.value))
     return tuple(sorted(out))
@@ -182,5 +153,5 @@ class PurityAnalysis(Analysis):
     name = "purity"
 
     def compute(self, gm: GraphModule, ctx: AnalysisContext) -> PurityResult:
-        return PurityResult(effects=tuple(
-            classify_effect(n, gm) for n in gm.graph.nodes))
+        return PurityResult(effects={
+            n: classify_effect(n, gm) for n in gm.graph.nodes})

@@ -90,12 +90,7 @@ class PassVerifier:
     the defaults a snapshot costs the two error rules plus ``purity``.
     Every hook takes an optional ``ctx`` — an
     :class:`~repro.fx.analysis.engine.AnalysisContext` over the same
-    module — for callers that already analysed this graph state, or the
-    ``graph_hash`` of one that already hashed it.  Only then does a
-    snapshot go through the shared analysis cache: hashing a graph to
-    look two analyses up costs several times what computing them does
-    (5.6 ms against 2.5 ms on a 600-node graph), so a hook given neither
-    analyses the graph directly.
+    module — for callers that already analysed this graph state.
     """
 
     def __init__(self, *, min_severity: Severity = Severity.ERROR,
@@ -113,13 +108,12 @@ class PassVerifier:
         a cached snapshot is only valid under the config that made it."""
         return (int(self.min_severity), self.rules, self.check_effects)
 
-    def _lint(self, gm: GraphModule, graph_hash: Optional[str],
+    def _lint(self, gm: GraphModule,
               ctx: Optional[AnalysisContext]) -> tuple[list[Diagnostic], tuple]:
         """The findings at or above ``min_severity`` and the mutating
         nodes' fingerprints — what both invariants are decided from."""
         if ctx is None:
-            ctx = AnalysisContext(gm, graph_hash=graph_hash,
-                                  cache=bool(graph_hash))
+            ctx = AnalysisContext(gm)
         candidates = self.rules if self.rules is not None \
             else sorted(registered_rules())
         report = lint_graph(gm, ctx=ctx, rules=[
@@ -127,15 +121,15 @@ class PassVerifier:
             if get_rule(r).default_severity >= self.min_severity])
         found = [d for d in report.diagnostics
                  if d.severity >= self.min_severity]
-        impure = impure_fingerprints(gm, ctx.get("purity")) \
+        impure = impure_fingerprints(ctx.get("purity")) \
             if self.check_effects else ()
         return found, impure
 
-    def snapshot(self, gm: GraphModule, *, graph_hash: Optional[str] = None,
+    def snapshot(self, gm: GraphModule, *,
                  ctx: Optional[AnalysisContext] = None) -> Snapshot:
         """Analyze *gm* and reduce it to the two fingerprint multisets
         the invariants compare."""
-        found, impure = self._lint(gm, graph_hash, ctx)
+        found, impure = self._lint(gm, ctx)
         errors = Counter(d.fingerprint for d in found)
         return (tuple(sorted(errors.items())), impure)
 
@@ -152,14 +146,12 @@ class PassVerifier:
     # -- pipeline hooks ---------------------------------------------------
 
     def before_pipeline(self, gm: GraphModule, *,
-                        graph_hash: Optional[str] = None,
                         ctx: Optional[AnalysisContext] = None) -> Snapshot:
         """Record the pipeline input's findings as the initial baseline."""
-        self._baseline = self.snapshot(gm, graph_hash=graph_hash, ctx=ctx)
+        self._baseline = self.snapshot(gm, ctx=ctx)
         return self._baseline
 
     def after_pass(self, pass_name: str, gm: GraphModule, *,
-                   graph_hash: Optional[str] = None,
                    ctx: Optional[AnalysisContext] = None) -> Snapshot:
         """Verify *gm* against the baseline; raise :class:`VerificationError`
         naming *pass_name* on a regression, else roll the baseline
@@ -170,7 +162,7 @@ class PassVerifier:
         base_errors = Counter(dict(self._baseline[0]))
         base_impure = Counter(self._baseline[1])
 
-        found, impure = self._lint(gm, graph_hash, ctx)
+        found, impure = self._lint(gm, ctx)
         cur_errors = Counter(d.fingerprint for d in found)
 
         introduced = cur_errors - base_errors

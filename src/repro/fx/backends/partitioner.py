@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ...nn import Module
-from ..analysis import analyze, may_alias_input
+from ..analysis import AnalysisContext, may_alias_input
 from ..graph_module import GraphModule
 from ..node import Node
 
@@ -88,8 +88,7 @@ def effect_mask(gm: GraphModule) -> set:
     compiling a view whose underlying storage is written elsewhere, or
     compiling the write itself, would silently decouple the two.
     """
-    ctx = analyze(gm, ["purity"])
-    purity = ctx.get("purity").view(gm.graph)
+    effects = AnalysisContext(gm).get("purity").effects
     nodes = [n for n in gm.graph.nodes]
 
     parent: Dict[Node, Node] = {n: n for n in nodes}
@@ -117,7 +116,7 @@ def effect_mask(gm: GraphModule) -> set:
     for n in nodes:
         if n.op in _SKIP_OPS:
             continue
-        if purity.effect(n).mutating:
+        if effects[n].mutating:
             mask.add(n)
             for inp in n.all_input_nodes:
                 poisoned_roots.add(find(inp))

@@ -1,15 +1,16 @@
 """``ArtifactCache`` — the one memo cache behind every compile stage.
 
 Every stage that memoises a derived artifact (generated ``forward``
-functions, pass results, analysis results, VM programs, compiled backend
-partitions, serving engines) maps a key to a value with the same
-mechanism: an LRU with a fixed bound, one lock around the bookkeeping,
-single-flight builds per key, and hit/miss counters.  This module holds
-that mechanism once.  The process-wide stages register here by name, so
-their traffic reads from one place::
+functions, pass results, VM programs, compiled backend partitions,
+serving engines) maps a key to a value with the same mechanism: an LRU
+with a fixed bound, one lock around the bookkeeping, single-flight builds
+per key, and hit/miss counters.  This module holds that mechanism once.
+The process-wide stages register here by name, so their traffic reads
+from one place::
 
-    >>> fx.cache_info()["analysis"]
-    {'hits': 18, 'misses': 4, 'size': 4, 'maxsize': 2048}
+    >>> fx.compile_to_vm(fx.symbolic_trace(model))   # twice
+    >>> fx.cache_info()["vm"]
+    {'hits': 1, 'misses': 1, 'size': 1, 'maxsize': 64}
     >>> fx.clear_caches("vm")      # or fx.clear_caches() for every stage
 
 What a stage stores under which key is the stage's business (see the

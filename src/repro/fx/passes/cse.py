@@ -100,13 +100,13 @@ def eliminate_common_subexpressions(
     eligible = {"call_function", "call_method", "get_attr"}
     if dedupe_modules:
         eligible.add("call_module")
-    purity = AnalysisContext(gm).get("purity").view(gm.graph)
+    effects = AnalysisContext(gm).get("purity").effects
     table: dict[Any, Node] = {}
     removed = 0
     for node in list(gm.graph.nodes):
         if node.op not in eligible:
             continue
-        if purity.effect(node).mutating:
+        if effects[node].mutating:
             # Each mutating node is its own effect: never a dedupe
             # source or victim.
             continue

@@ -184,8 +184,7 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
     of the module keeps the plan and its arena together.  Requires shape
     metadata on the planned nodes; nodes without it are skipped.
     """
-    graph = gm.graph
-    nodes = list(graph.nodes)
+    nodes = list(gm.graph.nodes)
     order = {n: i for i, n in enumerate(nodes)}
     last_step = len(nodes) - 1
 
@@ -193,11 +192,9 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
         n.meta.pop("arena_slot", None)
 
     # May-alias, alias-extended liveness, and escape facts all come from
-    # the analysis layer, uncached: what is planned calls fused kernels,
-    # which have no stable hash, so a lookup would only read weights.
-    alias = AnalysisContext(gm, cache=False).get("alias").view(graph)
-    extended_last = {n: alias.extended_last(n) for n in nodes}
-    escapes = alias.escaping_nodes
+    # the analysis layer.
+    alias = AnalysisContext(gm).get("alias")
+    extended_last, escapes = alias.extended_last, alias.escapes
 
     def plannable(n: Node) -> bool:
         return (

@@ -422,7 +422,7 @@ class PassManager:
                 module, held = _borrow(module)
                 own, lent = True, bool(held)
             if not baselined:
-                self.verifier.before_pipeline(module, graph_hash=state or None)
+                self.verifier.before_pipeline(module)
                 baselined = True
             module, executed = self._execute(first, last, module, start)
             return executed

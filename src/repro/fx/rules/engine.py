@@ -33,14 +33,11 @@ __all__ = [
 
 class RuleContext:
     """Lazy access to ``repro.fx.analysis`` results for the *current*
-    graph state: one uncached
-    :class:`~repro.fx.analysis.AnalysisContext`, shared by the
-    preconditions of every candidate match and by the verifier's check of
-    the firing that produced the state, so each analysis runs at most once
-    per state.  Uncached because the next firing destroys the state: a
-    structural hash to key it would cost more than the analyses and be
-    read by no one.  The engine calls :meth:`graph_changed` after every
-    edit it makes."""
+    graph state: one :class:`~repro.fx.analysis.AnalysisContext`, shared
+    by the preconditions of every candidate match and by the verifier's
+    check of the firing that produced the state, so each analysis runs at
+    most once per state.  The engine calls :meth:`graph_changed` after
+    every edit it makes."""
 
     def __init__(self, gm: GraphModule):
         self.gm = gm
@@ -48,7 +45,7 @@ class RuleContext:
 
     def graph_changed(self) -> None:
         from ..analysis import AnalysisContext
-        self.analyses = AnalysisContext(self.gm, cache=False)
+        self.analyses = AnalysisContext(self.gm)
 
     def analysis(self, name: str):
         return self.analyses.get(name)
@@ -153,7 +150,7 @@ class RuleSet:
     # -- application ------------------------------------------------------
 
     def apply(self, gm, *, verify: bool = True, verifier=None,
-              max_firings: int = 1000, max_rounds: int = 50,
+              max_firings: int = 1000,
               propagate_meta: bool = True) -> RuleApplyReport:
         """Apply every rule to *gm* until fixpoint (or budget).
 
@@ -175,15 +172,15 @@ class RuleSet:
                 if variant is not None:
                     report.merge(self._apply_one(
                         variant, verify=verify, verifier=None,
-                        max_firings=max_firings, max_rounds=max_rounds,
+                        max_firings=max_firings,
                         propagate_meta=propagate_meta))
             return report
         return self._apply_one(
             gm, verify=verify, verifier=verifier, max_firings=max_firings,
-            max_rounds=max_rounds, propagate_meta=propagate_meta)
+            propagate_meta=propagate_meta)
 
     def _apply_one(self, gm: GraphModule, *, verify, verifier, max_firings,
-                   max_rounds, propagate_meta) -> RuleApplyReport:
+                   propagate_meta) -> RuleApplyReport:
         t0 = time.perf_counter()
         report = RuleApplyReport(
             stats={r.name: RuleStats() for r in self._rules})
@@ -197,7 +194,8 @@ class RuleSet:
         any_module_rules = any(r.uses_modules or r.rewrite for r in self._rules)
         fired_total = 0
         needs_module_gc = False
-        while report.rounds < max_rounds and not report.budget_exhausted:
+        # A round that fires spends budget, so the budget bounds the rounds.
+        while not report.budget_exhausted:
             fired_this_round = 0
             modules = dict(gm.named_modules()) if any_module_rules else None
             present = self._present_keys(gm)

@@ -51,12 +51,12 @@ def no_aliased_escape(gm, match, ctx) -> bool:
     share storage with an escaping value (a view chain reaching the
     output), removing the node changes what the caller sees.
     """
-    alias = ctx.analysis("alias").view(gm.graph)
+    alias = ctx.analysis("alias")
     anchors = set(match.anchors)
     for n in match.internal_nodes():
         if n in anchors:
             continue
-        if alias.may_alias(n) and alias.escapes(n):
+        if alias.may_alias(n) and n in alias.escapes:
             return False
     return True
 
@@ -87,8 +87,8 @@ def no_mutation_anywhere(gm, match, ctx) -> bool:
     would now also write ``x``.  In a mutation-free graph the difference
     is unobservable.
     """
-    purity = ctx.analysis("purity")
-    return not purity.mutating_indices()
+    effects = ctx.analysis("purity").effects
+    return not any(e.mutating for e in effects.values())
 
 
 def anchor_shape_matches(placeholder: str):

@@ -59,7 +59,7 @@ def _failing_checks(spec: ProgramSpec) -> tuple[list[str], Optional[OracleReport
     return [o.name for o in report.failures], report
 
 
-def minimize_failure(spec: ProgramSpec, max_rounds: int = 10) -> MinimizedRepro:
+def minimize_failure(spec: ProgramSpec) -> MinimizedRepro:
     """Shrink a failing spec until no single op removal keeps it failing.
 
     A candidate reduction is kept only if at least one of the *original*
@@ -71,7 +71,8 @@ def minimize_failure(spec: ProgramSpec, max_rounds: int = 10) -> MinimizedRepro:
         raise ValueError(f"spec {spec} does not fail any oracle check")
     target = set(baseline)
 
-    for _ in range(max_rounds):
+    changed = True
+    while changed:   # each changing round skips one more op: at most n_ops
         changed = False
         for i in range(spec.n_ops):
             if i in spec.skip:
@@ -81,8 +82,6 @@ def minimize_failure(spec: ProgramSpec, max_rounds: int = 10) -> MinimizedRepro:
             if set(got) & target:
                 spec = candidate
                 changed = True
-        if not changed:
-            break
 
     # Trim trailing fully-skipped slots so the spec reads minimally.
     n_ops = spec.n_ops

@@ -90,9 +90,8 @@ def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
                and n.meta.get("arena_slot") is not None]
     if not planned:
         return {}
-    alias = AnalysisContext(gm).get("alias").view(graph)
+    alias = AnalysisContext(gm).get("alias")
     order = {n: i for i, n in enumerate(graph.nodes)}
-    escaping = alias.escaping_nodes
 
     def slot_key(n: Node):
         s = n.meta["arena_slot"]
@@ -100,13 +99,13 @@ def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
 
     keep: dict[Node, Any] = {}
     for n in planned:
-        if n in escaping:
+        if n in alias.escapes:
             continue
         sound = True
         for d in planned:
             if d is n or slot_key(d) != slot_key(n) or order[d] >= order[n]:
                 continue
-            last = alias.extended_last(d)
+            last = alias.extended_last[d]
             if last < order[n]:
                 continue
             if last > order[n] or fused_out_clobbers(n, d, alias.may_alias):

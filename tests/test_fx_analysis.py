@@ -1,9 +1,7 @@
 """Tests for the unified dataflow analysis framework (repro.fx.analysis):
-the fixpoint engine, the four shipped analyses, structural-hash result
-caching, golden diagnostics per lint rule (with stack-trace provenance),
-the graph-lint CLI, and the purity-aware DCE/CSE regressions."""
-
-import pickle
+the sweep engine, the four shipped analyses and their per-context memo,
+golden diagnostics per lint rule (with stack-trace provenance), the
+graph-lint CLI, and the purity-aware DCE/CSE regressions."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,7 @@ import pytest
 import repro
 import repro.functional as F
 from repro import fx, nn
-from repro.fx import GraphModule, Graph, cache_info, clear_caches, symbolic_trace
+from repro.fx import GraphModule, Graph, symbolic_trace
 from repro.fx.analysis import (
     Analysis,
     AnalysisContext,
@@ -20,7 +18,6 @@ from repro.fx.analysis import (
     Severity,
     analyze,
     classify_effect,
-    fixpoint,
     get_analysis,
     lint_graph,
     may_alias_input,
@@ -28,6 +25,7 @@ from repro.fx.analysis import (
     register_rule,
     registered_analyses,
     registered_rules,
+    sweep,
 )
 from repro.fx.analysis import engine as engine_mod
 from repro.fx.analysis import diagnostics as diagnostics_mod
@@ -61,47 +59,51 @@ class InplaceUnused(nn.Module):
 
 
 class TestFixpoint:
+    """On the DAG IR the fixpoint is one ordered sweep: every node once."""
+
     def _nodes(self):
         gm = symbolic_trace(Linear2())
         return gm, list(gm.graph.nodes)
 
     def test_forward_depth(self):
         _, nodes = self._nodes()
-        facts, stats = fixpoint(
+        facts = sweep(
             nodes,
-            lambda n, fact: 1 + max((fact(a) or 0 for a in n.all_input_nodes),
+            lambda n, fact: 1 + max((fact(a) for a in n.all_input_nodes),
                                     default=-1),
-            direction="forward", init=None)
+            direction="forward")
         assert facts[nodes[0]] == 0          # placeholder
         assert facts[nodes[-1]] == len(nodes) - 1  # straight-line chain
-        assert stats.rounds >= 1 and stats.visits >= len(nodes)
 
     def test_backward_users_count(self):
         _, nodes = self._nodes()
-        facts, _ = fixpoint(
+        facts = sweep(
             nodes,
-            lambda n, fact: len(n.users) + sum(fact(u) or 0 for u in n.users),
-            direction="backward", init=None)
+            lambda n, fact: len(n.users) + sum(fact(u) for u in n.users),
+            direction="backward")
         assert facts[nodes[-1]] == 0  # output has no users
         assert facts[nodes[0]] >= 1
 
     def test_one_round_convergence_on_dag(self):
-        # A transfer reading only already-swept facts converges in
-        # round 1 (+1 verification round).
         _, nodes = self._nodes()
-        _, stats = fixpoint(nodes, lambda n, fact: n.op, init=None)
-        assert stats.rounds == 2
+        for direction, order in (("forward", nodes), ("backward", nodes[::-1])):
+            visited = []
+            sweep(nodes, lambda n, fact: visited.append(n), direction=direction)
+            assert visited == order
 
-    def test_divergent_transfer_raises(self):
+    @pytest.mark.parametrize("direction,neighbours", [
+        ("forward", lambda n: n.users),
+        ("backward", lambda n: n.all_input_nodes)])
+    def test_reading_an_unswept_fact_raises(self, direction, neighbours):
         _, nodes = self._nodes()
-        with pytest.raises(AnalysisError, match="did not converge"):
-            fixpoint(nodes, lambda n, fact: (fact(n) or 0) + 1,
-                     init=None, max_rounds=5)
+        with pytest.raises(AnalysisError, match=f"the {direction} sweep read"):
+            sweep(nodes, lambda n, fact: [fact(m) for m in neighbours(n)],
+                  direction=direction)
 
     def test_bad_direction_rejected(self):
         _, nodes = self._nodes()
         with pytest.raises(ValueError):
-            fixpoint(nodes, lambda n, fact: None, direction="sideways")
+            sweep(nodes, lambda n, fact: None, direction="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,6 @@ class TestRegistry:
         @register_analysis
         class CountEscaping(Analysis):
             name = "test-count-escaping"
-            requires = ("alias",)
 
             def compute(self, gm, ctx):
                 return len(ctx.get("alias").escapes)
@@ -137,7 +138,6 @@ class TestRegistry:
         @register_analysis
         class A(Analysis):
             name = "test-cyc-a"
-            requires = ("test-cyc-b",)
 
             def compute(self, gm, ctx):
                 return ctx.get("test-cyc-b")
@@ -145,7 +145,6 @@ class TestRegistry:
         @register_analysis
         class B(Analysis):
             name = "test-cyc-b"
-            requires = ("test-cyc-a",)
 
             def compute(self, gm, ctx):
                 return ctx.get("test-cyc-a")
@@ -161,58 +160,30 @@ class TestRegistry:
         with pytest.raises(TypeError):
             AnalysisContext(object())
 
+    def test_context_computes_each_analysis_once(self):
+        calls = []
 
-class TestResultCaching:
-    def test_structurally_identical_graph_hits_cache(self):
-        clear_caches("analysis")
-        m = Linear2()
-        analyze(symbolic_trace(m), ["alias"])
-        before = cache_info()["analysis"]
-        # A pickled copy has the same structural hash -> pure lookup.
-        ctx2 = analyze(pickle.loads(pickle.dumps(symbolic_trace(m))), ["alias"])
-        after = cache_info()["analysis"]
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        # The positional result rebinds to the copy's own nodes.
-        view = ctx2.get("alias").view(ctx2.gm.graph)
-        assert view.escapes(list(ctx2.gm.graph.nodes)[-2])
+        @register_analysis
+        class Counted(Analysis):
+            name = "test-counted"
 
-    def test_cache_disabled_context_recomputes(self):
-        clear_caches("analysis")
-        gm = symbolic_trace(Linear2())
-        analyze(gm, ["alias"], cache=False)
-        assert cache_info()["analysis"]["size"] == 0
+            def compute(self, gm, ctx):
+                calls.append(gm)
+                return ctx.get("purity")
 
-    def test_unstable_hash_graph_skips_cache(self):
-        # A fused graph's FusedKernel target only has id() identity; the
-        # context must decline to cache rather than key on it.
-        from repro.fx.passes.pointwise_fuser import fuse_pointwise
-
-        m = nn.Sequential(nn.Linear(4, 4), nn.ReLU())
-
-        class Wrap(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.m = m
-
-            def forward(self, x):
-                return F.sigmoid(self.m(x) * 2.0) + 1.0
-
-        gm = symbolic_trace(Wrap())
-        x = repro.randn(2, 4)
-        ShapeProp(gm).propagate(x)
-        fuse_pointwise(gm)
-        ctx = AnalysisContext(gm)
-        assert ctx.graph_hash() is None
-        clear_caches("analysis")
-        ctx.get("alias")
-        assert cache_info()["analysis"]["size"] == 0
-
-    def test_view_rejects_wrong_graph(self):
-        res = analyze(symbolic_trace(Linear2()), ["alias"]).get("alias")
-        other = symbolic_trace(InplaceUnused())
-        with pytest.raises(ValueError, match="cannot bind"):
-            res.view(other.graph)
+        try:
+            gm = symbolic_trace(Linear2())
+            ctx = AnalysisContext(gm)
+            assert ctx.get("test-counted") is ctx.get("test-counted") \
+                is ctx.get("purity")
+            assert calls == [gm]
+            # results describe the module's own nodes
+            assert set(ctx.get("purity").effects) == set(gm.graph.nodes)
+            # a new context (a new graph state) computes afresh
+            AnalysisContext(gm).get("test-counted")
+            assert len(calls) == 2
+        finally:
+            engine_mod._REGISTRY.pop("test-counted")
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +225,9 @@ class TestAliasAnalysis:
                 return F.reshape(t, (-1,))
 
         gm = symbolic_trace(M())
-        view = analyze(gm, ["alias"]).get("alias").view(gm.graph)
+        alias = analyze(gm, ["alias"]).get("alias")
         add = next(n for n in gm.graph.nodes if n.name == "add")
-        assert view.escapes(add)  # escapes through the reshape view
+        assert add in alias.escapes  # escapes through the reshape view
 
     def test_extended_liveness_through_live_view(self):
         class M(nn.Module):
@@ -268,11 +239,11 @@ class TestAliasAnalysis:
                 return F.sum(s) + F.sum(b)
 
         gm = symbolic_trace(M())
-        view = analyze(gm, ["alias"]).get("alias").view(gm.graph)
+        alias = analyze(gm, ["alias"]).get("alias")
         by_name = {n.name: n for n in gm.graph.nodes}
         order = {n: i for i, n in enumerate(gm.graph.nodes)}
         # a's buffer must stay live until the matmul that reads its view.
-        assert view.extended_last(by_name["relu"]) == order[by_name["matmul"]]
+        assert alias.extended_last[by_name["relu"]] == order[by_name["matmul"]]
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +537,7 @@ class TestDiagnostics:
     def test_custom_rule_participates(self):
         from repro.fx.analysis import Diagnostic
 
-        @register_rule("test-no-matmul", Severity.NOTE, requires=())
+        @register_rule("test-no-matmul", Severity.NOTE)
         def no_matmul(gm, ctx):
             for i, n in enumerate(gm.graph.nodes):
                 if getattr(n.target, "__name__", "") == "matmul":

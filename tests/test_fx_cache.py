@@ -68,63 +68,45 @@ print(json.dumps(out))
 
 #: Cumulative ``[hits, misses]`` per stage after each step.  ``vm``,
 #: ``partition`` and ``engine_cache`` are as recorded at 511d1c2.
-#: ``codegen`` and ``analysis`` were re-recorded when their work became
-#: demand-driven (at 511d1c2: codegen 6/49 -> 8/49 -> 16/49 -> 22/49 ->
-#: 26/51, analysis 33/9 -> 33/9 -> 41/9 -> 56/9 -> 68/9): code is generated
-#: when a ``forward`` or ``code`` is first used, and nothing in this script
-#: runs a generated forward (serving replays VM programs), so the 51 sources
-#: every ``recompile()`` used to build are never built; the pass verifier
-#: asks only for ``purity`` and ``mutation`` (two lookups a stage instead of
-#: four, ``alias``/``dtype`` never computed on these graphs), and the rule
-#: engine analyses a graph state a firing is about to destroy without
-#: hashing it into this cache.
+#: ``codegen`` was re-recorded when its work became demand-driven (at
+#: 511d1c2: 6/49 -> 8/49 -> 16/49 -> 22/49 -> 26/51): code is generated when
+#: a ``forward`` or ``code`` is first used, and nothing in this script runs
+#: a generated forward (serving replays VM programs), so the 51 sources
+#: every ``recompile()`` used to build are never built.
 #:
-#: ``transform`` and ``analysis`` were re-recorded again when the transform
-#: cache went from one entry per pass to one per *run* of cacheable passes
-#: (every pipeline in this script is one run) and the pass verifier stopped
-#: hashing a graph just to look two analyses up (it goes through the
-#: analysis cache only for a graph state whose hash it is handed: the
-#: pipeline input's), row by row:
+#: ``transform`` was re-recorded when the transform cache went from one
+#: entry per pass to one per *run* of cacheable passes (every pipeline in
+#: this script is one run), row by row:
 #:
-#: * ``compile`` — transform 4/6 -> 1/1: the first compile is one miss
-#:   that stores one entry (it used to be six misses — five cacheable
-#:   stages plus a warm ``rules`` that returned ``Unchanged`` and was never
-#:   stored), the second is one hit (it used to hit four of nine stages).
-#:   analysis 18/4 -> 2/2: the first compile looks the verifier's baseline
-#:   up by the pipeline's input hash (``purity`` and ``mutation``: two
-#:   misses; ``dce`` and ``cse`` ask ``purity`` about the same graph: two
-#:   hits) and verifies the eight later graph states without hashing them;
-#:   the replayed compile adopts the stored baseline and analyses nothing.
+#: * ``compile`` — 4/6 -> 1/1: the first compile is one miss that stores
+#:   one entry (it used to be six misses — five cacheable stages plus a
+#:   warm ``rules`` that returned ``Unchanged`` and was never stored), the
+#:   second is one hit (it used to hit four of nine stages).
 #: * ``compile_to_vm`` — no pass pipeline: unchanged deltas.
-#: * ``to_backend_numpy`` (no example inputs: five stages) — transform
-#:   +8/+2 -> +1/+1, analysis +4/+0 (as before, for another reason): the
-#:   first lowering used to replay ``dce``/``cse``/``const_fold``/
-#:   ``fuse_conv_bn`` from the entries ``fx.compile`` left behind; prefix
-#:   sharing between *different* pipelines is what the per-run key gave up,
-#:   so it executes once — its baseline and its ``dce``/``cse`` hits on
-#:   what ``compile`` stored for the same input — and the second lowering
-#:   is one hit.
-#: * ``to_backend_trt`` — transform +3/+1 -> +1/+1, analysis +9/+0 ->
-#:   +4/+1: one miss (baseline: two hits; ``dce`` runs after conv-bn
-#:   folding here, on a graph not seen before: the one miss; the effect
-#:   mask of the partitioner: a hit), then one hit that analyses only for
-#:   the partitioner.
-#: * ``serve`` — transform +4/+1 -> +1/+0, analysis +6/+0 -> +0/+0: the
-#:   server's one guarded engine is ``fx.compile`` of the same model for
-#:   the signature the ``compile`` step stored: one hit, nothing analysed.
+#: * ``to_backend_numpy`` (no example inputs: five stages) — +8/+2 ->
+#:   +1/+1: the first lowering used to replay ``dce``/``cse``/
+#:   ``const_fold``/``fuse_conv_bn`` from the entries ``fx.compile`` left
+#:   behind; prefix sharing between *different* pipelines is what the
+#:   per-run key gave up, so it executes once, and the second lowering is
+#:   one hit.
+#: * ``to_backend_trt`` — +3/+1 -> +1/+1.
+#: * ``serve`` — +4/+1 -> +1/+0: the server's one guarded engine is
+#:   ``fx.compile`` of the same model for the signature the ``compile``
+#:   step stored: one hit.
+#:
+#: The ``analysis`` stage is gone (its last row read 10/3 after ``serve``):
+#: analyses are memoised per module by their ``AnalysisContext``.
 EXPECTED = {
     "compile": {"codegen": [0, 0], "transform": [1, 1],
-                "analysis": [2, 2], "vm": [0, 0], "partition": [0, 0]},
+                "vm": [0, 0], "partition": [0, 0]},
     "compile_to_vm": {"codegen": [0, 0], "transform": [1, 1],
-                      "analysis": [2, 2], "vm": [1, 1], "partition": [0, 0]},
+                      "vm": [1, 1], "partition": [0, 0]},
     "to_backend_numpy": {"codegen": [0, 0], "transform": [2, 2],
-                         "analysis": [6, 2], "vm": [1, 1],
-                         "partition": [0, 0]},
+                         "vm": [1, 1], "partition": [0, 0]},
     "to_backend_trt": {"codegen": [0, 0], "transform": [3, 3],
-                       "analysis": [10, 3], "vm": [1, 1],
-                       "partition": [1, 1]},
+                       "vm": [1, 1], "partition": [1, 1]},
     "serve": {"codegen": [0, 0], "transform": [4, 3],
-              "analysis": [10, 3], "vm": [1, 1], "partition": [1, 1]},
+              "vm": [1, 1], "partition": [1, 1]},
     # three batch sizes, one guarded engine: one build, two memory hits
     "engine_cache": {"hits": 2, "disk_hits": 0, "builds": 1, "stores": 0,
                      "stale": 0, "corrupt": 0, "size": 1},
@@ -151,7 +133,7 @@ def test_traffic_matches_the_seven_cache_baseline():
 STATE_SCRIPT = r"""
 import dataclasses, json
 import numpy as np
-from repro import fx, nn
+from repro import fx
 from repro.fx.state import TRANSFORM_CACHE
 from repro.models import resnet18, resnet50
 from repro.tensor import Tensor
@@ -182,8 +164,6 @@ model = resnet18().eval()
 gm = fx.symbolic_trace(model)
 out["state_tensors"] = len(state(gm))
 compiled = fx.compile(gm, (x,))
-out["fused_tensors"] = 2 * sum(isinstance(m, nn.Conv2d)
-                               for m in compiled.modules())
 out["cold"] = fx.cache_info()["transform"]
 fx.compile(fx.symbolic_trace(model), (x,))
 out["warm"] = fx.cache_info()["transform"]
@@ -244,14 +224,13 @@ def state_traffic():
 
 def test_compile_reads_each_tensor_once_and_stores_no_weights(state_traffic):
     out = state_traffic
-    # At most one read per array the compile ever held, and a few more
-    # when the scope re-validates on exit — however many times the
-    # pipeline hashed.  (15 reads per tensor at 580e887; the exact count
-    # is the next test's.)
-    budget = 2 * (out["state_tensors"] + out["fused_tensors"])
-    assert out["fused_tensors"] > 0
-    assert 0 < out["cold"]["state_reads"] <= budget
-    assert out["cold"]["state_reuses"] > out["cold"]["state_reads"]
+    # One read per tensor of the trace, for the key, plus the exit check of
+    # the two ``fc`` arrays no pass replaced; nothing else hashes the graph,
+    # so the scope never hands a digest out twice.  (15 reads per tensor at
+    # 580e887; more reuses than reads while the analysis cache re-hashed
+    # the graph to key its lookups.)
+    assert out["cold"]["state_reads"] == out["state_tensors"] + 2
+    assert "state_reuses" not in out["cold"]
     assert out["warm"]["hits"] > 0
 
     # ResNet-50: ~90 MB of state.  The eight stages are one run, so one
@@ -287,6 +266,52 @@ def test_cold_compile_reads_its_input_once_and_copies_only_survivors(
     # read on first demand and are kept with the entry's frozen arrays.
     assert out["warm_trt_read_bytes"] == out["model_bytes"]
     assert out["warm_vm_read_bytes"] == out["model_bytes"]
+
+
+MODEL_SCRIPT = r"""
+import json
+import numpy as np
+from repro import fx
+from repro.fx import Graph
+from repro.models import resnet50
+from repro.tensor import Tensor
+
+hashes = []
+structural_hash = Graph.structural_hash
+
+
+def counted_hash(self, *args, **kwargs):
+    hashes.append(1)
+    return structural_hash(self, *args, **kwargs)
+
+
+Graph.structural_hash = counted_hash
+np.random.seed(0)
+model = resnet50().eval()
+x = Tensor(np.random.randn(1, 3, 32, 32).astype(np.float32))
+fx.compile(model, (x,))
+print(json.dumps({
+    "hashes": len(hashes),
+    "read_bytes": fx.cache_info()["transform"]["state_read_bytes"],
+    "model_bytes": sum(t.data.nbytes for t in model.state_dict().values()),
+    "survivor_bytes": model.fc.weight.data.nbytes + model.fc.bias.data.nbytes,
+}))
+"""
+
+
+def test_cold_compile_of_a_model_reads_its_weights_once():
+    # ``fx.compile(model)`` gives its trace up: the passes run on it in
+    # place, over the model's own writeable arrays, so the state scope
+    # re-reads on exit every digest it handed out twice.  Only the
+    # transform key hashes the graph, so the only such digests are the two
+    # ``fc`` arrays the entry copied: the compile reads what
+    # ``fx.compile(trace)`` reads.  (195.4 MiB while the analysis cache
+    # hashed the graph twice more to key its lookups, which made every
+    # weight's digest a served one.)
+    out = _run(MODEL_SCRIPT)
+    assert out["read_bytes"] <= 106 * 2 ** 20
+    assert out["read_bytes"] == out["model_bytes"] + out["survivor_bytes"]
+    assert out["hashes"] == 1
 
 
 # -- bookkeeping of a structure-heavy compile, counted ---------------------------
@@ -353,10 +378,11 @@ x = repro.randn(4, 16)
 gm = fx.symbolic_trace(model)
 before = traffic()
 compiled = fx.compile(gm, (x,))
-compiled_at = traffic()
+compiled_at, compile_hashes = traffic(), counts["structural_hash"]
 y = compiled(x)
 called_at = traffic()
 out = dict(counts)
+out["compile_hashes"] = compile_hashes
 out["nodes"] = [len(gm.graph), len(compiled.graph)]
 out["compile"] = {s: compiled_at[s] - before[s] for s in before}
 out["first_call"] = {s: called_at[s] - compiled_at[s] for s in before}
@@ -375,10 +401,13 @@ def test_firings_buy_no_hashes_and_compile_generates_no_code():
     assert (few["firings"], many["firings"]) == (8, 16)
     assert few["stages"] == many["stages"] == 8
     # ... but a firing costs what it touches: the graph states it leaves
-    # behind are analysed directly, never hashed into the analysis cache
-    # (76 hashes with 4 baited blocks and 84 with 8 before this was so).
-    assert few["structural_hash"] == many["structural_hash"] <= 20
-    assert few["compile"]["analysis"] == many["compile"]["analysis"] <= 20
+    # behind are analysed directly, never hashed (76 hashes with 4 baited
+    # blocks and 84 with 8 when an analysis cache keyed every state).  The
+    # one hash is the transform key: the analysis cache's lookups cost two
+    # more until it went.
+    assert few["compile_hashes"] == many["compile_hashes"] == 1
+    # and the first call one more, the codegen key of the forward it runs
+    assert few["structural_hash"] == many["structural_hash"] == 2
     # one lookup: the stages are one run of the transform cache (five at
     # 517a305, one per cacheable stage)
     assert few["compile"]["transform"] == many["compile"]["transform"] == 1
@@ -389,4 +418,3 @@ def test_firings_buy_no_hashes_and_compile_generates_no_code():
         assert run["compile"]["codegen"] == 0
         assert run["first_call"]["codegen"] == 1
         assert run["codegen_misses"] == 1
-        assert run["first_call"]["analysis"] == 0

@@ -3,14 +3,14 @@
 Two bug classes are covered:
 
 * **cache races** — every memoised stage (``codegen``, ``transform``,
-  ``analysis``, ``vm``, ``partition``) goes through one
+  ``vm``, ``partition``) goes through one
   :class:`repro.fx.cache.ArtifactCache`, so its guarantees are checked
   once, parametrised over stages: N barrier-synchronised threads asking
   for one key produce exactly one miss, N-1 hits and one shared artifact
-  (without the single-flight all N miss and build; the pre-ArtifactCache
-  analysis cache had neither lock nor single-flight, and codegen and
-  transform documented a double compile), counters add up under a mixed
-  -key hammer (racing ``hits += 1`` loses updates without the lock), and
+  (without the single-flight all N miss and build; before ArtifactCache,
+  codegen and transform documented a double compile), counters add up
+  under a mixed-key hammer (racing ``hits += 1`` loses updates without
+  the lock), and
   every stage is bounded (the pre-ArtifactCache VM and partition memos
   grew without limit, pinning every compiled program).
 
@@ -41,8 +41,6 @@ from repro import nn
 from repro.fx import ArtifactCache, Graph, GraphModule, cache_info, \
     clear_caches, symbolic_trace
 from repro.fx import compile as fx_compile
-from repro.fx.analysis import Analysis, AnalysisContext, register_analysis
-from repro.fx.analysis import engine as engine_mod
 from repro.fx.backends import to_backend
 from repro.fx.concurrency import KeyedMutex
 from repro.fx.passes import Arena, ArenaSlot, FusedKernel, PassManager, \
@@ -128,20 +126,11 @@ def _slow_dce(gm):  # module level: a stable qualname makes it cacheable
     return eliminate_dead_code(gm)
 
 
-class _SlowAnalysis(Analysis):
-    name = "test-slow"
-
-    def compute(self, gm, ctx):
-        time.sleep(BUILD_S)
-        return len(gm.graph)
-
-
 #: One call = exactly one lookup of one key in the named stage.
 STAGE_OPS = {
     # code is generated on first use, once per module: a fresh copy each call
     "codegen": lambda gm: copy_module(gm).code,
     "transform": lambda gm: PassManager([_slow_dce]).run(gm),
-    "analysis": lambda gm: AnalysisContext(gm).get("test-slow"),
     "vm": compile_to_vm,
     # each caller gets its own module over the memo's one program
     "partition": lambda gm: to_backend(gm, "trt").program,
@@ -150,7 +139,7 @@ STAGE_OPS = {
 
 @pytest.fixture
 def slow_builds(monkeypatch):
-    """Make the codegen and analysis builds take ``BUILD_S`` too."""
+    """Make the codegen build take ``BUILD_S`` too."""
     python_code = Graph.python_code
 
     def slow_python_code(self, *args, **kwargs):
@@ -158,9 +147,6 @@ def slow_builds(monkeypatch):
         return python_code(self, *args, **kwargs)
 
     monkeypatch.setattr(Graph, "python_code", slow_python_code)
-    register_analysis(_SlowAnalysis)
-    yield
-    engine_mod._REGISTRY.pop(_SlowAnalysis.name)
 
 
 def _chain(depth):

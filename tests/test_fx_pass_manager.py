@@ -515,7 +515,7 @@ class TestStateSharing:
             def config_key(self):
                 return "meddling"
 
-            def before_pipeline(self, module, graph_hash=None):
+            def before_pipeline(self, module):
                 pass
 
             def after_pass(self, name, module):

@@ -83,9 +83,8 @@ def unsound_plan_memory(gm: GraphModule) -> None:
     for n in nodes:
         n.meta.pop("arena_slot", None)
 
-    alias = analyze(gm, ["alias"], cache=False).get("alias").view(graph)
-    extended_last = {n: alias.extended_last(n) for n in nodes}
-    escapes = alias.escaping_nodes
+    alias = analyze(gm, ["alias"]).get("alias")
+    extended_last, escapes = alias.extended_last, alias.escapes
 
     def plannable(n):
         return (n.op == "call_function" and isinstance(n.target, FusedKernel)
@@ -266,7 +265,6 @@ class TestPassManagerIntegration:
 
     def test_rejected_output_is_not_cached(self):
         clear_caches("transform")
-        clear_caches("analysis")
         a, c = repro.randn(6, 6), repro.randn(6, 6)
 
         def run_once():
@@ -286,7 +284,6 @@ class TestPassManagerIntegration:
 
     def test_cache_hit_adopts_stored_snapshot(self):
         clear_caches("transform")
-        clear_caches("analysis")
         x = repro.randn(4, 4)
 
         class M(nn.Module):
@@ -344,13 +341,13 @@ def _exhaustive_snapshot(verifier, gm):
     ``alias`` resolved up front and ``mutation`` computed from it whatever
     the graph holds, every registered rule run, the findings below
     ``min_severity`` filtered out afterwards."""
-    ctx = AnalysisContext(gm, cache=False)
+    ctx = AnalysisContext(gm)
     ctx._local["mutation"] = MutationHazardAnalysis().hazards(
-        gm, ctx.get("alias").view(gm.graph))
+        gm, ctx.get("alias"))
     report = lint_graph(gm, rules=verifier.rules, ctx=ctx)
     errors = Counter(d.fingerprint for d in report.diagnostics
                      if d.severity >= verifier.min_severity)
-    impure = impure_fingerprints(gm, ctx.get("purity")) \
+    impure = impure_fingerprints(ctx.get("purity")) \
         if verifier.check_effects else ()
     return (tuple(sorted(errors.items())), impure)
 
@@ -452,7 +449,7 @@ def _verdicts(gm, inputs) -> str:
     if inputs is not None:
         ShapeProp(gm).propagate(*inputs)
     nodes = list(gm.graph.nodes)
-    upcasts = AnalysisContext(gm, cache=False).get("dtype").upcasts
+    upcasts = AnalysisContext(gm).get("dtype").upcasts
     return "".join("a" if may_alias_input(n, gm) else "f" for n in nodes) + "|" \
         + "".join(str(list(Effect).index(classify_effect(n, gm))) for n in nodes) \
         + f"|{[u.node_index for u in upcasts]}"
@@ -484,9 +481,9 @@ class TestDemandDrivenVerdicts:
         analysis = MutationHazardAnalysis()
         hazardous = gated = 0
         for label, gm in _corpus():
-            ctx = AnalysisContext(gm, cache=False)
-            eager = analysis.hazards(gm, ctx.get("alias").view(gm.graph))
-            fresh = AnalysisContext(gm, cache=False)
+            ctx = AnalysisContext(gm)
+            eager = analysis.hazards(gm, ctx.get("alias"))
+            fresh = AnalysisContext(gm)
             assert fresh.get("mutation") == eager, label
             hazardous += bool(eager.hazards)
             if "alias" not in fresh._local:   # the gate skipped alias
@@ -515,7 +512,7 @@ class TestDemandDrivenVerdicts:
 
     def test_alias_not_computed_without_writer_or_slot(self):
         gm = symbolic_trace(TailReadModel())
-        ctx = AnalysisContext(gm, cache=False)
+        ctx = AnalysisContext(gm)
         PassVerifier().snapshot(gm, ctx=ctx)
         assert set(ctx._local) == {"mutation", "purity"}
 

@@ -260,9 +260,8 @@ def unsound_plan_memory(gm: GraphModule) -> None:
     nodes = list(graph.nodes)
     for n in nodes:
         n.meta.pop("arena_slot", None)
-    alias = analyze(gm, ["alias"], cache=False).get("alias").view(graph)
-    extended_last = {n: alias.extended_last(n) for n in nodes}
-    escapes = alias.escaping_nodes
+    alias = analyze(gm, ["alias"]).get("alias")
+    extended_last, escapes = alias.extended_last, alias.escapes
 
     def plannable(n):
         return (n.op == "call_function" and isinstance(n.target, FusedKernel)
