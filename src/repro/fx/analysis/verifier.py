@@ -88,7 +88,7 @@ class PassVerifier:
     rule registered below it cannot yield one at or above it
     (:func:`lint_graph` holds rules to their registered severity), so with
     the defaults a snapshot costs the two error rules plus ``purity``.
-    Every hook takes an optional ``ctx`` — an
+    :meth:`snapshot` takes an optional ``ctx`` — an
     :class:`~repro.fx.analysis.engine.AnalysisContext` over the same
     module — for callers that already analysed this graph state.
     """
@@ -145,14 +145,12 @@ class PassVerifier:
 
     # -- pipeline hooks ---------------------------------------------------
 
-    def before_pipeline(self, gm: GraphModule, *,
-                        ctx: Optional[AnalysisContext] = None) -> Snapshot:
+    def before_pipeline(self, gm: GraphModule) -> Snapshot:
         """Record the pipeline input's findings as the initial baseline."""
-        self._baseline = self.snapshot(gm, ctx=ctx)
+        self._baseline = self.snapshot(gm)
         return self._baseline
 
-    def after_pass(self, pass_name: str, gm: GraphModule, *,
-                   ctx: Optional[AnalysisContext] = None) -> Snapshot:
+    def after_pass(self, pass_name: str, gm: GraphModule) -> Snapshot:
         """Verify *gm* against the baseline; raise :class:`VerificationError`
         naming *pass_name* on a regression, else roll the baseline
         forward and return the new snapshot."""
@@ -162,7 +160,7 @@ class PassVerifier:
         base_errors = Counter(dict(self._baseline[0]))
         base_impure = Counter(self._baseline[1])
 
-        found, impure = self._lint(gm, ctx)
+        found, impure = self._lint(gm, None)
         cur_errors = Counter(d.fingerprint for d in found)
 
         introduced = cur_errors - base_errors

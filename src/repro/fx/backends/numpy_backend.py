@@ -1,7 +1,7 @@
 """The ``"numpy"`` backend: the §6.2 optimizing pipeline as a Backend.
 
 This is :func:`repro.fx.compile`'s engine room, relocated.  The stage
-list (shape-prop → DCE → CSE → const-fold → rules → conv-bn-fuse →
+list (shape-prop → DCE → CSE → const-fold → conv-bn-fuse →
 pointwise-fuse → memory-plan) lives here as the backend's *preferred
 passes*, so ``fx.compile`` is a thin adapter over
 :func:`~repro.fx.backends.to_backend` and any other caller gets the same
@@ -44,7 +44,6 @@ from ..passes import (
 from ..passes.memory_planner import plan_memory
 from ..passes.pointwise_fuser import fuse_pointwise
 from ..passes.shape_prop import ShapeProp
-from ..rules.engine import apply_default_rules
 from .base import Backend
 
 __all__ = ["NumpyBackend"]
@@ -67,9 +66,6 @@ class NumpyBackend(Backend):
             without them (generic cleanups still run).
         fuse: enable pointwise-region fusion.
         memory_planning: enable arena planning of fused intermediates.
-        rules: enable the declarative rewrite-rule stage (the bit-exact
-            ``repro.fx.rules`` stdlib, applied to fixpoint with a
-            per-firing verifier).
 
     The :class:`~repro.fx.passes.memory_planner.MemoryPlan`, if one was
     made, travels on the lowered module as ``memory_plan``.
@@ -80,12 +76,10 @@ class NumpyBackend(Backend):
     respects_effects = True  # same substrate as eager: mutation replays
 
     def __init__(self, example_inputs: Sequence = (), *,
-                 fuse: bool = True, memory_planning: bool = True,
-                 rules: bool = True):
+                 fuse: bool = True, memory_planning: bool = True):
         self.example_inputs = tuple(example_inputs)
         self.fuse = fuse
         self.memory_planning = memory_planning
-        self.rules = rules
 
     def is_node_supported(self, node: Node, modules) -> bool:
         # The Interpreter runs the full substrate; everything is fair game.
@@ -104,8 +98,6 @@ class NumpyBackend(Backend):
             ("cse", eliminate_common_subexpressions),
             ("const_fold", fold_constants),
         ]
-        if self.rules:
-            stages.append(("rules", apply_default_rules))
         if not gm.training:
             # fuse_conv_bn refuses training-mode modules (running stats
             # would diverge); skip it rather than fail the pipeline.

@@ -120,7 +120,6 @@ def compile(  # noqa: A001 - mirrors torch.compile
     example_inputs: Sequence = (),
     *,
     fuse: bool = True,
-    rules: bool = True,
     memory_planning: bool = True,
     lint: bool = False,
     cache: bool = True,
@@ -138,9 +137,6 @@ def compile(  # noqa: A001 - mirrors torch.compile
             dependent stages are skipped and only the generic cleanups
             (DCE, CSE, const-fold, conv-bn fold) run.
         fuse: enable pointwise-region fusion.
-        rules: apply the bit-exact declarative rewrite-rule stdlib
-            (:func:`repro.fx.rules.default_ruleset`) as an early cleanup
-            stage.
         memory_planning: enable arena planning of fused intermediates.
         lint: validate the IR after every pass (debugging aid).
         cache: use the shared transform cache for the pipeline.
@@ -171,7 +167,7 @@ def compile(  # noqa: A001 - mirrors torch.compile
         example_inputs = (example_inputs,)
     example_inputs = tuple(example_inputs)
 
-    backend = NumpyBackend(example_inputs, fuse=fuse, rules=rules,
+    backend = NumpyBackend(example_inputs, fuse=fuse,
                            memory_planning=memory_planning)
     with state_scope():   # one scope: the VM key reads what lowering read
         out = to_backend(module, backend, allow_fallback=True,

@@ -3,19 +3,18 @@
 The paper's case for a basic-block IR (§5.5, §6.3) is that an analysis
 needs no fixpoint — one forward sweep with a transfer function per op.
 This module holds those transfer functions, once, and the sweep.  An
-:class:`OpInfo` entry is found from a node through the spellings
-:class:`~repro.fx.rules.patterns.OpPattern` declares (``F.relu(x)`` /
-``x.relu()`` / ``nn.ReLU()(x)``; a module spelling is the call its
-``forward`` makes, the arguments read off the instance) and carries only
-what a consumer reads today:
+:class:`OpInfo` entry is found from a node through the spellings its
+:class:`OpPattern` declares (``F.relu(x)`` / ``x.relu()`` /
+``nn.ReLU()(x)``; a module spelling is the call its ``forward`` makes, the
+arguments read off the instance) and carries only what a consumer reads
+today:
 
 * ``shape`` — written once against a *dimension protocol*: a dim supports
   ``+ - * //`` and ``==``, the domain supplies ``unify(a, b, what)`` (the
   one dim both must be, or its error naming the constraint) and
-  ``int(dim, what)``.  Plain ``int`` (:class:`Domain`; ``ShapeProp``),
-  ``SymExpr`` (``SymbolicShapeProp``) and ``Dyn`` (``type_check``) are
-  three domains of the same rule body, so coverage and operand
-  constraints are one thing;
+  ``int(dim, what)``.  Plain ``int`` (:class:`Domain`; ``ShapeProp``) and
+  ``SymExpr`` (``SymbolicShapeProp``) are two domains of the same rule
+  body, so coverage and operand constraints are one thing;
 * ``dtype`` — the result dtype from the operand dtypes;
 * ``flops`` — a weight per output element, or a formula;
 * ``pointwise`` — the :class:`OpDef` kernel ``pointwise_fuser`` generates
@@ -28,7 +27,7 @@ what a consumer reads today:
 from a shape *value* (``x.shape``, ``x.size(0)``: the dims themselves).  A
 node the table cannot type (:class:`NoRule`) becomes what the domain's
 ``missing`` says: ``ShapeProp`` executes that node, the symbolic domain
-refuses, the gradual one answers ``Dyn``.
+refuses.
 
 ``python -m repro.fx.opinfo selftest`` checks every entry against eager.
 """
@@ -39,7 +38,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -51,10 +50,10 @@ from ..tensor import DType, Tensor, bool_, dtype_from_numpy, float32, float64, \
     int32, int64
 from .graph_module import GraphModule
 from .node import Node, map_arg
-from .rules.patterns import OpPattern, PatternIndex
 
 __all__ = ["CASTS", "DECLARED", "Domain", "INDEX", "NO_ENTRY", "NoRule", "OPAQUE",
-           "OpDef", "OpInfo", "ShapeError", "T", "TABLE", "bind", "entry_of",
+           "OpDef", "OpInfo", "OpPattern", "PatternIndex", "ShapeError", "T",
+           "TABLE", "bind", "entry_of",
            "has_tensor", "infer", "key_of", "map_tensors", "op", "pointwise",
            "pointwise_shape", "selftest", "sweep", "target_name", "unchanged_shape",
            "writes_state"]
@@ -87,11 +86,10 @@ _PLAIN = (int, float, str, slice, DType, type(None), type(Ellipsis))
 
 
 class Domain:
-    """The dimension protocol over plain ints.  The symbolic and gradual
-    domains override what differs."""
+    """The dimension protocol over plain ints.  The symbolic domain
+    overrides what differs."""
 
     error = ShapeError      # what a violated constraint raises
-    top = OPAQUE            # an operand that is this makes its user untypable
     dtyped = True           # are dtype rules run?
 
     def tensor(self, shape, dtype) -> T:
@@ -119,7 +117,7 @@ class Domain:
             return self.tensor(value.shape, value.dtype)
         if isinstance(value, (tuple, list)):
             return type(value)(self.lift(v) for v in value)
-        return value if isinstance(value, _PLAIN) else self.top
+        return value if isinstance(value, _PLAIN) else OPAQUE
 
 
 # -- entries ------------------------------------------------------------------
@@ -159,6 +157,62 @@ class OpDef:
             out[...] = ref(*arrays, **params)
 
         return emit_from_ref
+
+
+@dataclass(frozen=True)
+class OpPattern:
+    """All the spellings of one logical op.
+
+    Attributes:
+        key: the logical op name (what a match resolves to).
+        functions: ``call_function`` targets.
+        methods: ``call_method`` target names.
+        module_types: ``call_module`` submodule classes.
+        extract: optional ``(node, module_or_None) -> dict | None`` pulling
+            op parameters out of the call site; returning ``None`` vetoes
+            the match (e.g. an unsupported parameterization).
+    """
+
+    key: str
+    functions: tuple = ()
+    methods: tuple = ()
+    module_types: tuple = ()
+    extract: Optional[Callable[[Node, Any], Optional[dict]]] = None
+
+
+@dataclass
+class PatternIndex:
+    """Spelling -> :class:`OpPattern` in O(1): one table per opcode."""
+
+    _by_function: dict = field(default_factory=dict)
+    _by_method: dict = field(default_factory=dict)
+    _by_module_type: dict = field(default_factory=dict)
+
+    def add(self, pattern: OpPattern) -> None:
+        for f in pattern.functions:
+            self._by_function[f] = pattern
+        for m in pattern.methods:
+            self._by_method[m] = pattern
+        for t in pattern.module_types:
+            self._by_module_type[t] = pattern
+
+    def find(self, node: Node, module: Any = None) -> Optional[OpPattern]:
+        """The pattern *node* spells; *module* is the resolved target of a
+        ``call_module``.  A callable *instance* (a generated kernel) spells
+        what its class was registered as; a module, what the nearest class
+        in its MRO was."""
+        if node.op == "call_function":
+            try:
+                return self._by_function.get(node.target) \
+                    or self._by_function.get(type(node.target))
+            except TypeError:   # an unhashable target spells nothing
+                return None
+        if node.op == "call_method":
+            return self._by_method.get(node.target)
+        for cls in type(module).__mro__ if module is not None else ():
+            if cls in self._by_module_type:
+                return self._by_module_type[cls]
+        return None
 
 
 @dataclass(frozen=True)
@@ -302,7 +356,7 @@ def bind(gm: GraphModule, node: Node, value_of: Callable, dom: Domain) -> tuple:
                   for a in node.args])
     kwargs = map_arg(node.kwargs, value_of) if node.kwargs else {}
     leaves = _leaves((args, kwargs))
-    if any(v is dom.top for v in leaves):
+    if any(v is OPAQUE for v in leaves):   # an untypable operand
         raise NoRule(f"an operand of node {node.name!r} has no known shape")
     mod = gm.get_submodule(node.target) if node.op == "call_module" else None
     if isinstance(mod, GraphModule) or (
@@ -1089,7 +1143,6 @@ def selftest(keys=None) -> list[str]:
     from .passes.shape_prop import ShapeProp
     from .passes.symbolic_shape_prop import ShapeInferenceError, SymDim, SymShape, \
         SymbolicShapeProp
-    from .passes.type_check import TensorType, TypeCheckError, type_check
 
     failures: list[str] = []
 
@@ -1170,8 +1223,7 @@ def selftest(keys=None) -> list[str]:
         for error, run in (
                 (ShapeError, lambda: ShapeProp(gm).propagate(*_tensors(shapes, float32))),
                 (ShapeInferenceError,
-                 lambda: SymbolicShapeProp(gm).infer(*map(SymShape, shapes))),
-                (TypeCheckError, lambda: type_check(gm, list(map(TensorType, shapes))))):
+                 lambda: SymbolicShapeProp(gm).infer(*map(SymShape, shapes)))):
             try:
                 run()
                 failures.append(f"{target}{spec}: accepted, no {error.__name__}")

@@ -2,9 +2,9 @@
 
 Each submodule corresponds to a capability the paper evaluates or cites:
 
-* :mod:`.shape_prop` / :mod:`.symbolic_shape_prop` / :mod:`.type_check` —
-  shape analysis (§6.3) as three faces of one sweep over the op table
-  (:mod:`repro.fx.opinfo`): plain ints, symbolic dims, gradual dims;
+* :mod:`.shape_prop` / :mod:`.symbolic_shape_prop` — shape analysis
+  (§6.3) as two faces of one sweep over the op table
+  (:mod:`repro.fx.opinfo`): plain ints and symbolic dims;
 * :mod:`.graph_drawer` — Graphviz visualization (§6.3);
 * :mod:`.fuser` — Conv–BatchNorm fusion (§6.2.2);
 * :mod:`.cost_model` — FLOPs / bandwidth / size estimation (§6.3), priced
@@ -23,7 +23,7 @@ Each submodule corresponds to a capability the paper evaluates or cites:
 from . import const_fold, cost_model, cse, dce, fuser, graph_drawer, net_min
 from . import memory_planner, normalize, pass_manager, pointwise_fuser
 from . import profiler, scheduler, shape_prop
-from . import symbolic_shape_prop, type_check
+from . import symbolic_shape_prop
 from . import split_module as split_module_pass
 from .const_fold import fold_constants
 from .net_min import DivergenceReport, compare_outputs, find_first_divergence
@@ -34,10 +34,8 @@ from .pass_manager import (
     PassManagerResult,
     PassRecord,
     Specialized,
-    Unchanged,
 )
 from .profiler import NodeProfile, ProfileReport, ProfilingInterpreter, profile
-from .type_check import Dyn, TensorType, TypeCheckError, type_check as check_types
 from .symbolic_shape_prop import (
     ShapeInferenceError,
     SymbolicShapeProp,
@@ -98,17 +96,11 @@ __all__ = [
     "ProfileReport",
     "ProfilingInterpreter",
     "Specialized",
-    "Unchanged",
     "profile",
     "profiler",
     "pass_manager",
     "normalize",
     "normalize_args",
-    "Dyn",
-    "TensorType",
-    "TypeCheckError",
-    "check_types",
-    "type_check",
     "symbolic_shape_prop",
     "DeviceModel",
     "FxGraphDrawer",

@@ -8,20 +8,23 @@ into the convolution weights (Markuš, 2018):
     b' = (b - mean) * gamma / sqrt(var + eps) + beta
 
 This pass demonstrates the paper's point about needing *non-local program
-context and simultaneous code+state modification*: it pattern-matches
-adjacent ``call_module`` nodes in the Graph (code) and rewrites the conv's
-parameters (state) — both live together in the GraphModule.  The whole
-transform is well under the paper's quoted 150 lines.
+context and simultaneous code+state modification*: it is one loop over the
+Graph's ``call_module`` nodes (code), the shape of the paper's Fig. 7, and
+rewrites the conv's parameters (state) — both live together in the
+GraphModule.  The whole transform is well under the paper's quoted 150
+lines.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import numpy as np
 
 from ...nn import BatchNorm2d, Conv2d, Parameter
 from ..graph_module import GraphModule
+from ..node import Node
 from ..tracer import symbolic_trace
 
 __all__ = ["fuse_conv_bn", "fuse_conv_bn_weights"]
@@ -50,23 +53,19 @@ def fuse_conv_bn_weights(conv: Conv2d, bn: BatchNorm2d) -> Conv2d:
     return fused
 
 
-def fuse_conv_bn(model, inplace: bool = False) -> GraphModule:
-    """Fuse every ``Conv2d -> BatchNorm2d`` pair in *model*.
+def fuse_conv_bn(model) -> GraphModule:
+    """Fold every eval-mode ``Conv2d -> BatchNorm2d`` pair in *model*.
 
     *model* may be any Module (it is symbolically traced first) or an
-    existing GraphModule.  The BN node is removed from the graph, its
-    users are redirected to the (re-parameterized) conv node, and the dead
-    BN submodule is dropped from the hierarchy.
+    existing GraphModule, which is rewritten in place.  A pair folds when
+    the BN call's one input is a conv call whose only user is that BN;
+    the conv is re-parameterized, the BN's users read the conv, and the
+    dead BN submodule is dropped.  A conv module reached from another node
+    (a second call site, a ``get_attr`` of its weight) keeps its weights.
 
-    Only valid for inference: the model must be in ``eval()`` mode, since
-    training-mode BN uses batch statistics that cannot be folded ahead of
-    time.
-
-    Thin wrapper: the traversal and legality checks live in the
-    declarative :data:`repro.fx.rules.library.CONV_BN_RULE` (the
-    conv-feeds-only-the-BN guard is the matcher's escape rejection, the
-    eval-mode requirement is a rule precondition); only the weight-fold
-    math above is specific to this pass.
+    Only valid for inference: training-mode BN uses batch statistics that
+    cannot be folded ahead of time, so a training-mode *model* raises and
+    a training-mode BN or conv is left alone.
     """
     gm = model if isinstance(model, GraphModule) else symbolic_trace(model)
     if gm.training:
@@ -74,9 +73,33 @@ def fuse_conv_bn(model, inplace: bool = False) -> GraphModule:
             "conv-bn fusion requires eval mode; call model.eval() first "
             "(training-mode BN uses batch statistics)"
         )
-    from ..rules.library import conv_bn_ruleset
-
-    conv_bn_ruleset().apply(gm, verify=False)
+    modules = dict(gm.named_modules())
+    named = Counter(n.target if n.op == "call_module" else n.target.rpartition(".")[0]
+                    for n in gm.graph.nodes if n.op in ("call_module", "get_attr"))
+    folded = False
+    for node in list(gm.graph.nodes):
+        conv_node = node.args[0] if _one_arg_call(node) else None
+        if not _one_arg_call(conv_node) or len(conv_node.users) != 1 \
+                or named[conv_node.target] != 1:
+            continue
+        conv, bn = modules.get(conv_node.target), modules.get(node.target)
+        if not isinstance(conv, Conv2d) or not isinstance(bn, BatchNorm2d) \
+                or conv.training or bn.training \
+                or bn.running_mean is None or bn.running_var is None:
+            continue
+        fused = modules[conv_node.target] = fuse_conv_bn_weights(conv, bn)
+        prefix, _, leaf = conv_node.target.rpartition(".")
+        setattr(gm.get_submodule(prefix), leaf, fused)
+        node.replace_all_uses_with(conv_node)
+        gm.graph.erase_node(node)
+        folded = True
+    if folded:
+        gm.delete_all_unused_submodules()
     gm.graph.lint()
     gm.recompile()
     return gm
+
+
+def _one_arg_call(node) -> bool:
+    return isinstance(node, Node) and node.op == "call_module" \
+        and len(node.args) == 1 and not node.kwargs

@@ -26,8 +26,8 @@ run once and looks up a :class:`RunKey`: the passes' qualnames, the
 example-input signature of those that take example inputs
 (:class:`Specialized`), :meth:`Graph.structural_hash` of the module —
 state bytes, module hyper-parameters *and* the ``tensor_meta`` /
-``arena_slot`` its nodes carry, because rule preconditions, fusion and
-planning read them — and the lint / verifier configuration.  A miss
+``arena_slot`` its nodes carry, because fusion and planning read them —
+and the lint / verifier configuration.  A miss
 executes the passes with per-pass timing, lint and verification, then
 takes *one* :class:`~repro.fx.state.StateSnapshot` at the end of the run
 and no hash (a stretch that executes separates it from the next run and
@@ -74,7 +74,6 @@ __all__ = [
     "PassRecord",
     "RunKey",
     "Specialized",
-    "Unchanged",
     "format_records",
 ]
 
@@ -83,22 +82,6 @@ Pass = Callable[[GraphModule], Any]
 
 class PassError(RuntimeError):
     """A pass (or its post-pass lint) failed; names the offending pass."""
-
-
-class Unchanged:
-    """Wrapper a pass may return to certify it did not modify the module.
-
-    ``PassManager`` then skips the post-pass lint and verification for
-    that stage.  Only return this when *nothing* observable changed: graph
-    topology, node metadata, and module state all carry over as-is, so
-    every invariant established for the pass's input still holds for its
-    output.
-    """
-
-    __slots__ = ("graph_module",)
-
-    def __init__(self, graph_module: GraphModule):
-        self.graph_module = graph_module
 
 
 def _signature(value: Any) -> str:
@@ -233,8 +216,7 @@ class CacheEntry:
     Attributes:
         snapshot: the end state.
         stages: per pass ``(nodes_after, linted, verified)`` as they were
-            when the run executed (a stage that returned
-            :class:`Unchanged` was neither).
+            when the run executed.
         baseline: the verifier's baseline after the run, to ``adopt``.
     """
 
@@ -501,14 +483,9 @@ class PassManager:
                     f"pass {index} ({name!r}) failed on a graph with "
                     f"{nodes_before} nodes: {type(exc).__name__}: {exc}"
                 ) from exc
-            # ``Unchanged`` certifies a no-op: lint status and verifier
-            # baseline of the pass's input remain valid.
-            changed = not isinstance(out, Unchanged)
-            if not changed:
-                gm = out.graph_module
-            elif isinstance(out, GraphModule):
+            if isinstance(out, GraphModule):
                 gm = out
-            if changed and self.lint_after_each:
+            if self.lint_after_each:
                 try:
                     gm.graph.lint()
                 except Exception as exc:
@@ -519,13 +496,13 @@ class PassManager:
             # Verified before anything is stored: an output that regresses
             # an invariant must never be replayed.  The verifier's
             # exception propagates as-is — it already names the pass.
-            if changed and self.verifier is not None:
+            if self.verifier is not None:
                 self.verifier.after_pass(name, gm)
             now = time.perf_counter()
             records.append(PassRecord(
                 name, now - start, nodes_before, len(gm.graph),
-                linted=changed and self.lint_after_each,
-                verified=changed and self.verifier is not None))
+                linted=self.lint_after_each,
+                verified=self.verifier is not None))
             start = now
         return gm, records
 

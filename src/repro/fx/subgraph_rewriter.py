@@ -23,10 +23,6 @@ Matching semantics:
 * A **literal** in the pattern (``x * 1``) matches only the same literal
   of the same type: ``1`` does not match ``1.0`` or ``True``, and never
   matches a computed value.
-* :func:`any_module` is a pattern-only marker matching any ``call_module``
-  node whose submodule is an instance of the given class(es); matching
-  against module types requires passing the owning module's
-  ``named_modules()`` dict to the matcher.
 * Patterns may return a **tuple** — each element anchors one output node,
   so multi-output subgraphs (one producer feeding several consumers that
   all escape) can be matched and replaced as a unit.
@@ -52,21 +48,7 @@ from .graph_module import GraphModule
 from .node import Node, map_arg
 from .tracer import symbolic_trace
 
-__all__ = ["Match", "replace_pattern", "SubgraphMatcher", "any_module"]
-
-
-def any_module(module_type, *args, **kwargs):
-    """Pattern-only marker: matches any ``call_module`` node whose submodule
-    is an instance of *module_type* (a class or tuple of classes), with
-    *args*/*kwargs* matched against the call's arguments.
-
-    Only meaningful inside a pattern graph; calling it at runtime is an
-    error.
-    """
-    raise RuntimeError(
-        "any_module is a pattern-only marker and cannot be executed; "
-        "use it inside a pattern passed to SubgraphMatcher/replace_pattern"
-    )
+__all__ = ["Match", "replace_pattern", "SubgraphMatcher"]
 
 
 def _literal_eq(pa: Any, ga: Any) -> bool:
@@ -151,8 +133,6 @@ class SubgraphMatcher:
             self.pattern_anchors = [out_arg]
         else:
             raise ValueError("pattern output must be a Node or tuple of Nodes")
-        # Back-compat alias: the primary anchor.
-        self.pattern_anchor: Node = self.pattern_anchors[0]
         self.constraints = dict(constraints or {})
         known = {n.target for n in pattern.nodes if n.op == "placeholder"}
         unknown = set(self.constraints) - known
@@ -162,17 +142,14 @@ class SubgraphMatcher:
                 f"pattern has {sorted(known)}"
             )
         self.nodes_map: dict[Node, Any] = {}
-        self._modules: Optional[dict[str, Any]] = None
 
     # -- matching ---------------------------------------------------------
 
-    def matches_subgraph_from_anchor(self, anchor: Node,
-                                     modules: Optional[dict[str, Any]] = None) -> bool:
+    def matches_subgraph_from_anchor(self, anchor: Node) -> bool:
         """Try to match the pattern with its (first) output anchored at
         *anchor*.  For multi-output patterns the remaining outputs are
         searched for among nodes of *anchor*'s graph."""
         self.nodes_map = {}
-        self._modules = modules
         if not self._match_nodes(self.pattern_anchors[0], anchor):
             return False
         for extra in self.pattern_anchors[1:]:
@@ -216,34 +193,12 @@ class SubgraphMatcher:
             return True
         if not isinstance(gn, Node):
             return False
-        if pn.op == "call_function" and pn.target is any_module:
-            return self._match_any_module(pn, gn)
         if pn.op != gn.op or pn.target != gn.target:
             return False
         if len(pn.args) != len(gn.args) or set(pn.kwargs) != set(gn.kwargs):
             return False
         self.nodes_map[pn] = gn
         for pa, ga in zip(pn.args, gn.args):
-            if not self._match_arg(pa, ga):
-                return False
-        for key in pn.kwargs:
-            if not self._match_arg(pn.kwargs[key], gn.kwargs[key]):
-                return False
-        return True
-
-    def _match_any_module(self, pn: Node, gn: Node) -> bool:
-        if gn.op != "call_module":
-            return False
-        if self._modules is None:
-            return False  # no module context: cannot certify the type
-        mod = self._modules.get(gn.target)
-        cls = pn.args[0]
-        if mod is None or not isinstance(mod, cls):
-            return False
-        if len(pn.args) - 1 != len(gn.args) or set(pn.kwargs) != set(gn.kwargs):
-            return False
-        self.nodes_map[pn] = gn
-        for pa, ga in zip(pn.args[1:], gn.args):
             if not self._match_arg(pa, ga):
                 return False
         for key in pn.kwargs:
@@ -264,9 +219,8 @@ class SubgraphMatcher:
 
     # -- match collection -------------------------------------------------
 
-    def find_matches(self, graph: Graph,
-                     modules: Optional[dict[str, Any]] = None,
-                     *, overlap: str = "first") -> list[Match]:
+    def find_matches(self, graph: Graph, *,
+                     overlap: str = "first") -> list[Match]:
         """Collect non-overlapping matches across *graph*.
 
         Overlapping candidates are arbitrated by *overlap*:
@@ -282,7 +236,7 @@ class SubgraphMatcher:
         topo = {n: i for i, n in enumerate(graph.nodes)}
         candidates: list[Match] = []
         for node in list(graph.nodes):
-            if not self.matches_subgraph_from_anchor(node, modules):
+            if not self.matches_subgraph_from_anchor(node):
                 continue
             anchors = tuple(self.nodes_map[p] for p in self.pattern_anchors)
             m = Match(anchor=anchors[0], nodes_map=dict(self.nodes_map),
@@ -307,11 +261,10 @@ class SubgraphMatcher:
             claimed |= internal
         if overlap == "largest":
             accepted.sort(key=lambda m: topo.get(m.anchor, -1))
-        # Drop per-scan state: matchers outlive scans (rules cache them at
-        # module level), and leaving the last graph's bindings/modules dict
-        # on the instance would pin that whole GraphModule in memory.
+        # Drop per-scan state: a matcher may outlive its scan, and leaving
+        # the last graph's bindings on the instance would pin that whole
+        # GraphModule in memory.
         self.nodes_map = {}
-        self._modules = None
         return accepted
 
     def _interior_is_private(self, m: Match) -> bool:
@@ -353,7 +306,6 @@ def replace_pattern(
     *,
     constraints: Optional[dict[str, Callable[[Any], bool]]] = None,
     overlap: str = "first",
-    propagate_meta: bool = True,
 ) -> list[Match]:
     """Replace every non-overlapping occurrence of *pattern* in ``gm.graph``
     with *replacement*.
@@ -380,8 +332,7 @@ def replace_pattern(
         )
     _check_output_arity(matcher, replacement_graph)
 
-    modules = dict(gm.named_modules())
-    matches = matcher.find_matches(gm.graph, modules, overlap=overlap)
+    matches = matcher.find_matches(gm.graph, overlap=overlap)
 
     # Earlier rewrites can replace a node that a later match's wildcard
     # bound (its anchor becomes the replacement's output); chase through.
@@ -399,7 +350,6 @@ def replace_pattern(
             replacement_graph=replacement_graph,
             resolve=resolve,
             replaced=replaced,
-            propagate_meta=propagate_meta,
         )
 
     if matches:
@@ -424,20 +374,17 @@ def apply_match(
     *,
     pattern_placeholders: list[Node],
     replacement_graph: Graph,
-    resolve: Callable[[Any], Any] | None = None,
-    replaced: Optional[dict[Node, Any]] = None,
-    propagate_meta: bool = True,
-) -> list[Any]:
+    resolve: Callable[[Any], Any],
+    replaced: dict[Node, Any],
+) -> None:
     """Rewrite one :class:`Match` in place: splice a copy of
     *replacement_graph* (placeholders seeded from the match's bindings,
-    positionally) before the match, redirect each anchor's users to the
-    corresponding replacement output, and erase the matched interior.
+    positionally, through *resolve*) before the match, redirect each
+    anchor's users to the corresponding replacement output (recorded in
+    *replaced*), and erase the matched interior.
 
-    Does not recompile; callers batch that.  Returns the replacement
-    output values (one per anchor; each a Node or an immediate).
+    Does not recompile; the caller batches that.
     """
-    if resolve is None:
-        resolve = lambda v: v  # noqa: E731 - trivial default
     replacement_placeholders = [
         n for n in replacement_graph.nodes if n.op == "placeholder"]
     val_map: dict[Node, Any] = {}
@@ -455,23 +402,20 @@ def apply_match(
             f"{len(match.anchors)} anchor(s)"
         )
 
-    if propagate_meta:
-        _propagate_meta(gm, match, replacement_graph, val_map, outputs)
+    _propagate_meta(gm, match, replacement_graph, val_map, outputs)
 
     for anchor, new_val in zip(match.anchors, outputs):
         if isinstance(new_val, Node):
             anchor.replace_all_uses_with(new_val)
         else:
             _replace_uses_with_literal(anchor, new_val)
-        if replaced is not None:
-            replaced[anchor] = new_val
+        replaced[anchor] = new_val
 
     # Erase the matched interior, leaves-last.
     internal = match.internal_nodes()
     for g in sorted(internal, key=_topo_index(gm.graph), reverse=True):
         if not g.users:
             gm.graph.erase_node(g)
-    return outputs
 
 
 def _earliest(graph: Graph, anchors: tuple[Node, ...]) -> Node:

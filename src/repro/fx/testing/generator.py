@@ -192,9 +192,8 @@ def _generate_graph_program(spec: ProgramSpec) -> GeneratedProgram:
         input_shapes.append((BATCH, feat))
 
     kinds = ("unary_fn", "binary_fn", "kwargs_fn", "method", "module",
-             "get_attr", "cat", "chunk", "pointwise_chain", "deep_chain",
-             "rule_bait")
-    weights = (5, 4, 2, 3, 4, 2, 2, 2, 3, 1, 3)
+             "get_attr", "cat", "chunk", "pointwise_chain", "deep_chain")
+    weights = (5, 4, 2, 3, 4, 2, 2, 2, 3, 1)
 
     emitted = 0
     for i in range(spec.n_ops):
@@ -349,42 +348,6 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
                 saved.append(cur)
         values.append((cur, shape))
         return length
-
-    if kind == "rule_bait":
-        # Idioms the declarative rule stdlib rewrites (x * 1, double
-        # negation, transpose/reshape round-trips, duplicated clamps),
-        # spelled with the exact targets tracing produces so the patterns
-        # fire — bait for the oracle's bit-exact `rules` check.
-        idiom = rng.choice(("mul_one", "add_zero", "double_neg",
-                            "transpose_pair", "reshape_chain", "clamp_dup",
-                            "relu_relu"))
-        if idiom == "mul_one":
-            values.append((g.call_function(F.mul, (v, 1)), shape))
-            return 1
-        if idiom == "add_zero":
-            values.append((g.call_function(F.add, (v, 0)), shape))
-            return 1
-        if idiom == "double_neg":
-            n1 = g.call_function(F.neg, (v,))
-            values.append((g.call_function(F.neg, (n1,)), shape))
-            return 2
-        if idiom == "transpose_pair":
-            t1 = g.call_function(F.transpose, (v, 0, 1))
-            values.append((g.call_function(F.transpose, (t1, 0, 1)), shape))
-            return 2
-        if idiom == "reshape_chain":
-            mid = g.call_function(F.reshape, (v, (shape[0] * shape[-1],)))
-            values.append((g.call_function(F.reshape, (mid, shape)), shape))
-            return 2
-        if idiom == "clamp_dup":
-            lo = rng.choice((-1.0, -0.5))
-            hi = rng.choice((0.5, 1.0))
-            c1 = g.call_function(F.clamp, (v, lo, hi))
-            values.append((g.call_function(F.clamp, (c1, lo, hi)), shape))
-            return 2
-        n1 = g.call_function(F.relu, (v,))
-        values.append((g.call_function(F.relu, (n1,)), shape))
-        return 2
 
     if kind == "chunk":
         evens = [(n, s) for n, s in values if s[-1] % 2 == 0]

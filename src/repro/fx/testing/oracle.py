@@ -17,11 +17,7 @@ executes:
    post-pass ``graph.lint()`` validation *and* the analysis-backed
    :class:`~repro.fx.analysis.PassVerifier` enabled, so every fuzz
    iteration also exercises the managed pass driver, its transform
-   cache, and the between-pass invariant checks — plus the
-   **declarative rewrite-rule stdlib** (check ``rules``): the default
-   rule set applied under its per-firing verifier must lint clean and be
-   *bit-exact* against the reference (the generator seeds rule-triggering
-   idioms so firings actually happen); and
+   cache, and the between-pass invariant checks; and
 6. the full **optimizing compiler** (``repro.fx.compile``: pointwise
    fusion + memory planning, with its pass verifier on), called a second
    time on *other values of the same signature*: the second call reuses
@@ -242,7 +238,7 @@ _PIPELINE_ATOL = {"fuse": FOLD_ATOL}
 
 #: Every name ``run_oracle(only=)`` / ``fuzz --checks`` may select.
 CHECKS = ("lint", "analysis", "codegen", "interpreter", "retrace",
-          *PASS_PIPELINES, "rules", "compile", "recompile", "meta_carried",
+          *PASS_PIPELINES, "compile", "recompile", "meta_carried",
           "meta_inferred", "vm", "vm_compiled", "repaired", "backend_split",
           "quant_prepare", "quant_convert")
 
@@ -399,10 +395,6 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
         check_numeric(name, lambda t=transformed: t(*inputs),
                       _PIPELINE_ATOL.get(name, EXACT_ATOL), transformed=transformed)
 
-    # -- the declarative rewrite-rule stdlib, bit-exact by contract --------
-    if want("rules"):
-        _check_rules(report, gm, inputs, ref, scale)
-
     # -- the full optimizing compiler --------------------------------------
     if want("compile"):
         _check_compile(report, program, ref, localize)
@@ -524,39 +516,6 @@ def _check_vm_compiled(report: OracleReport, program: GeneratedProgram,
         error, err = _exc_summary(exc), 0.0
     report.outcomes.append(CheckOutcome("vm_compiled", error is None, error,
                                         max_err=err))
-
-
-def _check_rules(report: OracleReport, gm: GraphModule, inputs: tuple,
-                 ref: Any, scale: float) -> None:
-    """The default rule set advertises bit-exactness: applying the whole
-    stdlib (with the per-firing verifier on) must not move the output by
-    a single ulp, and the rewritten graph must lint clean.  The generator
-    seeds rule-triggering idioms (``x * 1``, double negation, transpose
-    pairs, …) so this check exercises real firings, not just no-ops."""
-    from ..rules import default_ruleset
-
-    try:
-        copy = copy_module(gm)
-        ShapeProp(copy).propagate(*inputs)
-        default_ruleset().apply(copy, verify=True)
-        copy.graph.lint()
-        out = copy(*inputs)
-        stale = _differs_from_reference(copy, inputs)
-    except Exception as exc:
-        report.outcomes.append(CheckOutcome("rules", False, _exc_summary(exc)))
-        return
-    err = max_abs_diff(ref, out)
-    if stale:
-        report.outcomes.append(CheckOutcome(
-            "rules", False, "tensor_meta after the rule rewrite is not what "
-            f"executing records on {', '.join(stale)}"))
-    elif err == 0.0:
-        report.outcomes.append(CheckOutcome("rules", True, max_err=err))
-    else:
-        report.outcomes.append(CheckOutcome(
-            "rules", False,
-            f"rule rewrite moved numerics by {err:.3g} "
-            "(the default rule set must be bit-exact)", max_err=err))
 
 
 def _check_compile(report: OracleReport, program: GeneratedProgram,

@@ -27,11 +27,8 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..fx import GraphModule, Node, symbolic_trace
-from ..fx.graph import Graph
 from ..fx.opinfo import key_of
-from ..fx.rules import RuleSet
-from ..fx.rules.rule import Rule, register
-from ..fx.subgraph_rewriter import any_module
+from ..fx.passes.fuser import _one_arg_call
 from ..nn import Conv2d, Linear, Module
 from .fake_quantize import FakeQuantize
 from .kernels import qrelu
@@ -216,11 +213,23 @@ def convert_fx(gm: GraphModule, mode: str = "fast") -> GraphModule:
             qdomain.add(node)
 
     # -- fuse Linear+ReLU pairs in the quantized domain ---------------------------
-    # Declarative: QUANT_LINEAR_RELU_RULE below.  The old hand-written loop's
-    # legality checks are now the matcher's interior-escape rejection (linear
-    # feeds only the relu) and the not-already-fused precondition.
-    quant_fusion_ruleset().apply(gm, verify=False)
-    modules = dict(gm.named_modules())
+    # A QuantizedReLU whose one input is a QuantizedLinear feeding only it.
+    # QuantizedLinearReLU subclasses QuantizedLinear; an already-fused linear
+    # makes a trailing ReLU redundant, but it is not this loop's to remove.
+    for node in list(graph.nodes):
+        lin_node = node.args[0] if _one_arg_call(node) else None
+        if not _one_arg_call(lin_node) or len(lin_node.users) != 1:
+            continue
+        lin = modules.get(lin_node.target)
+        if not isinstance(modules.get(node.target), QuantizedReLU) \
+                or not isinstance(lin, QuantizedLinear) \
+                or isinstance(lin, QuantizedLinearReLU):
+            continue
+        # QuantizedLinearReLU.forward is qrelu(QuantizedLinear.forward): exact
+        fused = modules[lin_node.target] = QuantizedLinearReLU.from_quantized_linear(lin)
+        _swap_module(gm, lin_node.target, fused)
+        node.replace_all_uses_with(lin_node)
+        graph.erase_node(node)
 
     # -- insert float/quantized boundaries ------------------------------------------
     quant_cache: dict[Node, Node] = {}
@@ -295,78 +304,6 @@ def _swap_module(gm: GraphModule, target: str, new_module: Module) -> None:
     prefix, _, leaf = target.rpartition(".")
     parent = gm.get_submodule(prefix)
     setattr(parent, leaf, new_module)
-
-
-# -- Linear+ReLU fusion as a declarative rule ---------------------------------
-
-
-def _build_qfuse_pattern() -> tuple[Graph, Node, Node]:
-    g = Graph()
-    x = g.placeholder("x")
-    lin = g.call_function(any_module, (QuantizedLinear, x))
-    relu = g.call_function(any_module, (QuantizedReLU, lin))
-    g.output(relu)
-    return g, lin, relu
-
-
-_QFUSE_PATTERN, _QLIN_PN, _QRELU_PN = _build_qfuse_pattern()
-
-
-def _not_already_fused(gm, match, ctx) -> bool:
-    # QuantizedLinearReLU subclasses QuantizedLinear, so any_module would
-    # happily re-match an already-fused module; its epilogue clamp makes a
-    # trailing QuantizedReLU redundant but not this rule's to remove.
-    lin = gm.get_submodule(match.nodes_map[_QLIN_PN].target)
-    return not isinstance(lin, QuantizedLinearReLU)
-
-
-def _rewrite_qlinear_relu(gm: GraphModule, match) -> Node:
-    lin_node = match.nodes_map[_QLIN_PN]
-    fused = QuantizedLinearReLU.from_quantized_linear(gm.get_submodule(lin_node.target))
-    _swap_module(gm, lin_node.target, fused)
-    # The re-typed linear node is the replacement value; the relu node is
-    # erased by the engine and its submodule garbage-collected.
-    return lin_node
-
-
-def _qfuse_example_factory():
-    # Built by hand (not traced): quantized modules operate on QTensors,
-    # which the tracer cannot proxy through — exactly how convert_fx
-    # produces such graphs in the first place.
-    import repro
-
-    root = Module()
-    root.quant = Quantize(0.04, 0)
-    root.lin = QuantizedLinear.from_float(
-        Linear(6, 4), default_qconfig.weight(), 0.05, 0, mode="reference")
-    root.relu = QuantizedReLU()
-    root.dequant = DeQuantize()
-
-    g = Graph()
-    x = g.placeholder("x")
-    qx = g.call_module("quant", (x,))
-    lin = g.call_module("lin", (qx,))
-    relu = g.call_module("relu", (lin,))
-    g.output(g.call_module("dequant", (relu,)))
-    return GraphModule(root, g), (repro.randn(2, 6),)
-
-
-QUANT_LINEAR_RELU_RULE = register(Rule(
-    name="quant_linear_relu_fuse",
-    pattern=_QFUSE_PATTERN,
-    rewrite=_rewrite_qlinear_relu,
-    preconditions=(_not_already_fused,),
-    example_factory=_qfuse_example_factory,
-    # QuantizedLinearReLU.forward is literally qrelu(QuantizedLinear.forward),
-    # so the fusion is bit-exact.
-    exact=True,
-    tags=("quant", "fusion", "modules"),
-    doc="Fuse QuantizedLinear -> QuantizedReLU into QuantizedLinearReLU.",
-))
-
-
-def quant_fusion_ruleset() -> RuleSet:
-    return RuleSet([QUANT_LINEAR_RELU_RULE], name="quant_fusion")
 
 
 def quantize_static(

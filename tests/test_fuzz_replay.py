@@ -26,6 +26,7 @@ from repro.fx.testing import (
 )
 from repro.fx.testing import fuzz as run_fuzz
 from repro.fx.testing.fuzz import main as fuzz_main
+from repro.fx.testing.oracle import validate_checks
 
 
 class TestReplayDeterminism:
@@ -126,6 +127,13 @@ class TestOracleAndMinimizer:
             fuzz_main(["--iters", "1", "--checks", "vm,vm_compild"])
         assert exit_.value.code == 2
         assert "vm_compild" in capsys.readouterr().err
+
+    def test_the_deleted_rules_check_is_an_unknown_name(self):
+        # the rule library and its check are gone: selecting it must fail
+        # loudly, not run zero checks
+        assert "rules" not in CHECKS
+        with pytest.raises(ValueError, match="unknown oracle checks \\['rules'\\]"):
+            validate_checks({"rules"})
 
     def test_a_cast_filed_as_fresh_is_caught(self, monkeypatch):
         """Mutant: the ``float`` entry declares no ``view``.  On a float32

@@ -80,8 +80,9 @@ print(json.dumps(out))
 #:
 #: * ``compile`` — 4/6 -> 1/1: the first compile is one miss that stores
 #:   one entry (it used to be six misses — five cacheable stages plus a
-#:   warm ``rules`` that returned ``Unchanged`` and was never stored), the
-#:   second is one hit (it used to hit four of nine stages).
+#:   warm rule-library stage that certified itself unchanged and was never
+#:   stored; that stage is gone), the second is one hit (it used to hit
+#:   four of nine stages).
 #: * ``compile_to_vm`` — no pass pipeline: unchanged deltas.
 #: * ``to_backend_numpy`` (no example inputs: five stages) — +8/+2 ->
 #:   +1/+1: the first lowering used to replay ``dce``/``cse``/
@@ -324,17 +325,17 @@ from repro import fx, nn
 from repro.fx import Graph
 from repro.fx.analysis import PassVerifier
 
-BAITED = int(sys.argv[1])
+EXTRA = int(sys.argv[1])
 
 
 class Block(nn.Module):
-    # One of each thing a cleanup pass exists for; *bait* adds two rule
-    # firings (relu(relu(t)), t * 1).
-    def __init__(self, width, bait):
+    # One of each thing a cleanup pass exists for; *extra* adds two ops
+    # no pass removes (relu(relu(t)), t * 1).
+    def __init__(self, width, extra):
         super().__init__()
         self.fc = nn.Linear(width, width)
         self.register_buffer("scale", repro.randn(width))
-        self.bait = bait
+        self.extra = extra
 
     def forward(self, x):
         h = self.fc(x)
@@ -343,12 +344,12 @@ class Block(nn.Module):
         dead = F.sigmoid(h) * 2.0  # noqa: F841
         k = F.tanh(self.scale) * 0.5 + 1.0
         t = F.maximum(a, b * 0.5)
-        if self.bait:
+        if self.extra:
             t = F.relu(F.relu(t)) * 1
         return F.tanh(t * k) + x
 
 
-counts = {"structural_hash": 0, "firings": 0, "stages": 0}
+counts = {"structural_hash": 0, "stages": 0}
 structural_hash, after_pass = Graph.structural_hash, PassVerifier.after_pass
 
 
@@ -358,7 +359,7 @@ def counted_hash(self, *args, **kwargs):
 
 
 def counted_after_pass(self, name, *args, **kwargs):
-    counts["firings" if name.startswith("rule:") else "stages"] += 1
+    counts["stages"] += 1
     return after_pass(self, name, *args, **kwargs)
 
 
@@ -373,7 +374,7 @@ def traffic():
 
 repro.manual_seed(0)
 model = nn.Sequential(
-    *[Block(16, bait=i < BAITED) for i in range(32)]).eval()
+    *[Block(16, extra=i < EXTRA) for i in range(32)]).eval()
 x = repro.randn(4, 16)
 gm = fx.symbolic_trace(model)
 before = traffic()
@@ -392,19 +393,18 @@ print(json.dumps(out))
 """
 
 
-def test_firings_buy_no_hashes_and_compile_generates_no_code():
+def test_a_compile_is_one_hash_and_generates_no_code():
     few, many = _run(WORK_SCRIPT, "4"), _run(WORK_SCRIPT, "8")
     assert few["exact"] and many["exact"]
-    # every firing is still verified on its own ... (eight stages: the
-    # ``shape_refresh`` that made nine re-stamped metadata every node-
-    # creating pass now carries forward itself)
-    assert (few["firings"], many["firings"]) == (8, 16)
-    assert few["stages"] == many["stages"] == 8
-    # ... but a firing costs what it touches: the graph states it leaves
-    # behind are analysed directly, never hashed (76 hashes with 4 baited
-    # blocks and 84 with 8 when an analysis cache keyed every state).  The
-    # one hash is the transform key: the analysis cache's lookups cost two
-    # more until it went.
+    # every stage is verified on its own (seven stages: the ``shape_refresh``
+    # that made nine re-stamped metadata every node-creating pass now
+    # carries forward itself, and the rule-library stage is gone) ...
+    assert few["stages"] == many["stages"] == 7
+    # ... and the graph states the stages leave behind are analysed
+    # directly, never hashed, however big the graph (76 hashes with 4
+    # extra blocks and 84 with 8 when an analysis cache keyed every
+    # state).  The one hash is the transform key: the analysis cache's
+    # lookups cost two more until it went.
     assert few["compile_hashes"] == many["compile_hashes"] == 1
     # and the first call one more, the codegen key of the forward it runs
     assert few["structural_hash"] == many["structural_hash"] == 2
@@ -412,7 +412,7 @@ def test_firings_buy_no_hashes_and_compile_generates_no_code():
     # 517a305, one per cacheable stage)
     assert few["compile"]["transform"] == many["compile"]["transform"] == 1
     for run in (few, many):
-        # ~500 -> 98 nodes through nine stages without generating source
+        # ~500 -> 98 nodes through seven stages without generating source
         # once; the first call generates the one forward that runs.
         assert run["nodes"][0] > 450 and run["nodes"][1] < 120
         assert run["compile"]["codegen"] == 0

@@ -1,6 +1,6 @@
 """The op table (``repro.fx.opinfo``): one set of per-op rules behind
-``ShapeProp``, ``SymbolicShapeProp``, ``type_check``, the cost model and the
-rewriter's metadata inference — and a shape stage that runs no kernel."""
+``ShapeProp``, ``SymbolicShapeProp``, the cost model and the rewriter's
+metadata inference — and a shape stage that runs no kernel."""
 
 import operator
 
@@ -15,7 +15,7 @@ from repro.fx.analysis.guards import derive_guards
 from repro.fx.backends import NumpyBackend, to_backend
 from repro.fx.passes import ShapeProp, estimate
 from repro.fx.passes.symbolic_shape_prop import SymbolicShapeProp, SymDim, SymShape
-from repro.fx.passes.type_check import Dyn, TensorType, type_check
+from repro.fx.subgraph_rewriter import replace_pattern
 from repro.fx.testing.oracle import reference_meta
 from repro.models import (
     DLRM, MLP, ConvBNReLU, DeepRecommender, LearningToPaintActor, NeuralRenderer,
@@ -179,15 +179,14 @@ def test_static_guards_name_the_target_without_an_entry():
     assert "no entry for topk at node 'topk'" in guards.describe()
 
 
-# -- shapes agree with eager in all three domains --------------------------------
+# -- shapes agree with eager in both domains --------------------------------
 
-def test_matrix_times_vector_in_all_three_domains():
+def test_matrix_times_vector_in_both_domains():
     gm = symbolic_trace(lambda a, b: a @ b)
     assert tuple(F.matmul(repro.randn(3, 4), repro.randn(4)).shape) == (3,)
     assert ShapeProp(gm).propagate(repro.randn(3, 4), repro.randn(4)).shape == (3,)
     assert SymbolicShapeProp(gm).infer(SymShape((N, 4)), SymShape((4,)))[1] == \
         SymShape((N,))
-    assert type_check(gm, [TensorType([Dyn, 4]), TensorType([4])]) == TensorType([Dyn])
 
 
 def test_indexing_a_tensor_is_not_indexing_its_shape():
@@ -199,7 +198,6 @@ def test_indexing_a_tensor_is_not_indexing_its_shape():
     assert ShapeProp(dim).propagate(x) == 5
     assert SymbolicShapeProp(row).infer(SymShape((N, 4)))[1] == SymShape((4,))
     assert SymbolicShapeProp(dim).infer(SymShape((N, 4)))[1] == N
-    assert type_check(row, [TensorType([Dyn, 4])]) == TensorType([4])
 
 
 def test_a_value_dependent_index_is_executed_not_guessed():
@@ -264,16 +262,19 @@ def test_the_shape_stage_of_a_compile_runs_no_kernel(kernel_calls):
 
 
 def test_a_rule_firing_infers_the_metadata_a_fresh_propagation_would(kernel_calls):
-    from repro.fx.rules import default_ruleset
-
     def bait(x, w, b):
         return F.relu(F.relu(F.matmul(x * 1, w) + b)).transpose(0, 1).transpose(0, 1)
 
     gm = symbolic_trace(bait)
     inputs = (repro.randn(4, 8), repro.randn(8, 3), repro.randn(3))
     ShapeProp(gm).propagate(*inputs)
-    report = default_ruleset().apply(gm, verify=True)
-    assert report.total_firings >= 3 and kernel_calls["matmul"] == 0
+    for pattern, replacement in [
+            (lambda x: x * 1, lambda x: x),
+            (lambda x, w, b: F.matmul(x, w) + b, lambda x, w, b: F.addmm(b, x, w)),
+            (lambda x: F.relu(F.relu(x)), lambda x: F.relu(x)),
+            (lambda x: x.transpose(0, 1).transpose(0, 1), lambda x: x)]:
+        assert len(replace_pattern(gm, pattern, replacement)) == 1
+    assert kernel_calls["matmul"] == 0
     carried = [n.meta.get("tensor_meta") for n in gm.graph.nodes]
     assert any(n.target is F.addmm for n in gm.graph.nodes)
     ShapeProp(gm).propagate(*inputs)

@@ -169,6 +169,71 @@ class TestConvBNFusion:
         with pytest.raises(AttributeError):
             gm.get_submodule("bn")
 
+    @staticmethod
+    def _conv_bn(**bn_kwargs):
+        repro.manual_seed(0)
+        m = nn.Sequential(nn.Conv2d(3, 8, 3, padding=1),
+                          nn.BatchNorm2d(8, **bn_kwargs)).eval()
+        if m[1].running_mean is not None:
+            m[1].running_mean.data[:] = np.linspace(-0.5, 0.5, 8, dtype=np.float32)
+            m[1].running_var.data[:] = np.linspace(0.5, 2.0, 8, dtype=np.float32)
+        return m
+
+    @staticmethod
+    def _bns(gm):
+        modules = dict(gm.named_modules())
+        return sum(isinstance(modules.get(n.target), nn.BatchNorm2d)
+                   for n in gm.graph.nodes if n.op == "call_module")
+
+    def test_fold_is_the_weight_fold(self):
+        m = self._conv_bn()
+        x = repro.randn(2, 3, 8, 8)
+        expected = fuse_conv_bn_weights(m[0], m[1])(x)
+        gm = fuse_conv_bn(symbolic_trace(m))
+        assert self._bns(gm) == 0 and len(gm.graph) == 3
+        assert np.array_equal(gm(x).data, expected.data)
+
+    def test_training_mode_bn_or_conv_is_left_alone(self):
+        for train in (lambda m: m[1].train(), lambda m: m[0].train()):
+            m = self._conv_bn()
+            train(m)
+            assert self._bns(fuse_conv_bn(symbolic_trace(m))) == 1
+
+    def test_bn_without_running_stats_is_left_alone(self):
+        m = self._conv_bn(track_running_stats=False)
+        assert self._bns(fuse_conv_bn(symbolic_trace(m))) == 1
+
+    def test_two_bns_in_a_row_both_fold_into_the_conv(self):
+        m = self._conv_bn()
+        m.add_module("bn2", nn.BatchNorm2d(8).eval())
+        m.bn2.running_var.data[:] = 4.0
+        x = repro.randn(2, 3, 8, 8)
+        gm = fuse_conv_bn(symbolic_trace(m))
+        assert self._bns(gm) == 0
+        assert np.allclose(gm(x).data, m(x).data, atol=1e-5)
+
+    @pytest.mark.parametrize("other_use", ["call", "get_attr"])
+    def test_a_conv_used_elsewhere_keeps_its_weights(self, other_use):
+        # folding re-parameterizes the conv *module*: a second call site, or
+        # a read of its weight, would see the fold too
+        class Shared(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.conv = nn.Conv2d(3, 3, 3, padding=1)
+                self.bn = nn.BatchNorm2d(3)
+
+            def forward(self, x):
+                other = self.conv(x) if other_use == "call" \
+                    else (x.mean() * self.conv.bias).sum()
+                return self.bn(self.conv(x)) + other
+
+        m = Shared().eval()
+        m.bn.running_var.data[:] = 2.0
+        x = repro.randn(1, 3, 5, 5)
+        gm = fuse_conv_bn(symbolic_trace(m))
+        assert self._bns(gm) == 1
+        assert np.array_equal(gm(x).data, m(x).data)
+
 
 class TestCSE:
     def test_duplicate_functions_merged(self):

@@ -375,48 +375,6 @@ class TestMetadataPropagation:
         assert new[0].meta.get("stack_trace")
 
 
-class TestAnyModulePatterns:
-    def _model(self):
-        class M(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.act = nn.ReLU()
-
-            def forward(self, x):
-                return self.act(x) + 1.0
-
-        return symbolic_trace(M())
-
-    def _pattern(self, cls):
-        from repro.fx import Graph
-        from repro.fx.subgraph_rewriter import any_module
-        g = Graph()
-        x = g.placeholder("x")
-        g.output(g.call_function(any_module, (cls, x)))
-        return g
-
-    def test_matches_by_module_type(self):
-        from repro.fx.subgraph_rewriter import SubgraphMatcher
-        gm = self._model()
-        matcher = SubgraphMatcher(self._pattern(nn.ReLU))
-        assert len(matcher.find_matches(gm.graph,
-                                        dict(gm.named_modules()))) == 1
-
-    def test_wrong_type_or_missing_modules_no_match(self):
-        from repro.fx.subgraph_rewriter import SubgraphMatcher
-        gm = self._model()
-        assert SubgraphMatcher(self._pattern(nn.Tanh)).find_matches(
-            gm.graph, dict(gm.named_modules())) == []
-        # without a module dict the type cannot be certified
-        assert SubgraphMatcher(self._pattern(nn.ReLU)).find_matches(
-            gm.graph) == []
-
-    def test_any_module_raises_at_runtime(self):
-        from repro.fx.subgraph_rewriter import any_module
-        with pytest.raises(RuntimeError, match="pattern-only"):
-            any_module(nn.ReLU, repro.randn(2))
-
-
 class TestOverlapPolicies:
     def _nested(self):
         # relu(relu(x)): the 2-relu pattern and the 1-relu pattern overlap.
@@ -447,9 +405,9 @@ class TestOverlapPolicies:
 
 class TestMatcherLifetime:
     def test_find_matches_releases_target_graph(self):
-        # Rules cache matchers at module level; a matcher that keeps its
-        # last scan's bindings or modules dict would pin every matched
-        # GraphModule (100MB for a ResNet) in memory forever.
+        # A matcher kept at module level that keeps its last scan's
+        # bindings would pin every matched GraphModule (100MB for a
+        # ResNet) in memory forever.
         import gc
         import weakref
         from repro.fx.subgraph_rewriter import SubgraphMatcher
@@ -457,7 +415,7 @@ class TestMatcherLifetime:
         pat = symbolic_trace(lambda v: repro.relu(v)).graph
         matcher = SubgraphMatcher(pat)
         gm = symbolic_trace(nn.Sequential(nn.ReLU(), nn.Linear(4, 4)))
-        matches = matcher.find_matches(gm.graph, dict(gm.named_modules()))
+        matches = matcher.find_matches(gm.graph)
         ref = weakref.ref(gm)
         del gm, matches
         gc.collect()
@@ -473,4 +431,4 @@ class TestMatcherLifetime:
         ref = weakref.ref(gm)
         del gm
         gc.collect()
-        assert ref() is None, "conv-bn rule retained the fused module"
+        assert ref() is None, "conv-bn fold retained the fused module"

@@ -143,6 +143,91 @@ class TestConvert:
         qm.graph.lint()
 
 
+class TestLinearReLUFusion:
+    """``convert_fx`` fuses a ``QuantizedReLU`` into the ``QuantizedLinear``
+    feeding only it; an already-fused linear and a linear with a second
+    user are left alone."""
+
+    @staticmethod
+    def _fused(gm):
+        from repro.quant import QuantizedLinearReLU
+
+        return sum(isinstance(m, QuantizedLinearReLU) for m in gm.modules())
+
+    @staticmethod
+    def _hand_built(lin_cls):
+        # what convert_fx produces, built without it: quantized modules run
+        # on QTensors, which the tracer cannot proxy through
+        from repro.fx import Graph, GraphModule
+        from repro.quant import QuantizedLinearReLU
+
+        repro.manual_seed(0)
+        root = nn.Module()
+        root.quant = Quantize(0.04, 0)
+        root.lin = QuantizedLinear.from_float(
+            nn.Linear(6, 4), default_qconfig.weight(), 0.05, 0, mode="reference")
+        if lin_cls is QuantizedLinearReLU:
+            root.lin = QuantizedLinearReLU.from_quantized_linear(root.lin)
+        root.relu = QuantizedReLU()
+        root.dequant = DeQuantize()
+        g = Graph()
+        lin = g.call_module("lin", (g.call_module("quant", (g.placeholder("x"),)),))
+        g.output(g.call_module("dequant", (g.call_module("relu", (lin,)),)))
+        return GraphModule(root, g)
+
+    def test_linear_relu_pair_fuses(self):
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.lin = nn.Linear(6, 4)
+                self.relu = nn.ReLU()
+
+            def forward(self, x):
+                return self.relu(self.lin(x))
+
+        repro.manual_seed(0)
+        m = M().eval()
+        x = repro.randn(8, 6)
+        q = quantize_static(m, [(x,)])
+        assert self._fused(q) == 1
+        assert not any(isinstance(mod, QuantizedReLU) for mod in q.modules())
+        assert float(np.abs(q(x).data - m(x).data).max()) < 0.25
+
+    def test_fusion_is_bit_exact(self):
+        gm = self._hand_built(QuantizedLinear)
+        x = repro.randn(2, 6)
+        ref = gm(x)
+        convert_fx(gm)
+        assert self._fused(gm) == 1 and len(gm.graph) == 5
+        assert np.array_equal(gm(x).data, ref.data)
+
+    def test_an_already_fused_linear_keeps_its_relu(self):
+        from repro.quant import QuantizedLinearReLU
+
+        gm = convert_fx(self._hand_built(QuantizedLinearReLU))
+        assert self._fused(gm) == 1
+        assert any(isinstance(mod, QuantizedReLU) for mod in gm.modules())
+
+    def test_a_linear_with_a_second_user_is_not_fused(self):
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.lin = nn.Linear(6, 4)
+                self.relu = nn.ReLU()
+
+            def forward(self, x):
+                h = self.lin(x)
+                return self.relu(h) + h
+
+        repro.manual_seed(0)
+        m = M().eval()
+        x = repro.randn(8, 6)
+        q = quantize_static(m, [(x,)])
+        assert self._fused(q) == 0
+        assert any(isinstance(mod, QuantizedReLU) for mod in q.modules())
+        assert float(np.abs(q(x).data - m(x).data).max()) < 0.25
+
+
 class TestUnsupportedOpsStayFloat:
     def test_selu_gets_dequant_quant_sandwich(self):
         repro.manual_seed(0)
