@@ -7,8 +7,9 @@ workloads:
     single fused kernel writing through two registers);
   * ResNet-50 (conv-dominated: fusion covers the add+relu block tails,
     the win is bounded by matmul/conv time);
-  * DeepRecommender (Linear+SELU stacks: singleton activations sit below
-    ``min_region_size``, so compile() must at least not regress).
+  * DeepRecommender (Linear+SELU stacks: each Linear and the SELU after
+    it fuse into one kernel, its GEMM writing the kernel's buffer; the
+    Linears dominate, so compile() must at least not regress).
 
 Alongside latency we count **tensor materializations per forward** — every
 eager elementwise op wraps a freshly allocated result buffer, while a fused

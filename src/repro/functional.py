@@ -163,9 +163,9 @@ def sign(a):
 
 @dispatchable
 def erf(a):
-    if isinstance(a, Tensor):
-        return a.erf()
-    return Tensor(np.asarray(a)).erf()
+    if not isinstance(a, Tensor):   # an ndarray keeps its dtype
+        a = Tensor._wrap(a) if isinstance(a, np.ndarray) else Tensor(np.asarray(a))
+    return a.erf()
 
 
 @dispatchable

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 from ..graph_module import GraphModule
 from ..node import Node
+from ..opinfo import TABLE
 from .alias import AliasResult
 from .engine import Analysis, AnalysisContext, register_analysis
 from .purity import is_inplace_method
@@ -50,12 +51,14 @@ def fused_out_clobbers(node: Node, dead: Node,
                        may_alias: Callable[[Node], bool]) -> bool:
     """Would routing *node*'s ``out`` into *dead*'s buffer corrupt *node*?
 
-    Emit steps of a fused kernel tolerate ``out`` aliasing their own
-    operands, but that guarantee is per step: a multi-step kernel first
-    writes buffer 0 at some step ``w`` and may read an input again at a
-    later step ``r``.  If *dead*'s storage is readable through input
-    ``i`` (directly or via a view) and ``last_read(i) > first_write(out)``,
-    the early write would clobber data a later step still needs.
+    Alias-safe emit steps of a fused kernel tolerate ``out`` aliasing
+    their own operands, but that guarantee is per step: a multi-step
+    kernel first writes buffer 0 at some step ``w`` and may read an input
+    again at a later step ``r``.  If *dead*'s storage is readable through
+    input ``i`` (directly or via a view) and ``last_read(i) > w``, the
+    early write would clobber data a later step still needs.  A step that
+    is not alias-safe (a GEMM) clobbers what it reads itself, so for it
+    ``last_read(i) >= w`` is enough.
 
     This predicate is shared by :func:`~repro.fx.passes.memory_planner.plan_memory`
     (to *avoid* the reuse) and :class:`MutationHazardAnalysis` (to
@@ -65,8 +68,11 @@ def fused_out_clobbers(node: Node, dead: Node,
     first_write = next(
         (j for j, st in enumerate(spec.steps) if st.out_buf == 0),
         len(spec.steps))
-    if first_write >= len(spec.steps) - 1:
-        return False  # result buffer only written by the final step
+    # 1 when the first writer may read what it overwrites, else 0
+    safe = first_write == len(spec.steps) \
+        or TABLE[spec.steps[first_write].key].kernel.alias_safe
+    if first_write + safe >= len(spec.steps):
+        return False  # result buffer only written by the final, alias-safe step
     # Forward alias closure: every node whose value may share storage
     # with `dead` (dead itself plus transitive view-producing users).
     closure = {dead}
@@ -84,7 +90,7 @@ def fused_out_clobbers(node: Node, dead: Node,
             (j for j, st in enumerate(spec.steps)
              if ("i", pos) in st.operands),
             default=-1)
-        if last_read > first_write:
+        if last_read >= first_write + safe:
             return True
     return False
 

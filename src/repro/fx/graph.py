@@ -10,7 +10,9 @@ ecosystem.
 from __future__ import annotations
 
 import builtins
+import collections
 import hashlib
+import itertools
 import keyword
 import marshal
 import operator
@@ -803,14 +805,31 @@ class Graph:
                 return add_global(str(hint), a)
             return repr(a)
 
-        def module_expr(target: str) -> str:
-            expr = root_module
+        def module_expr(target: str, expr: str = root_module) -> str:
             for atom in target.split("."):
                 if atom.isidentifier() and not keyword.iskeyword(atom):
                     expr += f".{atom}"
                 else:
                     expr = f"getattr({expr}, {atom!r})"
             return expr
+
+        # A module path two get_attr targets pass through is walked once per
+        # call, into a local, at its first use: each step of a walk is a
+        # Module.__getattr__ (a fused Linear reads its weight and its bias).
+        shared = collections.Counter(
+            prefix for node in self.nodes if node.op == "get_attr"
+            for prefix in itertools.accumulate(node.target.split(".")[:-1],
+                                               lambda a, b: f"{a}.{b}"))
+        walked: dict[str, str] = {}
+
+        def attr_expr(target: str) -> str:
+            parent, _, leaf = target.rpartition(".")
+            if shared[parent] < 2:
+                return module_expr(target)
+            if parent not in walked:
+                walked[parent] = local = globals_ns.create_name(f"_{parent}")
+                body.append(f"{local} = {attr_expr(parent)}\n")
+            return module_expr(leaf, walked[parent])
 
         def call_args(node: Node, skip_first: bool = False) -> str:
             args = node.args[1:] if skip_first else node.args
@@ -830,7 +849,7 @@ class Graph:
                     body.append(f"{node.name} = {node.target.lstrip('*')}\n")
                 continue
             if node.op == "get_attr":
-                body.append(f"{node.name} = {module_expr(node.target)}{delete_unused(node)}\n")
+                body.append(f"{node.name} = {attr_expr(node.target)}{delete_unused(node)}\n")
                 continue
             if node.op == "call_module":
                 body.append(

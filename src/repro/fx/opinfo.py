@@ -17,8 +17,8 @@ today:
   body, so coverage and operand constraints are one thing;
 * ``dtype`` — the result dtype from the operand dtypes;
 * ``flops`` — a weight per output element, or a formula;
-* ``pointwise`` — the :class:`OpDef` kernel ``pointwise_fuser`` generates
-  code from;
+* ``kernel`` — the :class:`OpDef` ``pointwise_fuser`` generates code from:
+  every elementwise op, and ``linear``, whose GEMM can open a fused region;
 * ``view`` / ``writes`` — what the call does to memory and state, read by
   alias analysis, purity (so DCE and CSE), constant folding and the fuzz
   generator, none of which keeps an op list of its own.
@@ -125,7 +125,8 @@ class Domain:
 
 @dataclass(frozen=True)
 class OpDef:
-    """The kernel of one fusible pointwise operation.
+    """The kernel of one op a fused region can hold: an elementwise op, or
+    a contraction whose result the region's pointwise tail consumes.
 
     Attributes:
         key: registry name (stable; stored in ``FusedSpec``).
@@ -135,10 +136,11 @@ class OpDef:
         params: declared immediate parameters as ``(name, default)`` pairs
             (bound from remaining positional args, then kwargs).
         emit: ``emit(out, *arrays, **params) -> None`` — writes the result
-            into ``out``; must tolerate ``out`` aliasing any operand.
-            Defaults to ``out[...] = ref(...)``.
+            into ``out``.  Defaults to ``out[...] = ref(...)``.
         validate: optional predicate on the bound params dict; binding
             fails when it returns False.
+        alias_safe: ``emit`` tolerates ``out`` aliasing any operand.  A
+            GEMM does not: it writes ``out`` while it still reads its input.
     """
 
     key: str
@@ -147,6 +149,7 @@ class OpDef:
     params: tuple = ()
     emit: Optional[Callable] = None
     validate: Optional[Callable[[dict], bool]] = None
+    alias_safe: bool = True
 
     def emit_fn(self) -> Callable:
         if self.emit is not None:
@@ -227,7 +230,7 @@ class OpInfo(OpPattern):
         dtype: ``dtype(*operands, **kwargs)``: one ``DType``, or a list
             parallel to ``shape``'s tuple.
         flops: per output element, or ``flops(numel, *operands, **kwargs)``.
-        pointwise: the :class:`OpDef` of an elementwise op.
+        kernel: the :class:`OpDef` a fused region runs the op with.
         view: the result may share storage with an operand (a view, a cast
             or identity that can return its operand).
         writes: ``writes(*operands, **kwargs)``, truthy when the call writes
@@ -237,7 +240,7 @@ class OpInfo(OpPattern):
     shape: Optional[Callable] = None
     dtype: Optional[Callable] = None
     flops: Any = 0
-    pointwise: Optional[OpDef] = None
+    kernel: Optional[OpDef] = None
     view: bool = False
     writes: Optional[Callable] = None
 
@@ -249,7 +252,7 @@ INDEX = PatternIndex()
 
 def op(key: str, shape: Callable, dtype: Optional[Callable] = None, *, flops: Any = 0,
        functions=(), methods=(), modules=None, extract=None,
-       pointwise: Optional[OpDef] = None, view: bool = False,
+       kernel: Optional[OpDef] = None, view: bool = False,
        writes: Optional[Callable] = None) -> OpInfo:
     """Declare one op.  *modules* maps a leaf-module type to the names of
     the attributes its ``forward`` hands its function, which become
@@ -265,7 +268,7 @@ def op(key: str, shape: Callable, dtype: Optional[Callable] = None, *, flops: An
 
     entry = TABLE[key] = OpInfo(
         key, tuple(functions), tuple(methods), tuple(modules),
-        extract or (bound if modules else None), shape, dtype, flops, pointwise,
+        extract or (bound if modules else None), shape, dtype, flops, kernel,
         view, writes)
     INDEX.add(entry)
     return entry
@@ -732,19 +735,15 @@ def pointwise(opdef: OpDef, *, flops: int = 1, functions=(), methods=(),
     """Declare a fusible elementwise op: ``pointwise_fuser`` generates code
     from *opdef*; shape, dtype and one cost per key come with it."""
     return op(opdef.key, pointwise_shape, _probe(opdef.ref), flops=flops,
-              functions=functions, methods=methods, modules=modules, pointwise=opdef)
+              functions=functions, methods=methods, modules=modules, kernel=opdef)
 
 
 def _eager(fn: Callable) -> Callable:
     """The eager implementation itself as a kernel's ``ref`` (ndarrays in,
-    ndarray out): nothing to keep bit-identical by hand."""
+    ndarray out): nothing to keep bit-identical by hand.  Eager unwraps
+    what it is given, so an ndarray goes in as it is, wrapped in no Tensor."""
     impl = fn.__wrapped_impl__      # past the tracing dispatch: no Proxy gets here
-
-    def ref(*operands, **params):
-        return impl(*[Tensor._wrap(v) if isinstance(v, np.ndarray) else v
-                      for v in operands], **params).data
-
-    return ref
+    return lambda *operands, **params: impl(*operands, **params).data
 
 
 def _ref_add(a, b, alpha=1):
@@ -760,6 +759,13 @@ def _emit_add(out, a, b, alpha=1):
         # The alpha-scaled operand needs its own temporary: writing it
         # into `out` first would corrupt `a` when they alias.
         np.add(a, np.multiply(b, alpha), out=out)
+
+
+def _emit_linear(out, x, weight, bias=None):
+    # eager's ``matmul(x, weight.T) + bias``, streamed into ``out``
+    np.matmul(x, weight.T, out=out)
+    if bias is not None:
+        np.add(out, bias, out=out)
 
 
 def _emit_rsqrt(out, a):
@@ -783,6 +789,7 @@ def _populate_pointwise() -> None:
     def ufunc(uf):
         def emit(out, *arrays, **params):
             uf(*arrays, out=out, **params)
+        emit.ufunc = uf     # what a fused kernel calls in its place
         return emit
 
     # -- arithmetic ---------------------------------------------------------
@@ -904,8 +911,10 @@ def _populate() -> None:
     op("addmm", lambda d, bias, a, b: _broadcast(d, bias.shape, _matmul(d, a, b)),
        _promote, flops=lambda n, bias, a, b: 2 * n * a.shape[-1] + n,
        functions=(F.addmm,))
+    # the GEMM opens a fused region; it writes ``out`` while reading ``x``
     op("linear", _linear, _promote, flops=contraction, functions=(F.linear,),
-       modules={nn.Linear: ("weight", "bias")})
+       modules={nn.Linear: ("weight", "bias")},
+       kernel=OpDef("linear", 3, _eager(F.linear), emit=_emit_linear, alias_safe=False))
     conv = ("weight", "bias", "stride", "padding", "dilation", "groups")
     op("conv2d", _conv2d, _same, flops=windowed, functions=(F.conv2d,),
        modules={nn.Conv2d: conv})
@@ -1134,9 +1143,12 @@ def selftest(keys=None) -> list[str]:
     declares fresh returns nothing that shares memory with an operand; one
     whose entry ``writes`` nothing leaves its operands, the module's tensors
     and the global RNG as they were, and one that ``writes`` changes them.  A
-    broken constraint raises each domain's typed error.  Every public
-    ``repro.functional`` function and ``nn`` leaf module has an entry or a
-    line in :data:`NO_ENTRY`."""
+    broken constraint raises each domain's typed error.  A kernel's ``emit``
+    into an empty buffer equals eager bit for bit on the float samples, also
+    with its first operand non-contiguous; a Linear-rooted fused kernel's
+    shape and cost follow its steps.  Every public ``repro.functional``
+    function and ``nn`` leaf module has an entry or a line in
+    :data:`NO_ENTRY`."""
     from ..tensor.creation import get_rng
     from .analysis import may_alias_input
     from .interpreter import Interpreter
@@ -1155,7 +1167,21 @@ def selftest(keys=None) -> list[str]:
         return [t.data.tobytes() for t in (*inputs, *gm.state_dict().values())] \
             + [get_rng().bit_generator.state]
 
-    def check(label: str, target: Any, spec: tuple) -> bool:
+    def emits(label: str, kernel: OpDef, spec: tuple, inputs: list, want) -> None:
+        kwargs = spec[-1] if isinstance(spec[-1], dict) else {}
+        feed = iter(inputs)
+        args = [next(feed).data if isinstance(v, X) else v
+                for v in (spec[:-1] if kwargs else spec)]
+        kwargs = {**dict(zip([n for n, _ in kernel.params], args[kernel.arity:])), **kwargs}
+        for first in [args[0]] + [np.repeat(args[0], 2, -1)[..., ::2]] * bool(np.ndim(args[0])):
+            out = np.empty_like(want.data)
+            with np.errstate(all="ignore"):
+                kernel.emit_fn()(out, first, *args[1:kernel.arity], **kwargs)
+            if not np.array_equal(out, want.data, equal_nan=True):
+                failures.append(f"{label} {spec}: emit differs from eager "
+                                f"(first operand contiguous: {first is args[0]})")
+
+    def check(label: str, target: Any, spec: tuple, kernel: Optional[OpDef] = None) -> bool:
         """False when eager rejects the call under every dtype."""
         gm, shapes = _call_graph(target, spec)
         call = list(gm.graph.nodes)[-2]
@@ -1177,6 +1203,8 @@ def selftest(keys=None) -> list[str]:
                              for out in _leaves([real]) if isinstance(out, Tensor)):
                 failures.append(f"{label} {spec} {dtype}: declared fresh by "
                                 f"may_alias_input, shares memory with an operand")
+            if kernel is not None and dtype.is_floating_point:
+                emits(label, kernel, spec, inputs, real)
             prop = ShapeProp(gm)
             got = _facts(prop.propagate(*inputs))
             if prop.fallbacks:
@@ -1201,18 +1229,34 @@ def selftest(keys=None) -> list[str]:
     for key, entry in TABLE.items():
         if keys is not None and key not in keys:
             continue
-        binary = entry.shape is pointwise_shape and getattr(entry.pointwise, "arity", 2) == 2
+        binary = entry.shape is pointwise_shape and getattr(entry.kernel, "arity", 2) == 2
         specs = _SAMPLES.get(key) or (_BINARY if binary else _UNARY)
         for target in (*entry.functions, *entry.methods):
             if isinstance(target, type):    # stands for its instances (FusedKernel)
                 continue
             label = f"{key} as {getattr(target, '__name__', target)}"
-            if not [spec for spec in specs if check(label, target, spec)]:
+            if not [spec for spec in specs if check(label, target, spec, entry.kernel)]:
                 failures.append(f"{label}: eager accepts none of its samples")
         for cls in entry.module_types:
             ctor, shape = _MODULE_SAMPLES.get(cls, ((), X(B, 3)))
             if not check(f"{key} as nn.{cls.__name__}", cls(*ctor), (shape,)):
                 failures.append(f"{key} as nn.{cls.__name__}: eager rejects its sample")
+    if keys is None or "fused_kernel" in keys:
+        # a kernel a Linear opens: its result is not the broadcast of its
+        # (out, in) weight, and it costs what its unfused steps cost
+        from .graph import Graph
+        from .passes.cost_model import estimate
+        from .passes.pointwise_fuser import fuse_pointwise
+        graph, sample = Graph(), (X(B, 3), X(4, 3), X(4))
+        linear = graph.call_function(F.linear, tuple(map(graph.placeholder, "xwb")))
+        graph.output(graph.call_function(F.relu, (linear,)))
+        gm, inputs = GraphModule(nn.Module(), graph), _tensors([(B, 3), (4, 3), (4,)], float32)
+        unfused = estimate(gm, *inputs).total_flops
+        fuse_pointwise(gm)
+        check("fused_kernel opened by linear", list(gm.graph.nodes)[-2].target, sample)
+        if estimate(gm, *inputs).total_flops != unfused:
+            failures.append(f"fused_kernel opened by linear: {estimate(gm, *inputs).total_flops}"
+                            f" flops, its steps unfused {unfused}")
     if keys is not None:
         return failures
 

@@ -93,7 +93,6 @@ def fold_constants(gm: GraphModule) -> int:
         before = len(gm.graph)
         gm.graph.eliminate_dead_code()
         removed = before - len(gm.graph)
-        gm.graph.lint()
         gm.recompile()
         gm.delete_all_unused_submodules()
     return removed

@@ -95,7 +95,6 @@ def fuse_conv_bn(model) -> GraphModule:
         folded = True
     if folded:
         gm.delete_all_unused_submodules()
-    gm.graph.lint()
     gm.recompile()
     return gm
 

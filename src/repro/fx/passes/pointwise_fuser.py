@@ -7,11 +7,18 @@ op, allocating a fresh output array per intermediate.  For chains of
 dispatches and N temporaries when one pass over the data would do.  This
 pass finds maximal single-consumer regions of pointwise
 ``call_function`` / ``call_method`` / ``call_module`` nodes — drawn from
-the pointwise entries of the op table (:mod:`repro.fx.opinfo`) — and replaces each
-region with a single ``call_function`` node targeting a
-:class:`FusedKernel`: a compiled Python function that evaluates the whole
-expression in raw numpy with ``out=`` / in-place updates, so the region
-produces one output buffer instead of N temporaries.
+the entries of the op table (:mod:`repro.fx.opinfo`) that declare a
+kernel — and replaces each region with a single ``call_function`` node
+targeting a :class:`FusedKernel`: a compiled Python function that
+evaluates the whole expression in raw numpy with ``out=`` / in-place
+updates, so the region produces one output buffer instead of N
+temporaries.
+
+A region may also open with a contraction (§6.2's producer + epilogue):
+a ``Linear`` / ``F.linear`` whose output only the region reads.  Its GEMM
+writes straight into a kernel buffer and the pointwise tail runs in place
+after it.  What the GEMM reads — its input, and the weight and bias
+through ``get_attr`` at their own paths — are kernel inputs.
 
 Safety rules:
 
@@ -28,17 +35,22 @@ Safety rules:
   stale metadata) falls back to a generic evaluator built from the same
   registry's reference implementations, so a ``FusedKernel`` is a total
   function — never wrong, merely slower off the fast path.
-* **Aliasing**: every ``emit`` function must tolerate ``out`` aliasing
-  any of its operands.  Direct ufuncs stream element-by-element (safe by
-  construction); composite ops use the evaluate-then-assign pattern
-  (``out[...] = <full expression>``).  This is what lets the internal
-  register allocator reuse a dying operand's buffer as the destination
-  of the *same step*.  The guarantee is strictly per step: across a
-  multi-step kernel the result buffer may be written early and an input
-  read later, so the downstream
+* **Aliasing**: a pointwise ``emit`` tolerates ``out`` aliasing any of
+  its operands (``OpDef.alias_safe``, the default).  Direct ufuncs stream
+  element-by-element (safe by construction); composite ops use the
+  evaluate-then-assign pattern (``out[...] = <full expression>``).  This
+  is what lets the internal register allocator reuse a dying operand's
+  buffer as the destination of the *same step*.  A GEMM is not
+  alias-safe: each output row reads a whole input row, so streaming into
+  its input would corrupt what it has not read yet (numpy's ``matmul``
+  copies an overlapping input first instead).  The allocator never gives
+  such a step its own operand's buffer.  Every guarantee is per step:
+  across a multi-step kernel the result buffer may be written early and
+  an input read later, so the downstream
   :mod:`~repro.fx.passes.memory_planner` consults the step schedule
-  (first write of buffer 0 vs. last read of each input) before routing
-  ``out`` into a dying operand's slot.
+  (first write of buffer 0 vs. last read of each input, the same step
+  included when it is not alias-safe) before routing ``out`` into a dying
+  operand's slot.
 
 Extending the registry::
 
@@ -58,17 +70,17 @@ inference and the cost model know the op from the same declaration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import numpy as np
 
 from ...tensor import Tensor
 from .. import opinfo
-from ..graph_module import GraphModule
+from ..graph_module import _CODEGEN_CACHE, GraphModule
 from ..node import Node
 from ..opinfo import OpDef
-from .shape_prop import TensorMetadata
+from .shape_prop import TensorMetadata, extract_tensor_metadata
 
 __all__ = [
     "FusedKernel",
@@ -85,7 +97,7 @@ __all__ = [
 # registry: the pointwise entries of the op table
 # ---------------------------------------------------------------------------
 
-#: key -> table entry (``.pointwise`` is the OpDef) and spelling -> entry;
+#: key -> table entry (``.kernel`` is the OpDef) and spelling -> entry;
 #: the fuser reads the one table everything else reads.
 _REGISTRY = opinfo.TABLE
 _PATTERN_INDEX = opinfo.INDEX
@@ -107,8 +119,8 @@ def register_pointwise_op(opdef: OpDef, functions: tuple = (),
 
 def pointwise_registry() -> dict[str, OpDef]:
     """A copy of the current key -> OpDef registry."""
-    return {key: entry.pointwise for key, entry in _REGISTRY.items()
-            if entry.pointwise is not None}
+    return {key: entry.kernel for key, entry in _REGISTRY.items()
+            if entry.kernel is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +161,6 @@ class FusedSpec:
     n_buffers: int
     guard: tuple
     steps: tuple
-
-
-def _as_array(v: Any) -> np.ndarray:
-    return v.data if isinstance(v, Tensor) else np.asarray(v)
 
 
 def _acquire(out: Any, shape: tuple, dtype: np.dtype) -> np.ndarray:
@@ -196,7 +204,7 @@ def _run_generic(steps: tuple, arrays: list) -> np.ndarray:
                 ops.append(bufs[v])
             else:
                 ops.append(v)
-        bufs[st.out_buf] = np.asarray(_REGISTRY[st.key].pointwise.ref(*ops, **dict(st.params)))
+        bufs[st.out_buf] = np.asarray(_REGISTRY[st.key].kernel.ref(*ops, **dict(st.params)))
     return bufs[0]
 
 
@@ -207,18 +215,19 @@ def _const_repr(v: Any) -> str:
 
 
 def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
-    """Build the fast-path source and its globals table for *spec*."""
+    """Build the fast-path source of *spec*'s body (its name is not read)
+    and its globals table."""
     xs = [f"x{i}" for i in range(spec.n_inputs)]
     out_dtype = np.dtype(spec.dtype)
     globals_: dict[str, Any] = {
-        "_np": np, "_as_array": _as_array, "_acquire": _acquire,
+        "_np": np, "_T": Tensor, "_acquire": _acquire,
         "_wrap": Tensor._wrap, "_run_generic": _run_generic,
         "_steps": spec.steps, "_odt": out_dtype,
     }
-    lines = [f"def {spec.name}({', '.join(xs)}, *, out=None):"]
+    lines = [f"def fused({', '.join(xs)}, *, out=None):"]
     guard_terms = []
     for i, (shape, dtype_name) in enumerate(spec.guard):
-        lines.append(f"    a{i} = _as_array(x{i})")
+        lines.append(f"    a{i} = x{i}.data if isinstance(x{i}, _T) else _np.asarray(x{i})")
         globals_[f"_idt{i}"] = np.dtype(dtype_name)
         guard_terms.append(f"a{i}.shape == {tuple(shape)!r} and a{i}.dtype == _idt{i}")
     lines.append(f"    if {' and '.join(guard_terms) or 'True'}:")
@@ -227,16 +236,26 @@ def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
         lines.append(f"        b{k} = _np.empty({tuple(spec.shape)!r}, _odt)")
     for j, st in enumerate(spec.steps):
         emit_name = f"_k_{st.key}"
-        globals_[emit_name] = _REGISTRY[st.key].pointwise.emit_fn()
+        emit = globals_[emit_name] = _REGISTRY[st.key].kernel.emit_fn()
         parts = [f"b{st.out_buf}"]
         for tag, v in st.operands:
             parts.append(f"a{v}" if tag == "i" else f"b{v}" if tag == "b"
                          else _const_repr(v))
         parts += [f"{name}={_const_repr(v)}" for name, v in st.params]
+        if hasattr(emit, "ufunc"):      # the ufunc itself: one call frame less
+            globals_[emit_name] = emit.ufunc
+            parts = [*parts[1:], f"out={parts[0]}"]
         lines.append(f"        {emit_name}({', '.join(parts)})")
     lines.append("        return _wrap(b0)")
     lines.append(f"    return _wrap(_run_generic(_steps, [{', '.join('a%d' % i for i in range(spec.n_inputs))}]))")
     return "\n".join(lines) + "\n", globals_
+
+
+def _compile_body(spec: FusedSpec) -> tuple:
+    """A codegen-cache entry: ``(source, function, globals, filename)``."""
+    source, namespace = _generate_source(spec)
+    exec(compile(source, "<fused-kernel>", "exec"), namespace)
+    return source, namespace["fused"], namespace, "<fused-kernel>"
 
 
 class FusedKernel:
@@ -245,15 +264,16 @@ class FusedKernel:
     ``kernel(*inputs, out=None)`` returns a Tensor; ``out`` may be an
     arena slot, ndarray or Tensor to receive the result (see
     :mod:`~repro.fx.passes.memory_planner`).  The instance pickles by its
-    :class:`FusedSpec` and regenerates its code on load.
+    :class:`FusedSpec`.  Kernels with one body — a spec that differs only
+    in its name — share one generated function through the ``codegen``
+    cache stage.
     """
 
     def __init__(self, spec: FusedSpec):
         self.spec = spec
-        self.source, ns = _generate_source(spec)
-        code = compile(self.source, f"<fused-kernel {spec.name}>", "exec")
-        exec(code, ns)
-        self._fn = ns[spec.name]
+        body = repr(replace(spec, name=""))   # repr: 1, 1.0 and True differ
+        self.source, self._fn, _, _ = _CODEGEN_CACHE.get_or_build(
+            ("fused-kernel", body), lambda: _compile_body(spec))
         # Codegen derives the node name from __name__ and the globals-table
         # name from __module__'s tail; keeping them distinct ("fused_" +
         # name) stops the generated local from shadowing the global.
@@ -288,14 +308,33 @@ def _kernel_dtype(*operands, kernel: FusedKernel):
     return out.dtype
 
 
-#: A fused region is an op like any other: the broadcast of its inputs, the
-#: dtype its kernel computes, the summed cost of its steps.
+def _steps_over(d, operands: tuple, kernel: FusedKernel) -> list:
+    """``(entry, operands, result)`` of each step of *kernel* over the
+    domain *d*: the spec read with each step's own shape rule, so a GEMM's
+    result is not the broadcast of its ``(out, in)`` weight."""
+    bufs, steps = {}, []
+    for st in kernel.spec.steps:
+        entry = _REGISTRY[st.key]
+        args = [operands[v] if tag == "i" else bufs[v] if tag == "b" else v
+                for tag, v in st.operands]
+        bufs[st.out_buf] = opinfo.T(entry.shape(d, *args, **dict(st.params)))
+        steps.append((entry, args, bufs[st.out_buf]))
+    return steps
+
+
+def _kernel_flops(numel, *operands, kernel: FusedKernel) -> int:
+    # a contraction step charges its own rule: 2·K per element
+    return sum(entry.flops(numel, *args) if callable(entry.flops) else numel * entry.flops
+               for entry, args, _ in _steps_over(opinfo.Domain(), operands, kernel))
+
+
+#: A fused region is an op like any other: the shape its last step
+#: computes, the dtype its kernel computes, the summed cost of its steps.
 opinfo.op(
-    "fused_kernel", lambda d, *operands, kernel: opinfo.pointwise_shape(d, *operands),
+    "fused_kernel",
+    lambda d, *operands, kernel: list(_steps_over(d, operands, kernel)[-1][2].shape),
     _kernel_dtype, functions=(FusedKernel,),
-    extract=lambda node, mod: {"kernel": node.target},
-    flops=lambda numel, *operands, kernel:
-        numel * sum(_REGISTRY[s.key].flops for s in kernel.spec.steps))
+    extract=lambda node, mod: {"kernel": node.target}, flops=_kernel_flops)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +342,20 @@ opinfo.op(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _Attr:
+    """A module tensor a kernel takes as an operand, by its path."""
+
+    path: str
+    value: Tensor
+
+
 @dataclass
 class _Match:
     key: str
-    operands: tuple          # Node | immediate scalar, in kernel order
+    operands: tuple          # Node | _Attr | immediate scalar, in kernel order
     params: tuple = ()       # ((name, value), ...) in OpDef order
+    contraction: bool = False   # not elementwise: opens a region, never seeds one
 
     @property
     def node_operands(self) -> list[Node]:
@@ -319,7 +367,7 @@ def _bind(opdef: OpDef, args: tuple, kwargs: dict) -> Optional[_Match]:
         return None
     operands = args[:opdef.arity]
     for a in operands:
-        if not isinstance(a, (Node, int, float, bool)):
+        if not isinstance(a, (Node, _Attr, int, float, bool, type(None))):
             return None
     extras = args[opdef.arity:]
     pnames = [n for n, _ in opdef.params]
@@ -351,14 +399,28 @@ def _match_node(node: Node, gm: GraphModule) -> Optional[_Match]:
         except AttributeError:
             return None
     entry = _PATTERN_INDEX.find(node, mod)
-    if entry is None or entry.pointwise is None:
+    opdef = None if entry is None else entry.kernel
+    if opdef is None:
         return None
-    if mod is None:
-        # function/method spelling: `self` is the first tensor operand and
-        # immediates come straight from the call site.
-        return _bind(entry.pointwise, node.args, node.kwargs)
-    params = entry.extract(node, mod)
-    return None if params is None else _bind(entry.pointwise, node.args, params)
+    # function/method spelling: `self` is the first tensor operand and
+    # immediates come straight from the call site.
+    args, kwargs = node.args, node.kwargs
+    if mod is not None:
+        kwargs = entry.extract(node, mod)
+        if kwargs is None:
+            return None
+        # what forward reads off the instance and the kernel takes as no
+        # parameter is an operand: a Linear's weight and bias
+        declared = dict(opdef.params)
+        args += tuple(_Attr(f"{node.target}.{name}", v) if isinstance(v, Tensor) else v
+                      for name, v in kwargs.items() if name not in declared)
+        kwargs = {k: v for k, v in kwargs.items() if k in declared}
+    # a trailing operand left out is None (``F.linear(x, w)``); one passed
+    # by keyword is no declared parameter, so binding refuses it
+    m = _bind(opdef, (*args, *[None] * (opdef.arity - len(args))), kwargs)
+    if m is not None:
+        m.contraction = entry.shape is not opinfo.pointwise_shape
+    return m
 
 
 def _leaf_meta(node: Node) -> Optional[TensorMetadata]:
@@ -400,16 +462,19 @@ def _build_spec(name: str, members: list[Node], region: set[Node],
             else:
                 encoded.append(("c", a))
         # Operands dying at this step free their buffers *before* the
-        # destination is chosen: emit functions are alias-safe, so the
-        # result may stream into a consumed operand's buffer.
-        for a in {a for a in m.node_operands
-                  if a in buf_of and last_use.get(a) == j}:
-            free.append(buf_of[a])
+        # destination is chosen when the step is alias-safe, so its result
+        # may stream into a consumed operand's buffer; after, when not.
+        dying = [buf_of[a] for a in dict.fromkeys(m.node_operands)
+                 if a in buf_of and last_use.get(a) == j]
+        if _REGISTRY[m.key].kernel.alias_safe:
+            free += dying
+            dying = []
         if free:
             out_buf = free.pop()
         else:
             out_buf = n_buffers
             n_buffers += 1
+        free += dying
         buf_of[n] = out_buf
         steps.append(FusedStep(m.key, out_buf, tuple(encoded), m.params))
 
@@ -445,7 +510,9 @@ def fuse_pointwise(gm: GraphModule, min_region_size: int = 2) -> int:
     :class:`~repro.fx.passes.shape_prop.ShapeProp` first): a node joins a
     region only when its observed output shape and dtype equal the
     region's, the dtype is floating point, and — for non-seed members —
-    every user lies inside the region (single external consumer).
+    every user lies inside the region (single external consumer).  A
+    contraction (``Linear``) joins only as a non-seed member, and what it
+    reads stays a kernel input, so a region never spans two layers.
 
     Returns the number of regions fused (mutates *gm* in place and
     recompiles when non-zero).
@@ -469,7 +536,7 @@ def fuse_pointwise(gm: GraphModule, min_region_size: int = 2) -> int:
     assigned: set[Node] = set()
     regions: list[tuple[Node, set[Node]]] = []
     for node in reversed(graph.nodes):
-        if node not in candidates or node in assigned:
+        if node not in candidates or node in assigned or candidates[node].contraction:
             continue
         seed_meta = _leaf_meta(node)
         shape, dtype_name = tuple(seed_meta.shape), seed_meta.dtype.name
@@ -483,7 +550,8 @@ def fuse_pointwise(gm: GraphModule, min_region_size: int = 2) -> int:
                 a_meta = _leaf_meta(a)
                 if tuple(a_meta.shape) != shape or a_meta.dtype.name != dtype_name:
                     continue
-                if not all(u in region for u in a.users):
+                if not all(u in region and not candidates[u].contraction
+                           for u in a.users):
                     continue
                 region.add(a)
                 frontier.append(a)
@@ -498,16 +566,26 @@ def fuse_pointwise(gm: GraphModule, min_region_size: int = 2) -> int:
     # captured pre-replacement, so external operands must be resolved
     # through the old-seed -> fused-node map as regions are rewritten.
     replaced: dict[Node, Node] = {}
+    attrs: dict[str, Node] = {}
+
+    def operand(a: Any, seed: Node) -> Any:
+        if isinstance(a, Node):
+            return replaced.get(a, a)
+        if not isinstance(a, _Attr):
+            return a
+        if a.path not in attrs:
+            with graph.inserting_before(seed):
+                attrs[a.path] = got = graph.get_attr(a.path)
+            got.meta["tensor_meta"] = extract_tensor_metadata(a.value)
+            got.meta["type"] = type(a.value)
+        return attrs[a.path]
+
     for seed, region in sorted(regions, key=lambda r: order[r[0]]):
         local: dict[Node, _Match] = {}
         for n in region:
             m = candidates[n]
-            local[n] = _Match(
-                m.key,
-                tuple(replaced.get(a, a) if isinstance(a, Node) else a
-                      for a in m.operands),
-                m.params,
-            )
+            local[n] = _Match(m.key, tuple(operand(a, seed) for a in m.operands),
+                              m.params)
         members = sorted(region, key=order.__getitem__)
         input_nodes: list[Node] = []
         for n in members:

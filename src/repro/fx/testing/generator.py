@@ -77,7 +77,7 @@ def _draw() -> tuple:
 
     for entry in map(opinfo.TABLE.get, opinfo.DECLARED):
         elementwise = entry.shape is opinfo.pointwise_shape
-        arity = getattr(entry.pointwise, "arity", 2 if elementwise else 1)
+        arity = getattr(entry.kernel, "arity", 2 if elementwise else 1)
         if not (elementwise or entry.shape is opinfo.unchanged_shape) or arity > 2 \
                 or entry.writes and entry.writes(*[Tensor(probe)] * arity):
             continue

@@ -11,8 +11,10 @@ import repro.functional as F
 from repro import nn
 from repro.fx import Interpreter, symbolic_trace
 from repro.fx import compile as fx_compile
+from repro.fx.analysis import AnalysisContext
 from repro.fx.passes import ShapeProp, plan_memory
 from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
+from repro.fx.vm import compile_to_vm
 
 
 def _prepare(module, *inputs):
@@ -257,6 +259,48 @@ class TestOutAliasSafety:
             "x's last read is the chain's first step, before any other "
             "write of the result buffer: reuse is safe and expected")
         assert np.array_equal(gm(a).data, ref.data)
+
+
+class GemmReadsDyingSlot(nn.Module):
+    """A planned value a Linear reads last, at the first step of the kernel
+    the Linear opens.  That step writes the kernel's result buffer while
+    the GEMM still reads its input: an emit that is not alias-safe reads
+    what it overwrites, so ``out`` must not take the input's dying slot."""
+
+    def __init__(self):
+        super().__init__()
+        self.fc = nn.Linear(6, 6)
+
+    def forward(self, x):
+        t = F.relu(x) * 2.0              # fused, planned
+        y = F.relu(self.fc(t))           # the GEMM reads t at step 0; t dies
+        return y.sum(1)
+
+
+class TestGemmOutAliasing:
+    def _planned(self):
+        m, x = GemmReadsDyingSlot().eval(), repro.randn(4, 6)
+        gm = _prepare(m, x)
+        plan_memory(gm)
+        t, y = _fused_nodes(gm)
+        assert y.target.spec.steps[0].key == "linear"
+        return m, x, gm, t, y
+
+    def test_planner_keeps_out_off_the_gemm_input_slot(self):
+        m, x, gm, t, y = self._planned()
+        assert t.meta["arena_slot"].index != y.meta["arena_slot"].index
+        assert np.array_equal(gm(x).data, m(x).data)
+
+    def test_routing_out_into_it_is_a_hazard_and_the_vm_drops_it(self):
+        m, x, gm, t, y = self._planned()
+        y.meta["arena_slot"] = t.meta["arena_slot"]     # a same-step-blind plan
+        hazards = AnalysisContext(gm).get("mutation").errors
+        assert [(h.kind, h.node_name, h.victim_name) for h in hazards] \
+            == [("arena-clobber", y.name, t.name)]
+        program = compile_to_vm(gm, cache=False)
+        (gemm,) = [i for i in program.instructions if i.name == y.name]
+        assert gemm.out_slot is None
+        assert np.array_equal(program.run(x).data, m(x).data)
 
 
 class TestInterpreterInteraction:

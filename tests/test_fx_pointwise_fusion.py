@@ -265,3 +265,114 @@ class TestKernelObject:
             from repro.fx.passes import pointwise_fuser as pf
             pf._REGISTRY.pop("scaled_tanh", None)
             pf._PATTERN_INDEX._by_function.pop(scaled_tanh, None)
+
+
+class LinearReLU(nn.Module):
+    def __init__(self, bias=True):
+        super().__init__()
+        self.fc = nn.Linear(8, 6, bias=bias)
+
+    def forward(self, x):
+        return F.relu(self.fc(x))
+
+
+class ManyOpsBlock(nn.Module):
+    """The perf ledger's ManyOps block: a Linear, a pointwise tail that
+    reads the GEMM's result twice, a residual add of the Linear's input."""
+
+    def __init__(self, width=16):
+        super().__init__()
+        self.fc = nn.Linear(width, width)
+        self.register_buffer("scale", repro.randn(width))
+
+    def forward(self, x):
+        h = self.fc(x)
+        t = F.maximum(F.relu(h) * 1.01 + 0.1, F.relu(h) * 0.5)
+        return F.tanh(t * self.scale) + x
+
+
+class FunctionalLinear(nn.Module):
+    def __init__(self):
+        super().__init__()
+        self.w = nn.Parameter(repro.randn(6, 8))
+        self.b = nn.Parameter(repro.randn(6))
+
+    def forward(self, x):
+        return F.sigmoid(F.linear(x, self.w, self.b)) * 2.0
+
+
+class TestLinearEpilogue:
+    @pytest.mark.parametrize("build, shape", [
+        (LinearReLU, (4, 8)),
+        (ManyOpsBlock, (4, 16)),
+        (lambda: LinearReLU(bias=False), (4, 8)),
+        (FunctionalLinear, (4, 8)),
+        (LinearReLU, (2, 3, 8)),
+    ], ids=["linear-relu", "many-ops-block", "no-bias", "functional-get-attr",
+            "3d-input"])
+    def test_the_gemm_runs_inside_the_kernel_bit_exactly(self, build, shape):
+        m = build().eval()
+        x = repro.randn(*shape)
+        ref = m(x)
+        gm = _trace_and_prop(m, x)
+        names = list(gm.state_dict())
+        assert fuse_pointwise(gm) == 1
+        (node,) = _fused_nodes(gm)
+        assert node.target.spec.steps[0].key == "linear"
+        assert not any(n.op == "call_module" for n in gm.graph.nodes)
+        # the weight and bias are read through get_attr at their own paths
+        assert list(gm.state_dict()) == names
+        assert np.array_equal(gm(x).data, ref.data)
+
+    def test_a_linear_with_two_users_stays_a_module_call(self):
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.fc = nn.Linear(8, 8)
+
+            def forward(self, x):
+                h = self.fc(x)
+                return F.relu(h) * 2.0, h.sum(1)
+
+        m, x = M(), repro.randn(4, 8)
+        gm = _trace_and_prop(m, x)
+        assert fuse_pointwise(gm) == 1
+        assert [s.key for s in _fused_nodes(gm)[0].target.spec.steps] == ["relu", "mul"]
+        assert sum(n.op == "call_module" for n in gm.graph.nodes) == 1
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(gm(x), m(x)))
+
+    def test_a_linear_the_graph_returns_is_not_fused(self):
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.fc = nn.Linear(8, 4)
+
+            def forward(self, x):
+                return self.fc(F.relu(x) * 2.0)
+
+        m, x = M(), repro.randn(4, 8)
+        gm = _trace_and_prop(m, x)
+        assert fuse_pointwise(gm) == 1
+        assert "linear" not in {s.key for s in _fused_nodes(gm)[0].target.spec.steps}
+        assert sum(n.op == "call_module" for n in gm.graph.nodes) == 1
+        assert np.array_equal(gm(x).data, m(x).data)
+
+    def test_another_batch_size_takes_the_generic_path(self):
+        m = ManyOpsBlock().eval()
+        gm = _trace_and_prop(m, repro.randn(4, 16))
+        fuse_pointwise(gm)
+        for y in (repro.randn(7, 16), repro.randn(2, 5, 16)):
+            assert np.array_equal(gm(y).data, m(y).data)
+
+    def test_a_replay_and_a_pickle_equal_the_fresh_compile(self):
+        from repro import fx
+
+        m, x = ManyOpsBlock().eval(), repro.randn(4, 16)
+        fx.clear_caches("transform")
+        cold = fx.compile(m, (x,))
+        warm = fx.compile(m, (x,))
+        assert all(r.cache_hit for r in warm.compile_report.records)
+        assert cold.compile_report.fused_ops == 9
+        want = m(x).data.tobytes()
+        for compiled in (cold, warm, pickle.loads(pickle.dumps(cold))):
+            assert compiled(x).data.tobytes() == want

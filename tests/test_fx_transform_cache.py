@@ -427,9 +427,15 @@ def test_fused_kernels_are_compiled_once_cold_and_never_on_restore(monkeypatch):
 
     monkeypatch.setattr(pointwise_fuser, "compile", counted, raising=False)
     clear_caches("transform")
+    clear_caches("codegen")
     cold = fx.compile(symbolic_trace(model), (x,))
     assert cold.compile_report.fused_regions >= 30
-    assert len(compiles) == cold.compile_report.fused_regions
+    # kernels with one body share one function: ManyOps' 32 regions are
+    # two bodies, a baited block's and a plain one's (one compile per
+    # region before they shared)
+    bodies = {n.target.source for n in cold.graph.nodes
+              if isinstance(n.target, pointwise_fuser.FusedKernel)}
+    assert len(compiles) == len(bodies) == 2
     compiles.clear()
     warm = fx.compile(symbolic_trace(model), (x,))
     assert all(r.cache_hit for r in warm.compile_report.records)

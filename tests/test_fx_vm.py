@@ -377,3 +377,18 @@ class TestExecutorWiring:
         out = to_backend(model, EagerBackend(), executor="vm")
         clone = pickle.loads(pickle.dumps(out))
         assert np.array_equal(out(x).data, clone(x).data)
+
+
+class TestFusedLinear:
+    def test_codegen_and_vm_agree_bit_exactly_with_one_instruction_per_layer(self):
+        model = nn.Sequential(nn.Linear(16, 16), nn.ReLU(),
+                              nn.Linear(16, 16), nn.Tanh()).eval()
+        x = repro.randn(4, 16)
+        codegen = fx_compile(model, (x,))
+        vm = fx_compile(model, (x,), executor="vm")
+        assert codegen.compile_report.fused_regions == 2
+        assert codegen.compile_report.fused_ops == 4
+        assert [i.kind for i in vm.program.instructions] == ["call", "call"]
+        assert all(isinstance(i.target, FusedKernel) for i in vm.program.instructions)
+        want = model(x).data.tobytes()
+        assert codegen(x).data.tobytes() == vm(x).data.tobytes() == want
