@@ -191,7 +191,7 @@ def register_stage(name: str, maxsize: int,
 
 def cache_info() -> Dict[str, Dict[str, int]]:
     """``{stage: {hits, misses, size, maxsize}}`` for every process-wide
-    stage: ``codegen``, ``transform``, ``analysis``, ``vm``, ``partition``."""
+    stage: ``codegen``, ``transform``, ``vm``, ``partition``."""
     return {name: cache.info() for name, cache in _STAGES.items()}
 
 

@@ -10,9 +10,8 @@ ecosystem.
 from __future__ import annotations
 
 import builtins
-import collections
+import functools
 import hashlib
-import itertools
 import keyword
 import marshal
 import operator
@@ -23,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
 
+from ..nn.module import _EPOCH
 from .node import Node, Target, map_arg, map_aggregate, BASE_ARGUMENT_TYPES
 
 if TYPE_CHECKING:
@@ -699,7 +699,7 @@ class Graph:
             if root is not None and node.op in ("get_attr", "call_module"):
                 try:
                     value = _resolve_attr(root, node.target)
-                except RuntimeError:
+                except AttributeError:
                     # Keep the name in the token: with canonicalized
                     # targets there are no state bytes to distinguish two
                     # unresolvable reads, so the name must.
@@ -747,7 +747,9 @@ class Graph:
         The generated function takes the placeholders as arguments, calls
         targets in graph order, frees intermediates as soon as they are
         dead (``x = None``), and returns the output node's argument — the
-        exact style shown in the paper's Figure 1.
+        exact style shown in the paper's Figure 1.  The ``get_attr`` and
+        ``call_module`` targets are read from *root_module* by a one-line
+        prologue (see :meth:`GraphModule._fx_bind`).
         """
         free_vars: list[str] = []
         body: list[str] = []
@@ -764,14 +766,13 @@ class Graph:
         user_to_last_uses: dict[Node, list[Node]] = {}
         for node in self.nodes:
             def register_use(n: Node):
-                if n not in node_to_last_use:
-                    pass
                 node_to_last_use[n] = node
                 return n
             map_arg(node.args, register_use)
             map_arg(node.kwargs, register_use)
         for used, user in node_to_last_use.items():
-            user_to_last_uses.setdefault(user, []).append(used)
+            if used.op != "get_attr":   # bound by the prologue: never freed
+                user_to_last_uses.setdefault(user, []).append(used)
 
         def delete_unused(node: Node) -> str:
             if node.op == "output":
@@ -805,31 +806,22 @@ class Graph:
                 return add_global(str(hint), a)
             return repr(a)
 
-        def module_expr(target: str, expr: str = root_module) -> str:
-            for atom in target.split("."):
-                if atom.isidentifier() and not keyword.iskeyword(atom):
-                    expr += f".{atom}"
-                else:
-                    expr = f"getattr({expr}, {atom!r})"
-            return expr
-
-        # A module path two get_attr targets pass through is walked once per
-        # call, into a local, at its first use: each step of a walk is a
-        # Module.__getattr__ (a fused Linear reads its weight and its bias).
-        shared = collections.Counter(
-            prefix for node in self.nodes if node.op == "get_attr"
-            for prefix in itertools.accumulate(node.target.split(".")[:-1],
-                                               lambda a, b: f"{a}.{b}"))
-        walked: dict[str, str] = {}
-
-        def attr_expr(target: str) -> str:
-            parent, _, leaf = target.rpartition(".")
-            if shared[parent] < 2:
-                return module_expr(target)
-            if parent not in walked:
-                walked[parent] = local = globals_ns.create_name(f"_{parent}")
-                body.append(f"{local} = {attr_expr(parent)}\n")
-            return module_expr(leaf, walked[parent])
+        # State is bound once per module, not walked per call: the prologue
+        # unpacks what GraphModule._fx_bind resolved and re-binds when the
+        # epoch of repro.nn.module has moved (kernels read ``.data`` late).
+        for node in self.nodes:
+            globals_ns.associate(node.name, node)
+        callee = {t: globals_ns.create_name(f"self_{t}") for t in dict.fromkeys(
+            n.target for n in self.nodes if n.op == "call_module")}
+        bound = {n.name: n.target for n in self.nodes if n.op == "get_attr"}
+        bound.update((local, target) for target, local in callee.items())
+        if bound:
+            epoch = add_global("_fx_epoch", _EPOCH)
+            state = globals_ns.create_name("_fx_state")
+            body.append(
+                f"{', '.join(bound)}, = {state}[1] if ({state} := "
+                f"{root_module}._fx_bound)[0] == {epoch}[0] else "
+                f"{root_module}._fx_bind({tuple(bound.values())!r})\n")
 
         def call_args(node: Node, skip_first: bool = False) -> str:
             args = node.args[1:] if skip_first else node.args
@@ -838,6 +830,8 @@ class Graph:
             return ", ".join(parts)
 
         for node in self.nodes:
+            if node.op == "get_attr":   # bound by the prologue
+                continue
             if node.op == "placeholder":
                 assert isinstance(node.target, str)
                 if node.target.startswith("*"):
@@ -848,12 +842,9 @@ class Graph:
                 if node.name != node.target.lstrip("*"):
                     body.append(f"{node.name} = {node.target.lstrip('*')}\n")
                 continue
-            if node.op == "get_attr":
-                body.append(f"{node.name} = {attr_expr(node.target)}{delete_unused(node)}\n")
-                continue
             if node.op == "call_module":
                 body.append(
-                    f"{node.name} = {module_expr(node.target)}"
+                    f"{node.name} = {callee[node.target]}"
                     f"({call_args(node)}){delete_unused(node)}\n"
                 )
                 continue
@@ -944,9 +935,6 @@ def _global_name_for(fn: Callable) -> str:
 
 
 def _resolve_attr(root, target: str):
-    obj = root
-    for atom in target.split("."):
-        if not hasattr(obj, atom):
-            raise RuntimeError(f"attribute target {target!r} not resolvable at {atom!r}")
-        obj = getattr(obj, atom)
-    return obj
+    """``root.<target>``: what generated code binds and every other
+    executor reads for a ``get_attr`` / ``call_module`` target."""
+    return functools.reduce(getattr, target.split("."), root)

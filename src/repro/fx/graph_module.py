@@ -18,9 +18,10 @@ import types
 from typing import Any
 
 from ..nn import Module, Parameter
+from ..nn.module import _EPOCH
 from ..tensor import Tensor
 from .cache import register_stage
-from .graph import Graph, PythonCode
+from .graph import Graph, PythonCode, _resolve_attr
 
 __all__ = ["GraphModule"]
 
@@ -132,6 +133,10 @@ class GraphModule(Module):
 
     forward = _GeneratedForward()
 
+    #: ``(epoch, values)`` of the generated forward's targets (see
+    #: :meth:`_fx_bind`); the default matches no epoch, so a first call binds.
+    _fx_bound: tuple = (-1, ())
+
     def __init__(self, root: Module | dict, graph: Graph, class_name: str = "GraphModule"):
         super().__init__()
         self._class_name = class_name
@@ -185,11 +190,19 @@ class GraphModule(Module):
         return src if src is not None else self._generate()[0]
 
     def recompile(self) -> None:
-        """Tell the module its graph changed: the generated ``forward``
-        and ``code`` are dropped, and regenerated from the graph as it is
-        when one of them is next used."""
-        self.__dict__.pop("forward", None)
-        self.__dict__.pop("_code", None)
+        """Tell the module its graph changed: the generated ``forward``,
+        ``code`` and bound state are dropped, and regenerated from the
+        graph as it is when one of them is next used."""
+        for name in ("forward", "_code", "_fx_bound"):
+            self.__dict__.pop(name, None)
+
+    def _fx_bind(self, targets: tuple) -> tuple:
+        """Resolve each path in *targets* as ``self.<path>``; store them (not
+        by ``__setattr__``: it bumps) under the epoch read *before* resolving."""
+        epoch = _EPOCH[0]
+        values = tuple(_resolve_attr(self, t) for t in targets)
+        self.__dict__["_fx_bound"] = (epoch, values)
+        return values
 
     def _generate(self) -> tuple[str, types.MethodType]:
         """Generate ``(source, bound forward)`` from the current graph and
@@ -274,7 +287,7 @@ class GraphModule(Module):
             cursor = nxt
         if leaf not in cursor._modules:
             return False
-        del cursor._modules[leaf]
+        delattr(cursor, leaf)
         return True
 
     def delete_all_unused_submodules(self) -> None:
@@ -299,7 +312,7 @@ class GraphModule(Module):
                     if any(u.startswith(child_path + ".") for u in used):
                         prune(child, child_path)
                     else:
-                        del mod._modules[name]
+                        delattr(mod, name)
                 else:
                     prune(child, child_path)
 
@@ -334,10 +347,15 @@ import pickle
 import repro
 import repro.functional
 from repro import nn
+from repro.fx import GraphModule
 from repro.nn import Module
+from repro.nn.module import _EPOCH as _fx_epoch
 
 
 class {module_name}(Module):
+    _fx_bound = GraphModule._fx_bound   # what the forward binds state with
+    _fx_bind = GraphModule._fx_bind
+
     def __init__(self):
         super().__init__()
         state_path = os.path.join(os.path.dirname(__file__), "state.pkl")
@@ -360,13 +378,13 @@ class {module_name}(Module):
     # -- serialization ---------------------------------------------------------------------
 
     def __reduce__(self):
-        """Pickle support: serialize registration tables + the Graph, and
-        regenerate ``forward`` on load (the compiled method itself is not
-        picklable, and does not need to be — codegen is deterministic)."""
+        """Pickle (and ``copy`` / ``deepcopy``) support: serialize
+        registration tables + the Graph, and regenerate ``forward`` (and
+        bound state) on load — codegen is deterministic."""
         plain = {
             k: v for k, v in self.__dict__.items()
             if k not in ("_graph", "_code", "forward", "_private_fx_filename",
-                         "_parameters", "_buffers", "_modules")
+                         "_fx_bound", "_parameters", "_buffers", "_modules")
         }
         state = {
             "modules": dict(self._modules),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from ..nn import Module
-from .graph import Graph
+from .graph import Graph, _resolve_attr
 from .graph_module import GraphModule
 from .node import Node, OPCODES, map_arg, map_aggregate
 from .proxy import Proxy
@@ -172,10 +172,7 @@ class Interpreter:
     # -- helpers ----------------------------------------------------------------------
 
     def fetch_attr(self, target: str) -> Any:
-        obj: Any = self.module
-        for atom in target.split("."):
-            obj = getattr(obj, atom)
-        return obj
+        return _resolve_attr(self.module, target)
 
     def fetch_args_kwargs_from_env(self, n: Node) -> tuple[tuple, dict]:
         args = self.map_nodes_to_values(n.args, n)

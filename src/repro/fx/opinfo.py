@@ -48,6 +48,7 @@ from .. import nn
 from ..functional import _pair
 from ..tensor import DType, Tensor, bool_, dtype_from_numpy, float32, float64, \
     int32, int64
+from .graph import _resolve_attr
 from .graph_module import GraphModule
 from .node import Node, map_arg
 
@@ -381,7 +382,7 @@ def infer(gm: GraphModule, node: Node, value_of: Callable, dom: Domain) -> Any:
     values given by ``value_of(node)``."""
     try:
         if node.op == "get_attr":
-            return dom.lift(functools.reduce(getattr, node.target.split("."), gm))
+            return dom.lift(_resolve_attr(gm, node.target))
         entry, args, kwargs = bind(gm, node, value_of, dom)
         if entry is None:
             if node.op == "call_module":

@@ -21,8 +21,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Optional
 
-from ...nn import Module
-from ..graph import Graph
+from ..graph import Graph, _resolve_attr
 from ..graph_module import GraphModule
 from ..node import Node, map_arg
 
@@ -45,13 +44,6 @@ class Partition:
             f"inputs={[n.name for n in self.inputs]}, "
             f"outputs={[n.name for n in self.outputs]})"
         )
-
-
-def _resolve_attr(root: Module, target: str):
-    cursor = root
-    for atom in target.split("."):
-        cursor = getattr(cursor, atom)
-    return cursor
 
 
 def split_module(

@@ -24,8 +24,9 @@ executes:
    the arena buffers, so it must agree with the reference on the new
    values and must leave the first call's outputs bit for bit as they
    were (a returned value owns its storage) — fusion and planning must
-   be semantics-preserving on every generated program — then
-   **compiled again** (check ``recompile``): the second compile must
+   be semantics-preserving on every generated program — and must see a
+   rebound ``get_attr`` target (:func:`_rebound`); then **compiled
+   again** (check ``recompile``, also rebound): the second compile must
    be replayed whole from the transform cache and be indistinguishable
    from the first (output bits, ``tensor_meta``), and a compile under the
    program's *second input signature* (another batch size or dtype, drawn
@@ -75,8 +76,10 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ...nn import Parameter
 from ...tensor import Tensor
 from ..analysis import PassVerifier, lint_graph
+from ..graph import _resolve_attr
 from ..graph_module import GraphModule
 from ..interpreter import Interpreter
 from ..node import Node, map_aggregate
@@ -538,6 +541,7 @@ def _check_compile(report: OracleReport, program: GeneratedProgram,
             raise AssertionError("compiling froze or wrote the caller's state")
         compiled.graph.lint()
         error, err = _called_twice(compiled, program, ref)
+        error = error or _rebound(compiled, program)
     except Exception as exc:
         error, err = _exc_summary(exc), 0.0
     div = None
@@ -589,6 +593,29 @@ def _called_twice(run: Callable, program: GeneratedProgram,
             return f"{which}numeric divergence {err:.3g} > tol {tol:.3g}", err
         worst = max(worst, err)
     return None, worst
+
+
+def _rebound(compiled: GraphModule, program: GeneratedProgram) -> Optional[str]:
+    """A copy of *compiled*, once called, must see its first float
+    ``get_attr`` target rebound as the Interpreter (which walks every
+    target at every node) does: bound state follows a rebind."""
+    copied, inputs = copy_module(compiled), program.inputs
+    floats = [(n.target, v) for n in copied.graph.nodes if n.op == "get_attr"
+              for v in [_resolve_attr(copied, n.target)]
+              if type(v) in (Tensor, Parameter) and v.data.dtype.kind == "f"]
+    if not floats:
+        return None
+    (target, value), (owner, _, leaf) = floats[0], floats[0][0].rpartition(".")
+    copied(*inputs)
+    setattr(copied.get_submodule(owner), leaf, type(value)(value.data + 0.5))
+    try:
+        want = Interpreter(copied).run(*inputs)
+    except Exception:
+        return None   # the program does not admit the perturbed value
+    err = max_abs_diff(want, copied(*inputs))
+    if err > _compiled_atol(program.gm) * (1.0 + _ref_scale(want)):
+        return f"rebinding {target!r} was not seen: off by {err:.3g}"
+    return None
 
 
 def _identical(a: Any, b: Any) -> bool:
@@ -693,6 +720,9 @@ def _check_recompile(report: OracleReport, program: GeneratedProgram) -> None:
                     f"{again.backend_report.transform_misses}")
         if not same(first, again, inputs):
             return "replayed compile differs from the one it replays"
+        error = _rebound(again, program)
+        if error:
+            return error
         try:
             ref = program.eager(*other) if program.eager is not None \
                 else Interpreter(gm).run(*other)

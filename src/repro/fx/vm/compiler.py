@@ -40,7 +40,7 @@ from typing import Any, Optional
 from ..analysis.engine import AnalysisContext
 from ..analysis.mutation import fused_out_clobbers
 from ..cache import register_stage
-from ..graph import UnstableHashError
+from ..graph import UnstableHashError, _resolve_attr
 from ..graph_module import GraphModule
 from ..node import Node, map_arg
 from ..passes.pointwise_fuser import FusedKernel
@@ -63,13 +63,6 @@ class VMCompileError(RuntimeError):
 #: the *same* program object — concurrent ``run``\s of which are safe
 #: (per-call registers, per-thread arena buffers).
 _VM_CACHE = register_stage("vm", 64)
-
-
-def _fetch_attr(gm: GraphModule, target: str) -> Any:
-    obj: Any = gm
-    for atom in target.split("."):
-        obj = getattr(obj, atom)
-    return obj
 
 
 def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
@@ -165,7 +158,7 @@ def _compile(gm: GraphModule, validate_plan: bool) -> VMProgram:
             next_reg += 1
         elif node.op == "get_attr":
             reg_of[node] = next_reg
-            consts[next_reg] = _fetch_attr(gm, node.target)
+            consts[next_reg] = _resolve_attr(gm, node.target)
             next_reg += 1
         elif node.op == "output":
             output_template = map_arg(node.args[0], to_reg)
@@ -212,7 +205,8 @@ def compile_to_vm(gm: GraphModule, *, cache: bool = True,
         gm: the module to flatten.  Never mutated; its state (buffers,
             parameters, submodules) is captured by reference, so in-place
             updates to that state are visible to the program — but
-            *rebinding* an attribute is not (resolution happened here).
+            *rebinding* an attribute is not (resolution happened here) —
+            the generated forward re-binds (``GraphModule._fx_bind``).
         cache: memoize on the graph's stable structural hash (skipped
             automatically when the hash is unstable, e.g. post-fusion).
         validate_plan: re-check every ``arena_slot`` assignment against

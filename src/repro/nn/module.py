@@ -28,6 +28,16 @@ __all__ = ["Module"]
 # (module, args, kwargs) -> result.  ``None`` means normal eager execution.
 _MODULE_CALL_INTERCEPTOR: Callable | None = None
 
+# Moved by every funnel below that can change what a dotted path resolves
+# to: a generated forward bound at another epoch re-binds.  ``next()`` is
+# atomic, so a racing store never brings back an epoch a binder saw.
+_EPOCH = [0]
+_TICKS = itertools.count(1)
+
+
+def _bump() -> None:
+    _EPOCH[0] = next(_TICKS)
+
 
 class Module:
     """Base class for all neural network modules.
@@ -57,17 +67,21 @@ class Module:
                 "cannot assign attributes before Module.__init__() call"
             )
         params, buffers, modules = self._parameters, self._buffers, self._modules
-        # Re-assigning an existing registration keeps it in the same table so
+        # A tensor re-assigned to a registration stays in its table, so
         # transforms can swap parameters for plain tensors (e.g. quantized
-        # weights) without the name disappearing from state_dict.
+        # weights) without the name leaving state_dict.
+        home = params if isinstance(value, Parameter) else \
+            modules if isinstance(value, Module) else \
+            next((t for t in (params, buffers) if name in t), None) \
+            if isinstance(value, Tensor) else None
         for table in (params, buffers, modules):
-            table.pop(name, None)
-        if isinstance(value, Parameter):
-            params[name] = value
-        elif isinstance(value, Module):
-            modules[name] = value
-        else:
+            if table is not home:
+                table.pop(name, None)
+        if home is None:
             object.__setattr__(self, name, value)
+        else:
+            home[name] = value
+        _bump()
 
     def __getattr__(self, name: str) -> Any:
         # Only called when normal lookup fails; check registration tables.
@@ -81,24 +95,29 @@ class Module:
         for table in (self._parameters, self._buffers, self._modules):
             if name in table:
                 del table[name]
-                return
-        object.__delattr__(self, name)
+                break
+        else:
+            object.__delattr__(self, name)
+        _bump()
 
     def register_buffer(self, name: str, tensor: Tensor | None) -> None:
         """Register non-trainable state (e.g. running statistics)."""
         if tensor is not None and not isinstance(tensor, Tensor):
             raise TypeError(f"buffer {name!r} must be a Tensor or None")
         self._buffers[name] = tensor
+        _bump()
 
     def register_parameter(self, name: str, param: Parameter | None) -> None:
         if param is not None and not isinstance(param, Parameter):
             raise TypeError(f"parameter {name!r} must be a Parameter or None")
         self._parameters[name] = param
+        _bump()
 
     def add_module(self, name: str, module: "Module | None") -> None:
         if module is not None and not isinstance(module, Module):
             raise TypeError(f"{name!r} is not a Module")
         self._modules[name] = module
+        _bump()
 
     # -- hierarchy traversal -----------------------------------------------------
 
@@ -212,6 +231,7 @@ class Module:
 
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
+        _bump()
         for m in self.children():
             m.train(mode)
         return self

@@ -8,7 +8,8 @@ bytecode VM, and pickle round-trips must be bit-identical.  The
 every compile after the first, a replay from the transform cache, which
 must be indistinguishable from a build (second compile all-hit and
 bit-identical; a compile under the program's second input signature equal
-to its own ``cache=False`` compile).  The corpus
+to its own ``cache=False`` compile), and a copy of the replay must see a
+``get_attr`` target rebound after its first call.  The corpus
 includes the ``deep_chain`` generator kind (50+ sequential ops with
 multi-use intermediates), the shape that stresses register liveness.
 """

@@ -111,8 +111,10 @@ class TestGeneratedSource:
 
     def test_module_access_paths(self):
         model = nn.Sequential(nn.Linear(2, 2), nn.ReLU())
-        code = symbolic_trace(model).code
-        assert "getattr(self" in code  # digit-named children need getattr
+        traced = symbolic_trace(model)
+        # the prologue binds state by path, digit-named children included
+        assert "self._fx_bind(('0', '1'))" in traced.code
+        assert traced(repro.ones(3, 2)).shape == (3, 2)
 
     def test_empty_graph(self):
         g = Graph()

@@ -483,8 +483,9 @@ def test_a_plain_module_is_traced_and_transformed_in_place_not_copied(
 
 
 def _double_first_weight_in_place(gm):
-    """A deliberately bad pass: writes module state instead of replacing it."""
-    next(iter(gm.parameters())).data *= 2
+    """A deliberately bad pass: writes module state instead of replacing it
+    (``fc``'s weight: the conv's is the fold's fresh array by now)."""
+    gm.fc.weight.data *= 2
 
 
 class _WritesInPlace(NumpyBackend):

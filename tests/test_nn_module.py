@@ -59,9 +59,26 @@ class TestRegistration:
 
     def test_reassignment_moves_between_tables(self):
         leaf = Leaf()
-        leaf.weight = repro.ones(2, 2)  # plain tensor replaces Parameter
-        assert "weight" not in leaf._parameters
-        assert isinstance(leaf.weight, repro.Tensor)
+        leaf.buf = Parameter(repro.ones(2))     # a Parameter registers as one
+        assert "buf" in leaf._parameters and "buf" not in leaf._buffers
+        leaf.weight = nn.ReLU()                 # a Module as a submodule
+        assert "weight" in leaf._modules and "weight" not in leaf._parameters
+        leaf.weight = 3                         # anything else is plain
+        assert "weight" not in leaf._modules and leaf.weight == 3
+
+    def test_tensor_reassigned_to_a_parameter_stays_a_parameter_entry(self):
+        lin = nn.Linear(3, 3)
+        lin.weight = repro.zeros(3, 3)
+        assert lin._parameters["weight"] is lin.weight
+        assert list(lin.state_dict()) == ["weight", "bias"]
+        assert "weight" not in vars(lin)
+
+    def test_tensor_reassigned_to_a_buffer_stays_a_buffer(self):
+        bn = nn.BatchNorm2d(4)
+        before = list(bn.state_dict())
+        bn.running_mean = repro.zeros(4)
+        assert bn._buffers["running_mean"] is bn.running_mean
+        assert list(bn.state_dict()) == before
 
     def test_delattr(self):
         leaf = Leaf()
@@ -87,6 +104,38 @@ class TestRegistration:
     def test_missing_attribute_raises(self):
         with pytest.raises(AttributeError):
             _ = Module().nothing_here
+
+
+class TestEpoch:
+    """Every funnel that can change what a dotted path resolves to moves
+    the epoch a generated forward binds its state under."""
+
+    @pytest.mark.parametrize("change", [
+        lambda t: setattr(t.a, "weight", Parameter(repro.ones(2, 2))),
+        lambda t: setattr(t.a, "buf", repro.ones(2)),
+        lambda t: setattr(t, "a", t.top_leaf),
+        lambda t: setattr(t, "plain", 1),
+        lambda t: delattr(t.a, "buf"),
+        lambda t: t.a.register_buffer("buf", None),
+        lambda t: t.a.register_parameter("weight", None),
+        lambda t: t.add_module("a", None),
+        lambda t: t.eval(),
+    ])
+    def test_a_change_moves_the_epoch(self, change):
+        from repro.nn import module
+        tree = Tree()
+        object.__setattr__(tree, "top_leaf", Leaf())   # built, then read
+        before = module._EPOCH[0]
+        change(tree)
+        assert module._EPOCH[0] != before
+
+    def test_reads_leave_the_epoch_alone(self):
+        from repro.nn import module
+        tree = Tree()
+        before = module._EPOCH[0]
+        tree(repro.ones(2))
+        _ = tree.a.weight, tree.state_dict(), list(tree.named_modules())
+        assert module._EPOCH[0] == before
 
 
 class TestTraversal:
