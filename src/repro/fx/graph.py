@@ -254,32 +254,26 @@ class Graph:
         }
 
     def __setstate__(self, state):
-        if "flat_nodes" not in state:  # legacy recursive pickles
-            self.__dict__.update(state)
-            return
+        # One pass per node: built in place (it was checked when it was
+        # made), its references decoded and its uses wired once.
+        Graph.__init__(self)
         self.__dict__.update(state["extra"])
-        self._root = Node.__new__(Node)
-        self._root._prev = self._root._next = self._root
-        self._root._erased = False
-        self._root.name = "__ROOT__"
-        self._insert_before = self._root
-        self._len = 0
-        self.owning_module = None
-        nodes = []
-        for name, op, target, _args, _kwargs, type_expr, _meta in state["flat_nodes"]:
-            node = Node(self, name, op, target, (), {}, type_expr)
-            self._insert_before.prepend(node)
-            self._len += 1
-            nodes.append(node)
+        records = state["flat_nodes"]
+        nodes = [Node.__new__(Node) for _ in records]
 
         def decode(a):
             return map_aggregate(
-                a, lambda x: nodes[x.index] if isinstance(x, _NodeRef) else x)
+                a, lambda x: nodes[x.index] if type(x) is _NodeRef else x)
 
-        for node, (_, _, _, args, kwargs, _, meta) in zip(nodes, state["flat_nodes"]):
-            node.args = decode(args)
-            node.kwargs = decode(kwargs)
+        for node, (name, op, target, _, _, type_expr, _) in zip(nodes, records):
+            node.graph, node.name, node.op, node.target = self, name, op, target
+            node.type, node.users, node._input_nodes = type_expr, {}, {}
+            node._erased, node._prev, node._next = False, node, node
+            self._root.prepend(node)
+        for node, (_, _, _, args, kwargs, _, meta) in zip(nodes, records):
+            node._update_args_kwargs(decode(args), decode(kwargs))
             node.meta = decode(meta)
+        self._len = len(nodes)
         insert = state["insert_before"]
         if insert is not None:
             self._insert_before = nodes[insert]

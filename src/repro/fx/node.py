@@ -106,7 +106,7 @@ class Node:
         self._erased = False
         self._args: tuple = ()
         self._kwargs: dict = {}
-        self.__update_args_kwargs(tuple(args), dict(kwargs))
+        self._update_args_kwargs(tuple(args), dict(kwargs))
 
     # -- linked-list plumbing ---------------------------------------------------
 
@@ -146,7 +146,7 @@ class Node:
 
     @args.setter
     def args(self, new_args: tuple) -> None:
-        self.__update_args_kwargs(tuple(new_args), self._kwargs)
+        self._update_args_kwargs(tuple(new_args), self._kwargs)
 
     @property
     def kwargs(self) -> dict:
@@ -154,17 +154,16 @@ class Node:
 
     @kwargs.setter
     def kwargs(self, new_kwargs: dict) -> None:
-        self.__update_args_kwargs(self._args, dict(new_kwargs))
+        self._update_args_kwargs(self._args, dict(new_kwargs))
 
-    def __update_args_kwargs(self, new_args: tuple, new_kwargs: dict) -> None:
+    def _update_args_kwargs(self, new_args: tuple, new_kwargs: dict) -> None:
         """Set args/kwargs and keep the def-use chains consistent."""
         for old_use in self._input_nodes:
             old_use.users.pop(self, None)
         self._args = new_args
         self._kwargs = new_kwargs
         self._input_nodes = {}
-        map_arg(new_args, self._input_nodes.setdefault)
-        map_arg(new_kwargs, self._input_nodes.setdefault)
+        _gather_nodes((new_args, new_kwargs), self._input_nodes)
         for new_use in self._input_nodes:
             new_use.users.setdefault(self)
 
@@ -220,7 +219,7 @@ class Node:
 
         new_args = map_aggregate(self._args, maybe_replace)
         new_kwargs = map_aggregate(self._kwargs, maybe_replace)
-        self.__update_args_kwargs(new_args, new_kwargs)
+        self._update_args_kwargs(new_args, new_kwargs)
 
     # -- introspection -----------------------------------------------------------------
 
@@ -283,6 +282,27 @@ def _format_args(a: Any) -> str:
     return repr(a)
 
 
+#: Exact types :func:`map_aggregate` hands straight to *fn*; a subclass still
+#: meets the ``isinstance`` tests (a ``Size`` is walked as the tuple it is).
+_LEAVES = frozenset(BASE_ARGUMENT_TYPES + (Node,)) - {slice}
+
+
+def _gather_nodes(a: Any, into: dict) -> None:
+    """Add every Node in *a* to *into*, in :func:`map_arg`'s order, without
+    building the copy ``map_arg`` returns."""
+    if isinstance(a, Node):
+        into[a] = None
+    elif type(a) in _LEAVES:
+        return
+    elif isinstance(a, (tuple, list)):
+        for x in a:
+            _gather_nodes(x, into)
+    elif isinstance(a, dict):
+        _gather_nodes(tuple(a.values()), into)
+    elif isinstance(a, slice):
+        _gather_nodes((a.start, a.stop, a.step), into)
+
+
 def map_arg(a: Any, fn: Callable[["Node"], Any]) -> Any:
     """Apply *fn* to every Node in an argument structure (returns mapped copy)."""
     return map_aggregate(a, lambda x: fn(x) if isinstance(x, Node) else x)
@@ -290,6 +310,8 @@ def map_arg(a: Any, fn: Callable[["Node"], Any]) -> Any:
 
 def map_aggregate(a: Any, fn: Callable[[Any], Any]) -> Any:
     """Apply *fn* to every leaf of a nested tuple/list/dict/slice structure."""
+    if type(a) in _LEAVES:
+        return fn(a)
     if isinstance(a, tuple):
         return tuple(map_aggregate(x, fn) for x in a)
     if isinstance(a, list):

@@ -79,15 +79,12 @@ class TracerBase:
         kwargs_ir = self.create_arg(kwargs)
         node = self.create_node(op, target, args_ir, kwargs_ir, name, type_expr)
         if getattr(self, "record_stack_traces", True):
-            stack = _user_stack()
-            if stack:
-                node.meta.setdefault(
-                    "stack_trace",
-                    " <- ".join(f"{f}:{ln} in {fn}" for f, ln, fn in stack),
-                )
-                node.meta.setdefault("stack_frames", stack)
-            else:
-                node.meta.setdefault("stack_trace", None)
+            # Nodes from one source stack share one text, so a pickle
+            # writes it once; the table lives for one ``trace()``.
+            stack, texts = _user_stack(), getattr(self, "_stack_texts", {})
+            if stack and stack not in texts:
+                texts[stack] = " <- ".join(f"{f}:{ln} in {fn}" for f, ln, fn in stack)
+            node.meta.setdefault("stack_trace", texts.get(stack))
         return self.proxy(node)
 
     def create_arg(self, a: Any) -> Any:
@@ -400,9 +397,11 @@ class Tracer(TracerBase):
 
         _module_mod._MODULE_CALL_INTERCEPTOR = interceptor
         _ACTIVE_TRACERS.append(self)
+        self._stack_texts: dict = {}
         try:
             result = fn(*proxy_args)
         finally:
+            del self._stack_texts
             _ACTIVE_TRACERS.pop()
             _module_mod._MODULE_CALL_INTERCEPTOR = interceptor_prev
 

@@ -324,3 +324,51 @@ class TestProxyMisc:
         t2.graph = type(g1)()
         with pytest.raises(TraceError):
             t2.create_arg(stray)
+
+
+def _line_of(marker: str) -> int:
+    with open(__file__) as f:
+        return next(i for i, line in enumerate(f, 1)
+                    if line.rstrip().endswith(marker))
+
+
+class _StackInner(nn.Module):
+    def forward(self, x):
+        return F.relu(x)  # stack: inner
+
+
+class _StackOuter(nn.Module):
+    def __init__(self):
+        super().__init__()
+        self.inner = _StackInner()
+
+    def forward(self, x):
+        return self.inner(x) + self.inner(x)  # stack: outer
+
+
+class TestStackText:
+    def test_one_source_stack_is_one_shared_text(self):
+        gm = symbolic_trace(_StackOuter())
+        relus = gm.graph.find_nodes(op="call_function", target=F.relu)
+        assert len(relus) == 2
+        first, second = (n.meta["stack_trace"] for n in relus)
+        assert first is second
+
+    def test_text_names_each_user_frame_innermost_first(self):
+        gm = symbolic_trace(_StackOuter())
+        relu = gm.graph.find_nodes(op="call_function", target=F.relu)[0]
+        add = gm.graph.find_nodes(op="call_function", target=operator.add)[0]
+        outer = f"{__file__}:{_line_of('# stack: outer')} in forward"
+        assert relu.meta["stack_trace"] == (
+            f"{__file__}:{_line_of('# stack: inner')} in forward <- {outer}")
+        assert add.meta["stack_trace"] == outer
+        assert gm.graph.find_nodes(op="placeholder")[0].meta["stack_trace"] is None
+
+    def test_no_node_carries_stack_frames(self):
+        gm = symbolic_trace(_StackOuter())
+        assert all("stack_frames" not in n.meta for n in gm.graph.nodes)
+
+    def test_the_text_table_lives_for_one_trace(self):
+        tracer = Tracer()
+        tracer.trace(_StackOuter())
+        assert not hasattr(tracer, "_stack_texts")
