@@ -128,11 +128,11 @@ def test_dataflow_analysis_speed(benchmark, traced):
     rows = []
     for label, gm in ((f"ResNet-50 ({len(traced.graph)} nodes)", traced),
                       (f"fuzz graph ({len(fuzz_gm.graph)} nodes)", fuzz_gm)):
-        for name in ("alias", "purity", "dtype", "mutation"):
+        for name in ("alias", "purity", "mutation"):
             t = measure(lambda: analyze(gm, [name]), trials=5, warmup=1)
             rows.append([label, name, t.median * 1e3])
         t = measure(lambda: lint_graph(gm), trials=5, warmup=1)
-        rows.append([label, "full lint (6 rules)", t.median * 1e3])
+        rows.append([label, "full lint (5 rules)", t.median * 1e3])
 
     table = format_table(
         ["graph", "analysis", "wall (ms)"],

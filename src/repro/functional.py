@@ -33,7 +33,7 @@ __all__ = [
     "linear", "conv2d", "conv1d", "conv_transpose2d", "interpolate",
     "batch_norm", "layer_norm", "group_norm",
     "max_pool2d", "avg_pool2d", "adaptive_avg_pool2d",
-    "dropout", "embedding", "embedding_bag", "one_hot",
+    "dropout", "embedding", "one_hot",
     "cat", "stack", "flatten", "reshape", "transpose", "permute", "squeeze",
     "unsqueeze", "pad", "chunk", "split",
     "sum", "mean", "var", "amax", "amin", "argmax", "cumsum", "topk",
@@ -481,30 +481,6 @@ def dropout(x, p: float = 0.5, training: bool = True):
 def embedding(indices, weight):
     """Look up rows of *weight* by integer *indices*."""
     return Tensor._wrap(np.asarray(_unwrap(weight))[np.asarray(_unwrap(indices))])
-
-
-@dispatchable
-def embedding_bag(indices, weight, offsets=None, mode: str = "sum"):
-    """Bagged embedding lookup (as used by DLRM-style models).
-
-    ``indices`` is flat; ``offsets`` gives the start of each bag.  Each bag
-    is reduced with *mode* (``sum``/``mean``/``max``).
-    """
-    wu = np.asarray(_unwrap(weight))
-    idx = np.asarray(_unwrap(indices)).reshape(-1)
-    if offsets is None:
-        off = np.arange(0, len(idx) + 1)
-    else:
-        off = np.concatenate([np.asarray(_unwrap(offsets)).reshape(-1), [len(idx)]])
-    rows = wu[idx]
-    reducer = {"sum": np.sum, "mean": np.mean, "max": np.max}[mode]
-    bags = [
-        reducer(rows[off[i] : off[i + 1]], axis=0)
-        if off[i + 1] > off[i]
-        else np.zeros(wu.shape[1], dtype=wu.dtype)
-        for i in range(len(off) - 1)
-    ]
-    return Tensor._wrap(np.stack(bags))
 
 
 @dispatchable

@@ -13,8 +13,8 @@ Public surface mirrors ``torch.fx``:
 * :mod:`repro.fx.backends` / :func:`to_backend` — the unified backend
   registry and dependency-aware capability-partitioned lowering (§6.4);
 * :mod:`repro.fx.analysis` — the unified dataflow analysis framework
-  (alias/escape, purity, dtype promotion, mutation hazards), lint rules
-  (also ``python -m repro.fx.analysis``), and the pass verifier;
+  (alias/escape, purity, mutation hazards), lint rules, and the pass
+  verifier;
 * :mod:`repro.fx.passes` — shape propagation, fusion, splitting,
   visualization, cost modelling, scheduling;
 * :mod:`repro.fx.vm` / :func:`compile_to_vm` — the flat bytecode VM

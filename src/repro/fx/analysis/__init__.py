@@ -11,21 +11,19 @@ a transform needs is computed once and shared:
   liveness (the memory planner's foundation, extracted);
 * :mod:`~repro.fx.analysis.purity` — side-effect classification behind
   ``Node.is_impure``, DCE and CSE;
-* :mod:`~repro.fx.analysis.dtype_promotion` — silent float64 upcasts;
 * :mod:`~repro.fx.analysis.mutation` — in-place / ``out=`` / arena-slot
   writes that clobber live values.
 
 On top sit the user-facing layers:
 
 * :func:`lint_graph` + the rule registry — diagnostics with severity and
-  tracer-recorded source provenance (also ``python -m repro.fx.analysis``);
+  tracer-recorded source provenance;
 * :class:`PassVerifier` — re-checks invariants after every
   ``PassManager`` pass and fails the pipeline *naming the pass* when one
   regresses;
 * :mod:`~repro.fx.analysis.breaks` — graph-break detection,
   classification and repair (GraphMend): :func:`detect_breaks` /
-  :func:`mend` / :func:`polyvariant_trace`
-  (also ``python -m repro.fx.analysis breaks``);
+  :func:`mend` / :func:`polyvariant_trace`;
 * :mod:`~repro.fx.analysis.guards` — :func:`derive_guards` proves via
   symbolic shape propagation which input dims a captured graph is generic
   over, producing the :class:`GuardSet` that serving keys engines on.
@@ -50,7 +48,6 @@ from .purity import (
     impure_fingerprints,
     is_inplace_method,
 )
-from .dtype_promotion import DtypePromotionAnalysis, DtypeResult, UpcastRecord
 from .mutation import (
     Hazard,
     MutationHazardAnalysis,
@@ -91,8 +88,6 @@ __all__ = [
     "Diagnostic",
     "DiagnosticReport",
     "DimGuard",
-    "DtypePromotionAnalysis",
-    "DtypeResult",
     "Effect",
     "GuardSet",
     "Hazard",
@@ -106,7 +101,6 @@ __all__ = [
     "RepairError",
     "Rule",
     "Severity",
-    "UpcastRecord",
     "VerificationError",
     "analyze",
     "classify_effect",

@@ -100,9 +100,9 @@ class AliasAnalysis(Analysis):
             return max([order[n]] + [fact(u) if u in aliasing else order[u]
                                      for u in n.users])
 
-        escaping = sweep(nodes, escapes, direction="backward")
+        escaping = sweep(nodes, escapes)
         return AliasResult(
             aliasing=aliasing,
             escapes=frozenset(n for n, v in escaping.items() if v),
-            extended_last=sweep(nodes, extended_last, direction="backward"),
+            extended_last=sweep(nodes, extended_last),
         )

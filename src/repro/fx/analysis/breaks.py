@@ -26,8 +26,6 @@ turns them into analyzed, repairable artifacts:
    *polyvariantly* by :func:`polyvariant_trace` — N traces, each guarded
    by predicate graphs that re-evaluate the branch conditions at call
    time — packaged as a dispatching :class:`PolyvariantModule`.
-
-The CLI lives behind ``python -m repro.fx.analysis breaks <model>``.
 """
 
 from __future__ import annotations
@@ -129,18 +127,6 @@ class BreakEvent:
         func = self.stack[0][2] if self.stack else "?"
         return f"{fname}::{func}::{self.kind}::{self.construct or '?'}"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "classification": self.classification,
-            "construct": self.construct,
-            "location": self.location,
-            "source_line": self.source_line,
-            "node": self.node_name,
-            "message": self.message,
-            "call_chain": [f"{f}:{ln} in {fn}" for f, ln, fn in self.stack],
-        }
-
 
 @dataclass
 class BreakReport:
@@ -155,12 +141,6 @@ class BreakReport:
 
     def ranked(self) -> list:
         return sorted(self.events, key=lambda e: (e.difficulty, e.location))
-
-    @property
-    def auto_fixable(self) -> bool:
-        return bool(self.events) and all(
-            e.classification in AUTO_FIXABLE for e in self.events
-        )
 
     def format(self) -> str:
         if not self.events:

@@ -4,7 +4,7 @@ A *rule* turns analysis results into user-facing :class:`Diagnostic`
 objects carrying a rule id, a severity, and source-location provenance
 (the ``stack_trace`` the tracer recorded on each node, pointing at the
 user's model code rather than framework internals).  Rules live in a
-registry so downstream code — the CLI, the fuzz oracle, and the pass
+registry so downstream code — the fuzz oracle and the pass
 verifier — all lint through one function, :func:`lint_graph`, and
 user-defined rules participate automatically::
 
@@ -31,7 +31,6 @@ rule id               severity meaning
 mutation-hazard       error    in-place/out= write clobbers a still-live value
 arena-hazard          error    unsound memory-plan slot sharing or escaped slot
 caller-visible-write  warning  mutation of an input or output-aliased value
-float64-upcast        warning  silent float64 promotion (numpy scalar rules)
 impure-unused         note     impure node whose result is never read (DCE keeps it)
 aliased-output        note     graph output may be a view of a function input
 ===================== ======== ====================================================
@@ -171,7 +170,6 @@ class Rule:
     id: str
     default_severity: Severity
     fn: Callable[[GraphModule, AnalysisContext], Iterable[Diagnostic]]
-    doc: str = ""
 
 
 _RULES: dict[str, Rule] = {}
@@ -182,12 +180,7 @@ def register_rule(rule_id: str, severity: Severity) -> Callable:
     the highest one its diagnostics may carry."""
 
     def deco(fn: Callable) -> Callable:
-        _RULES[rule_id] = Rule(
-            id=rule_id,
-            default_severity=severity,
-            fn=fn,
-            doc=(fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else "",
-        )
+        _RULES[rule_id] = Rule(id=rule_id, default_severity=severity, fn=fn)
         return fn
 
     return deco
@@ -270,19 +263,6 @@ def _rule_caller_visible_write(gm: GraphModule, ctx: AnalysisContext):
             yield Diagnostic.for_node(
                 "caller-visible-write", Severity.WARNING, h.detail,
                 nodes[h.node_index], h.node_index)
-
-
-@register_rule("float64-upcast", Severity.WARNING)
-def _rule_float64_upcast(gm: GraphModule, ctx: AnalysisContext):
-    """Silent float64 promotion from numpy scalar/function upcasting."""
-    nodes = list(gm.graph.nodes)
-    for rec in ctx.get("dtype").upcasts:
-        yield Diagnostic.for_node(
-            "float64-upcast", Severity.WARNING,
-            (f"result is float64 but inputs are "
-             f"({', '.join(rec.input_dtypes)}); doubles memory traffic "
-             f"downstream — cast explicitly if intended"),
-            nodes[rec.node_index], rec.node_index)
 
 
 @register_rule("impure-unused", Severity.NOTE)

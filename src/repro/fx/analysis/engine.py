@@ -3,14 +3,14 @@
 
 The paper's argument (§4.2, §5.5) is that a 6-opcode basic-block DAG
 makes whole-program analysis *trivial*: no control-flow joins, no loop
-widening — a forward analysis is one sweep in topological order, a
-backward analysis one sweep in reverse.  This module is exactly that:
+widening — a backward analysis is one sweep in reverse topological order.
+(Forward facts — shapes, dtypes, cost — are the op table's own sweep,
+:func:`repro.fx.opinfo.sweep`.)  This module is exactly that:
 
-* :func:`sweep` — visit each node once, in graph order or in reverse,
-  with a pluggable per-node transfer function.  A transfer may read the
-  fact of any node already swept (a forward transfer its inputs, a
-  backward one its users); reading one not yet swept raises, so a
-  transfer that would need a second round cannot be written.
+* :func:`sweep` — visit each node once, in reverse graph order, with a
+  pluggable per-node transfer function.  A transfer may read the fact of
+  any node already swept (its users); reading one not yet swept raises,
+  so a transfer that would need a second round cannot be written.
 * :class:`Analysis` — the plug-in base class.  A concrete analysis names
   itself and computes a result over one module's ``Node`` objects,
   pulling the analyses it reads through ``ctx.get``.
@@ -51,27 +51,22 @@ class AnalysisError(RuntimeError):
 def sweep(
     nodes: Sequence[Node],
     transfer: Callable[[Node, Callable[[Node], Any]], Any],
-    *,
-    direction: str = "forward",
 ) -> dict[Node, Any]:
-    """Compute ``fact[n] = transfer(n, fact)`` for every node, once each.
+    """Compute ``fact[n] = transfer(n, fact)`` for every node, once each,
+    in reverse order (facts flow from users).
 
     Args:
         nodes: the graph's nodes in topological order.
         transfer: per-node transfer function.  Receives the node and a
             getter ``fact(other)`` for the fact of a node already swept.
-        direction: ``"forward"`` sweeps in topological order (facts flow
-            from inputs), ``"backward"`` in reverse (facts flow from users).
 
     Returns:
         The per-node fact map.
 
     Raises:
         AnalysisError: the transfer read a fact that has not been swept
-            yet (a forward transfer reading a user, say).
+            yet (an input rather than a user).
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     facts: dict[Node, Any] = {}
 
     def fact(n: Node) -> Any:
@@ -79,11 +74,10 @@ def sweep(
             return facts[n]
         except KeyError:
             raise AnalysisError(
-                f"the {direction} sweep read {n.name!r} before reaching it; "
-                f"a {direction} transfer may read only "
-                f"{'inputs' if direction == 'forward' else 'users'}") from None
+                f"the sweep read {n.name!r} before reaching it; a transfer "
+                f"may read only users") from None
 
-    for n in (nodes if direction == "forward" else reversed(nodes)):
+    for n in reversed(nodes):
         facts[n] = transfer(n, fact)
     return facts
 
@@ -102,7 +96,7 @@ class Analysis:
     objects.
 
     Register with :func:`register_analysis` to make the analysis
-    available by name to the lint-rule registry and the CLI.
+    available by name to the lint-rule registry.
     """
 
     #: unique registry name, e.g. ``"alias"``.

@@ -998,15 +998,12 @@ DECLARED = tuple(TABLE)
 NO_ENTRY = {
     **dict.fromkeys(
         ("group_norm", "GroupNorm", "one_hot", "pad", "split", "argmax", "cumsum",
-         "topk", "embedding_bag", "EmbeddingBag"),
+         "topk"),
         "no model a compile or a guard has been asked about uses it; executed"),
     **dict.fromkeys(("allclose", "equal"), "returns a Python bool read off values"),
     "MultiheadAttention": "a composite of four Linear layers and a softmax that "
                           "the tracer keeps opaque; executed — the named fallback "
                           "— until attention has an entry of its own",
-    **dict.fromkeys(("RNN", "LSTM", "GRU"),
-                    "returns (output, state) with shapes that depend on "
-                    "num_layers and the initial state; executed"),
 }
 
 

@@ -21,13 +21,12 @@ Each submodule corresponds to a capability the paper evaluates or cites:
 """
 
 from . import const_fold, cost_model, cse, dce, fuser, graph_drawer, net_min
-from . import memory_planner, normalize, pass_manager, pointwise_fuser
+from . import memory_planner, pass_manager, pointwise_fuser
 from . import profiler, scheduler, shape_prop
 from . import symbolic_shape_prop
 from . import split_module as split_module_pass
 from .const_fold import fold_constants
 from .net_min import DivergenceReport, compare_outputs, find_first_divergence
-from .normalize import normalize_args
 from .pass_manager import (
     PassError,
     PassManager,
@@ -99,8 +98,6 @@ __all__ = [
     "profile",
     "profiler",
     "pass_manager",
-    "normalize",
-    "normalize_args",
     "symbolic_shape_prop",
     "DeviceModel",
     "FxGraphDrawer",

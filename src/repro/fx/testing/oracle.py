@@ -11,10 +11,10 @@ executes:
 3. the **Interpreter** (``Interpreter(gm).run(*inputs)``);
 4. a **re-trace** of the generated source (Figure 3 round-trip); and
 5. the program **after each registered pass pipeline** — ``dce``, ``cse``,
-   ``const_fold``, ``normalize``, ``fuse``, and the quantization round
-   trip — none of which touches the program it is given.  The pipelines
-   run through an instrumented :class:`~repro.fx.passes.PassManager` with
-   post-pass ``graph.lint()`` validation *and* the analysis-backed
+   ``const_fold``, ``fuse``, and the quantization round trip — none of
+   which touches the program it is given.  The pipelines run through an
+   instrumented :class:`~repro.fx.passes.PassManager` with post-pass
+   ``graph.lint()`` validation *and* the analysis-backed
    :class:`~repro.fx.analysis.PassVerifier` enabled, so every fuzz
    iteration also exercises the managed pass driver, its transform
    cache, and the between-pass invariant checks; and
@@ -91,7 +91,6 @@ from ..passes import (
     eliminate_dead_code,
     fold_constants,
     fuse_conv_bn,
-    normalize_args,
 )
 from ..passes.net_min import DivergenceReport, find_first_divergence
 from ..opinfo import has_tensor
@@ -221,8 +220,6 @@ PASS_MANAGERS: dict[str, PassManager] = {
                        verifier=PassVerifier()),
     "const_fold": PassManager([fold_constants], lint_after_each=True,
                               verifier=PassVerifier()),
-    "normalize": PassManager([normalize_args], lint_after_each=True,
-                             verifier=PassVerifier()),
     # eval_mode legitimately turns training BatchNorms pure (their running-
     # stat update stops), so the effect-preservation invariant is off here.
     "fuse": PassManager([("eval_mode", _set_eval), fuse_conv_bn],

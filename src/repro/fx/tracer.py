@@ -172,7 +172,7 @@ class TracerBase:
 
         General iteration is untraceable (the element count is unknown at
         trace time, §5.3), but the common fixed-arity *tuple unpacking*
-        pattern (``out, state = self.lstm(x)``) is recoverable: like
+        pattern (``a, b = x.chunk(2)``) is recoverable: like
         torch.fx, we inspect the calling frame's bytecode for an
         ``UNPACK_SEQUENCE`` instruction and, if found, yield that many
         ``getitem`` proxies.
@@ -272,7 +272,7 @@ class Tracer(TracerBase):
 
         Default policy mirrors torch.fx: built-in layers (everything under
         ``repro.nn``) and the quantization modules (``repro.quant``:
-        observers, fake-quant, int8 layers) are leaves — they are standard,
+        observers, int8 layers) are leaves — they are standard,
         well-documented primitives — while user-defined modules are traced
         through.  Containers are never leaves (their loops are exactly the
         input-independent control flow tracing should flatten, §5.1).

@@ -1,7 +1,6 @@
 """Model zoo — the paper's evaluation workloads, rebuilt on the substrate."""
 
 from .deep_recommender import DeepRecommender, deep_recommender
-from .dlrm import DLRM
 from .learning_to_paint import (
     LearningToPaintActor,
     NeuralRenderer,
@@ -16,7 +15,6 @@ __all__ = [
     "BasicBlock",
     "Bottleneck",
     "ConvBNReLU",
-    "DLRM",
     "DeepRecommender",
     "LearningToPaintActor",
     "MLP",

@@ -15,16 +15,15 @@ from .module import Module
 from .norm import BatchNorm1d, BatchNorm2d, GroupNorm, LayerNorm
 from .parameter import Parameter
 from .pooling import AdaptiveAvgPool2d, AvgPool2d, MaxPool2d, Upsample
-from .rnn import GRU, LSTM, RNN
-from .sparse import Embedding, EmbeddingBag
+from .sparse import Embedding
 
 __all__ = [
     "AdaptiveAvgPool2d", "AvgPool2d", "BatchNorm1d", "BatchNorm2d", "Conv1d",
-    "Conv2d", "ConvTranspose2d", "Dropout", "ELU", "Embedding", "EmbeddingBag", "Flatten",
-    "GELU", "GRU", "GroupNorm", "Hardsigmoid", "Hardswish", "Hardtanh",
-    "Identity", "LSTM", "LayerNorm", "LeakyReLU", "Linear", "LogSoftmax",
+    "Conv2d", "ConvTranspose2d", "Dropout", "ELU", "Embedding", "Flatten",
+    "GELU", "GroupNorm", "Hardsigmoid", "Hardswish", "Hardtanh",
+    "Identity", "LayerNorm", "LeakyReLU", "Linear", "LogSoftmax",
     "MaxPool2d", "Mish", "Module", "ModuleDict", "ModuleList",
-    "MultiheadAttention", "Parameter", "RNN", "ReLU", "ReLU6", "SELU",
+    "MultiheadAttention", "Parameter", "ReLU", "ReLU6", "SELU",
     "Sequential", "Sigmoid", "Upsample", "SiLU", "Softmax", "Softplus", "Tanh",
     "functional", "init",
 ]

@@ -8,7 +8,7 @@ from . import init
 from .module import Module
 from .parameter import Parameter
 
-__all__ = ["Embedding", "EmbeddingBag"]
+__all__ = ["Embedding"]
 
 
 class Embedding(Module):
@@ -27,22 +27,3 @@ class Embedding(Module):
     def extra_repr(self) -> str:
         return f"{self.num_embeddings}, {self.embedding_dim}"
 
-
-class EmbeddingBag(Module):
-    """Embedding lookup + per-bag reduction (sum/mean/max), DLRM-style."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int, mode: str = "sum"):
-        super().__init__()
-        if mode not in ("sum", "mean", "max"):
-            raise ValueError(f"unsupported mode {mode!r}")
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.mode = mode
-        self.weight = Parameter(zeros(num_embeddings, embedding_dim))
-        init.normal_(self.weight)
-
-    def forward(self, indices, offsets=None):
-        return F.embedding_bag(indices, self.weight, offsets, mode=self.mode)
-
-    def extra_repr(self) -> str:
-        return f"{self.num_embeddings}, {self.embedding_dim}, mode={self.mode}"

@@ -1,11 +1,10 @@
 """``repro.quant`` — FX graph-mode quantization (§6.2.1, Figure 6).
 
-Post-training quantization and quantization-aware training built on the
-fx IR: observers, qconfigs, the prepare/calibrate/convert workflow, and
-int8 kernels with exact-integer and float-simulated execution modes.
+Post-training quantization built on the fx IR: observers, qconfigs, the
+prepare/calibrate/convert workflow, and int8 kernels with exact-integer and
+float-simulated execution modes.
 """
 
-from .fake_quantize import FakeQuantize, fake_quantize_per_tensor
 from .kernels import (
     QTensor,
     choose_qparams,
@@ -21,7 +20,7 @@ from .observer import (
     MovingAverageMinMaxObserver,
     ObserverBase,
 )
-from .qconfig import QConfig, default_qat_qconfig, default_qconfig, histogram_qconfig
+from .qconfig import QConfig, default_qconfig, histogram_qconfig
 from .kernels import PerChannelQTensor, qconv2d, quantize_per_channel
 from .qmodules import (
     DeQuantize,
@@ -35,8 +34,6 @@ from .quantize_fx import convert_fx, prepare_fx, quantize_static
 
 __all__ = [
     "DeQuantize",
-    "FakeQuantize",
-    "fake_quantize_per_tensor",
     "PerChannelQTensor",
     "QuantizedConv2d",
     "QuantizedLinearReLU",
@@ -53,7 +50,6 @@ __all__ = [
     "QuantizedReLU",
     "choose_qparams",
     "convert_fx",
-    "default_qat_qconfig",
     "default_qconfig",
     "dequantize",
     "histogram_qconfig",

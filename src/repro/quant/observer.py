@@ -77,7 +77,7 @@ class MinMaxObserver(ObserverBase):
 
 class MovingAverageMinMaxObserver(MinMaxObserver):
     """Exponential moving average of per-batch min/max — smoother under
-    outlier batches, the default for quantization-aware training."""
+    outlier batches."""
 
     def __init__(self, dtype: DType = quint8, symmetric: bool = False,
                  averaging_constant: float = 0.01):

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..tensor import qint8, quint8
-from .observer import HistogramObserver, MinMaxObserver, MovingAverageMinMaxObserver, ObserverBase
+from .observer import HistogramObserver, MinMaxObserver, ObserverBase
 
-__all__ = ["QConfig", "default_qconfig", "histogram_qconfig", "default_qat_qconfig"]
+__all__ = ["QConfig", "default_qconfig", "histogram_qconfig"]
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,5 @@ default_qconfig = QConfig(
 
 histogram_qconfig = QConfig(
     activation=lambda: HistogramObserver(dtype=quint8, symmetric=False),
-    weight=lambda: MinMaxObserver(dtype=qint8, symmetric=True),
-)
-
-default_qat_qconfig = QConfig(
-    activation=lambda: MovingAverageMinMaxObserver(dtype=quint8, symmetric=False),
     weight=lambda: MinMaxObserver(dtype=qint8, symmetric=True),
 )

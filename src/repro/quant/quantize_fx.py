@@ -30,7 +30,6 @@ from ..fx import GraphModule, Node, symbolic_trace
 from ..fx.opinfo import key_of
 from ..fx.passes.fuser import _one_arg_call
 from ..nn import Conv2d, Linear, Module
-from .fake_quantize import FakeQuantize
 from .kernels import qrelu
 from .observer import ObserverBase
 from .qconfig import QConfig, default_qconfig
@@ -49,7 +48,7 @@ _OBSERVER_PREFIX = "activation_post_process_"
 
 
 def _is_observer(mod: Module | None) -> bool:
-    return isinstance(mod, (ObserverBase, FakeQuantize))
+    return isinstance(mod, ObserverBase)
 
 
 def _is_quantizable_compute(node: Node, modules: dict[str, Module]) -> bool:
@@ -91,16 +90,12 @@ def _insert_anchor(graph, value: Node) -> Node:
 def prepare_fx(
     model: Module | GraphModule,
     qconfig: QConfig = default_qconfig,
-    qat: bool = False,
 ) -> GraphModule:
     """Phase 1: insert observers around every quantizable op.
 
     Args:
         model: a float model (traced if it is not already a GraphModule).
         qconfig: observer factories.
-        qat: use :class:`FakeQuantize` wrappers so the prepared model
-            *snaps* values to the quantized grid (quantization-aware
-            training) instead of observing passively.
 
     Returns:
         The instrumented GraphModule; run calibration batches through it,
@@ -121,9 +116,7 @@ def prepare_fx(
             if user.op == "call_module" and _is_observer(modules.get(user.target)):
                 observed[value] = user
                 return
-        obs: Module = qconfig.activation()
-        if qat:
-            obs = FakeQuantize(obs)
+        obs = qconfig.activation()
         name = f"{_OBSERVER_PREFIX}{counter}"
         counter += 1
         gm.add_submodule(name, obs)

@@ -168,27 +168,6 @@ class TestDropoutEmbedding:
         idx = repro.randint(0, 10, (3, 5))
         assert F.embedding(idx, table).shape == (3, 5, 4)
 
-    def test_embedding_bag_sum(self):
-        table = repro.tensor([[1.0], [2.0], [4.0]])
-        idx = repro.tensor([0, 1, 2])
-        offsets = repro.tensor([0, 1])  # bags: [0], [1, 2]
-        out = F.embedding_bag(idx, table, offsets, mode="sum")
-        assert out.tolist() == [[1.0], [6.0]]
-
-    def test_embedding_bag_mean_and_max(self):
-        table = repro.tensor([[2.0], [4.0]])
-        idx = repro.tensor([0, 1])
-        offsets = repro.tensor([0])
-        assert F.embedding_bag(idx, table, offsets, mode="mean").tolist() == [[3.0]]
-        assert F.embedding_bag(idx, table, offsets, mode="max").tolist() == [[4.0]]
-
-    def test_embedding_bag_empty_bag_is_zero(self):
-        table = repro.ones(4, 2)
-        idx = repro.tensor([1])
-        offsets = repro.tensor([0, 1])  # second bag empty
-        out = F.embedding_bag(idx, table, offsets)
-        assert out.tolist()[1] == [0.0, 0.0]
-
     def test_one_hot(self):
         out = F.one_hot(repro.tensor([0, 2]), num_classes=3)
         assert out.tolist() == [[1, 0, 0], [0, 0, 1]]

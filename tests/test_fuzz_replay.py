@@ -7,6 +7,10 @@ oracle verdicts.
 """
 
 import dataclasses
+import os
+import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import repro
 import repro.functional as F
 from repro import nn
 from repro.fx import clear_caches, opinfo, symbolic_trace
+from repro.fx.state import copy_module
 from repro.fx.testing import (
     CHECKS,
     GeneratedProgram,
@@ -26,6 +31,7 @@ from repro.fx.testing import (
 )
 from repro.fx.testing import fuzz as run_fuzz
 from repro.fx.testing.fuzz import main as fuzz_main
+from repro.fx.testing import oracle
 from repro.fx.testing.oracle import validate_checks
 
 
@@ -178,6 +184,41 @@ class TestOracleAndMinimizer:
         assert not any(o.ok for o in report.outcomes)
         # a failed quant_prepare stops before quant_convert
         assert {o.name for o in report.outcomes} == NUMERIC - {"quant_convert"}
+
+    def test_a_wrong_pass_is_minimized_localized_and_written_out(
+            self, monkeypatch, tmp_path):
+        """The failure path end to end: a pass that negates the first
+        ``call_function`` fails, is minimized to a smaller spec whose first
+        divergence is named, and is written as a standalone script.  That
+        script replays the failure while the wrong pass is registered, and
+        exits non-zero in a fresh interpreter, where it is not."""
+        def negate_first_call(gm):
+            out = copy_module(gm)
+            node = next((n for n in out.graph.nodes if n.op == "call_function"), None)
+            if node is not None:
+                target = node.target
+                node.target = lambda *args, **kwargs: -target(*args, **kwargs)
+                out.recompile()
+            return out
+
+        monkeypatch.setitem(oracle.PASS_PIPELINES, "planted", negate_first_call)
+        monkeypatch.setattr(oracle, "CHECKS", oracle.CHECKS + ("planted",))
+        result = run_fuzz(seed=0, iters=2, out_dir=str(tmp_path),
+                          only=frozenset({"planted"}))
+        assert result.failures, result.summary()
+        failure = result.failures[0]
+        assert failure.failing_checks == ["planted"]
+        mini = failure.minimized
+        assert mini is not None and "planted" in mini.failing_checks
+        assert mini.ops_remaining < failure.spec.n_ops - len(failure.spec.skip)
+        script = open(failure.script_path).read()
+        assert "First divergence (planted): node" in script
+        runpy.run_path(failure.script_path, run_name="__main__")   # reproduces
+        env = dict(os.environ, PYTHONPATH=str(os.path.dirname(repro.__path__[0])))
+        replay = subprocess.run([sys.executable, failure.script_path], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert replay.returncode != 0
+        assert "failure no longer reproduces" in replay.stderr
 
     def test_minimize_rejects_passing_spec(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ Covers the tentpole guarantees:
 * **repair** — where-repairable ``if``\\s re-trace into a single clean
   graph; shape/value-dependent branches capture polyvariantly, with the
   dispatcher exact on *both* branch outcomes;
-* **the CLI** — ``python -m repro.fx.analysis breaks`` reports, ranks,
-  and gates on a committed baseline.
+* **the gate** — the zoo and example models in ``ci/break_baseline.json``
+  report no hard break that the baseline does not list.
 """
 
 import json
@@ -34,6 +34,7 @@ from repro.fx.analysis import (
 from repro.fx.analysis.breaks import AUTO_FIXABLE, DIFFICULTY
 from repro.fx.graph_module import GraphModule
 from repro.fx.tracer import TraceError
+from tests import ROOT, load_spec
 
 
 class DataIf(nn.Module):
@@ -202,40 +203,25 @@ class TestPolyvariant:
             mend(FloatIf())
 
 
-class TestBreaksCLI:
-    def _run(self, argv):
-        from repro.fx.analysis.__main__ import main
+class TestBreakBaseline:
+    """The graph-break gate: no spec in ``ci/break_baseline.json`` may
+    report a break that is not auto-fixable and whose ``key()`` its
+    baseline entry lacks."""
 
-        return main(argv)
+    BASELINE = json.loads((ROOT / "ci" / "break_baseline.json").read_text())
 
-    def test_cli_reports_and_gates(self, capsys):
-        rc = self._run(["breaks", "tests/test_fx_breaks.py:DataIf"])
-        out = capsys.readouterr().out
-        assert rc == 0  # repairable-if is auto-fixable: not a failure
-        assert "repairable-if" in out
+    @staticmethod
+    def _new_hard_breaks(model, known) -> list:
+        return sorted({e.key() for e in detect_breaks(model).events
+                       if e.classification not in AUTO_FIXABLE} - set(known))
 
-    def test_cli_fails_on_unbaselined_hard_break(self, capsys):
-        rc = self._run(["breaks", "tests/test_fx_breaks.py:FloatIf"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "non-auto-fixable" in err
+    @pytest.mark.parametrize("spec", sorted(BASELINE))
+    def test_no_unbaselined_hard_break(self, spec):
+        model = load_spec(spec)
+        model = model if isinstance(model, nn.Module) else model()
+        assert self._new_hard_breaks(model, self.BASELINE[spec]) == []
 
-    def test_cli_baseline_roundtrip(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        rc = self._run(["breaks", "tests/test_fx_breaks.py:FloatIf",
-                        "--baseline", baseline, "--update-baseline"])
-        assert rc == 0
-        data = json.loads(open(baseline).read())
-        assert list(data) == ["tests/test_fx_breaks.py:FloatIf"]
-        capsys.readouterr()
-        # Same break again: baselined, so the gate passes.
-        rc = self._run(["breaks", "tests/test_fx_breaks.py:FloatIf",
-                        "--baseline", baseline])
-        assert rc == 0
-
-    def test_cli_json_output(self, capsys):
-        rc = self._run(["breaks", "tests/test_fx_breaks.py:ShapeIf", "--json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        events = payload["tests/test_fx_breaks.py:ShapeIf"]["events"]
-        assert events[0]["classification"] == "polyvariant-shape"
+    def test_an_unbaselined_hard_break_fails_the_gate(self):
+        assert self._new_hard_breaks(FloatIf(), []) == \
+            ["test_fx_breaks.py::forward::float::if"]
+        assert self._new_hard_breaks(DataIf(), []) == []   # auto-fixable

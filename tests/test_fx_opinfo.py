@@ -18,8 +18,8 @@ from repro.fx.passes.symbolic_shape_prop import SymbolicShapeProp, SymDim, SymSh
 from repro.fx.subgraph_rewriter import replace_pattern
 from repro.fx.testing.oracle import reference_meta
 from repro.models import (
-    DLRM, MLP, ConvBNReLU, DeepRecommender, LearningToPaintActor, NeuralRenderer,
-    SimpleCNN, TransformerEncoder, resnet18, resnet50,
+    MLP, ConvBNReLU, DeepRecommender, LearningToPaintActor, NeuralRenderer, SimpleCNN,
+    TransformerEncoder, resnet18, resnet50,
 )
 
 N = SymDim("N")
@@ -334,18 +334,12 @@ def test_a_leaf_without_an_entry_is_the_only_thing_executed(kernel_calls):
 
 # -- the model zoo: identical metadata, fallbacks named -----------------------------
 
-def _dlrm_inputs():
-    idx = repro.Tensor(np.array([1, 2, 3], dtype=np.int64))
-    return (repro.randn(3, 13), idx, idx, idx)
-
-
 ZOO = {
     "mlp": (lambda: MLP(4, (8,), 2), lambda: (repro.randn(2, 4),), []),
     "conv_bn_relu": (lambda: ConvBNReLU(3, 4), lambda: (repro.randn(1, 3, 8, 8),), []),
     "simple_cnn": (SimpleCNN, lambda: (repro.randn(1, 3, 32, 32),), []),
     "deep_recommender": (lambda: DeepRecommender(n_items=32, layer_sizes=(8,)),
                          lambda: (repro.randn(2, 32),), []),
-    "dlrm": (DLRM, _dlrm_inputs, []),
     "learning_to_paint": (LearningToPaintActor, lambda: (repro.randn(1, 9, 32, 32),), []),
     "neural_renderer": (NeuralRenderer, lambda: (repro.randn(2, 10),), []),
     "resnet18": (lambda: resnet18(num_classes=2), lambda: (repro.randn(1, 3, 32, 32),), []),

@@ -26,7 +26,6 @@ from repro.fx.passes import (
     eliminate_dead_code,
     fold_constants,
     fuse_conv_bn,
-    normalize_args,
 )
 
 
@@ -194,7 +193,7 @@ class TestPassManager:
         gm = symbolic_trace(model)
         pm = PassManager(
             [eliminate_dead_code, eliminate_common_subexpressions,
-             fold_constants, normalize_args, fuse_conv_bn],
+             fold_constants, fuse_conv_bn],
             lint_after_each=True, cache=False)
         out = pm.run(copy_gm(gm)).graph_module
         x = repro.randn(1, 3, 8, 8)
@@ -417,7 +416,7 @@ class TestOracleIntegration:
     def test_pipelines_run_under_pass_manager_with_lint(self):
         from repro.fx.testing import PASS_MANAGERS, PASS_PIPELINES
 
-        assert set(PASS_PIPELINES) == {"dce", "cse", "const_fold", "normalize", "fuse"}
+        assert set(PASS_PIPELINES) == {"dce", "cse", "const_fold", "fuse"}
         for name, manager in PASS_MANAGERS.items():
             assert isinstance(manager, PassManager), name
             assert manager.lint_after_each, f"{name} must lint between passes"

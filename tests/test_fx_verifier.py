@@ -417,7 +417,7 @@ VERDICTS = Path(__file__).with_name("op_list_verdicts.json")
 
 
 class Casts(nn.Module):
-    """Explicit casts beside a silent upcast (the mean of an integer)."""
+    """Explicit casts beside an implicit one (the mean of an integer)."""
 
     def forward(self, x):
         return x.double() + 1, x.to(repro.float64), F.mean(x.long(), 1), x.float() * 2
@@ -425,8 +425,8 @@ class Casts(nn.Module):
 
 def _verdict_corpus():
     """``(label, module, example inputs or None)``: :func:`_corpus`, the op
-    table's model zoo and the perf ledger's subjects (shape-propagated, so
-    the upcast check has dtypes to read), and :class:`Casts`."""
+    table's model zoo and the perf ledger's subjects (shape-propagated),
+    and :class:`Casts`."""
     from tests.test_fx_opinfo import ZOO
 
     spec = importlib.util.spec_from_file_location(
@@ -445,14 +445,12 @@ def _verdict_corpus():
 
 def _verdicts(gm, inputs) -> str:
     """Per node, may-alias (``a`` / ``f``) then effect (its index in
-    ``Effect``), then the indices of the silent upcasts."""
+    ``Effect``)."""
     if inputs is not None:
         ShapeProp(gm).propagate(*inputs)
     nodes = list(gm.graph.nodes)
-    upcasts = AnalysisContext(gm).get("dtype").upcasts
     return "".join("a" if may_alias_input(n, gm) else "f" for n in nodes) + "|" \
-        + "".join(str(list(Effect).index(classify_effect(n, gm))) for n in nodes) \
-        + f"|{[u.node_index for u in upcasts]}"
+        + "".join(str(list(Effect).index(classify_effect(n, gm))) for n in nodes)
 
 
 class TestDemandDrivenVerdicts:
@@ -460,7 +458,7 @@ class TestDemandDrivenVerdicts:
         {},
         {"min_severity": Severity.WARNING},
         {"min_severity": Severity.NOTE, "check_effects": False},
-        {"rules": ("mutation-hazard", "float64-upcast", "impure-unused")},
+        {"rules": ("mutation-hazard", "caller-visible-write", "impure-unused")},
     )
 
     def test_snapshot_equals_exhaustive_lint_then_filter(self):
@@ -492,10 +490,11 @@ class TestDemandDrivenVerdicts:
         assert hazardous > 20 and gated > 20
 
     def test_op_table_verdicts_are_the_hand_kept_lists_verdicts(self):
-        """``may_alias_input``, ``classify_effect`` and the upcast check read
-        the op table's ``view`` / ``writes`` / ``CASTS``.  ``VERDICTS`` was
-        recorded over this corpus with the per-analysis op lists they
-        replaced.  One node kind moves, in the conservative direction:
+        """``may_alias_input`` and ``classify_effect`` read the op table's
+        ``view`` / ``writes``.  ``VERDICTS`` was recorded over this corpus
+        with the per-analysis op lists they replaced (re-recorded without
+        the deleted upcast check's part, from the tree whose digests
+        matched).  One node kind moves, in the conservative direction:
         ``MultiheadAttention`` has no entry, so its result may alias."""
         recorded = json.loads(VERDICTS.read_text())
         got, attention = {}, 0

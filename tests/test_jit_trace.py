@@ -136,23 +136,16 @@ class TestIRComplexity:
 
 class TestMultiInputAndComplexModels:
     def test_multi_input_trace(self):
-        from repro.models import DLRM
+        from tests import load_spec
 
-        model = DLRM(
-            num_dense=8, embedding_specs=((20, 8),) * 3,
-            bottom_mlp=(16, 8), top_mlp=(16,),
-        ).eval()
-        args = (
-            repro.randn(2, 8),
-            repro.randint(0, 20, (2,)),
-            repro.randint(0, 20, (2,)),
-            repro.randint(0, 20, (2,)),
-        )
+        model = load_spec("examples/analyze_and_schedule.py:TwoTower")(dim=8).eval()
+        args = (repro.randn(2, 8), repro.randn(2, 8))
         traced = jit.trace(model, args)
-        assert len(traced.graph.inputs) == 5  # self + 4 data inputs
+        assert len(traced.graph.inputs) == 3  # self + 2 data inputs
         kinds = [n.kind for n in traced.graph.all_nodes()]
-        assert "aten::embedding" in kinds
-        assert "aten::bmm" in kinds
+        assert kinds.count("aten::linear") == 4
+        assert "aten::mul" in kinds
+        assert np.allclose(traced(*args).data, model(*args).data)
 
     def test_transformer_traces(self):
         from repro.models import TransformerEncoder

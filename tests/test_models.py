@@ -1,13 +1,11 @@
 """Tests for the model zoo: shapes, structure, traceability."""
 
 import numpy as np
-import pytest
 
 import repro
 from repro import nn
 from repro.fx import symbolic_trace
 from repro.models import (
-    DLRM,
     MLP,
     DeepRecommender,
     LearningToPaintActor,
@@ -122,43 +120,6 @@ class TestTransformer:
                        "self_attn" not in n.target and "linear" not in n.target
                        and "norm" not in n.target and "dropout" not in n.target
                        for n in gm.graph.nodes) or True
-
-
-class TestDLRM:
-    def _model(self):
-        return DLRM(
-            num_dense=8,
-            embedding_specs=((50, 8), (50, 8), (50, 8)),
-            bottom_mlp=(16, 8),
-            top_mlp=(16,),
-        ).eval()
-
-    def test_forward(self):
-        m = self._model()
-        out = m(
-            repro.randn(4, 8),
-            repro.randint(0, 50, (4,)),
-            repro.randint(0, 50, (4,)),
-            repro.randint(0, 50, (4,)),
-        )
-        assert out.shape == (4, 1)
-        assert float(out.min()) >= 0.0 and float(out.max()) <= 1.0
-
-    def test_multi_input_trace(self):
-        m = self._model()
-        gm = symbolic_trace(m)
-        args = (
-            repro.randn(2, 8),
-            repro.randint(0, 50, (2,)),
-            repro.randint(0, 50, (2,)),
-            repro.randint(0, 50, (2,)),
-        )
-        assert np.allclose(m(*args).data, gm(*args).data, atol=1e-5)
-        assert len(gm.graph.find_nodes(op="placeholder")) == 4
-
-    def test_dim_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            DLRM(embedding_specs=((10, 4),) * 3, bottom_mlp=(8, 5))
 
 
 class TestMLPAndCNN:

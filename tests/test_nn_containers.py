@@ -99,60 +99,3 @@ class TestAttention:
     def test_indivisible_heads_raise(self):
         with pytest.raises(ValueError):
             nn.MultiheadAttention(10, 3)
-
-
-class TestRNNs:
-    def test_lstm_shapes(self):
-        lstm = nn.LSTM(4, 8)
-        out, (h, c) = lstm(repro.randn(6, 2, 4))
-        assert out.shape == (6, 2, 8)
-        assert h.shape == (1, 2, 8) and c.shape == (1, 2, 8)
-
-    def test_lstm_batch_first(self):
-        lstm = nn.LSTM(4, 8, batch_first=True)
-        out, _ = lstm(repro.randn(2, 6, 4))
-        assert out.shape == (2, 6, 8)
-
-    def test_lstm_state_threading(self):
-        lstm = nn.LSTM(4, 8)
-        x1, x2 = repro.randn(3, 1, 4), repro.randn(3, 1, 4)
-        _, state = lstm(x1)
-        out_cont, _ = lstm(x2, state)
-        # feeding the full sequence must equal feeding it in two halves
-        full, _ = lstm(repro.cat([x1, x2], dim=0))
-        assert np.allclose(out_cont.data, full.data[3:], atol=1e-5)
-
-    def test_lstm_output_bounded(self):
-        lstm = nn.LSTM(4, 8)
-        out, _ = lstm(repro.randn(10, 2, 4) * 100)
-        assert float(out.abs().max()) <= 1.0 + 1e-6  # o * tanh(c) bounded
-
-    def test_gru_shapes(self):
-        gru = nn.GRU(4, 6)
-        out, h = gru(repro.randn(5, 3, 4))
-        assert out.shape == (5, 3, 6)
-        assert h.shape == (1, 3, 6)
-
-    def test_rnn_tanh_bounded(self):
-        rnn = nn.RNN(4, 6)
-        out, h = rnn(repro.randn(5, 2, 4) * 50)
-        assert float(out.abs().max()) <= 1.0
-
-    def test_rnn_is_leaf_for_tracing(self):
-        """Per §2.3: RNN application appears as one call_module node."""
-        from repro.fx import symbolic_trace
-
-        class SeqModel(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.lstm = nn.LSTM(4, 8)
-
-            def forward(self, x):
-                out, _ = self.lstm(x)
-                return out
-
-        gm = symbolic_trace(SeqModel())
-        lstm_nodes = [n for n in gm.graph.nodes if n.op == "call_module"]
-        assert len(lstm_nodes) == 1
-        x = repro.randn(5, 2, 4)
-        assert np.allclose(gm(x).data, SeqModel.forward(gm, x).data)

@@ -154,12 +154,3 @@ class TestSparse:
         out = emb(repro.tensor([1, 2, 3]))
         assert out.shape == (3, 4)
         assert np.array_equal(out.data[0], emb.weight.data[1])
-
-    def test_embedding_bag(self):
-        bag = nn.EmbeddingBag(10, 4, mode="mean")
-        out = bag(repro.tensor([1, 2, 3, 4]), repro.tensor([0, 2]))
-        assert out.shape == (2, 4)
-
-    def test_embedding_bag_bad_mode(self):
-        with pytest.raises(ValueError):
-            nn.EmbeddingBag(5, 2, mode="median")

@@ -10,9 +10,7 @@ from repro.fx import symbolic_trace
 from repro.models import MLP, DeepRecommender
 from repro.quant import (
     DeQuantize,
-    FakeQuantize,
     MinMaxObserver,
-    MovingAverageMinMaxObserver,
     Quantize,
     QuantizedLinear,
     QuantizedReLU,
@@ -61,12 +59,6 @@ class TestPrepare:
         ph = prepared.graph.find_nodes(op="placeholder")[0]
         obs_users = [u for u in ph.users if "activation_post_process" in str(u.target)]
         assert len(obs_users) == 1  # one observer, shared
-
-    def test_qat_uses_fake_quantize(self):
-        prepared = prepare_fx(MLP(4, (8,), 2), qat=True)
-        modules = dict(prepared.named_modules())
-        fakes = [m for m in modules.values() if isinstance(m, FakeQuantize)]
-        assert fakes
 
     def test_lints(self):
         prepare_fx(MLP(8, (16,), 4)).graph.lint()
@@ -270,69 +262,18 @@ class TestHistogramQConfig:
         assert rel < 0.2
 
 
-class TestQAT:
-    def test_qat_flow(self):
-        model = MLP(8, (16,), 4)
-        prepared = prepare_fx(model, qat=True)
-        # calibrate with fake quant in the loop
-        for _ in range(4):
-            prepared(repro.randn(8, 8))
-        qm = convert_fx(prepared)
-        x = repro.randn(4, 8)
-        assert qm(x).shape == (4, 4)
-
-    def test_fake_quant_changes_activations(self):
-        model = MLP(8, (16,), 4)
-        gm = symbolic_trace(model)
-        prepared = prepare_fx(model, qat=True)
-        x = repro.randn(4, 8)
-        prepared(x)  # initialize observers
-        out_fake = prepared(x)
-        out_float = gm(x)
-        # fake-quant snapping introduces (small) error
-        assert not np.array_equal(out_fake.data, out_float.data)
-        assert np.allclose(out_fake.data, out_float.data, atol=0.5)
-
-    @pytest.mark.parametrize("observer", [MovingAverageMinMaxObserver, MinMaxObserver])
-    def test_fake_quant_observes_finite_elements_only(self, observer):
-        # the observer module's NaN filter applies inside FakeQuantize too
-        with_nan, clean = FakeQuantize(observer()), FakeQuantize(observer())
-        with np.errstate(invalid="ignore"):
-            with_nan(repro.tensor([1.0, float("nan"), 5.0]))
-        clean(repro.tensor([1.0, 5.0]))
-        x = repro.tensor([-2.0, 3.0, 4.0])
-        assert np.array_equal(with_nan(x).data, clean(x).data)
-        assert with_nan.calculate_qparams() == clean.calculate_qparams()
-
-
 class TestRetrace:
     """Quantization modules are tracer leaves: tracing a prepared or
-    converted model again keeps its observers, fake-quants and int8 layers."""
+    converted model again keeps its observers and int8 layers."""
 
     @staticmethod
-    def _calibrated(qat):
+    def _calibrated():
         model = MLP(4, (8,), 2).eval()
         x = repro.randn(64, 4) * 3
-        return model, calibrate(prepare_fx(model, qat=qat), [x] * 3), x
-
-    def test_compiling_a_caller_of_a_qat_model_keeps_its_fake_quant(self):
-        from repro import fx
-
-        class Caller(nn.Module):
-            def __init__(self, inner):
-                super().__init__()
-                self.inner = inner
-
-            def forward(self, x):
-                return self.inner(x)
-
-        _, prepared, x = self._calibrated(qat=True)
-        caller = Caller(prepared)
-        # the same batch again leaves the moving averages where they are
-        assert np.array_equal(fx.compile(caller, (x,))(x).data, caller(x).data)
+        return model, calibrate(prepare_fx(model), [x] * 3), x
 
     def test_calibrating_a_retraced_prepared_model_converts(self):
-        model, prepared, x = self._calibrated(qat=False)
+        model, prepared, x = self._calibrated()
         retraced = symbolic_trace(prepare_fx(model))
         assert [n.target for n in retraced.graph.nodes if n.op == "call_module"
                 and "activation_post_process" in n.target] == \
@@ -342,6 +283,6 @@ class TestRetrace:
         assert np.array_equal(converted(x).data, convert_fx(prepared)(x).data)
 
     def test_tracing_a_converted_model(self):
-        _, prepared, x = self._calibrated(qat=False)
+        _, prepared, x = self._calibrated()
         converted = convert_fx(prepared)
         assert np.array_equal(symbolic_trace(converted)(x).data, converted(x).data)

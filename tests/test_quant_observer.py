@@ -1,11 +1,10 @@
-"""Tests for observers and fake quantization."""
+"""Tests for observers."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.quant import (
-    FakeQuantize,
     HistogramObserver,
     MinMaxObserver,
     MovingAverageMinMaxObserver,
@@ -105,33 +104,3 @@ def test_a_non_finite_value_is_not_an_observation(observer):
         if finite:
             without(repro.tensor(finite))
     assert with_nan.calculate_qparams() == without.calculate_qparams()
-
-
-class TestFakeQuantize:
-    def test_snaps_to_grid(self):
-        fq = FakeQuantize(MinMaxObserver())
-        x = repro.randn(100)
-        out = fq(x)
-        scale, zp = fq.calculate_qparams()
-        # every output value lies on the quantization grid
-        grid_pos = (out.data / scale) + zp
-        assert np.allclose(grid_pos, np.round(grid_pos), atol=1e-3)
-
-    def test_error_bounded(self):
-        fq = FakeQuantize(MinMaxObserver())
-        x = repro.randn(100)
-        out = fq(x)
-        scale, _ = fq.calculate_qparams()
-        assert float((out - x).abs().max()) <= scale
-
-    def test_disabled_passthrough_still_observes(self):
-        fq = FakeQuantize(MinMaxObserver())
-        fq.enable_fake_quant(False)
-        x = repro.randn(10)
-        out = fq(x)
-        assert np.array_equal(out.data, x.data)
-        fq.calculate_qparams()  # observer saw the data
-
-    def test_non_tensor_passthrough(self):
-        fq = FakeQuantize()
-        assert fq("not a tensor") == "not a tensor"
