@@ -32,7 +32,7 @@ def traced():
 def test_analysis_table(benchmark, traced):
     x = repro.randn(1, 3, 224, 224)
 
-    def analyze():
+    def summarize():
         report = estimate(traced, x)
         rows = [
             ["graph nodes", len(traced.graph)],
@@ -46,7 +46,7 @@ def test_analysis_table(benchmark, traced):
                          dev.predict_runtime(report) * 1e3])
         return rows, report
 
-    rows, report = benchmark.pedantic(analyze, rounds=1, iterations=1)
+    rows, report = benchmark.pedantic(summarize, rounds=1, iterations=1)
     table = format_table(
         ["metric", "value"], rows,
         title="§6.3 — ResNet-50 @ 1x3x224x224 analysis summary",
@@ -101,7 +101,7 @@ def test_graph_drawer_speed_and_output(benchmark, traced):
 
 
 # ---------------------------------------------------------------------------
-# the unified dataflow analysis framework (repro.fx.analysis)
+# the dataflow analyses (repro.fx.analysis)
 # ---------------------------------------------------------------------------
 
 
@@ -119,7 +119,7 @@ def test_dataflow_analysis_speed(benchmark, traced):
     """Per-analysis wall time.  §5.5 argues dataflow over the fx IR
     collapses to single sweeps — every analysis must be cheap enough to
     run after every pass of a pipeline."""
-    from repro.fx.analysis import analyze, lint_graph
+    from repro.fx.analysis import alias, hazards, lint_graph, purity
 
     x = repro.randn(1, 3, 64, 64)
     ShapeProp(traced).propagate(x)
@@ -128,9 +128,9 @@ def test_dataflow_analysis_speed(benchmark, traced):
     rows = []
     for label, gm in ((f"ResNet-50 ({len(traced.graph)} nodes)", traced),
                       (f"fuzz graph ({len(fuzz_gm.graph)} nodes)", fuzz_gm)):
-        for name in ("alias", "purity", "mutation"):
-            t = measure(lambda: analyze(gm, [name]), trials=5, warmup=1)
-            rows.append([label, name, t.median * 1e3])
+        for fn in (alias, purity, hazards):
+            t = measure(lambda: fn(gm), trials=5, warmup=1)
+            rows.append([label, fn.__name__, t.median * 1e3])
         t = measure(lambda: lint_graph(gm), trials=5, warmup=1)
         rows.append([label, "full lint (5 rules)", t.median * 1e3])
 
@@ -141,7 +141,7 @@ def test_dataflow_analysis_speed(benchmark, traced):
               "per fact)",
         floatfmt=".3f",
     )
-    benchmark.pedantic(lambda: analyze(traced, ["alias"]), rounds=3,
+    benchmark.pedantic(lambda: alias(traced), rounds=3,
                        iterations=1)
 
     global _ANALYSIS_TABLE

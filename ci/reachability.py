@@ -51,7 +51,7 @@ ATTENTION = "the op table covers attention"
 KEPT = {"repro/fx/analysis/breaks.py": "the mending front door",
         "repro/models/transformer.py": ATTENTION, "repro/nn/attention.py": ATTENTION,
         "repro/nn/sparse.py": ATTENTION + " (TransformerEncoder's embedding)",
-        "repro/fx/backends/eager.py": "the rest of the sweep (oracle's backend_split calls it)",
+        "repro/fx/backends/eager.py": "the oracle's backend_split reference backend",
         **dict.fromkeys(["repro/fx/testing/fuzz.py", "repro/fx/testing/minimize.py",
                          "repro/fx/testing/oracle.py"], "the fuzz harness CI and tier-1 run")}
 

@@ -10,10 +10,10 @@ Public surface mirrors ``torch.fx``:
 * :func:`replace_pattern` — declarative subgraph rewriting;
 * :func:`compile` — one-call optimizing pipeline (pointwise fusion +
   memory planning, §6.2);
-* :mod:`repro.fx.backends` / :func:`to_backend` — the unified backend
-  registry and dependency-aware capability-partitioned lowering (§6.4);
-* :mod:`repro.fx.analysis` — the unified dataflow analysis framework
-  (alias/escape, purity, mutation hazards), lint rules, and the pass
+* :mod:`repro.fx.backends` / :func:`to_backend` — the backend protocol
+  and dependency-aware capability-partitioned lowering (§6.4);
+* :mod:`repro.fx.analysis` — the dataflow analyses (alias/escape,
+  purity, mutation hazards), lint rules, and the pass
   verifier;
 * :mod:`repro.fx.passes` — shape propagation, fusion, splitting,
   visualization, cost modelling, scheduling;
@@ -37,7 +37,7 @@ from . import analysis
 from .analysis import PassVerifier, VerificationError, lint_graph
 from . import passes
 from . import backends
-from .backends import Backend, BackendReport, register_backend, to_backend
+from .backends import Backend, BackendReport, to_backend
 from . import vm
 from .vm import VMModule, VMProgram, compile_to_vm
 from .compiler import CompileReport, compile  # noqa: A004 - mirrors torch.compile
@@ -75,7 +75,6 @@ __all__ = [
     "map_aggregate",
     "map_arg",
     "passes",
-    "register_backend",
     "replace_pattern",
     "symbolic_trace",
     "testing",

@@ -12,26 +12,25 @@ mutation-hazard checker, and the lint rules all need:
 * **extended liveness** — until which graph step can this value still be
   *read*, counting reads through any live view of it?
 
-This used to live privately inside
-:mod:`~repro.fx.passes.memory_planner` — which is exactly where review
-twice found silent-corruption soundness bugs.  It is now a registered
-:class:`~repro.fx.analysis.engine.Analysis`: two backward sweeps of the
-shared engine, and the planner is one consumer among several.
+:func:`alias` answers all three with two backward sweeps.  The paper's
+argument (§4.2, §5.5) is that a 6-opcode basic-block DAG makes such
+analyses trivial: no control-flow joins, no loop widening — a backward
+problem is one sweep in reverse graph order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from .. import opinfo
 from ..graph_module import GraphModule
 from ..node import Node
-from .engine import Analysis, AnalysisContext, register_analysis, sweep
 from .purity import is_inplace_method
 
 __all__ = [
-    "AliasAnalysis",
     "AliasResult",
+    "alias",
     "may_alias_input",
 ]
 
@@ -71,38 +70,54 @@ class AliasResult:
         return node in self.aliasing
 
 
-@register_analysis
-class AliasAnalysis(Analysis):
-    """Registered alias/escape/extended-liveness analysis.
+def _sweep(nodes: Sequence[Node],
+           transfer: Callable[[Node, Callable[[Node], Any]], Any]) -> dict[Node, Any]:
+    """``fact[n] = transfer(n, fact)`` for every node, once each, in reverse
+    order.  ``fact(other)`` reads the fact of a node already swept (a
+    user); reading one not yet swept raises, so a transfer that would need
+    a second round cannot be written."""
+    facts: dict[Node, Any] = {}
 
-    Escape and extended liveness are *backward* problems, each one
-    reverse sweep of the shared engine:
+    def fact(n: Node) -> Any:
+        try:
+            return facts[n]
+        except KeyError:
+            raise RuntimeError(
+                f"the sweep read {n.name!r} before reaching it; a transfer "
+                f"may read only users") from None
+
+    for n in reversed(nodes):
+        facts[n] = transfer(n, fact)
+    return facts
+
+
+def alias(gm: GraphModule) -> AliasResult:
+    """Alias, escape and extended-liveness facts for *gm*'s nodes.
+
+    Escape and extended liveness are *backward* problems, one reverse
+    sweep each:
 
     * ``escapes(n) = n feeds the output ∨ ∃ user u: may_alias(u) ∧ escapes(u)``
     * ``ext_last(n) = max(order(n), max over users u of ext_last(u) when
       may_alias(u), else order(u))``
     """
+    nodes = list(gm.graph.nodes)
+    order = {n: i for i, n in enumerate(nodes)}
+    aliasing = frozenset(n for n in nodes if may_alias_input(n, gm))
+    output_feeds = {a for n in nodes if n.op == "output"
+                    for a in n.all_input_nodes}
 
-    name = "alias"
+    def escapes(n: Node, fact) -> bool:
+        return n in output_feeds or any(
+            u in aliasing and fact(u) for u in n.users)
 
-    def compute(self, gm: GraphModule, ctx: AnalysisContext) -> AliasResult:
-        nodes = list(gm.graph.nodes)
-        order = {n: i for i, n in enumerate(nodes)}
-        aliasing = frozenset(n for n in nodes if may_alias_input(n, gm))
-        output_feeds = {a for n in nodes if n.op == "output"
-                        for a in n.all_input_nodes}
+    def extended_last(n: Node, fact) -> int:
+        return max([order[n]] + [fact(u) if u in aliasing else order[u]
+                                 for u in n.users])
 
-        def escapes(n: Node, fact) -> bool:
-            return n in output_feeds or any(
-                u in aliasing and fact(u) for u in n.users)
-
-        def extended_last(n: Node, fact) -> int:
-            return max([order[n]] + [fact(u) if u in aliasing else order[u]
-                                     for u in n.users])
-
-        escaping = sweep(nodes, escapes)
-        return AliasResult(
-            aliasing=aliasing,
-            escapes=frozenset(n for n, v in escaping.items() if v),
-            extended_last=sweep(nodes, extended_last),
-        )
+    escaping = _sweep(nodes, escapes)
+    return AliasResult(
+        aliasing=aliasing,
+        escapes=frozenset(n for n, v in escaping.items() if v),
+        extended_last=_sweep(nodes, extended_last),
+    )

@@ -1,29 +1,11 @@
-"""Diagnostics: lint rules over analysis results, with node provenance.
+"""Diagnostics: a fixed set of lint rules over the analyses, with node
+provenance.
 
-A *rule* turns analysis results into user-facing :class:`Diagnostic`
+A rule turns analysis results into user-facing :class:`Diagnostic`
 objects carrying a rule id, a severity, and source-location provenance
 (the ``stack_trace`` the tracer recorded on each node, pointing at the
-user's model code rather than framework internals).  Rules live in a
-registry so downstream code — the fuzz oracle and the pass
-verifier — all lint through one function, :func:`lint_graph`, and
-user-defined rules participate automatically::
-
-    from repro.fx.analysis import Diagnostic, Severity, register_rule
-
-    @register_rule("no-python-loops", Severity.WARNING)
-    def no_python_loops(gm, ctx):
-        counts = {}
-        for n in gm.graph.nodes:
-            key = (n.op, str(n.target))
-            counts[key] = counts.get(key, 0) + 1
-        for (op, target), c in counts.items():
-            if c > 64:
-                yield Diagnostic.for_node(
-                    "no-python-loops", Severity.WARNING,
-                    f"{target} appears {c} times; was a loop unrolled?",
-                    next(iter(gm.graph.nodes)))
-
-Built-in rules (the diagnostic reference table in README.md):
+user's model code rather than framework internals).  The five rules
+(the diagnostic reference table in README.md):
 
 ===================== ======== ====================================================
 rule id               severity meaning
@@ -34,27 +16,31 @@ caller-visible-write  warning  mutation of an input or output-aliased value
 impure-unused         note     impure node whose result is never read (DCE keeps it)
 aliased-output        note     graph output may be a view of a function input
 ===================== ======== ====================================================
+
+The first three report :func:`~repro.fx.analysis.mutation.hazards`
+(:data:`HAZARD_RULES` maps each ``Hazard.kind`` to its rule); the pass
+verifier runs only those, through :func:`hazard_diagnostics`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional
 
 from ..graph_module import GraphModule
 from ..node import Node
-from .engine import AnalysisContext
+from .alias import alias
+from .mutation import MutationResult, hazards
+from .purity import purity
 
 __all__ = [
     "Diagnostic",
     "DiagnosticReport",
-    "Rule",
+    "HAZARD_RULES",
     "Severity",
-    "get_rule",
+    "hazard_diagnostics",
     "lint_graph",
-    "register_rule",
-    "registered_rules",
 ]
 
 
@@ -142,9 +128,8 @@ class DiagnosticReport:
     def by_rule(self, rule: str) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.rule == rule]
 
-    def format(self, min_severity: Severity = Severity.NOTE) -> str:
-        shown = [d for d in self.diagnostics if d.severity >= min_severity]
-        lines = [d.format() for d in shown]
+    def format(self) -> str:
+        lines = [d.format() for d in self.diagnostics]
         lines.append(
             f"{len(self.errors)} error(s), {len(self.warnings)} warning(s), "
             f"{len(self.notes)} note(s)")
@@ -152,141 +137,54 @@ class DiagnosticReport:
 
 
 # ---------------------------------------------------------------------------
-# the rule registry
+# the rules
 # ---------------------------------------------------------------------------
 
+#: ``Hazard.kind`` -> (rule id, severity) of the diagnostic reporting it.
+HAZARD_RULES: dict[str, tuple[str, Severity]] = {
+    "out-overwrite": ("mutation-hazard", Severity.ERROR),
+    "inplace-overwrite": ("mutation-hazard", Severity.ERROR),
+    "arena-escape": ("arena-hazard", Severity.ERROR),
+    "arena-overlap": ("arena-hazard", Severity.ERROR),
+    "arena-clobber": ("arena-hazard", Severity.ERROR),
+    "caller-visible-write": ("caller-visible-write", Severity.WARNING),
+}
 
-@dataclass(frozen=True)
-class Rule:
-    """One registered lint rule.
 
-    ``fn(gm, ctx)`` yields :class:`Diagnostic` objects, none above
-    ``default_severity`` — :func:`lint_graph` raises otherwise, which is
-    what lets a consumer that only acts on errors skip the rules that
-    cannot produce one.  The analyses a rule reads it pulls with
-    ``ctx.get``.
+def hazard_diagnostics(gm: GraphModule, result: MutationResult) -> list[Diagnostic]:
+    """One diagnostic per hazard in *result* (found over *gm*); a rule
+    that reports several kinds names the kind in its message."""
+    nodes = list(gm.graph.nodes)
+    out = []
+    for h in result.hazards:
+        rule, severity = HAZARD_RULES[h.kind]
+        message = h.detail if rule == h.kind else f"[{h.kind}] {h.detail}"
+        out.append(Diagnostic.for_node(rule, severity, message,
+                                       nodes[h.node_index], h.node_index))
+    return out
+
+
+def lint_graph(gm: GraphModule) -> DiagnosticReport:
+    """Run the five rules over *gm*; each analysis is computed once.
+
+    Returns a :class:`DiagnosticReport`; error-severity findings mean the
+    graph, as captured, has a real correctness risk.
     """
-
-    id: str
-    default_severity: Severity
-    fn: Callable[[GraphModule, AnalysisContext], Iterable[Diagnostic]]
-
-
-_RULES: dict[str, Rule] = {}
-
-
-def register_rule(rule_id: str, severity: Severity) -> Callable:
-    """Decorator registering a lint rule under *rule_id*; *severity* is
-    the highest one its diagnostics may carry."""
-
-    def deco(fn: Callable) -> Callable:
-        _RULES[rule_id] = Rule(id=rule_id, default_severity=severity, fn=fn)
-        return fn
-
-    return deco
-
-
-def get_rule(rule_id: str) -> Rule:
-    try:
-        return _RULES[rule_id]
-    except KeyError:
-        raise KeyError(
-            f"no lint rule registered under {rule_id!r}; known: {sorted(_RULES)}"
-        ) from None
-
-
-def registered_rules() -> dict[str, Rule]:
-    return dict(_RULES)
-
-
-def lint_graph(gm: GraphModule, *, rules: Optional[Sequence[str]] = None,
-               ctx: Optional[AnalysisContext] = None) -> DiagnosticReport:
-    """Run the registered lint rules (default: all) over *gm*.
-
-    Underlying analyses are computed once through one shared
-    :class:`~repro.fx.analysis.engine.AnalysisContext` (*ctx*, when the
-    caller already analysed this graph state).  Returns a
-    :class:`DiagnosticReport`; error-severity
-    findings mean the graph, as captured, has a real correctness risk.
-    A rule yielding a diagnostic above its registered severity raises
-    ``ValueError``.
-    """
-    if ctx is None:
-        ctx = AnalysisContext(gm)
-    report = DiagnosticReport()
-    for rule_id in (rules if rules is not None else sorted(_RULES)):
-        rule = get_rule(rule_id)
-        for d in rule.fn(gm, ctx):
-            if d.severity > rule.default_severity:
-                raise ValueError(
-                    f"lint rule {rule_id!r} is registered at severity "
-                    f"{rule.default_severity.label()!r} but yielded "
-                    f"{d.format()}")
-            report.diagnostics.append(d)
-    report.diagnostics.sort(key=lambda d: (d.node_index, d.rule))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# built-in rules
-# ---------------------------------------------------------------------------
-
-
-@register_rule("mutation-hazard", Severity.ERROR)
-def _rule_mutation_hazard(gm: GraphModule, ctx: AnalysisContext):
-    """In-place or ``out=`` write into a buffer whose value is still read."""
-    nodes = list(gm.graph.nodes)
-    for h in ctx.get("mutation").hazards:
-        if h.kind in ("out-overwrite", "inplace-overwrite"):
-            yield Diagnostic.for_node(
-                "mutation-hazard", Severity.ERROR, h.detail,
-                nodes[h.node_index], h.node_index)
-
-
-@register_rule("arena-hazard", Severity.ERROR)
-def _rule_arena_hazard(gm: GraphModule, ctx: AnalysisContext):
-    """Unsound memory-plan slot sharing, or a planned value that escapes."""
-    nodes = list(gm.graph.nodes)
-    for h in ctx.get("mutation").hazards:
-        if h.kind in ("arena-escape", "arena-overlap", "arena-clobber"):
-            yield Diagnostic.for_node(
-                "arena-hazard", Severity.ERROR, f"[{h.kind}] {h.detail}",
-                nodes[h.node_index], h.node_index)
-
-
-@register_rule("caller-visible-write", Severity.WARNING)
-def _rule_caller_visible_write(gm: GraphModule, ctx: AnalysisContext):
-    """Mutation of a function input or of a value aliasing the output."""
-    nodes = list(gm.graph.nodes)
-    for h in ctx.get("mutation").hazards:
-        if h.kind == "caller-visible-write":
-            yield Diagnostic.for_node(
-                "caller-visible-write", Severity.WARNING, h.detail,
-                nodes[h.node_index], h.node_index)
-
-
-@register_rule("impure-unused", Severity.NOTE)
-def _rule_impure_unused(gm: GraphModule, ctx: AnalysisContext):
-    """Impure node whose result is never read; DCE must retain it."""
-    effects = ctx.get("purity").effects
+    facts, effects = alias(gm), purity(gm).effects
+    report = DiagnosticReport(hazard_diagnostics(gm, hazards(gm, facts)))
     for i, n in enumerate(gm.graph.nodes):
         effect = effects[n]
         if effect.mutating and not n.users:
-            yield Diagnostic.for_node(
+            report.diagnostics.append(Diagnostic.for_node(
                 "impure-unused", Severity.NOTE,
                 (f"result is unused but the node {effect.value.replace('_', ' ')}s; "
                  f"dead-code elimination keeps it alive"),
-                n, i)
-
-
-@register_rule("aliased-output", Severity.NOTE)
-def _rule_aliased_output(gm: GraphModule, ctx: AnalysisContext):
-    """Graph output may be a view of a function input."""
-    alias = ctx.get("alias")
-    for i, n in enumerate(gm.graph.nodes):
-        if n.op == "placeholder" and n in alias.escapes:
-            yield Diagnostic.for_node(
+                n, i))
+        if n.op == "placeholder" and n in facts.escapes:
+            report.diagnostics.append(Diagnostic.for_node(
                 "aliased-output", Severity.NOTE,
                 ("the returned value may be a view of this input; callers "
                  "mutating one will see the other change"),
-                n, i)
+                n, i))
+    report.diagnostics.sort(key=lambda d: (d.node_index, d.rule))
+    return report

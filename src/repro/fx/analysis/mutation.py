@@ -6,8 +6,8 @@ into an existing buffer — an ``out=`` destination, a trailing-underscore
 in-place method, or a pooled arena slot — while the buffer's *previous*
 value can still be read, directly or through a live view.
 
-Three families of checks, all built on the shared
-:class:`~repro.fx.analysis.alias.AliasAnalysis`:
+Three families of checks, all built on the shared alias facts
+(:func:`~repro.fx.analysis.alias.alias`):
 
 * **out= overwrite** — a call whose ``out=`` kwarg is a graph value that
   some later node still reads;
@@ -35,15 +35,14 @@ from typing import Callable, Optional
 from ..graph_module import GraphModule
 from ..node import Node
 from ..opinfo import TABLE
-from .alias import AliasResult
-from .engine import Analysis, AnalysisContext, register_analysis
+from .alias import AliasResult, alias
 from .purity import is_inplace_method
 
 __all__ = [
     "Hazard",
-    "MutationHazardAnalysis",
     "MutationResult",
     "fused_out_clobbers",
+    "hazards",
 ]
 
 
@@ -61,7 +60,7 @@ def fused_out_clobbers(node: Node, dead: Node,
     ``last_read(i) >= w`` is enough.
 
     This predicate is shared by :func:`~repro.fx.passes.memory_planner.plan_memory`
-    (to *avoid* the reuse) and :class:`MutationHazardAnalysis` (to
+    (to *avoid* the reuse) and :func:`hazards` (to
     *reject* a plan that performed it anyway).
     """
     spec = node.target.spec
@@ -121,14 +120,6 @@ class MutationResult:
 
     hazards: tuple[Hazard, ...]
 
-    @property
-    def errors(self) -> tuple[Hazard, ...]:
-        return tuple(h for h in self.hazards
-                     if h.kind != "caller-visible-write")
-
-    def of_kind(self, kind: str) -> tuple[Hazard, ...]:
-        return tuple(h for h in self.hazards if h.kind == kind)
-
 
 def _mutated_target(node: Node) -> Optional[Node]:
     """The graph value whose storage *node* writes into, if any."""
@@ -141,117 +132,113 @@ def _mutated_target(node: Node) -> Optional[Node]:
     return None
 
 
-@register_analysis
-class MutationHazardAnalysis(Analysis):
-    name = "mutation"
-
-    def compute(self, gm: GraphModule, ctx: AnalysisContext) -> MutationResult:
-        # Every hazard kind starts from a writer or a planned node; a graph
-        # with neither has none, and its alias facts are never asked for.
+def hazards(gm: GraphModule, facts: Optional[AliasResult] = None) -> MutationResult:
+    """Every hazard in *gm*, given its alias *facts* when the caller has
+    them.  Every hazard kind starts from a writer or a planned node; a
+    graph with neither has none, and without *facts* its alias facts are
+    never computed (what keeps per-pass verification cheap)."""
+    if facts is None:
         if not any(_mutated_target(n) is not None
                    or n.meta.get("arena_slot") is not None
                    for n in gm.graph.nodes):
             return MutationResult(hazards=())
-        return self.hazards(gm, ctx.get("alias"))
+        facts = alias(gm)
+    nodes = list(gm.graph.nodes)
+    order = {n: i for i, n in enumerate(nodes)}
+    found: list[Hazard] = []
 
-    def hazards(self, gm: GraphModule, alias: AliasResult) -> MutationResult:
-        """Every hazard in *gm*, given its alias facts."""
-        nodes = list(gm.graph.nodes)
-        order = {n: i for i, n in enumerate(nodes)}
-        hazards: list[Hazard] = []
-
-        def last_read_excluding(value: Node, writer: Node) -> int:
-            """Last step at which *value* (or a live view of it) is read
-            by anything other than *writer* itself."""
-            last = -1
-            for u in value.users:
-                if u is writer:
-                    continue
-                last = max(last, order[u])
-                if alias.may_alias(u):
-                    last = max(last, alias.extended_last[u])
-            return last
-
-        # -- explicit writes: out= kwargs and in-place methods ---------------
-        for n in nodes:
-            victim = _mutated_target(n)
-            if victim is None:
+    def last_read_excluding(value: Node, writer: Node) -> int:
+        """Last step at which *value* (or a live view of it) is read
+        by anything other than *writer* itself."""
+        last = -1
+        for u in value.users:
+            if u is writer:
                 continue
-            kind = ("out-overwrite" if isinstance(n.kwargs.get("out"), Node)
-                    else "inplace-overwrite")
-            last = last_read_excluding(victim, n)
-            if last > order[n]:
-                hazards.append(Hazard(
-                    kind=kind,
-                    node_index=order[n],
-                    node_name=n.name,
-                    victim_name=victim.name,
-                    detail=(f"writes into {victim.name!r} whose previous value "
-                            f"(or a view of it) is still read at step {last} "
-                            f"(write happens at step {order[n]})"),
-                ))
-            if victim.op == "placeholder" or victim in alias.escapes:
-                hazards.append(Hazard(
-                    kind="caller-visible-write",
-                    node_index=order[n],
-                    node_name=n.name,
-                    victim_name=victim.name,
-                    detail=(f"mutates {victim.name!r}, which the caller can "
-                            f"observe ({'function input' if victim.op == 'placeholder' else 'aliases the output'}); "
-                            f"transforms treat mutation as undefined (§5.6)"),
-                ))
+            last = max(last, order[u])
+            if facts.may_alias(u):
+                last = max(last, facts.extended_last[u])
+        return last
 
-        # -- arena-slot hazards ----------------------------------------------
-        from ..passes.pointwise_fuser import FusedKernel
+    # -- explicit writes: out= kwargs and in-place methods ---------------
+    for n in nodes:
+        victim = _mutated_target(n)
+        if victim is None:
+            continue
+        kind = ("out-overwrite" if isinstance(n.kwargs.get("out"), Node)
+                else "inplace-overwrite")
+        last = last_read_excluding(victim, n)
+        if last > order[n]:
+            found.append(Hazard(
+                kind=kind,
+                node_index=order[n],
+                node_name=n.name,
+                victim_name=victim.name,
+                detail=(f"writes into {victim.name!r} whose previous value "
+                        f"(or a view of it) is still read at step {last} "
+                        f"(write happens at step {order[n]})"),
+            ))
+        if victim.op == "placeholder" or victim in facts.escapes:
+            found.append(Hazard(
+                kind="caller-visible-write",
+                node_index=order[n],
+                node_name=n.name,
+                victim_name=victim.name,
+                detail=(f"mutates {victim.name!r}, which the caller can "
+                        f"observe ({'function input' if victim.op == 'placeholder' else 'aliases the output'}); "
+                        f"transforms treat mutation as undefined (§5.6)"),
+            ))
 
-        by_slot: dict[tuple[int, int], list[Node]] = {}
-        for n in nodes:
-            slot = n.meta.get("arena_slot")
-            if slot is None:
-                continue
-            if n in alias.escapes:
-                hazards.append(Hazard(
-                    kind="arena-escape",
-                    node_index=order[n],
-                    node_name=n.name,
-                    victim_name=n.name,
-                    detail=(f"{n.name!r} is reachable from the graph output but "
-                            f"is planned into pooled arena slot {slot.index}; "
-                            f"a later call would clobber the caller's tensor"),
-                ))
-            by_slot.setdefault((id(slot.arena), slot.index), []).append(n)
+    # -- arena-slot hazards ----------------------------------------------
+    from ..passes.pointwise_fuser import FusedKernel
 
-        for (_, slot_index), sharers in by_slot.items():
-            sharers.sort(key=lambda n: order[n])
-            for i, m in enumerate(sharers):
-                for n in sharers[i + 1:]:
-                    m_last = alias.extended_last[m]
-                    if m_last > order[n]:
-                        hazards.append(Hazard(
-                            kind="arena-overlap",
+    by_slot: dict[tuple[int, int], list[Node]] = {}
+    for n in nodes:
+        slot = n.meta.get("arena_slot")
+        if slot is None:
+            continue
+        if n in facts.escapes:
+            found.append(Hazard(
+                kind="arena-escape",
+                node_index=order[n],
+                node_name=n.name,
+                victim_name=n.name,
+                detail=(f"{n.name!r} is reachable from the graph output but "
+                        f"is planned into pooled arena slot {slot.index}; "
+                        f"a later call would clobber the caller's tensor"),
+            ))
+        by_slot.setdefault((id(slot.arena), slot.index), []).append(n)
+
+    for (_, slot_index), sharers in by_slot.items():
+        sharers.sort(key=lambda n: order[n])
+        for i, m in enumerate(sharers):
+            for n in sharers[i + 1:]:
+                m_last = facts.extended_last[m]
+                if m_last > order[n]:
+                    found.append(Hazard(
+                        kind="arena-overlap",
+                        node_index=order[n],
+                        node_name=n.name,
+                        victim_name=m.name,
+                        detail=(f"slot {slot_index} is written by {n.name!r} "
+                                f"at step {order[n]} while {m.name!r} (same "
+                                f"slot) is still live until step {m_last}"),
+                    ))
+                elif m_last == order[n]:
+                    # m dies *at* n: n reads it while writing the slot.
+                    # Safe only when n's kernel step schedule proves the
+                    # result buffer's first write follows m's last read.
+                    unsafe = (not isinstance(n.target, FusedKernel)
+                              or fused_out_clobbers(n, m, facts.may_alias))
+                    if unsafe:
+                        found.append(Hazard(
+                            kind="arena-clobber",
                             node_index=order[n],
                             node_name=n.name,
                             victim_name=m.name,
-                            detail=(f"slot {slot_index} is written by {n.name!r} "
-                                    f"at step {order[n]} while {m.name!r} (same "
-                                    f"slot) is still live until step {m_last}"),
+                            detail=(f"{n.name!r} takes dying operand "
+                                    f"{m.name!r}'s slot {slot_index} as out=, "
+                                    f"but its step schedule reads the operand "
+                                    f"after the result buffer's first write"),
                         ))
-                    elif m_last == order[n]:
-                        # m dies *at* n: n reads it while writing the slot.
-                        # Safe only when n's kernel step schedule proves the
-                        # result buffer's first write follows m's last read.
-                        unsafe = (not isinstance(n.target, FusedKernel)
-                                  or fused_out_clobbers(n, m, alias.may_alias))
-                        if unsafe:
-                            hazards.append(Hazard(
-                                kind="arena-clobber",
-                                node_index=order[n],
-                                node_name=n.name,
-                                victim_name=m.name,
-                                detail=(f"{n.name!r} takes dying operand "
-                                        f"{m.name!r}'s slot {slot_index} as out=, "
-                                        f"but its step schedule reads the operand "
-                                        f"after the result buffer's first write"),
-                            ))
 
-        return MutationResult(hazards=tuple(hazards))
+    return MutationResult(hazards=tuple(found))

@@ -32,14 +32,14 @@ from .. import opinfo
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import Node
-from .engine import Analysis, AnalysisContext, register_analysis
 
 __all__ = [
     "Effect",
-    "PurityAnalysis",
     "PurityResult",
     "classify_effect",
+    "impure_fingerprints",
     "is_inplace_method",
+    "purity",
 ]
 
 
@@ -146,12 +146,6 @@ def impure_fingerprints(
     return tuple(sorted(out))
 
 
-@register_analysis
-class PurityAnalysis(Analysis):
-    """Registered purity analysis: a pure per-node transfer (no joins)."""
-
-    name = "purity"
-
-    def compute(self, gm: GraphModule, ctx: AnalysisContext) -> PurityResult:
-        return PurityResult(effects={
-            n: classify_effect(n, gm) for n in gm.graph.nodes})
+def purity(gm: GraphModule) -> PurityResult:
+    """Every node's :class:`Effect`: a per-node transfer, no joins."""
+    return PurityResult(effects={n: classify_effect(n, gm) for n in gm.graph.nodes})

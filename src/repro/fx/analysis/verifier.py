@@ -35,10 +35,9 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from ..graph_module import GraphModule
-from .diagnostics import (Diagnostic, Severity, get_rule, lint_graph,
-                          registered_rules)
-from .engine import AnalysisContext
-from .purity import impure_fingerprints
+from .diagnostics import Diagnostic, Severity, hazard_diagnostics
+from .mutation import hazards
+from .purity import impure_fingerprints, purity
 
 __all__ = ["PassVerifier", "VerificationError"]
 
@@ -65,6 +64,14 @@ Snapshot = tuple[tuple[tuple[tuple[str, int, str, str], int], ...],
                  tuple[tuple[str, str, str], ...]]
 
 
+def _findings(gm: GraphModule) -> tuple[list[Diagnostic], tuple]:
+    """The error findings and the mutating nodes' fingerprints — what both
+    invariants are decided from."""
+    found = [d for d in hazard_diagnostics(gm, hazards(gm))
+             if d.severity >= Severity.ERROR]
+    return found, impure_fingerprints(purity(gm))
+
+
 class PassVerifier:
     """Stateful between-pass invariant checker.
 
@@ -76,67 +83,27 @@ class PassVerifier:
             gm = pass_(gm)
             verifier.after_pass(pass_.__name__, gm)   # raises on regression
 
-    Args:
-        min_severity: findings at or above this severity participate in
-            the no-new-diagnostics invariant (default: errors only, so a
-            pass that merely *reveals* a pre-existing warning does not
-            fail the build).
-        rules: restrict linting to these rule ids (default: all).
-        check_effects: also enforce the no-vanished-effects invariant.
-
-    Only the rules whose findings can reach *min_severity* are run: a
-    rule registered below it cannot yield one at or above it
-    (:func:`lint_graph` holds rules to their registered severity), so with
-    the defaults a snapshot costs the two error rules plus ``purity``.
-    :meth:`snapshot` takes an optional ``ctx`` — an
-    :class:`~repro.fx.analysis.engine.AnalysisContext` over the same
-    module — for callers that already analysed this graph state.
+    A snapshot costs the two error rules (:func:`hazards`, whose alias
+    facts a graph with no writer and no arena slot never computes) plus
+    :func:`purity`; the note and warning rules cannot fail a pass.
     """
 
-    def __init__(self, *, min_severity: Severity = Severity.ERROR,
-                 rules: Optional[Sequence[str]] = None,
-                 check_effects: bool = True):
-        self.min_severity = min_severity
-        self.rules = tuple(rules) if rules is not None else None
-        self.check_effects = check_effects
+    def __init__(self):
         self._baseline: Optional[Snapshot] = None
 
     # -- snapshotting -----------------------------------------------------
 
-    def config_key(self) -> tuple:
-        """Identity of this verifier's configuration, for cache keying:
-        a cached snapshot is only valid under the config that made it."""
-        return (int(self.min_severity), self.rules, self.check_effects)
-
-    def _lint(self, gm: GraphModule,
-              ctx: Optional[AnalysisContext]) -> tuple[list[Diagnostic], tuple]:
-        """The findings at or above ``min_severity`` and the mutating
-        nodes' fingerprints — what both invariants are decided from."""
-        if ctx is None:
-            ctx = AnalysisContext(gm)
-        candidates = self.rules if self.rules is not None \
-            else sorted(registered_rules())
-        report = lint_graph(gm, ctx=ctx, rules=[
-            r for r in candidates
-            if get_rule(r).default_severity >= self.min_severity])
-        found = [d for d in report.diagnostics
-                 if d.severity >= self.min_severity]
-        impure = impure_fingerprints(ctx.get("purity")) \
-            if self.check_effects else ()
-        return found, impure
-
-    def snapshot(self, gm: GraphModule, *,
-                 ctx: Optional[AnalysisContext] = None) -> Snapshot:
+    def snapshot(self, gm: GraphModule) -> Snapshot:
         """Analyze *gm* and reduce it to the two fingerprint multisets
         the invariants compare."""
-        found, impure = self._lint(gm, ctx)
+        found, impure = _findings(gm)
         errors = Counter(d.fingerprint for d in found)
         return (tuple(sorted(errors.items())), impure)
 
     def adopt(self, snapshot: Snapshot) -> None:
         """Install *snapshot* as the baseline without analyzing anything
-        (the transform cache replaying a run: its entry was verified under
-        this configuration, from this baseline, when it was stored)."""
+        (the transform cache replaying a run: its entry was verified from
+        this baseline when it was stored)."""
         self._baseline = snapshot
 
     @property
@@ -160,7 +127,7 @@ class PassVerifier:
         base_errors = Counter(dict(self._baseline[0]))
         base_impure = Counter(self._baseline[1])
 
-        found, impure = self._lint(gm, None)
+        found, impure = _findings(gm)
         cur_errors = Counter(d.fingerprint for d in found)
 
         introduced = cur_errors - base_errors
@@ -176,18 +143,17 @@ class PassVerifier:
                 diagnostics=offending,
             )
 
-        if self.check_effects:
-            vanished = base_impure - Counter(impure)
-            if vanished:
-                lost = ", ".join(
-                    f"{op} {target} ({effect})×{c}"
-                    for (op, target, effect), c in sorted(vanished.items()))
-                raise VerificationError(
-                    f"pass {pass_name!r} silently removed effectful "
-                    f"node(s): {lost}; deleting or deduplicating a "
-                    f"mutating node changes program behaviour",
-                    pass_name=pass_name,
-                )
+        vanished = base_impure - Counter(impure)
+        if vanished:
+            lost = ", ".join(
+                f"{op} {target} ({effect})×{c}"
+                for (op, target, effect), c in sorted(vanished.items()))
+            raise VerificationError(
+                f"pass {pass_name!r} silently removed effectful "
+                f"node(s): {lost}; deleting or deduplicating a "
+                f"mutating node changes program behaviour",
+                pass_name=pass_name,
+            )
 
         self._baseline = (tuple(sorted(cur_errors.items())), impure)
         return self._baseline

@@ -1,32 +1,31 @@
-"""The ``Backend`` protocol and the process-wide backend registry.
+"""The ``Backend`` protocol and the three built-in backend names.
 
 A *backend* is anything that can compile an fx subgraph into a faster (or
 differently-executed) ``Module``: the numpy graph compiler of
 :func:`repro.fx.compile`, the TensorRT-like engine builder of
-:mod:`repro.trt`, an identity "eager" backend, or anything a user
-registers.  The paper's use cases (§5, §6.2, §6.4) all follow the same
+:mod:`repro.trt`, an identity "eager" backend, or any ``Backend``
+instance a user passes.  The paper's use cases (§5, §6.2, §6.4) all follow the same
 shape — capture, run preferred passes, carve out the supported region,
 compile it, fall back to eager for the rest — so that shape lives *once*
 in :func:`repro.fx.backends.to_backend` and individual backends only
 answer four questions:
 
-* ``name`` — the registry key;
+* ``name`` — what reports and the compile memo call it;
 * ``is_node_supported(node, modules)`` — can I execute this node?
 * ``preferred_passes(gm)`` — which passes should run (under
   :class:`~repro.fx.passes.PassManager`) before partitioning?
 * ``compile_subgraph(gm)`` — turn one fully-supported subgraph into a
   callable ``Module``.
 
-Registration is by name (:func:`register_backend`); backends living in
-packages that themselves import :mod:`repro.fx` register *lazily*
-(:func:`register_lazy_backend`) so the registry never creates an import
-cycle.
+:func:`get_backend` resolves the names ``"numpy"``, ``"eager"`` and
+``"trt"``, importing each on first use (``repro.trt`` itself imports
+:mod:`repro.fx`, so importing it here would form a cycle).
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from ...nn import Module
 from ..graph_module import GraphModule
@@ -36,9 +35,6 @@ __all__ = [
     "Backend",
     "UnsupportedNodesError",
     "get_backend",
-    "register_backend",
-    "register_lazy_backend",
-    "registered_backends",
     "override_support",
 ]
 
@@ -62,7 +58,7 @@ class UnsupportedNodesError(RuntimeError):
 class Backend:
     """Base class / protocol for pluggable compilation backends.
 
-    Subclasses override the four core hooks.  Two optional class
+    Subclasses override the four core hooks.  Three optional class
     attributes tune how :func:`~repro.fx.backends.to_backend` treats the
     backend:
 
@@ -119,72 +115,25 @@ class Backend:
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-#: name -> Backend instance, Backend subclass, or zero-arg factory.
-_REGISTRY: Dict[str, Union[Backend, Callable[[], Backend]]] = {}
-#: name -> (module path, attribute) resolved on first use.
-_LAZY: Dict[str, tuple[str, str]] = {}
-
-
-def register_backend(name: str,
-                     backend: Union[Backend, Callable[[], Backend]],
-                     *, overwrite: bool = False) -> None:
-    """Register *backend* (an instance, class, or zero-arg factory) under
-    *name*.  Re-registering an existing name raises unless
-    ``overwrite=True`` — silent replacement of a backend someone else is
-    using is exactly the bug class a registry exists to prevent."""
-    if not name or not isinstance(name, str):
-        raise TypeError(f"backend name must be a non-empty string, got {name!r}")
-    if not overwrite and (name in _REGISTRY or name in _LAZY):
-        raise ValueError(f"backend {name!r} is already registered "
-                         f"(pass overwrite=True to replace it)")
-    if not (isinstance(backend, Backend) or callable(backend)):
-        raise TypeError(
-            f"backend must be a Backend instance or a factory, got "
-            f"{type(backend).__name__}")
-    _LAZY.pop(name, None)
-    _REGISTRY[name] = backend
-
-
-def register_lazy_backend(name: str, module: str, attr: str,
-                          *, overwrite: bool = False) -> None:
-    """Register a backend resolved by importing ``module`` and
-    instantiating ``attr`` on first :func:`get_backend` call.  Used for
-    backends whose home package imports ``repro.fx`` (e.g. ``repro.trt``)
-    so registration cannot form an import cycle."""
-    if not overwrite and (name in _REGISTRY or name in _LAZY):
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY.pop(name, None)
-    _LAZY[name] = (module, attr)
-
-
-def registered_backends() -> list[str]:
-    """Sorted names of every registered backend (lazy ones included)."""
-    return sorted(set(_REGISTRY) | set(_LAZY))
+#: name -> (module, class) of the built-in backends.
+_BUILTIN = {
+    "eager": ("repro.fx.backends.eager", "EagerBackend"),
+    "numpy": ("repro.fx.backends.numpy_backend", "NumpyBackend"),
+    "trt": ("repro.trt.backend", "TRTBackend"),
+}
 
 
 def get_backend(name: str) -> Backend:
-    """Resolve *name* to a ready-to-use :class:`Backend` instance.
-
-    Factory/class registrations are instantiated per call so backends
-    with per-run state (e.g. a configured pipeline) never leak state
-    between ``to_backend`` calls.
-    """
-    if name in _LAZY:
-        module, attr = _LAZY[name]
-        obj = getattr(importlib.import_module(module), attr)
-        _REGISTRY[name] = obj
-        del _LAZY[name]
-    entry = _REGISTRY.get(name)
-    if entry is None:
+    """A fresh instance of the built-in backend called *name*, so per-run
+    state (e.g. a configured pipeline) never leaks between ``to_backend``
+    calls.  Any other backend is passed as an instance."""
+    try:
+        module, cls = _BUILTIN[name]
+    except KeyError:
         raise KeyError(
-            f"no backend registered under {name!r}; known backends: "
-            f"{', '.join(registered_backends()) or '(none)'}")
-    backend = entry() if not isinstance(entry, Backend) else entry
-    if not isinstance(backend, Backend):
-        raise TypeError(
-            f"registry entry for {name!r} produced {type(backend).__name__}, "
-            f"not a Backend")
-    return backend
+            f"no built-in backend {name!r}; known: {', '.join(_BUILTIN)} "
+            f"(pass any other backend as a Backend instance)") from None
+    return getattr(importlib.import_module(module), cls)()
 
 
 class _FilteredBackend(Backend):

@@ -50,7 +50,7 @@ class BackendReport:
     """What one :func:`to_backend` call did.
 
     Attributes:
-        backend: registry name of the backend used.
+        backend: name of the backend used.
         nodes_before: node count of the captured graph.
         nodes_after: node count after the backend's preferred passes.
         n_partitions: compiled (supported) partitions in the result.
@@ -151,8 +151,8 @@ def to_backend(
             such as a graph that writes module state, shares the tensors no
             pass replaced with it) or a ``GraphModule`` (never mutated —
             the preferred passes run on a copy, made only if one has to).
-        backend: a registry name (see
-            :func:`~repro.fx.backends.registered_backends`) or a
+        backend: ``"numpy"``, ``"eager"`` or ``"trt"`` (see
+            :func:`~repro.fx.backends.get_backend`), or any
             :class:`Backend` instance.
         allow_fallback: if True, nodes the backend cannot compile run
             eagerly, inline in the top-level graph (only supported

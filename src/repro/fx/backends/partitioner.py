@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ...nn import Module
-from ..analysis import AnalysisContext, may_alias_input
+from ..analysis import may_alias_input, purity
 from ..graph_module import GraphModule
 from ..node import Node
 
@@ -88,7 +88,7 @@ def effect_mask(gm: GraphModule) -> set:
     compiling a view whose underlying storage is written elsewhere, or
     compiling the write itself, would silently decouple the two.
     """
-    effects = AnalysisContext(gm).get("purity").effects
+    effects = purity(gm).effects
     nodes = [n for n in gm.graph.nodes]
 
     parent: Dict[Node, Node] = {n: n for n in nodes}

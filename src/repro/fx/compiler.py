@@ -7,8 +7,8 @@ module, run the pass library over it, and hand back a drop-in
     shape-prop -> DCE -> CSE -> const-fold -> conv-bn-fuse
                -> pointwise-fuse -> memory-plan
 
-Since the backend-registry refactor, the pipeline itself lives in
-:class:`~repro.fx.backends.NumpyBackend` (registry entry ``"numpy"``) and
+The pipeline itself lives in
+:class:`~repro.fx.backends.NumpyBackend` (backend name ``"numpy"``) and
 ``compile`` is a thin adapter over
 :func:`~repro.fx.backends.to_backend` — capture, preferred passes under
 the instrumented :class:`~repro.fx.passes.PassManager` (so per-pass wall

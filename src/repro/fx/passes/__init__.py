@@ -54,8 +54,6 @@ from .pointwise_fuser import (
     FusedStep,
     OpDef,
     fuse_pointwise,
-    pointwise_registry,
-    register_pointwise_op,
 )
 from .scheduler import Schedule, ScheduledOp, pipeline_schedule
 from .shape_prop import ShapeProp, TensorMetadata
@@ -74,8 +72,6 @@ __all__ = [
     "memory_planner",
     "plan_memory",
     "pointwise_fuser",
-    "pointwise_registry",
-    "register_pointwise_op",
     "DivergenceReport",
     "ShapeInferenceError",
     "SymDim",

@@ -18,7 +18,7 @@ import sys
 from types import FunctionType
 from typing import Any
 
-from ..analysis.engine import AnalysisContext
+from ..analysis.purity import purity
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import Node
@@ -100,7 +100,7 @@ def eliminate_common_subexpressions(
     eligible = {"call_function", "call_method", "get_attr"}
     if dedupe_modules:
         eligible.add("call_module")
-    effects = AnalysisContext(gm).get("purity").effects
+    effects = purity(gm).effects
     table: dict[Any, Node] = {}
     removed = 0
     for node in list(gm.graph.nodes):

@@ -9,7 +9,7 @@ rather than re-classified per node.
 
 from __future__ import annotations
 
-from ..analysis.engine import AnalysisContext
+from ..analysis.purity import purity
 from ..graph_module import GraphModule
 
 __all__ = ["eliminate_dead_code"]
@@ -18,8 +18,7 @@ __all__ = ["eliminate_dead_code"]
 def eliminate_dead_code(gm: GraphModule) -> int:
     """Remove unused nodes from ``gm.graph``; returns how many were removed."""
     before = len(gm.graph)
-    purity = AnalysisContext(gm).get("purity")
-    changed = gm.graph.eliminate_dead_code(purity.is_impure)
+    changed = gm.graph.eliminate_dead_code(purity(gm).is_impure)
     if changed:
         gm.recompile()
     return before - len(gm.graph)

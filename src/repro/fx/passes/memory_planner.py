@@ -27,7 +27,7 @@ Planning is deliberately conservative:
   never reclaimed while any alias of it can still be read.
 
 The alias, escape, and extended-liveness facts come from the shared
-:class:`~repro.fx.analysis.alias.AliasAnalysis` (this pass is one
+:func:`~repro.fx.analysis.alias.alias` analysis (this pass is one
 consumer among several), and the dying-operand schedule check is the
 same :func:`~repro.fx.analysis.mutation.fused_out_clobbers` predicate
 the mutation-hazard checker uses to *reject* unsound plans — planner and
@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.engine import AnalysisContext
+from ..analysis.alias import alias
 from ..analysis.mutation import fused_out_clobbers
 from ..graph_module import GraphModule
 from ..node import Node
@@ -193,8 +193,8 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
 
     # May-alias, alias-extended liveness, and escape facts all come from
     # the analysis layer.
-    alias = AnalysisContext(gm).get("alias")
-    extended_last, escapes = alias.extended_last, alias.escapes
+    facts = alias(gm)
+    extended_last, escapes = facts.extended_last, facts.escapes
 
     def plannable(n: Node) -> bool:
         return (
@@ -234,7 +234,7 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
                     dmeta = _leaf_meta(dead)
                     if (tuple(dmeta.shape), dmeta.dtype.name) != key:
                         continue
-                    if fused_out_clobbers(n, dead, alias.may_alias):
+                    if fused_out_clobbers(n, dead, facts.may_alias):
                         continue
                     dying.remove(dead)
                     idx = slot_of[dead]

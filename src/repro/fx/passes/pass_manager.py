@@ -27,7 +27,7 @@ example-input signature of those that take example inputs
 (:class:`Specialized`), :meth:`Graph.structural_hash` of the module —
 state bytes, module hyper-parameters *and* the ``tensor_meta`` /
 ``arena_slot`` its nodes carry, because fusion and planning read them —
-and the lint / verifier configuration.  A miss
+and whether it lints and verifies.  A miss
 executes the passes with per-pass timing, lint and verification, then
 takes *one* :class:`~repro.fx.state.StateSnapshot` at the end of the run
 and no hash (a stretch that executes separates it from the next run and
@@ -129,7 +129,7 @@ class RunKey(NamedTuple):
     pipeline: tuple   #: each pass's ``f:module.qualname`` token
     inputs: tuple     #: each pass's example-input signature ("" if none)
     state: str        #: hash of the module entering the run, meta included
-    checks: tuple     #: (lint_after_each, verifier configuration)
+    checks: tuple     #: (lint_after_each, verified)
 
 
 @dataclass
@@ -189,7 +189,7 @@ class PassManagerResult:
     :class:`RunKey` fields in which it differs from the nearest stored
     entry (``("state",)``: same pipeline, another module or other shape
     metadata; ``("inputs",)``: another example signature; ``("checks",)``:
-    another lint / verifier configuration), ``("cold",)`` when the cache
+    other lint / verify settings), ``("cold",)`` when the cache
     holds no run at all."""
 
     graph_module: GraphModule
@@ -308,10 +308,10 @@ class PassManager:
             :class:`repro.fx.analysis.PassVerifier` — given the module
             through ``before_pipeline`` before the first pass that executes
             and re-checked via ``after_pass`` after every stage; its
-            exception (naming the offending pass) aborts the pipeline.  Its
-            configuration is part of the cache key and its baseline is
-            stored with each entry, so a replayed run was verified under
-            the same rules and costs no analysis.
+            exception (naming the offending pass) aborts the pipeline.
+            Whether there is one is part of the cache key and its baseline
+            is stored with each entry, so a replayed run was verified and
+            costs no analysis.
 
     :meth:`run` never mutates the module it is given: passes execute on a
     borrowed copy over read-only views of its arrays, made when the first
@@ -382,8 +382,7 @@ class PassManager:
         records: list[PassRecord] = []
         misses: list[tuple] = []
         pipeline_start = time.perf_counter()
-        checks = (self.lint_after_each,
-                  self.verifier and self.verifier.config_key())
+        checks = (self.lint_after_each, self.verifier is not None)
         identities = [_pass_identity(fn) if self.cache is not None else None
                       for _, fn in self.passes]
 

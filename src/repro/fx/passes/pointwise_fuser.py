@@ -22,7 +22,7 @@ through ``get_attr`` at their own paths — are kernel inputs.
 
 Safety rules:
 
-* **Numerics**: every registry entry replicates the exact numpy
+* **Numerics**: every op-table kernel replicates the exact numpy
   expression of the eager op (same ufuncs, same casts), so fused output
   is bitwise-equal to eager for the shapes it was compiled for.
 * **Shapes/dtypes**: fusion is gated on
@@ -33,7 +33,7 @@ Safety rules:
 * **Guarded kernels**: the generated fast path is specialized to the
   observed input shapes/dtypes; any other call (shape-polymorphic reuse,
   stale metadata) falls back to a generic evaluator built from the same
-  registry's reference implementations, so a ``FusedKernel`` is a total
+  op table's reference implementations, so a ``FusedKernel`` is a total
   function — never wrong, merely slower off the fast path.
 * **Aliasing**: a pointwise ``emit`` tolerates ``out`` aliasing any of
   its operands (``OpDef.alias_safe``, the default).  Direct ufuncs stream
@@ -52,19 +52,17 @@ Safety rules:
   included when it is not alias-safe) before routing ``out`` into a dying
   operand's slot.
 
-Extending the registry::
+A new pointwise op is one :func:`repro.fx.opinfo.pointwise` declaration::
 
-    from repro.fx.passes import pointwise_fuser as pf
-
-    pf.register_pointwise_op(
-        pf.OpDef("my_op", arity=1, params=(("scale", 1.0),),
-                 ref=lambda a, scale=1.0: np.tanh(a) * scale),
+    opinfo.pointwise(
+        OpDef("my_op", arity=1, params=(("scale", 1.0),),
+              ref=lambda a, scale=1.0: np.tanh(a) * scale),
         functions=(my_library.my_op,), methods=("my_op",))
 
 ``ref`` must replicate the eager numerics exactly; ``emit`` (optional)
 adds an in-place fast path and defaults to ``out[...] = ref(...)``.  The
-entry lands in the op table (:mod:`repro.fx.opinfo`), so shape and dtype
-inference and the cost model know the op from the same declaration.
+entry lands in the op table, so shape and dtype inference and the cost
+model know the op from the same declaration.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from ...tensor import Tensor
 from .. import opinfo
 from ..graph_module import _CODEGEN_CACHE, GraphModule
 from ..node import Node
-from ..opinfo import OpDef
+from ..opinfo import INDEX, TABLE, OpDef
 from .shape_prop import TensorMetadata, extract_tensor_metadata
 
 __all__ = [
@@ -88,39 +86,7 @@ __all__ = [
     "FusedStep",
     "OpDef",
     "fuse_pointwise",
-    "pointwise_registry",
-    "register_pointwise_op",
 ]
-
-
-# ---------------------------------------------------------------------------
-# registry: the pointwise entries of the op table
-# ---------------------------------------------------------------------------
-
-#: key -> table entry (``.kernel`` is the OpDef) and spelling -> entry;
-#: the fuser reads the one table everything else reads.
-_REGISTRY = opinfo.TABLE
-_PATTERN_INDEX = opinfo.INDEX
-
-
-def register_pointwise_op(opdef: OpDef, functions: tuple = (),
-                          methods: tuple = (), modules: dict | None = None) -> None:
-    """Add *opdef* to the op table and map eager spellings onto it.
-
-    Args:
-        opdef: the operation definition.
-        functions: ``call_function`` targets that perform this op.
-        methods: ``call_method`` names that perform this op.
-        modules: ``{module_type: attribute names}`` — the attributes of a
-            ``call_module`` of that type that are the op's parameters.
-    """
-    opinfo.pointwise(opdef, functions=functions, methods=methods, modules=modules)
-
-
-def pointwise_registry() -> dict[str, OpDef]:
-    """A copy of the current key -> OpDef registry."""
-    return {key: entry.kernel for key, entry in _REGISTRY.items()
-            if entry.kernel is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +154,7 @@ def _acquire(out: Any, shape: tuple, dtype: np.dtype) -> np.ndarray:
 
 
 def _run_generic(steps: tuple, arrays: list) -> np.ndarray:
-    """Shape-generic evaluation of a fused region via registry ``ref``s.
+    """Shape-generic evaluation of a fused region via the op table's ``ref``s.
 
     Buffer indices are interpreted as value slots (the allocator only
     reuses an index once its previous occupant is dead, so sequential
@@ -204,7 +170,7 @@ def _run_generic(steps: tuple, arrays: list) -> np.ndarray:
                 ops.append(bufs[v])
             else:
                 ops.append(v)
-        bufs[st.out_buf] = np.asarray(_REGISTRY[st.key].kernel.ref(*ops, **dict(st.params)))
+        bufs[st.out_buf] = np.asarray(TABLE[st.key].kernel.ref(*ops, **dict(st.params)))
     return bufs[0]
 
 
@@ -236,7 +202,7 @@ def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
         lines.append(f"        b{k} = _np.empty({tuple(spec.shape)!r}, _odt)")
     for j, st in enumerate(spec.steps):
         emit_name = f"_k_{st.key}"
-        emit = globals_[emit_name] = _REGISTRY[st.key].kernel.emit_fn()
+        emit = globals_[emit_name] = TABLE[st.key].kernel.emit_fn()
         parts = [f"b{st.out_buf}"]
         for tag, v in st.operands:
             parts.append(f"a{v}" if tag == "i" else f"b{v}" if tag == "b"
@@ -314,7 +280,7 @@ def _steps_over(d, operands: tuple, kernel: FusedKernel) -> list:
     result is not the broadcast of its ``(out, in)`` weight."""
     bufs, steps = {}, []
     for st in kernel.spec.steps:
-        entry = _REGISTRY[st.key]
+        entry = TABLE[st.key]
         args = [operands[v] if tag == "i" else bufs[v] if tag == "b" else v
                 for tag, v in st.operands]
         bufs[st.out_buf] = opinfo.T(entry.shape(d, *args, **dict(st.params)))
@@ -398,7 +364,7 @@ def _match_node(node: Node, gm: GraphModule) -> Optional[_Match]:
             mod = gm.get_submodule(node.target)
         except AttributeError:
             return None
-    entry = _PATTERN_INDEX.find(node, mod)
+    entry = INDEX.find(node, mod)
     opdef = None if entry is None else entry.kernel
     if opdef is None:
         return None
@@ -466,7 +432,7 @@ def _build_spec(name: str, members: list[Node], region: set[Node],
         # may stream into a consumed operand's buffer; after, when not.
         dying = [buf_of[a] for a in dict.fromkeys(m.node_operands)
                  if a in buf_of and last_use.get(a) == j]
-        if _REGISTRY[m.key].kernel.alias_safe:
+        if TABLE[m.key].kernel.alias_safe:
             free += dying
             dying = []
         if free:

@@ -23,17 +23,17 @@ Matching semantics:
 * A **literal** in the pattern (``x * 1``) matches only the same literal
   of the same type: ``1`` does not match ``1.0`` or ``True``, and never
   matches a computed value.
-* Patterns may return a **tuple** — each element anchors one output node,
-  so multi-output subgraphs (one producer feeding several consumers that
-  all escape) can be matched and replaced as a unit.
-* Per-placeholder **constraints** (name -> predicate over the bound
-  value) veto a structural match, e.g. "this argument must be a literal
-  identity permutation".
+* A pattern returns **one** traced value, computed from every one of
+  its placeholders; the match is anchored at that value's node.
+* Matches are claimed in graph order: the first match of a node wins,
+  and a later candidate sharing a matched node is skipped.
+* A match whose interior (every matched node but the anchor) feeds a
+  node outside it is skipped: rewriting it would orphan that value.
 
 ``replace_pattern`` propagates node metadata onto replacement nodes:
 ``tensor_meta``/``type`` are re-derived by evaluating the replacement on
-values materialized from the bindings' recorded metadata (falling back to
-copying the matched anchor's metadata), and ``stack_trace`` provenance is
+the bindings' recorded metadata (falling back to copying the matched
+anchor's metadata), and ``stack_trace`` provenance is
 inherited from the matched anchor, so shape-dependent passes (memory
 planner, cost model, guards) keep working after a rewrite.
 """
@@ -41,14 +41,14 @@ planner, cost model, guards) keep working after a rewrite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .graph import Graph
 from .graph_module import GraphModule
 from .node import Node, map_arg
 from .tracer import symbolic_trace
 
-__all__ = ["Match", "replace_pattern", "SubgraphMatcher"]
+__all__ = ["Match", "replace_pattern"]
 
 
 def _literal_eq(pa: Any, ga: Any) -> bool:
@@ -81,238 +81,112 @@ class Match:
     """One occurrence of the pattern in the target graph.
 
     Attributes:
-        anchor: the target-graph node matched to the pattern's (first)
-            output value.
+        anchor: the target-graph node matched to the pattern's output value.
         nodes_map: pattern node -> target node (placeholders map to whatever
             value they bound, which may be a Node or an immediate).
-        anchors: all matched output nodes, in pattern-output order
-            (length 1 unless the pattern returns a tuple).
     """
 
     anchor: Node
     nodes_map: dict[Node, Any] = field(default_factory=dict)
-    anchors: tuple[Node, ...] = ()
-
-    def __post_init__(self):
-        if not self.anchors:
-            self.anchors = (self.anchor,)
 
     def internal_nodes(self) -> set[Node]:
         """The matched interior: every graph node a non-placeholder
-        pattern node mapped to (includes the anchors)."""
+        pattern node mapped to (includes the anchor)."""
         return {
             g for p, g in self.nodes_map.items()
             if isinstance(g, Node) and p.op != "placeholder"
         }
 
 
-class SubgraphMatcher:
-    """Anchored structural matcher for basic-block pattern graphs.
-
-    Args:
-        pattern: the pattern graph.  Its output may be a single Node or a
-            tuple of Nodes (multi-output pattern).
-        constraints: optional map from placeholder name (the traced
-            parameter name) to a predicate over the bound value; a
-            binding failing its predicate vetoes the match.
-    """
-
-    def __init__(self, pattern: Graph,
-                 constraints: Optional[dict[str, Callable[[Any], bool]]] = None):
-        self.pattern = pattern
-        output = pattern.output_node
-        out_arg = output.args[0]
-        if isinstance(out_arg, (tuple, list)):
-            if not out_arg or not all(isinstance(a, Node) for a in out_arg):
-                raise ValueError(
-                    "a multi-output pattern must return a non-empty tuple of "
-                    "traced values"
-                )
-            self.pattern_anchors: list[Node] = list(out_arg)
-        elif isinstance(out_arg, Node):
-            self.pattern_anchors = [out_arg]
-        else:
-            raise ValueError("pattern output must be a Node or tuple of Nodes")
-        self.constraints = dict(constraints or {})
-        known = {n.target for n in pattern.nodes if n.op == "placeholder"}
-        unknown = set(self.constraints) - known
-        if unknown:
+def _pattern_output(pattern: Graph) -> Node:
+    """The node a pattern's match is anchored at; raises ``ValueError`` for
+    a pattern no match of which could be rewritten."""
+    out = pattern.output_node.args[0]
+    if not isinstance(out, Node):
+        raise ValueError(
+            f"a pattern must return one traced value, not {type(out).__name__}")
+    if out.op == "placeholder":
+        raise ValueError(
+            f"the pattern returns its placeholder {out.name!r}; it would "
+            f"match every value, placeholders included")
+    read = set()
+    stack = [out]
+    while stack:
+        n = stack.pop()
+        for a in n.all_input_nodes:
+            if a not in read:
+                read.add(a)
+                stack.append(a)
+    for ph in pattern.nodes:
+        if ph.op == "placeholder" and ph not in read:
             raise ValueError(
-                f"constraints name unknown pattern placeholders: {sorted(unknown)}; "
-                f"pattern has {sorted(known)}"
-            )
-        self.nodes_map: dict[Node, Any] = {}
+                f"pattern placeholder {ph.name!r} is never read by the "
+                f"pattern's output, so a match cannot bind it")
+    return out
 
-    # -- matching ---------------------------------------------------------
 
-    def matches_subgraph_from_anchor(self, anchor: Node) -> bool:
-        """Try to match the pattern with its (first) output anchored at
-        *anchor*.  For multi-output patterns the remaining outputs are
-        searched for among nodes of *anchor*'s graph."""
-        self.nodes_map = {}
-        if not self._match_nodes(self.pattern_anchors[0], anchor):
-            return False
-        for extra in self.pattern_anchors[1:]:
-            if not self._match_extra_anchor(extra, anchor.graph):
-                return False
-        return self._check_constraints()
-
-    def _match_extra_anchor(self, pn: Node, graph: Graph) -> bool:
-        """Anchor a secondary pattern output: try every compatible graph
-        node, snapshotting bindings so a failed candidate rolls back."""
-        bound = {g for g in self.nodes_map.values() if isinstance(g, Node)}
-        for gn in graph.nodes:
-            if gn in bound and self.nodes_map.get(pn) is not gn:
-                # Another pattern node already claimed it (unless this very
-                # anchor was reached through shared structure).
-                if pn not in self.nodes_map:
-                    continue
-            saved = dict(self.nodes_map)
-            if self._match_nodes(pn, gn):
-                return True
-            self.nodes_map = saved
+def _match(pn: Node, gn: Any, nodes_map: dict[Node, Any]) -> bool:
+    """Extend *nodes_map* so pattern node *pn* matches target value *gn*."""
+    if pn in nodes_map:
+        return _binding_eq(nodes_map[pn], gn)
+    if pn.op == "placeholder":
+        # Wildcard: binds any value (Node or immediate), consistently.
+        nodes_map[pn] = gn
+        return True
+    if not isinstance(gn, Node):
         return False
+    if pn.op != gn.op or pn.target != gn.target:
+        return False
+    if len(pn.args) != len(gn.args) or set(pn.kwargs) != set(gn.kwargs):
+        return False
+    nodes_map[pn] = gn
+    return all(_match_arg(pa, ga, nodes_map) for pa, ga in zip(pn.args, gn.args)) \
+        and all(_match_arg(pn.kwargs[k], gn.kwargs[k], nodes_map) for k in pn.kwargs)
 
-    def _check_constraints(self) -> bool:
-        if not self.constraints:
-            return True
-        for pn, bound in self.nodes_map.items():
-            if pn.op != "placeholder":
-                continue
-            pred = self.constraints.get(pn.target)
-            if pred is not None and not pred(bound):
-                return False
-        return True
 
-    def _match_nodes(self, pn: Node, gn: Any) -> bool:
-        if pn in self.nodes_map:
-            return _binding_eq(self.nodes_map[pn], gn)
-        if pn.op == "placeholder":
-            # Wildcard: binds any value (Node or immediate), consistently.
-            self.nodes_map[pn] = gn
-            return True
-        if not isinstance(gn, Node):
+def _match_arg(pa: Any, ga: Any, nodes_map: dict[Node, Any]) -> bool:
+    if isinstance(pa, Node):
+        return _match(pa, ga, nodes_map)
+    if isinstance(pa, (tuple, list)):
+        if not isinstance(ga, (tuple, list)) or len(pa) != len(ga):
             return False
-        if pn.op != gn.op or pn.target != gn.target:
-            return False
-        if len(pn.args) != len(gn.args) or set(pn.kwargs) != set(gn.kwargs):
-            return False
-        self.nodes_map[pn] = gn
-        for pa, ga in zip(pn.args, gn.args):
-            if not self._match_arg(pa, ga):
-                return False
-        for key in pn.kwargs:
-            if not self._match_arg(pn.kwargs[key], gn.kwargs[key]):
-                return False
-        return True
+        return all(_match_arg(p, g, nodes_map) for p, g in zip(pa, ga))
+    if isinstance(ga, Node):
+        return False  # immediate in pattern cannot match a computed value
+    return _literal_eq(pa, ga)
 
-    def _match_arg(self, pa: Any, ga: Any) -> bool:
-        if isinstance(pa, Node):
-            return self._match_nodes(pa, ga)
-        if isinstance(pa, (tuple, list)):
-            if not isinstance(ga, (tuple, list)) or len(pa) != len(ga):
-                return False
-            return all(self._match_arg(p, g) for p, g in zip(pa, ga))
-        if isinstance(ga, Node):
-            return False  # immediate in pattern cannot match a computed value
-        return _literal_eq(pa, ga)
 
-    # -- match collection -------------------------------------------------
-
-    def find_matches(self, graph: Graph, *,
-                     overlap: str = "first") -> list[Match]:
-        """Collect non-overlapping matches across *graph*.
-
-        Overlapping candidates are arbitrated by *overlap*:
-
-        * ``"first"`` — scan in topological order, first match claims its
-          nodes (the historical ``replace_pattern`` behavior);
-        * ``"largest"`` — prefer the candidate covering the most graph
-          nodes (ties broken by topological order), so a nested smaller
-          match cannot starve an enclosing bigger one.
-        """
-        if overlap not in ("first", "largest"):
-            raise ValueError(f"unknown overlap policy {overlap!r}")
-        topo = {n: i for i, n in enumerate(graph.nodes)}
-        candidates: list[Match] = []
-        for node in list(graph.nodes):
-            if not self.matches_subgraph_from_anchor(node):
-                continue
-            anchors = tuple(self.nodes_map[p] for p in self.pattern_anchors)
-            m = Match(anchor=anchors[0], nodes_map=dict(self.nodes_map),
-                      anchors=anchors)
-            if not self._interior_is_private(m):
-                continue
-            if not self._bindings_dominate(m, topo):
-                continue
-            candidates.append(m)
-            if overlap == "first":
-                pass  # claiming handled below, in scan order
-        if overlap == "largest":
-            candidates.sort(
-                key=lambda m: (-len(m.internal_nodes()), topo.get(m.anchor, -1)))
-        accepted: list[Match] = []
-        claimed: set[Node] = set()
-        for m in candidates:
-            internal = m.internal_nodes()
-            if internal & claimed:
-                continue
-            accepted.append(m)
-            claimed |= internal
-        if overlap == "largest":
-            accepted.sort(key=lambda m: topo.get(m.anchor, -1))
-        # Drop per-scan state: a matcher may outlive its scan, and leaving
-        # the last graph's bindings on the instance would pin that whole
-        # GraphModule in memory.
-        self.nodes_map = {}
-        return accepted
-
-    def _interior_is_private(self, m: Match) -> bool:
-        """Every user of a non-anchor internal node must itself be
-        internal — otherwise deleting the interior would orphan an
-        escaping value."""
+def _find_matches(pattern_output: Node, graph: Graph) -> list[Match]:
+    """Non-overlapping matches in *graph*, claimed in graph order; a match
+    whose interior feeds a node outside it is skipped."""
+    matches: list[Match] = []
+    claimed: set[Node] = set()
+    for node in graph.nodes:
+        nodes_map: dict[Node, Any] = {}
+        if not _match(pattern_output, node, nodes_map):
+            continue
+        m = Match(anchor=node, nodes_map=nodes_map)
         internal = m.internal_nodes()
-        anchors = set(m.anchors)
-        for g in internal:
-            if g in anchors:
-                continue
-            if any(u not in internal for u in g.users):
-                return False
-        return True
-
-    def _bindings_dominate(self, m: Match, topo: dict[Node, int]) -> bool:
-        """Replacement nodes are inserted before the earliest anchor, so
-        every Node binding must already be defined there.  Always true for
-        single-output patterns (bindings are ancestors of the anchor);
-        multi-output matches whose outputs straddle an input definition
-        are rejected rather than miscompiled."""
-        if len(m.anchors) == 1:
-            return True
-        first = min(topo.get(a, 0) for a in m.anchors)
-        for p, g in m.nodes_map.items():
-            if p.op == "placeholder" and isinstance(g, Node):
-                if topo.get(g, -1) >= first:
-                    return False
-        return True
-
-
-# -- application -----------------------------------------------------------
+        if internal & claimed or any(
+                u not in internal for g in internal if g is not node
+                for u in g.users):
+            continue
+        matches.append(m)
+        claimed |= internal
+    return matches
 
 
 def replace_pattern(
     gm: GraphModule,
     pattern: Callable | Graph,
     replacement: Callable | Graph,
-    *,
-    constraints: Optional[dict[str, Callable[[Any], bool]]] = None,
-    overlap: str = "first",
 ) -> list[Match]:
     """Replace every non-overlapping occurrence of *pattern* in ``gm.graph``
     with *replacement*.
 
     Pattern placeholders bind positionally to replacement placeholders.
     Matched nodes whose values escape the match (used by nodes outside it,
-    other than through the anchors) are left untouched.
+    other than through the anchor) are left untouched.
 
     Returns:
         The list of :class:`Match` objects that were rewritten.
@@ -321,8 +195,7 @@ def replace_pattern(
     replacement_graph = (
         replacement if isinstance(replacement, Graph) else symbolic_trace(replacement).graph
     )
-    matcher = SubgraphMatcher(pattern_graph, constraints=constraints)
-
+    pattern_output = _pattern_output(pattern_graph)
     pattern_placeholders = [n for n in pattern_graph.nodes if n.op == "placeholder"]
     replacement_placeholders = [n for n in replacement_graph.nodes if n.op == "placeholder"]
     if len(pattern_placeholders) != len(replacement_placeholders):
@@ -330,9 +203,10 @@ def replace_pattern(
             "pattern and replacement must take the same number of arguments "
             f"({len(pattern_placeholders)} vs {len(replacement_placeholders)})"
         )
-    _check_output_arity(matcher, replacement_graph)
+    if isinstance(replacement_graph.output_node.args[0], (tuple, list)):
+        raise ValueError("a replacement must return one value, as its pattern does")
 
-    matches = matcher.find_matches(gm.graph, overlap=overlap)
+    matches = _find_matches(pattern_output, gm.graph)
 
     # Earlier rewrites can replace a node that a later match's wildcard
     # bound (its anchor becomes the replacement's output); chase through.
@@ -344,13 +218,26 @@ def replace_pattern(
         return value
 
     for match in matches:
-        apply_match(
-            gm, match,
-            pattern_placeholders=pattern_placeholders,
-            replacement_graph=replacement_graph,
-            resolve=resolve,
-            replaced=replaced,
-        )
+        val_map: dict[Node, Any] = {
+            r_ph: resolve(match.nodes_map[p_ph])
+            for p_ph, r_ph in zip(pattern_placeholders, replacement_placeholders)}
+        with gm.graph.inserting_before(match.anchor):
+            new_val = gm.graph.graph_copy(replacement_graph, val_map)
+        _propagate_meta(gm, match, replacement_graph, val_map, new_val)
+        if isinstance(new_val, Node):
+            match.anchor.replace_all_uses_with(new_val)
+        else:
+            # An identity replacement can resolve to an immediate (the
+            # pattern bound a literal): splice it into each user.
+            for user in list(match.anchor.users):
+                user.args = map_arg(user.args, lambda n: new_val if n is match.anchor else n)
+                user.kwargs = map_arg(user.kwargs, lambda n: new_val if n is match.anchor else n)
+        replaced[match.anchor] = new_val
+        # Erase the matched interior, users first.
+        order = {n: i for i, n in enumerate(gm.graph.nodes)}
+        for g in sorted(match.internal_nodes(), key=order.__getitem__, reverse=True):
+            if not g.users:
+                gm.graph.erase_node(g)
 
     if matches:
         gm.graph.eliminate_dead_code()
@@ -358,91 +245,11 @@ def replace_pattern(
     return matches
 
 
-def _check_output_arity(matcher: SubgraphMatcher, replacement_graph: Graph) -> None:
-    out_arg = replacement_graph.output_node.args[0]
-    n_rep = len(out_arg) if isinstance(out_arg, (tuple, list)) else 1
-    if n_rep != len(matcher.pattern_anchors):
-        raise ValueError(
-            f"pattern produces {len(matcher.pattern_anchors)} output(s) but "
-            f"replacement produces {n_rep}"
-        )
-
-
-def apply_match(
-    gm: GraphModule,
-    match: Match,
-    *,
-    pattern_placeholders: list[Node],
-    replacement_graph: Graph,
-    resolve: Callable[[Any], Any],
-    replaced: dict[Node, Any],
-) -> None:
-    """Rewrite one :class:`Match` in place: splice a copy of
-    *replacement_graph* (placeholders seeded from the match's bindings,
-    positionally, through *resolve*) before the match, redirect each
-    anchor's users to the corresponding replacement output (recorded in
-    *replaced*), and erase the matched interior.
-
-    Does not recompile; the caller batches that.
-    """
-    replacement_placeholders = [
-        n for n in replacement_graph.nodes if n.op == "placeholder"]
-    val_map: dict[Node, Any] = {}
-    for p_ph, r_ph in zip(pattern_placeholders, replacement_placeholders):
-        val_map[r_ph] = resolve(match.nodes_map[p_ph])
-
-    insert_at = _earliest(gm.graph, match.anchors)
-    with gm.graph.inserting_before(insert_at):
-        new_output = gm.graph.graph_copy(replacement_graph, val_map)
-
-    outputs = list(new_output) if isinstance(new_output, (tuple, list)) else [new_output]
-    if len(outputs) != len(match.anchors):
-        raise ValueError(
-            f"replacement produced {len(outputs)} output(s) for "
-            f"{len(match.anchors)} anchor(s)"
-        )
-
-    _propagate_meta(gm, match, replacement_graph, val_map, outputs)
-
-    for anchor, new_val in zip(match.anchors, outputs):
-        if isinstance(new_val, Node):
-            anchor.replace_all_uses_with(new_val)
-        else:
-            _replace_uses_with_literal(anchor, new_val)
-        replaced[anchor] = new_val
-
-    # Erase the matched interior, leaves-last.
-    internal = match.internal_nodes()
-    for g in sorted(internal, key=_topo_index(gm.graph), reverse=True):
-        if not g.users:
-            gm.graph.erase_node(g)
-
-
-def _earliest(graph: Graph, anchors: tuple[Node, ...]) -> Node:
-    if len(anchors) == 1:
-        return anchors[0]
-    topo = {n: i for i, n in enumerate(graph.nodes)}
-    return min(anchors, key=lambda a: topo.get(a, 0))
-
-
-def _replace_uses_with_literal(anchor: Node, value: Any) -> None:
-    """An identity replacement can resolve to an immediate (the pattern
-    bound a literal); splice the literal directly into each user."""
-    for user in list(anchor.users):
-        user.args = map_arg(user.args, lambda n: value if n is anchor else n)
-        user.kwargs = map_arg(user.kwargs, lambda n: value if n is anchor else n)
-
-
-def _topo_index(graph: Graph):
-    order = {n: i for i, n in enumerate(graph.nodes)}
-    return lambda n: order.get(n, -1)
-
-
 # -- metadata propagation --------------------------------------------------
 
 
 def _propagate_meta(gm: GraphModule, match: Match, replacement_graph: Graph,
-                    val_map: dict[Node, Any], outputs: list[Any]) -> None:
+                    val_map: dict[Node, Any], out: Any) -> None:
     """Stamp ``tensor_meta``/``type``/``stack_trace`` onto the freshly
     copied replacement nodes.
 
@@ -455,11 +262,8 @@ def _propagate_meta(gm: GraphModule, match: Match, replacement_graph: Graph,
     """
     from .passes.shape_prop import infer_meta
 
-    provenance = None
-    for a in match.anchors:
-        provenance = a.meta.get("stack_trace")
-        if provenance:
-            break
+    anchor = match.anchor
+    provenance = anchor.meta.get("stack_trace")
 
     created = [val_map[rn] for rn in replacement_graph.nodes   # operands first
                if rn.op not in ("placeholder", "output")
@@ -469,12 +273,11 @@ def _propagate_meta(gm: GraphModule, match: Match, replacement_graph: Graph,
             new_node.meta["stack_trace"] = provenance
     infer_meta(gm, created)
 
-    # Fallback: any output node still missing tensor_meta inherits its
-    # anchor's (shapes are equal by construction of a sound rewrite).
-    for anchor, out in zip(match.anchors, outputs):
-        if isinstance(out, Node) and "tensor_meta" not in out.meta:
-            if "tensor_meta" in anchor.meta:
-                out.meta["tensor_meta"] = anchor.meta["tensor_meta"]
-                out.meta.setdefault("type", anchor.meta.get("type"))
-            if provenance and not out.meta.get("stack_trace"):
-                out.meta["stack_trace"] = provenance
+    # Fallback: an output still missing tensor_meta inherits the anchor's
+    # (shapes are equal by construction of a sound rewrite).
+    if isinstance(out, Node) and "tensor_meta" not in out.meta:
+        if "tensor_meta" in anchor.meta:
+            out.meta["tensor_meta"] = anchor.meta["tensor_meta"]
+            out.meta.setdefault("type", anchor.meta.get("type"))
+        if provenance and not out.meta.get("stack_trace"):
+            out.meta["stack_trace"] = provenance

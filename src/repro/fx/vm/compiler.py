@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..analysis.engine import AnalysisContext
+from ..analysis.alias import alias
 from ..analysis.mutation import fused_out_clobbers
 from ..cache import register_stage
 from ..graph import UnstableHashError, _resolve_attr
@@ -83,7 +83,7 @@ def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
                and n.meta.get("arena_slot") is not None]
     if not planned:
         return {}
-    alias = AnalysisContext(gm).get("alias")
+    facts = alias(gm)
     order = {n: i for i, n in enumerate(graph.nodes)}
 
     def slot_key(n: Node):
@@ -92,16 +92,16 @@ def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
 
     keep: dict[Node, Any] = {}
     for n in planned:
-        if n in alias.escapes:
+        if n in facts.escapes:
             continue
         sound = True
         for d in planned:
             if d is n or slot_key(d) != slot_key(n) or order[d] >= order[n]:
                 continue
-            last = alias.extended_last[d]
+            last = facts.extended_last[d]
             if last < order[n]:
                 continue
-            if last > order[n] or fused_out_clobbers(n, d, alias.may_alias):
+            if last > order[n] or fused_out_clobbers(n, d, facts.may_alias):
                 sound = False
                 break
         if sound:

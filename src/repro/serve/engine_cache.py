@@ -65,7 +65,7 @@ class EngineKey:
     Attributes:
         graph_hash: canonicalized stable structural hash of the captured
             graph (ops + state bytes; rename- and re-trace-stable).
-        backend: backend registry name the engine was compiled for.
+        backend: name of the backend the engine was compiled for.
         executor: execution tier (``"vm"`` / ``"codegen"``).
         signature: ``((shape, dtype_name), ...)`` of the (batched)
             example inputs compilation specialized against.

@@ -80,7 +80,7 @@ class ServeConfig:
     """Tunables for one :class:`InferenceServer`.
 
     Attributes:
-        backend: backend registry name engines compile for (``"numpy"``
+        backend: name of the backend engines compile for (``"numpy"``
             routes through :func:`repro.fx.compile`, i.e. the full
             fusion + memory-planning pipeline; any other name goes
             through :func:`repro.fx.to_backend`).

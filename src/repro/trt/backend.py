@@ -1,4 +1,4 @@
-"""The ``"trt"`` entry in the ``repro.fx.backends`` registry.
+"""The ``"trt"`` backend of ``repro.fx.backends`` (``get_backend("trt")``).
 
 What is TensorRT-like about the backend is two declarations: its
 operator-support table (what the partitioner may put in an engine) and

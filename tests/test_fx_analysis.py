@@ -1,7 +1,10 @@
-"""Tests for the unified dataflow analysis framework (repro.fx.analysis):
-the sweep engine, the three shipped analyses and their per-context memo,
-golden diagnostics per lint rule (with stack-trace provenance), the model
-zoo linting clean, and the purity-aware DCE/CSE regressions."""
+"""Tests for the dataflow analyses (repro.fx.analysis): the reverse sweep,
+the three analyses and how often their callers compute them, golden
+diagnostics per lint rule (with stack-trace provenance), the model zoo
+linting clean, and the purity-aware DCE/CSE regressions."""
+
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,24 +14,16 @@ import repro.functional as F
 from repro import fx, nn
 from repro.fx import GraphModule, Graph, symbolic_trace
 from repro.fx.analysis import (
-    Analysis,
-    AnalysisContext,
-    AnalysisError,
     Effect,
+    PassVerifier,
     Severity,
-    analyze,
+    alias,
     classify_effect,
-    get_analysis,
     lint_graph,
     may_alias_input,
-    register_analysis,
-    register_rule,
-    registered_analyses,
-    registered_rules,
-    sweep,
+    purity,
 )
-from repro.fx.analysis import engine as engine_mod
-from repro.fx.analysis import diagnostics as diagnostics_mod
+from repro.fx.analysis.alias import _sweep
 from repro.fx.passes import ShapeProp
 from repro.fx.passes.cse import eliminate_common_subexpressions
 from repro.fx.passes.dce import eliminate_dead_code
@@ -52,8 +47,24 @@ class InplaceUnused(nn.Module):
         return y * 2.0
 
 
+def count_analysis_calls(monkeypatch) -> Counter:
+    """Count the calls of ``alias`` and ``purity`` made from now on, however
+    their callers bound them: every ``repro`` module's binding of either
+    function is replaced by a counting wrapper."""
+    calls = Counter()
+    for fn in (alias, purity):
+        def counted(gm, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(gm)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
-# fixpoint engine
+# the reverse sweep
 # ---------------------------------------------------------------------------
 
 
@@ -66,7 +77,7 @@ class TestFixpoint:
 
     def test_backward_users_count(self):
         _, nodes = self._nodes()
-        facts = sweep(
+        facts = _sweep(
             nodes,
             lambda n, fact: len(n.users) + sum(fact(u) for u in n.users))
         assert facts[nodes[-1]] == 0  # output has no users
@@ -75,93 +86,37 @@ class TestFixpoint:
     def test_one_round_convergence_on_dag(self):
         _, nodes = self._nodes()
         visited = []
-        sweep(nodes, lambda n, fact: visited.append(n))
+        _sweep(nodes, lambda n, fact: visited.append(n))
         assert visited == nodes[::-1]
 
     def test_reading_an_unswept_fact_raises(self):
         _, nodes = self._nodes()
-        with pytest.raises(AnalysisError, match="the sweep read"):
-            sweep(nodes, lambda n, fact: [fact(m) for m in n.all_input_nodes])
+        with pytest.raises(RuntimeError, match="the sweep read"):
+            _sweep(nodes, lambda n, fact: [fact(m) for m in n.all_input_nodes])
 
 
 # ---------------------------------------------------------------------------
-# registry + context
+# each analysis computed once per caller
 # ---------------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_shipped_analyses_registered(self):
-        assert {"alias", "purity", "mutation"} <= set(registered_analyses())
+class TestEachAnalysisOnce:
+    """Callers keep an analysis result in a local: one call of a consumer
+    computes each analysis at most once."""
 
-    def test_unknown_analysis_raises(self):
-        with pytest.raises(AnalysisError, match="no analysis registered"):
-            get_analysis("does-not-exist")
+    def test_lint_graph_computes_each_analysis_once(self, monkeypatch):
+        gm = symbolic_trace(InplaceUnused())
+        calls = count_analysis_calls(monkeypatch)
+        report = lint_graph(gm)
+        assert report.by_rule("mutation-hazard") and report.by_rule("impure-unused")
+        assert calls == {"alias": 1, "purity": 1}
 
-    def test_custom_analysis_with_dependency(self):
-        @register_analysis
-        class CountEscaping(Analysis):
-            name = "test-count-escaping"
-
-            def compute(self, gm, ctx):
-                return len(ctx.get("alias").escapes)
-
-        try:
-            gm = symbolic_trace(Linear2())
-            assert analyze(gm, ["test-count-escaping"]).get(
-                "test-count-escaping") >= 1
-        finally:
-            engine_mod._REGISTRY.pop("test-count-escaping")
-
-    def test_circular_dependency_detected(self):
-        @register_analysis
-        class A(Analysis):
-            name = "test-cyc-a"
-
-            def compute(self, gm, ctx):
-                return ctx.get("test-cyc-b")
-
-        @register_analysis
-        class B(Analysis):
-            name = "test-cyc-b"
-
-            def compute(self, gm, ctx):
-                return ctx.get("test-cyc-a")
-
-        try:
-            with pytest.raises(AnalysisError, match="circular"):
-                analyze(symbolic_trace(Linear2()), ["test-cyc-a"])
-        finally:
-            engine_mod._REGISTRY.pop("test-cyc-a")
-            engine_mod._REGISTRY.pop("test-cyc-b")
-
-    def test_context_requires_graph_module(self):
-        with pytest.raises(TypeError):
-            AnalysisContext(object())
-
-    def test_context_computes_each_analysis_once(self):
-        calls = []
-
-        @register_analysis
-        class Counted(Analysis):
-            name = "test-counted"
-
-            def compute(self, gm, ctx):
-                calls.append(gm)
-                return ctx.get("purity")
-
-        try:
-            gm = symbolic_trace(Linear2())
-            ctx = AnalysisContext(gm)
-            assert ctx.get("test-counted") is ctx.get("test-counted") \
-                is ctx.get("purity")
-            assert calls == [gm]
-            # results describe the module's own nodes
-            assert set(ctx.get("purity").effects) == set(gm.graph.nodes)
-            # a new context (a new graph state) computes afresh
-            AnalysisContext(gm).get("test-counted")
-            assert len(calls) == 2
-        finally:
-            engine_mod._REGISTRY.pop("test-counted")
+    def test_verifier_snapshot_computes_each_analysis_once(self, monkeypatch):
+        gm = symbolic_trace(InplaceUnused())
+        calls = count_analysis_calls(monkeypatch)
+        errors, impure = PassVerifier().snapshot(gm)
+        assert errors and impure
+        assert calls == {"alias": 1, "purity": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +158,8 @@ class TestAliasAnalysis:
                 return F.reshape(t, (-1,))
 
         gm = symbolic_trace(M())
-        alias = analyze(gm, ["alias"]).get("alias")
         add = next(n for n in gm.graph.nodes if n.name == "add")
-        assert add in alias.escapes  # escapes through the reshape view
+        assert add in alias(gm).escapes  # escapes through the reshape view
 
     def test_extended_liveness_through_live_view(self):
         class M(nn.Module):
@@ -217,11 +171,10 @@ class TestAliasAnalysis:
                 return F.sum(s) + F.sum(b)
 
         gm = symbolic_trace(M())
-        alias = analyze(gm, ["alias"]).get("alias")
         by_name = {n.name: n for n in gm.graph.nodes}
         order = {n: i for i, n in enumerate(gm.graph.nodes)}
         # a's buffer must stay live until the matmul that reads its view.
-        assert alias.extended_last[by_name["relu"]] == order[by_name["matmul"]]
+        assert alias(gm).extended_last[by_name["relu"]] == order[by_name["matmul"]]
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +344,6 @@ class TestPurity:
 
 
 class TestDiagnostics:
-    def test_rule_registry_complete(self):
-        assert {"mutation-hazard", "arena-hazard", "caller-visible-write",
-                "impure-unused", "aliased-output"} <= set(registered_rules())
-
     def test_mutation_hazard_golden(self):
         class M(nn.Module):
             def forward(self, x):
@@ -454,34 +403,9 @@ class TestDiagnostics:
         full = report.format()
         assert "error[mutation-hazard]" in full
         assert "note[impure-unused]" in full
-        errors_only = report.format(min_severity=Severity.ERROR)
-        assert "impure-unused" not in errors_only
-        assert "error(s)" in errors_only
-
-    def test_custom_rule_participates(self):
-        from repro.fx.analysis import Diagnostic
-
-        @register_rule("test-no-matmul", Severity.NOTE)
-        def no_matmul(gm, ctx):
-            for i, n in enumerate(gm.graph.nodes):
-                if getattr(n.target, "__name__", "") == "matmul":
-                    yield Diagnostic.for_node(
-                        "test-no-matmul", Severity.NOTE, "matmul found", n, i)
-
-        try:
-            class M(nn.Module):
-                def forward(self, x):
-                    return F.matmul(x, x)
-
-            report = lint_graph(symbolic_trace(M()))
-            assert len(report.by_rule("test-no-matmul")) == 1
-        finally:
-            diagnostics_mod._RULES.pop("test-no-matmul")
-
-    def test_rule_subset_selection(self):
-        report = lint_graph(symbolic_trace(InplaceUnused()),
-                            rules=["impure-unused"])
-        assert {d.rule for d in report.diagnostics} == {"impure-unused"}
+        assert "1 error(s), 0 warning(s), 1 note(s)" in full
+        assert {d.rule for d in report.errors} == {"mutation-hazard"}
+        assert {d.rule for d in report.notes} == {"impure-unused"}
 
 
 # ---------------------------------------------------------------------------

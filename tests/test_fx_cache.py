@@ -96,7 +96,7 @@ print(json.dumps(out))
 #:   step stored: one hit.
 #:
 #: The ``analysis`` stage is gone (its last row read 10/3 after ``serve``):
-#: analyses are memoised per module by their ``AnalysisContext``.
+#: an analysis is a plain function its caller runs once per graph state.
 #:
 #: ``codegen`` was re-recorded when fused kernels began sharing generated
 #: code by body through this stage: the first compile fuses ResNet-18's

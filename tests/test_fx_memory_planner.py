@@ -11,7 +11,7 @@ import repro.functional as F
 from repro import nn
 from repro.fx import Interpreter, symbolic_trace
 from repro.fx import compile as fx_compile
-from repro.fx.analysis import AnalysisContext
+from repro.fx.analysis import hazards
 from repro.fx.passes import ShapeProp, plan_memory
 from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
 from repro.fx.vm import compile_to_vm
@@ -294,8 +294,8 @@ class TestGemmOutAliasing:
     def test_routing_out_into_it_is_a_hazard_and_the_vm_drops_it(self):
         m, x, gm, t, y = self._planned()
         y.meta["arena_slot"] = t.meta["arena_slot"]     # a same-step-blind plan
-        hazards = AnalysisContext(gm).get("mutation").errors
-        assert [(h.kind, h.node_name, h.victim_name) for h in hazards] \
+        found = hazards(gm).hazards
+        assert [(h.kind, h.node_name, h.victim_name) for h in found] \
             == [("arena-clobber", y.name, t.name)]
         program = compile_to_vm(gm, cache=False)
         (gemm,) = [i for i in program.instructions if i.name == y.name]

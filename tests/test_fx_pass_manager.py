@@ -511,9 +511,6 @@ class TestStateSharing:
         class Meddling:
             baseline = None
 
-            def config_key(self):
-                return "meddling"
-
             def before_pipeline(self, module):
                 pass
 

@@ -9,15 +9,9 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import Graph, GraphModule, symbolic_trace
+from repro.fx import Graph, GraphModule, opinfo, symbolic_trace
 from repro.fx.passes import ShapeProp
-from repro.fx.passes.pointwise_fuser import (
-    FusedKernel,
-    OpDef,
-    fuse_pointwise,
-    pointwise_registry,
-    register_pointwise_op,
-)
+from repro.fx.passes.pointwise_fuser import FusedKernel, OpDef, fuse_pointwise
 
 
 def _trace_and_prop(module, *inputs):
@@ -242,13 +236,13 @@ class TestKernelObject:
         def scaled_tanh(x, scale=1.0):
             return repro.Tensor(np.tanh(np.asarray(x.data)) * scale)
 
-        register_pointwise_op(
+        opinfo.pointwise(
             OpDef("scaled_tanh", 1, params=(("scale", 1.0),),
                   ref=lambda a, scale=1.0: np.tanh(a) * scale),
             functions=(scaled_tanh,),
         )
         try:
-            assert "scaled_tanh" in pointwise_registry()
+            assert opinfo.TABLE["scaled_tanh"].kernel.key == "scaled_tanh"
             g = Graph()
             x = g.placeholder("x")
             a = g.call_function(scaled_tanh, (x,), {"scale": 2.0})
@@ -261,10 +255,8 @@ class TestKernelObject:
             assert fuse_pointwise(gm) == 1
             assert np.allclose(gm(xv).data, ref.data, atol=0, rtol=0)
         finally:
-            reg = pointwise_registry()
-            from repro.fx.passes import pointwise_fuser as pf
-            pf._REGISTRY.pop("scaled_tanh", None)
-            pf._PATTERN_INDEX._by_function.pop(scaled_tanh, None)
+            opinfo.TABLE.pop("scaled_tanh", None)
+            opinfo.INDEX._by_function.pop(scaled_tanh, None)
 
 
 class LinearReLU(nn.Module):

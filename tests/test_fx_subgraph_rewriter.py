@@ -1,4 +1,4 @@
-"""Tests for replace_pattern / SubgraphMatcher."""
+"""Tests for replace_pattern."""
 
 import operator
 
@@ -254,8 +254,7 @@ class TestLiteralStrictness:
     def test_int_literal_does_not_match_bool(self):
         gm = self._graph_plus(1)
         pat = symbolic_trace(lambda v: F.add(v, True)).graph
-        from repro.fx.subgraph_rewriter import SubgraphMatcher
-        assert SubgraphMatcher(pat).find_matches(gm.graph) == []
+        assert replace_pattern(gm, pat, lambda v: v) == []
 
     def test_float_literal_does_not_match_int(self):
         gm = self._graph_plus(1)
@@ -306,40 +305,34 @@ class TestNonTreePatterns:
         assert replace_pattern(gm, pattern, lambda v: v) == []
 
 
-class TestMultiOutputPatterns:
-    def test_two_output_pattern_rewrites_both(self):
-        def model(x):
-            s = F.sigmoid(x)
-            return F.relu(s) + F.neg(s)
+class TestRejectedPatterns:
+    """A pattern no match of which could be rewritten raises ``ValueError``
+    naming the culprit before anything is matched."""
 
-        def pattern(v):
-            s = F.sigmoid(v)
-            return F.relu(s), F.neg(s)
+    def _model(self):
+        gm = symbolic_trace(lambda x: repro.relu(x) + 1.0)
+        return gm, gm.code
 
-        def replacement(v):
-            s = F.sigmoid(v)
-            return F.clamp(s, min=0.0), s * -1.0
+    def test_tuple_output_pattern_rejected(self):
+        gm, code = self._model()
+        with pytest.raises(ValueError, match="one traced value"):
+            replace_pattern(gm, lambda v: (repro.relu(v), repro.neg(v)),
+                            lambda v: (repro.relu(v), repro.neg(v)))
+        assert gm.code == code
 
-        m = symbolic_trace(model)
-        x = repro.randn(6)
-        ref = m(x)
-        matches = replace_pattern(m, pattern, replacement)
-        assert len(matches) == 1
-        assert len(matches[0].anchors) == 2
-        m.graph.lint()
-        assert np.allclose(m(x).data, ref.data, atol=1e-6)
-        # the rewritten graph really uses the replacement's ops
-        targets = {n.target for n in m.graph.nodes if n.op == "call_function"}
-        assert F.clamp in targets and F.relu not in targets
+    def test_placeholder_output_pattern_rejected(self):
+        gm, code = self._model()
+        with pytest.raises(ValueError, match="placeholder 'x'"):
+            replace_pattern(gm, lambda x: x, lambda x: repro.neg(x))
+        assert gm.code == code
+        gm.graph.lint()
 
-    def test_multi_output_requires_tuple_pattern_output(self):
-        from repro.fx import Graph
-        from repro.fx.subgraph_rewriter import SubgraphMatcher
-        g = Graph()
-        x = g.placeholder("x")
-        g.output((x, ()))  # non-Node member
-        with pytest.raises(ValueError, match="multi-output"):
-            SubgraphMatcher(g)
+    def test_unread_pattern_placeholder_rejected(self):
+        gm, code = self._model()
+        with pytest.raises(ValueError, match="placeholder 'y'"):
+            replace_pattern(gm, lambda x, y: repro.relu(x),
+                            lambda x, y: repro.neg(x))
+        assert gm.code == code
 
 
 class TestMetadataPropagation:
@@ -380,46 +373,28 @@ class TestOverlapPolicies:
         # relu(relu(x)): the 2-relu pattern and the 1-relu pattern overlap.
         return symbolic_trace(lambda x: repro.relu(repro.relu(x)))
 
-    def test_largest_prefers_enclosing_match(self):
-        from repro.fx.subgraph_rewriter import SubgraphMatcher
-        pat2 = symbolic_trace(lambda v: repro.relu(repro.relu(v))).graph
-        gm = self._nested()
-        matches = SubgraphMatcher(pat2).find_matches(
-            gm.graph, overlap="largest")
-        assert len(matches) == 1
-        assert len(matches[0].internal_nodes()) == 2
-
     def test_first_policy_is_scan_order(self):
         gm = self._nested()
         matches = replace_pattern(gm, lambda v: repro.relu(v),
-                                  lambda v: repro.tanh(v), overlap="first")
+                                  lambda v: repro.tanh(v))
         assert len(matches) == 2
-
-    def test_invalid_policy_raises(self):
-        from repro.fx.subgraph_rewriter import SubgraphMatcher
-        gm = self._nested()
-        pat = symbolic_trace(lambda v: repro.relu(v)).graph
-        with pytest.raises(ValueError, match="overlap"):
-            SubgraphMatcher(pat).find_matches(gm.graph, overlap="sometimes")
 
 
 class TestMatcherLifetime:
     def test_find_matches_releases_target_graph(self):
-        # A matcher kept at module level that keeps its last scan's
-        # bindings would pin every matched GraphModule (100MB for a
-        # ResNet) in memory forever.
+        # Rewriting keeps no reference to the module it rewrote: one kept
+        # past the call would pin every matched GraphModule (100MB for a
+        # ResNet) in memory.
         import gc
         import weakref
-        from repro.fx.subgraph_rewriter import SubgraphMatcher
 
-        pat = symbolic_trace(lambda v: repro.relu(v)).graph
-        matcher = SubgraphMatcher(pat)
-        gm = symbolic_trace(nn.Sequential(nn.ReLU(), nn.Linear(4, 4)))
-        matches = matcher.find_matches(gm.graph)
+        gm = symbolic_trace(lambda x: repro.relu(x) + 1.0)
+        assert len(replace_pattern(gm, lambda v: repro.relu(v),
+                                   lambda v: repro.tanh(v))) == 1
         ref = weakref.ref(gm)
-        del gm, matches
+        del gm
         gc.collect()
-        assert ref() is None, "matcher retained the matched GraphModule"
+        assert ref() is None, "replace_pattern retained the rewritten GraphModule"
 
     def test_cached_rule_does_not_pin_compiled_module(self):
         import gc

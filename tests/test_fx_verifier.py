@@ -17,27 +17,24 @@ import repro.functional as F
 from repro import nn
 from repro.fx import GraphModule, cache_info, clear_caches, symbolic_trace
 from repro.fx.analysis import (
-    AnalysisContext,
-    Diagnostic,
     Effect,
-    MutationHazardAnalysis,
     PassVerifier,
     PolyvariantModule,
-    Severity,
     VerificationError,
-    analyze,
+    alias,
     classify_effect,
+    hazards,
+    impure_fingerprints,
     lint_graph,
     may_alias_input,
-    register_rule,
+    purity,
 )
-from repro.fx.analysis import diagnostics as diagnostics_mod
-from repro.fx.analysis.purity import impure_fingerprints
 from repro.fx.passes import PassManager, ShapeProp
 from repro.fx.passes.memory_planner import Arena, ArenaSlot, _leaf_meta, plan_memory
 from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
 from repro.fx.state import copy_module
 from repro.fx.testing.generator import generate_program, spec_for_iteration
+from tests.test_fx_analysis import count_analysis_calls
 
 
 class TailReadModel(nn.Module):
@@ -83,8 +80,8 @@ def unsound_plan_memory(gm: GraphModule) -> None:
     for n in nodes:
         n.meta.pop("arena_slot", None)
 
-    alias = analyze(gm, ["alias"]).get("alias")
-    extended_last, escapes = alias.extended_last, alias.escapes
+    facts = alias(gm)
+    extended_last, escapes = facts.extended_last, facts.escapes
 
     def plannable(n):
         return (n.op == "call_function" and isinstance(n.target, FusedKernel)
@@ -189,23 +186,6 @@ class TestSnapshotSemantics:
 
         with pytest.raises(VerificationError, match="effectful"):
             v.after_pass("bad_dce", symbolic_trace(Pruned()))
-
-    def test_check_effects_false_allows_purification(self):
-        gm = symbolic_trace(InplaceModel())
-        v = PassVerifier(check_effects=False)
-        v.before_pipeline(gm)
-
-        class Pruned(nn.Module):
-            def forward(self, x):
-                return (x + 1.0) * 2.0
-
-        v.after_pass("eval_mode_ish", symbolic_trace(Pruned()))
-
-    def test_config_key_distinguishes_configs(self):
-        assert PassVerifier().config_key() != \
-            PassVerifier(check_effects=False).config_key()
-        assert PassVerifier().config_key() != \
-            PassVerifier(min_severity=Severity.WARNING).config_key()
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +316,13 @@ class TestPassManagerIntegration:
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_snapshot(verifier, gm):
+def _exhaustive_snapshot(gm):
     """The snapshot as it was built before linting became demand-driven:
-    ``alias`` resolved up front and ``mutation`` computed from it whatever
-    the graph holds, every registered rule run, the findings below
-    ``min_severity`` filtered out afterwards."""
-    ctx = AnalysisContext(gm)
-    ctx._local["mutation"] = MutationHazardAnalysis().hazards(
-        gm, ctx.get("alias"))
-    report = lint_graph(gm, rules=verifier.rules, ctx=ctx)
-    errors = Counter(d.fingerprint for d in report.diagnostics
-                     if d.severity >= verifier.min_severity)
-    impure = impure_fingerprints(ctx.get("purity")) \
-        if verifier.check_effects else ()
-    return (tuple(sorted(errors.items())), impure)
+    ``alias`` resolved up front and the hazards computed from it whatever
+    the graph holds, every rule run, the findings below error filtered out
+    afterwards."""
+    errors = Counter(d.fingerprint for d in lint_graph(gm).errors)
+    return (tuple(sorted(errors.items())), impure_fingerprints(purity(gm)))
 
 
 def _graph_modules(program):
@@ -454,37 +427,28 @@ def _verdicts(gm, inputs) -> str:
 
 
 class TestDemandDrivenVerdicts:
-    CONFIGS = (
-        {},
-        {"min_severity": Severity.WARNING},
-        {"min_severity": Severity.NOTE, "check_effects": False},
-        {"rules": ("mutation-hazard", "caller-visible-write", "impure-unused")},
-    )
-
     def test_snapshot_equals_exhaustive_lint_then_filter(self):
         corpus = _corpus()
         labels = {label.split(":")[0] for label, _ in corpus}
         assert {"graph", "module", "control_flow"} <= labels
         assert sum(label.endswith(":planned") for label, _ in corpus) >= 5
         findings = 0
-        for config in self.CONFIGS:
-            verifier = PassVerifier(**config)
-            for label, gm in corpus:
-                snap = verifier.snapshot(gm)
-                assert snap == _exhaustive_snapshot(verifier, gm), label
-                findings += bool(snap[0])
+        verifier = PassVerifier()
+        for label, gm in corpus:
+            snap = verifier.snapshot(gm)
+            assert snap == _exhaustive_snapshot(gm), label
+            findings += bool(snap[0])
         assert findings > 20  # the corpus does exercise the error rules
 
-    def test_mutation_result_equals_eager_alias_result(self):
-        analysis = MutationHazardAnalysis()
+    def test_mutation_result_equals_eager_alias_result(self, monkeypatch):
+        calls = count_analysis_calls(monkeypatch)
         hazardous = gated = 0
         for label, gm in _corpus():
-            ctx = AnalysisContext(gm)
-            eager = analysis.hazards(gm, ctx.get("alias"))
-            fresh = AnalysisContext(gm)
-            assert fresh.get("mutation") == eager, label
+            eager = hazards(gm, alias(gm))
+            before = calls["alias"]
+            assert hazards(gm) == eager, label
             hazardous += bool(eager.hazards)
-            if "alias" not in fresh._local:   # the gate skipped alias
+            if calls["alias"] == before:   # the gate skipped alias
                 gated += 1
                 assert not eager.hazards
         assert hazardous > 20 and gated > 20
@@ -509,26 +473,8 @@ class TestDemandDrivenVerdicts:
         assert got == recorded
         assert attention == 2   # the zoo's TransformerEncoder, two layers
 
-    def test_alias_not_computed_without_writer_or_slot(self):
+    def test_alias_not_computed_without_writer_or_slot(self, monkeypatch):
         gm = symbolic_trace(TailReadModel())
-        ctx = AnalysisContext(gm)
-        PassVerifier().snapshot(gm, ctx=ctx)
-        assert set(ctx._local) == {"mutation", "purity"}
-
-    def test_severity_is_a_contract(self):
-        @register_rule("test-overreach", Severity.NOTE)
-        def overreach(gm, ctx):
-            node = next(iter(gm.graph.nodes))
-            yield Diagnostic.for_node("test-overreach", Severity.ERROR,
-                                      "louder than registered", node, 0)
-
-        try:
-            gm = symbolic_trace(InplaceModel())
-            with pytest.raises(ValueError, match="test-overreach"):
-                lint_graph(gm)
-            # which is why an errors-only verifier may leave it out
-            PassVerifier().snapshot(gm)
-            with pytest.raises(ValueError, match="test-overreach"):
-                PassVerifier(min_severity=Severity.NOTE).snapshot(gm)
-        finally:
-            diagnostics_mod._RULES.pop("test-overreach")
+        calls = count_analysis_calls(monkeypatch)
+        PassVerifier().snapshot(gm)
+        assert calls == {"purity": 1}

@@ -18,7 +18,7 @@ from repro import nn
 from repro.fx import Graph, GraphModule, cache_info, clear_caches, \
     symbolic_trace
 from repro.fx import compile as fx_compile
-from repro.fx.analysis import analyze
+from repro.fx.analysis import alias
 from repro.fx.backends import EagerBackend, to_backend
 from repro.fx.passes import ShapeProp
 from repro.fx.passes.memory_planner import Arena, ArenaSlot, _leaf_meta
@@ -260,8 +260,8 @@ def unsound_plan_memory(gm: GraphModule) -> None:
     nodes = list(graph.nodes)
     for n in nodes:
         n.meta.pop("arena_slot", None)
-    alias = analyze(gm, ["alias"]).get("alias")
-    extended_last, escapes = alias.extended_last, alias.escapes
+    facts = alias(gm)
+    extended_last, escapes = facts.extended_last, facts.escapes
 
     def plannable(n):
         return (n.op == "call_function" and isinstance(n.target, FusedKernel)
