@@ -214,14 +214,20 @@ class CapabilityPartitioner:
                         stack.append(v)
             return False
 
-        # Merge along def-use edges, consumers in graph order.
+        # Merge along def-use edges, consumers in graph order.  With every
+        # compute node supported no merge can cycle: a detour between two
+        # units holding only nodes up to ``consumer`` passes earlier nodes
+        # alone; no get_attr or placeholder (they have no inputs), and no
+        # third partition, since every earlier consumer joined its producers.
+        may_cycle = bool(unsupported or masked)
         for consumer in supported:
             for producer in consumer.all_input_nodes:
                 if producer not in parent:
                     continue
                 ra, rb = find(producer), find(consumer)
-                if ra is rb or reaches_via_intermediate(ra, rb) \
-                        or reaches_via_intermediate(rb, ra):
+                if ra is rb or may_cycle and (
+                        reaches_via_intermediate(ra, rb)
+                        or reaches_via_intermediate(rb, ra)):
                     continue
                 parent[rb] = ra
                 members[ra].extend(members.pop(rb))

@@ -539,7 +539,9 @@ class Graph:
         hold the same tensors).  A tensor enters as
         ``shape:dtype:sha256(bytes)``; the bytes are read on every call,
         except inside a :func:`~repro.fx.state.state_scope` (one compile),
-        which reads each array once.
+        which reads each array once.  Either way every digest the hash
+        needs is asked for at once, and read on up to one thread per CPU:
+        the key is the one a single thread computes.
 
         Two graphs with equal hashes generate equivalent ``forward``
         code and (with ``include_attrs=True``) compute the same function,
@@ -583,7 +585,8 @@ class Graph:
                 "canonicalize_targets requires include_attrs=True and an "
                 "owning module: without the state bytes in the hash, "
                 "differently-named attributes are not interchangeable")
-        h = hashlib.sha256()
+        # What is fed, in order; a tensor is ``(head, array)`` until the end.
+        parts: list = []
         index: dict[Node, int] = {}
 
         def token_for(obj: Any) -> str:
@@ -597,8 +600,7 @@ class Graph:
             return token
 
         def feed(token: str) -> None:
-            h.update(token.encode("utf-8", "backslashreplace"))
-            h.update(b"\x00")
+            parts.append(token.encode("utf-8", "backslashreplace") + b"\x00")
 
         def feed_arg(a: Any) -> None:
             if isinstance(a, Node):
@@ -630,13 +632,13 @@ class Graph:
         # Local imports: the tensor package and the state scope sit above
         # the core IR in the import order.
         from ..tensor import Tensor
-        from .state import digest
+        from .state import digests
 
         def feed_value(v: Any) -> None:
             if isinstance(v, Tensor):
                 # The bytes enter as their own digest, which an open state
                 # scope (one compile) computes once per array.
-                feed(f"tensor:{tuple(v.shape)}:{v.dtype}:{digest(v.data)}")
+                parts.append((f"tensor:{tuple(v.shape)}:{v.dtype}:", v.data))
             elif isinstance(v, BASE_ARGUMENT_TYPES):
                 feed(f"{type(v).__name__}:{v!r}")
             else:
@@ -655,7 +657,7 @@ class Graph:
                          if name[0] != "_" and name != "forward"]
                 try:   # numbers, strings, tuples of them: one C call (in
                     # format version 0 the bytes depend on values alone)
-                    h.update(marshal.dumps(plain, 0))
+                    parts.append(marshal.dumps(plain, 0))
                 except ValueError:
                     for name, value in plain:
                         feed(f"hp:{name}")
@@ -705,7 +707,10 @@ class Graph:
                     feed_module_state(value)
                 else:
                     feed_value(value)
-        return h.hexdigest()
+        shas = iter(digests([p[1] for p in parts if type(p) is tuple]))
+        return hashlib.sha256(b"".join(
+            f"{p[0]}{next(shas)}\x00".encode() if type(p) is tuple else p
+            for p in parts)).hexdigest()
 
     # -- printing --------------------------------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Module state during a compile: read each tensor once, copy only what an
 entry keeps.
 
-* :func:`digest` — the SHA-256 of one array's bytes, the term a tensor
-  contributes to ``Graph.structural_hash``; memoised per ndarray *object*
-  inside a :func:`state_scope` (one compile), read on every call outside.
+* :func:`digests` — the SHA-256 of each of some arrays' bytes, the term a
+  tensor contributes to ``Graph.structural_hash``; memoised per ndarray
+  *object* inside a :func:`state_scope` (one compile), read on every call
+  outside.  The bytes are read on up to one thread per CPU, and each
+  digest is the one a single thread computes.
 * :func:`_borrow` — what passes transform when the caller keeps its
   module: a structure-only copy over *read-only views* of its arrays, so
   no weight is copied and numpy refuses a pass's in-place write.
@@ -29,18 +31,22 @@ one node it has to run for lack of an op-table entry runs on a copy.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
+import os
 import pickle
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .cache import ArtifactCache, register_stage
+from .concurrency import on_fork_reset
 
-__all__ = ["TRANSFORM_CACHE", "StateSnapshot", "copy_module", "digest",
+__all__ = ["TRANSFORM_CACHE", "StateSnapshot", "copy_module", "digests",
            "note_stored", "restore", "snapshot", "state_scope"]
 
 def _pinned(entries: list) -> dict:
@@ -97,8 +103,9 @@ class _Scope:
         if self.depth:
             return
         _ACTIVE.scope = None
-        written = [k.array for k in self.memo.values() if k.served
-                   and not k.trusted and _sha(k.array) != k.digest]
+        served = [k for k in self.memo.values() if k.served and not k.trusted]
+        shas = _read([k.array for k in served])
+        written = [k.array for k, sha in zip(served, shas) if sha != k.digest]
         if not written:
             return
         for cache, key in self.stored:
@@ -142,27 +149,69 @@ def _owner(arr: np.ndarray) -> np.ndarray:
 
 
 def _sha(arr: np.ndarray) -> str:
-    TRANSFORM_CACHE.count("state_reads")
-    TRANSFORM_CACHE.count("state_read_bytes", arr.nbytes)
     return hashlib.sha256(
         arr if arr.flags.c_contiguous else arr.tobytes()).hexdigest()
 
 
-def digest(arr: np.ndarray) -> str:
-    """Hex SHA-256 of *arr*'s bytes in C order."""
+#: Arrays from this size up are read on the pool: on a 2-CPU x86 host a
+#: round trip through a worker costs ≈ 50 µs, what SHA-256 takes over
+#: 64 KiB; ``hashlib`` lets go of the GIL while it reads.
+_POOL_MIN_BYTES = 64 * 1024
+
+
+@functools.cache
+def _pool() -> Optional[ThreadPoolExecutor]:
+    """A worker per CPU this process may run on, made on first use; none
+    on one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return ThreadPoolExecutor(cpus) if cpus > 1 else None
+
+
+on_fork_reset(_pool.cache_clear)   # a forked child has none of its threads
+
+
+def _read(arrays: Sequence[np.ndarray]) -> list[str]:
+    """The hex SHA-256 of each of *arrays*, counted as that many reads:
+    small ones (and a lone large one) on the calling thread, two or more
+    large ones, largest first, on the pool, whose workers run nothing but
+    ``hashlib``."""
+    if not arrays:
+        return []
+    TRANSFORM_CACHE.count("state_reads", len(arrays))
+    TRANSFORM_CACHE.count("state_read_bytes", sum(a.nbytes for a in arrays))
+    large = sorted((i for i, a in enumerate(arrays)
+                    if a.nbytes >= _POOL_MIN_BYTES),
+                   key=lambda i: -arrays[i].nbytes)
+    pool = _pool() if len(large) > 1 else None
+    pending = {i: pool.submit(_sha, arrays[i]) for i in large} if pool else {}
+    return [pending[i].result() if i in pending else _sha(arr)
+            for i, arr in enumerate(arrays)]
+
+
+def digests(arrays: Sequence[np.ndarray]) -> list[str]:
+    """Hex SHA-256 of each of *arrays*' bytes in C order.  Digests, memo
+    and counters end as that many one-array calls, in order, leave them;
+    the bytes are read by :func:`_read`."""
     scope = _scope()
     if scope is None:
-        return _sha(arr)
-    arr = _owner(arr)
-    known = scope.memo.get(id(arr))
-    if known is None:
-        known = scope.memo[id(arr)] = _Known(arr)
-    if known.digest is None:
-        known.digest = _sha(arr)
-    else:
-        known.served = True
-        TRANSFORM_CACHE.count("state_reuses")
-    return known.digest
+        return _read(arrays)
+    knowns, unread = [], {}
+    for arr in arrays:
+        arr = _owner(arr)
+        known = scope.memo.get(id(arr)) or scope.memo.setdefault(
+            id(arr), _Known(arr))
+        if known.digest is None and id(arr) not in unread:
+            unread[id(arr)] = known
+        else:
+            known.served = True
+        knowns.append(known)
+    if len(knowns) > len(unread):
+        TRANSFORM_CACHE.count("state_reuses", len(knowns) - len(unread))
+    for known, sha in zip(unread.values(),
+                          _read([k.array for k in unread.values()])):
+        known.digest = sha
+    return [known.digest for known in knowns]
 
 
 def note_stored(cache: ArtifactCache, key: Any) -> None:

@@ -21,7 +21,8 @@ from repro.fx.backends import (
     override_support,
 )
 from repro.fx.passes import split_module
-from repro.fx.testing import ProgramSpec, generate_program, run_oracle
+from repro.fx.testing import ProgramSpec, generate_program, run_oracle, \
+    spec_for_iteration
 from repro.models import MLP, deep_recommender, resnet18
 from repro.fx.vm import VMModule
 from repro.trt import TRTBackend
@@ -210,6 +211,38 @@ class TestCapabilityPartitioner:
         x = repro.randn(4)
         assert np.allclose(out(x).data, gm(repro.Tensor(x.data.copy())).data,
                            atol=1e-6)
+
+    @pytest.mark.parametrize("source", ["zoo", "fuzz"])
+    def test_fully_supported_partitions_are_connected_components(self, source):
+        """With every node supported no merge can cycle, so the partitions
+        are the weakly connected components of the compute nodes."""
+        from tests.test_fx_opinfo import ZOO
+
+        if source == "zoo":
+            gms = [symbolic_trace(build().eval())
+                   for build, _, _ in (ZOO[name] for name in sorted(ZOO))]
+        else:
+            programs = [generate_program(spec_for_iteration(0, i))
+                        for i in range(40)]
+            gms = [p.gm for p in programs if isinstance(p.gm, GraphModule)]
+        assert len(gms) > 8
+        for gm in gms:
+            plan = CapabilityPartitioner(lambda n, m: True,
+                                         mask_effects=False).partition(gm)
+            compute = [n for n in gm.graph.nodes if n.op not in
+                       ("placeholder", "output", "get_attr")]
+            component = {n: {n} for n in compute}
+            for n in compute:
+                for inp in n.all_input_nodes:
+                    if inp in component and component[inp] is not component[n]:
+                        merged = component[inp] | component[n]
+                        for m in merged:
+                            component[m] = merged
+            expected = {frozenset(c) for c in component.values()}
+            got = {frozenset(n for n in nodes if n in component)
+                   for nodes in plan.partitions.values()}
+            assert all(n.op == "get_attr" for n in plan.unassigned)
+            assert got == expected
 
     def test_partition_of_is_total_and_split_runs(self):
         gm = symbolic_trace(MLP(4, (8, 8), 2))

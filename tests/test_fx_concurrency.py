@@ -27,6 +27,7 @@ Two bug classes are covered:
 import gc
 import os
 import signal
+import sys
 import threading
 import time
 import types
@@ -239,6 +240,72 @@ class TestSharedArtifacts:
                 assert np.allclose(out(x).data, expected, atol=1e-6)
 
         _run_threads(N_THREADS, worker)
+
+
+class TestParallelDigests:
+    """A structural hash reads large tensors on a private thread pool."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_forked_after_a_parallel_hash_hashes_again(self):
+        """The child has none of the pool's threads, and may inherit its
+        submit lock held by a parent thread: it must build a pool of its
+        own.  SIGALRM turns a child deadlock into a non-zero exit status."""
+        from repro.fx import state
+
+        gm = symbolic_trace(nn.Sequential(nn.Linear(256, 256), nn.ReLU(),
+                                          nn.Linear(256, 256)).eval())
+        key = gm.graph.structural_hash()   # 256 KiB weights: on the pool
+        pool = state._pool()
+        held, release = threading.Event(), threading.Event()
+
+        def hold_the_submit_lock():
+            with pool._shutdown_lock:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold_the_submit_lock)
+        if pool is not None:   # more than one CPU
+            holder.start()
+            assert held.wait(timeout=10)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)
+            ok = gm.graph.structural_hash() == key
+            os._exit(0 if ok else 1)
+        release.set()
+        if holder.is_alive():
+            holder.join(timeout=10)
+        assert os.waitpid(pid, 0)[1] == 0
+
+    def test_concurrent_resnet_compiles_stay_exact(self):
+        """More compiling threads than cores, switching often, share the
+        pool: each result and the read counters are those of one compile."""
+        from repro.models import resnet18
+
+        def reads():
+            return cache_info()["transform"].get("state_reads", 0)
+
+        repro.manual_seed(0)
+        model = resnet18(num_classes=10).eval()
+        gm, x = symbolic_trace(model), repro.randn(1, 3, 32, 32)
+        before = reads()
+        # conv-bn folding moves the last bits: compare with one compile
+        expected = fx_compile(gm, (x,), cache=False)(x).data
+        one = reads() - before
+        assert np.allclose(expected, model(x).data, atol=1e-5)
+        results = [None] * 4
+
+        def worker(i):   # one trace: tracing one model in two threads races
+            results[i] = fx_compile(gm, (x,), cache=False)(x).data
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(4, worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(r, expected) for r in results)
+        assert reads() - before == 5 * one
 
 
 @pytest.mark.parametrize("stage", ["vm", "partition"])

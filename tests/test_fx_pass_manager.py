@@ -473,6 +473,55 @@ class TestStateSharing:
         model = nn.Sequential(nn.Conv2d(3, 4, 3), nn.BatchNorm2d(4), nn.ReLU())
         return symbolic_trace(model.eval()), repro.randn(1, 3, 8, 8)
 
+    def large(self):
+        """A seeded conv + bn + linear whose conv and linear weights (72 and
+        128 KiB) are large enough for the digest pool."""
+        from repro.fx.state import _POOL_MIN_BYTES
+
+        repro.manual_seed(0)
+        model = nn.Sequential(nn.Conv2d(32, 64, 3), nn.BatchNorm2d(64),
+                              nn.ReLU(), nn.AdaptiveAvgPool2d(1), nn.Flatten(),
+                              nn.Linear(64, 512))
+        gm = symbolic_trace(model.eval())
+        assert sum(a.nbytes >= _POOL_MIN_BYTES for a in _arrays(gm)) == 2
+        return gm, repro.randn(1, 32, 8, 8)
+
+    def test_keys_do_not_move(self):
+        # Every key — the transform cache's, the engine cache's files on
+        # disk — must keep its value however the digests are read: this one
+        # was recorded when they were read one after another, on one thread.
+        from repro.fx.passes import ShapeProp
+        from repro.fx.state import state_scope
+
+        gm, x = self.large()
+        ShapeProp(gm).propagate(x)
+        pinned = "365ebe03ad92e96dda78a9706bde71c19fd039ed33509b420b075796fa7013e3"
+
+        def key():
+            return gm.graph.structural_hash(include_attrs=True, require_stable=True,
+                                            include_meta=True)
+
+        assert key() == pinned
+        with state_scope():
+            assert key() == pinned
+            assert key() == pinned   # served from the scope
+
+    def test_a_large_weight_written_in_place_drops_the_run(self):
+        # The exit check reads large arrays on the digest pool like any
+        # other hash; a pass writing one the entry copied from the caller
+        # still fails the compile and takes back what it stored.
+        gm, _ = self.large()
+        weight = gm.get_submodule("5").weight.data   # dce does not replace it
+
+        def write_the_callers_weight(module):
+            weight[0, 0] += 1.0
+
+        cache = ArtifactCache()
+        with pytest.raises(PassError, match="written in place"):
+            PassManager([eliminate_dead_code, write_the_callers_weight],
+                        cache=cache).run(gm)
+        assert len(cache) == 0
+
     def test_in_place_state_write_inside_pipeline_is_an_error(self):
         # Passes work on read-only views of the caller's arrays, so a pass
         # that writes one in place fails at the write, as a PassError that
