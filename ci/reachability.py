@@ -42,7 +42,7 @@ ENTRY_POINTS = {
         BENCH + [f"benchmarks/{f}" for f in FIGURES]],
     "CI-only": [PY + ["-m", "repro.fx.testing.fuzz", "--iters", "200", "--out", "fuzz"],
                 PY + ["-m", "repro.fx.testing.fuzz", "--iters", "200", "--out", "fuzz",
-                      "--checks", "vm,vm_compiled,recompile"],
+                      "--checks", "vm,vm_compiled,recompile,key_soundness"],
                 PY + ["-m", "repro.fx.opinfo", "selftest"]],
     "test-only": [PY + ["-m", "pytest", "-q", "tests"]],
 }

@@ -36,8 +36,14 @@ kernels are *guarded* — called with shapes other than the examples they
 were specialized for, they fall back to a generic reference evaluator,
 so the compiled module remains correct (merely unfused) off the fast
 path.  The input module is never mutated: passes run on a copy of its
-structure over read-only views of its tensors, and the result's tensors
-are read-only views of the transform cache's end state.
+structure over read-only views of its tensors.  The result owns its
+tensors, frozen: a copy of each input tensor no pass replaced and each
+array a fold derived from the inputs (replayed on *this* module's
+weights when the transform cache hits: the cache keys the pipeline on
+shapes and dtypes, not on weight bytes).  A result shares an array only
+with an earlier result that holds the same bits, read-only.  (A graph
+with a call the op table has no entry for is keyed on its weight bytes as
+well, and its result views the cache entry's frozen end state.)
 """
 
 from __future__ import annotations

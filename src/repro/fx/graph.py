@@ -525,7 +525,8 @@ class Graph:
     def structural_hash(self, include_attrs: bool = True,
                         require_stable: bool = False,
                         canonicalize_targets: bool = False,
-                        include_meta: bool = False) -> str:
+                        include_meta: bool = False,
+                        arrays: Optional[list] = None) -> str:
         """Canonical content hash of the graph (hex SHA-256 digest).
 
         Covers, in topological order: opcodes, call targets, the full
@@ -578,6 +579,16 @@ class Graph:
         mode; generated source depends on neither shapes nor dtypes, and
         the memos that keep live objects under a hash (VM programs,
         analysis results) go on giving each fused graph its own.
+
+        Given a list as *arrays*, no byte is read: a tensor enters as its
+        shape and dtype at its path (and as the position of its first
+        entry, when an earlier path reads the same array), and its array
+        is appended to *arrays* in the order fed; the parameters and
+        buffers of the owning module that no node reads are fed after the
+        nodes, at their paths.  That is the key of a
+        cache that binds its entries to those arrays by position (see
+        :func:`repro.fx.state.rebuild`); the hex value differs from every
+        hash of the bytes.
         """
         if canonicalize_targets and (not include_attrs
                                      or self.owning_module is None):
@@ -634,8 +645,14 @@ class Graph:
         from ..tensor import Tensor
         from .state import digests
 
+        first: dict[int, int] = {}   # id(array) -> its position in *arrays*
+
         def feed_value(v: Any) -> None:
-            if isinstance(v, Tensor):
+            if isinstance(v, Tensor) and arrays is not None:
+                at = first.setdefault(id(v.data), len(arrays))
+                arrays.append(v.data)
+                feed(f"tensor:{tuple(v.shape)}:{v.dtype}:{v.data.dtype.str}@{at}")
+            elif isinstance(v, Tensor):
                 # The bytes enter as their own digest, which an open state
                 # scope (one compile) computes once per array.
                 parts.append((f"tensor:{tuple(v.shape)}:{v.dtype}:", v.data))
@@ -669,6 +686,8 @@ class Graph:
                 feed(f"buffer:{name}")
                 feed_value(b)
 
+        if arrays is not None:
+            feed("tensors=structure")
         root = self.owning_module if include_attrs else None
         if root is not None:
             feed(f"training={root.training}")   # conv-bn folding asks
@@ -707,6 +726,13 @@ class Graph:
                     feed_module_state(value)
                 else:
                     feed_value(value)
+        if arrays is not None and root is not None:
+            # State no node reads is in the module all the same: a cache
+            # binding arrays by position must know its paths and shapes.
+            for path, tensor in root.state_dict().items():
+                if id(tensor.data) not in first:
+                    feed(f"unread:{path}")
+                    feed_value(tensor)
         shas = iter(digests([p[1] for p in parts if type(p) is tuple]))
         return hashlib.sha256(b"".join(
             f"{p[0]}{next(shas)}\x00".encode() if type(p) is tuple else p

@@ -15,13 +15,17 @@ normalization of weights) move from every forward pass to build time.
 
 from __future__ import annotations
 
-from typing import Any
+import functools
+from typing import Callable
+
+import numpy as np
 
 from ...tensor import Tensor
 from .. import opinfo
+from ..graph import _resolve_attr
 from ..graph_module import GraphModule
-from ..interpreter import Interpreter
-from ..node import Node
+from ..node import Node, map_aggregate, map_arg
+from ..state import _UNPICKLABLE, derive, unbind
 from .shape_prop import extract_tensor_metadata
 
 __all__ = ["fold_constants"]
@@ -52,31 +56,40 @@ def fold_constants(gm: GraphModule) -> int:
     # user (their values must be materialized); constant nodes used only
     # by other constant nodes disappear entirely.
     frontier = [
-        n for n in constant
-        if n.op in _FOLDABLE_OPS and any(u not in constant for u in n.users)
+        n for n in gm.graph.nodes if n in constant
+        and n.op in _FOLDABLE_OPS and any(u not in constant for u in n.users)
     ]
     if not frontier:
         return 0
 
-    # 3. evaluate the frontier values once with the Interpreter's
-    # opcode handlers (placeholders never feed constant subgraphs)
-    interp = Interpreter(gm, garbage_collect_values=False)
-    values: dict[Node, Any] = {}
-    env: dict[Node, Any] = {}
+    # 3. evaluate the frontier values once, as one derivation of the arrays
+    # the constant nodes read: a transform cache keyed on shapes replays it
+    # on another model's weights.  The nodes, as steps with every module,
+    # tensor and target they read in hand (placeholders never feed
+    # constant subgraphs):
+    steps: list[tuple] = []
+    index: dict[Node, _Step] = {}
     for node in gm.graph.nodes:
-        if node not in constant:
-            continue
-        args, kwargs = _fetch(node, env)
-        env[node] = getattr(interp, node.op)(node.target, args, kwargs)
-        if node in frontier:
-            values[node] = env[node]
+        if node in constant:
+            index[node] = _Step(len(steps))
+            target = _resolve_attr(gm, node.target) \
+                if node.op in ("get_attr", "call_module") else node.target
+            steps.append((node.op, target, *map_arg(
+                (node.args, node.kwargs), index.__getitem__)))
+    program = (steps, [index[n].index for n in frontier])
+    try:
+        rebuild, arrays = unbind(program)
+    except _UNPICKLABLE:   # a lambda target: evaluated, not derived
+        values = _evaluate(lambda _: program)
+    else:
+        values = derive(functools.partial(_evaluate, rebuild), *arrays)
 
     # 4. rewrite: each frontier node becomes a get_attr to a new buffer
     folded = 0
-    for i, node in enumerate(frontier):
-        value = values[node]
-        if not isinstance(value, Tensor):
-            continue
+    for i, (node, value) in enumerate(zip(frontier, values)):
+        if value is None:
+            continue   # no tensor
+        value = Tensor._wrap(value)
         name = f"_folded_constant{i}"
         gm.register_buffer(name, value)
         with gm.graph.inserting_before(node):
@@ -98,9 +111,28 @@ def fold_constants(gm: GraphModule) -> int:
     return removed
 
 
-def _fetch(node: Node, env: dict[Node, Any]) -> tuple[tuple, dict]:
-    from ..node import map_arg
+class _Step:
+    """A reference to an earlier step's value, in a step's arguments."""
 
-    args = map_arg(node.args, lambda n: env[n])
-    kwargs = map_arg(node.kwargs, lambda n: env[n])
-    return args, kwargs
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+def _evaluate(rebuild: Callable, *arrays: np.ndarray) -> tuple:
+    """The frontier's arrays (``None`` where a value is no tensor): the
+    program ``rebuild(arrays)`` gives run as the Interpreter runs nodes."""
+    steps, frontier = rebuild(arrays)
+    env: list = []
+    for op, target, args, kwargs in steps:
+        args, kwargs = map_aggregate(
+            (args, kwargs), lambda a: env[a.index] if type(a) is _Step else a)
+        if op == "get_attr":
+            env.append(target)
+        elif op == "call_method":
+            env.append(getattr(args[0], target)(*args[1:], **kwargs))
+        else:
+            env.append(target(*args, **kwargs))
+    return tuple(env[i].data if isinstance(env[i], Tensor) else None
+                 for i in frontier)

@@ -18,6 +18,7 @@ lines.
 from __future__ import annotations
 
 import copy
+import functools
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from ...nn import BatchNorm2d, Conv2d, Parameter
 from ..graph_module import GraphModule
 from ..node import Node
+from ..state import derive
 from ..tracer import symbolic_trace
 
 __all__ = ["fuse_conv_bn", "fuse_conv_bn_weights"]
@@ -34,23 +36,32 @@ def fuse_conv_bn_weights(conv: Conv2d, bn: BatchNorm2d) -> Conv2d:
     """Return a new Conv2d equivalent to ``bn(conv(x))`` in eval mode."""
     if bn.running_mean is None or bn.running_var is None:
         raise ValueError("BatchNorm must track running stats to be fusible")
-    w = conv.weight.data
-    b = conv.bias.data if conv.bias is not None else np.zeros(w.shape[0], dtype=w.dtype)
-    mean = bn.running_mean.data
-    var = bn.running_var.data
-    gamma = bn.weight.data if bn.weight is not None else np.ones_like(mean)
-    beta = bn.bias.data if bn.bias is not None else np.zeros_like(mean)
-    scale = gamma / np.sqrt(var + bn.eps)
+    # One derivation of the six arrays: a transform cache keyed on shapes
+    # replays it on another model's weights.
+    weight, bias = derive(functools.partial(_fold, bn.eps), *(
+        None if t is None else t.data for t in (
+            conv.weight, conv.bias, bn.running_mean, bn.running_var,
+            bn.weight, bn.bias)))
 
     # A shallow clone of the matched conv, not a new ``Conv2d(...)``: every
     # hyper-parameter carries over as it is, and no weights are allocated
     # and randomly initialised (from the global RNG) just to be replaced.
     fused = copy.copy(conv)
     object.__setattr__(fused, "_parameters", conv._parameters.copy())
-    fused.weight = Parameter(
-        (w * scale.reshape(-1, 1, 1, 1)).astype(w.dtype, copy=False))
-    fused.bias = Parameter(((b - mean) * scale + beta).astype(w.dtype, copy=False))
+    fused.weight = Parameter(weight)
+    fused.bias = Parameter(bias)
     return fused
+
+
+def _fold(eps: float, w, b, mean, var, gamma, beta) -> tuple:
+    """``(W', b')`` of the module docstring (``b``, ``gamma``, ``beta``
+    may be ``None``: zeros, ones, zeros)."""
+    scale = (np.ones_like(mean) if gamma is None else gamma) \
+        / np.sqrt(var + eps)
+    b = np.zeros(w.shape[0], dtype=w.dtype) if b is None else b
+    beta = np.zeros_like(mean) if beta is None else beta
+    return ((w * scale.reshape(-1, 1, 1, 1)).astype(w.dtype, copy=False),
+            ((b - mean) * scale + beta).astype(w.dtype, copy=False))
 
 
 def fuse_conv_bn(model) -> GraphModule:

@@ -25,22 +25,29 @@ split the pipeline into runs).  The manager hashes the module entering a
 run once and looks up a :class:`RunKey`: the passes' qualnames, the
 example-input signature of those that take example inputs
 (:class:`Specialized`), :meth:`Graph.structural_hash` of the module —
-state bytes, module hyper-parameters *and* the ``tensor_meta`` /
+module hyper-parameters, training flags *and* the ``tensor_meta`` /
 ``arena_slot`` its nodes carry, because fusion and planning read them —
-and whether it lints and verifies.  A miss
-executes the passes with per-pass timing, lint and verification, then
-takes *one* :class:`~repro.fx.state.StateSnapshot` at the end of the run
-and no hash (a stretch that executes separates it from the next run and
-hashes afresh); a hit rebuilds its :class:`PassRecord` s from the entry.
-Either way the result is :func:`~repro.fx.state.restore` of the entry.
-What that gives up is prefix sharing between different pipelines.
+and whether it lints and verifies.  A miss executes the passes with
+per-pass timing, lint and verification, then stores *one* end state and
+hashes nothing more (a stretch that executes separates it from the next
+run and hashes afresh); a hit rebuilds its :class:`PassRecord` s from the
+entry.  Either way the result is built from the entry.  What that gives
+up is prefix sharing between different pipelines.
 
-**State.**  :meth:`PassManager.run` never mutates its argument.  The input
-hash reads the caller's arrays once; passes that execute get a structure
-copy over read-only views of them, so no weight is copied up front and an
-in-place write fails at the write.  An entry owns its end state, frozen
-(see :mod:`repro.fx.state`), and a restore shares it and its fused
-kernels: no copy, no recompile.  Caching is best-effort: a run whose
+**Weights are inputs, not key bytes.**  A run of nothing but the numpy
+pipeline's stages (:data:`_STRUCTURAL`) over a graph whose every call has
+an op-table entry reads weight values only through
+:func:`~repro.fx.state.derive`: its key takes each tensor's shape and
+dtype, no byte, and its entry is a :class:`~repro.fx.state.Recipe`, which
+replays the folds on the caller's weights.  Any other run (a user pass
+may read a value) is keyed on the bytes too, and its entry is a
+:class:`~repro.fx.state.StateSnapshot`.
+
+**State.**  :meth:`PassManager.run` never mutates its argument.  Passes
+that execute get a structure copy over read-only views of the caller's
+arrays, so no weight is copied up front and an in-place write fails at
+the write.  A result's arrays are frozen, and its fused kernels the
+entry's (see :mod:`repro.fx.state`).  Caching is best-effort: a run whose
 input has no stable hash (:class:`~repro.fx.graph.UnstableHashError`),
 whose end state does not pickle, or whose graph may write module state
 executes uncached, and its result views the caller's arrays that no pass
@@ -60,11 +67,12 @@ from ...tensor import Tensor
 from .. import opinfo
 from ..analysis.purity import classify_effect
 from ..cache import ArtifactCache
-from ..graph import _hash_token_for_object
+from ..graph import UnstableHashError, _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import BASE_ARGUMENT_TYPES
-from ..state import (TRANSFORM_CACHE, StateSnapshot, _borrow, _held,
-                     copy_module, note_stored, restore, snapshot, state_scope)
+from ..state import (TRANSFORM_CACHE, Recipe, StateSnapshot, _borrow, _held,
+                     copy_module, note_stored, rebuild, recipe, recording,
+                     restore, snapshot, state_scope)
 
 __all__ = [
     "CacheEntry",
@@ -208,19 +216,20 @@ class PassManagerResult:
 
 @dataclass
 class CacheEntry:
-    """One memoised run of passes: its end state as a
-    :class:`~repro.fx.state.StateSnapshot` (structure payload + the frozen
-    arrays it owns + their digests) plus what rebuilds the run's records
-    and lets the pipeline go on without analysing anything.
+    """One memoised run of passes: its end state plus what rebuilds the
+    run's records and lets the pipeline go on without analysing anything.
 
     Attributes:
-        snapshot: the end state.
+        snapshot: the end state — a :class:`~repro.fx.state.Recipe` (no
+            array: where each comes from) under a structure key, a
+            :class:`~repro.fx.state.StateSnapshot` (the frozen arrays it
+            owns + their digests) under a byte key.
         stages: per pass ``(nodes_after, linted, verified)`` as they were
             when the run executed.
         baseline: the verifier's baseline after the run, to ``adopt``.
     """
 
-    snapshot: StateSnapshot
+    snapshot: Union[Recipe, StateSnapshot]
     stages: tuple
     baseline: Any = None
 
@@ -257,6 +266,27 @@ def _pass_identity(fn: Pass) -> Optional[tuple[str, str]]:
             return None
     token = _hash_token_for_object(fn)
     return (token, signature) if token.startswith("f:") else None
+
+
+#: The numpy pipeline's stages.  Each reads weight values only through
+#: :func:`repro.fx.state.derive` (conv-bn folding, constant folding) or not
+#: at all, so a run of nothing else is keyed on its input's structure.
+_STRUCTURAL = frozenset(f"f:repro.fx.{name}" for name in (
+    "backends.numpy_backend._shape_prop", "passes.dce.eliminate_dead_code",
+    "passes.cse.eliminate_common_subexpressions",
+    "passes.const_fold.fold_constants", "passes.fuser.fuse_conv_bn",
+    "passes.pointwise_fuser.fuse_pointwise",
+    "passes.memory_planner.plan_memory"))
+
+
+def _by_structure(run: Sequence[tuple], gm: GraphModule) -> bool:
+    """May *run* (its pass identities) over *gm* be keyed without weight
+    bytes?  Only if every pass is one of :data:`_STRUCTURAL` and every call
+    has an op-table entry: ``ShapeProp`` executes a call without one, and
+    what it returns may depend on values."""
+    return all(token in _STRUCTURAL for token, _ in run) and all(
+        opinfo.entry_of(n, gm) is not None for n in gm.graph.nodes
+        if n.op in ("call_function", "call_method", "call_module"))
 
 
 def _writes_state(gm: GraphModule) -> bool:
@@ -360,8 +390,10 @@ class PassManager:
 
         A fully-cached re-run costs one hash of *gm*, one lookup and one
         restore per run of cacheable passes (one in all for a pipeline of
-        module-level passes): no array is copied, no pass executes and
-        nothing is analysed.
+        module-level passes): no pass executes and nothing is analysed.  A
+        snapshot's restore copies no array; a recipe's rebuild replays the
+        folds and copies the caller's arrays no pass replaced (unless the
+        result of the last rebuild holds them, bit for bit, still).
 
         With *consume* the caller gives *gm* up — a trace it made for this
         run and holds no other reference to: passes that execute transform
@@ -388,19 +420,24 @@ class PassManager:
 
         # ``module`` is the caller's (unless given up) until a pass has to
         # execute (then a borrowed copy) or a run is stored (then the
-        # restored end state); ``state`` is its hash when known; ``held``,
-        # the caller's arrays it may share; ``lent``: shared read-only.
-        module, own, state, lent = gm, consume, "", False
+        # restored end state); ``held``, the caller's arrays it may share
+        # (``lent``: as ``(view, array)`` pairs, shared read-only).
+        module, own, lent = gm, consume, False
         held: Optional[list] = None
+        pairs: list = []
         baselined = self.verifier is None
 
-        def execute(first: int, last: int, start: float) -> list[PassRecord]:
-            nonlocal module, own, baselined, held, lent
-            if own and module is gm and held is None:
+        def execute(first: int, last: int, start: float,
+                    snapshots: bool = True) -> list[PassRecord]:
+            nonlocal module, own, baselined, held, lent, pairs
+            if own and module is gm and held is None and snapshots:
+                # what a snapshot must copy, not freeze (a recipe copies
+                # every array it did not derive)
                 held = _held(gm)
                 own = held is not None   # no pickle, no telling: copy
             if not own:
-                module, held = _borrow(module)
+                module, pairs = _borrow(module)
+                held = [view for view, _ in pairs]
                 own, lent = True, bool(held)
             if not baselined:
                 self.verifier.before_pipeline(module)
@@ -414,23 +451,36 @@ class PassManager:
             run = [identities[i] for i in indices]
             first, last = len(records), len(records) + len(run)
             start, nodes = time.perf_counter(), len(module.graph)
-            if cacheable:
-                state = state or self._hash(module)
-            if not (cacheable and state):   # no identity, or no stable hash
+            #: the arrays a structure key fed, in order (``None``: byte key)
+            fed = [] if cacheable and _by_structure(run, module) else None
+            state = self._hash(module, fed) if cacheable else ""
+            if not state:   # no identity, or no stable hash
                 records += execute(first, last, start)
-                state = ""
                 continue
             key = RunKey(tuple(token for token, _ in run),
                          tuple(signature for _, signature in run),
                          state, checks)
-            #: the run's records once this call executed it itself
+            #: the run's records, and what its derivations made, once this
+            #: call executed it itself
             ran: Optional[list[PassRecord]] = None
+            made: Optional[list] = None
 
             def build() -> CacheEntry:
                 nonlocal ran
                 misses.append(_why_missed(self.cache, key))
-                ran = execute(first, last, start)
-                entry = self._entry(module, ran, held or ())
+                with recording() as log:
+                    ran = execute(first, last, start, fed is None)
+
+                def end() -> Union[Recipe, StateSnapshot, None]:
+                    nonlocal made
+                    if fed is None:
+                        return snapshot(module, held or ())
+                    rec, made = recipe(module, fed, pairs, log)
+                    # nor when ShapeProp executed a node (a rule declined
+                    # its call): what that returned may hang on values
+                    return None if vars(module).get("shape_fallbacks") else rec
+
+                entry = self._entry(module, ran, end)
                 note_stored(self.cache, key)
                 return entry
 
@@ -440,7 +490,9 @@ class PassManager:
                 entry = None   # executed uncached: keep what it left
             if entry is not None:
                 # Built here or replayed, the result is the entry's.
-                module, own, lent = restore(entry.snapshot), True, False
+                module = restore(entry.snapshot) if fed is None \
+                    else rebuild(entry.snapshot, fed, made)
+                own, lent = True, False
             if ran is None:
                 # Someone else's run (an earlier compile, or a concurrent
                 # manager that won the single-flight): replay its records.
@@ -505,17 +557,20 @@ class PassManager:
             start = now
         return gm, records
 
-    def _entry(self, gm: GraphModule, records: list, held) -> CacheEntry:
-        """The entry for a run that just executed and left *gm*: the one
-        snapshot a run costs (on its last record's clock; no hash), which
-        freezes *gm*'s arrays in place and copies those in *held*.  A graph
+    def _entry(self, gm: GraphModule, records: list,
+               end: Callable[[], Any]) -> CacheEntry:
+        """The entry for a run that just executed and left *gm*: its end
+        state, ``end()`` (on the last record's clock) — a
+        :func:`~repro.fx.state.snapshot`, which freezes *gm*'s arrays in
+        place and copies those the caller holds, or a
+        :func:`~repro.fx.state.recipe`, ``None`` if there is none.  A graph
         that may write module state is not stored: frozen, its state could
         not be written."""
         start = time.perf_counter()
         snap = None
         if not _writes_state(gm):
             with suppress(Exception):   # unpicklable target or attribute
-                snap = snapshot(gm, held)
+                snap = end()
         records[-1].wall_time += time.perf_counter() - start
         if snap is None:
             raise _NotStored
@@ -524,7 +579,11 @@ class PassManager:
             self.verifier and self.verifier.baseline)
 
     @staticmethod
-    def _hash(gm: GraphModule) -> str:
+    def _hash(gm: GraphModule, fed: Optional[list] = None) -> str:
+        """The key of *gm*'s state: its structure, with the arrays it
+        read appended to *fed* when given, else its bytes too.  A graph
+        with no stable hash is not cached (``""``); any other error is a
+        bug, and raises."""
         # require_stable: this hash keys a cache that outlives the graph's
         # objects without pinning them, so an id()-fallback token could
         # alias a different graph after GC — refuse to cache instead.
@@ -532,6 +591,6 @@ class PassManager:
         try:
             return gm.graph.structural_hash(include_attrs=True,
                                             require_stable=True,
-                                            include_meta=True)
-        except Exception:
+                                            include_meta=True, arrays=fed)
+        except UnstableHashError:
             return ""  # unhashable graph: this run executes uncached

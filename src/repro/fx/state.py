@@ -1,5 +1,5 @@
 """Module state during a compile: read each tensor once, copy only what an
-entry keeps.
+entry keeps, and derive again what a stage computed from weights.
 
 * :func:`digests` — the SHA-256 of each of some arrays' bytes, the term a
   tensor contributes to ``Graph.structural_hash``; memoised per ndarray
@@ -9,24 +9,35 @@ entry keeps.
 * :func:`_borrow` — what passes transform when the caller keeps its
   module: a structure-only copy over *read-only views* of its arrays, so
   no weight is copied and numpy refuses a pass's in-place write.
-* :func:`snapshot` / :func:`restore` — a module as a structure-only pickle
-  plus the arrays the snapshot *owns*, frozen (those the run created, in
-  place; a copy of those the caller still holds), and its fused kernels.
-  A digest is the scope's, or read on first demand and kept with the
-  array.  A restore hands out read-only views, copying, hashing and
-  compiling nothing; numpy will not make a view of a read-only base
-  writeable, so no holder can write them.
+* :func:`snapshot` / :func:`restore` — an entry keyed on the bytes of its
+  input: a module as a structure-only pickle plus the arrays the snapshot
+  *owns*, frozen (those the run created, in place; a copy of those the
+  caller still holds), and its fused kernels.  A digest is the scope's,
+  or read on first demand and kept with the array.  A restore hands out
+  read-only views, copying, hashing and compiling nothing; numpy will not
+  make a view of a read-only base writeable, so no holder can write them.
+* :func:`derive` / :func:`recipe` / :func:`rebuild` — an entry keyed on
+  the *structure* of its input (shapes and dtypes, no bytes): the
+  structure pickle and, per array of the end state, where it came from —
+  the array the key fed at position *i*, or output *j* of derivation *k*,
+  one :func:`derive` call a stage made.  It holds no array.  A rebuild
+  binds a frozen copy of the caller's array for each of the first kind
+  and replays the derivations on the caller's arrays for the second; an
+  array bit-equal to the one the latest rebuild bound in that place, if
+  that one is still alive, is shared instead.  A run with an array of
+  neither kind has no recipe.
 
 **The one rule a scope trusts**: code inside a compile *replaces* tensors,
 it never writes them in place.  What it cannot write (a borrowed view, a
 frozen array) is not checked.  Every other digest the scope handed out
 without reading — a given-up trace's arrays, which its model shares; an
 array one pass created and another hashed — is checked against the bytes
-when the outermost scope closes, and so is each array a snapshot copied
-from the caller, who may have written it meanwhile.  A mismatch drops the
-entries stored under the scope and raises a ``PassError``.  Nothing in a
-compile executes the program it compiles: ``ShapeProp`` infers, and the
-one node it has to run for lack of an op-table entry runs on a copy.
+when the outermost scope closes, and so is each array a snapshot or a
+rebuild copied from the caller, who may have written it meanwhile (a
+rebuild's copy is compared with its source, unhashed).  A mismatch drops
+the entries stored under the scope and raises a ``PassError``.  Nothing
+in a compile executes the program it compiles: ``ShapeProp`` infers, and
+the one node it has to run for lack of an op-table entry runs on a copy.
 """
 
 from __future__ import annotations
@@ -37,17 +48,20 @@ import io
 import os
 import pickle
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from copy import deepcopy
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .cache import ArtifactCache, register_stage
 from .concurrency import on_fork_reset
 
-__all__ = ["TRANSFORM_CACHE", "StateSnapshot", "copy_module", "digests",
-           "note_stored", "restore", "snapshot", "state_scope"]
+__all__ = ["Recipe", "TRANSFORM_CACHE", "StateSnapshot", "copy_module",
+           "derive", "digests", "note_stored", "rebuild", "recipe",
+           "recording", "restore", "snapshot", "state_scope", "unbind"]
 
 def _pinned(entries: list) -> dict:
     """Entries are bounded by count, not bytes: say what they hold alive."""
@@ -61,7 +75,10 @@ def _pinned(entries: list) -> dict:
 #: of ``fx.cache_info()`` also carries this module's counters:
 #: ``state_reads`` / ``state_read_bytes`` (digests computed from bytes),
 #: ``state_reuses`` (served from a scope memo), ``state_copied_bytes`` (by
-#: snapshots) and ``pinned_mb`` (bytes of the arrays the snapshots own).
+#: snapshots and rebuilds), ``state_derived_bytes`` (arrays :func:`derive`
+#: and replays made), ``state_shared_bytes`` (arrays a rebuild shared with
+#: an earlier one's) and ``pinned_mb`` (bytes of the arrays the snapshots
+#: own; a recipe owns none).
 TRANSFORM_CACHE = register_stage("transform", 1024, summarize=_pinned)
 
 
@@ -83,7 +100,7 @@ class _Scope:
     """What one compile knows about the arrays it has seen; its own
     (re-entrant) context manager."""
 
-    __slots__ = ("depth", "memo", "stored")
+    __slots__ = ("copied", "depth", "memo", "stored")
 
     def __init__(self) -> None:
         self.depth = 0
@@ -92,6 +109,8 @@ class _Scope:
         self.memo: dict[int, _Known] = {}
         #: ``(cache, key)`` of every entry stored while the scope was open.
         self.stored: list[tuple[ArtifactCache, Any]] = []
+        #: ``(source, copy)`` of each writeable array a rebuild copied.
+        self.copied: list[tuple[np.ndarray, np.ndarray]] = []
 
     def __enter__(self) -> None:
         if self.depth == 0:
@@ -106,6 +125,8 @@ class _Scope:
         served = [k for k in self.memo.values() if k.served and not k.trusted]
         shas = _read([k.array for k in served])
         written = [k.array for k, sha in zip(served, shas) if sha != k.digest]
+        written += [src for src, copy in self.copied
+                    if not _same_bits(src, copy)]
         if not written:
             return
         for cache, key in self.stored:
@@ -225,10 +246,10 @@ def note_stored(cache: ArtifactCache, key: Any) -> None:
 # -- structure + arrays + kernels ---------------------------------------------
 
 class StateSnapshot(NamedTuple):
-    """``structure``: a protocol-5 pickle of a module with every contiguous
-    array and fused kernel out of band (tens of KB); ``known``: a ``_Known``
-    per such array, owned and read-only, with its digest once read;
-    ``kernels``: immutable, shared by every restore."""
+    """``structure``: a pickle of a module with every array and fused kernel
+    out of it, by reference (tens of KB); ``known``: a ``_Known`` per such
+    array, owned and read-only, with its digest once read; ``kernels``:
+    immutable, shared by every restore."""
 
     structure: bytes
     known: tuple
@@ -243,32 +264,45 @@ _UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
 
 
 def _dump(module: Any) -> tuple[bytes, list[np.ndarray], list]:
+    """*module* pickled with each ndarray and fused kernel it reaches left
+    out, by reference: the structure, the arrays and the kernels, each
+    once, in the order first reached.  No array byte is read."""
     from .passes.pointwise_fuser import FusedKernel   # above us in the imports
 
-    buffers: list = []
+    arrays: dict = {}    # id -> (position, array), which keeps the id ours
     kernels: dict = {}
 
-    def persistent_id(obj: Any) -> Optional[int]:
-        return kernels.setdefault(obj, len(kernels)) \
-            if type(obj) is FusedKernel else None
+    def persistent_id(obj: Any) -> Optional[tuple]:
+        if isinstance(obj, np.ndarray):
+            return "a", arrays.setdefault(id(obj), (len(arrays), obj))[0]
+        if type(obj) is FusedKernel:
+            return "k", kernels.setdefault(obj, len(kernels))
+        return None
 
     out = io.BytesIO()
-    pickler = pickle.Pickler(out, protocol=5, buffer_callback=buffers.append)
+    pickler = pickle.Pickler(out, protocol=5)
     pickler.persistent_id = persistent_id
     pickler.dump(module)
-    # numpy is the only out-of-band exporter here, and exports the array
-    # itself (its transpose, for a Fortran-ordered one): no bytes are read.
-    return out.getvalue(), [memoryview(b).obj for b in buffers], list(kernels)
+    return out.getvalue(), [a for _, a in arrays.values()], list(kernels)
 
 
 def _load(structure: bytes, arrays: Sequence, kernels: Sequence) -> Any:
-    unpickler = pickle.Unpickler(io.BytesIO(structure), buffers=arrays)
-    unpickler.persistent_load = kernels.__getitem__
+    unpickler = pickle.Unpickler(io.BytesIO(structure))
+    unpickler.persistent_load = \
+        lambda pid: (arrays if pid[0] == "a" else kernels)[pid[1]]
     return unpickler.load()
 
 
+def unbind(obj: Any) -> tuple[Callable[[Sequence[np.ndarray]], Any], list]:
+    """*obj* without its arrays: a function that builds it again over other
+    arrays (fused kernels shared), and the arrays it holds now, in the
+    order that function takes them.  Raises what pickling raises."""
+    structure, arrays, kernels = _dump(obj)
+    return functools.partial(_load, structure, kernels=kernels), arrays
+
+
 def _held(module: Any) -> Optional[list]:
-    """*module*'s out-of-band arrays (``None``: it does not pickle)."""
+    """*module*'s arrays (``None``: it does not pickle)."""
     try:
         return _dump(module)[1]
     except _UNPICKLABLE:
@@ -277,8 +311,8 @@ def _held(module: Any) -> Optional[list]:
 
 def _borrow(module: Any) -> tuple[Any, list]:
     """A copy of *module* for passes to transform over read-only views of
-    its arrays, which the scope trusts, and those views (for
-    :func:`snapshot`); deep-copied instead if it does not pickle."""
+    its arrays, which the scope trusts, and ``(view, array)`` per array it
+    holds; deep-copied instead if it does not pickle."""
     try:
         structure, arrays, kernels = _dump(module)
     except _UNPICKLABLE:
@@ -289,7 +323,7 @@ def _borrow(module: Any) -> tuple[Any, list]:
         if scope is not None:
             owner = _owner(view)
             scope.memo.setdefault(id(owner), _Known(owner)).trusted = True
-    return _load(structure, views, kernels), views
+    return _load(structure, views, kernels), list(zip(views, arrays))
 
 
 def snapshot(module: Any, held: Sequence[np.ndarray] = ()) -> StateSnapshot:
@@ -309,7 +343,7 @@ def snapshot(module: Any, held: Sequence[np.ndarray] = ()) -> StateSnapshot:
         if owner.base is not None or id(owner) in shared:
             if seen is not None and owner.flags.writeable:
                 seen.trusted = False   # its holder may write it meanwhile
-            owner = arr.copy()
+            owner = arr.copy(order="K")
             TRANSFORM_CACHE.count("state_copied_bytes", arr.nbytes)
         else:   # the module's own views of it go read-only as well
             arr.flags.writeable = False
@@ -343,4 +377,158 @@ def copy_module(module: Any) -> Any:
         structure, arrays, kernels = _dump(module)
     except _UNPICKLABLE:
         return deepcopy(module)
-    return _load(structure, [a.copy() for a in arrays], kernels)
+    copies = [a.copy(order="K") for a in arrays]
+    for copy, arr in zip(copies, arrays):
+        copy.flags.writeable = arr.flags.writeable
+    return _load(structure, copies, kernels)
+
+
+# -- derived arrays -------------------------------------------------------------
+
+def _call(fn: Callable, arrays: Sequence) -> tuple:
+    """``fn(*arrays)``, a tuple of arrays (``None`` where there is none),
+    each one that does not own its bytes, or is one of *arrays*, copied."""
+    outs = tuple(o if o is None or (o.base is None and all(
+        o is not a for a in arrays)) else o.copy()
+        for o in fn(*arrays))
+    TRANSFORM_CACHE.count("state_derived_bytes",
+                          sum(o.nbytes for o in outs if o is not None))
+    return outs
+
+
+def derive(fn: Callable, *arrays: Optional[np.ndarray]) -> tuple:
+    """``fn(*arrays)``: the arrays a stage computes from module state, as a
+    tuple (``None`` for no array), each owning its bytes.  *fn* must read
+    nothing but its arguments (a module-level function, or a ``partial``
+    of one over plain values), so that under :func:`recording` a cache
+    entry can replay it on another module's arrays."""
+    outs = _call(fn, arrays)
+    log = getattr(_ACTIVE, "log", None)
+    if log is not None:
+        log.append((fn, arrays, outs))
+    return outs
+
+
+@contextmanager
+def recording() -> Iterator[list]:
+    """``with recording() as log:`` — each :func:`derive` call on this
+    thread inside appends ``(fn, arrays, outputs)`` to *log*."""
+    saved = getattr(_ACTIVE, "log", None)
+    _ACTIVE.log = log = []
+    try:
+        yield log
+    finally:
+        _ACTIVE.log = saved
+
+
+class Recipe(NamedTuple):
+    """A run's end state keyed on its input's structure: the structure
+    pickle and kernels of :class:`StateSnapshot`; ``slots``, per array,
+    ``("in", i)`` (the array the key fed at *i*) or ``("out", k, j)``;
+    ``derivations``, per :func:`derive` call, ``(fn, refs, specs)`` —
+    *refs* say where each argument comes from, as slots do (``None`` for
+    none), *specs* each output's ``(shape, dtype)``; ``last``: a weak
+    reference per ref to what the latest rebuild bound there."""
+
+    structure: bytes
+    slots: tuple
+    derivations: tuple
+    kernels: tuple
+    last: dict
+
+    arrays = ()   # a recipe owns no array
+
+
+def recipe(module: Any, fed: Sequence[np.ndarray], lent: Sequence[tuple],
+           log: Sequence[tuple]) -> tuple[Optional[Recipe], list]:
+    """*module*, the end state of a run that started from the arrays *fed*
+    (lent to its passes as ``(view, array)`` pairs, *lent*) and recorded
+    the derivations *log*: its :class:`Recipe` and the derivations'
+    outputs, in recipe order; ``None`` for a recipe when an array has no
+    provenance."""
+    structure, arrays, kernels = _dump(module)
+    ref: dict[int, tuple] = {}
+    for i, arr in enumerate(fed):
+        ref.setdefault(id(arr), ("in", i))
+    for view, arr in lent:
+        if id(arr) in ref:
+            ref[id(view)] = ref[id(arr)]
+    derivations, made = [], []
+    for fn, inputs, outs in log:
+        refs = tuple(None if a is None else ref.get(id(a)) for a in inputs)
+        if any(r is None and a is not None for r, a in zip(refs, inputs)):
+            continue   # read an array of no provenance: so do its outputs
+        for j, out in enumerate(outs):
+            if out is not None:
+                ref[id(out)] = ("out", len(derivations), j)
+        derivations.append((fn, refs, tuple(
+            None if o is None else (o.shape, o.dtype) for o in outs)))
+        made.append(outs)
+    slots = tuple(ref.get(id(arr)) for arr in arrays)
+    if None in slots:
+        return None, made
+    return Recipe(structure, slots, tuple(derivations), tuple(kernels),
+                  {}), made
+
+
+def rebuild(rec: Recipe, fed: Sequence[np.ndarray],
+            made: Optional[list] = None) -> Any:
+    """A module from *rec* over *fed* — the arrays its key fed, in order —
+    and *made*, the outputs of its derivations when the caller just made
+    them (else they are replayed on *fed*).  Every array is frozen: a
+    copy of the caller's, or a derived one, or — if bit-equal — the one
+    the latest rebuild bound in its place, while that one is alive."""
+    def latest(at: tuple, arr: np.ndarray) -> Optional[np.ndarray]:
+        """The array the latest rebuild bound at *at*, if alive and
+        bit-equal to *arr*."""
+        prev = rec.last.get(at)
+        prev = prev and prev()
+        if prev is None or not _same_bits(prev, arr):
+            return None
+        TRANSFORM_CACHE.count("state_shared_bytes", prev.nbytes)
+        return prev
+
+    def keep(at: tuple, arr: np.ndarray) -> np.ndarray:
+        arr.flags.writeable = False
+        rec.last[at] = weakref.ref(arr)
+        return arr
+
+    if made is None:
+        made = []
+        for k, (fn, refs, specs) in enumerate(rec.derivations):
+            outs = _call(fn, [None if r is None else fed[r[1]]
+                              if r[0] == "in" else made[r[1]][r[2]]
+                              for r in refs])
+            if tuple(None if o is None else (o.shape, o.dtype)
+                     for o in outs) != specs:
+                raise RuntimeError(f"derivation {k} ({fn!r}) made other "
+                                   f"shapes than when it was recorded")
+            # shared at once, so a replay holds one derivation's worth
+            shared = [None if o is None else latest(("out", k, j), o)
+                      for j, o in enumerate(outs)]
+            made.append(tuple(o if p is None else p
+                              for o, p in zip(outs, shared)))
+    scope, arrays = _scope(), []
+    for at in rec.slots:
+        if at[0] == "out":
+            arrays.append(keep(at, made[at[1]][at[2]]))
+            continue
+        src = fed[at[1]]
+        arr = latest(at, src)
+        if arr is None:
+            arr = src.copy(order="K")
+            TRANSFORM_CACHE.count("state_copied_bytes", arr.nbytes)
+        if scope is not None and src.flags.writeable:
+            scope.copied.append((src, arr))
+        arrays.append(keep(at, arr))
+    return _load(rec.structure, [a.view() for a in arrays], rec.kernels)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    a, b = (np.ascontiguousarray(x).reshape(-1).view(np.uint8) for x in (a, b))
+    # a MiB at a time: the comparison allocates no array's worth, and fresh
+    # weights are turned away at the first
+    return all(np.array_equal(a[i:i + 2 ** 20], b[i:i + 2 ** 20])
+               for i in range(0, a.size, 2 ** 20))

@@ -70,13 +70,14 @@ from __future__ import annotations
 
 import io
 import pickle
+import random
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ...nn import Parameter
+from ...nn import BatchNorm2d, Conv2d, Linear, Module, Parameter
 from ...tensor import Tensor
 from ..analysis import PassVerifier, lint_graph
 from ..graph import _resolve_attr
@@ -243,7 +244,8 @@ _PIPELINE_ATOL = {"fuse": FOLD_ATOL}
 
 #: Every name ``run_oracle(only=)`` / ``fuzz --checks`` may select.
 CHECKS = ("lint", "analysis", "codegen", "interpreter", "retrace",
-          *PASS_PIPELINES, "compile", "recompile", "meta_carried",
+          *PASS_PIPELINES, "compile", "recompile", "key_soundness",
+          "meta_carried",
           "meta_inferred", "vm", "vm_compiled", "repaired", "backend_split",
           "quant_prepare", "quant_convert")
 
@@ -405,6 +407,9 @@ def run_oracle(program: GeneratedProgram, localize: bool = True,
         _check_compile(report, program, ref, localize)
     if want("recompile"):
         _check_recompile(report, program)
+    if want("key_soundness") and program.spec.family == "module" \
+            and isinstance(program.eager, Module):
+        _check_key_soundness(report, program)
     if want("meta_carried"):
         try:
             stale = stale_meta(gm, inputs)
@@ -745,6 +750,98 @@ def _check_recompile(report: OracleReport, program: GeneratedProgram) -> None:
     except Exception as exc:
         error = _exc_summary(exc)
     report.outcomes.append(CheckOutcome("recompile", error is None, error))
+
+
+def _perturbations(model: Module) -> list[tuple[str, Callable[[Module], None]]]:
+    """One change of each kind the transform cache's key must see — or,
+    for weights and running statistics, must not — that applies to the
+    module-family *model*: ``(kind, change it in place)``."""
+    mods = list(model.modules())
+    found: list[tuple[str, Callable[[Module], None]]] = []
+
+    def first_of(cls: type) -> Optional[int]:
+        return next((i for i, m in enumerate(mods) if isinstance(m, cls)), None)
+
+    def bump(at: int, name: str, how: Callable) -> Callable[[Module], None]:
+        def change(m: Module) -> None:
+            mod = list(m.modules())[at]
+            setattr(mod, name, how(getattr(mod, name)))
+        return change
+
+    def write(at: int, name: str) -> Callable[[Module], None]:
+        def change(m: Module) -> None:
+            getattr(list(m.modules())[at], name).data.reshape(-1)[0] += 0.5
+        return change
+
+    weighted = first_of((Linear, Conv2d))
+    if weighted is not None:
+        found.append(("weight", write(weighted, "weight")))
+    bn = first_of(BatchNorm2d)
+    if bn is not None:
+        found.append(("running_stat", write(bn, "running_var")))
+    hyper = [(i, name) for i, m in enumerate(mods) for name in (
+        "eps", "negative_slope", "alpha", "beta", "max_val") if name in vars(m)]
+    if hyper:
+        found.append(("hyper", bump(*hyper[0], lambda v: v * 2 + 0.25)))
+
+    def as_float64(m: Module) -> None:
+        for mod in m.modules():
+            for table in (mod._parameters, mod._buffers):
+                for name, t in table.items():
+                    if t is not None:
+                        table[name] = t.double()
+
+    found.append(("training", lambda m: m.train()))
+    found.append(("dtype", as_float64))
+    return found
+
+
+def _check_key_soundness(report: OracleReport, program: GeneratedProgram) -> None:
+    """The transform cache's key covers what a compile's result depends on,
+    and no more (TorchProbe-style metamorphic check).  After a compile of
+    the pristine module fills the cache, one change — picked by the
+    program's seed among :func:`_perturbations` and a node rename — is
+    applied to a copy, which is compiled again from a trace and from the
+    module (a rename: from the trace): each must give, bit for bit, what a
+    ``cache=False`` compile gives.  A changed weight or running statistic
+    is an input, not a key part, and a name is no part of it: those must
+    be hits."""
+    from ..compiler import compile as fx_compile
+
+    model, inputs = program.eager, program.inputs
+    kinds = _perturbations(model) + [("rename", None)]
+    kind, change = random.Random(f"{program.spec.seed}:key").choice(kinds)
+
+    def verdict() -> Optional[str]:
+        fx_compile(symbolic_trace(copy_module(model)), inputs)
+        changed = copy_module(model)
+        if change is None:
+            subject = symbolic_trace(changed)
+            node = next(n for n in subject.graph.nodes if n.op.startswith("call"))
+            node.name = f"{node.name}_renamed"
+            subject.recompile()
+            cases = [("trace", subject)]
+        else:
+            change(changed)
+            cases = [("trace", symbolic_trace(copy_module(changed))),
+                     ("model", changed)]
+        want = fx_compile(copy_module(changed), inputs, cache=False)(*inputs)
+        for how, subject in cases:
+            got = fx_compile(subject, inputs)
+            hit = all(r.cache_hit for r in got.compile_report.records)
+            if kind in ("rename", "weight", "running_stat") and not hit:
+                return (f"{kind} via fx.compile({how}) missed: "
+                        f"{got.backend_report.transform_misses}")
+            if not _identical(got(*inputs), want):
+                return (f"{kind} via fx.compile({how}) differs from its "
+                        f"cache=False compile ({'hit' if hit else 'missed'})")
+        return None
+
+    try:
+        error = verdict()
+    except Exception as exc:
+        error = _exc_summary(exc)
+    report.outcomes.append(CheckOutcome("key_soundness", error is None, error))
 
 
 def _check_backend_split(report: OracleReport, program: GeneratedProgram,

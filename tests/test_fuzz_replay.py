@@ -98,7 +98,7 @@ class TestReplayDeterminism:
 
 #: The oracle's checks that compare outputs with a reference.
 NUMERIC = frozenset(CHECKS) - {"lint", "analysis", "meta_carried", "meta_inferred",
-                               "repaired"}
+                               "repaired", "key_soundness"}
 
 
 class ReluAffine(nn.Module):

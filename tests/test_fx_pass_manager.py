@@ -240,12 +240,14 @@ class TestTransformStage:
         assert result.cache_hits == 0
 
     def test_param_value_change_busts_cache(self):
-        # const_fold bakes parameter values into the graph; the cache key
-        # must therefore include attribute values, not just structure.
+        # A user pass may read parameter values, so a run with one is keyed
+        # on their bytes.  (The numpy pipeline's stages read values only
+        # through ``state.derive``: a run of them alone replays its folds
+        # on the new values, see test_fx_transform_cache.)
         cache = ArtifactCache()
         model = nn.Sequential(nn.Linear(2, 2)).eval()
         gm = symbolic_trace(model)
-        pm = PassManager([fold_constants], cache=cache)
+        pm = PassManager([fold_constants, reads_values], cache=cache)
         pm.run(copy_gm(gm))
         gm.get_submodule("0").weight.data[:] = 0.0
         result = pm.run(copy_gm(gm))
@@ -440,6 +442,11 @@ class TestOracleIntegration:
 
 # -- state sharing: one read per tensor per compile, entries by reference ------
 
+def reads_values(gm):
+    """A user pass (a no-op): it may read weight values, so a run with it
+    in is keyed on their bytes and stored as a snapshot."""
+
+
 def _double_first_weight_in_place(gm):
     """A deliberately bad pass: writes module state instead of replacing it."""
     next(iter(gm.parameters())).data *= 2
@@ -553,7 +560,8 @@ class TestStateSharing:
         # another thread) can still write them while the run executes.  The
         # ones no pass replaced are copied into the entry, and their digests
         # checked when the scope closes: such a write drops the entry
-        # instead of leaving new bytes under the old key.
+        # instead of leaving new bytes under the old key.  (A run keyed on
+        # structure has no old key: its entry holds no array.)
         gm, _ = self.conv_bn()
         weight = gm.get_submodule("0").weight.data   # dce does not replace it
 
@@ -568,7 +576,7 @@ class TestStateSharing:
 
         cache = ArtifactCache()
         with pytest.raises(PassError, match="written in place"):
-            PassManager([eliminate_dead_code], cache=cache,
+            PassManager([eliminate_dead_code, reads_values], cache=cache,
                         verifier=Meddling()).run(gm)
         assert len(cache) == 0
 
@@ -625,10 +633,11 @@ class TestStateSharing:
         # where they lie (nothing copied), and every module the run
         # returns — built or replayed — is read-only views of them.  Two
         # replays share their bytes with each other and the entry, and
-        # none with the modules they were compiled from.
+        # none with the modules they were compiled from.  (A snapshot: the
+        # run has a user pass, so its key reads bytes.)
         cache = ArtifactCache()
         gm, x = self.conv_bn()
-        pm = PassManager([fuse_conv_bn], cache=cache)
+        pm = PassManager([fuse_conv_bn, reads_values], cache=cache)
         source = copy_gm(gm)
         produced = pm.run(source).graph_module
         (entry,) = cache._entries.values()
@@ -636,7 +645,7 @@ class TestStateSharing:
         assert all(a.base is None and not a.flags.writeable
                    for a in entry.snapshot.arrays)
         replays = [pm.run(copy_gm(gm)) for _ in range(2)]
-        assert [r.cache_hits for r in replays] == [1, 1]
+        assert [r.cache_hits for r in replays] == [2, 2]
         for module in [produced] + [r.graph_module for r in replays]:
             assert {id(a.base) for a in _arrays(module)} == owned
             for arr in _arrays(module):
@@ -652,9 +661,10 @@ class TestStateSharing:
         x = repro.randn(2, 4)
         assert not gm.scale.data.flags.c_contiguous \
             and not gm.scale.data.flags.f_contiguous
-        # the strided parameter has no out-of-band form: it stays in-band
+        # every array leaves the pickle by reference; the strided one is
+        # a view, so the snapshot owns a contiguous copy of it
         snap = snapshot(gm)
-        assert len(snap.arrays) == len(_arrays(gm)) - 1
+        assert len(snap.arrays) == len(_arrays(gm))
         assert all(a.flags.c_contiguous or a.flags.f_contiguous
                    for a in snap.arrays)
 

@@ -7,11 +7,11 @@ work tests count calls, reads and bytes — never time.
 """
 
 import dataclasses
+import gc
 import operator
 import re
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,7 +260,10 @@ def test_a_miss_says_which_part_of_its_key_differed():
     assert manager(lint=True).run(gm).misses == [("checks",)]
     assert manager(extra=[eliminate_common_subexpressions]).run(gm).misses \
         == [("pipeline",)]
+    # weights are inputs, not key bytes: new values are a hit, replayed on them
     gm.get_submodule("0").bias.data[0] += 1.0
+    assert manager().run(gm).misses == []
+    gm.get_submodule("1").training = True
     result = manager().run(gm)
     assert result.misses == [("state",)]
     assert "missed on state" in result.format()
@@ -273,10 +276,15 @@ def test_a_miss_says_which_part_of_its_key_differed():
 
 
 def test_pinned_mb_is_one_end_state(net):
+    # An entry keyed on bytes (the pipeline has a user pass) owns its end
+    # state; one keyed on structure owns nothing.
     model, x = net
     assert cache_info()["transform"]["pinned_mb"] == 0.0
-    compiled = fx.compile(symbolic_trace(model), (x,))
     fx.compile(symbolic_trace(model), (x,))
+    assert cache_info()["transform"]["pinned_mb"] == 0.0
+    clear_caches("transform")
+    compiled = compile_dropping_identities(symbolic_trace(model), (x,))
+    compile_dropping_identities(symbolic_trace(model), (x,))
     end_mb = sum(a.nbytes for a in arrays(compiled)) / 2 ** 20
     info = cache_info()["transform"]
     assert info["size"] == 1
@@ -328,39 +336,39 @@ def _counting(monkeypatch, owner, name):
 
 def test_warm_compile_is_one_hash_and_one_restore(net, monkeypatch):
     model, x = net
-    restores = _counting(monkeypatch, pm_module, "restore")
+    rebuilds = _counting(monkeypatch, pm_module, "rebuild")
     propagates = _counting(monkeypatch, ShapeProp, "propagate")
     fx.compile(symbolic_trace(model), (x,))
     # cold: executed once, and its result is the entry's, as a hit's is
-    assert (len(restores), len(propagates)) == (1, 1)
+    assert (len(rebuilds), len(propagates)) == (1, 1)
+    gc.collect()   # the cold result is gone: nothing left to share
 
     gm = symbolic_trace(model)
     before = cache_info()["transform"]
-    tracemalloc.start()
-    try:
-        compiled = fx.compile(gm, (x,))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    compiled = fx.compile(gm, (x,))
     after = cache_info()["transform"]
-    assert (len(restores), len(propagates)) == (2, 1)
+    assert (len(rebuilds), len(propagates)) == (2, 1)
     assert all(r.cache_hit for r in compiled.compile_report.records)
-    # Bytes read: the caller's tensors, to key the lookup.  The restored
-    # arrays are the entry's, frozen, so nothing checks them again.
-    reads = after["state_reads"] - before["state_reads"]
-    assert reads == len(arrays(gm))
-    assert after["state_read_bytes"] - before["state_read_bytes"] \
-        == sum(a.nbytes for a in arrays(gm))
-    # Bytes allocated: not the end state, which the restore shares
-    # read-only (it used to copy it), and not the caller's state either.
-    end_bytes = sum(a.nbytes for a in arrays(compiled))
-    assert after.get("state_copied_bytes", 0) \
-        == before.get("state_copied_bytes", 0)
-    assert end_bytes > 2 ** 21 and peak < 0.1 * end_bytes
+    # The key reads no byte.  The rebuild replays the conv-bn fold on the
+    # caller's arrays and copies the ``fc`` ones no pass replaced.
+    assert after.get("state_read_bytes", 0) == before.get("state_read_bytes", 0)
+    fc = [model.fc.weight.data, model.fc.bias.data]
+    conv = [compiled.conv.weight.data, compiled.conv.bias.data]
+    assert after["state_copied_bytes"] - before["state_copied_bytes"] \
+        == sum(a.nbytes for a in fc)
+    assert after["state_derived_bytes"] - before["state_derived_bytes"] \
+        == sum(a.nbytes for a in conv)
+    assert all(not a.flags.writeable for a in arrays(compiled))
     assert not any(np.shares_memory(mine, theirs)
                    for mine in arrays(compiled) for theirs in arrays(gm))
-    # A second warm compile shares those very bytes.
+    # A second warm compile, while the first one's result is alive, shares
+    # its bit-equal arrays instead of holding copies of its own.
+    before = cache_info()["transform"]
     again = fx.compile(symbolic_trace(model), (x,))
+    after = cache_info()["transform"]
+    assert after["state_copied_bytes"] == before["state_copied_bytes"]
+    assert after["state_shared_bytes"] - before.get("state_shared_bytes", 0) \
+        == sum(a.nbytes for a in arrays(compiled))
     assert all(np.shares_memory(a, b) and not a.flags.writeable
                for a, b in zip(arrays(compiled), arrays(again), strict=True))
 
@@ -375,17 +383,15 @@ def test_cold_compile_pickles_one_copy_and_one_snapshot(net, monkeypatch):
     fx.compile(gm, (x,))
     after = cache_info()["transform"]
     # five at 517a305: the copy + one per stored stage; now the borrowed
-    # structure the passes transform + the snapshot
+    # structure the passes transform + the recipe
     assert len(dumps) == 2
-    # The caller's arrays are read once, for the key.  The passes see them
-    # through read-only views, so none needs an exit check — except the
-    # two the entry copied (``fc``: no pass replaced them), which the
-    # caller could have written meanwhile.  What the passes created is
-    # frozen unread: nothing looks an end state up by its hash.
+    # No array is read: the key is the graph's structure, and the exit
+    # check compares the two arrays the result copied (``fc``: no pass
+    # replaced them), which the caller could have written meanwhile, with
+    # their sources.  (Every array was hashed for the key, and ``fc``
+    # again at exit, while keys read bytes.)
     fc = [model.fc.weight.data, model.fc.bias.data]
-    assert after["state_reads"] - before["state_reads"] == len(arrays(gm)) + 2
-    assert after["state_read_bytes"] - before["state_read_bytes"] \
-        == sum(a.nbytes for a in arrays(gm) + fc)
+    assert after.get("state_reads", 0) == before.get("state_reads", 0)
     assert after["state_copied_bytes"] - before.get("state_copied_bytes", 0) \
         == sum(a.nbytes for a in fc)
 
@@ -524,12 +530,13 @@ def test_in_place_write_leaves_the_callers_module_bit_identical(net):
 
 
 def test_write_to_the_callers_module_between_compiles_is_a_miss(net):
+    # A pipeline with a user pass is keyed on the bytes it may read.
     model, x = net
     gm = symbolic_trace(model)
-    fx.compile(gm, (x,))
+    compile_dropping_identities(gm, (x,))
     gm.conv.weight.data[0, 0, 0, 0] += 1.0
-    compiled = fx.compile(gm, (x,))
-    assert not any(r.cache_hit for r in compiled.compile_report.records)
+    compiled = compile_dropping_identities(gm, (x,))
+    assert not any(r.cache_hit for r in compiled.backend_report.records)
     assert compiled.backend_report.transform_misses == [("state",)]
     assert np.allclose(compiled(x).data, gm(x).data, atol=1e-5)
 
@@ -700,3 +707,96 @@ def test_fold_constants_says_what_the_constant_it_creates_holds():
     assert compiled.compile_report.fused_regions == 1
     assert compiled.compile_report.fused_ops == 2
     assert same_bits(compiled(x), fresh(x))
+
+
+# -- weights are inputs, not key bytes -------------------------------------------
+
+def _fresh_resnet18(seed):
+    repro.manual_seed(seed)
+    return resnet18(num_classes=10).eval()
+
+
+def test_a_model_with_fresh_weights_is_a_hit_that_reads_no_byte():
+    # Same architecture, new weights: the numpy pipeline's key is the
+    # structure, so the second compile is replayed whole — its conv-bn
+    # folds derived again from *its* weights — and reads no weight byte.
+    x = repro.randn(1, 3, 32, 32)
+    clear_caches("transform")
+    fx.compile(_fresh_resnet18(0), (x,))
+    model = _fresh_resnet18(1)
+    before = cache_info()["transform"].get("state_read_bytes", 0)
+    compiled = fx.compile(model, (x,))
+    assert all(r.cache_hit for r in compiled.compile_report.records)
+    assert cache_info()["transform"].get("state_read_bytes", 0) == before
+    assert cache_info()["transform"]["size"] == 1
+    assert same_bits(compiled(x), fx.compile(model, (x,), cache=False)(x))
+
+
+def _scaled(x, w):
+    """A call with no op-table entry: ``ShapeProp`` has to execute it."""
+    return x * w.data.sum()
+
+
+def _graph_with_an_unknown_call():
+    root = nn.Module()
+    root.w = nn.Parameter(np.ones((4,), np.float32))
+    g = fx.Graph()
+    x = g.placeholder("x")
+    g.output(g.call_function(F.relu, (g.call_function(
+        _scaled, (x, g.get_attr("w"))),)))
+    return fx.GraphModule(root, g).eval()
+
+
+@pytest.mark.parametrize("case", ["user_pass", "unknown_call"])
+def test_a_run_that_may_read_values_is_keyed_on_their_bytes(case):
+    # A user pass, or a call ShapeProp executes, may read a weight's value:
+    # such a run keeps the byte key, and a one-element change misses.
+    x = repro.randn(2, 4)
+    if case == "user_pass":
+        gm = symbolic_trace(nn.Sequential(nn.Linear(4, 4), nn.ReLU()).eval())
+        weight = gm.get_submodule("0").weight.data
+
+        def lower(cache=True):
+            return compile_dropping_identities(gm, (x,), cache=cache)
+    else:
+        gm = _graph_with_an_unknown_call()
+        weight = gm.w.data
+
+        def lower(cache=True):
+            return fx.compile(gm, (x,), cache=cache)
+    clear_caches("transform")
+    lower()
+    weight[0] += 1.0
+    again = lower()
+    assert again.backend_report.transform_misses == [("state",)]
+    assert same_bits(again(x), lower(cache=False)(x))
+    assert cache_info()["transform"]["size"] == 2
+
+
+def test_an_array_a_stage_makes_without_derive_is_never_stored(monkeypatch):
+    # Soundness by construction: an end-state array that is neither the
+    # caller's nor the output of a recorded derivation has no provenance
+    # a hit could rebuild it from, so the run executes uncached.
+    from repro.fx.passes import fuser
+
+    monkeypatch.setattr(fuser, "derive", lambda fn, *arrays: fn(*arrays))
+    model = nn.Sequential(nn.Conv2d(3, 4, 3), nn.BatchNorm2d(4)).eval()
+    x = repro.randn(1, 3, 8, 8)
+    clear_caches("transform")
+    first = fx.compile(model, (x,))
+    assert cache_info()["transform"]["size"] == 0
+    again = fx.compile(model, (x,))
+    assert not any(r.cache_hit for r in again.compile_report.records)
+    assert same_bits(first(x), again(x))
+
+
+def test_an_error_in_the_key_is_raised_not_taken_for_no_key(monkeypatch):
+    # Only ``UnstableHashError`` means "no stable key: run uncached"; any
+    # other error computing a key is a bug and surfaces.
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("a bug in the key")
+
+    monkeypatch.setattr(fx.Graph, "structural_hash", broken)
+    gm = symbolic_trace(nn.Sequential(nn.Linear(4, 4)).eval())
+    with pytest.raises(RuntimeError, match="a bug in the key"):
+        PassManager([eliminate_dead_code], cache=ArtifactCache()).run(gm)
