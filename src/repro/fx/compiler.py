@@ -40,10 +40,11 @@ structure over read-only views of its tensors.  The result owns its
 tensors, frozen: a copy of each input tensor no pass replaced and each
 array a fold derived from the inputs (replayed on *this* module's
 weights when the transform cache hits: the cache keys the pipeline on
-shapes and dtypes, not on weight bytes).  A result shares an array only
-with an earlier result that holds the same bits, read-only.  (A graph
-with a call the op table has no entry for is keyed on its weight bytes as
-well, and its result views the cache entry's frozen end state.)
+shapes and dtypes, not on weight bytes); it shares none with another
+result.  (A graph with a call the op table has no entry for, or one a
+rule declined so that shape propagation executed it, is keyed on its
+weight bytes as well, and its result views the cache entry's frozen end
+state.)
 """
 
 from __future__ import annotations

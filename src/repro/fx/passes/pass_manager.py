@@ -38,10 +38,12 @@ up is prefix sharing between different pipelines.
 pipeline's stages (:data:`_STRUCTURAL`) over a graph whose every call has
 an op-table entry reads weight values only through
 :func:`~repro.fx.state.derive`: its key takes each tensor's shape and
-dtype, no byte, and its entry is a :class:`~repro.fx.state.Recipe`, which
-replays the folds on the caller's weights.  Any other run (a user pass
-may read a value) is keyed on the bytes too, and its entry is a
-:class:`~repro.fx.state.StateSnapshot`.
+dtype, no byte, and its entry's :class:`~repro.fx.state.Recipe` replays
+the folds on the caller's weights.  Any other run (a user pass may read a
+value) is keyed on the bytes too (:func:`_weighed`), and its recipe owns
+its frozen end state.  So is, from its first compile on, a structure
+whose run saw ``ShapeProp`` execute a call a rule declined: the structure
+key then holds a marker that sends each compile on to a byte key.
 
 **State.**  :meth:`PassManager.run` never mutates its argument.  Passes
 that execute get a structure copy over read-only views of the caller's
@@ -57,6 +59,7 @@ batch norm), which then writes the caller's, as eager does.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -70,9 +73,9 @@ from ..cache import ArtifactCache
 from ..graph import UnstableHashError, _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import BASE_ARGUMENT_TYPES
-from ..state import (TRANSFORM_CACHE, Recipe, StateSnapshot, _borrow, _held,
-                     copy_module, note_stored, rebuild, recipe, recording,
-                     restore, snapshot, state_scope)
+from ..state import (_UNPICKLABLE, TRANSFORM_CACHE, Recipe, _borrow,
+                     copy_module, digests, note_stored, owning, rebuild,
+                     recipe, recording, state_scope)
 
 __all__ = [
     "CacheEntry",
@@ -220,16 +223,17 @@ class CacheEntry:
     run's records and lets the pipeline go on without analysing anything.
 
     Attributes:
-        snapshot: the end state — a :class:`~repro.fx.state.Recipe` (no
-            array: where each comes from) under a structure key, a
-            :class:`~repro.fx.state.StateSnapshot` (the frozen arrays it
-            owns + their digests) under a byte key.
+        snapshot: the end state, a :class:`~repro.fx.state.Recipe`: where
+            each array comes from under a structure key, the frozen arrays
+            it owns under a byte key; ``None`` under a structure key whose
+            runs are keyed on bytes (a rule declined a call, so
+            ``ShapeProp`` executed it).
         stages: per pass ``(nodes_after, linted, verified)`` as they were
             when the run executed.
         baseline: the verifier's baseline after the run, to ``adopt``.
     """
 
-    snapshot: Union[Recipe, StateSnapshot]
+    snapshot: Optional[Recipe]
     stages: tuple
     baseline: Any = None
 
@@ -287,6 +291,12 @@ def _by_structure(run: Sequence[tuple], gm: GraphModule) -> bool:
     return all(token in _STRUCTURAL for token, _ in run) and all(
         opinfo.entry_of(n, gm) is not None for n in gm.graph.nodes
         if n.op in ("call_function", "call_method", "call_module"))
+
+
+def _weighed(state: str, fed: Sequence) -> str:
+    """*state*, a structure key, with the bytes of the arrays it *fed*: a
+    byte key."""
+    return hashlib.sha256("".join([state, *digests(fed)]).encode()).hexdigest()
 
 
 def _writes_state(gm: GraphModule) -> bool:
@@ -389,17 +399,18 @@ class PassManager:
         stashed on ``self.last_result``.
 
         A fully-cached re-run costs one hash of *gm*, one lookup and one
-        restore per run of cacheable passes (one in all for a pipeline of
-        module-level passes): no pass executes and nothing is analysed.  A
-        snapshot's restore copies no array; a recipe's rebuild replays the
-        folds and copies the caller's arrays no pass replaced (unless the
-        result of the last rebuild holds them, bit for bit, still).
+        rebuild per run of cacheable passes (one in all for a pipeline of
+        module-level passes): no pass executes and nothing is analysed.
+        Under a byte key the rebuild copies no array; under a structure
+        key it replays the folds and copies the caller's arrays no pass
+        replaced.
 
         With *consume* the caller gives *gm* up — a trace it made for this
         run and holds no other reference to: passes that execute transform
-        it in place instead of a copy (its tensors may still be shared with
-        the model it was traced from: passes replace tensors, they do not
-        write them, and a snapshot copies rather than freezes them).
+        it in place instead of a copy.  Its parameters and buffers may
+        still be shared with the model it was traced from: passes replace
+        tensors, they do not write them, and an entry copies, never
+        freezes, an array the key fed.
         """
         if not isinstance(gm, GraphModule):
             raise TypeError(f"PassManager.run expects a GraphModule, got {type(gm).__name__}")
@@ -420,25 +431,20 @@ class PassManager:
 
         # ``module`` is the caller's (unless given up) until a pass has to
         # execute (then a borrowed copy) or a run is stored (then the
-        # restored end state); ``held``, the caller's arrays it may share
-        # (``lent``: as ``(view, array)`` pairs, shared read-only).
+        # rebuilt end state); ``caller``, the caller's arrays it may hold,
+        # or views of them (``lent``: shared read-only, as ``pairs`` of
+        # ``(view, array)``).
         module, own, lent = gm, consume, False
-        held: Optional[list] = None
+        caller: list = []
         pairs: list = []
         baselined = self.verifier is None
 
-        def execute(first: int, last: int, start: float,
-                    snapshots: bool = True) -> list[PassRecord]:
-            nonlocal module, own, baselined, held, lent, pairs
-            if own and module is gm and held is None and snapshots:
-                # what a snapshot must copy, not freeze (a recipe copies
-                # every array it did not derive)
-                held = _held(gm)
-                own = held is not None   # no pickle, no telling: copy
+        def execute(first: int, last: int, start: float) -> list[PassRecord]:
+            nonlocal module, own, baselined, caller, lent, pairs
             if not own:
                 module, pairs = _borrow(module)
-                held = [view for view, _ in pairs]
-                own, lent = True, bool(held)
+                caller = [view for view, _ in pairs]
+                own, lent = True, bool(caller)
             if not baselined:
                 self.verifier.before_pipeline(module)
                 baselined = True
@@ -451,47 +457,61 @@ class PassManager:
             run = [identities[i] for i in indices]
             first, last = len(records), len(records) + len(run)
             start, nodes = time.perf_counter(), len(module.graph)
-            #: the arrays a structure key fed, in order (``None``: byte key)
-            fed = [] if cacheable and _by_structure(run, module) else None
+            fed: list = []   # the arrays the key fed, in order
             state = self._hash(module, fed) if cacheable else ""
             if not state:   # no identity, or no stable hash
                 records += execute(first, last, start)
                 continue
+            if module is gm:
+                caller = fed
+            by_bytes = not _by_structure(run, module)
             key = RunKey(tuple(token for token, _ in run),
                          tuple(signature for _, signature in run),
-                         state, checks)
+                         _weighed(state, fed) if by_bytes else state, checks)
             #: the run's records, and what its derivations made, once this
             #: call executed it itself
             ran: Optional[list[PassRecord]] = None
             made: Optional[list] = None
 
             def build() -> CacheEntry:
-                nonlocal ran
+                nonlocal ran, made
                 misses.append(_why_missed(self.cache, key))
                 with recording() as log:
-                    ran = execute(first, last, start, fed is None)
+                    ran = execute(first, last, start)
 
-                def end() -> Union[Recipe, StateSnapshot, None]:
+                def end() -> Optional[Recipe]:
                     nonlocal made
-                    if fed is None:
-                        return snapshot(module, held or ())
+                    if by_bytes:
+                        return owning(module, caller)
                     rec, made = recipe(module, fed, pairs, log)
-                    # nor when ShapeProp executed a node (a rule declined
-                    # its call): what that returned may hang on values
-                    return None if vars(module).get("shape_fallbacks") else rec
+                    return rec
 
-                entry = self._entry(module, ran, end)
+                if by_bytes or not vars(module).get("shape_fallbacks"):
+                    entry = self._entry(module, ran, end)
+                    note_stored(self.cache, key)
+                    return entry
+                # ShapeProp executed a call a rule declined, and what that
+                # returned may hang on values: from now on this structure
+                # is keyed on bytes too
+                weighed = key._replace(state=_weighed(state, fed))
+                entry = self._entry(module, ran,
+                                    lambda: owning(module, caller))
+                self.cache.put(weighed, entry)
+                note_stored(self.cache, weighed)
                 note_stored(self.cache, key)
-                return entry
+                return CacheEntry(None, entry.stages)
 
             try:
                 entry = self.cache.get_or_build(key, build)
+                if entry.snapshot is None:   # keyed on bytes, as built above
+                    by_bytes = True
+                    key = key._replace(state=_weighed(state, fed))
+                    entry = self.cache.get_or_build(key, build)
             except _NotStored:
                 entry = None   # executed uncached: keep what it left
             if entry is not None:
                 # Built here or replayed, the result is the entry's.
-                module = restore(entry.snapshot) if fed is None \
-                    else rebuild(entry.snapshot, fed, made)
+                module = rebuild(entry.snapshot, fed, made)
                 own, lent = True, False
             if ran is None:
                 # Someone else's run (an earlier compile, or a concurrent
@@ -505,7 +525,7 @@ class PassManager:
                     ran.append(PassRecord(name, 0.0, nodes, after, True,
                                           linted, verified))
                     nodes = after
-                # hash, lookup and restore are the run's, not a stage's
+                # hash, lookup and rebuild are the run's, not a stage's
                 ran[0].wall_time = time.perf_counter() - start
             records += ran
 
@@ -558,18 +578,16 @@ class PassManager:
         return gm, records
 
     def _entry(self, gm: GraphModule, records: list,
-               end: Callable[[], Any]) -> CacheEntry:
+               end: Callable[[], Optional[Recipe]]) -> CacheEntry:
         """The entry for a run that just executed and left *gm*: its end
-        state, ``end()`` (on the last record's clock) — a
-        :func:`~repro.fx.state.snapshot`, which freezes *gm*'s arrays in
-        place and copies those the caller holds, or a
-        :func:`~repro.fx.state.recipe`, ``None`` if there is none.  A graph
-        that may write module state is not stored: frozen, its state could
-        not be written."""
+        state, ``end()`` (on the last record's clock), a
+        :class:`~repro.fx.state.Recipe` — ``None`` if there is none.  A
+        graph that may write module state is not stored: frozen, its state
+        could not be written."""
         start = time.perf_counter()
         snap = None
         if not _writes_state(gm):
-            with suppress(Exception):   # unpicklable target or attribute
+            with suppress(*_UNPICKLABLE):   # unpicklable target or attribute
                 snap = end()
         records[-1].wall_time += time.perf_counter() - start
         if snap is None:
@@ -579,11 +597,11 @@ class PassManager:
             self.verifier and self.verifier.baseline)
 
     @staticmethod
-    def _hash(gm: GraphModule, fed: Optional[list] = None) -> str:
-        """The key of *gm*'s state: its structure, with the arrays it
-        read appended to *fed* when given, else its bytes too.  A graph
-        with no stable hash is not cached (``""``); any other error is a
-        bug, and raises."""
+    def _hash(gm: GraphModule, fed: list) -> str:
+        """The key of *gm*'s structure, with the arrays it read appended to
+        *fed* (:func:`_weighed` adds their bytes).  A graph with no stable
+        hash is not cached (``""``); any other error is a bug, and
+        raises."""
         # require_stable: this hash keys a cache that outlives the graph's
         # objects without pinning them, so an id()-fallback token could
         # alias a different graph after GC — refuse to cache instead.

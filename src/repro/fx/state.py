@@ -9,30 +9,27 @@ entry keeps, and derive again what a stage computed from weights.
 * :func:`_borrow` — what passes transform when the caller keeps its
   module: a structure-only copy over *read-only views* of its arrays, so
   no weight is copied and numpy refuses a pass's in-place write.
-* :func:`snapshot` / :func:`restore` — an entry keyed on the bytes of its
-  input: a module as a structure-only pickle plus the arrays the snapshot
-  *owns*, frozen (those the run created, in place; a copy of those the
-  caller still holds), and its fused kernels.  A digest is the scope's,
-  or read on first demand and kept with the array.  A restore hands out
-  read-only views, copying, hashing and compiling nothing; numpy will not
-  make a view of a read-only base writeable, so no holder can write them.
-* :func:`derive` / :func:`recipe` / :func:`rebuild` — an entry keyed on
-  the *structure* of its input (shapes and dtypes, no bytes): the
-  structure pickle and, per array of the end state, where it came from —
-  the array the key fed at position *i*, or output *j* of derivation *k*,
-  one :func:`derive` call a stage made.  It holds no array.  A rebuild
-  binds a frozen copy of the caller's array for each of the first kind
-  and replays the derivations on the caller's arrays for the second; an
-  array bit-equal to the one the latest rebuild bound in that place, if
-  that one is still alive, is shared instead.  A run with an array of
-  neither kind has no recipe.
+* :func:`derive` / :func:`recipe` / :func:`owning` / :func:`rebuild` —
+  a cache entry's end state, one :class:`Recipe`: the structure pickle,
+  the fused kernels and, per array, where it comes from.  Under a key of
+  the input's *structure* (shapes and dtypes, no bytes) that is the array
+  the key fed at position *i*, or output *j* of derivation *k* (one
+  :func:`derive` call a stage made), and the recipe holds no array: a
+  rebuild binds a frozen copy of the caller's array for each of the first
+  kind and replays the derivations on the caller's arrays for the second.
+  A run with an array of neither kind has no recipe.  Under a key of the
+  input's *bytes* every array is the recipe's own, frozen (those the run
+  created, in place; a copy of those the caller still holds), with its
+  digest once read: a rebuild hands out read-only views, copying, hashing
+  and compiling nothing; numpy will not make a view of a read-only base
+  writeable, so no holder can write them.
 
 **The one rule a scope trusts**: code inside a compile *replaces* tensors,
 it never writes them in place.  What it cannot write (a borrowed view, a
 frozen array) is not checked.  Every other digest the scope handed out
 without reading — a given-up trace's arrays, which its model shares; an
 array one pass created and another hashed — is checked against the bytes
-when the outermost scope closes, and so is each array a snapshot or a
+when the outermost scope closes, and so is each array a recipe or a
 rebuild copied from the caller, who may have written it meanwhile (a
 rebuild's copy is compared with its source, unhashed).  A mismatch drops
 the entries stored under the scope and raises a ``PassError``.  Nothing
@@ -48,7 +45,6 @@ import io
 import os
 import pickle
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from copy import deepcopy
@@ -59,13 +55,13 @@ import numpy as np
 from .cache import ArtifactCache, register_stage
 from .concurrency import on_fork_reset
 
-__all__ = ["Recipe", "TRANSFORM_CACHE", "StateSnapshot", "copy_module",
-           "derive", "digests", "note_stored", "rebuild", "recipe",
-           "recording", "restore", "snapshot", "state_scope", "unbind"]
+__all__ = ["Recipe", "TRANSFORM_CACHE", "copy_module", "derive", "digests",
+           "note_stored", "owning", "rebuild", "recipe", "recording",
+           "state_scope", "unbind"]
 
 def _pinned(entries: list) -> dict:
     """Entries are bounded by count, not bytes: say what they hold alive."""
-    held = {id(a): a.nbytes for entry in entries
+    held = {id(a): a.nbytes for entry in entries if entry.snapshot
             for a in entry.snapshot.arrays}
     return {"pinned_mb": round(sum(held.values()) / 2 ** 20, 1)}
 
@@ -75,15 +71,14 @@ def _pinned(entries: list) -> dict:
 #: of ``fx.cache_info()`` also carries this module's counters:
 #: ``state_reads`` / ``state_read_bytes`` (digests computed from bytes),
 #: ``state_reuses`` (served from a scope memo), ``state_copied_bytes`` (by
-#: snapshots and rebuilds), ``state_derived_bytes`` (arrays :func:`derive`
-#: and replays made), ``state_shared_bytes`` (arrays a rebuild shared with
-#: an earlier one's) and ``pinned_mb`` (bytes of the arrays the snapshots
-#: own; a recipe owns none).
+#: recipes and rebuilds), ``state_derived_bytes`` (arrays :func:`derive`
+#: and replays made) and ``pinned_mb`` (bytes of the arrays the recipes
+#: own: those keyed on bytes).
 TRANSFORM_CACHE = register_stage("transform", 1024, summarize=_pinned)
 
 
 class _Known:
-    """What a scope (or a snapshot) knows about one array."""
+    """What a scope (or a recipe) knows about one array."""
 
     __slots__ = ("array", "digest", "served", "trusted")
 
@@ -245,21 +240,6 @@ def note_stored(cache: ArtifactCache, key: Any) -> None:
 
 # -- structure + arrays + kernels ---------------------------------------------
 
-class StateSnapshot(NamedTuple):
-    """``structure``: a pickle of a module with every array and fused kernel
-    out of it, by reference (tens of KB); ``known``: a ``_Known`` per such
-    array, owned and read-only, with its digest once read; ``kernels``:
-    immutable, shared by every restore."""
-
-    structure: bytes
-    known: tuple
-    kernels: tuple
-
-    @property
-    def arrays(self) -> tuple:
-        return tuple(known.array for known in self.known)
-
-
 _UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
 
 
@@ -301,14 +281,6 @@ def unbind(obj: Any) -> tuple[Callable[[Sequence[np.ndarray]], Any], list]:
     return functools.partial(_load, structure, kernels=kernels), arrays
 
 
-def _held(module: Any) -> Optional[list]:
-    """*module*'s arrays (``None``: it does not pickle)."""
-    try:
-        return _dump(module)[1]
-    except _UNPICKLABLE:
-        return None
-
-
 def _borrow(module: Any) -> tuple[Any, list]:
     """A copy of *module* for passes to transform over read-only views of
     its arrays, which the scope trusts, and ``(view, array)`` per array it
@@ -324,48 +296,6 @@ def _borrow(module: Any) -> tuple[Any, list]:
             owner = _owner(view)
             scope.memo.setdefault(id(owner), _Known(owner)).trusted = True
     return _load(structure, views, kernels), list(zip(views, arrays))
-
-
-def snapshot(module: Any, held: Sequence[np.ndarray] = ()) -> StateSnapshot:
-    """*module* as a :class:`StateSnapshot` owning its arrays: one that owns
-    its bytes and is not one of *held* (a caller's, or a view of one) is
-    frozen in place, any other copied and the copy frozen; *module* is
-    spent.  A digest the scope has is kept (and checked at its exit if the
-    bytes could have moved); any other is read on first demand."""
-    scope = _scope()
-    memo = scope.memo if scope is not None else {}
-    shared = {id(_owner(a)) for a in held}
-    structure, arrays, kernels = _dump(module)
-    known = []
-    for arr in arrays:
-        owner = _owner(arr)
-        seen = memo.get(id(owner))
-        if owner.base is not None or id(owner) in shared:
-            if seen is not None and owner.flags.writeable:
-                seen.trusted = False   # its holder may write it meanwhile
-            owner = arr.copy(order="K")
-            TRANSFORM_CACHE.count("state_copied_bytes", arr.nbytes)
-        else:   # the module's own views of it go read-only as well
-            arr.flags.writeable = False
-        owner.flags.writeable = False
-        sha = seen and seen.digest
-        if sha:
-            seen.served = True
-        known.append(_Known(owner, sha, trusted=True))
-        memo.setdefault(id(owner), known[-1])   # a scope's own, if it has one
-    return StateSnapshot(structure, tuple(known), tuple(kernels))
-
-
-def restore(snap: StateSnapshot) -> Any:
-    """A module from *snap* over read-only views of its arrays and its very
-    kernels: nothing copied, hashed or compiled.  Its ``_Known`` s enter
-    the open scope, so a digest demanded there is read at most once."""
-    scope = _scope()
-    if scope is not None:
-        for known in snap.known:
-            scope.memo.setdefault(id(known.array), known)
-    return _load(snap.structure, [k.array.view() for k in snap.known],
-                 snap.kernels)
 
 
 def copy_module(module: Any) -> Any:
@@ -422,30 +352,35 @@ def recording() -> Iterator[list]:
 
 
 class Recipe(NamedTuple):
-    """A run's end state keyed on its input's structure: the structure
-    pickle and kernels of :class:`StateSnapshot`; ``slots``, per array,
-    ``("in", i)`` (the array the key fed at *i*) or ``("out", k, j)``;
+    """A run's end state: ``structure``, a pickle of the module with every
+    array and fused kernel out of it, by reference (tens of KB);
+    ``kernels``, immutable, shared by every rebuild; ``slots``, per array,
+    ``("in", i)`` (the array the key fed at *i*), ``("out", k, j)``
+    (output *j* of derivation *k*) or ``("own", i)`` (``owned`` [*i*]);
     ``derivations``, per :func:`derive` call, ``(fn, refs, specs)`` —
     *refs* say where each argument comes from, as slots do (``None`` for
-    none), *specs* each output's ``(shape, dtype)``; ``last``: a weak
-    reference per ref to what the latest rebuild bound there."""
+    none), *specs* each output's ``(shape, dtype)``; ``owned``, a
+    ``_Known`` per array the recipe holds, read-only, with its digest
+    once read."""
 
     structure: bytes
     slots: tuple
     derivations: tuple
     kernels: tuple
-    last: dict
+    owned: tuple
 
-    arrays = ()   # a recipe owns no array
+    @property
+    def arrays(self) -> tuple:
+        return tuple(known.array for known in self.owned)
 
 
 def recipe(module: Any, fed: Sequence[np.ndarray], lent: Sequence[tuple],
            log: Sequence[tuple]) -> tuple[Optional[Recipe], list]:
     """*module*, the end state of a run that started from the arrays *fed*
     (lent to its passes as ``(view, array)`` pairs, *lent*) and recorded
-    the derivations *log*: its :class:`Recipe` and the derivations'
-    outputs, in recipe order; ``None`` for a recipe when an array has no
-    provenance."""
+    the derivations *log*: a :class:`Recipe` that owns no array, and the
+    derivations' outputs, in recipe order; ``None`` for a recipe when an
+    array has no provenance."""
     structure, arrays, kernels = _dump(module)
     ref: dict[int, tuple] = {}
     for i, arr in enumerate(fed):
@@ -468,31 +403,49 @@ def recipe(module: Any, fed: Sequence[np.ndarray], lent: Sequence[tuple],
     if None in slots:
         return None, made
     return Recipe(structure, slots, tuple(derivations), tuple(kernels),
-                  {}), made
+                  ()), made
 
 
-def rebuild(rec: Recipe, fed: Sequence[np.ndarray],
+def owning(module: Any, held: Sequence[np.ndarray]) -> Recipe:
+    """*module* as a :class:`Recipe` that owns every array, for a key that
+    fixes every value (its bytes): one that owns its bytes and is not one
+    of *held* (the caller's, or a view of one) is frozen in place, any
+    other copied and the copy frozen; *module* is spent.  A digest the
+    scope has is kept (and checked at its exit if the bytes could have
+    moved); any other is read on first demand."""
+    scope = _scope()
+    memo = scope.memo if scope is not None else {}
+    shared = {id(_owner(a)) for a in held}
+    structure, arrays, kernels = _dump(module)
+    owned = []
+    for arr in arrays:
+        owner = _owner(arr)
+        seen = memo.get(id(owner))
+        if owner.base is not None or id(owner) in shared:
+            if seen is not None and owner.flags.writeable:
+                seen.trusted = False   # its holder may write it meanwhile
+            owner = arr.copy(order="K")
+            TRANSFORM_CACHE.count("state_copied_bytes", arr.nbytes)
+        else:   # the module's own views of it go read-only as well
+            arr.flags.writeable = False
+        owner.flags.writeable = False
+        sha = seen and seen.digest
+        if sha:
+            seen.served = True
+        owned.append(_Known(owner, sha, trusted=True))
+        memo.setdefault(id(owner), owned[-1])   # a scope's own, if it has one
+    return Recipe(structure, tuple(("own", i) for i in range(len(owned))),
+                  (), tuple(kernels), tuple(owned))
+
+
+def rebuild(rec: Recipe, fed: Sequence[np.ndarray] = (),
             made: Optional[list] = None) -> Any:
     """A module from *rec* over *fed* — the arrays its key fed, in order —
     and *made*, the outputs of its derivations when the caller just made
-    them (else they are replayed on *fed*).  Every array is frozen: a
-    copy of the caller's, or a derived one, or — if bit-equal — the one
-    the latest rebuild bound in its place, while that one is alive."""
-    def latest(at: tuple, arr: np.ndarray) -> Optional[np.ndarray]:
-        """The array the latest rebuild bound at *at*, if alive and
-        bit-equal to *arr*."""
-        prev = rec.last.get(at)
-        prev = prev and prev()
-        if prev is None or not _same_bits(prev, arr):
-            return None
-        TRANSFORM_CACHE.count("state_shared_bytes", prev.nbytes)
-        return prev
-
-    def keep(at: tuple, arr: np.ndarray) -> np.ndarray:
-        arr.flags.writeable = False
-        rec.last[at] = weakref.ref(arr)
-        return arr
-
+    them (else they are replayed on *fed*).  Every array is read-only: a
+    frozen copy of the caller's, a frozen derived one, or a view of one
+    the recipe owns, whose ``_Known`` enters the open scope, so a digest
+    demanded there is read at most once."""
     if made is None:
         made = []
         for k, (fn, refs, specs) in enumerate(rec.derivations):
@@ -503,24 +456,24 @@ def rebuild(rec: Recipe, fed: Sequence[np.ndarray],
                      for o in outs) != specs:
                 raise RuntimeError(f"derivation {k} ({fn!r}) made other "
                                    f"shapes than when it was recorded")
-            # shared at once, so a replay holds one derivation's worth
-            shared = [None if o is None else latest(("out", k, j), o)
-                      for j, o in enumerate(outs)]
-            made.append(tuple(o if p is None else p
-                              for o, p in zip(outs, shared)))
+            made.append(outs)
     scope, arrays = _scope(), []
     for at in rec.slots:
-        if at[0] == "out":
-            arrays.append(keep(at, made[at[1]][at[2]]))
-            continue
-        src = fed[at[1]]
-        arr = latest(at, src)
-        if arr is None:
+        if at[0] == "own":
+            known = rec.owned[at[1]]
+            if scope is not None:
+                scope.memo.setdefault(id(known.array), known)
+            arr = known.array
+        elif at[0] == "out":
+            arr = made[at[1]][at[2]]
+        else:
+            src = fed[at[1]]
             arr = src.copy(order="K")
             TRANSFORM_CACHE.count("state_copied_bytes", arr.nbytes)
-        if scope is not None and src.flags.writeable:
-            scope.copied.append((src, arr))
-        arrays.append(keep(at, arr))
+            if scope is not None and src.flags.writeable:
+                scope.copied.append((src, arr))
+        arr.flags.writeable = False
+        arrays.append(arr)
     return _load(rec.structure, [a.view() for a in arrays], rec.kernels)
 
 
@@ -528,7 +481,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
     a, b = (np.ascontiguousarray(x).reshape(-1).view(np.uint8) for x in (a, b))
-    # a MiB at a time: the comparison allocates no array's worth, and fresh
-    # weights are turned away at the first
+    # a MiB at a time: the comparison allocates no array's worth
     return all(np.array_equal(a[i:i + 2 ** 20], b[i:i + 2 ** 20])
                for i in range(0, a.size, 2 ** 20))

@@ -655,15 +655,15 @@ class TestStateSharing:
         assert np.array_equal(replays[1].graph_module(x).data, produced(x).data)
 
     def test_tied_and_non_contiguous_parameters_round_trip(self):
-        from repro.fx.state import copy_module, snapshot
+        from repro.fx.state import copy_module, owning
 
         gm = symbolic_trace(TiedAndStrided())
         x = repro.randn(2, 4)
         assert not gm.scale.data.flags.c_contiguous \
             and not gm.scale.data.flags.f_contiguous
         # every array leaves the pickle by reference; the strided one is
-        # a view, so the snapshot owns a contiguous copy of it
-        snap = snapshot(gm)
+        # a view, so the recipe owns a contiguous copy of it
+        snap = owning(gm, ())
         assert len(snap.arrays) == len(_arrays(gm))
         assert all(a.flags.c_contiguous or a.flags.f_contiguous
                    for a in snap.arrays)
