@@ -13,22 +13,15 @@ declared unsupported:
 
   * partitions produced by each strategy (fewer = fewer engine launches);
   * cross-boundary tensor traffic — bytes that must materialize at a
-    partition boundary instead of staying inside one engine;
-  * cold vs structural-hash-cached ``to_backend`` wall time (repeated
-    bottleneck blocks and warm re-lowerings reuse compiled partitions).
+    partition boundary instead of staying inside one engine.
 """
-
-import time
 
 import pytest
 
 import repro
 from repro.bench import format_table
-from repro.fx import cache_info, clear_caches, symbolic_trace, to_backend
-from repro.fx.backends import (
-    CapabilityPartitioner,
-    override_support,
-)
+from repro.fx import symbolic_trace
+from repro.fx.backends import CapabilityPartitioner
 from repro.fx.passes.shape_prop import ShapeProp
 from repro.models import resnet50
 
@@ -133,44 +126,3 @@ def test_partition_quality(benchmark, annotated_resnet50):
     assert cap_sup_n <= lin_sup_n
     assert cap_bytes <= lin_bytes
     write_results("backend_partition", table)
-
-
-def test_to_backend_cold_vs_cached(benchmark, annotated_resnet50):
-    model, _, x = annotated_resnet50
-    backend = override_support("trt", _pooling_unsupported)
-
-    def sweep():
-        clear_caches("partition")
-        t0 = time.perf_counter()
-        cold = to_backend(model, backend)
-        t_cold = time.perf_counter() - t0
-        info_cold = cache_info()["partition"]
-        t0 = time.perf_counter()
-        warm = to_backend(model, backend)
-        t_warm = time.perf_counter() - t0
-        info_warm = cache_info()["partition"]
-        return cold, warm, t_cold, t_warm, info_cold, info_warm
-
-    cold, warm, t_cold, t_warm, info_cold, info_warm = benchmark.pedantic(
-        sweep, rounds=1, iterations=1)
-
-    import numpy as np
-    assert np.allclose(model(x).data, cold(x).data, rtol=1e-3, atol=1e-4)
-    assert np.allclose(model(x).data, warm(x).data, rtol=1e-3, atol=1e-4)
-    # the warm pass compiles nothing at all: every partition is a
-    # structural-hash hit against the cold pass's artifacts
-    assert info_warm["misses"] == info_cold["misses"]
-    assert info_warm["hits"] > info_cold["hits"]
-    assert t_warm < t_cold
-
-    table = format_table(
-        ["lowering", "wall time (s)", "cache hits", "cache misses"],
-        [
-            ["cold (empty memo)", t_cold, info_cold["hits"],
-             info_cold["misses"]],
-            ["warm (structural-hash memo)", t_warm,
-             info_warm["hits"] - info_cold["hits"], 0],
-        ],
-        title="to_backend(resnet50, 'trt') — per-partition compile memo",
-    )
-    write_results("backend_partition_cache", table)

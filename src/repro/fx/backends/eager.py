@@ -19,7 +19,6 @@ __all__ = ["EagerBackend"]
 
 class EagerBackend(Backend):
     name = "eager"
-    cacheable = False        # "compiling" returns the caller's own module
     respects_effects = True  # it *is* eager execution
 
     def is_node_supported(self, node: Node, modules) -> bool:

@@ -8,10 +8,9 @@ The paper's backend integrations (§5, §6.2, §6.4) all follow one shape:
 This module implements that shape once, on top of the instrumented
 :class:`~repro.fx.passes.PassManager` (with the analysis-backed
 :class:`~repro.fx.analysis.PassVerifier` on by default), the
-dependency-aware :class:`~repro.fx.backends.CapabilityPartitioner`, and a
-per-partition compile memo keyed on ``Graph.structural_hash()`` so
-structurally identical subgraphs — repeated transformer/ResNet blocks with
-tied weights, or the same model lowered twice — build once.
+dependency-aware :class:`~repro.fx.backends.CapabilityPartitioner`.  Each
+supported partition is compiled afresh: a key over the weights it binds
+costs more than the compile it would save.
 
 The support check is a *pre-pass*: unsupported operators are discovered by
 querying the backend's predicate before any compilation starts, never by
@@ -21,20 +20,16 @@ compile work is ever started and then thrown away.
 
 from __future__ import annotations
 
-import copy
 import textwrap
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ...nn import Module
-from ..cache import register_stage
-from ..graph import UnstableHashError
 from ..graph_module import GraphModule
 from ..passes import PassManager, PassRecord
 from ..passes.pass_manager import format_records
 from ..passes.split_module import split_module
-from ..state import state_scope
 from ..tracer import symbolic_trace
 from .base import Backend, UnsupportedNodesError, get_backend
 from .partitioner import CapabilityPartitioner
@@ -56,9 +51,6 @@ class BackendReport:
         n_partitions: compiled (supported) partitions in the result.
         n_supported_nodes: nodes living inside those partitions.
         n_fallback_nodes: nodes left to eager execution.
-        cache_hits / cache_misses: per-partition compile memo traffic for
-            this call (a hit means a structurally identical subgraph was
-            already compiled and its module was reused).
         records: per-pass :class:`~repro.fx.passes.PassRecord` metrics
             from the preferred-pass pipeline.
         transform_misses: why each run of preferred passes that was not
@@ -73,8 +65,6 @@ class BackendReport:
     n_partitions: int = 0
     n_supported_nodes: int = 0
     n_fallback_nodes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     records: list[PassRecord] = field(default_factory=list)
     transform_misses: list[tuple] = field(default_factory=list)
     total_time: float = 0.0
@@ -85,50 +75,10 @@ class BackendReport:
             f"  nodes: {self.nodes_before} -> {self.nodes_after} "
             f"({self.n_supported_nodes} compiled in {self.n_partitions} "
             f"partition(s), {self.n_fallback_nodes} eager)",
-            f"  partition cache: {self.cache_hits} hit(s), "
-            f"{self.cache_misses} miss(es)",
             textwrap.indent(format_records(
                 self.records, self.total_time, self.transform_misses), "  "),
         ]
         return "\n".join(lines)
-
-
-# -- per-partition compile memo ------------------------------------------------
-
-#: (backend cache namespace, structural hash) -> compiled Module.  The
-#: hash covers parameter/buffer bytes, so an equal key implies the same
-#: function.  Shared modules are safe for sequential reuse (backends with
-#: per-call state must set ``cacheable = False``).
-_PARTITION_CACHE = register_stage("partition", 128)
-
-
-def _compile_partition(backend: Backend, sub_gm: GraphModule,
-                       stats: dict) -> Module:
-    if not backend.cacheable:
-        return backend.compile_subgraph(sub_gm)
-    try:
-        # Canonicalized targets: identity rests on ops + state bytes, so
-        # repeated blocks (layer1.0 vs layer1.1, equal weights) and
-        # re-lowerings of the same model share one compiled artifact.
-        key = (backend.cache_namespace,
-               sub_gm.graph.structural_hash(include_attrs=True,
-                                            require_stable=True,
-                                            canonicalize_targets=True))
-    except UnstableHashError:
-        # Un-pickle-able leaf state means the hash would fall back to
-        # object identity — skip the memo rather than cache unsoundly.
-        return backend.compile_subgraph(sub_gm)
-
-    built = False
-
-    def build() -> Module:
-        nonlocal built
-        built = True
-        return backend.compile_subgraph(sub_gm)
-
-    compiled = _PARTITION_CACHE.get_or_build(key, build)
-    stats["misses" if built else "hits"] += 1
-    return compiled
 
 
 # -- the entrypoint ------------------------------------------------------------
@@ -178,9 +128,7 @@ def to_backend(
 
     Returns:
         When the whole graph is supported, whatever
-        ``backend.compile_subgraph`` returns for it (for a ``cacheable``
-        backend, a shallow copy: the compiled artifact is shared, the
-        module carrying this call's report and guards is not); otherwise
+        ``backend.compile_subgraph`` returns for it; otherwise
         a split ``GraphModule`` whose ``submod_<pid>`` children are the
         compiled partitions.  Either way the result carries a
         :class:`BackendReport` on ``.backend_report``.
@@ -196,70 +144,62 @@ def to_backend(
         raise ValueError(f"unknown executor {exec_mode!r}; "
                          f"expected 'codegen' or 'vm'")
 
-    # One state scope for the whole lowering: the transform-cache key, the
-    # borrowed copy, the analyses and the partition keys read each weight
-    # once between them.
-    with state_scope():
-        gm = model if isinstance(model, GraphModule) else symbolic_trace(model)
-        be.validate_input(gm)
-        nodes_before = len(gm.graph)
+    gm = model if isinstance(model, GraphModule) else symbolic_trace(model)
+    be.validate_input(gm)
+    nodes_before = len(gm.graph)
 
-        # Guard derivation reads the pristine capture, before any backend
-        # pass rewrites nodes into targets (FusedKernel, ...) that symbolic
-        # shape propagation has no transfer functions for.
-        guards = None
-        if example_inputs is not None:
-            from ..analysis.guards import derive_guards
+    # Guard derivation reads the pristine capture, before any backend
+    # pass rewrites nodes into targets (FusedKernel, ...) that symbolic
+    # shape propagation has no transfer functions for.
+    guards = None
+    if example_inputs is not None:
+        from ..analysis.guards import derive_guards
 
-            try:
-                guards = derive_guards(gm, tuple(example_inputs))
-            except Exception:
-                guards = None
+        try:
+            guards = derive_guards(gm, tuple(example_inputs))
+        except Exception:
+            guards = None
 
-        from ..analysis import PassVerifier
+    from ..analysis import PassVerifier
 
-        # A caller's GraphModule is not touched: PassManager.run hands back
-        # a module of its own, replayed or transformed.  A trace made here
-        # is nobody else's, and is transformed in place.
-        result = PassManager(
-            be.preferred_passes(gm), lint_after_each=lint, cache=cache,
-            verifier=PassVerifier() if verify else None,
-        ).run(gm, consume=gm is not model)
-        gm = result.graph_module
+    # A caller's GraphModule is not touched: PassManager.run hands back
+    # a module of its own, replayed or transformed.  A trace made here
+    # is nobody else's: the numpy stages transform it in place.
+    result = PassManager(
+        be.preferred_passes(gm), lint_after_each=lint, cache=cache,
+        verifier=PassVerifier() if verify else None,
+    ).run(gm, consume=gm is not model)
+    gm = result.graph_module
 
-        plan = CapabilityPartitioner(
-            be.is_node_supported, mask_effects=not be.respects_effects,
-        ).partition(gm)
+    plan = CapabilityPartitioner(
+        be.is_node_supported, mask_effects=not be.respects_effects,
+    ).partition(gm)
 
-        if plan.unsupported and not allow_fallback:
-            raise UnsupportedNodesError(be.name,
-                                        [n.name for n in plan.unsupported])
+    if plan.unsupported and not allow_fallback:
+        raise UnsupportedNodesError(be.name,
+                                    [n.name for n in plan.unsupported])
 
-        stats = {"hits": 0, "misses": 0}
-        if plan.fully_supported and len(plan.partitions) <= 1:
-            # Whole graph fits one partition: compile it directly, preserving
-            # the backend's native return type (VMModule, optimized
-            # GraphModule, ...) with no split wrapper around it.
-            out: Module = _compile_partition(be, gm, stats)
-            if be.cacheable:
-                # The memo's module is every caller's: each gets its own.
-                out = copy.copy(out)
-        else:
-            split_gm = split_module(gm, lambda n: plan.node_pid.get(n))
-            for pid in sorted(plan.partitions):
-                name = f"submod_{pid}"
-                sub = split_gm.get_submodule(name)
-                setattr(split_gm, name, _compile_partition(be, sub, stats))
-            out = split_gm
+    if plan.fully_supported and len(plan.partitions) <= 1:
+        # Whole graph fits one partition: compile it directly, preserving
+        # the backend's native return type (VMModule, optimized
+        # GraphModule, ...) with no split wrapper around it.
+        out: Module = be.compile_subgraph(gm)
+    else:
+        split_gm = split_module(gm, lambda n: plan.node_pid.get(n))
+        for pid in sorted(plan.partitions):
+            name = f"submod_{pid}"
+            sub = split_gm.get_submodule(name)
+            setattr(split_gm, name, be.compile_subgraph(sub))
+        out = split_gm
 
-        if exec_mode == "vm" and isinstance(out, GraphModule):
-            # Flatten the stitched graph (compiled partitions are resolved
-            # call_module targets; fallback nodes become flat instructions)
-            # onto the bytecode tier.  Backends returning a native module
-            # (e.g. a VMModule) already bypass per-node dispatch.
-            from ..vm import VMModule, compile_to_vm
+    if exec_mode == "vm" and isinstance(out, GraphModule):
+        # Flatten the stitched graph (compiled partitions are resolved
+        # call_module targets; fallback nodes become flat instructions)
+        # onto the bytecode tier.  Backends returning a native module
+        # (e.g. a VMModule) already bypass per-node dispatch.
+        from ..vm import VMModule, compile_to_vm
 
-            out = VMModule(compile_to_vm(out))
+        out = VMModule(compile_to_vm(out))
 
     report = BackendReport(
         backend=be.name,
@@ -268,8 +208,6 @@ def to_backend(
         n_partitions=len(plan.partitions) or (1 if plan.fully_supported else 0),
         n_supported_nodes=sum(len(v) for v in plan.partitions.values()),
         n_fallback_nodes=len(plan.unassigned),
-        cache_hits=stats["hits"],
-        cache_misses=stats["misses"],
         records=result.records,
         transform_misses=result.misses,
         total_time=time.perf_counter() - start,

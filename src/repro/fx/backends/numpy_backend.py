@@ -22,9 +22,7 @@ Because the backend executes on the same numpy substrate as eager mode,
 it replays in-place mutation faithfully (``respects_effects``), and its
 "compilation" of a subgraph is the subgraph itself — all optimization
 already happened at whole-graph scope where example-input shapes are
-known.  It is deliberately *not* cacheable: the result is the
-freshly-transformed module, and callers own it exclusively (the
-``fx.compile`` no-mutation contract).
+known.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ class NumpyBackend(Backend):
     """
 
     name = "numpy"
-    cacheable = False       # compile_subgraph returns the module itself
     respects_effects = True  # same substrate as eager: mutation replays
 
     def __init__(self, example_inputs: Sequence = (), *,

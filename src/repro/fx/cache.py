@@ -1,17 +1,17 @@
 """``ArtifactCache`` — the one memo cache behind every compile stage.
 
 Every stage that memoises a derived artifact (generated ``forward``
-functions, pass results, VM programs, compiled backend partitions,
-serving engines) maps a key to a value with the same mechanism: an LRU
-with a fixed bound, one lock around the bookkeeping, single-flight builds
-per key, and hit/miss counters.  This module holds that mechanism once.
-The process-wide stages register here by name, so their traffic reads
-from one place::
+functions, pass results, serving engines) maps a key to a value with the
+same mechanism: an LRU with a fixed bound, one lock around the
+bookkeeping, single-flight builds per key, and hit/miss counters.  This
+module holds that mechanism once.  The process-wide stages, ``codegen``
+and ``transform``, register here by name, so their traffic reads from one
+place::
 
-    >>> fx.compile_to_vm(fx.symbolic_trace(model))   # twice
-    >>> fx.cache_info()["vm"]
-    {'hits': 1, 'misses': 1, 'size': 1, 'maxsize': 64}
-    >>> fx.clear_caches("vm")      # or fx.clear_caches() for every stage
+    >>> fx.compile(model, (x,))   # twice
+    >>> fx.cache_info()["transform"]
+    {'hits': 1, 'misses': 1, 'state_derived_bytes': ..., 'size': 1, ...}
+    >>> fx.clear_caches("transform")   # or fx.clear_caches() for every stage
 
 What a stage stores under which key is the stage's business (see the
 "Caches" table in the README); this module never looks inside either.
@@ -43,9 +43,6 @@ class ArtifactCache:
         on_evict: called with each value that leaves the cache (LRU
             eviction, replacement by a different object, ``clear``), after
             the lock is released — for values that own a side resource.
-        summarize: called by :meth:`info` with the stored values, after
-            the lock is released; the ``dict`` it returns joins the
-            counters (the ``transform`` stage's ``pinned_mb``).
 
     Counting is exact under any interleaving: a ``get`` or
     ``get_or_build`` call counts one hit or one miss, never both, and
@@ -54,11 +51,9 @@ class ArtifactCache:
     """
 
     def __init__(self, maxsize: int = 1024,
-                 on_evict: Optional[Callable[[Any], None]] = None,
-                 summarize: Optional[Callable[[list], dict]] = None):
+                 on_evict: Optional[Callable[[Any], None]] = None):
         self.maxsize = maxsize
         self._on_evict = on_evict
-        self._summarize = summarize
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._flight = KeyedMutex()
@@ -130,15 +125,10 @@ class ArtifactCache:
 
     def info(self) -> Dict[str, int]:
         """``{hits, misses, size, maxsize}`` plus any :meth:`count` ed
-        counters, read under the lock, plus what ``summarize`` says about
-        the values stored at that moment."""
+        counters, read under the lock."""
         with self._lock:
-            info = {**self._counters, "size": len(self._entries),
+            return {**self._counters, "size": len(self._entries),
                     "maxsize": self.maxsize}
-            values = list(self._entries.values()) if self._summarize else []
-        if self._summarize is not None:
-            info.update(self._summarize(values))
-        return info
 
     def keys(self) -> list:
         """The stored keys, least recently used first (uncounted: for a
@@ -180,18 +170,18 @@ _STAGES: Dict[str, ArtifactCache] = {}
 
 
 def register_stage(name: str, maxsize: int,
-                   on_evict: Optional[Callable[[Any], None]] = None,
-                   summarize: Optional[Callable[[list], dict]] = None
+                   on_evict: Optional[Callable[[Any], None]] = None
                    ) -> ArtifactCache:
     """Create and register the process-wide cache for compile stage
     *name* (called once, by the module that owns the stage)."""
-    cache = _STAGES[name] = ArtifactCache(maxsize, on_evict, summarize)
+    cache = _STAGES[name] = ArtifactCache(maxsize, on_evict)
     return cache
 
 
 def cache_info() -> Dict[str, Dict[str, int]]:
     """``{stage: {hits, misses, size, maxsize}}`` for every process-wide
-    stage: ``codegen``, ``transform``, ``vm``, ``partition``."""
+    stage: ``codegen`` (generated ``forward`` functions) and ``transform``
+    (pass runs, with the state counters of :mod:`repro.fx.state`)."""
     return {name: cache.info() for name, cache in _STAGES.items()}
 
 

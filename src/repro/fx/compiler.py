@@ -61,7 +61,6 @@ from .passes import PassRecord
 from .passes.memory_planner import MemoryPlan
 from .passes.pass_manager import format_records
 from .passes.pointwise_fuser import FusedKernel
-from .state import state_scope
 
 __all__ = ["CompileReport", "compile"]
 
@@ -176,14 +175,13 @@ def compile(  # noqa: A001 - mirrors torch.compile
 
     backend = NumpyBackend(example_inputs, fuse=fuse,
                            memory_planning=memory_planning)
-    with state_scope():   # one scope: the VM key reads what lowering read
-        out = to_backend(module, backend, allow_fallback=True,
-                         lint=lint, cache=cache, verify=verify,
-                         example_inputs=example_inputs or None)
-        if executor == "vm":
-            from .vm import VMModule, compile_to_vm
+    out = to_backend(module, backend, allow_fallback=True,
+                     lint=lint, cache=cache, verify=verify,
+                     example_inputs=example_inputs or None)
+    if executor == "vm":
+        from .vm import VMModule, compile_to_vm
 
-            vm_out: Module = VMModule(compile_to_vm(out))
+        vm_out: Module = VMModule(compile_to_vm(out))
     breport = out.backend_report
     guards = getattr(out, "guards", None)
 

@@ -538,11 +538,9 @@ class Graph:
         parameters, buffers, training flags and hyper-parameters of
         ``call_module`` submodules: ``MaxPool2d(2)`` and ``MaxPool2d(3)``
         hold the same tensors).  A tensor enters as
-        ``shape:dtype:sha256(bytes)``; the bytes are read on every call,
-        except inside a :func:`~repro.fx.state.state_scope` (one compile),
-        which reads each array once.  Either way every digest the hash
-        needs is asked for at once, and read on up to one thread per CPU:
-        the key is the one a single thread computes.
+        ``shape:dtype:sha256(bytes)``; every digest the hash needs is
+        asked for at once, and read on up to one thread per CPU: the key
+        is the one a single thread computes.
 
         Two graphs with equal hashes generate equivalent ``forward``
         code and (with ``include_attrs=True``) compute the same function,
@@ -576,9 +574,7 @@ class Graph:
         hashes stably.  Passes specialise on shape facts (rule
         preconditions, fusion, planning), so the transform cache, whose
         key must cover everything a run of passes read, asks for this
-        mode; generated source depends on neither shapes nor dtypes, and
-        the memos that keep live objects under a hash (VM programs,
-        analysis results) go on giving each fused graph its own.
+        mode; generated source depends on neither shapes nor dtypes.
 
         Given a list as *arrays*, no byte is read: a tensor enters as its
         shape and dtype at its path (and as the position of its first
@@ -640,7 +636,7 @@ class Graph:
             else:
                 feed(token_for(a))
 
-        # Local imports: the tensor package and the state scope sit above
+        # Local imports: the tensor package and the state module sit above
         # the core IR in the import order.
         from ..tensor import Tensor
         from .state import digests
@@ -653,8 +649,7 @@ class Graph:
                 arrays.append(v.data)
                 feed(f"tensor:{tuple(v.shape)}:{v.dtype}:{v.data.dtype.str}@{at}")
             elif isinstance(v, Tensor):
-                # The bytes enter as their own digest, which an open state
-                # scope (one compile) computes once per array.
+                # The bytes enter as their own digest, read with the rest.
                 parts.append((f"tensor:{tuple(v.shape)}:{v.dtype}:", v.data))
             elif isinstance(v, BASE_ARGUMENT_TYPES):
                 feed(f"{type(v).__name__}:{v!r}")

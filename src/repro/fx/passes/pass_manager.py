@@ -34,16 +34,16 @@ run and hashes afresh); a hit rebuilds its :class:`PassRecord` s from the
 entry.  Either way the result is built from the entry.  What that gives
 up is prefix sharing between different pipelines.
 
-**Weights are inputs, not key bytes.**  A run of nothing but the numpy
-pipeline's stages (:data:`_STRUCTURAL`) over a graph whose every call has
-an op-table entry reads weight values only through
-:func:`~repro.fx.state.derive`: its key takes each tensor's shape and
-dtype, no byte, and its entry's :class:`~repro.fx.state.Recipe` replays
-the folds on the caller's weights.  Any other run (a user pass may read a
-value) is keyed on the bytes too (:func:`_weighed`), and its recipe owns
-its frozen end state.  So is, from its first compile on, a structure
-whose run saw ``ShapeProp`` execute a call a rule declined: the structure
-key then holds a marker that sends each compile on to a byte key.
+**Weights are inputs, not key bytes.**  Only a run of nothing but the
+numpy pipeline's stages (:data:`_STRUCTURAL`) over a graph whose every
+call has an op-table entry is cached.  It reads weight values only
+through :func:`~repro.fx.state.derive`: its key takes each tensor's shape
+and dtype, no byte, and its entry's :class:`~repro.fx.state.Recipe`
+replays the folds on the caller's weights.  An entry never holds an
+array.  Any other run executes uncached, and
+:attr:`PassManagerResult.misses` says why: a user pass (it may read a
+value), a call with no op-table entry, or a call ``ShapeProp`` executed
+because its rule declined it (what that returned may hang on values).
 
 **State.**  :meth:`PassManager.run` never mutates its argument.  Passes
 that execute get a structure copy over read-only views of the caller's
@@ -59,7 +59,6 @@ batch norm), which then writes the caller's, as eager does.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -74,8 +73,8 @@ from ..graph import UnstableHashError, _hash_token_for_object
 from ..graph_module import GraphModule
 from ..node import BASE_ARGUMENT_TYPES
 from ..state import (_UNPICKLABLE, TRANSFORM_CACHE, Recipe, _borrow,
-                     copy_module, digests, note_stored, owning, rebuild,
-                     recipe, recording, state_scope)
+                     copy_module, note_stored, rebuild, recipe, recording,
+                     state_scope)
 
 __all__ = [
     "CacheEntry",
@@ -188,7 +187,8 @@ def format_records(records: Sequence[PassRecord], total_time: float,
     lines.append(
         f"replayed {sum(hits)} of {len(hits)} stages from {entries} cache "
         f"entr{'y' if entries == 1 else 'ies'}"
-        + "".join(f"; missed on {'+'.join(why)}" for why in misses))
+        + "".join(f"; uncached: {why[1]}" if why[0] == "uncached"
+                  else f"; missed on {'+'.join(why)}" for why in misses))
     return "\n".join(lines)
 
 
@@ -201,7 +201,10 @@ class PassManagerResult:
     entry (``("state",)``: same pipeline, another module or other shape
     metadata; ``("inputs",)``: another example signature; ``("checks",)``:
     other lint / verify settings), ``("cold",)`` when the cache
-    holds no run at all."""
+    holds no run at all, and ``("uncached", why)`` for a run that cannot
+    be keyed on structure: ``"user pass pkg.fn"``, ``"no op-table entry
+    for MultiheadAttention at attn"`` or ``"ShapeProp executed
+    MultiheadAttention at attn"``."""
 
     graph_module: GraphModule
     records: list[PassRecord] = field(default_factory=list)
@@ -224,23 +227,21 @@ class CacheEntry:
 
     Attributes:
         snapshot: the end state, a :class:`~repro.fx.state.Recipe`: where
-            each array comes from under a structure key, the frozen arrays
-            it owns under a byte key; ``None`` under a structure key whose
-            runs are keyed on bytes (a rule declined a call, so
-            ``ShapeProp`` executed it).
+            each array comes from.
         stages: per pass ``(nodes_after, linted, verified)`` as they were
             when the run executed.
         baseline: the verifier's baseline after the run, to ``adopt``.
     """
 
-    snapshot: Optional[Recipe]
+    snapshot: Recipe
     stages: tuple
     baseline: Any = None
 
 
 class _NotStored(Exception):
     """Raised by the cache-fill builder after it executed a run whose end
-    state cannot be stored (may write state, no stable hash, no pickle)."""
+    state cannot be stored (may write state, no provenance, no pickle, a
+    call ``ShapeProp`` executed)."""
 
 
 def _pass_name(p: Pass, index: int) -> str:
@@ -283,20 +284,20 @@ _STRUCTURAL = frozenset(f"f:repro.fx.{name}" for name in (
     "passes.memory_planner.plan_memory"))
 
 
-def _by_structure(run: Sequence[tuple], gm: GraphModule) -> bool:
-    """May *run* (its pass identities) over *gm* be keyed without weight
-    bytes?  Only if every pass is one of :data:`_STRUCTURAL` and every call
-    has an op-table entry: ``ShapeProp`` executes a call without one, and
-    what it returns may depend on values."""
-    return all(token in _STRUCTURAL for token, _ in run) and all(
-        opinfo.entry_of(n, gm) is not None for n in gm.graph.nodes
-        if n.op in ("call_function", "call_method", "call_module"))
-
-
-def _weighed(state: str, fed: Sequence) -> str:
-    """*state*, a structure key, with the bytes of the arrays it *fed*: a
-    byte key."""
-    return hashlib.sha256("".join([state, *digests(fed)]).encode()).hexdigest()
+def _no_entry(gm: GraphModule) -> Optional[str]:
+    """The first call in *gm* with no op-table entry, as a reason not to
+    key a run on structure (``ShapeProp`` executes it, and what it returns
+    may hang on values), or ``None``."""
+    for n in gm.graph.nodes:
+        if n.op in ("call_function", "call_method", "call_module") \
+                and opinfo.entry_of(n, gm) is None:
+            mod = None
+            if n.op == "call_module":
+                with suppress(AttributeError):
+                    mod = gm.get_submodule(n.target)
+            return (f"no op-table entry for {opinfo.target_name(n, mod)} "
+                    f"at {n.name}")
+    return None
 
 
 def _writes_state(gm: GraphModule) -> bool:
@@ -398,19 +399,19 @@ class PassManager:
         a module of its own, never *gm* — plus per-pass records.  Also
         stashed on ``self.last_result``.
 
-        A fully-cached re-run costs one hash of *gm*, one lookup and one
-        rebuild per run of cacheable passes (one in all for a pipeline of
-        module-level passes): no pass executes and nothing is analysed.
-        Under a byte key the rebuild copies no array; under a structure
-        key it replays the folds and copies the caller's arrays no pass
-        replaced.
+        A fully-cached re-run costs one hash of *gm* (no weight byte), one
+        lookup and one rebuild per run of cacheable passes (one in all for
+        a pipeline of module-level passes): no pass executes and nothing
+        is analysed.  The rebuild replays the folds and copies the
+        caller's arrays no pass replaced.
 
         With *consume* the caller gives *gm* up — a trace it made for this
-        run and holds no other reference to: passes that execute transform
-        it in place instead of a copy.  Its parameters and buffers may
-        still be shared with the model it was traced from: passes replace
-        tensors, they do not write them, and an entry copies, never
-        freezes, an array the key fed.
+        run and holds no other reference to: the numpy pipeline's stages
+        transform it in place instead of a copy.  Its parameters and
+        buffers may still be shared with the model it was traced from:
+        those stages replace tensors, they do not write them, any other
+        pass gets a borrowed copy, and a rebuild copies, never freezes, an
+        array the key fed.
         """
         if not isinstance(gm, GraphModule):
             raise TypeError(f"PassManager.run expects a GraphModule, got {type(gm).__name__}")
@@ -426,25 +427,27 @@ class PassManager:
         misses: list[tuple] = []
         pipeline_start = time.perf_counter()
         checks = (self.lint_after_each, self.verifier is not None)
-        identities = [_pass_identity(fn) if self.cache is not None else None
-                      for _, fn in self.passes]
+        identities = [_pass_identity(fn) for _, fn in self.passes]
+        #: the passes that read weight values only through ``derive``
+        trusted = [bool(i) and i[0] in _STRUCTURAL for i in identities]
+        if self.cache is None:
+            identities = [None] * len(identities)
 
-        # ``module`` is the caller's (unless given up) until a pass has to
-        # execute (then a borrowed copy) or a run is stored (then the
-        # rebuilt end state); ``caller``, the caller's arrays it may hold,
-        # or views of them (``lent``: shared read-only, as ``pairs`` of
-        # ``(view, array)``).
-        module, own, lent = gm, consume, False
-        caller: list = []
+        # ``module`` is the caller's until a pass has to execute (then a
+        # borrowed copy, shared read-only as ``pairs`` of ``(view,
+        # array)``: ``lent``) or a run is stored (then the rebuilt end
+        # state).  A given-up *gm* is transformed in place by the stages
+        # trusted not to write it, and borrowed for any other pass.
+        module, lent = gm, False
         pairs: list = []
         baselined = self.verifier is None
 
-        def execute(first: int, last: int, start: float) -> list[PassRecord]:
-            nonlocal module, own, baselined, caller, lent, pairs
-            if not own:
+        def execute(first: int, last: int, start: float,
+                    trusted: bool) -> list[PassRecord]:
+            nonlocal module, baselined, lent, pairs
+            if module is gm and not (consume and trusted):
                 module, pairs = _borrow(module)
-                caller = [view for view, _ in pairs]
-                own, lent = True, bool(caller)
+                lent = bool(pairs)
             if not baselined:
                 self.verifier.before_pipeline(module)
                 baselined = True
@@ -454,20 +457,24 @@ class PassManager:
         # Maximal runs of cacheable passes, and the stretches between them.
         for cacheable, indices in groupby(
                 range(len(self.passes)), lambda i: identities[i] is not None):
+            indices = list(indices)
             run = [identities[i] for i in indices]
             first, last = len(records), len(records) + len(run)
             start, nodes = time.perf_counter(), len(module.graph)
+            trust = all(trusted[i] for i in indices)
+            why = None
+            if cacheable:
+                user = next((t for t, _ in run if t not in _STRUCTURAL), None)
+                why = f"user pass {user[2:]}" if user else _no_entry(module)
             fed: list = []   # the arrays the key fed, in order
-            state = self._hash(module, fed) if cacheable else ""
-            if not state:   # no identity, or no stable hash
-                records += execute(first, last, start)
+            state = self._hash(module, fed) if cacheable and not why else ""
+            if not state:   # no identity, no structure key, or no stable hash
+                if why:
+                    misses.append(("uncached", why))
+                records += execute(first, last, start, trust)
                 continue
-            if module is gm:
-                caller = fed
-            by_bytes = not _by_structure(run, module)
             key = RunKey(tuple(token for token, _ in run),
-                         tuple(signature for _, signature in run),
-                         _weighed(state, fed) if by_bytes else state, checks)
+                         tuple(signature for _, signature in run), state, checks)
             #: the run's records, and what its derivations made, once this
             #: call executed it itself
             ran: Optional[list[PassRecord]] = None
@@ -477,42 +484,30 @@ class PassManager:
                 nonlocal ran, made
                 misses.append(_why_missed(self.cache, key))
                 with recording() as log:
-                    ran = execute(first, last, start)
+                    ran = execute(first, last, start, True)
+                fallbacks = vars(module).get("shape_fallbacks")
+                if fallbacks:   # what ShapeProp executed may hang on values
+                    name, target, _ = fallbacks[0]
+                    misses[-1] = ("uncached",
+                                  f"ShapeProp executed {target} at {name}")
+                    raise _NotStored
 
                 def end() -> Optional[Recipe]:
                     nonlocal made
-                    if by_bytes:
-                        return owning(module, caller)
                     rec, made = recipe(module, fed, pairs, log)
                     return rec
 
-                if by_bytes or not vars(module).get("shape_fallbacks"):
-                    entry = self._entry(module, ran, end)
-                    note_stored(self.cache, key)
-                    return entry
-                # ShapeProp executed a call a rule declined, and what that
-                # returned may hang on values: from now on this structure
-                # is keyed on bytes too
-                weighed = key._replace(state=_weighed(state, fed))
-                entry = self._entry(module, ran,
-                                    lambda: owning(module, caller))
-                self.cache.put(weighed, entry)
-                note_stored(self.cache, weighed)
+                entry = self._entry(module, ran, end)
                 note_stored(self.cache, key)
-                return CacheEntry(None, entry.stages)
+                return entry
 
             try:
                 entry = self.cache.get_or_build(key, build)
-                if entry.snapshot is None:   # keyed on bytes, as built above
-                    by_bytes = True
-                    key = key._replace(state=_weighed(state, fed))
-                    entry = self.cache.get_or_build(key, build)
             except _NotStored:
                 entry = None   # executed uncached: keep what it left
             if entry is not None:
                 # Built here or replayed, the result is the entry's.
-                module = rebuild(entry.snapshot, fed, made)
-                own, lent = True, False
+                module, lent = rebuild(entry.snapshot, fed, made), False
             if ran is None:
                 # Someone else's run (an earlier compile, or a concurrent
                 # manager that won the single-flight): replay its records.
@@ -529,7 +524,7 @@ class PassManager:
                 ran[0].wall_time = time.perf_counter() - start
             records += ran
 
-        if not own:   # nothing executed, nothing replayed: still not *gm*
+        if module is gm and not consume:   # nothing executed or replayed
             module = copy_module(module)
         elif lent and _writes_state(module):   # it writes the caller's state
             for tensor in module.state_dict().values():
@@ -599,9 +594,8 @@ class PassManager:
     @staticmethod
     def _hash(gm: GraphModule, fed: list) -> str:
         """The key of *gm*'s structure, with the arrays it read appended to
-        *fed* (:func:`_weighed` adds their bytes).  A graph with no stable
-        hash is not cached (``""``); any other error is a bug, and
-        raises."""
+        *fed*.  A graph with no stable hash is not cached (``""``); any
+        other error is a bug, and raises."""
         # require_stable: this hash keys a cache that outlives the graph's
         # objects without pinning them, so an id()-fallback token could
         # alias a different graph after GC — refuse to cache instead.

@@ -481,12 +481,12 @@ def _check_vm(report: OracleReport, gm: GraphModule, inputs: tuple,
               ref: Any, scale: float) -> None:
     """The pristine graph on the bytecode VM must match the reference
     exactly, and a pickle round-trip of the program must replay
-    bit-identically (the serialization contract the per-partition memo
-    and future serving paths rely on)."""
+    bit-identically (the serialization contract the serve payload relies
+    on)."""
     from ..vm import compile_to_vm
 
     try:
-        program = compile_to_vm(copy_module(gm), cache=False)
+        program = compile_to_vm(copy_module(gm))
         out = program.run(*inputs)
         blob = pickle.dumps(program)
         replayed = pickle.loads(blob).run(*inputs)
@@ -519,8 +519,7 @@ def _check_vm_compiled(report: OracleReport, program: GeneratedProgram,
     from ..vm import compile_to_vm
 
     try:
-        vm = compile_to_vm(fx_compile(program.gm, program.inputs, lint=True),
-                           cache=False)
+        vm = compile_to_vm(fx_compile(program.gm, program.inputs, lint=True))
         error, err = _called_twice(vm.run, program, ref)
     except Exception as exc:
         error, err = _exc_summary(exc), 0.0

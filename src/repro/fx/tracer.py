@@ -8,7 +8,7 @@ arguments.  Three interception points record operations:
 2. methods and operators — via ``Proxy``'s duck typing and magic methods;
 3. module calls — by overriding the ``Module.__call__`` pathway
    (:data:`repro.nn.module._MODULE_CALL_INTERCEPTOR`) for the duration of
-   the trace.
+   the trace, on the tracing thread only: threads trace independently.
 
 The process is configurable through the :class:`Tracer` class (§5.2):
 override :meth:`Tracer.is_leaf_module` to control which modules stay
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import threading
 from typing import Any, Callable, Optional
 
 from ..nn import module as _module_mod
@@ -32,9 +33,15 @@ from .proxy import Attribute, Proxy, TraceError
 
 __all__ = ["TracerBase", "Tracer", "symbolic_trace", "wrap"]
 
-# Stack of tracers currently running a trace (innermost last). Used by
-# fx.wrap'ed functions to find the recording tracer.
-_ACTIVE_TRACERS: list["TracerBase"] = []
+
+class _Tracers(threading.local):
+    def __init__(self) -> None:
+        self.stack: list["TracerBase"] = []
+
+
+#: Per thread, the tracers running a trace there (innermost last): an
+#: fx.wrap'ed function records into the innermost one.
+_ACTIVE_TRACERS = _Tracers()
 
 
 class TracerBase:
@@ -390,20 +397,21 @@ class Tracer(TracerBase):
                 self.create_proxy("placeholder", name, default, {}, name=name)
             )
 
-        interceptor_prev = _module_mod._MODULE_CALL_INTERCEPTOR
+        intercept = _module_mod._MODULE_CALL_INTERCEPTOR
+        interceptor_prev = intercept.call
 
         def interceptor(mod: Module, args: tuple, kwargs: dict):
             return self.call_module(mod, mod.forward, args, kwargs)
 
-        _module_mod._MODULE_CALL_INTERCEPTOR = interceptor
-        _ACTIVE_TRACERS.append(self)
+        intercept.call = interceptor
+        _ACTIVE_TRACERS.stack.append(self)
         self._stack_texts: dict = {}
         try:
             result = fn(*proxy_args)
         finally:
             del self._stack_texts
-            _ACTIVE_TRACERS.pop()
-            _module_mod._MODULE_CALL_INTERCEPTOR = interceptor_prev
+            _ACTIVE_TRACERS.stack.pop()
+            intercept.call = interceptor_prev
 
         self.create_node("output", "output", (self.create_arg(result),), {})
         return self.graph
@@ -446,8 +454,9 @@ def wrap(fn: Callable) -> Callable:
 
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
-        if _ACTIVE_TRACERS:
-            tracer = _ACTIVE_TRACERS[-1]
+        tracers = _ACTIVE_TRACERS.stack
+        if tracers:
+            tracer = tracers[-1]
             if _contains_proxy(args) or _contains_proxy(tuple(kwargs.values())):
                 return tracer.create_proxy("call_function", wrapped, args, kwargs)
         return fn(*args, **kwargs)

@@ -24,23 +24,17 @@ over alias-extended liveness) and silently *drops* any slot an unsound
 planner produced — the instruction then allocates per call, which is slow
 but always correct.
 
-Compiled programs are memoized on
-``Graph.structural_hash(include_attrs=True, require_stable=True,
-canonicalize_targets=True)`` — the same key discipline as the
-per-partition backend cache, so repeated identical blocks compile once.
-Graphs whose hash is unstable (e.g. post-fusion graphs, whose
-``FusedKernel`` targets hash by object identity) skip the memo rather
-than cache unsoundly.
+Programs are not memoized: hashing the weights a program binds costs
+more than compiling it (ResNet-50 on a 2-CPU x86 host: 79 vs 2 ms).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..analysis.alias import alias
 from ..analysis.mutation import fused_out_clobbers
-from ..cache import register_stage
-from ..graph import UnstableHashError, _resolve_attr
+from ..graph import _resolve_attr
 from ..graph_module import GraphModule
 from ..node import Node, map_arg
 from ..passes.pointwise_fuser import FusedKernel
@@ -54,15 +48,6 @@ __all__ = [
 
 class VMCompileError(RuntimeError):
     """The graph cannot be flattened into a VM program."""
-
-
-#: structural hash -> VMProgram.  Stores program objects (they bake live
-#: constant/submodule references); the hash covers parameter/buffer bytes,
-#: so an equal key implies the same function — the same argument that
-#: justifies the per-partition backend memo.  Every caller of one key gets
-#: the *same* program object — concurrent ``run``\s of which are safe
-#: (per-call registers, per-thread arena buffers).
-_VM_CACHE = register_stage("vm", 64)
 
 
 def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
@@ -109,7 +94,25 @@ def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
     return keep
 
 
-def _compile(gm: GraphModule, validate_plan: bool) -> VMProgram:
+def compile_to_vm(gm: GraphModule, *,
+                  validate_plan: bool = True) -> VMProgram:
+    """Compile *gm* into a flat :class:`VMProgram`.
+
+    Args:
+        gm: the module to flatten.  Never mutated; its state (buffers,
+            parameters, submodules) is captured by reference, so in-place
+            updates to that state are visible to the program — but
+            *rebinding* an attribute is not (resolution happened here) —
+            the generated forward re-binds (``GraphModule._fx_bind``).
+        validate_plan: re-check every ``arena_slot`` assignment against
+            the tail-read rule and drop unsound ones (see module docs).
+
+    Returns:
+        The compiled program; call ``program.run(*inputs)``.
+    """
+    if not isinstance(gm, GraphModule):
+        raise TypeError(
+            f"compile_to_vm expects a GraphModule, got {type(gm).__name__}")
     graph = gm.graph
     nodes = list(graph.nodes)
 
@@ -195,37 +198,3 @@ def _compile(gm: GraphModule, validate_plan: bool) -> VMProgram:
         raise VMCompileError("graph has no output node")
     return VMProgram(instructions, next_reg, inputs, output_template, consts,
                      arena_specs, name=getattr(gm, "_class_name", "VMProgram"))
-
-
-def compile_to_vm(gm: GraphModule, *, cache: bool = True,
-                  validate_plan: bool = True) -> VMProgram:
-    """Compile *gm* into a flat :class:`VMProgram`.
-
-    Args:
-        gm: the module to flatten.  Never mutated; its state (buffers,
-            parameters, submodules) is captured by reference, so in-place
-            updates to that state are visible to the program — but
-            *rebinding* an attribute is not (resolution happened here) —
-            the generated forward re-binds (``GraphModule._fx_bind``).
-        cache: memoize on the graph's stable structural hash (skipped
-            automatically when the hash is unstable, e.g. post-fusion).
-        validate_plan: re-check every ``arena_slot`` assignment against
-            the tail-read rule and drop unsound ones (see module docs).
-
-    Returns:
-        The compiled program; call ``program.run(*inputs)``.
-    """
-    if not isinstance(gm, GraphModule):
-        raise TypeError(
-            f"compile_to_vm expects a GraphModule, got {type(gm).__name__}")
-    key: Optional[Any] = None
-    if cache:
-        try:
-            key = gm.graph.structural_hash(include_attrs=True,
-                                           require_stable=True,
-                                           canonicalize_targets=True)
-        except UnstableHashError:
-            key = None
-    if key is None:
-        return _compile(gm, validate_plan)
-    return _VM_CACHE.get_or_build(key, lambda: _compile(gm, validate_plan))

@@ -268,17 +268,18 @@ def trace(root: Module, example_inputs: tuple) -> TracedModule:
         else:
             wrapped_inputs.append(ex)
 
-    prev = _module_mod._MODULE_CALL_INTERCEPTOR
+    intercept = _module_mod._MODULE_CALL_INTERCEPTOR
+    prev = intercept.call
 
     def interceptor(mod: Module, args: tuple, kwargs: dict):
         state.module_value(mod)  # materialize the GetAttr chain
         return mod.forward(*args, **kwargs)
 
-    _module_mod._MODULE_CALL_INTERCEPTOR = interceptor
+    intercept.call = interceptor
     try:
         out = root.forward(*wrapped_inputs)
     finally:
-        _module_mod._MODULE_CALL_INTERCEPTOR = prev
+        intercept.call = prev
 
     def collect(o: Any) -> None:
         if isinstance(o, TracingTensor):

@@ -7,7 +7,8 @@ through ``call_module`` / ``get_attr`` nodes.
 
 Symbolic tracing hooks module invocation through
 :data:`_MODULE_CALL_INTERCEPTOR`: during a trace, ``fx.Tracer`` installs an
-interceptor so every ``module(x)`` call is routed to the tracer, which
+interceptor on its own thread (other threads run eagerly, or trace on
+their own) so every ``module(x)`` call there is routed to the tracer, which
 decides whether to emit a ``call_module`` node (leaf) or trace through the
 module's ``forward`` (non-leaf).  This mirrors how torch.fx "overrides
 PyTorch's Module abstraction to record calls to Modules" (§4.1).
@@ -16,6 +17,7 @@ PyTorch's Module abstraction to record calls to Modules" (§4.1).
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import OrderedDict
 from typing import Any, Callable, Iterator
 
@@ -24,9 +26,16 @@ from .parameter import Parameter
 
 __all__ = ["Module"]
 
-# Installed by fx.Tracer for the duration of a symbolic trace.  Signature:
-# (module, args, kwargs) -> result.  ``None`` means normal eager execution.
-_MODULE_CALL_INTERCEPTOR: Callable | None = None
+
+class _Interceptor(threading.local):
+    """``call``: installed by fx.Tracer (or ``jit.trace``) on the tracing
+    thread for the duration of a trace.  Signature: (module, args, kwargs)
+    -> result.  ``None`` means normal eager execution."""
+
+    call: Callable | None = None
+
+
+_MODULE_CALL_INTERCEPTOR = _Interceptor()
 
 # Moved by every funnel below that can change what a dotted path resolves
 # to: a generated forward bound at another epoch re-binds.  ``next()`` is
@@ -253,7 +262,7 @@ class Module:
         )
 
     def __call__(self, *args, **kwargs):
-        interceptor = _MODULE_CALL_INTERCEPTOR
+        interceptor = _MODULE_CALL_INTERCEPTOR.call
         if interceptor is not None:
             return interceptor(self, args, kwargs)
         return self.forward(*args, **kwargs)

@@ -21,8 +21,7 @@ capture-once/replay-many economics PyGraph argues for):
   CI).
 
 Concurrent serving is safe because the compile stack is re-entrant: the
-codegen LRU, transform cache, VM memo and partition memo are locked and
-single-flighted, and a compiled engine's arena keeps its buffers per
+codegen LRU and the transform cache are locked and single-flighted, and a compiled engine's arena keeps its buffers per
 calling thread on either executor.
 
 Example::

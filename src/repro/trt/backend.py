@@ -10,8 +10,6 @@ ahead of time and replayed as one flat instruction list.
 
 Support is decided *before* any engine build starts (the predicate is the
 partitioner's input), so no engine is ever half-built and thrown away.
-The backend is ``cacheable``: structurally identical partitions (hash
-covers parameter bytes) share one built program.
 
 Registered lazily from :mod:`repro.fx.backends` as ``"trt"`` so importing
 ``repro.fx`` never drags this package in (and no import cycle forms).
@@ -66,7 +64,6 @@ class TRTBackend(Backend):
     """TensorRT-like lowering behind the Backend protocol (eval mode only)."""
 
     name = "trt"
-    cacheable = True          # a built program is stateless across calls
     respects_effects = False  # TensorRT does not replay in-place writes
 
     def validate_input(self, gm: GraphModule) -> None:
@@ -81,5 +78,4 @@ class TRTBackend(Backend):
         return [("fuse_conv_bn", fuse_conv_bn), ("dce", eliminate_dead_code)]
 
     def compile_subgraph(self, gm: GraphModule) -> Module:
-        # The partition memo is this backend's one cache.
-        return VMModule(compile_to_vm(gm, cache=False))
+        return VMModule(compile_to_vm(gm))

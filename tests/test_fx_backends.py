@@ -9,7 +9,7 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import Graph, GraphModule, cache_info, clear_caches, \
+from repro.fx import Graph, GraphModule, cache_info, \
     symbolic_trace, to_backend
 from repro.fx.backends import (
     Backend,
@@ -74,7 +74,6 @@ class TestRegistry:
             """Compiles relu-only subgraphs into a module that... runs them."""
 
             name = "relu-only"
-            cacheable = False
 
             def is_node_supported(self, node, modules):
                 return node.target is F.relu
@@ -95,8 +94,6 @@ class TestRegistry:
         relu = next(n for n in gm.graph.nodes if n.target is F.relu)
         assert not be.is_node_supported(tanh, modules)
         assert be.is_node_supported(relu, modules)
-        # delegated compile shares the base backend's cache namespace
-        assert be.cache_namespace == "eager"
 
 
 class TestCapabilityPartitioner:
@@ -302,17 +299,17 @@ class TestToBackend:
         assert hasattr(trt, "program")
 
     def test_callers_get_their_own_module(self):
-        """Two lowerings share the memo's program, not one module: the
-        second used to overwrite the first caller's report and guards."""
-        clear_caches("partition")
+        """Two lowerings are two modules over two programs: the second
+        cannot overwrite the first caller's report and guards (it did
+        while a partition memo shared its module)."""
         model = MLP(4, (8,), 2).eval()
         a = to_backend(model, "trt", example_inputs=(repro.randn(3, 4),))
         a_report, a_guards = a.backend_report, a.guards
         b = to_backend(model, "trt")
-        assert a is not b and a.program is b.program
+        assert a is not b and a.program is not b.program
         assert a.backend_report is a_report and a.guards is a_guards
-        assert (a_report.cache_misses, b.backend_report.cache_hits) == (1, 1)
         assert not hasattr(b, "guards")
+        assert "partition cache" not in a_report.format()
 
     def test_no_fallback_raises_before_any_build(self, monkeypatch):
         builds = []
@@ -335,8 +332,7 @@ class TestToBackend:
 
     def test_run_entered_at_most_once_per_partition(self, monkeypatch):
         """An engine build is never started and thrown away: one build per
-        supported partition, each a memo miss."""
-        clear_caches("partition")
+        supported partition."""
         builds = []
         orig = TRTBackend.compile_subgraph
 
@@ -358,43 +354,21 @@ class TestToBackend:
                 return self.fc2(h)
 
         lowered = to_backend(Mixed().eval(), "trt")
-        n_supported = lowered.backend_report.n_partitions
-        assert len(builds) <= n_supported
-        assert lowered.backend_report.cache_misses == len(builds)
-
-    def test_partition_memo_shares_repeated_blocks(self):
-        clear_caches("partition")
-
-        class Twin(nn.Module):
-            def __init__(self):
-                super().__init__()
-                shared = nn.Linear(8, 8)
-                self.a = shared
-                self.b = shared  # tied weights: structurally identical blocks
-
-            def forward(self, x):
-                x = repro.relu(self.a(x))
-                x = repro.softmax(x, dim=1)  # unsupported separator
-                return repro.relu(self.b(x))
-
-        model = Twin().eval()
-        lowered = to_backend(model, "trt")
-        rep = lowered.backend_report
-        assert rep.n_partitions == 2
-        assert rep.cache_misses == 1 and rep.cache_hits == 1
-        x = repro.randn(4, 8)
-        assert np.allclose(model(x).data, lowered(x).data,
-                           rtol=1e-3, atol=1e-5)
+        assert len(builds) == lowered.backend_report.n_partitions
 
     def test_warm_relowering_hits_cache(self):
-        clear_caches("partition")
+        """The preferred passes replay from the transform cache; the
+        partition is compiled again, and no weight byte is read."""
         model = MLP(6, (12,), 3).eval()
         to_backend(model, "trt")
-        before = cache_info()["partition"]
+        before = cache_info()["transform"]
         again = to_backend(model, "trt")
-        after = cache_info()["partition"]
+        after = cache_info()["transform"]
+        assert all(r.cache_hit for r in again.backend_report.records)
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
+        assert after.get("state_read_bytes", 0) \
+            == before.get("state_read_bytes", 0)
         x = repro.randn(2, 6)
         assert np.allclose(model(x).data, again(x).data, rtol=1e-3, atol=1e-5)
 

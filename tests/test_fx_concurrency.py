@@ -1,18 +1,21 @@
 """Concurrency-safety tests for the compile stack.
 
-Two bug classes are covered:
+Three bug classes are covered:
 
-* **cache races** — every memoised stage (``codegen``, ``transform``,
-  ``vm``, ``partition``) goes through one
-  :class:`repro.fx.cache.ArtifactCache`, so its guarantees are checked
-  once, parametrised over stages: N barrier-synchronised threads asking
-  for one key produce exactly one miss, N-1 hits and one shared artifact
-  (without the single-flight all N miss and build; before ArtifactCache,
-  codegen and transform documented a double compile), counters add up
-  under a mixed-key hammer (racing ``hits += 1`` loses updates without
-  the lock), and
-  every stage is bounded (the pre-ArtifactCache VM and partition memos
-  grew without limit, pinning every compiled program).
+* **cache races** — every memoised stage (``codegen``, ``transform``)
+  goes through one :class:`repro.fx.cache.ArtifactCache`, so its
+  guarantees are checked once, parametrised over stages: N
+  barrier-synchronised threads asking for one key produce exactly one
+  miss, N-1 hits and one shared artifact (without the single-flight all N
+  miss and build; before ArtifactCache, codegen and transform documented
+  a double compile), and counters add up under a mixed-key hammer (racing
+  ``hits += 1`` loses updates without the lock).  No cache pins a
+  compiled program.
+
+* **tracing races** — the tracer's module-call interceptor and its
+  ``fx.wrap`` stack are per thread: with them process-wide, threads
+  tracing at once recorded each other's module calls (a leaked Proxy, or
+  a wrong trace and no error).
 
 * **shared-arena corruption** — an arena whose buffers are shared by
   every caller lets two threads running one compiled module (generated
@@ -122,32 +125,27 @@ class TestKeyedMutex:
 BUILD_S = 0.05
 
 
-def _slow_dce(gm):  # module level: a stable qualname makes it cacheable
-    time.sleep(BUILD_S)
-    return eliminate_dead_code(gm)
-
-
 #: One call = exactly one lookup of one key in the named stage.
 STAGE_OPS = {
     # code is generated on first use, once per module: a fresh copy each call
     "codegen": lambda gm: copy_module(gm).code,
-    "transform": lambda gm: PassManager([_slow_dce]).run(gm),
-    "vm": compile_to_vm,
-    # each caller gets its own module over the memo's one program
-    "partition": lambda gm: to_backend(gm, "trt").program,
+    "transform": lambda gm: PassManager([eliminate_dead_code]).run(gm),
 }
 
 
 @pytest.fixture
 def slow_builds(monkeypatch):
-    """Make the codegen build take ``BUILD_S`` too."""
-    python_code = Graph.python_code
+    """Make each stage's build take ``BUILD_S``."""
+    from repro.fx.passes import pass_manager
 
-    def slow_python_code(self, *args, **kwargs):
-        time.sleep(BUILD_S)
-        return python_code(self, *args, **kwargs)
+    def slowed(fn):
+        def slow(*args, **kwargs):
+            time.sleep(BUILD_S)
+            return fn(*args, **kwargs)
+        return slow
 
-    monkeypatch.setattr(Graph, "python_code", slow_python_code)
+    monkeypatch.setattr(Graph, "python_code", slowed(Graph.python_code))
+    monkeypatch.setattr(pass_manager, "recipe", slowed(pass_manager.recipe))
 
 
 def _chain(depth):
@@ -190,19 +188,6 @@ class TestStageCaches:
 
 
 class TestSharedArtifacts:
-    def test_vm_callers_share_one_program(self):
-        clear_caches("vm")
-        gm = symbolic_trace(MLP().eval())
-        programs = [None] * N_THREADS
-
-        def worker(i):
-            programs[i] = compile_to_vm(gm)
-            x = repro.randn(2, 8)
-            assert np.allclose(programs[i].run(x).data, gm(x).data, atol=1e-6)
-
-        _run_threads(N_THREADS, worker)
-        assert all(p is programs[0] for p in programs)
-
     def test_concurrent_lowerings_stay_exact(self):
         gm = symbolic_trace(MLP().eval())
         results = [None] * N_THREADS
@@ -308,26 +293,42 @@ class TestParallelDigests:
         assert reads() - before == 5 * one
 
 
-@pytest.mark.parametrize("stage", ["vm", "partition"])
-def test_compiled_program_memos_are_bounded(stage):
-    """Both memos used to be plain dicts: every program ever compiled
-    (with the weights it bakes in) stayed pinned for the process's life."""
-    op = STAGE_OPS[stage]
-    clear_caches(stage)
-    maxsize = cache_info()[stage]["maxsize"]
-
-    def fresh():  # new weights each time: a distinct key
-        return symbolic_trace(nn.Sequential(nn.Linear(2, 2)).eval())
-
-    first = weakref.ref(op(fresh()))
-    assert first() is not None  # pinned by the memo alone
-    for _ in range(maxsize + 3):
-        op(fresh())
-    info = cache_info()[stage]
-    assert info["misses"] == maxsize + 4
-    assert info["size"] == maxsize
+@pytest.mark.parametrize("compile_program", [
+    compile_to_vm, lambda gm: to_backend(gm, "trt").program],
+    ids=["vm", "partition"])
+def test_no_cache_pins_a_compiled_program(compile_program):
+    """The VM and partition memos kept every program they compiled (with
+    the weights it binds) until evicted; with them gone a program lives as
+    long as its caller holds it, and ``cache_info`` lists no such stage."""
+    program = weakref.ref(compile_program(
+        symbolic_trace(nn.Sequential(nn.Linear(2, 2)).eval())))
     gc.collect()
-    assert first() is None  # evicted and dropped
+    assert program() is None
+    assert set(cache_info()) == {"codegen", "transform"}
+
+
+def test_threads_tracing_at_once_get_the_single_threaded_trace():
+    """4 threads × 3 traces of one ResNet-18 under a tiny switch interval,
+    10 times: with the interceptor process-wide, about 3 of 12 raised
+    "Proxy from a different trace leaked" and 1 returned another trace."""
+    from repro.models import resnet18
+
+    model = resnet18(num_classes=10)
+    want = symbolic_trace(model).code
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            codes = [[] for _ in range(4)]
+
+            def worker(i):
+                for _ in range(3):
+                    codes[i].append(symbolic_trace(model).code)
+
+            _run_threads(4, worker)
+            assert [c for per in codes for c in per] == [want] * 12
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestArtifactCache:
@@ -456,7 +457,7 @@ def _barrier_runner(barrier: threading.Barrier, executor: str):
     gm = GraphModule(nn.Module(), graph)
     if executor == "codegen":
         return gm, arena
-    program = compile_to_vm(gm, cache=False)
+    program = compile_to_vm(gm)
     assert program.arena is not None    # the VM took the slot over
     return program.run, program.arena
 

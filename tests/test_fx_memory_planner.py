@@ -297,7 +297,7 @@ class TestGemmOutAliasing:
         found = hazards(gm).hazards
         assert [(h.kind, h.node_name, h.victim_name) for h in found] \
             == [("arena-clobber", y.name, t.name)]
-        program = compile_to_vm(gm, cache=False)
+        program = compile_to_vm(gm)
         (gemm,) = [i for i in program.instructions if i.name == y.name]
         assert gemm.out_slot is None
         assert np.array_equal(program.run(x).data, m(x).data)

@@ -444,7 +444,7 @@ class TestOracleIntegration:
 
 def reads_values(gm):
     """A user pass (a no-op): it may read weight values, so a run with it
-    in is keyed on their bytes and stored as a snapshot."""
+    in executes uncached."""
 
 
 def _double_first_weight_in_place(gm):
@@ -557,11 +557,12 @@ class TestStateSharing:
 
     def test_a_caller_write_during_a_run_is_never_stored_under_the_old_key(self):
         # The passes see the caller's arrays read-only, but the caller (say,
-        # another thread) can still write them while the run executes.  The
-        # ones no pass replaced are copied into the entry, and their digests
-        # checked when the scope closes: such a write drops the entry
-        # instead of leaving new bytes under the old key.  (A run keyed on
-        # structure has no old key: its entry holds no array.)
+        # another thread) can still write them while the run executes.  A
+        # run keyed on structure stores no array, so there are no old bytes
+        # to keep; a run with a user pass is not keyed at all: it executes
+        # uncached, says why, and its result views the caller's arrays.
+        # (While such a run was keyed on bytes, the write dropped the entry
+        # at the scope's exit check.)
         gm, _ = self.conv_bn()
         weight = gm.get_submodule("0").weight.data   # dce does not replace it
 
@@ -575,10 +576,15 @@ class TestStateSharing:
                 weight[0, 0, 0, 0] += 1.0
 
         cache = ArtifactCache()
-        with pytest.raises(PassError, match="written in place"):
-            PassManager([eliminate_dead_code, reads_values], cache=cache,
-                        verifier=Meddling()).run(gm)
+        result = PassManager([eliminate_dead_code, reads_values], cache=cache,
+                             verifier=Meddling()).run(gm)
         assert len(cache) == 0
+        assert result.misses == [
+            ("uncached", "user pass tests.test_fx_pass_manager.reads_values")]
+        assert "uncached: user pass tests.test_fx_pass_manager.reads_values" \
+            in result.format()
+        out = result.graph_module.get_submodule("0").weight.data
+        assert np.shares_memory(out, weight) and out[0, 0, 0, 0] == weight[0, 0, 0, 0]
 
     def test_write_to_a_replayed_result_cannot_poison_the_cache(self):
         # A compiled module's parameters are read-only views of arrays the
@@ -629,44 +635,38 @@ class TestStateSharing:
         assert np.array_equal(result.graph_module(x).data, gm(x).data)
 
     def test_replayed_modules_share_the_entry_and_never_the_source(self):
-        # The entry owns the end state: the arrays the passes made, frozen
-        # where they lie (nothing copied), and every module the run
-        # returns — built or replayed — is read-only views of them.  Two
-        # replays share their bytes with each other and the entry, and
-        # none with the modules they were compiled from.  (A snapshot: the
-        # run has a user pass, so its key reads bytes.)
+        # The entry is a recipe: the structure, the fused kernels and where
+        # each array comes from, and no array.  Every module the run
+        # returns, built or replayed, has read-only arrays of its own: the
+        # fold's, made again, and copies of those it kept.  None is shared
+        # with another replay or with the modules they were compiled from.
+        # (While a user pass keyed the run on bytes, the entry owned its
+        # end state and every replay viewed those arrays.)
         cache = ArtifactCache()
         gm, x = self.conv_bn()
-        pm = PassManager([fuse_conv_bn, reads_values], cache=cache)
+        pm = PassManager([fuse_conv_bn, eliminate_dead_code], cache=cache)
         source = copy_gm(gm)
         produced = pm.run(source).graph_module
         (entry,) = cache._entries.values()
-        owned = {id(a) for a in entry.snapshot.arrays}
-        assert all(a.base is None and not a.flags.writeable
-                   for a in entry.snapshot.arrays)
+        assert not any(isinstance(part, np.ndarray) for part in entry.snapshot)
         replays = [pm.run(copy_gm(gm)) for _ in range(2)]
         assert [r.cache_hits for r in replays] == [2, 2]
-        for module in [produced] + [r.graph_module for r in replays]:
-            assert {id(a.base) for a in _arrays(module)} == owned
+        modules = [produced] + [r.graph_module for r in replays]
+        for i, module in enumerate(modules):
             for arr in _arrays(module):
                 assert not arr.flags.writeable
-                assert not any(np.shares_memory(arr, other)
-                               for other in _arrays(source) + _arrays(gm))
+                assert not any(np.shares_memory(arr, other) for other in
+                               _arrays(source) + _arrays(gm) + [
+                                   a for m in modules[:i] for a in _arrays(m)])
         assert np.array_equal(replays[1].graph_module(x).data, produced(x).data)
 
     def test_tied_and_non_contiguous_parameters_round_trip(self):
-        from repro.fx.state import copy_module, owning
+        from repro.fx.state import copy_module
 
         gm = symbolic_trace(TiedAndStrided())
         x = repro.randn(2, 4)
         assert not gm.scale.data.flags.c_contiguous \
             and not gm.scale.data.flags.f_contiguous
-        # every array leaves the pickle by reference; the strided one is
-        # a view, so the recipe owns a contiguous copy of it
-        snap = owning(gm, ())
-        assert len(snap.arrays) == len(_arrays(gm))
-        assert all(a.flags.c_contiguous or a.flags.f_contiguous
-                   for a in snap.arrays)
 
         cache = ArtifactCache()
         pm = PassManager([eliminate_dead_code], cache=cache)
@@ -680,26 +680,25 @@ class TestStateSharing:
             assert np.array_equal(clone(x).data, gm(x).data)
 
     def test_hash_is_the_same_inside_and_outside_a_scope(self):
+        # A byte hash reads every array on every call, inside a compile's
+        # scope as outside it: nothing in a compile is keyed on bytes, so
+        # the scope keeps no digest memo (its ``state_reuses`` read 0 on
+        # every product path), and the value does not depend on it.
         from repro.fx.state import state_scope
 
         gm, _ = self.conv_bn()
         n_tensors = len(_arrays(gm))
         outside = gm.graph.structural_hash()
         before = _state_reads()
-        assert gm.graph.structural_hash() == outside
-        assert _state_reads() - before == n_tensors   # un-scoped: every call reads
-
-        before = _state_reads()
         with state_scope():
             inside = gm.graph.structural_hash()
             with state_scope():   # re-entrant: joins the open scope
                 canonical = gm.graph.structural_hash(canonicalize_targets=True)
             assert gm.graph.structural_hash() == inside
-            assert _state_reads() - before == n_tensors   # three hashes, one read
+        assert _state_reads() - before == 3 * n_tensors
         assert inside == outside
         assert canonical == gm.graph.structural_hash(canonicalize_targets=True)
-        # leaving re-validated what was served, then the memo is gone
-        assert _state_reads() - before == 3 * n_tensors
+        assert "state_reuses" not in cache_info()["transform"]
 
     def test_scope_does_not_hide_a_write_between_compiles(self):
         from repro.fx.state import state_scope

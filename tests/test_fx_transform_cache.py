@@ -1,9 +1,11 @@
 """The transform cache at run granularity.
 
 One entry per run of consecutive cacheable passes, keyed by everything the
-run read; a replayed compile is one hash and one restore; the caller's
-module is never touched; a replay is indistinguishable from a build.  The
-work tests count calls, reads and bytes — never time.
+run read and never holding an array; a run that cannot be keyed on
+structure executes uncached and says why; a replayed compile is one hash
+and one restore; the caller's module is never touched; a replay is
+indistinguishable from a build.  The work tests count calls, reads and
+bytes — never time.
 """
 
 import dataclasses
@@ -25,7 +27,8 @@ from repro.fx.backends.numpy_backend import _shape_prop
 from repro.fx.passes import (PassError, PassManager, ShapeProp, Specialized,
                              SymbolicShapeProp, SymShape,
                              eliminate_common_subexpressions,
-                             eliminate_dead_code, fold_constants)
+                             eliminate_dead_code, fold_constants,
+                             fuse_pointwise, plan_memory)
 from repro.fx.passes import pass_manager as pm_module
 from repro.fx.passes.pass_manager import RunKey, _pass_identity
 from repro.fx.state import TRANSFORM_CACHE
@@ -88,7 +91,8 @@ def drop_identities(gm):
     """``x / 1 -> x`` and ``where(c, x, x) -> x``, each only where the
     ``tensor_meta`` on the call says its result is ``x``'s: int64 / 1 is
     float64, and a ``c`` that broadcasts ``x`` makes the result bigger.  A
-    replay of this pass is right only if its key covered that metadata."""
+    user pass: a run with it in executes uncached, so no replay of it can
+    be stale."""
     for node in list(gm.graph.nodes):
         if node.target is operator.truediv and node.args[1:] == (1,) \
                 and type(node.args[1]) is int:
@@ -139,7 +143,9 @@ def test_second_signature_is_not_served_the_first_ones_rewrites(case):
     dropped = compile_dropping_identities(model, first)
     assert len(dropped.graph) < len(symbolic_trace(model).graph)
     compiled = compile_dropping_identities(model, second)
-    assert compiled.backend_report.transform_misses == [("inputs",)]
+    assert compiled.backend_report.transform_misses == [
+        ("uncached", "user pass tests.test_fx_transform_cache.drop_identities")]
+    assert cache_info()["transform"]["size"] == 0
     got, want = compiled(*second), model(*second)
     assert same_bits(got, want)
     assert same_bits(got, compile_dropping_identities(model, second, cache=False)(*second))
@@ -149,28 +155,46 @@ def test_second_signature_is_not_served_the_first_ones_rewrites(case):
         assert tuple(got.shape) == (3, 4)
 
 
-@pytest.mark.parametrize("case", sorted(STALE))
+class PlannedIntermediate(nn.Module):
+    """A fused region whose value only a matmul reads: memory planning
+    gives it an arena slot of the shape ``tensor_meta`` says."""
+
+    def forward(self, x):
+        return F.matmul(F.relu(x * 2.0 + 1.0), x.T)
+
+
+#: first and second signature of :class:`PlannedIntermediate`: a replay
+#: of the first's plan would write a (3, 4) value into a (2, 4) slot.
+PLANNED = {
+    "dtype": ((repro.randn(2, 4),), (repro.randn(2, 4).double(),)),
+    "shape": ((repro.randn(2, 4),), (repro.randn(3, 4),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANNED))
 def test_hand_built_pipeline_is_protected_by_the_meta_in_the_hash(case):
     # The direct-user path: a closure over the inputs stamps shapes (and
-    # executes every time), the rewrite after it is cacheable — and keyed
-    # by a hash that includes what the closure stamped.
-    cls, first, second = STALE[case]
-    model = cls().eval()
+    # executes every time), the fusion and planning after it are cached —
+    # and keyed by a hash that includes what the closure stamped.
+    first, second = PLANNED[case]
+    model = PlannedIntermediate()
     cache = ArtifactCache()
 
     def run(inputs):
         def shape_stage(gm):
             ShapeProp(gm).propagate(*inputs)
 
-        return PassManager([shape_stage, drop_identities],
+        return PassManager([shape_stage, fuse_pointwise, plan_memory],
                            cache=cache).run(symbolic_trace(model))
 
-    assert run(first).misses == [("cold",)]
+    built = run(first)
+    assert built.misses == [("cold",)]
+    assert any("arena_slot" in n.meta for n in built.graph_module.graph.nodes)
     result = run(second)
     assert result.misses == [("state",)]
     assert same_bits(result.graph_module(*second), model(*second))
     again = run(second)
-    assert [r.cache_hit for r in again.records] == [False, True]
+    assert [r.cache_hit for r in again.records] == [False, True, True]
     assert same_bits(again.graph_module(*second), model(*second))
 
 
@@ -179,9 +203,9 @@ def test_a_then_b_then_a_ends_in_a_hit_equal_to_the_first_a(case):
     cls, a, b = STALE[case]
     model = cls().eval()
     clear_caches("transform")
-    first = compile_dropping_identities(model, a)
-    compile_dropping_identities(model, b)
-    last = compile_dropping_identities(model, a)
+    first = fx.compile(model, a)
+    fx.compile(model, b)
+    last = fx.compile(model, a)
     assert all(r.cache_hit for r in last.backend_report.records)
     assert same_bits(first(*a), last(*a)) and same_bits(last(*a), model(*a))
 
@@ -272,22 +296,6 @@ def test_a_miss_says_which_part_of_its_key_differed():
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     assert manager().run(gm).misses == []
-
-
-def test_pinned_mb_is_one_end_state(net):
-    # An entry keyed on bytes (the pipeline has a user pass) owns its end
-    # state; one keyed on structure owns nothing.
-    model, x = net
-    assert cache_info()["transform"]["pinned_mb"] == 0.0
-    fx.compile(symbolic_trace(model), (x,))
-    assert cache_info()["transform"]["pinned_mb"] == 0.0
-    clear_caches("transform")
-    compiled = compile_dropping_identities(symbolic_trace(model), (x,))
-    compile_dropping_identities(symbolic_trace(model), (x,))
-    end_mb = sum(a.nbytes for a in arrays(compiled)) / 2 ** 20
-    info = cache_info()["transform"]
-    assert info["size"] == 1
-    assert info["pinned_mb"] == pytest.approx(end_mb, abs=0.05)
 
 
 def test_replayed_compile_reports_what_the_built_one_did(net):
@@ -527,14 +535,16 @@ def test_in_place_write_leaves_the_callers_module_bit_identical(net):
 
 
 def test_write_to_the_callers_module_between_compiles_is_a_miss(net):
-    # A pipeline with a user pass is keyed on the bytes it may read.
+    # A pipeline with a user pass, which may read the bytes, is never
+    # replayed: each compile executes it and says why.
     model, x = net
     gm = symbolic_trace(model)
     compile_dropping_identities(gm, (x,))
     gm.conv.weight.data[0, 0, 0, 0] += 1.0
     compiled = compile_dropping_identities(gm, (x,))
     assert not any(r.cache_hit for r in compiled.backend_report.records)
-    assert compiled.backend_report.transform_misses == [("state",)]
+    assert compiled.backend_report.transform_misses == [
+        ("uncached", "user pass tests.test_fx_transform_cache.drop_identities")]
     assert np.allclose(compiled(x).data, gm(x).data, atol=1e-5)
 
 
@@ -745,19 +755,23 @@ def _graph_with_an_unknown_call():
 
 
 @pytest.mark.parametrize("case", ["user_pass", "unknown_call"])
-def test_a_run_that_may_read_values_is_keyed_on_their_bytes(case):
+def test_a_run_that_may_read_values_runs_uncached(case):
     # A user pass, or a call ShapeProp executes, may read a weight's value:
-    # such a run keeps the byte key, and a one-element change misses.
+    # such a run is not keyed at all.  It executes on every compile, reads
+    # no weight byte, stores nothing, and its misses name the pass or the
+    # node.  (It used to be keyed on the bytes it fed.)
     x = repro.randn(2, 4)
     if case == "user_pass":
         gm = symbolic_trace(nn.Sequential(nn.Linear(4, 4), nn.ReLU()).eval())
         weight = gm.get_submodule("0").weight.data
+        why = "user pass tests.test_fx_transform_cache.drop_identities"
 
         def lower(cache=True):
             return compile_dropping_identities(gm, (x,), cache=cache)
     else:
         gm = _graph_with_an_unknown_call()
         weight = gm.w.data
+        why = "no op-table entry for _scaled at _scaled"
 
         def lower(cache=True):
             return fx.compile(gm, (x,), cache=cache)
@@ -765,9 +779,13 @@ def test_a_run_that_may_read_values_is_keyed_on_their_bytes(case):
     lower()
     weight[0] += 1.0
     again = lower()
-    assert again.backend_report.transform_misses == [("state",)]
+    assert again.backend_report.transform_misses == [("uncached", why)]
+    assert f"uncached: {why}" in again.backend_report.format()
+    assert not any(r.cache_hit for r in again.backend_report.records)
     assert same_bits(again(x), lower(cache=False)(x))
-    assert cache_info()["transform"]["size"] == 2
+    info = cache_info()["transform"]
+    assert info["size"] == info["hits"] == info["misses"] == 0
+    assert info.get("state_reads", 0) == 0
 
 
 class _Masked(nn.Module):
@@ -781,22 +799,25 @@ class _Masked(nn.Module):
         return F.relu(x[:, self.mask] * 2.0)
 
 
-def test_a_call_shape_prop_executes_keys_its_structure_on_bytes():
+def test_a_call_shape_prop_executes_runs_uncached():
     # The shapes ShapeProp found by executing a call may hang on values:
-    # the run is stored under the bytes of its input, and the structure
-    # key sends each later compile there.  Same bytes: a hit; one mask
-    # element changed: a miss, whose shapes are the new ones.
+    # the run is not stored, and each compile executes it and finds the
+    # shapes of the mask it is given.  (It used to be stored under the
+    # bytes of its input, behind a marker under the structure key.)
     model = _Masked().eval()
     x = repro.randn(2, 4)
     clear_caches("transform")
     first = fx.compile(model, (x,))
-    assert first.compile_report.shape_fallbacks
+    (name, target, _), = first.compile_report.shape_fallbacks
+    why = ("uncached", f"ShapeProp executed {target} at {name}")
+    assert first.backend_report.transform_misses == [why]
     again = fx.compile(model, (x,))
-    assert all(r.cache_hit for r in again.compile_report.records)
+    assert not any(r.cache_hit for r in again.compile_report.records)
+    assert again.backend_report.transform_misses == [why]
     assert same_bits(again(x), first(x))
+    assert cache_info()["transform"]["size"] == 0
     model.mask.data[1] = True
     moved = fx.compile(model, (x,))
-    assert moved.backend_report.transform_misses == [("state",)]
     assert tuple(moved(x).shape) == (2, 4)
     assert same_bits(moved(x), fx.compile(model, (x,), cache=False)(x))
 

@@ -15,8 +15,7 @@ import pytest
 import repro
 import repro.functional as F
 from repro import nn
-from repro.fx import Graph, GraphModule, cache_info, clear_caches, \
-    symbolic_trace
+from repro.fx import Graph, GraphModule, cache_info, symbolic_trace
 from repro.fx import compile as fx_compile
 from repro.fx.analysis import alias
 from repro.fx.backends import EagerBackend, to_backend
@@ -37,18 +36,18 @@ class TestVMExecution:
     def test_matches_eager_simple_cnn(self):
         model = SimpleCNN().eval()
         gm = symbolic_trace(model)
-        program = compile_to_vm(gm, cache=False)
+        program = compile_to_vm(gm)
         x = repro.randn(2, 3, 16, 16)
         assert np.allclose(program.run(x).data, gm(x).data, atol=1e-6)
 
     def test_call_module_and_method(self):
         model = nn.Sequential(nn.Linear(4, 4), nn.ReLU())
         gm = symbolic_trace(model)
-        program = compile_to_vm(gm, cache=False)
+        program = compile_to_vm(gm)
         x = repro.randn(3, 4)
         assert np.allclose(program.run(x).data, model(x).data, atol=1e-6)
         gm2 = symbolic_trace(lambda x: x.neg().tanh())
-        p2 = compile_to_vm(gm2, cache=False)
+        p2 = compile_to_vm(gm2)
         assert np.allclose(p2.run(x).data, np.tanh(-x.data), atol=1e-6)
 
     def test_aggregate_output_template(self):
@@ -56,7 +55,7 @@ class TestVMExecution:
             return {"sum": x + y, "pair": (x * y, x)}
 
         gm = symbolic_trace(f)
-        program = compile_to_vm(gm, cache=False)
+        program = compile_to_vm(gm)
         x, y = repro.randn(3), repro.randn(3)
         out = program.run(x, y)
         assert set(out) == {"sum", "pair"}
@@ -76,7 +75,7 @@ class TestVMExecution:
         model = WithParam()
         gm = symbolic_trace(model)
         assert any(n.op == "get_attr" for n in gm.graph.nodes)
-        program = compile_to_vm(gm, cache=False)
+        program = compile_to_vm(gm)
         # no get_attr work at run time: constants live in the register template
         assert len(program.consts) == 1
         x = repro.randn(2, 4)
@@ -86,16 +85,16 @@ class TestVMExecution:
         def f(x, k=3.0):
             return x * k
 
-        program = compile_to_vm(symbolic_trace(f), cache=False)
+        program = compile_to_vm(symbolic_trace(f))
         assert float(program.run(repro.tensor(2.0))) == 6.0
 
     def test_missing_argument_raises(self):
-        program = compile_to_vm(symbolic_trace(lambda x, y: x + y), cache=False)
+        program = compile_to_vm(symbolic_trace(lambda x, y: x + y))
         with pytest.raises(RuntimeError, match="placeholder"):
             program.run(repro.ones(1))
 
     def test_excess_arguments_raise(self):
-        program = compile_to_vm(symbolic_trace(lambda x: x + 1), cache=False)
+        program = compile_to_vm(symbolic_trace(lambda x: x + 1))
         with pytest.raises(TypeError, match="at most"):
             program.run(repro.ones(1), repro.ones(1))
 
@@ -105,17 +104,16 @@ class TestVMExecution:
         g.output(g.call_function(F.relu, (xs,)))
         gm = GraphModule(nn.Module(), g)
         with pytest.raises(VMCompileError, match="varargs"):
-            compile_to_vm(gm, cache=False)
+            compile_to_vm(gm)
 
     def test_run_error_names_instruction(self):
-        program = compile_to_vm(symbolic_trace(lambda x, y: F.matmul(x, y)),
-                                cache=False)
+        program = compile_to_vm(symbolic_trace(lambda x, y: F.matmul(x, y)))
         with pytest.raises(VMRunError, match="matmul"):
             program.run(repro.randn(2, 3), repro.randn(2, 3))
 
     def test_introspection(self):
         program = compile_to_vm(
-            symbolic_trace(lambda x: repro.relu(x).neg()), cache=False)
+            symbolic_trace(lambda x: repro.relu(x).neg()))
         assert len(program) == 2
         assert program.op_names() == ["relu", "neg"]
         dis = program.disassemble()
@@ -126,7 +124,7 @@ class TestVMExecution:
         """Every intermediate register is freed at its last read — the
         same ``x = None`` discipline the generated forward uses."""
         program = compile_to_vm(
-            symbolic_trace(lambda x: repro.relu(x).neg().tanh()), cache=False)
+            symbolic_trace(lambda x: repro.relu(x).neg().tanh()))
         freed = {i for ins in program.instructions for i in ins.frees}
         # placeholder + the two intermediates die; only the output survives
         assert len(freed) == 3
@@ -137,7 +135,7 @@ class TestPickleReplay:
         model = SimpleCNN().eval()
         x = repro.randn(2, 3, 16, 16)
         compiled = fx_compile(model, (x,))
-        return compile_to_vm(compiled, cache=False), x
+        return compile_to_vm(compiled), x
 
     def test_round_trip_bit_identical(self):
         program, x = self._compiled_program()
@@ -187,44 +185,22 @@ class TestPickleReplay:
         assert np.array_equal(parent_out, child_out)
 
 
-class TestStructuralHashMemo:
-    def test_identical_graphs_hit_the_memo(self):
-        clear_caches("vm")
+class TestNoMemo:
+    def test_each_compile_builds_its_own_program_and_reads_no_byte(self):
+        """``compile_to_vm`` keeps no memo: a key over the weights a
+        program binds cost more than the compile it saved, so two compiles
+        of one graph are two programs and no weight byte is hashed."""
         model = nn.Sequential(nn.Linear(4, 4), nn.ReLU())
-        p1 = compile_to_vm(symbolic_trace(model))
-        p2 = compile_to_vm(symbolic_trace(model))
-        assert p1 is p2
-        info = cache_info()["vm"]
-        assert info["hits"] == 1 and info["misses"] == 1 and info["size"] == 1
-
-    def test_different_weights_miss(self):
-        clear_caches("vm")
-        p1 = compile_to_vm(symbolic_trace(nn.Linear(4, 4)))
-        p2 = compile_to_vm(symbolic_trace(nn.Linear(4, 4)))
-        # include_attrs=True: distinct parameter bytes → distinct programs
+        gm = symbolic_trace(model)
+        before = cache_info()["transform"].get("state_read_bytes", 0)
+        p1, p2 = compile_to_vm(gm), compile_to_vm(gm)
         assert p1 is not p2
-        assert cache_info()["vm"]["hits"] == 0
-
-    def test_unstable_hash_skips_memo(self):
-        """Post-fusion graphs (FusedKernel targets hash by identity) must
-        never be cached — each compile gets its own program."""
-        clear_caches("vm")
-        a, c = repro.randn(8, 8), repro.randn(8, 8)
-        compiled = fx_compile(TailReadModel(), (a, c))
-        assert any(isinstance(n.target, FusedKernel)
-                   for n in compiled.graph.nodes)
-        p1 = compile_to_vm(compiled)
-        p2 = compile_to_vm(compiled)
-        assert p1 is not p2
-        assert cache_info()["vm"]["size"] == 0
-
-    def test_cache_false_bypasses(self):
-        clear_caches("vm")
-        model = nn.Linear(2, 2)
-        p1 = compile_to_vm(symbolic_trace(model), cache=False)
-        p2 = compile_to_vm(symbolic_trace(model), cache=False)
-        assert p1 is not p2
-        assert cache_info()["vm"]["size"] == 0
+        assert cache_info()["transform"].get("state_read_bytes", 0) == before
+        assert "vm" not in cache_info()
+        with pytest.raises(TypeError):
+            compile_to_vm(gm, cache=False)
+        x = repro.randn(2, 4)
+        assert np.array_equal(p1.run(x).data, p2.run(x).data)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +281,8 @@ class TestTailReadRevalidation:
         a, c = repro.randn(8, 8), repro.randn(8, 8)
         gm = _prepare(TailReadModel(), a, c)
         unsound_plan_memory(gm)
-        raw = compile_to_vm(gm, cache=False, validate_plan=False)
-        validated = compile_to_vm(gm, cache=False, validate_plan=True)
+        raw = compile_to_vm(gm, validate_plan=False)
+        validated = compile_to_vm(gm, validate_plan=True)
         raw_slots = sum(1 for i in raw.instructions if i.out_slot is not None)
         val_slots = sum(1 for i in validated.instructions
                         if i.out_slot is not None)
@@ -320,7 +296,7 @@ class TestTailReadRevalidation:
         the compiled program keeps its arena slots and stays exact."""
         a, c = repro.randn(8, 8), repro.randn(8, 8)
         compiled = fx_compile(TailReadModel(), (a, c))
-        program = compile_to_vm(compiled, cache=False, validate_plan=True)
+        program = compile_to_vm(compiled, validate_plan=True)
         assert any(i.out_slot is not None for i in program.instructions)
         ref = TailReadModel()(a, c)
         assert np.allclose(program.run(a, c).data, ref.data, atol=1e-5)
@@ -330,7 +306,7 @@ class TestTailReadRevalidation:
         buffer reuse never leaks one call's values into the next."""
         a, c = repro.randn(8, 8), repro.randn(8, 8)
         compiled = fx_compile(TailReadModel(), (a, c))
-        program = compile_to_vm(compiled, cache=False)
+        program = compile_to_vm(compiled)
         first = program.run(a, c).data.copy()
         second = program.run(a, c).data
         assert np.array_equal(first, second)
