@@ -13,6 +13,9 @@ examples use: tensor factories (``repro.randn``), free tensor functions
 
     traced = symbolic_trace(f)
     print(traced.code)
+
+``import repro`` loads what trace -> compile -> forward calls; ``jit``,
+``quant``, ``trt``, ``bench`` and ``models`` load when first read.
 """
 
 from . import functional
@@ -36,6 +39,8 @@ from .functional import (
 
 from . import nn  # noqa: E402
 from . import fx  # noqa: E402
-from . import bench, jit, models, quant, trt  # noqa: E402
+from . import _lazy  # noqa: E402
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    name: name for name in ("bench", "jit", "models", "quant", "trt")})
 
 __version__ = "0.1.0"

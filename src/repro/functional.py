@@ -20,7 +20,6 @@ import numpy as np
 
 from . import kernels
 from .tensor import Tensor, dispatchable
-from .tensor import dtype as _dtypes_unused  # noqa: F401  (re-export convenience)
 from .tensor.tensor import _unwrap
 
 __all__ = [

@@ -23,25 +23,29 @@ Public surface mirrors ``torch.fx``:
   every memoised compile stage (:class:`ArtifactCache`);
 * :mod:`repro.fx.testing` — differential testing and graph fuzzing of
   everything above.
+
+The interpreter, the rewriter, the VM and the fuzzer load on first use.
 """
 
 from .graph import Graph, PythonCode, UnstableHashError
 from .cache import ArtifactCache, cache_info, clear_caches
 from .graph_module import GraphModule
-from .interpreter import Interpreter, Transformer
 from .node import Node, map_arg, map_aggregate
 from .proxy import Attribute, Proxy, TraceError
-from .subgraph_rewriter import Match, replace_pattern
 from .tracer import Tracer, TracerBase, symbolic_trace, wrap
 from . import analysis
 from .analysis import PassVerifier, VerificationError, lint_graph
 from . import passes
 from . import backends
 from .backends import Backend, BackendReport, to_backend
-from . import vm
-from .vm import VMModule, VMProgram, compile_to_vm
 from .compiler import CompileReport, compile  # noqa: A004 - mirrors torch.compile
-from . import testing
+from .. import _lazy
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "interpreter": "interpreter Interpreter Transformer",
+    "subgraph_rewriter": "subgraph_rewriter Match replace_pattern",
+    "testing": "testing",
+    "vm": "vm VMModule VMProgram compile_to_vm",
+})
 
 __all__ = [
     "ArtifactCache",

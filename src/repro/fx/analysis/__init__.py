@@ -22,7 +22,7 @@ On top sit the user-facing layers:
   regresses;
 * :mod:`~repro.fx.analysis.breaks` — graph-break detection,
   classification and repair (GraphMend): :func:`detect_breaks` /
-  :func:`mend` / :func:`polyvariant_trace`;
+  :func:`mend` / :func:`polyvariant_trace` (loaded on first use);
 * :mod:`~repro.fx.analysis.guards` — :func:`derive_guards` proves via
   symbolic shape propagation which input dims a captured graph is generic
   over, producing the :class:`GuardSet` that serving keys engines on.
@@ -40,17 +40,12 @@ from .purity import (
 from .mutation import Hazard, MutationResult, fused_out_clobbers, hazards
 from .diagnostics import Diagnostic, DiagnosticReport, Severity, lint_graph
 from .verifier import PassVerifier, VerificationError
-from .breaks import (
-    BreakEvent,
-    BreakReport,
-    PolyvariantModule,
-    RecordingTracer,
-    RepairError,
-    detect_breaks,
-    mend,
-    polyvariant_trace,
-)
 from .guards import DimGuard, GuardSet, derive_guards
+from ... import _lazy
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "breaks": "breaks BreakEvent BreakReport PolyvariantModule RecordingTracer "
+              "RepairError detect_breaks mend polyvariant_trace",
+})
 
 __all__ = [
     "AliasResult",

@@ -33,8 +33,9 @@ from .lowering import (
     BackendReport,
     to_backend,
 )
-from .eager import EagerBackend
 from .numpy_backend import NumpyBackend
+from ... import _lazy
+__getattr__, __dir__ = _lazy.attach(__name__, {"eager": "eager EagerBackend"})
 
 __all__ = [
     "Backend",

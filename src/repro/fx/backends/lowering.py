@@ -29,7 +29,6 @@ from ...nn import Module
 from ..graph_module import GraphModule
 from ..passes import PassManager, PassRecord
 from ..passes.pass_manager import format_records
-from ..passes.split_module import split_module
 from ..tracer import symbolic_trace
 from .base import Backend, UnsupportedNodesError, get_backend
 from .partitioner import CapabilityPartitioner
@@ -185,6 +184,7 @@ def to_backend(
         # GraphModule, ...) with no split wrapper around it.
         out: Module = be.compile_subgraph(gm)
     else:
+        from ..passes import split_module
         split_gm = split_module(gm, lambda n: plan.node_pid.get(n))
         for pid in sorted(plan.partitions):
             name = f"submod_{pid}"

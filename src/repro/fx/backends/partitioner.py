@@ -28,7 +28,7 @@ build.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ...nn import Module
 from ..analysis import may_alias_input, purity

@@ -56,7 +56,6 @@ from typing import Any, Optional, Sequence
 from ..nn import Module
 from ..tensor import Tensor
 from .backends import NumpyBackend, to_backend
-from .graph_module import GraphModule
 from .passes import PassRecord
 from .passes.memory_planner import MemoryPlan
 from .passes.pass_manager import format_records

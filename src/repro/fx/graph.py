@@ -18,7 +18,6 @@ import operator
 import re
 import sys
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from ..nn import Module
 from .graph import Graph, _resolve_attr
 from .graph_module import GraphModule
-from .node import Node, OPCODES, map_arg, map_aggregate
+from .node import Node, OPCODES, map_arg
 from .proxy import Proxy
 from .tracer import Tracer
 

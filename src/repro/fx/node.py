@@ -22,10 +22,8 @@ stored inline, which keeps Nodes ≈1:1 with tensor operations.
 
 from __future__ import annotations
 
-import builtins
-import operator
 import types
-from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .graph import Graph

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional

@@ -20,13 +20,10 @@ Each submodule corresponds to a capability the paper evaluates or cites:
   optimization backend of :func:`repro.fx.compile` (§6.2).
 """
 
-from . import const_fold, cost_model, cse, dce, fuser, graph_drawer, net_min
+from . import const_fold, cse, dce, fuser
 from . import memory_planner, pass_manager, pointwise_fuser
-from . import profiler, scheduler, shape_prop
-from . import symbolic_shape_prop
-from . import split_module as split_module_pass
+from . import shape_prop, symbolic_shape_prop
 from .const_fold import fold_constants
-from .net_min import DivergenceReport, compare_outputs, find_first_divergence
 from .pass_manager import (
     PassError,
     PassManager,
@@ -34,7 +31,6 @@ from .pass_manager import (
     PassRecord,
     Specialized,
 )
-from .profiler import NodeProfile, ProfileReport, ProfilingInterpreter, profile
 from .symbolic_shape_prop import (
     ShapeInferenceError,
     SymbolicShapeProp,
@@ -42,11 +38,9 @@ from .symbolic_shape_prop import (
     SymExpr,
     SymShape,
 )
-from .cost_model import CostReport, DeviceModel, NodeCost, estimate
 from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
 from .fuser import fuse_conv_bn, fuse_conv_bn_weights
-from .graph_drawer import FxGraphDrawer, graph_to_dot
 from .memory_planner import Arena, ArenaSlot, MemoryPlan, plan_memory
 from .pointwise_fuser import (
     FusedKernel,
@@ -55,9 +49,16 @@ from .pointwise_fuser import (
     OpDef,
     fuse_pointwise,
 )
-from .scheduler import Schedule, ScheduledOp, pipeline_schedule
 from .shape_prop import ShapeProp, TensorMetadata
-from .split_module import Partition, split_module
+from ... import _lazy
+__getattr__, __dir__ = _lazy.attach(__name__, {
+    "cost_model": "cost_model CostReport DeviceModel NodeCost estimate",
+    "graph_drawer": "graph_drawer FxGraphDrawer graph_to_dot",
+    "net_min": "net_min DivergenceReport compare_outputs find_first_divergence",
+    "profiler": "profiler NodeProfile ProfileReport ProfilingInterpreter profile",
+    "scheduler": "scheduler Schedule ScheduledOp pipeline_schedule",
+    "split_module": "split_module_pass Partition split_module",
+})
 
 __all__ = [
     "Arena",

@@ -23,7 +23,6 @@ from typing import Any
 from ...tensor import DType, Size, Tensor
 from .. import opinfo
 from ..graph_module import GraphModule
-from ..interpreter import Interpreter
 from ..node import Node
 
 __all__ = ["TensorMetadata", "ShapeProp", "carried_meta", "extract_tensor_metadata",
@@ -138,6 +137,7 @@ class ShapeProp:
         if node.graph is not self.module.graph:
             raise opinfo.NoRule(why)    # inside a nested GraphModule: run the call
         if self._real is None:          # first fallback: the example inputs, for real
+            from ..interpreter import Interpreter
             holders = [n for n in self.module.graph.nodes if n.op == "placeholder"]
             self._real = {n: self._args[i] if i < len(self._args) else n.args[0]
                           for i, n in enumerate(holders)}

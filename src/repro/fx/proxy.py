@@ -15,7 +15,7 @@ control flow instead of silently specializing on it (§5.3).
 from __future__ import annotations
 
 import operator
-from typing import Any, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .node import Node

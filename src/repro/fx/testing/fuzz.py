@@ -19,9 +19,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .generator import GeneratedProgram, ProgramSpec, generate_program, spec_for_iteration
+from .generator import ProgramSpec, generate_program, spec_for_iteration
 from .minimize import MinimizedRepro, minimize_failure
-from .oracle import OracleReport, run_oracle, validate_checks
+from .oracle import run_oracle, validate_checks
 
 __all__ = ["FuzzFailure", "FuzzResult", "fuzz", "main"]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .generator import GeneratedProgram, ProgramSpec, generate_program
+from .generator import ProgramSpec, generate_program
 from .oracle import OracleReport, run_oracle
 
 __all__ = ["MinimizedRepro", "minimize_failure", "render_repro_script"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import inspect
 import threading
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..nn import module as _module_mod
 from ..nn import Module, Parameter

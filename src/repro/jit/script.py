@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import math
 import textwrap
 from typing import Any, Callable, Optional
 

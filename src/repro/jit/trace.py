@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..nn import Module, Parameter
+from ..nn import Module
 from ..nn import module as _module_mod
 from ..tensor import Tensor
 from .ts_ir import TSGraph, TSValue

@@ -15,7 +15,7 @@ ground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 __all__ = ["TSValue", "TSNode", "TSBlock", "TSGraph", "count_ops"]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 
 from .. import functional as F
-from ..tensor import zeros
-from . import init
 from .linear import Linear
 from .module import Module
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..nn import Linear, Module
 from ..tensor import Tensor, qint8
 from .kernels import QTensor, dequantize, qlinear, qrelu, quantize_per_tensor

@@ -24,7 +24,7 @@ degradation real FX graph-mode quantization exhibits.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from ..fx import GraphModule, Node, symbolic_trace
 from ..fx.opinfo import key_of

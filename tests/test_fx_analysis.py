@@ -3,6 +3,8 @@ the three analyses and how often their callers compute them, golden
 diagnostics per lint rule (with stack-trace provenance), the model zoo
 linting clean, and the purity-aware DCE/CSE regressions."""
 
+import importlib
+import pkgutil
 import sys
 from collections import Counter
 
@@ -50,7 +52,12 @@ class InplaceUnused(nn.Module):
 def count_analysis_calls(monkeypatch) -> Counter:
     """Count the calls of ``alias`` and ``purity`` made from now on, however
     their callers bound them: every ``repro`` module's binding of either
-    function is replaced by a counting wrapper."""
+    function is replaced by a counting wrapper.  Every module is imported
+    first, so none that ``import repro`` defers binds the wrapper past the
+    test, or binds the real function out of its reach."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
     calls = Counter()
     for fn in (alias, purity):
         def counted(gm, fn=fn):
