@@ -14,8 +14,6 @@ the eager substrate fast enough to benchmark real models (ResNet-50 etc.).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import kernels
@@ -160,11 +158,21 @@ def sign(a):
     return Tensor._wrap(np.sign(_unwrap(a)))
 
 
+def _into(kernel, dtype, x, *operands, **params) -> Tensor:
+    """Eager's half of a :mod:`repro.kernels` activation: allocate the
+    result (in *dtype*, or *x*'s), let the kernel write it, wrap it."""
+    x, operands = np.asarray(_unwrap(x)), [_unwrap(v) for v in operands]
+    shape = np.broadcast_shapes(x.shape, *map(np.shape, operands)) if operands else x.shape
+    out = np.empty(shape, x.dtype if dtype is None else dtype)
+    kernel(out, x, *operands, **params)
+    return Tensor._wrap(out)
+
+
 @dispatchable
 def erf(a):
-    if not isinstance(a, Tensor):   # an ndarray keeps its dtype
-        a = Tensor._wrap(a) if isinstance(a, np.ndarray) else Tensor(np.asarray(a))
-    return a.erf()
+    if not isinstance(a, (Tensor, np.ndarray)):   # a Python number: a float32 tensor
+        a = Tensor(np.asarray(a))
+    return _into(kernels.erf, None, a)
 
 
 @dispatchable
@@ -184,7 +192,7 @@ def floor(a):
 
 @dispatchable
 def where(cond, a, b):
-    return Tensor._wrap(np.where(_unwrap(cond), _unwrap(a), _unwrap(b)))
+    return _into(kernels.where, np.result_type(_unwrap(a), _unwrap(b)), cond, a, b)
 
 
 @dispatchable
@@ -215,58 +223,40 @@ def relu6(x):
 
 @dispatchable
 def leaky_relu(x, negative_slope: float = 0.01):
-    xu = _unwrap(x)
-    return Tensor._wrap(np.where(xu >= 0, xu, xu * negative_slope))
+    return _into(kernels.leaky_relu, np.result_type(_unwrap(x), negative_slope), x,
+                 negative_slope=negative_slope)
 
 
 @dispatchable
 def elu(x, alpha: float = 1.0):
-    xu = _unwrap(x)
-    return Tensor._wrap(np.where(xu > 0, xu, alpha * (np.exp(xu) - 1)).astype(xu.dtype))
+    return _into(kernels.elu, None, x, alpha=alpha)
 
 
 @dispatchable
 def selu(x):
-    alpha, scale = 1.6732632423543772, 1.0507009873554805
-    xu = _unwrap(x)
-    return Tensor._wrap(
-        (scale * np.where(xu > 0, xu, alpha * (np.exp(xu) - 1))).astype(xu.dtype)
-    )
+    return _into(kernels.selu, None, x)
 
 
 @dispatchable
 def gelu(x):
     """Gaussian error linear unit (exact erf form)."""
-    xu = np.asarray(_unwrap(x))
-    t = Tensor._wrap(xu / math.sqrt(2.0))
-    return Tensor._wrap((xu * 0.5 * (1.0 + t.erf().data)).astype(xu.dtype))
+    return _into(kernels.gelu, None, x)
 
 
 @dispatchable
 def silu(x):
-    xu = _unwrap(x)
-    return Tensor._wrap((xu / (1.0 + np.exp(-xu))).astype(np.asarray(xu).dtype))
+    return _into(kernels.silu, None, x)
 
 
 @dispatchable
 def mish(x):
-    xu = _unwrap(x)
-    return Tensor._wrap((xu * np.tanh(np.log1p(np.exp(xu)))).astype(np.asarray(xu).dtype))
+    return _into(kernels.mish, None, x)
 
 
 @dispatchable
 def sigmoid(x):
-    xu = np.asarray(_unwrap(x), dtype=np.float64)
-    # numerically stable: never exponentiate a large positive value
-    out = np.empty_like(xu)
-    pos = xu >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xu[pos]))
-    ex = np.exp(xu[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    src_dtype = np.asarray(_unwrap(x)).dtype
-    return Tensor._wrap(out.astype(
-        src_dtype if np.issubdtype(src_dtype, np.floating) else np.float32
-    ))
+    floating = np.issubdtype(np.result_type(_unwrap(x)), np.floating)
+    return _into(kernels.sigmoid, None if floating else np.float32, x)
 
 
 @dispatchable
@@ -281,19 +271,17 @@ def hardtanh(x, min_val: float = -1.0, max_val: float = 1.0):
 
 @dispatchable
 def hardsigmoid(x):
-    return Tensor._wrap(np.clip(_unwrap(x) / 6.0 + 0.5, 0.0, 1.0))
+    return _into(kernels.hardsigmoid, np.result_type(_unwrap(x), 6.0), x)
 
 
 @dispatchable
 def hardswish(x):
-    xu = _unwrap(x)
-    return Tensor._wrap(xu * np.clip(xu / 6.0 + 0.5, 0.0, 1.0))
+    return _into(kernels.hardswish, np.result_type(_unwrap(x), 6.0), x)
 
 
 @dispatchable
 def softplus(x, beta: float = 1.0):
-    xu = _unwrap(x)
-    return Tensor._wrap((np.log1p(np.exp(beta * xu)) / beta).astype(np.asarray(xu).dtype))
+    return _into(kernels.softplus, None, x, beta=beta)
 
 
 @dispatchable

@@ -7,7 +7,7 @@ Every way of executing a captured graph — the optimizing numpy pipeline
 
     capture -> preferred passes (PassManager + PassVerifier)
             -> CapabilityPartitioner (dependency-aware, analysis-legal)
-            -> compile each supported partition (structural-hash memoized)
+            -> compile each supported partition (no memo: every call compiles)
             -> stitch with eager fallback
 
 Built-in backend names (:func:`get_backend`):

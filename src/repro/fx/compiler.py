@@ -42,9 +42,9 @@ array a fold derived from the inputs (replayed on *this* module's
 weights when the transform cache hits: the cache keys the pipeline on
 shapes and dtypes, not on weight bytes); it shares none with another
 result.  (A graph with a call the op table has no entry for, or one a
-rule declined so that shape propagation executed it, is keyed on its
-weight bytes as well, and its result views the cache entry's frozen end
-state.)
+rule declined so that shape propagation executed it, compiles uncached,
+and its result views the caller's arrays that no pass replaced,
+read-only.)
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ refuses.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import operator
@@ -43,7 +44,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .. import functional as F
-from .. import nn
+from .. import kernels, nn
 from ..functional import _pair
 from ..tensor import DType, Tensor, bool_, dtype_from_numpy, float32, float64, \
     int32, int64
@@ -133,10 +134,11 @@ class OpDef:
         arity: number of leading positional tensor-or-scalar operands.
         ref: ``ref(*arrays, **params) -> ndarray`` — allocating reference
             implementation replicating the eager numerics *exactly*.
+        emit: ``emit(out, *arrays, **params) -> None`` — writes the result
+            into ``out``, bit for bit what eager returns (eager's own kernel
+            where :mod:`repro.kernels` has one).
         params: declared immediate parameters as ``(name, default)`` pairs
             (bound from remaining positional args, then kwargs).
-        emit: ``emit(out, *arrays, **params) -> None`` — writes the result
-            into ``out``.  Defaults to ``out[...] = ref(...)``.
         validate: optional predicate on the bound params dict; binding
             fails when it returns False.
         alias_safe: ``emit`` tolerates ``out`` aliasing any operand.  A
@@ -146,20 +148,10 @@ class OpDef:
     key: str
     arity: int
     ref: Callable
+    emit: Callable
     params: tuple = ()
-    emit: Optional[Callable] = None
     validate: Optional[Callable[[dict], bool]] = None
     alias_safe: bool = True
-
-    def emit_fn(self) -> Callable:
-        if self.emit is not None:
-            return self.emit
-        ref = self.ref
-
-        def emit_from_ref(out, *arrays, **params):
-            out[...] = ref(*arrays, **params)
-
-        return emit_from_ref
 
 
 @dataclass(frozen=True)
@@ -778,13 +770,13 @@ _HEAVY = 8
 
 
 def _populate_pointwise() -> None:
-    """An op with an ``emit`` (an in-place fast path) carries a ``ref`` that
-    replicates the eager expression, so fused results match eager bitwise;
-    the others run the eager implementation itself."""
+    """Every op's ``emit`` writes into the kernel buffer: a ufunc, a short
+    numpy expression, or the :mod:`repro.kernels` function eager itself
+    calls.  Its ``ref`` replicates the eager expression, or is eager."""
     A = nn.activations
 
-    def reg(key, arity, ref, *, params=(), emit=None, validate=None, **where):
-        pointwise(OpDef(key, arity, ref, params, emit, validate), **where)
+    def reg(key, arity, ref, emit, *, params=(), validate=None, **where):
+        pointwise(OpDef(key, arity, ref, emit, params, validate), **where)
 
     def ufunc(uf):
         def emit(out, *arrays, **params):
@@ -820,7 +812,8 @@ def _populate_pointwise() -> None:
         emit=lambda out, a: np.divide(1.0, a, out=out), methods=("reciprocal",))
     reg("tanh", 1, np.tanh, emit=ufunc(np.tanh),
         functions=(F.tanh,), methods=("tanh",), modules={A.Tanh: ()})
-    reg("erf", 1, _eager(F.erf), flops=_HEAVY, functions=(F.erf,), methods=("erf",))
+    reg("erf", 1, _eager(F.erf), emit=kernels.erf, flops=_HEAVY, functions=(F.erf,),
+        methods=("erf",))
     for key, uf in (("sign", np.sign), ("floor", np.floor)):
         reg(key, 1, uf, emit=ufunc(uf), functions=(getattr(F, key),), methods=(key,))
     reg("round", 1, np.round, emit=lambda out, a: np.round(a, out=out),
@@ -842,7 +835,7 @@ def _populate_pointwise() -> None:
         emit=lambda out, a, min_val=-1.0, max_val=1.0:
             np.clip(a, min_val, max_val, out=out),
         functions=(F.hardtanh,), modules={A.Hardtanh: ("min_val", "max_val")})
-    reg("where", 3, _eager(F.where), functions=(F.where,))
+    reg("where", 3, _eager(F.where), emit=kernels.where, functions=(F.where,))
 
     # -- activations --------------------------------------------------------
     reg("relu", 1, lambda a: np.maximum(a, 0),
@@ -859,8 +852,8 @@ def _populate_pointwise() -> None:
             (F.hardsigmoid, A.Hardsigmoid, (), 1), (F.hardswish, A.Hardswish, (), 1),
             (F.softplus, A.Softplus, (("beta", 1.0),), _HEAVY)):
         key = fn.__name__
-        reg(key, 1, _eager(fn), params=params, flops=flops, functions=(fn,),
-            methods=(key,) if hasattr(Tensor, key) else (),
+        reg(key, 1, _eager(fn), emit=getattr(kernels, key), params=params, flops=flops,
+            functions=(fn,), methods=(key,) if hasattr(Tensor, key) else (),
             modules={cls: tuple(name for name, _ in params)})
 
 
@@ -914,7 +907,7 @@ def _populate() -> None:
     # the GEMM opens a fused region; it writes ``out`` while reading ``x``
     op("linear", _linear, _promote, flops=contraction, functions=(F.linear,),
        modules={nn.Linear: ("weight", "bias")},
-       kernel=OpDef("linear", 3, _eager(F.linear), emit=_emit_linear, alias_safe=False))
+       kernel=OpDef("linear", 3, _eager(F.linear), _emit_linear, alias_safe=False))
     conv = ("weight", "bias", "stride", "padding", "dilation", "groups")
     op("conv2d", _conv2d, _same, flops=windowed, functions=(F.conv2d,),
        modules={nn.Conv2d: conv})
@@ -1093,6 +1086,8 @@ def _call_graph(target: Any, spec: tuple, batch: int = B) -> tuple:
     from .graph import Graph
 
     graph, root, shapes = Graph(), nn.Module(), []
+    if isinstance(target, nn.Module):   # NaN statistics one run leaves hide the next write
+        target = copy.deepcopy(target)
 
     def operand(v):
         if isinstance(v, list):
@@ -1114,10 +1109,16 @@ def _call_graph(target: Any, spec: tuple, batch: int = B) -> tuple:
     return GraphModule(root, graph), shapes
 
 
+#: A float sample's values: both signs of each branch, ±0, ±100, ±inf, NaN.
+_FLOATS = np.array([0.5, 1.5, -0.5, -1.5, 0.0, -0.0, 100.0, -100.0, np.inf, -np.inf, np.nan])
+
+
 def _tensors(shapes: list, dtype: DType) -> list:
+    """Seeded: 0s and 1s, or each of :data:`_FLOATS` in a tensor that large."""
     rng = np.random.default_rng(0)
-    return [Tensor(rng.integers(0, 2, shape) + (0.5 if dtype.is_floating_point else 0),
-                   dtype) for shape in shapes]
+    return [Tensor(rng.permutation(np.resize(rng.permutation(_FLOATS), int(np.prod(shape))))
+                   .reshape(shape) if dtype.is_floating_point
+                   else rng.integers(0, 2, shape), dtype) for shape in shapes]
 
 
 def _facts(value: Any, dtypes: bool = True) -> Any:
@@ -1139,11 +1140,12 @@ def selftest(keys=None) -> list[str]:
     those sizes, or refuses.  A call :func:`~repro.fx.analysis.may_alias_input`
     declares fresh returns nothing that shares memory with an operand; one
     whose entry ``writes`` nothing leaves its operands, the module's tensors
-    and the global RNG as they were, and one that ``writes`` changes them.  A
-    broken constraint raises each domain's typed error.  A kernel's ``emit``
-    into an empty buffer equals eager bit for bit on the float samples, also
-    with its first operand non-contiguous; a Linear-rooted fused kernel's
-    shape and cost follow its steps.  Every public ``repro.functional``
+    (a copy per dtype) and the global RNG as they were, and one that
+    ``writes`` changes them.  A broken constraint raises each domain's typed
+    error.  A kernel's ``emit`` equals eager's bits (NaN matched by position)
+    on floats of both signs, ±0, ±100, ±inf and NaN: into an empty buffer, on
+    a non-contiguous first operand, and in place when ``alias_safe``; a
+    Linear-rooted fused kernel's shape and cost follow its steps.  Every public ``repro.functional``
     function and ``nn`` leaf module has an entry or a line in
     :data:`NO_ENTRY`."""
     from ..tensor.creation import get_rng
@@ -1170,21 +1172,29 @@ def selftest(keys=None) -> list[str]:
         args = [next(feed).data if isinstance(v, X) else v
                 for v in (spec[:-1] if kwargs else spec)]
         kwargs = {**dict(zip([n for n, _ in kernel.params], args[kernel.arity:])), **kwargs}
-        for first in [args[0]] + [np.repeat(args[0], 2, -1)[..., ::2]] * bool(np.ndim(args[0])):
-            out = np.empty_like(want.data)
+        first, want = args[0], want.data
+        runs = {"into an empty buffer": (first, np.empty_like(want))}
+        if np.ndim(first):
+            runs["first operand non-contiguous"] = (np.repeat(first, 2, -1)[..., ::2],
+                                                    np.empty_like(want))
+        if kernel.alias_safe and np.shape(first) == want.shape \
+                and getattr(first, "dtype", None) == want.dtype:
+            runs["in place"] = (first.copy(),) * 2
+        for how, (first, out) in runs.items():
             with np.errstate(all="ignore"):
-                kernel.emit_fn()(out, first, *args[1:kernel.arity], **kwargs)
-            if not np.array_equal(out, want.data, equal_nan=True):
-                failures.append(f"{label} {spec}: emit differs from eager "
-                                f"(first operand contiguous: {first is args[0]})")
+                kernel.emit(out, first, *args[1:kernel.arity], **kwargs)
+            # bit for bit, -0.0 told from 0.0, a NaN matched by position only
+            if not np.array_equal(*[np.where(np.isnan(a), np.nan, a).view(f"u{a.itemsize}")
+                                    for a in (out, want)]):
+                failures.append(f"{label} {spec}: emit differs from eager ({how})")
 
     def check(label: str, target: Any, spec: tuple, kernel: Optional[OpDef] = None) -> bool:
         """False when eager rejects the call under every dtype."""
-        gm, shapes = _call_graph(target, spec)
-        call = list(gm.graph.nodes)[-2]
-        fresh, writes = not may_alias_input(call, gm), writes_state(call, gm)
         ran = False
         for dtype in (float32, float64, int64, bool_):
+            gm, shapes = _call_graph(target, spec)
+            call = list(gm.graph.nodes)[-2]
+            fresh, writes = not may_alias_input(call, gm), writes_state(call, gm)
             inputs = _tensors(shapes, dtype)
             before = state(gm, inputs)
             try:

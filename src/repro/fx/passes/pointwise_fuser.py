@@ -22,9 +22,10 @@ through ``get_attr`` at their own paths — are kernel inputs.
 
 Safety rules:
 
-* **Numerics**: every op-table kernel replicates the exact numpy
-  expression of the eager op (same ufuncs, same casts), so fused output
-  is bitwise-equal to eager for the shapes it was compiled for.
+* **Numerics**: every step writes its buffer with the op's ``emit``: the
+  ufuncs eager calls, in its order, or the :mod:`repro.kernels` function
+  eager itself calls, so fused output is bitwise-equal to eager for the
+  shapes it was compiled for, and no step dispatches or copies a result.
 * **Shapes/dtypes**: fusion is gated on
   :class:`~repro.fx.passes.shape_prop.TensorMetadata` — every member of a
   region must produce the same (broadcast-resolved) shape and dtype, and
@@ -36,9 +37,8 @@ Safety rules:
   op table's reference implementations, so a ``FusedKernel`` is a total
   function — never wrong, merely slower off the fast path.
 * **Aliasing**: a pointwise ``emit`` tolerates ``out`` aliasing any of
-  its operands (``OpDef.alias_safe``, the default).  Direct ufuncs stream
-  element-by-element (safe by construction); composite ops use the
-  evaluate-then-assign pattern (``out[...] = <full expression>``).  This
+  its operands (``OpDef.alias_safe``, the default): it reads them all
+  before its first write to ``out``, or a ufunc streams them into it.  This
   is what lets the internal register allocator reuse a dying operand's
   buffer as the destination of the *same step*.  A GEMM is not
   alias-safe: each output row reads a whole input row, so streaming into
@@ -56,13 +56,13 @@ A new pointwise op is one :func:`repro.fx.opinfo.pointwise` declaration::
 
     opinfo.pointwise(
         OpDef("my_op", arity=1, params=(("scale", 1.0),),
-              ref=lambda a, scale=1.0: np.tanh(a) * scale),
+              ref=lambda a, scale=1.0: np.tanh(a) * scale,
+              emit=lambda out, a, scale=1.0: np.multiply(np.tanh(a), scale, out=out)),
         functions=(my_library.my_op,), methods=("my_op",))
 
-``ref`` must replicate the eager numerics exactly; ``emit`` (optional)
-adds an in-place fast path and defaults to ``out[...] = ref(...)``.  The
-entry lands in the op table, so shape and dtype inference and the cost
-model know the op from the same declaration.
+``ref`` (the off-guard evaluator, and the dtype rule) and ``emit`` must
+both give eager's bits.  The entry lands in the op table, so shape and
+dtype inference and the cost model know the op from the same declaration.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
         lines.append(f"        b{k} = _np.empty({tuple(spec.shape)!r}, _odt)")
     for j, st in enumerate(spec.steps):
         emit_name = f"_k_{st.key}"
-        emit = globals_[emit_name] = TABLE[st.key].kernel.emit_fn()
+        emit = globals_[emit_name] = TABLE[st.key].kernel.emit
         parts = [f"b{st.out_buf}"]
         for tag, v in st.operands:
             parts.append(f"a{v}" if tag == "i" else f"b{v}" if tag == "b"

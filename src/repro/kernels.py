@@ -1,10 +1,12 @@
-"""The convolution and pooling kernels: ndarrays in, a fresh ndarray out.
+"""The convolution, pooling and activation kernels: ndarrays in, no Tensor.
 
 No ``Tensor``, no dispatch — :mod:`repro.functional` (eager and every tier
 that executes it, the ``"trt"`` backend's engines included) and the
 quantized reference conv are thin callers of these functions, so there is
 one forward implementation of each op and every tier computes the same
-bits.
+bits.  Convolution and pooling return a fresh array; an activation is
+``kernel(out, *arrays, **params)`` and writes *out*, which a fused region
+(:mod:`repro.fx.passes.pointwise_fuser`) hands it as its own buffer.
 
 **conv2d** is one GEMM per call.  The input is zero-padded by slice
 assignment, its windows are gathered once into ``col`` of shape
@@ -22,6 +24,10 @@ writes the output in the layout it is returned in.
 **max_pool2d / avg_pool2d** reduce the ``KH*KW`` shifted strided slices of
 the once-padded input into one output with ``np.maximum`` / ``np.add``;
 **adaptive_avg_pool2d** is a reshape and a mean when the grid divides.
+
+**Activations** evaluate eager's expression in its dtypes and cast once, on
+the final write into *out* (of the dtype eager returns): a copy, or a ufunc
+reading an operand element by element, so *out* may be that operand.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["conv2d", "max_pool2d", "avg_pool2d", "adaptive_avg_pool2d"]
+__all__ = ["conv2d", "max_pool2d", "avg_pool2d", "adaptive_avg_pool2d", "elu", "erf",
+           "gelu", "hardsigmoid", "hardswish", "leaky_relu", "mish", "selu", "sigmoid",
+           "silu", "softplus", "where"]
 
 #: the GEMM every convolution goes through (tests count calls through it)
 matmul = np.matmul
@@ -150,3 +158,68 @@ def adaptive_avg_pool2d(x, output_size) -> np.ndarray:
             w0, w1 = (j * w) // ow, -(-((j + 1) * w) // ow)
             out[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
     return out
+
+
+# -- activations: kernel(out, *arrays, **params) writes out ----------------------
+
+
+def erf(out, x):
+    """Abramowitz & Stegun 7.1.26 rational approximation (within 1.5e-7),
+    so the substrate needs no scipy at run time."""
+    s, a = np.sign(x), np.abs(x)
+    t = 1.0 / (1.0 + 0.3275911 * a)
+    poly = t * (0.254829592 + t * (-0.284496736 + t * (
+        1.421413741 + t * (-1.453152027 + t * 1.061405429))))
+    np.multiply(s, 1.0 - poly * np.exp(-a * a), out=out, casting="unsafe")
+
+
+def gelu(out, x):
+    """The exact erf form, ``x / 2 * (1 + erf(x / sqrt(2)))``."""
+    t = np.asarray(x / 1.4142135623730951)  # sqrt(2); asarray: a 0-d result is a scalar
+    erf(t, t)
+    np.multiply(x * 0.5, 1.0 + t, out=out, casting="unsafe")
+
+
+def sigmoid(out, x):
+    """In float64 and without masks: ``1 / (1 + e)`` where ``x >= 0``, else
+    ``e / (1 + e)``, with ``e = exp(-|x|)`` never exponentiating a large value."""
+    x = np.asarray(x, np.float64)
+    e = np.exp(np.minimum(x, -x))           # -|x|, a NaN keeping its sign
+    np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+
+
+def silu(out, x):
+    np.divide(x, 1.0 + np.exp(-x), out=out, casting="unsafe")
+
+
+def mish(out, x):
+    np.multiply(x, np.tanh(np.log1p(np.exp(x))), out=out, casting="unsafe")
+
+
+def softplus(out, x, beta=1.0):
+    np.divide(np.log1p(np.exp(beta * x)), beta, out=out, casting="unsafe")
+
+
+def elu(out, x, alpha=1.0):
+    np.copyto(out, np.where(x > 0, x, alpha * (np.exp(x) - 1)), casting="unsafe")
+
+
+def selu(out, x):
+    np.multiply(1.0507009873554805, np.where(
+        x > 0, x, 1.6732632423543772 * (np.exp(x) - 1)), out=out, casting="unsafe")
+
+
+def leaky_relu(out, x, negative_slope=0.01):
+    np.copyto(out, np.where(x >= 0, x, x * negative_slope))
+
+
+def hardsigmoid(out, x):
+    np.clip(x / 6.0 + 0.5, 0.0, 1.0, out=out)
+
+
+def hardswish(out, x):
+    np.multiply(x, np.clip(x / 6.0 + 0.5, 0.0, 1.0), out=out)
+
+
+def where(out, cond, a, b):
+    np.copyto(out, np.where(cond, a, b))

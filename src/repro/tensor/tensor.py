@@ -331,17 +331,9 @@ class Tensor:
         return Tensor._wrap(np.sign(self.data), self._dtype)
 
     def erf(self) -> "Tensor":
-        # Abramowitz & Stegun 7.1.26 rational approximation — keeps the
-        # substrate scipy-free at runtime while staying within 1.5e-7.
-        x = self.data
-        s = np.sign(x)
-        a = np.abs(x)
-        t = 1.0 / (1.0 + 0.3275911 * a)
-        poly = t * (
-            0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429)))
-        )
-        return Tensor._wrap((s * (1.0 - poly * np.exp(-a * a))).astype(x.dtype))
+        from .. import functional as F
+
+        return F.erf(self)
 
     # -- reductions ------------------------------------------------------------
 

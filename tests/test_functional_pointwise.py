@@ -173,3 +173,87 @@ class TestReductionFunctions:
         assert values.shape == (4, 3)
         taken = np.take_along_axis(x.data, indices.data, axis=1)
         assert np.array_equal(values.data, taken)
+
+
+# -- the activation kernels against the expressions eager evaluated before them ---
+
+def _erf_expression(x):
+    s = np.sign(x)
+    a = np.abs(x)
+    t = 1.0 / (1.0 + 0.3275911 * a)
+    poly = t * (
+        0.254829592
+        + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429)))
+    )
+    return (s * (1.0 - poly * np.exp(-a * a))).astype(x.dtype)
+
+
+def _sigmoid_expression(x):
+    xu = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(xu)
+    pos = xu >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-xu[pos]))
+    ex = np.exp(xu[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    src_dtype = np.asarray(x).dtype
+    return out.astype(src_dtype if np.issubdtype(src_dtype, np.floating) else np.float32)
+
+
+#: Each rewritten eager function and, verbatim, the numpy expression it
+#: evaluated before it called a kernel (``xu`` its operand as an ndarray).
+_BEFORE_KERNELS = {
+    "leaky_relu": lambda xu: np.where(xu >= 0, xu, xu * 0.1),
+    "elu": lambda xu: np.where(xu > 0, xu, 0.7 * (np.exp(xu) - 1)).astype(xu.dtype),
+    "selu": lambda xu: (1.0507009873554805 * np.where(
+        xu > 0, xu, 1.6732632423543772 * (np.exp(xu) - 1))).astype(xu.dtype),
+    "gelu": lambda xu: (xu * 0.5 * (1.0 + _erf_expression(xu / math.sqrt(2.0))))
+    .astype(xu.dtype),
+    "silu": lambda xu: (xu / (1.0 + np.exp(-xu))).astype(np.asarray(xu).dtype),
+    "mish": lambda xu: (xu * np.tanh(np.log1p(np.exp(xu)))).astype(np.asarray(xu).dtype),
+    "sigmoid": _sigmoid_expression,
+    "hardsigmoid": lambda xu: np.clip(xu / 6.0 + 0.5, 0.0, 1.0),
+    "hardswish": lambda xu: xu * np.clip(xu / 6.0 + 0.5, 0.0, 1.0),
+    "softplus": lambda xu: (np.log1p(np.exp(0.5 * xu)) / 0.5).astype(np.asarray(xu).dtype),
+    "erf": _erf_expression,
+    "where": lambda xu: np.where(xu[0], xu[1], xu[2]),
+}
+_PARAMS = {"leaky_relu": (0.1,), "elu": (0.7,), "softplus": (0.5,)}
+
+
+def _result(fn):
+    """``(dtype, bits)`` of what *fn* returns, NaN as one pattern, or the
+    type of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn())
+    except Exception as exc:    # eager rejects the dtype: so must the kernel
+        return type(exc)
+    if out.dtype.kind == "f":
+        out = np.where(np.isnan(out), np.nan, out)
+    return out.dtype, out.shape, out.view(f"u{out.itemsize}").tobytes()
+
+
+@pytest.mark.parametrize("dtype", [repro.float16, repro.float32, repro.float64,
+                                   repro.int64, repro.bool_])
+@pytest.mark.parametrize("name", sorted(_BEFORE_KERNELS))
+def test_an_activation_kernel_returns_the_dtype_and_bits_eager_returned(name, dtype):
+    """Every value of the op table's self-test samples — both signs, ±0,
+    ±100, ±inf, NaN for a float; 0 and 1 otherwise — and a non-contiguous
+    operand."""
+    from repro.fx.opinfo import _tensors
+    x, c, y = (t.data for t in _tensors([(4, 11), (4, 11), (11,)], dtype))
+    for xu in (x, x.T):
+        if name == "where":
+            got, want = _result(lambda: F.where(c, xu, y).data), _result(
+                lambda: _BEFORE_KERNELS[name]((c, xu, y)))
+            assert got == want
+            got, want = _result(lambda: F.where(xu, 2.0, y).data), _result(
+                lambda: _BEFORE_KERNELS[name]((xu, 2.0, y)))
+        elif name == "erf":
+            got, want = _result(lambda: repro.Tensor._wrap(xu).erf().data), _result(
+                lambda: _BEFORE_KERNELS[name](xu))
+        else:
+            got = _result(lambda: getattr(F, name)(repro.Tensor._wrap(xu),
+                                                   *_PARAMS.get(name, ())).data)
+            want = _result(lambda: _BEFORE_KERNELS[name](xu))
+        assert got == want, f"{name} on {dtype}"

@@ -2,6 +2,7 @@
 ``ShapeProp``, ``SymbolicShapeProp``, the cost model and the rewriter's
 metadata inference — and a shape stage that runs no kernel."""
 
+import dataclasses
 import operator
 
 import numpy as np
@@ -373,3 +374,18 @@ def test_one_key_for_every_spelling():
     modules = {"act": nn.ReLU()}
     assert [opinfo.key_of(n, modules) for n in nodes] == ["relu", "relu", "relu", "add"]
     assert opinfo.key_of(g.call_function(print, (x,)), modules) is None
+
+
+def test_every_fusible_entry_declares_an_emit_and_no_step_copies_from_ref():
+    """A fused step writes its kernel buffer itself: ``emit`` has no default,
+    and no fallback calls eager and copies the result into the buffer."""
+    fusible = {key: e.kernel for key, e in opinfo.TABLE.items() if e.kernel is not None}
+    assert len(fusible) >= 38
+    assert [key for key, k in fusible.items() if not callable(k.emit)] == []
+    emit = {f.name: f for f in dataclasses.fields(opinfo.OpDef)}["emit"]
+    assert emit.default is dataclasses.MISSING and not hasattr(opinfo.OpDef, "emit_fn")
+    # eager and the fused step run one kernel: the activations' emits are
+    # the functions repro.functional calls
+    for key in ("sigmoid", "silu", "gelu", "elu", "selu", "mish", "softplus", "leaky_relu",
+                "hardsigmoid", "hardswish", "erf", "where"):
+        assert fusible[key].emit is getattr(kernels, key)

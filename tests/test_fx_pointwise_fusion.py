@@ -238,7 +238,8 @@ class TestKernelObject:
 
         opinfo.pointwise(
             OpDef("scaled_tanh", 1, params=(("scale", 1.0),),
-                  ref=lambda a, scale=1.0: np.tanh(a) * scale),
+                  ref=lambda a, scale=1.0: np.tanh(a) * scale,
+                  emit=lambda out, a, scale=1.0: np.multiply(np.tanh(a), scale, out=out)),
             functions=(scaled_tanh,),
         )
         try:
