@@ -23,7 +23,7 @@ from __future__ import annotations
 import textwrap
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ...nn import Module
 from ..graph_module import GraphModule
@@ -91,7 +91,6 @@ def to_backend(
     cache: bool = True,
     verify: bool = True,
     executor: Optional[str] = None,
-    example_inputs: Optional[Sequence] = None,
 ) -> Module:
     """Lower *model* onto *backend*, falling back to eager where needed.
 
@@ -119,11 +118,6 @@ def to_backend(
             nodes replay as flat instructions instead of dispatching
             through generated source).  ``None`` (default) defers to the
             backend's ``executor`` attribute.
-        example_inputs: when given, drive guard derivation: a
-            :class:`~repro.fx.analysis.guards.GuardSet` proved by symbolic
-            shape propagation over the pristine capture is attached to the
-            result as ``.guards``, recording which input dims the artifact
-            is generic over.
 
     Returns:
         When the whole graph is supported, whatever
@@ -146,18 +140,6 @@ def to_backend(
     gm = model if isinstance(model, GraphModule) else symbolic_trace(model)
     be.validate_input(gm)
     nodes_before = len(gm.graph)
-
-    # Guard derivation reads the pristine capture, before any backend
-    # pass rewrites nodes into targets (FusedKernel, ...) that symbolic
-    # shape propagation has no transfer functions for.
-    guards = None
-    if example_inputs is not None:
-        from ..analysis.guards import derive_guards
-
-        try:
-            guards = derive_guards(gm, tuple(example_inputs))
-        except Exception:
-            guards = None
 
     from ..analysis import PassVerifier
 
@@ -214,8 +196,6 @@ def to_backend(
     )
     try:
         out.backend_report = report
-        if guards is not None:
-            out.guards = guards
     except Exception:  # a backend may return a slotted/frozen module
         pass
     return out

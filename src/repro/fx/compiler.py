@@ -76,7 +76,7 @@ class CompileReport:
         fused_regions: pointwise regions collapsed into fused kernels.
         fused_ops: total elementwise ops now living inside those kernels.
         memory: the :class:`~repro.fx.passes.memory_planner.MemoryPlan`
-            (``None`` when planning was disabled or nothing was planned).
+            (``None`` when nothing was planned).
         shape_fallbacks: ``(node, target, reason)`` of every node shape
             propagation had to execute because the op table
             (:mod:`repro.fx.opinfo`) has no entry for its target.
@@ -124,8 +124,6 @@ def compile(  # noqa: A001 - mirrors torch.compile
     module: Module,
     example_inputs: Sequence = (),
     *,
-    fuse: bool = True,
-    memory_planning: bool = True,
     lint: bool = False,
     cache: bool = True,
     verify: bool = True,
@@ -141,8 +139,6 @@ def compile(  # noqa: A001 - mirrors torch.compile
             accepted in place of a 1-tuple).  Without them the shape-
             dependent stages are skipped and only the generic cleanups
             (DCE, CSE, const-fold, conv-bn fold) run.
-        fuse: enable pointwise-region fusion.
-        memory_planning: enable arena planning of fused intermediates.
         lint: validate the IR after every pass (debugging aid).
         cache: use the shared transform cache for the pipeline.
         verify: run the analysis-backed
@@ -159,11 +155,7 @@ def compile(  # noqa: A001 - mirrors torch.compile
     Returns:
         The optimized, recompiled ``GraphModule`` (or the ``VMModule``
         wrapping it under ``executor="vm"``); its ``compile_report``
-        attribute holds the :class:`CompileReport`.  When example inputs
-        were given, ``.guards`` carries the
-        :class:`~repro.fx.analysis.guards.GuardSet` proved over the
-        capture (symbolic batch dim where possible) — the constraints
-        under which this artifact may serve *other* input shapes.
+        attribute holds the :class:`CompileReport`.
     """
     if executor not in ("codegen", "vm"):
         raise ValueError(f"unknown executor {executor!r}; "
@@ -172,17 +164,13 @@ def compile(  # noqa: A001 - mirrors torch.compile
         example_inputs = (example_inputs,)
     example_inputs = tuple(example_inputs)
 
-    backend = NumpyBackend(example_inputs, fuse=fuse,
-                           memory_planning=memory_planning)
-    out = to_backend(module, backend, allow_fallback=True,
-                     lint=lint, cache=cache, verify=verify,
-                     example_inputs=example_inputs or None)
+    out = to_backend(module, NumpyBackend(example_inputs), allow_fallback=True,
+                     lint=lint, cache=cache, verify=verify)
     if executor == "vm":
         from .vm import VMModule, compile_to_vm
 
         vm_out: Module = VMModule(compile_to_vm(out))
     breport = out.backend_report
-    guards = getattr(out, "guards", None)
 
     fused_regions = 0
     fused_ops = 0
@@ -197,7 +185,7 @@ def compile(  # noqa: A001 - mirrors torch.compile
         nodes_after=breport.nodes_after,
         fused_regions=fused_regions,
         fused_ops=fused_ops,
-        memory=vars(out).get("memory_plan") if memory_planning else None,
+        memory=vars(out).get("memory_plan"),
         shape_fallbacks=vars(out).get("shape_fallbacks", ()),
         records=breport.records,
         total_time=breport.total_time,
@@ -205,9 +193,6 @@ def compile(  # noqa: A001 - mirrors torch.compile
     if executor == "vm":
         vm_out.backend_report = breport
         vm_out.compile_report = report
-        if guards is not None:
-            vm_out.guards = guards
-            vm_out.program.meta["guards"] = guards
         return vm_out
     out.compile_report = report
     return out

@@ -8,8 +8,8 @@ sweep with a value-numbering table.  Because the IR is functional (§5.6),
 ``add_``, an ``out=`` destination, ``operator.setitem``): two separate
 in-place updates are two effects, and merging them into one changes
 program behaviour even though the value computed is identical.
-``call_module`` nodes are *not* deduplicated by default: modules may
-hide state (BatchNorm in training mode, Dropout).
+``call_module`` nodes are never deduplicated: modules may hide state
+(BatchNorm in training mode, Dropout).
 """
 
 from __future__ import annotations
@@ -84,22 +84,16 @@ def _freeze(a: Any) -> Any:
     return a
 
 
-def eliminate_common_subexpressions(
-    gm: GraphModule, dedupe_modules: bool = False
-) -> int:
+def eliminate_common_subexpressions(gm: GraphModule) -> int:
     """Deduplicate identical pure operations in ``gm.graph``.
 
     Args:
         gm: the module to optimize (mutated in place; recompiled).
-        dedupe_modules: also merge identical ``call_module`` calls — only
-            safe if every involved module is stateless at inference.
 
     Returns:
         Number of nodes eliminated.
     """
     eligible = {"call_function", "call_method", "get_attr"}
-    if dedupe_modules:
-        eligible.add("call_module")
     effects = purity(gm).effects
     table: dict[Any, Node] = {}
     removed = 0

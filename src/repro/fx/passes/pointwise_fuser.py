@@ -469,7 +469,7 @@ def _build_spec(name: str, members: list[Node], region: set[Node],
     )
 
 
-def fuse_pointwise(gm: GraphModule, min_region_size: int = 2) -> int:
+def fuse_pointwise(gm: GraphModule) -> int:
     """Fuse maximal pointwise regions of ``gm.graph`` into single kernels.
 
     Requires shape metadata (run
@@ -478,7 +478,8 @@ def fuse_pointwise(gm: GraphModule, min_region_size: int = 2) -> int:
     region's, the dtype is floating point, and — for non-seed members —
     every user lies inside the region (single external consumer).  A
     contraction (``Linear``) joins only as a non-seed member, and what it
-    reads stays a kernel input, so a region never spans two layers.
+    reads stays a kernel input, so a region never spans two layers.  A
+    region of one op is left unfused.
 
     Returns the number of regions fused (mutates *gm* in place and
     recompiles when non-zero).
@@ -521,7 +522,7 @@ def fuse_pointwise(gm: GraphModule, min_region_size: int = 2) -> int:
                     continue
                 region.add(a)
                 frontier.append(a)
-        if len(region) >= min_region_size:
+        if len(region) >= 2:
             assigned |= region
             regions.append((node, region))
 

@@ -255,17 +255,10 @@ class _RootShim(Module):
 
 
 class Tracer(TracerBase):
-    """The default symbolic tracer over the Module hierarchy.
+    """The default symbolic tracer over the Module hierarchy."""
 
-    Args:
-        autowrap_functions: extra callables to treat as opaque
-            ``call_function`` targets when encountered via :func:`wrap`.
-        param_shapes_constant: unused placeholder for API parity.
-    """
-
-    def __init__(self, autowrap_functions: tuple[Callable, ...] = ()):
+    def __init__(self):
         super().__init__()
-        self.autowrap_functions = set(autowrap_functions)
         self.root: Module | None = None
         self._module_paths: dict[int, str] = {}
         self._param_proxy_cache: dict[int, Node] = {}

@@ -94,8 +94,7 @@ def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
     return keep
 
 
-def compile_to_vm(gm: GraphModule, *,
-                  validate_plan: bool = True) -> VMProgram:
+def compile_to_vm(gm: GraphModule) -> VMProgram:
     """Compile *gm* into a flat :class:`VMProgram`.
 
     Args:
@@ -104,8 +103,6 @@ def compile_to_vm(gm: GraphModule, *,
             updates to that state are visible to the program — but
             *rebinding* an attribute is not (resolution happened here) —
             the generated forward re-binds (``GraphModule._fx_bind``).
-        validate_plan: re-check every ``arena_slot`` assignment against
-            the tail-read rule and drop unsound ones (see module docs).
 
     Returns:
         The compiled program; call ``program.run(*inputs)``.
@@ -129,13 +126,7 @@ def compile_to_vm(gm: GraphModule, *,
     for used, user in node_to_last_use.items():
         user_to_last_uses.setdefault(user, []).append(used)
 
-    if validate_plan:
-        planned = _validated_planned(gm)
-    else:
-        planned = {n: n.meta["arena_slot"] for n in nodes
-                   if n.op == "call_function"
-                   and isinstance(n.target, FusedKernel)
-                   and n.meta.get("arena_slot") is not None}
+    planned = _validated_planned(gm)
 
     reg_of: dict[Node, int] = {}
     consts: dict[int, Any] = {}

@@ -127,7 +127,8 @@ class EngineCache:
     Args:
         directory: on-disk persistence root (created on first store);
             ``None`` disables persistence (memory-only).
-        max_memory_entries: LRU bound for live engines.
+
+    The 64 most recently used engines stay live in memory.
 
     Counters (see :meth:`info`): ``hits`` (memory), ``disk_hits``
     (loaded + verified from disk), ``builds`` (builder invocations),
@@ -135,10 +136,9 @@ class EngineCache:
     mismatch), ``corrupt`` (unreadable/truncated/checksum-failed files).
     """
 
-    def __init__(self, directory: Optional[str] = None,
-                 max_memory_entries: int = 64):
+    def __init__(self, directory: Optional[str] = None):
         self.directory = directory
-        self._mem = ArtifactCache(max_memory_entries)
+        self._mem = ArtifactCache(64)
         self._count = self._mem.count
 
     # -- bookkeeping -------------------------------------------------------------

@@ -21,11 +21,11 @@ Architecture (stdlib only)::
   :data:`PACE_S`: batches shared by several callers leave that far
   apart, so a saturated closed loop runs at a rate the pace sets, not at
   the host's speed of the moment.
-* **Engine cache** — each (model graph hash, backend, executor, batched
-  signature) compiles once, process-wide, via :class:`.EngineCache`;
-  with a cache directory, a cold process loads the pickled program
-  instead of recompiling.
-* **Guard-keyed engines** — a per-model
+* **Engine cache** — each (model graph hash, executor, batched
+  signature) compiles once through :func:`repro.fx.compile`,
+  process-wide, via :class:`.EngineCache`; with a cache directory, a
+  cold process loads the pickled program instead of recompiling.
+* **Guard-keyed engines** (always on) — a per-model
   :class:`~repro.fx.analysis.guards.GuardSet` (proved by symbolic shape
   propagation) canonicalizes the dynamic dims out of the cache key, so
   one engine serves every batch size its guards admit; violating
@@ -80,10 +80,6 @@ class ServeConfig:
     """Tunables for one :class:`InferenceServer`.
 
     Attributes:
-        backend: name of the backend engines compile for (``"numpy"``
-            routes through :func:`repro.fx.compile`, i.e. the full
-            fusion + memory-planning pipeline; any other name goes
-            through :func:`repro.fx.to_backend`).
         executor: execution tier for engines (``"vm"`` or ``"codegen"``).
         batching: coalesce same-signature requests (False = every
             request is its own forward).
@@ -97,25 +93,13 @@ class ServeConfig:
             :data:`PACE_S`).
         cache_dir: on-disk engine persistence root (``None`` = memory
             only).
-        record_batches: keep a bounded log of executed batches (used by
-            tests and the benchmark to audit coalescing).
-        guards: derive a symbolic-shape
-            :class:`~repro.fx.analysis.guards.GuardSet` per model (from
-            the first observed inputs) and key engines on the
-            guard-canonicalized signature — one engine then serves every
-            batch size its guards admit instead of one engine per shape.
-            Requests violating the guards fall back to a concrete
-            per-shape engine (always correct, just not shared).
     """
 
-    backend: str = "numpy"
     executor: str = "vm"
     batching: bool = True
     max_batch_size: int = 16
     workers: int = 4
     cache_dir: Optional[str] = None
-    record_batches: bool = True
-    guards: bool = True
 
 
 @dataclass(frozen=True)
@@ -273,13 +257,8 @@ class InferenceServer:
     def _build_engine(self, handle: _ModelHandle,
                       example_inputs: tuple) -> Any:
         """Compile *handle*'s graph specialized to *example_inputs*."""
-        cfg = self.config
-        if cfg.backend == "numpy":
-            mod = fx.compile(handle.gm, example_inputs,
-                             executor=cfg.executor)
-        else:
-            mod = fx.to_backend(handle.gm, cfg.backend,
-                                executor=cfg.executor)
+        mod = fx.compile(handle.gm, example_inputs,
+                         executor=self.config.executor)
         program = getattr(mod, "program", None)
         if program is not None:
             # VMModule: persist the bare VMProgram — it is the whole
@@ -292,10 +271,8 @@ class InferenceServer:
         """The model's GuardSet, derived lazily from the first inputs seen.
 
         Returns the set, or ``False`` when guards are off for this model
-        (underivable, fully static, or disabled by config).
+        (underivable or fully static).
         """
-        if not self.config.guards:
-            return False
         guards = handle.guard_set
         if guards is not None:
             return guards
@@ -334,7 +311,7 @@ class InferenceServer:
         if handle.graph_hash is None:
             return self._local_engines, (handle.name, signature), counter
         return self.engine_cache, EngineKey(
-            graph_hash=handle.graph_hash, backend=self.config.backend,
+            graph_hash=handle.graph_hash, backend="numpy",
             executor=self.config.executor, signature=signature), counter
 
     # -- execution (worker threads) ----------------------------------------------
@@ -385,10 +362,9 @@ class InferenceServer:
             counts["batches"] += 1
             counts["batched_rows"] += rows
             counts["max_batch_rows"] = max(counts["max_batch_rows"], rows)
-            if self.config.record_batches:
-                self._batch_log.append(BatchRecord(
-                    model=handle.name, signature=key.signature,
-                    n_requests=len(items), rows=rows))
+            self._batch_log.append(BatchRecord(
+                model=handle.name, signature=key.signature,
+                n_requests=len(items), rows=rows))
         return [(result, None) for result in results]
 
     # -- request path and scheduler (event loop) ---------------------------------

@@ -53,7 +53,7 @@ out["to_backend_trt"] = snap()
 
 
 async def serve():
-    config = ServeConfig(guards=True, batching=False)
+    config = ServeConfig(batching=False)
     async with InferenceServer(config) as server:
         server.register("m", model)
         for batch in (1, 2, 4):

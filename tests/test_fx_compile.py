@@ -8,7 +8,9 @@ import repro
 import repro.functional as F
 import repro.fx as fx
 from repro import nn
+from repro.fx.backends import NumpyBackend
 from repro.fx.passes import PassRecord
+from repro.fx.passes.pointwise_fuser import FusedKernel
 from repro.models import (
     DeepRecommender,
     LearningToPaintActor,
@@ -117,9 +119,11 @@ class TestCompileDriver:
     def test_stage_toggles(self):
         m = PointwiseChain(8).eval()
         x = repro.randn(2, 3)
-        plain = fx.compile(m, (x,), fuse=False, memory_planning=False)
-        assert plain.compile_report.fused_regions == 0
-        assert plain.compile_report.memory is None
+        plain = fx.to_backend(m, NumpyBackend((x,), fuse=False,
+                                              memory_planning=False))
+        assert not any(isinstance(n.target, FusedKernel)
+                       for n in plain.graph.nodes)
+        assert "memory_plan" not in vars(plain)
         assert np.array_equal(plain(x).data, m(x).data)
 
     def test_no_example_inputs_runs_generic_cleanups_only(self):

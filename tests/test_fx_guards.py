@@ -11,8 +11,9 @@ across shapes.  Covered here:
   consistency; wildcard keys identical across admissible batch sizes);
 * the sound static fallback when propagation leaves the supported
   shape-arithmetic fragment;
-* guard attachment on compiled artifacts — ``fx.compile``,
-  ``to_backend``, and VM program metadata — surviving pickling.
+* compiled artifacts: no compile proves a set or attaches one, and an
+  engine compiled at one batch size is exact at every size its
+  capture's guards admit.
 """
 
 import pickle
@@ -25,7 +26,7 @@ import repro.fx
 import repro.functional as F
 from repro import nn
 from repro.fx import symbolic_trace
-from repro.fx.analysis import DimGuard, GuardSet, derive_guards
+from repro.fx.analysis import DimGuard, derive_guards
 from repro.fx.analysis.guards import DYNAMIC
 from repro.serve import input_signature
 
@@ -179,34 +180,61 @@ class TestMatching:
         assert clone.matches(sig(repro.randn(3, 8)))
 
 
+@pytest.fixture
+def derive_calls(monkeypatch):
+    """Records every ``derive_guards`` call made while a test runs."""
+    import repro.fx.analysis.guards as guards_module
+
+    calls = []
+    real = guards_module.derive_guards
+    monkeypatch.setattr(guards_module, "derive_guards",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
 class TestArtifactAttachment:
-    def test_compile_attaches_guards(self):
+    """A compile proves no GuardSet: nothing reads one off an artifact
+    (the server proves its own per model), so no compile calls
+    ``derive_guards`` or sets ``.guards``."""
+
+    def test_compile_attaches_no_guards(self, derive_calls):
         model = SmallMLP().eval()
         x = repro.randn(4, 8)
-        out = repro.fx.compile(model, (x,))
-        assert isinstance(out.guards, GuardSet)
-        assert out.guards.dynamic
+        for executor in ("codegen", "vm"):
+            out = repro.fx.compile(model, (x,), executor=executor)
+            assert not hasattr(out, "guards")
+        assert derive_calls == []
 
-    def test_vm_program_meta_carries_guards_through_pickle(self):
+    def test_to_backend_attaches_no_guards(self, derive_calls):
+        model = SmallMLP().eval()
+        x = repro.randn(4, 8)
+        for backend in ("eager", "trt"):
+            out = repro.fx.to_backend(model, backend)
+            assert not hasattr(out, "guards")
+            assert np.allclose(out(x).numpy(), model(x).numpy(), atol=1e-5)
+        assert derive_calls == []
+        with pytest.raises(TypeError):
+            repro.fx.to_backend(model, "eager", example_inputs=(x,))
+
+    def test_vm_program_meta_carries_no_guards_through_pickle(self,
+                                                              derive_calls):
         model = SmallMLP().eval()
         x = repro.randn(4, 8)
         vm = repro.fx.compile(model, (x,), executor="vm")
-        assert isinstance(vm.guards, GuardSet)
         prog = pickle.loads(pickle.dumps(vm.program))
-        assert prog.meta["guards"] == vm.guards
+        assert "guards" not in vm.program.meta
+        assert prog.meta == vm.program.meta
+        assert np.array_equal(prog.run(x).numpy(), vm(x).numpy())
+        assert derive_calls == []
 
     def test_guarded_engine_correct_at_other_batch_sizes(self):
         """The whole point: an engine compiled at batch 4 is bit-exact at
-        every batch size its guards admit."""
-        model = SmallMLP().eval()
-        vm = repro.fx.compile(model, (repro.randn(4, 8),), executor="vm")
-        for b in (1, 2, 7, 16):
-            x = repro.randn(b, 8)
-            assert vm.guards.matches(input_signature((x,)))
-            assert np.array_equal(vm(x).numpy(), model(x).numpy())
-
-    def test_to_backend_attaches_guards(self):
+        every batch size its capture's guards admit."""
         model = SmallMLP().eval()
         x = repro.randn(4, 8)
-        out = repro.fx.to_backend(model, "eager", example_inputs=(x,))
-        assert isinstance(out.guards, GuardSet)
+        guards = derive_guards(symbolic_trace(model), (x,))
+        vm = repro.fx.compile(model, (x,), executor="vm")
+        for b in (1, 2, 7, 16):
+            x = repro.randn(b, 8)
+            assert guards.matches(input_signature((x,)))
+            assert np.array_equal(vm(x).numpy(), model(x).numpy())

@@ -3,7 +3,9 @@
 metadata inference — and a shape stage that runs no kernel."""
 
 import dataclasses
+import json
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 import repro
 import repro.functional as F
 from repro import fx, kernels, nn
-from repro.fx import Graph, GraphModule, opinfo, symbolic_trace
+from repro.fx import Graph, GraphModule, interpreter, opinfo, symbolic_trace
 from repro.fx.analysis.guards import derive_guards
 from repro.fx.backends import NumpyBackend, to_backend
 from repro.fx.passes import ShapeProp, estimate
@@ -78,6 +80,52 @@ def test_a_stale_no_entry_line_fails_the_selftest(monkeypatch):
         in opinfo.selftest()
 
 
+EAGER_REJECTS = Path(__file__).with_name("opinfo_eager_rejects.json")
+
+
+def _call_label(gm: GraphModule, inputs: tuple) -> str:
+    """The one call of a selftest graph, its tensor operands as their
+    shapes, and the dtype it was fed: ``"repro.functional.relu((7, 3),) {} float32"``."""
+    *placeholders, call, _ = gm.graph.nodes
+    shapes = {p: tuple(x.shape) for p, x in zip(placeholders, inputs, strict=True)}
+    if call.op == "call_module":
+        name = f"nn.{type(gm.get_submodule(call.target)).__name__}"
+    elif call.op == "call_method":
+        name = f".{call.target}"
+    else:
+        name = getattr(call.target, "__qualname__", type(call.target).__name__)
+        name = f"{getattr(call.target, '__module__', '')}.{name}"
+    args, kwargs = (fx.map_arg(a, shapes.__getitem__) for a in (call.args, call.kwargs))
+    return f"{name}{args!r} {kwargs!r} {inputs[0].dtype.name}"
+
+
+def observed_eager_rejects(monkeypatch) -> set:
+    """Every call the selftest skipped because eager raised on it."""
+    seen = set()
+
+    class Recording(interpreter.Interpreter):
+        def run(self, *inputs, **kwargs):
+            try:
+                return super().run(*inputs, **kwargs)
+            except Exception:
+                seen.add(_call_label(self.module, inputs))
+                raise
+
+    monkeypatch.setattr(interpreter, "Interpreter", Recording)
+    opinfo.selftest()
+    return seen
+
+
+def test_eager_rejects_exactly_the_recorded_calls(monkeypatch):
+    """The selftest skips each sample × dtype eager raises on, so a kernel
+    that starts raising on one sample would go unseen while another sample
+    still runs: the calls eager rejects are pinned.  After a deliberate
+    change, re-record with ``PYTHONPATH=src python tests/test_fx_opinfo.py``."""
+    recorded = set(json.loads(EAGER_REJECTS.read_text()))
+    seen = observed_eager_rejects(monkeypatch)
+    assert (sorted(seen - recorded), sorted(recorded - seen)) == ([], [])
+
+
 # -- the caller's module is not written -------------------------------------------
 
 class ConvBN(nn.Module):
@@ -100,7 +148,7 @@ def test_compiling_a_training_model_leaves_its_statistics_alone(entry, traced):
     if entry == "compile":
         compiled = fx.compile(subject, (x,))
     else:
-        compiled = to_backend(subject, NumpyBackend((x,)), example_inputs=(x,))
+        compiled = to_backend(subject, NumpyBackend((x,)))
     after = subject.state_dict()
     assert before.keys() == after.keys()
     for name, array in before.items():
@@ -389,3 +437,8 @@ def test_every_fusible_entry_declares_an_emit_and_no_step_copies_from_ref():
     for key in ("sigmoid", "silu", "gelu", "elu", "selu", "mish", "softplus", "leaky_relu",
                 "hardsigmoid", "hardswish", "erf", "where"):
         assert fusible[key].emit is getattr(kernels, key)
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as patch:
+        EAGER_REJECTS.write_text(json.dumps(sorted(observed_eager_rejects(patch)), indent=0) + "\n")

@@ -275,18 +275,6 @@ class TestCSE:
         gm = symbolic_trace(M())
         assert eliminate_common_subexpressions(gm) == 0
 
-    def test_opt_in_module_dedup(self):
-        class M(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.fc = nn.Linear(2, 2)
-
-            def forward(self, x):
-                return self.fc(x) + self.fc(x)
-
-        gm = symbolic_trace(M())
-        assert eliminate_common_subexpressions(gm, dedupe_modules=True) == 1
-
     def test_chained_cse(self):
         def f(x):
             a = repro.relu(x).neg()

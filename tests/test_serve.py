@@ -745,12 +745,12 @@ class TestEngineCacheIntegrity:
         assert again.info()["disk_hits"] == 1 and again.info()["stale"] == 0
 
     def test_memory_lru_bound(self):
-        cache = EngineCache(max_memory_entries=2)
-        for i in range(4):
+        cache = EngineCache()
+        for i in range(65):
             key = EngineKey(graph_hash=f"{i:02x}" * 32, backend="numpy",
                             executor="vm", signature=())
             cache.get_or_build(key, lambda i=i: i)
-        assert cache.info()["size"] == 2
+        assert cache.info()["size"] == 64
 
 
 # -- server stats ----------------------------------------------------------------
@@ -865,21 +865,6 @@ class TestGuardKeyedEngines:
         assert stats["guard_violations"] == 1
         assert stats["guard_hits"] == 2
         assert stats["engine_cache"]["builds"] == 2  # guarded + concrete
-
-    def test_guards_disabled_builds_per_shape(self):
-        async def go():
-            model = SmallMLP().eval()
-            async with make_server(batching=False, workers=2,
-                                   guards=False) as server:
-                server.register("mlp", model)
-                for b in (4, 1, 7):
-                    await server.infer("mlp", repro.randn(b, 8))
-                return server.stats()
-
-        stats = run(go())
-        assert stats["engine_cache"]["builds"] == 3
-        assert stats["guard_hits"] == 0
-        assert stats["guarded_models"] == 0
 
     def test_guarded_engine_shared_across_cold_start(self, tmp_path):
         """The canonicalized signature is the disk key too: a cold process

@@ -4,7 +4,6 @@ engines built on the bytecode tier, and eager fallback.
 An engine runs eager's own kernels, so wherever no conv-bn fold applies
 the lowered result is eager's bit for bit."""
 
-import asyncio
 import pickle
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.fx.backends import UnsupportedNodesError
 from repro.fx.passes import eliminate_dead_code
 from repro.fx.vm import VMModule
 from repro.models import MLP, SimpleCNN, learning_to_paint_actor, resnet18
-from repro.serve import InferenceServer, ServeConfig
+from repro.serve import EngineCache, EngineKey, input_signature
 from repro.trt import TRTBackend, is_node_supported
 
 
@@ -196,22 +195,22 @@ class TestLowering:
         assert clone(x).data.tobytes() == trt(x).data.tobytes()
 
     def test_served_engines_persist(self, tmp_path):
-        """A second server on the same cache directory loads the engine
-        the first one stored instead of building it."""
+        """A second serving engine cache on the same directory loads the
+        program the first one stored instead of building it."""
         model = MLP(4, (8,), 2).eval()
         x = repro.randn(3, 4)
+        key = EngineKey.for_graph(symbolic_trace(model), "trt", "vm",
+                                  input_signature((x,)))
 
-        async def serve():
-            config = ServeConfig(backend="trt", cache_dir=str(tmp_path),
-                                 workers=1, batching=False)
-            async with InferenceServer(config) as server:
-                server.register("m", model)
-                out = await server.infer("m", x)
-                return out, server.stats()["engine_cache"]
+        def serve():
+            cache = EngineCache(directory=str(tmp_path))
+            engine = cache.get_or_build(
+                key, lambda: to_backend(model, "trt").program)
+            return engine(x), cache.info()
 
-        first, info = asyncio.run(serve())
+        first, info = serve()
         assert info["builds"] == 1 and info["stores"] == 1
-        second, info = asyncio.run(serve())
+        second, info = serve()
         assert info["disk_hits"] == 1 and info["builds"] == 0
         assert np.array_equal(first.data, model(x).data)
         assert np.array_equal(second.data, first.data)
