@@ -785,6 +785,7 @@ def _populate_pointwise() -> None:
         return emit
 
     # -- arithmetic ---------------------------------------------------------
+    _emit_add.ufunc = np.add    # what a fused kernel calls at the default alpha
     reg("add", 2, _ref_add, params=(("alpha", 1),), emit=_emit_add,
         functions=(operator.add, F.add))
     for key, uf, fns in (("sub", np.subtract, (operator.sub, F.sub)),

@@ -24,18 +24,20 @@ Safety rules:
 
 * **Numerics**: every step writes its buffer with the op's ``emit``: the
   ufuncs eager calls, in its order, or the :mod:`repro.kernels` function
-  eager itself calls, so fused output is bitwise-equal to eager for the
-  shapes it was compiled for, and no step dispatches or copies a result.
+  eager itself calls, so fused output is bitwise-equal to eager for
+  every call its fast path takes, and no step dispatches or copies a result.
 * **Shapes/dtypes**: fusion is gated on
   :class:`~repro.fx.passes.shape_prop.TensorMetadata` — every member of a
   region must produce the same (broadcast-resolved) shape and dtype, and
   that dtype must be floating point.  Run
   :class:`~repro.fx.passes.shape_prop.ShapeProp` first.
 * **Guarded kernels**: the generated fast path is specialized to the
-  observed input shapes/dtypes; any other call (shape-polymorphic reuse,
-  stale metadata) falls back to a generic evaluator built from the same
-  op table's reference implementations, so a ``FusedKernel`` is a total
-  function — never wrong, merely slower off the fast path.
+  observed input shapes/dtypes but any batch size (:func:`_batched`); any
+  other call (another rank or dtype, stale metadata) falls back to a
+  generic evaluator built from the same op table's reference
+  implementations (``FusedKernel.off_guard_calls`` counts them), so a
+  ``FusedKernel`` is a total function — never wrong, merely slower off
+  the fast path.
 * **Aliasing**: a pointwise ``emit`` tolerates ``out`` aliasing any of
   its operands (``OpDef.alias_safe``, the default): it reads them all
   before its first write to ``out``, or a ufunc streams them into it.  This
@@ -68,6 +70,7 @@ dtype inference and the cost model know the op from the same declaration.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -116,17 +119,18 @@ class FusedSpec:
 
     ``guard`` records the ``(shape, numpy-dtype-name)`` observed for every
     input at fusion time; the generated fast path only runs when the
-    actual call matches, otherwise the kernel falls back to the generic
-    reference evaluator (correct for any shapes numpy can broadcast).
+    actual call matches, but for any dim 0 shared by the inputs ``batched``
+    indexes, otherwise the kernel falls back to the generic reference
+    evaluator (correct for any shapes numpy can broadcast).
     """
 
     name: str
     shape: tuple
     dtype: str
-    n_inputs: int
     n_buffers: int
     guard: tuple
     steps: tuple
+    batched: tuple = ()
 
 
 def _acquire(out: Any, shape: tuple, dtype: np.dtype) -> np.ndarray:
@@ -180,40 +184,57 @@ def _const_repr(v: Any) -> str:
     return repr(v)
 
 
+class _OffGuard(Exception):
+    """A call the fast path does not take, with its arrays as ``args``."""
+
+
+_OFF_GUARD_LOCK = threading.Lock()     # worker threads share kernels
+
+
 def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
     """Build the fast-path source of *spec*'s body (its name is not read)
     and its globals table."""
-    xs = [f"x{i}" for i in range(spec.n_inputs)]
-    out_dtype = np.dtype(spec.dtype)
+    n = len(spec.guard)
     globals_: dict[str, Any] = {
-        "_np": np, "_T": Tensor, "_acquire": _acquire,
-        "_wrap": Tensor._wrap, "_run_generic": _run_generic,
-        "_steps": spec.steps, "_odt": out_dtype,
+        "_np": np, "_T": Tensor, "_acquire": _acquire, "_wrap": Tensor._wrap,
+        "_Off": _OffGuard, "_odt": np.dtype(spec.dtype),
     }
-    lines = [f"def fused({', '.join(xs)}, *, out=None):"]
-    guard_terms = []
+    lines = [f"def fused({''.join(f'x{i}, ' for i in range(n))}*, out=None):"]
+    guard_terms, first = [], spec.batched[0] if spec.batched else None
+
+    def rows(shape: tuple) -> str:    # a batched shape, at dim 0 of ``s``
+        return "s" if shape == spec.guard[first][0] else \
+            f"(s[0], {', '.join(map(str, shape[1:]))})"
     for i, (shape, dtype_name) in enumerate(spec.guard):
         lines.append(f"    a{i} = x{i}.data if isinstance(x{i}, _T) else _np.asarray(x{i})")
         globals_[f"_idt{i}"] = np.dtype(dtype_name)
-        guard_terms.append(f"a{i}.shape == {tuple(shape)!r} and a{i}.dtype == _idt{i}")
+        if i == first:      # compared whole first: an exact guard's cost
+            lines.append(f"    s = a{i}.shape")
+            term = f"(s == {shape!r} or s[1:] == {shape[1:]!r})"
+        else:
+            term = f"a{i}.shape == {rows(shape) if i in spec.batched else repr(shape)}"
+        guard_terms.append(f"{term} and a{i}.dtype == _idt{i}")
+    out_shape = repr(spec.shape) if first is None else rows(spec.shape)
     lines.append(f"    if {' and '.join(guard_terms) or 'True'}:")
-    lines.append(f"        b0 = _acquire(out, {tuple(spec.shape)!r}, _odt)")
+    lines.append(f"        b0 = _acquire(out, {out_shape}, _odt)")
     for k in range(1, spec.n_buffers):
-        lines.append(f"        b{k} = _np.empty({tuple(spec.shape)!r}, _odt)")
-    for j, st in enumerate(spec.steps):
-        emit_name = f"_k_{st.key}"
-        emit = globals_[emit_name] = TABLE[st.key].kernel.emit
+        lines.append(f"        b{k} = _np.empty({out_shape}, _odt)")
+    for st in spec.steps:
+        opdef = TABLE[st.key].kernel
         parts = [f"b{st.out_buf}"]
         for tag, v in st.operands:
             parts.append(f"a{v}" if tag == "i" else f"b{v}" if tag == "b"
                          else _const_repr(v))
-        parts += [f"{name}={_const_repr(v)}" for name, v in st.params]
-        if hasattr(emit, "ufunc"):      # the ufunc itself: one call frame less
-            globals_[emit_name] = emit.ufunc
-            parts = [*parts[1:], f"out={parts[0]}"]
+        emit, emit_name = opdef.emit, f"_k_{st.key}"
+        if hasattr(emit, "ufunc") and st.params == opdef.params:   # ``add`` at alpha 1
+            emit = emit.ufunc       # the ufunc itself: one call frame less
+            emit_name, parts = f"_np_{emit.__name__}", [*parts[1:], f"out={parts[0]}"]
+        else:
+            parts += [f"{name}={_const_repr(v)}" for name, v in st.params]
+        globals_[emit_name] = emit
         lines.append(f"        {emit_name}({', '.join(parts)})")
     lines.append("        return _wrap(b0)")
-    lines.append(f"    return _wrap(_run_generic(_steps, [{', '.join('a%d' % i for i in range(spec.n_inputs))}]))")
+    lines.append(f"    raise _Off({', '.join(f'a{i}' for i in range(n))})")
     return "\n".join(lines) + "\n", globals_
 
 
@@ -245,9 +266,15 @@ class FusedKernel:
         # name) stops the generated local from shadowing the global.
         self.__name__ = self.__qualname__ = spec.name
         self.__module__ = "fused"
+        self.off_guard_calls = 0    # calls run by the generic evaluator
 
     def __call__(self, *args, out=None):
-        return self._fn(*args, out=out)
+        try:
+            return self._fn(*args, out=out)
+        except _OffGuard as off:
+            with _OFF_GUARD_LOCK:
+                self.off_guard_calls += 1
+            return Tensor._wrap(_run_generic(self.spec.steps, off.args))
 
     @property
     def n_ops(self) -> int:
@@ -267,11 +294,10 @@ class FusedKernel:
 
 
 def _kernel_dtype(*operands, kernel: FusedKernel):
-    # the kernel itself on one-element stand-ins: off its guard it runs the
-    # generic evaluator, whose promotion is numpy's own
-    out = kernel(*[Tensor._wrap(np.ones(1, v.dtype.np_dtype))
-                   if isinstance(v, opinfo.T) else v for v in operands])
-    return out.dtype
+    # the generic evaluator on one-element stand-ins: numpy's own promotion
+    return Tensor._wrap(_run_generic(kernel.spec.steps, [
+        np.ones(1, v.dtype.np_dtype) if isinstance(v, opinfo.T) else np.asarray(v)
+        for v in operands])).dtype
 
 
 def _steps_over(d, operands: tuple, kernel: FusedKernel) -> list:
@@ -462,11 +488,28 @@ def _build_spec(name: str, members: list[Node], region: set[Node],
         name=name,
         shape=tuple(out_meta.shape),
         dtype=_np_dtype_name(out_meta),
-        n_inputs=len(input_nodes),
         n_buffers=max(n_buffers, 1),
         guard=guard,
         steps=tuple(steps),
+        batched=_batched(steps, guard, input_nodes, tuple(out_meta.shape)),
     )
+
+
+def _batched(steps: list, guard: tuple, input_nodes: list, out: tuple) -> tuple:
+    """The non-``get_attr`` inputs of the output's rank (2 or more) and
+    dim 0, whose dim 0 may be any ``n``: every step reads one of them or a
+    buffer (a GEMM through its rows, not its weight), and no other operand
+    of that rank has a dim 0 but 1.  Else ``()``."""
+    shapes = [shape for shape, _ in guard]
+    rows = {i for i, (node, shape) in enumerate(zip(input_nodes, shapes))
+            if node.op != "get_attr" and len(shape) == len(out) >= 2 and shape[0] == out[0]}
+    for st in steps:
+        ops = st.operands if TABLE[st.key].shape is opinfo.pointwise_shape else st.operands[:1]
+        if not any(t == "b" or t == "i" and v in rows for t, v in ops) or any(
+                t == "i" and v not in rows and shapes[v][:1] != (1,) and len(shapes[v]) == len(out)
+                for t, v in ops):
+            return ()
+    return tuple(sorted(rows))
 
 
 def fuse_pointwise(gm: GraphModule) -> int:

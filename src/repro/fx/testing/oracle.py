@@ -45,7 +45,8 @@ executes:
    bit-identically (check ``vm``) — and the ``fx.compile`` output is
    VM-compiled so fused-kernel instructions and arena-backed registers
    execute on the VM, under the same two-call contract as ``compile``
-   (check ``vm_compiled``); and
+   (check ``vm_compiled``), and at two other batch sizes, where it must
+   give the bits of its own compile at that size; and
 8. the **backend lowering path** (``repro.fx.to_backend`` with the eager
    backend under a per-program seeded *random support predicate*): the
    dependency-aware capability partitioner must never emit a partition
@@ -514,13 +515,34 @@ def _check_vm_compiled(report: OracleReport, program: GeneratedProgram,
                        ref: Any) -> None:
     """``fx.compile`` output on the VM: fused-kernel instructions and
     arena-backed registers, held to the two-call contract of
-    :func:`_called_twice`."""
+    :func:`_called_twice`, then called at 1 row and at one row more (each
+    input of the first one's dim 0 cut or grown from its rows and their
+    rotation): where eager admits the size, it gives the bits of its own
+    ``cache=False`` compile at that size and agrees with eager."""
     from ..compiler import compile as fx_compile
     from ..vm import compile_to_vm
 
+    gm, inputs = program.gm, program.inputs
     try:
-        vm = compile_to_vm(fx_compile(program.gm, program.inputs, lint=True))
+        rows = next(x.shape[0] for x in inputs if isinstance(x, Tensor) and x.dim())
+        vm = compile_to_vm(fx_compile(gm, inputs, lint=True))
         error, err = _called_twice(vm.run, program, ref)
+        for n in (1, rows + 1) if error is None else ():
+            other = tuple(Tensor(np.concatenate([x.data, np.roll(x.data, 1)])[:n], x.dtype)
+                          if isinstance(x, Tensor) and x.dim() and x.shape[0] == rows
+                          else x for x in inputs)
+            try:
+                want = program.eager(*other) if program.eager is not None \
+                    else Interpreter(gm).run(*other)
+            except Exception:
+                continue
+            got = vm.run(*other)
+            if not _identical(got, compile_to_vm(fx_compile(gm, other, cache=False)).run(*other)):
+                error = f"at {n} row(s): not the bits of its own compile at that size"
+            elif max_abs_diff(want, got) > _compiled_atol(gm) * (1.0 + _ref_scale(want)):
+                error = f"at {n} row(s): diverges from eager by {max_abs_diff(want, got):.3g}"
+            if error:
+                break
     except Exception as exc:
         error, err = _exc_summary(exc), 0.0
     report.outcomes.append(CheckOutcome("vm_compiled", error is None, error,

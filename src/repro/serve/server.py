@@ -29,7 +29,9 @@ Architecture (stdlib only)::
   :class:`~repro.fx.analysis.guards.GuardSet` (proved by symbolic shape
   propagation) canonicalizes the dynamic dims out of the cache key, so
   one engine serves every batch size its guards admit; violating
-  requests fall back to concrete per-shape engines.
+  requests fall back to concrete per-shape engines.  Its fused kernels
+  take any batch size on their fast path; ``stats()["off_guard_calls"]``
+  counts the calls that missed it.
 * **Concurrency safety** — an engine's arena keeps its scratch buffers
   per calling thread on either executor, and every compile-stack cache
   is locked/single-flighted, so one shared engine serves the whole
@@ -56,6 +58,7 @@ from .. import fx
 from ..fx.cache import ArtifactCache
 from ..fx.graph import UnstableHashError
 from ..fx.graph_module import GraphModule
+from ..fx.passes.pointwise_fuser import FusedKernel
 from ..fx.tracer import symbolic_trace
 from ..nn import Module
 from .batching import BatchError, BatchKey, batch_key_of, coalesce, \
@@ -178,6 +181,7 @@ class InferenceServer:
         self._counts = {"batches": 0, "batched_rows": 0, "max_batch_rows": 0,
                         "guard_hits": 0, "guard_violations": 0}
         self._batch_log: deque = deque(maxlen=4096)
+        self._engines: Dict[int, Any] = {}     # every engine run, by id
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -243,6 +247,11 @@ class InferenceServer:
             "guarded_models": sum(
                 1 for h in self._models.values()
                 if h.guard_set not in (None, False)),
+            "off_guard_calls": sum({    # a VM program's or a GraphModule's
+                id(x.target): x.target.off_guard_calls
+                for e in list(self._engines.values())
+                for x in (e.instructions if hasattr(e, "instructions") else e.graph.nodes)
+                if isinstance(x.target, FusedKernel)}.values()),
             "engine_cache": self.engine_cache.info(),
         }
 
@@ -324,6 +333,7 @@ class InferenceServer:
             lambda: self._route(handle, inputs, signature))
         engine = store.get_or_build(
             key, lambda: self._build_engine(handle, inputs))
+        self._engines[id(engine)] = engine
         return engine(*inputs), counter
 
     def _run_single(self, handle: _ModelHandle, inputs: tuple) -> Any:

@@ -42,7 +42,8 @@ class ChainModel(nn.Module):
 
 
 async def _guarded_smoke(features: int, cache_dir: str) -> dict:
-    """Guard-keyed engine sharing: several batch sizes, one engine build.
+    """Guard-keyed engine sharing: several batch sizes, one engine build,
+    every fused-kernel call on its fast path.
 
     Batching is off so every request's own shape reaches the engine
     cache — exactly the per-shape engine explosion GuardSets collapse.
@@ -73,6 +74,8 @@ async def _guarded_smoke(features: int, cache_dir: str) -> dict:
             f"{stats['guard_hits']}")
     if stats["guarded_models"] != 1:
         raise AssertionError("model did not derive a dynamic GuardSet")
+    if stats["off_guard_calls"]:
+        raise AssertionError(f"{stats['off_guard_calls']} off-guard calls")
     return {"stats": stats, "batch_sizes": batch_sizes}
 
 
@@ -145,7 +148,8 @@ def main(argv=None) -> int:
               f"{list(out['batch_sizes'])} served bit-exactly by "
               f"{ec['builds']} engine build "
               f"({stats['guard_hits']} guard hit(s), "
-              f"{stats['guard_violations']} violation(s))")
+              f"{stats['guard_violations']} violation(s), "
+              f"{stats['off_guard_calls']} off-guard kernel call(s))")
         return 0
     stats = out["stats"]
     ec = stats["engine_cache"]

@@ -2,6 +2,8 @@
 
 import operator
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -350,12 +352,14 @@ class TestLinearEpilogue:
         assert sum(n.op == "call_module" for n in gm.graph.nodes) == 1
         assert np.array_equal(gm(x).data, m(x).data)
 
-    def test_another_batch_size_takes_the_generic_path(self):
+    def test_another_batch_size_runs_fused_and_another_rank_generic(self):
         m = ManyOpsBlock().eval()
         gm = _trace_and_prop(m, repro.randn(4, 16))
         fuse_pointwise(gm)
-        for y in (repro.randn(7, 16), repro.randn(2, 5, 16)):
+        (kernel,) = [n.target for n in _fused_nodes(gm)]
+        for y, off_guard in ((repro.randn(7, 16), 0), (repro.randn(2, 5, 16), 1)):
             assert np.array_equal(gm(y).data, m(y).data)
+            assert kernel.off_guard_calls == off_guard
 
     def test_a_replay_and_a_pickle_equal_the_fresh_compile(self):
         from repro import fx
@@ -369,3 +373,153 @@ class TestLinearEpilogue:
         want = m(x).data.tobytes()
         for compiled in (cold, warm, pickle.loads(pickle.dumps(cold))):
             assert compiled(x).data.tobytes() == want
+
+
+class Rows(nn.Module):
+    """A region over two batched inputs of one shape, one of shape
+    ``(N, 1)`` and a ``(C,)`` parameter that broadcasts."""
+
+    def __init__(self):
+        super().__init__()
+        self.scale = nn.Parameter(repro.randn(16))
+
+    def forward(self, x, y, z):
+        return F.sigmoid(F.relu(x) * self.scale + y) - x * 0.5 + z
+
+
+def _rows(n):
+    return repro.randn(n, 16), repro.randn(n, 16), repro.randn(n, 1)
+
+
+class TestAnyBatchSize:
+    """A kernel's fast path takes any dim 0 its batched inputs share: one
+    kernel runs every batch size fused, bit for bit what eager gives."""
+
+    def _fused(self, m, *inputs):
+        gm = _trace_and_prop(m, *inputs)
+        assert fuse_pointwise(gm) == 1
+        (kernel,) = [n.target for n in _fused_nodes(gm)]
+        return gm, kernel
+
+    @pytest.mark.parametrize("compiled, called", [(1, 8), (8, 1), (4, 0)])
+    def test_another_batch_size_takes_the_fast_path(self, compiled, called):
+        m = Rows()
+        gm, kernel = self._fused(m, *_rows(compiled))
+        assert kernel.spec.batched == (0, 2, 3)     # x, y, z; not the scale
+        for n in (called, compiled):
+            inputs = _rows(n)
+            assert gm(*inputs).data.tobytes() == m(*inputs).data.tobytes()
+        assert kernel.off_guard_calls == 0
+
+    def test_a_linear_relu_region_at_other_batch_sizes(self):
+        m = LinearReLU().eval()
+        gm, kernel = self._fused(m, repro.randn(4, 8))
+        for n in (1, 9):
+            x = repro.randn(n, 8)
+            assert gm(x).data.tobytes() == m(x).data.tobytes()
+        assert kernel.off_guard_calls == 0
+
+    @pytest.mark.parametrize("inputs", [
+        (repro.randn(2, 4, 16), repro.randn(2, 4, 16), repro.randn(2, 4, 1)),
+        tuple(t.to(repro.float64) for t in _rows(4)),
+        (repro.randn(8, 16), repro.randn(1, 16), repro.randn(8, 1)),
+    ], ids=["rank-3", "float64", "two-dim-0s"])
+    def test_a_call_the_fast_path_does_not_take_falls_back(self, inputs):
+        m = Rows()
+        gm, kernel = self._fused(m, *_rows(4))
+        out, ref = gm(*inputs), m(*inputs)
+        assert out.dtype is ref.dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert kernel.off_guard_calls == 1
+
+    def test_a_get_attr_operand_keeps_its_exact_shape(self):
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.w = nn.Parameter(repro.randn(1, 16))
+
+            def forward(self, x):
+                return F.relu(x * self.w) + 1.0
+
+        m = M()
+        gm, kernel = self._fused(m, repro.randn(1, 16))
+        assert kernel.spec.batched == (0,)
+        x = repro.randn(8, 16)
+        assert gm(x).data.tobytes() == m(x).data.tobytes()
+        assert kernel.off_guard_calls == 0
+        # rebound to (8, C), the parameter no longer matches its guard
+        m.w = gm.w = nn.Parameter(repro.randn(8, 16))
+        assert gm(x).data.tobytes() == m(x).data.tobytes()
+        assert kernel.off_guard_calls == 1
+
+    def test_an_operand_that_fixes_dim_0_keeps_every_shape_exact(self):
+        class M(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.register_buffer("w", repro.randn(4, 16))
+
+            def forward(self, x):
+                return F.relu(x + self.w) * 2.0
+
+        m = M()
+        gm, kernel = self._fused(m, repro.randn(4, 16))
+        assert kernel.spec.batched == ()
+        x = repro.randn(1, 16)      # eager broadcasts it to the buffer's 4 rows
+        out = gm(x)
+        assert out.shape == (4, 16)
+        assert out.data.tobytes() == m(x).data.tobytes()
+        assert kernel.off_guard_calls == 1
+
+    def test_off_guard_calls_from_many_threads_are_all_counted(self):
+        m = Rows()
+        gm, kernel = self._fused(m, *_rows(4))
+        inputs = tuple(t.to(repro.float64) for t in _rows(4))
+        gate = threading.Barrier(8)
+
+        def work():
+            gate.wait(timeout=30)
+            for _ in range(200):
+                gm(*inputs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert kernel.off_guard_calls == 1600
+
+    def test_shape_inference_over_a_kernel_is_no_off_guard_call(self):
+        m = Rows()
+        gm, kernel = self._fused(m, *_rows(4))
+        ShapeProp(gm).propagate(*_rows(4))
+        assert kernel.off_guard_calls == 0
+
+    def test_add_at_alpha_one_calls_np_add(self):
+        class M(nn.Module):
+            def forward(self, x, y):
+                return F.add(F.relu(x) + 1.0, y, alpha=2) * y
+
+        m, x, y = M(), repro.randn(4, 8), repro.randn(4, 8)
+        gm, kernel = self._fused(m, x, y)
+        assert kernel.source == """\
+def fused(x0, x1, *, out=None):
+    a0 = x0.data if isinstance(x0, _T) else _np.asarray(x0)
+    s = a0.shape
+    a1 = x1.data if isinstance(x1, _T) else _np.asarray(x1)
+    if (s == (4, 8) or s[1:] == (8,)) and a0.dtype == _idt0 and a1.shape == s and a1.dtype == _idt1:
+        b0 = _acquire(out, s, _odt)
+        _k_relu(b0, a0)
+        _np_add(b0, 1.0, out=b0)
+        _k_add(b0, b0, a1, alpha=2)
+        _np_multiply(b0, a1, out=b0)
+        return _wrap(b0)
+    raise _Off(a0, a1)
+"""
+        names = kernel._fn.__globals__
+        assert names["_np_add"] is np.add and names["_np_multiply"] is np.multiply
+        assert gm(x, y).data.tobytes() == m(x, y).data.tobytes()

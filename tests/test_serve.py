@@ -842,6 +842,28 @@ class TestGuardKeyedEngines:
         assert stats["guard_violations"] == 0
         assert stats["guarded_models"] == 1
 
+    def test_an_engine_built_at_one_row_runs_eight_rows_fused(self):
+        """The engine the first, 1-row request builds serves the 8-row
+        batch that follows with every fused kernel on its fast path."""
+        async def go():
+            model = Pointwise().eval()
+            async with make_server(workers=2) as server:
+                server.register("pw", model)
+                x = repro.randn(1, 24)
+                assert (await server.infer("pw", x)).data.tobytes() \
+                    == model(x).data.tobytes()
+                xs = [repro.randn(1, 24) for _ in range(8)]
+                outs = await asyncio.gather(
+                    *(server.infer("pw", x) for x in xs))
+                for x, out in zip(xs, outs):
+                    assert out.data.tobytes() == model(x).data.tobytes()
+                return server.stats()
+
+        stats = run(go())
+        assert stats["max_batch_rows"] == 8
+        assert stats["engine_cache"]["builds"] == 1
+        assert stats["off_guard_calls"] == 0
+
     def test_guard_violation_falls_back_to_correct_rebuild(self):
         """Pointwise works at any width, but guards derived from the first
         request pin dim 1 — a different width is a counted violation that
