@@ -38,7 +38,7 @@ ENTRY_POINTS = {
     "product": [PY + [p] for p in sorted(glob.glob("examples/*.py", root_dir=ROOT))] + [
         PY + ["benchmarks/ledger/run.py", "--quick", "--trace", "1"],
         PY + ["-m", "repro.serve.smoke", "--requests", "100", "--concurrency", "16"],
-        PY + ["-m", "repro.serve.smoke", "--guarded"],
+        PY + ["-m", "repro.serve.smoke", "--batch-sizes"],
         BENCH + [f"benchmarks/{f}" for f in FIGURES]],
     "CI-only": [PY + ["-m", "repro.fx.testing.fuzz", "--iters", "200", "--out", "fuzz"],
                 PY + ["-m", "repro.fx.testing.fuzz", "--iters", "200", "--out", "fuzz",

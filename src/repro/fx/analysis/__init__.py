@@ -22,10 +22,7 @@ On top sit the user-facing layers:
   regresses;
 * :mod:`~repro.fx.analysis.breaks` — graph-break detection,
   classification and repair (GraphMend): :func:`detect_breaks` /
-  :func:`mend` / :func:`polyvariant_trace` (loaded on first use);
-* :mod:`~repro.fx.analysis.guards` — :func:`derive_guards` proves via
-  symbolic shape propagation which input dims a captured graph is generic
-  over, producing the :class:`GuardSet` that serving keys engines on.
+  :func:`mend` / :func:`polyvariant_trace` (loaded on first use).
 """
 
 from .alias import AliasResult, alias, may_alias_input
@@ -40,7 +37,6 @@ from .purity import (
 from .mutation import Hazard, MutationResult, fused_out_clobbers, hazards
 from .diagnostics import Diagnostic, DiagnosticReport, Severity, lint_graph
 from .verifier import PassVerifier, VerificationError
-from .guards import DimGuard, GuardSet, derive_guards
 from ... import _lazy
 __getattr__, __dir__ = _lazy.attach(__name__, {
     "breaks": "breaks BreakEvent BreakReport PolyvariantModule RecordingTracer "
@@ -53,9 +49,7 @@ __all__ = [
     "BreakReport",
     "Diagnostic",
     "DiagnosticReport",
-    "DimGuard",
     "Effect",
-    "GuardSet",
     "Hazard",
     "MutationResult",
     "PassVerifier",
@@ -67,7 +61,6 @@ __all__ = [
     "VerificationError",
     "alias",
     "classify_effect",
-    "derive_guards",
     "detect_breaks",
     "fused_out_clobbers",
     "hazards",

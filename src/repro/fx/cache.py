@@ -136,6 +136,11 @@ class ArtifactCache:
         with self._lock:
             return list(self._entries)
 
+    def values(self) -> list:
+        """The stored values, least recently used first (uncounted)."""
+        with self._lock:
+            return list(self._entries.values())
+
     def clear(self) -> None:
         """Drop every entry and zero the counters."""
         with self._lock:

@@ -992,7 +992,7 @@ NO_ENTRY = {
     **dict.fromkeys(
         ("group_norm", "GroupNorm", "one_hot", "pad", "split", "argmax", "cumsum",
          "topk"),
-        "no model a compile or a guard has been asked about uses it; executed"),
+        "no model a compile has been asked about uses it; executed"),
     **dict.fromkeys(("allclose", "equal"), "returns a Python bool read off values"),
     "MultiheadAttention": "a composite of four Linear layers and a softmax that "
                           "the tracer keeps opaque; executed — the named fallback "

@@ -35,7 +35,7 @@ Matching semantics:
 the bindings' recorded metadata (falling back to copying the matched
 anchor's metadata), and ``stack_trace`` provenance is
 inherited from the matched anchor, so shape-dependent passes (memory
-planner, cost model, guards) keep working after a rewrite.
+planner, cost model) keep working after a rewrite.
 """
 
 from __future__ import annotations

@@ -24,8 +24,11 @@ executes:
    the arena buffers, so it must agree with the reference on the new
    values and must leave the first call's outputs bit for bit as they
    were (a returned value owns its storage) — fusion and planning must
-   be semantics-preserving on every generated program — and must see a
-   rebound ``get_attr`` target (:func:`_rebound`); then **compiled
+   be semantics-preserving on every generated program — called at two
+   other batch sizes, where it must give the bits of its own compile at
+   that size (:func:`_at_other_batch_sizes`: what lets a server key one
+   engine on the per-sample signature), and must see a rebound
+   ``get_attr`` target (:func:`_rebound`); then **compiled
    again** (check ``recompile``, also rebound): the second compile must
    be replayed whole from the transform cache and be indistinguishable
    from the first (output bits, ``tensor_meta``), and a compile under the
@@ -45,8 +48,7 @@ executes:
    bit-identically (check ``vm``) — and the ``fx.compile`` output is
    VM-compiled so fused-kernel instructions and arena-backed registers
    execute on the VM, under the same two-call contract as ``compile``
-   (check ``vm_compiled``), and at two other batch sizes, where it must
-   give the bits of its own compile at that size; and
+   (check ``vm_compiled``), and at the same two other batch sizes; and
 8. the **backend lowering path** (``repro.fx.to_backend`` with the eager
    backend under a per-program seeded *random support predicate*): the
    dependency-aware capability partitioner must never emit a partition
@@ -515,34 +517,17 @@ def _check_vm_compiled(report: OracleReport, program: GeneratedProgram,
                        ref: Any) -> None:
     """``fx.compile`` output on the VM: fused-kernel instructions and
     arena-backed registers, held to the two-call contract of
-    :func:`_called_twice`, then called at 1 row and at one row more (each
-    input of the first one's dim 0 cut or grown from its rows and their
-    rotation): where eager admits the size, it gives the bits of its own
-    ``cache=False`` compile at that size and agrees with eager."""
+    :func:`_called_twice` and to :func:`_at_other_batch_sizes`."""
     from ..compiler import compile as fx_compile
     from ..vm import compile_to_vm
 
     gm, inputs = program.gm, program.inputs
     try:
-        rows = next(x.shape[0] for x in inputs if isinstance(x, Tensor) and x.dim())
         vm = compile_to_vm(fx_compile(gm, inputs, lint=True))
         error, err = _called_twice(vm.run, program, ref)
-        for n in (1, rows + 1) if error is None else ():
-            other = tuple(Tensor(np.concatenate([x.data, np.roll(x.data, 1)])[:n], x.dtype)
-                          if isinstance(x, Tensor) and x.dim() and x.shape[0] == rows
-                          else x for x in inputs)
-            try:
-                want = program.eager(*other) if program.eager is not None \
-                    else Interpreter(gm).run(*other)
-            except Exception:
-                continue
-            got = vm.run(*other)
-            if not _identical(got, compile_to_vm(fx_compile(gm, other, cache=False)).run(*other)):
-                error = f"at {n} row(s): not the bits of its own compile at that size"
-            elif max_abs_diff(want, got) > _compiled_atol(gm) * (1.0 + _ref_scale(want)):
-                error = f"at {n} row(s): diverges from eager by {max_abs_diff(want, got):.3g}"
-            if error:
-                break
+        error = error or _at_other_batch_sizes(
+            vm.run, lambda other: compile_to_vm(fx_compile(
+                gm, other, cache=False)).run, program)
     except Exception as exc:
         error, err = _exc_summary(exc), 0.0
     report.outcomes.append(CheckOutcome("vm_compiled", error is None, error,
@@ -552,8 +537,9 @@ def _check_vm_compiled(report: OracleReport, program: GeneratedProgram,
 def _check_compile(report: OracleReport, program: GeneratedProgram,
                    ref: Any, localize: bool) -> None:
     """``repro.fx.compile`` must be semantics-preserving on every program,
-    across calls as well as within one (:func:`_called_twice`), and leave
-    the module it was given bit-identical and as writeable as it was."""
+    across calls as well as within one (:func:`_called_twice`) and at
+    other batch sizes (:func:`_at_other_batch_sizes`), and leave the
+    module it was given bit-identical and as writeable as it was."""
     from ..compiler import compile as fx_compile
 
     gm, inputs = program.gm, program.inputs
@@ -569,7 +555,9 @@ def _check_compile(report: OracleReport, program: GeneratedProgram,
             raise AssertionError("compiling froze or wrote the caller's state")
         compiled.graph.lint()
         error, err = _called_twice(compiled, program, ref)
-        error = error or _rebound(compiled, program)
+        error = error or _at_other_batch_sizes(
+            compiled, lambda other: fx_compile(gm, other, cache=False),
+            program) or _rebound(compiled, program)
     except Exception as exc:
         error, err = _exc_summary(exc), 0.0
     div = None
@@ -621,6 +609,32 @@ def _called_twice(run: Callable, program: GeneratedProgram,
             return f"{which}numeric divergence {err:.3g} > tol {tol:.3g}", err
         worst = max(worst, err)
     return None, worst
+
+
+def _at_other_batch_sizes(run: Callable, compile_at: Callable,
+                          program: GeneratedProgram) -> Optional[str]:
+    """Call a compiled form of *program* at 1 row and at one row more
+    (each input of the first one's dim 0 cut or grown from its rows and
+    their rotation): where eager admits the size, it must give the bits
+    of ``compile_at(inputs)``, the program compiled at that size, and
+    agree with eager.  Returns the error, or ``None``."""
+    gm, inputs = program.gm, program.inputs
+    rows = next(x.shape[0] for x in inputs if isinstance(x, Tensor) and x.dim())
+    for n in (1, rows + 1):
+        other = tuple(Tensor(np.concatenate([x.data, np.roll(x.data, 1)])[:n], x.dtype)
+                      if isinstance(x, Tensor) and x.dim() and x.shape[0] == rows
+                      else x for x in inputs)
+        try:
+            want = program.eager(*other) if program.eager is not None \
+                else Interpreter(gm).run(*other)
+        except Exception:
+            continue
+        got = run(*other)
+        if not _identical(got, compile_at(other)(*other)):
+            return f"at {n} row(s): not the bits of its own compile at that size"
+        if max_abs_diff(want, got) > _compiled_atol(gm) * (1.0 + _ref_scale(want)):
+            return f"at {n} row(s): diverges from eager by {max_abs_diff(want, got):.3g}"
+    return None
 
 
 def _rebound(compiled: GraphModule, program: GeneratedProgram) -> Optional[str]:

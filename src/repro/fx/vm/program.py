@@ -294,8 +294,7 @@ class VMProgram:
         self.consts = dict(consts)
         self.arena_specs = tuple(tuple(s) for s in arena_specs)
         self.name = name
-        #: Free-form picklable annotations that travel with the program
-        #: (``to_backend`` records the derived ``GuardSet`` here).
+        #: Free-form picklable annotations that travel with the program.
         self.meta = dict(meta) if meta else {}
         self._bind()
 

@@ -11,18 +11,18 @@ capture-once/replay-many economics PyGraph argues for):
   and split back per request (:mod:`.batching`) — batches form while
   the workers are busy and a lone request never waits; only batches
   that several callers share are paced (``server.PACE_S``);
-* :class:`EngineCache` — per-(graph hash, backend, executor, signature)
-  engine store with **on-disk persistence**: compiled
-  :class:`~repro.fx.vm.VMProgram`\s pickle, so a cold process loads
-  instead of recompiling, and integrity checks (key echo, format
-  version, payload checksum) make a stale or corrupted file a cache
-  miss, never wrong code (:mod:`.engine_cache`);
+* :class:`EngineCache` — per-(graph hash, per-sample signature) engine
+  store (one engine serves every batch size) with **on-disk
+  persistence**: compiled :class:`~repro.fx.vm.VMProgram`\s pickle, so
+  a cold process loads instead of recompiling, and integrity checks
+  (key echo, format version, payload checksum) make a stale or
+  corrupted file a cache miss, never wrong code (:mod:`.engine_cache`);
 * a smoke load test: ``python -m repro.serve.smoke`` (also wired into
   CI).
 
 Concurrent serving is safe because the compile stack is re-entrant: the
-codegen LRU and the transform cache are locked and single-flighted, and a compiled engine's arena keeps its buffers per
-calling thread on either executor.
+codegen LRU and the transform cache are locked and single-flighted, and
+a compiled engine's arena keeps its buffers per calling thread.
 
 Example::
 

@@ -28,7 +28,7 @@ from ..tensor import Tensor
 from .engine_cache import dtype_name
 
 __all__ = ["BatchKey", "BatchError", "batch_key_of", "coalesce",
-           "split_results"]
+           "sample_signature", "split_results"]
 
 
 class BatchError(TypeError):
@@ -50,7 +50,14 @@ class BatchKey:
 
 
 def batch_key_of(model: str, inputs: Sequence[Any]) -> Tuple[BatchKey, int]:
-    """Classify a request: its :class:`BatchKey` plus its row count.
+    """Classify a request: its :class:`BatchKey` plus its row count."""
+    signature, rows = sample_signature(inputs)
+    return BatchKey(model=model, signature=signature), rows
+
+
+def sample_signature(inputs: Sequence[Any]) -> Tuple[tuple, int]:
+    """A request's per-sample signature (:attr:`BatchKey.signature`) plus
+    its row count.
 
     Every input must be a Tensor with the same leading dimension; that
     shared leading dimension is the request's row count.
@@ -77,7 +84,7 @@ def batch_key_of(model: str, inputs: Sequence[Any]) -> Tuple[BatchKey, int]:
                 f"input {i} has {shape[0]} rows but input 0 has {rows}: "
                 f"all inputs of one request must agree on the batch dim")
         sig.append((shape[1:], dtype_name(x.data.dtype)))
-    return BatchKey(model=model, signature=tuple(sig)), int(rows)
+    return tuple(sig), int(rows)
 
 
 def coalesce(request_inputs: Sequence[Sequence[Tensor]]) -> tuple:

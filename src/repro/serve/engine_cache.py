@@ -5,15 +5,17 @@ An **engine** is a self-contained compiled artifact — in practice a
 other picklable module a backend returns.  Engines are keyed by
 :class:`EngineKey`:
 
-    (graph hash, backend, executor, batched input signature)
+    (graph hash, backend, executor, per-sample input signature)
 
 where the graph hash is ``Graph.structural_hash(include_attrs=True,
 require_stable=True, canonicalize_targets=True)`` — identity rests on
 ops + state bytes, so the same model registered twice, or two processes
-serving the same checkpoint, map to the same engine.  The input
-signature is part of the key because the compile pipeline (fusion,
-memory planning) specializes against example shapes: one engine per
-batch-size bucket keeps every request on the guarded fast path.
+serving the same checkpoint, map to the same engine.  The server keys on
+the per-sample signature (every input's shape without its dim 0, and its
+dtype: the batch key's), so one engine serves every batch size — a
+compiled program runs at any dim 0, on its fused kernels' fast path
+wherever they proved it may.  A request with no batch dim is keyed on
+``("exact",) + input_signature(inputs)``.
 
 Lookup order is memory -> disk -> build:
 
@@ -67,8 +69,9 @@ class EngineKey:
             graph (ops + state bytes; rename- and re-trace-stable).
         backend: name of the backend the engine was compiled for.
         executor: execution tier (``"vm"`` / ``"codegen"``).
-        signature: ``((shape, dtype_name), ...)`` of the (batched)
-            example inputs compilation specialized against.
+        signature: ``((shape, dtype_name), ...)`` of the inputs — each
+            shape without its batch dim when the server keys it, so
+            every batch size shares the key.
     """
 
     graph_hash: str
@@ -142,6 +145,11 @@ class EngineCache:
         self._count = self._mem.count
 
     # -- bookkeeping -------------------------------------------------------------
+
+    def engines(self) -> list:
+        """The engines live in memory (an evicted one is the caller's
+        to keep, or garbage)."""
+        return self._mem.values()
 
     def info(self) -> dict:
         mem = self._mem.info()

@@ -21,21 +21,22 @@ Architecture (stdlib only)::
   :data:`PACE_S`: batches shared by several callers leave that far
   apart, so a saturated closed loop runs at a rate the pace sets, not at
   the host's speed of the moment.
-* **Engine cache** — each (model graph hash, executor, batched
-  signature) compiles once through :func:`repro.fx.compile`,
-  process-wide, via :class:`.EngineCache`; with a cache directory, a
-  cold process loads the pickled program instead of recompiling.
-* **Guard-keyed engines** (always on) — a per-model
-  :class:`~repro.fx.analysis.guards.GuardSet` (proved by symbolic shape
-  propagation) canonicalizes the dynamic dims out of the cache key, so
-  one engine serves every batch size its guards admit; violating
-  requests fall back to concrete per-shape engines.  Its fused kernels
-  take any batch size on their fast path; ``stats()["off_guard_calls"]``
-  counts the calls that missed it.
+* **Engine cache** — each (model graph hash, per-sample signature)
+  compiles once through :func:`repro.fx.compile`, via
+  :class:`.EngineCache`; with a cache directory, a cold process loads
+  the pickled program instead of recompiling.  The per-sample signature
+  is the batch key's (every input's shape without its dim 0, and its
+  dtype), so one engine serves every batch size: its fused kernels take
+  any dim 0 on their fast path (``stats()["off_guard_calls"]`` counts
+  the calls that missed it), a kernel that meets a shape it was not
+  built for runs eager's generic code, and an arena slot of another
+  shape is a fresh array.  A request with no batch dim (a 0-d or
+  non-tensor input, or inputs whose dim 0 disagree) is keyed on its
+  exact signature.
 * **Concurrency safety** — an engine's arena keeps its scratch buffers
-  per calling thread on either executor, and every compile-stack cache
-  is locked/single-flighted, so one shared engine serves the whole
-  worker pool.
+  per calling thread, and every compile-stack cache is
+  locked/single-flighted, so one shared engine serves the whole worker
+  pool.
 
 Example::
 
@@ -47,10 +48,11 @@ Example::
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -62,7 +64,7 @@ from ..fx.passes.pointwise_fuser import FusedKernel
 from ..fx.tracer import symbolic_trace
 from ..nn import Module
 from .batching import BatchError, BatchKey, batch_key_of, coalesce, \
-    split_results
+    sample_signature, split_results
 from .engine_cache import EngineCache, EngineKey, input_signature
 
 __all__ = ["ServeConfig", "BatchRecord", "InferenceServer"]
@@ -78,12 +80,20 @@ __all__ = ["ServeConfig", "BatchRecord", "InferenceServer"]
 PACE_S = 0.002
 
 
+@functools.lru_cache(maxsize=1024)
+def _engine_key(graph_hash: str, signature: tuple) -> EngineKey:
+    """The key of a served engine, one object per signature: building a
+    key per forward, and comparing it field by field with the stored one,
+    cost more than the rest of the lookup."""
+    return EngineKey(graph_hash=graph_hash, backend="numpy", executor="vm",
+                     signature=signature)
+
+
 @dataclass
 class ServeConfig:
     """Tunables for one :class:`InferenceServer`.
 
     Attributes:
-        executor: execution tier for engines (``"vm"`` or ``"codegen"``).
         batching: coalesce same-signature requests (False = every
             request is its own forward).
         max_batch_size: a pending group is closed to further requests
@@ -98,7 +108,6 @@ class ServeConfig:
             only).
     """
 
-    executor: str = "vm"
     batching: bool = True
     max_batch_size: int = 16
     workers: int = 4
@@ -120,11 +129,6 @@ class _ModelHandle:
     name: str
     gm: GraphModule
     graph_hash: Optional[str]   # None: unstable hash, engines stay local
-    guard_lock: threading.Lock = field(default_factory=threading.Lock)
-    #: ``None`` = not derived yet; ``False`` = derivation failed or the
-    #: set is fully static (keying on it would be a no-op); else the
-    #: model's :class:`~repro.fx.analysis.guards.GuardSet`.
-    guard_set: Any = None
 
 
 class _Group:
@@ -148,16 +152,10 @@ class InferenceServer:
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
-        if self.config.executor not in ("vm", "codegen"):
-            raise ValueError(
-                f"unknown executor {self.config.executor!r}")
         self.engine_cache = EngineCache(directory=self.config.cache_dir)
         #: engines of models with no stable hash, ``(model name,
         #: signature) -> engine``: per server, never on disk.
         self._local_engines = ArtifactCache(64)
-        #: ``(model name, concrete input signature) -> (engine store, key
-        #: in it, guard counter)``: resolved once, not on every forward.
-        self._routes = ArtifactCache(1024)
         self._models: Dict[str, _ModelHandle] = {}
         #: scheduler state (event loop only): pending groups oldest first,
         #: those still accepting requests by key, batches out at the pool,
@@ -176,12 +174,11 @@ class InferenceServer:
         self._closed = False
         self._requests = 0          # written on the event loop only
         self._stats_lock = threading.Lock()
-        #: monotonic; guard hits/violations are forwards keyed through a
-        #: GuardSet / that violated one (concrete key).
+        #: monotonic; guard hits / violations are forwards through an
+        #: engine keyed on a per-sample / an exact signature.
         self._counts = {"batches": 0, "batched_rows": 0, "max_batch_rows": 0,
                         "guard_hits": 0, "guard_violations": 0}
         self._batch_log: deque = deque(maxlen=4096)
-        self._engines: Dict[int, Any] = {}     # every engine run, by id
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -235,23 +232,21 @@ class InferenceServer:
     # -- stats -------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Request/batch counters plus the engine cache's counters."""
+        """Request/batch counters plus the engine cache's counters;
+        ``off_guard_calls`` sums over the engines the caches still hold."""
         with self._stats_lock:
             counts = dict(self._counts)
         batches = counts["batches"]
+        engines = self.engine_cache.engines() + self._local_engines.values()
         return {
             "requests": self._requests,
             **counts,
             "mean_rows_per_batch":
                 counts["batched_rows"] / batches if batches else 0.0,
-            "guarded_models": sum(
-                1 for h in self._models.values()
-                if h.guard_set not in (None, False)),
-            "off_guard_calls": sum({    # a VM program's or a GraphModule's
-                id(x.target): x.target.off_guard_calls
-                for e in list(self._engines.values())
-                for x in (e.instructions if hasattr(e, "instructions") else e.graph.nodes)
-                if isinstance(x.target, FusedKernel)}.values()),
+            "off_guard_calls": sum({    # a kernel two engines share once
+                id(i.target): i.target.off_guard_calls
+                for e in engines for i in e.instructions
+                if isinstance(i.target, FusedKernel)}.values()),
             "engine_cache": self.engine_cache.info(),
         }
 
@@ -265,82 +260,38 @@ class InferenceServer:
 
     def _build_engine(self, handle: _ModelHandle,
                       example_inputs: tuple) -> Any:
-        """Compile *handle*'s graph specialized to *example_inputs*."""
-        mod = fx.compile(handle.gm, example_inputs,
-                         executor=self.config.executor)
-        program = getattr(mod, "program", None)
-        if program is not None:
-            # VMModule: persist the bare VMProgram — it is the whole
-            # engine (weights baked into const registers) and pickles
-            # smaller than the module wrapper.
-            return program
-        return mod
-
-    def _guards_for(self, handle: _ModelHandle, inputs: tuple) -> Any:
-        """The model's GuardSet, derived lazily from the first inputs seen.
-
-        Returns the set, or ``False`` when guards are off for this model
-        (underivable or fully static).
-        """
-        guards = handle.guard_set
-        if guards is not None:
-            return guards
-        with handle.guard_lock:
-            if handle.guard_set is not None:   # raced: someone derived it
-                return handle.guard_set
-            try:
-                from ..fx.analysis.guards import derive_guards
-
-                derived = derive_guards(handle.gm, inputs)
-            except Exception:
-                derived = None
-            # A static set admits exactly the example signature — keying
-            # on it would replicate the concrete key, so drop it.
-            if derived is None or not getattr(derived, "dynamic", False):
-                handle.guard_set = False
-            else:
-                handle.guard_set = derived
-            return handle.guard_set
-
-    def _route(self, handle: _ModelHandle, inputs: tuple,
-               signature: tuple) -> tuple:
-        """Where the engine for *signature* lives: ``(store, key, name of
-        the guard counter a forward through it bumps or None)``."""
-        counter = None
-        guards = self._guards_for(handle, inputs)
-        if guards is not False:
-            if guards.matches(signature):
-                signature = guards.canonicalize(signature)
-                counter = "guard_hits"
-            else:
-                # Guard violation: keep the concrete signature, which
-                # builds (or reuses) a per-shape engine — correct, just
-                # not shared with the guarded one.
-                counter = "guard_violations"
-        if handle.graph_hash is None:
-            return self._local_engines, (handle.name, signature), counter
-        return self.engine_cache, EngineKey(
-            graph_hash=handle.graph_hash, backend="numpy",
-            executor=self.config.executor, signature=signature), counter
+        """Compile *handle*'s graph on *example_inputs* into the bare
+        VM program: it is the whole engine (weights baked into const
+        registers) and pickles smaller than the module wrapper."""
+        return fx.compile(handle.gm, example_inputs, executor="vm").program
 
     # -- execution (worker threads) ----------------------------------------------
 
-    def _forward(self, handle: _ModelHandle, inputs: tuple) -> tuple:
-        """One engine call: ``(output, guard counter to bump or None)``."""
-        signature = input_signature(inputs)
-        store, key, counter = self._routes.get_or_build(
-            (handle.name, signature),
-            lambda: self._route(handle, inputs, signature))
+    def _forward(self, handle: _ModelHandle, inputs: tuple,
+                 signature: tuple) -> Any:
+        """Run *inputs* through the engine keyed on *signature*, built
+        from them on a miss."""
+        if handle.graph_hash is None:
+            store, key = self._local_engines, (handle.name, signature)
+        else:
+            store, key = self.engine_cache, _engine_key(
+                handle.graph_hash, signature)
         engine = store.get_or_build(
             key, lambda: self._build_engine(handle, inputs))
-        self._engines[id(engine)] = engine
-        return engine(*inputs), counter
+        return engine(*inputs)
 
     def _run_single(self, handle: _ModelHandle, inputs: tuple) -> Any:
-        out, counter = self._forward(handle, inputs)
-        if counter is not None:
-            with self._stats_lock:
-                self._counts[counter] += 1
+        """A request that is its own forward: keyed on its per-sample
+        signature when it has a batch dim, else on its exact one."""
+        try:
+            signature = sample_signature(inputs)[0]
+            counter = "guard_hits"
+        except BatchError:
+            signature = ("exact",) + input_signature(inputs)
+            counter = "guard_violations"
+        out = self._forward(handle, inputs, signature)
+        with self._stats_lock:
+            self._counts[counter] += 1
         return out
 
     def _execute_batch(self, handle: _ModelHandle, key: BatchKey,
@@ -353,11 +304,11 @@ class InferenceServer:
             if len(items) == 1:
                 # Lone request: no concat/split, and no batch-splittability
                 # requirement on the model's output.
-                out, counter = self._forward(handle, items[0][0])
-                results = [out]
+                results = [self._forward(handle, items[0][0], key.signature)]
             else:
-                out, counter = self._forward(
-                    handle, coalesce([inputs for inputs, _, _ in items]))
+                out = self._forward(
+                    handle, coalesce([inputs for inputs, _, _ in items]),
+                    key.signature)
                 results = split_results(out, [rows for _, rows, _ in items])
         except Exception as exc:
             if len(items) == 1:
@@ -367,8 +318,7 @@ class InferenceServer:
         rows = sum(rows for _, rows, _ in items)
         with self._stats_lock:
             counts = self._counts
-            if counter is not None:
-                counts[counter] += 1
+            counts["guard_hits"] += 1
             counts["batches"] += 1
             counts["batched_rows"] += rows
             counts["max_batch_rows"] = max(counts["max_batch_rows"], rows)

@@ -94,7 +94,7 @@ print(json.dumps(out))
 #:   per-run key gave up, so it executes once, and the second lowering is
 #:   one hit.
 #: * ``to_backend_trt`` — +3/+1 -> +1/+1.
-#: * ``serve`` — +4/+1 -> +1/+0: the server's one guarded engine is
+#: * ``serve`` — +4/+1 -> +1/+0: the server's one engine is
 #:   ``fx.compile`` of the same model for the signature the ``compile``
 #:   step stored: one hit.
 #:
@@ -112,7 +112,7 @@ EXPECTED = {
     "to_backend_numpy": {"codegen": [4, 4], "transform": [2, 2]},
     "to_backend_trt": {"codegen": [4, 4], "transform": [3, 3]},
     "serve": {"codegen": [4, 4], "transform": [4, 3]},
-    # three batch sizes, one guarded engine: one build, two memory hits
+    # three batch sizes, one engine: one build, two memory hits
     "engine_cache": {"hits": 2, "disk_hits": 0, "builds": 1, "stores": 0,
                      "stale": 0, "corrupt": 0, "size": 1},
 }

@@ -14,10 +14,10 @@ import repro
 import repro.functional as F
 from repro import fx, kernels, nn
 from repro.fx import Graph, GraphModule, interpreter, opinfo, symbolic_trace
-from repro.fx.analysis.guards import derive_guards
 from repro.fx.backends import NumpyBackend, to_backend
 from repro.fx.passes import ShapeProp, estimate
-from repro.fx.passes.symbolic_shape_prop import SymbolicShapeProp, SymDim, SymShape
+from repro.fx.passes.symbolic_shape_prop import ShapeInferenceError, \
+    SymbolicShapeProp, SymDim, SymShape
 from repro.fx.subgraph_rewriter import replace_pattern
 from repro.fx.testing.oracle import reference_meta
 from repro.models import (
@@ -160,7 +160,9 @@ def test_compiling_a_training_model_leaves_its_statistics_alone(entry, traced):
         assert np.array_equal(value.data, before[name]), name
 
 
-# -- guards: a constraint that pins the free dim makes the set static ----------------
+# -- a constraint that pins the free dim fails symbolic inference ------------------
+# ("static guards" in the names below: the verdict the server's guard sets
+# once drew from this failure, that no one shape holds for every N)
 
 class WithWeight(nn.Module):
     def __init__(self, fn, *shape):
@@ -190,11 +192,10 @@ class LinearOfTranspose(nn.Module):
 def test_a_program_eager_rejects_at_another_batch_size_gets_static_guards(
         model, shape, clause):
     model = model()
-    x = repro.randn(*shape)
-    guards = derive_guards(symbolic_trace(model), (x,))
-    assert not guards.dynamic
-    # the static set says why, in one clause: which constraint pinned which dim
-    assert clause in guards.describe() and "N" in guards.describe()
+    # the error says why, in one clause: which constraint pinned which dim
+    with pytest.raises(ShapeInferenceError, match=rf"{clause}.*N|N.*{clause}"):
+        SymbolicShapeProp(symbolic_trace(model)).infer(
+            SymShape((N,) + shape[1:]))
     with pytest.raises(Exception):   # ... and eager agrees: N = 4 is no program
         model(repro.randn(4, *shape[1:]))
 
@@ -205,27 +206,28 @@ def test_a_program_eager_rejects_at_another_batch_size_gets_static_guards(
 def test_a_squeeze_that_may_drop_the_free_dim_gets_static_guards(squeeze):
     # eager drops the batch dim at N = 1 only: no one shape is right for every N
     assert len(squeeze(repro.randn(1, 1, 3)).shape) != len(squeeze(repro.randn(4, 1, 3)).shape)
-    guards = derive_guards(symbolic_trace(squeeze), (repro.randn(4, 1, 3),))
-    assert not guards.dynamic
-    assert "squeeze of a dim that may be 1" in guards.describe()
+    shape = SymShape((N, 1, 3))
+    with pytest.raises(ShapeInferenceError, match="squeeze of a dim that may be 1"):
+        SymbolicShapeProp(symbolic_trace(squeeze)).infer(shape)
     # a squeeze of a dim that is 1 for every N is batch generic
-    assert derive_guards(symbolic_trace(lambda x: F.relu(x).squeeze(1)),
-                         (repro.randn(4, 1, 3),)).dynamic
+    _, out = SymbolicShapeProp(symbolic_trace(
+        lambda x: F.relu(x).squeeze(1))).infer(shape)
+    assert out == SymShape((N, 3))
 
 
 def test_programs_that_are_batch_generic_stay_dynamic():
     for model, shape in [(resnet18(num_classes=4).eval(), (2, 3, 32, 32)),
                          (MLP(16, (32,), 8), (1, 16)),
                          (WithWeight(lambda x, w: F.linear(w, x), 3, 8), (5, 8))]:
-        guards = derive_guards(symbolic_trace(model), (repro.randn(*shape),))
-        assert guards.dynamic, guards.describe()
-        assert guards.matches([((shape[0] + 3, *shape[1:]), "float32")])
+        _, out = SymbolicShapeProp(symbolic_trace(model)).infer(
+            SymShape((N,) + shape[1:]))
+        assert N in out, out
 
 
 def test_static_guards_name_the_target_without_an_entry():
-    guards = derive_guards(symbolic_trace(lambda x: repro.topk(x, 2)[0]),
-                           (repro.randn(4, 8),))
-    assert "no entry for topk at node 'topk'" in guards.describe()
+    with pytest.raises(ShapeInferenceError, match="no entry for topk at node 'topk'"):
+        SymbolicShapeProp(symbolic_trace(lambda x: repro.topk(x, 2)[0])).infer(
+            SymShape((N, 8)))
 
 
 # -- shapes agree with eager in both domains --------------------------------

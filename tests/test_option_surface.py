@@ -39,7 +39,7 @@ def test_parameters_are_pinned(fn):
 
 def test_serve_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(ServeConfig)] == [
-        "executor", "batching", "max_batch_size", "workers", "cache_dir"]
+        "batching", "max_batch_size", "workers", "cache_dir"]
 
 
 class _Net(repro.nn.Module):
@@ -58,13 +58,14 @@ class _Net(repro.nn.Module):
     lambda m, x: Tracer(autowrap_functions=()),
     lambda m, x: EngineCache(max_memory_entries=2),
     lambda m, x: ServeConfig(backend="trt"),
+    lambda m, x: ServeConfig(executor="codegen"),
     lambda m, x: ServeConfig(guards=False),
     lambda m, x: ServeConfig(record_batches=False),
 ], ids=["compile-fuse", "compile-memory_planning", "to_backend-example_inputs",
         "compile_to_vm-validate_plan", "cse-dedupe_modules",
         "fuse_pointwise-min_region_size", "Tracer-autowrap_functions",
         "EngineCache-max_memory_entries", "ServeConfig-backend",
-        "ServeConfig-guards", "ServeConfig-record_batches"])
+        "ServeConfig-executor", "ServeConfig-guards", "ServeConfig-record_batches"])
 def test_a_removed_option_is_a_type_error(call):
     with pytest.raises(TypeError):
         call(_Net(), repro.randn(2, 4))

@@ -19,18 +19,22 @@ Covers the tentpole guarantees end to end:
   directory serves from disk (``disk_hits``) with zero builds, and a
   stale or corrupted artifact is a counted miss that rebuilds, never
   wrong code;
-* **guard-keyed engines (PR 9)** — a per-model symbolic-shape
-  ``GuardSet`` canonicalizes dynamic dims out of the engine key, so one
-  engine build serves every admissible batch size; guard violations are
-  counted and rebuild concrete per-shape engines.
+* **one engine per per-sample signature** — an engine is keyed on its
+  inputs' shapes without the batch dim, so one build serves every batch
+  size, bit for bit (a model whose batch dim is not polymorphic gets
+  eager's bits or eager's error); a request with no batch dim is keyed
+  on its exact signature (``guard_violations``); an engine the cache
+  evicts is not kept alive.
 """
 
 import asyncio
+import gc
 import os
 import pickle
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -539,34 +543,6 @@ class TestWorkerPoolExactness:
         for j, out in enumerate(outs):
             assert_same(out, expected[j // 4])
 
-    def test_codegen_executor_serves_too(self):
-        """One generated ``forward`` shared by four workers: the fused
-        region between the two matmuls is arena-planned, so every reply
-        is right only if concurrent forwards do not share its buffer."""
-
-        class Planned(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.fc1 = nn.Linear(64, 128)
-                self.fc2 = nn.Linear(128, 64)
-
-            def forward(self, x):
-                return self.fc2(F.tanh(F.relu(self.fc1(x)) * 1.5 + 0.5))
-
-        repro.manual_seed(11)
-        model = Planned().eval()
-        xs = [repro.randn(256, 64) for _ in range(8)]
-
-        async def go():
-            async with make_server(executor="codegen", workers=4,
-                                   batching=False) as server:
-                server.register("planned", model)
-                return await asyncio.gather(
-                    *(server.infer("planned", x) for x in xs))
-
-        for out, x in zip(run(go()), xs):
-            assert np.allclose(out.data, model(x).data, atol=1e-5)
-
 
 # -- engine cache: cold start + integrity ---------------------------------------
 
@@ -820,8 +796,8 @@ class TestStats:
 
 
 class TestGuardKeyedEngines:
-    """Symbolic-shape guards collapse per-shape engines: one engine serves
-    every batch size its GuardSet admits, violations rebuild concretely."""
+    """Engines are keyed on the per-sample signature: one engine serves
+    every batch size, and a request with no batch dim gets its own."""
 
     def test_many_batch_sizes_one_engine_build(self):
         async def go():
@@ -838,9 +814,40 @@ class TestGuardKeyedEngines:
 
         stats = run(go())
         assert stats["engine_cache"]["builds"] == 1
-        assert stats["guard_hits"] >= 4
+        assert stats["guard_hits"] == 4
         assert stats["guard_violations"] == 0
-        assert stats["guarded_models"] == 1
+
+    def test_a_model_whose_batch_dim_is_not_polymorphic_gets_one_engine(self):
+        """``reshape(4, -1)`` moves rows into features: the engine built
+        at 4 rows meets other shapes after it at 8 and 2 rows, and answers
+        with eager's bits, and at 3 rows raises what eager raises."""
+        class Fold(nn.Module):
+            def forward(self, x):
+                return F.sigmoid(x.reshape(4, -1) * 1.5 + 0.5)
+
+        model = Fold().eval()
+
+        async def go():
+            async with make_server(batching=False, workers=2) as server:
+                server.register("fold", model)
+                for b in (4, 8, 2, 3):
+                    x = repro.randn(b, 6)
+                    try:
+                        want = model(x).data
+                    except Exception as exc:
+                        # the VM names the instruction, raising from eager's error
+                        with pytest.raises(Exception) as got:
+                            await server.infer("fold", x)
+                        assert isinstance(got.value.__cause__, type(exc))
+                        continue
+                    got = (await server.infer("fold", x)).data
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                return server.stats()
+
+        stats = run(go())
+        assert stats["engine_cache"]["builds"] == 1
+        assert stats["guard_hits"] == 3     # the 3-row request raised
 
     def test_an_engine_built_at_one_row_runs_eight_rows_fused(self):
         """The engine the first, 1-row request builds serves the 8-row
@@ -865,28 +872,50 @@ class TestGuardKeyedEngines:
         assert stats["off_guard_calls"] == 0
 
     def test_guard_violation_falls_back_to_correct_rebuild(self):
-        """Pointwise works at any width, but guards derived from the first
-        request pin dim 1 — a different width is a counted violation that
-        rebuilds a concrete per-shape engine with correct results."""
+        """A 0-d request has no batch dim: it is keyed on its exact
+        signature, and so never shares the engine of a 1-D batch, whose
+        per-sample signature is also ``()``.  A new width is a new
+        per-sample signature."""
         async def go():
             model = Pointwise().eval()
-            async with make_server(batching=False, workers=2) as server:
+            async with make_server(workers=2) as server:
                 server.register("pw", model)
-                a = repro.randn(4, 8)
-                out = await server.infer("pw", a)
-                assert float(np.abs(out.data - model(a).data).max()) == 0.0
-                b = repro.randn(4, 16)  # violates the C == 8 guard
-                out2 = await server.infer("pw", b)
-                assert float(np.abs(out2.data - model(b).data).max()) == 0.0
-                c = repro.randn(9, 8)   # satisfies guards: shared engine
-                out3 = await server.infer("pw", c)
-                assert float(np.abs(out3.data - model(c).data).max()) == 0.0
+                for x in (repro.randn(4, 8), repro.randn(4, 16),
+                          repro.randn(9, 8),
+                          Tensor._wrap(np.float32(0.5).reshape(())),
+                          repro.randn(3), repro.randn(5)):
+                    out = await server.infer("pw", x)
+                    assert out.data.shape == x.data.shape
+                    assert out.data.tobytes() == model(x).data.tobytes()
                 return server.stats()
 
         stats = run(go())
         assert stats["guard_violations"] == 1
-        assert stats["guard_hits"] == 2
-        assert stats["engine_cache"]["builds"] == 2  # guarded + concrete
+        assert stats["guard_hits"] == 5
+        # (8,), (16,), the 0-d request's exact signature and ()
+        assert stats["engine_cache"]["builds"] == 4
+
+    def test_an_evicted_engine_is_not_kept_alive(self):
+        """The server holds its engines through its caches only: past the
+        64 the engine cache keeps, the first engine is garbage, and
+        ``off_guard_calls`` sums over the live ones."""
+        async def go():
+            model = Pointwise().eval()
+            async with make_server(batching=False, workers=2) as server:
+                server.register("pw", model)
+                await server.infer("pw", repro.randn(2, 1))
+                (first,) = server.engine_cache.engines()
+                first = weakref.ref(first)
+                for width in range(2, 71):
+                    await server.infer("pw", repro.randn(2, width))
+                gc.collect()
+                return server.stats(), first()
+
+        stats, first = run(go())
+        assert first is None                # while the server was alive
+        assert stats["engine_cache"]["size"] == 64
+        assert stats["engine_cache"]["builds"] == 70
+        assert stats["off_guard_calls"] == 0
 
     def test_guarded_engine_shared_across_cold_start(self, tmp_path):
         """The canonicalized signature is the disk key too: a cold process
