@@ -1,4 +1,4 @@
-"""Benchmark — ``repro.fx.compile``: pointwise fusion + memory planning.
+"""Benchmark — ``repro.fx.compile``: pointwise fusion.
 
 Measures the one-call graph compiler against eager execution on three
 workloads:
@@ -13,8 +13,7 @@ workloads:
 
 Alongside latency we count **tensor materializations per forward** — every
 eager elementwise op wraps a freshly allocated result buffer, while a fused
-kernel allocates a couple of registers and wraps once, and arena-planned
-intermediates reuse pooled storage across calls.
+kernel allocates a couple of registers and wraps once.
 """
 
 import numpy as np
@@ -77,7 +76,7 @@ def _bench_case(model, inputs, trials, warmup):
     ref = model(*inputs)
     out = compiled(*inputs)
     assert np.allclose(out.data, ref.data, atol=1e-3), "compile changed numerics"
-    compiled(*inputs)  # materialize arena buffers before timing/counting
+    compiled(*inputs)  # generate the forward before timing/counting
     t_eager = measure(lambda: model(*inputs), trials=trials, warmup=warmup)
     t_compiled = measure(lambda: compiled(*inputs), trials=trials, warmup=warmup)
     a_eager = _count_tensor_allocs(lambda: model(*inputs))
@@ -120,7 +119,7 @@ def test_compile_speedup_and_allocations(benchmark, compile_results):
         ["model", "eager (s)", "compiled (s)", "speedup",
          "allocs/fwd eager", "allocs/fwd compiled"],
         rows,
-        title="repro.fx.compile — fusion + memory planning vs eager",
+        title="repro.fx.compile — fusion vs eager",
         floatfmt=".4f",
     )
     reports = "\n".join(
@@ -137,11 +136,3 @@ def test_compile_speedup_and_allocations(benchmark, compile_results):
         assert t_c.median <= t_e.median * 1.15, f"{name}: compile regressed latency"
         assert a_c <= a_e, f"{name}: compile increased allocations"
 
-
-def test_arena_reuses_buffers_across_calls(compile_results):
-    cm, *_ = compile_results["ResNet-50"]
-    plan = cm.compile_report.memory
-    assert plan is not None and plan.planned > 0
-    before = plan.arena.materializations
-    cm(repro.randn(1, 3, 64, 64))
-    assert plan.arena.materializations == before  # steady state: zero allocs

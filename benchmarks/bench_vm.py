@@ -182,8 +182,7 @@ def test_vm_vs_interpreter_vs_codegen(benchmark, vm_results):
         floatfmt=".4f",
     )
     programs = "\n".join(
-        f"[{name}] {prog!r}: {len(prog.consts)} constants, "
-        f"{len(prog.arena_specs)} arena slots"
+        f"[{name}] {prog!r}: {len(prog.consts)} constants"
         for name, (prog, _t) in vm_results.items()
     )
     write_results("vm", table + "\n\n" + programs)
@@ -204,12 +203,3 @@ def test_vm_vs_interpreter_vs_codegen(benchmark, vm_results):
             f"{name}: vm {t['vm'].best:.4f}s lost to " \
             f"codegen {t['codegen'].best:.4f}s"
 
-
-def test_vm_arena_reuses_buffers_across_calls(vm_results):
-    prog, _ = vm_results["pointwise chain (16 ops)"]
-    if prog.arena is None:
-        pytest.skip("no planned intermediates on this graph")
-    prog.run(repro.randn(512, 1024))
-    before = prog.arena.materializations
-    prog.run(repro.randn(512, 1024))
-    assert prog.arena.materializations == before

@@ -8,8 +8,8 @@ Public surface mirrors ``torch.fx``:
 * :class:`Interpreter` / :class:`Transformer` — graph execution and
   rewriting;
 * :func:`replace_pattern` — declarative subgraph rewriting;
-* :func:`compile` — one-call optimizing pipeline (pointwise fusion +
-  memory planning, §6.2);
+* :func:`compile` — one-call optimizing pipeline (pointwise fusion,
+  §6.2);
 * :mod:`repro.fx.backends` / :func:`to_backend` — the backend protocol
   and dependency-aware capability-partitioned lowering (§6.4);
 * :mod:`repro.fx.analysis` — the dataflow analyses (alias/escape,

@@ -6,16 +6,16 @@ Each analysis here is one plain function over a ``GraphModule`` whose
 result describes that module's own ``Node`` objects; a caller that needs
 a result twice keeps it in a local:
 
-* :func:`alias` — may-alias / escape / extended liveness (the memory
-  planner's foundation), two reverse sweeps;
+* :func:`alias` — may-alias / escape / extended liveness, two reverse
+  sweeps;
 * :func:`purity` — side-effect classification behind
   ``Node.is_impure``, DCE and CSE;
-* :func:`hazards` — in-place / ``out=`` / arena-slot writes that clobber
+* :func:`hazards` — in-place / ``out=`` writes that clobber
   live values.
 
 On top sit the user-facing layers:
 
-* :func:`lint_graph` — five fixed rules with severity and tracer-recorded
+* :func:`lint_graph` — four fixed rules with severity and tracer-recorded
   source provenance;
 * :class:`PassVerifier` — re-checks invariants after every
   ``PassManager`` pass and fails the pipeline *naming the pass* when one
@@ -34,7 +34,7 @@ from .purity import (
     is_inplace_method,
     purity,
 )
-from .mutation import Hazard, MutationResult, fused_out_clobbers, hazards
+from .mutation import Hazard, MutationResult, hazards
 from .diagnostics import Diagnostic, DiagnosticReport, Severity, lint_graph
 from .verifier import PassVerifier, VerificationError
 from ... import _lazy
@@ -62,7 +62,6 @@ __all__ = [
     "alias",
     "classify_effect",
     "detect_breaks",
-    "fused_out_clobbers",
     "hazards",
     "impure_fingerprints",
     "is_inplace_method",

@@ -1,7 +1,7 @@
 """Alias and escape analysis.
 
-Answers, for every node, the three questions the memory planner, the
-mutation-hazard checker, and the lint rules all need:
+Answers, for every node, the three questions the mutation-hazard
+checker and the lint rules need:
 
 * **may-alias** — can this node's output share storage with one of its
   tensor inputs?  (The op table's ``view`` says so of ``reshape`` /

@@ -4,20 +4,19 @@ provenance.
 A rule turns analysis results into user-facing :class:`Diagnostic`
 objects carrying a rule id, a severity, and source-location provenance
 (the ``stack_trace`` the tracer recorded on each node, pointing at the
-user's model code rather than framework internals).  The five rules
+user's model code rather than framework internals).  The four rules
 (the diagnostic reference table in README.md):
 
 ===================== ======== ====================================================
 rule id               severity meaning
 ===================== ======== ====================================================
 mutation-hazard       error    in-place/out= write clobbers a still-live value
-arena-hazard          error    unsound memory-plan slot sharing or escaped slot
 caller-visible-write  warning  mutation of an input or output-aliased value
 impure-unused         note     impure node whose result is never read (DCE keeps it)
 aliased-output        note     graph output may be a view of a function input
 ===================== ======== ====================================================
 
-The first three report :func:`~repro.fx.analysis.mutation.hazards`
+The first two report :func:`~repro.fx.analysis.mutation.hazards`
 (:data:`HAZARD_RULES` maps each ``Hazard.kind`` to its rule); the pass
 verifier runs only those, through :func:`hazard_diagnostics`.
 """
@@ -144,9 +143,6 @@ class DiagnosticReport:
 HAZARD_RULES: dict[str, tuple[str, Severity]] = {
     "out-overwrite": ("mutation-hazard", Severity.ERROR),
     "inplace-overwrite": ("mutation-hazard", Severity.ERROR),
-    "arena-escape": ("arena-hazard", Severity.ERROR),
-    "arena-overlap": ("arena-hazard", Severity.ERROR),
-    "arena-clobber": ("arena-hazard", Severity.ERROR),
     "caller-visible-write": ("caller-visible-write", Severity.WARNING),
 }
 
@@ -165,7 +161,7 @@ def hazard_diagnostics(gm: GraphModule, result: MutationResult) -> list[Diagnost
 
 
 def lint_graph(gm: GraphModule) -> DiagnosticReport:
-    """Run the five rules over *gm*; each analysis is computed once.
+    """Run the four rules over *gm*; each analysis is computed once.
 
     Returns a :class:`DiagnosticReport`; error-severity findings mean the
     graph, as captured, has a real correctness risk.

@@ -3,13 +3,13 @@
 A transformation pipeline is only as trustworthy as its worst pass, and
 the failure mode that matters is *silent*: the pipeline completes,
 ``Graph.lint`` is structurally happy, and the output is numerically
-wrong (the memory planner shipped exactly this bug twice).  The
+wrong (an arena-reuse planner once shipped exactly this bug twice).  The
 :class:`PassVerifier` closes that gap by re-running the analysis-backed
 lint rules after every pass and comparing against a snapshot taken
 before the pass ran.  Two invariant families are enforced:
 
 * **no new error diagnostics** — a pass may not *introduce* an
-  error-severity finding (mutation hazard, unsound arena plan, …) that
+  error-severity finding (a mutation hazard) that
   its input graph did not have.  Pre-existing findings are tolerated:
   the verifier guards the pipeline, it does not gate user code.
 * **no vanished effects** — the multiset of *mutating* nodes
@@ -83,8 +83,8 @@ class PassVerifier:
             gm = pass_(gm)
             verifier.after_pass(pass_.__name__, gm)   # raises on regression
 
-    A snapshot costs the two error rules (:func:`hazards`, whose alias
-    facts a graph with no writer and no arena slot never computes) plus
+    A snapshot costs the error rule (:func:`hazards`, whose alias facts
+    a graph with no writer never computes) plus
     :func:`purity`; the note and warning rules cannot fail a pass.
     """
 

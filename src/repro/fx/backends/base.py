@@ -58,26 +58,16 @@ class UnsupportedNodesError(RuntimeError):
 class Backend:
     """Base class / protocol for pluggable compilation backends.
 
-    Subclasses override the four core hooks.  Two optional class
-    attributes tune how :func:`~repro.fx.backends.to_backend` treats the
-    backend:
-
-    * ``respects_effects`` — the backend executes mutation exactly like
-      eager mode, so effectful/aliasing nodes need not be fenced out of
-      its partitions.  Default ``False`` (the partitioner conservatively
-      keeps mutating nodes, and anything sharing storage with a mutated
-      value, out of compiled partitions).
-    * ``executor`` — how the *stitched result graph* (and with it every
-      eager-fallback partition) executes: ``"codegen"`` runs the
-      generated forward, ``"vm"`` flattens it onto the
-      :class:`~repro.fx.vm.VMProgram` bytecode tier.  Default
-      ``"codegen"``; overridable per call via
-      ``to_backend(..., executor=...)``.
+    Subclasses override the four core hooks.  The optional class
+    attribute ``respects_effects`` says the backend executes mutation
+    exactly like eager mode, so effectful/aliasing nodes need not be
+    fenced out of its partitions.  Default ``False`` (the partitioner
+    conservatively keeps mutating nodes, and anything sharing storage
+    with a mutated value, out of compiled partitions).
     """
 
     name: str = "base"
     respects_effects: bool = False
-    executor: str = "codegen"
 
     def is_node_supported(self, node: Node, modules: Dict[str, Module]) -> bool:
         """Can this backend execute *node*?  ``get_attr`` / ``placeholder``
@@ -135,7 +125,6 @@ class _FilteredBackend(Backend):
         self.predicate = predicate
         self.name = name or f"{base.name}+filter"
         self.respects_effects = base.respects_effects
-        self.executor = base.executor
 
     def is_node_supported(self, node: Node, modules: Dict[str, Module]) -> bool:
         return bool(self.predicate(node, modules)) \

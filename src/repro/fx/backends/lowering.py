@@ -23,7 +23,7 @@ from __future__ import annotations
 import textwrap
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from ...nn import Module
 from ..graph_module import GraphModule
@@ -90,7 +90,6 @@ def to_backend(
     lint: bool = False,
     cache: bool = True,
     verify: bool = True,
-    executor: Optional[str] = None,
 ) -> Module:
     """Lower *model* onto *backend*, falling back to eager where needed.
 
@@ -112,12 +111,6 @@ def to_backend(
             passes.
         verify: run the :class:`~repro.fx.analysis.PassVerifier` after
             every preferred pass.
-        executor: how the resulting graph executes — ``"codegen"`` (the
-            generated forward) or ``"vm"`` (flattened onto the
-            :class:`~repro.fx.vm.VMProgram` bytecode tier, so fallback
-            nodes replay as flat instructions instead of dispatching
-            through generated source).  ``None`` (default) defers to the
-            backend's ``executor`` attribute.
 
     Returns:
         When the whole graph is supported, whatever
@@ -131,11 +124,6 @@ def to_backend(
     if not isinstance(be, Backend):
         raise TypeError(f"backend must be a name or Backend instance, "
                         f"got {type(backend).__name__}")
-    exec_mode = executor if executor is not None \
-        else getattr(be, "executor", "codegen")
-    if exec_mode not in ("codegen", "vm"):
-        raise ValueError(f"unknown executor {exec_mode!r}; "
-                         f"expected 'codegen' or 'vm'")
 
     gm = model if isinstance(model, GraphModule) else symbolic_trace(model)
     be.validate_input(gm)
@@ -173,15 +161,6 @@ def to_backend(
             sub = split_gm.get_submodule(name)
             setattr(split_gm, name, be.compile_subgraph(sub))
         out = split_gm
-
-    if exec_mode == "vm" and isinstance(out, GraphModule):
-        # Flatten the stitched graph (compiled partitions are resolved
-        # call_module targets; fallback nodes become flat instructions)
-        # onto the bytecode tier.  Backends returning a native module
-        # (e.g. a VMModule) already bypass per-node dispatch.
-        from ..vm import VMModule, compile_to_vm
-
-        out = VMModule(compile_to_vm(out))
 
     report = BackendReport(
         backend=be.name,

@@ -2,7 +2,7 @@
 
 This is :func:`repro.fx.compile`'s engine room, relocated.  The stage
 list (shape-prop → DCE → CSE → const-fold → conv-bn-fuse →
-pointwise-fuse → memory-plan) lives here as the backend's *preferred
+pointwise-fuse) lives here as the backend's *preferred
 passes*, so ``fx.compile`` is a thin adapter over
 :func:`~repro.fx.backends.to_backend` and any other caller gets the same
 pipeline by asking for backend ``"numpy"``.
@@ -39,7 +39,6 @@ from ..passes import (
     fold_constants,
     fuse_conv_bn,
 )
-from ..passes.memory_planner import plan_memory
 from ..passes.pointwise_fuser import fuse_pointwise
 from ..passes.shape_prop import ShapeProp
 from .base import Backend
@@ -50,8 +49,8 @@ __all__ = ["NumpyBackend"]
 def _shape_prop(gm: GraphModule, *example_inputs) -> None:
     prop = ShapeProp(gm)
     prop.propagate(*example_inputs)
-    # travels with the module, as ``memory_plan`` does: a replayed compile
-    # reports the same fallbacks as the one it replays
+    # travels with the module: a replayed compile reports the same
+    # fallbacks as the one it replays
     gm.shape_fallbacks = tuple(prop.fallbacks)
 
 
@@ -59,24 +58,19 @@ class NumpyBackend(Backend):
     """Optimizing numpy pipeline (§6.2) behind the Backend protocol.
 
     Args:
-        example_inputs: inputs to propagate shapes from; fusion and
-            memory planning specialize against these and are skipped
-            without them (generic cleanups still run).
+        example_inputs: inputs to propagate shapes from; fusion
+            specializes against these and is skipped without them
+            (generic cleanups still run).
         fuse: enable pointwise-region fusion.
-        memory_planning: enable arena planning of fused intermediates.
-
-    The :class:`~repro.fx.passes.memory_planner.MemoryPlan`, if one was
-    made, travels on the lowered module as ``memory_plan``.
     """
 
     name = "numpy"
     respects_effects = True  # same substrate as eager: mutation replays
 
     def __init__(self, example_inputs: Sequence = (), *,
-                 fuse: bool = True, memory_planning: bool = True):
+                 fuse: bool = True):
         self.example_inputs = tuple(example_inputs)
         self.fuse = fuse
-        self.memory_planning = memory_planning
 
     def is_node_supported(self, node: Node, modules) -> bool:
         # The Interpreter runs the full substrate; everything is fair game.
@@ -101,13 +95,11 @@ class NumpyBackend(Backend):
             stages.append(("fuse_conv_bn", fuse_conv_bn))
         if self.fuse and have_inputs:
             stages.append(("pointwise_fuse", fuse_pointwise))
-        if self.memory_planning and have_inputs:
-            stages.append(("memory_plan", plan_memory))
         return stages
 
     def compile_subgraph(self, gm: GraphModule) -> Module:
         # Whole-graph optimization already ran in preferred_passes; the
-        # per-shape stages (fusion, arena planning) cannot re-run on a
+        # per-shape stage (fusion) cannot re-run on a
         # subgraph whose input shapes are unknown, so the subgraph *is*
         # the compiled artifact.
         return gm

@@ -5,7 +5,7 @@ module, run the pass library over it, and hand back a drop-in
 ``GraphModule`` that computes the same function faster.  The pipeline is
 
     shape-prop -> DCE -> CSE -> const-fold -> conv-bn-fuse
-               -> pointwise-fuse -> memory-plan
+               -> pointwise-fuse
 
 The pipeline itself lives in
 :class:`~repro.fx.backends.NumpyBackend` (backend name ``"numpy"``) and
@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import textwrap
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from ..nn import Module
 from ..tensor import Tensor
 from .backends import NumpyBackend, to_backend
 from .passes import PassRecord
-from .passes.memory_planner import MemoryPlan
 from .passes.pass_manager import format_records
 from .passes.pointwise_fuser import FusedKernel
 
@@ -75,8 +74,6 @@ class CompileReport:
         nodes_after: node count of the optimized graph.
         fused_regions: pointwise regions collapsed into fused kernels.
         fused_ops: total elementwise ops now living inside those kernels.
-        memory: the :class:`~repro.fx.passes.memory_planner.MemoryPlan`
-            (``None`` when nothing was planned).
         shape_fallbacks: ``(node, target, reason)`` of every node shape
             propagation had to execute because the op table
             (:mod:`repro.fx.opinfo`) has no entry for its target.
@@ -89,7 +86,6 @@ class CompileReport:
     nodes_after: int = 0
     fused_regions: int = 0
     fused_ops: int = 0
-    memory: Optional[MemoryPlan] = None
     shape_fallbacks: tuple = ()
     records: list[PassRecord] = field(default_factory=list)
     total_time: float = 0.0
@@ -102,8 +98,6 @@ class CompileReport:
             f"  fusion: {self.fused_regions} regions covering "
             f"{self.fused_ops} pointwise ops",
         ]
-        if self.memory is not None:
-            lines.append(f"  {self.memory.format()}")
         if self.shape_fallbacks:
             lines.append(
                 f"  shapes: executed {len(self.shape_fallbacks)} node(s) with no "
@@ -134,8 +128,8 @@ def compile(  # noqa: A001 - mirrors torch.compile
     Args:
         module: a ``Module`` (symbolically traced first) or an existing
             ``GraphModule``.  Never mutated — the pipeline runs on a copy.
-        example_inputs: inputs used to propagate shapes; fusion and
-            memory planning specialize against these (a single Tensor is
+        example_inputs: inputs used to propagate shapes; fusion
+            specializes against these (a single Tensor is
             accepted in place of a 1-tuple).  Without them the shape-
             dependent stages are skipped and only the generic cleanups
             (DCE, CSE, const-fold, conv-bn fold) run.
@@ -143,14 +137,14 @@ def compile(  # noqa: A001 - mirrors torch.compile
         cache: use the shared transform cache for the pipeline.
         verify: run the analysis-backed
             :class:`~repro.fx.analysis.PassVerifier` after every stage —
-            a pass that introduces a mutation/arena hazard or deletes an
+            a pass that introduces a mutation hazard or deletes an
             effectful node aborts compilation with a
             :class:`~repro.fx.analysis.VerificationError` naming it.
         executor: ``"codegen"`` (default) returns the optimized
             ``GraphModule`` running its generated forward; ``"vm"``
             additionally flattens it onto the bytecode tier and returns a
-            :class:`~repro.fx.vm.VMModule` replaying the fused,
-            arena-planned graph as an immutable instruction stream.
+            :class:`~repro.fx.vm.VMModule` replaying the fused graph as
+            an immutable instruction stream.
 
     Returns:
         The optimized, recompiled ``GraphModule`` (or the ``VMModule``
@@ -185,7 +179,6 @@ def compile(  # noqa: A001 - mirrors torch.compile
         nodes_after=breport.nodes_after,
         fused_regions=fused_regions,
         fused_ops=fused_ops,
-        memory=vars(out).get("memory_plan"),
         shape_fallbacks=vars(out).get("shape_fallbacks", ()),
         records=breport.records,
         total_time=breport.total_time,

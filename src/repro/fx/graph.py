@@ -566,12 +566,11 @@ class Graph:
         code, which still reads attributes by name.
 
         With ``include_meta=True`` the shape facts a node carries —
-        ``meta["tensor_meta"]`` and ``meta["arena_slot"]`` — are fed too,
-        and objects with a ``hash_token()`` method (a fused kernel's spec,
-        an arena slot's index and shape, a ``TensorMetadata``) enter by
-        that content instead of by ``id()``, so a fused and planned graph
-        hashes stably.  Passes specialise on shape facts (rule
-        preconditions, fusion, planning), so the transform cache, whose
+        ``meta["tensor_meta"]`` — are fed too, and objects with a
+        ``hash_token()`` method (a fused kernel's spec, a
+        ``TensorMetadata``) enter by that content instead of by ``id()``,
+        so a fused graph hashes stably.  Passes specialise on shape facts
+        (rule preconditions, fusion), so the transform cache, whose
         key must cover everything a run of passes read, asks for this
         mode; generated source depends on neither shapes nor dtypes.
 
@@ -700,11 +699,9 @@ class Graph:
                      if not isinstance(node.target, str) else f"s:{node.target}")
             feed_arg(node.args)
             feed_arg(node.kwargs)
-            if include_meta:
-                for key in ("tensor_meta", "arena_slot"):
-                    if key in node.meta:
-                        feed(f"meta:{key}")
-                        feed_arg(node.meta[key])
+            if include_meta and "tensor_meta" in node.meta:
+                feed("meta:tensor_meta")
+                feed_arg(node.meta["tensor_meta"])
             if root is not None and node.op in ("get_attr", "call_module"):
                 try:
                     value = _resolve_attr(root, node.target)
@@ -875,30 +872,21 @@ class Graph:
                 )
                 continue
             if node.op == "call_function":
-                # Memory-planned nodes receive their arena slot as out=
-                # (see passes.memory_planner), which rules out the inline
-                # operator/getattr renderings below.
-                slot = node.meta.get("arena_slot")
                 fmt = _MAGIC_FORMATS.get(node.target)
-                if fmt is not None and not node.kwargs and slot is None:
+                if fmt is not None and not node.kwargs:
                     rendered = fmt.format(*[arg_repr(a) for a in node.args])
                     body.append(f"{node.name} = {rendered}{delete_unused(node)}\n")
                     continue
                 if node.target is getattr and len(node.args) == 2 and isinstance(
                     node.args[1], str
-                ) and node.args[1].isidentifier() and not node.kwargs and slot is None:
+                ) and node.args[1].isidentifier() and not node.kwargs:
                     body.append(
                         f"{node.name} = {arg_repr(node.args[0])}.{node.args[1]}"
                         f"{delete_unused(node)}\n"
                     )
                     continue
                 fname = add_global(_global_name_for(node.target), node.target)
-                rendered_args = call_args(node)
-                if slot is not None:
-                    out_name = add_global(f"_slot{getattr(slot, 'index', 0)}", slot)
-                    rendered_args = (f"{rendered_args}, out = {out_name}"
-                                     if rendered_args else f"out = {out_name}")
-                body.append(f"{node.name} = {fname}({rendered_args}){delete_unused(node)}\n")
+                body.append(f"{node.name} = {fname}({call_args(node)}){delete_unused(node)}\n")
                 continue
             if node.op == "output":
                 body.append(f"return {arg_repr(node.args[0])}\n")

@@ -55,7 +55,7 @@ def _compile_forward(python_code: PythonCode) -> tuple:
 
 
 #: Compiled ``forward`` functions keyed on ``(Graph.structural_hash(
-#: include_attrs=False), node names, arena slots)``: the generated source
+#: include_attrs=False), node names)``: the generated source
 #: depends only on graph structure plus the variable names, never on
 #: parameter values, so identical graphs across modules (pickle
 #: round-trips, no-op transforms, fuzz iterations) share one compile + one
@@ -219,16 +219,6 @@ class GraphModule(Module):
             key = (
                 self._graph.structural_hash(include_attrs=False),
                 tuple(n.name for n in self._graph.nodes),
-                # Arena-slot assignments live only in node.meta (not in
-                # the structural hash) yet change the generated source
-                # (out=<slot> arguments). Two structurally identical
-                # graphs with different plans must not share code; the
-                # id() is pinned live by the stored globals table.
-                tuple(
-                    (i, id(n.meta.get("arena_slot")))
-                    for i, n in enumerate(self._graph.nodes)
-                    if n.meta.get("arena_slot") is not None
-                ),
             )
         except Exception:
             key = None  # unhashable target/arg: fall back to a fresh compile

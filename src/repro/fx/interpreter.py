@@ -71,7 +71,7 @@ class Interpreter:
         # overrides installed after construction and module/graph swaps
         # are caught by the staleness check at the top of run().
         self._node_handlers: dict[Node, Any] = {
-            node: self._resolve_handler(node) for node in module.graph.nodes
+            node: getattr(self, node.op) for node in module.graph.nodes
         }
         self._tables_graph = module.graph
         self._handler_sources = self._handler_snapshot()
@@ -93,26 +93,6 @@ class Interpreter:
         if (self._tables_graph is not self._module.graph
                 or self._handler_sources != self._handler_snapshot()):
             self._build_tables()
-
-    def _resolve_handler(self, node: Node) -> Any:
-        handler = getattr(self, node.op)
-        slot = node.meta.get("arena_slot")
-        if (
-            slot is not None
-            and node.op == "call_function"
-            and self.garbage_collect_values
-            and type(self).call_function is Interpreter.call_function
-            and "call_function" not in self.__dict__
-        ):
-            # Memory-planned node (see passes.memory_planner): route the
-            # arena slot in as out= so interpretation reuses buffers like
-            # the generated code does.  Only safe when intermediates are
-            # garbage-collected (a retained env value would be clobbered
-            # on slot reuse) and only for the stock call_function handler
-            # (an override is not expecting a surprise kwarg).
-            def handler(target, args, kwargs, _slot=slot):
-                return target(*args, **kwargs, out=_slot)
-        return handler
 
     def run(self, *args, initial_env: Optional[dict[Node, Any]] = None) -> Any:
         """Run the graph with *args* bound to the placeholders, returning

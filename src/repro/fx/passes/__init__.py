@@ -15,13 +15,12 @@ Each submodule corresponds to a capability the paper evaluates or cites:
   basic-block IR (§5.5);
 * :mod:`.pass_manager` — instrumented pipeline driver with per-pass
   metrics, lint validation, and run-granular transform caching (§4.4);
-* :mod:`.pointwise_fuser` / :mod:`.memory_planner` — pointwise-region
-  fusion into generated kernels and liveness-based buffer pooling, the
-  optimization backend of :func:`repro.fx.compile` (§6.2).
+* :mod:`.pointwise_fuser` — pointwise-region fusion into generated
+  kernels, the optimization backend of :func:`repro.fx.compile` (§6.2).
 """
 
 from . import const_fold, cse, dce, fuser
-from . import memory_planner, pass_manager, pointwise_fuser
+from . import pass_manager, pointwise_fuser
 from . import shape_prop, symbolic_shape_prop
 from .const_fold import fold_constants
 from .pass_manager import (
@@ -41,7 +40,6 @@ from .symbolic_shape_prop import (
 from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
 from .fuser import fuse_conv_bn, fuse_conv_bn_weights
-from .memory_planner import Arena, ArenaSlot, MemoryPlan, plan_memory
 from .pointwise_fuser import (
     FusedKernel,
     FusedSpec,
@@ -61,17 +59,12 @@ __getattr__, __dir__ = _lazy.attach(__name__, {
 })
 
 __all__ = [
-    "Arena",
-    "ArenaSlot",
     "CostReport",
     "FusedKernel",
     "FusedSpec",
     "FusedStep",
-    "MemoryPlan",
     "OpDef",
     "fuse_pointwise",
-    "memory_planner",
-    "plan_memory",
     "pointwise_fuser",
     "DivergenceReport",
     "ShapeInferenceError",

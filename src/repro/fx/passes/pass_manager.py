@@ -25,8 +25,8 @@ split the pipeline into runs).  The manager hashes the module entering a
 run once and looks up a :class:`RunKey`: the passes' qualnames, the
 example-input signature of those that take example inputs
 (:class:`Specialized`), :meth:`Graph.structural_hash` of the module —
-module hyper-parameters, training flags *and* the ``tensor_meta`` /
-``arena_slot`` its nodes carry, because fusion and planning read them —
+module hyper-parameters, training flags *and* the ``tensor_meta`` its
+nodes carry, because fusion reads it —
 and whether it lints and verifies.  A miss executes the passes with
 per-pass timing, lint and verification, then stores *one* end state and
 hashes nothing more (a stretch that executes separates it from the next
@@ -280,8 +280,7 @@ _STRUCTURAL = frozenset(f"f:repro.fx.{name}" for name in (
     "backends.numpy_backend._shape_prop", "passes.dce.eliminate_dead_code",
     "passes.cse.eliminate_common_subexpressions",
     "passes.const_fold.fold_constants", "passes.fuser.fuse_conv_bn",
-    "passes.pointwise_fuser.fuse_pointwise",
-    "passes.memory_planner.plan_memory"))
+    "passes.pointwise_fuser.fuse_pointwise"))
 
 
 def _no_entry(gm: GraphModule) -> Optional[str]:

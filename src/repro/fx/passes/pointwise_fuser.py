@@ -46,13 +46,7 @@ Safety rules:
   alias-safe: each output row reads a whole input row, so streaming into
   its input would corrupt what it has not read yet (numpy's ``matmul``
   copies an overlapping input first instead).  The allocator never gives
-  such a step its own operand's buffer.  Every guarantee is per step:
-  across a multi-step kernel the result buffer may be written early and
-  an input read later, so the downstream
-  :mod:`~repro.fx.passes.memory_planner` consults the step schedule
-  (first write of buffer 0 vs. last read of each input, the same step
-  included when it is not alias-safe) before routing ``out`` into a dying
-  operand's slot.
+  such a step its own operand's buffer.
 
 A new pointwise op is one :func:`repro.fx.opinfo.pointwise` declaration::
 
@@ -133,30 +127,6 @@ class FusedSpec:
     batched: tuple = ()
 
 
-def _acquire(out: Any, shape: tuple, dtype: np.dtype) -> np.ndarray:
-    """Resolve the ``out=`` argument to a writable result buffer.
-
-    Accepts ``None`` (allocate), an arena slot (anything with a
-    ``materialize()`` method), a raw ndarray, or a Tensor.  A buffer of
-    the wrong shape/dtype is ignored and a fresh one allocated — the
-    kernel must stay correct even if a stale plan hands it garbage.
-    """
-    if out is None:
-        return np.empty(shape, dtype)
-    materialize = getattr(out, "materialize", None)
-    if callable(materialize):
-        buf = materialize()
-    elif isinstance(out, np.ndarray):
-        buf = out
-    elif isinstance(out, Tensor):
-        buf = out.data
-    else:
-        return np.empty(shape, dtype)
-    if isinstance(buf, np.ndarray) and buf.shape == shape and buf.dtype == dtype:
-        return buf
-    return np.empty(shape, dtype)
-
-
 def _run_generic(steps: tuple, arrays: list) -> np.ndarray:
     """Shape-generic evaluation of a fused region via the op table's ``ref``s.
 
@@ -196,10 +166,10 @@ def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
     and its globals table."""
     n = len(spec.guard)
     globals_: dict[str, Any] = {
-        "_np": np, "_T": Tensor, "_acquire": _acquire, "_wrap": Tensor._wrap,
+        "_np": np, "_T": Tensor, "_wrap": Tensor._wrap,
         "_Off": _OffGuard, "_odt": np.dtype(spec.dtype),
     }
-    lines = [f"def fused({''.join(f'x{i}, ' for i in range(n))}*, out=None):"]
+    lines = [f"def fused({', '.join(f'x{i}' for i in range(n))}):"]
     guard_terms, first = [], spec.batched[0] if spec.batched else None
 
     def rows(shape: tuple) -> str:    # a batched shape, at dim 0 of ``s``
@@ -216,8 +186,7 @@ def _generate_source(spec: FusedSpec) -> tuple[str, dict]:
         guard_terms.append(f"{term} and a{i}.dtype == _idt{i}")
     out_shape = repr(spec.shape) if first is None else rows(spec.shape)
     lines.append(f"    if {' and '.join(guard_terms) or 'True'}:")
-    lines.append(f"        b0 = _acquire(out, {out_shape}, _odt)")
-    for k in range(1, spec.n_buffers):
+    for k in range(spec.n_buffers):
         lines.append(f"        b{k} = _np.empty({out_shape}, _odt)")
     for st in spec.steps:
         opdef = TABLE[st.key].kernel
@@ -248,12 +217,10 @@ def _compile_body(spec: FusedSpec) -> tuple:
 class FusedKernel:
     """A compiled pointwise region, callable like any graph target.
 
-    ``kernel(*inputs, out=None)`` returns a Tensor; ``out`` may be an
-    arena slot, ndarray or Tensor to receive the result (see
-    :mod:`~repro.fx.passes.memory_planner`).  The instance pickles by its
-    :class:`FusedSpec`.  Kernels with one body — a spec that differs only
-    in its name — share one generated function through the ``codegen``
-    cache stage.
+    ``kernel(*inputs)`` returns a Tensor over a buffer of its own.  The
+    instance pickles by its :class:`FusedSpec`.  Kernels with one body — a
+    spec that differs only in its name — share one generated function
+    through the ``codegen`` cache stage.
     """
 
     def __init__(self, spec: FusedSpec):
@@ -268,9 +235,9 @@ class FusedKernel:
         self.__module__ = "fused"
         self.off_guard_calls = 0    # calls run by the generic evaluator
 
-    def __call__(self, *args, out=None):
+    def __call__(self, *args):
         try:
-            return self._fn(*args, out=out)
+            return self._fn(*args)
         except _OffGuard as off:
             with _OFF_GUARD_LOCK:
                 self.off_guard_calls += 1
@@ -470,7 +437,7 @@ def _build_spec(name: str, members: list[Node], region: set[Node],
         buf_of[n] = out_buf
         steps.append(FusedStep(m.key, out_buf, tuple(encoded), m.params))
 
-    # Renumber so the region result lands in buffer 0 (the `out` buffer).
+    # Renumber so the region result lands in buffer 0 (the result buffer).
     final = buf_of[members[-1]]
     if final != 0:
         def renum(b: int) -> int:

@@ -34,8 +34,8 @@ Matching semantics:
 ``tensor_meta``/``type`` are re-derived by evaluating the replacement on
 the bindings' recorded metadata (falling back to copying the matched
 anchor's metadata), and ``stack_trace`` provenance is
-inherited from the matched anchor, so shape-dependent passes (memory
-planner, cost model) keep working after a rewrite.
+inherited from the matched anchor, so shape-dependent passes (pointwise
+fusion, cost model) keep working after a rewrite.
 """
 
 from __future__ import annotations

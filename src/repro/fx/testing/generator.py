@@ -8,7 +8,7 @@ Programs come in two families:
   ``output``), kwargs-carrying and kwargs-only calls, list aggregates
   (``cat``), multi-output nodes (``chunk`` + ``getitem``), shared
   subexpressions (operand reuse), multi-use placeholders, multi-step
-  pointwise chains over shared operands (fusion/memory-planner stress),
+  pointwise chains over shared operands (fusion stress),
   50+-op sequential deep chains with multi-use intermediates (flat-VM
   and register-reuse stress), and tuple/dict output aggregates.
 * ``"module"`` — a random ``nn.Module`` tree (MLP or Conv/BatchNorm stack)
@@ -298,10 +298,8 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
         # 2-step pointwise region with a non-fusible first user (cat),
         # whose *last* user is a second multi-step region that reads x
         # either at its tail step (after that kernel's result buffer was
-        # already written) or at its head.  This is the shape of program
-        # that exercises the memory planner's slot-reuse rule: `out` may
-        # take a dying operand's slot only when no later kernel step
-        # still reads the operand.
+        # already written) or at its head: a kernel's result buffer must
+        # never share storage with an operand a later step still reads.
         x = g.call_function(rng.choice(_UNARY), (v,))
         x = g.call_function(rng.choice(_UNARY), (x,))
         # Non-fusible earlier user keeps x out of the consuming region
@@ -321,8 +319,7 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
             w = g.call_function(mix, (x, m))
             w = g.call_function(rng.choice(_UNARY), (w,))
             w = g.call_function(rng.choice(_UNARY), (w,))
-        # Downstream consumer so w itself usually stays non-escaping
-        # (and therefore plannable).
+        # Downstream consumer so w itself usually stays non-escaping.
         r = g.call_function(F.cat, ([w, w],), {"dim": 1})
         values.append((w, shape))
         values.append((r, (shape[0], shape[-1] * 2)))
@@ -332,9 +329,9 @@ def _emit_op(kind: str, i: int, rng: random.Random, g: Graph, root: Module,
         # 50+ *sequential* same-shape pointwise ops with periodically
         # saved intermediates folded back in downstream — the depth the
         # VM's flat replay loop is built for, and a register-reuse
-        # stress for the memory planner: many short-lived values of one
-        # (shape, dtype) class plus multi-use intermediates whose slots
-        # must survive until their distant last reader.
+        # stress: many short-lived values of one (shape, dtype) class plus
+        # multi-use intermediates that must survive until their distant
+        # last reader.
         length = 50 + rng.randrange(14)
         cur = v
         saved = [cur]

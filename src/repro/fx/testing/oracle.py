@@ -19,12 +19,11 @@ executes:
    iteration also exercises the managed pass driver, its transform
    cache, and the between-pass invariant checks; and
 6. the full **optimizing compiler** (``repro.fx.compile``: pointwise
-   fusion + memory planning, with its pass verifier on), called a second
-   time on *other values of the same signature*: the second call reuses
-   the arena buffers, so it must agree with the reference on the new
-   values and must leave the first call's outputs bit for bit as they
-   were (a returned value owns its storage) — fusion and planning must
-   be semantics-preserving on every generated program — called at two
+   fusion, with its pass verifier on), called a second time on *other
+   values of the same signature*: it must agree with the reference on the
+   new values and must leave the first call's outputs bit for bit as they
+   were (a returned value owns its storage) — fusion must be
+   semantics-preserving on every generated program — called at two
    other batch sizes, where it must give the bits of its own compile at
    that size (:func:`_at_other_batch_sizes`: what lets a server key one
    engine on the per-sample signature), and must see a rebound
@@ -46,8 +45,7 @@ executes:
    graph is VM-compiled and must match the reference exactly — including
    after a pickle round-trip of the program, which must replay
    bit-identically (check ``vm``) — and the ``fx.compile`` output is
-   VM-compiled so fused-kernel instructions and arena-backed registers
-   execute on the VM, under the same two-call contract as ``compile``
+   VM-compiled so fused-kernel instructions execute on the VM, under the same two-call contract as ``compile``
    (check ``vm_compiled``), and at the same two other batch sizes; and
 8. the **backend lowering path** (``repro.fx.to_backend`` with the eager
    backend under a per-program seeded *random support predicate*): the
@@ -515,8 +513,8 @@ def _check_vm(report: OracleReport, gm: GraphModule, inputs: tuple,
 
 def _check_vm_compiled(report: OracleReport, program: GeneratedProgram,
                        ref: Any) -> None:
-    """``fx.compile`` output on the VM: fused-kernel instructions and
-    arena-backed registers, held to the two-call contract of
+    """``fx.compile`` output on the VM: fused-kernel instructions held to
+    the two-call contract of
     :func:`_called_twice` and to :func:`_at_other_batch_sizes`."""
     from ..compiler import compile as fx_compile
     from ..vm import compile_to_vm
@@ -581,9 +579,8 @@ def _called_twice(run: Callable, program: GeneratedProgram,
     values of the same signature (each tensor's own elements rotated by
     one, so whatever range an op needs of them still holds).
 
-    The second call writes the arena buffers the first one left behind.
     It must agree with the reference on the new values — a buffer
-    reclaimed while an alias of it was live reads stale data — and must
+    reused while an alias of it was live reads stale data — and must
     not move a bit of what the first call returned: a returned value
     owns its storage.  Returns ``(error or None, worst numeric
     divergence)``.
@@ -712,7 +709,7 @@ def stale_meta(gm: GraphModule, inputs: tuple) -> list[str]:
     node holds; one that does not splits fusion regions."""
     from ..backends import NumpyBackend
 
-    backend = NumpyBackend(inputs, fuse=False, memory_planning=False)
+    backend = NumpyBackend(inputs, fuse=False)
     staged = PassManager(backend.preferred_passes(gm), cache=False)(gm)
     return _differs_from_reference(staged, inputs)
 

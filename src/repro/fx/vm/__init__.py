@@ -12,21 +12,16 @@ file, then replay it with no per-node dispatch at all:
 It is wired in as a first-class execution strategy:
 
 * ``repro.fx.compile(model, inputs, executor="vm")`` returns a
-  :class:`VMModule` running the optimized graph (fused kernels and
-  arena-planned registers included) on the VM;
-* ``to_backend(..., executor="vm")`` — or a backend declaring
-  ``executor = "vm"`` — runs stitched split modules (and with them every
-  eager-fallback partition) on the VM instead of generated source;
+  :class:`VMModule` running the optimized graph (fused kernels
+  included) on the VM;
 * the ``"trt"`` backend builds each supported partition into a
   :class:`VMModule` (its engine is a program of this tier).
 
-Programs are picklable and memoized by structural hash; see
-:mod:`.compiler` for the cache discipline and the arena-slot
-re-validation against the tail-read rule.
+Programs are picklable; see :mod:`.compiler`.
 """
 
 from ...nn import Module
-from .program import Instruction, Reg, VMProgram, VMRunError
+from .program import Instruction, Reg, VMProgram
 from .compiler import (
     VMCompileError,
     compile_to_vm,
@@ -38,7 +33,6 @@ __all__ = [
     "VMCompileError",
     "VMModule",
     "VMProgram",
-    "VMRunError",
     "compile_to_vm",
 ]
 
@@ -48,9 +42,8 @@ class VMModule(Module):
     VM-executed graph drops back into the module ecosystem (callable,
     composable, picklable, and — as a leaf module — re-traceable).
 
-    Safe to share across threads: the program's arena keeps its buffers
-    per calling thread, so one ``VMModule`` can serve a whole worker pool
-    without cloning."""
+    Safe to share across threads: a run keeps its registers per call,
+    so one ``VMModule`` can serve a whole worker pool without cloning."""
 
     def __init__(self, program: VMProgram):
         super().__init__()

@@ -14,16 +14,6 @@ Compilation is a single pass over the graph in topological order:
 * liveness (the same last-use computation codegen and ``Interpreter``
   use) becomes each instruction's ``frees`` list.
 
-Memory-planned fused kernels (``node.meta["arena_slot"]``, stamped by
-:func:`~repro.fx.passes.memory_planner.plan_memory`) keep their slot
-assignment: the plan's arena specs are copied into a program-owned
-:class:`~repro.fx.passes.memory_planner.Arena` and the instruction writes
-through ``out=``.  The compiler re-validates every assignment against the
-PR-3 tail-read rule (:func:`~repro.fx.analysis.mutation.fused_out_clobbers`
-over alias-extended liveness) and silently *drops* any slot an unsound
-planner produced — the instruction then allocates per call, which is slow
-but always correct.
-
 Programs are not memoized: hashing the weights a program binds costs
 more than compiling it (ResNet-50 on a 2-CPU x86 host: 79 vs 2 ms).
 """
@@ -32,12 +22,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..analysis.alias import alias
-from ..analysis.mutation import fused_out_clobbers
 from ..graph import _resolve_attr
 from ..graph_module import GraphModule
 from ..node import Node, map_arg
-from ..passes.pointwise_fuser import FusedKernel
 from .program import Instruction, Reg, VMProgram
 
 __all__ = [
@@ -48,50 +35,6 @@ __all__ = [
 
 class VMCompileError(RuntimeError):
     """The graph cannot be flattened into a VM program."""
-
-
-def _validated_planned(gm: GraphModule) -> dict[Node, Any]:
-    """Planned nodes whose arena-slot assignment survives re-validation.
-
-    A slot assignment is kept only when, for every earlier same-slot
-    occupant ``d``, the occupant's alias-extended lifetime has ended
-    before this node runs — or ends *at* this node with the kernel's step
-    schedule proving the result-buffer write cannot precede any remaining
-    read of ``d`` (:func:`fused_out_clobbers`).  Escaping values are never
-    kept: an arena buffer is reused across calls, so a value that outlives
-    the call must own its storage.
-    """
-    graph = gm.graph
-    planned = [n for n in graph.nodes
-               if n.op == "call_function"
-               and isinstance(n.target, FusedKernel)
-               and n.meta.get("arena_slot") is not None]
-    if not planned:
-        return {}
-    facts = alias(gm)
-    order = {n: i for i, n in enumerate(graph.nodes)}
-
-    def slot_key(n: Node):
-        s = n.meta["arena_slot"]
-        return (id(s.arena), s.index)
-
-    keep: dict[Node, Any] = {}
-    for n in planned:
-        if n in facts.escapes:
-            continue
-        sound = True
-        for d in planned:
-            if d is n or slot_key(d) != slot_key(n) or order[d] >= order[n]:
-                continue
-            last = facts.extended_last[d]
-            if last < order[n]:
-                continue
-            if last > order[n] or fused_out_clobbers(n, d, facts.may_alias):
-                sound = False
-                break
-        if sound:
-            keep[n] = n.meta["arena_slot"]
-    return keep
 
 
 def compile_to_vm(gm: GraphModule) -> VMProgram:
@@ -126,14 +69,10 @@ def compile_to_vm(gm: GraphModule) -> VMProgram:
     for used, user in node_to_last_use.items():
         user_to_last_uses.setdefault(user, []).append(used)
 
-    planned = _validated_planned(gm)
-
     reg_of: dict[Node, int] = {}
     consts: dict[int, Any] = {}
     inputs: list[tuple] = []
     instructions: list[Instruction] = []
-    slot_map: dict[tuple, int] = {}
-    arena_specs: list[tuple] = []
     output_template: Any = None
     next_reg = 0
 
@@ -165,22 +104,13 @@ def compile_to_vm(gm: GraphModule) -> VMProgram:
                 kind, target = "method", node.target
             else:
                 kind, target = "call", node.target
-            out_slot = None
-            slot = planned.get(node)
-            if slot is not None:
-                okey = (id(slot.arena), slot.index)
-                if okey not in slot_map:
-                    slot_map[okey] = len(arena_specs)
-                    arena_specs.append(tuple(slot.arena.specs[slot.index]))
-                out_slot = slot_map[okey]
             reg_of[node] = next_reg
             frees = tuple(sorted(reg_of[d]
                                  for d in user_to_last_uses.get(node, ())
                                  if d in reg_of))
             instructions.append(Instruction(
                 kind=kind, target=target, args=args_t, kwargs=kwargs_t,
-                out=next_reg, frees=frees, out_slot=out_slot,
-                name=node.name))
+                out=next_reg, frees=frees, name=node.name))
             next_reg += 1
         else:
             raise VMCompileError(f"unknown opcode {node.op!r}")
@@ -188,4 +118,4 @@ def compile_to_vm(gm: GraphModule) -> VMProgram:
     if output_template is None:
         raise VMCompileError("graph has no output node")
     return VMProgram(instructions, next_reg, inputs, output_template, consts,
-                     arena_specs, name=getattr(gm, "_class_name", "VMProgram"))
+                     name=getattr(gm, "_class_name", "VMProgram"))

@@ -12,20 +12,14 @@ dict lookups, ``getattr`` calls, or Node objects.
 Register discipline mirrors the generated code: every instruction writes
 one register, and registers whose last reader has run are dropped
 (``regs[i] = None``), so peak liveness matches codegen's ``x = None``
-garbage collection.  Memory-planned fused kernels write into a
-program-owned :class:`~repro.fx.passes.memory_planner.Arena` via
-``out=``, so steady-state calls allocate nothing for planned
-intermediates.
+garbage collection.
 
-``run`` is **reentrant**: the register file is per call, the step
-closures are pure over it, and the arena materialises its buffers per
-calling thread (see :class:`~repro.fx.passes.memory_planner.Arena`), so
-two threads replaying one shared program never write through the same
-scratch buffers.
+``run`` is **reentrant**: the register file is per call and the step
+closures are pure over it, so two threads may replay one shared program.
 
 The program is picklable: only the declarative state (instructions,
-register count, constants, arena *specs*) is serialized; step closures
-and arena buffers are rebuilt on load, exactly like
+register count, constants) is serialized; step closures are rebuilt on
+load, exactly like
 :class:`~repro.fx.passes.pointwise_fuser.FusedKernel` regenerating its
 source from its spec.
 """
@@ -35,14 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..passes.memory_planner import Arena, ArenaSlot
-
-__all__ = ["Reg", "Instruction", "VMProgram", "VMRunError"]
-
-
-class VMRunError(RuntimeError):
-    """An instruction raised during :meth:`VMProgram.run`; the message
-    names the failing instruction, the cause is chained."""
+__all__ = ["Reg", "Instruction", "VMProgram"]
 
 
 class Reg:
@@ -81,8 +68,6 @@ class Instruction:
         out: destination register.
         frees: registers whose last read is this instruction; cleared
             after it executes.
-        out_slot: arena-slot index for memory-planned fused kernels
-            (routed in as ``out=``), or ``None``.
         name: source node name, for disassembly and error reports.
     """
 
@@ -92,7 +77,6 @@ class Instruction:
     kwargs: dict = field(default_factory=dict)
     out: int = 0
     frees: tuple = ()
-    out_slot: Optional[int] = None
     name: str = ""
 
     def format(self) -> str:
@@ -102,8 +86,6 @@ class Instruction:
             shown = getattr(self.target, "__name__", None) or repr(self.target)
         parts = [repr(a) for a in self.args]
         parts += [f"{k}={v!r}" for k, v in self.kwargs.items()]
-        if self.out_slot is not None:
-            parts.append(f"out=<arena:{self.out_slot}>")
         line = f"%r{self.out} = {shown}({', '.join(parts)})"
         if self.frees:
             line += "  ; free " + ", ".join(f"%r{i}" for i in self.frees)
@@ -159,7 +141,7 @@ def _flat_operands(args: tuple) -> Optional[list]:
     return out
 
 
-def _make_step(ins: Instruction, arena: Optional[Arena]):
+def _make_step(ins: Instruction):
     """Compile one instruction into a ``step(regs)`` closure.
 
     Common shapes (all-register operands at small arity, constant-only
@@ -202,15 +184,10 @@ def _make_step(ins: Instruction, arena: Optional[Arena]):
         return step
 
     fn = ins.target
-    slot = None
-    if ins.out_slot is not None and arena is not None:
-        slot = ArenaSlot(arena, ins.out_slot)
     flat = _flat_operands(ins.args)
     if flat is not None and not any(_contains_reg(v)
                                     for v in ins.kwargs.values()):
         kw = dict(ins.kwargs)
-        if slot is not None:
-            kw["out"] = slot
         if all(r for r, _ in flat):
             idx = tuple(p for _, p in flat)
             if not kw:
@@ -236,7 +213,7 @@ def _make_step(ins: Instruction, arena: Optional[Arena]):
                 def step(regs, fn=fn, idx=idx, out=out):
                     regs[out] = fn(*[regs[i] for i in idx])
                 return step
-            # Constant kwargs (fused kernels' out=, clamp bounds, ...).
+            # Constant kwargs (clamp bounds, ...).
             if len(idx) == 1:
                 a, = idx
 
@@ -257,11 +234,8 @@ def _make_step(ins: Instruction, arena: Optional[Arena]):
 
     args_t, kw_t = ins.args, ins.kwargs
 
-    def step(regs, fn=fn, args_t=args_t, kw_t=kw_t, slot=slot, out=out):
-        kw = _subst(kw_t, regs)
-        if slot is not None:
-            kw["out"] = slot
-        regs[out] = fn(*_subst(args_t, regs), **kw)
+    def step(regs, fn=fn, args_t=args_t, kw_t=kw_t, out=out):
+        regs[out] = fn(*_subst(args_t, regs), **_subst(kw_t, regs))
     return step
 
 
@@ -280,35 +254,29 @@ class VMProgram:
             return value.
         consts: ``register -> value`` for compile-time-resolved constants
             (``get_attr`` results, backend engine weights).
-        arena_specs: ``(shape, dtype-name)`` specs for the program-owned
-            arena backing memory-planned instructions.
         name: display name.
     """
 
     def __init__(self, instructions, n_regs: int, inputs, output, consts,
-                 arena_specs=(), name: str = "VMProgram", meta=None):
+                 name: str = "VMProgram"):
         self.instructions = tuple(instructions)
         self.n_regs = int(n_regs)
         self.inputs = tuple(tuple(spec) for spec in inputs)
         self.output = output
         self.consts = dict(consts)
-        self.arena_specs = tuple(tuple(s) for s in arena_specs)
         self.name = name
-        #: Free-form picklable annotations that travel with the program.
-        self.meta = dict(meta) if meta else {}
         self._bind()
 
     def _bind(self) -> None:
         """(Re)build the runtime state the pickle drops: the register-file
-        template, the arena and the step closures bound to it."""
+        template and the step closures."""
         template = [None] * self.n_regs
         for reg, value in self.consts.items():
             template[reg] = value
         self._template = template
         out = self.output
         self._out_reg = out.index if type(out) is Reg else None
-        self.arena = Arena(self.arena_specs) if self.arena_specs else None
-        self._steps = tuple((_make_step(ins, self.arena), ins.frees)
+        self._steps = tuple((_make_step(ins), ins.frees)
                             for ins in self.instructions)
 
     def _bind_args(self, args: tuple) -> list:
@@ -329,7 +297,9 @@ class VMProgram:
 
     def run(self, *args: Any) -> Any:
         """Execute the program with *args* bound to the placeholders
-        (safe to call concurrently from several threads)."""
+        (safe to call concurrently from several threads).  An instruction's
+        exception propagates as raised, with a note naming the program and
+        the instruction where Python keeps notes (3.11+)."""
         regs = self._bind_args(args)
         step_i = 0
         try:
@@ -340,10 +310,10 @@ class VMProgram:
                         regs[i] = None
                 step_i += 1
         except Exception as exc:
-            ins = self.instructions[step_i]
-            raise VMRunError(
-                f"{self.name}: instruction {step_i} ({ins.format()}) "
-                f"raised {type(exc).__name__}") from exc
+            if hasattr(exc, "add_note"):
+                exc.add_note(f"{self.name}: instruction {step_i} "
+                             f"({self.instructions[step_i].format()})")
+            raise
         if self._out_reg is not None:
             return regs[self._out_reg]
         return _subst(self.output, regs)
@@ -358,8 +328,7 @@ class VMProgram:
     def disassemble(self) -> str:
         """Human-readable instruction listing."""
         header = (f"{self.name}: {len(self.instructions)} instructions, "
-                  f"{self.n_regs} registers, {len(self.consts)} constants, "
-                  f"{len(self.arena_specs)} arena slots")
+                  f"{self.n_regs} registers, {len(self.consts)} constants")
         body = [f"  {i:3d}  {ins.format()}"
                 for i, ins in enumerate(self.instructions)]
         return "\n".join([header] + body)
@@ -374,19 +343,16 @@ class VMProgram:
     # -- pickling ---------------------------------------------------------------
 
     def __getstate__(self):
-        # Declarative state only: closures and arena buffers are scratch.
+        # Declarative state only: the closures are rebuilt on load.
         return {
             "instructions": self.instructions,
             "n_regs": self.n_regs,
             "inputs": self.inputs,
             "output": self.output,
             "consts": self.consts,
-            "arena_specs": self.arena_specs,
             "name": self.name,
-            "meta": self.meta,
         }
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.meta = dict(state.get("meta") or {})
         self._bind()

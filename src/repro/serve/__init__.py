@@ -22,7 +22,7 @@ capture-once/replay-many economics PyGraph argues for):
 
 Concurrent serving is safe because the compile stack is re-entrant: the
 codegen LRU and the transform cache are locked and single-flighted, and
-a compiled engine's arena keeps its buffers per calling thread.
+a compiled engine keeps no scratch state between calls.
 
 Example::
 

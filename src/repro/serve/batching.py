@@ -13,7 +13,7 @@ key is the full per-sample signature.
 
 Outputs are split with zero copies: each request receives a view into
 the batched output.  That is safe because compiled engines return
-freshly allocated outputs (escaping values are never arena-planned), so
+freshly allocated outputs (every fused kernel allocates its result), so
 one request's view can't be clobbered by the next forward.
 """
 

@@ -57,7 +57,9 @@ __all__ = ["ENGINE_FORMAT_VERSION", "EngineKey", "EngineCache"]
 #: files with any other version are treated as stale and rebuilt.
 #: v3: EngineKey lost a field — a v2 file must go stale on the version
 #: check, before any comparison against its five-field key.
-ENGINE_FORMAT_VERSION = 3
+#: v4: VMProgram and Instruction lost their arena and meta fields — a v3
+#: program must go stale instead of unpickling into the new layout.
+ENGINE_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,12 @@ Architecture (stdlib only)::
   is the batch key's (every input's shape without its dim 0, and its
   dtype), so one engine serves every batch size: its fused kernels take
   any dim 0 on their fast path (``stats()["off_guard_calls"]`` counts
-  the calls that missed it), a kernel that meets a shape it was not
-  built for runs eager's generic code, and an arena slot of another
-  shape is a fresh array.  A request with no batch dim (a 0-d or
+  the calls that missed it), and a kernel that meets a shape it was not
+  built for runs eager's generic code.  A request with no batch dim (a 0-d or
   non-tensor input, or inputs whose dim 0 disagree) is keyed on its
   exact signature.
-* **Concurrency safety** — an engine's arena keeps its scratch buffers
-  per calling thread, and every compile-stack cache is
+* **Concurrency safety** — an engine keeps no scratch state between
+  calls, and every compile-stack cache is
   locked/single-flighted, so one shared engine serves the whole worker
   pool.
 

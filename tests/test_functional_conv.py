@@ -253,7 +253,7 @@ def test_qconv2d_reference_unchanged():
 
 
 def test_conv2d_output_is_fresh():
-    """Alias analysis and the arena planner assume a conv output is new
+    """Alias analysis assumes a conv output is new
     memory: C-contiguous, writeable, sharing nothing with its operands."""
     rng = np.random.default_rng(0)
     b = rng.standard_normal(4).astype(np.float32)

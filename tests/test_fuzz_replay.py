@@ -144,9 +144,9 @@ class TestOracleAndMinimizer:
     def test_a_cast_filed_as_fresh_is_caught(self, monkeypatch):
         """Mutant: the ``float`` entry declares no ``view``.  On a float32
         operand it returns the operand, which the self-test sees as shared
-        memory; and the oracle's second call of ``compile`` / ``vm_compiled``
-        runs on other values, so a returned arena buffer shows as a first
-        result that moved."""
+        memory.  No compiled result rests on that verdict any more (every
+        fused kernel allocates its result), so the oracle's two-call
+        ``compile`` / ``vm_compiled`` checks pass under the mutant."""
         class CastLast(nn.Module):
             def forward(self, x):
                 return (F.relu(x) * 2.0 + 1.0).float()
@@ -163,9 +163,8 @@ class TestOracleAndMinimizer:
             failing = run_oracle(program, only=frozenset({"compile", "vm_compiled"}),
                                  localize=False).failures
         finally:
-            clear_caches()  # nothing planned under the mutant may be replayed
-        assert {o.name for o in failing} == {"compile", "vm_compiled"}
-        assert all("own its storage" in o.error for o in failing)
+            clear_caches()  # nothing compiled under the mutant may be replayed
+        assert not failing
 
     def test_the_same_nan_on_both_sides_agrees(self):
         """A NaN made NaN ``tol``: "numeric divergence 0 > tol nan"."""

@@ -2,7 +2,7 @@
 
 200 iterations with a fixed seed, restricted to the ``vm`` and
 ``vm_compiled`` oracle checks: every generated program (including its
-fused, arena-planned ``fx.compile`` form) must replay exactly on the flat
+fused ``fx.compile`` form) must replay exactly on the flat
 bytecode VM, and pickle round-trips must be bit-identical.  The
 ``recompile`` check rides along — the compiled form this tier runs is, on
 every compile after the first, a replay from the transform cache, which

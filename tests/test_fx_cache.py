@@ -397,10 +397,11 @@ print(json.dumps(out))
 def test_a_compile_is_one_hash_and_generates_no_code():
     few, many = _run(WORK_SCRIPT, "4"), _run(WORK_SCRIPT, "8")
     assert few["exact"] and many["exact"]
-    # every stage is verified on its own (seven stages: the ``shape_refresh``
+    # every stage is verified on its own (six stages: the ``shape_refresh``
     # that made nine re-stamped metadata every node-creating pass now
-    # carries forward itself, and the rule-library stage is gone) ...
-    assert few["stages"] == many["stages"] == 7
+    # carries forward itself, and the rule-library and memory-planning
+    # stages are gone) ...
+    assert few["stages"] == many["stages"] == 6
     # ... and the graph states the stages leave behind are analysed
     # directly, never hashed, however big the graph (76 hashes with 4
     # extra blocks and 84 with 8 when an analysis cache keyed every
@@ -413,7 +414,7 @@ def test_a_compile_is_one_hash_and_generates_no_code():
     # 517a305, one per cacheable stage)
     assert few["compile"]["transform"] == many["compile"]["transform"] == 1
     for run in (few, many):
-        # ~500 -> 130 nodes through seven stages (98 before each fused
+        # ~500 -> 130 nodes through six stages (98 before each fused
         # Linear's weight and bias became get_attr nodes) without generating
         # a forward; the first call generates the one forward that runs.
         # The 32 fused kernels look their code up in the codegen stage by

@@ -58,8 +58,7 @@ class TestArtifactAttachment:
         x = repro.randn(4, 8)
         vm = repro.fx.compile(model, (x,), executor="vm")
         prog = pickle.loads(pickle.dumps(vm.program))
-        assert "guards" not in vm.program.meta
-        assert prog.meta == vm.program.meta
+        assert not hasattr(vm.program, "meta") and not hasattr(prog, "meta")
         assert np.array_equal(prog.run(x).numpy(), vm(x).numpy())
 
     def test_guarded_engine_correct_at_other_batch_sizes(self):

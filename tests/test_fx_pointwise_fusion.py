@@ -220,7 +220,7 @@ class TestKernelObject:
         k2 = _fused_nodes(gm2)[0].target
         assert k2.spec == _fused_nodes(gm)[0].target.spec
 
-    def test_kernel_accepts_out_buffer(self):
+    def test_each_call_returns_a_buffer_of_its_own(self):
         class M(nn.Module):
             def forward(self, x):
                 return F.relu(x) * 2.0
@@ -229,10 +229,12 @@ class TestKernelObject:
         gm = _trace_and_prop(M(), x)
         fuse_pointwise(gm)
         kernel = _fused_nodes(gm)[0].target
-        buf = np.empty((3, 3), np.float32)
-        out = kernel(x, out=buf)
-        assert out.data is buf
-        assert np.array_equal(out.data, M()(x).data)
+        first, second = kernel(x), kernel(x)
+        assert not np.shares_memory(first.data, second.data)
+        assert not np.shares_memory(first.data, x.data)
+        assert np.array_equal(first.data, M()(x).data)
+        with pytest.raises(TypeError):
+            kernel(x, out=np.empty((3, 3), np.float32))
 
     def test_registry_extension_hook(self):
         def scaled_tanh(x, scale=1.0):
@@ -260,6 +262,43 @@ class TestKernelObject:
         finally:
             opinfo.TABLE.pop("scaled_tanh", None)
             opinfo.INDEX._by_function.pop(scaled_tanh, None)
+
+    @pytest.mark.parametrize("alias_safe", [False, True])
+    def test_an_emit_that_is_not_alias_safe_never_writes_what_it_reads(self, alias_safe):
+        """The register allocator hands a step a dying operand's buffer as
+        its destination only when the op declares ``alias_safe``.  This emit
+        writes ``out`` and then reads its operand again, so run in place it
+        gives ``4 * a`` instead of ``3 * a``: declared honestly, the kernel
+        gives eager's bits; declared alias-safe, it takes the operand's
+        buffer and does not."""
+        def triple(x):
+            return repro.Tensor(np.asarray(x.data) * 3.0)
+
+        def emit(out, a):
+            np.multiply(a, 2.0, out=out)
+            np.add(out, a, out=out)
+
+        opinfo.pointwise(
+            OpDef("triple_late_read", 1, ref=lambda a: a * 3.0, emit=emit,
+                  alias_safe=alias_safe),
+            functions=(triple,),
+        )
+        try:
+            g = Graph()
+            x = g.placeholder("x")
+            g.output(g.call_function(triple, (g.call_function(F.relu, (x,)),)))
+            gm = GraphModule(nn.Module(), g)
+            xv = repro.randn(4, 4)
+            ref = gm(xv)
+            ShapeProp(gm).propagate(xv)
+            assert fuse_pointwise(gm) == 1
+            spec = _fused_nodes(gm)[0].target.spec
+            assert spec.n_buffers == (1 if alias_safe else 2)
+            exact = gm(xv).data.tobytes() == ref.data.tobytes()
+            assert exact != alias_safe
+        finally:
+            opinfo.TABLE.pop("triple_late_read", None)
+            opinfo.INDEX._by_function.pop(triple, None)
 
 
 class LinearReLU(nn.Module):
@@ -507,12 +546,12 @@ class TestAnyBatchSize:
         m, x, y = M(), repro.randn(4, 8), repro.randn(4, 8)
         gm, kernel = self._fused(m, x, y)
         assert kernel.source == """\
-def fused(x0, x1, *, out=None):
+def fused(x0, x1):
     a0 = x0.data if isinstance(x0, _T) else _np.asarray(x0)
     s = a0.shape
     a1 = x1.data if isinstance(x1, _T) else _np.asarray(x1)
     if (s == (4, 8) or s[1:] == (8,)) and a0.dtype == _idt0 and a1.shape == s and a1.dtype == _idt1:
-        b0 = _acquire(out, s, _odt)
+        b0 = _np.empty(s, _odt)
         _k_relu(b0, a0)
         _np_add(b0, 1.0, out=b0)
         _k_add(b0, b0, a1, alpha=2)

@@ -24,11 +24,11 @@ from repro.fx import (ArtifactCache, UnstableHashError, cache_info,
                       clear_caches, symbolic_trace)
 from repro.fx.backends import NumpyBackend, to_backend
 from repro.fx.backends.numpy_backend import _shape_prop
-from repro.fx.passes import (PassError, PassManager, ShapeProp, Specialized,
-                             SymbolicShapeProp, SymShape,
+from repro.fx.passes import (FusedKernel, PassError, PassManager, ShapeProp,
+                             Specialized, SymbolicShapeProp, SymShape,
                              eliminate_common_subexpressions,
                              eliminate_dead_code, fold_constants,
-                             fuse_pointwise, plan_memory)
+                             fuse_pointwise)
 from repro.fx.passes import pass_manager as pm_module
 from repro.fx.passes.pass_manager import RunKey, _pass_identity
 from repro.fx.state import TRANSFORM_CACHE
@@ -47,7 +47,7 @@ def arrays(module):
 
 
 class Net(nn.Module):
-    """conv-bn folding, two fused regions (one planned into the arena), and
+    """conv-bn folding, two fused regions, and
     a weight big enough (2 MB) that arrays, not Python objects, are what a
     compile allocates."""
 
@@ -154,46 +154,48 @@ def test_second_signature_is_not_served_the_first_ones_rewrites(case):
         assert tuple(got.shape) == (3, 4)
 
 
-class PlannedIntermediate(nn.Module):
-    """A fused region whose value only a matmul reads: memory planning
-    gives it an arena slot of the shape ``tensor_meta`` says."""
+class FusedIntermediate(nn.Module):
+    """A fused region whose value only a matmul reads: fusion specialises
+    its kernel on the shape and dtype ``tensor_meta`` says."""
 
     def forward(self, x):
         return F.matmul(F.relu(x * 2.0 + 1.0), x.T)
 
 
-#: first and second signature of :class:`PlannedIntermediate`: a replay
-#: of the first's plan would write a (3, 4) value into a (2, 4) slot.
-PLANNED = {
+#: first and second signature of :class:`FusedIntermediate`: a replay
+#: of the first's fusion would serve the second a kernel built for another
+#: signature.
+SIGNATURES = {
     "dtype": ((repro.randn(2, 4),), (repro.randn(2, 4).double(),)),
     "shape": ((repro.randn(2, 4),), (repro.randn(3, 4),)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(PLANNED))
+@pytest.mark.parametrize("case", sorted(SIGNATURES))
 def test_hand_built_pipeline_is_protected_by_the_meta_in_the_hash(case):
     # The direct-user path: a closure over the inputs stamps shapes (and
-    # executes every time), the fusion and planning after it are cached —
-    # and keyed by a hash that includes what the closure stamped.
-    first, second = PLANNED[case]
-    model = PlannedIntermediate()
+    # executes every time), the fusion after it is cached — and keyed by a
+    # hash that includes what the closure stamped.
+    first, second = SIGNATURES[case]
+    model = FusedIntermediate()
     cache = ArtifactCache()
 
     def run(inputs):
         def shape_stage(gm):
             ShapeProp(gm).propagate(*inputs)
 
-        return PassManager([shape_stage, fuse_pointwise, plan_memory],
+        return PassManager([shape_stage, fuse_pointwise],
                            cache=cache).run(symbolic_trace(model))
 
     built = run(first)
     assert built.misses == [("cold",)]
-    assert any("arena_slot" in n.meta for n in built.graph_module.graph.nodes)
+    assert any(isinstance(n.target, FusedKernel)
+               for n in built.graph_module.graph.nodes)
     result = run(second)
     assert result.misses == [("state",)]
     assert same_bits(result.graph_module(*second), model(*second))
     again = run(second)
-    assert [r.cache_hit for r in again.records] == [False, True, True]
+    assert [r.cache_hit for r in again.records] == [False, True]
     assert same_bits(again.graph_module(*second), model(*second))
 
 
@@ -253,7 +255,7 @@ def test_no_transform_key_or_stage_token_is_derived_from_an_id(net):
     assert Specialized(_shape_prop, (object(),)).signature is None
     assert _pass_identity(Specialized(_shape_prop, (object(),))) is None
 
-    # a fused, planned graph hashes by content in the mode the transform
+    # a fused graph hashes by content in the mode the transform
     # cache asks for (and keeps refusing to in the mode the VM memo uses)
     replayed = fx.compile(symbolic_trace(model), (x,))
     assert all(r.cache_hit for r in replayed.compile_report.records)
@@ -305,23 +307,14 @@ def test_replayed_compile_reports_what_the_built_one_did(net):
     assert not any(r.cache_hit for r in a.records)
     assert all(r.cache_hit for r in b.records)
     for f in dataclasses.fields(a):
-        if f.name not in ("records", "memory", "total_time"):
+        if f.name not in ("records", "total_time"):
             assert getattr(a, f.name) == getattr(b, f.name), f.name
     assert a.fused_regions == 2
     for ra, rb in zip(a.records, b.records, strict=True):
         assert dataclasses.replace(ra, wall_time=0.0, cache_hit=False) \
             == dataclasses.replace(rb, wall_time=0.0, cache_hit=False)
-    # the plan travels with the module: same numbers, and the arena it
-    # names is the one the replayed module's slots write through
-    assert a.memory is not None and a.memory.planned >= 1
-    assert dataclasses.replace(a.memory, arena=None) \
-        == dataclasses.replace(b.memory, arena=None)
-    assert a.memory.arena.specs == b.memory.arena.specs
-    slots = [n.meta["arena_slot"] for n in replayed.graph.nodes
-             if "arena_slot" in n.meta]
-    assert slots and all(s.arena is b.memory.arena for s in slots)
-    assert "replayed 0 of 7 stages from 0 cache entries" in a.format()
-    assert "replayed 7 of 7 stages from 1 cache entry" in b.format()
+    assert "replayed 0 of 6 stages from 0 cache entries" in a.format()
+    assert "replayed 6 of 6 stages from 1 cache entry" in b.format()
     assert same_bits(built(x), replayed(x))
 
 

@@ -1,7 +1,7 @@
 """Tests for the analysis-backed PassVerifier: snapshot/adopt semantics,
-PassManager integration (including the cached-snapshot fast path), and the
-headline regression — resurrecting the PR-3 unsound arena-reuse planner as
-a mutant pass and asserting the verifier rejects the pipeline naming it."""
+PassManager integration (including the cached-snapshot fast path and a
+rejected pass's output never being stored), and demand-driven linting
+deciding what exhaustive linting decided."""
 
 import hashlib
 import importlib.util
@@ -30,16 +30,14 @@ from repro.fx.analysis import (
     purity,
 )
 from repro.fx.passes import PassManager, ShapeProp
-from repro.fx.passes.memory_planner import Arena, ArenaSlot, _leaf_meta, plan_memory
-from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
+from repro.fx.passes.pointwise_fuser import fuse_pointwise
 from repro.fx.state import copy_module
 from repro.fx.testing.generator import generate_program, spec_for_iteration
 from tests.test_fx_analysis import count_analysis_calls
 
 
 class TailReadModel(nn.Module):
-    """x is read again *after* two more fusable chains have run — the shape
-    that exposed the PR-3 arena-reuse bug."""
+    """x is read again *after* two more fusable chains have run."""
 
     def forward(self, a, c):
         x = F.exp(a) * F.sin(a)
@@ -63,62 +61,13 @@ def _prepare(module, *inputs):
     return gm
 
 
-# ---------------------------------------------------------------------------
-# the mutant: PR 3's planner bug, verbatim in shape
-# ---------------------------------------------------------------------------
-
-
-def unsound_plan_memory(gm: GraphModule) -> None:
-    """The pre-fix arena planner: slots of values dying at step *i* are
-    returned to the pool *before* node *i*'s own ``out`` slot is chosen,
-    and no step-schedule clobber check is made.  A multi-step fused kernel
-    whose result buffer steals a dying operand's slot then overwrites that
-    operand before its final read (commit bb5be47 fixed this)."""
-    graph = gm.graph
-    nodes = list(graph.nodes)
-
-    for n in nodes:
-        n.meta.pop("arena_slot", None)
-
-    facts = alias(gm)
-    extended_last, escapes = facts.extended_last, facts.escapes
-
-    def plannable(n):
-        return (n.op == "call_function" and isinstance(n.target, FusedKernel)
-                and n not in escapes and bool(n.users)
-                and _leaf_meta(n) is not None)
-
-    dying_at = {}
-    for n in nodes:
-        if plannable(n):
-            dying_at.setdefault(extended_last[n], []).append(n)
-
-    arena = Arena()
-    pool = {}
-    slot_of = {}
-    planned = False
-    for i, n in enumerate(nodes):
-        # BUG: free dying slots first, so n's own out can grab the slot of
-        # an operand whose last read happens *during* n.
-        for dead in dying_at.get(i, ()):
-            dmeta = _leaf_meta(dead)
-            dkey = (tuple(dmeta.shape), dmeta.dtype.name)
-            pool.setdefault(dkey, []).append(slot_of[dead])
-        if not plannable(n):
-            continue
-        meta = _leaf_meta(n)
-        key = (tuple(meta.shape), meta.dtype.name)
-        avail = pool.get(key)
-        if avail:
-            idx = avail.pop()
-        else:
-            idx = arena.add_slot(tuple(meta.shape),
-                                 np.dtype(meta.dtype.np_dtype).name)
-        slot_of[n] = idx
-        n.meta["arena_slot"] = ArenaSlot(arena, idx)
-        planned = True
-    if planned:
-        gm.recompile()
+def clobbering_pass(gm: GraphModule) -> None:
+    """A bad pass: writes in place into a value later nodes still read."""
+    n = next(n for n in gm.graph.nodes
+             if n.op == "call_function" and len(n.users) > 1)
+    with gm.graph.inserting_after(n):
+        gm.graph.call_method("add_", (n, 1.0))
+    gm.recompile()
 
 
 # ---------------------------------------------------------------------------
@@ -189,47 +138,6 @@ class TestSnapshotSemantics:
 
 
 # ---------------------------------------------------------------------------
-# the headline test: PR 3's bug is now caught statically
-# ---------------------------------------------------------------------------
-
-
-class TestUnsoundPlannerRejected:
-    def _inputs(self):
-        return repro.randn(6, 6), repro.randn(6, 6)
-
-    def test_mutant_planner_fails_verification(self):
-        a, c = self._inputs()
-        gm = _prepare(TailReadModel(), a, c)
-        pm = PassManager([("unsound_plan_memory", unsound_plan_memory)],
-                         cache=False, verifier=PassVerifier())
-        with pytest.raises(VerificationError) as exc_info:
-            pm.run(gm)
-        err = exc_info.value
-        assert err.pass_name == "unsound_plan_memory"
-        assert any(d.rule == "arena-hazard" for d in err.diagnostics)
-        assert "arena-clobber" in str(err)
-
-    def test_mutant_really_is_wrong(self):
-        # The static verdict matches the dynamic one: the mutant plan
-        # produces numerically wrong output.
-        a, c = self._inputs()
-        ref = TailReadModel()(a, c)
-        gm = _prepare(TailReadModel(), a, c)
-        unsound_plan_memory(gm)
-        assert not np.allclose(gm(a, c).data, ref.data)
-
-    def test_sound_planner_passes_verification(self):
-        a, c = self._inputs()
-        gm = _prepare(TailReadModel(), a, c)
-        ref = TailReadModel()(a, c)
-        pm = PassManager([("plan_memory", plan_memory)],
-                         cache=False, verifier=PassVerifier())
-        result = pm.run(gm)
-        assert result.records[-1].verified
-        assert np.allclose(result.graph_module(a, c).data, ref.data)
-
-
-# ---------------------------------------------------------------------------
 # PassManager integration
 # ---------------------------------------------------------------------------
 
@@ -249,10 +157,11 @@ class TestPassManagerIntegration:
 
         def run_once():
             gm = _prepare(TailReadModel(), a, c)
-            pm = PassManager([("unsound_plan_memory", unsound_plan_memory)],
+            pm = PassManager([("clobbering_pass", clobbering_pass)],
                              cache=True, verifier=PassVerifier())
-            with pytest.raises(VerificationError):
+            with pytest.raises(VerificationError) as exc_info:
                 pm.run(gm)
+            assert exc_info.value.pass_name == "clobbering_pass"
 
         run_once()
         # A rejected output is never stored, so a second run must fail
@@ -350,20 +259,19 @@ def _with_writers(gm):
     return gm
 
 
-def _arena_planned(program):
-    """*program* fused and memory-planned, or None where nothing fuses."""
+def _fused(program):
+    """*program* fused, or None where nothing fuses."""
     gm = copy_module(program.gm)
     ShapeProp(gm).propagate(*program.inputs)
     if not fuse_pointwise(gm):
         return None
     ShapeProp(gm).propagate(*program.inputs)
-    plan_memory(gm)
     return gm
 
 
 def _corpus():
     """(label, GraphModule) over the fuzz generator's three families —
-    as generated, made mutation-heavy, and arena-planned — plus this
+    as generated, made mutation-heavy, and fused — plus this
     file's bad-pass fixtures."""
     out = []
     for i in range(48):
@@ -373,15 +281,11 @@ def _corpus():
             out.append((f"{family}:{i}", gm))
             out.append((f"{family}:{i}:writers", _with_writers(gm)))
         if family != "control_flow":
-            planned = _arena_planned(program)
-            if planned is not None:
-                out.append((f"{family}:{i}:planned", planned))
+            fused = _fused(program)
+            if fused is not None:
+                out.append((f"{family}:{i}:fused", fused))
     a, c = repro.randn(6, 6), repro.randn(6, 6)
-    mutant = _prepare(TailReadModel(), a, c)
-    unsound_plan_memory(mutant)
-    sound = _prepare(TailReadModel(), a, c)
-    plan_memory(sound)
-    out += [("unsound_plan_memory", mutant), ("plan_memory", sound),
+    out += [("fused_tail_read", _prepare(TailReadModel(), a, c)),
             ("inplace", symbolic_trace(InplaceModel()))]
     return out
 
@@ -431,7 +335,7 @@ class TestDemandDrivenVerdicts:
         corpus = _corpus()
         labels = {label.split(":")[0] for label, _ in corpus}
         assert {"graph", "module", "control_flow"} <= labels
-        assert sum(label.endswith(":planned") for label, _ in corpus) >= 5
+        assert sum(label.endswith(":fused") for label, _ in corpus) >= 5
         findings = 0
         verifier = PassVerifier()
         for label, gm in corpus:

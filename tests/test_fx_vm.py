@@ -1,8 +1,7 @@
 """Tests for the flat bytecode VM (``repro.fx.vm``): compilation
 invariants, pickle replay determinism (in-process and across processes),
-the structural-hash memo, the PR-3 tail-read re-validation (mutant-style,
-ported from ``tests/test_fx_verifier.py``), and the executor wiring
-through ``fx.compile`` / ``to_backend``."""
+the absence of a program memo, and the executor wiring through
+``fx.compile``."""
 
 import os
 import pickle
@@ -17,16 +16,11 @@ import repro.functional as F
 from repro import nn
 from repro.fx import Graph, GraphModule, cache_info, symbolic_trace
 from repro.fx import compile as fx_compile
-from repro.fx.analysis import alias
-from repro.fx.backends import EagerBackend, to_backend
-from repro.fx.passes import ShapeProp
-from repro.fx.passes.memory_planner import Arena, ArenaSlot, _leaf_meta
-from repro.fx.passes.pointwise_fuser import FusedKernel, fuse_pointwise
+from repro.fx.passes.pointwise_fuser import FusedKernel
 from repro.fx.vm import (
     Reg,
     VMCompileError,
     VMModule,
-    VMRunError,
     compile_to_vm,
 )
 from repro.models import SimpleCNN
@@ -107,9 +101,14 @@ class TestVMExecution:
             compile_to_vm(gm)
 
     def test_run_error_names_instruction(self):
+        """An instruction's exception propagates as eager raised it; where
+        Python keeps notes, one names the program and the instruction."""
         program = compile_to_vm(symbolic_trace(lambda x, y: F.matmul(x, y)))
-        with pytest.raises(VMRunError, match="matmul"):
+        with pytest.raises(ValueError) as info:
             program.run(repro.randn(2, 3), repro.randn(2, 3))
+        if sys.version_info >= (3, 11):
+            assert any("instruction 0" in note and "matmul" in note
+                       for note in info.value.__notes__)
 
     def test_introspection(self):
         program = compile_to_vm(
@@ -150,7 +149,6 @@ class TestPickleReplay:
         assert len(clone) == len(program)
         assert clone.op_names() == program.op_names()
         assert clone.n_regs == program.n_regs
-        assert clone.arena_specs == program.arena_specs
 
     def test_replay_deterministic_across_processes(self, tmp_path):
         """A pickled program replayed in a fresh interpreter produces
@@ -203,115 +201,6 @@ class TestNoMemo:
         assert np.array_equal(p1.run(x).data, p2.run(x).data)
 
 
-# ---------------------------------------------------------------------------
-# register aliasing vs the PR-3 tail-read rule — mutant-style, ported from
-# tests/test_fx_verifier.py
-# ---------------------------------------------------------------------------
-
-
-class TailReadModel(nn.Module):
-    """x is read again *after* two more fusable chains have run — the
-    shape that exposed the PR-3 arena-reuse bug."""
-
-    def forward(self, a, c):
-        x = F.exp(a) * F.sin(a)
-        y = F.matmul(x, x)
-        w = F.mul(F.sin(F.exp(c)), x)
-        return F.matmul(y, w)
-
-
-def _prepare(module, *inputs):
-    gm = symbolic_trace(module)
-    ShapeProp(gm).propagate(*inputs)
-    fuse_pointwise(gm)
-    ShapeProp(gm).propagate(*inputs)
-    return gm
-
-
-def unsound_plan_memory(gm: GraphModule) -> None:
-    """The pre-fix PR-3 arena planner: dying slots are returned to the
-    pool *before* the current node's out slot is chosen, and no
-    step-schedule clobber check is made (see tests/test_fx_verifier.py)."""
-    graph = gm.graph
-    nodes = list(graph.nodes)
-    for n in nodes:
-        n.meta.pop("arena_slot", None)
-    facts = alias(gm)
-    extended_last, escapes = facts.extended_last, facts.escapes
-
-    def plannable(n):
-        return (n.op == "call_function" and isinstance(n.target, FusedKernel)
-                and n not in escapes and bool(n.users)
-                and _leaf_meta(n) is not None)
-
-    dying_at = {}
-    for n in nodes:
-        if plannable(n):
-            dying_at.setdefault(extended_last[n], []).append(n)
-
-    arena = Arena()
-    pool = {}
-    slot_of = {}
-    for i, n in enumerate(nodes):
-        # BUG: free dying slots first, so n's own out can grab the slot of
-        # an operand whose last read happens *during* n.
-        for dead in dying_at.get(i, ()):
-            dmeta = _leaf_meta(dead)
-            dkey = (tuple(dmeta.shape), dmeta.dtype.name)
-            pool.setdefault(dkey, []).append(slot_of[dead])
-        if not plannable(n):
-            continue
-        meta = _leaf_meta(n)
-        key = (tuple(meta.shape), meta.dtype.name)
-        avail = pool.get(key)
-        if avail:
-            idx = avail.pop()
-        else:
-            idx = arena.add_slot(tuple(meta.shape),
-                                 np.dtype(meta.dtype.np_dtype).name)
-        slot_of[n] = idx
-        n.meta["arena_slot"] = ArenaSlot(arena, idx)
-
-
-class TestTailReadRevalidation:
-    def test_unsound_slot_assignments_are_dropped(self):
-        """compile_to_vm re-validates every arena_slot against the
-        tail-read rule: the mutant planner's clobbering assignment is
-        dropped, and the program still computes the right answer."""
-        a, c = repro.randn(8, 8), repro.randn(8, 8)
-        gm = _prepare(TailReadModel(), a, c)
-        unsound_plan_memory(gm)
-        planned = sum(1 for n in gm.graph.nodes
-                      if n.meta.get("arena_slot") is not None)
-        validated = compile_to_vm(gm)
-        val_slots = sum(1 for i in validated.instructions
-                        if i.out_slot is not None)
-        assert planned > 0
-        assert val_slots < planned
-        ref = TailReadModel()(a, c)
-        assert np.allclose(validated.run(a, c).data, ref.data, atol=1e-5)
-
-    def test_sound_plan_survives_validation(self):
-        """The real planner's assignments pass re-validation unchanged:
-        the compiled program keeps its arena slots and stays exact."""
-        a, c = repro.randn(8, 8), repro.randn(8, 8)
-        compiled = fx_compile(TailReadModel(), (a, c))
-        program = compile_to_vm(compiled)
-        assert any(i.out_slot is not None for i in program.instructions)
-        ref = TailReadModel()(a, c)
-        assert np.allclose(program.run(a, c).data, ref.data, atol=1e-5)
-
-    def test_arena_reuse_is_deterministic(self):
-        """Back-to-back runs of a planned program are bit-identical —
-        buffer reuse never leaks one call's values into the next."""
-        a, c = repro.randn(8, 8), repro.randn(8, 8)
-        compiled = fx_compile(TailReadModel(), (a, c))
-        program = compile_to_vm(compiled)
-        first = program.run(a, c).data.copy()
-        second = program.run(a, c).data
-        assert np.array_equal(first, second)
-
-
 class TestExecutorWiring:
     def test_fx_compile_vm_executor(self):
         model = SimpleCNN().eval()
@@ -326,31 +215,10 @@ class TestExecutorWiring:
         with pytest.raises(ValueError, match="executor"):
             fx_compile(nn.Linear(2, 2), (repro.randn(1, 2),), executor="jit")
 
-    def test_to_backend_vm_executor(self):
-        model = nn.Sequential(nn.Linear(4, 4), nn.ReLU())
-        x = repro.randn(2, 4)
-        out = to_backend(model, EagerBackend(), executor="vm")
-        assert isinstance(out, VMModule)
-        assert np.allclose(out(x).data, model(x).data, atol=1e-6)
-
-    def test_backend_executor_attribute(self):
-        class VMEager(EagerBackend):
-            executor = "vm"
-
-        model = nn.Sequential(nn.Linear(4, 4), nn.ReLU())
-        x = repro.randn(2, 4)
-        out = to_backend(model, VMEager())
-        assert isinstance(out, VMModule)
-        assert np.allclose(out(x).data, model(x).data, atol=1e-6)
-
-    def test_to_backend_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            to_backend(nn.Linear(2, 2), EagerBackend(), executor="jit")
-
     def test_vm_module_picklable(self):
         model = nn.Sequential(nn.Linear(4, 4), nn.ReLU())
         x = repro.randn(2, 4)
-        out = to_backend(model, EagerBackend(), executor="vm")
+        out = fx_compile(model, (x,), executor="vm")
         clone = pickle.loads(pickle.dumps(out))
         assert np.array_equal(out(x).data, clone(x).data)
 

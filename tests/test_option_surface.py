@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro import fx
 from repro.fx import Tracer, compile_to_vm
+from repro.fx.backends import NumpyBackend
 from repro.fx.passes import eliminate_common_subexpressions
 from repro.fx.passes.pointwise_fuser import fuse_pointwise
 from repro.serve import EngineCache, ServeConfig
@@ -23,7 +24,8 @@ SURFACE = {
     fx.compile: ["module", "example_inputs", "lint", "cache", "verify",
                  "executor"],
     fx.to_backend: ["model", "backend", "allow_fallback", "lint", "cache",
-                    "verify", "executor"],
+                    "verify"],
+    NumpyBackend.__init__: ["self", "example_inputs", "fuse"],
     compile_to_vm: ["gm"],
     eliminate_common_subexpressions: ["gm"],
     fuse_pointwise: ["gm"],
@@ -51,6 +53,8 @@ class _Net(repro.nn.Module):
     lambda m, x: fx.compile(m, (x,), fuse=False),
     lambda m, x: fx.compile(m, (x,), memory_planning=False),
     lambda m, x: fx.to_backend(m, "numpy", example_inputs=(x,)),
+    lambda m, x: fx.to_backend(m, "numpy", executor="vm"),
+    lambda m, x: NumpyBackend((x,), memory_planning=False),
     lambda m, x: compile_to_vm(fx.symbolic_trace(m), validate_plan=False),
     lambda m, x: eliminate_common_subexpressions(fx.symbolic_trace(m),
                                                  dedupe_modules=True),
@@ -62,6 +66,7 @@ class _Net(repro.nn.Module):
     lambda m, x: ServeConfig(guards=False),
     lambda m, x: ServeConfig(record_batches=False),
 ], ids=["compile-fuse", "compile-memory_planning", "to_backend-example_inputs",
+        "to_backend-executor", "NumpyBackend-memory_planning",
         "compile_to_vm-validate_plan", "cse-dedupe_modules",
         "fuse_pointwise-min_region_size", "Tracer-autowrap_functions",
         "EngineCache-max_memory_entries", "ServeConfig-backend",
