@@ -34,7 +34,7 @@ Example::
         y = await s.infer("resnet", x)
 """
 
-from .batching import BatchError, BatchKey, batch_key_of, coalesce, \
+from .batching import BatchError, coalesce, sample_signature, \
     split_results
 from .engine_cache import ENGINE_FORMAT_VERSION, EngineCache, EngineKey, \
     input_signature
@@ -43,14 +43,13 @@ from .server import BatchRecord, InferenceServer, ServeConfig
 __all__ = [
     "ENGINE_FORMAT_VERSION",
     "BatchError",
-    "BatchKey",
     "BatchRecord",
     "EngineCache",
     "EngineKey",
     "InferenceServer",
     "ServeConfig",
-    "batch_key_of",
     "coalesce",
     "input_signature",
+    "sample_signature",
     "split_results",
 ]

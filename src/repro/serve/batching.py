@@ -19,7 +19,6 @@ one request's view can't be clobbered by the next forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
 import numpy as np
@@ -27,37 +26,18 @@ import numpy as np
 from ..tensor import Tensor
 from .engine_cache import dtype_name
 
-__all__ = ["BatchKey", "BatchError", "batch_key_of", "coalesce",
-           "sample_signature", "split_results"]
+__all__ = ["BatchError", "coalesce", "sample_signature", "split_results"]
 
 
 class BatchError(TypeError):
     """The request or result shape violates the batching contract."""
 
 
-@dataclass(frozen=True)
-class BatchKey:
-    """What must agree for two requests to share one batched forward.
-
-    Attributes:
-        model: registered model name.
-        signature: ``((per_sample_shape, dtype_name), ...)`` per input —
-            the input shapes *minus* the leading batch dimension.
-    """
-
-    model: str
-    signature: tuple
-
-
-def batch_key_of(model: str, inputs: Sequence[Any]) -> Tuple[BatchKey, int]:
-    """Classify a request: its :class:`BatchKey` plus its row count."""
-    signature, rows = sample_signature(inputs)
-    return BatchKey(model=model, signature=signature), rows
-
-
 def sample_signature(inputs: Sequence[Any]) -> Tuple[tuple, int]:
-    """A request's per-sample signature (:attr:`BatchKey.signature`) plus
-    its row count.
+    """A request's per-sample signature, ``((per_sample_shape,
+    dtype_name), ...)`` per input (the input shapes *minus* the leading
+    batch dimension), plus its row count.  Two requests of one model
+    share a batched forward only if their signatures are equal.
 
     Every input must be a Tensor with the same leading dimension; that
     shared leading dimension is the request's row count.
@@ -90,7 +70,7 @@ def sample_signature(inputs: Sequence[Any]) -> Tuple[tuple, int]:
 def coalesce(request_inputs: Sequence[Sequence[Tensor]]) -> tuple:
     """Concatenate per-request inputs along axis 0, position by position.
 
-    All requests are assumed pre-classified under one :class:`BatchKey`
+    All requests are assumed to share one :func:`sample_signature`
     (same arity, per-sample shapes, dtypes).
     """
     n_inputs = len(request_inputs[0])

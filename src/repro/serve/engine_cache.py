@@ -12,8 +12,8 @@ require_stable=True, canonicalize_targets=True)`` — identity rests on
 ops + state bytes, so the same model registered twice, or two processes
 serving the same checkpoint, map to the same engine.  The server keys on
 the per-sample signature (every input's shape without its dim 0, and its
-dtype: the batch key's), so one engine serves every batch size — a
-compiled program runs at any dim 0, on its fused kernels' fast path
+dtype: what batches are grouped on), so one engine serves every batch
+size — a compiled program runs at any dim 0, on its fused kernels' fast path
 wherever they proved it may.  A request with no batch dim is keyed on
 ``("exact",) + input_signature(inputs)``.
 

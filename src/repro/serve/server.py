@@ -25,13 +25,13 @@ Architecture (stdlib only)::
   compiles once through :func:`repro.fx.compile`, via
   :class:`.EngineCache`; with a cache directory, a cold process loads
   the pickled program instead of recompiling.  The per-sample signature
-  is the batch key's (every input's shape without its dim 0, and its
-  dtype), so one engine serves every batch size: its fused kernels take
-  any dim 0 on their fast path (``stats()["off_guard_calls"]`` counts
-  the calls that missed it), and a kernel that meets a shape it was not
-  built for runs eager's generic code.  A request with no batch dim (a 0-d or
-  non-tensor input, or inputs whose dim 0 disagree) is keyed on its
-  exact signature.
+  is the one groups are keyed on (every input's shape without its dim
+  0, and its dtype), so one engine serves every batch size: its fused
+  kernels take any dim 0 on their fast path
+  (``stats()["off_guard_calls"]`` counts the calls that missed it), and
+  a kernel that meets a shape it was not built for runs eager's generic
+  code.  A request with no batch dim (a 0-d or non-tensor input, or
+  inputs whose dim 0 disagree) is keyed on its exact signature.
 * **Concurrency safety** — an engine keeps no scratch state between
   calls, and every compile-stack cache is
   locked/single-flighted, so one shared engine serves the whole worker
@@ -62,8 +62,8 @@ from ..fx.graph_module import GraphModule
 from ..fx.passes.pointwise_fuser import FusedKernel
 from ..fx.tracer import symbolic_trace
 from ..nn import Module
-from .batching import BatchError, BatchKey, batch_key_of, coalesce, \
-    sample_signature, split_results
+from .batching import BatchError, coalesce, sample_signature, \
+    split_results
 from .engine_cache import EngineCache, EngineKey, input_signature
 
 __all__ = ["ServeConfig", "BatchRecord", "InferenceServer"]
@@ -73,9 +73,13 @@ __all__ = ["ServeConfig", "BatchRecord", "InferenceServer"]
 #: are never held, and overtake a held group.  Callers that wait for their
 #: replies and send again at once otherwise chase the server flat out: two
 #: cores at 100 % and a throughput that is the host's speed of that second
-#: (the perf ledger's ``served_burst`` read 14 000-28 000 req/s from one
-#: run to the next; paced, 2 800 +- 100).  ``0`` is no pacing: every idle
-#: worker takes the oldest group, whatever it holds.
+#: (the perf ledger's ``served_burst`` read 17 600-27 700 req/s over five
+#: runs of one commit; paced, 2 500-3 000).  That costs CPU: a thread that
+#: wakes from a 2 ms sleep runs its work about twice as slowly as one kept
+#: busy (``served_burst`` ``cpu_ms_per_op`` 0.037 paced, 0.020 unpaced), a
+#: price paid so that the served throughput is comparable from one run to
+#: the next.  ``0`` is no pacing: every idle worker takes the oldest group,
+#: whatever it holds.
 PACE_S = 0.002
 
 
@@ -118,7 +122,7 @@ class BatchRecord:
     """One executed batch (audit trail for tests/benchmarks)."""
 
     model: str
-    signature: tuple    # the BatchKey signature (per-sample shapes)
+    signature: tuple    # the per-sample signature (shapes without dim 0)
     n_requests: int
     rows: int
 
@@ -131,11 +135,12 @@ class _ModelHandle:
 
 
 class _Group:
-    """Requests accumulated for one BatchKey, awaiting a worker."""
+    """Requests accumulated for one ``(model, per-sample signature)``,
+    awaiting a worker."""
 
     __slots__ = ("key", "items", "rows")
 
-    def __init__(self, key: BatchKey) -> None:
+    def __init__(self, key: Tuple[str, tuple]) -> None:
         self.key = key
         self.items: List[Tuple[tuple, int, asyncio.Future]] = []
         self.rows = 0
@@ -157,13 +162,13 @@ class InferenceServer:
         self._local_engines = ArtifactCache(64)
         self._models: Dict[str, _ModelHandle] = {}
         #: scheduler state (event loop only): pending groups oldest first,
-        #: those still accepting requests by key, batches out at the pool,
-        #: whether a ``_dispatch`` is already on the loop's queue, when the
-        #: next shared batch may leave (``PACE_S``) and the timer that
-        #: re-checks then, and what ``close()`` waits on (set while nothing
-        #: is pending or running).
+        #: those still accepting requests by ``(model, signature)``,
+        #: batches out at the pool, whether a ``_dispatch`` is already on
+        #: the loop's queue, when the next shared batch may leave
+        #: (``PACE_S``) and the timer that re-checks then, and what
+        #: ``close()`` waits on (set while nothing is pending or running).
         self._queue: Deque[_Group] = deque()
-        self._open: Dict[BatchKey, _Group] = {}
+        self._open: Dict[Tuple[str, tuple], _Group] = {}
         self._inflight = 0
         self._dispatch_due = False
         self._paced_until = 0.0
@@ -293,7 +298,7 @@ class InferenceServer:
             self._counts[counter] += 1
         return out
 
-    def _execute_batch(self, handle: _ModelHandle, key: BatchKey,
+    def _execute_batch(self, handle: _ModelHandle, signature: tuple,
                        items: list) -> list:
         """Run *items* as one forward: one ``(result, exception)`` pair
         per item.  When a shared forward fails (no engine for the batched
@@ -303,16 +308,16 @@ class InferenceServer:
             if len(items) == 1:
                 # Lone request: no concat/split, and no batch-splittability
                 # requirement on the model's output.
-                results = [self._forward(handle, items[0][0], key.signature)]
+                results = [self._forward(handle, items[0][0], signature)]
             else:
                 out = self._forward(
                     handle, coalesce([inputs for inputs, _, _ in items]),
-                    key.signature)
+                    signature)
                 results = split_results(out, [rows for _, rows, _ in items])
         except Exception as exc:
             if len(items) == 1:
                 return [(None, exc)]
-            return [self._execute_batch(handle, key, [item])[0]
+            return [self._execute_batch(handle, signature, [item])[0]
                     for item in items]
         rows = sum(rows for _, rows, _ in items)
         with self._stats_lock:
@@ -322,7 +327,7 @@ class InferenceServer:
             counts["batched_rows"] += rows
             counts["max_batch_rows"] = max(counts["max_batch_rows"], rows)
             self._batch_log.append(BatchRecord(
-                model=handle.name, signature=key.signature,
+                model=handle.name, signature=signature,
                 n_requests=len(items), rows=rows))
         return [(result, None) for result in results]
 
@@ -343,13 +348,14 @@ class InferenceServer:
                 pool, self._run_single, handle, inputs)
 
         try:
-            key, rows = batch_key_of(name, inputs)
+            signature, rows = sample_signature(inputs)
         except BatchError:
             # Unbatchable request (scalar/0-d/non-tensor input): run it
             # alone rather than rejecting it.
             return await loop.run_in_executor(
                 pool, self._run_single, handle, inputs)
 
+        key = (name, signature)
         group = self._open.get(key)
         if group is None:
             group = self._open[key] = _Group(key)
@@ -389,9 +395,9 @@ class InferenceServer:
                 del self._open[group.key]
             if not items:
                 continue
+            name, signature = group.key
             work = self._pool.submit(
-                self._execute_batch, self._models[group.key.model],
-                group.key, items)
+                self._execute_batch, self._models[name], signature, items)
             self._inflight += 1
             work.add_done_callback(partial(
                 loop.call_soon_threadsafe, self._batch_done, items))

@@ -6,7 +6,8 @@ Covers the tentpole guarantees end to end:
   batched forward; a lone request on an idle server never waits;
   requests arriving while every worker is busy leave as one batch when
   one frees; groups leave oldest first; the size cap closes a group;
-  only batches several requests share are paced (``server.PACE_S``);
+  only batches several requests share are paced (``server.PACE_S``),
+  and a closed loop of clients keeps forming full batches;
 * **failure isolation** — a batch that fails as a whole is re-run per
   request; a cancelled request gets no forward;
 * **mixed-shape traffic never cross-batches** — the pending queue is
@@ -46,13 +47,12 @@ from repro.fx.testing.generator import generate_program, spec_for_iteration
 from repro.serve import (
     ENGINE_FORMAT_VERSION,
     BatchError,
-    BatchKey,
     EngineCache,
     EngineKey,
     InferenceServer,
     ServeConfig,
-    batch_key_of,
     coalesce,
+    sample_signature,
     split_results,
 )
 from repro.serve import server as serve_server
@@ -88,22 +88,23 @@ def make_server(**overrides):
 
 
 class TestBatchingPrimitives:
+    # A request's batch key is its model plus its per-sample signature.
     def test_batch_key_signature_drops_leading_dim(self):
-        key, rows = batch_key_of("m", (repro.randn(3, 4, 5),))
+        signature, rows = sample_signature((repro.randn(3, 4, 5),))
         assert rows == 3
-        assert key == BatchKey("m", (((4, 5), "float32"),))
+        assert signature == (((4, 5), "float32"),)
 
     def test_batch_key_rejects_scalar_and_non_tensor(self):
         with pytest.raises(BatchError):
-            batch_key_of("m", (Tensor._wrap(np.float32(1.0).reshape(())),))
+            sample_signature((Tensor._wrap(np.float32(1.0).reshape(())),))
         with pytest.raises(BatchError):
-            batch_key_of("m", (3.5,))
+            sample_signature((3.5,))
         with pytest.raises(BatchError):
-            batch_key_of("m", ())
+            sample_signature(())
 
     def test_batch_key_rejects_row_disagreement(self):
         with pytest.raises(BatchError):
-            batch_key_of("m", (repro.randn(2, 4), repro.randn(3, 4)))
+            sample_signature((repro.randn(2, 4), repro.randn(3, 4)))
 
     def test_coalesce_split_roundtrip_zero_copy(self):
         xs = [repro.randn(r, 6) for r in (1, 3, 2)]
@@ -344,6 +345,39 @@ class TestScheduler:
         assert sizes == [2, 1, 4, 2] and elapsed >= 0.5
         elapsed, sizes = run(go(pace_s=0.0))    # unpaced: in arrival order
         assert sizes == [2, 2, 1, 4]
+
+    @pytest.mark.parametrize("pace_s", [serve_server.PACE_S, 0.0])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_closed_loop_keeps_forming_full_batches(
+            self, workers, pace_s, monkeypatch):
+        """Eight clients that each send again as soon as their reply
+        lands: all eight replies resolve in one ``_batch_done``, so all
+        eight resends join one group before the next ``_dispatch`` runs,
+        paced or not, and no batch ever leaves with fewer than eight
+        rows."""
+        monkeypatch.setattr(serve_server, "PACE_S", pace_s)
+        clients, rounds = 8, 50
+
+        async def go():
+            async with make_server(workers=workers) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                xs = [repro.randn(1, 8) for _ in range(clients)]
+                wants = [model(x).data for x in xs]
+
+                async def client(x, want):
+                    for _ in range(rounds):
+                        out = await server.infer("pw", x)
+                        assert np.array_equal(out.data, want)
+
+                await asyncio.wait_for(asyncio.gather(
+                    *(client(x, w) for x, w in zip(xs, wants))), timeout=60)
+                return server.stats(), server.batch_log()
+
+        stats, log = run(go())
+        assert stats["requests"] == clients * rounds
+        assert stats["batches"] == rounds
+        assert [r.rows for r in log] == [clients] * rounds
 
     def test_batching_disabled_runs_requests_alone(self):
         async def go():
