@@ -6,12 +6,15 @@ Two claims, both written to ``results/serving.txt``:
   clients, each issuing requests back to back) over the 16-op pointwise
   chain, served batched vs unbatched.  At concurrency 16 the batched
   server must clear **>= 2x** the unbatched throughput: sixteen 1-row
-  forwards collapse into one 16-row forward, so the per-request python
-  dispatch (executor handoff, VM entry, kernel launch) is paid once per
-  batch instead of once per request.  At concurrency 1 there is nothing
-  to coalesce and the scheduler dispatches at once, so the batched row
-  shows what the batching path itself costs a lone request (one loop
-  turn and the batch bookkeeping).
+  forwards collapse into one 16-row forward, so the per-forward python
+  dispatch (VM entry, kernel launch) is paid once per batch instead of
+  once per request.  Unbatched, every request also pays an executor
+  handoff; batched, only a batch that goes to a worker does (a cheap
+  batch alone on an idle server runs on the event loop).  At
+  concurrency 1 there is nothing to coalesce and the scheduler
+  dispatches at once, so the batched row shows what the batching path
+  itself costs a lone request (one loop turn and the batch
+  bookkeeping, and no handoff).
 * **Cold start is a load, not a compile.**  Restarting a server over a
   warm engine-cache directory deserializes + verifies the pickled
   VMProgram instead of re-running trace -> fuse -> plan -> flatten.

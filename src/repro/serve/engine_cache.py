@@ -145,6 +145,7 @@ class EngineCache:
         self.directory = directory
         self._mem = ArtifactCache(64)
         self._count = self._mem.count
+        self.get = self._mem.get    # memory only: never a load or a build
 
     # -- bookkeeping -------------------------------------------------------------
 

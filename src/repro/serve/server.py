@@ -6,8 +6,8 @@ Architecture (stdlib only)::
                           │  worker idle / batch full
                           ▼
                       dispatch: one batched forward ──► worker pool
-                          │                             (threads; numpy
-                          ▼                              releases the GIL)
+                          │  (cheap and alone: on      (threads; numpy
+                          ▼   the loop, no handoff)     releases the GIL)
                       split rows back, resolve futures
 
 * **Work-conserving dynamic batching** — requests that agree on (model,
@@ -20,7 +20,9 @@ Architecture (stdlib only)::
   The one exception to "an idle worker takes the oldest group" is
   :data:`PACE_S`: batches shared by several callers leave that far
   apart, so a saturated closed loop runs at a rate the pace sets, not at
-  the host's speed of the moment.
+  the host's speed of the moment.  A cheap batch alone on an idle server
+  runs on the loop itself (:data:`INLINE_S`): a thread handoff costs
+  about what its forward does.
 * **Engine cache** — each (model graph hash, per-sample signature)
   compiles once through :func:`repro.fx.compile`, via
   :class:`.EngineCache`; with a cache directory, a cold process loads
@@ -49,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
+import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,6 +85,13 @@ __all__ = ["ServeConfig", "BatchRecord", "InferenceServer"]
 #: whatever it holds.
 PACE_S = 0.002
 
+#: How long one forward run on the event loop may stall it: a batch alone
+#: on an idle server runs there, with no thread handoff, when its key's
+#: latest forward took less CPU on the thread that ran it (builds, disk
+#: loads and a key's first forward run on workers).  Of the ledger's
+#: ``served_open`` forwards 99.9 % take under 0.47 ms, and a ResNet-50 15 ms.
+INLINE_S = 0.0005
+
 
 @functools.lru_cache(maxsize=1024)
 def _engine_key(graph_hash: str, signature: tuple) -> EngineKey:
@@ -103,10 +113,10 @@ class ServeConfig:
             as soon as it holds this many rows (the only cap on a batch:
             no request waits for co-batchable traffic that has not
             arrived).
-        workers: worker threads executing forwards, and so the number of
-            batches in flight at once; a group waits only while all of
-            them are busy (and, when several requests share it, for
-            :data:`PACE_S`).
+        workers: worker threads executing forwards (a cheap batch alone
+            on an idle server runs on the event loop, :data:`INLINE_S`);
+            a group waits only while all of them are busy (and, when
+            several requests share it, for :data:`PACE_S`).
         cache_dir: on-disk engine persistence root (``None`` = memory
             only).
     """
@@ -150,8 +160,9 @@ class InferenceServer:
     """Async dynamic-batching inference server over compiled engines.
 
     All request-side methods must be called from one event loop; the
-    heavy lifting (compiles, forwards) runs on the worker pool.  Use as
-    an async context manager, or call :meth:`close` when done.
+    heavy lifting (compiles, all but cheap lone forwards) runs on the
+    worker pool.  Use as an async context manager, or call :meth:`close`
+    when done.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None):
@@ -160,6 +171,8 @@ class InferenceServer:
         #: engines of models with no stable hash, ``(model name,
         #: signature) -> engine``: per server, never on disk.
         self._local_engines = ArtifactCache(64)
+        #: CPU seconds of each ``(model, signature)``'s latest forward.
+        self._costs = ArtifactCache(64)
         self._models: Dict[str, _ModelHandle] = {}
         #: scheduler state (event loop only): pending groups oldest first,
         #: those still accepting requests by ``(model, signature)``,
@@ -177,6 +190,7 @@ class InferenceServer:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._requests = 0          # written on the event loop only
+        self._handoffs = 0          # forwards given to a worker; ditto
         self._stats_lock = threading.Lock()
         #: monotonic; guard hits / violations are forwards through an
         #: engine keyed on a per-sample / an exact signature.
@@ -244,6 +258,7 @@ class InferenceServer:
         engines = self.engine_cache.engines() + self._local_engines.values()
         return {
             "requests": self._requests,
+            "handoffs": self._handoffs,
             **counts,
             "mean_rows_per_batch":
                 counts["batched_rows"] / batches if batches else 0.0,
@@ -269,20 +284,26 @@ class InferenceServer:
         registers) and pickles smaller than the module wrapper."""
         return fx.compile(handle.gm, example_inputs, executor="vm").program
 
-    # -- execution (worker threads) ----------------------------------------------
+    # -- execution (worker threads; a cheap lone batch on the event loop) --------
+
+    def _engine_slot(self, handle: _ModelHandle, signature: tuple):
+        """The store that holds the engine for *signature*, and its key."""
+        if handle.graph_hash is None:
+            return self._local_engines, (handle.name, signature)
+        return self.engine_cache, _engine_key(handle.graph_hash, signature)
 
     def _forward(self, handle: _ModelHandle, inputs: tuple,
-                 signature: tuple) -> Any:
-        """Run *inputs* through the engine keyed on *signature*, built
-        from them on a miss."""
-        if handle.graph_hash is None:
-            store, key = self._local_engines, (handle.name, signature)
-        else:
-            store, key = self.engine_cache, _engine_key(
-                handle.graph_hash, signature)
-        engine = store.get_or_build(
-            key, lambda: self._build_engine(handle, inputs))
-        return engine(*inputs)
+                 signature: tuple, engine: Any = None) -> Any:
+        """Run *inputs* through *engine*, else the engine keyed on
+        *signature*, built from them on a miss; time the forward alone."""
+        if engine is None:
+            store, key = self._engine_slot(handle, signature)
+            engine = store.get_or_build(
+                key, lambda: self._build_engine(handle, inputs))
+        start = time.thread_time()
+        out = engine(*inputs)
+        self._costs.put((handle.name, signature), time.thread_time() - start)
+        return out
 
     def _run_single(self, handle: _ModelHandle, inputs: tuple) -> Any:
         """A request that is its own forward: keyed on its per-sample
@@ -299,7 +320,7 @@ class InferenceServer:
         return out
 
     def _execute_batch(self, handle: _ModelHandle, signature: tuple,
-                       items: list) -> list:
+                       items: list, engine: Any = None) -> list:
         """Run *items* as one forward: one ``(result, exception)`` pair
         per item.  When a shared forward fails (no engine for the batched
         signature, an output that cannot be split by rows) each item runs
@@ -308,16 +329,17 @@ class InferenceServer:
             if len(items) == 1:
                 # Lone request: no concat/split, and no batch-splittability
                 # requirement on the model's output.
-                results = [self._forward(handle, items[0][0], signature)]
+                results = [self._forward(handle, items[0][0], signature,
+                                         engine)]
             else:
                 out = self._forward(
                     handle, coalesce([inputs for inputs, _, _ in items]),
-                    signature)
+                    signature, engine)
                 results = split_results(out, [rows for _, rows, _ in items])
         except Exception as exc:
             if len(items) == 1:
                 return [(None, exc)]
-            return [self._execute_batch(handle, signature, [item])[0]
+            return [self._execute_batch(handle, signature, [item], engine)[0]
                     for item in items]
         rows = sum(rows for _, rows, _ in items)
         with self._stats_lock:
@@ -343,15 +365,14 @@ class InferenceServer:
         pool = self._ensure_pool()
         self._requests += 1
 
-        if not self.config.batching:
-            return await loop.run_in_executor(
-                pool, self._run_single, handle, inputs)
-
-        try:
-            signature, rows = sample_signature(inputs)
-        except BatchError:
-            # Unbatchable request (scalar/0-d/non-tensor input): run it
-            # alone rather than rejecting it.
+        signature = None
+        if self.config.batching:
+            try:
+                signature, rows = sample_signature(inputs)
+            except BatchError:
+                pass    # scalar/0-d/non-tensor input: run it alone
+        if signature is None:
+            self._handoffs += 1
             return await loop.run_in_executor(
                 pool, self._run_single, handle, inputs)
 
@@ -374,7 +395,8 @@ class InferenceServer:
         return await fut
 
     def _dispatch(self) -> None:
-        """Hand pending groups, oldest first, to the idle workers."""
+        """Hand pending groups, oldest first, to the idle workers; run a
+        cheap one alone on an idle server here (:data:`INLINE_S`)."""
         self._dispatch_due = False
         loop = asyncio.get_running_loop()
         held = []
@@ -396,9 +418,19 @@ class InferenceServer:
             if not items:
                 continue
             name, signature = group.key
+            handle, engine = self._models[name], None
+            if not (self._inflight or self._queue) and \
+                    self._costs.get(group.key, INLINE_S) < INLINE_S:
+                store, key = self._engine_slot(handle, signature)
+                engine = store.get(key)     # in memory: never a build here
+            if engine is not None:
+                _answer(items, self._execute_batch(
+                    handle, signature, items, engine))
+                continue
             work = self._pool.submit(
-                self._execute_batch, self._models[name], signature, items)
+                self._execute_batch, handle, signature, items)
             self._inflight += 1
+            self._handoffs += 1
             work.add_done_callback(partial(
                 loop.call_soon_threadsafe, self._batch_done, items))
         if held:
@@ -422,10 +454,14 @@ class InferenceServer:
             outcomes = work.result()
         except BaseException as exc:   # what the worker died of, not ours
             outcomes = [(None, exc)] * len(items)
-        for (_, _, fut), (result, exc) in zip(items, outcomes):
-            if fut.done():             # cancelled while its batch ran
-                continue
-            if exc is None:
-                fut.set_result(result)
-            else:
-                fut.set_exception(exc)
+        _answer(items, outcomes)
+
+
+def _answer(items: list, outcomes: list) -> None:
+    for (_, _, fut), (result, exc) in zip(items, outcomes):
+        if fut.done():                 # cancelled while its batch ran
+            continue
+        if exc is None:
+            fut.set_result(result)
+        else:
+            fut.set_exception(exc)

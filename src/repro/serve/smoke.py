@@ -3,7 +3,8 @@
 ``python -m repro.serve.smoke`` (equivalently ``python -m repro.serve``)
 spins an :class:`~repro.serve.InferenceServer` up in-process, fires a
 burst of concurrent requests at a 16-op pointwise-chain model, and
-verifies every response against per-request eager execution.  The whole
+verifies every response against per-request eager execution; then 20
+sequential lone requests must match eager bitwise with no thread handoff.  The whole
 run sits under one ``asyncio.wait_for`` deadline, so a lost future, a
 stalled scheduler, or a deadlocked cache shows up as a nonzero exit
 instead of a hung CI job.
@@ -97,10 +98,18 @@ async def _smoke(n_requests: int, concurrency: int, features: int,
         await asyncio.gather(*(one(i) for i in range(n_requests)))
         elapsed = time.perf_counter() - start
         stats = server.stats()
+        for i in range(20):                 # lone: on the event loop
+            x = repro.randn(1, features)
+            if (await server.infer("chain", x)).data.tobytes() \
+                    != model(x).data.tobytes():
+                raise AssertionError(f"lone request {i} diverged from eager")
+        lone_handoffs = server.stats()["handoffs"] - stats["handoffs"]
     if failures:
         raise AssertionError(
             f"{len(failures)} of {n_requests} responses diverged from "
             f"eager (worst |diff| {max(d for _, d in failures):.3e})")
+    if lone_handoffs:
+        raise AssertionError(f"20 lone requests took {lone_handoffs} handoffs")
     return {"elapsed": elapsed, "stats": stats}
 
 
@@ -119,14 +128,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as d:
         try:
-            if args.batch_sizes:
-                out = asyncio.run(asyncio.wait_for(
-                    _batch_sizes_smoke(args.features, d),
-                    timeout=args.timeout))
-            else:
-                out = asyncio.run(asyncio.wait_for(
-                    _smoke(args.requests, args.concurrency, args.features, d),
-                    timeout=args.timeout))
+            run = _batch_sizes_smoke(args.features, d) if args.batch_sizes \
+                else _smoke(args.requests, args.concurrency, args.features, d)
+            out = asyncio.run(asyncio.wait_for(run, timeout=args.timeout))
         except asyncio.TimeoutError:
             print(f"serve smoke: DEADLOCK — no completion within "
                   f"{args.timeout:.0f}s", file=sys.stderr)
@@ -148,7 +152,8 @@ def main(argv=None) -> int:
           f"(concurrency {args.concurrency}) in {out['elapsed']:.3f}s; "
           f"{stats['batches']} batches, mean "
           f"{stats['mean_rows_per_batch']:.1f} rows/batch, "
-          f"{ec['builds']} engine build(s), {ec['hits']} memory hit(s)")
+          f"{ec['builds']} engine build(s), {ec['hits']} memory hit(s); "
+          f"20 lone requests bit-exact on the event loop")
     return 0
 
 

@@ -8,6 +8,12 @@ Covers the tentpole guarantees end to end:
   one frees; groups leave oldest first; the size cap closes a group;
   only batches several requests share are paced (``server.PACE_S``),
   and a closed loop of clients keeps forming full batches;
+* **forwards on the event loop** — a cheap batch alone on an idle
+  server runs on the loop with no thread handoff (``stats()["handoffs"]``
+  counts the others); a build, a key's first forward, a forward above
+  ``server.INLINE_S``, a backlog and a batch beside a busy worker go to
+  a worker; inline replies are a worker's bits, and ``close()`` drains
+  both kinds;
 * **failure isolation** — a batch that fails as a whole is re-run per
   request; a cancelled request gets no forward;
 * **mixed-shape traffic never cross-batches** — the pending queue is
@@ -138,14 +144,21 @@ class GatedEngine:
     is set, so a test decides when a worker frees up.  ``seen`` records,
     per call, how many batches the server had in flight."""
 
+    instructions = ()                   # no fused kernel, for stats()
+
     def __init__(self, server, model):
         self.server, self.model = server, model
         self.entered = threading.Event()
         self.gate = threading.Event()
         self.seen = []
+        self.loop_thread = threading.get_ident()   # built on the loop
         server._build_engine = lambda handle, example_inputs: self
 
     def __call__(self, *inputs):
+        # A shut gate on the loop thread would hang the loop for 30 s.
+        assert self.gate.is_set() or \
+            threading.get_ident() != self.loop_thread, \
+            "a gated forward ran on the event loop"
         self.seen.append(self.server._inflight)
         self.entered.set()
         assert self.gate.wait(30), "test never opened the gate"
@@ -392,6 +405,225 @@ class TestScheduler:
                 return server.batch_log()
 
         assert run(go()) == []  # unbatched path records no batches
+
+
+# -- forwards on the event loop -------------------------------------------------
+
+
+class Threads:
+    """Wraps a server's engines: ``on`` records, per engine call, whether
+    it ran on the event loop's thread.  Calls with at least ``heavy_rows``
+    rows burn ``2 * INLINE_S`` of CPU first."""
+
+    def __init__(self, server, heavy_rows=None):
+        self.loop_thread = threading.get_ident()
+        self.on, self.built_on = [], []
+        build = server._build_engine
+
+        def build_engine(handle, example_inputs):
+            self.built_on.append(self.where())
+            engine = build(handle, example_inputs)
+            recorded = lambda *inputs: self.call(engine, heavy_rows, inputs)
+            recorded.instructions = engine.instructions     # for stats()
+            return recorded
+
+        server._build_engine = build_engine
+
+    def where(self):
+        return "loop" if threading.get_ident() == self.loop_thread \
+            else "worker"
+
+    def call(self, engine, heavy_rows, inputs):
+        self.on.append(self.where())
+        if heavy_rows and inputs[0].data.shape[0] >= heavy_rows:
+            end = time.thread_time() + 2 * serve_server.INLINE_S
+            while time.thread_time() < end:
+                pass
+        return engine(*inputs)
+
+
+class TestInlineForwards:
+    """A batch alone on an idle server runs on the event loop when its
+    key's latest forward took under ``server.INLINE_S``; everything else
+    is handed to a worker, and ``stats()["handoffs"]`` counts those."""
+
+    def test_lone_requests_to_a_warm_cheap_engine_take_no_handoff(self):
+        async def go():
+            async with make_server(workers=1) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                threads = Threads(server)
+                x = repro.randn(1, 8)
+                await server.infer("pw", x)
+                building = server.stats()["handoffs"]
+                for _ in range(20):
+                    out = await server.infer("pw", x)
+                    assert out.data.tobytes() == model(x).data.tobytes()
+                return building, server.stats(), threads
+
+        building, stats, threads = run(go())
+        assert building == 1 and stats["handoffs"] == 1
+        assert stats["requests"] == stats["batches"] == 21
+        assert threads.on == ["worker"] + ["loop"] * 20
+
+    def test_a_build_never_runs_on_the_loop(self):
+        """Not for a new key, and not for a key whose engine the cache
+        dropped while its cost still reads cheap."""
+        async def go():
+            async with make_server(workers=1) as server:
+                server.register("pw", Pointwise().eval())
+                threads = Threads(server)
+                for width in (8, 8, 16, 8, 16):
+                    await server.infer("pw", repro.randn(1, width))
+                server.engine_cache._mem.clear()
+                for _ in range(2):
+                    await server.infer("pw", repro.randn(1, 8))
+                return threads
+
+        threads = run(go())
+        assert threads.built_on == ["worker"] * 3
+        assert threads.on == ["worker", "loop", "worker", "loop", "loop",
+                              "worker", "loop"]
+
+    def test_a_cheap_batch_goes_to_a_worker_while_another_runs(self):
+        """A warm, cheap key takes the idle worker while a batch is in
+        flight: on the loop, its forward would hold up the busy one's
+        reply."""
+        async def go():
+            async with make_server(workers=2) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                engine = GatedEngine(server, model)
+                engine.gate.set()
+                await server.infer("pw", repro.randn(1, 8))    # warm
+                engine.gate.clear()
+                engine.entered.clear()
+                busy = await enqueue(server, ("pw", repro.randn(1, 16)))
+                await engine.wait_entered()
+                x = repro.randn(1, 8)
+                (lone,) = await enqueue(server, ("pw", x))
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                assert not lone.done()      # gated on the second worker
+                engine.gate.set()
+                await asyncio.wait_for(asyncio.gather(*busy, lone), 30)
+                assert lone.result().data.tobytes() \
+                    == model(x).data.tobytes()
+                return server.stats()
+
+        assert run(go())["handoffs"] == 3
+
+    def test_a_backlog_goes_to_the_workers(self):
+        """Groups pending together on an idle server are handed to the
+        workers; only the last one left runs on the loop."""
+        async def go():
+            async with make_server(workers=1) as server:
+                server.register("pw", Pointwise().eval())
+                threads = Threads(server)
+                for width in (8, 16):
+                    await server.infer("pw", repro.randn(1, width))
+                await asyncio.wait_for(asyncio.gather(
+                    server.infer("pw", repro.randn(1, 8)),
+                    server.infer("pw", repro.randn(1, 16))), timeout=30)
+                return threads, server.stats()
+
+        threads, stats = run(go())
+        assert threads.on == ["worker", "worker", "worker", "loop"]
+        assert stats["handoffs"] == 3
+
+    def test_a_forward_above_the_bound_goes_to_a_worker(self):
+        """Each forward is timed where it runs: a key whose batch grew
+        past the bound goes back to a worker after one forward, and comes
+        back to the loop after one cheap one."""
+        async def go():
+            async with make_server(workers=1) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                threads = Threads(server, heavy_rows=4)
+                for rows in (1, 1, 4, 4, 4, 1, 1):
+                    x = repro.randn(rows, 8)
+                    out = await server.infer("pw", x)
+                    assert out.data.tobytes() == model(x).data.tobytes()
+                return threads, server.stats()
+
+        threads, stats = run(go())
+        assert threads.on == ["worker", "loop", "loop", "worker", "worker",
+                              "worker", "loop"]
+        assert stats["handoffs"] == 4
+
+    def test_an_inline_batch_answers_the_mates_of_a_failing_request(self):
+        class Poisoned(RuntimeError):
+            pass
+
+        async def go():
+            async with make_server(workers=1) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+
+                def engine(x):             # any batch holding a NaN raises
+                    if np.isnan(x.data).any():
+                        raise Poisoned("NaN input")
+                    return model(x)
+
+                engine.instructions = ()   # no fused kernel for stats()
+                server._build_engine = lambda handle, example: engine
+                await server.infer("pw", repro.randn(1, 8))
+                xs = [repro.randn(1, 8) for _ in range(4)]
+                xs[2] = Tensor._wrap(np.full((1, 8), np.nan, np.float32))
+                outs = await asyncio.gather(
+                    *(server.infer("pw", x) for x in xs),
+                    return_exceptions=True)
+                return xs, outs, model, server.stats(), server.batch_log()
+
+        xs, outs, model, stats, log = run(go())
+        assert stats["handoffs"] == 1       # the retries ran on the loop too
+        assert isinstance(outs[2], Poisoned)
+        for i in (0, 1, 3):
+            assert outs[i].data.tobytes() == model(xs[i]).data.tobytes()
+        assert [r.n_requests for r in log] == [1, 1, 1, 1]
+
+    def test_an_inline_reply_is_a_worker_reply(self, monkeypatch):
+        """The same lone request and the same 3-request batch, answered
+        on the loop and (with a bound no forward meets) on a worker."""
+        xs = [repro.randn(1, 24) for _ in range(4)]
+
+        async def go():
+            async with make_server(workers=1) as server:
+                server.register("pw", Pointwise().eval())
+                await server.infer("pw", xs[0])
+                lone = await server.infer("pw", xs[0])
+                batch = await asyncio.gather(
+                    *(server.infer("pw", x) for x in xs[1:]))
+                return [o.data.tobytes() for o in [lone] + batch], \
+                    server.stats()["handoffs"]
+
+        inline, inline_handoffs = run(go())
+        monkeypatch.setattr(serve_server, "INLINE_S", 0.0)
+        worker, worker_handoffs = run(go())
+        assert (inline_handoffs, worker_handoffs) == (1, 3)
+        assert inline == worker
+
+    def test_close_drains_inline_and_worker_batches(self):
+        async def go():
+            server = make_server(workers=1)
+            model = Pointwise().eval()
+            server.register("pw", model)
+            threads = Threads(server)
+            await server.infer("pw", repro.randn(1, 8))
+            xs = [repro.randn(1, 16)] + [repro.randn(1, 8) for _ in range(3)]
+            tasks = await enqueue(server, *[("pw", x) for x in xs])
+            await asyncio.wait_for(server.close(), timeout=30)
+            assert all(t.done() for t in tasks)
+            for x, t in zip(xs, tasks):
+                assert t.result().data.tobytes() == model(x).data.tobytes()
+            return threads, server.stats(), server.batch_log()
+
+        threads, stats, log = run(go())
+        # The new key's first forward takes the worker; the warm group
+        # behind it is alone on an idle server when it finishes.
+        assert threads.on == ["worker", "worker", "loop"]
+        assert stats["handoffs"] == 2
+        assert [r.n_requests for r in log] == [1, 1, 3]
 
 
 # -- failure isolation -----------------------------------------------------------
@@ -778,6 +1010,7 @@ class TestStats:
 
         stats = run(go())
         assert stats["requests"] == 4
+        assert stats["handoffs"] == 1       # the building batch
         assert stats["batches"] == 1
         assert stats["batched_rows"] == 4
         assert stats["mean_rows_per_batch"] == 4.0
@@ -932,7 +1165,8 @@ class TestGuardKeyedEngines:
     def test_an_evicted_engine_is_not_kept_alive(self):
         """The server holds its engines through its caches only: past the
         64 the engine cache keeps, the first engine is garbage, and
-        ``off_guard_calls`` sums over the live ones."""
+        ``off_guard_calls`` sums over the live ones.  The forward costs the
+        server keeps per key never outnumber those 64 either."""
         async def go():
             model = Pointwise().eval()
             async with make_server(batching=False, workers=2) as server:
@@ -940,13 +1174,16 @@ class TestGuardKeyedEngines:
                 await server.infer("pw", repro.randn(2, 1))
                 (first,) = server.engine_cache.engines()
                 first = weakref.ref(first)
+                costs = []                  # the per-key forward costs kept
                 for width in range(2, 71):
                     await server.infer("pw", repro.randn(2, width))
+                    costs.append(len(server._costs))
                 gc.collect()
-                return server.stats(), first()
+                return server.stats(), first(), max(costs)
 
-        stats, first = run(go())
+        stats, first, costs = run(go())
         assert first is None                # while the server was alive
+        assert costs == 64                  # bounded as the engines are
         assert stats["engine_cache"]["size"] == 64
         assert stats["engine_cache"]["builds"] == 70
         assert stats["off_guard_calls"] == 0
