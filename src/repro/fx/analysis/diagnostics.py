@@ -5,7 +5,7 @@ A rule turns analysis results into user-facing :class:`Diagnostic`
 objects carrying a rule id, a severity, and source-location provenance
 (the ``stack_trace`` the tracer recorded on each node, pointing at the
 user's model code rather than framework internals).  The four rules
-(the diagnostic reference table in README.md):
+(README.md, "Static analysis & pass verification"):
 
 ===================== ======== ====================================================
 rule id               severity meaning

@@ -13,8 +13,8 @@ place::
     {'hits': 1, 'misses': 1, 'state_derived_bytes': ..., 'size': 1, ...}
     >>> fx.clear_caches("transform")   # or fx.clear_caches() for every stage
 
-What a stage stores under which key is the stage's business (see the
-"Caches" table in the README); this module never looks inside either.
+What a stage stores under which key is the stage's business (see
+DESIGN.md, "Caches"); this module never looks inside either.
 """
 
 from __future__ import annotations

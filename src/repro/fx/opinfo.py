@@ -141,8 +141,10 @@ class OpDef:
             (bound from remaining positional args, then kwargs).
         validate: optional predicate on the bound params dict; binding
             fails when it returns False.
-        alias_safe: ``emit`` tolerates ``out`` aliasing any operand.  A
-            GEMM does not: it writes ``out`` while it still reads its input.
+
+    A pointwise ``emit`` must tolerate ``out`` aliasing any operand (the
+    self-test runs it in place).  A contraction need not: it opens a
+    region, so it reads only kernel inputs, never a buffer.
     """
 
     key: str
@@ -151,7 +153,6 @@ class OpDef:
     emit: Callable
     params: tuple = ()
     validate: Optional[Callable[[dict], bool]] = None
-    alias_safe: bool = True
 
 
 @dataclass(frozen=True)
@@ -908,7 +909,7 @@ def _populate() -> None:
     # the GEMM opens a fused region; it writes ``out`` while reading ``x``
     op("linear", _linear, _promote, flops=contraction, functions=(F.linear,),
        modules={nn.Linear: ("weight", "bias")},
-       kernel=OpDef("linear", 3, _eager(F.linear), _emit_linear, alias_safe=False))
+       kernel=OpDef("linear", 3, _eager(F.linear), _emit_linear))
     conv = ("weight", "bias", "stride", "padding", "dilation", "groups")
     op("conv2d", _conv2d, _same, flops=windowed, functions=(F.conv2d,),
        modules={nn.Conv2d: conv})
@@ -1145,7 +1146,7 @@ def selftest(keys=None) -> list[str]:
     ``writes`` changes them.  A broken constraint raises each domain's typed
     error.  A kernel's ``emit`` equals eager's bits (NaN matched by position)
     on floats of both signs, ±0, ±100, ±inf and NaN: into an empty buffer, on
-    a non-contiguous first operand, and in place when ``alias_safe``; a
+    a non-contiguous first operand, and in place unless a contraction; a
     Linear-rooted fused kernel's shape and cost follow its steps.  Every public ``repro.functional``
     function and ``nn`` leaf module has an entry or a line in
     :data:`NO_ENTRY`."""
@@ -1178,7 +1179,7 @@ def selftest(keys=None) -> list[str]:
         if np.ndim(first):
             runs["first operand non-contiguous"] = (np.repeat(first, 2, -1)[..., ::2],
                                                     np.empty_like(want))
-        if kernel.alias_safe and np.shape(first) == want.shape \
+        if TABLE[kernel.key].shape is pointwise_shape and np.shape(first) == want.shape \
                 and getattr(first, "dtype", None) == want.dtype:
             runs["in place"] = (first.copy(),) * 2
         for how, (first, out) in runs.items():

@@ -39,14 +39,12 @@ Safety rules:
   ``FusedKernel`` is a total function — never wrong, merely slower off
   the fast path.
 * **Aliasing**: a pointwise ``emit`` tolerates ``out`` aliasing any of
-  its operands (``OpDef.alias_safe``, the default): it reads them all
-  before its first write to ``out``, or a ufunc streams them into it.  This
-  is what lets the internal register allocator reuse a dying operand's
-  buffer as the destination of the *same step*.  A GEMM is not
-  alias-safe: each output row reads a whole input row, so streaming into
-  its input would corrupt what it has not read yet (numpy's ``matmul``
-  copies an overlapping input first instead).  The allocator never gives
-  such a step its own operand's buffer.
+  its operands: it reads them all before its first write to ``out``, or
+  a ufunc streams them into it (``opinfo selftest`` runs each in place).
+  This is what lets the internal register allocator reuse a dying
+  operand's buffer as the destination of the *same step*.  A GEMM would
+  not tolerate it, and never meets it: a contraction opens its region, so
+  it reads kernel inputs only.
 
 A new pointwise op is one :func:`repro.fx.opinfo.pointwise` declaration::
 
@@ -421,19 +419,16 @@ def _build_spec(name: str, members: list[Node], region: set[Node],
             else:
                 encoded.append(("c", a))
         # Operands dying at this step free their buffers *before* the
-        # destination is chosen when the step is alias-safe, so its result
-        # may stream into a consumed operand's buffer; after, when not.
-        dying = [buf_of[a] for a in dict.fromkeys(m.node_operands)
+        # destination is chosen, so its result may stream into a consumed
+        # operand's buffer; a contraction reads no buffer to stream from.
+        assert not (m.contraction and any(a in buf_of for a in m.node_operands))
+        free += [buf_of[a] for a in dict.fromkeys(m.node_operands)
                  if a in buf_of and last_use.get(a) == j]
-        if TABLE[m.key].kernel.alias_safe:
-            free += dying
-            dying = []
         if free:
             out_buf = free.pop()
         else:
             out_buf = n_buffers
             n_buffers += 1
-        free += dying
         buf_of[n] = out_buf
         steps.append(FusedStep(m.key, out_buf, tuple(encoded), m.params))
 

@@ -251,7 +251,7 @@ class InferenceServer:
 
     def stats(self) -> dict:
         """Request/batch counters plus the engine cache's counters;
-        ``off_guard_calls`` sums over the engines the caches still hold."""
+        ``off_guard_calls`` sums over the VM engines the caches still hold."""
         with self._stats_lock:
             counts = dict(self._counts)
         batches = counts["batches"]
@@ -264,7 +264,7 @@ class InferenceServer:
                 counts["batched_rows"] / batches if batches else 0.0,
             "off_guard_calls": sum({    # a kernel two engines share once
                 id(i.target): i.target.off_guard_calls
-                for e in engines for i in e.instructions
+                for e in engines for i in getattr(e, "instructions", ())
                 if isinstance(i.target, FusedKernel)}.values()),
             "engine_cache": self.engine_cache.info(),
         }

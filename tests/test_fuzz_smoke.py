@@ -3,7 +3,7 @@
 200 iterations with a fixed seed: fast, deterministic, and enough to keep
 the whole capture → transform → codegen pipeline honest on every CI run.
 A failure here prints the oracle summaries; replay any of them with the
-spec shown (see README "Fuzzing & differential testing").
+spec shown (see README.md, "Fuzzing & differential testing").
 """
 
 import pytest

@@ -263,42 +263,36 @@ class TestKernelObject:
             opinfo.TABLE.pop("scaled_tanh", None)
             opinfo.INDEX._by_function.pop(scaled_tanh, None)
 
-    @pytest.mark.parametrize("alias_safe", [False, True])
-    def test_an_emit_that_is_not_alias_safe_never_writes_what_it_reads(self, alias_safe):
-        """The register allocator hands a step a dying operand's buffer as
-        its destination only when the op declares ``alias_safe``.  This emit
-        writes ``out`` and then reads its operand again, so run in place it
-        gives ``4 * a`` instead of ``3 * a``: declared honestly, the kernel
-        gives eager's bits; declared alias-safe, it takes the operand's
-        buffer and does not."""
+    @pytest.mark.parametrize("late_read", [False, True])
+    def test_opinfo_selftest_rejects_an_emit_that_reads_after_writing_out(self, late_read):
+        """The register allocator hands a pointwise step a dying operand's
+        buffer as its destination, so every pointwise ``emit`` must read
+        its operands before it writes ``out``.  This emit writes ``out``
+        and then reads its operand again: run in place it gives ``4 * a``
+        instead of ``3 * a``, and ``opinfo selftest`` says so; the honest
+        emit passes."""
         def triple(x):
-            return repro.Tensor(np.asarray(x.data) * 3.0)
+            return repro.Tensor._wrap(np.asarray(x.data) * 3.0)
 
         def emit(out, a):
-            np.multiply(a, 2.0, out=out)
-            np.add(out, a, out=out)
+            if late_read:
+                np.multiply(a, 2.0, out=out)
+                np.add(out, a, out=out)
+            else:
+                np.multiply(a, 3.0, out=out)
 
-        opinfo.pointwise(
-            OpDef("triple_late_read", 1, ref=lambda a: a * 3.0, emit=emit,
-                  alias_safe=alias_safe),
-            functions=(triple,),
-        )
+        opinfo.pointwise(OpDef("triple", 1, ref=lambda a: a * 3.0, emit=emit),
+                         functions=(triple,))
         try:
-            g = Graph()
-            x = g.placeholder("x")
-            g.output(g.call_function(triple, (g.call_function(F.relu, (x,)),)))
-            gm = GraphModule(nn.Module(), g)
-            xv = repro.randn(4, 4)
-            ref = gm(xv)
-            ShapeProp(gm).propagate(xv)
-            assert fuse_pointwise(gm) == 1
-            spec = _fused_nodes(gm)[0].target.spec
-            assert spec.n_buffers == (1 if alias_safe else 2)
-            exact = gm(xv).data.tobytes() == ref.data.tobytes()
-            assert exact != alias_safe
+            failures = opinfo.selftest(["triple"])
         finally:
-            opinfo.TABLE.pop("triple_late_read", None)
+            opinfo.TABLE.pop("triple", None)
             opinfo.INDEX._by_function.pop(triple, None)
+        if late_read:
+            assert failures and all(f.endswith("emit differs from eager (in place)")
+                                    for f in failures), failures
+        else:
+            assert failures == []
 
 
 class LinearReLU(nn.Module):

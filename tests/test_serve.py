@@ -144,8 +144,6 @@ class GatedEngine:
     is set, so a test decides when a worker frees up.  ``seen`` records,
     per call, how many batches the server had in flight."""
 
-    instructions = ()                   # no fused kernel, for stats()
-
     def __init__(self, server, model):
         self.server, self.model = server, model
         self.entered = threading.Event()
@@ -423,9 +421,7 @@ class Threads:
         def build_engine(handle, example_inputs):
             self.built_on.append(self.where())
             engine = build(handle, example_inputs)
-            recorded = lambda *inputs: self.call(engine, heavy_rows, inputs)
-            recorded.instructions = engine.instructions     # for stats()
-            return recorded
+            return lambda *inputs: self.call(engine, heavy_rows, inputs)
 
         server._build_engine = build_engine
 
@@ -565,7 +561,6 @@ class TestInlineForwards:
                         raise Poisoned("NaN input")
                     return model(x)
 
-                engine.instructions = ()   # no fused kernel for stats()
                 server._build_engine = lambda handle, example: engine
                 await server.infer("pw", repro.randn(1, 8))
                 xs = [repro.randn(1, 8) for _ in range(4)]
@@ -577,6 +572,7 @@ class TestInlineForwards:
 
         xs, outs, model, stats, log = run(go())
         assert stats["handoffs"] == 1       # the retries ran on the loop too
+        assert stats["off_guard_calls"] == 0    # a plain function holds no kernel
         assert isinstance(outs[2], Poisoned)
         for i in (0, 1, 3):
             assert outs[i].data.tobytes() == model(xs[i]).data.tobytes()
