@@ -156,6 +156,8 @@ class BreakReport:
             )
             if e.source_line:
                 lines.append(f"      > {e.source_line}")
+            elif e.stack:
+                lines.append("      > source unavailable")
             if len(e.stack) > 1:
                 chain = " <- ".join(fn for _, _, fn in e.stack)
                 lines.append(f"      call chain: {chain}")
@@ -250,6 +252,19 @@ def _parse_file(filename: str, cache: dict) -> Optional[ast.AST]:
     return tree
 
 
+def _source_matches(tree: ast.AST, stack: tuple) -> bool:
+    """Whether a file's text is the code that ran: the innermost frame in it
+    with a name of its own (not ``<genexpr>``, ...) is a ``def`` of that name
+    spanning its line.  Code compiled from other text under the file's name,
+    or a file edited since, fails this."""
+    for f, lineno, func in stack:
+        if f == stack[0][0] and not func.startswith("<"):
+            return any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and n.name == func and n.lineno <= lineno <= n.end_lineno
+                       for n in ast.walk(tree))
+    return True
+
+
 def _enclosing_construct(tree: ast.AST, lineno: int) -> Optional[ast.AST]:
     """Innermost break-relevant construct whose span covers *lineno*."""
     best = None
@@ -313,8 +328,11 @@ def _classify(event: BreakEvent, cache: dict) -> None:
         event.classification = "unclassified"
         return
     filename, lineno, _ = event.stack[0]
-    event.source_line = linecache.getline(filename, lineno).strip() or None
     tree = _parse_file(filename, cache)
+    if tree is not None and not _source_matches(tree, event.stack):
+        tree = None         # its lines are not this code's: unavailable
+    if tree is not None:
+        event.source_line = linecache.getline(filename, lineno).strip() or None
     construct = _enclosing_construct(tree, lineno) if tree is not None else None
     if construct is None:
         event.classification = (

@@ -18,7 +18,9 @@ A region may also open with a contraction (§6.2's producer + epilogue):
 a ``Linear`` / ``F.linear`` whose output only the region reads.  Its GEMM
 writes straight into a kernel buffer and the pointwise tail runs in place
 after it.  What the GEMM reads — its input, and the weight and bias
-through ``get_attr`` at their own paths — are kernel inputs.
+through ``get_attr`` at their own paths — are kernel inputs.  A
+contraction no region takes is a one-step kernel, with no module call or
+dispatch around its GEMM; a lone pointwise op is left as it is.
 
 Safety rules:
 
@@ -312,7 +314,7 @@ class _Match:
     key: str
     operands: tuple          # Node | _Attr | immediate scalar, in kernel order
     params: tuple = ()       # ((name, value), ...) in OpDef order
-    contraction: bool = False   # not elementwise: opens a region, never seeds one
+    contraction: bool = False   # not elementwise: opens a region, or is a kernel alone
 
     @property
     def node_operands(self) -> list[Node]:
@@ -484,7 +486,8 @@ def fuse_pointwise(gm: GraphModule) -> int:
     every user lies inside the region (single external consumer).  A
     contraction (``Linear``) joins only as a non-seed member, and what it
     reads stays a kernel input, so a region never spans two layers.  A
-    region of one op is left unfused.
+    region of one pointwise op is left unfused; a contraction that no
+    region takes becomes a kernel of its own.
 
     Returns the number of regions fused (mutates *gm* in place and
     recompiles when non-zero).
@@ -508,12 +511,15 @@ def fuse_pointwise(gm: GraphModule) -> int:
     assigned: set[Node] = set()
     regions: list[tuple[Node, set[Node]]] = []
     for node in reversed(graph.nodes):
-        if node not in candidates or node in assigned or candidates[node].contraction:
+        if node not in candidates or node in assigned:
             continue
         seed_meta = _leaf_meta(node)
         shape, dtype_name = tuple(seed_meta.shape), seed_meta.dtype.name
         region = {node}
-        frontier = [node]
+        # every user of a contraction was a seed already and none took it:
+        # it is a kernel of one step
+        lone = candidates[node].contraction
+        frontier = [] if lone else [node]
         while frontier:
             n = frontier.pop()
             for a in candidates[n].node_operands:
@@ -527,7 +533,7 @@ def fuse_pointwise(gm: GraphModule) -> int:
                     continue
                 region.add(a)
                 frontier.append(a)
-        if len(region) >= 2:
+        if len(region) >= 2 or lone:
             assigned |= region
             regions.append((node, region))
 

@@ -13,31 +13,23 @@ Architecture (stdlib only)::
 * **Work-conserving dynamic batching** — requests that agree on (model,
   per-sample shape, dtype) join one pending group (:mod:`.batching`);
   the oldest group leaves as one forward whenever fewer than ``workers``
-  batches are in flight, so batches form *while the workers are busy*
-  and a lone request never waits.  The check runs one event-loop turn
-  after an arrival, which lets a ``gather`` share a batch.  Groups are
-  keyed by the full signature: mixed-shape traffic never cross-batches.
-  The one exception to "an idle worker takes the oldest group" is
-  :data:`PACE_S`: batches shared by several callers leave that far
-  apart, so a saturated closed loop runs at a rate the pace sets, not at
-  the host's speed of the moment.  A cheap batch alone on an idle server
-  runs on the loop itself (:data:`INLINE_S`): a thread handoff costs
-  about what its forward does.
+  batches are in flight, so batches form while the workers are busy and
+  a lone request never waits.  A completion runs that check, and so does
+  the request that finds none due, one event-loop turn after it arrives,
+  which lets a ``gather`` share a batch.  Shared batches with room leave
+  :data:`PACE_S` apart.  A cheap batch alone on an idle server runs on
+  the loop (:data:`INLINE_S`), and its request returns with no second
+  wakeup.
 * **Engine cache** — each (model graph hash, per-sample signature)
   compiles once through :func:`repro.fx.compile`, via
-  :class:`.EngineCache`; with a cache directory, a cold process loads
-  the pickled program instead of recompiling.  The per-sample signature
-  is the one groups are keyed on (every input's shape without its dim
-  0, and its dtype), so one engine serves every batch size: its fused
-  kernels take any dim 0 on their fast path
-  (``stats()["off_guard_calls"]`` counts the calls that missed it), and
-  a kernel that meets a shape it was not built for runs eager's generic
-  code.  A request with no batch dim (a 0-d or non-tensor input, or
-  inputs whose dim 0 disagree) is keyed on its exact signature.
+  :class:`.EngineCache` (on disk, given a cache directory).  One engine
+  serves every batch size; a request with no batch dim is keyed on its
+  exact signature.
 * **Concurrency safety** — an engine keeps no scratch state between
-  calls, and every compile-stack cache is
-  locked/single-flighted, so one shared engine serves the whole worker
-  pool.
+  calls, and every compile-stack cache is locked/single-flighted, so one
+  shared engine serves the whole worker pool.
+
+DESIGN.md, "Serving", gives the reasons.
 
 Example::
 
@@ -73,23 +65,19 @@ __all__ = ["ServeConfig", "BatchRecord", "InferenceServer"]
 
 #: The least time between the departures of two batches that several
 #: requests share and that still have room; a lone request and a full group
-#: are never held, and overtake a held group.  Callers that wait for their
-#: replies and send again at once otherwise chase the server flat out: two
-#: cores at 100 % and a throughput that is the host's speed of that second
-#: (the perf ledger's ``served_burst`` read 17 600-27 700 req/s over five
-#: runs of one commit; paced, 2 500-3 000).  That costs CPU: a thread that
-#: wakes from a 2 ms sleep runs its work about twice as slowly as one kept
-#: busy (``served_burst`` ``cpu_ms_per_op`` 0.037 paced, 0.020 unpaced), a
-#: price paid so that the served throughput is comparable from one run to
-#: the next.  ``0`` is no pacing: every idle worker takes the oldest group,
-#: whatever it holds.
+#: are never held, and overtake a held group.  Unpaced, callers that send
+#: again as soon as their replies land chase the server at the host's speed
+#: of that second; paced, they cost more CPU, since a thread woken from a
+#: sleep runs more slowly (EXPERIMENTS.md, "Pacing removal measured, not
+#: shipped").  ``0`` is no pacing.
 PACE_S = 0.002
 
 #: How long one forward run on the event loop may stall it: a batch alone
 #: on an idle server runs there, with no thread handoff, when its key's
-#: latest forward took less CPU on the thread that ran it (builds, disk
-#: loads and a key's first forward run on workers).  Of the ledger's
-#: ``served_open`` forwards 99.9 % take under 0.47 ms, and a ResNet-50 15 ms.
+#: latest forward took less thread CPU and a cheap one ran as many rows (a
+#: BLAS may go threaded on more rows; builds, disk loads and a key's first
+#: forward run on workers).  Of the ledger's ``served_open`` forwards 99.9 %
+#: take under 0.47 ms, and a ResNet-50 15 ms.
 INLINE_S = 0.0005
 
 
@@ -110,13 +98,9 @@ class ServeConfig:
         batching: coalesce same-signature requests (False = every
             request is its own forward).
         max_batch_size: a pending group is closed to further requests
-            as soon as it holds this many rows (the only cap on a batch:
-            no request waits for co-batchable traffic that has not
-            arrived).
-        workers: worker threads executing forwards (a cheap batch alone
-            on an idle server runs on the event loop, :data:`INLINE_S`);
-            a group waits only while all of them are busy (and, when
-            several requests share it, for :data:`PACE_S`).
+            as soon as it holds this many rows (the only cap on a batch).
+        workers: worker threads executing forwards; a group waits only
+            while all of them are busy (or for :data:`PACE_S`).
         cache_dir: on-disk engine persistence root (``None`` = memory
             only).
     """
@@ -171,13 +155,15 @@ class InferenceServer:
         #: engines of models with no stable hash, ``(model name,
         #: signature) -> engine``: per server, never on disk.
         self._local_engines = ArtifactCache(64)
-        #: CPU seconds of each ``(model, signature)``'s latest forward.
-        self._costs = ArtifactCache(64)
+        #: per ``(model, signature)``, the most rows its forwards ran cheaply
+        #: (:data:`INLINE_S`), fewer than any dear one; negated after a dear
+        #: forward, so none runs on the loop.  Written under the stats lock.
+        self._costs: Dict[Tuple[str, tuple], int] = {}
         self._models: Dict[str, _ModelHandle] = {}
         #: scheduler state (event loop only): pending groups oldest first,
         #: those still accepting requests by ``(model, signature)``,
-        #: batches out at the pool, whether a ``_dispatch`` is already on
-        #: the loop's queue, when the next shared batch may leave
+        #: batches out at the pool, whether a request is yielding before it
+        #: runs ``_dispatch``, when the next shared batch may leave
         #: (``PACE_S``) and the timer that re-checks then, and what
         #: ``close()`` waits on (set while nothing is pending or running).
         self._queue: Deque[_Group] = deque()
@@ -196,7 +182,7 @@ class InferenceServer:
         #: engine keyed on a per-sample / an exact signature.
         self._counts = {"batches": 0, "batched_rows": 0, "max_batch_rows": 0,
                         "guard_hits": 0, "guard_violations": 0}
-        self._batch_log: deque = deque(maxlen=4096)
+        self._batch_log: deque = deque(maxlen=4096)     # BatchRecord fields
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -273,7 +259,7 @@ class InferenceServer:
         """The audit log of the most recent executed batches (bounded;
         the counters in :meth:`stats` are not)."""
         with self._stats_lock:
-            return list(self._batch_log)
+            return [BatchRecord(*fields) for fields in self._batch_log]
 
     # -- engine construction (worker threads) ------------------------------------
 
@@ -293,7 +279,7 @@ class InferenceServer:
         return self.engine_cache, _engine_key(handle.graph_hash, signature)
 
     def _forward(self, handle: _ModelHandle, inputs: tuple,
-                 signature: tuple, engine: Any = None) -> Any:
+                 signature: tuple, engine: Any = None) -> Tuple[Any, float]:
         """Run *inputs* through *engine*, else the engine keyed on
         *signature*, built from them on a miss; time the forward alone."""
         if engine is None:
@@ -302,8 +288,7 @@ class InferenceServer:
                 key, lambda: self._build_engine(handle, inputs))
         start = time.thread_time()
         out = engine(*inputs)
-        self._costs.put((handle.name, signature), time.thread_time() - start)
-        return out
+        return out, time.thread_time() - start
 
     def _run_single(self, handle: _ModelHandle, inputs: tuple) -> Any:
         """A request that is its own forward: keyed on its per-sample
@@ -314,7 +299,7 @@ class InferenceServer:
         except BatchError:
             signature = ("exact",) + input_signature(inputs)
             counter = "guard_violations"
-        out = self._forward(handle, inputs, signature)
+        out, _ = self._forward(handle, inputs, signature)
         with self._stats_lock:
             self._counts[counter] += 1
         return out
@@ -329,28 +314,33 @@ class InferenceServer:
             if len(items) == 1:
                 # Lone request: no concat/split, and no batch-splittability
                 # requirement on the model's output.
-                results = [self._forward(handle, items[0][0], signature,
-                                         engine)]
+                inputs, rows, _ = items[0]
+                out, cost = self._forward(handle, inputs, signature, engine)
+                results = [out]
             else:
-                out = self._forward(
+                each = [rows for _, rows, _ in items]
+                rows = sum(each)
+                out, cost = self._forward(
                     handle, coalesce([inputs for inputs, _, _ in items]),
                     signature, engine)
-                results = split_results(out, [rows for _, rows, _ in items])
+                results = split_results(out, each)
         except Exception as exc:
             if len(items) == 1:
                 return [(None, exc)]
             return [self._execute_batch(handle, signature, [item], engine)[0]
                     for item in items]
-        rows = sum(rows for _, rows, _ in items)
+        key, costs = (handle.name, signature), self._costs
         with self._stats_lock:
             counts = self._counts
             counts["guard_hits"] += 1
             counts["batches"] += 1
             counts["batched_rows"] += rows
             counts["max_batch_rows"] = max(counts["max_batch_rows"], rows)
-            self._batch_log.append(BatchRecord(
-                model=handle.name, signature=signature,
-                n_requests=len(items), rows=rows))
+            self._batch_log.append((handle.name, signature, len(items), rows))
+            if key not in costs and len(costs) >= 64:   # as many as engines
+                del costs[next(iter(costs))]            # the oldest key
+            bound = abs(costs.get(key, 0))
+            costs[key] = max(rows, bound) if cost < INLINE_S else -min(bound, rows - 1)
         return [(result, None) for result in results]
 
     # -- request path and scheduler (event loop) ---------------------------------
@@ -387,11 +377,20 @@ class InferenceServer:
         self._idle.clear()
         if group.rows >= self.config.max_batch_size:
             del self._open[key]  # full: the next request opens a new group
-        # One turn later, so that requests arriving in this turn share the
-        # batch; with every worker busy, the next completion dispatches.
-        if not self._dispatch_due and self._inflight < self.config.workers:
-            self._dispatch_due = True
-            loop.call_soon(self._dispatch)
+        if self._dispatch_due or self._inflight >= self.config.workers:
+            return await fut    # a yielding request or a completion dispatches
+        # This request dispatches one turn later, even if cancelled then, so
+        # that requests arriving in this turn share the batch.
+        self._dispatch_due = True
+        try:
+            await asyncio.sleep(0)
+        except asyncio.CancelledError:
+            if not fut.cancel():
+                fut.exception()     # answered in that turn: retrieved
+            raise
+        finally:
+            if self._dispatch_due:      # else a completion dispatched
+                self._dispatch()
         return await fut
 
     def _dispatch(self) -> None:
@@ -404,7 +403,9 @@ class InferenceServer:
             group = self._queue.popleft()
             # A request its caller abandoned (timeout, cancel) gets no
             # forward; a group of nothing else dispatches nothing.
-            items = [item for item in group.items if not item[2].cancelled()]
+            items = group.items
+            if len(items) > 1 or items[0][2].cancelled():
+                items = [item for item in items if not item[2].cancelled()]
             if len(items) > 1 and group.rows < self.config.max_batch_size:
                 # Several callers at once and room for more: such batches
                 # leave ``PACE_S`` apart; others overtake.
@@ -420,7 +421,7 @@ class InferenceServer:
             name, signature = group.key
             handle, engine = self._models[name], None
             if not (self._inflight or self._queue) and \
-                    self._costs.get(group.key, INLINE_S) < INLINE_S:
+                    group.rows <= self._costs.get(group.key, 0):
                 store, key = self._engine_slot(handle, signature)
                 engine = store.get(key)     # in memory: never a build here
             if engine is not None:

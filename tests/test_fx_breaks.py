@@ -149,6 +149,32 @@ class TestDetection:
         assert "test_fx_breaks.py" in text
         assert "if gate > 0:" in text
 
+    def test_code_run_under_another_files_name_is_not_read_from_it(
+            self, tmp_path):
+        """A repairable ``if`` exec'd under the name of a file on disk that
+        holds other text: its break is never classified or reported
+        against that file's lines; its source is unavailable."""
+        other = tmp_path / "notes.py"
+        lines = [f"line_{i} = {i}" for i in range(1, 20)]
+        other.write_text("\n".join(lines) + "\n")
+        namespace = {"nn": nn}
+        exec(compile("class M(nn.Module):\n"
+                     "    def forward(self, x):\n"
+                     "        y = x\n"
+                     "        if x.sum() > 0:\n"
+                     "            y = x * 2.0\n"
+                     "        return y\n", str(other), "exec"), namespace)
+        report = detect_breaks(namespace["M"]())
+        (event,) = report.events
+        assert event.stack[0][:2] == (str(other), 4)
+        assert event.source_line is None and event.construct is None
+        assert event.classification == "unclassified"
+        text = report.format()
+        assert "source unavailable" in text
+        assert not any(line in text for line in lines)
+        with pytest.raises(RepairError, match="source unavailable"):
+            mend(namespace["M"]())
+
 
 class TestWhereRepair:
     def test_data_if_mends_to_single_graph(self):

@@ -352,7 +352,7 @@ class TestLinearEpilogue:
         assert list(gm.state_dict()) == names
         assert np.array_equal(gm(x).data, ref.data)
 
-    def test_a_linear_with_two_users_stays_a_module_call(self):
+    def test_a_linear_with_two_users_is_a_kernel_of_its_own(self):
         class M(nn.Module):
             def __init__(self):
                 super().__init__()
@@ -364,12 +364,13 @@ class TestLinearEpilogue:
 
         m, x = M(), repro.randn(4, 8)
         gm = _trace_and_prop(m, x)
-        assert fuse_pointwise(gm) == 1
-        assert [s.key for s in _fused_nodes(gm)[0].target.spec.steps] == ["relu", "mul"]
-        assert sum(n.op == "call_module" for n in gm.graph.nodes) == 1
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(gm(x), m(x)))
+        assert fuse_pointwise(gm) == 2
+        assert [[s.key for s in n.target.spec.steps] for n in _fused_nodes(gm)] \
+            == [["linear"], ["relu", "mul"]]
+        assert not any(n.op == "call_module" for n in gm.graph.nodes)
+        assert all(a.data.tobytes() == b.data.tobytes() for a, b in zip(gm(x), m(x)))
 
-    def test_a_linear_the_graph_returns_is_not_fused(self):
+    def test_a_linear_the_graph_returns_is_a_kernel_of_its_own(self):
         class M(nn.Module):
             def __init__(self):
                 super().__init__()
@@ -380,10 +381,31 @@ class TestLinearEpilogue:
 
         m, x = M(), repro.randn(4, 8)
         gm = _trace_and_prop(m, x)
-        assert fuse_pointwise(gm) == 1
-        assert "linear" not in {s.key for s in _fused_nodes(gm)[0].target.spec.steps}
-        assert sum(n.op == "call_module" for n in gm.graph.nodes) == 1
-        assert np.array_equal(gm(x).data, m(x).data)
+        assert fuse_pointwise(gm) == 2
+        assert [[s.key for s in n.target.spec.steps] for n in _fused_nodes(gm)] \
+            == [["relu", "mul"], ["linear"]]
+        assert not any(n.op == "call_module" for n in gm.graph.nodes)
+        for n in (4, 1, 9):     # the GEMM kernel takes any batch size
+            y = repro.randn(n, 8)
+            assert gm(y).data.tobytes() == m(y).data.tobytes()
+        assert _fused_nodes(gm)[1].target.off_guard_calls == 0
+
+    def test_a_compiled_mlp_calls_no_module(self):
+        """The ledger's ``small_mlp`` shape: ``fc1`` opens the ReLU's
+        region, ``fc2`` is a kernel of its own, on VM and codegen alike."""
+        from repro import fx
+
+        m = nn.Sequential(nn.Linear(8, 16), nn.ReLU(), nn.Linear(16, 4)).eval()
+        x = repro.randn(1, 8)
+        for executor in ("codegen", "vm"):
+            compiled = fx.compile(m, (x,), executor=executor)
+            if executor == "codegen":
+                assert [[s.key for s in n.target.spec.steps]
+                        for n in _fused_nodes(compiled)] == [["linear", "relu"], ["linear"]]
+                assert not any(n.op == "call_module" for n in compiled.graph.nodes)
+            for rows in (1, 4):
+                y = repro.randn(rows, 8)
+                assert compiled(y).data.tobytes() == m(y).data.tobytes()
 
     def test_another_batch_size_runs_fused_and_another_rank_generic(self):
         m = ManyOpsBlock().eval()

@@ -362,7 +362,9 @@ class TestDemandDrivenVerdicts:
         ``view`` / ``writes``.  ``VERDICTS`` was recorded over this corpus
         with the per-analysis op lists they replaced (re-recorded without
         the deleted upcast check's part, from the tree whose digests
-        matched).  One node kind moves, in the conservative direction:
+        matched; when a ``Linear`` no region takes became a one-step kernel,
+        the eight ``:fused`` graphs that gained one and four new ones were
+        recorded, every node kept from before keeping its verdict).  One node kind moves, in the conservative direction:
         ``MultiheadAttention`` has no entry, so its result may alias."""
         recorded = json.loads(VERDICTS.read_text())
         got, attention = {}, 0

@@ -7,13 +7,16 @@ Covers the tentpole guarantees end to end:
   requests arriving while every worker is busy leave as one batch when
   one frees; groups leave oldest first; the size cap closes a group;
   only batches several requests share are paced (``server.PACE_S``),
-  and a closed loop of clients keeps forming full batches;
+  and a closed loop of clients keeps forming full batches; the request
+  that finds no dispatch due runs it one turn later, also when cancelled
+  then or when ``close()`` waits, and a completion in that turn
+  dispatches the group once;
 * **forwards on the event loop** — a cheap batch alone on an idle
   server runs on the loop with no thread handoff (``stats()["handoffs"]``
   counts the others); a build, a key's first forward, a forward above
-  ``server.INLINE_S``, a backlog and a batch beside a busy worker go to
-  a worker; inline replies are a worker's bits, and ``close()`` drains
-  both kinds;
+  ``server.INLINE_S``, a batch with more rows than its key ran cheaply,
+  a backlog and a batch beside a busy worker go to a worker; inline
+  replies are a worker's bits, and ``close()`` drains both kinds;
 * **failure isolation** — a batch that fails as a whole is re-run per
   request; a cancelled request gets no forward;
 * **mixed-shape traffic never cross-batches** — the pending queue is
@@ -67,6 +70,11 @@ from repro.tensor import Tensor
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def within(coro, timeout=60):
+    """``run``, with a deadline over the whole test, ``close()`` included."""
+    return run(asyncio.wait_for(coro, timeout))
 
 
 class Pointwise(nn.Module):
@@ -390,6 +398,108 @@ class TestScheduler:
         assert stats["batches"] == rounds
         assert [r.rows for r in log] == [clients] * rounds
 
+    def test_eight_gathered_requests_form_one_batch(self):
+        async def go():
+            async with make_server(workers=1) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                await server.infer("pw", repro.randn(1, 8))
+                xs = [repro.randn(1, 8) for _ in range(8)]
+                outs = await asyncio.wait_for(asyncio.gather(
+                    *(server.infer("pw", x) for x in xs)), timeout=30)
+                for x, out in zip(xs, outs):
+                    assert out.data.tobytes() == model(x).data.tobytes()
+                return server.batch_log()
+
+        assert [(r.n_requests, r.rows) for r in within(go())] == [(1, 1), (8, 8)]
+
+    def test_an_opening_request_cancelled_in_its_yield_still_dispatches(self):
+        """The request that opens a group dispatches it one turn later.
+        Cancelled in that turn, it still dispatches: its batch-mate is
+        answered, its own item gets no forward, and no future is left
+        holding an exception nobody retrieved."""
+        async def go():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context))
+            async with make_server(workers=1) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                threads = Threads(server)
+                await server.infer("pw", repro.randn(1, 8))
+                (alone,) = await enqueue(server, ("pw", repro.randn(1, 8)))
+                assert server._dispatch_due     # it is yielding
+                alone.cancel()
+                x = repro.randn(1, 8)
+                opener, mate = await enqueue(
+                    server, ("pw", repro.randn(2, 8)), ("pw", x))
+                opener.cancel()
+                out = await asyncio.wait_for(mate, timeout=30)
+                assert out.data.tobytes() == model(x).data.tobytes()
+                done, _ = await asyncio.wait([alone, opener], timeout=30)
+                assert len(done) == 2
+                assert alone.cancelled() and opener.cancelled()
+                log = server.batch_log()
+            gc.collect()
+            await asyncio.sleep(0)
+            return log, threads, errors
+
+        log, threads, errors = within(go())
+        assert [(r.n_requests, r.rows) for r in log] == [(1, 1), (1, 1)]
+        assert len(threads.on) == 2     # the warm-up and the mate
+        assert errors == []
+
+    def test_close_while_an_opening_request_yields_still_drains(self):
+        async def go():
+            server = make_server(workers=1)
+            model = Pointwise().eval()
+            server.register("pw", model)
+            xs = [repro.randn(1, 8) for _ in range(3)]
+            tasks = await enqueue(server, *[("pw", x) for x in xs])
+            assert server._dispatch_due
+            await asyncio.wait_for(server.close(), timeout=30)
+            assert all(t.done() for t in tasks)
+            for x, t in zip(xs, tasks):
+                assert t.result().data.tobytes() == model(x).data.tobytes()
+            return server.batch_log()
+
+        assert [r.n_requests for r in within(go())] == [3]
+
+    def test_a_completion_in_the_openers_yield_dispatches_once(self):
+        """A worker's completion that lands while the opening request
+        yields dispatches its group; the opener then finds its reply and
+        does not dispatch again."""
+        async def go():
+            async with make_server(workers=2) as server:
+                model = Pointwise().eval()
+                server.register("pw", model)
+                engine = GatedEngine(server, model)
+                pool, submitted = server._ensure_pool(), []
+                submit = pool.submit
+                pool.submit = lambda *a: submitted.append(submit(*a)) \
+                    or submitted[-1]
+                busy = await enqueue(server, ("pw", repro.randn(1, 8)))
+                await engine.wait_entered()
+                dispatches, dispatch = [], server._dispatch
+                server._dispatch = lambda: dispatches.append(1) or dispatch()
+                x = repro.randn(1, 8)
+                opener = asyncio.ensure_future(server.infer("pw", x))
+                # The completion is on the loop's queue before the opener
+                # first runs, so it runs inside the opener's yield.
+                posted = threading.Event()
+                engine.gate.set()
+                submitted[0].add_done_callback(lambda _: posted.set())
+                assert posted.wait(30)
+                out = await asyncio.wait_for(opener, timeout=30)
+                await asyncio.wait_for(asyncio.gather(*busy), timeout=30)
+                assert out.data.tobytes() == model(x).data.tobytes()
+                return dispatches, server.stats(), server.batch_log()
+
+        dispatches, stats, log = within(go())
+        assert len(dispatches) == 1     # the completion's
+        assert stats["handoffs"] == 1   # the opener's forward ran inline
+        assert [r.n_requests for r in log] == [1, 1]
+
     def test_batching_disabled_runs_requests_alone(self):
         async def go():
             async with make_server(batching=False) as server:
@@ -410,18 +520,19 @@ class TestScheduler:
 
 class Threads:
     """Wraps a server's engines: ``on`` records, per engine call, whether
-    it ran on the event loop's thread.  Calls with at least ``heavy_rows``
-    rows burn ``2 * INLINE_S`` of CPU first."""
+    it ran on the event loop's thread.  While ``heavy`` is set, calls burn
+    ``2 * INLINE_S`` of CPU first."""
 
-    def __init__(self, server, heavy_rows=None):
+    def __init__(self, server):
         self.loop_thread = threading.get_ident()
         self.on, self.built_on = [], []
+        self.heavy = False
         build = server._build_engine
 
         def build_engine(handle, example_inputs):
             self.built_on.append(self.where())
             engine = build(handle, example_inputs)
-            return lambda *inputs: self.call(engine, heavy_rows, inputs)
+            return lambda *inputs: self.call(engine, inputs)
 
         server._build_engine = build_engine
 
@@ -429,9 +540,9 @@ class Threads:
         return "loop" if threading.get_ident() == self.loop_thread \
             else "worker"
 
-    def call(self, engine, heavy_rows, inputs):
+    def call(self, engine, inputs):
         self.on.append(self.where())
-        if heavy_rows and inputs[0].data.shape[0] >= heavy_rows:
+        if self.heavy:
             end = time.thread_time() + 2 * serve_server.INLINE_S
             while time.thread_time() < end:
                 pass
@@ -528,24 +639,48 @@ class TestInlineForwards:
         assert stats["handoffs"] == 3
 
     def test_a_forward_above_the_bound_goes_to_a_worker(self):
-        """Each forward is timed where it runs: a key whose batch grew
-        past the bound goes back to a worker after one forward, and comes
-        back to the loop after one cheap one."""
+        """Each forward is timed where it runs: a key whose forward took
+        ``INLINE_S`` or more goes back to a worker, and comes back to the
+        loop after one cheap forward there."""
         async def go():
             async with make_server(workers=1) as server:
                 model = Pointwise().eval()
                 server.register("pw", model)
-                threads = Threads(server, heavy_rows=4)
-                for rows in (1, 1, 4, 4, 4, 1, 1):
-                    x = repro.randn(rows, 8)
+                threads = Threads(server)
+                x = repro.randn(1, 8)
+                for heavy in (False, False, True, True, False, False):
+                    threads.heavy = heavy
                     out = await server.infer("pw", x)
                     assert out.data.tobytes() == model(x).data.tobytes()
                 return threads, server.stats()
 
         threads, stats = run(go())
         assert threads.on == ["worker", "loop", "loop", "worker", "worker",
-                              "worker", "loop"]
-        assert stats["handoffs"] == 4
+                              "loop"]
+        assert stats["handoffs"] == 3
+
+    def test_a_batch_with_more_rows_than_the_key_was_timed_at_goes_to_a_worker(
+            self):
+        """A key's cost holds up to the rows it was timed at: a key timed
+        cheap at 4 rows runs its first 16-row batch on a worker (a BLAS may
+        go threaded at 16 rows), bit for bit what eager gives."""
+        async def go():
+            async with make_server(workers=1) as server:
+                repro.manual_seed(0)
+                model = SmallMLP().eval()
+                server.register("mlp", model)
+                threads = Threads(server)
+                handoffs = []
+                for rows in (4, 4, 16):
+                    x = repro.randn(rows, 8)
+                    out = await asyncio.wait_for(server.infer("mlp", x), 30)
+                    assert out.data.tobytes() == model(x).data.tobytes()
+                    handoffs.append(server.stats()["handoffs"])
+                return threads, handoffs
+
+        threads, handoffs = within(go())
+        assert threads.on == ["worker", "loop", "worker"]
+        assert handoffs == [1, 1, 2]
 
     def test_an_inline_batch_answers_the_mates_of_a_failing_request(self):
         class Poisoned(RuntimeError):
@@ -562,7 +697,7 @@ class TestInlineForwards:
                     return model(x)
 
                 server._build_engine = lambda handle, example: engine
-                await server.infer("pw", repro.randn(1, 8))
+                await server.infer("pw", repro.randn(4, 8))    # timed at 4 rows
                 xs = [repro.randn(1, 8) for _ in range(4)]
                 xs[2] = Tensor._wrap(np.full((1, 8), np.nan, np.float32))
                 outs = await asyncio.gather(
@@ -586,7 +721,7 @@ class TestInlineForwards:
         async def go():
             async with make_server(workers=1) as server:
                 server.register("pw", Pointwise().eval())
-                await server.infer("pw", xs[0])
+                await server.infer("pw", repro.randn(3, 24))   # timed at 3 rows
                 lone = await server.infer("pw", xs[0])
                 batch = await asyncio.gather(
                     *(server.infer("pw", x) for x in xs[1:]))
@@ -605,7 +740,7 @@ class TestInlineForwards:
             model = Pointwise().eval()
             server.register("pw", model)
             threads = Threads(server)
-            await server.infer("pw", repro.randn(1, 8))
+            await server.infer("pw", repro.randn(3, 8))    # timed at 3 rows
             xs = [repro.randn(1, 16)] + [repro.randn(1, 8) for _ in range(3)]
             tasks = await enqueue(server, *[("pw", x) for x in xs])
             await asyncio.wait_for(server.close(), timeout=30)
@@ -1165,7 +1300,7 @@ class TestGuardKeyedEngines:
         server keeps per key never outnumber those 64 either."""
         async def go():
             model = Pointwise().eval()
-            async with make_server(batching=False, workers=2) as server:
+            async with make_server(workers=2) as server:
                 server.register("pw", model)
                 await server.infer("pw", repro.randn(2, 1))
                 (first,) = server.engine_cache.engines()
