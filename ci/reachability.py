@@ -1,34 +1,44 @@
-"""Which ``src/`` function bodies each kind of entry point reaches.
+"""Which executable ``src/`` lines each kind of entry point runs.
 
-    python ci/reachability.py      # runs every entry point (≈ 8 min), writes ci/reachability.txt
+    python ci/reachability.py   # runs every entry point (6-8 min on 2 cores),
+                                # writes ci/reachability.txt
 
 Every entry point runs on a copy of the checkout, with a ``sitecustomize``
-that profiles each process (``sys.setprofile`` / ``threading.setprofile``)
-and dumps the code objects it entered, at exit and in ``os._exit``.  An
-AST walk then charges each top-level function body of ``src/repro`` to the
-first class that reached it: product, CI-only, test-only, or unreached.
-A subprocess that sets its own ``PYTHONPATH`` is not profiled.
+that traces each process (``sys.settrace`` / ``threading.settrace``), only
+in frames whose file is under ``src/repro/``, and dumps the lines it ran,
+at exit and in ``os._exit``.  The executable lines of a module are those
+that ``co_lines()`` lists for its compiled code objects (line 0 aside);
+each is charged to the first class that ran it: product, CI-only,
+test-only, or unreached.  Lines are read from the copy that ran, so the
+checkout may change while the tool runs.  A subprocess that sets its own ``PYTHONPATH`` is
+not traced.
 """
 
-import ast, collections, glob, json, os, shutil, subprocess, sys, tempfile
+import collections, glob, json, os, shutil, subprocess, sys, tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOOK = """import atexit, json, os, sys, threading
 _seen = set()
-def _hook(frame, event, arg):
-    if event == "call":
-        _seen.add(frame.f_code)
+_add = _seen.add
+def _line(frame, event, arg):
+    if event == "line":
+        _add((frame.f_code.co_filename, frame.f_lineno))
+    return _line
+def _call(frame, event, arg):
+    name = frame.f_code.co_filename
+    if "/src/repro/" in name:
+        _add((name, frame.f_lineno))
+        return _line
 def _dump():
-    sys.setprofile(None)
-    hits = sorted({(c.co_filename.split("/src/", 1)[1], c.co_firstlineno)
-                   for c in list(_seen) if "/src/repro/" in c.co_filename})
+    sys.settrace(None)
+    hits = sorted({(name.split("/src/", 1)[1], line) for name, line in list(_seen)})
     with open(os.path.join(os.environ["REACH_OUT"], f"{os.getpid()}.json"), "w") as f:
         json.dump(hits, f)
 _exit = os._exit
 os._exit = lambda code: (_dump(), _exit(code))
 atexit.register(_dump)
-sys.setprofile(_hook)
-threading.setprofile(_hook)
+sys.settrace(_call)
+threading.settrace(_call)
 """
 PY, BENCH = [sys.executable], [sys.executable, "-m", "pytest", "-q", "--benchmark-disable"]
 FIGURES = ["bench_ir_complexity.py", "bench_quantization.py", "bench_fusion.py",
@@ -65,16 +75,14 @@ def reached(work: str, kind: str) -> set:
     return {tuple(hit) for path in glob.glob(f"{out}/*.json") for hit in json.load(open(path))}
 
 
-def bodies(path: str):
-    """``(first lines a code object may report, body length)`` per top-level function."""
-    todo = list(ast.parse(open(path).read()).body)
+def executable(path: str) -> set:
+    """The lines ``co_lines()`` lists for every code object compiled from ``path``."""
+    todo, lines = [compile(open(path).read(), path, "exec")], set()
     while todo:
-        node = todo.pop()
-        if isinstance(node, ast.ClassDef):
-            todo += node.body
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield {first, node.lineno}, node.end_lineno - node.lineno + 1
+        code = todo.pop()
+        lines |= {line for _, _, line in code.co_lines() if line}
+        todo += [c for c in code.co_consts if hasattr(c, "co_lines")]
+    return lines
 
 
 def main() -> None:
@@ -88,14 +96,14 @@ def main() -> None:
         os.makedirs(f"{work}/hook")
         open(f"{work}/hook/sitecustomize.py", "w").write(HOOK)
         hits = {kind: reached(work, kind) for kind in ENTRY_POINTS}
+        table = collections.defaultdict(collections.Counter)
+        for path in sorted(glob.glob("repro/**/*.py", root_dir=f"{work}/tree/src",
+                                     recursive=True)):
+            row = table[path]
+            for line in executable(f"{work}/tree/src/{path}"):
+                kind = next((k for k in ENTRY_POINTS if (path, line) in hits[k]), "unreached")
+                row[kind] += 1
     kinds = [*ENTRY_POINTS, "unreached"]
-    table = collections.defaultdict(collections.Counter)
-    for path in sorted(glob.glob("src/repro/**/*.py", root_dir=ROOT, recursive=True)):
-        module = path[len("src/"):]
-        for firsts, size in bodies(f"{ROOT}/{path}"):
-            kind = next((k for k in ENTRY_POINTS
-                         if any((module, line) in hits[k] for line in firsts)), "unreached")
-            table[module][kind] += size
     lines = [f"{'module':44s}" + "".join(f"{k:>11s}" for k in kinds)]
     for module, row in [*table.items(), ("total", sum(table.values(), collections.Counter()))]:
         lines.append(f"{module:44s}" + "".join(f"{row[k]:11d}" for k in kinds))

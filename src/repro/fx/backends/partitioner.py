@@ -28,7 +28,7 @@ build.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ...nn import Module
 from ..analysis import may_alias_input, purity
@@ -62,9 +62,6 @@ class PartitionPlan:
     unassigned: List[Node] = field(default_factory=list)
     unsupported: List[Node] = field(default_factory=list)
     masked: List[Node] = field(default_factory=list)
-
-    def pid_of(self, node: Node) -> Optional[int]:
-        return self.node_pid.get(node)
 
     @property
     def fully_supported(self) -> bool:

@@ -95,9 +95,7 @@ def _copy_attr(src: Module, dst: Module, target: str) -> None:
 
 
 def _assign_attr(mod: Module, name: str, value: Any, buffer_hint: bool = False) -> None:
-    if isinstance(value, Parameter) or isinstance(value, Module):
-        setattr(mod, name, value)
-    elif isinstance(value, Tensor) and buffer_hint:
+    if buffer_hint and isinstance(value, Tensor) and not isinstance(value, Parameter):
         mod.register_buffer(name, value)
     else:
         setattr(mod, name, value)

@@ -201,10 +201,6 @@ class Transformer(Interpreter):
     def call_module(self, target: str, args: tuple, kwargs: dict) -> Proxy:
         return self.tracer.create_proxy("call_module", target, args, kwargs)
 
-    def output(self, target, args: tuple, kwargs: dict) -> Any:
-        # Handled in transform(); should not be reached through run_node.
-        return args[0]
-
     def run_node(self, n: Node) -> Any:
         if n.op == "output":
             result = self.map_nodes_to_values(n.args[0], n)

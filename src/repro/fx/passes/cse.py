@@ -9,13 +9,14 @@ sweep with a value-numbering table.  Because the IR is functional (§5.6),
 in-place updates are two effects, and merging them into one changes
 program behaviour even though the value computed is identical.
 ``call_module`` nodes are never deduplicated: modules may hide state
-(BatchNorm in training mode, Dropout).
+(BatchNorm in training mode, Dropout).  A call target is keyed by its
+``module.qualname`` when that resolves to the same object, else by its
+``id()``, which is sound here because the graph keeps every target alive
+for the sweep.
 """
 
 from __future__ import annotations
 
-import sys
-from types import FunctionType
 from typing import Any
 
 from ..analysis.purity import purity
@@ -24,47 +25,6 @@ from ..graph_module import GraphModule
 from ..node import Node
 
 __all__ = ["eliminate_common_subexpressions"]
-
-
-def _target_key(target: Any) -> Any:
-    """Value-number key for a non-string call target.
-
-    Keys by the target's resolvable ``module.qualname`` (the same
-    convention ``PassManager`` uses), so two *equal-but-distinct*
-    callables — e.g. the same function before and after a module reload —
-    value-number identically.  For a function whose module now holds a
-    different object, the key is still granted when the resolved function
-    is code-identical (same bytecode/constants/defaults, no closure).
-    Unresolvable callables fall back to ``id()``, which is safe here —
-    unlike a persistent cache — because the graph keeps every target
-    alive for the duration of the sweep.
-    """
-    token = _hash_token_for_object(target)
-    if not token.startswith("obj:"):
-        return token
-    if isinstance(target, FunctionType):
-        name = getattr(target, "__qualname__", "")
-        mod = getattr(target, "__module__", "")
-        if mod and name and "<locals>" not in name:
-            resolved: Any = sys.modules.get(mod)
-            for atom in name.split("."):
-                resolved = getattr(resolved, atom, None)
-            try:
-                if (
-                    isinstance(resolved, FunctionType)
-                    and resolved.__code__.co_code == target.__code__.co_code
-                    and resolved.__code__.co_consts == target.__code__.co_consts
-                    and resolved.__code__.co_names == target.__code__.co_names
-                    and resolved.__code__.co_flags == target.__code__.co_flags
-                    and resolved.__defaults__ == target.__defaults__
-                    and resolved.__kwdefaults__ == target.__kwdefaults__
-                    and resolved.__closure__ is None
-                    and target.__closure__ is None
-                ):
-                    return f"f:{mod}.{name}"
-            except Exception:
-                pass
-    return ("id", id(target))
 
 
 def _freeze(a: Any) -> Any:
@@ -106,7 +66,8 @@ def eliminate_common_subexpressions(gm: GraphModule) -> int:
             continue
         key = (
             node.op,
-            node.target if isinstance(node.target, str) else _target_key(node.target),
+            node.target if isinstance(node.target, str)
+            else _hash_token_for_object(node.target),
             _freeze(node.args),
             _freeze(node.kwargs),
         )

@@ -384,10 +384,6 @@ class PassManager:
         self.verifier = verifier
         self.last_result: Optional[PassManagerResult] = None
 
-    def add_pass(self, p: Pass, name: Optional[str] = None) -> "PassManager":
-        self.passes.append((name or _pass_name(p, len(self.passes)), p))
-        return self
-
     def __call__(self, gm: GraphModule) -> GraphModule:
         """Pipeline-of-pipelines composition: a PassManager is itself a
         valid pass (returns the transformed module)."""

@@ -164,12 +164,6 @@ def _make_step(ins: Instruction):
                     def step(regs, name=name, a=a, out=out):
                         regs[out] = getattr(regs[a], name)()
                     return step
-                if len(idx) == 2:
-                    a, b = idx
-
-                    def step(regs, name=name, a=a, b=b, out=out):
-                        regs[out] = getattr(regs[a], name)(regs[b])
-                    return step
             pos = tuple(flat)
 
             def step(regs, name=name, pos=pos, kw=kw, out=out):

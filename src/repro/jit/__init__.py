@@ -12,7 +12,7 @@ input models.
 
 from .script import ScriptedModule, script
 from .trace import TracedModule, trace
-from .ts_ir import TSBlock, TSGraph, TSNode, TSValue, count_ops
+from .ts_ir import TSBlock, TSGraph, TSNode, TSValue
 
 __all__ = [
     "ScriptedModule",
@@ -21,7 +21,6 @@ __all__ = [
     "TSNode",
     "TSValue",
     "TracedModule",
-    "count_ops",
     "script",
     "trace",
 ]

@@ -8,18 +8,19 @@ method and submodule it calls) with a traditional parse-and-lower pipeline
 choices, the compiler:
 
 * keeps structured control flow: ``if`` becomes ``prim::If`` with **both**
-  branches compiled (even the branch the example inputs would never take),
-  ``for`` becomes ``prim::Loop`` or compile-time unrolling over module
-  containers;
+  branches compiled (even the branch the example inputs would never take;
+  what a branch assigns or returns stays in its block), ``for`` becomes
+  ``prim::Loop`` or compile-time unrolling over module containers;
 * materializes every scalar/immediate as a ``prim::Constant`` node and
-  every tuple/list as ``prim::ListConstruct``/``prim::TupleConstruct``;
+  every tuple as ``prim::TupleConstruct`` (a list of runtime values as
+  ``prim::ListConstruct``);
 * models ``assert``/``raise`` as ``prim::If`` + ``prim::RaiseException``
   (the ``AssertionError`` constants visible in Figure 5(a));
 * resolves module/parameter accesses to ``prim::GetAttr`` chains.
 
-Compilation is best-effort for the long tail: a Python construct the
-compiler does not model precisely is lowered to a ``prim::Unknown`` node
-over its operand values rather than rejected, and recorded in
+It models what the Figure-5 models use.  A Python construct it does not
+model (``while``, ``+=``, comprehensions, slices, ...) is lowered to one
+``prim::Unknown`` node rather than rejected, and recorded in
 ``ScriptedModule.warnings``.  (Real TorchScript errors out instead; for
 the op-count study the conservative node is the fairer choice, since it
 never *inflates* the count.)
@@ -28,11 +29,12 @@ never *inflates* the count.)
 from __future__ import annotations
 
 import ast
+import builtins
 import inspect
 import textwrap
 from typing import Any, Callable, Optional
 
-from ..nn import Module, Parameter
+from ..nn import Module
 from ..tensor import Tensor
 from .ts_ir import TSBlock, TSGraph, TSValue
 
@@ -57,9 +59,7 @@ def parse_function(fn: Callable) -> ast.FunctionDef:
     tree = ast.parse(source).body[0]
     if not isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
         raise TypeError(f"source of {fn!r} is not a function definition")
-    code = getattr(fn, "__code__", None)
-    if code is None and hasattr(fn, "__func__"):
-        code = fn.__func__.__code__
+    code = getattr(fn, "__code__", None)    # a bound method's too
     if code is not None:
         ast.increment_lineno(tree, code.co_firstlineno - 1)
     return tree
@@ -80,14 +80,7 @@ _BINOP_ATEN = {
 _CMP_ATEN = {
     ast.Eq: "aten::eq", ast.NotEq: "aten::ne", ast.Lt: "aten::lt",
     ast.LtE: "aten::le", ast.Gt: "aten::gt", ast.GtE: "aten::ge",
-    ast.Is: "aten::__is__", ast.IsNot: "aten::__isnot__",
-    ast.In: "aten::__contains__", ast.NotIn: "aten::__contains__",
-}
-_BINOP_PY = {
-    ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
-    ast.FloorDiv: lambda a, b: a // b, ast.Mod: lambda a, b: a % b,
-    ast.Pow: lambda a, b: a ** b,
+    ast.Is: "aten::__is__", ast.IsNot: "aten::__isnot__", ast.In: "aten::__contains__",
 }
 _CMP_PY = {
     ast.Eq: lambda a, b: a == b, ast.NotEq: lambda a, b: a != b,
@@ -132,12 +125,10 @@ class _ScriptCompiler:
             for bname, b in m._buffers.items():
                 if b is not None:
                     self.state_owner[id(b)] = (m, bname)
-        self.attr_values: dict[int, TSValue] = {}
-        self._inline_depth = 0
 
     # ------------------------------------------------------------------ values
 
-    def module_value(self, mod: Module, block: TSBlock) -> TSValue:
+    def module_value(self, mod: Module) -> TSValue:
         v = self.module_values.get(id(mod))
         if v is not None:
             return v
@@ -156,42 +147,25 @@ class _ScriptCompiler:
             self.module_values[id(walked)] = cursor
         return cursor
 
-    def state_value(self, t: Tensor, block: TSBlock) -> TSValue:
-        v = self.attr_values.get(id(t))
-        if v is not None:
-            return v
-        owner = self.state_owner.get(id(t))
-        if owner is None:
-            v = self.graph.constant(f"<tensor {tuple(t.shape)}>")
-        else:
-            mod, name = owner
-            v = self.graph.get_attr(self.module_value(mod, block), name, type_="Tensor")
-        self.attr_values[id(t)] = v
-        return v
-
     def as_value(self, obj: Any, block: TSBlock) -> TSValue:
         """Materialize a compile-time value as IR (constants, constructs)."""
         if isinstance(obj, TSValue):
             return obj
-        if isinstance(obj, (Parameter, Tensor)):
-            return self.state_value(obj, block)
-        if isinstance(obj, Module):
-            return self.module_value(obj, block)
+        if isinstance(obj, Tensor) and id(obj) in self.state_owner:
+            mod, name = self.state_owner[id(obj)]
+            return self.graph.get_attr(self.module_value(mod), name, type_="Tensor")
         if isinstance(obj, (int, float, bool, str)) or obj is None:
             return self.graph.constant(obj, block=block)
-        if isinstance(obj, (tuple, list)):
+        if isinstance(obj, tuple):
             elems = [self.as_value(x, block) for x in obj]
-            if isinstance(obj, tuple):
-                return self.graph.tuple_construct(elems, block=block)
-            return self.graph.list_construct(elems, block=block)
-        if isinstance(obj, slice):
-            parts = [self.as_value(x, block) for x in (obj.start, obj.stop, obj.step)]
-            return self.graph.list_construct(parts, elem_type="int?", block=block)
-        self.warn(f"opaque compile-time value {type(obj).__name__} materialized as str constant")
-        return self.graph.constant(repr(obj), block=block)
+            return self.graph.tuple_construct(elems, block=block)
+        return self.unknown(f"compile-time value {type(obj).__name__}", block)
 
-    def warn(self, msg: str) -> None:
-        self.warnings.append(msg)
+    def unknown(self, what: str, block: TSBlock) -> TSValue:
+        """A construct the compiler does not model: ``prim::Unknown``."""
+        self.warnings.append(f"unsupported {what}; emitted prim::Unknown")
+        return self.graph.create("prim::Unknown", [], 1, {"what": what},
+                                 block=block).outputs[0]
 
     # --------------------------------------------------------------- statements
 
@@ -211,24 +185,10 @@ class _ScriptCompiler:
             for target in stmt.targets:
                 self.assign_target(target, value, env, block)
             return None
-        if isinstance(stmt, ast.AugAssign):
-            cur = self.eval(stmt.target, env, block)
-            rhs = self.eval(stmt.value, env, block)
-            merged = self.binop(type(stmt.op), cur, rhs, block)
-            self.assign_target(stmt.target, merged, env, block)
-            return None
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                value = self.eval(stmt.value, env, block)
-                self.assign_target(stmt.target, value, env, block)
-            return None
         if isinstance(stmt, ast.If):
             return self.compile_if(stmt, env, block)
         if isinstance(stmt, ast.For):
             self.compile_for(stmt, env, block)
-            return None
-        if isinstance(stmt, ast.While):
-            self.compile_while(stmt, env, block)
             return None
         if isinstance(stmt, ast.Assert):
             cond = self.eval(stmt.test, env, block)
@@ -244,22 +204,14 @@ class _ScriptCompiler:
             self.graph.create("prim::RaiseException", [msg, extra], 0, block=fail)
             return None
         if isinstance(stmt, ast.Raise):
-            inputs = []
-            if stmt.exc is not None:
-                try:
-                    val = self.eval(stmt.exc, env, block)
-                    inputs.append(self.as_value(val, block))
-                except Exception:
-                    inputs.append(self.graph.constant("<exception>", block=block))
+            inputs = [] if stmt.exc is None else [
+                self.as_value(self.eval(stmt.exc, env, block), block)]
             self.graph.create("prim::RaiseException", inputs, 0, block=block)
             return None
         if isinstance(stmt, ast.Expr):
             self.eval(stmt.value, env, block)
             return None
-        if isinstance(stmt, ast.Pass):
-            return None
-        self.warn(f"unsupported statement {type(stmt).__name__}; emitted prim::Unknown")
-        self.graph.create("prim::Unknown", [], 0, {"stmt": type(stmt).__name__}, block=block)
+        self.unknown(f"statement {type(stmt).__name__}", block)
         return None
 
     def assign_target(self, target: ast.expr, value: Any, env: dict, block: TSBlock) -> None:
@@ -268,19 +220,13 @@ class _ScriptCompiler:
             return
         if isinstance(target, (ast.Tuple, ast.List)):
             if isinstance(value, TSValue):
-                unpack = self.graph.create(
+                value = self.graph.create(
                     "prim::TupleUnpack", [value], n_outputs=len(target.elts), block=block
-                )
-                parts: list[Any] = list(unpack.outputs)
-            elif isinstance(value, (tuple, list)):
-                parts = list(value)
-            else:
-                self.warn("cannot unpack value; bound all targets to it")
-                parts = [value] * len(target.elts)
-            for t, p in zip(target.elts, parts):
+                ).outputs
+            for t, p in zip(target.elts, value):
                 self.assign_target(t, p, env, block)
             return
-        self.warn(f"unsupported assignment target {type(target).__name__}")
+        self.unknown(f"assignment target {type(target).__name__}", block)
 
     def compile_if(self, stmt: ast.If, env: dict, block: TSBlock) -> Optional[_Return]:
         cond = self.eval(stmt.test, env, block)
@@ -294,31 +240,11 @@ class _ScriptCompiler:
             if_node.add_block()
             body = stmt.body if cond else stmt.orelse
             return self.compile_body(body, env, taken)
+        # Both branches are compiled; what either assigns or returns stays
+        # inside its block.
         if_node = self.graph.create("prim::If", [cond], 0, block=block)
-        then_b, else_b = if_node.add_block(), if_node.add_block()
-        env_t, env_f = dict(env), dict(env)
-        ret_t = self.compile_body(stmt.body, env_t, then_b)
-        ret_f = self.compile_body(stmt.orelse, env_f, else_b)
-        if ret_t is not None and ret_f is not None:
-            # both branches return: merge as the statement's return
-            out = self.graph.fresh_value("if_ret")
-            then_b.outputs.append(self.as_value(ret_t.value, then_b))
-            else_b.outputs.append(self.as_value(ret_f.value, else_b))
-            if_node.outputs.append(out)
-            return _Return(out)
-        # merge variables assigned in either branch
-        changed = [
-            k for k in sorted(set(env_t) | set(env_f))
-            if env_t.get(k) is not env_f.get(k)
-        ]
-        for k in changed:
-            if k in env_t and k in env_f:
-                out = self.graph.fresh_value(k)
-                then_b.outputs.append(self.as_value(env_t[k], then_b))
-                else_b.outputs.append(self.as_value(env_f[k], else_b))
-                if_node.outputs.append(out)
-                out.producer = if_node
-                env[k] = out
+        self.compile_body(stmt.body, dict(env), if_node.add_block())
+        self.compile_body(stmt.orelse, dict(env), if_node.add_block())
         return None
 
     def compile_for(self, stmt: ast.For, env: dict, block: TSBlock) -> None:
@@ -342,21 +268,9 @@ class _ScriptCompiler:
         # compile-time iterable (range with constant bounds, module
         # containers, tuples): unrolled, like TS constant propagation over
         # module structure
-        try:
-            items = list(it)
-        except TypeError:
-            self.warn("non-iterable in for loop; skipped")
-            return
-        for item in items:
+        for item in it:
             self.assign_target(stmt.target, item, env, block)
             self.compile_body(stmt.body, env, block)
-
-    def compile_while(self, stmt: ast.While, env: dict, block: TSBlock) -> None:
-        cond = self.eval(stmt.test, env, block)
-        loop = self.graph.create("prim::Loop", [self.as_value(cond, block)], 0, block=block)
-        body = loop.add_block()
-        env_b = dict(env)
-        self.compile_body(stmt.body, env_b, body)
 
     # -------------------------------------------------------------- expressions
 
@@ -364,17 +278,10 @@ class _ScriptCompiler:
         if isinstance(expr, ast.Constant):
             return expr.value
         if isinstance(expr, ast.Name):
-            if expr.id in env:
-                return env[expr.id]
-            g = env.get("__globals__", {})
-            if expr.id in g:
-                return g[expr.id]
-            import builtins
-
-            if hasattr(builtins, expr.id):
-                return getattr(builtins, expr.id)
-            self.warn(f"unresolved name {expr.id!r}")
-            return None
+            for scope in (env, env["__globals__"], vars(builtins)):
+                if expr.id in scope:
+                    return scope[expr.id]
+            return self.unknown(f"name {expr.id!r}", block)
         if isinstance(expr, ast.Attribute):
             base = self.eval(expr.value, env, block)
             return self.eval_attribute(base, expr.attr, block)
@@ -383,23 +290,14 @@ class _ScriptCompiler:
         if isinstance(expr, ast.BinOp):
             lhs = self.eval(expr.left, env, block)
             rhs = self.eval(expr.right, env, block)
-            return self.binop(type(expr.op), lhs, rhs, block)
-        if isinstance(expr, ast.UnaryOp):
+            kind = _BINOP_ATEN.get(type(expr.op), "prim::Unknown")
+            return self.graph.create(
+                kind, [self.as_value(lhs, block), self.as_value(rhs, block)], 1, block=block
+            ).outputs[0]
+        if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, (ast.Not, ast.USub)):
             operand = self.eval(expr.operand, env, block)
-            if isinstance(expr.op, ast.Not):
-                if isinstance(operand, TSValue):
-                    return self.graph.create("aten::__not__", [operand], 1,
-                                             output_type="bool", block=block).outputs[0]
-                return not operand
-            if isinstance(expr.op, ast.USub):
-                if isinstance(operand, TSValue):
-                    return self.graph.create("aten::neg", [operand], 1,
-                                             block=block).outputs[0]
-                return -operand
-            if isinstance(expr.op, ast.UAdd):
-                return operand
-            self.warn("unsupported unary op")
-            return operand
+            if not isinstance(operand, TSValue):
+                return not operand if isinstance(expr.op, ast.Not) else -operand
         if isinstance(expr, ast.Compare):
             lhs = self.eval(expr.left, env, block)
             result: Any = None
@@ -409,18 +307,8 @@ class _ScriptCompiler:
                 lhs = rhs
             return result
         if isinstance(expr, ast.BoolOp):
-            values = [self.eval(v, env, block) for v in expr.values]
-            if all(not isinstance(v, TSValue) for v in values):
-                if isinstance(expr.op, ast.And):
-                    out = values[0]
-                    for v in values[1:]:
-                        out = out and v
-                    return out
-                out = values[0]
-                for v in values[1:]:
-                    out = out or v
-                return out
             kind = "aten::__and__" if isinstance(expr.op, ast.And) else "aten::__or__"
+            values = [self.eval(v, env, block) for v in expr.values]
             acc = self.as_value(values[0], block)
             for v in values[1:]:
                 acc = self.graph.create(kind, [acc, self.as_value(v, block)], 1,
@@ -437,27 +325,11 @@ class _ScriptCompiler:
         if isinstance(expr, ast.Subscript):
             base = self.eval(expr.value, env, block)
             idx = self.eval(expr.slice, env, block)
-            if not isinstance(base, TSValue) and not isinstance(idx, TSValue):
-                try:
-                    return base[idx]
-                except Exception:
-                    self.warn("failed compile-time subscript")
-                    return None
             return self.graph.create(
                 "aten::__getitem__",
                 [self.as_value(base, block), self.as_value(idx, block)],
                 1, block=block,
             ).outputs[0]
-        if isinstance(expr, ast.Slice):
-            lower = self.eval(expr.lower, env, block) if expr.lower else None
-            upper = self.eval(expr.upper, env, block) if expr.upper else None
-            step = self.eval(expr.step, env, block) if expr.step else None
-            if any(isinstance(v, TSValue) for v in (lower, upper, step)):
-                return self.graph.list_construct(
-                    [self.as_value(v, block) for v in (lower, upper, step)],
-                    elem_type="int?", block=block,
-                )
-            return slice(lower, upper, step)
         if isinstance(expr, ast.JoinedStr):
             # f-string → aten::format over the pieces (TS behaviour)
             parts = []
@@ -468,82 +340,29 @@ class _ScriptCompiler:
                     parts.append(self.as_value(v.value, block))
             return self.graph.create("aten::format", parts, 1,
                                      output_type="str", block=block).outputs[0]
-        if isinstance(expr, ast.IfExp):
-            cond = self.eval(expr.test, env, block)
-            if not isinstance(cond, TSValue):
-                return self.eval(expr.body if cond else expr.orelse, env, block)
-            if_node = self.graph.create("prim::If", [cond], 0, block=block)
-            then_b, else_b = if_node.add_block(), if_node.add_block()
-            tv = self.as_value(self.eval(expr.body, env, then_b), then_b)
-            fv = self.as_value(self.eval(expr.orelse, env, else_b), else_b)
-            then_b.outputs.append(tv)
-            else_b.outputs.append(fv)
-            out = self.graph.fresh_value("ifexp")
-            if_node.outputs.append(out)
-            out.producer = if_node
-            return out
-        if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
-            return self.eval_comprehension(expr, env, block)
-        if isinstance(expr, ast.Starred):
-            return self.eval(expr.value, env, block)
-        self.warn(f"unsupported expression {type(expr).__name__}; prim::Unknown")
-        node = self.graph.create("prim::Unknown", [], 1,
-                                 {"expr": type(expr).__name__}, block=block)
-        return node.outputs[0]
-
-    def eval_comprehension(self, expr, env: dict, block: TSBlock) -> Any:
-        gen = expr.generators[0]
-        it = self.eval(gen.iter, env, block)
-        if isinstance(it, TSValue):
-            self.warn("runtime comprehension lowered to prim::Unknown")
-            return self.graph.create("prim::Unknown", [it], 1, block=block).outputs[0]
-        results = []
-        for item in it:
-            env_c = dict(env)
-            self.assign_target(gen.target, item, env_c, block)
-            if all(
-                not isinstance(self.eval(c, env_c, block), TSValue) and
-                self.eval(c, env_c, block)
-                for c in gen.ifs
-            ) if gen.ifs else True:
-                results.append(self.eval(expr.elt, env_c, block))
-        return results
+        return self.unknown(f"expression {type(expr).__name__}", block)
 
     def eval_attribute(self, base: Any, attr: str, block: TSBlock) -> Any:
         if isinstance(base, TSValue):
-            if attr in ("shape",):
+            if attr == "shape":
                 return self.graph.create("aten::size", [base], 1,
                                          output_type="int[]", block=block).outputs[0]
             if attr == "ndim":
                 return self.graph.create("aten::dim", [base], 1,
                                          output_type="int", block=block).outputs[0]
-            if attr == "dtype":
-                return self.graph.create("prim::dtype", [base], 1,
-                                         output_type="int", block=block).outputs[0]
-            if attr == "T":
-                return self.graph.create("aten::t", [base], 1, block=block).outputs[0]
-            return _RuntimeMethod(base, attr, self)
-        if isinstance(base, Module):
-            # Parameters/buffers produce GetAttr chains; plain attributes are
-            # compile-time constants; 'training' is a runtime bool attribute.
-            if attr == "training":
-                return self.graph.get_attr(self.module_value(base, block), "training",
-                                           type_="bool", block=block)
-            value = getattr(base, attr)
-            return value
+            return _RuntimeMethod(base, attr)
+        if isinstance(base, Module) and attr == "training":
+            # a runtime bool attribute; other module attributes (parameters,
+            # buffers, hyper-parameters) are compile-time values
+            return self.graph.get_attr(self.module_value(base), "training",
+                                       type_="bool", block=block)
         return getattr(base, attr)
 
     # ------------------------------------------------------------------- calls
 
     def eval_call(self, expr: ast.Call, env: dict, block: TSBlock) -> Any:
         func = self.eval(expr.func, env, block)
-        args = []
-        for a in expr.args:
-            v = self.eval(a, env, block)
-            if isinstance(a, ast.Starred) and isinstance(v, (tuple, list)):
-                args.extend(v)
-            else:
-                args.append(v)
+        args = [self.eval(a, env, block) for a in expr.args]
         kwargs = {
             kw.arg: self.eval(kw.value, env, block)
             for kw in expr.keywords if kw.arg is not None
@@ -566,130 +385,49 @@ class _ScriptCompiler:
         if inspect.ismethod(func) and isinstance(func.__self__, Module):
             return self.inline_function(func.__func__, [func.__self__] + args,
                                         kwargs, block)
-        has_runtime = any(isinstance(a, TSValue) for a in args) or any(
-            isinstance(v, TSValue) for v in kwargs.values()
-        )
-        if not has_runtime and callable(func):
-            if func in (range, len, isinstance, getattr, repr, str, int, float,
-                        bool, tuple, list, zip, enumerate, sorted, reversed, min,
-                        max, abs, sum):
-                try:
-                    return func(*args, **kwargs)
-                except Exception:
-                    self.warn(f"compile-time call to {func} failed")
-                    return None
-            mod = getattr(func, "__module__", "") or ""
-            if mod.startswith(("math",)):
-                return func(*args, **kwargs)
-            if inspect.isfunction(func):
-                return self.inline_function(func, args, kwargs, block)
-            try:
-                return func(*args, **kwargs)
-            except Exception:
-                self.warn(f"compile-time call to {func!r} failed")
-                return None
-        # runtime call of a python-level function: builtins get aten nodes,
-        # user functions are inlined
-        name = getattr(func, "__name__", "call")
-        if func in (int,):
-            return self.graph.create("aten::Int", [self.as_value(args[0], block)], 1,
-                                     output_type="int", block=block).outputs[0]
-        if func in (float,):
-            return self.graph.create("aten::Float", [self.as_value(args[0], block)], 1,
-                                     output_type="float", block=block).outputs[0]
-        if func in (len,):
-            return self.graph.create("aten::len", [self.as_value(args[0], block)], 1,
-                                     output_type="int", block=block).outputs[0]
-        if func in (isinstance,):
+        if callable(func) and not any(isinstance(a, TSValue)
+                                      for a in [*args, *kwargs.values()]):
+            # compile-time call: range(3), len(self.layers), math.sqrt(...)
+            return func(*args, **kwargs)
+        if func is isinstance:
             return self.graph.create(
                 "prim::isinstance", [self.as_value(args[0], block)], 1,
                 output_type="bool", block=block,
             ).outputs[0]
-        if inspect.isfunction(func):
-            return self.inline_function(func, args, kwargs, block)
         inputs = [self.as_value(a, block) for a in args]
         inputs += [self.as_value(v, block) for v in kwargs.values()]
+        name = getattr(func, "__name__", "call")
         return self.graph.create("prim::CallFunction", inputs, 1,
                                  {"name": name}, block=block).outputs[0]
 
     def inline_module(self, mod: Module, args: list, kwargs: dict, block: TSBlock) -> Any:
-        self.module_value(mod, block)  # GetAttr chain, as TS would emit
+        self.module_value(mod)  # GetAttr chain, as TS would emit
         return self.inline_function(type(mod).forward, [mod] + args, kwargs, block)
 
     def inline_function(self, fn: Callable, args: list, kwargs: dict,
                         block: TSBlock) -> Any:
-        if self._inline_depth > 40:
-            self.warn(f"inline depth limit at {fn.__qualname__}")
-            return self.graph.create("prim::CallFunction", [], 1, block=block).outputs[0]
         try:
             tree = parse_function(fn)
         except (OSError, TypeError, SyntaxError) as e:
-            self.warn(f"cannot get source of {fn!r}: {e}")
-            inputs = [self.as_value(a, block) for a in args]
-            return self.graph.create("prim::CallFunction", inputs, 1, block=block).outputs[0]
-        env: dict[str, Any] = {"__globals__": fn.__globals__}
-        params = [a.arg for a in tree.args.args]
-        defaults = tree.args.defaults
-        default_offset = len(params) - len(defaults)
-        bound = dict(zip(params, args))
-        for i, p in enumerate(params):
-            if p in bound:
-                continue
-            if p in kwargs:
-                bound[p] = kwargs[p]
-            elif i >= default_offset:
-                bound[p] = ast.literal_eval(defaults[i - default_offset])
-            else:
-                self.warn(f"missing argument {p!r} for {fn.__qualname__}")
-                bound[p] = None
-        for kwonly, kwdefault in zip(tree.args.kwonlyargs, tree.args.kw_defaults):
-            if kwonly.arg in kwargs:
-                bound[kwonly.arg] = kwargs[kwonly.arg]
-            elif kwdefault is not None:
-                bound[kwonly.arg] = ast.literal_eval(kwdefault)
-        env.update(bound)
-        self._inline_depth += 1
-        try:
-            ret = self.compile_body(tree.body, env, block)
-        finally:
-            self._inline_depth -= 1
+            return self.unknown(f"call of {fn.__qualname__} ({e})", block)
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        env = {"__globals__": fn.__globals__, **bound.arguments}
+        ret = self.compile_body(tree.body, env, block)
         return ret.value if ret is not None else None
 
     # -------------------------------------------------------------------- helpers
 
-    def binop(self, op_type: type, lhs: Any, rhs: Any, block: TSBlock) -> Any:
-        if not isinstance(lhs, TSValue) and not isinstance(rhs, TSValue):
-            fold = _BINOP_PY.get(op_type)
-            if fold is not None:
-                try:
-                    return fold(lhs, rhs)
-                except Exception:
-                    pass
-            self.warn(f"cannot fold {op_type.__name__}")
-            return None
-        kind = _BINOP_ATEN.get(op_type, "prim::Unknown")
-        return self.graph.create(
-            kind, [self.as_value(lhs, block), self.as_value(rhs, block)], 1, block=block
-        ).outputs[0]
-
     def compare(self, op_type: type, lhs: Any, rhs: Any, block: TSBlock) -> Any:
         if not isinstance(lhs, TSValue) and not isinstance(rhs, TSValue):
-            fold = _CMP_PY.get(op_type)
-            if fold is not None:
-                try:
-                    return fold(lhs, rhs)
-                except Exception:
-                    pass
-            return None
-        kind = _CMP_ATEN.get(op_type, "prim::Unknown")
-        out = self.graph.create(
+            return _CMP_PY[op_type](lhs, rhs)
+        kind = _CMP_ATEN.get(op_type)
+        if kind is None:
+            return self.unknown(f"comparison {op_type.__name__}", block)
+        return self.graph.create(
             kind, [self.as_value(lhs, block), self.as_value(rhs, block)], 1,
             output_type="bool", block=block,
         ).outputs[0]
-        if op_type is ast.NotIn:
-            out = self.graph.create("aten::__not__", [out], 1,
-                                    output_type="bool", block=block).outputs[0]
-        return out
 
     # ---------------------------------------------------------------------- main
 
@@ -702,20 +440,15 @@ class _ScriptCompiler:
         result = self.inline_function(fn, args, {}, self.graph.block)
         if isinstance(result, TSValue):
             self.graph.outputs.append(result)
-        elif isinstance(result, (tuple, list)):
-            for r in result:
-                if isinstance(r, TSValue):
-                    self.graph.outputs.append(r)
         return self.graph
 
 
 class _RuntimeMethod:
     """A method bound to a runtime TSValue, awaiting its call."""
 
-    def __init__(self, base: TSValue, name: str, compiler: _ScriptCompiler):
+    def __init__(self, base: TSValue, name: str):
         self.base = base
         self.name = name
-        self.compiler = compiler
 
 
 def script(root: Module) -> ScriptedModule:

@@ -29,8 +29,8 @@ __all__ = ["trace", "TracedModule", "TracingTensor"]
 # Tensor attributes that return concrete metadata during tracing.  This is
 # deliberate: jit.trace-style capture is unintrusive, so shape queries leak
 # real values into the host program (and specialize the trace).
-_METADATA_ATTRS = {"shape", "ndim", "dtype", "device", "data", "T"}
-_METADATA_METHODS = {"size", "dim", "numel", "item", "tolist", "element_size", "nbytes"}
+_METADATA = {"shape", "ndim", "dtype", "device", "data", "T",
+             "size", "dim", "numel", "item", "tolist", "element_size", "nbytes"}
 
 _BINOP_ATEN = {
     "__add__": "aten::add", "__radd__": "aten::add",
@@ -65,7 +65,6 @@ class _TraceState:
             for bname, b in m._buffers.items():
                 if b is not None:
                     self.state_owner[id(b)] = (m, bname)
-        self.attr_values: dict[int, TSValue] = {}
 
     # -- value mapping ---------------------------------------------------------
 
@@ -92,19 +91,13 @@ class _TraceState:
         return cursor
 
     def state_value(self, t: Tensor) -> TSValue:
-        """GetAttr node for a parameter/buffer (cached per instance)."""
-        v = self.attr_values.get(id(t))
-        if v is not None:
-            return v
+        """GetAttr node for a parameter/buffer, one per use."""
         owner = self.state_owner.get(id(t))
         if owner is None:
             # A loose tensor constant: recorded as prim::Constant[Tensor].
-            v = self.graph.constant(f"<tensor {tuple(t.shape)}>")
-        else:
-            mod, name = owner
-            v = self.graph.get_attr(self.module_value(mod), name, type_="Tensor")
-        self.attr_values[id(t)] = v
-        return v
+            return self.graph.constant(f"<tensor {tuple(t.shape)}>")
+        mod, name = owner
+        return self.graph.get_attr(self.module_value(mod), name, type_="Tensor")
 
     def lower_arg(self, a: Any) -> TSValue:
         """Map one runtime argument to a TS value, emitting constant /
@@ -119,25 +112,14 @@ class _TraceState:
             return self.graph.list_construct(elems, elem_type=elem_type)
         if isinstance(a, (int, float, bool, str)) or a is None:
             return self.graph.constant(a)
-        if isinstance(a, slice):
-            parts = [self.lower_arg(x) for x in (a.start, a.stop, a.step)]
-            return self.graph.list_construct(parts, elem_type="int?")
         return self.graph.constant(repr(a))
 
     def record(self, kind: str, args: tuple, kwargs: dict, result: Any) -> Any:
-        """Emit one aten op and wrap its tensor results."""
+        """Emit one aten op and wrap its tensor result."""
         inputs = [self.lower_arg(a) for a in args]
         inputs += [self.lower_arg(v) for v in kwargs.values()]
-        n_out = len(result) if isinstance(result, tuple) else 1
-        node = self.graph.create(kind, inputs, n_outputs=n_out)
-        if isinstance(result, tuple):
-            return tuple(
-                TracingTensor(r, v, self) if isinstance(r, Tensor) else r
-                for r, v in zip(result, node.outputs)
-            )
-        if isinstance(result, Tensor):
-            return TracingTensor(result, node.outputs[0], self)
-        return result
+        node = self.graph.create(kind, inputs)
+        return TracingTensor(result, node.outputs[0], self)
 
 
 def _unwrap_tracing(a: Any) -> Any:
@@ -172,38 +154,20 @@ class TracingTensor:
         return self.state.record(f"aten::{name}", args, kwargs or {}, result)
 
     def __getattr__(self, name: str):
-        if name in _METADATA_ATTRS:
-            # Concrete metadata escapes the trace (shape specialization, §2.2).
-            return getattr(self.value, name)
-        if name in _METADATA_METHODS:
-            return getattr(self.value, name)
         attr = getattr(self.value, name)
-        if callable(attr):
-            def recorded_method(*args, **kwargs):
-                result = attr(*_unwrap_tracing(args), **_unwrap_tracing(kwargs))
-                return self.state.record(
-                    f"aten::{name}", (self,) + args, kwargs, result
-                )
-            return recorded_method
-        return attr
+        if name in _METADATA or not callable(attr):
+            # Concrete metadata escapes the trace (shape specialization, §2.2).
+            return attr
 
-    def __getitem__(self, idx):
-        result = self.value[_unwrap_tracing(idx)]
-        return self.state.record("aten::select", (self, idx), {}, result)
-
-    def __neg__(self):
-        return self.state.record("aten::neg", (self,), {}, -self.value)
-
-    def __len__(self) -> int:
-        return len(self.value)
+        def recorded_method(*args, **kwargs):
+            result = attr(*_unwrap_tracing(args), **_unwrap_tracing(kwargs))
+            return self.state.record(f"aten::{name}", (self,) + args, kwargs, result)
+        return recorded_method
 
     # Concretizations succeed with the example's value — this is precisely
     # the "unintrusive capture" that lets traces silently specialize (§2.2).
     def __bool__(self) -> bool:
         return bool(self.value)
-
-    def __int__(self) -> int:
-        return int(self.value)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -256,17 +220,9 @@ def trace(root: Module, example_inputs: tuple) -> TracedModule:
     then traced *through*; tensor ops become ``aten::*`` nodes with
     explicit constant/list-construct operands.
     """
-    if not isinstance(example_inputs, tuple):
-        example_inputs = (example_inputs,)
     state = _TraceState(root)
-
-    wrapped_inputs = []
-    for i, ex in enumerate(example_inputs):
-        if isinstance(ex, Tensor):
-            v = state.graph.add_input(f"x.{i + 1}")
-            wrapped_inputs.append(TracingTensor(ex, v, state))
-        else:
-            wrapped_inputs.append(ex)
+    wrapped_inputs = [TracingTensor(ex, state.graph.add_input(f"x.{i + 1}"), state)
+                      for i, ex in enumerate(example_inputs)]
 
     intercept = _module_mod._MODULE_CALL_INTERCEPTOR
     prev = intercept.call
@@ -281,12 +237,6 @@ def trace(root: Module, example_inputs: tuple) -> TracedModule:
     finally:
         intercept.call = prev
 
-    def collect(o: Any) -> None:
-        if isinstance(o, TracingTensor):
-            state.graph.outputs.append(o.ts_value)
-        elif isinstance(o, (tuple, list)):
-            for x in o:
-                collect(x)
-
-    collect(out)
+    if isinstance(out, TracingTensor):
+        state.graph.outputs.append(out.ts_value)
     return TracedModule(root, state.graph)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-__all__ = ["TSValue", "TSNode", "TSBlock", "TSGraph", "count_ops"]
+__all__ = ["TSValue", "TSNode", "TSBlock", "TSGraph"]
 
 
 @dataclass
@@ -195,8 +195,3 @@ def _ts_type_of(value: Any) -> str:
     if isinstance(value, str):
         return "str"
     return "Tensor"
-
-
-def count_ops(graph: TSGraph) -> int:
-    """Convenience alias for :meth:`TSGraph.num_ops`."""
-    return graph.num_ops()

@@ -12,13 +12,7 @@ from ..tensor.creation import get_rng
 __all__ = [
     "uniform_",
     "normal_",
-    "constant_",
-    "zeros_",
-    "ones_",
     "kaiming_uniform_",
-    "kaiming_normal_",
-    "xavier_uniform_",
-    "xavier_normal_",
     "calculate_fan_in_and_fan_out",
 ]
 
@@ -43,38 +37,8 @@ def normal_(t: Tensor, mean: float = 0.0, std: float = 1.0) -> Tensor:
     return t
 
 
-def constant_(t: Tensor, val: float) -> Tensor:
-    t.data.fill(val)
-    return t
-
-
-def zeros_(t: Tensor) -> Tensor:
-    return constant_(t, 0.0)
-
-
-def ones_(t: Tensor) -> Tensor:
-    return constant_(t, 1.0)
-
-
 def kaiming_uniform_(t: Tensor, a: float = math.sqrt(5)) -> Tensor:
     fan_in, _ = calculate_fan_in_and_fan_out(t)
     gain = math.sqrt(2.0 / (1 + a * a))
     bound = gain * math.sqrt(3.0 / fan_in)
     return uniform_(t, -bound, bound)
-
-
-def kaiming_normal_(t: Tensor, a: float = 0.0) -> Tensor:
-    fan_in, _ = calculate_fan_in_and_fan_out(t)
-    gain = math.sqrt(2.0 / (1 + a * a))
-    return normal_(t, 0.0, gain / math.sqrt(fan_in))
-
-
-def xavier_uniform_(t: Tensor, gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = calculate_fan_in_and_fan_out(t)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform_(t, -bound, bound)
-
-
-def xavier_normal_(t: Tensor, gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = calculate_fan_in_and_fan_out(t)
-    return normal_(t, 0.0, gain * math.sqrt(2.0 / (fan_in + fan_out)))

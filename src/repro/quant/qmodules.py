@@ -121,20 +121,12 @@ class QuantizedConv2d(Module):
 
     @classmethod
     def from_float(cls, conv, out_scale: float, out_zero_point: int,
-                   per_channel: bool = True, mode: str = "fast") -> "QuantizedConv2d":
+                   mode: str = "fast") -> "QuantizedConv2d":
         from .kernels import quantize_per_channel
-        from ..tensor import qint8 as _qint8
-        from .observer import MinMaxObserver
 
         if any(d != 1 for d in _as_pair(conv.dilation)) or conv.groups != 1:
             raise ValueError("quantized conv supports dilation=1, groups=1")
-        if per_channel:
-            qw = quantize_per_channel(conv.weight, axis=0)
-        else:
-            obs = MinMaxObserver(dtype=_qint8, symmetric=True)
-            obs.observe(conv.weight)
-            w_scale, _ = obs.calculate_qparams()
-            qw = quantize_per_tensor(conv.weight, w_scale, 0, _qint8)
+        qw = quantize_per_channel(conv.weight, axis=0)
         params = {
             "stride": conv.stride, "padding": conv.padding,
             "in_channels": conv.in_channels, "out_channels": conv.out_channels,

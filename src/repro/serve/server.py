@@ -428,9 +428,9 @@ class InferenceServer:
                 _answer(items, self._execute_batch(
                     handle, signature, items, engine))
                 continue
+            self._inflight += 1     # before the worker can look
             work = self._pool.submit(
                 self._execute_batch, handle, signature, items)
-            self._inflight += 1
             self._handoffs += 1
             work.add_done_callback(partial(
                 loop.call_soon_threadsafe, self._batch_done, items))

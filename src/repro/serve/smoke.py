@@ -1,13 +1,13 @@
 """Serving smoke test: N concurrent requests, exactness, no deadlock.
 
-``python -m repro.serve.smoke`` (equivalently ``python -m repro.serve``)
-spins an :class:`~repro.serve.InferenceServer` up in-process, fires a
-burst of concurrent requests at a 16-op pointwise-chain model, and
-verifies every response against per-request eager execution; then 20
-sequential lone requests must match eager bitwise with no thread handoff.  The whole
-run sits under one ``asyncio.wait_for`` deadline, so a lost future, a
-stalled scheduler, or a deadlocked cache shows up as a nonzero exit
-instead of a hung CI job.
+``python -m repro.serve.smoke`` spins an
+:class:`~repro.serve.InferenceServer` up in-process, fires a burst of
+concurrent requests at a 16-op pointwise-chain model, and verifies every
+response against per-request eager execution; then 20 sequential lone
+requests must match eager bitwise with no thread handoff.  The whole run
+sits under one ``asyncio.wait_for`` deadline, so a lost future, a stalled
+scheduler, or a deadlocked cache shows up as a nonzero exit instead of a
+hung CI job.
 
 Exit status: 0 on success; 1 on mismatch, deadlock (timeout), or any
 server error.

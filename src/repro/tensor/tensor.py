@@ -103,10 +103,6 @@ class Tensor:
     def T(self) -> "Tensor":
         return Tensor._wrap(self.data.T, self._dtype)
 
-    @property
-    def is_quantized(self) -> bool:
-        return self._dtype.is_quantized
-
     def size(self, dim: int | None = None):
         """Shape as a :class:`Size`, or a single dimension's extent."""
         if dim is None:
@@ -258,9 +254,6 @@ class Tensor:
         self.data[idx] = _unwrap(value)
 
     # -- elementwise math (methods; recorded as call_method when traced) ------
-
-    def _unary(self, fn) -> "Tensor":
-        return Tensor._wrap(fn(self.data.astype(self.data.dtype, copy=False)))
 
     def neg(self) -> "Tensor":
         return Tensor._wrap(-self.data, self._dtype)

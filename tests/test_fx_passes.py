@@ -285,40 +285,10 @@ class TestCSE:
         removed = eliminate_common_subexpressions(gm)
         assert removed == 2  # relu dupe then neg dupe
 
-    def test_reimported_function_dedupes(self, tmp_path, monkeypatch):
-        # Targets are keyed by resolvable module.qualname, so the same
-        # function before and after a module reload (equal but distinct
-        # objects, same code) value-numbers identically.
-        import importlib
-        import operator
-        import sys
-
-        (tmp_path / "cse_reimport_mod.py").write_text(
-            "def double(x):\n    return x * 2\n")
-        monkeypatch.syspath_prepend(str(tmp_path))
-        mod = importlib.import_module("cse_reimport_mod")
-        try:
-            f_old = mod.double
-            f_new = importlib.reload(mod).double
-            assert f_old is not f_new
-
-            g = Graph()
-            x = g.placeholder("x")
-            a = g.call_function(f_old, (x,))
-            b = g.call_function(f_new, (x,))
-            g.output(g.call_function(operator.add, (a, b)))
-            gm = GraphModule(nn.Module(), g)
-            assert eliminate_common_subexpressions(gm) == 1
-            xv = repro.randn(3)
-            assert np.allclose(gm(xv).data, 4 * xv.data, atol=1e-6)
-        finally:
-            sys.modules.pop("cse_reimport_mod", None)
-
     def test_kwonly_default_change_not_merged(self):
         # Two versions of a function differing ONLY in a keyword-only
-        # default value share bytecode/consts/names, so the code-identity
-        # fallback must also compare __kwdefaults__ before granting both
-        # the shared qualname key.
+        # default value share bytecode/consts/names; only the one the
+        # module now holds gets the qualname key, the other its id().
         import operator
         import sys
         import types

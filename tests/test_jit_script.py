@@ -109,6 +109,28 @@ class TestScriptCompilation:
         scripted = jit.script(resnet18().eval())
         assert isinstance(scripted.warnings, list)
 
+    def test_unmodelled_constructs_are_one_unknown_each(self):
+        """What the compiler does not model is one ``prim::Unknown`` node
+        and one warning per construct, never an exception."""
+
+        class Unmodelled(nn.Module):
+            def forward(self, x):
+                x += 1                          # statement AugAssign
+                self.seen = x                   # assignment target Attribute
+                y = [v for v in (1, 2)]         # expression ListComp
+                return undefined_name(x[0:1], y)  # noqa: F821
+
+        scripted = jit.script(Unmodelled())
+        kinds = [n.kind for n in scripted.graph.all_nodes()]
+        assert kinds.count("prim::Unknown") == len(scripted.warnings) == 5
+        assert [w.split(";")[0] for w in scripted.warnings] == [
+            "unsupported statement AugAssign",
+            "unsupported assignment target Attribute",
+            "unsupported expression ListComp",
+            "unsupported name 'undefined_name'",
+            "unsupported expression Slice",
+        ]
+
 
 class TestIRComplexityOrdering:
     """§6.1 / Figure 5: script >> trace >> fx, on the same model."""

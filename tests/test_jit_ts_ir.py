@@ -1,7 +1,7 @@
 """Tests for the TorchScript-style IR data structures."""
 
 import repro
-from repro.jit import TSGraph, count_ops
+from repro.jit import TSGraph
 
 
 class TestTSGraph:
@@ -60,7 +60,7 @@ class TestTSGraph:
         g.create("aten::relu", [], 1, block=then_b)
         else_b = if_node.add_block()
         g.create("aten::neg", [], 1, block=else_b)
-        assert count_ops(g) == 1 + 1 + 3  # constant + If + 3 inner
+        assert g.num_ops() == 1 + 1 + 3  # constant + If + 3 inner
 
     def test_str_rendering(self):
         g = TSGraph()
