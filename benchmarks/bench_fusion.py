@@ -12,9 +12,10 @@ here is the *performance* effect: removing 53 BatchNorm passes over the
 activation tensors reduces latency, by an amount that depends on how
 memory-bound the regime is.
 
-This harness runs single-threaded numpy, so the paper's three hardware
-regimes are mapped to three workload regimes that shift the conv:BN cost
-ratio the same way thread count does (see EXPERIMENTS.md):
+This harness runs numpy with OpenBLAS at its default thread count (it
+pins none), and maps the paper's three hardware regimes to three
+workload regimes that shift the conv:BN cost ratio the same way thread
+count does (see EXPERIMENTS.md):
 
     "throughput"  — batch 4 @ 64px  (conv GEMMs efficient, BN share high,
                      like the threaded-CPU row)
@@ -92,7 +93,7 @@ def test_figure7_fusion_latency_reduction(benchmark, models):
         ["regime", "input", "unfused (s)", "std", "fused (s)", "std", "reduction"],
         rows,
         title="Figure 7 / Appendix C — ResNet-50 Conv-BN fusion "
-              "(measured, single-thread numpy substrate)",
+              "(measured, numpy with OpenBLAS at its default thread count)",
     )
     paper = format_table(
         ["device", "fusion", "threads", "runtime (s)", "std"],

@@ -7,11 +7,16 @@ Every entry point runs on a copy of the checkout, with a ``sitecustomize``
 that traces each process (``sys.settrace`` / ``threading.settrace``), only
 in frames whose file is under ``src/repro/``, and dumps the lines it ran,
 at exit and in ``os._exit``.  The executable lines of a module are those
-that ``co_lines()`` lists for its compiled code objects (line 0 aside);
-each is charged to the first class that ran it: product, CI-only,
-test-only, or unreached.  Lines are read from the copy that ran, so the
-checkout may change while the tool runs.  A subprocess that sets its own ``PYTHONPATH`` is
-not traced.
+that ``co_lines()`` lists for its compiled code objects (line 0 aside).
+Those that run when the module is imported (its top-level code, the bodies
+of the classes it defines there, and the comprehensions in either) are
+counted in the ``import`` column, since importing a module is not using
+it.  Each other line, one inside a function body, is charged to the first
+class that ran it: product, CI-only, test-only, or unreached.  A module no
+product entry point reaches is one whose function bodies product never
+runs (or, with no function bodies, one product never imports).  Lines are
+read from the copy that ran, so the checkout may change while the tool
+runs.  A subprocess that sets its own ``PYTHONPATH`` is not traced.
 """
 
 import collections, glob, json, os, shutil, subprocess, sys, tempfile
@@ -56,14 +61,18 @@ ENTRY_POINTS = {
                 PY + ["-m", "repro.fx.opinfo", "selftest"]],
     "test-only": [PY + ["-m", "pytest", "-q", "tests"]],
 }
-#: Modules no product entry point reaches, and the ROADMAP item (or role) that keeps each.
-ATTENTION = "the op table covers attention"
-KEPT = {"repro/fx/analysis/breaks.py": "the mending front door",
+#: Modules no product entry point reaches, and the open ROADMAP item (quoted
+#: as it is headed there) that keeps each.
+ATTENTION = '"The table covers what the zoo compiles: attention"'
+FUZZ = ('the fuzz harness CI and tier-1 run, which "A served reply is checked by the '
+        'fuzz oracle" and "Cache keys are checked, not trusted" extend')
+KEPT = {"repro/fx/analysis/breaks.py":
+        '"Graph breaks: the front door mends them, or the repair code goes"',
         "repro/models/transformer.py": ATTENTION, "repro/nn/attention.py": ATTENTION,
         "repro/nn/sparse.py": ATTENTION + " (TransformerEncoder's embedding)",
-        "repro/fx/backends/eager.py": "the oracle's backend_split reference backend",
+        "repro/fx/backends/eager.py": "the oracle's backend_split reference; " + FUZZ,
         **dict.fromkeys(["repro/fx/testing/fuzz.py", "repro/fx/testing/minimize.py",
-                         "repro/fx/testing/oracle.py"], "the fuzz harness CI and tier-1 run")}
+                         "repro/fx/testing/oracle.py"], FUZZ)}
 
 
 def reached(work: str, kind: str) -> set:
@@ -75,14 +84,20 @@ def reached(work: str, kind: str) -> set:
     return {tuple(hit) for path in glob.glob(f"{out}/*.json") for hit in json.load(open(path))}
 
 
-def executable(path: str) -> set:
-    """The lines ``co_lines()`` lists for every code object compiled from ``path``."""
-    todo, lines = [compile(open(path).read(), path, "exec")], set()
+#: Code that runs where it is defined: a class body, a comprehension.
+INLINE = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def executable(path: str) -> tuple:
+    """The lines ``co_lines()`` lists for the code objects compiled from
+    ``path``: ``(import-time lines, function-body lines)``, disjoint."""
+    todo, lines = [(compile(open(path).read(), path, "exec"), True)], (set(), set())
     while todo:
-        code = todo.pop()
-        lines |= {line for _, _, line in code.co_lines() if line}
-        todo += [c for c in code.co_consts if hasattr(c, "co_lines")]
-    return lines
+        code, at_import = todo.pop()
+        lines[not at_import].update(line for _, _, line in code.co_lines() if line)
+        todo += [(c, at_import and (c.co_name in INLINE or not c.co_flags & 2))
+                 for c in code.co_consts if hasattr(c, "co_lines")]   # 2: CO_NEWLOCALS
+    return lines[0], lines[1] - lines[0]
 
 
 def main() -> None:
@@ -96,19 +111,24 @@ def main() -> None:
         os.makedirs(f"{work}/hook")
         open(f"{work}/hook/sitecustomize.py", "w").write(HOOK)
         hits = {kind: reached(work, kind) for kind in ENTRY_POINTS}
-        table = collections.defaultdict(collections.Counter)
+        table, unused = collections.defaultdict(collections.Counter), []
         for path in sorted(glob.glob("repro/**/*.py", root_dir=f"{work}/tree/src",
                                      recursive=True)):
             row = table[path]
-            for line in executable(f"{work}/tree/src/{path}"):
+            at_import, body = executable(f"{work}/tree/src/{path}")
+            row["import"] = len(at_import)
+            for line in body:
                 kind = next((k for k in ENTRY_POINTS if (path, line) in hits[k]), "unreached")
                 row[kind] += 1
-    kinds = [*ENTRY_POINTS, "unreached"]
+            if not row["product"] and (body or not any(
+                    (path, line) in hits["product"] for line in at_import)):
+                unused.append(path)
+    kinds = ["import", *ENTRY_POINTS, "unreached"]
     lines = [f"{'module':44s}" + "".join(f"{k:>11s}" for k in kinds)]
     for module, row in [*table.items(), ("total", sum(table.values(), collections.Counter()))]:
         lines.append(f"{module:44s}" + "".join(f"{row[k]:11d}" for k in kinds))
     lines += ["", "modules no product entry point reaches, and why each stays:"]
-    lines += [f"  {m}: {KEPT.get(m, 'NONE')}" for m, row in table.items() if not row["product"]]
+    lines += [f"  {m}: {KEPT.get(m, 'NONE')}" for m in unused]
     open(f"{ROOT}/ci/reachability.txt", "w").write("\n".join(lines) + "\n")
 
 

@@ -1,21 +1,17 @@
-"""Debugging workflows on fx graphs: symbolic shapes, profiling, net_min.
+"""Debugging workflows on fx graphs: profiling and net_min.
 
-Three tools built on the IR's analyzability (§6.3 and the paper's
-"in development" extensions):
+Two tools built on the IR's analyzability (§6.3):
 
-  * symbolic shape propagation — check shapes for *every* batch size at
-    once, with a symbolic batch dimension ``N``;
   * per-node profiling — find the hot operators by interpretation;
   * numeric-divergence minimization (net_min) — given a backend that
     produces wrong numbers, pin the exact node whose kernel is broken.
 
-Run:  python examples/debug_and_symbolic_shapes.py
+Run:  python examples/debugging.py
 """
 
 import repro
 from repro.fx import Interpreter, symbolic_trace
 from repro.fx.passes import find_first_divergence, profile
-from repro.fx.passes.symbolic_shape_prop import SymbolicShapeProp, SymDim, SymShape
 from repro.models import SimpleCNN
 
 
@@ -23,20 +19,6 @@ def main() -> None:
     repro.manual_seed(0)
     model = SimpleCNN(num_classes=10).eval()
     gm = symbolic_trace(model)
-
-    # -- symbolic shapes -----------------------------------------------------
-    N = SymDim("N")
-    out_shape = SymbolicShapeProp(gm).propagate(SymShape((N, 3, 32, 32)))
-    print(f"output shape for ANY batch size: {out_shape}")
-    assert out_shape == SymShape((N, 10))
-    print("per-layer shapes (symbolic batch):")
-    for node in list(gm.graph.nodes)[1:6]:
-        print(f"  {node.name:16s} -> {node.meta.get('sym_shape')}")
-    # specialize symbolically, verify against a real run
-    concrete = out_shape.substitute({"N": 4})
-    real = gm(repro.randn(4, 3, 32, 32))
-    assert tuple(int(d) for d in concrete) == tuple(real.shape)
-    print(f"specialized at N=4: {tuple(real.shape)} ✓\n")
 
     # -- profiling ---------------------------------------------------------------
     report = profile(gm, repro.randn(4, 3, 32, 32), runs=3)

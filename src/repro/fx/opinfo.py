@@ -9,12 +9,11 @@ This module holds those transfer functions, once, and the sweep.  An
 arguments read off the instance) and carries only what a consumer reads
 today:
 
-* ``shape`` — written once against a *dimension protocol*: a dim supports
-  ``+ - * //`` and ``==``, the domain supplies ``unify(a, b, what)`` (the
-  one dim both must be, or its error naming the constraint) and
-  ``int(dim, what)``.  Plain ``int`` (:class:`Domain`; ``ShapeProp``) and
-  ``SymExpr`` (``SymbolicShapeProp``) are two domains of the same rule
-  body, so coverage and operand constraints are one thing;
+* ``shape`` — the result's dims, plain ints, from the operands' shapes.
+  The :class:`Domain` a rule is handed supplies ``unify(a, b, what)``
+  (the one dim both must be, or a :class:`ShapeError` naming the
+  constraint) and ``tensor(shape, dtype)``, the abstract tensor its
+  consumer wants (``ShapeProp``'s is a ``TensorMetadata``);
 * ``dtype`` — the result dtype from the operand dtypes;
 * ``flops`` — a weight per output element, or a formula;
 * ``kernel`` — the :class:`OpDef` ``pointwise_fuser`` generates code from:
@@ -26,8 +25,8 @@ today:
 :func:`sweep` keeps a tensor (:class:`T`: shape + dtype, no data) apart
 from a shape *value* (``x.shape``, ``x.size(0)``: the dims themselves).  A
 node the table cannot type (:class:`NoRule`) becomes what the domain's
-``missing`` says: ``ShapeProp`` executes that node, the symbolic domain
-refuses.
+``missing`` says: ``ShapeProp`` executes that node, the strict
+:class:`Domain` refuses.
 
 ``python -m repro.fx.opinfo selftest`` checks every entry against eager.
 """
@@ -55,7 +54,7 @@ from .node import Node, map_arg
 __all__ = ["CASTS", "DECLARED", "Domain", "INDEX", "NO_ENTRY", "NoRule", "OPAQUE",
            "OpDef", "OpInfo", "OpPattern", "PatternIndex", "ShapeError", "T",
            "TABLE", "bind", "entry_of",
-           "has_tensor", "infer", "key_of", "map_tensors", "op", "pointwise",
+           "has_tensor", "infer", "key_of", "op", "pointwise",
            "pointwise_shape", "selftest", "sweep", "target_name", "unchanged_shape",
            "writes_state"]
 
@@ -72,8 +71,8 @@ class NoRule(Exception):
 
 
 class T:
-    """An abstract tensor: a shape over one dim domain and a dtype
-    (``None`` where the domain tracks none).  No data."""
+    """An abstract tensor: a shape and a dtype (``None`` where a rule
+    needs only the shape).  No data."""
 
     def __init__(self, shape, dtype=None):
         self.shape, self.dtype = shape, dtype
@@ -87,11 +86,8 @@ _PLAIN = (int, float, str, slice, DType, type(None), type(Ellipsis))
 
 
 class Domain:
-    """The dimension protocol over plain ints.  The symbolic domain
-    overrides what differs."""
-
-    error = ShapeError      # what a violated constraint raises
-    dtyped = True           # are dtype rules run?
+    """What a rule and the sweep ask of their consumer: the abstract tensor
+    it wants, the check two dims agree, and what an untyped node is."""
 
     def tensor(self, shape, dtype) -> T:
         return T(tuple(shape), dtype)
@@ -100,16 +96,11 @@ class Domain:
         """The one dim *a* and *b* must both be."""
         if a == b:
             return a
-        raise self.error(f"{what}: {a} != {b}")
-
-    def int(self, dim, what: str) -> int:
-        """*dim* as a Python int, where a rule needs one (the extent of a
-        partial slice, a fractional scale factor)."""
-        return dim
+        raise ShapeError(f"{what}: {a} != {b}")
 
     def missing(self, node: Node, why: str) -> Any:
         """The value of a node the table cannot type."""
-        raise self.error(why)
+        raise ShapeError(why)
 
     def lift(self, value: Any) -> Any:
         """A real value (example input, module attribute) as the sweep
@@ -216,7 +207,7 @@ class OpInfo(OpPattern):
     """One logical op: its spellings (inherited) and its rules.
 
     Attributes:
-        shape: ``shape(d, *operands, **kwargs)`` over the domain *d*: the
+        shape: ``shape(d, *operands, **kwargs)``, *d* the :class:`Domain`: the
             result's dims as a list, a tuple of lists for several results,
             or — when ``dtype`` is ``None`` — the finished value (a shape
             value, or a tensor the rule built itself).
@@ -304,7 +295,7 @@ def writes_state(node: Node, gm: Any) -> bool:
 
 #: What a rule raises on a call form it was not written for (a 0-d operand
 #: it unpacks, a keyword it does not take).  The node is then untyped, which
-#: every domain has an answer for, instead of the sweep failing.
+#: the domain's ``missing`` answers, instead of the sweep failing.
 _NOT_COVERED = (TypeError, ValueError, IndexError, KeyError, AttributeError,
                 ZeroDivisionError)
 
@@ -319,18 +310,6 @@ def _leaves(values, out: Optional[list] = None) -> list:
         else:
             out.append(v)
     return out
-
-
-def map_tensors(value: Any, fn: Callable) -> Any:
-    """*value* with *fn* applied to each tensor in its nesting of tuples,
-    lists and dicts."""
-    if isinstance(value, T):
-        return fn(value)
-    if type(value) in (tuple, list):
-        return type(value)(map_tensors(v, fn) for v in value)
-    if type(value) is dict:
-        return {k: map_tensors(v, fn) for k, v in value.items()}
-    return value
 
 
 def has_tensor(value: Any) -> bool:
@@ -383,7 +362,7 @@ def infer(gm: GraphModule, node: Node, value_of: Callable, dom: Domain) -> Any:
         out = entry.shape(dom, *args, **kwargs)
         if entry.dtype is None:
             return out
-        dtype = entry.dtype(*args, **kwargs) if dom.dtyped else None
+        dtype = entry.dtype(*args, **kwargs)
         if type(out) is list:
             return dom.tensor(out, dtype)
         return tuple(map(dom.tensor, out,
@@ -408,7 +387,7 @@ def sweep(gm: GraphModule, inputs, dom: Domain) -> tuple[dict, Any]:
             value = next(feed, NoRule)
             if value is NoRule:
                 if not node.args:
-                    raise dom.error(f"no input for placeholder {node.target!r}")
+                    raise ShapeError(f"no input for placeholder {node.target!r}")
                 value = dom.lift(node.args[0])
         elif node.op == "output":
             env[node] = map_arg(node.args[0], env.__getitem__)
@@ -419,7 +398,7 @@ def sweep(gm: GraphModule, inputs, dom: Domain) -> tuple[dict, Any]:
     return env, None
 
 
-# -- shape rules, each written once against the dim protocol --------------------
+# -- shape rules ----------------------------------------------------------
 
 
 def _prod(dims) -> Any:
@@ -429,9 +408,9 @@ def _prod(dims) -> Any:
     return total
 
 
-def _rank(d: Domain, x: T, rank: int, what: str):
+def _rank(x: T, rank: int, what: str):
     if len(x.shape) != rank:
-        raise d.error(f"{what} expects rank {rank}, got {tuple(x.shape)}")
+        raise ShapeError(f"{what} expects rank {rank}, got {tuple(x.shape)}")
     return x.shape
 
 
@@ -442,16 +421,15 @@ def _canon(shape: tuple) -> tuple:
 
 
 def _broadcast(d: Domain, *shapes) -> list:
-    """Numpy broadcasting.  A dim that may be 1 at run time (a symbol)
-    against a 1 keeps the symbol, which is right for every binding; against
-    anything else the two must unify."""
+    """Numpy broadcasting: a 1 takes the other dim, any other pair must
+    unify."""
     out = []
     for dims in itertools.zip_longest(*map(reversed, shapes), fillvalue=1):
         dim = 1
         for other in dims:
             if dim == 1:
                 dim = other
-            elif not other == 1:
+            elif other != 1:
                 dim = d.unify(dim, other, "cannot broadcast")
         out.append(dim)
     return out[::-1]
@@ -469,7 +447,7 @@ def unchanged_shape(d, x, *args, **kwargs):
 def _matmul(d, a, b):
     a, b = tuple(a.shape), tuple(b.shape)
     if not a or not b:
-        raise d.error("matmul of a 0-d tensor")
+        raise ShapeError("matmul of a 0-d tensor")
     # numpy: a vector is a row on the left and a column on the right, and the
     # dim that made it a matrix is dropped from the result again
     lhs = a if len(a) > 1 else (1, *a)
@@ -485,7 +463,7 @@ def _matmul(d, a, b):
 
 def _linear(d, x, weight, bias=None):
     if not x.shape:
-        raise d.error("linear of a 0-d tensor")
+        raise ShapeError("linear of a 0-d tensor")
     d.unify(x.shape[-1], weight.shape[-1], "linear in_features")
     return [*x.shape[:-1], *weight.shape[:-1]]
 
@@ -496,7 +474,7 @@ def _conv_out(size, kernel, stride, padding, dilation=1):
 
 
 def _conv2d(d, x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
-    n, c, h, w = _rank(d, x, 4, "conv2d input")
+    n, c, h, w = _rank(x, 4, "conv2d input")
     f, cg, kh, kw = weight.shape
     d.unify(c, cg * groups, "conv2d in_channels")
     (sh, sw), (ph, pw), (dh, dw) = _pair(stride), _pair(padding), _pair(dilation)
@@ -504,7 +482,7 @@ def _conv2d(d, x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
 
 
 def _conv1d(d, x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
-    n, c, length = _rank(d, x, 3, "conv1d input")
+    n, c, length = _rank(x, 3, "conv1d input")
     # eager lifts to a conv2d of width 1, and so does the rule
     return _conv2d(d, T((n, c, length, 1)), T((*weight.shape, 1)), None,
                    (stride, 1), (padding, 0), (dilation, 1), groups)[:3]
@@ -512,7 +490,7 @@ def _conv1d(d, x, weight, bias=None, stride=1, padding=0, dilation=1, groups=1):
 
 def _conv_transpose2d(d, x, weight, bias=None, stride=1, padding=0,
                       output_padding=0):
-    n, c, h, w = _rank(d, x, 4, "conv_transpose2d input")
+    n, c, h, w = _rank(x, 4, "conv_transpose2d input")
     cw, f, kh, kw = weight.shape
     d.unify(c, cw, "conv_transpose2d in_channels")
     (sh, sw), (ph, pw), (oh, ow) = \
@@ -521,34 +499,30 @@ def _conv_transpose2d(d, x, weight, bias=None, stride=1, padding=0,
 
 
 def _pool2d(d, x, kernel_size, stride=None, padding=0, count_include_pad=True):
-    n, c, h, w = _rank(d, x, 4, "pool2d input")
+    n, c, h, w = _rank(x, 4, "pool2d input")
     (kh, kw), (ph, pw) = _pair(kernel_size), _pair(padding)
     sh, sw = (kh, kw) if stride is None else _pair(stride)
     return [n, c, _conv_out(h, kh, sh, ph), _conv_out(w, kw, sw, pw)]
 
 
 def _adaptive_pool2d(d, x, output_size):
-    return [*_rank(d, x, 4, "adaptive_avg_pool2d input")[:2], *_pair(output_size)]
+    return [*_rank(x, 4, "adaptive_avg_pool2d input")[:2], *_pair(output_size)]
 
 
 def _interpolate(d, x, size=None, scale_factor=None, mode="nearest"):
-    n, c, h, w = _rank(d, x, 4, "interpolate input")
+    n, c, h, w = _rank(x, 4, "interpolate input")
     if size is not None:
         return [n, c, *_pair(size)]
     factors = scale_factor if isinstance(scale_factor, (tuple, list)) \
         else (scale_factor, scale_factor)
-    # eager truncates ``int(h * f)``: a product in the protocol when the factor
-    # is whole, otherwise only for an extent that is a known int
-    return [n, c] + [s * int(f) if int(f) == f
-                     else int(d.int(s, "extent under a fractional scale") * f)
-                     for s, f in zip((h, w), factors)]
+    return [n, c] + [int(s * f) for s, f in zip((h, w), factors)]   # as eager truncates
 
 
 def _batch_norm(d, x, running_mean=None, running_var=None, weight=None,
                 bias=None, *_, **__):
     stats = weight if running_mean is None else running_mean
     if len(x.shape) < 2:
-        raise d.error(f"batch_norm expects (N, C, ...), got {tuple(x.shape)}")
+        raise ShapeError(f"batch_norm expects (N, C, ...), got {tuple(x.shape)}")
     c = x.shape[1] if stats is None else \
         d.unify(x.shape[1], stats.shape[0], "batch_norm num_features")
     return [x.shape[0], c, *x.shape[2:]]
@@ -559,7 +533,7 @@ def _layer_norm(d, x, normalized_shape, weight=None, bias=None, eps=1e-5):
         else tuple(normalized_shape)
     lead = len(x.shape) - len(tail)
     if lead < 0:
-        raise d.error(f"layer_norm over {tail} of a {tuple(x.shape)} tensor")
+        raise ShapeError(f"layer_norm over {tail} of a {tuple(x.shape)} tensor")
     return [*x.shape[:lead], *(d.unify(a, b, "layer_norm normalized_shape")
                                for a, b in zip(x.shape[lead:], tail))]
 
@@ -582,9 +556,9 @@ def _reshape(d, x, *shape):
     shape, total = list(_canon(shape)), _prod(x.shape)
     holes = [i for i, s in enumerate(shape) if s == -1]
     if holes:
-        shape[holes[0]] = total // _prod(s for s in shape if not s == -1)
+        shape[holes[0]] = total // _prod(s for s in shape if s != -1)
     # with the -1 filled in, one check covers a wrong explicit shape and a -1
-    # that does not divide: the element counts agree for every binding
+    # that does not divide
     d.unify(_prod(shape), total, "reshape element count")
     return shape
 
@@ -596,10 +570,8 @@ def _transpose(d, x, dim0, dim1):
 
 
 def _squeeze(d, x, dim=None):
-    # whether a symbol that may be 1 goes depends on the binding: no one answer
     dims = range(len(x.shape)) if dim is None else (range(len(x.shape))[dim],)
-    return [s for i, s in enumerate(x.shape)
-            if i not in dims or d.int(s, "squeeze of a dim that may be 1") != 1]
+    return [s for i, s in enumerate(x.shape) if i not in dims or s != 1]
 
 
 def _insert(shape, dim: int, size) -> list:
@@ -608,17 +580,17 @@ def _insert(shape, dim: int, size) -> list:
     return out
 
 
-def _same_rank(d, tensors, what: str) -> list:
+def _same_rank(tensors, what: str) -> list:
     """The first operand's shape, every other one checked to have its rank."""
     out = list(tensors[0].shape)
     for t in tensors[1:]:
         if len(t.shape) != len(out):
-            raise d.error(f"{what} of ranks {len(out)} and {len(t.shape)}")
+            raise ShapeError(f"{what} of ranks {len(out)} and {len(t.shape)}")
     return out
 
 
 def _cat(d, tensors, dim=0):
-    out = _same_rank(d, tensors, "cat")
+    out = _same_rank(tensors, "cat")
     dim %= len(out)
     for t in tensors[1:]:
         out = [a + b if i == dim else d.unify(a, b, "cat off-axis dim")
@@ -627,7 +599,7 @@ def _cat(d, tensors, dim=0):
 
 
 def _stack(d, tensors, dim=0):
-    out = _same_rank(d, tensors, "stack")
+    out = _same_rank(tensors, "stack")
     for t in tensors[1:]:
         out = [d.unify(a, b, "stack operand shape") for a, b in zip(out, t.shape)]
     return _insert(out, dim, len(tensors))
@@ -652,8 +624,7 @@ def _getitem(d, x, index):
             stop = len(dims) - named
             out, pos = out + dims[pos:stop], stop
         elif type(i) is slice:
-            out.append(dims[pos] if i == slice(None) else len(range(
-                *i.indices(d.int(dims[pos], "extent of a partial slice")))))
+            out.append(len(range(*i.indices(dims[pos]))))
             pos, named = pos + 1, named - 1
         elif type(i) is int:
             pos, named = pos + 1, named - 1
@@ -1004,10 +975,14 @@ NO_ENTRY = {
 # -- self-test: every entry against eager -------------------------------------------
 
 #: In a sample ``X(dims)`` is a tensor of that shape, anything else is passed
-#: as it is and a trailing dict is the keyword arguments; ``B`` is the dim the
-#: symbolic check turns into a symbol.  Function order of arguments.
+#: as it is and a trailing dict is the keyword arguments; ``B`` is the batch
+#: dim.  Function order of arguments.
 B = 7
 X = type("X", (tuple,), {"__new__": lambda cls, *dims: tuple.__new__(cls, dims)})
+#: ``(batch, dtype)`` of each run of a sample: every dtype at ``B``, and
+#: float32 with ``B`` read as 1 and as 5, so a rule right only at ``B`` fails.
+_RUNS = [(B, dtype) for dtype in (float32, float64, int64, bool_)] \
+    + [(1, float32), (5, float32)]
 _UNARY = [(X(B, 3),), (X(B, 1),), (X(),)]
 _BINARY = [(X(B, 3), X(B, 3)), (X(B, 1, 3), X(2, 1)), (X(B, 3), X()), (X(B, 3), 2),
            (X(B, 3), 1.5), (2, X(B, 3))]
@@ -1067,7 +1042,7 @@ _MODULE_SAMPLES = {
     nn.AvgPool2d: ((2,), X(B, 2, 7, 7)), nn.AdaptiveAvgPool2d: ((2,), X(B, 2, 8, 8)),
     nn.Upsample: ((None, 2), X(B, 2, 4, 4)), nn.Flatten: ((), X(B, 3, 4)),
 }
-#: Calls that break a declared constraint: every domain raises its typed error.
+#: Calls that break a declared constraint: ``ShapeProp`` raises ``ShapeError``.
 #: (A module is given as its class and constructor arguments: importing this
 #: file builds none, and so draws nothing from the global RNG.)
 _VIOLATIONS = [
@@ -1123,52 +1098,43 @@ def _tensors(shapes: list, dtype: DType) -> list:
                    else rng.integers(0, 2, shape), dtype) for shape in shapes]
 
 
-def _facts(value: Any, dtypes: bool = True) -> Any:
-    """*value* with every tensor, real or abstract, as its shape (and dtype)
-    and every tuple subclass (a ``Size``, a ``SymShape``) as a plain tuple."""
+def _facts(value: Any) -> Any:
+    """*value* with every tensor, real or abstract, as its shape and dtype,
+    and every tuple subclass (a ``Size``) as a plain tuple."""
     if isinstance(value, (Tensor, T)):
-        return (tuple(value.shape), value.dtype) if dtypes else tuple(value.shape)
-    return tuple(_facts(v, dtypes) for v in value) \
-        if isinstance(value, (tuple, list)) else value
+        return tuple(value.shape), value.dtype
+    return tuple(map(_facts, value)) if isinstance(value, (tuple, list)) else value
 
 
 def selftest(keys=None) -> list[str]:
     """Check the table against eager; returns the failures, one line each.
 
-    For every entry, spelling and sample × dtype in {float32, float64, int64,
-    bool} that eager accepts: the concrete transfer equals what eager returns
-    (shape, dtype, nesting) without falling back, and the symbolic transfer —
-    ``B`` made a symbol, then bound to 1, 5 and 7 — equals the concrete one at
-    those sizes, or refuses.  A call :func:`~repro.fx.analysis.may_alias_input`
-    declares fresh returns nothing that shares memory with an operand; one
-    whose entry ``writes`` nothing leaves its operands, the module's tensors
-    (a copy per dtype) and the global RNG as they were, and one that
-    ``writes`` changes them.  A broken constraint raises each domain's typed
-    error.  A kernel's ``emit`` equals eager's bits (NaN matched by position)
-    on floats of both signs, ±0, ±100, ±inf and NaN: into an empty buffer, on
-    a non-contiguous first operand, and in place unless a contraction; a
-    Linear-rooted fused kernel's shape and cost follow its steps.  Every public ``repro.functional``
-    function and ``nn`` leaf module has an entry or a line in
-    :data:`NO_ENTRY`."""
+    For every entry, spelling and sample, in each of :data:`_RUNS` that
+    eager accepts: the transfer equals what eager returns (shape, dtype,
+    nesting) without falling back.  A call
+    :func:`~repro.fx.analysis.may_alias_input` declares fresh returns
+    nothing that shares memory with an operand; one whose entry ``writes``
+    nothing leaves its operands, the module's tensors (a copy per run) and
+    the global RNG as they were, and one that ``writes`` changes them.  A
+    broken constraint raises :class:`ShapeError`.  A kernel's ``emit``
+    equals eager's bits (NaN matched by position) on floats of both signs,
+    ±0, ±100, ±inf and NaN: into an empty buffer, on a non-contiguous first
+    operand, and in place unless a contraction; a Linear-rooted fused
+    kernel's shape and cost follow its steps.  Every public
+    ``repro.functional`` function and ``nn`` leaf module has an entry or a
+    line in :data:`NO_ENTRY`."""
     from ..tensor.creation import get_rng
     from .analysis import may_alias_input
     from .interpreter import Interpreter
     from .passes.shape_prop import ShapeProp
-    from .passes.symbolic_shape_prop import ShapeInferenceError, SymDim, SymShape, \
-        SymbolicShapeProp
 
     failures: list[str] = []
-
-    def at(value: Any, batch: int) -> Any:
-        if hasattr(value, "substitute"):
-            return value.substitute({"N": batch})
-        return tuple(at(v, batch) for v in value) if type(value) is tuple else value
 
     def state(gm: GraphModule, inputs: list) -> list:
         return [t.data.tobytes() for t in (*inputs, *gm.state_dict().values())] \
             + [get_rng().bit_generator.state]
 
-    def emits(label: str, kernel: OpDef, spec: tuple, inputs: list, want) -> None:
+    def emits(where: str, kernel: OpDef, spec: tuple, inputs: list, want) -> None:
         kwargs = spec[-1] if isinstance(spec[-1], dict) else {}
         feed = iter(inputs)
         args = [next(feed).data if isinstance(v, X) else v
@@ -1188,13 +1154,14 @@ def selftest(keys=None) -> list[str]:
             # bit for bit, -0.0 told from 0.0, a NaN matched by position only
             if not np.array_equal(*[np.where(np.isnan(a), np.nan, a).view(f"u{a.itemsize}")
                                     for a in (out, want)]):
-                failures.append(f"{label} {spec}: emit differs from eager ({how})")
+                failures.append(f"{where}: emit differs from eager ({how})")
 
     def check(label: str, target: Any, spec: tuple, kernel: Optional[OpDef] = None) -> bool:
-        """False when eager rejects the call under every dtype."""
+        """False when eager rejects the call in every run."""
         ran = False
-        for dtype in (float32, float64, int64, bool_):
-            gm, shapes = _call_graph(target, spec)
+        for batch, dtype in _RUNS:
+            gm, shapes = _call_graph(target, spec, batch)
+            where = f"{label} {spec} {dtype}" + (f" at N={batch}" if batch != B else "")
             call = list(gm.graph.nodes)[-2]
             fresh, writes = not may_alias_input(call, gm), writes_state(call, gm)
             inputs = _tensors(shapes, dtype)
@@ -1206,33 +1173,20 @@ def selftest(keys=None) -> list[str]:
                 continue
             ran = True
             if (state(gm, inputs) != before) != writes:
-                failures.append(f"{label} {spec} {dtype}: declared writes={writes}, "
+                failures.append(f"{where}: declared writes={writes}, "
                                 f"observed {not writes} (operands, module tensors, RNG)")
             if fresh and any(np.shares_memory(out.data, x.data) for x in inputs
                              for out in _leaves([real]) if isinstance(out, Tensor)):
-                failures.append(f"{label} {spec} {dtype}: declared fresh by "
+                failures.append(f"{where}: declared fresh by "
                                 f"may_alias_input, shares memory with an operand")
             if kernel is not None and dtype.is_floating_point:
-                emits(label, kernel, spec, inputs, real)
+                emits(where, kernel, spec, inputs, real)
             prop = ShapeProp(gm)
             got = _facts(prop.propagate(*inputs))
             if prop.fallbacks:
-                failures.append(f"{label} {spec} {dtype}: {prop.fallbacks[0][2]}")
+                failures.append(f"{where}: {prop.fallbacks[0][2]}")
             elif got != _facts(real):
-                failures.append(f"{label} {spec} {dtype}: inferred {got}, eager "
-                                f"returns {_facts(real)}")
-        try:
-            general = ran and SymbolicShapeProp(gm).infer(*[
-                SymShape([s // B * SymDim("N") if s and s % B == 0 else s for s in shape])
-                for shape in shapes])[1]
-        except ShapeInferenceError:     # refusing is sound; a wrong answer is not
-            return ran
-        for batch in (1, 5, B) if ran else ():
-            small, sized = _call_graph(target, spec, batch)
-            want = _facts(ShapeProp(small).propagate(*_tensors(sized, float32)), False)
-            if _facts(at(general, batch), False) != want:
-                failures.append(f"{label} {spec}: symbolic {general} at N={batch}, "
-                                f"concrete {want}")
+                failures.append(f"{where}: inferred {got}, eager returns {_facts(real)}")
         return ran
 
     for key, entry in TABLE.items():
@@ -1273,15 +1227,11 @@ def selftest(keys=None) -> list[str]:
         if isinstance(target, tuple):
             target = target[0](*target[1:])
         gm, shapes = _call_graph(target, spec)
-        for error, run in (
-                (ShapeError, lambda: ShapeProp(gm).propagate(*_tensors(shapes, float32))),
-                (ShapeInferenceError,
-                 lambda: SymbolicShapeProp(gm).infer(*map(SymShape, shapes)))):
-            try:
-                run()
-                failures.append(f"{target}{spec}: accepted, no {error.__name__}")
-            except error:
-                pass
+        try:
+            ShapeProp(gm).propagate(*_tensors(shapes, float32))
+            failures.append(f"{target}{spec}: accepted, no ShapeError")
+        except ShapeError:
+            pass
 
     functions = {f for e in TABLE.values() for f in e.functions}
     modules = {t for e in TABLE.values() for t in e.module_types}

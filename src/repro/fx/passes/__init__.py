@@ -2,9 +2,8 @@
 
 Each submodule corresponds to a capability the paper evaluates or cites:
 
-* :mod:`.shape_prop` / :mod:`.symbolic_shape_prop` — shape analysis
-  (§6.3) as two faces of one sweep over the op table
-  (:mod:`repro.fx.opinfo`): plain ints and symbolic dims;
+* :mod:`.shape_prop` — shape analysis (§6.3): one forward sweep over
+  the op table (:mod:`repro.fx.opinfo`) from example inputs;
 * :mod:`.graph_drawer` — Graphviz visualization (§6.3);
 * :mod:`.fuser` — Conv–BatchNorm fusion (§6.2.2);
 * :mod:`.cost_model` — FLOPs / bandwidth / size estimation (§6.3), priced
@@ -21,7 +20,7 @@ Each submodule corresponds to a capability the paper evaluates or cites:
 
 from . import const_fold, cse, dce, fuser
 from . import pass_manager, pointwise_fuser
-from . import shape_prop, symbolic_shape_prop
+from . import shape_prop
 from .const_fold import fold_constants
 from .pass_manager import (
     PassError,
@@ -29,13 +28,6 @@ from .pass_manager import (
     PassManagerResult,
     PassRecord,
     Specialized,
-)
-from .symbolic_shape_prop import (
-    ShapeInferenceError,
-    SymbolicShapeProp,
-    SymDim,
-    SymExpr,
-    SymShape,
 )
 from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
@@ -67,11 +59,6 @@ __all__ = [
     "fuse_pointwise",
     "pointwise_fuser",
     "DivergenceReport",
-    "ShapeInferenceError",
-    "SymDim",
-    "SymExpr",
-    "SymShape",
-    "SymbolicShapeProp",
     "compare_outputs",
     "const_fold",
     "find_first_divergence",
@@ -88,7 +75,6 @@ __all__ = [
     "profile",
     "profiler",
     "pass_manager",
-    "symbolic_shape_prop",
     "DeviceModel",
     "FxGraphDrawer",
     "NodeCost",

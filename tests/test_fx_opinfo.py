@@ -1,5 +1,5 @@
 """The op table (``repro.fx.opinfo``): one set of per-op rules behind
-``ShapeProp``, ``SymbolicShapeProp``, the cost model and the rewriter's
+``ShapeProp``, the cost model and the rewriter's
 metadata inference — and a shape stage that runs no kernel."""
 
 import dataclasses
@@ -16,16 +16,12 @@ from repro import fx, kernels, nn
 from repro.fx import Graph, GraphModule, interpreter, opinfo, symbolic_trace
 from repro.fx.backends import NumpyBackend, to_backend
 from repro.fx.passes import ShapeProp, estimate
-from repro.fx.passes.symbolic_shape_prop import ShapeInferenceError, \
-    SymbolicShapeProp, SymDim, SymShape
 from repro.fx.subgraph_rewriter import replace_pattern
 from repro.fx.testing.oracle import reference_meta
 from repro.models import (
     MLP, ConvBNReLU, DeepRecommender, LearningToPaintActor, NeuralRenderer, SimpleCNN,
     TransformerEncoder, resnet18, resnet50,
 )
-
-N = SymDim("N")
 
 
 @pytest.fixture
@@ -160,84 +156,12 @@ def test_compiling_a_training_model_leaves_its_statistics_alone(entry, traced):
         assert np.array_equal(value.data, before[name]), name
 
 
-# -- a constraint that pins the free dim fails symbolic inference ------------------
-# ("static guards" in the names below: the verdict the server's guard sets
-# once drew from this failure, that no one shape holds for every N)
+# -- shapes agree with eager ------------------------------------------------
 
-class WithWeight(nn.Module):
-    def __init__(self, fn, *shape):
-        super().__init__()
-        self.fn = fn
-        self.w = nn.Parameter(repro.randn(*shape))
-
-    def forward(self, x):
-        return self.fn(x, self.w)
-
-
-class LinearOfTranspose(nn.Module):
-    def __init__(self):
-        super().__init__()
-        self.fc = nn.Linear(8, 4)
-
-    def forward(self, x):
-        return self.fc(x.t())
-
-
-@pytest.mark.parametrize("model, shape, clause", [
-    (lambda: (lambda x: F.matmul(x, x)), (8, 8), "matmul contraction"),
-    (lambda: WithWeight(lambda x, w: F.cat([x, w], 1), 8, 4), (8, 4), "cat off-axis"),
-    (lambda: WithWeight(lambda x, w: x.abs().pow(w), 8, 4), (8, 4), "broadcast"),
-    (LinearOfTranspose, (8, 8), "linear in_features"),
-], ids=["matmul(x,x)", "cat([x,w],1)", "abs.pow(w)", "Linear(x.t())"])
-def test_a_program_eager_rejects_at_another_batch_size_gets_static_guards(
-        model, shape, clause):
-    model = model()
-    # the error says why, in one clause: which constraint pinned which dim
-    with pytest.raises(ShapeInferenceError, match=rf"{clause}.*N|N.*{clause}"):
-        SymbolicShapeProp(symbolic_trace(model)).infer(
-            SymShape((N,) + shape[1:]))
-    with pytest.raises(Exception):   # ... and eager agrees: N = 4 is no program
-        model(repro.randn(4, *shape[1:]))
-
-
-@pytest.mark.parametrize("squeeze", [lambda x: F.relu(x).squeeze(),
-                                     lambda x: F.relu(x).squeeze(0)],
-                         ids=["squeeze()", "squeeze(0)"])
-def test_a_squeeze_that_may_drop_the_free_dim_gets_static_guards(squeeze):
-    # eager drops the batch dim at N = 1 only: no one shape is right for every N
-    assert len(squeeze(repro.randn(1, 1, 3)).shape) != len(squeeze(repro.randn(4, 1, 3)).shape)
-    shape = SymShape((N, 1, 3))
-    with pytest.raises(ShapeInferenceError, match="squeeze of a dim that may be 1"):
-        SymbolicShapeProp(symbolic_trace(squeeze)).infer(shape)
-    # a squeeze of a dim that is 1 for every N is batch generic
-    _, out = SymbolicShapeProp(symbolic_trace(
-        lambda x: F.relu(x).squeeze(1))).infer(shape)
-    assert out == SymShape((N, 3))
-
-
-def test_programs_that_are_batch_generic_stay_dynamic():
-    for model, shape in [(resnet18(num_classes=4).eval(), (2, 3, 32, 32)),
-                         (MLP(16, (32,), 8), (1, 16)),
-                         (WithWeight(lambda x, w: F.linear(w, x), 3, 8), (5, 8))]:
-        _, out = SymbolicShapeProp(symbolic_trace(model)).infer(
-            SymShape((N,) + shape[1:]))
-        assert N in out, out
-
-
-def test_static_guards_name_the_target_without_an_entry():
-    with pytest.raises(ShapeInferenceError, match="no entry for topk at node 'topk'"):
-        SymbolicShapeProp(symbolic_trace(lambda x: repro.topk(x, 2)[0])).infer(
-            SymShape((N, 8)))
-
-
-# -- shapes agree with eager in both domains --------------------------------
-
-def test_matrix_times_vector_in_both_domains():
+def test_matrix_times_vector():
     gm = symbolic_trace(lambda a, b: a @ b)
     assert tuple(F.matmul(repro.randn(3, 4), repro.randn(4)).shape) == (3,)
     assert ShapeProp(gm).propagate(repro.randn(3, 4), repro.randn(4)).shape == (3,)
-    assert SymbolicShapeProp(gm).infer(SymShape((N, 4)), SymShape((4,)))[1] == \
-        SymShape((N,))
 
 
 def test_indexing_a_tensor_is_not_indexing_its_shape():
@@ -247,8 +171,6 @@ def test_indexing_a_tensor_is_not_indexing_its_shape():
     assert tuple(row(x).shape) == (4,) and dim(x) == 5
     assert ShapeProp(row).propagate(x).shape == (4,)
     assert ShapeProp(dim).propagate(x) == 5
-    assert SymbolicShapeProp(row).infer(SymShape((N, 4)))[1] == SymShape((4,))
-    assert SymbolicShapeProp(dim).infer(SymShape((N, 4)))[1] == N
 
 
 def test_a_value_dependent_index_is_executed_not_guessed():

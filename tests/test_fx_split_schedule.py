@@ -461,6 +461,40 @@ class TestDeviceCalibration:
             predicted = fitted.predict_runtime(report)
             assert 0.5 * seconds <= predicted <= 2.0 * seconds
 
+    # Fixed samples, so that which branch of the refit runs does not depend
+    # on a wall clock: (flops, bytes, ops) per program.
+    _POINTS = [(1_000_000, 4000, 2), (8_000_000, 1000, 4), (3_000_000, 9000, 8),
+               (20_000_000, 2000, 3)]
+
+    @staticmethod
+    def _report(flops, nbytes, n_ops):
+        from repro.fx.passes.cost_model import CostReport, NodeCost
+
+        return CostReport(rows=[NodeCost(f"n{i}", "call_function", "f", flops=flops // n_ops,
+                                         bytes_read=nbytes // n_ops) for i in range(n_ops)])
+
+    @staticmethod
+    def _rates_are_finite_and_positive(fitted):
+        for rate in (fitted.flops_per_second, fitted.bytes_per_second):
+            assert np.isfinite(rate) and rate > 0, fitted
+        assert np.isfinite(fitted.overhead_per_op) and fitted.overhead_per_op >= 0, fitted
+
+    def test_calibrate_refits_without_an_axis_that_fits_non_positive(self):
+        # time falls as bytes grow: the bytes axis fits negative, and the
+        # refit keeps the flops and per-op axes
+        fitted = DeviceModel.calibrate(
+            [(self._report(*p), p[0] / 1e9 - p[1] / 1e9 + p[2] * 1e-5) for p in self._POINTS])
+        self._rates_are_finite_and_positive(fitted)
+        assert fitted.bytes_per_second == 1e18
+        assert 0.9e9 < fitted.flops_per_second < 1.1e9
+        assert 0.5e-5 < fitted.overhead_per_op < 2e-5
+
+    def test_calibrate_with_every_axis_non_positive_stays_finite(self):
+        # a timer too coarse to see any of the programs
+        fitted = DeviceModel.calibrate([(self._report(*p), 0.0) for p in self._POINTS])
+        self._rates_are_finite_and_positive(fitted)
+        assert fitted.overhead_per_op == 0.0
+
 
 class TestSchedulerEdgeCases:
     """Satellite coverage for pipeline_schedule: zero-cost transfers,

@@ -266,6 +266,46 @@ class TestLiteralStrictness:
                                    lambda v: v)) == 1
 
 
+class TestContainerPatterns:
+    """A list or tuple operand matches elementwise, a list against a tuple
+    too (tracing may record either), and its literals type-strictly."""
+
+    def test_list_pattern_rewrites_a_traced_tuple_operand(self):
+        gm = symbolic_trace(lambda x, y: F.cat((x, y), 1))
+        matches = replace_pattern(gm, lambda a, b: F.cat([a, b], 1),
+                                  lambda a, b: F.relu(F.cat([a, b], 1)))
+        assert len(matches) == 1
+        x, y = repro.randn(2, 3), repro.randn(2, 4)
+        assert np.array_equal(gm(x, y).data, F.relu(F.cat([x, y], 1)).data)
+
+    def test_two_operand_pattern_does_not_fire_on_three_operands(self):
+        gm = symbolic_trace(lambda x, y, z: F.cat((x, y, z), 1))
+        assert replace_pattern(gm, lambda a, b: F.cat([a, b], 1),
+                               lambda a, b: F.relu(F.cat([a, b], 1))) == []
+
+    def test_int_literal_in_a_list_does_not_match_a_float(self):
+        from repro.fx import Graph, GraphModule
+        g = Graph()
+        g.output(g.call_function(F.sum, (g.placeholder("x"), [1.0])))
+        gm = GraphModule(nn.Module(), g)
+        assert replace_pattern(gm, lambda v: F.sum(v, [1]), lambda v: v) == []
+        assert len(replace_pattern(gm, lambda v: F.sum(v, [1.0]), lambda v: v)) == 1
+
+    def test_a_placeholder_bound_twice_to_a_container_binds_equal_ones(self):
+        def pattern(a, b, shape):
+            return F.reshape(a, shape) + F.reshape(b, shape)
+
+        def graph(second):
+            return symbolic_trace(
+                lambda x, y: F.reshape(x, (2, 3)) + F.reshape(y, second))
+
+        assert replace_pattern(graph((2.0, 3)), pattern, lambda a, b, s: a) == []
+        gm = graph([2, 3])
+        assert len(replace_pattern(gm, pattern, lambda a, b, s: F.reshape(a, s))) == 1
+        x = repro.randn(6)
+        assert np.array_equal(gm(x, x).data, F.reshape(x, (2, 3)).data)
+
+
 class TestNonTreePatterns:
     def test_diamond_pattern_matches_shared_value(self):
         # tanh(x) feeds both sides of the add: genuine dataflow DAG, not

@@ -25,8 +25,7 @@ from repro.fx import (ArtifactCache, UnstableHashError, cache_info,
 from repro.fx.backends import NumpyBackend, to_backend
 from repro.fx.backends.numpy_backend import _shape_prop
 from repro.fx.passes import (FusedKernel, PassError, PassManager, ShapeProp,
-                             Specialized, SymbolicShapeProp, SymShape,
-                             eliminate_common_subexpressions,
+                             Specialized, eliminate_common_subexpressions,
                              eliminate_dead_code, fold_constants,
                              fuse_pointwise)
 from repro.fx.passes import pass_manager as pm_module
@@ -500,10 +499,9 @@ def test_in_place_write_leaves_the_callers_module_bit_identical(net):
     model, x = net
     gm = symbolic_trace(model)
     ShapeProp(gm).propagate(x)
-    SymbolicShapeProp(gm).propagate(SymShape(("N", 3, 16, 16)))
     code = gm.code
     meta = [dict(n.meta) for n in gm.graph.nodes]
-    assert all("sym_shape" in m for m in meta[:-1])
+    assert all("tensor_meta" in m for m in meta[:-1])
     state = [a.copy() for a in arrays(gm)]
 
     # The passes see the caller's arrays through read-only views: the bad

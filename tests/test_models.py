@@ -162,15 +162,3 @@ class TestNeuralRenderer:
         lowered = to_backend(r, "trt", allow_fallback=False)
         x = repro.rand(2, 10)
         assert np.allclose(r(x).data, lowered(x).data, rtol=1e-3, atol=1e-5)
-
-    def test_symbolic_shape(self):
-        from repro.fx.passes.symbolic_shape_prop import (
-            SymbolicShapeProp, SymDim, SymShape,
-        )
-        from repro.models import neural_renderer
-
-        r = neural_renderer(canvas=16).eval()
-        gm = symbolic_trace(r)
-        N = SymDim("N")
-        out = SymbolicShapeProp(gm).propagate(SymShape((N, 10)))
-        assert out == SymShape((N, 1, 16, 16))
